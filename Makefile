@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt-check test race bench-smoke bench-compare snapshot stress trace-demo check check-ci
+.PHONY: all build vet fmt-check test race bench-smoke bench-compare bench-check loc snapshot stress trace-demo check check-ci
 
 all: build
 
@@ -28,10 +28,28 @@ race:
 bench-smoke:
 	$(GO) test -run '^$$' -bench BenchmarkGammaIncremental -benchtime 1x .
 
-# Engine comparison gate: run e16 on both engines and fail unless the
-# incremental engine's wall time is strictly below the full rescan at n=10^4.
+# Wake-policy comparison gate: run e16 under both policies and fail unless
+# the incremental policy's wall time is strictly below the full rescan on the
+# multi-reaction workloads at n=10^4 (single-reaction programs run identically
+# under both, so only their probe counts are checked).
 bench-compare:
 	$(GO) run ./cmd/gfbench -exp e16 -guard
+
+# bench/ is its own module (replace repro => ../), so `go test ./...` never
+# compiles it: vet and test it against the current internals here, or an
+# internal signature change breaks the benchmark silently.
+bench-check:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
+
+# Non-test Go outside bench/, per package: total lines and code lines (blank
+# and comment-only lines excluded). The size criterion of simplification PRs.
+loc:
+	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | sort | xargs awk ' \
+		FNR == 1 { d = FILENAME; sub("/[^/]*$$", "", d) } \
+		{ lines[d]++; tl++ } \
+		$$0 !~ /^[[:space:]]*($$|\/\/)/ { code[d]++; tc++ } \
+		END { for (d in lines) printf "%6d %6d %s\n", lines[d], code[d], d; \
+		      printf "%6d %6d total\n", tl, tc }' | sort -k3 | sed '1i\ lines   code package'
 
 # Refresh the machine-readable matching-engine measurements (sequential
 # engines via e16, work-stealing parallel rows via e20, gammad service load
@@ -56,7 +74,8 @@ trace-demo:
 # service-side traced-run differential: per-tenant/per-engine registry
 # rollups equal the global registry exactly under concurrent load, and the
 # record/replay differentials: a parallel run's commit-order schedule must
-# replay sequentially to the byte-identical final state) — DESIGN.md §9,
+# replay sequentially to the byte-identical final state, and the provenance
+# and work/span folds over it must be commit-order exact) — DESIGN.md §9,
 # §10, §12, §14, §15 and §16.
 stress:
 	$(GO) test -race -count=2 -run 'Cancel|Panic|Fault|Dead|Deadline|Wedge|Retr|Differential|KernelMatches|ApplyDelta|Steal|Batch|Rollup|Replay' \
@@ -64,7 +83,7 @@ stress:
 		./internal/expr/ ./internal/multiset/ ./internal/equiv/ \
 		./internal/service/ ./internal/telemetry/ ./internal/replay/ .
 
-check: vet fmt-check build race bench-smoke
+check: vet fmt-check build race bench-smoke bench-check
 
 # CI gate: like check but with explicit timeouts so a wedged pool fails the
 # build instead of hanging it. The engine-comparison guard runs in its
@@ -84,7 +103,7 @@ check: vet fmt-check build race bench-smoke
 # reference workload). Record/replay gates twice more: the byte-pinned
 # Fig. 1/Fig. 2 golden replays, and the parallel-record → sequential-replay
 # differentials under the race detector.
-check-ci: vet fmt-check build
+check-ci: vet fmt-check build bench-check
 	$(GO) test -race -timeout 5m ./...
 	$(GO) test -race -timeout 2m -count=2 -run 'Cancel|Panic|Fault|Dead' \
 		./internal/gamma/ ./internal/dataflow/ ./internal/dist/

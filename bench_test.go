@@ -18,6 +18,7 @@ import (
 	"repro/internal/multiset"
 	"repro/internal/paper"
 	"repro/internal/profile"
+	"repro/internal/replay"
 	"repro/internal/reuse"
 	"repro/internal/schema"
 	"repro/internal/value"
@@ -543,8 +544,9 @@ func BenchmarkDistributedMin(b *testing.B) {
 
 // ---- E15: parallelism profiling, and its overhead (ablation) ----
 
-// BenchmarkProfileOverhead measures the cost of attaching a trace collector
-// to the Fig. 2 loop in each runtime.
+// BenchmarkProfileOverhead measures the cost of profiling the Fig. 2 loop in
+// each runtime: recording the schedule and folding it into a work/span
+// report.
 func BenchmarkProfileOverhead(b *testing.B) {
 	g := paper.Fig2GraphObservable(10, 4, 16)
 	b.Run("dataflow/off", func(b *testing.B) {
@@ -556,10 +558,12 @@ func BenchmarkProfileOverhead(b *testing.B) {
 	})
 	b.Run("dataflow/on", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			col := profile.NewCollector()
-			if _, err := dataflow.Run(g, dataflow.Options{Tracer: col}); err != nil {
+			rec := replay.NewRecorder(replay.KindDataflow, "fig2")
+			if _, err := dataflow.Run(g, dataflow.Options{Schedule: rec}); err != nil {
 				b.Fatal(err)
 			}
+			col := profile.NewCollector()
+			rec.Schedule().Each(col.RecordFiring)
 			if col.Report().Work == 0 {
 				b.Fatal("empty trace")
 			}
@@ -579,10 +583,15 @@ func BenchmarkProfileOverhead(b *testing.B) {
 	})
 	b.Run("gamma/on", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			col := profile.NewCollector()
+			rec := replay.NewRecorder(replay.KindGamma, "fig2")
 			m := init.Clone()
-			if _, err := gamma.Run(prog, m, gamma.Options{Tracer: col}); err != nil {
+			if _, err := gamma.Run(prog, m, gamma.Options{Schedule: rec}); err != nil {
 				b.Fatal(err)
+			}
+			col := profile.NewCollector()
+			rec.Schedule().Each(col.RecordFiring)
+			if col.Report().Work == 0 {
+				b.Fatal("empty trace")
 			}
 		}
 	})

@@ -99,8 +99,8 @@ func run(ctx context.Context, path string, tel *cli.TelemetryFlags, compile, red
 		// emitted Gamma program on a copy of its init multiset so the trace
 		// shows the program the user is about to run.
 		opt := gamma.Options{Workers: 1, MaxSteps: 1_000_000, Recorder: tel.Recorder()}
-		if p := tel.Provenance(); p != nil {
-			opt.Tracer = p
+		if s := tel.Schedule(); s != nil {
+			opt.Schedule = s
 		}
 		if _, err := gamma.RunContext(ctx, prog, init.Clone(), opt); err != nil {
 			return fmt.Errorf("traced run of converted program: %w", err)

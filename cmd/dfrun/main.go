@@ -33,7 +33,6 @@ import (
 	"repro/internal/replay"
 	"repro/internal/rt"
 	"repro/internal/schema"
-	"repro/internal/telemetry"
 )
 
 func main() {
@@ -144,23 +143,15 @@ func run(ctx context.Context, path string, tel *cli.TelemetryFlags, engine strin
 		}
 	}
 	opt := dataflow.Options{Workers: spec.EffectiveWorkers(), MaxFirings: maxFirings, Recorder: tel.Recorder()}
-	if s := tel.Schedule(); s != nil {
-		opt.Schedule = s
+	sched := tel.Schedule()
+	if sched == nil && prof {
+		sched = replay.NewRecorder(replay.KindDataflow, path)
+	}
+	if sched != nil {
+		opt.Schedule = sched
 	}
 	if spec.Engine == schema.EngineMatrix {
 		opt.Engine = dataflow.EngineMatrix
-	}
-	var col *profile.Collector
-	var tracers []telemetry.Tracer
-	if prof {
-		col = profile.NewCollector()
-		tracers = append(tracers, col)
-	}
-	if p := tel.Provenance(); p != nil {
-		tracers = append(tracers, p)
-	}
-	if tr := telemetry.MultiTracer(tracers...); tr != nil {
-		opt.Tracer = tr
 	}
 	res, err := dataflow.RunContext(ctx, g, opt)
 	if err != nil {
@@ -182,7 +173,9 @@ func run(ctx context.Context, path string, tel *cli.TelemetryFlags, engine strin
 		}
 	}
 	fmt.Printf("firings=%d pending=%d workers=%d [%s]\n", res.Firings, res.Pending, res.Workers, dfir.Stats(g))
-	if col != nil {
+	if prof {
+		col := profile.NewCollector()
+		sched.Schedule().Each(col.RecordFiring)
 		fmt.Println("profile:", col.Report())
 	}
 	return nil

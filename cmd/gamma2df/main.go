@@ -27,6 +27,7 @@ import (
 	"repro/internal/dataflow"
 	"repro/internal/dfir"
 	"repro/internal/gammalang"
+	"repro/internal/replay"
 )
 
 func main() {
@@ -40,6 +41,7 @@ func main() {
 		flag.PrintDefaults()
 		os.Exit(cli.ExitUsage)
 	}
+	tel.ScheduleKind = replay.KindDataflow // the traced run executes the emitted graph
 	if err := tel.Start(nil); err != nil {
 		cli.Exit("gamma2df", err)
 	}
@@ -90,8 +92,8 @@ func run(path string, tel *cli.TelemetryFlags, singleReaction bool, dot string) 
 		// Single-reaction subgraphs have unconnected roots and are skipped.
 		if !singleReaction {
 			opt := dataflow.Options{Workers: 1, MaxFirings: 1_000_000, Recorder: tel.Recorder()}
-			if p := tel.Provenance(); p != nil {
-				opt.Tracer = p
+			if s := tel.Schedule(); s != nil {
+				opt.Schedule = s
 			}
 			if _, err := dataflow.Run(g, opt); err != nil {
 				return fmt.Errorf("traced run of converted graph: %w", err)

@@ -35,7 +35,6 @@ import (
 	"repro/internal/replay"
 	"repro/internal/rt"
 	"repro/internal/schema"
-	"repro/internal/telemetry"
 )
 
 func main() {
@@ -43,7 +42,7 @@ func main() {
 	seed := flag.Int64("seed", 0, "seed for nondeterministic matching")
 	maxSteps := flag.Int64("maxsteps", 1_000_000, "abort after this many reaction firings (0 = unlimited)")
 	timeout := flag.Duration("timeout", 0, "abort the run after this long, e.g. 30s (0 = no deadline)")
-	fullScan := flag.Bool("fullscan", false, "disable the incremental matching engine (probe every reaction after every firing)")
+	fullScan := flag.Bool("fullscan", false, "wake every reaction after every firing instead of the subscribed ones (scheduler reference policy)")
 	initSet := flag.String("init", "", "initial multiset, e.g. \"{[1,'A1'],[5,'B1']}\" (overrides the file's init)")
 	replayFile := flag.String("replay", "", "replay a recorded schedule (from -trace-format schedule) instead of running")
 	stats := flag.Bool("stats", false, "print per-reaction firing counts")
@@ -73,9 +72,6 @@ func main() {
 	}
 	ctx, stop := cli.Context(*timeout)
 	opt := gamma.Options{Workers: *workers, Seed: *seed, MaxSteps: *maxSteps, FullScan: *fullScan, Recorder: tel.Recorder()}
-	if s := tel.Schedule(); s != nil {
-		opt.Schedule = s
-	}
 	if *replayFile != "" {
 		err = replayRun(flag.Arg(0), *replayFile, *initSet)
 	} else {
@@ -188,17 +184,14 @@ func run(ctx context.Context, path string, opt gamma.Options, tel *cli.Telemetry
 			fmt.Printf("warning: reactions that can never fire: %v\n", dead)
 		}
 	}
-	var col *profile.Collector
-	var tracers []telemetry.Tracer
-	if prof {
-		col = profile.NewCollector()
-		tracers = append(tracers, col)
+	// One firing record serves the trace file and the profile: both are read
+	// off the commit-ordered schedule after the run.
+	sched := tel.Schedule()
+	if sched == nil && prof {
+		sched = replay.NewRecorder(replay.KindGamma, path)
 	}
-	if p := tel.Provenance(); p != nil {
-		tracers = append(tracers, p)
-	}
-	if tr := telemetry.MultiTracer(tracers...); tr != nil {
-		opt.Tracer = tr
+	if sched != nil {
+		opt.Schedule = sched
 	}
 	st, err := plan.RunContext(ctx, m, opt)
 	if err != nil {
@@ -212,7 +205,9 @@ func run(ctx context.Context, path string, opt gamma.Options, tel *cli.Telemetry
 	}
 	fmt.Println(m)
 	fmt.Printf("steps=%d probes=%d conflicts=%d retries=%d workers=%d\n", st.Steps, st.Probes, st.Conflicts, st.Retries, st.Workers)
-	if col != nil {
+	if prof {
+		col := profile.NewCollector()
+		sched.Schedule().Each(col.RecordFiring)
 		fmt.Println("profile:", col.Report())
 	}
 	if stats {

@@ -14,6 +14,7 @@ import (
 	"repro/internal/multiset"
 	"repro/internal/paper"
 	"repro/internal/profile"
+	"repro/internal/replay"
 	"repro/internal/reuse"
 	"repro/internal/value"
 )
@@ -408,6 +409,28 @@ func expE13() error {
 	return nil
 }
 
+// profileOf folds a recorded run's commit-ordered schedule into its
+// work/span report.
+func profileOf(rec *replay.Recorder) profile.Report {
+	col := profile.NewCollector()
+	rec.Schedule().Each(col.RecordFiring)
+	return col.Report()
+}
+
+func profileGamma(p *gamma.Program, m *multiset.Multiset, opt gamma.Options) (profile.Report, error) {
+	rec := replay.NewRecorder(replay.KindGamma, p.Name)
+	opt.Schedule = rec
+	_, err := gamma.Run(p, m, opt)
+	return profileOf(rec), err
+}
+
+func profileGraph(g *dataflow.Graph, opt dataflow.Options) (profile.Report, error) {
+	rec := replay.NewRecorder(replay.KindDataflow, g.Name)
+	opt.Schedule = rec
+	_, err := dataflow.Run(g, opt)
+	return profileOf(rec), err
+}
+
 // expE15 profiles work, span and average parallelism across the paper's
 // programs in both models — the model-level version of the parallelism
 // claims, independent of machine and scheduler.
@@ -416,22 +439,19 @@ func expE15() error {
 		"program", "model", "work", "span", "parallelism", "peak width")
 
 	// Fig. 1 in both models.
-	colDF := profile.NewCollector()
-	if _, err := dataflow.Run(paper.Fig1Graph(), dataflow.Options{Tracer: colDF}); err != nil {
+	r, err := profileGraph(paper.Fig1Graph(), dataflow.Options{})
+	if err != nil {
 		return err
 	}
-	r := colDF.Report()
 	t.Row("Fig. 1", "dataflow", r.Work, r.Span, r.Parallelism, r.PeakWidth)
 
 	prog, init, err := core.ToGamma(paper.Fig1Graph())
 	if err != nil {
 		return err
 	}
-	colG := profile.NewCollector()
-	if _, err := gamma.Run(prog, init.Clone(), gamma.Options{Tracer: colG}); err != nil {
+	if r, err = profileGamma(prog, init.Clone(), gamma.Options{}); err != nil {
 		return err
 	}
-	r = colG.Report()
 	t.Row("Fig. 1", "gamma", r.Work, r.Span, r.Parallelism, r.PeakWidth)
 
 	// Full vs reduced Example 1 over 16 independent instances: same span
@@ -455,22 +475,18 @@ func expE15() error {
 		name string
 		p    *gamma.Program
 	}{{"full R1-R3", full}, {"reduced Rd1", reduced}} {
-		col := profile.NewCollector()
-		if _, err := gamma.Run(variant.p, instances.Clone(), gamma.Options{Tracer: col}); err != nil {
+		if r, err = profileGamma(variant.p, instances.Clone(), gamma.Options{}); err != nil {
 			return err
 		}
-		r = col.Report()
 		t.Row("Example 1 x16 ("+variant.name+")", "gamma", r.Work, r.Span, r.Parallelism, r.PeakWidth)
 	}
 
 	// The Fig. 2 loop is inherently sequential: span grows with z.
 	for _, z := range []int64{4, 16} {
-		col := profile.NewCollector()
 		g := paper.Fig2GraphObservable(10, 4, z)
-		if _, err := dataflow.Run(g, dataflow.Options{Tracer: col, MaxFirings: 1_000_000}); err != nil {
+		if r, err = profileGraph(g, dataflow.Options{MaxFirings: 1_000_000}); err != nil {
 			return err
 		}
-		r = col.Report()
 		t.Row(fmt.Sprintf("Fig. 2 loop z=%d", z), "dataflow", r.Work, r.Span, r.Parallelism, r.PeakWidth)
 	}
 
@@ -483,11 +499,9 @@ func expE15() error {
 	for i := int64(1); i <= 64; i++ {
 		m.Add(multiset.New1(value.Int(i)))
 	}
-	col := profile.NewCollector()
-	if _, err := gamma.Run(minProg, m, gamma.Options{Seed: 3, Tracer: col}); err != nil {
+	if r, err = profileGamma(minProg, m, gamma.Options{Seed: 3}); err != nil {
 		return err
 	}
-	r = col.Report()
 	t.Row("Eq. 2 min over 64", "gamma", r.Work, r.Span, r.Parallelism, r.PeakWidth)
 
 	fmt.Print(t)

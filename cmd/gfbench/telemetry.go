@@ -22,6 +22,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/multiset"
 	"repro/internal/paper"
+	"repro/internal/replay"
 	"repro/internal/telemetry"
 	"repro/internal/value"
 )
@@ -148,18 +149,19 @@ func expE19() error {
 		return err
 	}
 	rec := benchTel.Recorder()
-	prov := benchTel.Provenance()
+	sched := benchTel.Schedule()
 	if rec == nil {
 		rec = telemetry.New(0)
 	}
-	if prov == nil {
-		prov = telemetry.NewProvenance()
-		prov.Labeler = multiset.PrettyKey
+	if sched == nil {
+		sched = replay.NewRecorder(replay.KindGamma, "fig1")
 	}
-	st, err := gamma.Run(ex1, m, gamma.Options{Recorder: rec, Tracer: prov})
+	st, err := gamma.Run(ex1, m, gamma.Options{Recorder: rec, Schedule: sched})
 	if err != nil {
 		return err
 	}
+	prov := telemetry.NewProvenance()
+	sched.Schedule().Each(prov.RecordFiring)
 	for name, want := range map[string]int64{
 		"gamma.steps":  st.Steps,
 		"gamma.probes": st.Probes,

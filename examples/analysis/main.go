@@ -29,6 +29,14 @@ R2 = replace [id1, 'C1'], [id2, 'D1'] by [id1 * id2, 'C2']
 R3 = replace [id1, 'B2'], [id2, 'C2'] by [id1 - id2, 'm']
 `
 
+// profileOf folds a recorded run's commit-ordered schedule into its
+// work/span report.
+func profileOf(rec *gammaflow.ScheduleRecorder) gammaflow.ProfileReport {
+	col := gammaflow.NewProfileCollector()
+	rec.Schedule().Each(col.RecordFiring)
+	return col.Report()
+}
+
 func main() {
 	file, err := gammaflow.ParseGammaFile(src)
 	if err != nil {
@@ -49,17 +57,18 @@ func main() {
 	}
 	fmt.Printf("inferred schema (Structured-Gamma style):\n%s\n", sch)
 
-	// 2. Profile the full program: work, critical path, parallelism.
-	col := gammaflow.NewProfileCollector()
+	// 2. Profile the full program: work, critical path, parallelism — a fold
+	// over the run's recorded firing schedule.
+	rec := gammaflow.NewScheduleRecorder(gammaflow.ScheduleGamma, "example1x8")
 	reuseTable := gammaflow.NewReuseTable(0)
 	m := file.Init.Clone()
 	stats, err := gammaflow.RunProgram(prog, m, gammaflow.ProgramOptions{
-		RunConfig: gammaflow.RunConfig{Tracer: col}, Memo: reuseTable,
+		RunConfig: gammaflow.RunConfig{Schedule: rec}, Memo: reuseTable,
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("full program:    %s\n", col.Report())
+	fmt.Printf("full program:    %s\n", profileOf(rec))
 	fmt.Printf("reuse:           %s (identical B1*C1*D1 sub-computations repeat across instances)\n",
 		reuseTable.Stats())
 	mCount := 0
@@ -74,13 +83,13 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	col2 := gammaflow.NewProfileCollector()
+	rec2 := gammaflow.NewScheduleRecorder(gammaflow.ScheduleGamma, "reduced")
 	m2 := file.Init.Clone()
-	if _, err := gammaflow.RunProgram(reduced, m2, gammaflow.ProgramOptions{RunConfig: gammaflow.RunConfig{Tracer: col2}}); err != nil {
+	if _, err := gammaflow.RunProgram(reduced, m2, gammaflow.ProgramOptions{RunConfig: gammaflow.RunConfig{Schedule: rec2}}); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("after reduction: %d fusions -> %s\n", fused, gammaflow.FormatProgram(reduced))
-	fmt.Printf("reduced profile: %s\n", col2.Report())
+	fmt.Printf("reduced profile: %s\n", profileOf(rec2))
 	fmt.Println("\nthe reduction shrinks span per instance to 1 but halves peak parallelism —")
 	fmt.Println("exactly the paper's granularity observation, measured")
 }

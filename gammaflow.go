@@ -50,6 +50,7 @@ import (
 	"repro/internal/gammalang"
 	"repro/internal/multiset"
 	"repro/internal/profile"
+	"repro/internal/replay"
 	"repro/internal/reuse"
 	"repro/internal/rt"
 	"repro/internal/schema"
@@ -88,12 +89,25 @@ type (
 	FaultInjector = rt.FaultInjector
 )
 
-// Tracer observes execution dependency structure; both runtimes share the
-// signature (package profile's Collector implements it for work/span
-// analysis).
-type Tracer interface {
-	RecordFiring(name string, consumed, produced []string)
-}
+// Firing schedules: the one way to observe a run's firings. A
+// ScheduleRecorder attached as RunConfig.Schedule receives every committed
+// firing in both runtimes; its Schedule() is the commit-ordered firing
+// history (§III-C), which replays step for step and from which every
+// analysis is a fold — rec.Schedule().Each(col.RecordFiring) for a
+// ProfileCollector.
+//
+// Build one ScheduleRecorder per run with NewScheduleRecorder.
+type ScheduleRecorder = replay.Recorder
+
+// Schedule kinds: the runtime a ScheduleRecorder is attached to.
+const (
+	ScheduleGamma    = replay.KindGamma
+	ScheduleDataflow = replay.KindDataflow
+)
+
+// NewScheduleRecorder returns an empty recorder for a run of the given kind;
+// name labels the schedule.
+var NewScheduleRecorder = replay.NewRecorder
 
 // RunSpec is the serializable core of a run configuration: engine, workers,
 // seed, step budget and timeout. It is the exact struct the gammad service
@@ -146,9 +160,9 @@ type RunConfig struct {
 	// WorkFactor emulates instruction/action cost by spinning this many
 	// iterations per application. Process-local: not part of the wire spec.
 	WorkFactor int
-	// Tracer, when set, receives every firing with its consumed and produced
-	// keys. Process-local: not part of the wire spec.
-	Tracer Tracer
+	// Schedule, when set, records every committed firing with its consumed
+	// and produced keys. Process-local: not part of the wire spec.
+	Schedule *ScheduleRecorder
 }
 
 // Scalar values and tuples.
@@ -201,9 +215,6 @@ type ProgramOptions struct {
 	// Memo, when set, caches reaction products by reaction and consumed
 	// elements.
 	Memo ProgramMemo
-	// FullScan disables the delta-driven incremental scheduler (measurement
-	// baseline / oracle).
-	FullScan bool
 	// FaultInjector, when set, runs before every reaction application; a
 	// non-nil return aborts the run, a panic exercises worker recovery.
 	FaultInjector FaultInjector
@@ -222,16 +233,18 @@ func (o ProgramOptions) validate() error {
 }
 
 func (o ProgramOptions) lower() gamma.Options {
-	return gamma.Options{
+	opt := gamma.Options{
 		Workers:       o.EffectiveWorkers(),
 		Seed:          o.Seed,
 		MaxSteps:      o.MaxSteps,
 		WorkFactor:    o.WorkFactor,
-		Tracer:        o.Tracer,
 		Memo:          o.Memo,
-		FullScan:      o.FullScan,
 		FaultInjector: o.FaultInjector,
 	}
+	if o.Schedule != nil { // a typed nil would defeat the engine's disabled fast path
+		opt.Schedule = o.Schedule
+	}
+	return opt
 }
 
 // RunProgramContext executes a Gamma program to its stable state (Eq. 1)
@@ -329,9 +342,11 @@ func (o GraphOptions) lower() dataflow.Options {
 		Workers:       o.EffectiveWorkers(),
 		MaxFirings:    o.MaxSteps,
 		WorkFactor:    o.WorkFactor,
-		Tracer:        o.Tracer,
 		Memo:          o.Memo,
 		FaultInjector: o.FaultInjector,
+	}
+	if o.Schedule != nil {
+		opt.Schedule = o.Schedule
 	}
 	if o.Engine == EngineMatrix {
 		opt.Engine = dataflow.EngineMatrix
@@ -462,14 +477,14 @@ var (
 // Execution profiling: work/span/parallelism analysis over either runtime
 // (the §I benefit of studying Gamma programs with dataflow analyses [2]).
 type (
-	// ProfileCollector implements both runtimes' Tracer interfaces.
+	// ProfileCollector folds a recorded Schedule into work/span metrics.
 	ProfileCollector = profile.Collector
 	// ProfileReport holds work, span, parallelism and the depth profile.
 	ProfileReport = profile.Report
 )
 
-// NewProfileCollector returns an empty trace collector; pass it as
-// GraphOptions.Tracer or ProgramOptions.Tracer.
+// NewProfileCollector returns an empty collector; feed it a recorded run with
+// rec.Schedule().Each(col.RecordFiring).
 var NewProfileCollector = profile.NewCollector
 
 // Distributed multiset execution (the paper's §IV future work: Gamma over

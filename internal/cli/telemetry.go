@@ -32,14 +32,14 @@ type TelemetryFlags struct {
 	// Pprof mounts the net/http/pprof introspection handlers under
 	// /debug/pprof/ on the metrics endpoint; requires MetricsAddr.
 	Pprof bool
-	// ScheduleKind names what the "schedule" trace format records —
+	// ScheduleKind names what the schedule recorder records —
 	// replay.KindGamma or replay.KindDataflow. The command sets it before
 	// Start; it is not a flag.
 	ScheduleKind string
 
 	format   telemetry.Format
 	rec      *telemetry.Recorder
-	prov     *telemetry.Provenance
+	labeler  func(string) string
 	sched    *replay.Recorder
 	closeSrv func()
 }
@@ -61,9 +61,10 @@ func (t *TelemetryFlags) Enabled() bool {
 
 // Start validates the flags and builds the collectors: the recorder (nil when
 // nothing was requested, keeping the runtimes on their fast path), the
-// provenance tracer for the dot format (labeler renders element keys; nil
-// keeps them raw), the schedule recorder for the schedule format, and the
-// live metrics endpoint. Call Finish before exiting.
+// schedule recorder for the schedule and dot formats (the provenance DAG is
+// folded from the recorded schedule at Finish; labeler renders its element
+// keys, nil keeps them raw), and the live metrics endpoint. Call Finish
+// before exiting.
 func (t *TelemetryFlags) Start(labeler func(string) string) error {
 	if t.Trace != "" {
 		f, err := telemetry.ParseFormat(t.TraceFormat)
@@ -79,11 +80,8 @@ func (t *TelemetryFlags) Start(labeler func(string) string) error {
 		return nil
 	}
 	t.rec = telemetry.New(0)
-	if t.format == telemetry.FormatDOT {
-		t.prov = telemetry.NewProvenance()
-		t.prov.Labeler = labeler
-	}
-	if t.format == telemetry.FormatSchedule {
+	t.labeler = labeler
+	if t.format == telemetry.FormatSchedule || t.format == telemetry.FormatDOT {
 		kind := t.ScheduleKind
 		if kind == "" {
 			kind = replay.KindGamma
@@ -112,14 +110,10 @@ func (t *TelemetryFlags) Start(labeler func(string) string) error {
 // telemetry is disabled.
 func (t *TelemetryFlags) Recorder() *telemetry.Recorder { return t.rec }
 
-// Provenance is the firing tracer to combine into Options.Tracer (via
-// telemetry.MultiTracer); non-nil only for the dot trace format.
-func (t *TelemetryFlags) Provenance() *telemetry.Provenance { return t.prov }
-
 // Schedule is the schedule recorder to pass as Options.Schedule; non-nil
-// only for the schedule trace format. (The runtime option is an interface,
-// so assign it through a nil check — a typed nil would defeat the runtimes'
-// disabled fast path.)
+// only for the schedule and dot trace formats. (The runtime option is an
+// interface, so assign it through a nil check — a typed nil would defeat the
+// runtimes' disabled fast path.)
 func (t *TelemetryFlags) Schedule() *replay.Recorder { return t.sched }
 
 // Finish stops the metrics endpoint, writes the trace file in the selected
@@ -143,7 +137,10 @@ func (t *TelemetryFlags) Finish() error {
 		case telemetry.FormatPerfetto:
 			err = telemetry.WritePerfetto(f, t.rec)
 		case telemetry.FormatDOT:
-			err = t.prov.WriteDOT(f)
+			prov := telemetry.NewProvenance()
+			prov.Labeler = t.labeler
+			t.sched.Schedule().Each(prov.RecordFiring)
+			err = prov.WriteDOT(f)
 		case telemetry.FormatJSONL:
 			err = telemetry.WriteJSONL(f, t.rec)
 		case telemetry.FormatSchedule:

@@ -25,7 +25,7 @@ func TestTelemetryFlagsDisabledIsFree(t *testing.T) {
 	if err := tel.Start(nil); err != nil {
 		t.Fatal(err)
 	}
-	if tel.Recorder() != nil || tel.Provenance() != nil {
+	if tel.Recorder() != nil || tel.Schedule() != nil {
 		t.Fatal("disabled telemetry must keep the nil fast path")
 	}
 	if err := tel.Finish(); err != nil {
@@ -79,11 +79,11 @@ func TestTelemetryFlagsDOTLifecycle(t *testing.T) {
 	if err := tel.Start(func(k string) string { return "k:" + k }); err != nil {
 		t.Fatal(err)
 	}
-	prov := tel.Provenance()
-	if prov == nil {
-		t.Fatal("dot format must build a provenance tracer")
+	sched := tel.Schedule()
+	if sched == nil {
+		t.Fatal("dot format must build a schedule recorder to fold the DAG from")
 	}
-	prov.RecordFiring("R1", []string{"a"}, []string{"b"})
+	sched.RecordStep(1, "R1", []string{"a"}, []string{"b"})
 	if err := tel.Finish(); err != nil {
 		t.Fatal(err)
 	}

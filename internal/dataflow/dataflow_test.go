@@ -450,13 +450,24 @@ func TestMaxFirings(t *testing.T) {
 	must(g.Connect(c, 0, inc, 0, "seed"))
 	must(g.Connect(inc, 0, cp, 0, "fwd"))
 	must(g.Connect(cp, 0, inc, 0, "back"))
-	_, err := Run(g, Options{MaxFirings: 100})
-	if !errors.Is(err, ErrMaxFirings) {
-		t.Errorf("sequential err = %v, want ErrMaxFirings", err)
-	}
-	_, err = Run(g, Options{Workers: 4, MaxFirings: 100})
-	if !errors.Is(err, ErrMaxFirings) {
-		t.Errorf("parallel err = %v, want ErrMaxFirings", err)
+	// Every engine refuses the firing that would exceed the budget: the
+	// partial result never overdraws it (gammad charges tenants by it).
+	for _, opt := range []Options{{}, {Workers: 4}, {Engine: EngineMatrix}} {
+		opt.MaxFirings = 100
+		res, err := Run(g, opt)
+		if !errors.Is(err, ErrMaxFirings) {
+			t.Errorf("%+v: err = %v, want ErrMaxFirings", opt, err)
+		}
+		if res == nil || res.Firings > opt.MaxFirings {
+			t.Errorf("%+v: partial result %+v overdraws the budget", opt, res)
+		}
+		// Const firings are budgeted too: a budget below the const count
+		// stops the seeding itself.
+		opt.MaxFirings = 2
+		res, err = Run(buildFig1(1, 5, 3, 2), opt)
+		if !errors.Is(err, ErrMaxFirings) || res == nil || res.Firings > 2 {
+			t.Errorf("%+v below const count: res %+v err %v", opt, res, err)
+		}
 	}
 }
 

@@ -78,25 +78,18 @@ type Memo interface {
 	StoreFiring(key string, v value.Value)
 }
 
-// Tracer observes the dependency structure of an execution: one call per
-// vertex firing, with opaque keys identifying the tokens it consumed and
-// produced (a consumed key always equals some earlier firing's produced key,
-// or names an initial token). Package profile implements this to compute
-// work, span and average parallelism — the model-level parallelism analysis
-// the paper motivates (§I, [2]). Implementations must be safe for concurrent
-// use when Workers > 1.
-type Tracer interface {
-	RecordFiring(name string, consumed, produced []string)
-}
-
-// ScheduleRecorder receives every vertex firing together with a commit
-// sequence number — the executable-schedule form of a Tracer. Numbers are
-// drawn before a firing's output tokens become visible to any consumer, so
-// sorting the records by seq yields a sequential firing order that is a
-// valid linearization even of the parallel PE pool (package replay
-// re-executes it step for step). The engine hands over ownership of the key
-// slices — implementations may retain them without copying. Implementations
-// must be safe for concurrent use when Workers > 1.
+// ScheduleRecorder is the engines' one per-firing observer: it receives every
+// vertex firing with a commit sequence number and opaque keys identifying
+// the tokens it consumed (in input-port order, which is what lets replay
+// rebuild the operand vector positionally) and produced; a consumed key
+// always equals some earlier firing's produced key. Numbers are drawn before
+// a firing's output tokens become visible to any consumer, so sorting the
+// records by seq yields a sequential firing order that is a valid
+// linearization even of the parallel PE pool; provenance, work/span profiles
+// and replay are all folds over that order (package replay). Calls arrive
+// concurrently and out of seq order when Workers > 1, so implementations must
+// be safe for concurrent use. The engine hands over ownership of the key
+// slices — implementations may retain them without copying.
 type ScheduleRecorder interface {
 	RecordStep(seq uint64, name string, consumed, produced []string)
 }
@@ -122,9 +115,6 @@ type Options struct {
 	// Memo, when set, caches the results of pure vertices (arithmetic,
 	// comparison, unary): a hit skips the computation and its WorkFactor.
 	Memo Memo
-	// Tracer, when set, receives every firing with its consumed/produced
-	// token keys for dependency analysis.
-	Tracer Tracer
 	// WorkFactor emulates instruction cost: each pure-vertex firing spins
 	// this many iterations before computing. 0 means no extra work. It
 	// exists so reuse and scaling benchmarks measure a realistic
@@ -140,9 +130,8 @@ type Options struct {
 	// counters mirroring the Result fields increment for increment. Nil
 	// costs one branch per record site on the hot paths.
 	Recorder *telemetry.Recorder
-	// Schedule, when set, receives every firing with its commit sequence
-	// number, turning the run into an executable schedule (see package
-	// replay). Nil costs one branch per firing.
+	// Schedule, when set, receives every firing (see ScheduleRecorder). Nil
+	// costs one branch per firing.
 	Schedule ScheduleRecorder
 }
 
@@ -188,7 +177,7 @@ func RunContext(ctx context.Context, g *Graph, opt Options) (*Result, error) {
 }
 
 // operand is one queued token in a matching store: its value plus the token
-// key used for dependency tracing (empty when no tracer is attached).
+// key the schedule records (empty when no recorder is attached).
 type operand struct {
 	val value.Value
 	key string
@@ -236,47 +225,27 @@ func (s store) deliver(n *Node, port int, tag int64, v value.Value, key string) 
 	return operands, keys, true
 }
 
-// tokenKey names a token for the tracer: its edge and tag.
-func tokenKey(g *Graph, t Token) string {
+// TokenKey renders the schedule name of a token: "label@tag", the token's
+// edge label and iteration tag. Unlike a multiset fingerprint the key does
+// not encode the value, which is why dataflow replay re-executes the graph
+// instead of reconstructing tokens from keys.
+func TokenKey(g *Graph, t Token) string {
 	return fmt.Sprintf("%s@%d", g.Edges[t.Edge].Label, t.Tag)
-}
-
-// TokenKey renders the trace/schedule name of a token: "label@tag", the
-// token's edge label and iteration tag. Unlike a multiset fingerprint the
-// key does not encode the value, which is why dataflow replay re-executes
-// the graph instead of reconstructing tokens from keys.
-func TokenKey(g *Graph, t Token) string { return tokenKey(g, t) }
-
-// traceFiring reports one firing to the tracer, if any.
-func traceFiring(g *Graph, opt Options, name string, consumed []string, out []Token) {
-	if opt.Tracer == nil {
-		return
-	}
-	produced := make([]string, len(out))
-	for i, t := range out {
-		produced[i] = tokenKey(g, t)
-	}
-	opt.Tracer.RecordFiring(name, consumed, produced)
 }
 
 // recordStep reports one firing, with its commit sequence number, to the
 // schedule recorder. Consumed keys are in input-port order (store.deliver
-// returns them that way), which is what lets replay rebuild the operand
-// vector positionally.
+// returns them that way).
 func recordStep(g *Graph, opt Options, seq *atomic.Uint64, name string, consumed []string, out []Token) {
 	if opt.Schedule == nil {
 		return
 	}
 	produced := make([]string, len(out))
 	for i, t := range out {
-		produced[i] = tokenKey(g, t)
+		produced[i] = TokenKey(g, t)
 	}
 	opt.Schedule.RecordStep(seq.Add(1), name, consumed, produced)
 }
-
-// needKeys reports whether token keys must be materialized on delivery: both
-// the tracer and the schedule recorder consume them.
-func needKeys(opt Options) bool { return opt.Tracer != nil || opt.Schedule != nil }
 
 // ReplayFire computes one vertex activation outside an engine: the replay
 // verifier's way to re-execute a recorded firing. Pure vertices run through
@@ -439,25 +408,35 @@ func emitAll(g *Graph, n *Node, port int, v value.Value, tag int64) []Token {
 	return toks
 }
 
+// overBudget reports whether one more firing would exceed Options.MaxFirings:
+// every engine asks before firing, so a run never overdraws its budget.
+func overBudget(opt Options, fired int64) bool {
+	return opt.MaxFirings > 0 && fired >= opt.MaxFirings
+}
+
 // initialTokens fires every const vertex once with tag 0. seq numbers the
 // const firings before any token is routed, so every schedule starts with
-// the graph's constants in node order.
-func initialTokens(g *Graph, opt Options, res *Result, ts *dfSink, seq *atomic.Uint64) []Token {
+// the graph's constants in node order. Const firings count against the
+// firing budget like any other; the tokens emitted so far are returned with
+// ErrMaxFirings when it runs out.
+func initialTokens(g *Graph, opt Options, res *Result, ts *dfSink, seq *atomic.Uint64) ([]Token, error) {
 	var toks []Token
 	for _, n := range g.Nodes {
 		if n.Kind != KindConst {
 			continue
 		}
+		if overBudget(opt, res.Firings) {
+			return toks, ErrMaxFirings
+		}
 		t0 := ts.begin()
 		out, _ := fire(g, n, 0, nil, nil, opt, res) // const firing cannot fail
-		traceFiring(g, opt, n.Name, nil, out)
 		recordStep(g, opt, seq, n.Name, nil, out)
 		toks = append(toks, out...)
 		res.Firings++
 		res.PerNode[n.Name]++
 		ts.firing(n.ID, n.Name, t0, int64(len(toks)), len(out))
 	}
-	return toks
+	return toks, nil
 }
 
 func newResult(workers int) *Result {
@@ -511,7 +490,10 @@ func runSequential(ctx context.Context, g *Graph, opt Options) (res *Result, err
 	ops := compilePureOps(g)
 	ts := newDFSink(opt, g, 0)
 	var seq atomic.Uint64
-	queue := initialTokens(g, opt, res, ts, &seq)
+	queue, err := initialTokens(g, opt, res, ts, &seq)
+	if err != nil {
+		return res, err
+	}
 	for len(queue) > 0 {
 		tok := queue[0]
 		queue = queue[1:]
@@ -522,8 +504,8 @@ func runSequential(ctx context.Context, g *Graph, opt Options) (res *Result, err
 		}
 		n := g.Nodes[e.To]
 		key := ""
-		if needKeys(opt) {
-			key = tokenKey(g, tok)
+		if opt.Schedule != nil {
+			key = TokenKey(g, tok)
 		}
 		operands, keys, ready := stores[e.To].deliver(n, e.ToPort, tok.Tag, tok.Val, key)
 		if !ready {
@@ -532,6 +514,9 @@ func runSequential(ctx context.Context, g *Graph, opt Options) (res *Result, err
 		site = n.Name
 		if cerr := ctx.Err(); cerr != nil {
 			return res, rt.FromContext(cerr)
+		}
+		if overBudget(opt, res.Firings) {
+			return res, ErrMaxFirings
 		}
 		if opt.FaultInjector != nil {
 			if ferr := opt.FaultInjector(n.Name, 0); ferr != nil {
@@ -544,7 +529,6 @@ func runSequential(ctx context.Context, g *Graph, opt Options) (res *Result, err
 		if err != nil {
 			return res, err
 		}
-		traceFiring(g, opt, n.Name, keys, out)
 		recordStep(g, opt, &seq, n.Name, keys, out)
 		res.Firings++
 		res.PerNode[n.Name]++
@@ -553,9 +537,6 @@ func runSequential(ctx context.Context, g *Graph, opt Options) (res *Result, err
 				ts.memoHit()
 			}
 			ts.firing(n.ID, n.Name, t0, int64(len(queue)+len(out)), len(out))
-		}
-		if opt.MaxFirings > 0 && res.Firings > opt.MaxFirings {
-			return res, ErrMaxFirings
 		}
 		queue = append(queue, out...)
 	}

@@ -113,12 +113,12 @@ func (mp *matProgram) emit(q [][]matTok, n *Node, port int, v value.Value, tag i
 	return len(row)
 }
 
-// producedKeys names the tokens an emission produced, for the tracer.
+// producedKeys names the tokens an emission produced, for the schedule.
 func (mp *matProgram) producedKeys(g *Graph, n *Node, port int, tag int64) []string {
 	row := mp.row(n, port)
 	keys := make([]string, len(row))
 	for i, e := range row {
-		keys[i] = fmt.Sprintf("%s@%d", g.Edges[e].Label, tag)
+		keys[i] = TokenKey(g, Token{Edge: e, Tag: tag})
 	}
 	return keys
 }
@@ -141,11 +141,10 @@ func runMatrix(ctx context.Context, g *Graph, opt Options) (res *Result, err err
 	mp := buildMatProgram(g)
 	ops := compilePureOps(g)
 	ts := newDFSink(opt, g, 0)
-	traced := opt.Tracer != nil
-	// keyed widens the tracer's key materialization to the schedule recorder;
-	// schedSeq numbers firings in tick order (the engine is single-threaded,
-	// so a plain counter is already a linearization).
-	keyed := needKeys(opt)
+	// keyed materializes token keys for the schedule recorder; schedSeq
+	// numbers firings in tick order (the engine is single-threaded, so a
+	// plain counter is already a linearization).
+	keyed := opt.Schedule != nil
 	var schedSeq uint64
 
 	stores := make([]store, len(g.Nodes))
@@ -165,7 +164,7 @@ func runMatrix(ctx context.Context, g *Graph, opt Options) (res *Result, err err
 	var (
 		fires []matFiring
 		vals  []value.Value
-		keys  []string // consumed-token keys, tracer/schedule runs only
+		keys  []string // consumed-token keys, recorded runs only
 	)
 
 	// inflight counts emitted-but-unconsumed tokens: +fanout per firing,
@@ -183,17 +182,14 @@ func runMatrix(ctx context.Context, g *Graph, opt Options) (res *Result, err err
 			continue
 		}
 		site = n.Name
+		if overBudget(opt, res.Firings) {
+			return res, ErrMaxFirings
+		}
 		t0 := ts.begin()
 		emitted := mp.emit(cur, n, 0, n.Init, 0)
 		if keyed {
-			pk := mp.producedKeys(g, n, 0, 0)
-			if traced {
-				opt.Tracer.RecordFiring(n.Name, nil, pk)
-			}
-			if opt.Schedule != nil {
-				schedSeq++
-				opt.Schedule.RecordStep(schedSeq, n.Name, nil, pk)
-			}
+			schedSeq++
+			opt.Schedule.RecordStep(schedSeq, n.Name, nil, mp.producedKeys(g, n, 0, 0))
 		}
 		res.Firings++
 		res.PerNode[n.Name]++
@@ -233,7 +229,7 @@ func runMatrix(ctx context.Context, g *Graph, opt Options) (res *Result, err err
 			for _, tk := range q {
 				key := ""
 				if keyed {
-					key = fmt.Sprintf("%s@%d", g.Edges[ei].Label, tk.tag)
+					key = TokenKey(g, Token{Edge: EdgeID(ei), Tag: tk.tag})
 				}
 				w, ok := st[tk.tag]
 				if !ok {
@@ -286,6 +282,9 @@ func runMatrix(ctx context.Context, g *Graph, opt Options) (res *Result, err err
 			if cerr := ctx.Err(); cerr != nil {
 				return res, rt.FromContext(cerr)
 			}
+			if overBudget(opt, res.Firings) {
+				return res, ErrMaxFirings
+			}
 			if opt.FaultInjector != nil {
 				if ferr := opt.FaultInjector(n.Name, 0); ferr != nil {
 					return res, ferr
@@ -301,14 +300,8 @@ func runMatrix(ctx context.Context, g *Graph, opt Options) (res *Result, err err
 			emitted := mp.emit(next, n, port, v, outTag)
 			if keyed {
 				consumed := append([]string(nil), keys[f.off:f.off+f.nops]...)
-				pk := mp.producedKeys(g, n, port, outTag)
-				if traced {
-					opt.Tracer.RecordFiring(n.Name, consumed, pk)
-				}
-				if opt.Schedule != nil {
-					schedSeq++
-					opt.Schedule.RecordStep(schedSeq, n.Name, consumed, pk)
-				}
+				schedSeq++
+				opt.Schedule.RecordStep(schedSeq, n.Name, consumed, mp.producedKeys(g, n, port, outTag))
 			}
 			res.Firings++
 			res.PerNode[n.Name]++
@@ -318,9 +311,6 @@ func runMatrix(ctx context.Context, g *Graph, opt Options) (res *Result, err err
 					ts.memoHit()
 				}
 				ts.firing(n.ID, n.Name, t0, int64(inflight), emitted)
-			}
-			if opt.MaxFirings > 0 && res.Firings > opt.MaxFirings {
-				return res, ErrMaxFirings
 			}
 		}
 		res.Ticks++

@@ -20,13 +20,13 @@ type testMemo map[string]value.Value
 func (m testMemo) LookupFiring(key string) (value.Value, bool) { v, ok := m[key]; return v, ok }
 func (m testMemo) StoreFiring(key string, v value.Value)       { m[key] = v }
 
-// recTracer collects firing records for order-insensitive comparison.
-type recTracer struct {
+// recSchedule collects firing records for order-insensitive comparison.
+type recSchedule struct {
 	mu   sync.Mutex
 	recs []string
 }
 
-func (r *recTracer) RecordFiring(name string, consumed, produced []string) {
+func (r *recSchedule) RecordStep(_ uint64, name string, consumed, produced []string) {
 	c := append([]string(nil), consumed...)
 	p := append([]string(nil), produced...)
 	sort.Strings(c)
@@ -36,7 +36,7 @@ func (r *recTracer) RecordFiring(name string, consumed, produced []string) {
 	r.mu.Unlock()
 }
 
-func (r *recTracer) sorted() []string {
+func (r *recSchedule) sorted() []string {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	out := append([]string(nil), r.recs...)
@@ -163,14 +163,14 @@ func TestMatrixMemoHits(t *testing.T) {
 	matrixAgreesWithSequential(t, "memoq", build, func() Options { return Options{Memo: testMemo{}} })
 }
 
-func TestMatrixTracerDifferential(t *testing.T) {
+func TestMatrixScheduleDifferential(t *testing.T) {
 	// The set of (vertex, consumed, produced) records is engine-independent;
 	// only the firing order differs.
-	seqTr, matTr := &recTracer{}, &recTracer{}
-	if _, err := Run(buildLoop(1, 3, 6), Options{Tracer: seqTr}); err != nil {
+	seqTr, matTr := &recSchedule{}, &recSchedule{}
+	if _, err := Run(buildLoop(1, 3, 6), Options{Schedule: seqTr}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Run(buildLoop(1, 3, 6), Options{Engine: EngineMatrix, Tracer: matTr}); err != nil {
+	if _, err := Run(buildLoop(1, 3, 6), Options{Engine: EngineMatrix, Schedule: matTr}); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(seqTr.sorted(), matTr.sorted()) {
@@ -195,8 +195,8 @@ func TestMatrixMaxFirings(t *testing.T) {
 	if !errors.Is(err, ErrMaxFirings) {
 		t.Errorf("err = %v, want ErrMaxFirings", err)
 	}
-	if res == nil || res.Firings != 101 {
-		t.Errorf("partial result firings = %+v, want 101", res)
+	if res == nil || res.Firings != 100 {
+		t.Errorf("partial result firings = %+v, want exactly the budget (100)", res)
 	}
 }
 

@@ -62,10 +62,15 @@ func runParallel(ctx context.Context, g *Graph, opt Options) (*Result, error) {
 	}
 
 	// Inject the const tokens. Count them first so the in-flight counter
-	// cannot transiently hit zero between sends.
+	// cannot transiently hit zero between sends. The PEs are parked on empty
+	// mailboxes until then, so the const firings seed the budget counter
+	// unraced.
 	seed := newResult(workers)
-	toks := initialTokens(g, opt, seed, newDFSink(opt, g, -1), &eng.sched)
-	if len(toks) == 0 {
+	toks, err := initialTokens(g, opt, seed, newDFSink(opt, g, -1), &eng.sched)
+	eng.firings.Store(seed.Firings)
+	if err != nil {
+		eng.fail(err)
+	} else if len(toks) == 0 {
 		eng.shutdown()
 	} else {
 		eng.inflight.Add(int64(len(toks)))
@@ -101,7 +106,7 @@ type parEngine struct {
 	ops      []pureOp
 	boxes    []*mailbox
 	inflight atomic.Int64
-	firings  atomic.Int64
+	firings  atomic.Int64 // firings reserved against Options.MaxFirings
 	// sched numbers firings for Options.Schedule. A firing's number is drawn
 	// before its output tokens are routed, and a consumer's firing starts
 	// after popping those tokens from a mailbox (a mutex handoff), so the
@@ -190,14 +195,20 @@ func (e *parEngine) process(pe int, tok Token, stores []store, res *Result, ts *
 	}
 	n := e.g.Nodes[edge.To]
 	key := ""
-	if needKeys(e.opt) {
-		key = tokenKey(e.g, tok)
+	if e.opt.Schedule != nil {
+		key = TokenKey(e.g, tok)
 	}
 	operands, keys, ready := stores[edge.To].deliver(n, edge.ToPort, tok.Tag, tok.Val, key)
 	if !ready {
 		return
 	}
 	site = n.Name
+	// Reserve, then fire: the slot is claimed before the vertex runs, so
+	// concurrent PEs cannot jointly overdraw the budget.
+	if e.opt.MaxFirings > 0 && e.firings.Add(1) > e.opt.MaxFirings {
+		e.fail(ErrMaxFirings)
+		return
+	}
 	if e.opt.FaultInjector != nil {
 		if ferr := e.opt.FaultInjector(n.Name, pe); ferr != nil {
 			e.fail(ferr)
@@ -211,7 +222,6 @@ func (e *parEngine) process(pe int, tok Token, stores []store, res *Result, ts *
 		e.fail(err)
 		return
 	}
-	traceFiring(e.g, e.opt, n.Name, keys, out)
 	// Recorded before the outputs are routed below: the seq precedes the
 	// tokens' visibility to any consumer, so the numbers linearize.
 	recordStep(e.g, e.opt, &e.sched, n.Name, keys, out)
@@ -222,10 +232,6 @@ func (e *parEngine) process(pe int, tok Token, stores []store, res *Result, ts *
 			ts.memoHit()
 		}
 		ts.firing(n.ID, n.Name, t0, e.inflight.Load()+int64(len(out)), len(out))
-	}
-	if e.opt.MaxFirings > 0 && e.firings.Add(1) > e.opt.MaxFirings {
-		e.fail(ErrMaxFirings)
-		return
 	}
 	if len(out) > 0 {
 		e.inflight.Add(int64(len(out)))

@@ -107,10 +107,6 @@ type Options struct {
 	// (the shard is untouched and the failure counts against the retry
 	// budget). For stress tests; leave nil in production runs.
 	FaultInjector func(node, round int) error
-	// FullScan runs every node on the seed full-rescan matching engine
-	// instead of the delta-driven incremental scheduler; the baseline knob
-	// for cluster-level measurements.
-	FullScan bool
 	// Recorder, when non-nil, receives cluster-level telemetry (rounds,
 	// migrations, gathers, dead-node adoptions on the "cluster" track) and is
 	// passed through to every node's local Gamma runtime, whose firings land
@@ -231,9 +227,8 @@ func (c *Cluster) RunContext(ctx context.Context, m *multiset.Multiset) (*multis
 
 		// React phase: all live nodes to their local stable state,
 		// concurrently. Each node runs the same incremental matching engine
-		// as a single-machine execution (or the full-rescan baseline when
-		// Options.FullScan is set), under the per-attempt timeout and retry
-		// budget of the fault model.
+		// as a single-machine execution, under the per-attempt timeout and
+		// retry budget of the fault model.
 		nodeStats := make([]*gamma.Stats, c.opt.Nodes)
 		errs := make([]error, c.opt.Nodes)
 		var wg sync.WaitGroup
@@ -353,7 +348,6 @@ func (c *Cluster) runNode(ctx context.Context, n, round int, shard *multiset.Mul
 			Workers:    c.opt.WorkersPerNode,
 			Seed:       c.opt.Seed + int64(round)*31 + int64(n) + 1 + int64(attempt)*101,
 			MaxSteps:   c.opt.MaxStepsPerRound,
-			FullScan:   c.opt.FullScan,
 			Recorder:   c.opt.Recorder,
 			TrackLabel: fmt.Sprintf("node%d", n),
 		})

@@ -36,9 +36,10 @@ type Match struct {
 // in place — no snapshot, no per-probe sort, and each candidate arrives with
 // its cached Key() fingerprint — so a probe costs only the candidates it
 // actually visits. That requires no concurrent writers, which the sequential
-// runtime guarantees. The randomized path (always used by the parallel
-// runtime) copies the candidates and shuffles them, tolerating concurrent
-// mutation; staleness is caught by the optimistic commit.
+// runtime guarantees. The randomized path (seeded sequential runs) copies the
+// candidates and shuffles them; the parallel runtime instead walks a locked
+// shard view from a random rotation (see eachCandidate), with staleness
+// caught by the optimistic commit.
 //
 // FindMatch materializes the bindings into a MapEnv for its callers (tests,
 // Enabled, the dataflow equivalence checker); the step loop in run.go uses

@@ -31,7 +31,8 @@ func applyMatch(t *testing.T, r *Reaction, m *multiset.Multiset, opt Options, st
 		t.Fatal("no match")
 	}
 	defer k.putSearcher(s)
-	return applyAction(r, k, s, opt, stats, nil)
+	w := &worker{opt: opt, stats: stats}
+	return w.applyAction(r, s)
 }
 
 func TestMemoPlanShapes(t *testing.T) {

@@ -36,36 +36,20 @@ type Memo interface {
 	StoreReaction(key string, products []multiset.Tuple)
 }
 
-// Tracer observes the dependency structure of an execution: one call per
-// reaction firing, with the keys of the elements it consumed and produced (a
-// consumed key equals some earlier firing's produced key, or names an
-// initial element). Package profile implements this to compute work, span
-// and average parallelism. Implementations must be safe for concurrent use
-// when Workers > 1.
-type Tracer interface {
-	RecordFiring(name string, consumed, produced []string)
-}
-
-// ScheduleRecorder receives every committed reaction firing together with
-// its commit sequence number — the executable-schedule form of a Tracer.
-// Sequence numbers are drawn inside the multiset's commit critical sections,
-// so sorting the records by seq yields a sequential firing order that is a
-// valid linearization even of a nondeterministic parallel run (package
-// replay re-executes it step for step). The engine hands over ownership of
-// the key slices — implementations may retain them without copying.
-// Implementations must be safe for concurrent use when Workers > 1.
+// ScheduleRecorder is the engines' one per-firing observer: it receives every
+// committed reaction firing with its commit sequence number and the raw
+// tuples it consumed (in pattern order, which is what lets replay re-match
+// them positionally) and produced. Sequence numbers are drawn inside the
+// multiset's commit critical sections, so sorting the records by seq yields a
+// sequential firing order that is a valid linearization even of a
+// nondeterministic parallel run; provenance, work/span profiles and replay
+// are all folds over that order (package replay). Calls arrive after the
+// commit's locks are released, concurrently and out of seq order when
+// Workers > 1, so implementations must be safe for concurrent use. The tuples
+// are only borrowed for the call: implementations extract what they need
+// before returning (replay.Recorder fingerprints them into one byte buffer,
+// so recording allocates nothing per firing).
 type ScheduleRecorder interface {
-	RecordStep(seq uint64, name string, consumed, produced []string)
-}
-
-// TupleScheduleRecorder is the optional fast path of ScheduleRecorder: a
-// recorder that accepts the firing's raw tuples and renders the keys itself
-// (package replay's Recorder batches the text into one buffer, so recording
-// allocates nothing per firing). The tuples are only borrowed for the call —
-// implementations must extract what they need before returning, and the
-// engine must not mutate them during it. Same concurrency contract as
-// ScheduleRecorder.
-type TupleScheduleRecorder interface {
 	RecordStepTuples(seq uint64, name string, consumed, produced []multiset.Tuple)
 }
 
@@ -88,15 +72,12 @@ type Options struct {
 	// this many iterations before evaluating products. See the dataflow
 	// counterpart for rationale.
 	WorkFactor int
-	// Tracer, when set, receives every reaction firing with its consumed and
-	// produced element keys for dependency analysis.
-	Tracer Tracer
-	// FullScan disables the delta-driven incremental scheduler and restores
-	// the seed engine's behavior: the sequential interpreter probes every
-	// reaction round-robin after every firing, and parallel workers rescan
-	// all reactions after every commit. The stable state reached is identical
-	// either way; the flag exists as the measurement baseline for the
-	// incremental engine (cmd/gfbench -exp e16) and as an oracle in tests.
+	// FullScan selects the seed engine's wake policy: after a commit every
+	// reaction is marked runnable again, instead of only those subscribed to
+	// a label the commit added (schedule.go). Matching and committing are
+	// unchanged, and so is the stable state reached; the flag exists as the
+	// scheduler reference the incremental policy is measured against
+	// (cmd/gfbench -exp e16) and compared with in tests.
 	FullScan bool
 	// FaultInjector, when set, runs before every reaction application with
 	// the reaction name and worker index; a non-nil return aborts the run
@@ -112,75 +93,9 @@ type Options struct {
 	// "gamma"); dist sets it per node so a cluster trace shows one track
 	// group per node.
 	TrackLabel string
-	// Schedule, when set, receives every committed firing with its commit
-	// sequence number, turning the run into an executable schedule (see
-	// package replay). Nil costs one branch per commit.
+	// Schedule, when set, receives every committed firing (see
+	// ScheduleRecorder). Nil costs one branch per commit.
 	Schedule ScheduleRecorder
-}
-
-// traceFiring reports one committed reaction application to the tracer.
-func traceFiring(opt Options, name string, consumed, produced []multiset.Tuple) {
-	if opt.Tracer == nil {
-		return
-	}
-	ck := make([]string, len(consumed))
-	for i, t := range consumed {
-		ck[i] = t.Key()
-	}
-	pk := make([]string, len(produced))
-	for i, t := range produced {
-		pk[i] = t.Key()
-	}
-	opt.Tracer.RecordFiring(name, ck, pk)
-}
-
-// recordStep reports one committed reaction application, with its commit
-// sequence number, to the schedule recorder. Consumed keys are emitted in
-// pattern order (s.chosen is pattern-ordered), which is what lets replay
-// re-match them positionally.
-func recordStep(opt Options, seq uint64, name string, consumed, produced []multiset.Tuple) {
-	if opt.Schedule == nil {
-		return
-	}
-	if tr, ok := opt.Schedule.(TupleScheduleRecorder); ok {
-		tr.RecordStepTuples(seq, name, consumed, produced)
-		return
-	}
-	ck, pk := renderStepKeys(consumed, produced)
-	opt.Schedule.RecordStep(seq, name, ck, pk)
-}
-
-// renderStepKeys renders every tuple key of one firing into a single backing
-// string: one allocation for the text and one for the headers regardless of
-// arity. The recorder retains what it is handed (see ScheduleRecorder), so
-// the commit path must produce fresh memory anyway — this is the cheapest
-// fresh form. The two slices share the header array read-only; capacities
-// are pinned so neither can append into the other.
-func renderStepKeys(consumed, produced []multiset.Tuple) (ck, pk []string) {
-	n := len(consumed) + len(produced)
-	if n == 0 {
-		return nil, nil
-	}
-	var bufArr [96]byte
-	var offArr [8]int
-	buf, offs := bufArr[:0], offArr[:0]
-	for _, t := range consumed {
-		buf = t.AppendKey(buf)
-		offs = append(offs, len(buf))
-	}
-	for _, t := range produced {
-		buf = t.AppendKey(buf)
-		offs = append(offs, len(buf))
-	}
-	s := string(buf)
-	keys := make([]string, n)
-	prev := 0
-	for i, end := range offs {
-		keys[i] = s[prev:end]
-		prev = end
-	}
-	c := len(consumed)
-	return keys[:c:c], keys[c:]
 }
 
 // Stats reports what an execution did.
@@ -207,9 +122,9 @@ type Stats struct {
 	// Steals counts reaction indexes taken from another worker's deque
 	// (parallel runtime only): work-stealing load balancing events.
 	Steals int64
-	// Batches counts committed ApplyDeltas batches (parallel incremental
-	// runtime only). Steps / Batches is the average firings per commit; at
-	// 1.0 batching found no independent co-enabled firings.
+	// Batches counts committed ApplyDeltas batches (parallel runtime only).
+	// Steps / Batches is the average firings per commit; at 1.0 batching
+	// found no independent co-enabled firings.
 	Batches int64
 	// BackoffWaits counts timed conflict backoffs: retries that slept (with
 	// cancellation observed) rather than just yielding the processor.
@@ -318,17 +233,11 @@ func (r *Reaction) memoPlan() *memoPlan {
 	return r.plan
 }
 
-// memoEntry is what the table stores: the branch that fired and its products
-// (with possibly stale tag fields, refreshed per application).
-type memoEntry struct {
-	branch   int
-	products []multiset.Tuple
-}
-
 // applyAction evaluates the enabled branch's products over the firing's slot
 // environment (compiled kernel path), honoring the memo table and work
 // factor.
-func applyAction(r *Reaction, k *kernel, s *searcher, opt Options, stats *Stats, ts *telSink) ([]multiset.Tuple, error) {
+func (w *worker) applyAction(r *Reaction, s *searcher) ([]multiset.Tuple, error) {
+	k, opt := r.kernel(), &w.opt
 	if opt.Memo == nil {
 		spin(opt.WorkFactor)
 		return k.produce(r.Name, s.branch, s.env)
@@ -345,9 +254,9 @@ func applyAction(r *Reaction, k *kernel, s *searcher, opt Options, stats *Stats,
 		key += "||"
 	}
 	if cached, ok := opt.Memo.LookupReaction(key); ok {
-		stats.MemoHits++
-		ts.memoHit()
-		return refreshProducts(r, k, plan, cached, s.env)
+		w.stats.MemoHits++
+		w.ts.memoHit()
+		return refreshProducts(r, cached, s.env)
 	}
 	spin(opt.WorkFactor)
 	products, err := k.produce(r.Name, s.branch, s.env)
@@ -368,7 +277,8 @@ func multisetBranchMarker(branch int) multiset.Tuple {
 // refreshProducts rebuilds cached products for the current match: fields
 // whose expressions mention the tag variable are re-evaluated (cheap), the
 // rest — the expensive value computation — are reused.
-func refreshProducts(r *Reaction, k *kernel, plan *memoPlan, cached []multiset.Tuple, env []value.Value) ([]multiset.Tuple, error) {
+func refreshProducts(r *Reaction, cached []multiset.Tuple, env []value.Value) ([]multiset.Tuple, error) {
+	k, plan := r.kernel(), r.memoPlan()
 	branch := int(cached[0].Value().AsInt())
 	stored := cached[1:]
 	if plan.tagVar == "" {
@@ -431,19 +341,88 @@ func RunContext(ctx context.Context, p *Program, m *multiset.Multiset, opt Optio
 	return runParallel(ctx, p, m, opt)
 }
 
+// worker is one executor's state for the length of a run. The sequential
+// interpreter is a single worker draining a dirty worklist; the parallel
+// runtime is a pool of them coordinated by sh. Everything fixed for the run
+// lives in the receiver, so the hot functions take only what varies per call.
+type worker struct {
+	ctx   context.Context
+	p     *Program
+	m     *multiset.Multiset
+	opt   Options
+	stats *Stats
+	rng   *rand.Rand // nil selects the deterministic sequential matcher
+	ts    *telSink
+	id    int
+
+	// Sequential worklist: dirty[i] marks reaction i for (re)probing and
+	// remaining counts the marks. Pool workers use sh's deques instead.
+	dirty     []bool
+	remaining int
+
+	sh *stealSched // pool coordination; nil in the sequential interpreter
+	batchWorker
+}
+
+// wake marks reaction j runnable — dirty on the sequential worklist, queued
+// on this worker's own deque in the pool — and reports whether the mark is
+// new.
+func (w *worker) wake(j int) bool {
+	if w.sh != nil {
+		return w.sh.enqueue(w.id, j)
+	}
+	if w.dirty[j] {
+		return false
+	}
+	w.dirty[j] = true
+	w.remaining++
+	return true
+}
+
+// committed is the bookkeeping every engine does once k firings of reaction
+// idx have landed in one multiset commit: Stats, the wake policy, and the
+// telemetry span opened at t0. syms holds the label symbols the commit added.
+// The incremental policy wakes the reactions subscribed to those labels
+// (schedule.go) plus the fired one, which may still be enabled on what
+// remains; FullScan wakes every reaction, as the seed engine did.
+func (w *worker) committed(idx, k int, syms []symtab.Sym, t0 time.Time) {
+	r := w.p.Reactions[idx]
+	w.stats.Steps += int64(k)
+	w.stats.Fired[r.Name] += int64(k)
+	woken := 0
+	mark := func(j int) {
+		if w.wake(j) {
+			woken++
+		}
+	}
+	if w.opt.FullScan {
+		for j := range w.p.Reactions {
+			mark(j)
+		}
+	} else {
+		w.p.subs().forEachSym(syms, mark)
+		mark(idx)
+	}
+	depth := w.remaining
+	if w.sh != nil {
+		depth = w.sh.deques[w.id].size()
+	}
+	w.ts.firing(idx, r.Name, t0, w.m, woken, depth, k)
+}
+
 // runSequential is the direct implementation of the Γ recursion (Eq. 1):
 // while some (Ri, Ai) is enabled, replace the matched elements with the
 // action's products; otherwise the multiset is the result. With Seed 0
 // matching is deterministic.
 //
 // Scheduling is a dirty worklist drained round-robin: a reaction that fails
-// to match is marked clean and skipped until a commit adds an element with a
-// label it subscribes to (see schedule.go) — skipping is sound because a
-// clean reaction is provably disabled (matching is monotone; removals never
-// enable). The stable state of Eq. 1 is exactly "no dirty reaction": an
-// empty worklist. Because a skipped probe would have failed anyway, the
-// sequence of firings — and thus the deterministic result — is identical to
-// the seed engine's full round-robin; only the wasted probes disappear.
+// to match is marked clean and skipped until a commit wakes it (see
+// committed) — skipping is sound because a clean reaction is provably
+// disabled (matching is monotone; removals never enable). The stable state of
+// Eq. 1 is exactly "no dirty reaction": an empty worklist. Because a skipped
+// probe would have failed anyway, the sequence of firings — and thus the
+// deterministic result — is identical under the FullScan policy's full
+// round-robin; only the wasted probes disappear.
 //
 // The context is observed once per probe; a panic out of a reaction's
 // condition or action (or the fault injector) is recovered into *rt.PanicError
@@ -456,30 +435,20 @@ func runSequential(ctx context.Context, p *Program, m *multiset.Multiset, opt Op
 			err = rt.NewPanicError("gamma", site, 0, rec)
 		}
 	}()
-	var rng *rand.Rand
-	if opt.Seed != 0 {
-		rng = rand.New(rand.NewSource(opt.Seed))
-	}
 	n := len(p.Reactions)
 	if n == 0 {
 		return stats, nil
 	}
-	ts := newTelSink(opt, p, 0)
-	subs := p.subs()
-	dirty := make([]bool, n)
-	for i := range dirty {
-		dirty[i] = true
+	w := &worker{ctx: ctx, p: p, m: m, opt: opt, stats: stats, ts: newTelSink(opt, p, 0),
+		dirty: make([]bool, n), remaining: n}
+	if opt.Seed != 0 {
+		w.rng = rand.New(rand.NewSource(opt.Seed))
 	}
-	remaining := n
-	markDirty := func(j int) {
-		if !dirty[j] {
-			dirty[j] = true
-			remaining++
-		}
+	for i := range w.dirty {
+		w.dirty[i] = true
 	}
-	var symsBuf []symtab.Sym // reused produce-delta scratch, incremental mode
-	for i := 0; remaining > 0; i = (i + 1) % n {
-		if !dirty[i] {
+	for i := 0; w.remaining > 0; i = (i + 1) % n {
+		if !w.dirty[i] {
 			continue
 		}
 		r := p.Reactions[i]
@@ -488,94 +457,65 @@ func runSequential(ctx context.Context, p *Program, m *multiset.Multiset, opt Op
 			return stats, rt.FromContext(cerr)
 		}
 		stats.Probes++
-		t0 := ts.begin()
-		ts.probe(r.Name)
-		k := r.kernel()
-		s, err := findFiring(r, m, rng)
+		t0 := w.ts.begin()
+		w.ts.probe(r.Name)
+		s, err := findFiring(r, m, w.rng)
 		if err != nil {
 			return stats, err
 		}
 		if s == nil {
-			dirty[i] = false
-			remaining--
+			w.dirty[i] = false
+			w.remaining--
 			continue
 		}
-		if opt.MaxSteps > 0 && stats.Steps >= opt.MaxSteps {
-			// The match just found proves the program is still enabled past
-			// the step budget — no full Enabled rescan needed.
-			k.putSearcher(s)
-			return stats, ErrMaxSteps
-		}
-		if opt.FaultInjector != nil {
-			if ferr := opt.FaultInjector(r.Name, 0); ferr != nil {
-				k.putSearcher(s)
-				return stats, ferr
-			}
-		}
-		products, err := applyAction(r, k, s, opt, stats, ts)
+		// The fired reaction stays dirty: consuming elements may leave it
+		// enabled on what remains.
+		err = w.fire(i, s, t0)
+		r.kernel().putSearcher(s)
 		if err != nil {
-			k.putSearcher(s)
 			return stats, err
-		}
-		if opt.FullScan {
-			// Seed-engine commit: separate claim and insert phases.
-			if !m.TryRemoveAll(s.chosen) {
-				// Unreachable single-threaded; defensive.
-				k.putSearcher(s)
-				return stats, fmt.Errorf("gamma: matched elements vanished in sequential run of %s", r.Name)
-			}
-			var seq uint64
-			if opt.Schedule != nil {
-				// Between claim and insert: the number precedes the products
-				// becoming visible, so it linearizes (see multiset.commitSeq).
-				seq = m.NextCommitSeq()
-			}
-			m.AddAll(products)
-			traceFiring(opt, r.Name, s.chosen, products)
-			recordStep(opt, seq, r.Name, s.chosen, products)
-			k.putSearcher(s)
-			stats.Steps++
-			stats.Fired[r.Name]++
-			// The fired reaction stays dirty: consuming elements may leave it
-			// enabled on what remains.
-			woken := n - remaining
-			for j := 0; j < n; j++ {
-				markDirty(j)
-			}
-			ts.firing(i, r.Name, t0, m, woken, remaining)
-			continue
-		}
-		// Incremental commit: the firing's consume+produce lands as one
-		// batched delta under a single lock acquisition per shard, and the
-		// returned label symbols drive the subscription wakeups directly.
-		var ok bool
-		var seq uint64
-		var syms []symtab.Sym
-		if opt.Schedule != nil {
-			ok, seq, syms = m.ApplyDeltaSeq(s.chosen, s.keys, products, symsBuf[:0])
-		} else {
-			ok, syms = m.ApplyDelta(s.chosen, s.keys, products, symsBuf[:0])
-		}
-		symsBuf = syms
-		if !ok {
-			// Unreachable single-threaded; defensive.
-			k.putSearcher(s)
-			return stats, fmt.Errorf("gamma: matched elements vanished in sequential run of %s", r.Name)
-		}
-		traceFiring(opt, r.Name, s.chosen, products)
-		recordStep(opt, seq, r.Name, s.chosen, products)
-		k.putSearcher(s)
-		stats.Steps++
-		stats.Fired[r.Name]++
-		if ts == nil {
-			subs.forEachSym(syms, markDirty)
-		} else {
-			before := remaining
-			subs.forEachSym(syms, markDirty)
-			ts.firing(i, r.Name, t0, m, remaining-before, remaining)
 		}
 	}
 	return stats, nil
+}
+
+// fire applies the enabled firing of reaction idx held by s and commits it:
+// the consume+produce lands as one batched delta under a single lock
+// acquisition per shard, and the label symbols it returns drive the wakeups.
+func (w *worker) fire(idx int, s *searcher, t0 time.Time) error {
+	r := w.p.Reactions[idx]
+	if w.opt.MaxSteps > 0 && w.stats.Steps >= w.opt.MaxSteps {
+		// The match just found proves the program is still enabled past the
+		// step budget — no full Enabled rescan needed.
+		return ErrMaxSteps
+	}
+	if w.opt.FaultInjector != nil {
+		if err := w.opt.FaultInjector(r.Name, 0); err != nil {
+			return err
+		}
+	}
+	products, err := w.applyAction(r, s)
+	if err != nil {
+		return err
+	}
+	var ok bool
+	var syms []symtab.Sym
+	if rec := w.opt.Schedule; rec != nil {
+		var seq uint64
+		ok, seq, syms = w.m.ApplyDeltaSeq(s.chosen, s.keys, products, w.symsBuf[:0])
+		if ok {
+			rec.RecordStepTuples(seq, r.Name, s.chosen, products)
+		}
+	} else {
+		ok, syms = w.m.ApplyDelta(s.chosen, s.keys, products, w.symsBuf[:0])
+	}
+	w.symsBuf = syms
+	if !ok {
+		// Unreachable single-threaded; defensive.
+		return fmt.Errorf("gamma: matched elements vanished in sequential run of %s", r.Name)
+	}
+	w.committed(idx, 1, syms, t0)
+	return nil
 }
 
 // stealSched is the coordination state of the parallel runtime: per-worker
@@ -600,7 +540,6 @@ type stealSched struct {
 	// by the reaction count, which is what makes the fixed deque capacity
 	// safe. The taker clears the flag *before* probing, so a commit landing
 	// mid-probe re-enqueues the reaction rather than losing the wakeup.
-	// Unused (all false, deques empty) in FullScan mode.
 	queued []atomic.Bool
 	deques []*deque
 }
@@ -647,25 +586,23 @@ func (sh *stealSched) wake() {
 // runParallel executes reactions with a pool of workers performing
 // optimistic grab–compute–commit cycles:
 //
-//  1. match: find enabled combinations of molecules (randomized order, the
-//     model's nondeterminism) — in incremental mode up to batchMaxFirings
-//     pairwise-disjoint matches of the reaction under one shard view;
+//  1. match: find up to batchMaxFirings pairwise-disjoint enabled
+//     combinations of molecules of one reaction under one shard view
+//     (randomized order, the model's nondeterminism);
 //  2. compute: instantiate the enabled branches' products (into per-worker
 //     arenas when no memo table retains them);
-//  3. commit: atomically claim the matched molecules (one ApplyDeltas per
-//     batch; TryRemoveAll in FullScan mode); claims a concurrent worker beat
-//     us to fail individually, and a fully failed batch is rematched with
-//     cancellation-aware backoff;
-//  4. on success, bump the multiset version and wake the subscribers of the
-//     labels the commit added.
+//  3. commit: atomically claim the matched molecules, one ApplyDeltas per
+//     batch; claims a concurrent worker beat us to fail individually, and a
+//     fully failed batch is rematched with cancellation-aware backoff;
+//  4. on success, bump the multiset version and wake reactions per the wake
+//     policy (see committed).
 //
-// Scheduling is delta-driven work stealing: each worker drains its own deque
-// of reaction indexes (seeded round-robin with every reaction, refilled on
-// each of its commits with the subscribed reactions per schedule.go), and an
-// empty-handed worker steals from a peer's deque before falling back to a
-// scan. The deques are a best-effort accelerator — a probe may be wasted,
-// never the other way around, because every commit re-enqueues its
-// subscribers.
+// Scheduling is work stealing: each worker drains its own deque of reaction
+// indexes (seeded round-robin with every reaction, refilled on each of its
+// commits), and an empty-handed worker steals from a peer's deque before
+// falling back to a scan. The deques are a best-effort accelerator — a probe
+// may be wasted, never the other way around, because every commit re-enqueues
+// at least its subscribers.
 //
 // Global termination reproduces Eq. 1's stability test exactly and does not
 // rely on the deques: a worker that finds every deque empty falls back to a
@@ -692,12 +629,10 @@ func runParallel(ctx context.Context, p *Program, m *multiset.Multiset, opt Opti
 	for w := range sh.deques {
 		sh.deques[w] = newDeque(n)
 	}
-	if !opt.FullScan {
-		// Seed every reaction once, round-robin, so workers start with
-		// balanced local work instead of racing one shared list.
-		for i := 0; i < n; i++ {
-			sh.enqueue(i%workers, i)
-		}
+	// Seed every reaction once, round-robin, so workers start with balanced
+	// local work instead of racing one shared list.
+	for i := 0; i < n; i++ {
+		sh.enqueue(i%workers, i)
 	}
 	watchDone := make(chan struct{})
 	go func() {
@@ -707,21 +642,24 @@ func runParallel(ctx context.Context, p *Program, m *multiset.Multiset, opt Opti
 		case <-watchDone:
 		}
 	}()
-	perWorker := make([]*Stats, workers)
+	pool := make([]*worker, workers)
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		perWorker[w] = newStats(workers)
+	for id := range pool {
+		w := &worker{ctx: ctx, p: p, m: m, opt: opt, stats: newStats(workers), id: id, sh: sh,
+			rng: rand.New(rand.NewSource(opt.Seed + int64(id)*0x9e3779b9 + 1))}
+		pool[id] = w
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
-			workerLoop(ctx, p, m, opt, sh, perWorker[w], w)
-		}(w)
+			w.ts = newTelSink(opt, p, w.id)
+			w.loop()
+		}()
 	}
 	wg.Wait()
 	close(watchDone)
 	total := newStats(workers)
-	for _, ps := range perWorker {
-		total.merge(ps)
+	for _, w := range pool {
+		total.merge(w.stats)
 	}
 	sh.mu.Lock()
 	err := sh.err
@@ -732,9 +670,9 @@ func runParallel(ctx context.Context, p *Program, m *multiset.Multiset, opt Opti
 // maxConflictRetries bounds how often a worker rematches the same reaction
 // after a failed optimistic commit before yielding and moving on. Unbounded
 // retries let one contended reaction starve the scan of every other reaction;
-// bounded retries cannot lose work — in worklist mode the reaction is
-// re-enqueued, and in scan mode the conflicting commit bumped the version, so
-// the scan repeats anyway.
+// bounded retries cannot lose work — a reaction taken from a deque is
+// re-enqueued, and for one probed by the stability scan the conflicting
+// commit bumped the version, so the scan repeats anyway.
 const maxConflictRetries = 8
 
 // conflictBackoff spaces out rematches of a contended reaction. The first
@@ -745,7 +683,7 @@ const maxConflictRetries = 8
 // commit winner needs to make progress. Timed waits select on ctx.Done, so a
 // canceled run is never delayed by parked contended workers; they are
 // surfaced in Stats.BackoffWaits. Reports whether ctx ended the wait.
-func conflictBackoff(ctx context.Context, retries int, stats *Stats, ts *telSink) (canceled bool) {
+func (w *worker) conflictBackoff(retries int) (canceled bool) {
 	if retries < 2 {
 		runtime.Gosched()
 		return false
@@ -754,131 +692,15 @@ func conflictBackoff(ctx context.Context, retries int, stats *Stats, ts *telSink
 	if shift > 6 {
 		shift = 6
 	}
-	stats.BackoffWaits++
-	ts.backoffWait()
+	w.stats.BackoffWaits++
+	w.ts.backoffWait()
 	timer := time.NewTimer(time.Duration(1<<uint(shift)) * time.Microsecond)
 	defer timer.Stop()
 	select {
-	case <-ctx.Done():
+	case <-w.ctx.Done():
 		return true
 	case <-timer.C:
 		return false
-	}
-}
-
-// safeTryFire is tryFire behind the worker pool's panic barrier: a panic in a
-// reaction's condition, action or the fault injector is recovered into a
-// *rt.PanicError carrying the reaction and worker identity, the pool is told
-// to stop, and the worker exits cleanly instead of taking the process down or
-// leaving its peers waiting on an idle count that can never complete.
-func safeTryFire(ctx context.Context, p *Program, m *multiset.Multiset, opt Options, sh *stealSched, stats *Stats, rng *rand.Rand, ts *telSink, idx, worker int) (fired, stop bool) {
-	defer func() {
-		if rec := recover(); rec != nil {
-			sh.fail(rt.NewPanicError("gamma", p.Reactions[idx].Name, worker, rec))
-			fired, stop = false, true
-		}
-	}()
-	return tryFire(ctx, p, m, opt, sh, stats, rng, ts, idx, worker)
-}
-
-// safeTryFireBatch is tryFireBatch behind the same panic barrier, with the
-// additional duty of releasing the worker's shard view — a panic while the
-// view's read locks are held would otherwise deadlock every later commit
-// touching those shards.
-func safeTryFireBatch(ctx context.Context, p *Program, m *multiset.Multiset, opt Options, sh *stealSched, stats *Stats, rng *rand.Rand, ts *telSink, bw *batchWorker, idx, worker int, requeue bool) (fired, stop bool) {
-	defer func() {
-		if rec := recover(); rec != nil {
-			bw.view.Unlock() // idempotent; no-op when not held
-			sh.fail(rt.NewPanicError("gamma", p.Reactions[idx].Name, worker, rec))
-			fired, stop = false, true
-		}
-	}()
-	return tryFireBatch(ctx, p, m, opt, sh, stats, rng, ts, bw, idx, worker, requeue)
-}
-
-// tryFire probes reaction idx once and fires it if enabled, with the bounded
-// optimistic-commit retry loop — the FullScan engine's single-firing path,
-// kept verbatim from the seed (snapshot matcher, two-phase TryRemoveAll +
-// AddAll commit) as the measurement baseline and differential oracle. The
-// incremental engine fires through tryFireBatch instead. Returns whether a
-// firing committed and whether the worker must stop (error, cancellation or
-// MaxSteps).
-func tryFire(ctx context.Context, p *Program, m *multiset.Multiset, opt Options, sh *stealSched, stats *Stats, rng *rand.Rand, ts *telSink, idx, worker int) (fired, stop bool) {
-	r := p.Reactions[idx]
-	k := r.kernel()
-	for retries := 0; ; retries++ {
-		if cerr := ctx.Err(); cerr != nil {
-			sh.fail(rt.FromContext(cerr))
-			return false, true
-		}
-		stats.Probes++
-		t0 := ts.begin()
-		ts.probe(r.Name)
-		s, err := findFiring(r, m, rng)
-		if err != nil {
-			sh.fail(err)
-			return false, true
-		}
-		if s == nil {
-			return false, false
-		}
-		if opt.FaultInjector != nil {
-			if ferr := opt.FaultInjector(r.Name, worker); ferr != nil {
-				k.putSearcher(s)
-				sh.fail(ferr)
-				return false, true
-			}
-		}
-		products, err := applyAction(r, k, s, opt, stats, ts)
-		if err != nil {
-			k.putSearcher(s)
-			sh.fail(err)
-			return false, true
-		}
-		// Seed-engine commit: separate claim and insert phases. A failed
-		// claim means a concurrent worker consumed a matched molecule first.
-		if !m.TryRemoveAll(s.chosen) {
-			k.putSearcher(s)
-			stats.Conflicts++
-			ts.conflict(r.Name)
-			if retries < maxConflictRetries {
-				stats.Retries++
-				ts.retry(r.Name)
-				if conflictBackoff(ctx, retries, stats, ts) {
-					sh.fail(rt.FromContext(ctx.Err()))
-					return false, true
-				}
-				continue // rematch: its molecules changed under us
-			}
-			// Heavily contended: yield so the other reactions and workers
-			// make progress. The commit that beat us bumped the version, so
-			// the stability test cannot conclude while this reaction is
-			// still enabled.
-			runtime.Gosched()
-			return false, false
-		}
-		var seq uint64
-		if opt.Schedule != nil {
-			// Between claim and insert: the number precedes the products
-			// becoming visible to concurrent claims, so across workers the
-			// numbers linearize (see multiset.commitSeq).
-			seq = m.NextCommitSeq()
-		}
-		m.AddAll(products)
-		traceFiring(opt, r.Name, s.chosen, products)
-		recordStep(opt, seq, r.Name, s.chosen, products)
-		k.putSearcher(s)
-		stats.Steps++
-		stats.Fired[r.Name]++
-		newSteps := sh.steps.Add(1)
-		sh.version.Add(1)
-		sh.wake()
-		ts.firing(idx, r.Name, t0, m, 0, 0)
-		if opt.MaxSteps > 0 && newSteps >= opt.MaxSteps {
-			sh.fail(ErrMaxSteps)
-			return true, true
-		}
-		return true, false
 	}
 }
 
@@ -889,17 +711,17 @@ func tryFire(ctx context.Context, p *Program, m *multiset.Multiset, opt Options,
 // across several firings.
 const batchMaxFirings = 8
 
-// batchWorker is one worker's reusable batch scratch: the shard view, the
+// batchWorker is one worker's reusable commit scratch: the shard view, the
 // delta list for ApplyDeltas, and the arenas the batch's tuples live in.
 // Consume headers point at multiset entry tuples (immutable backings that are
 // never recycled), produce headers at cells of the worker-owned vals arena;
 // everything is truncated — not freed — between batches, so a steady-state
-// batch allocates nothing.
+// batch allocates nothing. The sequential interpreter uses only symsBuf.
 type batchWorker struct {
 	view    multiset.View
 	deltas  []multiset.Delta
-	applied []bool
-	seqs    []uint64
+	applied [batchMaxFirings]bool
+	seqs    [batchMaxFirings]uint64
 	symsBuf []symtab.Sym
 	consume []multiset.Tuple
 	keys    []string
@@ -918,21 +740,37 @@ func (b *batchWorker) reset() {
 
 // tryFireBatch probes reaction idx under a shard view and fires up to
 // batchMaxFirings pairwise-disjoint matches as one ApplyDeltas commit — the
-// incremental engine's firing path. One searcher is held across the whole
-// batch: each successful search leaves its occurrence claims in the claim
-// tracker (a failed search's backtracking undoes only its own), so the next
-// search can only choose molecules the batch has not consumed yet, which
-// makes the deltas pairwise disjoint and the single commit equivalent to
-// firing them one at a time (batch_test.go pins the equivalence). requeue
-// re-enqueues the reaction after giving up on a contended commit (deque
-// mode; the stability scan passes false — the winning commit bumped the
-// version, so the scan repeats regardless).
-func tryFireBatch(ctx context.Context, p *Program, m *multiset.Multiset, opt Options, sh *stealSched, stats *Stats, rng *rand.Rand, ts *telSink, bw *batchWorker, idx, worker int, requeue bool) (fired, stop bool) {
-	r := p.Reactions[idx]
-	subs := p.subs()
+// pool's firing path. One searcher is held across the whole batch: each
+// successful search leaves its occurrence claims in the claim tracker (a
+// failed search's backtracking undoes only its own), so the next search can
+// only choose molecules the batch has not consumed yet, which makes the
+// deltas pairwise disjoint and the single commit equivalent to firing them
+// one at a time (batch_test.go pins the equivalence). requeue re-enqueues the
+// reaction after giving up on a contended commit (deque entries; the
+// stability scan passes false — the winning commit bumped the version, so
+// the scan repeats regardless). Returns whether a firing committed and
+// whether the worker must stop (error, cancellation or MaxSteps).
+//
+// It is also the pool's panic barrier: a panic in a reaction's condition,
+// action or the fault injector is recovered into a *rt.PanicError carrying
+// the reaction and worker identity and the pool is told to stop, so the
+// worker exits cleanly instead of taking the process down or leaving its
+// peers waiting on an idle count that can never complete. The shard view is
+// released first — a panic while its read locks are held would otherwise
+// deadlock every later commit touching those shards.
+func (w *worker) tryFireBatch(idx int, requeue bool) (fired, stop bool) {
+	r := w.p.Reactions[idx]
+	sh, opt, m := w.sh, &w.opt, w.m
+	defer func() {
+		if rec := recover(); rec != nil {
+			w.view.Unlock() // idempotent; no-op when not held
+			sh.fail(rt.NewPanicError("gamma", r.Name, w.id, rec))
+			fired, stop = false, true
+		}
+	}()
 	k := r.kernel()
 	for retries := 0; ; retries++ {
-		if cerr := ctx.Err(); cerr != nil {
+		if cerr := w.ctx.Err(); cerr != nil {
 			sh.fail(rt.FromContext(cerr))
 			return false, true
 		}
@@ -948,15 +786,15 @@ func tryFireBatch(ctx context.Context, p *Program, m *multiset.Multiset, opt Opt
 				maxB = int(rem)
 			}
 		}
-		bw.reset()
-		t0 := ts.begin()
-		m.LockView(&bw.view, k.viewSyms, k.viewAll)
-		s := k.getSearcher(r, m, rng)
-		s.view = &bw.view
+		w.reset()
+		t0 := w.ts.begin()
+		m.LockView(&w.view, k.viewSyms, k.viewAll)
+		s := k.getSearcher(r, m, w.rng)
+		s.view = &w.view
 		var ferr error
-		for len(bw.deltas) < maxB {
-			stats.Probes++
-			ts.probe(r.Name)
+		for len(w.deltas) < maxB {
+			w.stats.Probes++
+			w.ts.probe(r.Name)
 			ok := s.search(0)
 			if s.err != nil {
 				ferr = s.err
@@ -966,47 +804,47 @@ func tryFireBatch(ctx context.Context, p *Program, m *multiset.Multiset, opt Opt
 				break // reaction exhausted under the batch's claims
 			}
 			if opt.FaultInjector != nil {
-				if ferr = opt.FaultInjector(r.Name, worker); ferr != nil {
+				if ferr = opt.FaultInjector(r.Name, w.id); ferr != nil {
 					break
 				}
 			}
-			ps := len(bw.produce)
+			ps := len(w.produce)
 			if opt.Memo == nil {
 				// Arena path: product cells land in the worker's vals buffer,
 				// headers in the produce list. Safe because the commit clones
 				// what it inserts and nothing retains the headers past it.
 				spin(opt.WorkFactor)
-				bw.vals, bw.produce, ferr = k.produceInto(r.Name, s.branch, s.env, bw.vals, bw.produce)
+				w.vals, w.produce, ferr = k.produceInto(r.Name, s.branch, s.env, w.vals, w.produce)
 			} else {
 				// Memoized path: the memo table retains product slices, so
 				// they must be freshly allocated, never arena-backed.
 				var prods []multiset.Tuple
-				prods, ferr = applyAction(r, k, s, opt, stats, ts)
-				bw.produce = append(bw.produce, prods...)
+				prods, ferr = w.applyAction(r, s)
+				w.produce = append(w.produce, prods...)
 			}
 			if ferr != nil {
 				break
 			}
-			cs := len(bw.consume)
-			bw.consume = append(bw.consume, s.chosen...)
-			bw.keys = append(bw.keys, s.keys...)
+			cs := len(w.consume)
+			w.consume = append(w.consume, s.chosen...)
+			w.keys = append(w.keys, s.keys...)
 			// Capacity-clamped subslices: later appends cannot write through
 			// earlier deltas, and an arena realloc leaves them reading the
 			// old backing, whose cells are immutable and already correct.
-			bw.deltas = append(bw.deltas, multiset.Delta{
-				Consume: bw.consume[cs:len(bw.consume):len(bw.consume)],
-				CKeys:   bw.keys[cs:len(bw.keys):len(bw.keys)],
-				Produce: bw.produce[ps:len(bw.produce):len(bw.produce)],
+			w.deltas = append(w.deltas, multiset.Delta{
+				Consume: w.consume[cs:len(w.consume):len(w.consume)],
+				CKeys:   w.keys[cs:len(w.keys):len(w.keys)],
+				Produce: w.produce[ps:len(w.produce):len(w.produce)],
 			})
 			s.nextInBatch()
 		}
-		bw.view.Unlock()
+		w.view.Unlock()
 		k.putSearcher(s)
 		if ferr != nil {
 			sh.fail(ferr)
 			return false, true
 		}
-		matched := len(bw.deltas)
+		matched := len(w.deltas)
 		if matched == 0 {
 			return false, false
 		}
@@ -1014,31 +852,30 @@ func tryFireBatch(ctx context.Context, p *Program, m *multiset.Multiset, opt Opt
 		// all-or-nothing claims. Individual claims can still fail — a
 		// concurrent worker consumed a matched molecule between the view
 		// unlock and the commit — without voiding the rest of the batch.
-		if cap(bw.applied) < matched {
-			bw.applied = make([]bool, matched)
-		}
-		applied := bw.applied[:matched]
+		applied := w.applied[:matched]
 		var n int
 		var syms []symtab.Sym
-		if opt.Schedule != nil {
-			if cap(bw.seqs) < matched {
-				bw.seqs = make([]uint64, matched)
+		if rec := opt.Schedule; rec != nil {
+			n, syms = m.ApplyDeltasSeq(w.deltas, applied, w.seqs[:matched], w.symsBuf[:0])
+			for i := range w.deltas {
+				if applied[i] {
+					rec.RecordStepTuples(w.seqs[i], r.Name, w.deltas[i].Consume, w.deltas[i].Produce)
+				}
 			}
-			n, syms = m.ApplyDeltasSeq(bw.deltas, applied, bw.seqs[:matched], bw.symsBuf[:0])
 		} else {
-			n, syms = m.ApplyDeltas(bw.deltas, applied, bw.symsBuf[:0])
+			n, syms = m.ApplyDeltas(w.deltas, applied, w.symsBuf[:0])
 		}
-		bw.symsBuf = syms
+		w.symsBuf = syms
 		if failedN := matched - n; failedN > 0 {
-			stats.Conflicts += int64(failedN)
-			ts.conflictN(r.Name, failedN)
+			w.stats.Conflicts += int64(failedN)
+			w.ts.conflictN(r.Name, failedN)
 		}
 		if n == 0 {
 			if retries < maxConflictRetries {
-				stats.Retries++
-				ts.retry(r.Name)
-				if conflictBackoff(ctx, retries, stats, ts) {
-					sh.fail(rt.FromContext(ctx.Err()))
+				w.stats.Retries++
+				w.ts.retry(r.Name)
+				if w.conflictBackoff(retries) {
+					sh.fail(rt.FromContext(w.ctx.Err()))
 					return false, true
 				}
 				continue // rematch: the molecules changed under us
@@ -1046,36 +883,17 @@ func tryFireBatch(ctx context.Context, p *Program, m *multiset.Multiset, opt Opt
 			// Heavily contended: yield so the other reactions and workers
 			// make progress.
 			if requeue {
-				sh.enqueue(worker, idx)
+				sh.enqueue(w.id, idx)
 			}
 			runtime.Gosched()
 			return false, false
 		}
-		if opt.Tracer != nil || opt.Schedule != nil {
-			for i := range bw.deltas {
-				if applied[i] {
-					traceFiring(opt, r.Name, bw.deltas[i].Consume, bw.deltas[i].Produce)
-					if opt.Schedule != nil {
-						recordStep(opt, bw.seqs[i], r.Name, bw.deltas[i].Consume, bw.deltas[i].Produce)
-					}
-				}
-			}
-		}
-		stats.Steps += int64(n)
-		stats.Fired[r.Name] += int64(n)
-		stats.Batches++
+		w.stats.Batches++
+		w.ts.batch(n)
 		newSteps := sh.steps.Add(int64(n))
 		sh.version.Add(1)
-		woken := 0
-		wakeIdx := func(j int) {
-			if sh.enqueue(worker, j) {
-				woken++
-			}
-		}
-		subs.forEachSym(syms, wakeIdx)
-		wakeIdx(idx) // may still be enabled on what remains
+		w.committed(idx, n, syms, t0)
 		sh.wake()
-		ts.batchCommit(idx, r.Name, t0, m, woken, sh.deques[worker].size(), n)
 		if opt.MaxSteps > 0 && newSteps >= opt.MaxSteps {
 			sh.fail(ErrMaxSteps)
 			return true, true
@@ -1084,24 +902,18 @@ func tryFireBatch(ctx context.Context, p *Program, m *multiset.Multiset, opt Opt
 	}
 }
 
-func workerLoop(ctx context.Context, p *Program, m *multiset.Multiset, opt Options, sh *stealSched, stats *Stats, id int) {
-	rng := rand.New(rand.NewSource(opt.Seed + int64(id)*0x9e3779b9 + 1))
-	ts := newTelSink(opt, p, id)
-	n := len(p.Reactions)
-	bw := &batchWorker{}
-	probe := func(idx int, requeue bool) (fired, stop bool) {
-		if opt.FullScan {
-			return safeTryFire(ctx, p, m, opt, sh, stats, rng, ts, idx, id)
-		}
-		return safeTryFireBatch(ctx, p, m, opt, sh, stats, rng, ts, bw, idx, id, requeue)
-	}
+// loop is one pool worker's scheduling cycle: own deque, steal, stability
+// scan, idle — until the pool stops.
+func (w *worker) loop() {
+	sh := w.sh
+	n := len(w.p.Reactions)
 	for {
 		if sh.stopped.Load() {
 			return
 		}
 		// 1. Own deque, newest first (hot in cache).
-		if idx, ok := sh.take(id); ok {
-			if _, stop := probe(idx, true); stop {
+		if idx, ok := sh.take(w.id); ok {
+			if _, stop := w.tryFireBatch(idx, true); stop {
 				return
 			}
 			continue
@@ -1109,17 +921,17 @@ func workerLoop(ctx context.Context, p *Program, m *multiset.Multiset, opt Optio
 		// 2. Steal, oldest first, each peer tried once in an order derived
 		// from the worker's own rng stream (deterministic for a fixed seed).
 		stole := false
-		bw.victims = victimOrder(rng, id, sh.workers, bw.victims)
-		for _, v := range bw.victims {
+		w.victims = victimOrder(w.rng, w.id, sh.workers, w.victims)
+		for _, v := range w.victims {
 			x, ok := sh.deques[v].steal()
 			if !ok {
 				continue
 			}
 			sh.queued[x].Store(false)
-			stats.Steals++
-			ts.steal()
+			w.stats.Steals++
+			w.ts.steal()
 			stole = true
-			if _, stop := probe(int(x), true); stop {
+			if _, stop := w.tryFireBatch(int(x), true); stop {
 				return
 			}
 			break
@@ -1133,9 +945,9 @@ func workerLoop(ctx context.Context, p *Program, m *multiset.Multiset, opt Optio
 		// wasted, never the other way around.
 		scanVersion := sh.version.Load()
 		fired := false
-		start := rng.Intn(n)
+		start := w.rng.Intn(n)
 		for k := 0; k < n; k++ {
-			firedHere, stop := probe((start+k)%n, false)
+			firedHere, stop := w.tryFireBatch((start+k)%n, false)
 			if stop {
 				return
 			}

@@ -27,12 +27,10 @@ import "repro/internal/symtab"
 // subscriptions is the immutable label → reactions index of one Program,
 // computed once per program (reactions are immutable after Validate).
 type subscriptions struct {
-	// byLabel lists, per literal label, the indexes of reactions with at
-	// least one pattern subscribing to that label, ascending.
-	byLabel map[string][]int
-	// bySym is byLabel keyed by interned label symbol — the form the hot
-	// commit path consumes (ApplyDelta reports produce deltas as symbols, so
-	// wakeups never materialize label strings).
+	// bySym lists, per literal label (as its interned symbol — ApplyDelta
+	// reports produce deltas as symbols, so wakeups never materialize label
+	// strings), the indexes of reactions with at least one pattern
+	// subscribing to that label, ascending.
 	bySym map[symtab.Sym][]int
 	// wildcard lists reactions with at least one generic pattern (no literal
 	// label): any added element may feed such a pattern, so these wake on
@@ -42,10 +40,7 @@ type subscriptions struct {
 
 // buildSubscriptions derives the index from the reactions' patterns.
 func buildSubscriptions(reactions []*Reaction) *subscriptions {
-	sub := &subscriptions{
-		byLabel: make(map[string][]int),
-		bySym:   make(map[symtab.Sym][]int),
-	}
+	sub := &subscriptions{bySym: make(map[symtab.Sym][]int)}
 	for i, r := range reactions {
 		generic := false
 		var labels []string
@@ -71,7 +66,6 @@ func buildSubscriptions(reactions []*Reaction) *subscriptions {
 			continue
 		}
 		for _, label := range labels {
-			sub.byLabel[label] = append(sub.byLabel[label], i)
 			sym := symtab.Intern(label)
 			sub.bySym[sym] = append(sub.bySym[sym], i)
 		}
@@ -79,29 +73,13 @@ func buildSubscriptions(reactions []*Reaction) *subscriptions {
 	return sub
 }
 
-// forEach invokes fn for every reaction that may have become newly enabled by
-// a commit that added elements with the given labels (multiset.NoLabel marks
-// unlabeled elements — those can only feed generic patterns, hence only wake
-// the wildcard bucket). fn may be invoked more than once for the same
-// reaction; callers dedupe through their dirty/queued flags.
-func (sub *subscriptions) forEach(labels []string, fn func(idx int)) {
-	for _, i := range sub.wildcard {
-		fn(i)
-	}
-	for _, label := range labels {
-		// A NoLabel delta wakes nothing here: literal-label patterns cannot
-		// match an unlabeled tuple. (A real "\x00" label, however unlikely,
-		// resolves through the map like any other and stays sound.)
-		for _, i := range sub.byLabel[label] {
-			fn(i)
-		}
-	}
-}
-
-// forEachSym is forEach over interned label symbols — the delta form
-// ApplyDelta reports (multiset.NoLabelSym marks unlabeled elements; like
-// NoLabel in forEach, it wakes only the wildcard bucket because no literal
-// label pattern interned it into bySym).
+// forEachSym invokes fn for every reaction that may have become newly enabled
+// by a commit that added elements with the given label symbols — the delta
+// form ApplyDelta reports. multiset.NoLabelSym marks unlabeled elements: those
+// can only feed generic patterns, hence wake only the wildcard bucket (no
+// literal label pattern interned it into bySym). fn may be invoked more than
+// once for the same reaction; callers dedupe through their dirty/queued
+// flags.
 func (sub *subscriptions) forEachSym(syms []symtab.Sym, fn func(idx int)) {
 	for _, i := range sub.wildcard {
 		fn(i)

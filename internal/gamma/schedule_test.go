@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/expr"
 	"repro/internal/multiset"
+	"repro/internal/symtab"
 	"repro/internal/value"
 )
 
@@ -51,39 +52,45 @@ func TestBuildSubscriptions(t *testing.T) {
 		Branches: []Branch{{Products: []Template{{expr.MustParse("x")}}}},
 	}
 	sub := buildSubscriptions([]*Reaction{labeled, generic})
-	if got := sub.byLabel["A"]; len(got) != 1 || got[0] != 0 {
-		t.Fatalf("byLabel[A] = %v, want [0] (deduped)", got)
+	if got := sub.bySym[symtab.Intern("A")]; len(got) != 1 || got[0] != 0 {
+		t.Fatalf("bySym[A] = %v, want [0] (deduped)", got)
 	}
-	if got := sub.byLabel["B"]; len(got) != 1 || got[0] != 0 {
-		t.Fatalf("byLabel[B] = %v, want [0]", got)
+	if got := sub.bySym[symtab.Intern("B")]; len(got) != 1 || got[0] != 0 {
+		t.Fatalf("bySym[B] = %v, want [0]", got)
 	}
 	// generic has one pattern with no literal label: wildcard, and none of
 	// its labels are indexed (any addition must wake it anyway).
 	if len(sub.wildcard) != 1 || sub.wildcard[0] != 1 {
 		t.Fatalf("wildcard = %v, want [1]", sub.wildcard)
 	}
-	if _, ok := sub.byLabel["C"]; ok {
+	if _, ok := sub.bySym[symtab.Intern("C")]; ok {
 		t.Fatal("wildcard reaction must not also subscribe by label")
 	}
 }
 
 func TestSubscriptionsForEach(t *testing.T) {
 	sub := &subscriptions{
-		byLabel:  map[string][]int{"A": {0}, "B": {1, 2}},
+		bySym:    map[symtab.Sym][]int{symtab.Intern("A"): {0}, symtab.Intern("B"): {1, 2}},
 		wildcard: []int{3},
 	}
 	wake := func(labels ...string) map[int]int {
 		got := map[int]int{}
-		sub.forEach(labels, func(i int) { got[i]++ })
+		syms := make([]symtab.Sym, len(labels))
+		for i, l := range labels {
+			syms[i] = symtab.Intern(l)
+		}
+		sub.forEachSym(syms, func(i int) { got[i]++ })
 		return got
 	}
 	if got := wake("A"); len(got) != 2 || got[0] != 1 || got[3] != 1 {
 		t.Fatalf("forEach(A) woke %v, want {0,3}", got)
 	}
-	// NoLabel deltas wake only the wildcard bucket: an unlabeled element
+	// NoLabelSym deltas wake only the wildcard bucket: an unlabeled element
 	// cannot feed a literal-label pattern.
-	if got := wake(multiset.NoLabel); len(got) != 1 || got[3] != 1 {
-		t.Fatalf("forEach(NoLabel) woke %v, want {3}", got)
+	got := map[int]int{}
+	sub.forEachSym([]symtab.Sym{multiset.NoLabelSym}, func(i int) { got[i]++ })
+	if len(got) != 1 || got[3] != 1 {
+		t.Fatalf("forEachSym(NoLabelSym) woke %v, want {3}", got)
 	}
 	if got := wake("unknown"); len(got) != 1 || got[3] != 1 {
 		t.Fatalf("forEach(unknown) woke %v, want {3}", got)

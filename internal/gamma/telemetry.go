@@ -93,35 +93,18 @@ func (t *telSink) probe(name string) {
 	}
 }
 
-// firing accounts one committed reaction application: the latency span since
-// begin, with the post-commit cardinality and the scheduler wakeups the
-// commit caused folded into the event payload (one ring write per firing).
-func (t *telSink) firing(idx int, name string, start time.Time, m *multiset.Multiset, woken, depth int) {
-	if t == nil {
-		return
-	}
-	t.steps.Inc()
-	t.fired[idx].Inc()
-	card := int64(m.Len())
-	t.card.Set(card)
-	t.depth.Set(int64(depth))
-	lat := time.Since(start)
-	t.lat[idx].Observe(lat.Nanoseconds())
-	t.track.SpanDur(telemetry.KindFiring, name, start, lat, card, int64(woken))
-}
-
-// batchCommit accounts one committed multi-firing batch: k firings of the
-// same reaction landed in one ApplyDeltas commit. Counters advance by k so
-// the Stats cross-check stays exact; the span and latency cover the whole
-// batch (one ring write per commit, the point of batching).
-func (t *telSink) batchCommit(idx int, name string, start time.Time, m *multiset.Multiset, woken, depth, k int) {
+// firing accounts one commit of k firings of the same reaction (k is 1
+// outside the pool's batches): the latency span since begin, with the
+// post-commit cardinality and the scheduler wakeups the commit caused folded
+// into the event payload. Counters advance by k so the Stats cross-check
+// stays exact; the span and latency cover the whole commit (one ring write
+// per commit, the point of batching).
+func (t *telSink) firing(idx int, name string, start time.Time, m *multiset.Multiset, woken, depth, k int) {
 	if t == nil {
 		return
 	}
 	t.steps.Add(int64(k))
 	t.fired[idx].Add(int64(k))
-	t.batches.Inc()
-	t.batchSize.Observe(int64(k))
 	card := int64(m.Len())
 	t.card.Set(card)
 	t.depth.Set(int64(depth))
@@ -130,13 +113,14 @@ func (t *telSink) batchCommit(idx int, name string, start time.Time, m *multiset
 	t.track.SpanDur(telemetry.KindFiring, name, start, lat, card, int64(woken))
 }
 
-// conflict accounts one failed optimistic commit.
-func (t *telSink) conflict(name string) {
+// batch accounts one committed ApplyDeltas batch of k firings, mirroring
+// Stats.Batches.
+func (t *telSink) batch(k int) {
 	if t == nil {
 		return
 	}
-	t.conflicts.Inc()
-	t.track.Instant(telemetry.KindConflict, name, 0, 0)
+	t.batches.Inc()
+	t.batchSize.Observe(int64(k))
 }
 
 // conflictN accounts n failed claims out of one batched commit.

@@ -213,9 +213,8 @@ func TestTelemetryDisabledIsNil(t *testing.T) {
 	var nilSink *telSink
 	// Every method must be a no-op on the nil receiver, not a panic.
 	nilSink.probe("r")
-	nilSink.firing(0, "r", nilSink.begin(), multiset.New(), 0, 0)
-	nilSink.batchCommit(0, "r", nilSink.begin(), multiset.New(), 0, 0, 1)
-	nilSink.conflict("r")
+	nilSink.firing(0, "r", nilSink.begin(), multiset.New(), 0, 0, 1)
+	nilSink.batch(1)
 	nilSink.conflictN("r", 2)
 	nilSink.retry("r")
 	nilSink.memoHit()

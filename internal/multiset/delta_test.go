@@ -2,40 +2,11 @@ package multiset
 
 import (
 	"math/rand"
-	"reflect"
-	"sort"
 	"testing"
 
 	"repro/internal/symtab"
 	"repro/internal/value"
 )
-
-// TestAddAllLabelDeltas checks the touched-label report driving the
-// incremental scheduler: one entry per distinct label, NoLabel for tuples
-// with no string in the label position.
-func TestAddAllLabelDeltas(t *testing.T) {
-	m := New()
-	labels := m.AddAll([]Tuple{
-		Pair(value.Int(1), "A"),
-		Pair(value.Int(2), "A"),
-		Pair(value.Int(3), "B"),
-		New1(value.Int(4)),           // unlabeled: 1-tuple
-		{value.Int(5), value.Int(6)}, // unlabeled: non-string field 1
-		Pair(value.Str("x"), "A"),    // same label, different kind
-	})
-	sort.Strings(labels)
-	want := []string{NoLabel, "A", "B"}
-	sort.Strings(want)
-	if !reflect.DeepEqual(labels, want) {
-		t.Fatalf("AddAll labels = %q, want %q", labels, want)
-	}
-	if m.Len() != 6 {
-		t.Fatalf("Len = %d, want 6", m.Len())
-	}
-	if got := m.AddAll(nil); len(got) != 0 {
-		t.Fatalf("AddAll(nil) = %q, want empty", got)
-	}
-}
 
 // TestByLabelKeyOrdered checks that the maintained per-label index comes back
 // in ascending key order without any per-call sort — the property the

@@ -15,17 +15,12 @@ import (
 // counts exercised by the benchmarks.
 const shardCount = 32
 
-// NoLabel is the delta marker reported by AddAll for tuples that carry no
-// string label field. It can never collide with a real label extracted by
-// Tuple.Label (those are the label's exact bytes; a real "\x00" label would
-// report itself, which is still sound — see gamma's subscription index).
-const NoLabel = "\x00"
-
-// NoLabelSym is NoLabel's interned symbol: the delta marker reported by
-// ApplyDelta for produced tuples without a string label field. (A real
-// "\x00" label interns to the same symbol and stays sound for the same
-// reason as NoLabel.)
-var NoLabelSym = symtab.Intern(NoLabel)
+// NoLabelSym is the delta marker ApplyDelta reports for produced tuples that
+// carry no string label field. It cannot collide unsoundly with a real label
+// extracted by Tuple.Label: a real "\x00" label interns to the same symbol
+// and reports itself, which still wakes a superset of the reactions that
+// could match — see gamma's subscription index.
+var NoLabelSym = symtab.Intern("\x00")
 
 // entry is one distinct tuple with its multiplicity. key caches Tuple.Key()
 // (the ordering used by every sorted index, and the fingerprint handed to the
@@ -106,22 +101,15 @@ type Multiset struct {
 	shards [shardCount]shard
 	size   int64 // total element count incl. multiplicity, guarded by sizeMu
 	sizeMu sync.Mutex
-	// commitSeq numbers committed writes. A sequence number taken while the
-	// writer still holds the locks of every shard it touched (or, for the
-	// two-phase TryRemoveAll/AddAll path, after the claim succeeded but
-	// before the products became visible) is a valid linearization of the
-	// execution: a firing that consumes another firing's product must take
-	// that product's shard lock after the producer released it, so the
-	// producer's number is always the smaller one. Replay recorders sort on
-	// it to turn a nondeterministic parallel run into a sequential schedule.
+	// commitSeq numbers committed writes (ApplyDeltaSeq/ApplyDeltasSeq). A
+	// sequence number taken while the writer still holds the locks of every
+	// shard it touched is a valid linearization of the execution: a firing
+	// that consumes another firing's product must take that product's shard
+	// lock after the producer released it, so the producer's number is always
+	// the smaller one. Replay recorders sort on it to turn a nondeterministic
+	// parallel run into a sequential schedule.
 	commitSeq atomic.Uint64
 }
-
-// NextCommitSeq draws the next commit sequence number. Writers that commit
-// through the two-phase TryRemoveAll/AddAll path call it between the claim
-// and the insert; the batched commit paths assign numbers internally via
-// ApplyDeltaSeq/ApplyDeltasSeq.
-func (m *Multiset) NextCommitSeq() uint64 { return m.commitSeq.Add(1) }
 
 // New returns an empty multiset, optionally pre-populated with tuples.
 func New(tuples ...Tuple) *Multiset {
@@ -250,31 +238,13 @@ func (s *shard) addEntryLocked(t Tuple, key string, sym symtab.Sym, n int) {
 	}
 }
 
-// AddAll inserts one occurrence of every tuple in ts and reports the set of
-// labels it touched (deduplicated; NoLabel stands in for tuples without a
-// string label field). This is the seed engine's two-phase commit surface;
-// the incremental runtime uses ApplyDelta, which folds the consume and
-// produce sides into one lock acquisition per shard and reports symbols.
-func (m *Multiset) AddAll(ts []Tuple) []string {
-	var labels []string
+// AddAll inserts one occurrence of every tuple in ts: the insert half of the
+// two-phase TryRemoveAll/AddAll commit that replay and the differential tests
+// use as the reference for ApplyDelta.
+func (m *Multiset) AddAll(ts []Tuple) {
 	for _, t := range ts {
 		m.Add(t)
-		l, ok := t.Label()
-		if !ok {
-			l = NoLabel
-		}
-		seen := false
-		for _, have := range labels {
-			if have == l {
-				seen = true
-				break
-			}
-		}
-		if !seen {
-			labels = append(labels, l)
-		}
 	}
-	return labels
 }
 
 // removeLocked decrements e inside an already locked shard, unlinking it from
@@ -515,11 +485,9 @@ func (m *Multiset) applyRangeLocked(produce []Tuple, d *deltaScratch, cs, ce, ps
 
 // TryRemoveAll atomically removes one occurrence of every tuple in ts — all
 // or nothing. Duplicate tuples in ts require that many occurrences. This is
-// the claim step of the seed engine's two-phase commit: a worker that matched
-// a reaction's replace-list attempts to claim exactly those molecules; if a
-// concurrent worker consumed one first, the claim fails and the worker
-// rematches. Removals never enable a reaction (matching is monotone in the
-// multiset contents), so unlike AddAll no label delta is reported.
+// the claim half of the two-phase TryRemoveAll/AddAll commit (see AddAll): a
+// caller that matched a reaction's replace-list claims exactly those
+// molecules, and the claim fails if a concurrent writer consumed one first.
 func (m *Multiset) TryRemoveAll(ts []Tuple) bool {
 	if len(ts) == 0 {
 		return true
@@ -571,28 +539,17 @@ func (m *Multiset) ApplyDeltaSeq(consume []Tuple, ckeys []string, produce []Tupl
 	return m.applyDelta(consume, ckeys, produce, syms, true)
 }
 
+// applyDelta is the one-firing case of the batched commit (batch.go): one
+// commit path for every writer.
 func (m *Multiset) applyDelta(consume []Tuple, ckeys []string, produce []Tuple, syms []symtab.Sym, wantSeq bool) (bool, uint64, []symtab.Sym) {
-	d := deltaPool.Get().(*deltaScratch)
-	defer deltaPool.Put(d)
-	d.reset()
-	var involved [shardCount]bool
-	d.stageConsume(consume, ckeys, &involved)
-	d.stageProduce(produce, &involved)
-	m.lockShards(&involved)
-	ok := m.claimRangeLocked(0, len(consume), d)
-	var seq uint64
-	if ok {
-		if wantSeq {
-			seq = m.commitSeq.Add(1)
-		}
-		m.applyRangeLocked(produce, d, 0, len(consume), 0, len(produce))
+	ds := [1]Delta{{Consume: consume, CKeys: ckeys, Produce: produce}}
+	var seq [1]uint64
+	var seqs []uint64
+	if wantSeq {
+		seqs = seq[:]
 	}
-	m.unlockShards(&involved)
-	if !ok {
-		return false, 0, syms
-	}
-	m.addSize(int64(len(produce)) - int64(len(consume)))
-	return true, seq, appendSymsDedup(syms, d.psyms)
+	n, syms := m.applyDeltas(ds[:], nil, seqs, syms)
+	return n == 1, seq[0], syms
 }
 
 // Count returns the multiplicity of t.

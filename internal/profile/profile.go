@@ -10,24 +10,25 @@
 // quantify the §III-A3 observation that reductions shrink parallelism: the
 // fused Rd1 has span 1 where R1–R3 have span 2.
 //
-// A Collector implements both dataflow.Tracer and gamma.Tracer: firings
-// arrive with opaque keys for the tokens/elements they consume and produce;
+// A Collector is a post-run fold over a run's commit-ordered schedule
+// (sched.Each(col.RecordFiring), package replay): firings arrive in commit
+// order with opaque keys for the tokens/elements they consume and produce;
 // the collector threads dependencies by key (multiple live carriers of the
 // same key form a stack, matching multiset multiplicity) and maintains the
-// dependency depth of every firing incrementally.
+// dependency depth of every firing incrementally. Only the schedule's order
+// puts every consumer after its producer on a parallel run, which is what
+// makes the depths exact.
 package profile
 
 import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 )
 
-// Collector accumulates an execution trace. It is safe for concurrent use;
-// the zero value is not usable, call NewCollector.
+// Collector accumulates an execution trace. Not safe for concurrent use; the
+// zero value is not usable, call NewCollector.
 type Collector struct {
-	mu sync.Mutex
 	// depthOf maps a live token/element key to the depth of the firing that
 	// produced it. Duplicate keys (multiset multiplicity, token queues)
 	// stack.
@@ -49,12 +50,11 @@ func NewCollector() *Collector {
 	}
 }
 
-// RecordFiring implements dataflow.Tracer and gamma.Tracer. The firing's
-// depth is 1 + the maximum depth among its consumed keys (keys with no
-// recorded producer are initial inputs at depth 0).
+// RecordFiring folds one firing into the analysis; its signature is the
+// callback of (*replay.Schedule).Each. The firing's depth is 1 + the maximum
+// depth among its consumed keys (keys with no recorded producer are initial
+// inputs at depth 0).
 func (c *Collector) RecordFiring(name string, consumed, produced []string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	depth := int64(1)
 	for _, key := range consumed {
 		stack := c.depthOf[key]
@@ -102,8 +102,6 @@ type Report struct {
 
 // Report computes the metrics for everything recorded so far.
 func (c *Collector) Report() Report {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	r := Report{Work: c.work, Span: c.span, PerName: make(map[string]int64, len(c.perName))}
 	for k, v := range c.perName {
 		r.PerName[k] = v
@@ -119,16 +117,6 @@ func (c *Collector) Report() Report {
 		}
 	}
 	return r
-}
-
-// Reset clears the collector for reuse.
-func (c *Collector) Reset() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.depthOf = make(map[string][]int64)
-	c.perName = make(map[string]int64)
-	c.depthCensus = make(map[int64]int64)
-	c.work, c.span = 0, 0
 }
 
 func (r Report) String() string {

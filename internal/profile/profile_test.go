@@ -2,7 +2,6 @@ package profile
 
 import (
 	"strings"
-	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -11,8 +10,36 @@ import (
 	"repro/internal/gammalang"
 	"repro/internal/multiset"
 	"repro/internal/paper"
+	"repro/internal/replay"
 	"repro/internal/value"
 )
+
+// gammaReport runs p on m with a schedule recorder and folds the
+// commit-ordered schedule into its report.
+func gammaReport(t *testing.T, p *gamma.Program, m *multiset.Multiset, opt gamma.Options) Report {
+	t.Helper()
+	rec := replay.NewRecorder(replay.KindGamma, p.Name)
+	opt.Schedule = rec
+	if _, err := gamma.Run(p, m, opt); err != nil {
+		t.Fatal(err)
+	}
+	col := NewCollector()
+	rec.Schedule().Each(col.RecordFiring)
+	return col.Report()
+}
+
+// dataflowReport is gammaReport for a dataflow graph.
+func dataflowReport(t *testing.T, g *dataflow.Graph, opt dataflow.Options) Report {
+	t.Helper()
+	rec := replay.NewRecorder(replay.KindDataflow, g.Name)
+	opt.Schedule = rec
+	if _, err := dataflow.Run(g, opt); err != nil {
+		t.Fatal(err)
+	}
+	col := NewCollector()
+	rec.Schedule().Each(col.RecordFiring)
+	return col.Report()
+}
 
 func TestCollectorManual(t *testing.T) {
 	c := NewCollector()
@@ -36,9 +63,8 @@ func TestCollectorManual(t *testing.T) {
 	if !strings.Contains(r.String(), "work=3 span=2") {
 		t.Errorf("render: %s", r)
 	}
-	c.Reset()
-	if rr := c.Report(); rr.Work != 0 || rr.Span != 0 || rr.Parallelism != 0 {
-		t.Errorf("after reset: %+v", rr)
+	if rr := NewCollector().Report(); rr.Work != 0 || rr.Span != 0 || rr.Parallelism != 0 {
+		t.Errorf("empty collector: %+v", rr)
 	}
 }
 
@@ -55,11 +81,7 @@ func TestDuplicateKeysStack(t *testing.T) {
 }
 
 func TestFig1DataflowSpan(t *testing.T) {
-	col := NewCollector()
-	if _, err := dataflow.Run(paper.Fig1Graph(), dataflow.Options{Tracer: col}); err != nil {
-		t.Fatal(err)
-	}
-	r := col.Report()
+	r := dataflowReport(t, paper.Fig1Graph(), dataflow.Options{})
 	// consts at depth 1, R1/R2 at depth 2, R3 at depth 3.
 	if r.Work != 7 || r.Span != 3 {
 		t.Fatalf("work=%d span=%d, want 7/3 (%s)", r.Work, r.Span, r)
@@ -74,11 +96,7 @@ func TestFig1GammaSpan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	col := NewCollector()
-	if _, err := gamma.Run(prog, init, gamma.Options{Tracer: col}); err != nil {
-		t.Fatal(err)
-	}
-	r := col.Report()
+	r := gammaReport(t, prog, init, gamma.Options{})
 	// R1 and R2 at depth 1 (consuming initial elements), R3 at depth 2.
 	if r.Work != 3 || r.Span != 2 {
 		t.Fatalf("work=%d span=%d, want 3/2 (%s)", r.Work, r.Span, r)
@@ -104,11 +122,7 @@ func TestReductionShrinksSpan(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		col := NewCollector()
-		if _, err := gamma.Run(p, m, gamma.Options{Tracer: col}); err != nil {
-			t.Fatal(err)
-		}
-		r := col.Report()
+		r := gammaReport(t, p, m, gamma.Options{})
 		return r.Work, r.Span
 	}
 	fw, fs := span(full)
@@ -123,12 +137,8 @@ func TestReductionShrinksSpan(t *testing.T) {
 
 func TestLoopSpanGrowsWithIterations(t *testing.T) {
 	spanFor := func(z int64) int64 {
-		col := NewCollector()
 		g := paper.Fig2GraphObservable(10, 4, z)
-		if _, err := dataflow.Run(g, dataflow.Options{Tracer: col, MaxFirings: 100000}); err != nil {
-			t.Fatal(err)
-		}
-		return col.Report().Span
+		return dataflowReport(t, g, dataflow.Options{MaxFirings: 100000}).Span
 	}
 	s2, s8 := spanFor(2), spanFor(8)
 	if s8 <= s2 {
@@ -149,38 +159,12 @@ func TestParallelRuntimesProduceSameWork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	col := NewCollector()
-	if _, err := gamma.Run(prog, init.Clone(), gamma.Options{Workers: 4, Seed: 3, Tracer: col}); err != nil {
-		t.Fatal(err)
-	}
-	r := col.Report()
+	r := gammaReport(t, prog, init.Clone(), gamma.Options{Workers: 4, Seed: 3})
 	if r.Work != 3 || r.Span != 2 {
 		t.Errorf("parallel gamma: %s, want work=3 span=2", r)
 	}
-	col2 := NewCollector()
-	if _, err := dataflow.Run(paper.Fig1Graph(), dataflow.Options{Workers: 4, Tracer: col2}); err != nil {
-		t.Fatal(err)
-	}
-	if r2 := col2.Report(); r2.Work != 7 {
+	if r2 := dataflowReport(t, paper.Fig1Graph(), dataflow.Options{Workers: 4}); r2.Work != 7 {
 		t.Errorf("parallel dataflow work = %d, want 7", r2.Work)
-	}
-}
-
-func TestCollectorConcurrentSafety(t *testing.T) {
-	c := NewCollector()
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < 200; i++ {
-				c.RecordFiring("n", nil, []string{value.Int(int64(w*1000 + i)).String()})
-			}
-		}(w)
-	}
-	wg.Wait()
-	if r := c.Report(); r.Work != 1600 {
-		t.Errorf("work = %d", r.Work)
 	}
 }
 
@@ -195,11 +179,7 @@ func TestMinElementSpan(t *testing.T) {
 	for i := int64(1); i <= 32; i++ {
 		m.Add(multiset.New1(value.Int(i)))
 	}
-	col := NewCollector()
-	if _, err := gamma.Run(prog, m, gamma.Options{Seed: 5, Tracer: col}); err != nil {
-		t.Fatal(err)
-	}
-	r := col.Report()
+	r := gammaReport(t, prog, m, gamma.Options{Seed: 5})
 	if r.Work != 31 {
 		t.Errorf("work = %d, want 31", r.Work)
 	}

@@ -91,6 +91,15 @@ func encodeLine(w *bufio.Writer, v any) error {
 	return w.WriteByte('\n')
 }
 
+// Each calls fn once per firing in linearized (commit) order. It is the one
+// way to derive an analysis from a run: telemetry.Provenance and
+// profile.Collector are folds over it (sched.Each(col.RecordFiring)).
+func (s *Schedule) Each(fn func(name string, consumed, produced []string)) {
+	for i := range s.Steps {
+		fn(s.Steps[i].Name, s.Steps[i].Consumed, s.Steps[i].Produced)
+	}
+}
+
 // Bytes renders the schedule as Encode would write it.
 func (s *Schedule) Bytes() []byte {
 	var b sliceWriter
@@ -153,9 +162,9 @@ func Parse(r io.Reader) (*Schedule, error) {
 }
 
 // Recorder collects firing records from a run and linearizes them into a
-// Schedule. It implements gamma.ScheduleRecorder and dataflow.ScheduleRecorder
-// (the RecordStep shape both engines call with commit-ordered sequence
-// numbers) and is safe for concurrent use.
+// Schedule. It implements gamma.ScheduleRecorder (RecordStepTuples) and
+// dataflow.ScheduleRecorder (RecordStep) — the engines' only per-firing
+// observer — and is safe for concurrent use.
 type Recorder struct {
 	mu    sync.Mutex
 	kind  string
@@ -189,11 +198,10 @@ func NewRecorder(kind, name string) *Recorder {
 	return &Recorder{kind: kind, name: name}
 }
 
-// RecordStep implements the engines' ScheduleRecorder interfaces. The
-// recorder retains the key slices without copying: callers hand over
-// ownership and must not mutate them afterwards. Both engines render fresh
-// keys per firing, so taking ownership keeps the commit-path cost to the
-// rendering itself plus one locked append.
+// RecordStep implements dataflow.ScheduleRecorder. The recorder retains the
+// key slices without copying: callers hand over ownership and must not
+// mutate them afterwards. The engines render fresh keys per firing, so taking
+// ownership keeps the cost to the rendering itself plus one locked append.
 func (r *Recorder) RecordStep(seq uint64, name string, consumed, produced []string) {
 	st := Step{Seq: seq, Name: name, Consumed: consumed, Produced: produced}
 	r.mu.Lock()
@@ -201,8 +209,8 @@ func (r *Recorder) RecordStep(seq uint64, name string, consumed, produced []stri
 	r.mu.Unlock()
 }
 
-// RecordStepTuples implements gamma.TupleScheduleRecorder, the engine's
-// allocation-free recording fast path: the firing's tuples are fingerprinted
+// RecordStepTuples implements gamma.ScheduleRecorder, allocation-free on the
+// commit path: the firing's tuples are fingerprinted
 // straight into the recorder's byte buffer (multiset.Tuple.AppendKey) and
 // key strings are materialized only when Schedule() runs. Amortized, a
 // firing costs three pointer-free appends under the lock.

@@ -525,9 +525,9 @@ func DecodeReplayResponse(data []byte) (*ReplayResponse, error) {
 
 // RunStats is the payload of GET /v1/runs/{id}/stats (wire minor 1.2): the
 // run's execution accounting plus, when the run was traced, the recorder-side
-// view of the same execution. Firings is counted by the provenance tracer on
-// the engine's commit path, so on a traced sequential run it must equal Steps
-// exactly — the wire form of the paper's firing-history equivalence, and the
+// view of the same execution. Firings is the length of the run's recorded
+// commit-ordered schedule, so on a traced run it must equal Steps exactly —
+// the wire form of the paper's firing-history equivalence, and the
 // cross-check the service test suite holds.
 type RunStats struct {
 	Version string `json:"version"`
@@ -551,7 +551,7 @@ type RunStats struct {
 	// buffered and events the rings overwrote (telemetry.dropped_events).
 	TraceEvents  int64 `json:"trace_events,omitempty"`
 	TraceDropped int64 `json:"trace_dropped,omitempty"`
-	// Firings is the provenance tracer's committed-firing count.
+	// Firings is the recorded schedule's committed-firing count.
 	Firings int64 `json:"firings,omitempty"`
 	// Counters is the traced run's private registry snapshot (gamma.steps,
 	// probe/conflict counts, ...), absent on untraced runs.

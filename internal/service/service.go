@@ -205,15 +205,14 @@ type Run struct {
 	// in the registry's engine dimension.
 	Engine string
 	// Traced reports whether the sampler granted this run's Spec.Trace ask;
-	// when set, rec and prov observe the execution and are retained with the
-	// terminal run for /trace and /stats.
+	// when set, rec and sched observe the execution and are retained with
+	// the terminal run for /trace and /stats.
 	Traced bool
 
 	plan  *gamma.Plan
 	init  *multiset.Multiset
 	graph *dataflow.Graph
 	rec   *telemetry.Recorder
-	prov  *telemetry.Provenance
 	sched *replay.Recorder
 
 	ctx      context.Context
@@ -461,13 +460,13 @@ func (s *Server) Submit(req *schema.RunRequest, tenant string) (*Run, error) {
 	// cap (default Config.MaxStepsCap), and to what remains of a cumulative
 	// budget — a run can never overdraw, it is truncated at the boundary
 	// with rt.ErrMaxSteps like any other budget exhaustion.
-	cap := q.MaxSteps
-	if cap <= 0 {
-		cap = s.cfg.MaxStepsCap
+	stepCap := q.MaxSteps
+	if stepCap <= 0 {
+		stepCap = s.cfg.MaxStepsCap
 	}
 	eff := r.Spec.MaxSteps
-	if eff <= 0 || eff > cap {
-		eff = cap
+	if eff <= 0 || eff > stepCap {
+		eff = stepCap
 	}
 	if q.StepBudget > 0 {
 		if rem := q.StepBudget - ts.stepsUsed; rem < eff {
@@ -480,33 +479,34 @@ func (s *Server) Submit(req *schema.RunRequest, tenant string) (*Run, error) {
 	r.ID = fmt.Sprintf("r-%d", s.seq)
 	r.ctx, r.cancel = context.WithCancel(s.baseCtx)
 	r.enqueued = time.Now()
-	select {
-	case s.queue <- r:
-	default:
+	// Submit is the queue's only sender and holds s.mu, so a free slot seen
+	// here is still free at the send below.
+	if len(s.queue) == cap(s.queue) {
 		s.mu.Unlock()
 		return nil, s.reject("service.rejected.queue",
 			&TooBusyError{Reason: "queue full", Tenant: tenant, RetryAfter: time.Second}, r)
 	}
-	ts.inflight++
-	s.runs[r.ID] = r
-	s.mu.Unlock()
-
 	// Tracing is decided at admission so the decision is stable for the
-	// run's whole life: Spec.Trace asks, the sampler grants. The recorder and
-	// provenance tracer are private to the run (its stats counters are the
+	// run's whole life — and before the send, which publishes the run to the
+	// executors: Spec.Trace asks, the sampler grants. The recorder and
+	// schedule recorder are private to the run (its stats counters are the
 	// run's own, not the server's) and ride the Run into the terminal ring.
 	if req.Spec.Trace && s.sampleTrace() {
 		r.Traced = true
 		r.rec = telemetry.New(s.cfg.TraceEventCap)
-		r.prov = telemetry.NewProvenance()
-		// The schedule recorder rides along with the trace: every traced run
-		// is replayable (GET /trace?format=schedule → POST /v1/replay).
+		// The schedule is the run's one firing record: every traced run is
+		// replayable (GET /trace?format=schedule → POST /v1/replay), and the
+		// provenance DAG and firing count are read off it on request.
 		kind := replay.KindGamma
 		if r.Kind == schema.KindDataflow {
 			kind = replay.KindDataflow
 		}
 		r.sched = replay.NewRecorder(kind, r.ID)
 	}
+	s.queue <- r
+	ts.inflight++
+	s.runs[r.ID] = r
+	s.mu.Unlock()
 
 	s.count("service.submitted", 1, tenant, r.Engine)
 	s.gaugeAdd("service.queue_depth", 1, tenant, r.Engine)
@@ -608,7 +608,6 @@ func (s *Server) execute(r *Run) {
 		}
 		if r.Traced {
 			opt.Recorder = r.rec
-			opt.Tracer = r.prov
 			opt.TrackLabel = r.ID
 			opt.Schedule = r.sched
 		}
@@ -631,7 +630,6 @@ func (s *Server) execute(r *Run) {
 		}
 		if r.Traced {
 			opt.Recorder = r.rec
-			opt.Tracer = r.prov
 			opt.Schedule = r.sched
 		}
 		dres, err := dataflow.RunContext(ctx, r.graph, opt)
@@ -673,8 +671,6 @@ func (s *Server) finish(r *Run, res *schema.RunResult, err error, steps int64, w
 	r.result = res
 	r.err = err
 	r.mu.Unlock()
-	r.cancel() // release the context resources either way
-	close(r.done)
 
 	switch state {
 	case schema.StateDone:
@@ -721,6 +717,10 @@ func (s *Server) finish(r *Run, res *schema.RunResult, err error, steps int64, w
 		s.terminal = s.terminal[1:]
 	}
 	s.mu.Unlock()
+	r.cancel() // release the context resources either way
+	// Waiters are released only now, with the charge settled: a tenant that
+	// resubmits the moment it sees the result meets its updated budget.
+	close(r.done)
 }
 
 // Health reports the server's instantaneous load.
@@ -760,9 +760,8 @@ func (r *Run) terminalSnapshot() (state string, res *schema.RunResult, wait time
 // Stats renders a terminal run's execution accounting as the wire RunStats
 // payload: the response-envelope numbers plus, when the run was traced, the
 // recorder-side view (buffered events, drops, the private registry's
-// counters) and the provenance tracer's firing count. On a traced sequential
-// run Firings equals Steps exactly — the firing-history equivalence on the
-// wire.
+// counters) and the recorded schedule's firing count. On a traced run
+// Firings equals Steps exactly — the firing-history equivalence on the wire.
 func (s *Server) Stats(id string) (*schema.RunStats, error) {
 	r, err := s.Lookup(id)
 	if err != nil {
@@ -787,7 +786,7 @@ func (s *Server) Stats(id string) (*schema.RunStats, error) {
 		st.WallMS = res.WallMS
 	}
 	if r.Traced {
-		st.Firings = int64(r.prov.Firings())
+		st.Firings = int64(r.sched.Len())
 		for _, te := range r.rec.Snapshot() {
 			st.TraceEvents += int64(len(te.Events))
 			st.TraceDropped += te.Dropped
@@ -798,9 +797,9 @@ func (s *Server) Stats(id string) (*schema.RunStats, error) {
 }
 
 // WriteTrace renders a terminal run's retained trace in the given format:
-// FormatPerfetto and FormatJSONL export the event rings, FormatDOT the
-// firing-provenance DAG, FormatSchedule the executable schedule (wire minor
-// 1.3) a client can POST back to /v1/replay. ErrNotTraced when the run was
+// FormatPerfetto and FormatJSONL export the event rings, FormatSchedule the
+// executable schedule (wire minor 1.3) a client can POST back to /v1/replay,
+// FormatDOT the firing-provenance DAG folded from that schedule. ErrNotTraced when the run was
 // not traced, ErrRunActive before the terminal state.
 func (s *Server) WriteTrace(w io.Writer, id string, format telemetry.Format) error {
 	r, err := s.Lookup(id)
@@ -815,7 +814,9 @@ func (s *Server) WriteTrace(w io.Writer, id string, format telemetry.Format) err
 	}
 	switch format {
 	case telemetry.FormatDOT:
-		return r.prov.WriteDOT(w)
+		prov := telemetry.NewProvenance()
+		r.sched.Schedule().Each(prov.RecordFiring)
+		return prov.WriteDOT(w)
 	case telemetry.FormatJSONL:
 		return telemetry.WriteJSONL(w, r.rec)
 	case telemetry.FormatSchedule:

@@ -394,35 +394,52 @@ func waitState(t *testing.T, ts *httptest.Server, id, state string) {
 
 // TestStepBudget429 pins the cumulative budget gate: a tenant whose runs
 // have spent their firing allowance gets 429 on the next submission, and a
-// single run never overdraws the remaining budget.
+// single run never overdraws the remaining budget — on the Gamma engine and
+// on every dataflow engine, which refuse the firing that would exceed it.
 func TestStepBudget429(t *testing.T) {
-	s, ts := newTestServer(t, Config{
-		Pool:    1,
-		Tenants: map[string]Quota{"carol": {StepBudget: 100}},
-	})
-	// The counter program burns exactly its per-run cap; ask for more than
-	// the remaining budget and check the clamp.
-	req := schema.NewGammaRequest(counterProgram, counterInit, schema.RunSpec{MaxSteps: 5000})
-	hres, resp := postRun(t, ts, req, "?wait=true", "carol")
-	if hres.StatusCode != http.StatusRequestTimeout {
-		t.Fatalf("budget-capped run: status = %d, want 408 (max_steps)", hres.StatusCode)
-	}
-	if resp.Error == nil || resp.Error.Code != rt.CodeMaxSteps {
-		t.Fatalf("budget-capped run error = %+v, want max_steps", resp.Error)
-	}
-	if resp.Result.Steps != 100 {
-		t.Fatalf("steps = %d, want exactly the 100-step budget", resp.Result.Steps)
-	}
+	// Both programs run forever, so they burn exactly their per-run cap.
+	const spinner = "graph spin\nconst c = 1\ninctag inc\ncopy cp\n" +
+		"edge seed c:0 -> inc:0\nedge fwd inc:0 -> cp:0\nedge back cp:0 -> inc:0\n"
+	for name, req := range map[string]schema.RunRequest{
+		"gamma":             schema.NewGammaRequest(counterProgram, counterInit, schema.RunSpec{MaxSteps: 5000}),
+		"dataflow-seq":      schema.NewGraphRequest(spinner, schema.RunSpec{MaxSteps: 5000}),
+		"dataflow-parallel": schema.NewGraphRequest(spinner, schema.RunSpec{MaxSteps: 5000, Engine: schema.EngineParallel, Workers: 4}),
+		"dataflow-matrix":   schema.NewGraphRequest(spinner, schema.RunSpec{MaxSteps: 5000, Engine: schema.EngineMatrix}),
+	} {
+		t.Run(name, func(t *testing.T) {
+			s, ts := newTestServer(t, Config{
+				Pool:    1,
+				Tenants: map[string]Quota{"carol": {StepBudget: 100}},
+			})
+			// Ask for more than the remaining budget and check the clamp.
+			hres, resp := postRun(t, ts, req, "?wait=true", "carol")
+			if hres.StatusCode != http.StatusRequestTimeout {
+				t.Fatalf("budget-capped run: status = %d, want 408 (max_steps)", hres.StatusCode)
+			}
+			if resp.Error == nil || resp.Error.Code != rt.CodeMaxSteps {
+				t.Fatalf("budget-capped run error = %+v, want max_steps", resp.Error)
+			}
+			if resp.Result.Steps != 100 {
+				t.Fatalf("steps = %d, want exactly the 100-step budget", resp.Result.Steps)
+			}
+			s.mu.Lock()
+			used := s.tenants["carol"].stepsUsed
+			s.mu.Unlock()
+			if used != 100 {
+				t.Fatalf("tenant charged %d steps against a 100-step budget", used)
+			}
 
-	hres, resp = postRun(t, ts, req, "", "carol")
-	if hres.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("post-exhaustion run: status = %d, want 429", hres.StatusCode)
-	}
-	if resp.Error == nil || resp.Error.Code != "too_busy" {
-		t.Errorf("post-exhaustion error = %+v, want too_busy", resp.Error)
-	}
-	if s.reg.CounterValue("service.rejected.budget") != 1 {
-		t.Errorf("rejected.budget = %d, want 1", s.reg.CounterValue("service.rejected.budget"))
+			hres, resp = postRun(t, ts, req, "", "carol")
+			if hres.StatusCode != http.StatusTooManyRequests {
+				t.Fatalf("post-exhaustion run: status = %d, want 429", hres.StatusCode)
+			}
+			if resp.Error == nil || resp.Error.Code != "too_busy" {
+				t.Errorf("post-exhaustion error = %+v, want too_busy", resp.Error)
+			}
+			if s.reg.CounterValue("service.rejected.budget") != 1 {
+				t.Errorf("rejected.budget = %d, want 1", s.reg.CounterValue("service.rejected.budget"))
+			}
+		})
 	}
 }
 

@@ -4,23 +4,23 @@ import (
 	"fmt"
 	"io"
 	"strings"
-	"sync"
 )
 
-// Provenance recovers the firing DAG of a traced execution: every firing is
-// a vertex, and an edge connects the firing that produced an element/token
-// to the firing that consumed it. It implements gamma.Tracer and
-// dataflow.Tracer (the same RecordFiring shape package profile consumes), so
-// attaching it to a Gamma run renders the run as the dataflow graph the
-// paper's §III-C equivalence says it is — on the Fig. 1 program the exported
-// DOT is isomorphic to the paper's Fig. 1.
+// Provenance recovers the firing DAG of a recorded execution: every firing
+// is a vertex, and an edge connects the firing that produced an element/token
+// to the firing that consumed it. It is a post-run fold over a run's
+// commit-ordered schedule — sched.Each(p.RecordFiring), the same shape
+// package profile consumes — so a Gamma run renders as the dataflow graph the
+// paper's §III-C equivalence says it is: on the Fig. 1 program the exported
+// DOT is isomorphic to the paper's Fig. 1. Firings must arrive in commit
+// order (a consumer after its producer), which only the schedule guarantees
+// for a parallel run; not safe for concurrent use.
 //
 // Dependency threading follows profile.Collector: elements are matched by
 // key, and duplicate keys (multiset multiplicity, token queues) stack, most
 // recent producer first. Keys never consumed by a later firing become output
 // vertices; keys consumed without a recorded producer are initial inputs.
 type Provenance struct {
-	mu sync.Mutex
 	// Labeler renders an element/token key as the label of input and output
 	// vertices. Nil leaves keys as-is (dataflow token keys are already
 	// readable; Gamma callers pass multiset.PrettyKey).
@@ -55,10 +55,9 @@ func NewProvenance() *Provenance {
 	return &Provenance{inputIx: make(map[string]int), live: make(map[string][]int)}
 }
 
-// RecordFiring implements gamma.Tracer and dataflow.Tracer.
+// RecordFiring folds one firing into the DAG; its signature is the callback
+// of (*replay.Schedule).Each.
 func (p *Provenance) RecordFiring(name string, consumed, produced []string) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	id := len(p.firings)
 	p.firings = append(p.firings, provFiring{name: name})
 	for _, key := range consumed {
@@ -86,11 +85,7 @@ func (p *Provenance) RecordFiring(name string, consumed, produced []string) {
 }
 
 // Firings returns the number of recorded firings.
-func (p *Provenance) Firings() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.firings)
-}
+func (p *Provenance) Firings() int { return len(p.firings) }
 
 func (p *Provenance) label(key string) string {
 	if p.Labeler != nil {
@@ -107,8 +102,6 @@ func dotEscape(s string) string {
 // unconsumed products as boxes, firings as ellipses, dependencies as edges,
 // all in deterministic (recording) order.
 func (p *Provenance) WriteDOT(w io.Writer) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	var b strings.Builder
 	b.WriteString("digraph provenance {\n")
 	b.WriteString("  rankdir=LR;\n")

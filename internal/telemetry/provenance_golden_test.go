@@ -11,6 +11,7 @@ import (
 	"repro/internal/gammalang"
 	"repro/internal/multiset"
 	"repro/internal/paper"
+	"repro/internal/replay"
 	"repro/internal/telemetry"
 )
 
@@ -30,12 +31,14 @@ func TestFig1ProvenanceGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prov := telemetry.NewProvenance()
-	prov.Labeler = multiset.PrettyKey
-	st, err := gamma.Run(prog, init, gamma.Options{Tracer: prov})
+	rec := replay.NewRecorder(replay.KindGamma, "fig1")
+	st, err := gamma.Run(prog, init, gamma.Options{Schedule: rec})
 	if err != nil {
 		t.Fatal(err)
 	}
+	prov := telemetry.NewProvenance()
+	prov.Labeler = multiset.PrettyKey
+	rec.Schedule().Each(prov.RecordFiring)
 	if st.Steps != 3 || prov.Firings() != 3 {
 		t.Fatalf("steps = %d, firings = %d, want 3 and 3", st.Steps, prov.Firings())
 	}

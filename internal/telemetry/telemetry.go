@@ -299,37 +299,3 @@ func (r *Recorder) Snapshot() []TrackEvents {
 	}
 	return out
 }
-
-// Tracer is the structural firing-trace interface shared by gamma.Tracer and
-// dataflow.Tracer; Provenance implements it, and MultiTracer fans one firing
-// out to several implementations.
-type Tracer interface {
-	RecordFiring(name string, consumed, produced []string)
-}
-
-type multiTracer []Tracer
-
-func (m multiTracer) RecordFiring(name string, consumed, produced []string) {
-	for _, t := range m {
-		t.RecordFiring(name, consumed, produced)
-	}
-}
-
-// MultiTracer combines tracers, dropping nils. It returns nil when none
-// remain and the single tracer unwrapped when one does, so the result can be
-// assigned directly to an Options.Tracer field.
-func MultiTracer(ts ...Tracer) Tracer {
-	var live []Tracer
-	for _, t := range ts {
-		if t != nil {
-			live = append(live, t)
-		}
-	}
-	switch len(live) {
-	case 0:
-		return nil
-	case 1:
-		return live[0]
-	}
-	return multiTracer(live)
-}

@@ -173,32 +173,6 @@ func TestRegistrySnapshotAndTable(t *testing.T) {
 	}
 }
 
-type recTracer struct{ names []string }
-
-func (r *recTracer) RecordFiring(name string, consumed, produced []string) {
-	r.names = append(r.names, name)
-}
-
-func TestMultiTracer(t *testing.T) {
-	if tr := MultiTracer(); tr != nil {
-		t.Error("no tracers must collapse to nil")
-	}
-	if tr := MultiTracer(nil, nil); tr != nil {
-		t.Error("all-nil must collapse to nil")
-	}
-	a := &recTracer{}
-	if tr := MultiTracer(nil, a); tr != Tracer(a) {
-		t.Error("single live tracer must be unwrapped")
-	}
-	c, d := &recTracer{}, &recTracer{}
-	tr := MultiTracer(c, nil, d)
-	tr.RecordFiring("R1", nil, nil)
-	tr.RecordFiring("R2", nil, nil)
-	if len(c.names) != 2 || len(d.names) != 2 {
-		t.Errorf("fan-out: c=%v d=%v", c.names, d.names)
-	}
-}
-
 func TestParseFormat(t *testing.T) {
 	for _, ok := range []string{"perfetto", "dot", "jsonl", "schedule"} {
 		if f, err := ParseFormat(ok); err != nil || string(f) != ok {

@@ -132,12 +132,14 @@ func TestPipelineProfileAndReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	col := NewProfileCollector()
+	rec := NewScheduleRecorder(ScheduleDataflow, "sumsq")
 	tbl := NewReuseTable(0)
-	res, err := RunGraph(g, GraphOptions{RunConfig: RunConfig{RunSpec: RunSpec{MaxSteps: 1_000_000}, Tracer: col}, Memo: tbl})
+	res, err := RunGraph(g, GraphOptions{RunConfig: RunConfig{RunSpec: RunSpec{MaxSteps: 1_000_000}, Schedule: rec}, Memo: tbl})
 	if err != nil {
 		t.Fatal(err)
 	}
+	col := NewProfileCollector()
+	rec.Schedule().Each(col.RecordFiring)
 	if s, _ := res.Output("s"); s != Int(385) {
 		t.Errorf("s = %v", s)
 	}
@@ -156,11 +158,13 @@ func TestPipelineProfileAndReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	colG := NewProfileCollector()
-	stats, err := RunProgram(prog, init, ProgramOptions{RunConfig: RunConfig{RunSpec: RunSpec{MaxSteps: 1_000_000}, Tracer: colG}})
+	recG := NewScheduleRecorder(ScheduleGamma, "sumsq")
+	stats, err := RunProgram(prog, init, ProgramOptions{RunConfig: RunConfig{RunSpec: RunSpec{MaxSteps: 1_000_000}, Schedule: recG}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	colG := NewProfileCollector()
+	recG.Schedule().Each(colG.RecordFiring)
 	if colG.Report().Work != stats.Steps {
 		t.Errorf("gamma work %d != steps %d", colG.Report().Work, stats.Steps)
 	}
