@@ -219,6 +219,14 @@ func run(ctx context.Context, path string, opt gamma.Options, tel *cli.Telemetry
 		for _, name := range names {
 			fmt.Printf("  %s fired %d\n", name, st.Fired[name])
 		}
+		// Matcher work: elements enumerated inside the probes. Per step it is
+		// the matcher's locality — flat in n when a firing costs only the
+		// molecules it consumes.
+		perStep := 0.0
+		if st.Steps > 0 {
+			perStep = float64(st.Candidates) / float64(st.Steps)
+		}
+		fmt.Printf("  candidates %d (%.1f per step)\n", st.Candidates, perStep)
 	}
 	return nil
 }

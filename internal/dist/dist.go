@@ -377,6 +377,7 @@ func (c *Cluster) runNode(ctx context.Context, n, round int, shard *multiset.Mul
 func addStats(dst, src *gamma.Stats) {
 	dst.Steps += src.Steps
 	dst.Probes += src.Probes
+	dst.Candidates += src.Candidates
 	dst.Conflicts += src.Conflicts
 	dst.Retries += src.Retries
 	dst.MemoHits += src.MemoHits

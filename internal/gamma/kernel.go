@@ -20,7 +20,7 @@
 //   - the pattern label is interned to its symtab symbol once, so candidate
 //     enumeration hits the multiset's integer-keyed indexes and reuses each
 //     entry's cached Key() instead of rebuilding the fingerprint per probe;
-//   - searcher scratch (slot env, claim counts, chosen tuples) is recycled
+//   - searcher scratch (slot env, claim stack, chosen tuples) is recycled
 //     through a per-kernel sync.Pool, so a probe allocates nothing.
 //
 // The interpreted Pattern.match / Reaction.produce path remains as the
@@ -122,10 +122,10 @@ type kernel struct {
 	pats     []kpat
 	branches []kbranch
 
-	// View plan for the parallel batch matcher: the label symbols this
-	// reaction's patterns can enumerate (deduplicated), or viewAll when any
-	// pattern is generic and needs the whole multiset. multiset.LockView
-	// read-locks exactly these shards for the duration of a probe batch.
+	// View plan: the label symbols this reaction's patterns can enumerate
+	// (deduplicated), or viewAll when any pattern is generic and needs the
+	// whole multiset. multiset.LockView read-locks exactly these shards for the
+	// duration of a probe (or a pool worker's probe batch).
 	viewSyms []symtab.Sym
 	viewAll  bool
 
@@ -211,9 +211,8 @@ func compileKernel(r *Reaction) *kernel {
 		return &searcher{
 			k:      k,
 			env:    make([]value.Value, k.nslots),
-			used:   make(map[string]int, len(k.pats)),
+			claims: make([]string, 0, len(k.pats)*batchMaxFirings),
 			chosen: make([]multiset.Tuple, len(k.pats)),
-			keys:   make([]string, len(k.pats)),
 		}
 	}
 	return k
@@ -289,39 +288,44 @@ func (k *kernel) produceInto(name string, idx int, env []value.Value, vals []val
 	return vals, out, nil
 }
 
-// getSearcher returns recycled searcher scratch bound to (r, m, rng). Release
-// with putSearcher once the firing's chosen/env/keys are no longer read.
+// getSearcher returns recycled searcher scratch bound to (r, rng) and to m's
+// current state. The caller opens the read session (s.view) around its
+// searches and releases the scratch with putSearcher once the firing's
+// chosen/env/keys are no longer read.
 func (k *kernel) getSearcher(r *Reaction, m *multiset.Multiset, rng *rand.Rand) *searcher {
 	s := k.searchers.Get().(*searcher)
-	s.r, s.m, s.rng, s.err = r, m, rng, nil
-	if rng == nil && k.viewAll {
+	s.r, s.rng, s.err, s.visited = r, rng, nil, 0
+	switch {
+	case rng != nil:
+		s.rot = rng.Uint64()
+	case k.viewAll:
 		// Deterministic search with a generic pattern: derive the whole-set
 		// enumeration rotation from the multiset state, not a counter, so the
 		// probe order is a pure function of the state — identical across
 		// engines and across repeated runs (the equivalence harness compares
 		// stable states reached from the same state sequence).
-		s.det = detRotation(m.Len())
-	} else {
-		s.det = 0
+		s.rot = detRotation(m.Len())
+	default:
+		s.rot = 0
 	}
 	for i := range s.env {
 		s.env[i] = value.Value{}
 	}
-	// Clearing a map does not shrink its buckets, so the claim tracker stays
-	// allocation-free at steady state.
-	for key := range s.used {
-		delete(s.used, key)
-	}
 	return s
 }
 
+// putSearcher recycles s, dropping every reference into the finished run —
+// chosen tuples and claimed key strings — so the pool pins nothing. Popped
+// claims were already zeroed; only the live ones remain to clear. The view
+// must already be unlocked (which drops its multiset reference).
 func (k *kernel) putSearcher(s *searcher) {
-	s.m = nil
 	s.rng = nil
-	s.view = nil
 	for i := range s.chosen {
 		s.chosen[i] = nil
-		s.keys[i] = ""
 	}
+	for i := range s.claims {
+		s.claims[i] = ""
+	}
+	s.claims = s.claims[:0]
 	k.searchers.Put(s)
 }

@@ -19,15 +19,11 @@ import (
 // walk), while generic patterns walk the whole multiset in the same
 // state-derived rotated order as IterAllRot.
 func findMatchOracle(r *Reaction, m *multiset.Multiset) (*Match, error) {
-	cands := m.AllCounted()
-	for i := 0; i < len(cands); i++ {
-		for j := i + 1; j < len(cands); j++ {
-			if cands[j].Key < cands[i].Key {
-				cands[i], cands[j] = cands[j], cands[i]
-			}
-		}
-	}
-	var rotCands []multiset.Counted
+	var cands, rotCands []multiset.Counted
+	m.IterAll(func(t multiset.Tuple, n int, key string) bool {
+		cands = append(cands, multiset.Counted{Tuple: t, N: n, Key: key})
+		return true
+	})
 	m.IterAllRot(detRotation(m.Len()), func(t multiset.Tuple, n int, key string) bool {
 		rotCands = append(rotCands, multiset.Counted{Tuple: t, N: n, Key: key})
 		return true
@@ -200,7 +196,7 @@ func TestKernelMatchesInterpreter(t *testing.T) {
 
 		// Products: compiled produce vs interpreted produce on the same env.
 		wantP, wErr := r.produce(want.Branch, want.Env)
-		s, err := findFiring(r, m, nil)
+		s, err := findFiring(r, m, nil, new(int64))
 		if err != nil || s == nil {
 			t.Fatalf("seed %d: findFiring after FindMatch: (%v, %v)", seed, s, err)
 		}
@@ -268,11 +264,11 @@ func TestFindFiringNoMatchAllocationFree(t *testing.T) {
 		multiset.IntElem(2, "A", 1),
 		multiset.IntElem(3, "B", 0),
 	)
-	if s, err := findFiring(r, m, nil); err != nil || s != nil {
+	if s, err := findFiring(r, m, nil, new(int64)); err != nil || s != nil {
 		t.Fatalf("warmup: (%v, %v)", s, err)
 	}
 	allocs := testing.AllocsPerRun(200, func() {
-		s, err := findFiring(r, m, nil)
+		s, err := findFiring(r, m, nil, new(int64))
 		if err != nil || s != nil {
 			t.Fatalf("probe: (%v, %v)", s, err)
 		}

@@ -32,21 +32,24 @@ type Match struct {
 // programs match in near-constant time; fully generic patterns walk the
 // whole multiset.
 //
-// The deterministic path iterates the multiset's incrementally sorted indexes
-// in place — no snapshot, no per-probe sort, and each candidate arrives with
-// its cached Key() fingerprint — so a probe costs only the candidates it
-// actually visits. That requires no concurrent writers, which the sequential
-// runtime guarantees. The randomized path (seeded sequential runs) copies the
-// candidates and shuffles them; the parallel runtime instead walks a locked
-// shard view from a random rotation (see eachCandidate), with staleness
-// caught by the optimistic commit.
+// Every search enumerates through one multiset.View read session, opened once
+// per probe (findFiring) or once per probe batch (the pool's tryFireBatch):
+// the live chunked indexes are walked in place — no snapshot, no per-probe
+// sort, each candidate arriving with its cached Key() fingerprint — so a probe
+// costs only the candidates it actually visits, whatever the multiset's size
+// and whatever earlier probes did. Only the starting rotation differs by mode:
+// 0 (ascending key order) for labeled patterns and a size-derived rotation for
+// label-free ones under the deterministic matcher, one rng draw per search
+// for seeded and pool runs (see eachCandidate). Staleness under concurrent
+// writers is caught by the optimistic commit.
 //
 // FindMatch materializes the bindings into a MapEnv for its callers (tests,
 // Enabled, the dataflow equivalence checker); the step loop in run.go uses
 // findFiring to keep the pooled slot environment instead.
 func FindMatch(r *Reaction, m *multiset.Multiset, rng *rand.Rand) (*Match, error) {
 	k := r.kernel()
-	s, err := findFiring(r, m, rng)
+	var visited int64
+	s, err := findFiring(r, m, rng, &visited)
 	if err != nil || s == nil {
 		return nil, err
 	}
@@ -66,11 +69,12 @@ func FindMatch(r *Reaction, m *multiset.Multiset, rng *rand.Rand) (*Match, error
 // searcher holding an enabled firing (slot env, chosen tuples with their
 // cached keys, selected branch), or nil when the reaction is not enabled.
 // The caller must release a non-nil searcher via r.kernel().putSearcher once
-// done reading it.
-func findFiring(r *Reaction, m *multiset.Multiset, rng *rand.Rand) (*searcher, error) {
+// done reading it. The candidates the probe visited are added to *visited.
+func findFiring(r *Reaction, m *multiset.Multiset, rng *rand.Rand, visited *int64) (*searcher, error) {
 	k := r.kernel()
 	s := k.getSearcher(r, m, rng)
-	ok := s.search(0)
+	ok := s.probe(m)
+	*visited += s.visited
 	if s.err != nil || !ok {
 		err := s.err
 		k.putSearcher(s)
@@ -79,20 +83,54 @@ func findFiring(r *Reaction, m *multiset.Multiset, rng *rand.Rand) (*searcher, e
 	return s, nil
 }
 
+// probe runs one search under its own read session: the shards the reaction's
+// patterns can enumerate are read-locked once, for all nesting levels, and
+// released on every exit path — including a panic out of a reaction condition,
+// which the sequential engine recovers into an error; a read lock that
+// outlived its probe would block every later writer.
+func (s *searcher) probe(m *multiset.Multiset) bool {
+	m.LockView(&s.view, s.k.viewSyms, s.k.viewAll)
+	defer s.view.Unlock()
+	return s.search(0)
+}
+
 // searcher is the recycled scratch of one match search; see kernel.getSearcher.
 type searcher struct {
-	k      *kernel
-	r      *Reaction
-	m      *multiset.Multiset
-	rng    *rand.Rand
-	view   *multiset.View // when set, candidates come from the locked view
-	det    uint64         // rotation for deterministic generic-pattern probes
-	env    []value.Value  // slot-indexed bindings; invalid Value = unbound
-	used   map[string]int // occurrences of each tuple key already claimed
-	chosen []multiset.Tuple
-	keys   []string // cached Key() of each chosen tuple
-	branch int
-	err    error
+	k    *kernel
+	r    *Reaction
+	rng  *rand.Rand
+	view multiset.View // the read session candidates are enumerated through
+	rot  uint64        // enumeration rotation of the current search; see eachCandidate
+	env  []value.Value // slot-indexed bindings; invalid Value = unbound
+	// claims is the claim tracker: the key of every occurrence the search
+	// holds, as a stack. A candidate is exhausted once it appears there as
+	// often as its multiplicity. Backtracking pops exactly what it pushed, so
+	// lookup, undo and reset all cost O(live claims) — at most arity ×
+	// batchMaxFirings, the stack's fixed capacity — and nothing a probe scans
+	// past is ever recorded. The top len(pats) entries of a successful search
+	// are the chosen tuples' keys in pattern order (see keys).
+	claims  []string
+	chosen  []multiset.Tuple
+	branch  int
+	err     error
+	visited int64 // candidates handed to the match callback (Stats.Candidates)
+}
+
+// keys returns the cached Key() of each chosen tuple of the search that just
+// succeeded, in pattern order.
+func (s *searcher) keys() []string {
+	return s.claims[len(s.claims)-len(s.chosen):]
+}
+
+// claimed counts the occurrences of key the search already holds.
+func (s *searcher) claimed(key string) int {
+	n := 0
+	for _, c := range s.claims {
+		if c == key {
+			n++
+		}
+	}
+	return n
 }
 
 // nextInBatch readies the searcher for the next search of a multi-firing
@@ -101,11 +139,13 @@ type searcher struct {
 // stay claimed — that is what makes the batch's deltas pairwise disjoint and
 // the single ApplyDeltas commit equivalent to firing them one by one. The
 // caller must copy chosen/keys out before calling; the next search overwrites
-// them.
+// chosen and stacks its keys above the kept ones. Batches are the pool's, so
+// the next search draws its own rotation from the worker's rng.
 func (s *searcher) nextInBatch() {
 	for i := range s.env {
 		s.env[i] = value.Value{}
 	}
+	s.rot = s.rng.Uint64()
 }
 
 func (s *searcher) search(i int) bool {
@@ -124,20 +164,22 @@ func (s *searcher) search(i int) bool {
 	kp := &s.k.pats[i]
 	found := false
 	s.eachCandidate(kp, func(t multiset.Tuple, n int, key string) bool {
-		if s.used[key] >= n {
+		s.visited++
+		if s.claimed(key) >= n {
 			return true // all occurrences already claimed by earlier patterns
 		}
 		if !kp.match(t, s.env) {
 			return true
 		}
-		s.used[key]++
+		s.claims = append(s.claims, key)
 		s.chosen[i] = t
-		s.keys[i] = key
 		if s.search(i + 1) {
 			found = true
 			return false
 		}
-		s.used[key]--
+		top := len(s.claims) - 1
+		s.claims[top] = ""
+		s.claims = s.claims[:top]
 		kp.clear(s.env)
 		return s.err == nil
 	})
@@ -146,65 +188,44 @@ func (s *searcher) search(i int) bool {
 
 // eachCandidate enumerates the possible elements for pattern kp under the
 // current bindings, using the narrowest index available, until fn returns
-// false. Deterministic searches iterate the live sorted indexes; randomized
-// searches snapshot and shuffle. Every candidate carries the multiset's
-// cached key fingerprint.
+// false. Every mode walks the live indexes through the probe's view from a
+// rotated start; every candidate carries the multiset's cached key
+// fingerprint.
+//
+// One rotation serves all nesting levels of a search. Seeded and pool
+// searches draw it from their rng, so enumeration starts at a random position
+// and wraps — the model's nondeterministic selection, and what decorrelates
+// concurrent searchers without copying. The deterministic matcher walks
+// labeled indexes from rotation 0, which is exactly ascending key order, and
+// label-free patterns from a rotation derived from the multiset's size:
+// starting every whole-multiset probe at the global lex-first key is an
+// adversarial trap — if that element never matches (e.g. computing min over
+// values whose numeric maximum sorts lexicographically first), each probe
+// re-rejects the same prefix and the run degrades to O(n) per step — so the
+// start is deterministic for a given state but moves as the run progresses.
+//
+// Sharing the rotation between levels is what keeps a label-free search
+// local: the walk for y starts at x's own position, among x's neighbours in
+// key order, which are as likely to satisfy a condition against x as not.
+// Drawing a fresh position per level instead pairs x with a uniformly placed
+// y — and positions are uniform over index chunks, not elements, so a
+// reduction like Eq. 2, which thins out the large values first, keeps binding
+// x in a sparse chunk of near-maxima that almost no y can follow
+// (TestLabelFreeScaling measured 280 candidates per step at n=2¹⁷ that way,
+// growing with n, against 7 with the shared rotation).
 func (s *searcher) eachCandidate(kp *kpat, fn func(t multiset.Tuple, n int, key string) bool) {
-	if s.view != nil {
-		// View-backed path (parallel batch matcher): the shard read locks are
-		// held by the caller, so the live chunked indexes can be walked
-		// zero-copy. A rotation drawn from the worker's rng replaces the
-		// snapshot+shuffle — enumeration starts at a random position and
-		// wraps, which decorrelates concurrent searchers without copying.
-		rot := s.rng.Uint64()
-		if kp.hasLabel {
-			if tag, ok := s.tagOf(kp); ok {
-				s.view.EachSymTag(kp.labelSym, tag, rot, fn)
-			} else {
-				s.view.EachSym(kp.labelSym, rot, fn)
-			}
-		} else {
-			s.view.EachAll(rot, fn)
-		}
+	if !kp.hasLabel {
+		s.view.EachAll(s.rot, fn)
 		return
 	}
+	rot := s.rot
 	if s.rng == nil {
-		switch {
-		case kp.hasLabel:
-			if tag, ok := s.tagOf(kp); ok {
-				s.m.IterSymTag(kp.labelSym, tag, fn)
-			} else {
-				s.m.IterSym(kp.labelSym, fn)
-			}
-		default:
-			// Generic patterns walk the whole multiset. Starting every probe
-			// at the global lex-first key is an adversarial trap: if that
-			// element never matches (e.g. computing min over values whose
-			// numeric maximum sorts lexicographically first), each probe
-			// re-rejects the same prefix and the run degrades to O(n) per
-			// step. Rotate the start by a value derived from the multiset's
-			// size instead — deterministic for a given state, so sequential
-			// runs stay reproducible, but the hot spot moves as the run
-			// progresses.
-			s.m.IterAllRot(s.det, fn)
-		}
-		return
+		rot = 0
 	}
-	var cands []multiset.Counted
-	if kp.hasLabel {
-		if tag, ok := s.tagOf(kp); ok {
-			cands = s.m.BySymTag(kp.labelSym, tag)
-		} else {
-			cands = s.m.BySym(kp.labelSym)
-		}
+	if tag, ok := s.tagOf(kp); ok {
+		s.view.EachSymTag(kp.labelSym, tag, rot, fn)
 	} else {
-		cands = s.m.AllCounted()
-	}
-	s.rng.Shuffle(len(cands), func(a, b int) { cands[a], cands[b] = cands[b], cands[a] })
-	for _, c := range cands {
-		if !fn(c.Tuple, c.N, c.Key) {
-			return
-		}
+		s.view.EachSym(kp.labelSym, rot, fn)
 	}
 }
 

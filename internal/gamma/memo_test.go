@@ -23,7 +23,7 @@ func (m mapMemo) StoreReaction(key string, products []multiset.Tuple) { m[key] =
 func applyMatch(t *testing.T, r *Reaction, m *multiset.Multiset, opt Options, stats *Stats) ([]multiset.Tuple, error) {
 	t.Helper()
 	k := r.kernel()
-	s, err := findFiring(r, m, nil)
+	s, err := findFiring(r, m, nil, new(int64))
 	if err != nil {
 		t.Fatal(err)
 	}

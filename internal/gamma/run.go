@@ -109,6 +109,12 @@ type Stats struct {
 	// up as fewer probes for the same Steps, because provably disabled
 	// reactions are never re-probed.
 	Probes int64
+	// Candidates counts the elements the matcher enumerated inside those
+	// probes — every candidate handed to the match callback, at every pattern
+	// nesting level. Probes says how often the matcher ran; Candidates says how
+	// much it scanned, so Candidates/Steps growing with the multiset is a
+	// matcher whose cost is not local to the molecules it consumes.
+	Candidates int64
 	// Conflicts counts failed optimistic commits (parallel runtime only):
 	// a worker matched a set of molecules that a concurrent worker consumed
 	// before the commit.
@@ -140,6 +146,7 @@ func newStats(workers int) *Stats {
 func (s *Stats) merge(o *Stats) {
 	s.Steps += o.Steps
 	s.Probes += o.Probes
+	s.Candidates += o.Candidates
 	s.Conflicts += o.Conflicts
 	s.Retries += o.Retries
 	s.MemoHits += o.MemoHits
@@ -459,7 +466,10 @@ func runSequential(ctx context.Context, p *Program, m *multiset.Multiset, opt Op
 		stats.Probes++
 		t0 := w.ts.begin()
 		w.ts.probe(r.Name)
-		s, err := findFiring(r, m, w.rng)
+		var visited int64
+		s, err := findFiring(r, m, w.rng, &visited)
+		stats.Candidates += visited
+		w.ts.candidates(visited)
 		if err != nil {
 			return stats, err
 		}
@@ -502,12 +512,12 @@ func (w *worker) fire(idx int, s *searcher, t0 time.Time) error {
 	var syms []symtab.Sym
 	if rec := w.opt.Schedule; rec != nil {
 		var seq uint64
-		ok, seq, syms = w.m.ApplyDeltaSeq(s.chosen, s.keys, products, w.symsBuf[:0])
+		ok, seq, syms = w.m.ApplyDeltaSeq(s.chosen, s.keys(), products, w.symsBuf[:0])
 		if ok {
 			rec.RecordStepTuples(seq, r.Name, s.chosen, products)
 		}
 	} else {
-		ok, syms = w.m.ApplyDelta(s.chosen, s.keys, products, w.symsBuf[:0])
+		ok, syms = w.m.ApplyDelta(s.chosen, s.keys(), products, w.symsBuf[:0])
 	}
 	w.symsBuf = syms
 	if !ok {
@@ -711,14 +721,13 @@ func (w *worker) conflictBackoff(retries int) (canceled bool) {
 // across several firings.
 const batchMaxFirings = 8
 
-// batchWorker is one worker's reusable commit scratch: the shard view, the
-// delta list for ApplyDeltas, and the arenas the batch's tuples live in.
+// batchWorker is one worker's reusable commit scratch: the delta list for
+// ApplyDeltas and the arenas the batch's tuples live in.
 // Consume headers point at multiset entry tuples (immutable backings that are
 // never recycled), produce headers at cells of the worker-owned vals arena;
 // everything is truncated — not freed — between batches, so a steady-state
 // batch allocates nothing. The sequential interpreter uses only symsBuf.
 type batchWorker struct {
-	view    multiset.View
 	deltas  []multiset.Delta
 	applied [batchMaxFirings]bool
 	seqs    [batchMaxFirings]uint64
@@ -755,15 +764,18 @@ func (b *batchWorker) reset() {
 // action or the fault injector is recovered into a *rt.PanicError carrying
 // the reaction and worker identity and the pool is told to stop, so the
 // worker exits cleanly instead of taking the process down or leaving its
-// peers waiting on an idle count that can never complete. The shard view is
-// released first — a panic while its read locks are held would otherwise
-// deadlock every later commit touching those shards.
+// peers waiting on an idle count that can never complete. The batch's read
+// session is released first — a panic while its read locks are held would
+// otherwise deadlock every later commit touching those shards.
 func (w *worker) tryFireBatch(idx int, requeue bool) (fired, stop bool) {
 	r := w.p.Reactions[idx]
 	sh, opt, m := w.sh, &w.opt, w.m
+	var s *searcher
 	defer func() {
 		if rec := recover(); rec != nil {
-			w.view.Unlock() // idempotent; no-op when not held
+			if s != nil {
+				s.view.Unlock() // idempotent; no-op when not held
+			}
 			sh.fail(rt.NewPanicError("gamma", r.Name, w.id, rec))
 			fired, stop = false, true
 		}
@@ -788,9 +800,8 @@ func (w *worker) tryFireBatch(idx int, requeue bool) (fired, stop bool) {
 		}
 		w.reset()
 		t0 := w.ts.begin()
-		m.LockView(&w.view, k.viewSyms, k.viewAll)
-		s := k.getSearcher(r, m, w.rng)
-		s.view = &w.view
+		s = k.getSearcher(r, m, w.rng)
+		m.LockView(&s.view, k.viewSyms, k.viewAll)
 		var ferr error
 		for len(w.deltas) < maxB {
 			w.stats.Probes++
@@ -827,7 +838,7 @@ func (w *worker) tryFireBatch(idx int, requeue bool) (fired, stop bool) {
 			}
 			cs := len(w.consume)
 			w.consume = append(w.consume, s.chosen...)
-			w.keys = append(w.keys, s.keys...)
+			w.keys = append(w.keys, s.keys()...)
 			// Capacity-clamped subslices: later appends cannot write through
 			// earlier deltas, and an arena realloc leaves them reading the
 			// old backing, whose cells are immutable and already correct.
@@ -838,8 +849,11 @@ func (w *worker) tryFireBatch(idx int, requeue bool) (fired, stop bool) {
 			})
 			s.nextInBatch()
 		}
-		w.view.Unlock()
+		s.view.Unlock()
+		w.stats.Candidates += s.visited
+		w.ts.candidates(s.visited)
 		k.putSearcher(s)
+		s = nil // recycled: the recover path must not touch another owner's view
 		if ferr != nil {
 			sh.fail(ferr)
 			return false, true

@@ -20,6 +20,7 @@ type telSink struct {
 
 	steps        *telemetry.Counter
 	probes       *telemetry.Counter
+	cands        *telemetry.Counter
 	conflicts    *telemetry.Counter
 	retries      *telemetry.Counter
 	memoHits     *telemetry.Counter
@@ -52,6 +53,7 @@ func newTelSink(opt Options, p *Program, worker int) *telSink {
 		verbose:      rec.Verbose,
 		steps:        reg.Counter("gamma.steps"),
 		probes:       reg.Counter("gamma.probes"),
+		cands:        reg.Counter("gamma.candidates"),
 		conflicts:    reg.Counter("gamma.conflicts"),
 		retries:      reg.Counter("gamma.retries"),
 		memoHits:     reg.Counter("gamma.memo_hits"),
@@ -91,6 +93,15 @@ func (t *telSink) probe(name string) {
 	if t.verbose {
 		t.track.Instant(telemetry.KindProbe, name, 0, 0)
 	}
+}
+
+// candidates accounts the n elements a probe (or probe batch) enumerated,
+// mirroring Stats.Candidates.
+func (t *telSink) candidates(n int64) {
+	if t == nil {
+		return
+	}
+	t.cands.Add(n)
 }
 
 // firing accounts one commit of k firings of the same reaction (k is 1

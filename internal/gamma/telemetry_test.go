@@ -23,6 +23,7 @@ func checkTelemetryAgrees(t *testing.T, rec *telemetry.Recorder, st *Stats) {
 	}{
 		{"gamma.steps", st.Steps},
 		{"gamma.probes", st.Probes},
+		{"gamma.candidates", st.Candidates},
 		{"gamma.conflicts", st.Conflicts},
 		{"gamma.retries", st.Retries},
 		{"gamma.memo_hits", st.MemoHits},

@@ -81,16 +81,16 @@ func (m *Multiset) applyDeltas(ds []Delta, applied []bool, seqs []uint64, syms [
 }
 
 // View is a caller-owned read session over a static set of shards: the
-// parallel matcher's way to enumerate candidates zero-copy while tolerating
-// concurrent commits to other shards. The seed parallel matcher snapshotted
-// and shuffled the whole index per probe — O(index) allocation and copying
-// per probe; a View holds the shard read locks across the probe (or a whole
-// multi-firing batch of probes) and walks the live chunked indexes in
-// rotated order instead, which decorrelates concurrent searchers without a
-// shuffle. Writers to the viewed shards block for the duration, which is
-// exactly the window an optimistic matcher wants: candidates cannot vanish
-// mid-enumeration, staleness is confined to the commit and caught by its
-// claim.
+// matcher's way to enumerate candidates zero-copy, any number of times against
+// one consistent state, while tolerating concurrent commits to other shards.
+// A View holds the shard read locks across a probe (the sequential matcher)
+// or a whole multi-firing batch of probes (the pool) and walks the live
+// chunked indexes from a caller-chosen rotation: 0 is ascending key order, an
+// rng-drawn one decorrelates concurrent searchers without copying or
+// shuffling anything. Writers to the viewed shards block for the duration,
+// which is exactly the window an optimistic matcher wants: candidates cannot
+// vanish mid-enumeration, staleness is confined to the commit and caught by
+// its claim.
 //
 // The shard set is fixed at LockView from the label symbols the caller's
 // patterns can touch (generic patterns need all=true); locks are taken in
@@ -126,8 +126,8 @@ func (m *Multiset) LockView(v *View, syms []symtab.Sym, all bool) {
 	v.locked = true
 }
 
-// Unlock releases the view's read locks. Idempotent, so panic-recovery paths
-// can call it unconditionally.
+// Unlock releases the view's read locks and its reference to the multiset.
+// Idempotent, so panic-recovery paths can call it unconditionally.
 func (v *View) Unlock() {
 	if !v.locked {
 		return
@@ -138,6 +138,7 @@ func (v *View) Unlock() {
 			v.m.shards[i].mu.RUnlock()
 		}
 	}
+	v.m = nil
 }
 
 // EachSym enumerates the distinct tuples labeled sym — which must route to a

@@ -357,9 +357,6 @@ func TestIterKeysMatchTupleKey(t *testing.T) {
 	if seen != 4 {
 		t.Fatalf("IterAll visited %d, want 4", seen)
 	}
-	for _, c := range m.AllCounted() {
-		check("AllCounted", c.Tuple, c.Key)
-	}
 	for _, c := range m.BySym(aSym) {
 		check("BySym", c.Tuple, c.Key)
 	}

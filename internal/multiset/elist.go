@@ -19,9 +19,9 @@ import "sort"
 //
 //   - exact ascending-key iteration order, which the deterministic sequential
 //     matcher (and the golden traces pinned on it) observe;
-//   - cheap positional rotation, which the parallel matcher uses to start
-//     candidate enumeration at a randomized offset instead of snapshotting
-//     and shuffling the whole index per probe.
+//   - cheap positional rotation, which the matcher uses to start candidate
+//     enumeration at a chosen offset (rotation 0 is the ascending walk)
+//     instead of copying the index per probe.
 //
 // Chunk sizes stay within [chunkMin, chunkMax] and pages within
 // [pageMin, pageMax] (except the last survivor at each level): a split at

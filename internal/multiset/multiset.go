@@ -645,29 +645,24 @@ func (m *Multiset) ByLabelTag(label string, tag int64) []Counted {
 
 // IterSym calls fn once per distinct tuple whose label symbol equals sym, in
 // ascending key order, passing the entry's cached key fingerprint — the
-// matcher's claim-tracking identity — without copying the index. The shard
-// read lock is held for the whole iteration: fn must not mutate the multiset,
-// and callers must guarantee no concurrent writers (the deterministic
-// sequential matcher qualifies; the parallel runtime uses the snapshotting
-// BySym instead).
+// matcher's claim-tracking identity — without copying the index. It is a
+// one-shot View (see LockView): the shard read lock is held for the whole
+// iteration, so fn must not mutate the multiset. A caller enumerating more
+// than once per consistent state — the reaction matcher — holds one View
+// across all of it instead.
 func (m *Multiset) IterSym(sym symtab.Sym, fn func(t Tuple, n int, key string) bool) {
-	s := m.shardForSym(sym)
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if l := s.bySym[sym]; l != nil {
-		l.each(func(e *entry) bool { return fn(e.tuple, e.count, e.key) })
-	}
+	var v View
+	m.LockView(&v, []symtab.Sym{sym}, false)
+	defer v.Unlock()
+	v.EachSym(sym, 0, fn)
 }
 
-// IterSymTag is IterSym over the (label symbol, tag) index. The same locking
-// caveats apply.
+// IterSymTag is IterSym over the (label symbol, tag) index.
 func (m *Multiset) IterSymTag(sym symtab.Sym, tag int64, fn func(t Tuple, n int, key string) bool) {
-	s := m.shardForSym(sym)
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if l := s.bySymTag[symTag{sym, tag}]; l != nil {
-		l.each(func(e *entry) bool { return fn(e.tuple, e.count, e.key) })
-	}
+	var v View
+	m.LockView(&v, []symtab.Sym{sym}, false)
+	defer v.Unlock()
+	v.EachSymTag(sym, tag, 0, fn)
 }
 
 // IterLabel is IterSym by label string, without the key (compatibility
@@ -693,8 +688,7 @@ func (m *Multiset) IterLabelTag(label string, tag int64, fn func(t Tuple, n int)
 // whole multiset with the entry's cached key, lazily merging the shards'
 // sorted runs — no copy, no sort, and early exit costs only the elements
 // actually visited. All shard read locks are held for the whole iteration:
-// fn must not mutate the multiset and callers must guarantee no concurrent
-// writers (see IterSym).
+// fn must not mutate the multiset.
 func (m *Multiset) IterAll(fn func(t Tuple, n int, key string) bool) {
 	for i := range m.shards {
 		m.shards[i].mu.RLock()
@@ -735,54 +729,19 @@ func (m *Multiset) IterAll(fn func(t Tuple, n int, key string) bool) {
 // enumeration starts at a position derived from rot — shard order and the
 // position within each shard both rotate — instead of the global ascending
 // key order. The walk is still exhaustive and, for a fixed rot and multiset
-// state, still deterministic; only the starting point moves. This is the
-// deterministic matcher's defense against adversarial key order: a fixed
-// lex-first start revisits (and re-rejects) the same unmatchable prefix on
-// every probe, degrading generic-pattern searches to O(n) per step on
-// workloads whose extreme element sorts first. Locking contract as IterAll:
-// all shard read locks held throughout, no concurrent writers, fn must not
-// mutate.
+// state, still deterministic; only the starting point moves (why the matcher
+// wants that: gamma's eachCandidate). A one-shot View over every shard, with
+// IterSym's locking contract.
 func (m *Multiset) IterAllRot(rot uint64, fn func(t Tuple, n int, key string) bool) {
-	for i := range m.shards {
-		m.shards[i].mu.RLock()
-	}
-	defer func() {
-		for i := range m.shards {
-			m.shards[i].mu.RUnlock()
-		}
-	}()
-	start := int(uint32(rot) % shardCount)
-	stop := false
-	for i := 0; i < shardCount && !stop; i++ {
-		s := &m.shards[(start+i)&(shardCount-1)]
-		s.sorted.eachRot(rot, func(e *entry) bool {
-			stop = !fn(e.tuple, e.count, e.key)
-			return !stop
-		})
-	}
+	var v View
+	m.LockView(&v, nil, true)
+	defer v.Unlock()
+	v.EachAll(rot, fn)
 }
 
 // IterSorted is IterAll without the key (compatibility surface).
 func (m *Multiset) IterSorted(fn func(t Tuple, n int) bool) {
 	m.IterAll(func(t Tuple, n int, _ string) bool { return fn(t, n) })
-}
-
-// AllCounted returns every distinct tuple with its multiplicity and cached
-// key in unspecified (per-shard) order — the cheap snapshot for the
-// randomized matcher, which shuffles the candidates anyway. Use Snapshot for
-// a deterministic ordering.
-func (m *Multiset) AllCounted() []Counted {
-	out := make([]Counted, 0, 16)
-	for i := range m.shards {
-		s := &m.shards[i]
-		s.mu.RLock()
-		s.sorted.each(func(e *entry) bool {
-			out = append(out, Counted{Tuple: e.tuple, N: e.count, Key: e.key})
-			return true
-		})
-		s.mu.RUnlock()
-	}
-	return out
 }
 
 // Counted pairs a distinct tuple with its multiplicity and, when it comes
@@ -810,7 +769,7 @@ func (m *Multiset) ForEach(fn func(t Tuple, n int) bool) {
 
 // Snapshot returns every distinct tuple with multiplicity, sorted
 // deterministically. Intended for tests, printing and external callers; the
-// matcher itself walks the maintained indexes via Iter* and AllCounted.
+// matcher itself walks the maintained indexes through a View.
 func (m *Multiset) Snapshot() []Counted {
 	var out []Counted
 	m.ForEach(func(t Tuple, n int) bool {
