@@ -76,11 +76,14 @@ trace-demo:
 # record/replay differentials: a parallel run's commit-order schedule must
 # replay sequentially to the byte-identical final state, and the provenance
 # and work/span folds over it must be commit-order exact) — DESIGN.md §9,
-# §10, §12, §14, §15 and §16. Last, the label-free matcher's scaling gate in
-# its count-only form (the race detector switches its wall-clock half off):
-# candidates per step on Eq. 2 across layouts, sizes and matcher modes.
+# §10, §12, §14, §15 and §16 — and the multiset's list-recycling churn tests
+# (View readers enumerating while a writer drains index lists to empty and
+# refills them from the shard freelist). Last, the label-free matcher's
+# scaling gate in its count-only form (the race detector switches its
+# wall-clock half off): candidates per step on Eq. 2 across layouts, sizes
+# and matcher modes.
 stress:
-	$(GO) test -race -count=2 -run 'Cancel|Panic|Fault|Dead|Deadline|Wedge|Retr|Differential|KernelMatches|ApplyDelta|Steal|Batch|Rollup|Replay' \
+	$(GO) test -race -count=2 -run 'Cancel|Panic|Fault|Dead|Deadline|Wedge|Retr|Differential|KernelMatches|ApplyDelta|Steal|Batch|Rollup|Replay|Churn|Recycled' \
 		./internal/gamma/ ./internal/dataflow/ ./internal/dist/ ./internal/rt/ \
 		./internal/expr/ ./internal/multiset/ ./internal/equiv/ \
 		./internal/service/ ./internal/telemetry/ ./internal/replay/ .
@@ -102,13 +105,15 @@ check: vet fmt-check build race bench-smoke bench-check
 # exposition), gfbench e21 puts it under closed-loop load with the p99
 # collapse guard and the per-response oracle check, gfbench e23 A/Bs traced
 # against untraced load with the trace-overhead ceilings (sampled-off 2%,
-# sampled-on 10%), and gfbench e24 guards the schedule recorder (≤10% on the
+# sampled-on 10%), and gfbench e24 guards the schedule recorder (≤25% on the
 # reference workload). Record/replay gates twice more: the byte-pinned
 # Fig. 1/Fig. 2 golden replays, and the parallel-record → sequential-replay
 # differentials under the race detector. The label-free matcher's scaling gate
 # runs once more without the race detector, which is the only build where its
 # wall-time exponent is measured; e20 -guard carries the absolute ceiling on
-# sequential Eq. 2 at n=10^5.
+# sequential Eq. 2 at n=10^5. Next to it the allocation-scaling gate: bytes
+# per Gamma step on the converted Fig. 2 loop must be flat in the trip count
+# and under 1 kB, so per-firing storage set-up cannot silently return.
 check-ci: vet fmt-check build bench-check
 	$(GO) test -race -timeout 5m ./...
 	$(GO) test -race -timeout 2m -count=2 -run 'Cancel|Panic|Fault|Dead' \
@@ -117,5 +122,6 @@ check-ci: vet fmt-check build bench-check
 	GOMAXPROCS=8 $(GO) test -race -timeout 2m -count=2 -run 'Steal|Batch|Differential' ./internal/gamma/
 	$(GO) test -race -timeout 2m -count=2 -run 'Golden|Replay' ./internal/replay/ ./internal/service/ ./cmd/gammarun/ ./cmd/dfrun/
 	$(GO) test -timeout 2m -count=1 -run 'TestLabelFreeScaling' ./internal/gamma/
+	$(GO) test -timeout 2m -count=1 -run 'TestLoopAllocScaling' .
 	$(GO) run ./cmd/gammad -selfcheck
 	$(GO) run ./cmd/gfbench -exp e16,e20,e21,e22,e23,e24 -short -guard -baseline BENCH_gamma.json

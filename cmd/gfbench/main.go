@@ -59,7 +59,7 @@ func main() {
 	blockProfile := flag.String("blockprofile", "", "write a goroutine blocking profile to this file at exit")
 	mutexProfile := flag.String("mutexprofile", "", "write a mutex contention profile to this file at exit")
 	flag.BoolVar(&benchShort, "short", false, "e16/e20/e22/e23/e24: restrict to the smallest workloads (CI smoke)")
-	flag.BoolVar(&benchGuard, "guard", false, "e16: fail unless incremental wall < fullscan at n=10^4; e20: fail on parallel overhead collapse or matcher candidate pathology; e22: fail on matrix engine overhead collapse; e23: fail on trace-overhead ceilings (sampled-off >2%, sampled-on >10% of untraced p99); e24: fail if schedule recording costs >10%")
+	flag.BoolVar(&benchGuard, "guard", false, "e16: fail unless incremental wall < fullscan at n=10^4; e20: fail on parallel overhead collapse or matcher candidate pathology; e22: fail on matrix engine overhead collapse; e23: fail on trace-overhead ceilings (sampled-off >2%, sampled-on >10% of untraced p99); e24: fail if schedule recording costs >25%")
 	baseline := flag.String("baseline", "", "compare this run's e16/e20 measurements against a prior BENCH_gamma.json and fail outside tolerance")
 	benchTel.Register(flag.CommandLine)
 	flag.Parse()

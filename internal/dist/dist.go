@@ -381,6 +381,9 @@ func addStats(dst, src *gamma.Stats) {
 	dst.Conflicts += src.Conflicts
 	dst.Retries += src.Retries
 	dst.MemoHits += src.MemoHits
+	dst.ArenaBytes += src.ArenaBytes
+	dst.ListsRecycled += src.ListsRecycled
+	dst.ListsFresh += src.ListsFresh
 	for k, v := range src.Fired {
 		dst.Fired[k] += v
 	}

@@ -135,6 +135,14 @@ type Stats struct {
 	// BackoffWaits counts timed conflict backoffs: retries that slept (with
 	// cancellation observed) rather than just yielding the processor.
 	BackoffWaits int64
+	// ArenaBytes, ListsRecycled and ListsFresh are the multiset storage work
+	// the run caused (multiset.Storage, after minus before): arena chunk
+	// bytes carved, and index lists handed out from a shard freelist vs
+	// freshly allocated. ListsFresh growing with Steps is per-firing set-up
+	// cost coming back.
+	ArenaBytes    int64
+	ListsRecycled int64
+	ListsFresh    int64
 	// Workers echoes the worker count used.
 	Workers int
 }
@@ -153,6 +161,9 @@ func (s *Stats) merge(o *Stats) {
 	s.Steals += o.Steals
 	s.Batches += o.Batches
 	s.BackoffWaits += o.BackoffWaits
+	s.ArenaBytes += o.ArenaBytes
+	s.ListsRecycled += o.ListsRecycled
+	s.ListsFresh += o.ListsFresh
 	for k, v := range o.Fired {
 		s.Fired[k] += v
 	}
@@ -330,6 +341,19 @@ func Run(p *Program, m *multiset.Multiset, opt Options) (*Stats, error) {
 // or rt.ErrDeadline (which also satisfy errors.Is against context.Canceled /
 // context.DeadlineExceeded), ErrMaxSteps, or *rt.PanicError.
 func RunContext(ctx context.Context, p *Program, m *multiset.Multiset, opt Options) (*Stats, error) {
+	before := m.Storage()
+	st, err := runContext(ctx, p, m, opt)
+	st.setStorage(before, m.Storage(), opt.Recorder)
+	return st, err
+}
+
+// runContext is RunContext without the storage accounting, which sits in a
+// frame of its own on purpose: the matcher below copies 48-byte values through
+// the stack, and Eq. 2 min runs ~8 % slower when the frames between Run and
+// the matcher shift it by 16–48 bytes modulo a cache line (bisected on the
+// gamma_min benchmark, CHANGES.md PR 14). Re-measure gamma_min after changing
+// a frame on this chain.
+func runContext(ctx context.Context, p *Program, m *multiset.Multiset, opt Options) (*Stats, error) {
 	workers := opt.Workers
 	if workers < 1 {
 		workers = 1
@@ -346,6 +370,19 @@ func RunContext(ctx context.Context, p *Program, m *multiset.Multiset, opt Optio
 		return runSequential(ctx, p, m, opt)
 	}
 	return runParallel(ctx, p, m, opt)
+}
+
+// setStorage accounts the multiset storage work between two Storage readings
+// to the run, in Stats and — the same increments — in the recorder's registry.
+func (s *Stats) setStorage(before, after multiset.Storage, rec *telemetry.Recorder) {
+	s.ArenaBytes = after.ArenaBytes - before.ArenaBytes
+	s.ListsRecycled = after.ListsRecycled - before.ListsRecycled
+	s.ListsFresh = after.ListsFresh - before.ListsFresh
+	if rec != nil {
+		rec.Metrics.Counter("gamma.arena_bytes").Add(s.ArenaBytes)
+		rec.Metrics.Counter("gamma.lists_recycled").Add(s.ListsRecycled)
+		rec.Metrics.Counter("gamma.lists_fresh").Add(s.ListsFresh)
+	}
 }
 
 // worker is one executor's state for the length of a run. The sequential

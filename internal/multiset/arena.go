@@ -16,6 +16,12 @@ import (
 // bytes sound, and it preserves the shard contract that tuple backings and
 // key strings handed to searchers, memo keys and traces are never reused.
 //
+// Chunks are geometric: the first of each kind is 1/128 of its maximum
+// (entryChunk, keyChunk, cellChunk) and every replacement doubles up to it,
+// so a shard of a handful of elements carves a few hundred bytes and reaching
+// the maximum costs less than one extra maximum chunk. bytes totals the chunk
+// memory carved (Multiset.Storage).
+//
 // Chunk memory is reclaimed by the GC once every entry, key and tuple carved
 // from it dies; a long-lived carve pins at most one chunk of each kind.
 // All methods require the owning shard's write lock.
@@ -23,6 +29,7 @@ type shardArena struct {
 	entries []entry
 	keys    []byte
 	cells   []value.Value
+	bytes   int64
 }
 
 const (
@@ -31,10 +38,22 @@ const (
 	cellChunk  = 1024
 )
 
+// nextChunk returns the capacity of the chunk replacing one of capacity c
+// that cannot hold need (<= limit/4) more items: double, from limit/128, up
+// to limit.
+func nextChunk(c, need, limit int) int {
+	c = min(max(2*c, limit/128), limit)
+	for c < need {
+		c *= 2
+	}
+	return c
+}
+
 // newEntry carves a zeroed entry, switching to a fresh chunk when full.
 func (a *shardArena) newEntry() *entry {
 	if len(a.entries) == cap(a.entries) {
-		a.entries = make([]entry, 0, entryChunk)
+		a.entries = make([]entry, 0, nextChunk(cap(a.entries), 1, entryChunk))
+		a.bytes += int64(cap(a.entries)) * int64(unsafe.Sizeof(entry{}))
 	}
 	a.entries = a.entries[:len(a.entries)+1]
 	return &a.entries[len(a.entries)-1]
@@ -52,7 +71,8 @@ func (a *shardArena) internKey(kb []byte) string {
 		return string(kb)
 	}
 	if cap(a.keys)-len(a.keys) < n {
-		a.keys = make([]byte, 0, keyChunk)
+		a.keys = make([]byte, 0, nextChunk(cap(a.keys), n, keyChunk))
+		a.bytes += int64(cap(a.keys))
 	}
 	off := len(a.keys)
 	a.keys = append(a.keys, kb...)
@@ -71,7 +91,8 @@ func (a *shardArena) cloneTuple(t Tuple) Tuple {
 		return t.Clone()
 	}
 	if cap(a.cells)-len(a.cells) < n {
-		a.cells = make([]value.Value, 0, cellChunk)
+		a.cells = make([]value.Value, 0, nextChunk(cap(a.cells), n, cellChunk))
+		a.bytes += int64(cap(a.cells)) * int64(unsafe.Sizeof(value.Value{}))
 	}
 	off := len(a.cells)
 	a.cells = append(a.cells, t...)

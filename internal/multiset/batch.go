@@ -75,7 +75,7 @@ func (m *Multiset) applyDeltas(ds []Delta, applied []bool, seqs []uint64, syms [
 	}
 	m.unlockShards(&involved)
 	if size != 0 {
-		m.addSize(size)
+		m.size.Add(size)
 	}
 	return n, syms
 }

@@ -5,17 +5,10 @@ import "sort"
 // elist is a paged, chunked ordered list of entries in ascending key order —
 // the storage behind every sorted index of a shard (sorted, bySym, bySymTag).
 //
-// The seed representation was a flat sorted []*entry with binary insertion:
-// correct, but every insert/remove memmoves O(population) pointers, which is
-// quadratic over a run that churns one element per firing. Chunking capped
-// the entry memmove at one chunk (≤ chunkMax entries), but the first cut kept
-// a flat chunk directory, so every chunk split or drop still memmoved
-// O(#chunks) slice headers — at 10⁶ entries that is thousands of chunks, and
-// the directory traffic became the new quadratic term. The directory is now
-// paged: chunks live in pages of at most pageMax, so a chunk split or drop
-// memmoves at most pageMax headers within one page, and only a page split or
-// drop — pageMax times rarer — touches the (pageMax-times shorter) page
-// directory. Two properties the matcher relies on are preserved exactly:
+// Entries live in chunks of at most chunkMax and chunks in directory pages of
+// at most pageMax, so an insert or remove memmoves at most one chunk of
+// pointers and a chunk split or drop at most one page of headers, whatever
+// the population. Two properties the matcher relies on hold exactly:
 //
 //   - exact ascending-key iteration order, which the deterministic sequential
 //     matcher (and the golden traces pinned on it) observe;
@@ -28,6 +21,15 @@ import "sort"
 // >max yields two halves, a removal that drains below min merges into a
 // neighbor when the result fits. The wide hysteresis bands mean an
 // insert/remove cycle at a boundary cannot thrash split/merge.
+//
+// Cost tracks contents: Algorithm 1 makes every dataflow edge one element, so
+// most lists of a converted program hold 0–1 entries and flip between empty
+// and non-empty on every firing. A new list starts with chunkStart slots and
+// a one-slot page and grows by append; a list that drains to empty parks its
+// last chunk and page (see remove) for the next insert to revive; a shard
+// recycles the elist structs themselves (getList/putList). Retention is
+// bounded: at most chunkMin slots and pageMin headers are parked, every
+// parked slot is nil, and the freelist holds at most listFreeMax lists.
 type elist struct {
 	pages   []epage // non-empty, each ascending; pages ascending overall
 	nchunks int
@@ -38,10 +40,11 @@ type elist struct {
 type epage [][]*entry
 
 const (
-	chunkMax = 512
-	chunkMin = 64
-	pageMax  = 32
-	pageMin  = 4
+	chunkMax   = 512
+	chunkMin   = 64
+	chunkStart = 4
+	pageMax    = 32
+	pageMin    = 4
 )
 
 func (l *elist) len() int { return l.total }
@@ -76,8 +79,13 @@ func chunkFor(p epage, key string) int {
 func (l *elist) insert(e *entry) {
 	l.total++
 	if len(l.pages) == 0 {
-		c := append(make([]*entry, 0, chunkMin), e)
-		l.pages = append(l.pages, append(make(epage, 0, pageMin), c))
+		if cap(l.pages) == 0 { // nothing parked: start small
+			l.pages = []epage{{make([]*entry, 0, chunkStart)}}
+		}
+		// Revive the page and chunk parked in slot 0 of their directories.
+		l.pages = l.pages[:1]
+		l.pages[0] = l.pages[0][:1]
+		l.pages[0][0] = append(l.pages[0][0], e)
 		l.nchunks = 1
 		return
 	}
@@ -161,6 +169,16 @@ func (l *elist) remove(key string) {
 	p[ci] = c
 	l.total--
 	switch {
+	case l.total == 0:
+		// Drained: park the sole chunk and page, emptied, in slot 0 of their
+		// directories for the next insert — unless one outgrew the bound.
+		if cap(c) > chunkMin || cap(p) > pageMin || cap(l.pages) > pageMin {
+			*l = elist{}
+			return
+		}
+		l.pages[0] = p[:0]
+		l.pages = l.pages[:0]
+		l.nchunks = 0
 	case len(c) == 0:
 		l.dropChunk(pi, ci)
 	case len(c) < chunkMin:

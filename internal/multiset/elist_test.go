@@ -53,6 +53,118 @@ func checkElist(t *testing.T, l *elist) {
 	if nc != l.nchunks {
 		t.Fatalf("nchunks = %d, counted %d", l.nchunks, nc)
 	}
+	checkElistSlack(t, l)
+}
+
+// checkElistSlack verifies nothing stale is reachable through capacity beyond
+// a length: every chunk slot past len is nil, and every directory slot past
+// len is empty — except slot 0 of an empty list's directories, where a drain
+// parks its last page and chunk as zero-length slices within the retention
+// bounds (all slots nil) for the next insert to revive.
+func checkElistSlack(t *testing.T, l *elist) {
+	t.Helper()
+	nilBeyond := func(what string, c []*entry) {
+		for i, e := range c[len(c):cap(c)] {
+			if e != nil {
+				t.Fatalf("%s: slot %d beyond len %d holds %q", what, len(c)+i, len(c), e.key)
+			}
+		}
+	}
+	emptyBeyond := func(what string, p epage) {
+		for i, c := range p[len(p):cap(p)] {
+			if c != nil {
+				t.Fatalf("%s: chunk header %d beyond len %d not cleared", what, len(p)+i, len(p))
+			}
+		}
+	}
+	for pi, p := range l.pages {
+		emptyBeyond(fmt.Sprintf("page %d", pi), p)
+		for ci, c := range p {
+			nilBeyond(fmt.Sprintf("page %d chunk %d", pi, ci), c)
+		}
+	}
+	slack := l.pages[len(l.pages):cap(l.pages)]
+	if len(l.pages) == 0 && len(slack) > 0 && slack[0] != nil {
+		parked := slack[0]
+		if len(parked) != 0 || cap(parked) > pageMin || cap(l.pages) > pageMin {
+			t.Fatalf("parked page len %d cap %d (directory cap %d)", len(parked), cap(parked), cap(l.pages))
+		}
+		if chunks := parked[:cap(parked)]; chunks[0] != nil {
+			if len(chunks[0]) != 0 || cap(chunks[0]) > chunkMin {
+				t.Fatalf("parked chunk len %d cap %d", len(chunks[0]), cap(chunks[0]))
+			}
+			nilBeyond("parked chunk", chunks[0])
+			emptyBeyond("parked page", parked[:1])
+		} else {
+			emptyBeyond("parked page", parked)
+		}
+		slack = slack[1:]
+	}
+	for i, p := range slack {
+		if p != nil {
+			t.Fatalf("page header %d beyond len %d not cleared", len(l.pages)+i, len(l.pages))
+		}
+	}
+}
+
+// TestElistDrainRefillRecycled cycles lists through a shard's freelist the
+// way singleton (label, tag) lists live: fill (mostly 1–3 entries, now and
+// then far past the parking bound), check order and len against a model,
+// drain to empty in random order, recycle. Every state is checked for stale
+// slots, and the counters must show one allocation ever.
+func TestElistDrainRefillRecycled(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	var s shard
+	const cycles = 400
+	for cycle := 0; cycle < cycles; cycle++ {
+		l := s.getList()
+		if l.len() != 0 || len(l.pages) != 0 || l.nchunks != 0 {
+			t.Fatalf("cycle %d: recycled list not empty: len=%d pages=%d nchunks=%d", cycle, l.len(), len(l.pages), l.nchunks)
+		}
+		n := 1 + rng.Intn(3)
+		if cycle%20 == 7 {
+			n = chunkMin + rng.Intn(3*chunkMax)
+		}
+		want := make([]string, n)
+		for i := range want {
+			want[i] = fmt.Sprintf("c%03d-%05d", cycle, i)
+		}
+		for _, i := range rng.Perm(n) {
+			l.insert(&entry{key: want[i]})
+			if n <= 3 {
+				checkElist(t, l)
+			}
+		}
+		checkElist(t, l)
+		if got := elistKeys(l); l.len() != n || fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("cycle %d: len %d, keys %v, want %v", cycle, l.len(), got, want)
+		}
+		for k, i := range rng.Perm(n) {
+			l.remove(want[i])
+			if n <= 3 || k%97 == 0 {
+				checkElist(t, l)
+			}
+		}
+		checkElist(t, l)
+		if l.len() != 0 {
+			t.Fatalf("cycle %d: %d entries left after draining", cycle, l.len())
+		}
+		l.eachRot(uint64(cycle), func(e *entry) bool {
+			t.Fatalf("cycle %d: drained list still enumerates %q", cycle, e.key)
+			return false
+		})
+		s.putList(l)
+	}
+	if s.listsFresh != 1 || s.listsRecycled != cycles-1 {
+		t.Errorf("lists fresh/recycled = %d/%d, want 1/%d", s.listsFresh, s.listsRecycled, cycles-1)
+	}
+	// The freelist is bounded.
+	for i := 0; i < 3*listFreeMax; i++ {
+		s.putList(new(elist))
+	}
+	if len(s.freeLists) != listFreeMax {
+		t.Errorf("freelist holds %d lists, bound is %d", len(s.freeLists), listFreeMax)
+	}
 }
 
 // TestElistChurn drives random insert/remove churn against a sorted-slice

@@ -63,6 +63,11 @@ type shard struct {
 	// arena chunk-allocates entries, key strings and tuple-cell copies for
 	// freelist misses (see arena.go) — the commit path's hot allocations.
 	arena shardArena
+	// freeLists recycles bySym/bySymTag lists that drained to empty and left
+	// their map, parked backings included (elist.go; bounded by listFreeMax).
+	freeLists     []*elist
+	listsRecycled int64 // getList calls served from freeLists
+	listsFresh    int64 // getList calls that allocated
 }
 
 type symTag struct {
@@ -70,8 +75,11 @@ type symTag struct {
 	tag int64
 }
 
-// freeMax bounds the per-shard entry freelist.
-const freeMax = 1024
+// freeMax bounds the per-shard entry freelist, listFreeMax the list one.
+const (
+	freeMax     = 1024
+	listFreeMax = 64
+)
 
 // getEntry returns a recycled or fresh entry struct.
 func (s *shard) getEntry() *entry {
@@ -95,12 +103,31 @@ func (s *shard) putEntry(e *entry) {
 	s.free = append(s.free, e)
 }
 
+// getList returns a recycled or fresh empty index list.
+func (s *shard) getList() *elist {
+	if n := len(s.freeLists); n > 0 {
+		l := s.freeLists[n-1]
+		s.freeLists[n-1] = nil
+		s.freeLists = s.freeLists[:n-1]
+		s.listsRecycled++
+		return l
+	}
+	s.listsFresh++
+	return new(elist)
+}
+
+// putList recycles an index list that drained to empty and left its map.
+func (s *shard) putList(l *elist) {
+	if len(s.freeLists) < listFreeMax {
+		s.freeLists = append(s.freeLists, l)
+	}
+}
+
 // Multiset is the Gamma model's single database: a counted multiset of
 // tuples safe for concurrent use. The zero value is not usable; call New.
 type Multiset struct {
 	shards [shardCount]shard
-	size   int64 // total element count incl. multiplicity, guarded by sizeMu
-	sizeMu sync.Mutex
+	size   atomic.Int64 // total element count incl. multiplicity
 	// commitSeq numbers committed writes (ApplyDeltaSeq/ApplyDeltasSeq). A
 	// sequence number taken while the writer still holds the locks of every
 	// shard it touched is a valid linearization of the execution: a firing
@@ -114,12 +141,6 @@ type Multiset struct {
 // New returns an empty multiset, optionally pre-populated with tuples.
 func New(tuples ...Tuple) *Multiset {
 	m := &Multiset{}
-	for i := range m.shards {
-		s := &m.shards[i]
-		s.byKey = make(map[string]*entry)
-		s.bySym = make(map[symtab.Sym]*elist)
-		s.bySymTag = make(map[symTag]*elist)
-	}
 	for _, t := range tuples {
 		m.Add(t)
 	}
@@ -177,12 +198,6 @@ func hashBytes(b []byte) uint32 {
 	return h
 }
 
-func (m *Multiset) addSize(delta int64) {
-	m.sizeMu.Lock()
-	m.size += delta
-	m.sizeMu.Unlock()
-}
-
 // Add inserts one occurrence of t.
 func (m *Multiset) Add(t Tuple) { m.AddN(t, 1) }
 
@@ -197,7 +212,7 @@ func (m *Multiset) AddN(t Tuple, n int) {
 	s.mu.Lock()
 	s.addLocked(t, key, sym, n)
 	s.mu.Unlock()
-	m.addSize(int64(n))
+	m.size.Add(int64(n))
 }
 
 // addLocked inserts n occurrences into an already locked shard.
@@ -211,7 +226,13 @@ func (s *shard) addLocked(t Tuple, key string, sym symtab.Sym, n int) {
 
 // addEntryLocked links a new distinct tuple into every index of an already
 // locked shard. The caller has established that key is absent from byKey.
+// A shard's maps are made on its first insert: nil maps read as empty.
 func (s *shard) addEntryLocked(t Tuple, key string, sym symtab.Sym, n int) {
+	if s.byKey == nil {
+		s.byKey = make(map[string]*entry)
+		s.bySym = make(map[symtab.Sym]*elist)
+		s.bySymTag = make(map[symTag]*elist)
+	}
 	e := s.getEntry()
 	e.tuple, e.key, e.count, e.sym = s.arena.cloneTuple(t), key, n, sym
 	if tag, ok := t.Tag(); ok && sym != symtab.None {
@@ -222,7 +243,7 @@ func (s *shard) addEntryLocked(t Tuple, key string, sym symtab.Sym, n int) {
 	if sym != symtab.None {
 		l := s.bySym[sym]
 		if l == nil {
-			l = new(elist)
+			l = s.getList()
 			s.bySym[sym] = l
 		}
 		l.insert(e)
@@ -230,7 +251,7 @@ func (s *shard) addEntryLocked(t Tuple, key string, sym symtab.Sym, n int) {
 			st := symTag{sym, e.tag}
 			lt := s.bySymTag[st]
 			if lt == nil {
-				lt = new(elist)
+				lt = s.getList()
 				s.bySymTag[st] = lt
 			}
 			lt.insert(e)
@@ -261,6 +282,7 @@ func (s *shard) removeLocked(e *entry) {
 			l.remove(e.key)
 			if l.len() == 0 {
 				delete(s.bySym, e.sym)
+				s.putList(l)
 			}
 		}
 		if e.hasTag {
@@ -269,6 +291,7 @@ func (s *shard) removeLocked(e *entry) {
 				l.remove(e.key)
 				if l.len() == 0 {
 					delete(s.bySymTag, st)
+					s.putList(l)
 				}
 			}
 		}
@@ -289,7 +312,7 @@ func (m *Multiset) Remove(t Tuple) bool {
 	}
 	s.mu.Unlock()
 	if ok {
-		m.addSize(-1)
+		m.size.Add(-1)
 	}
 	return ok
 }
@@ -507,7 +530,7 @@ func (m *Multiset) TryRemoveAll(ts []Tuple) bool {
 	}
 	m.unlockShards(&involved)
 	if ok {
-		m.addSize(-int64(len(ts)))
+		m.size.Add(-int64(len(ts)))
 	}
 	return ok
 }
@@ -568,11 +591,7 @@ func (m *Multiset) Count(t Tuple) int {
 func (m *Multiset) Contains(t Tuple) bool { return m.Count(t) > 0 }
 
 // Len returns the total number of elements, counting multiplicity.
-func (m *Multiset) Len() int {
-	m.sizeMu.Lock()
-	defer m.sizeMu.Unlock()
-	return int(m.size)
-}
+func (m *Multiset) Len() int { return int(m.size.Load()) }
 
 // Distinct returns the number of distinct tuples.
 func (m *Multiset) Distinct() int {
@@ -792,14 +811,53 @@ func (m *Multiset) Expand() []Tuple {
 	return out
 }
 
-// Clone returns an independent deep copy.
+// Clone returns an independent deep copy, built shard by shard from what the
+// entries cache — the key (shared: strings are immutable) and the label
+// symbol, which also fix the shard — so nothing is re-rendered, re-interned or
+// re-routed. Each source shard is read-locked in turn, like ForEach.
 func (m *Multiset) Clone() *Multiset {
 	c := New()
-	m.ForEach(func(t Tuple, n int) bool {
-		c.AddN(t, n)
-		return true
-	})
+	var size int64
+	for i := range m.shards {
+		s, d := &m.shards[i], &c.shards[i] // c is not shared yet: d needs no lock
+		s.mu.RLock()
+		if n := s.sorted.len(); n > 0 {
+			d.byKey = make(map[string]*entry, n)
+			d.bySym = make(map[symtab.Sym]*elist, len(s.bySym))
+			d.bySymTag = make(map[symTag]*elist, len(s.bySymTag))
+		}
+		s.sorted.each(func(e *entry) bool {
+			d.addEntryLocked(e.tuple, e.key, e.sym, e.count)
+			size += int64(e.count)
+			return true
+		})
+		s.mu.RUnlock()
+	}
+	c.size.Store(size)
 	return c
+}
+
+// Storage counts the storage layer's work so far: arena chunk bytes carved,
+// and index lists handed out recycled vs freshly allocated. It moves only on
+// a chunk refill or a list get, never per element.
+type Storage struct {
+	ArenaBytes    int64
+	ListsRecycled int64
+	ListsFresh    int64
+}
+
+// Storage sums the per-shard storage counters.
+func (m *Multiset) Storage() Storage {
+	var st Storage
+	for i := range m.shards {
+		s := &m.shards[i]
+		s.mu.RLock()
+		st.ArenaBytes += s.arena.bytes
+		st.ListsRecycled += s.listsRecycled
+		st.ListsFresh += s.listsFresh
+		s.mu.RUnlock()
+	}
+	return st
 }
 
 // Equal reports whether two multisets hold exactly the same elements with the
@@ -850,8 +908,9 @@ func Parse(src string) (*Multiset, error) {
 	if inner == "" {
 		return m, nil
 	}
-	// Split on commas outside brackets.
+	// Split on commas outside brackets and, like splitTopLevel, outside quotes.
 	depth := 0
+	quote := byte(0)
 	start := 0
 	flush := func(end int) error {
 		field := strings.TrimSpace(inner[start:end])
@@ -866,18 +925,22 @@ func Parse(src string) (*Multiset, error) {
 		return nil
 	}
 	for i := 0; i < len(inner); i++ {
-		switch inner[i] {
-		case '[':
-			depth++
-		case ']':
-			depth--
-		case ',':
-			if depth == 0 {
-				if err := flush(i); err != nil {
-					return nil, err
-				}
-				start = i + 1
+		switch c := inner[i]; {
+		case quote != 0:
+			if c == quote {
+				quote = 0
 			}
+		case c == '\'' || c == '"':
+			quote = c
+		case c == '[':
+			depth++
+		case c == ']':
+			depth--
+		case c == ',' && depth == 0:
+			if err := flush(i); err != nil {
+				return nil, err
+			}
+			start = i + 1
 		}
 	}
 	if err := flush(len(inner)); err != nil {

@@ -2,6 +2,8 @@ package multiset
 
 import (
 	"fmt"
+	"math"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -286,6 +288,91 @@ func TestStringParseRoundTrip(t *testing.T) {
 	if !got.Equal(m) {
 		t.Errorf("round trip: %s vs %s", got, m)
 	}
+}
+
+// TestParseQuotedBrackets: String prints label text bare between quotes, so
+// the element splitter must treat brackets and commas inside a quoted field as
+// text. Before the fix "{[1, 'a]b']}" failed as unbracketed and 'e[f' swallowed
+// the next element.
+func TestParseQuotedBrackets(t *testing.T) {
+	for _, c := range []struct {
+		src  string
+		want []Tuple
+	}{
+		{"{[1, 'a]b']}", []Tuple{Pair(value.Int(1), "a]b")}},
+		{"{[1, 'e[f'], [2, 'g']}", []Tuple{Pair(value.Int(1), "e[f"), Pair(value.Int(2), "g")}},
+		{"{[1, 'a,b'], [2, '],[']}", []Tuple{Pair(value.Int(1), "a,b"), Pair(value.Int(2), "],[")}},
+		{`{[1, 'say "hi"', 0], [2, "it's", 0]}`, []Tuple{IntElem(1, `say "hi"`, 0), IntElem(2, "it's", 0)}},
+		{`{[']'], ["["], [',']}`, []Tuple{New1(value.Str("]")), New1(value.Str("[")), New1(value.Str(","))}},
+	} {
+		got, err := Parse(c.src)
+		if err != nil {
+			t.Errorf("Parse(%s): %v", c.src, err)
+			continue
+		}
+		if want := New(c.want...); !got.Equal(want) {
+			t.Errorf("Parse(%s) = %s, want %s", c.src, got, want)
+		}
+	}
+	// Every label String can print round-trips (a label holding a single
+	// quote cannot be printed unambiguously and is out of scope).
+	for _, label := range []string{"]", "[", ",", "a]b", "e[f", "[,]", "],[", `"`, `x"]"y`, "} {", " pad "} {
+		m := New(Pair(value.Int(1), label), IntElem(2, label, 7), Pair(value.Int(3), "plain"))
+		m.Add(Pair(value.Int(1), label))
+		got, err := Parse(m.String())
+		if err != nil {
+			t.Errorf("label %q: Parse(%s): %v", label, m, err)
+		} else if !got.Equal(m) {
+			t.Errorf("label %q: round trip %s vs %s", label, got, m)
+		}
+	}
+	for _, bad := range []string{"{[1, 'a]}", "{[1, 'a'], [2, 'b}", "{[1], 'x'}"} {
+		if _, err := Parse(bad); err == nil {
+			t.Errorf("Parse(%q) should error", bad)
+		}
+	}
+}
+
+// FuzzParse feeds the multiset literal parser — gammad's init field, so a
+// hostile-input path — arbitrary text: it must never panic, and whatever it
+// accepts must survive String → Parse unchanged when String can print it
+// unambiguously (no single quote inside a string, finite floats).
+func FuzzParse(f *testing.F) {
+	for _, seed := range []string{
+		"{}", "{[1, 'A1', 0], [5, 'B1', 0], [1, 'A1', 0]}", "{[1.5], [true], ['s']}",
+		"{[1, 'a]b']}", "{[1, 'e[f'], [2, 'g']}", "{[1, 'a,b'], [2, '],[']}",
+		`{[1, "it's"], [2, 'say "hi"']}`, "{[1, 'a]}", "{[[1]]}", "{[1],}", "{]", "{[1, 'x'] [2]}",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		m, err := Parse(src)
+		if err != nil {
+			return
+		}
+		printable := true
+		m.ForEach(func(tp Tuple, _ int) bool {
+			for _, v := range tp {
+				switch v.Kind() {
+				case value.KindString:
+					printable = printable && !strings.Contains(v.AsString(), "'")
+				case value.KindFloat:
+					printable = printable && !math.IsNaN(v.AsFloat()) && !math.IsInf(v.AsFloat(), 0)
+				}
+			}
+			return printable
+		})
+		if !printable {
+			return
+		}
+		got, err := Parse(m.String())
+		if err != nil {
+			t.Fatalf("Parse(%q) = %s, which does not parse back: %v", src, m, err)
+		}
+		if !got.Equal(m) {
+			t.Fatalf("Parse(%q) = %s, round trip gives %s", src, m, got)
+		}
+	})
 }
 
 func TestConcurrentAddRemove(t *testing.T) {

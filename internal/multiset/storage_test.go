@@ -1,0 +1,246 @@
+package multiset
+
+import (
+	"fmt"
+	"runtime"
+	"sync"
+	"sync/atomic"
+	"testing"
+
+	"repro/internal/symtab"
+	"repro/internal/value"
+)
+
+// allocBytes reports the heap bytes fn allocates (cumulative, so a GC in the
+// middle does not matter).
+func allocBytes(fn func()) uint64 {
+	var a, b runtime.MemStats
+	runtime.ReadMemStats(&a)
+	fn()
+	runtime.ReadMemStats(&b)
+	return b.TotalAlloc - a.TotalAlloc
+}
+
+// TestSingletonChurnAllocatesNothing is the storage discipline Algorithm 1's
+// output needs: every edge is one element [v, 'edge', tag], so a firing empties
+// one (label, tag) list and fills another. On a warmed multiset that cycle
+// must get every index list from the shard freelist, perform no allocation of
+// its own (arena chunk refills amortize to well under one per step), and cost
+// no more than the arena bytes of the produced tuple.
+func TestSingletonChurnAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector makes sync.Pool drop the commit scratch")
+	}
+	const steps = 4096
+	tuples := make([]Tuple, steps+1)
+	keys := make([]string, steps+1)
+	for i := range tuples {
+		tuples[i] = IntElem(int64(i), "edge", int64(i)) // a fresh (label, tag) list per step
+		keys[i] = tuples[i].Key()
+	}
+	m := New(tuples[0])
+	i := 0
+	var syms []symtab.Sym // the caller's delta buffer, reused like the engine's
+	step := func() {
+		var ok bool
+		ok, syms = m.ApplyDelta(tuples[i:i+1], keys[i:i+1], tuples[i+1:i+2], syms[:0])
+		if !ok {
+			t.Fatalf("step %d: claim failed", i)
+		}
+		i++
+	}
+	for i < 64 { // warm: freelists, scratch pool, first arena chunks
+		step()
+	}
+	before := m.Storage()
+	const measured = 2000
+	if avg := testing.AllocsPerRun(measured-1, step); avg != 0 {
+		t.Errorf("%v allocations per consume-one/produce-one step, want 0", avg)
+	}
+	after := m.Storage()
+	if fresh := after.ListsFresh - before.ListsFresh; fresh != 0 {
+		t.Errorf("%d index lists allocated over %d steps, want all recycled", fresh, measured)
+	}
+	// The consume runs first, so both the 'edge' label list and the
+	// (edge, tag) list drain, leave their maps and come back per step.
+	if got := after.ListsRecycled - before.ListsRecycled; got != 2*measured {
+		t.Errorf("%d lists recycled over %d steps, want %d", got, measured, 2*measured)
+	}
+	start := i
+	perStep := allocBytes(func() {
+		for i < start+1000 {
+			step()
+		}
+	}) / 1000
+	if perStep > 200 {
+		t.Errorf("%d B allocated per step, want <= 200", perStep)
+	}
+	if m.Len() != 1 || !m.Contains(tuples[i]) {
+		t.Errorf("after %d steps the multiset is %s", i, m)
+	}
+}
+
+// TestSmallMultisetFootprint: an empty multiset is one allocation, and the
+// paper's Example 1 initial multiset (four elements, four labels) costs
+// kilobytes, not the 295 kB of fixed-size maps and chunks it used to.
+func TestSmallMultisetFootprint(t *testing.T) {
+	if avg := testing.AllocsPerRun(100, func() { New() }); avg != 1 {
+		t.Errorf("New() performs %v allocations, want 1", avg)
+	}
+	elems := []Tuple{
+		Pair(value.Int(1), "A1"), Pair(value.Int(5), "B1"),
+		Pair(value.Int(3), "C1"), Pair(value.Int(2), "D1"),
+	}
+	var m *Multiset
+	got := allocBytes(func() { m = New(elems...) })
+	if got > 16<<10 {
+		t.Errorf("New() + Example 1's four elements allocated %d B, want <= 16 KiB", got)
+	}
+	if m.Len() != 4 || m.Storage().ArenaBytes == 0 {
+		t.Errorf("m = %s, storage %+v", m, m.Storage())
+	}
+}
+
+// TestArenaChunksGeometric pins the refill schedule: 1/128 of the maximum,
+// doubling, capped — and never smaller than the carve that forced it.
+func TestArenaChunksGeometric(t *testing.T) {
+	c := 0
+	var got []int
+	for i := 0; i < 10; i++ {
+		c = nextChunk(c, 1, entryChunk)
+		got = append(got, c)
+	}
+	if fmt.Sprint(got) != "[2 4 8 16 32 64 128 256 256 256]" {
+		t.Errorf("entry chunk schedule = %v", got)
+	}
+	if c := nextChunk(0, keyChunk/4, keyChunk); c < keyChunk/4 || c > keyChunk {
+		t.Errorf("first key chunk for a maximal key = %d", c)
+	}
+	// Write-once: a refill replaces the chunk, earlier carves stay intact.
+	var a shardArena
+	var keys []string
+	for i := 0; i < 2000; i++ {
+		keys = append(keys, a.internKey([]byte(fmt.Sprintf("key-%04d", i))))
+	}
+	for i, k := range keys {
+		if k != fmt.Sprintf("key-%04d", i) {
+			t.Fatalf("key %d reads %q after later carves", i, k)
+		}
+	}
+	if a.bytes < 2000*8 || a.bytes > 2000*8+2*keyChunk {
+		t.Errorf("arena accounts %d B for 16000 key bytes", a.bytes)
+	}
+}
+
+// TestCloneFromEntries: the clone is built from the source's cached keys and
+// symbols; it must be equal, fully indexed, and independent both ways.
+func TestCloneFromEntries(t *testing.T) {
+	m := New()
+	for i := int64(0); i < 300; i++ {
+		m.AddN(IntElem(i%40, fmt.Sprintf("L%d", i%7), i%3), int(i%4)+1)
+		m.Add(New1(value.Int(i % 50)))
+	}
+	want := m.String()
+	c := m.Clone()
+	if !c.Equal(m) || c.String() != want || c.Len() != m.Len() || c.Distinct() != m.Distinct() {
+		t.Fatalf("clone differs: len %d/%d distinct %d/%d", c.Len(), m.Len(), c.Distinct(), m.Distinct())
+	}
+	for l := 0; l < 7; l++ {
+		label := fmt.Sprintf("L%d", l)
+		if fmt.Sprint(c.ByLabel(label)) != fmt.Sprint(m.ByLabel(label)) {
+			t.Errorf("ByLabel(%s) differs in the clone", label)
+		}
+		for tag := int64(0); tag < 3; tag++ {
+			if fmt.Sprint(c.ByLabelTag(label, tag)) != fmt.Sprint(m.ByLabelTag(label, tag)) {
+				t.Errorf("ByLabelTag(%s, %d) differs in the clone", label, tag)
+			}
+		}
+	}
+	// Drain the clone completely, then refill the source: neither sees the other.
+	for _, tp := range c.Expand() {
+		if !c.Remove(tp) {
+			t.Fatalf("clone lost %s", tp)
+		}
+	}
+	if c.Len() != 0 || m.String() != want {
+		t.Fatalf("draining the clone changed the source (clone len %d)", c.Len())
+	}
+	c2 := m.Clone()
+	m.Add(IntElem(999, "L0", 0))
+	if c2.String() != want {
+		t.Error("adding to the source changed an earlier clone")
+	}
+}
+
+// TestViewReadersDuringListChurn runs View enumerations of the label and
+// (label, tag) indexes against a writer that drains those lists to empty and
+// refills them through the shard's list freelist. Under -race (make stress)
+// any recycled list, parked chunk or lazily made map a reader could still
+// reach is a reported race; the readers also check what they see is coherent.
+func TestViewReadersDuringListChurn(t *testing.T) {
+	labels := []string{"churn-a", "churn-b", "churn-c"}
+	syms := make([]symtab.Sym, len(labels))
+	for i, l := range labels {
+		syms[i] = symtab.Intern(l)
+	}
+	m := New()
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	for r := 0; r < 3; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			var v View
+			for rot := uint64(r); !stop.Load(); rot += 0x9e3779b97f4a7c15 {
+				m.LockView(&v, syms, false)
+				for i, sym := range syms {
+					n, prev := 0, ""
+					v.EachSym(sym, 0, func(tp Tuple, cnt int, key string) bool {
+						if l, _ := tp.Label(); l != labels[i] || cnt < 1 || key <= prev {
+							t.Errorf("reader saw %s (count %d) after %q under %s", tp, cnt, prev, labels[i])
+						}
+						n, prev = n+1, key
+						return true
+					})
+					tagged := 0
+					for tag := int64(0); tag < 4; tag++ {
+						v.EachSymTag(sym, tag, rot, func(tp Tuple, _ int, _ string) bool {
+							if got, _ := tp.Tag(); got != tag {
+								t.Errorf("reader saw %s under tag %d", tp, tag)
+							}
+							tagged++
+							return true
+						})
+					}
+					if tagged != n {
+						t.Errorf("label list holds %d, its tag lists %d", n, tagged)
+					}
+				}
+				v.Unlock()
+				runtime.Gosched()
+			}
+		}(r)
+	}
+	for round := 0; round < 400; round++ {
+		var live []Tuple
+		for i, l := range labels {
+			for k := 0; k <= (round+i)%3; k++ {
+				live = append(live, IntElem(int64(round), l, int64(k)))
+			}
+		}
+		if ok, _ := m.ApplyDelta(nil, nil, live, nil); !ok {
+			t.Fatal("produce-only delta refused")
+		}
+		if ok, _ := m.ApplyDelta(live, nil, nil, nil); !ok { // every list back to empty
+			t.Fatal("consume of what was just produced refused")
+		}
+	}
+	stop.Store(true)
+	wg.Wait()
+	if m.Len() != 0 {
+		t.Errorf("multiset not empty after churn: %s", m)
+	}
+	if st := m.Storage(); st.ListsRecycled == 0 {
+		t.Errorf("churn never recycled a list: %+v", st)
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -472,5 +473,37 @@ func TestAncestors(t *testing.T) {
 	}
 	if got := ancestors(s, 0); len(got) != 0 {
 		t.Errorf("step 1 has ancestors %v", got)
+	}
+}
+
+// TestRecorderFootprintTracksSchedule pins the recorder's growth discipline:
+// its raw stores double from a few hundred bytes, so recording Example 1's
+// three firings costs about a kilobyte (fixed 64 KiB / 32 KiB / 64 KiB first
+// chunks made every traced three-firing service run carry 160 kB), and a long
+// recording allocates a bounded multiple of what it holds.
+func TestRecorderFootprintTracksSchedule(t *testing.T) {
+	record := func(steps int) (bytes, held uint64) {
+		consumed := []multiset.Tuple{multiset.Pair(value.Int(1), "a"), multiset.Pair(value.Int(2), "b")}
+		produced := []multiset.Tuple{multiset.Pair(value.Int(3), "c")}
+		var a, b runtime.MemStats
+		runtime.ReadMemStats(&a)
+		rec := NewRecorder(KindGamma, "footprint")
+		for i := 0; i < steps; i++ {
+			rec.RecordStepTuples(uint64(i), "R", consumed, produced)
+		}
+		runtime.ReadMemStats(&b)
+		if rec.Len() != steps {
+			t.Fatalf("recorded %d of %d steps", rec.Len(), steps)
+		}
+		return b.TotalAlloc - a.TotalAlloc, uint64(len(rec.buf) + 4*len(rec.offs) + 16*len(rec.raw))
+	}
+	small, _ := record(3)
+	long, held := record(20000)
+	t.Logf("3 firings: %d B; 20000 firings: %d B allocated for %d B held", small, long, held)
+	if small > 4<<10 {
+		t.Errorf("recording 3 firings allocated %d B, want <= 4 KiB", small)
+	}
+	if long > 5*held {
+		t.Errorf("recording 20000 firings allocated %d B for %d B held, want <= 5x", long, held)
 	}
 }

@@ -240,23 +240,25 @@ func (r *Recorder) RecordStepTuples(seq uint64, name string, consumed, produced 
 		r.names = append(r.names, name)
 		r.nameIdx[name] = ni
 	}
-	// Grow the raw stores by hand: doubling with a chunky floor keeps the
-	// cumulative allocation at ~2x the final size, where the runtime's
-	// large-slice growth factor would make it ~5x — on a hot workload the
+	// Grow the raw stores by hand: doubling from a small floor keeps the
+	// cumulative allocation at ~2x the final size — a three-firing run
+	// records into a few hundred bytes — where the runtime's large-slice
+	// growth factor would make it ~5x on a long one. On a hot workload the
 	// recording overhead is garbage-collector work, so allocated bytes are
-	// the cost that matters.
-	if cap(r.buf)-len(r.buf) < 4096 {
-		nb := make([]byte, len(r.buf), max(2*cap(r.buf), 1<<16))
+	// the cost that matters. buf doubles once less than half of it (at most
+	// 4 KiB) is free, which is the headroom a firing's keys append into.
+	if room := cap(r.buf) - len(r.buf); room < min(4096, cap(r.buf)/2+1) {
+		nb := make([]byte, len(r.buf), max(2*cap(r.buf), 1<<9))
 		copy(nb, r.buf)
 		r.buf = nb
 	}
 	if n := len(r.offs) + len(consumed) + len(produced); n > cap(r.offs) {
-		no := make([]uint32, len(r.offs), max(2*cap(r.offs), 1<<13))
+		no := make([]uint32, len(r.offs), max(2*cap(r.offs), n, 1<<5))
 		copy(no, r.offs)
 		r.offs = no
 	}
 	if len(r.raw) == cap(r.raw) {
-		nr := make([]rawStep, len(r.raw), max(2*cap(r.raw), 1<<12))
+		nr := make([]rawStep, len(r.raw), max(2*cap(r.raw), 1<<3))
 		copy(nr, r.raw)
 		r.raw = nr
 	}

@@ -7,7 +7,12 @@ package gammaflow
 import (
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/gamma"
+	"repro/internal/paper"
 )
 
 func readFixture(t *testing.T, name string) string {
@@ -172,5 +177,52 @@ func TestPipelineProfileAndReuse(t *testing.T) {
 	// const firings (depth 1 in the dataflow trace) shift the chain by one.
 	if gSpan, dSpan := colG.Report().Span, r.Span; gSpan != dSpan-1 {
 		t.Errorf("gamma span %d, dataflow span %d, want exactly one const-depth difference", gSpan, dSpan)
+	}
+}
+
+// TestLoopAllocScaling is the allocation-scaling gate of `make check-ci`:
+// bytes allocated per Γ step on the paper's Fig. 2 loop after Algorithm 1
+// must not depend on the trip count and must stay under an absolute ceiling. Algorithm 1 makes every edge one
+// element, so every firing flips a few (label, tag) index lists between empty
+// and non-empty; what a step may allocate is the arena bytes of the tuples it
+// produces plus the matcher's scratch, ~0.5 kB. A fixed-size chunk or a fresh
+// index list per flip (3.5 kB/step before the multiset recycled them) or any
+// cost that grows with the run shows here, not in wall-clock noise.
+func TestLoopAllocScaling(t *testing.T) {
+	const ceiling, flat = 1024.0, 1.25
+	lo, hi := 0.0, 0.0
+	for _, z := range []int64{64, 512, 4096} {
+		prog, init, err := core.ToGamma(paper.Fig2GraphObservable(10, 4, z))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var perStep float64
+		for pass := 0; pass < 2; pass++ { // the first pass warms kernels and pools
+			var a, b runtime.MemStats
+			m := init.Clone()
+			runtime.ReadMemStats(&a)
+			st, err := gamma.Run(prog, m, gamma.Options{})
+			runtime.ReadMemStats(&b)
+			if err != nil || st.Steps < z {
+				t.Fatalf("z=%d: %d steps, err %v", z, st.Steps, err)
+			}
+			perStep = float64(b.TotalAlloc-a.TotalAlloc) / float64(st.Steps)
+			if pass == 1 && st.ListsFresh > 64 {
+				t.Errorf("z=%d: %d index lists freshly allocated in %d steps (%d recycled)", z, st.ListsFresh, st.Steps, st.ListsRecycled)
+			}
+		}
+		t.Logf("z=%d: %.0f B/step", z, perStep)
+		if perStep > ceiling {
+			t.Errorf("z=%d: %.0f B allocated per step, ceiling %.0f", z, perStep, ceiling)
+		}
+		if lo == 0 || perStep < lo {
+			lo = perStep
+		}
+		if perStep > hi {
+			hi = perStep
+		}
+	}
+	if hi > flat*lo {
+		t.Errorf("bytes per step range %.0f–%.0f across trip counts: max/min %.2f > %.2f", lo, hi, hi/lo, flat)
 	}
 }
