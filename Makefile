@@ -70,8 +70,9 @@ trace-demo:
 # dead-node tests under the race detector, plus the compiled-vs-interpreted
 # differential suites (kernel matcher, expression compiler, pure dataflow
 # ops, batched multiset commits, steal-scheduler determinism and batch-vs-
-# sequential equivalence, three-way dataflow engine differentials, the
-# service-side traced-run differential: per-tenant/per-engine registry
+# sequential equivalence, three-way dataflow engine differentials (goldens,
+# random programs, and random wide- and loop-shaped graphs on the firing
+# core), the service-side traced-run differential: per-tenant/per-engine registry
 # rollups equal the global registry exactly under concurrent load, and the
 # record/replay differentials: a parallel run's commit-order schedule must
 # replay sequentially to the byte-identical final state, and the provenance
@@ -113,7 +114,9 @@ check: vet fmt-check build race bench-smoke bench-check
 # wall-time exponent is measured; e20 -guard carries the absolute ceiling on
 # sequential Eq. 2 at n=10^5. Next to it the allocation-scaling gate: bytes
 # per Gamma step on the converted Fig. 2 loop must be flat in the trip count
-# and under 1 kB, so per-firing storage set-up cannot silently return.
+# and under 1 kB, so per-firing storage set-up cannot silently return; and its
+# dataflow twin: allocations and bytes per vertex firing on the wide graph must
+# be flat in the width and under 1 allocation / 300 B on all three engines.
 check-ci: vet fmt-check build bench-check
 	$(GO) test -race -timeout 5m ./...
 	$(GO) test -race -timeout 2m -count=2 -run 'Cancel|Panic|Fault|Dead' \
@@ -123,5 +126,6 @@ check-ci: vet fmt-check build bench-check
 	$(GO) test -race -timeout 2m -count=2 -run 'Golden|Replay' ./internal/replay/ ./internal/service/ ./cmd/gammarun/ ./cmd/dfrun/
 	$(GO) test -timeout 2m -count=1 -run 'TestLabelFreeScaling' ./internal/gamma/
 	$(GO) test -timeout 2m -count=1 -run 'TestLoopAllocScaling' .
+	$(GO) test -timeout 2m -count=1 -run 'TestWideAllocShape' ./internal/dataflow/
 	$(GO) run ./cmd/gammad -selfcheck
 	$(GO) run ./cmd/gfbench -exp e16,e20,e21,e22,e23,e24 -short -guard -baseline BENCH_gamma.json

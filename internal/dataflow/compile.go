@@ -2,89 +2,181 @@ package dataflow
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"repro/internal/value"
 )
 
-// pureOp is a compiled pure-vertex computation: operator dispatch
-// (value.BinaryFn/UnaryFn), immediate placement and the Algorithm 1
-// compare → 0/1 control conversion are resolved once per run, so a firing
-// pays a single indirect call instead of re-parsing the op string and
-// re-deciding the immediate layout every activation. Semantics are exactly
-// pureResult's, the tree-walking oracle TestCompiledPureOpsDifferential
-// compares against.
-type pureOp func(operands []value.Value) (value.Value, error)
+// plan is the dense form of a Graph that every engine routes through, built
+// once per run (graphs may be extended between runs) in O(V+E) time and a
+// fixed number of allocations: the incidence structure of "Dataflow Graphs as
+// Matrices" (PAPERS.md) in CSR form — producer→edge rows per (vertex, output
+// port), edge→consumer columns — and the op table. Immediates and names are
+// read from the Node when needed.
+type plan struct {
+	g *Graph
+	// portBase[v] is the first flat output-port index of vertex v; the row of
+	// flat port f is outEdges[outStart[f]:outStart[f+1]].
+	portBase, outStart, outEdges []int32
+	// edgeTo[e] is the consumer of edge e (-1 terminal), edgePort[e] its
+	// input port. Ports and arities fit a byte: a vertex kind has at most two.
+	edgeTo   []int32
+	edgePort []uint8
+	vert     []vertexOp
+	fns      []resolvedOp
+	// terminals counts the output edges and multiPort the vertices that need
+	// tag matching: the sizes output maps and matching tables start at.
+	terminals, multiPort, maxArity int
 
-// compilePureOps lowers every pure vertex of g; non-pure slots stay nil. The
-// slice is indexed by NodeID and built per run (graphs may be extended
-// between runs, so the cache's lifetime is one execution).
-func compilePureOps(g *Graph) []pureOp {
-	ops := make([]pureOp, len(g.Nodes))
-	for i, n := range g.Nodes {
-		if n.Kind.isPure() {
-			ops[i] = compilePure(n)
-		}
-	}
-	return ops
+	// The counters the run's cores share: firings per vertex (a vertex is
+	// fired by exactly one core, so the slots are unshared), the schedule's
+	// commit sequence and the firings reserved against Options.MaxFirings.
+	counts []int64
+	seq    atomic.Uint64
+	budget atomic.Int64
 }
 
-// compilePure lowers one Arith, Compare or UnaryOp vertex.
-func compilePure(n *Node) pureOp {
-	name := n.Name
-	switch n.Kind {
-	case KindArith, KindCompare:
-		fn, ok := value.BinaryFn(n.Op)
-		if !ok {
-			err := fmt.Errorf("dataflow: node %s: %w", name,
-				fmt.Errorf("value: unknown binary operator %q", n.Op))
-			return func([]value.Value) (value.Value, error) { return value.Value{}, err }
-		}
-		var apply func(operands []value.Value) (value.Value, error)
-		switch {
-		case n.Imm.IsValid() && n.ImmLeft:
-			imm := n.Imm
-			apply = func(o []value.Value) (value.Value, error) { return fn(imm, o[0]) }
-		case n.Imm.IsValid():
-			imm := n.Imm
-			apply = func(o []value.Value) (value.Value, error) { return fn(o[0], imm) }
-		default:
-			apply = func(o []value.Value) (value.Value, error) { return fn(o[0], o[1]) }
-		}
-		if n.Kind == KindCompare {
-			return func(o []value.Value) (value.Value, error) {
-				v, err := apply(o)
-				if err != nil {
-					return value.Value{}, fmt.Errorf("dataflow: node %s: %w", name, err)
-				}
-				// Algorithm 1 (lines 25-27): comparisons produce 1 or 0
-				// control operands, not booleans.
-				if v.AsBool() {
-					return value.Int(1), nil
-				}
-				return value.Int(0), nil
+// opLayout says where a pure vertex's operator finds its operands.
+type opLayout uint8
+
+const (
+	opRoute    opLayout = iota // not pure: the vertex moves an operand (routeOperand)
+	opBinary                   // fn(o[0], o[1])
+	opImmRight                 // fn(o[0], n.Imm)
+	opImmLeft                  // fn(n.Imm, o[0])
+	opUnary                    // fn(o[0])
+)
+
+// vertexOp is one vertex's op-table entry: kind and arity, copied so the
+// firing path dispatches without touching the Node, and for pure vertices the
+// operator (an index into plan.fns) and operand layout, decided once per run
+// instead of on every activation.
+type vertexOp struct {
+	fn     uint16
+	kind   NodeKind
+	layout opLayout
+	arity  uint8
+}
+
+// resolvedOp is one distinct operator of the run, resolved once however many
+// vertices carry it.
+type resolvedOp struct {
+	name  string
+	unary bool
+	bin   func(a, b value.Value) (value.Value, error)
+	un    func(a value.Value) (value.Value, error)
+}
+
+func newPlan(g *Graph) *plan {
+	nv, ne := len(g.Nodes), len(g.Edges)
+	flat := 0
+	for _, n := range g.Nodes {
+		flat += len(n.Out)
+	}
+	ints := make([]int32, (nv+1)+(flat+1)+ne+ne)
+	p := &plan{
+		g:        g,
+		portBase: ints[:nv+1],
+		outStart: ints[nv+1 : nv+flat+2],
+		outEdges: ints[nv+flat+2 : nv+flat+2 : nv+flat+2+ne],
+		edgeTo:   ints[nv+flat+2+ne:],
+		edgePort: make([]uint8, ne),
+		vert:     make([]vertexOp, nv),
+		counts:   make([]int64, nv),
+	}
+	f := int32(0)
+	for i, n := range g.Nodes {
+		p.portBase[i] = f
+		for _, edges := range n.Out {
+			p.outStart[f] = int32(len(p.outEdges))
+			for _, e := range edges {
+				p.outEdges = append(p.outEdges, int32(e))
 			}
+			f++
 		}
-		return func(o []value.Value) (value.Value, error) {
-			v, err := apply(o)
-			if err != nil {
-				return value.Value{}, fmt.Errorf("dataflow: node %s: %w", name, err)
-			}
-			return v, nil
-		}
-	case KindUnaryOp:
-		fn, ok := value.UnaryFn(n.Op)
-		if !ok {
-			err := fmt.Errorf("dataflow: node %s: %w", name,
-				fmt.Errorf("value: unknown unary operator %q", n.Op))
-			return func([]value.Value) (value.Value, error) { return value.Value{}, err }
-		}
-		return func(o []value.Value) (value.Value, error) {
-			v, err := fn(o[0])
-			if err != nil {
-				return value.Value{}, fmt.Errorf("dataflow: node %s: %w", name, err)
-			}
-			return v, nil
+		p.vert[i] = p.compile(n)
+		p.maxArity = max(p.maxArity, len(n.In))
+		if len(n.In) > 1 {
+			p.multiPort++
 		}
 	}
-	return nil
+	p.portBase[nv], p.outStart[f] = f, int32(len(p.outEdges))
+	for i, e := range g.Edges {
+		p.edgeTo[i], p.edgePort[i] = int32(e.To), uint8(e.ToPort)
+		if e.To == NoNode {
+			p.terminals++
+		}
+	}
+	return p
+}
+
+// row returns the out-edge ids of vertex v's output port.
+func (p *plan) row(v int32, port int) []int32 {
+	f := int(p.portBase[v]) + port
+	return p.outEdges[p.outStart[f]:p.outStart[f+1]]
+}
+
+// compile lowers one vertex to its op-table entry.
+func (p *plan) compile(n *Node) vertexOp {
+	vo := vertexOp{kind: n.Kind, arity: uint8(len(n.In))}
+	switch {
+	case n.Kind == KindUnaryOp:
+		vo.layout = opUnary
+	case !n.Kind.isPure():
+		return vo
+	case !n.Imm.IsValid():
+		vo.layout = opBinary
+	case n.ImmLeft:
+		vo.layout = opImmLeft
+	default:
+		vo.layout = opImmRight
+	}
+	unary := vo.layout == opUnary
+	for i, r := range p.fns {
+		if r.name == n.Op && r.unary == unary {
+			vo.fn = uint16(i)
+			return vo
+		}
+	}
+	// An operator that does not resolve ahead of time keeps its string
+	// dispatch, which reports it unknown (Validate rejects such graphs).
+	r, ok := resolvedOp{name: n.Op, unary: unary}, false
+	if unary {
+		if r.un, ok = value.UnaryFn(n.Op); !ok {
+			r.un = func(a value.Value) (value.Value, error) { return value.Unary(n.Op, a) }
+		}
+	} else if r.bin, ok = value.BinaryFn(n.Op); !ok {
+		r.bin = func(a, b value.Value) (value.Value, error) { return value.Binary(n.Op, a, b) }
+	}
+	vo.fn = uint16(len(p.fns))
+	p.fns = append(p.fns, r)
+	return vo
+}
+
+// evalPure computes a pure vertex through its op-table entry. Semantics are
+// exactly those of the tree-walking pureResult that
+// TestCompiledPureOpsDifferential keeps as the oracle.
+func (p *plan) evalPure(n *Node, vo vertexOp, o []value.Value) (v value.Value, err error) {
+	switch vo.layout {
+	case opBinary:
+		v, err = p.fns[vo.fn].bin(o[0], o[1])
+	case opImmRight:
+		v, err = p.fns[vo.fn].bin(o[0], n.Imm)
+	case opImmLeft:
+		v, err = p.fns[vo.fn].bin(n.Imm, o[0])
+	default:
+		v, err = p.fns[vo.fn].un(o[0])
+	}
+	if err != nil {
+		return value.Value{}, fmt.Errorf("dataflow: node %s: %w", n.Name, err)
+	}
+	if vo.kind == KindCompare {
+		// Algorithm 1 (lines 25-27): comparisons produce 1 or 0 control
+		// operands, not booleans.
+		if v.AsBool() {
+			return value.Int(1), nil
+		}
+		return value.Int(0), nil
+	}
+	return v, nil
 }

@@ -1,0 +1,409 @@
+package dataflow
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"reflect"
+	"runtime"
+	"testing"
+
+	"repro/internal/telemetry"
+	"repro/internal/value"
+)
+
+// buildWide builds len(xs) independent instances of a conditional expression
+// (the Alg. 2 shape of a data-parallel Gamma program, bench/'s df_wide):
+// const → compare-with-immediate → steer, then a depth-deep arithmetic chain
+// on each steer branch, of which only the taken one ever fires. Of an
+// instance's depth+3 firings only the steer has two input ports.
+func buildWide(xs []int64, depth int) *Graph {
+	g := NewGraph(fmt.Sprintf("wide%dx%d", len(xs), depth))
+	for i, vx := range xs {
+		x := g.AddConst(fmt.Sprintf("x%d", i), value.Int(vx))
+		c := g.AddCompareImm(fmt.Sprintf("c%d", i), "<", value.Int(500))
+		st := g.AddSteer(fmt.Sprintf("st%d", i))
+		mustConnect(g, x, 0, c, 0, fmt.Sprintf("e%d.c", i))
+		mustConnect(g, x, 0, st, 0, fmt.Sprintf("e%d.d", i))
+		mustConnect(g, c, 0, st, 1, fmt.Sprintf("e%d.s", i))
+		tn, fn := st, st
+		tp, fp := PortTrue, PortFalse
+		for d := 0; d < depth; d++ {
+			t := g.AddArithImm(fmt.Sprintf("t%d.%d", i, d), "+", value.Int(int64(d+1)))
+			mustConnect(g, tn, tp, t, 0, fmt.Sprintf("e%d.t%d", i, d))
+			f := g.AddArithImm(fmt.Sprintf("f%d.%d", i, d), "*", value.Int(2))
+			mustConnect(g, fn, fp, f, 0, fmt.Sprintf("e%d.f%d", i, d))
+			tn, tp, fn, fp = t, 0, f, 0
+		}
+		mustConnect(g, tn, tp, NoNode, 0, fmt.Sprintf("outT%d", i))
+		mustConnect(g, fn, fp, NoNode, 0, fmt.Sprintf("outF%d", i))
+	}
+	return g
+}
+
+// wideInputs spreads width instances over both steer branches.
+func wideInputs(width int) []int64 {
+	xs := make([]int64, width)
+	for i := range xs {
+		xs[i] = (int64(i)*2654435761 + 17) % 1000
+	}
+	return xs
+}
+
+var engineOptions = []struct {
+	name string
+	opt  Options
+}{
+	{"seq", Options{}},
+	{"matrix", Options{Engine: EngineMatrix}},
+	{"pool", Options{Workers: 2}},
+}
+
+func BenchmarkWide(b *testing.B) {
+	g := buildWide(wideInputs(2048), 16)
+	for _, e := range engineOptions {
+		b.Run(e.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := Run(g, e.opt); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// refStore is the matching table's oracle: the per-vertex map[tag]*waiting
+// store the engines used before the shared table, kept deliberately naive —
+// every operand is queued, every arity goes through the map, consumed slots
+// are resliced away.
+type refStore map[int64][][]operand
+
+func (s refStore) deliver(arity, port int, tag int64, v value.Value, key string) ([]value.Value, []string, bool) {
+	w, ok := s[tag]
+	if !ok {
+		w = make([][]operand, arity)
+		s[tag] = w
+	}
+	w[port] = append(w[port], operand{val: v, key: key})
+	for _, q := range w {
+		if len(q) == 0 {
+			return nil, nil, false
+		}
+	}
+	vals, keys := make([]value.Value, arity), make([]string, arity)
+	empty := true
+	for i := range w {
+		vals[i], keys[i] = w[i][0].val, w[i][0].key
+		w[i] = w[i][1:]
+		empty = empty && len(w[i]) == 0
+	}
+	if empty {
+		delete(s, tag)
+	}
+	return vals, keys, true
+}
+
+func (s refStore) pending() int {
+	n := 0
+	for _, w := range s {
+		for _, q := range w {
+			n += len(q)
+		}
+	}
+	return n
+}
+
+// TestMatchTableModel drives random delivery sequences — several tags in
+// flight at one vertex, repeated same-tag tokens on one port (which is what
+// two edges merging into a port look like to the table), arities 1 to 3 —
+// through the shared table and through refStore, and requires the same
+// activations in the same order with the same operand vectors and keys, the
+// same Pending after every delivery, and every recycled entry empty with its
+// consumed slots cleared.
+func TestMatchTableModel(t *testing.T) {
+	for seed := int64(0); seed < 60; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		keyed := seed%2 == 0
+		arities := make([]int, 1+rng.Intn(6))
+		refs := make([]refStore, len(arities))
+		for v := range arities {
+			arities[v] = 1 + rng.Intn(3)
+			refs[v] = refStore{}
+		}
+		tags := int64(1 + rng.Intn(4))
+		table := matchTable{keyed: keyed}
+		fired := 0
+		for step := 0; step < 400; step++ {
+			v := rng.Intn(len(arities))
+			port, tag := rng.Intn(arities[v]), rng.Int63n(tags)
+			val, key := value.Int(int64(step)), ""
+			if keyed {
+				key = fmt.Sprintf("k%d", step)
+			}
+			wantVals, wantKeys, wantReady := refs[v].deliver(arities[v], port, tag, val, key)
+			// Append behind a sentinel, as the matrix engine's arena does.
+			gotVals, gotKeys, ready := table.arrive(int32(v), arities[v], port, tag, val, key,
+				[]value.Value{value.Int(-1)}, []string{"sentinel"})
+			if ready != wantReady {
+				t.Fatalf("seed %d step %d: vertex %d/%d port %d tag %d: ready %v, reference %v",
+					seed, step, v, arities[v], port, tag, ready, wantReady)
+			}
+			if !keyed {
+				wantKeys = nil
+			}
+			if !reflect.DeepEqual(gotVals[1:], append([]value.Value{}, wantVals...)) ||
+				!reflect.DeepEqual(gotKeys[1:], append([]string{}, wantKeys...)) {
+				t.Fatalf("seed %d step %d: activation (%v, %v), reference (%v, %v)",
+					seed, step, gotVals[1:], gotKeys[1:], wantVals, wantKeys)
+			}
+			if ready {
+				fired++
+			}
+			want := 0
+			for _, r := range refs {
+				want += r.pending()
+			}
+			if got := table.pending(); got != want {
+				t.Fatalf("seed %d step %d: pending %d, reference %d", seed, step, got, want)
+			}
+			for _, e := range table.free {
+				for i := range e.ports[:cap(e.ports)] {
+					q := e.ports[:cap(e.ports)][i]
+					if len(q.items) != 0 || q.head != 0 {
+						t.Fatalf("seed %d step %d: recycled entry holds %d operands at head %d", seed, step, len(q.items), q.head)
+					}
+					for _, o := range q.items[:cap(q.items)] {
+						if o != (operand{}) {
+							t.Fatalf("seed %d step %d: recycled slot not cleared: %+v", seed, step, o)
+						}
+					}
+				}
+			}
+		}
+		if fired == 0 {
+			t.Fatalf("seed %d: no activation fired", seed)
+		}
+		if table.peak < len(table.entries) {
+			t.Errorf("seed %d: peak %d below the %d entries waiting", seed, table.peak, len(table.entries))
+		}
+	}
+}
+
+// TestMatchTableSinglePortBypass pins the flat half of the matching: a vertex
+// with one input port is enabled by arrival itself and never creates an entry.
+func TestMatchTableSinglePortBypass(t *testing.T) {
+	var table matchTable
+	for i := int64(0); i < 100; i++ {
+		vals, keys, ready := table.arrive(int32(i%3), 1, 0, i%5, value.Int(i), "", nil, nil)
+		if !ready || len(vals) != 1 || vals[0] != value.Int(i) || keys != nil {
+			t.Fatalf("delivery %d: (%v, %v, %v)", i, vals, keys, ready)
+		}
+	}
+	if table.entries != nil || table.peak != 0 || table.free != nil {
+		t.Errorf("single-port deliveries touched the table: %+v", table)
+	}
+}
+
+// buildSkewedLoop is a counting loop (n trips, tags 1..n) built to stress tag
+// matching: every trip's counter value reaches the two-port vertex `dbl` once
+// directly and once through a delay-deep chain of copies, so with a long delay
+// several tags wait at dbl at once; `pair` receives two same-tag tokens per
+// port over merging edges; and, when strand is set, `strand` pairs each trip
+// with a constant that only ever arrives at tag 0, parking n+1 operands.
+func buildSkewedLoop(n int64, delay int, strand bool) *Graph {
+	g := NewGraph("skewed")
+	cn := g.AddConst("n", value.Int(n))
+	incN := g.AddIncTag("incN")
+	cmp := g.AddCompareImm("cmp", ">", value.Int(0))
+	stN := g.AddSteer("stN")
+	dec := g.AddArithImm("dec", "-", value.Int(1))
+	dbl := g.AddArith("dbl", "+")
+	mustConnect(g, cn, 0, incN, 0, "n0")
+	mustConnect(g, incN, 0, cmp, 0, "n1")
+	mustConnect(g, incN, 0, stN, 0, "n2")
+	mustConnect(g, cmp, 0, stN, 1, "c")
+	mustConnect(g, stN, PortTrue, dec, 0, "nt")
+	mustConnect(g, dec, 0, incN, 0, "nback")
+	mustConnect(g, stN, PortTrue, dbl, 0, "fast")
+	from := stN
+	for d := 0; d < delay; d++ {
+		cp := g.AddCopy(fmt.Sprintf("d%d", d))
+		mustConnect(g, from, 0, cp, 0, fmt.Sprintf("slow%d", d))
+		from = cp
+	}
+	mustConnect(g, from, 0, dbl, 1, "slow")
+	mustConnect(g, dbl, 0, NoNode, 0, "dbl")
+
+	pair := g.AddArith("pair", "+")
+	for i, port := range []int{0, 0, 1, 1} {
+		c := g.AddConst(fmt.Sprintf("p%d", i), value.Int(int64(7*(port+1))))
+		mustConnect(g, c, 0, pair, port, fmt.Sprintf("pin%d", i))
+	}
+	mustConnect(g, pair, 0, NoNode, 0, "pair")
+
+	if strand {
+		z := g.AddConst("z", value.Int(1))
+		s := g.AddArith("strand", "+")
+		mustConnect(g, stN, PortTrue, s, 0, "s0")
+		mustConnect(g, z, 0, s, 1, "s1")
+		mustConnect(g, s, 0, NoNode, 0, "never")
+	}
+	return g
+}
+
+// TestCoreEngineDifferential holds the three schedules of the one firing core
+// to each other and to a plain-Go oracle on random wide-shaped and loop-shaped
+// graphs: same outputs, firings, per-vertex counts, pending operands, and —
+// across all engines, the pool included — the same set of (vertex, consumed,
+// produced) schedule records.
+func TestCoreEngineDifferential(t *testing.T) {
+	type graphCase struct {
+		name    string
+		build   func() *Graph
+		outputs map[string][]TaggedValue
+		pending int
+	}
+	var cases []graphCase
+	rng := rand.New(rand.NewSource(22))
+	for i := 0; i < 12; i++ {
+		xs, depth := make([]int64, 1+rng.Intn(40)), rng.Intn(7)
+		want := make(map[string][]TaggedValue)
+		for j := range xs {
+			xs[j] = rng.Int63n(1000)
+			label, v := fmt.Sprintf("outT%d", j), xs[j]
+			for d := 0; d < depth; d++ {
+				if xs[j] < 500 {
+					v += int64(d + 1)
+				} else {
+					v *= 2
+				}
+			}
+			if xs[j] >= 500 {
+				label = fmt.Sprintf("outF%d", j)
+			}
+			want[label] = []TaggedValue{{Val: value.Int(v)}}
+		}
+		cases = append(cases, graphCase{fmt.Sprintf("wide%dx%d", len(xs), depth),
+			func() *Graph { return buildWide(xs, depth) }, want, 0})
+	}
+	for i := 0; i < 12; i++ {
+		n, delay, strand := rng.Int63n(30), rng.Intn(16), i%2 == 0
+		want := map[string][]TaggedValue{"pair": {{Val: value.Int(21)}, {Val: value.Int(21)}}}
+		for trip := int64(1); trip <= n; trip++ {
+			want["dbl"] = append(want["dbl"], TaggedValue{Tag: trip, Val: value.Int(2 * (n - trip + 1))})
+		}
+		pending := 0
+		if strand {
+			pending = int(n) + 1
+		}
+		cases = append(cases, graphCase{fmt.Sprintf("loop%d-delay%d-strand%v", n, delay, strand),
+			func() *Graph { return buildSkewedLoop(n, delay, strand) }, want, pending})
+	}
+	engines := append(engineOptions[:len(engineOptions):len(engineOptions)], struct {
+		name string
+		opt  Options
+	}{"pool8", Options{Workers: 8}})
+	for _, gc := range cases {
+		var ref *Result
+		var refSched []string
+		for _, e := range engines {
+			opt, sched := e.opt, &recSchedule{}
+			opt.Schedule = sched
+			res, err := Run(gc.build(), opt)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", gc.name, e.name, err)
+			}
+			if !reflect.DeepEqual(res.Outputs, gc.outputs) {
+				t.Errorf("%s/%s: outputs %v, oracle %v", gc.name, e.name, res.Outputs, gc.outputs)
+			}
+			if res.Pending != gc.pending {
+				t.Errorf("%s/%s: pending %d, oracle %d", gc.name, e.name, res.Pending, gc.pending)
+			}
+			if ref == nil {
+				ref, refSched = res, sched.sorted()
+				if int64(len(refSched)) != res.Firings {
+					t.Errorf("%s: %d schedule records for %d firings", gc.name, len(refSched), res.Firings)
+				}
+				continue
+			}
+			if res.Firings != ref.Firings || !reflect.DeepEqual(res.PerNode, ref.PerNode) {
+				t.Errorf("%s/%s: firings %d per-vertex %v, sequential %d %v",
+					gc.name, e.name, res.Firings, res.PerNode, ref.Firings, ref.PerNode)
+			}
+			if got := sched.sorted(); !reflect.DeepEqual(got, refSched) {
+				t.Errorf("%s/%s: schedule records differ from sequential:\n%v\n%v", gc.name, e.name, got, refSched)
+			}
+		}
+	}
+}
+
+// TestSkewedLoopMatchingPeaks checks the run-end gauges on a graph whose
+// matching work is known: with the slow path 12 copies behind the fast one,
+// several trips' operands wait at dbl at once, and the worklist holds more
+// than one token.
+func TestSkewedLoopMatchingPeaks(t *testing.T) {
+	for _, e := range engineOptions {
+		rec := telemetry.New(0)
+		opt := e.opt
+		opt.Recorder = rec
+		if _, err := Run(buildSkewedLoop(20, 12, true), opt); err != nil {
+			t.Fatalf("%s: %v", e.name, err)
+		}
+		gauges := rec.Metrics.Snapshot().Gauges
+		// 20 stranded trips plus the stranded constant wait to the end; on
+		// top of them at least two tags at dbl (pool: on whichever PE).
+		if got := gauges["dataflow.match_entries_peak"].Value; got < 22 {
+			t.Errorf("%s: dataflow.match_entries_peak = %d, want >= 22", e.name, got)
+		}
+		if got := gauges["dataflow.queue_peak"].Value; got < 2 {
+			t.Errorf("%s: dataflow.queue_peak = %d, want >= 2", e.name, got)
+		}
+	}
+}
+
+// TestWideAllocShape is the dataflow allocation-shape gate of `make check-ci`
+// (next to TestLoopAllocScaling): on every engine, allocations and bytes per
+// firing on the wide graph must stay under one allocation and 300 B (12.2 and
+// 1 018 B on the sequential engine before the shared core) and must not grow
+// with the graph's width, so per-firing set-up cannot silently return to any
+// engine. Flat means max/min <= 1.5 across widths; allocation counts get a
+// quarter of an allocation of absolute slack on top, because at ~0.1 per
+// firing the pool's fixed set-up (goroutines, mailboxes, a table per PE) is
+// already a third of the smallest width's count.
+func TestWideAllocShape(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are only meaningful without the race detector")
+	}
+	const flat, allocSlack, maxAllocs, maxBytes = 1.5, 0.25, 1.0, 300.0
+	for _, e := range engineOptions {
+		loAllocs, hiAllocs, loBytes, hiBytes := math.Inf(1), 0.0, math.Inf(1), 0.0
+		for _, width := range []int{64, 512, 4096} {
+			g := buildWide(wideInputs(width), 16)
+			var a, b runtime.MemStats
+			var res *Result
+			for pass := 0; pass < 2; pass++ { // the first pass warms the runtime
+				runtime.ReadMemStats(&a)
+				var err error
+				res, err = Run(g, e.opt)
+				runtime.ReadMemStats(&b)
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			allocs := float64(b.Mallocs-a.Mallocs) / float64(res.Firings)
+			bytes := float64(b.TotalAlloc-a.TotalAlloc) / float64(res.Firings)
+			t.Logf("%s width %d: %.2f allocs, %.0f B per firing", e.name, width, allocs, bytes)
+			if allocs > maxAllocs || bytes > maxBytes {
+				t.Errorf("%s width %d: %.2f allocs and %.0f B per firing, ceilings %.0f and %.0f",
+					e.name, width, allocs, bytes, maxAllocs, maxBytes)
+			}
+			loAllocs, hiAllocs = min(loAllocs, allocs), max(hiAllocs, allocs)
+			loBytes, hiBytes = min(loBytes, bytes), max(hiBytes, bytes)
+		}
+		if hiAllocs > flat*loAllocs+allocSlack || hiBytes > flat*loBytes {
+			t.Errorf("%s: per firing %.2f–%.2f allocs, %.0f–%.0f B across widths: not flat",
+				e.name, loAllocs, hiAllocs, loBytes, hiBytes)
+		}
+	}
+}

@@ -480,7 +480,7 @@ func TestValidateFailsRunEarly(t *testing.T) {
 }
 
 func TestResultOutputMissing(t *testing.T) {
-	r := newResult(1)
+	r := &Result{}
 	if _, ok := r.Output("nope"); ok {
 		t.Error("missing output should report !ok")
 	}

@@ -156,11 +156,7 @@ func RunContext(ctx context.Context, g *Graph, opt Options) (*Result, error) {
 		return nil, rt.Mark(rt.ErrInvalid, err)
 	}
 	if err := ctx.Err(); err != nil {
-		workers := opt.Workers
-		if workers < 1 {
-			workers = 1
-		}
-		return newResult(workers), rt.FromContext(err)
+		return &Result{Outputs: map[string][]TaggedValue{}, PerNode: map[string]int64{}, Workers: max(opt.Workers, 1)}, rt.FromContext(err)
 	}
 	switch opt.Engine {
 	case "":
@@ -176,53 +172,132 @@ func RunContext(ctx context.Context, g *Graph, opt Options) (*Result, error) {
 	return runParallel(ctx, g, opt)
 }
 
-// operand is one queued token in a matching store: its value plus the token
+// operand is one parked token in the matching table: its value plus the token
 // key the schedule records (empty when no recorder is attached).
 type operand struct {
 	val value.Value
 	key string
 }
 
-// waiting is the tag-matching store entry for one (vertex, tag): a token
-// queue per input port. The vertex fires when every port has a token with
-// this tag — the dynamic dataflow firing rule.
-type waiting struct {
-	ports [][]operand
+// portQueue is the FIFO of same-tag operands parked on one input port. A
+// drained queue rewinds, so one that holds an operand at a time never grows.
+type portQueue struct {
+	items []operand
+	head  int
 }
 
-// store is the per-vertex matching store. In the parallel runtime each store
-// is owned by exactly one PE, so no locking is needed.
-type store map[int64]*waiting
+func (q *portQueue) pop() operand {
+	o := q.items[q.head]
+	q.items[q.head] = operand{} // a recycled queue pins no value or key
+	q.head++
+	if q.head == len(q.items) {
+		q.items, q.head = q.items[:0], 0
+	}
+	return o
+}
 
-// deliver adds a token to the store; when the vertex becomes fireable it
-// returns the consumed operand values and keys.
-func (s store) deliver(n *Node, port int, tag int64, v value.Value, key string) ([]value.Value, []string, bool) {
-	w, ok := s[tag]
-	if !ok {
-		w = &waiting{ports: make([][]operand, len(n.In))}
-		s[tag] = w
+// matchEntry is the waiting state of one (vertex, tag) activation: a queue
+// per input port. At rest at least one queue is empty — a full set fires.
+type matchEntry struct {
+	ports  []portQueue
+	inline [2]portQueue // backs ports: no vertex kind has more than two inputs
+}
+
+type matchKey struct{ vertex, tag int64 }
+
+// matchTable is the tag-matching store of one engine (one PE in the pool, so
+// it needs no lock): the dynamic dataflow firing rule — a vertex fires when
+// every input port holds an operand with the same tag — for all the engine's
+// vertices, keyed by (vertex, tag). Drained entries are recycled.
+type matchTable struct {
+	entries map[matchKey]*matchEntry
+	free    []*matchEntry
+	slab    []matchEntry // fresh entries are carved from fixed-size chunks
+	sizing  int          // entries to size the map for: the engine's multi-port vertices
+	keyed   bool         // operands carry schedule keys
+	peak    int          // most entries waiting at once
+}
+
+// arrive delivers one operand to an input port of the activation (vertex,
+// tag). When that completes the operand set it appends the consumed operands
+// (on a keyed table also their keys) to vals and keys in port order, oldest
+// first per port, and reports true. A one-port vertex is enabled by arrival
+// itself and never touches the table.
+func (t *matchTable) arrive(vertex int32, arity, port int, tag int64, v value.Value, key string, vals []value.Value, keys []string) ([]value.Value, []string, bool) {
+	if arity == 1 {
+		if t.keyed {
+			keys = append(keys, key)
+		}
+		return append(vals, v), keys, true
 	}
-	w.ports[port] = append(w.ports[port], operand{val: v, key: key})
-	for _, q := range w.ports {
-		if len(q) == 0 {
-			return nil, nil, false
+	k := matchKey{int64(vertex), tag}
+	e := t.entries[k]
+	if e == nil {
+		e = t.take(arity)
+		if t.entries == nil {
+			t.entries = make(map[matchKey]*matchEntry, t.sizing)
+		}
+		t.entries[k] = e
+		t.peak = max(t.peak, len(t.entries))
+	}
+	// The set is complete exactly when this port was the only empty one; a
+	// token behind others on its own port waits its turn.
+	ready := len(e.ports[port].items) == 0
+	for i := 0; ready && i < arity; i++ {
+		ready = i == port || len(e.ports[i].items) > 0
+	}
+	if !ready {
+		e.ports[port].items = append(e.ports[port].items, operand{val: v, key: key})
+		return vals, keys, false
+	}
+	drained := true
+	for i := range e.ports {
+		o := operand{val: v, key: key}
+		if i != port {
+			o = e.ports[i].pop()
+			drained = drained && len(e.ports[i].items) == 0
+		}
+		vals = append(vals, o.val)
+		if t.keyed {
+			keys = append(keys, o.key)
 		}
 	}
-	operands := make([]value.Value, len(w.ports))
-	keys := make([]string, len(w.ports))
-	empty := true
-	for i := range w.ports {
-		operands[i] = w.ports[i][0].val
-		keys[i] = w.ports[i][0].key
-		w.ports[i] = w.ports[i][1:]
-		if len(w.ports[i]) > 0 {
-			empty = false
+	if drained {
+		delete(t.entries, k)
+		t.free = append(t.free, e)
+	}
+	return vals, keys, true
+}
+
+// take returns an empty entry with arity port queues, recycled if possible.
+func (t *matchTable) take(arity int) *matchEntry {
+	var e *matchEntry
+	if n := len(t.free); n > 0 {
+		e, t.free = t.free[n-1], t.free[:n-1]
+	} else {
+		if len(t.slab) == cap(t.slab) {
+			t.slab = make([]matchEntry, 0, 64)
+		}
+		t.slab = t.slab[:len(t.slab)+1]
+		e = &t.slab[len(t.slab)-1]
+		e.ports = e.inline[:]
+	}
+	if cap(e.ports) < arity {
+		e.ports = make([]portQueue, arity)
+	}
+	e.ports = e.ports[:arity]
+	return e
+}
+
+// pending totals the operands parked in the table.
+func (t *matchTable) pending() int {
+	n := 0
+	for _, e := range t.entries {
+		for i := range e.ports {
+			n += len(e.ports[i].items) - e.ports[i].head
 		}
 	}
-	if empty {
-		delete(s, tag)
-	}
-	return operands, keys, true
+	return n
 }
 
 // TokenKey renders the schedule name of a token: "label@tag", the token's
@@ -233,27 +308,26 @@ func TokenKey(g *Graph, t Token) string {
 	return fmt.Sprintf("%s@%d", g.Edges[t.Edge].Label, t.Tag)
 }
 
-// recordStep reports one firing, with its commit sequence number, to the
-// schedule recorder. Consumed keys are in input-port order (store.deliver
-// returns them that way).
-func recordStep(g *Graph, opt Options, seq *atomic.Uint64, name string, consumed []string, out []Token) {
-	if opt.Schedule == nil {
-		return
-	}
-	produced := make([]string, len(out))
-	for i, t := range out {
-		produced[i] = TokenKey(g, t)
-	}
-	opt.Schedule.RecordStep(seq.Add(1), name, consumed, produced)
-}
-
 // ReplayFire computes one vertex activation outside an engine: the replay
-// verifier's way to re-execute a recorded firing. Pure vertices run through
-// the interpreted evaluator (no memo, no work factor), routing vertices move
-// their operand; the returned tokens are the activation's emissions in port
-// fan-out order.
+// verifier's way to re-execute a recorded firing (no memo, no work factor).
+// The returned tokens are the activation's emissions in port fan-out order.
 func ReplayFire(g *Graph, n *Node, tag int64, operands []value.Value) ([]Token, error) {
-	return fire(g, n, tag, operands, nil, Options{}, newResult(1))
+	var p plan
+	port, v, outTag := 0, value.Value{}, tag
+	var err error
+	if vo := p.compile(n); vo.layout != opRoute {
+		v, err = p.evalPure(n, vo, operands)
+	} else {
+		port, v, outTag, err = routeOperand(n.Kind, n, tag, operands)
+	}
+	if err != nil {
+		return nil, err
+	}
+	toks := make([]Token, len(n.Out[port]))
+	for i, e := range n.Out[port] {
+		toks[i] = Token{Val: v, Edge: e, Tag: outTag}
+	}
+	return toks, nil
 }
 
 // workSink defeats any optimization of the WorkFactor spin loop.
@@ -286,37 +360,11 @@ func (k NodeKind) isPure() bool {
 	return k == KindArith || k == KindCompare || k == KindUnaryOp
 }
 
-// route computes a vertex activation down to its single routed emission: the
-// output port, the value, and the tag it carries. Every node kind emits
-// exactly one (port, value, tag) triple, fanned over that port's edges by the
-// caller — pure kinds via memo/compiled evaluation, the routing kinds (const,
-// steer, inctag, copy, settag) by moving an operand. Factoring this below
-// fire lets the matrix engine emit straight into its flat per-edge queues
-// without materializing []Token slices.
-func route(n *Node, tag int64, operands []value.Value, ops []pureOp, opt Options, res *Result) (int, value.Value, int64, error) {
-	if n.Kind.isPure() {
-		if opt.Memo != nil {
-			key := memoKey(n, operands)
-			if v, ok := opt.Memo.LookupFiring(key); ok {
-				res.MemoHits++
-				return 0, v, tag, nil
-			}
-			spin(opt.WorkFactor)
-			v, err := evalPure(n, operands, ops)
-			if err != nil {
-				return 0, value.Value{}, 0, err
-			}
-			opt.Memo.StoreFiring(key, v)
-			return 0, v, tag, nil
-		}
-		spin(opt.WorkFactor)
-		v, err := evalPure(n, operands, ops)
-		if err != nil {
-			return 0, value.Value{}, 0, err
-		}
-		return 0, v, tag, nil
-	}
-	switch n.Kind {
+// routeOperand is the activation of a routing vertex (const, steer, inctag,
+// copy, settag): the output port, value and tag of its single emission, made
+// by moving an operand.
+func routeOperand(kind NodeKind, n *Node, tag int64, operands []value.Value) (int, value.Value, int64, error) {
+	switch kind {
 	case KindConst:
 		return 0, n.Init, tag, nil
 	case KindSteer:
@@ -338,209 +386,272 @@ func route(n *Node, tag int64, operands []value.Value, ops []pureOp, opt Options
 	return 0, value.Value{}, 0, fmt.Errorf("dataflow: node %s has invalid kind", n.Name)
 }
 
-// fire computes a vertex activation: given the matched operands and their
-// tag, it returns the emitted tokens. ops holds the run's compiled pure
-// vertices (nil falls back to the tree-walking pureResult); opt supplies the
-// memo table and work factor; res accounts memo hits.
-func fire(g *Graph, n *Node, tag int64, operands []value.Value, ops []pureOp, opt Options, res *Result) ([]Token, error) {
-	port, v, outTag, err := route(n, tag, operands, ops, opt, res)
+// core is the firing state of one engine — one PE in the pool — over the
+// run's shared plan. All three engines run on it: token arrival (arrive), the
+// one check → route → record → count step (fire), const seeding (seed) and
+// the Result fold (plan.finish). They differ only in which enabled activation
+// goes next and in the queue the returned emission row is pushed onto.
+type core struct {
+	p   *plan
+	opt Options
+	// ctx is consulted before every firing; nil in the PE pool, whose
+	// watcher turns cancellation into fail() instead.
+	ctx      context.Context
+	pe       int
+	ts       *dfSink
+	match    matchTable
+	operands []value.Value // scratch for one activation's operand vector
+	outputs  map[string][]TaggedValue
+	site     *Node // the vertex being fired, for the panic report
+
+	fired, memoHits int64
+}
+
+// newCore returns PE pe's core (-1: the pool's coordinator, which only seeds).
+func newCore(ctx context.Context, p *plan, opt Options, pe int) *core {
+	return &core{
+		p: p, opt: opt, ctx: ctx, pe: pe,
+		ts:       newDFSink(opt, p.g, pe),
+		match:    matchTable{keyed: opt.Schedule != nil, sizing: p.multiPort / max(opt.Workers, 1)},
+		operands: make([]value.Value, 0, p.maxArity),
+	}
+}
+
+// panicError wraps a recovered panic with the vertex that was firing.
+func (c *core) panicError(rec any) error {
+	site := ""
+	if c.site != nil {
+		site = c.site.Name
+	}
+	return rt.NewPanicError("dataflow", site, max(c.pe, 0), rec)
+}
+
+// arrive delivers a token to its consumer, vertex to; see matchTable.arrive.
+func (c *core) arrive(to int32, tok Token, vals []value.Value, keys []string) ([]value.Value, []string, bool) {
+	key := ""
+	if c.match.keyed {
+		key = TokenKey(c.p.g, tok)
+	}
+	return c.match.arrive(to, int(c.p.vert[to].arity), int(c.p.edgePort[tok.Edge]), tok.Tag, tok.Val, key, vals, keys)
+}
+
+// output absorbs a token that arrived on a terminal edge.
+func (c *core) output(tok Token) {
+	if c.outputs == nil {
+		c.outputs = make(map[string][]TaggedValue, c.p.terminals)
+	}
+	label := c.p.g.Edges[tok.Edge].Label
+	c.outputs[label] = append(c.outputs[label], TaggedValue{Tag: tok.Tag, Val: tok.Val})
+}
+
+// overBudget reserves one firing against Options.MaxFirings before the vertex
+// runs, so a run — concurrent PEs included — never overdraws its budget.
+func (c *core) overBudget() bool {
+	return c.opt.MaxFirings > 0 && c.p.budget.Add(1) > c.opt.MaxFirings
+}
+
+// fire runs one enabled activation: context, budget and fault injector are
+// consulted, then the vertex is committed. It returns the emission — out-edge
+// row, value, tag — for the engine to push onto its own queue. depth is the
+// engine's token depth without this activation's operands, for telemetry.
+func (c *core) fire(id int32, tag int64, operands []value.Value, keys []string, depth int64) ([]int32, value.Value, int64, error) {
+	n := c.p.g.Nodes[id]
+	c.site = n
+	var err error
+	if c.ctx != nil && c.ctx.Err() != nil {
+		err = rt.FromContext(c.ctx.Err())
+	} else if c.overBudget() {
+		err = ErrMaxFirings
+	} else if c.opt.FaultInjector != nil {
+		err = c.opt.FaultInjector(n.Name, c.pe)
+	}
 	if err != nil {
-		return nil, err
+		return nil, value.Value{}, 0, err
 	}
-	return emitAll(g, n, port, v, outTag), nil
+	return c.commit(id, n, tag, operands, keys, depth)
 }
 
-// evalPure evaluates a pure vertex through its compiled op when one exists,
-// else through the interpreted pureResult.
-func evalPure(n *Node, operands []value.Value, ops []pureOp) (value.Value, error) {
-	if int(n.ID) < len(ops) {
-		if op := ops[n.ID]; op != nil {
-			return op(operands)
+// commit is the package's one route → record → count sequence. The schedule
+// number is drawn before the caller makes the emission visible to a consumer,
+// so the numbers linearize even the pool's interleaving.
+func (c *core) commit(id int32, n *Node, tag int64, operands []value.Value, keys []string, depth int64) ([]int32, value.Value, int64, error) {
+	mh0 := c.memoHits
+	t0 := c.ts.begin()
+	port, v, outTag, err := c.route(id, n, tag, operands)
+	if err != nil {
+		return nil, value.Value{}, 0, err
+	}
+	row := c.p.row(id, port)
+	if c.opt.Schedule != nil {
+		produced := make([]string, len(row))
+		for i, e := range row {
+			produced[i] = TokenKey(c.p.g, Token{Edge: EdgeID(e), Tag: outTag})
+		}
+		c.opt.Schedule.RecordStep(c.p.seq.Add(1), n.Name, keys, produced)
+	}
+	c.fired++
+	c.p.counts[id]++
+	if c.ts != nil {
+		if c.memoHits > mh0 {
+			c.ts.memoHit()
+		}
+		c.ts.firing(NodeID(id), n.Name, t0, depth+int64(len(row)), len(row))
+	}
+	return row, v, outTag, nil
+}
+
+// route computes a vertex activation down to its single emission: output
+// port, value, tag. Pure kinds go through the memo and op tables, the rest
+// move an operand.
+func (c *core) route(id int32, n *Node, tag int64, operands []value.Value) (int, value.Value, int64, error) {
+	vo := c.p.vert[id]
+	if vo.layout == opRoute {
+		return routeOperand(vo.kind, n, tag, operands)
+	}
+	key := ""
+	if c.opt.Memo != nil {
+		key = memoKey(n, operands)
+		if v, ok := c.opt.Memo.LookupFiring(key); ok {
+			c.memoHits++
+			return 0, v, tag, nil
 		}
 	}
-	return pureResult(n, operands)
-}
-
-// pureResult computes the value of an Arith, Compare or UnaryOp vertex.
-func pureResult(n *Node, operands []value.Value) (value.Value, error) {
-	switch n.Kind {
-	case KindArith, KindCompare:
-		a, b := operands[0], value.Value{}
-		if n.Imm.IsValid() {
-			if n.ImmLeft {
-				a, b = n.Imm, operands[0]
-			} else {
-				b = n.Imm
-			}
-		} else {
-			b = operands[1]
-		}
-		v, err := value.Binary(n.Op, a, b)
-		if err != nil {
-			return value.Value{}, fmt.Errorf("dataflow: node %s: %w", n.Name, err)
-		}
-		if n.Kind == KindCompare {
-			// Algorithm 1 (lines 25-27): comparisons produce 1 or 0 control
-			// operands, not booleans.
-			if v.AsBool() {
-				return value.Int(1), nil
-			}
-			return value.Int(0), nil
-		}
-		return v, nil
-	case KindUnaryOp:
-		v, err := value.Unary(n.Op, operands[0])
-		if err != nil {
-			return value.Value{}, fmt.Errorf("dataflow: node %s: %w", n.Name, err)
-		}
-		return v, nil
+	spin(c.opt.WorkFactor)
+	v, err := c.p.evalPure(n, vo, operands)
+	if err != nil {
+		return 0, value.Value{}, 0, err
 	}
-	return value.Value{}, fmt.Errorf("dataflow: node %s is not pure", n.Name)
-}
-
-// emitAll fans a value out to every edge of an output port.
-func emitAll(g *Graph, n *Node, port int, v value.Value, tag int64) []Token {
-	outs := n.Out[port]
-	toks := make([]Token, 0, len(outs))
-	for _, e := range outs {
-		toks = append(toks, Token{Val: v, Edge: e, Tag: tag})
+	if c.opt.Memo != nil {
+		c.opt.Memo.StoreFiring(key, v)
 	}
-	return toks
+	return 0, v, tag, nil
 }
 
-// overBudget reports whether one more firing would exceed Options.MaxFirings:
-// every engine asks before firing, so a run never overdraws its budget.
-func overBudget(opt Options, fired int64) bool {
-	return opt.MaxFirings > 0 && fired >= opt.MaxFirings
-}
-
-// initialTokens fires every const vertex once with tag 0. seq numbers the
-// const firings before any token is routed, so every schedule starts with
-// the graph's constants in node order. Const firings count against the
-// firing budget like any other; the tokens emitted so far are returned with
-// ErrMaxFirings when it runs out.
-func initialTokens(g *Graph, opt Options, res *Result, ts *dfSink, seq *atomic.Uint64) ([]Token, error) {
-	var toks []Token
-	for _, n := range g.Nodes {
-		if n.Kind != KindConst {
+// seed fires every const vertex once with tag 0, handing each emitted token
+// to emit. Consts are numbered before any token is routed, so every schedule
+// starts with them in node order, and they draw on the firing budget.
+func (c *core) seed(emit func(e int32, v value.Value)) error {
+	depth := int64(0)
+	for id, vo := range c.p.vert {
+		if vo.kind != KindConst {
 			continue
 		}
-		if overBudget(opt, res.Firings) {
-			return toks, ErrMaxFirings
+		n := c.p.g.Nodes[id]
+		c.site = n
+		if c.overBudget() {
+			return ErrMaxFirings
 		}
-		t0 := ts.begin()
-		out, _ := fire(g, n, 0, nil, nil, opt, res) // const firing cannot fail
-		recordStep(g, opt, seq, n.Name, nil, out)
-		toks = append(toks, out...)
-		res.Firings++
-		res.PerNode[n.Name]++
-		ts.firing(n.ID, n.Name, t0, int64(len(toks)), len(out))
+		row, v, _, _ := c.commit(int32(id), n, 0, nil, nil, depth) // a const firing cannot fail
+		depth += int64(len(row))
+		for _, e := range row {
+			emit(e, v)
+		}
 	}
-	return toks, nil
+	return nil
 }
 
-func newResult(workers int) *Result {
-	return &Result{
-		Outputs: make(map[string][]TaggedValue),
-		PerNode: make(map[string]int64),
-		Workers: workers,
+// finish folds the run's cores into its Result — on every exit path, so an
+// early stop reports the work done up to it — and sets the run-end gauges.
+func (p *plan) finish(workers int, ticks int64, queuePeak int, cores ...*core) *Result {
+	res := &Result{Workers: workers, Ticks: ticks}
+	entriesPeak, fired := 0, 0
+	for _, c := range cores {
+		res.Firings += c.fired
+		res.MemoHits += c.memoHits
+		res.Pending += c.match.pending()
+		entriesPeak += c.match.peak
+		if res.Outputs == nil {
+			res.Outputs = c.outputs
+			continue
+		}
+		for label, vs := range c.outputs {
+			res.Outputs[label] = append(res.Outputs[label], vs...)
+		}
 	}
-}
-
-// sortOutputs orders each output series by tag for deterministic reporting.
-func sortOutputs(res *Result) {
+	if res.Outputs == nil {
+		res.Outputs = make(map[string][]TaggedValue)
+	}
 	for _, vs := range res.Outputs {
-		sort.SliceStable(vs, func(i, j int) bool { return vs[i].Tag < vs[j].Tag })
-	}
-}
-
-// countPending totals the operands still waiting in the matching stores.
-func countPending(stores []store) int {
-	n := 0
-	for _, s := range stores {
-		for _, w := range s {
-			for _, q := range w.ports {
-				n += len(q)
-			}
+		if len(vs) > 1 {
+			sort.SliceStable(vs, func(i, j int) bool { return vs[i].Tag < vs[j].Tag })
 		}
 	}
-	return n
+	for _, k := range p.counts {
+		if k > 0 {
+			fired++
+		}
+	}
+	res.PerNode = make(map[string]int64, fired)
+	for id, k := range p.counts {
+		if k > 0 {
+			res.PerNode[p.g.Nodes[id].Name] += k
+		}
+	}
+	cores[0].ts.peaks(entriesPeak, queuePeak)
+	return res
 }
 
-// runSequential is the deterministic single-PE scheduler: a FIFO worklist of
-// tokens, each delivered to its destination vertex's matching store, firing
-// vertices as their operand sets complete.
-//
-// The context is observed once per firing (token deliveries that do not
-// complete an operand set are too cheap to matter for latency); a panic out
-// of a vertex operation is recovered into *rt.PanicError with the partial
-// Result preserved.
+// ring is the sequential worklist: a power-of-two circular buffer, so a
+// popped slot is reused instead of stranded at the front of a slice.
+type ring struct {
+	buf           []Token
+	head, n, peak int
+}
+
+func (r *ring) push(t Token) {
+	if r.n == len(r.buf) {
+		buf := make([]Token, max(64, 2*len(r.buf)))
+		k := copy(buf, r.buf[r.head:])
+		copy(buf[k:], r.buf[:r.head])
+		r.buf, r.head = buf, 0
+	}
+	r.buf[(r.head+r.n)&(len(r.buf)-1)] = t
+	r.n++
+	r.peak = max(r.peak, r.n)
+}
+
+func (r *ring) pop() Token {
+	t := r.buf[r.head]
+	r.head = (r.head + 1) & (len(r.buf) - 1)
+	r.n--
+	return t
+}
+
+// runSequential is the deterministic single-PE schedule: a FIFO worklist of
+// tokens, each delivered to its consumer, firing vertices as their operand
+// sets complete. A panic out of a vertex operation is recovered into
+// *rt.PanicError with the partial Result preserved.
 func runSequential(ctx context.Context, g *Graph, opt Options) (res *Result, err error) {
-	res = newResult(1)
-	site := ""
+	p := newPlan(g)
+	c := newCore(ctx, p, opt, 0)
+	var q ring
 	defer func() {
 		if rec := recover(); rec != nil {
-			err = rt.NewPanicError("dataflow", site, 0, rec)
+			err = c.panicError(rec)
 		}
+		res = p.finish(1, 0, q.peak, c)
 	}()
-	stores := make([]store, len(g.Nodes))
-	for i := range stores {
-		stores[i] = make(store)
+	if err := c.seed(func(e int32, v value.Value) { q.push(Token{Val: v, Edge: EdgeID(e)}) }); err != nil {
+		return nil, err
 	}
-	ops := compilePureOps(g)
-	ts := newDFSink(opt, g, 0)
-	var seq atomic.Uint64
-	queue, err := initialTokens(g, opt, res, ts, &seq)
-	if err != nil {
-		return res, err
-	}
-	for len(queue) > 0 {
-		tok := queue[0]
-		queue = queue[1:]
-		e := g.Edges[tok.Edge]
-		if e.To == NoNode {
-			res.Outputs[e.Label] = append(res.Outputs[e.Label], TaggedValue{Tag: tok.Tag, Val: tok.Val})
+	for q.n > 0 {
+		tok := q.pop()
+		to := p.edgeTo[tok.Edge]
+		if to < 0 {
+			c.output(tok)
 			continue
 		}
-		n := g.Nodes[e.To]
-		key := ""
-		if opt.Schedule != nil {
-			key = TokenKey(g, tok)
-		}
-		operands, keys, ready := stores[e.To].deliver(n, e.ToPort, tok.Tag, tok.Val, key)
+		operands, keys, ready := c.arrive(to, tok, c.operands, nil)
 		if !ready {
 			continue
 		}
-		site = n.Name
-		if cerr := ctx.Err(); cerr != nil {
-			return res, rt.FromContext(cerr)
-		}
-		if overBudget(opt, res.Firings) {
-			return res, ErrMaxFirings
-		}
-		if opt.FaultInjector != nil {
-			if ferr := opt.FaultInjector(n.Name, 0); ferr != nil {
-				return res, ferr
-			}
-		}
-		mh0 := res.MemoHits
-		t0 := ts.begin()
-		out, err := fire(g, n, tok.Tag, operands, ops, opt, res)
+		row, v, tag, err := c.fire(to, tok.Tag, operands, keys, int64(q.n))
 		if err != nil {
-			return res, err
+			return nil, err
 		}
-		recordStep(g, opt, &seq, n.Name, keys, out)
-		res.Firings++
-		res.PerNode[n.Name]++
-		if ts != nil {
-			if res.MemoHits > mh0 {
-				ts.memoHit()
-			}
-			ts.firing(n.ID, n.Name, t0, int64(len(queue)+len(out)), len(out))
+		for _, e := range row {
+			q.push(Token{Val: v, Edge: EdgeID(e), Tag: tag})
 		}
-		queue = append(queue, out...)
 	}
-	res.Pending = countPending(stores)
-	sortOutputs(res)
-	return res, nil
+	return nil, nil
 }

@@ -6,13 +6,14 @@ import (
 	"sync/atomic"
 
 	"repro/internal/rt"
+	"repro/internal/value"
 )
 
 // runParallel executes the graph on a pool of processing elements. Each PE
-// owns the vertices whose id hashes to it — mirroring how dataflow runtimes
-// virtualize PEs over cores (§II-A) — so a vertex's matching store is only
-// ever touched by its owner and needs no lock. Tokens are routed between PEs
-// through unbounded mailboxes.
+// runs its own core and owns the vertices whose id hashes to it — mirroring
+// how dataflow runtimes virtualize PEs over cores (§II-A) — so a vertex's
+// waiting operands are only ever touched by its owner and need no lock.
+// Tokens are routed between PEs through unbounded mailboxes.
 //
 // Termination is detected by in-flight accounting: the counter is incremented
 // before a token is enqueued and decremented only after the token's delivery
@@ -27,19 +28,18 @@ import (
 func runParallel(ctx context.Context, g *Graph, opt Options) (*Result, error) {
 	workers := opt.Workers
 	eng := &parEngine{
-		g:     g,
-		opt:   opt,
-		ops:   compilePureOps(g),
+		p:     newPlan(g),
 		boxes: make([]*mailbox, workers),
 		done:  make(chan struct{}),
 	}
-	for i := range eng.boxes {
+	// One core per PE plus the coordinator's, which fires the consts.
+	cores := make([]*core, workers, workers+1)
+	for i := range cores {
 		eng.boxes[i] = newMailbox()
+		cores[i] = newCore(nil, eng.p, opt, i)
 	}
-	stores := make([]store, len(g.Nodes))
-	for i := range stores {
-		stores[i] = make(store)
-	}
+	coord := newCore(nil, eng.p, opt, -1)
+	cores = append(cores, coord)
 
 	watchDone := make(chan struct{})
 	go func() {
@@ -50,24 +50,19 @@ func runParallel(ctx context.Context, g *Graph, opt Options) (*Result, error) {
 		}
 	}()
 
-	results := make([]*Result, workers)
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		results[w] = newResult(workers)
+	for w := range eng.boxes {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
-			eng.peLoop(w, stores, results[w])
-		}(w)
+			eng.peLoop(cores[w])
+		}()
 	}
 
-	// Inject the const tokens. Count them first so the in-flight counter
-	// cannot transiently hit zero between sends. The PEs are parked on empty
-	// mailboxes until then, so the const firings seed the budget counter
-	// unraced.
-	seed := newResult(workers)
-	toks, err := initialTokens(g, opt, seed, newDFSink(opt, g, -1), &eng.sched)
-	eng.firings.Store(seed.Firings)
+	// Inject the const tokens, counted first so the in-flight counter cannot
+	// transiently hit zero between sends; the PEs are parked until then.
+	var toks []Token
+	err := coord.seed(func(e int32, v value.Value) { toks = append(toks, Token{Val: v, Edge: EdgeID(e)}) })
 	if err != nil {
 		eng.fail(err)
 	} else if len(toks) == 0 {
@@ -81,40 +76,24 @@ func runParallel(ctx context.Context, g *Graph, opt Options) (*Result, error) {
 	wg.Wait()
 	close(watchDone)
 
-	total := seed
-	total.Pending = countPending(stores)
-	for _, r := range results {
-		total.Firings += r.Firings
-		total.MemoHits += r.MemoHits
-		for k, v := range r.PerNode {
-			total.PerNode[k] += v
-		}
-		for k, vs := range r.Outputs {
-			total.Outputs[k] = append(total.Outputs[k], vs...)
-		}
+	backlog := 0
+	for _, b := range eng.boxes {
+		backlog += b.peak
 	}
-	sortOutputs(total)
+	res := eng.p.finish(workers, 0, backlog, cores...)
 	if err := eng.err.Load(); err != nil {
-		return total, err.(error)
+		return res, err.(error)
 	}
-	return total, nil
+	return res, nil
 }
 
 type parEngine struct {
-	g        *Graph
-	opt      Options
-	ops      []pureOp
+	p        *plan
 	boxes    []*mailbox
 	inflight atomic.Int64
-	firings  atomic.Int64 // firings reserved against Options.MaxFirings
-	// sched numbers firings for Options.Schedule. A firing's number is drawn
-	// before its output tokens are routed, and a consumer's firing starts
-	// after popping those tokens from a mailbox (a mutex handoff), so the
-	// numbers linearize the PE pool's nondeterministic interleaving.
-	sched  atomic.Uint64
-	err    atomic.Value // error
-	done   chan struct{}
-	closed sync.Once
+	err      atomic.Value // error
+	done     chan struct{}
+	closed   sync.Once
 }
 
 func (e *parEngine) shutdown() {
@@ -138,49 +117,46 @@ func (e *parEngine) fail(err error) {
 	e.shutdown()
 }
 
-// owner maps a vertex to its PE.
-func (e *parEngine) owner(n NodeID) int { return int(n) % len(e.boxes) }
-
 // route enqueues a token whose in-flight slot is already counted. Tokens for
-// a vertex go to its owning PE; terminal tokens have no destination vertex,
-// so they are spread over PEs by edge id.
+// a vertex go to its owning PE (id mod PEs); terminal tokens have no
+// destination vertex, so they are spread over PEs by edge id.
 func (e *parEngine) route(t Token) {
-	edge := e.g.Edges[t.Edge]
-	var pe int
-	if edge.To == NoNode {
-		pe = int(edge.ID) % len(e.boxes)
-	} else {
-		pe = e.owner(edge.To)
+	dst := int(e.p.edgeTo[t.Edge])
+	if dst < 0 {
+		dst = int(t.Edge)
 	}
-	e.boxes[pe].push(t)
+	e.boxes[dst%len(e.boxes)].push(t)
 }
 
-func (e *parEngine) peLoop(id int, stores []store, res *Result) {
-	box := e.boxes[id]
-	ts := newDFSink(e.opt, e.g, id)
+// peLoop drains the PE's mailbox a backlog at a time, handing the drained
+// slice back as the mailbox's next buffer.
+func (e *parEngine) peLoop(c *core) {
+	box := e.boxes[c.pe]
+	var batch []Token
 	for {
-		tok, ok := box.pop()
-		if !ok {
+		batch = box.take(batch)
+		if len(batch) == 0 {
 			return
 		}
-		e.process(id, tok, stores, res, ts)
+		for _, tok := range batch {
+			e.process(c, tok)
+		}
 	}
 }
 
-func (e *parEngine) process(pe int, tok Token, stores []store, res *Result, ts *dfSink) {
+func (e *parEngine) process(c *core, tok Token) {
 	defer func() {
 		if e.inflight.Add(-1) == 0 {
 			e.shutdown()
 		}
 	}()
-	site := ""
 	defer func() {
 		// The PE pool's panic barrier: one faulty vertex operation fails the
 		// run with its identity attached instead of crashing the process or
 		// desynchronizing the in-flight accounting (the outer defer still
 		// runs, so termination detection stays exact).
 		if rec := recover(); rec != nil {
-			e.fail(rt.NewPanicError("dataflow", site, pe, rec))
+			e.fail(c.panicError(rec))
 		}
 	}()
 	if e.err.Load() != nil {
@@ -188,60 +164,35 @@ func (e *parEngine) process(pe int, tok Token, stores []store, res *Result, ts *
 		// even with a deep token backlog.
 		return
 	}
-	edge := e.g.Edges[tok.Edge]
-	if edge.To == NoNode {
-		res.Outputs[edge.Label] = append(res.Outputs[edge.Label], TaggedValue{Tag: tok.Tag, Val: tok.Val})
+	to := e.p.edgeTo[tok.Edge]
+	if to < 0 {
+		c.output(tok)
 		return
 	}
-	n := e.g.Nodes[edge.To]
-	key := ""
-	if e.opt.Schedule != nil {
-		key = TokenKey(e.g, tok)
-	}
-	operands, keys, ready := stores[edge.To].deliver(n, edge.ToPort, tok.Tag, tok.Val, key)
+	operands, keys, ready := c.arrive(to, tok, c.operands, nil)
 	if !ready {
 		return
 	}
-	site = n.Name
-	// Reserve, then fire: the slot is claimed before the vertex runs, so
-	// concurrent PEs cannot jointly overdraw the budget.
-	if e.opt.MaxFirings > 0 && e.firings.Add(1) > e.opt.MaxFirings {
-		e.fail(ErrMaxFirings)
-		return
+	depth := int64(0)
+	if c.ts != nil {
+		depth = e.inflight.Load()
 	}
-	if e.opt.FaultInjector != nil {
-		if ferr := e.opt.FaultInjector(n.Name, pe); ferr != nil {
-			e.fail(ferr)
-			return
-		}
-	}
-	mh0 := res.MemoHits
-	t0 := ts.begin()
-	out, err := fire(e.g, n, tok.Tag, operands, e.ops, e.opt, res)
+	// fire records the firing before its outputs are routed below: the seq
+	// precedes the tokens' visibility to any consumer.
+	row, v, tag, err := c.fire(to, tok.Tag, operands, keys, depth)
 	if err != nil {
 		e.fail(err)
 		return
 	}
-	// Recorded before the outputs are routed below: the seq precedes the
-	// tokens' visibility to any consumer, so the numbers linearize.
-	recordStep(e.g, e.opt, &e.sched, n.Name, keys, out)
-	res.Firings++
-	res.PerNode[n.Name]++
-	if ts != nil {
-		if res.MemoHits > mh0 {
-			ts.memoHit()
-		}
-		ts.firing(n.ID, n.Name, t0, e.inflight.Load()+int64(len(out)), len(out))
-	}
-	if len(out) > 0 {
-		e.inflight.Add(int64(len(out)))
-		for _, t := range out {
-			e.route(t)
+	if len(row) > 0 {
+		e.inflight.Add(int64(len(row)))
+		for _, ed := range row {
+			e.route(Token{Val: v, Edge: EdgeID(ed), Tag: tag})
 		}
 	}
 }
 
-// mailbox is an unbounded MPSC token queue with blocking pop. Unbounded
+// mailbox is an unbounded MPSC token queue with blocking take. Unbounded
 // buffering is essential: cyclic graphs (loops through inctag) would deadlock
 // bounded channels when a PE blocks sending to itself.
 type mailbox struct {
@@ -249,6 +200,7 @@ type mailbox struct {
 	cond   *sync.Cond
 	q      []Token
 	closed bool
+	peak   int // longest backlog handed over
 }
 
 func newMailbox() *mailbox {
@@ -261,25 +213,27 @@ func (b *mailbox) push(t Token) {
 	b.mu.Lock()
 	if !b.closed {
 		b.q = append(b.q, t)
-		b.cond.Signal()
+		if len(b.q) == 1 { // the owner only waits on an empty mailbox
+			b.cond.Signal()
+		}
 	}
 	b.mu.Unlock()
 }
 
-// pop blocks until a token is available or the mailbox is closed. Remaining
-// tokens are drained even after close so in-flight accounting stays exact.
-func (b *mailbox) pop() (Token, bool) {
+// take blocks until tokens are pending or the mailbox is closed, then swaps
+// the whole backlog for the caller's spent buffer under one acquisition.
+// Tokens queued before the close are still handed over, so in-flight
+// accounting stays exact; an empty return means closed and drained.
+func (b *mailbox) take(spent []Token) []Token {
 	b.mu.Lock()
-	defer b.mu.Unlock()
 	for len(b.q) == 0 && !b.closed {
 		b.cond.Wait()
 	}
-	if len(b.q) == 0 {
-		return Token{}, false
-	}
-	t := b.q[0]
-	b.q = b.q[1:]
-	return t, true
+	batch := b.q
+	b.q = spent[:0]
+	b.peak = max(b.peak, len(batch))
+	b.mu.Unlock()
+	return batch
 }
 
 func (b *mailbox) close() {

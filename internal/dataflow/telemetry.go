@@ -13,8 +13,8 @@ import (
 // increment for increment; the differential tests hold them to exact
 // agreement.
 type dfSink struct {
-	track   *telemetry.Track
-	verbose bool
+	track *telemetry.Track
+	reg   *telemetry.Registry
 
 	firings  *telemetry.Counter
 	memoHits *telemetry.Counter
@@ -40,7 +40,7 @@ func newDFSink(opt Options, g *Graph, pe int) *dfSink {
 	reg := rec.Metrics
 	s := &dfSink{
 		track:    rec.Track(name),
-		verbose:  rec.Verbose,
+		reg:      reg,
 		firings:  reg.Counter("dataflow.firings"),
 		memoHits: reg.Counter("dataflow.memo_hits"),
 		lat:      reg.Histogram("dataflow.firing_ns"),
@@ -94,4 +94,15 @@ func (s *dfSink) tick(fired int) {
 	}
 	s.ticks.Inc()
 	s.perTick.Observe(int64(fired))
+}
+
+// peaks publishes the run's high-water marks — activations waiting in the
+// matching tables and tokens queued in the engine, each summed over PEs —
+// once, at run end: the matching work no per-firing counter shows.
+func (s *dfSink) peaks(entries, queued int) {
+	if s == nil {
+		return
+	}
+	s.reg.Gauge("dataflow.match_entries_peak").Set(int64(entries))
+	s.reg.Gauge("dataflow.queue_peak").Set(int64(queued))
 }

@@ -554,7 +554,9 @@ type RunStats struct {
 	// Firings is the recorded schedule's committed-firing count.
 	Firings int64 `json:"firings,omitempty"`
 	// Counters is the traced run's private registry snapshot (gamma.steps,
-	// probe/conflict counts, ...), absent on untraced runs.
+	// probe/conflict counts, ...) with its gauges' final values alongside
+	// (dataflow.match_entries_peak, dataflow.queue_peak), absent on untraced
+	// runs.
 	Counters map[string]int64 `json:"counters,omitempty"`
 }
 

@@ -791,7 +791,13 @@ func (s *Server) Stats(id string) (*schema.RunStats, error) {
 			st.TraceEvents += int64(len(te.Events))
 			st.TraceDropped += te.Dropped
 		}
-		st.Counters = r.rec.Metrics.Snapshot().Counters
+		snap := r.rec.Metrics.Snapshot()
+		st.Counters = snap.Counters
+		// Gauges ride in the same map by their last value: a terminal run's
+		// are its run-end figures (dataflow.match_entries_peak, queue_peak).
+		for name, g := range snap.Gauges {
+			st.Counters[name] = g.Value
+		}
 	}
 	return st, nil
 }

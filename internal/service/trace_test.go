@@ -142,6 +142,11 @@ func TestTracedDataflowRun(t *testing.T) {
 	if st.Firings != st.Steps || st.Steps == 0 {
 		t.Errorf("dataflow firings %d != steps %d (or zero)", st.Firings, st.Steps)
 	}
+	// The matching work is on the wire too: x parks at add until y arrives,
+	// and both consts' tokens are queued at once.
+	if st.Counters["dataflow.match_entries_peak"] != 1 || st.Counters["dataflow.queue_peak"] != 2 {
+		t.Errorf("run-end gauges missing from stats: %v", st.Counters)
+	}
 }
 
 // TestTraceErrorSurface pins the failure modes: 404 for unknown runs and for

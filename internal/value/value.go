@@ -127,21 +127,27 @@ func (v Value) Truthy() (bool, error) {
 	}
 }
 
-// String renders v in source form: integers and floats as literals, booleans
-// as true/false, strings single-quoted in the paper's style.
+// String renders v in source form, which Parse reads back: integers and
+// floats as literals (NaN, +Inf and -Inf by strconv's names), booleans as
+// true/false, strings single-quoted in the paper's style — double-quoted when
+// the text itself holds a single quote. Literals have no escapes, so a string
+// holding both quote characters prints but does not parse back.
 func (v Value) String() string {
 	switch v.kind {
 	case KindInt:
 		return strconv.FormatInt(v.i, 10)
 	case KindFloat:
 		s := strconv.FormatFloat(v.f, 'g', -1, 64)
-		if !strings.ContainsAny(s, ".eE") {
+		if v.f-v.f == 0 && !strings.ContainsAny(s, ".eE") {
 			s += ".0"
 		}
 		return s
 	case KindBool:
 		return strconv.FormatBool(v.b)
 	case KindString:
+		if strings.IndexByte(v.s, '\'') >= 0 {
+			return `"` + v.s + `"`
+		}
 		return "'" + v.s + "'"
 	default:
 		return "<invalid>"
@@ -151,7 +157,7 @@ func (v Value) String() string {
 // Append appends exactly String()'s rendering of v to b and returns the
 // extended slice. It is the allocation-free form used by the multiset's hot
 // commit path to build tuple fingerprints into reusable buffers; the two
-// renderings must stay byte-identical, which TestAppendMatchesString pins.
+// renderings must stay byte-identical, which TestStringRendering pins.
 func (v Value) Append(b []byte) []byte {
 	switch v.kind {
 	case KindInt:
@@ -159,6 +165,9 @@ func (v Value) Append(b []byte) []byte {
 	case KindFloat:
 		n := len(b)
 		b = strconv.AppendFloat(b, v.f, 'g', -1, 64)
+		if v.f-v.f != 0 { // NaN or ±Inf take no ".0": Parse would refuse it
+			return b
+		}
 		for _, c := range b[n:] {
 			if c == '.' || c == 'e' || c == 'E' {
 				return b
@@ -168,9 +177,13 @@ func (v Value) Append(b []byte) []byte {
 	case KindBool:
 		return strconv.AppendBool(b, v.b)
 	case KindString:
-		b = append(b, '\'')
+		q := byte('\'')
+		if strings.IndexByte(v.s, q) >= 0 {
+			q = '"'
+		}
+		b = append(b, q)
 		b = append(b, v.s...)
-		return append(b, '\'')
+		return append(b, q)
 	default:
 		return append(b, "<invalid>"...)
 	}

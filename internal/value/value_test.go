@@ -1,6 +1,7 @@
 package value
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -90,17 +91,28 @@ func TestStringRendering(t *testing.T) {
 		{Float(2), "2.0"},
 		{Bool(true), "true"},
 		{Str("B2"), "'B2'"},
+		{Str(`say "hi"`), `'say "hi"'`},
+		{Str("it's"), `"it's"`},
+		{Float(math.NaN()), "NaN"},
+		{Float(math.Inf(1)), "+Inf"},
+		{Float(math.Inf(-1)), "-Inf"},
+		{Float(1e21), "1e+21"},
 		{Value{}, "<invalid>"},
 	}
 	for _, c := range cases {
 		if got := c.v.String(); got != c.want {
 			t.Errorf("String(%#v) = %q, want %q", c.v, got, c.want)
 		}
+		// Append is the allocation-free twin; the renderings must not drift.
+		if got := string(c.v.Append([]byte("x"))); got != "x"+c.want {
+			t.Errorf("Append(%#v) = %q, want %q", c.v, got, "x"+c.want)
+		}
 	}
 }
 
 func TestParseRoundTrip(t *testing.T) {
-	for _, v := range []Value{Int(0), Int(-12), Float(3.25), Bool(true), Bool(false), Str("C12")} {
+	for _, v := range []Value{Int(0), Int(-12), Float(3.25), Bool(true), Bool(false), Str("C12"),
+		Str("a'b"), Str(`a"b`), Str("'"), Float(math.Inf(1)), Float(math.Inf(-1)), Float(math.MaxFloat64)} {
 		got, err := Parse(v.String())
 		if err != nil {
 			t.Fatalf("Parse(%q): %v", v.String(), err)
@@ -108,6 +120,10 @@ func TestParseRoundTrip(t *testing.T) {
 		if got != v {
 			t.Errorf("Parse(%q) = %#v, want %#v", v.String(), got, v)
 		}
+	}
+	// NaN != NaN, so it gets its own check.
+	if got, err := Parse(Float(math.NaN()).String()); err != nil || !math.IsNaN(got.AsFloat()) {
+		t.Errorf("Parse(%q) = %#v, %v, want NaN", Float(math.NaN()).String(), got, err)
 	}
 }
 
