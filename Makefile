@@ -1,10 +1,11 @@
 # Developer workflow. `make check` is the local gate: static checks, build,
-# the full test suite under the race detector, and one iteration of the
-# incremental-engine benchmark family as a smoke test.
+# the full test suite under the race detector, and the bench/ module's own vet
+# and tests. Performance is measured by bench/ (BENCHMARK.json) and its shape
+# by Go tests; no target here times anything or reads a file a PR regenerates.
 
 GO ?= go
 
-.PHONY: all build vet fmt-check test race bench-smoke bench-compare bench-check loc snapshot stress trace-demo check check-ci
+.PHONY: all build vet fmt-check test race bench-check loc stress trace-demo check check-ci
 
 all: build
 
@@ -23,18 +24,6 @@ test:
 race:
 	$(GO) test -race ./...
 
-# One iteration per benchmark case: catches pathological engine regressions
-# without benchmark-grade runtimes (see EXPERIMENTS.md E16).
-bench-smoke:
-	$(GO) test -run '^$$' -bench BenchmarkGammaIncremental -benchtime 1x .
-
-# Wake-policy comparison gate: run e16 under both policies and fail unless
-# the incremental policy's wall time is strictly below the full rescan on the
-# multi-reaction workloads at n=10^4 (single-reaction programs run identically
-# under both, so only their probe counts are checked).
-bench-compare:
-	$(GO) run ./cmd/gfbench -exp e16 -guard
-
 # bench/ is its own module (replace repro => ../), so `go test ./...` never
 # compiles it: vet and test it against the current internals here, or an
 # internal signature change breaks the benchmark silently.
@@ -50,13 +39,6 @@ loc:
 		$$0 !~ /^[[:space:]]*($$|\/\/)/ { code[d]++; tc++ } \
 		END { for (d in lines) printf "%6d %6d %s\n", lines[d], code[d], d; \
 		      printf "%6d %6d total\n", tl, tc }' | sort -k3 | sed '1i\ lines   code package'
-
-# Refresh the machine-readable matching-engine measurements (sequential
-# engines via e16, work-stealing parallel rows via e20, gammad service load
-# rows via e21, matrix dataflow engine rows via e22, service trace-overhead
-# rows via e23).
-snapshot:
-	$(GO) run ./cmd/gfbench -exp e16,e20,e21,e22,e23,e24 -bench-json BENCH_gamma.json
 
 # Observability demo: trace the paper's Fig. 1 program and emit a
 # Perfetto-loadable timeline (open trace.json at https://ui.perfetto.dev) plus
@@ -79,44 +61,40 @@ trace-demo:
 # and work/span folds over it must be commit-order exact) — DESIGN.md §9,
 # §10, §12, §14, §15 and §16 — and the multiset's list-recycling churn tests
 # (View readers enumerating while a writer drains index lists to empty and
-# refills them from the shard freelist). Last, the label-free matcher's
-# scaling gate in its count-only form (the race detector switches its
-# wall-clock half off): candidates per step on Eq. 2 across layouts, sizes
-# and matcher modes.
+# refills them from the shard freelist). Last, the scaling gates in their
+# count-only form (the race detector switches wall-clock halves off):
+# candidates per step on Eq. 2 across layouts, sizes and matcher modes; steps,
+# probes and candidates of the tournament and the sieve under both wake
+# policies.
 stress:
 	$(GO) test -race -count=2 -run 'Cancel|Panic|Fault|Dead|Deadline|Wedge|Retr|Differential|KernelMatches|ApplyDelta|Steal|Batch|Rollup|Replay|Churn|Recycled' \
 		./internal/gamma/ ./internal/dataflow/ ./internal/dist/ ./internal/rt/ \
 		./internal/expr/ ./internal/multiset/ ./internal/equiv/ \
 		./internal/service/ ./internal/telemetry/ ./internal/replay/ .
-	$(GO) test -race -timeout 5m -run 'TestLabelFreeScaling' ./internal/gamma/
+	$(GO) test -race -timeout 5m -run 'TestLabelFreeScaling|TestWakePolicyScaling' ./internal/gamma/
 
-check: vet fmt-check build race bench-smoke bench-check
+check: vet fmt-check build race bench-check
 
 # CI gate: like check but with explicit timeouts so a wedged pool fails the
-# build instead of hanging it. The engine-comparison guard runs in its
-# tournament-only short mode: CI machines are noisy, but a 4x-fewer-probes
-# engine losing outright is a regression, not noise. The parallel
-# differential suites repeat under GOMAXPROCS=2 and GOMAXPROCS=8 so the
-# steal scheduler is exercised both time-sliced on few cores and genuinely
-# concurrent; the bench smoke compares against the committed BENCH_gamma.json
-# snapshot within tolerance (step counts exact, probes and wall bounded).
-# The serving stack gates three ways: gammad -selfcheck boots the server on a
-# loopback port and drives the client-package smoke (lifecycle, taxonomy
-# over the wire, backpressure, trace/stats fetch, schedule replay, Prometheus
-# exposition), gfbench e21 puts it under closed-loop load with the p99
-# collapse guard and the per-response oracle check, gfbench e23 A/Bs traced
-# against untraced load with the trace-overhead ceilings (sampled-off 2%,
-# sampled-on 10%), and gfbench e24 guards the schedule recorder (≤25% on the
-# reference workload). Record/replay gates twice more: the byte-pinned
-# Fig. 1/Fig. 2 golden replays, and the parallel-record → sequential-replay
-# differentials under the race detector. The label-free matcher's scaling gate
-# runs once more without the race detector, which is the only build where its
-# wall-time exponent is measured; e20 -guard carries the absolute ceiling on
-# sequential Eq. 2 at n=10^5. Next to it the allocation-scaling gate: bytes
-# per Gamma step on the converted Fig. 2 loop must be flat in the trip count
-# and under 1 kB, so per-firing storage set-up cannot silently return; and its
-# dataflow twin: allocations and bytes per vertex firing on the wide graph must
-# be flat in the width and under 1 allocation / 300 B on all three engines.
+# build instead of hanging it. The parallel differential suites repeat under
+# GOMAXPROCS=2 and GOMAXPROCS=8 so the steal scheduler is exercised both
+# time-sliced on few cores and genuinely concurrent. The serving stack is
+# gated by gammad -selfcheck, which boots the server on a loopback port and
+# drives the client-package smoke (lifecycle, taxonomy over the wire,
+# backpressure, trace/stats fetch, schedule replay, Prometheus exposition).
+# Record/replay gates twice more: the byte-pinned Fig. 1/Fig. 2 golden
+# replays, and the parallel-record → sequential-replay differentials under the
+# race detector. Last come the gates the race detector switches off, once each
+# on a plain build, every one in absolute units so an engine speed-up cannot
+# fail them: the label-free matcher's wall-time exponent; bytes per Gamma step
+# on the converted Fig. 2 loop (flat in the trip count, under 1 kB);
+# allocations and bytes per vertex firing on the wide graph (flat in the
+# width, under 1 allocation / 300 B on all three engines); bytes per service
+# request untraced, trace-asked and traced; nanoseconds per recorded firing;
+# and the count gates at full size — steps, probes and candidates under both
+# wake policies up to n=10^5, and the pool's conflicts and steps per batch at
+# GOMAXPROCS 2 and 8. Wall times are bench/'s business: the pipeline compares
+# its seven workloads against the parent commit.
 check-ci: vet fmt-check build bench-check
 	$(GO) test -race -timeout 5m ./...
 	$(GO) test -race -timeout 2m -count=2 -run 'Cancel|Panic|Fault|Dead' \
@@ -124,8 +102,11 @@ check-ci: vet fmt-check build bench-check
 	GOMAXPROCS=2 $(GO) test -race -timeout 2m -count=2 -run 'Steal|Batch|Differential' ./internal/gamma/
 	GOMAXPROCS=8 $(GO) test -race -timeout 2m -count=2 -run 'Steal|Batch|Differential' ./internal/gamma/
 	$(GO) test -race -timeout 2m -count=2 -run 'Golden|Replay' ./internal/replay/ ./internal/service/ ./cmd/gammarun/ ./cmd/dfrun/
-	$(GO) test -timeout 2m -count=1 -run 'TestLabelFreeScaling' ./internal/gamma/
+	$(GO) test -timeout 2m -count=1 -run 'TestLabelFreeScaling|TestWakePolicyScaling' ./internal/gamma/
+	GOMAXPROCS=2 $(GO) test -timeout 2m -count=1 -run 'TestPoolCommitShape' ./internal/gamma/
+	GOMAXPROCS=8 $(GO) test -timeout 2m -count=1 -run 'TestPoolCommitShape' ./internal/gamma/
 	$(GO) test -timeout 2m -count=1 -run 'TestLoopAllocScaling' .
 	$(GO) test -timeout 2m -count=1 -run 'TestWideAllocShape' ./internal/dataflow/
+	$(GO) test -timeout 2m -count=1 -run 'TestTraceAllocationCost' ./internal/service/
+	$(GO) test -timeout 2m -count=1 -run 'TestRecorderCostPerFiring' ./internal/replay/
 	$(GO) run ./cmd/gammad -selfcheck
-	$(GO) run ./cmd/gfbench -exp e16,e20,e21,e22,e23,e24 -short -guard -baseline BENCH_gamma.json

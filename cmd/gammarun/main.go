@@ -85,30 +85,36 @@ func main() {
 	cli.Exit("gammarun", err)
 }
 
+// load parses the Gamma file at path and resolves what both modes run
+// against: the initial multiset (-init overrides the file's) and the plan.
+func load(path, initSet string) (*gammalang.File, *multiset.Multiset, *gamma.Plan, error) {
+	src, err := os.ReadFile(path)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	file, err := gammalang.ParseFile(string(src))
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	m := file.Init
+	if initSet != "" {
+		if m, err = multiset.Parse(initSet); err != nil {
+			return nil, nil, nil, rt.Mark(rt.ErrParse, err)
+		}
+	}
+	if m == nil {
+		return nil, nil, nil, fmt.Errorf("no initial multiset: declare init {...} in the file or pass -init")
+	}
+	plan, err := file.Plan(path)
+	return file, m, plan, err
+}
+
 // replayRun re-executes a recorded schedule against the program and initial
 // multiset of path, step for step. A staged composition replays against the
 // union of its stages' reactions — the schedule's firing order already
 // respects the stage boundaries it was recorded under.
 func replayRun(path, schedPath, initSet string) error {
-	src, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	file, err := gammalang.ParseFile(string(src))
-	if err != nil {
-		return err
-	}
-	m := file.Init
-	if initSet != "" {
-		m, err = multiset.Parse(initSet)
-		if err != nil {
-			return rt.Mark(rt.ErrParse, err)
-		}
-	}
-	if m == nil {
-		return fmt.Errorf("no initial multiset: declare init {...} in the file or pass -init")
-	}
-	plan, err := file.Plan(path)
+	_, m, plan, err := load(path, initSet)
 	if err != nil {
 		return err
 	}
@@ -143,25 +149,12 @@ func replayRun(path, schedPath, initSet string) error {
 }
 
 func run(ctx context.Context, path string, opt gamma.Options, tel *cli.TelemetryFlags, initSet string, stats, typecheck, prof bool) error {
-	src, err := os.ReadFile(path)
-	if err != nil {
+	// The flags are checked by the wire spec's rules, so the CLI rejects
+	// exactly what gammad and dfrun reject, with the same message and code.
+	if err := (schema.RunSpec{Workers: opt.Workers, MaxSteps: opt.MaxSteps}).Validate(); err != nil {
 		return err
 	}
-	file, err := gammalang.ParseFile(string(src))
-	if err != nil {
-		return err
-	}
-	m := file.Init
-	if initSet != "" {
-		m, err = multiset.Parse(initSet)
-		if err != nil {
-			return rt.Mark(rt.ErrParse, err)
-		}
-	}
-	if m == nil {
-		return fmt.Errorf("no initial multiset: declare init {...} in the file or pass -init")
-	}
-	plan, err := file.Plan(path)
+	file, m, plan, err := load(path, initSet)
 	if err != nil {
 		return err
 	}

@@ -129,6 +129,20 @@ R = replace [x, 'a'] by [x + 1, 'a']
 	if err := run(context.Background(), diverge, gamma.Options{Workers: 1, MaxSteps: 10}, &cli.TelemetryFlags{}, "", false, false, false); !errors.Is(err, rt.ErrMaxSteps) {
 		t.Errorf("budget error not classified: %v", err)
 	}
+	// Out-of-range flags are rejected before the file is read, by the wire
+	// spec's rules: the message and class dfrun and gammad give.
+	for _, tc := range []struct {
+		opt  gamma.Options
+		want string
+	}{
+		{gamma.Options{Workers: -3}, "spec: negative workers -3"},
+		{gamma.Options{Workers: 1, MaxSteps: -1}, "spec: negative max_steps -1"},
+	} {
+		err := run(context.Background(), diverge, tc.opt, &cli.TelemetryFlags{}, "", false, false, false)
+		if !errors.Is(err, rt.ErrInvalid) || err.Error() != tc.want || cli.ExitCode(err) != cli.ExitParse {
+			t.Errorf("%+v: err = %v (exit %d), want %q classified invalid", tc.opt, err, cli.ExitCode(err), tc.want)
+		}
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if err := run(ctx, diverge, gamma.Options{Workers: 1}, &cli.TelemetryFlags{}, "", false, false, false); !errors.Is(err, rt.ErrCanceled) {

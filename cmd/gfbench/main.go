@@ -1,10 +1,12 @@
 // Command gfbench regenerates the paper's experiments (DESIGN.md §3,
-// E1–E13): it executes every figure, listing and claim and prints
-// paper-vs-measured tables. EXPERIMENTS.md is written from this output.
+// E1–E15 and the E17 fault matrix): it executes every figure, listing and
+// claim and prints paper-vs-measured tables. EXPERIMENTS.md is written from
+// this output. Performance is measured and gated elsewhere: bench/ owns the
+// timed workloads, Go shape tests own the scaling and allocation properties.
 //
 // Usage:
 //
-//	gfbench [-exp e1|e3|e4|e5|e7|e8|e9|e11|e12|e13|e14|e15|e16|e17|e19|e20|e21|e22|e23|e24|all] [-bench-json BENCH_gamma.json]
+//	gfbench [-exp e1|e3|e4|e5|e7|e8|e9|e11|e12|e13|e14|e15|e17|all] [-figures dir] [-timeout 10m]
 package main
 
 import (
@@ -14,15 +16,16 @@ import (
 	"strings"
 
 	"repro/internal/cli"
-	"repro/internal/multiset"
 	"repro/internal/rt"
 )
 
-var experiments = []struct {
+type experiment struct {
 	id   string
 	desc string
 	run  func() error
-}{
+}
+
+var experiments = []experiment{
 	{"e1", "Fig. 1 / Example 1: expression in both models", expE1},
 	{"e3", "Fig. 2 / Example 2: dynamic loop in both models", expE3},
 	{"e4", "Eq. 2: min element", expE4},
@@ -35,105 +38,73 @@ var experiments = []struct {
 	{"e13", "trace reuse (DF-DTM) across both models", expE13},
 	{"e14", "future work: Gamma over a distributed multiset (IoT)", expE14},
 	{"e15", "work/span/parallelism profiles across both models", expE15},
-	{"e16", "incremental matching engine: delta scheduling vs full rescan", expE16},
 	{"e17", "cancellation & fault-injection matrix (DESIGN.md §9)", expE17},
-	{"e19", "telemetry: recorder overhead & traced Fig. 1 fidelity (DESIGN.md §11)", expE19},
-	{"e20", "work-stealing parallel runtime: workers × n scalability (DESIGN.md §12)", expE20},
-	{"e21", "gammad service under closed-loop load: rps, p50/p99, leakage check (DESIGN.md §13)", expE21},
-	{"e22", "bulk-synchronous matrix dataflow engine vs PE pool on wide graphs (DESIGN.md §14)", expE22},
-	{"e23", "service trace overhead: traced vs untraced closed-loop load + wire fidelity (DESIGN.md §15)", expE23},
-	{"e24", "executable schedules: recording overhead + parallel-record/sequential-replay determinism (DESIGN.md §16)", expE24},
 }
 
-// benchTel carries the -trace/-metrics flags; e19's traced Fig. 1 run exports
-// through it when set.
-var benchTel = &cli.TelemetryFlags{}
+// selectExperiments resolves a comma-separated -exp list against the table,
+// in table order. Empty items (stray commas) are ignored; an id the table
+// does not hold is an error naming it, so a list that cites a removed
+// experiment cannot run its other half and exit 0.
+func selectExperiments(list string) ([]experiment, error) {
+	valid := make([]string, len(experiments))
+	known := map[string]bool{"all": true}
+	for i, e := range experiments {
+		valid[i] = e.id
+		known[e.id] = true
+	}
+	wanted := map[string]bool{}
+	for _, id := range strings.Split(list, ",") {
+		if id = strings.TrimSpace(id); id == "" {
+			continue
+		}
+		if !known[id] {
+			return nil, fmt.Errorf("unknown experiment %q (valid: %s, all)", id, strings.Join(valid, ", "))
+		}
+		wanted[id] = true
+	}
+	if len(wanted) == 0 {
+		return nil, fmt.Errorf("no experiment in -exp %q (valid: %s, all)", list, strings.Join(valid, ", "))
+	}
+	var sel []experiment
+	for _, e := range experiments {
+		if wanted["all"] || wanted[e.id] {
+			sel = append(sel, e)
+		}
+	}
+	return sel, nil
+}
 
 func main() {
 	exp := flag.String("exp", "all", "comma-separated experiment ids (e1, e3, ...) or all")
 	figures := flag.String("figures", "", "write the paper's figures (DOT + dfir + gamma) into this directory and exit")
-	benchJSON := flag.String("bench-json", "", "write the e16 engine measurements to this file (e.g. BENCH_gamma.json)")
 	timeout := flag.Duration("timeout", 0, "abort the whole run after this long, e.g. 10m (0 = no deadline)")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memProfile := flag.String("memprofile", "", "write a heap profile to this file at exit")
-	blockProfile := flag.String("blockprofile", "", "write a goroutine blocking profile to this file at exit")
-	mutexProfile := flag.String("mutexprofile", "", "write a mutex contention profile to this file at exit")
-	flag.BoolVar(&benchShort, "short", false, "e16/e20/e22/e23/e24: restrict to the smallest workloads (CI smoke)")
-	flag.BoolVar(&benchGuard, "guard", false, "e16: fail unless incremental wall < fullscan at n=10^4; e20: fail on parallel overhead collapse or matcher candidate pathology; e22: fail on matrix engine overhead collapse; e23: fail on trace-overhead ceilings (sampled-off >2%, sampled-on >10% of untraced p99); e24: fail if schedule recording costs >25%")
-	baseline := flag.String("baseline", "", "compare this run's e16/e20 measurements against a prior BENCH_gamma.json and fail outside tolerance")
-	benchTel.Register(flag.CommandLine)
 	flag.Parse()
-	spec := cli.ProfileSpec{CPU: *cpuProfile, Mem: *memProfile, Block: *blockProfile, Mutex: *mutexProfile}
-	profStop, err := spec.Start()
-	if err != nil {
-		cli.Exit("gfbench", err)
-	}
-	defer profStop()
-	if err := benchTel.Start(multiset.PrettyKey); err != nil {
-		profStop()
-		cli.Exit("gfbench", err)
-	}
-	ctx, stop := cli.Context(*timeout)
-	defer stop()
 	if *figures != "" {
 		if err := writeFigures(*figures); err != nil {
-			stop()
-			profStop()
 			cli.Exit("gfbench", err)
 		}
 		return
 	}
-	// -exp accepts a comma-separated list so one invocation can combine
-	// measurements (e.g. -exp e16,e20 -bench-json records both engines' rows).
-	wanted := map[string]bool{}
-	for _, id := range strings.Split(*exp, ",") {
-		wanted[strings.TrimSpace(id)] = true
+	sel, err := selectExperiments(*exp)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "gfbench: %v\n", err)
+		os.Exit(cli.ExitUsage)
 	}
-	ran := false
-	for _, e := range experiments {
-		if !wanted["all"] && !wanted[e.id] {
-			continue
-		}
+	ctx, stop := cli.Context(*timeout)
+	defer stop()
+	for _, e := range sel {
 		// Experiments are checkpointed between runs: an interrupt or an
 		// expired -timeout stops before the next one starts.
 		if cerr := ctx.Err(); cerr != nil {
 			stop()
-			profStop()
 			cli.Exit("gfbench", rt.FromContext(cerr))
 		}
-		ran = true
 		fmt.Printf("### %s — %s\n\n", e.id, e.desc)
 		if err := e.run(); err != nil {
 			fmt.Fprintf(os.Stderr, "gfbench: %s: %v\n", e.id, err)
 			stop()
-			profStop()
 			os.Exit(cli.ExitCode(err))
 		}
 		fmt.Println()
-	}
-	if !ran {
-		fmt.Fprintf(os.Stderr, "gfbench: unknown experiment %q\n", *exp)
-		os.Exit(cli.ExitUsage)
-	}
-	// The baseline check compares the fresh measurements against the old
-	// snapshot, so it must run before -bench-json overwrites it.
-	if *baseline != "" {
-		if err := checkBaseline(*baseline); err != nil {
-			stop()
-			profStop()
-			cli.Exit("gfbench", err)
-		}
-	}
-	if *benchJSON != "" {
-		if err := writeBenchJSON(*benchJSON); err != nil {
-			stop()
-			profStop()
-			cli.Exit("gfbench", err)
-		}
-	}
-	if err := benchTel.Finish(); err != nil {
-		stop()
-		profStop()
-		cli.Exit("gfbench", err)
 	}
 }

@@ -231,12 +231,6 @@ func writeProfile(path, what string, write func(*os.File) error) {
 	f.Close()
 }
 
-// StartProfiles is the legacy two-profile form of ProfileSpec.Start, kept for
-// call sites that predate block/mutex profiling.
-func StartProfiles(cpu, mem string) (stop func(), err error) {
-	return ProfileSpec{CPU: cpu, Mem: mem}.Start()
-}
-
 // Context returns the root context for a command run: canceled on SIGINT or
 // SIGTERM, and additionally bounded by timeout when it is positive. The
 // returned stop function releases both; call it before exiting normally.

@@ -1,7 +1,9 @@
-// Package metrics provides the small reporting toolkit used by the
-// experiment harness (cmd/gfbench): fixed-width tables matching the
-// paper-vs-measured layout of EXPERIMENTS.md, wall-clock measurement helpers
-// and speedup series.
+// Package metrics is the repo's plain-text table renderer plus two wall-clock
+// helpers. It has two callers: the experiment runner (cmd/gfbench) prints its
+// paper-vs-measured tables through Table and times its rows with Time/TimeN,
+// and telemetry.Registry.Table renders the -metrics output of every command
+// through the same Table. Nothing here gates performance — bench/ and the Go
+// shape tests do.
 package metrics
 
 import (
@@ -109,13 +111,4 @@ func TimeN(reps int, fn func()) time.Duration {
 		}
 	}
 	return best
-}
-
-// Speedup returns base/parallel as a factor (1.0 = no speedup); 0 when the
-// parallel time is zero.
-func Speedup(base, parallel time.Duration) float64 {
-	if parallel <= 0 {
-		return 0
-	}
-	return float64(base) / float64(parallel)
 }

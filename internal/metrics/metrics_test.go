@@ -58,12 +58,3 @@ func TestTimeAndTimeN(t *testing.T) {
 		t.Errorf("TimeN ran %d times, best %v", n, best)
 	}
 }
-
-func TestSpeedup(t *testing.T) {
-	if s := Speedup(4*time.Second, 1*time.Second); s != 4 {
-		t.Errorf("speedup = %f", s)
-	}
-	if s := Speedup(time.Second, 0); s != 0 {
-		t.Errorf("zero-division speedup = %f", s)
-	}
-}

@@ -5,9 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"sort"
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/dataflow"
 	"repro/internal/gamma"
@@ -505,5 +507,91 @@ func TestRecorderFootprintTracksSchedule(t *testing.T) {
 	}
 	if long > 5*held {
 		t.Errorf("recording 20000 firings allocated %d B for %d B held, want <= 5x", long, held)
+	}
+}
+
+// TestRecorderCostPerFiring states the schedule recorder's run-time cost in
+// absolute units, nanoseconds per firing, on the labeled tournament at n=2000
+// (1 994 firings, sequential engine). A share of the bare run's time would
+// fail whenever the engine gets faster with the recorder unchanged; a
+// nanosecond figure fails only when recording itself gets dearer. The cost is
+// three keys rendered into a byte buffer under a lock, ≈ 250 ns in isolation
+// and ≈ 450 ns inside a run with the collector's share of the retained
+// schedule (35–1 081 over 20 runs on the 2-core host: a bare firing is 2.5 µs,
+// so 10 % of host noise reads as 250 ns); the 1 500 ns ceiling is there to
+// catch a second per-firing cost (a string per key, a map insert, a fixed
+// chunk), not a slow host.
+//
+// A timed sample is a batch of 8 back-to-back runs, because much of the cost
+// is collector work that amortizes across runs; bare and recorded batches
+// alternate, each mode's median batch is kept, and before failing everything
+// is measured again keeping each mode's faster median, as TestLabelFreeScaling
+// does: a busy host only ever adds time.
+func TestRecorderCostPerFiring(t *testing.T) {
+	if raceEnabled || testing.Short() {
+		t.Skip("wall-clock gate: needs a non-race, non-short build")
+	}
+	const n, stages, batch, rounds, ceilingNS = 2000, 11, 8, 9, 1500.0
+	src := ""
+	for i := 0; i < stages; i++ {
+		src += fmt.Sprintf("R%d = replace [x, 'L%d'], [y, 'L%d'] by [x, 'L%d'] if x <= y by [y, 'L%d'] else\n", i, i, i, i+1, i+1)
+	}
+	prog, err := gammalang.ParseProgram("tournament", src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	init := multiset.New()
+	for i := 0; i < n; i++ {
+		init.Add(multiset.Pair(value.Int(int64((i*2654435761+17)%(4*n))), "L0"))
+	}
+	var steps int64
+	timeBatch := func(record bool) time.Duration {
+		runtime.GC()
+		t0 := time.Now()
+		for i := 0; i < batch; i++ {
+			opt := gamma.Options{}
+			var rec *Recorder
+			if record {
+				rec = NewRecorder(KindGamma, "cost")
+				opt.Schedule = rec
+			}
+			st, err := gamma.Run(prog, init.Clone(), opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rec != nil && int64(rec.Len()) != st.Steps {
+				t.Fatalf("recorded %d of %d firings", rec.Len(), st.Steps)
+			}
+			steps = st.Steps
+		}
+		return time.Since(t0) / batch
+	}
+	// medians returns the median per-run time of each mode over alternating
+	// batches; the first pair warms kernels, pools and the heap goal.
+	medians := func() (bare, recorded time.Duration) {
+		var ds [2][]time.Duration
+		for r := -1; r < rounds; r++ {
+			for mode := range ds {
+				if d := timeBatch(mode == 1); r >= 0 {
+					ds[mode] = append(ds[mode], d)
+				}
+			}
+		}
+		for mode := range ds {
+			sort.Slice(ds[mode], func(a, b int) bool { return ds[mode][a] < ds[mode][b] })
+		}
+		return ds[0][rounds/2], ds[1][rounds/2]
+	}
+	bare, recorded := medians()
+	cost := func() float64 { return float64(recorded-bare) / float64(steps) }
+	for retry := 0; cost() > ceilingNS && retry < 2; retry++ {
+		t.Logf("recording cost %.0f ns per firing (bare %v, recorded %v), measuring again", cost(), bare, recorded)
+		b, r := medians()
+		bare, recorded = min(bare, b), min(recorded, r)
+	}
+	t.Logf("bare %v, recorded %v per run of %d firings: %.0f ns per firing", bare, recorded, steps, cost())
+	if cost() > ceilingNS {
+		t.Errorf("recording costs %.0f ns per firing (bare %v, recorded %v, %d firings), want <= %.0f",
+			cost(), bare, recorded, steps, ceilingNS)
 	}
 }

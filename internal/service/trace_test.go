@@ -8,6 +8,7 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -223,6 +224,58 @@ func TestTraceSamplingDeterministic(t *testing.T) {
 	_, resp := postRun(t, ts2, req, "?wait=true", "")
 	if _, st := getStats(t, ts2, resp.ID); st == nil || st.Traced {
 		t.Errorf("TraceSample<0 still traced: %+v", st)
+	}
+}
+
+// TestTraceAllocationCost states what tracing costs a request in bytes, the
+// form of the recorder's cost that repeats from run to run (to within ~30 B):
+// Example 1 (3 firings) submitted in process, one executor, so every
+// allocation between Submit and Done belongs to the request. Asking for a trace on a server whose sampler is
+// off must cost what not asking costs (the knob is one branch at admission),
+// and a granted trace — event rings, schedule recorder, retention — must keep
+// the whole request under 64 KiB (untraced ≈ 33 kB, traced ≈ 42 kB); a fixed
+// first chunk in any recorder store shows here at once.
+func TestTraceAllocationCost(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation bytes are not repeatable under the race detector")
+	}
+	perRequest := func(cfg Config, trace bool) float64 {
+		cfg.Pool = 1
+		s := New(cfg)
+		defer s.Close()
+		req := schema.NewGammaRequest(paper.Example1GammaListing, paper.Example1InitialMultiset,
+			schema.RunSpec{Engine: schema.EngineSeq, MaxSteps: 10000, Trace: trace})
+		run := func() {
+			r, err := s.Submit(&req, "")
+			if err != nil {
+				t.Fatal(err)
+			}
+			<-r.Done()
+			if r.Traced != (trace && cfg.TraceSample >= 0) || r.Err() != nil {
+				t.Fatalf("run %s: traced=%v err=%v", r.ID, r.Traced, r.Err())
+			}
+		}
+		const warm, n = 16, 128
+		for i := 0; i < warm; i++ {
+			run()
+		}
+		var a, b runtime.MemStats
+		runtime.ReadMemStats(&a)
+		for i := 0; i < n; i++ {
+			run()
+		}
+		runtime.ReadMemStats(&b)
+		return float64(b.TotalAlloc-a.TotalAlloc) / n
+	}
+	untraced := perRequest(Config{}, false)
+	off := perRequest(Config{TraceSample: -1}, true)
+	on := perRequest(Config{}, true)
+	t.Logf("bytes per request: untraced %.0f, trace asked / sampler off %.0f, traced %.0f", untraced, off, on)
+	if d := off - untraced; d > 256 || d < -256 {
+		t.Errorf("asking for a trace with the sampler off costs %.0f B per request against %.0f B untraced, want within 256 B", off, untraced)
+	}
+	if on > 64<<10 {
+		t.Errorf("a traced request allocates %.0f B, want <= 64 KiB", on)
 	}
 }
 
