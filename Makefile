@@ -59,19 +59,21 @@ trace-demo:
 # record/replay differentials: a parallel run's commit-order schedule must
 # replay sequentially to the byte-identical final state, and the provenance
 # and work/span folds over it must be commit-order exact) — DESIGN.md §9,
-# §10, §12, §14, §15 and §16 — and the multiset's list-recycling churn tests
-# (View readers enumerating while a writer drains index lists to empty and
-# refills them from the shard freelist). Last, the scaling gates in their
+# §10, §12, §14, §15 and §16 — and the multiset's storage tests: bucket churn
+# (View readers enumerating while a writer takes buckets through empty, inline,
+# spilled and back), the handle contract (stale and foreign handles fail their
+# claim), CheckInvariants after every commit of the differential suites, and
+# the label-set narrowing cases. Last, the scaling gates in their
 # count-only form (the race detector switches wall-clock halves off):
 # candidates per step on Eq. 2 across layouts, sizes and matcher modes; steps,
 # probes and candidates of the tournament and the sieve under both wake
 # policies.
 stress:
-	$(GO) test -race -count=2 -run 'Cancel|Panic|Fault|Dead|Deadline|Wedge|Retr|Differential|KernelMatches|ApplyDelta|Steal|Batch|Rollup|Replay|Churn|Recycled' \
+	$(GO) test -race -count=2 -run 'Cancel|Panic|Fault|Dead|Deadline|Wedge|Retr|Differential|KernelMatches|ApplyDelta|Steal|Batch|Rollup|Replay|Churn|Recycled|Invariant|Handle|Stale|Narrow' \
 		./internal/gamma/ ./internal/dataflow/ ./internal/dist/ ./internal/rt/ \
 		./internal/expr/ ./internal/multiset/ ./internal/equiv/ \
 		./internal/service/ ./internal/telemetry/ ./internal/replay/ .
-	$(GO) test -race -timeout 5m -run 'TestLabelFreeScaling|TestWakePolicyScaling' ./internal/gamma/
+	$(GO) test -race -timeout 5m -run 'TestLabelFreeScaling|TestWakePolicyScaling|TestAlg1ImageShape' ./internal/gamma/
 
 check: vet fmt-check build race bench-check
 
@@ -86,8 +88,11 @@ check: vet fmt-check build race bench-check
 # replays, and the parallel-record → sequential-replay differentials under the
 # race detector. Last come the gates the race detector switches off, once each
 # on a plain build, every one in absolute units so an engine speed-up cannot
-# fail them: the label-free matcher's wall-time exponent; bytes per Gamma step
-# on the converted Fig. 2 loop (flat in the trip count, under 1 kB);
+# fail them: the label-free matcher's wall-time exponent; bytes per extra Gamma
+# step on the converted Fig. 2 loop (never rising with the trip count, under
+# 400 B, a whole run under 1 kB per step) and the counts of a step on an
+# Algorithm 1 image (no wildcard reaction, pinned steps and probes, 0.2
+# allocations per step);
 # allocations and bytes per vertex firing on the wide graph (flat in the
 # width, under 1 allocation / 300 B on all three engines); bytes per service
 # request untraced, trace-asked and traced; nanoseconds per recorded firing;
@@ -106,6 +111,7 @@ check-ci: vet fmt-check build bench-check
 	GOMAXPROCS=2 $(GO) test -timeout 2m -count=1 -run 'TestPoolCommitShape' ./internal/gamma/
 	GOMAXPROCS=8 $(GO) test -timeout 2m -count=1 -run 'TestPoolCommitShape' ./internal/gamma/
 	$(GO) test -timeout 2m -count=1 -run 'TestLoopAllocScaling' .
+	$(GO) test -timeout 2m -count=1 -run 'TestAlg1ImageShape' ./internal/gamma/
 	$(GO) test -timeout 2m -count=1 -run 'TestWideAllocShape' ./internal/dataflow/
 	$(GO) test -timeout 2m -count=1 -run 'TestTraceAllocationCost' ./internal/service/
 	$(GO) test -timeout 2m -count=1 -run 'TestRecorderCostPerFiring' ./internal/replay/

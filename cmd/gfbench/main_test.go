@@ -1,7 +1,9 @@
 package main
 
 import (
+	"io/fs"
 	"os"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
@@ -74,21 +76,41 @@ func TestSelectExperiments(t *testing.T) {
 }
 
 // TestDocsCiteKnownExperiments keeps the prose honest: every `gfbench -exp
-// <list>` in README, DESIGN and EXPERIMENTS must resolve against the
-// experiments table, so the docs cannot cite a deleted experiment.
+// <list>` in README, DESIGN and EXPERIMENTS, and every one — or a bare
+// parenthesized `(eN)` — in a Go file outside bench/ (which has its own
+// module and rules), must resolve against the experiments table, so neither
+// the docs nor a comment can cite a deleted experiment.
 func TestDocsCiteKnownExperiments(t *testing.T) {
-	cite := regexp.MustCompile(`gfbench\s+-exp[\s=]+([A-Za-z0-9,]+)`)
-	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"} {
-		text, err := os.ReadFile("../../" + doc)
+	cite := regexp.MustCompile(`gfbench\s+-exp[\s=]+([A-Za-z0-9,]+)|\((e[0-9]+)\)`)
+	docs := []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"}
+	err := filepath.WalkDir("../..", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		switch rel, _ := filepath.Rel("../..", path); {
+		case d.IsDir() && (rel == "bench" || strings.HasPrefix(d.Name(), ".") && rel != "."):
+			return filepath.SkipDir
+		case !d.IsDir() && strings.HasSuffix(rel, ".go") && rel != filepath.Join("cmd", "gfbench", "main_test.go"):
+			docs = append(docs, rel) // this file's own examples are not citations
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	total := 0
+	for _, doc := range docs {
+		text, err := os.ReadFile(filepath.Join("../..", doc))
 		if err != nil {
 			t.Fatal(err)
 		}
 		cites := cite.FindAllSubmatch(text, -1)
 		for _, m := range cites {
-			if _, err := selectExperiments(string(m[1])); err != nil {
+			if _, err := selectExperiments(string(m[1]) + string(m[2])); err != nil {
 				t.Errorf("%s cites `%s`: %v", doc, m[0], err)
 			}
 		}
-		t.Logf("%s: %d gfbench -exp citations", doc, len(cites))
+		total += len(cites)
 	}
+	t.Logf("%d files: %d experiment citations", len(docs), total)
 }

@@ -149,6 +149,7 @@ func TestStealVictimOrderDeterministic(t *testing.T) {
 // must be self-consistent — every step belongs to a batch, batches never
 // exceed steps, and claims lost to peers show up as conflicts, not silence.
 func TestStealBatchDifferential(t *testing.T) {
+	CheckCommits(t)
 	p := MustProgram("min", minReaction())
 	for _, workers := range []int{2, 4, 8} {
 		for seed := int64(1); seed <= 3; seed++ {
@@ -186,6 +187,7 @@ func TestStealBatchDifferential(t *testing.T) {
 // paper's §III-A1 program, whose three labeled reactions exercise the
 // subscription wakeup path through the per-worker deques.
 func TestStealBatchDifferentialExample1(t *testing.T) {
+	CheckCommits(t)
 	for _, workers := range []int{2, 4} {
 		for seed := int64(1); seed <= 5; seed++ {
 			m := example1Input()

@@ -5,7 +5,7 @@
 // conditions and product templates, and rebuilding each candidate's Key()
 // fingerprint to track claimed occurrences. Those per-probe costs dominate
 // the step loop once the incremental scheduler has removed the wasted probes
-// (cmd/gfbench -exp e16 at n=10⁴).
+// (TestWakePolicyScaling counts those).
 //
 // A kernel lowers all of it once, at first use, keeping the semantics of the
 // interpreted path bit-for-bit:
@@ -17,11 +17,14 @@
 //   - branch conditions and product fields are compiled to expr closure
 //     chains over the slot environment (expr.Compile, which also constant-
 //     folds the literal chains §III-A3 reaction fusion leaves behind);
-//   - the pattern label is interned to its symtab symbol once, so candidate
-//     enumeration hits the multiset's integer-keyed indexes and reuses each
-//     entry's cached Key() instead of rebuilding the fingerprint per probe;
-//   - searcher scratch (slot env, claim stack, chosen tuples) is recycled
-//     through a per-kernel sync.Pool, so a probe allocates nothing.
+//   - the labels a pattern can match (patternLabels) and the literal labels
+//     of the products are interned to symtab symbols once, so enumeration hits
+//     the multiset's integer-keyed indexes and a firing interns nothing;
+//   - a candidate is a multiset.Ref from enumeration to commit: the search
+//     claims occurrences by comparing handles and the firing's Delta carries
+//     them, so the commit finds the entries without a key or a lookup;
+//   - searcher scratch (slot env, claim stack, chosen tuples) belongs to the
+//     worker, one per reaction (worker.searchers): a probe allocates nothing.
 //
 // The interpreted Pattern.match / Reaction.produce path remains as the
 // reference oracle; TestKernelMatchesInterpreter holds the two together.
@@ -30,7 +33,7 @@ package gamma
 import (
 	"fmt"
 	"math/rand"
-	"sync"
+	"slices"
 
 	"repro/internal/expr"
 	"repro/internal/multiset"
@@ -59,17 +62,16 @@ const (
 // kpat is one lowered pattern: its fields, the slots it binds (cleared as a
 // block on backtracking — only this pattern ever binds them, because a slot
 // belongs to its variable's first occurrence), and the enumeration plan
-// (label symbol and tag mode) resolved from the literal shapes Algorithm 1
-// emits.
+// resolved from the shapes Algorithm 1 emits: the label symbols the pattern
+// can match (patternLabels; none for a generic pattern) and the tag mode.
 type kpat struct {
-	n        int
-	fields   []kfield
-	binds    []int
-	labelSym symtab.Sym
-	hasLabel bool
-	tagMode  int
-	tagLit   int64
-	tagSlot  int
+	n       int
+	fields  []kfield
+	binds   []int
+	labels  []symtab.Sym
+	tagMode int
+	tagLit  int64
+	tagSlot int
 }
 
 // match attempts to match tuple t, writing bindings into the slot env. On
@@ -107,11 +109,13 @@ func (kp *kpat) clear(env []value.Value) {
 	}
 }
 
-// kbranch is one lowered branch: compiled condition (nil for else) and
-// compiled product templates.
+// kbranch is one lowered branch: compiled condition (nil for else), compiled
+// product templates, and per product the symbol of its literal label
+// (symtab.None where the label is computed) — the Delta's PSyms.
 type kbranch struct {
 	cond  expr.CompiledBool
 	prods [][]expr.Compiled
+	psyms []symtab.Sym
 }
 
 // kernel is the compiled form of one Reaction, built once (see
@@ -128,8 +132,6 @@ type kernel struct {
 	// duration of a probe (or a pool worker's probe batch).
 	viewSyms []symtab.Sym
 	viewAll  bool
-
-	searchers sync.Pool // *searcher scratch, see getSearcher
 }
 
 // compileKernel lowers r. Slot assignment follows the fixed search order —
@@ -152,17 +154,20 @@ func compileKernel(r *Reaction) *kernel {
 		kp := kpat{n: len(p), fields: make([]kfield, len(p))}
 		// The enumeration plan reads the bindings established by *earlier*
 		// patterns, so resolve it before this pattern's fields assign slots.
-		if label, ok := patternLabel(p); ok {
-			kp.labelSym, kp.hasLabel = symtab.Intern(label), true
-			if len(p) >= 3 {
-				switch f := p[2]; {
-				case f.Var == "" && f.Lit.Kind() == value.KindInt:
-					kp.tagMode, kp.tagLit = tagLit, f.Lit.AsInt()
-				case f.Var != "":
-					if s, ok := slots[f.Var]; ok {
-						kp.tagMode, kp.tagSlot = tagSlot, s
-					}
+		for _, label := range patternLabels(r, p) {
+			sym := symtab.Intern(label)
+			kp.labels = addUnique(kp.labels, sym)
+			k.viewSyms = addUnique(k.viewSyms, sym)
+		}
+		if len(kp.labels) == 0 {
+			k.viewAll = true
+		} else if len(p) >= 3 {
+			if f := p[2]; f.Var == "" {
+				if tag, ok := multiset.IndexTag(f.Lit); ok {
+					kp.tagMode, kp.tagLit = tagLit, tag
 				}
+			} else if s, ok := slots[f.Var]; ok {
+				kp.tagMode, kp.tagSlot = tagSlot, s
 			}
 		}
 		for i, f := range p {
@@ -177,20 +182,6 @@ func compileKernel(r *Reaction) *kernel {
 			}
 		}
 		k.pats = append(k.pats, kp)
-		if kp.hasLabel {
-			dup := false
-			for _, s := range k.viewSyms {
-				if s == kp.labelSym {
-					dup = true
-					break
-				}
-			}
-			if !dup {
-				k.viewSyms = append(k.viewSyms, kp.labelSym)
-			}
-		} else {
-			k.viewAll = true
-		}
 	}
 	k.nslots = len(slots)
 	k.branches = make([]kbranch, len(r.Branches))
@@ -200,22 +191,28 @@ func compileKernel(r *Reaction) *kernel {
 			kb.cond = expr.CompileBool(b.Cond, slots)
 		}
 		kb.prods = make([][]expr.Compiled, len(b.Products))
+		kb.psyms = make([]symtab.Sym, len(b.Products))
 		for pi, tpl := range b.Products {
 			kb.prods[pi] = make([]expr.Compiled, len(tpl))
 			for fi, e := range tpl {
 				kb.prods[pi][fi] = expr.Compile(e, slots)
 			}
-		}
-	}
-	k.searchers.New = func() any {
-		return &searcher{
-			k:      k,
-			env:    make([]value.Value, k.nslots),
-			claims: make([]string, 0, len(k.pats)*batchMaxFirings),
-			chosen: make([]multiset.Tuple, len(k.pats)),
+			if len(tpl) >= 2 {
+				if l, ok := tpl[1].(expr.Lit); ok && l.Val.Kind() == value.KindString {
+					kb.psyms[pi] = symtab.Intern(l.Val.AsString())
+				}
+			}
 		}
 	}
 	return k
+}
+
+// addUnique appends x to xs unless it is already there.
+func addUnique[T comparable](xs []T, x T) []T {
+	if slices.Contains(xs, x) {
+		return xs
+	}
+	return append(xs, x)
 }
 
 // kernel returns r's compiled form, building it on first use. Reactions are
@@ -288,17 +285,27 @@ func (k *kernel) produceInto(name string, idx int, env []value.Value, vals []val
 	return vals, out, nil
 }
 
-// getSearcher returns recycled searcher scratch bound to (r, rng) and to m's
-// current state. The caller opens the read session (s.view) around its
-// searches and releases the scratch with putSearcher once the firing's
-// chosen/env/keys are no longer read.
-func (k *kernel) getSearcher(r *Reaction, m *multiset.Multiset, rng *rand.Rand) *searcher {
-	s := k.searchers.Get().(*searcher)
-	s.r, s.rng, s.err, s.visited = r, rng, nil, 0
+// newSearcher returns searcher scratch for r, sized once: the claim stack's
+// capacity is the most a batch can hold.
+func newSearcher(r *Reaction) *searcher {
+	k := r.kernel()
+	return &searcher{
+		r:      r,
+		k:      k,
+		env:    make([]value.Value, k.nslots),
+		claims: make([]multiset.Ref, 0, len(k.pats)*batchMaxFirings),
+		chosen: make([]multiset.Tuple, len(k.pats)),
+	}
+}
+
+// begin readies the scratch for a fresh probe (or probe batch) of m's current
+// state under rng: nothing claimed, nothing bound, nothing visited.
+func (s *searcher) begin(m *multiset.Multiset, rng *rand.Rand) {
+	s.rng, s.err, s.visited, s.claims = rng, nil, 0, s.claims[:0]
 	switch {
 	case rng != nil:
 		s.rot = rng.Uint64()
-	case k.viewAll:
+	case s.k.viewAll:
 		// Deterministic search with a generic pattern: derive the whole-set
 		// enumeration rotation from the multiset state, not a counter, so the
 		// probe order is a pure function of the state — identical across
@@ -311,21 +318,4 @@ func (k *kernel) getSearcher(r *Reaction, m *multiset.Multiset, rng *rand.Rand) 
 	for i := range s.env {
 		s.env[i] = value.Value{}
 	}
-	return s
-}
-
-// putSearcher recycles s, dropping every reference into the finished run —
-// chosen tuples and claimed key strings — so the pool pins nothing. Popped
-// claims were already zeroed; only the live ones remain to clear. The view
-// must already be unlocked (which drops its multiset reference).
-func (k *kernel) putSearcher(s *searcher) {
-	s.rng = nil
-	for i := range s.chosen {
-		s.chosen[i] = nil
-	}
-	for i := range s.claims {
-		s.claims[i] = ""
-	}
-	s.claims = s.claims[:0]
-	k.searchers.Put(s)
 }

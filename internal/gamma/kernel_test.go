@@ -68,8 +68,19 @@ func (s *oracleSearcher) search(i int) bool {
 		return true
 	}
 	cands := s.cands
-	if _, hasLabel := patternLabel(s.r.Patterns[i]); !hasLabel {
+	if labels := patternLabels(s.r, s.r.Patterns[i]); labels == nil {
 		cands = s.rotCands
+	} else if len(labels) > 1 {
+		// A narrowed label variable: the labels' elements one label after
+		// another, ascending key order within each.
+		cands = nil
+		for _, label := range labels {
+			for _, c := range s.cands {
+				if l, ok := c.Tuple.Label(); ok && l == label {
+					cands = append(cands, c)
+				}
+			}
+		}
 	}
 	for _, c := range cands {
 		if s.used[c.Key] >= c.N {
@@ -159,61 +170,112 @@ func TestKernelMatchesInterpreter(t *testing.T) {
 	for seed := 0; seed < iters; seed++ {
 		rng := rand.New(rand.NewSource(int64(seed)))
 		r := randReaction(rng)
-		m := randMultisetForKernel(rng)
+		matchesInterpreter(t, fmt.Sprintf("seed %d", seed), r, randMultisetForKernel(rng))
+	}
+}
 
-		want, wantErr := findMatchOracle(r, m)
-		got, gotErr := FindMatch(r, m, nil)
-		if (wantErr == nil) != (gotErr == nil) ||
-			(wantErr != nil && wantErr.Error() != gotErr.Error()) {
-			t.Fatalf("seed %d: %s\n oracle err=%v kernel err=%v", seed, r, wantErr, gotErr)
+// matchesInterpreter holds one kernel search of r on m to the interpreted
+// oracle — same enablement, chosen elements, bindings, branch and products —
+// and returns the match (nil when r is not enabled).
+func matchesInterpreter(t *testing.T, what string, r *Reaction, m *multiset.Multiset) *Match {
+	t.Helper()
+	want, wantErr := findMatchOracle(r, m)
+	got, gotErr := FindMatch(r, m, nil)
+	if (wantErr == nil) != (gotErr == nil) ||
+		(wantErr != nil && wantErr.Error() != gotErr.Error()) {
+		t.Fatalf("%s: %s\n oracle err=%v kernel err=%v", what, r, wantErr, gotErr)
+	}
+	if wantErr != nil {
+		return nil
+	}
+	if (want == nil) != (got == nil) {
+		t.Fatalf("%s: %s\n on %s\n oracle match=%v kernel match=%v", what, r, m, want, got)
+	}
+	if want == nil {
+		return nil
+	}
+	if want.Branch != got.Branch || len(want.Chosen) != len(got.Chosen) {
+		t.Fatalf("%s: branch/chosen mismatch: oracle (%d,%v) kernel (%d,%v)",
+			what, want.Branch, want.Chosen, got.Branch, got.Chosen)
+	}
+	for i := range want.Chosen {
+		if !want.Chosen[i].Equal(got.Chosen[i]) {
+			t.Fatalf("%s: chosen[%d]: oracle %s kernel %s", what, i, want.Chosen[i], got.Chosen[i])
 		}
-		if wantErr != nil {
-			continue
+	}
+	if len(want.Env) != len(got.Env) {
+		t.Fatalf("%s: env size: oracle %v kernel %v", what, want.Env, got.Env)
+	}
+	for name, v := range want.Env {
+		if gv, ok := got.Env[name]; !ok || gv != v {
+			t.Fatalf("%s: env[%s]: oracle %s kernel %s", what, name, v, gv)
 		}
-		if (want == nil) != (got == nil) {
-			t.Fatalf("seed %d: %s\n on %s\n oracle match=%v kernel match=%v", seed, r, m, want, got)
-		}
-		if want == nil {
-			continue
-		}
-		if want.Branch != got.Branch || len(want.Chosen) != len(got.Chosen) {
-			t.Fatalf("seed %d: branch/chosen mismatch: oracle (%d,%v) kernel (%d,%v)",
-				seed, want.Branch, want.Chosen, got.Branch, got.Chosen)
-		}
-		for i := range want.Chosen {
-			if !want.Chosen[i].Equal(got.Chosen[i]) {
-				t.Fatalf("seed %d: chosen[%d]: oracle %s kernel %s", seed, i, want.Chosen[i], got.Chosen[i])
-			}
-		}
-		if len(want.Env) != len(got.Env) {
-			t.Fatalf("seed %d: env size: oracle %v kernel %v", seed, want.Env, got.Env)
-		}
-		for name, v := range want.Env {
-			if gv, ok := got.Env[name]; !ok || gv != v {
-				t.Fatalf("seed %d: env[%s]: oracle %s kernel %s", seed, name, v, gv)
-			}
-		}
+	}
 
-		// Products: compiled produce vs interpreted produce on the same env.
-		wantP, wErr := r.produce(want.Branch, want.Env)
-		s, err := findFiring(r, m, nil, new(int64))
-		if err != nil || s == nil {
-			t.Fatalf("seed %d: findFiring after FindMatch: (%v, %v)", seed, s, err)
+	// Products: compiled produce vs interpreted produce on the same env.
+	wantP, wErr := r.produce(want.Branch, want.Env)
+	s := newSearcher(r)
+	if !s.probe(m, nil) {
+		t.Fatalf("%s: probe after FindMatch found nothing (err %v)", what, s.err)
+	}
+	gotP, gErr := r.kernel().produce(r.Name, s.branch, s.env)
+	if (wErr == nil) != (gErr == nil) || (wErr != nil && wErr.Error() != gErr.Error()) {
+		t.Fatalf("%s: produce err: oracle %v kernel %v", what, wErr, gErr)
+	}
+	if wErr == nil {
+		if len(wantP) != len(gotP) {
+			t.Fatalf("%s: product count: oracle %v kernel %v", what, wantP, gotP)
 		}
-		gotP, gErr := r.kernel().produce(r.Name, s.branch, s.env)
-		r.kernel().putSearcher(s)
-		if (wErr == nil) != (gErr == nil) || (wErr != nil && wErr.Error() != gErr.Error()) {
-			t.Fatalf("seed %d: produce err: oracle %v kernel %v", seed, wErr, gErr)
+		for i := range wantP {
+			if !wantP[i].Equal(gotP[i]) {
+				t.Fatalf("%s: product[%d]: oracle %s kernel %s", what, i, wantP[i], gotP[i])
+			}
 		}
-		if wErr == nil {
-			if len(wantP) != len(gotP) {
-				t.Fatalf("seed %d: product count: oracle %v kernel %v", seed, wantP, gotP)
-			}
-			for i := range wantP {
-				if !wantP[i].Equal(gotP[i]) {
-					t.Fatalf("seed %d: product[%d]: oracle %s kernel %s", seed, i, wantP[i], gotP[i])
-				}
-			}
+	}
+	return got
+}
+
+// TestKernelMatchesInterpreterFloatTags is the regression for matching that
+// depended on pattern order: the (label, tag) index held integer tags only,
+// so a search that had bound v = 2 from [1, 'A', 2] never saw [5, 'B', 2.0] —
+// which value.Equal, and so the interpreter, accepts — while the other
+// pattern order, binding v = 2.0 first, fell back to the label index and did.
+// Gamma then returned a state with an enabled reaction left in it.
+func TestKernelMatchesInterpreterFloatTags(t *testing.T) {
+	pat := func(v, label string, tag Field) Pattern { return Pattern{FVar(v), FLabel(label), tag} }
+	sum := []Branch{{Products: []Template{{expr.MustParse("a + b"), expr.Lit{Val: value.Str("C")}, expr.MustParse("v0")}}}}
+	cases := []struct {
+		name  string
+		pats  []Pattern
+		init  string
+		steps int64
+	}{
+		{"A then B", []Pattern{pat("a", "A", FVar("v0")), pat("b", "B", FVar("v0"))}, "{[1,'A',2], [5,'B',2.0]}", 1},
+		{"B then A", []Pattern{pat("b", "B", FVar("v0")), pat("a", "A", FVar("v0"))}, "{[1,'A',2], [5,'B',2.0]}", 1},
+		{"literal tag", []Pattern{pat("a", "A", FLit(value.Int(2))), pat("b", "B", FLit(value.Int(2)))}, "{[1,'A',2], [5,'B',2.0]}", 1},
+		{"literal float tag", []Pattern{pat("a", "A", FLit(value.Float(2))), pat("b", "B", FLit(value.Float(2)))}, "{[1,'A',2], [5,'B',2.0]}", 1},
+		{"non-integral float", []Pattern{pat("a", "A", FVar("v0")), pat("b", "B", FVar("v0"))}, "{[1,'A',2.5], [5,'B',2.5], [7,'B',2]}", 1},
+		{"float beside int", []Pattern{pat("a", "A", FVar("v0")), pat("b", "B", FVar("v0"))}, "{[1,'A',2], [5,'B',2.5]}", 0},
+		{"beyond 2^53", []Pattern{pat("a", "A", FVar("v0")), pat("b", "B", FVar("v0"))}, "{[1,'A',9007199254740993], [5,'B',9007199254740992.0]}", 1},
+	}
+	for _, c := range cases {
+		r := &Reaction{Name: "sum", Patterns: c.pats, Branches: sum}
+		if c.name == "literal tag" || c.name == "literal float tag" {
+			r.Branches = []Branch{{Products: []Template{{expr.MustParse("a + b"), expr.Lit{Val: value.Str("C")}}}}}
+		}
+		m, err := multiset.Parse(c.init)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := matchesInterpreter(t, c.name, r, m); (got != nil) != (c.steps > 0) {
+			t.Errorf("%s: match = %v on %s, want enabled = %v", c.name, got, m, c.steps > 0)
+		}
+		st, err := Run(MustProgram("sum", r), m, Options{})
+		if err != nil || st.Steps != c.steps {
+			t.Errorf("%s: %d steps (err %v) -> %s, want %d", c.name, st.Steps, err, m, c.steps)
+		}
+		if on, _ := Enabled(MustProgram("sum", r), m); on {
+			t.Errorf("%s: Run returned %s with the reaction still enabled", c.name, m)
 		}
 	}
 }
@@ -247,13 +309,10 @@ func TestKernelBacktrackClearsSlots(t *testing.T) {
 	}
 }
 
-// TestFindFiringNoMatchAllocationFree pins the pooled-searcher property: a
+// TestFindFiringNoMatchAllocationFree pins the owned-scratch property: a
 // failed probe on a stable multiset — the dominant operation near the Eq. 1
 // fixpoint — allocates nothing.
 func TestFindFiringNoMatchAllocationFree(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race detector instruments sync.Pool with allocations")
-	}
 	r := &Reaction{
 		Name:     "drain",
 		Patterns: []Pattern{{FVar("x"), FLabel("A"), FVar("v")}},
@@ -264,13 +323,10 @@ func TestFindFiringNoMatchAllocationFree(t *testing.T) {
 		multiset.IntElem(2, "A", 1),
 		multiset.IntElem(3, "B", 0),
 	)
-	if s, err := findFiring(r, m, nil, new(int64)); err != nil || s != nil {
-		t.Fatalf("warmup: (%v, %v)", s, err)
-	}
+	s := newSearcher(r)
 	allocs := testing.AllocsPerRun(200, func() {
-		s, err := findFiring(r, m, nil, new(int64))
-		if err != nil || s != nil {
-			t.Fatalf("probe: (%v, %v)", s, err)
+		if s.probe(m, nil) || s.err != nil {
+			t.Fatalf("probe matched or failed: %v", s.err)
 		}
 	})
 	if allocs != 0 {

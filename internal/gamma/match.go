@@ -26,16 +26,16 @@ type Match struct {
 //
 // The search runs on the reaction's compiled kernel (kernel.go): a
 // backtracking enumeration over the replace-list patterns with variable
-// bindings in a slot-indexed environment. Patterns whose label field is a
-// literal (the shape Algorithm 1 always emits) draw candidates from the
-// multiset's interned label or (label, tag) index, so converted dataflow
+// bindings in a slot-indexed environment. Patterns that name their labels
+// (patternLabels: the shapes Algorithm 1 emits) draw candidates from the
+// multiset's label lists or (label, tag) buckets, so converted dataflow
 // programs match in near-constant time; fully generic patterns walk the
 // whole multiset.
 //
 // Every search enumerates through one multiset.View read session, opened once
-// per probe (findFiring) or once per probe batch (the pool's tryFireBatch):
+// per probe (searcher.probe) or once per probe batch (the pool's tryFireBatch):
 // the live chunked indexes are walked in place — no snapshot, no per-probe
-// sort, each candidate arriving with its cached Key() fingerprint — so a probe
+// sort, each candidate arriving as a handle (multiset.Ref) — so a probe
 // costs only the candidates it actually visits, whatever the multiset's size
 // and whatever earlier probes did. Only the starting rotation differs by mode:
 // 0 (ascending key order) for labeled patterns and a size-derived rotation for
@@ -44,18 +44,16 @@ type Match struct {
 // writers is caught by the optimistic commit.
 //
 // FindMatch materializes the bindings into a MapEnv for its callers (tests,
-// Enabled, the dataflow equivalence checker); the step loop in run.go uses
-// findFiring to keep the pooled slot environment instead.
+// Enabled, the dataflow equivalence checker) on scratch of its own; the step
+// loop in run.go probes on the worker's searchers and keeps the slot
+// environment instead.
 func FindMatch(r *Reaction, m *multiset.Multiset, rng *rand.Rand) (*Match, error) {
-	k := r.kernel()
-	var visited int64
-	s, err := findFiring(r, m, rng, &visited)
-	if err != nil || s == nil {
-		return nil, err
+	s := newSearcher(r)
+	if !s.probe(m, rng) {
+		return nil, s.err
 	}
-	defer k.putSearcher(s)
-	env := make(expr.MapEnv, len(k.varOf))
-	for slot, name := range k.varOf {
+	env := make(expr.MapEnv, len(s.k.varOf))
+	for slot, name := range s.k.varOf {
 		if v := s.env[slot]; v.IsValid() {
 			env[name] = v
 		}
@@ -65,36 +63,22 @@ func FindMatch(r *Reaction, m *multiset.Multiset, rng *rand.Rand) (*Match, error
 	return &Match{Chosen: chosen, Env: env, Branch: s.branch}, nil
 }
 
-// findFiring is the allocation-free core of FindMatch: it returns a pooled
-// searcher holding an enabled firing (slot env, chosen tuples with their
-// cached keys, selected branch), or nil when the reaction is not enabled.
-// The caller must release a non-nil searcher via r.kernel().putSearcher once
-// done reading it. The candidates the probe visited are added to *visited.
-func findFiring(r *Reaction, m *multiset.Multiset, rng *rand.Rand, visited *int64) (*searcher, error) {
-	k := r.kernel()
-	s := k.getSearcher(r, m, rng)
-	ok := s.probe(m)
-	*visited += s.visited
-	if s.err != nil || !ok {
-		err := s.err
-		k.putSearcher(s)
-		return nil, err
-	}
-	return s, nil
-}
-
-// probe runs one search under its own read session: the shards the reaction's
-// patterns can enumerate are read-locked once, for all nesting levels, and
-// released on every exit path — including a panic out of a reaction condition,
-// which the sequential engine recovers into an error; a read lock that
-// outlived its probe would block every later writer.
-func (s *searcher) probe(m *multiset.Multiset) bool {
+// probe runs one search of m under its own read session and reports whether
+// it found an enabled firing — then held by s: slot env, chosen tuples, their
+// handles (refs), branch; on false, s.err says whether a condition failed. The
+// shards the reaction's patterns can enumerate are read-locked once, for all
+// nesting levels, and released on every exit path — including a panic out of
+// a reaction condition, which the sequential engine recovers into an error; a
+// read lock that outlived its probe would block every later writer.
+func (s *searcher) probe(m *multiset.Multiset, rng *rand.Rand) bool {
+	s.begin(m, rng)
 	m.LockView(&s.view, s.k.viewSyms, s.k.viewAll)
 	defer s.view.Unlock()
 	return s.search(0)
 }
 
-// searcher is the recycled scratch of one match search; see kernel.getSearcher.
+// searcher is the reusable scratch of one reaction's match searches, owned by
+// one worker (newSearcher, begin).
 type searcher struct {
 	k    *kernel
 	r    *Reaction
@@ -102,31 +86,32 @@ type searcher struct {
 	view multiset.View // the read session candidates are enumerated through
 	rot  uint64        // enumeration rotation of the current search; see eachCandidate
 	env  []value.Value // slot-indexed bindings; invalid Value = unbound
-	// claims is the claim tracker: the key of every occurrence the search
+	// claims is the claim tracker: the handle of every occurrence the search
 	// holds, as a stack. A candidate is exhausted once it appears there as
 	// often as its multiplicity. Backtracking pops exactly what it pushed, so
 	// lookup, undo and reset all cost O(live claims) — at most arity ×
 	// batchMaxFirings, the stack's fixed capacity — and nothing a probe scans
 	// past is ever recorded. The top len(pats) entries of a successful search
-	// are the chosen tuples' keys in pattern order (see keys).
-	claims  []string
+	// are the chosen tuples' handles in pattern order (see refs).
+	claims  []multiset.Ref
 	chosen  []multiset.Tuple
 	branch  int
 	err     error
 	visited int64 // candidates handed to the match callback (Stats.Candidates)
 }
 
-// keys returns the cached Key() of each chosen tuple of the search that just
+// refs returns the handle of each chosen tuple of the search that just
 // succeeded, in pattern order.
-func (s *searcher) keys() []string {
+func (s *searcher) refs() []multiset.Ref {
 	return s.claims[len(s.claims)-len(s.chosen):]
 }
 
-// claimed counts the occurrences of key the search already holds.
-func (s *searcher) claimed(key string) int {
+// claimed counts the occurrences of c's element the search already holds.
+// Handles of one View are equal exactly when they name the same entry.
+func (s *searcher) claimed(c multiset.Ref) int {
 	n := 0
-	for _, c := range s.claims {
-		if c == key {
+	for _, have := range s.claims {
+		if have == c {
 			n++
 		}
 	}
@@ -138,8 +123,8 @@ func (s *searcher) claimed(key string) int {
 // the occurrences chosen by the batch's earlier (not yet committed) firings
 // stay claimed — that is what makes the batch's deltas pairwise disjoint and
 // the single ApplyDeltas commit equivalent to firing them one by one. The
-// caller must copy chosen/keys out before calling; the next search overwrites
-// chosen and stacks its keys above the kept ones. Batches are the pool's, so
+// caller must copy chosen/refs out before calling; the next search overwrites
+// chosen and stacks its handles above the kept ones. Batches are the pool's, so
 // the next search draws its own rotation from the worker's rng.
 func (s *searcher) nextInBatch() {
 	for i := range s.env {
@@ -163,23 +148,22 @@ func (s *searcher) search(i int) bool {
 	}
 	kp := &s.k.pats[i]
 	found := false
-	s.eachCandidate(kp, func(t multiset.Tuple, n int, key string) bool {
+	s.eachCandidate(kp, func(c multiset.Ref) bool {
 		s.visited++
-		if s.claimed(key) >= n {
+		if s.claimed(c) >= c.Count() {
 			return true // all occurrences already claimed by earlier patterns
 		}
+		t := c.Tuple()
 		if !kp.match(t, s.env) {
 			return true
 		}
-		s.claims = append(s.claims, key)
+		s.claims = append(s.claims, c)
 		s.chosen[i] = t
 		if s.search(i + 1) {
 			found = true
 			return false
 		}
-		top := len(s.claims) - 1
-		s.claims[top] = ""
-		s.claims = s.claims[:top]
+		s.claims = s.claims[:len(s.claims)-1]
 		kp.clear(s.env)
 		return s.err == nil
 	})
@@ -189,8 +173,8 @@ func (s *searcher) search(i int) bool {
 // eachCandidate enumerates the possible elements for pattern kp under the
 // current bindings, using the narrowest index available, until fn returns
 // false. Every mode walks the live indexes through the probe's view from a
-// rotated start; every candidate carries the multiset's cached key
-// fingerprint.
+// rotated start and receives candidates as handles. A pattern with several
+// labels (a narrowed label variable) walks their indexes one after another.
 //
 // One rotation serves all nesting levels of a search. Seeded and pool
 // searches draw it from their rng, so enumeration starts at a random position
@@ -213,8 +197,8 @@ func (s *searcher) search(i int) bool {
 // x in a sparse chunk of near-maxima that almost no y can follow
 // (TestLabelFreeScaling measured 280 candidates per step at n=2¹⁷ that way,
 // growing with n, against 7 with the shared rotation).
-func (s *searcher) eachCandidate(kp *kpat, fn func(t multiset.Tuple, n int, key string) bool) {
-	if !kp.hasLabel {
+func (s *searcher) eachCandidate(kp *kpat, fn func(multiset.Ref) bool) {
+	if len(kp.labels) == 0 {
 		s.view.EachAll(s.rot, fn)
 		return
 	}
@@ -222,10 +206,11 @@ func (s *searcher) eachCandidate(kp *kpat, fn func(t multiset.Tuple, n int, key 
 	if s.rng == nil {
 		rot = 0
 	}
-	if tag, ok := s.tagOf(kp); ok {
-		s.view.EachSymTag(kp.labelSym, tag, rot, fn)
-	} else {
-		s.view.EachSym(kp.labelSym, rot, fn)
+	tag, tagged := s.tagOf(kp)
+	for _, sym := range kp.labels {
+		if tagged && !s.view.EachSymTag(sym, tag, rot, fn) || !tagged && !s.view.EachSym(sym, rot, fn) {
+			return
+		}
 	}
 }
 
@@ -240,29 +225,69 @@ func detRotation(n int) uint64 {
 	return z ^ (z >> 31)
 }
 
-// tagOf resolves a concrete integer tag for kp's enumeration, per the
-// kernel's static plan: a literal tag always, a tag variable only when an
-// earlier pattern bound its slot to an int — the common case for Algorithm 1
-// output, where all patterns share the tag variable and the first match pins
-// it.
+// tagOf resolves the tag bucket for kp's enumeration, per the kernel's static
+// plan: a literal tag always, a tag variable only when an earlier pattern
+// bound its slot to a value with a bucket (multiset.IndexTag) — the common
+// case for Algorithm 1 output, where all patterns share the tag variable and
+// the first match pins it. The bucket is a superset; kpat.match decides.
 func (s *searcher) tagOf(kp *kpat) (int64, bool) {
 	switch kp.tagMode {
 	case tagLit:
 		return kp.tagLit, true
 	case tagSlot:
-		if v := s.env[kp.tagSlot]; v.Kind() == value.KindInt {
-			return v.AsInt(), true
-		}
+		return multiset.IndexTag(s.env[kp.tagSlot])
 	}
 	return 0, false
 }
 
-// patternLabel extracts a literal string in the label position (field 1).
-func patternLabel(p Pattern) (string, bool) {
-	if len(p) >= 2 && p[1].Var == "" && p[1].Lit.Kind() == value.KindString {
-		return p[1].Lit.AsString(), true
+// patternLabels returns the labels an element must carry one of to match p in
+// r, nil when any element might (a generic pattern). Two shapes qualify, both
+// Algorithm 1's: a literal string in the label position (field 1), and a
+// label variable that every branch condition restricts by nothing but an
+// or-chain of `var == 'literal'` — the inctag listing,
+//
+//	replace [id1, x1, v] by [id1, 's_d5', v + 1] if x1 == 's_bk22' or x1 == 's_in1'
+//
+// Such a condition cannot fail to evaluate and is false for any other label,
+// so skipping other elements is unobservable; an else branch or any other
+// operator leaves the pattern generic. The kernel's enumeration plan and the
+// scheduler's subscriptions both come from here.
+func patternLabels(r *Reaction, p Pattern) []string {
+	if len(p) < 2 {
+		return nil
 	}
-	return "", false
+	if p[1].Var == "" {
+		if p[1].Lit.Kind() == value.KindString {
+			return []string{p[1].Lit.AsString()}
+		}
+		return nil
+	}
+	var labels []string
+	for _, b := range r.Branches {
+		if b.Cond == nil || !labelChain(b.Cond, p[1].Var, &labels) {
+			return nil
+		}
+	}
+	return labels
+}
+
+// labelChain reports whether e is an or-chain of `name == 'literal'` and
+// nothing else, appending the literals to labels.
+func labelChain(e expr.Expr, name string, labels *[]string) bool {
+	b, ok := e.(expr.Binary)
+	if !ok {
+		return false
+	}
+	if b.Op == "or" || b.Op == "||" {
+		return labelChain(b.L, name, labels) && labelChain(b.R, name, labels)
+	}
+	v, isVar := b.L.(expr.Var)
+	l, isLit := b.R.(expr.Lit)
+	if b.Op != "==" || !isVar || !isLit || v.Name != name || l.Val.Kind() != value.KindString {
+		return false
+	}
+	*labels = append(*labels, l.Val.AsString())
+	return true
 }
 
 // Enabled reports whether any reaction of p has an enabled match on m — the

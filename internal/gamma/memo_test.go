@@ -19,18 +19,13 @@ func (m mapMemo) LookupReaction(key string) ([]multiset.Tuple, bool) {
 func (m mapMemo) StoreReaction(key string, products []multiset.Tuple) { m[key] = products }
 
 // applyMatch probes r on m and applies the action through the kernel path,
-// mirroring the step loop's findFiring + applyAction sequence.
+// mirroring the step loop's probe + applyAction sequence.
 func applyMatch(t *testing.T, r *Reaction, m *multiset.Multiset, opt Options, stats *Stats) ([]multiset.Tuple, error) {
 	t.Helper()
-	k := r.kernel()
-	s, err := findFiring(r, m, nil, new(int64))
-	if err != nil {
-		t.Fatal(err)
+	s := newSearcher(r)
+	if !s.probe(m, nil) {
+		t.Fatalf("no match (err %v)", s.err)
 	}
-	if s == nil {
-		t.Fatal("no match")
-	}
-	defer k.putSearcher(s)
 	w := &worker{opt: opt, stats: stats}
 	return w.applyAction(r, s)
 }

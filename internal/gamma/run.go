@@ -76,8 +76,8 @@ type Options struct {
 	// reaction is marked runnable again, instead of only those subscribed to
 	// a label the commit added (schedule.go). Matching and committing are
 	// unchanged, and so is the stable state reached; the flag exists as the
-	// scheduler reference the incremental policy is measured against
-	// (cmd/gfbench -exp e16) and compared with in tests.
+	// scheduler reference the incremental policy is compared with in tests
+	// (TestWakePolicyScaling).
 	FullScan bool
 	// FaultInjector, when set, runs before every reaction application with
 	// the reaction name and worker index; a non-nil return aborts the run
@@ -251,15 +251,11 @@ func (r *Reaction) memoPlan() *memoPlan {
 	return r.plan
 }
 
-// applyAction evaluates the enabled branch's products over the firing's slot
-// environment (compiled kernel path), honoring the memo table and work
-// factor.
+// applyAction is the memoized action (stage has the plain one): the enabled
+// branch's products over the firing's slot environment, answered from
+// Options.Memo or evaluated, work factor included, and stored there.
 func (w *worker) applyAction(r *Reaction, s *searcher) ([]multiset.Tuple, error) {
 	k, opt := r.kernel(), &w.opt
-	if opt.Memo == nil {
-		spin(opt.WorkFactor)
-		return k.produce(r.Name, s.branch, s.env)
-	}
 	plan := r.memoPlan()
 	key := r.Name
 	for i, t := range s.chosen {
@@ -404,8 +400,30 @@ type worker struct {
 	dirty     []bool
 	remaining int
 
+	// Per reaction index: the worker's searcher scratch and its firing count,
+	// folded into stats.Fired by foldFired at exit.
+	searchers []*searcher
+	fired     []int64
+
 	sh *stealSched // pool coordination; nil in the sequential interpreter
 	batchWorker
+}
+
+func newWorker(ctx context.Context, p *Program, m *multiset.Multiset, opt Options, id int) *worker {
+	w := &worker{ctx: ctx, p: p, m: m, opt: opt, id: id, stats: newStats(max(opt.Workers, 1)),
+		fired: make([]int64, len(p.Reactions))}
+	for _, r := range p.Reactions {
+		w.searchers = append(w.searchers, newSearcher(r))
+	}
+	return w
+}
+
+func (w *worker) foldFired() {
+	for idx, k := range w.fired {
+		if k > 0 {
+			w.stats.Fired[w.p.Reactions[idx].Name] += k
+		}
+	}
 }
 
 // wake marks reaction j runnable — dirty on the sequential worklist, queued
@@ -432,7 +450,7 @@ func (w *worker) wake(j int) bool {
 func (w *worker) committed(idx, k int, syms []symtab.Sym, t0 time.Time) {
 	r := w.p.Reactions[idx]
 	w.stats.Steps += int64(k)
-	w.stats.Fired[r.Name] += int64(k)
+	w.fired[idx] += int64(k)
 	woken := 0
 	mark := func(j int) {
 		if w.wake(j) {
@@ -452,7 +470,14 @@ func (w *worker) committed(idx, k int, syms []symtab.Sym, t0 time.Time) {
 		depth = w.sh.deques[w.id].size()
 	}
 	w.ts.firing(idx, r.Name, t0, w.m, woken, depth, k)
+	if afterCommit != nil {
+		afterCommit(w.m)
+	}
 }
+
+// afterCommit is a test hook: the differential and stress suites point it at
+// multiset.CheckInvariants so every commit of their runs is checked.
+var afterCommit func(*multiset.Multiset)
 
 // runSequential is the direct implementation of the Γ recursion (Eq. 1):
 // while some (Ri, Ai) is enabled, replace the matched elements with the
@@ -472,19 +497,20 @@ func (w *worker) committed(idx, k int, syms []symtab.Sym, t0 time.Time) {
 // condition or action (or the fault injector) is recovered into *rt.PanicError
 // with the partial stats preserved.
 func runSequential(ctx context.Context, p *Program, m *multiset.Multiset, opt Options) (stats *Stats, err error) {
-	stats = newStats(1)
+	w := newWorker(ctx, p, m, opt, 0)
+	stats = w.stats
 	site := ""
 	defer func() {
 		if rec := recover(); rec != nil {
 			err = rt.NewPanicError("gamma", site, 0, rec)
 		}
+		w.foldFired()
 	}()
 	n := len(p.Reactions)
 	if n == 0 {
 		return stats, nil
 	}
-	w := &worker{ctx: ctx, p: p, m: m, opt: opt, stats: stats, ts: newTelSink(opt, p, 0),
-		dirty: make([]bool, n), remaining: n}
+	w.ts, w.dirty, w.remaining = newTelSink(opt, p, 0), make([]bool, n), n
 	if opt.Seed != 0 {
 		w.rng = rand.New(rand.NewSource(opt.Seed))
 	}
@@ -503,23 +529,21 @@ func runSequential(ctx context.Context, p *Program, m *multiset.Multiset, opt Op
 		stats.Probes++
 		t0 := w.ts.begin()
 		w.ts.probe(r.Name)
-		var visited int64
-		s, err := findFiring(r, m, w.rng, &visited)
-		stats.Candidates += visited
-		w.ts.candidates(visited)
-		if err != nil {
-			return stats, err
+		s := w.searchers[i]
+		ok := s.probe(m, w.rng)
+		stats.Candidates += s.visited
+		w.ts.candidates(s.visited)
+		if s.err != nil {
+			return stats, s.err
 		}
-		if s == nil {
+		if !ok {
 			w.dirty[i] = false
 			w.remaining--
 			continue
 		}
 		// The fired reaction stays dirty: consuming elements may leave it
 		// enabled on what remains.
-		err = w.fire(i, s, t0)
-		r.kernel().putSearcher(s)
-		if err != nil {
+		if err := w.fire(i, s, t0); err != nil {
 			return stats, err
 		}
 	}
@@ -527,8 +551,8 @@ func runSequential(ctx context.Context, p *Program, m *multiset.Multiset, opt Op
 }
 
 // fire applies the enabled firing of reaction idx held by s and commits it:
-// the consume+produce lands as one batched delta under a single lock
-// acquisition per shard, and the label symbols it returns drive the wakeups.
+// the consume+produce lands as one delta under a single lock acquisition per
+// shard, and the label symbols it returns drive the wakeups.
 func (w *worker) fire(idx int, s *searcher, t0 time.Time) error {
 	r := w.p.Reactions[idx]
 	if w.opt.MaxSteps > 0 && w.stats.Steps >= w.opt.MaxSteps {
@@ -541,28 +565,73 @@ func (w *worker) fire(idx int, s *searcher, t0 time.Time) error {
 			return err
 		}
 	}
-	products, err := w.applyAction(r, s)
-	if err != nil {
+	w.reset()
+	if err := w.stage(r, s); err != nil {
 		return err
 	}
-	var ok bool
-	var syms []symtab.Sym
-	if rec := w.opt.Schedule; rec != nil {
-		var seq uint64
-		ok, seq, syms = w.m.ApplyDeltaSeq(s.chosen, s.keys(), products, w.symsBuf[:0])
-		if ok {
-			rec.RecordStepTuples(seq, r.Name, s.chosen, products)
-		}
-	} else {
-		ok, syms = w.m.ApplyDelta(s.chosen, s.keys(), products, w.symsBuf[:0])
-	}
-	w.symsBuf = syms
-	if !ok {
+	n, syms := w.commit(r.Name)
+	if n == 0 {
 		// Unreachable single-threaded; defensive.
 		return fmt.Errorf("gamma: matched elements vanished in sequential run of %s", r.Name)
 	}
 	w.committed(idx, 1, syms, t0)
 	return nil
+}
+
+// stage evaluates the firing s holds and appends it to the worker's batch as
+// a handle-addressed delta. Product cells land in the worker's vals arena and
+// the headers in its produce list — the commit clones what it inserts and
+// nothing retains the headers past it — except under a memo table, which does
+// retain them, so applyAction allocates.
+func (w *worker) stage(r *Reaction, s *searcher) error {
+	k := r.kernel()
+	cs, ps := len(w.consume), len(w.produce)
+	psyms := k.branches[s.branch].psyms
+	if w.opt.Memo == nil {
+		spin(w.opt.WorkFactor)
+		var err error
+		if w.vals, w.produce, err = k.produceInto(r.Name, s.branch, s.env, w.vals, w.produce); err != nil {
+			return err
+		}
+	} else {
+		prods, err := w.applyAction(r, s)
+		if err != nil {
+			return err
+		}
+		w.produce, psyms = append(w.produce, prods...), nil
+	}
+	w.consume = append(w.consume, s.chosen...)
+	w.refs = append(w.refs, s.refs()...)
+	// Capacity-clamped subslices: later appends cannot write through earlier
+	// deltas, and an arena realloc leaves them reading the old backing, whose
+	// cells are immutable and already correct.
+	w.deltas = append(w.deltas, multiset.Delta{
+		Consume: w.consume[cs:len(w.consume):len(w.consume)],
+		Refs:    w.refs[cs:len(w.refs):len(w.refs)],
+		Produce: w.produce[ps:len(w.produce):len(w.produce)],
+		PSyms:   psyms,
+	})
+	return nil
+}
+
+// commit lands the staged batch as one multiset commit — one write-lock
+// acquisition over the shard union, per-firing all-or-nothing claims by handle
+// — tells the schedule recorder of every applied firing, and returns how many
+// applied with the label symbols they added.
+func (w *worker) commit(name string) (int, []symtab.Sym) {
+	applied := w.applied[:len(w.deltas)]
+	var n int
+	if rec := w.opt.Schedule; rec != nil {
+		n, w.symsBuf = w.m.ApplyDeltasSeq(w.deltas, applied, w.seqs[:len(w.deltas)], w.symsBuf[:0])
+		for i := range w.deltas {
+			if applied[i] {
+				rec.RecordStepTuples(w.seqs[i], name, w.deltas[i].Consume, w.deltas[i].Produce)
+			}
+		}
+	} else {
+		n, w.symsBuf = w.m.ApplyDeltas(w.deltas, applied, w.symsBuf[:0])
+	}
+	return n, w.symsBuf
 }
 
 // stealSched is the coordination state of the parallel runtime: per-worker
@@ -692,8 +761,8 @@ func runParallel(ctx context.Context, p *Program, m *multiset.Multiset, opt Opti
 	pool := make([]*worker, workers)
 	var wg sync.WaitGroup
 	for id := range pool {
-		w := &worker{ctx: ctx, p: p, m: m, opt: opt, stats: newStats(workers), id: id, sh: sh,
-			rng: rand.New(rand.NewSource(opt.Seed + int64(id)*0x9e3779b9 + 1))}
+		w := newWorker(ctx, p, m, opt, id)
+		w.sh, w.rng = sh, rand.New(rand.NewSource(opt.Seed+int64(id)*0x9e3779b9+1))
 		pool[id] = w
 		wg.Add(1)
 		go func() {
@@ -706,6 +775,7 @@ func runParallel(ctx context.Context, p *Program, m *multiset.Multiset, opt Opti
 	close(watchDone)
 	total := newStats(workers)
 	for _, w := range pool {
+		w.foldFired()
 		total.merge(w.stats)
 	}
 	sh.mu.Lock()
@@ -759,18 +829,19 @@ func (w *worker) conflictBackoff(retries int) (canceled bool) {
 const batchMaxFirings = 8
 
 // batchWorker is one worker's reusable commit scratch: the delta list for
-// ApplyDeltas and the arenas the batch's tuples live in.
+// ApplyDeltas and the arenas the batch's tuples live in (stage fills them).
 // Consume headers point at multiset entry tuples (immutable backings that are
-// never recycled), produce headers at cells of the worker-owned vals arena;
-// everything is truncated — not freed — between batches, so a steady-state
-// batch allocates nothing. The sequential interpreter uses only symsBuf.
+// never recycled), refs are their handles, produce headers point at cells of
+// the worker-owned vals arena; everything is truncated — not freed — between
+// batches, so a steady-state batch allocates nothing. The sequential
+// interpreter's batches hold one firing.
 type batchWorker struct {
 	deltas  []multiset.Delta
 	applied [batchMaxFirings]bool
 	seqs    [batchMaxFirings]uint64
 	symsBuf []symtab.Sym
 	consume []multiset.Tuple
-	keys    []string
+	refs    []multiset.Ref
 	produce []multiset.Tuple
 	vals    []value.Value
 	victims []int // reusable steal-order scratch
@@ -779,14 +850,14 @@ type batchWorker struct {
 func (b *batchWorker) reset() {
 	b.deltas = b.deltas[:0]
 	b.consume = b.consume[:0]
-	b.keys = b.keys[:0]
+	b.refs = b.refs[:0]
 	b.produce = b.produce[:0]
 	b.vals = b.vals[:0]
 }
 
 // tryFireBatch probes reaction idx under a shard view and fires up to
 // batchMaxFirings pairwise-disjoint matches as one ApplyDeltas commit — the
-// pool's firing path. One searcher is held across the whole batch: each
+// pool's firing path. The searcher spans the whole batch: each
 // successful search leaves its occurrence claims in the claim tracker (a
 // failed search's backtracking undoes only its own), so the next search can
 // only choose molecules the batch has not consumed yet, which makes the
@@ -807,17 +878,14 @@ func (b *batchWorker) reset() {
 func (w *worker) tryFireBatch(idx int, requeue bool) (fired, stop bool) {
 	r := w.p.Reactions[idx]
 	sh, opt, m := w.sh, &w.opt, w.m
-	var s *searcher
+	s := w.searchers[idx]
 	defer func() {
 		if rec := recover(); rec != nil {
-			if s != nil {
-				s.view.Unlock() // idempotent; no-op when not held
-			}
+			s.view.Unlock() // idempotent; no-op when not held
 			sh.fail(rt.NewPanicError("gamma", r.Name, w.id, rec))
 			fired, stop = false, true
 		}
 	}()
-	k := r.kernel()
 	for retries := 0; ; retries++ {
 		if cerr := w.ctx.Err(); cerr != nil {
 			sh.fail(rt.FromContext(cerr))
@@ -837,8 +905,8 @@ func (w *worker) tryFireBatch(idx int, requeue bool) (fired, stop bool) {
 		}
 		w.reset()
 		t0 := w.ts.begin()
-		s = k.getSearcher(r, m, w.rng)
-		m.LockView(&s.view, k.viewSyms, k.viewAll)
+		s.begin(m, w.rng)
+		m.LockView(&s.view, s.k.viewSyms, s.k.viewAll)
 		var ferr error
 		for len(w.deltas) < maxB {
 			w.stats.Probes++
@@ -856,41 +924,14 @@ func (w *worker) tryFireBatch(idx int, requeue bool) (fired, stop bool) {
 					break
 				}
 			}
-			ps := len(w.produce)
-			if opt.Memo == nil {
-				// Arena path: product cells land in the worker's vals buffer,
-				// headers in the produce list. Safe because the commit clones
-				// what it inserts and nothing retains the headers past it.
-				spin(opt.WorkFactor)
-				w.vals, w.produce, ferr = k.produceInto(r.Name, s.branch, s.env, w.vals, w.produce)
-			} else {
-				// Memoized path: the memo table retains product slices, so
-				// they must be freshly allocated, never arena-backed.
-				var prods []multiset.Tuple
-				prods, ferr = w.applyAction(r, s)
-				w.produce = append(w.produce, prods...)
-			}
-			if ferr != nil {
+			if ferr = w.stage(r, s); ferr != nil {
 				break
 			}
-			cs := len(w.consume)
-			w.consume = append(w.consume, s.chosen...)
-			w.keys = append(w.keys, s.keys()...)
-			// Capacity-clamped subslices: later appends cannot write through
-			// earlier deltas, and an arena realloc leaves them reading the
-			// old backing, whose cells are immutable and already correct.
-			w.deltas = append(w.deltas, multiset.Delta{
-				Consume: w.consume[cs:len(w.consume):len(w.consume)],
-				CKeys:   w.keys[cs:len(w.keys):len(w.keys)],
-				Produce: w.produce[ps:len(w.produce):len(w.produce)],
-			})
 			s.nextInBatch()
 		}
 		s.view.Unlock()
 		w.stats.Candidates += s.visited
 		w.ts.candidates(s.visited)
-		k.putSearcher(s)
-		s = nil // recycled: the recover path must not touch another owner's view
 		if ferr != nil {
 			sh.fail(ferr)
 			return false, true
@@ -899,24 +940,10 @@ func (w *worker) tryFireBatch(idx int, requeue bool) (fired, stop bool) {
 		if matched == 0 {
 			return false, false
 		}
-		// Commit: one write-lock acquisition over the shard union, per-firing
-		// all-or-nothing claims. Individual claims can still fail — a
-		// concurrent worker consumed a matched molecule between the view
-		// unlock and the commit — without voiding the rest of the batch.
-		applied := w.applied[:matched]
-		var n int
-		var syms []symtab.Sym
-		if rec := opt.Schedule; rec != nil {
-			n, syms = m.ApplyDeltasSeq(w.deltas, applied, w.seqs[:matched], w.symsBuf[:0])
-			for i := range w.deltas {
-				if applied[i] {
-					rec.RecordStepTuples(w.seqs[i], r.Name, w.deltas[i].Consume, w.deltas[i].Produce)
-				}
-			}
-		} else {
-			n, syms = m.ApplyDeltas(w.deltas, applied, w.symsBuf[:0])
-		}
-		w.symsBuf = syms
+		// Individual claims can still fail — a concurrent worker consumed a
+		// matched molecule between the view unlock and the commit — without
+		// voiding the rest of the batch.
+		n, syms := w.commit(r.Name)
 		if failedN := matched - n; failedN > 0 {
 			w.stats.Conflicts += int64(failedN)
 			w.ts.conflictN(r.Name, failedN)

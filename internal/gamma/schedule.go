@@ -9,9 +9,11 @@
 //  1. Matching is monotone: removing elements can never enable a reaction,
 //     because patterns only require the presence of elements (the model has
 //     no negative conditions). Only additions create new match opportunities.
-//  2. A pattern whose label field is a literal (the shape Algorithm 1 always
-//     emits) can only consume elements carrying exactly that label; adding
-//     an element with a different label cannot enable it.
+//  2. A pattern that names its labels — a literal label field, or a label
+//     variable its reaction's conditions confine to a set of literals (both
+//     shapes are Algorithm 1's; patternLabels decides) — can only consume
+//     elements carrying one of them; adding an element with any other label
+//     cannot enable it.
 //
 // So at program setup we compute label → reactions once, and after each
 // commit only the reactions subscribed to a label that was actually added —
@@ -27,13 +29,13 @@ import "repro/internal/symtab"
 // subscriptions is the immutable label → reactions index of one Program,
 // computed once per program (reactions are immutable after Validate).
 type subscriptions struct {
-	// bySym lists, per literal label (as its interned symbol — ApplyDelta
+	// bySym lists, per pattern label (as its interned symbol — a commit
 	// reports produce deltas as symbols, so wakeups never materialize label
 	// strings), the indexes of reactions with at least one pattern
 	// subscribing to that label, ascending.
 	bySym map[symtab.Sym][]int
-	// wildcard lists reactions with at least one generic pattern (no literal
-	// label): any added element may feed such a pattern, so these wake on
+	// wildcard lists reactions with at least one generic pattern (no label
+	// set): any added element may feed such a pattern, so these wake on
 	// every commit.
 	wildcard []int
 }
@@ -42,31 +44,21 @@ type subscriptions struct {
 func buildSubscriptions(reactions []*Reaction) *subscriptions {
 	sub := &subscriptions{bySym: make(map[symtab.Sym][]int)}
 	for i, r := range reactions {
-		generic := false
-		var labels []string
+		var syms []symtab.Sym
 		for _, p := range r.Patterns {
-			label, ok := patternLabel(p)
-			if !ok {
-				generic = true
+			labels := patternLabels(r, p)
+			if labels == nil {
+				syms = nil
 				break
 			}
-			seen := false
-			for _, have := range labels {
-				if have == label {
-					seen = true
-					break
-				}
-			}
-			if !seen {
-				labels = append(labels, label)
+			for _, label := range labels {
+				syms = addUnique(syms, symtab.Intern(label))
 			}
 		}
-		if generic {
+		if syms == nil {
 			sub.wildcard = append(sub.wildcard, i)
-			continue
 		}
-		for _, label := range labels {
-			sym := symtab.Intern(label)
+		for _, sym := range syms {
 			sub.bySym[sym] = append(sub.bySym[sym], i)
 		}
 	}

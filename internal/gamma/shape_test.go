@@ -1,0 +1,81 @@
+package gamma_test
+
+import (
+	"fmt"
+	"runtime"
+	"testing"
+
+	"repro/internal/compiler"
+	"repro/internal/core"
+	"repro/internal/dataflow"
+	"repro/internal/equiv"
+	"repro/internal/gamma"
+	"repro/internal/paper"
+	"repro/internal/symtab"
+)
+
+// TestAlg1ImageShape is the gate, in counts, on what a Γ step over an
+// Algorithm 1 image may cost (§III-C: one reaction step per operator firing,
+// same operands, same tag rule). Every reaction Algorithm 1 emits names its
+// labels — literally, or through the inctag or-chain — so none may land in the
+// scheduler's wildcard bucket or view every shard; and on the benchmark's
+// 2 000-trip loop the step, probe and candidate counts are pinned, a warm run
+// interns nothing, and a warm sequential run allocates next to nothing per
+// step (2.6 objects before products were built in the worker's arenas).
+// Counts only, so it runs under -race; the allocation half needs a plain build.
+func TestAlg1ImageShape(t *testing.T) {
+	loop := func(trips int) string {
+		return fmt.Sprintf("int s = 3;\nint t = 5;\nint i;\nfor (i = %d; i > 0; i--) { s = s + i*i; t = t + s %% 7; }\noutput s;\noutput t;\n", trips)
+	}
+	graphs := map[string]*dataflow.Graph{"fig1": paper.Fig1Graph(), "fig2": paper.Fig2GraphObservable(10, 4, 6)}
+	sources := map[string]string{"loop": loop(2000)}
+	for seed := int64(0); seed < 50; seed++ {
+		sources[fmt.Sprintf("randprog %d", seed)], _ = equiv.RandomProgram(seed, 2+int(seed)%3, 3+int(seed)%5)
+	}
+	for name, src := range sources {
+		g, err := compiler.Compile(name, src)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		graphs[name] = g
+	}
+	for name, g := range graphs {
+		prog, _, err := core.ToGamma(g)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if wildcard, viewAll := gamma.Generic(prog); wildcard != 0 || viewAll != 0 {
+			t.Errorf("%s: %d reactions in the wildcard bucket, %d kernels view every shard, want none:\n%s", name, wildcard, viewAll, prog)
+		}
+	}
+
+	prog, init, err := core.ToGamma(graphs["loop"])
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func() *gamma.Stats {
+		st, err := gamma.Run(prog, init.Clone(), gamma.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	st := run() // warms kernels and interns every label
+	if st.Steps != 24010 || st.Probes != 24028 {
+		t.Errorf("loop: %d steps, %d probes, want 24010 and 24028", st.Steps, st.Probes)
+	}
+	if perStep := float64(st.Candidates) / float64(st.Steps); perStep > 1.6 {
+		t.Errorf("loop: %.2f candidates per step, want <= 1.6", perStep)
+	}
+	labels := symtab.Len()
+	var a, b runtime.MemStats
+	runtime.ReadMemStats(&a)
+	st = run()
+	runtime.ReadMemStats(&b)
+	if symtab.Len() != labels {
+		t.Errorf("loop: a warm run interned %d labels", symtab.Len()-labels)
+	}
+	if perStep := float64(b.Mallocs-a.Mallocs) / float64(st.Steps); perStep > 0.2 && !gamma.RaceEnabled {
+		t.Errorf("loop: %.2f objects allocated per step on a warm run, want <= 0.2", perStep)
+	}
+}

@@ -5,7 +5,8 @@ package gamma_test
 // the primes sieve run under 2–8 workers against the sequential oracle, and a
 // seeded property test sweeps Algorithm-1 programs derived from random
 // dataflow graphs, comparing the incremental engine with the FullScan seed
-// baseline in both runtimes.
+// baseline in both runtimes. Every commit of every run here is followed by
+// multiset.CheckInvariants (gamma.CheckCommits).
 
 import (
 	"fmt"
@@ -36,6 +37,7 @@ func runSeq(t *testing.T, p *gamma.Program, init *multiset.Multiset, opt gamma.O
 // reaction under every worker count; the stable state (the singleton minimum)
 // must equal the sequential result.
 func TestStressParallelMinElement(t *testing.T) {
+	gamma.CheckCommits(t)
 	prog, err := gammalang.ParseProgram("min", paper.MinElementListing)
 	if err != nil {
 		t.Fatal(err)
@@ -70,6 +72,7 @@ func TestStressParallelPrimes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sieve probes are quadratic; skipping in -short")
 	}
+	gamma.CheckCommits(t)
 	prog, err := gammalang.ParseProgram("sieve",
 		`R = replace (x, y) by y where x % y == 0 and x != y`)
 	if err != nil {
@@ -100,6 +103,7 @@ func TestStressParallelPrimes(t *testing.T) {
 // both scheduling modes. Dataflow graphs are deterministic, so the stable
 // multiset is unique and every engine must find it.
 func TestStressPropertyRandomGraphs(t *testing.T) {
+	gamma.CheckCommits(t)
 	seeds := []int64{1, 2, 3, 4, 5, 6, 7, 8}
 	if testing.Short() {
 		seeds = seeds[:3]

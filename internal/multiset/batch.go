@@ -1,15 +1,24 @@
 package multiset
 
-import "repro/internal/symtab"
+import (
+	"sync"
+
+	"repro/internal/symtab"
+)
 
 // Delta is one reaction firing's consume/produce sets — the unit of
-// ApplyDeltas' batched commit. CKeys, when non-nil, must hold Key() of each
-// consume tuple (the matcher passes the fingerprints cached on the entries it
-// enumerated); a nil CKeys computes them at commit time.
+// ApplyDeltas' batched commit. The consume side is addressed one of two ways:
+// by Refs, the handles the matcher's View issued (Consume is then not read),
+// or, when Refs is nil, by the Consume tuples themselves, with CKeys
+// optionally supplying Key() of each. PSyms, when non-nil, holds the label
+// symbol of each Produce tuple the caller already knows — a kernel resolves
+// its literal product labels once — and symtab.None where it does not.
 type Delta struct {
 	Consume []Tuple
 	CKeys   []string
+	Refs    []Ref
 	Produce []Tuple
+	PSyms   []symtab.Sym
 }
 
 // ApplyDeltas applies k independent firings as one batched commit: a single
@@ -46,37 +55,38 @@ func (m *Multiset) applyDeltas(ds []Delta, applied []bool, seqs []uint64, syms [
 	d := deltaPool.Get().(*deltaScratch)
 	defer deltaPool.Put(d)
 	d.reset()
-	var involved [shardCount]bool
+	var mask uint32
 	for i := range ds {
-		d.stageConsume(ds[i].Consume, ds[i].CKeys, &involved)
-		d.stageProduce(ds[i].Produce, &involved)
+		d.stage(&ds[i], &mask)
 	}
-	m.lockShards(&involved)
+	m.eachShard(mask, (*sync.RWMutex).Lock)
 	n := 0
 	var size int64
-	cs, ps := 0, 0
+	kc, ps := 0, 0
 	for i := range ds {
-		ce := cs + len(ds[i].Consume)
-		pe := ps + len(ds[i].Produce)
-		ok := m.claimRangeLocked(cs, ce, d)
+		dl := &ds[i]
+		ok := m.claimLocked(dl, d, kc)
 		if ok {
 			if seqs != nil {
 				seqs[i] = m.commitSeq.Add(1)
 			}
-			m.applyRangeLocked(ds[i].Produce, d, cs, ce, ps, pe)
-			size += int64(len(ds[i].Produce)) - int64(len(ds[i].Consume))
+			m.applyRangeLocked(dl.Produce, d, ps)
+			size += int64(len(dl.Produce) - len(d.cents))
 			n++
-			syms = appendSymsDedup(syms, d.psyms[ps:pe])
+			syms = appendSymsDedup(syms, d.psyms[ps:ps+len(dl.Produce)])
 		}
 		if applied != nil {
 			applied[i] = ok
 		}
-		cs, ps = ce, pe
+		if dl.Refs == nil {
+			kc += len(dl.Consume)
+		}
+		ps += len(dl.Produce)
 	}
-	m.unlockShards(&involved)
 	if size != 0 {
-		m.size.Add(size)
+		m.size.Add(size) // inside the locks: Len equals the sum of counts whenever every shard is held
 	}
+	m.eachShard(mask, (*sync.RWMutex).Unlock)
 	return n, syms
 }
 
@@ -98,9 +108,9 @@ func (m *Multiset) applyDeltas(ds []Delta, applied []bool, seqs []uint64, syms [
 // writer uses. A View must be Unlocked before the commit's write locks are
 // taken. The zero View is ready for LockView and reusable after Unlock.
 type View struct {
-	m        *Multiset
-	involved [shardCount]bool
-	locked   bool
+	m      *Multiset
+	mask   uint32 // the shards held
+	locked bool
 }
 
 // LockView read-locks the shards that can hold tuples labeled with any of
@@ -109,20 +119,14 @@ func (m *Multiset) LockView(v *View, syms []symtab.Sym, all bool) {
 	if v.locked {
 		panic("multiset: LockView on an already locked View")
 	}
-	for i := range v.involved {
-		v.involved[i] = all
+	v.m, v.mask = m, 0
+	if all {
+		v.mask = 1<<shardCount - 1
 	}
-	if !all {
-		for _, sym := range syms {
-			v.involved[uint32(sym)&(shardCount-1)] = true
-		}
+	for _, sym := range syms {
+		v.mask |= 1 << (uint32(sym) & (shardCount - 1))
 	}
-	v.m = m
-	for i := range m.shards {
-		if v.involved[i] {
-			m.shards[i].mu.RLock()
-		}
-	}
+	m.eachShard(v.mask, (*sync.RWMutex).RLock)
 	v.locked = true
 }
 
@@ -133,45 +137,44 @@ func (v *View) Unlock() {
 		return
 	}
 	v.locked = false
-	for i := range v.m.shards {
-		if v.involved[i] {
-			v.m.shards[i].mu.RUnlock()
-		}
-	}
+	v.m.eachShard(v.mask, (*sync.RWMutex).RUnlock)
 	v.m = nil
 }
 
 // EachSym enumerates the distinct tuples labeled sym — which must route to a
-// viewed shard — starting at a rotated position derived from rot and
-// wrapping around, so the walk is exhaustive. Each candidate carries its
-// multiplicity and cached fingerprint.
-func (v *View) EachSym(sym symtab.Sym, rot uint64, fn func(t Tuple, n int, key string) bool) {
-	s := v.shardChecked(uint32(sym) & (shardCount - 1))
-	if l := s.bySym[sym]; l != nil {
-		l.eachRot(rot, func(e *entry) bool { return fn(e.tuple, e.count, e.key) })
-	}
+// viewed shard — as handles, starting at a rotated position derived from rot
+// and wrapping around, so the walk is exhaustive. It reports whether the walk
+// ran to completion (fn never returned false).
+func (v *View) EachSym(sym symtab.Sym, rot uint64, fn func(Ref) bool) bool {
+	si := uint32(sym) & (shardCount - 1)
+	li := v.shardChecked(si).labels[sym]
+	return li == nil || li.all.eachRot(rot, func(e *entry) bool { return fn(Ref{e, e.gen, si}) })
 }
 
-// EachSymTag is EachSym over the (label symbol, tag) index.
-func (v *View) EachSymTag(sym symtab.Sym, tag int64, rot uint64, fn func(t Tuple, n int, key string) bool) {
-	s := v.shardChecked(uint32(sym) & (shardCount - 1))
-	if l := s.bySymTag[symTag{sym, tag}]; l != nil {
-		l.eachRot(rot, func(e *entry) bool { return fn(e.tuple, e.count, e.key) })
+// EachSymTag is EachSym over the (label symbol, tag) bucket.
+func (v *View) EachSymTag(sym symtab.Sym, tag int64, rot uint64, fn func(Ref) bool) bool {
+	si := uint32(sym) & (shardCount - 1)
+	li := v.shardChecked(si).labels[sym]
+	if li == nil {
+		return true
 	}
+	b := li.byTag[tag]
+	if b.list == nil {
+		return b.one == nil || fn(Ref{b.one, b.one.gen, si})
+	}
+	return b.list.eachRot(rot, func(e *entry) bool { return fn(Ref{e, e.gen, si}) })
 }
 
 // EachAll enumerates every distinct tuple of the multiset (the view must
 // hold all shards), rotating both the shard order and the position within
 // each shard.
-func (v *View) EachAll(rot uint64, fn func(t Tuple, n int, key string) bool) {
-	start := int(uint32(rot) % shardCount)
-	stop := false
-	for i := 0; i < shardCount && !stop; i++ {
-		s := v.shardChecked(uint32((start + i) & (shardCount - 1)))
-		s.sorted.eachRot(rot, func(e *entry) bool {
-			stop = !fn(e.tuple, e.count, e.key)
-			return !stop
-		})
+func (v *View) EachAll(rot uint64, fn func(Ref) bool) {
+	start := uint32(rot) % shardCount
+	for i := uint32(0); i < shardCount; i++ {
+		si := (start + i) & (shardCount - 1)
+		if !v.shardChecked(si).sorted.eachRot(rot, func(e *entry) bool { return fn(Ref{e, e.gen, si}) }) {
+			return
+		}
 	}
 }
 
@@ -179,7 +182,7 @@ func (v *View) EachAll(rot uint64, fn func(t Tuple, n int, key string) bool) {
 // not hold its lock — a misrouted enumeration would otherwise race writers
 // silently.
 func (v *View) shardChecked(si uint32) *shard {
-	if !v.locked || !v.involved[si] {
+	if !v.locked || v.mask>>si&1 == 0 {
 		panic("multiset: View enumeration outside the locked shard set")
 	}
 	return &v.m.shards[si]

@@ -1,6 +1,7 @@
 package multiset
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"sync"
@@ -28,17 +29,23 @@ func randDeltaTuple(rng *rand.Rand) Tuple {
 // 500 seeds, a k-firing ApplyDeltas must be observationally equal to k
 // sequential ApplyDelta commits — the same per-delta claims succeed
 // (including partial-claim failures mid-batch), the final multisets are
-// equal, and the deduplicated produce symbols agree.
+// equal, and the deduplicated produce symbols agree. A third multiset takes
+// the same deltas handle-addressed — the consume side as the Refs a View
+// would issue just before each, some product symbols pre-resolved in PSyms —
+// and must apply the same ones, report the same symbols and stay equal: the
+// two front doors share one commit core.
 func TestApplyDeltasMatchesSequential(t *testing.T) {
 	for seed := 0; seed < 500; seed++ {
 		rng := rand.New(rand.NewSource(int64(seed)))
 		batched := New()
 		sequential := New()
+		handled := New()
 		for i, n := 0, rng.Intn(10); i < n; i++ {
 			tp := randDeltaTuple(rng)
 			k := 1 + rng.Intn(2)
 			batched.AddN(tp, k)
 			sequential.AddN(tp, k)
+			handled.AddN(tp, k)
 		}
 		for round := 0; round < 4; round++ {
 			k := 1 + rng.Intn(5)
@@ -64,12 +71,23 @@ func TestApplyDeltasMatchesSequential(t *testing.T) {
 			gotN, gotSyms := batched.ApplyDeltas(ds, applied, nil)
 
 			wantN := 0
-			var wantSyms []symtab.Sym
+			var wantSyms, handledSyms []symtab.Sym
 			for i := range ds {
 				ok, syms := sequential.ApplyDelta(ds[i].Consume, ds[i].CKeys, ds[i].Produce, wantSyms)
 				wantSyms = syms
 				if ok {
 					wantN++
+				}
+				hd := Delta{Refs: refsOf(handled, ds[i].Consume), Produce: ds[i].Produce, PSyms: make([]symtab.Sym, len(ds[i].Produce))}
+				for j, tp := range hd.Produce {
+					if rng.Intn(2) == 0 {
+						hd.PSyms[j] = labelSymOf(tp)
+					}
+				}
+				var hn int
+				if hn, handledSyms = handled.ApplyDeltas([]Delta{hd}, nil, handledSyms); (hn == 1) != ok {
+					t.Fatalf("seed %d round %d delta %d: by handle applied=%v, by key %v (consume=%v)",
+						seed, round, i, hn == 1, ok, ds[i].Consume)
 				}
 				if ok != applied[i] {
 					t.Fatalf("seed %d round %d delta %d: batch applied=%v, sequential=%v (consume=%v)",
@@ -87,9 +105,14 @@ func TestApplyDeltasMatchesSequential(t *testing.T) {
 					t.Fatalf("seed %d round %d: syms %v vs sequential %v", seed, round, gotSyms, wantSyms)
 				}
 			}
-			if !batched.Equal(sequential) {
-				t.Fatalf("seed %d round %d: states diverged:\n batch:      %s\n sequential: %s",
-					seed, round, batched, sequential)
+			if !batched.Equal(sequential) || !handled.Equal(sequential) || fmt.Sprint(handledSyms) != fmt.Sprint(wantSyms) {
+				t.Fatalf("seed %d round %d: states diverged:\n batch:      %s\n sequential: %s\n by handle:  %s (syms %v vs %v)",
+					seed, round, batched, sequential, handled, handledSyms, wantSyms)
+			}
+			for _, m := range []*Multiset{batched, sequential, handled} {
+				if err := m.CheckInvariants(); err != nil {
+					t.Fatalf("seed %d round %d: %v", seed, round, err)
+				}
 			}
 		}
 	}
@@ -161,13 +184,13 @@ func TestViewEnumerationExhaustive(t *testing.T) {
 	for _, rot := range []uint64{0, 1, 7<<32 | 13, ^uint64(0)} {
 		m.LockView(&v, []symtab.Sym{sym}, false)
 		seen := map[string]int{}
-		v.EachSym(sym, rot, func(tp Tuple, n int, key string) bool {
+		v.EachSym(sym, rot, unref(func(tp Tuple, n int, key string) bool {
 			if key != tp.Key() {
 				t.Fatalf("cached key %q != Key() %q", key, tp.Key())
 			}
 			seen[key] += n
 			return true
-		})
+		}))
 		v.Unlock()
 		v.Unlock() // idempotent
 		if len(seen) != len(want) {
@@ -181,9 +204,9 @@ func TestViewEnumerationExhaustive(t *testing.T) {
 
 		m.LockView(&v, nil, true)
 		all := 0
-		v.EachAll(rot, func(tp Tuple, n int, key string) bool { all++; return true })
+		v.EachAll(rot, func(Ref) bool { all++; return true })
 		tagged := 0
-		v.EachSymTag(sym, 2, rot, func(tp Tuple, n int, key string) bool { tagged++; return true })
+		v.EachSymTag(sym, 2, rot, func(Ref) bool { tagged++; return true })
 		v.Unlock()
 		if all != m.Distinct() {
 			t.Fatalf("rot %d: EachAll saw %d distinct, want %d", rot, all, m.Distinct())
@@ -205,11 +228,11 @@ func TestViewEarlyExit(t *testing.T) {
 	m.LockView(&v, []symtab.Sym{sym}, false)
 	defer v.Unlock()
 	calls := 0
-	v.EachSym(sym, 3<<32|11, func(Tuple, int, string) bool {
+	done := v.EachSym(sym, 3<<32|11, func(Ref) bool {
 		calls++
 		return calls < 5
 	})
-	if calls != 5 {
+	if calls != 5 || done {
 		t.Fatalf("early exit after %d calls, want 5", calls)
 	}
 }
@@ -228,7 +251,7 @@ func TestViewOutsideShardSetPanics(t *testing.T) {
 			t.Fatal("EachSym outside the locked shard set did not panic")
 		}
 	}()
-	v.EachSym(other, 0, func(Tuple, int, string) bool { return true })
+	v.EachSym(other, 0, func(Ref) bool { return true })
 }
 
 // TestApplyDeltaSeqLinearizes pins the property the replay recorder is built

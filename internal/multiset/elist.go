@@ -3,7 +3,8 @@ package multiset
 import "sort"
 
 // elist is a paged, chunked ordered list of entries in ascending key order —
-// the storage behind every sorted index of a shard (sorted, bySym, bySymTag).
+// the storage behind a shard's sorted index, every label's all list and every
+// spilled (label, tag) bucket.
 //
 // Entries live in chunks of at most chunkMax and chunks in directory pages of
 // at most pageMax, so an insert or remove memmoves at most one chunk of
@@ -23,17 +24,63 @@ import "sort"
 // insert/remove cycle at a boundary cannot thrash split/merge.
 //
 // Cost tracks contents: Algorithm 1 makes every dataflow edge one element, so
-// most lists of a converted program hold 0–1 entries and flip between empty
-// and non-empty on every firing. A new list starts with chunkStart slots and
-// a one-slot page and grows by append; a list that drains to empty parks its
-// last chunk and page (see remove) for the next insert to revive; a shard
-// recycles the elist structs themselves (getList/putList). Retention is
-// bounded: at most chunkMin slots and pageMin headers are parked, every
-// parked slot is nil, and the freelist holds at most listFreeMax lists.
+// a converted program holds 0–1 entries under each (label, tag) and flips
+// them on every firing. What a flip may touch is fixed here. Inline: a
+// bucket's first entry is a pointer in its map slot, no list. Parked: a list
+// starts with chunkStart slots and a one-slot page, and one that drains keeps
+// its last chunk and page (see remove) for the next insert to revive — at most
+// chunkMin slots and pageMin headers, every parked slot nil; a spilled
+// bucket's drained list returns to the shard freelist (at most listFreeMax).
+// Retained: a labelIndex never leaves its shard's map, so an emptied label
+// costs one struct, a parked all list and an empty byTag map — bounded by the
+// labels the process ever interned (symtab only grows, and programs, not
+// data, populate it).
 type elist struct {
 	pages   []epage // non-empty, each ascending; pages ascending overall
 	nchunks int
 	total   int
+}
+
+// labelIndex is what a shard holds per label symbol: every entry carrying the
+// label, and those with an index tag (IndexTag) again by tag — the
+// dynamic-dataflow tag-matching index.
+type labelIndex struct {
+	all   elist
+	byTag map[int64]bucket
+}
+
+// bucket is one (label, tag) slot: a single entry inline or, from the second
+// on, a list from the shard freelist — never both, and never mapped empty.
+type bucket struct {
+	one  *entry
+	list *elist
+}
+
+func (li *labelIndex) addTagged(s *shard, e *entry) {
+	switch b := li.byTag[e.tag]; {
+	case b.list != nil:
+		b.list.insert(e)
+	case b.one == nil:
+		if li.byTag == nil {
+			li.byTag = make(map[int64]bucket)
+		}
+		li.byTag[e.tag] = bucket{one: e}
+	default:
+		b.list = s.getList()
+		b.list.insert(b.one)
+		b.list.insert(e)
+		li.byTag[e.tag] = bucket{list: b.list}
+	}
+}
+
+func (li *labelIndex) removeTagged(s *shard, e *entry) {
+	if l := li.byTag[e.tag].list; l != nil {
+		if l.remove(e.key); l.len() > 0 {
+			return
+		}
+		s.putList(l)
+	}
+	delete(li.byTag, e.tag)
 }
 
 // epage is one directory page: a short ordered run of chunks.
@@ -256,13 +303,14 @@ func (l *elist) each(fn func(e *entry) bool) bool {
 
 // eachRot walks every entry exactly once starting at a rotated position
 // derived from r — chunk index and in-chunk offset are picked independently,
-// so distinct workers probing the same index start on distinct cache lines.
+// so distinct workers probing the same index start on distinct cache lines —
+// until fn returns false; it reports whether the walk ran to completion.
 // The distribution over entries need not be uniform: rotation exists to
 // decorrelate concurrent searchers (the model's nondeterministic selection),
 // and the walk stays exhaustive, which is what correctness needs.
-func (l *elist) eachRot(r uint64, fn func(e *entry) bool) {
+func (l *elist) eachRot(r uint64, fn func(e *entry) bool) bool {
 	if l.nchunks == 0 {
-		return
+		return true
 	}
 	// Locate the rotated global chunk index; the page scan is O(#pages),
 	// which eachRot callers (one scan per probe over many candidates) absorb.
@@ -279,7 +327,7 @@ func (l *elist) eachRot(r uint64, fn func(e *entry) bool) {
 	// the head of the starting chunk.
 	for _, e := range start[off:] {
 		if !fn(e) {
-			return
+			return false
 		}
 	}
 	for p, c := pi, ci; ; {
@@ -295,15 +343,16 @@ func (l *elist) eachRot(r uint64, fn func(e *entry) bool) {
 		}
 		for _, e := range l.pages[p][c] {
 			if !fn(e) {
-				return
+				return false
 			}
 		}
 	}
 	for _, e := range start[:off] {
 		if !fn(e) {
-			return
+			return false
 		}
 	}
+	return true
 }
 
 // ecursor is a forward cursor over an elist, used by IterAll's cross-shard

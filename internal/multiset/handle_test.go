@@ -1,0 +1,145 @@
+package multiset
+
+import (
+	"strings"
+	"testing"
+
+	"repro/internal/symtab"
+	"repro/internal/value"
+)
+
+// refsOf returns m's handles for ts, as a matcher's View would have issued
+// them; a tuple m does not hold gets the zero Ref.
+func refsOf(m *Multiset, ts []Tuple) []Ref {
+	var v View
+	m.LockView(&v, nil, true)
+	defer v.Unlock()
+	refs := make([]Ref, len(ts))
+	for i, t := range ts {
+		v.EachAll(0, func(c Ref) bool {
+			if c.Tuple().Equal(t) {
+				refs[i] = c
+			}
+			return refs[i].e == nil
+		})
+	}
+	return refs
+}
+
+// consumeByRef commits one handle-addressed delta and reports whether it applied.
+func consumeByRef(m *Multiset, refs []Ref, produce ...Tuple) bool {
+	n, _ := m.ApplyDeltas([]Delta{{Refs: refs, Produce: produce}}, nil, nil)
+	return n == 1
+}
+
+// TestStaleHandleFailsClaim is the pool's ABA case made deterministic: a
+// handle issued under a View, the element consumed by another commit, and the
+// very same entry struct re-issued from the shard freelist for a different
+// tuple before the handle's own commit runs. The claim must fail — by gen —
+// and leave the multiset alone; it must never consume the new tenant.
+func TestStaleHandleFailsClaim(t *testing.T) {
+	a, b := IntElem(1, "A", 0), IntElem(2, "A", 0)
+	m := New(a)
+	stale := refsOf(m, []Tuple{a})
+	if ok, _ := m.ApplyDelta([]Tuple{a}, nil, []Tuple{b}, nil); !ok {
+		t.Fatal("key-addressed consume refused")
+	}
+	fresh := refsOf(m, []Tuple{b})
+	if fresh[0].e != stale[0].e || fresh[0].gen == stale[0].gen {
+		t.Fatalf("entry struct not recycled with a new gen: %+v then %+v", stale[0], fresh[0])
+	}
+	if consumeByRef(m, stale, IntElem(3, "A", 0)) {
+		t.Fatalf("stale handle consumed the struct's new tenant: %s", m)
+	}
+	if m.String() != "{[2, 'A', 0]}" || m.CheckInvariants() != nil {
+		t.Fatalf("failed claim changed the multiset: %s (%v)", m, m.CheckInvariants())
+	}
+	// A handle to a consumed element whose struct is not re-issued fails too,
+	// as does the zero handle; the live one commits, once.
+	if !consumeByRef(m, fresh) || consumeByRef(m, fresh) || consumeByRef(m, []Ref{{}}) || m.Len() != 0 {
+		t.Fatalf("live handle did not commit exactly once: %s", m)
+	}
+}
+
+// TestHandleMultiplicityAndAnnihilation: handles claim like keys — the same
+// handle twice needs two occurrences — and a product equal to a consumed
+// element leaves its entry, and so its outstanding handles, untouched.
+func TestHandleMultiplicityAndAnnihilation(t *testing.T) {
+	x := Pair(value.Int(7), "X")
+	m := New(x)
+	r := refsOf(m, []Tuple{x})
+	if consumeByRef(m, []Ref{r[0], r[0]}) {
+		t.Fatal("two claims on one occurrence applied")
+	}
+	m.Add(x)
+	if !consumeByRef(m, []Ref{r[0], r[0]}, x) || m.Count(x) != 1 {
+		t.Fatalf("consume twice, produce once: %s", m)
+	}
+	if !consumeByRef(m, r) || m.Len() != 0 || m.CheckInvariants() != nil {
+		t.Fatalf("handle did not survive the annihilated commit: %s", m)
+	}
+}
+
+// TestHandleFromCloneRefused: a handle is bound to the Multiset that issued
+// it; the clone's equal element is a different entry, and committing one
+// side's handle to the other is refused, not aliased.
+func TestHandleFromCloneRefused(t *testing.T) {
+	x := IntElem(1, "A", 0)
+	m := New(x)
+	c := m.Clone()
+	if consumeByRef(m, refsOf(c, []Tuple{x})) || consumeByRef(c, refsOf(m, []Tuple{x})) {
+		t.Fatal("a handle committed to a multiset that did not issue it")
+	}
+	if !m.Equal(c) || m.Len() != 1 || !consumeByRef(c, refsOf(c, []Tuple{x})) || c.Len() != 0 || m.Len() != 1 {
+		t.Fatalf("m = %s, clone = %s", m, c)
+	}
+}
+
+// TestCheckInvariantsCatchesCorruption breaks each invariant by hand and
+// expects CheckInvariants to say so.
+func TestCheckInvariantsCatchesCorruption(t *testing.T) {
+	build := func() (*Multiset, *shard, *entry) {
+		m := New(IntElem(1, "A", 0), IntElem(2, "A", 1), IntElem(3, "A", 1), Pair(value.Int(4), "A"), New1(value.Int(9)))
+		m.Add(IntElem(5, "A", 0))
+		m.Remove(IntElem(5, "A", 0)) // leaves an entry on the freelist
+		if err := m.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+		s := &m.shards[shardIndex(symtab.Intern("A"), "")]
+		return m, s, s.byKey[IntElem(1, "A", 0).Key()]
+	}
+	for name, corrupt := range map[string]func(m *Multiset, s *shard, e *entry){
+		"Len":              func(m *Multiset, s *shard, e *entry) { m.size.Add(1) },
+		"count":            func(m *Multiset, s *shard, e *entry) { e.count = 0 },
+		"byKey":            func(m *Multiset, s *shard, e *entry) { delete(s.byKey, e.key) },
+		"sorted":           func(m *Multiset, s *shard, e *entry) { s.sorted.remove(e.key) },
+		"label list":       func(m *Multiset, s *shard, e *entry) { s.labels[e.sym].all.remove(e.key) },
+		"bucket unlink":    func(m *Multiset, s *shard, e *entry) { s.unlinkSkippingBucket(e) },
+		"bucket missing":   func(m *Multiset, s *shard, e *entry) { delete(s.labels[e.sym].byTag, 0) },
+		"bucket both":      func(m *Multiset, s *shard, e *entry) { s.labels[e.sym].byTag[0] = bucket{one: e, list: new(elist)} },
+		"bucket empty":     func(m *Multiset, s *shard, e *entry) { s.labels[e.sym].byTag[5] = bucket{} },
+		"bucket wrong tag": func(m *Multiset, s *shard, e *entry) { s.labels[e.sym].byTag[1].list.insert(e) },
+		"owner":            func(m *Multiset, s *shard, e *entry) { e.owner++ },
+		"freelist":         func(m *Multiset, s *shard, e *entry) { s.free = append(s.free, &entry{key: "left behind"}) },
+		"parked slot": func(m *Multiset, s *shard, e *entry) {
+			l := new(elist)
+			l.insert(e)
+			l.remove(e.key)
+			l.pages[:1][0][:1][0][:1][0] = e
+			s.freeLists = append(s.freeLists, l)
+		},
+	} {
+		m, s, e := build()
+		corrupt(m, s, e)
+		if err := m.CheckInvariants(); err == nil || !strings.HasPrefix(err.Error(), "multiset: ") {
+			t.Errorf("%s: CheckInvariants = %v, want a violation", name, err)
+		}
+	}
+}
+
+// unlinkSkippingBucket is unlink with the seeded defect the invariant check
+// exists for: the entry leaves every index but its (label, tag) bucket.
+func (s *shard) unlinkSkippingBucket(e *entry) {
+	e.hasTag = false
+	s.unlink(e)
+}

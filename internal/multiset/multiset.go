@@ -2,12 +2,15 @@ package multiset
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/symtab"
+	"repro/internal/value"
 )
 
 // shardCount is the number of independently locked shards. A fixed power of
@@ -23,56 +26,66 @@ const shardCount = 32
 var NoLabelSym = symtab.Intern("\x00")
 
 // entry is one distinct tuple with its multiplicity. key caches Tuple.Key()
-// (the ordering used by every sorted index, and the fingerprint handed to the
-// matcher so a probe never rebuilds it), and sym/tag cache the label symbol
-// and iteration tag so removal maintains the indexes without re-deriving
-// them from the tuple.
+// (the ordering used by every sorted index), and sym/tag cache the label symbol
+// and index tag so unlinking never re-derives them from the tuple. owner and
+// gen are what make a Ref checkable: owner is the id of the Multiset the entry
+// is linked in (0 on a freelist), and gen is bumped every time the struct is
+// unlinked. Both fit the padding: the struct is a hot allocation.
 type entry struct {
 	tuple  Tuple
 	key    string
 	count  int
-	sym    symtab.Sym // label symbol; symtab.None for unlabeled tuples
 	tag    int64
+	sym    symtab.Sym // label symbol; symtab.None for unlabeled tuples
+	gen    uint32
+	owner  uint32
 	hasTag bool
 }
+
+// Ref is an element handle: what a View hands the matcher, and what a Delta
+// carries back to the commit, in place of the key string. It is valid under
+// the View that issued it, and afterwards only in a commit on the same
+// Multiset, which claims it under the shard write lock: a Ref whose entry was
+// consumed since (even if the struct was re-issued for another tuple — gen
+// moved) or is another Multiset's (owner differs) fails its claim, never aliases.
+type Ref struct {
+	e     *entry
+	gen   uint32
+	shard uint32
+}
+
+// Tuple, Count and Key read the element; call them only under the issuing View.
+func (r Ref) Tuple() Tuple { return r.e.tuple }
+func (r Ref) Count() int   { return r.e.count }
+func (r Ref) Key() string  { return r.e.key }
 
 // shard is an independently locked slice of the multiset. All tuples with the
 // same label land in the same shard, so a label-constrained pattern match
 // takes exactly one shard lock.
 //
-// Every index is a chunked list of entries kept incrementally sorted by key
-// (see elist.go): candidate enumeration for the reaction matcher is a plain
-// in-order walk — no per-probe sort.Slice, no map-iteration order to launder —
-// and insertion/removal memmoves are bounded by the chunk size instead of the
-// index population.
+// Entries are found three ways: byKey (produce, and the key-addressed front
+// door), sorted (every entry, ascending key: whole-multiset enumeration) and
+// labels (per label symbol, its entries and their (label, tag) buckets — see
+// labelIndex in elist.go). Enumeration is an in-order walk of a maintained
+// list, never a per-probe sort or a map iteration. link and unlink are the
+// only code that touches the indexes.
 type shard struct {
-	mu sync.RWMutex
-	// byKey maps Tuple.Key() to its entry.
-	byKey map[string]*entry
-	// sorted holds every entry of the shard in ascending key order.
+	mu     sync.RWMutex
+	byKey  map[string]*entry
 	sorted elist
-	// bySym maps an element label symbol to its entries, ascending key order.
-	bySym map[symtab.Sym]*elist
-	// bySymTag maps (label symbol, tag) to its entries, ascending key order;
-	// this is the dynamic-dataflow tag-matching index.
-	bySymTag map[symTag]*elist
-	// free recycles entry structs across remove/add cycles (bounded by
-	// freeMax). Only the struct is recycled: tuple backings and key strings
-	// escape to searchers, memo keys and traces, so they are never reused.
+	labels map[symtab.Sym]*labelIndex
+	// free recycles entry structs across unlink/link cycles (bounded by
+	// freeMax), zeroed except gen. Only the struct is recycled: tuple backings
+	// and key strings escape to searchers, memo keys and traces.
 	free []*entry
 	// arena chunk-allocates entries, key strings and tuple-cell copies for
 	// freelist misses (see arena.go) — the commit path's hot allocations.
 	arena shardArena
-	// freeLists recycles bySym/bySymTag lists that drained to empty and left
-	// their map, parked backings included (elist.go; bounded by listFreeMax).
+	// freeLists recycles spilled bucket lists that drained to empty, parked
+	// backings included (elist.go; bounded by listFreeMax).
 	freeLists     []*elist
 	listsRecycled int64 // getList calls served from freeLists
 	listsFresh    int64 // getList calls that allocated
-}
-
-type symTag struct {
-	sym symtab.Sym
-	tag int64
 }
 
 // freeMax bounds the per-shard entry freelist, listFreeMax the list one.
@@ -92,17 +105,6 @@ func (s *shard) getEntry() *entry {
 	return s.arena.newEntry()
 }
 
-// putEntry recycles e after it was unlinked from every index, dropping its
-// references so the tuple and key can be collected once external readers
-// (searchers holding the consumed tuples) let go.
-func (s *shard) putEntry(e *entry) {
-	if len(s.free) >= freeMax {
-		return
-	}
-	*e = entry{}
-	s.free = append(s.free, e)
-}
-
 // getList returns a recycled or fresh empty index list.
 func (s *shard) getList() *elist {
 	if n := len(s.freeLists); n > 0 {
@@ -116,7 +118,7 @@ func (s *shard) getList() *elist {
 	return new(elist)
 }
 
-// putList recycles an index list that drained to empty and left its map.
+// putList recycles a bucket list that drained to empty and left its map.
 func (s *shard) putList(l *elist) {
 	if len(s.freeLists) < listFreeMax {
 		s.freeLists = append(s.freeLists, l)
@@ -126,6 +128,7 @@ func (s *shard) putList(l *elist) {
 // Multiset is the Gamma model's single database: a counted multiset of
 // tuples safe for concurrent use. The zero value is not usable; call New.
 type Multiset struct {
+	id     uint32 // process-unique, never 0: what binds a Ref to its Multiset
 	shards [shardCount]shard
 	size   atomic.Int64 // total element count incl. multiplicity
 	// commitSeq numbers committed writes (ApplyDeltaSeq/ApplyDeltasSeq). A
@@ -140,7 +143,7 @@ type Multiset struct {
 
 // New returns an empty multiset, optionally pre-populated with tuples.
 func New(tuples ...Tuple) *Multiset {
-	m := &Multiset{}
+	m := &Multiset{id: lastID.Add(1)}
 	for _, t := range tuples {
 		m.Add(t)
 	}
@@ -158,44 +161,18 @@ func labelSymOf(t Tuple) symtab.Sym {
 
 // shardIndex picks the shard for a tuple: labeled tuples route by label
 // symbol (so label queries are single-shard, and the route is a mask instead
-// of a byte hash), unlabeled ones by the full key.
-func shardIndex(sym symtab.Sym, key string) uint32 {
+// of a byte hash), unlabeled ones by the full key — held as a string or as
+// bytes, which hash identically.
+func shardIndex[K string | []byte](sym symtab.Sym, key K) uint32 {
 	if sym != symtab.None {
 		return uint32(sym) & (shardCount - 1)
 	}
-	return hashString(key) & (shardCount - 1)
-}
-
-// shardIndexBytes is shardIndex for a fingerprint held as bytes; the two hash
-// identically so a key routes to the same shard in either form.
-func shardIndexBytes(sym symtab.Sym, key []byte) uint32 {
-	if sym != symtab.None {
-		return uint32(sym) & (shardCount - 1)
-	}
-	return hashBytes(key) & (shardCount - 1)
-}
-
-func (m *Multiset) shardForSym(sym symtab.Sym) *shard {
-	return &m.shards[uint32(sym)&(shardCount-1)]
-}
-
-// hashString is 32-bit FNV-1a, inlined so neither form allocates a hasher.
-func hashString(s string) uint32 {
-	h := uint32(2166136261)
-	for i := 0; i < len(s); i++ {
-		h ^= uint32(s[i])
+	h := uint32(2166136261) // 32-bit FNV-1a, inlined so nothing allocates a hasher
+	for i := 0; i < len(key); i++ {
+		h ^= uint32(key[i])
 		h *= 16777619
 	}
-	return h
-}
-
-func hashBytes(b []byte) uint32 {
-	h := uint32(2166136261)
-	for _, c := range b {
-		h ^= uint32(c)
-		h *= 16777619
-	}
-	return h
+	return h & (shardCount - 1)
 }
 
 // Add inserts one occurrence of t.
@@ -210,52 +187,78 @@ func (m *Multiset) AddN(t Tuple, n int) {
 	sym := labelSymOf(t)
 	s := &m.shards[shardIndex(sym, key)]
 	s.mu.Lock()
-	s.addLocked(t, key, sym, n)
-	s.mu.Unlock()
-	m.size.Add(int64(n))
-}
-
-// addLocked inserts n occurrences into an already locked shard.
-func (s *shard) addLocked(t Tuple, key string, sym symtab.Sym, n int) {
 	if e, ok := s.byKey[key]; ok {
 		e.count += n
-		return
+	} else {
+		s.link(m.id, t, key, sym, n)
 	}
-	s.addEntryLocked(t, key, sym, n)
+	m.size.Add(int64(n))
+	s.mu.Unlock()
 }
 
-// addEntryLocked links a new distinct tuple into every index of an already
-// locked shard. The caller has established that key is absent from byKey.
-// A shard's maps are made on its first insert: nil maps read as empty.
-func (s *shard) addEntryLocked(t Tuple, key string, sym symtab.Sym, n int) {
+// IndexTag reports the (label, tag) bucket a tag-field value files under: an
+// integer, or a float equal to one — value.Equal, which decides a match,
+// promotes, so a search for tag 2 must find [5, 'B', 2.0] — inside ±2⁵³, where
+// that promotion is exact; other tags are found through the label alone.
+func IndexTag(v value.Value) (int64, bool) {
+	var t int64
+	switch v.Kind() {
+	case value.KindInt:
+		t = v.AsInt()
+	case value.KindFloat:
+		if t = int64(v.AsFloat()); float64(t) != v.AsFloat() {
+			return 0, false
+		}
+	default:
+		return 0, false
+	}
+	return t, -1<<53 < t && t < 1<<53
+}
+
+// link inserts a new distinct tuple into every index of an already locked
+// shard of Multiset owner. The caller has established that key is absent from
+// byKey. A shard's maps are made on its first insert: nil maps read as empty.
+func (s *shard) link(owner uint32, t Tuple, key string, sym symtab.Sym, n int) {
 	if s.byKey == nil {
 		s.byKey = make(map[string]*entry)
-		s.bySym = make(map[symtab.Sym]*elist)
-		s.bySymTag = make(map[symTag]*elist)
+		s.labels = make(map[symtab.Sym]*labelIndex)
 	}
 	e := s.getEntry()
-	e.tuple, e.key, e.count, e.sym = s.arena.cloneTuple(t), key, n, sym
-	if tag, ok := t.Tag(); ok && sym != symtab.None {
-		e.tag, e.hasTag = tag, true
-	}
+	e.tuple, e.key, e.count, e.sym, e.owner = s.arena.cloneTuple(t), key, n, sym, owner
 	s.byKey[key] = e
 	s.sorted.insert(e)
-	if sym != symtab.None {
-		l := s.bySym[sym]
-		if l == nil {
-			l = s.getList()
-			s.bySym[sym] = l
+	if sym == symtab.None {
+		return
+	}
+	li := s.labels[sym]
+	if li == nil {
+		li = new(labelIndex)
+		s.labels[sym] = li
+	}
+	li.all.insert(e)
+	if len(t) >= 3 {
+		if e.tag, e.hasTag = IndexTag(t[2]); e.hasTag {
+			li.addTagged(s, e)
 		}
-		l.insert(e)
+	}
+}
+
+// unlink removes e from every index of its locked shard and retires the
+// struct: gen moves, so outstanding Refs fail their claim, and the rest is
+// zeroed (dropping the tuple and key) before it joins the freelist.
+func (s *shard) unlink(e *entry) {
+	delete(s.byKey, e.key)
+	s.sorted.remove(e.key)
+	if e.sym != symtab.None {
+		li := s.labels[e.sym]
+		li.all.remove(e.key)
 		if e.hasTag {
-			st := symTag{sym, e.tag}
-			lt := s.bySymTag[st]
-			if lt == nil {
-				lt = s.getList()
-				s.bySymTag[st] = lt
-			}
-			lt.insert(e)
+			li.removeTagged(s, e)
 		}
+	}
+	*e = entry{gen: e.gen + 1}
+	if len(s.free) < freeMax {
+		s.free = append(s.free, e)
 	}
 }
 
@@ -268,64 +271,19 @@ func (m *Multiset) AddAll(ts []Tuple) {
 	}
 }
 
-// removeLocked decrements e inside an already locked shard, unlinking it from
-// every index and recycling the struct when the count reaches zero.
-func (s *shard) removeLocked(e *entry) {
-	e.count--
-	if e.count > 0 {
-		return
-	}
-	delete(s.byKey, e.key)
-	s.sorted.remove(e.key)
-	if e.sym != symtab.None {
-		if l := s.bySym[e.sym]; l != nil {
-			l.remove(e.key)
-			if l.len() == 0 {
-				delete(s.bySym, e.sym)
-				s.putList(l)
-			}
-		}
-		if e.hasTag {
-			st := symTag{e.sym, e.tag}
-			if l := s.bySymTag[st]; l != nil {
-				l.remove(e.key)
-				if l.len() == 0 {
-					delete(s.bySymTag, st)
-					s.putList(l)
-				}
-			}
-		}
-	}
-	s.putEntry(e)
-}
-
 // Remove deletes one occurrence of t, reporting whether one existed.
-func (m *Multiset) Remove(t Tuple) bool {
-	key := t.Key()
-	s := &m.shards[shardIndex(labelSymOf(t), key)]
-	s.mu.Lock()
-	e, ok := s.byKey[key]
-	if ok && e.count > 0 {
-		s.removeLocked(e)
-	} else {
-		ok = false
-	}
-	s.mu.Unlock()
-	if ok {
-		m.size.Add(-1)
-	}
-	return ok
-}
+func (m *Multiset) Remove(t Tuple) bool { return m.TryRemoveAll([]Tuple{t}) }
 
-// deltaScratch holds the per-commit scratch of TryRemoveAll, ApplyDelta and
-// ApplyDeltas so the hot commit path performs no bookkeeping allocations:
-// staged keys, shard routes and label symbols for both sides of the delta,
-// the byte buffer produce fingerprints are built into (a key string is
-// materialized only when a genuinely new entry is inserted), and the
-// per-firing annihilation marks.
+// deltaScratch holds the per-commit scratch of applyDeltas so the hot commit
+// path performs no bookkeeping allocations: keys and shard routes of the
+// key-addressed consumes, the entries the delta being applied resolved to,
+// routes and label symbols of the produce side, the byte buffer produce
+// fingerprints are built into (a key string is materialized only when a
+// genuinely new entry is inserted), and the per-firing annihilation marks.
 type deltaScratch struct {
 	ckeys   []string
 	cshards []uint32
+	cents   []*entry
 	pshards []uint32
 	psyms   []symtab.Sym
 	kbuf    []byte // produce fingerprints, back to back
@@ -336,43 +294,52 @@ type deltaScratch struct {
 
 var deltaPool = sync.Pool{New: func() any { return new(deltaScratch) }}
 
+// lastID numbers the Multisets of the process (Multiset.id).
+var lastID atomic.Uint32
+
 func (d *deltaScratch) reset() {
 	d.ckeys, d.cshards = d.ckeys[:0], d.cshards[:0]
 	d.pshards, d.psyms = d.pshards[:0], d.psyms[:0]
 	d.kbuf, d.koff = d.kbuf[:0], d.koff[:0]
-	d.ccan, d.pcan = d.ccan[:0], d.pcan[:0]
 }
 
-// stageConsume appends the consume side's keys and shard routes. ckeys, when
-// non-nil, supplies each tuple's cached fingerprint; a nil ckeys computes
-// them here.
-func (d *deltaScratch) stageConsume(consume []Tuple, ckeys []string, involved *[shardCount]bool) {
-	for i, t := range consume {
-		var key string
-		if ckeys != nil {
-			key = ckeys[i]
-		} else {
-			key = t.Key()
-		}
-		si := shardIndex(labelSymOf(t), key)
-		d.ckeys = append(d.ckeys, key)
-		d.cshards = append(d.cshards, si)
-		involved[si] = true
+// stage routes one delta before any lock is taken, collecting the shards it
+// touches in mask. A handle names its shard; a key-addressed consume is routed
+// like an insert; a product gets its fingerprint rendered into kbuf and its
+// label symbol from PSyms where the caller resolved it, else from the tuple.
+func (d *deltaScratch) stage(dl *Delta, mask *uint32) {
+	for _, r := range dl.Refs {
+		*mask |= 1 << (r.shard & (shardCount - 1))
 	}
-}
-
-// stageProduce appends the produce side's fingerprints (into kbuf), shard
-// routes and label symbols.
-func (d *deltaScratch) stageProduce(produce []Tuple, involved *[shardCount]bool) {
-	for _, t := range produce {
-		sym := labelSymOf(t)
+	if dl.Refs == nil {
+		for i, t := range dl.Consume {
+			var key string
+			if dl.CKeys != nil {
+				key = dl.CKeys[i]
+			} else {
+				key = t.Key()
+			}
+			si := shardIndex(labelSymOf(t), key)
+			d.ckeys = append(d.ckeys, key)
+			d.cshards = append(d.cshards, si)
+			*mask |= 1 << si
+		}
+	}
+	for i, t := range dl.Produce {
+		sym := symtab.None
+		if dl.PSyms != nil {
+			sym = dl.PSyms[i]
+		}
+		if sym == symtab.None {
+			sym = labelSymOf(t)
+		}
 		off := len(d.kbuf)
 		d.koff = append(d.koff, off)
 		d.kbuf = t.AppendKey(d.kbuf)
-		si := shardIndexBytes(sym, d.kbuf[off:])
+		si := shardIndex(sym, d.kbuf[off:])
 		d.pshards = append(d.pshards, si)
 		d.psyms = append(d.psyms, sym)
-		involved[si] = true
+		*mask |= 1 << si
 	}
 }
 
@@ -385,19 +352,6 @@ func (d *deltaScratch) pkey(i int) []byte {
 	return d.kbuf[d.koff[i]:end]
 }
 
-// eqBytesString reports b == s without converting either side.
-func eqBytesString(b []byte, s string) bool {
-	if len(b) != len(s) {
-		return false
-	}
-	for i := 0; i < len(b); i++ {
-		if b[i] != s[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // appendSymsDedup appends the label symbols in add to syms, deduplicated,
 // with NoLabelSym standing in for unlabeled tuples.
 func appendSymsDedup(syms []symtab.Sym, add []symtab.Sym) []symtab.Sym {
@@ -405,103 +359,97 @@ func appendSymsDedup(syms []symtab.Sym, add []symtab.Sym) []symtab.Sym {
 		if sym == symtab.None {
 			sym = NoLabelSym
 		}
-		seen := false
-		for _, have := range syms {
-			if have == sym {
-				seen = true
-				break
-			}
-		}
-		if !seen {
+		if !slices.Contains(syms, sym) {
 			syms = append(syms, sym)
 		}
 	}
 	return syms
 }
 
-// lockShards locks every shard whose bit is set in involved, in index order
-// (the deadlock-avoidance order shared by all multi-shard operations).
-func (m *Multiset) lockShards(involved *[shardCount]bool) {
-	for i := range m.shards {
-		if involved[i] {
-			m.shards[i].mu.Lock()
-		}
+// eachShard applies op — one of RWMutex's lock methods — to every shard whose
+// bit is set in mask, in index order (the deadlock-avoidance order shared by
+// all multi-shard operations).
+func (m *Multiset) eachShard(mask uint32, op func(*sync.RWMutex)) {
+	for b := mask; b != 0; b &= b - 1 {
+		op(&m.shards[bits.TrailingZeros32(b)].mu)
 	}
 }
 
-func (m *Multiset) unlockShards(involved *[shardCount]bool) {
-	for i := range m.shards {
-		if involved[i] {
-			m.shards[i].mu.Unlock()
+// claimLocked resolves one firing's consume side to entries (d.cents) and
+// verifies that it is fully available; shards are locked, nothing is
+// modified. A handle resolves to its entry if that is still the element it
+// was issued for, in this multiset; a key (the staged ones from kc on) through
+// byKey. Duplicates within the firing require that many occurrences.
+func (m *Multiset) claimLocked(dl *Delta, d *deltaScratch, kc int) bool {
+	d.cents = d.cents[:0]
+	for _, r := range dl.Refs {
+		if r.e == nil || r.e.owner != m.id || r.e.gen != r.gen {
+			return false
+		}
+		d.cents = append(d.cents, r.e)
+	}
+	if dl.Refs == nil {
+		for i := range dl.Consume {
+			d.cents = append(d.cents, m.shards[d.cshards[kc+i]].byKey[d.ckeys[kc+i]])
 		}
 	}
-}
-
-// claimRangeLocked verifies that one firing's staged consume range [cs, ce)
-// is fully available: duplicates within the range require that many
-// occurrences. Shards must already be locked; nothing is modified.
-func (m *Multiset) claimRangeLocked(cs, ce int, d *deltaScratch) bool {
-	for i := cs; i < ce; i++ {
-		key := d.ckeys[i]
+	for i, e := range d.cents {
 		need := 1
-		for j := cs; j < i; j++ {
-			if d.ckeys[j] == key {
+		for _, prev := range d.cents[:i] {
+			if prev == e {
 				need++
 			}
 		}
-		e, ok := m.shards[d.cshards[i]].byKey[key]
-		if !ok || e.count < need {
+		if e == nil || e.count < need {
 			return false
 		}
 	}
 	return true
 }
 
-// applyRangeLocked commits one firing whose claim already passed: the staged
-// consume range [cs, ce) is removed and the produce tuples (staged at
-// [ps, pe)) inserted. A consume/produce pair with identical fingerprints
-// annihilates — its net effect on every count is zero, so neither side
-// touches the indexes or materializes a key string. The claim was checked
-// gross, so observable semantics stay exactly remove-then-insert.
-func (m *Multiset) applyRangeLocked(produce []Tuple, d *deltaScratch, cs, ce, ps, pe int) {
-	d.ccan = d.ccan[:0]
-	d.pcan = d.pcan[:0]
-	for i := cs; i < ce; i++ {
+// applyRangeLocked commits one firing whose claim just passed — the one place
+// entries are unlinked and linked by a commit: the claimed entries (d.cents)
+// lose one occurrence each and the produce tuples (staged from ps on) are
+// inserted. A consume/produce pair with identical fingerprints annihilates —
+// its net effect on every count is zero, so neither side touches the indexes
+// or materializes a key string. The claim was checked gross, so observable
+// semantics stay exactly remove-then-insert.
+func (m *Multiset) applyRangeLocked(produce []Tuple, d *deltaScratch, ps int) {
+	d.ccan, d.pcan = d.ccan[:0], d.pcan[:0]
+	for range d.cents {
 		d.ccan = append(d.ccan, false)
 	}
-	for i := ps; i < pe; i++ {
-		d.pcan = append(d.pcan, false)
-	}
-	for pi := ps; pi < pe; pi++ {
-		kb := d.pkey(pi)
-		for cj := cs; cj < ce; cj++ {
-			if !d.ccan[cj-cs] && eqBytesString(kb, d.ckeys[cj]) {
-				d.ccan[cj-cs] = true
-				d.pcan[pi-ps] = true
+	for pi := range produce {
+		kb, can := d.pkey(ps+pi), false
+		for cj, e := range d.cents {
+			if !d.ccan[cj] && string(kb) == e.key { // compared in place, not converted
+				d.ccan[cj], can = true, true
 				break
 			}
 		}
+		d.pcan = append(d.pcan, can)
 	}
-	for cj := cs; cj < ce; cj++ {
-		if d.ccan[cj-cs] {
+	for cj, e := range d.cents {
+		if d.ccan[cj] {
 			continue
 		}
-		s := &m.shards[d.cshards[cj]]
-		s.removeLocked(s.byKey[d.ckeys[cj]])
+		if e.count--; e.count == 0 {
+			m.shards[shardIndex(e.sym, e.key)].unlink(e)
+		}
 	}
-	for pi := ps; pi < pe; pi++ {
-		if d.pcan[pi-ps] {
+	for pi, t := range produce {
+		if d.pcan[pi] {
 			continue
 		}
-		s := &m.shards[d.pshards[pi]]
-		kb := d.pkey(pi)
+		s := &m.shards[d.pshards[ps+pi]]
+		kb := d.pkey(ps + pi)
 		if e, ok := s.byKey[string(kb)]; ok {
 			e.count++
 		} else {
 			// internKey: the byte fingerprint becomes a chunk-backed string,
 			// so the common miss path (every insert of a fresh tuple) does
 			// not pay a per-key allocation.
-			s.addEntryLocked(produce[pi-ps], s.arena.internKey(kb), d.psyms[pi], 1)
+			s.link(m.id, t, s.arena.internKey(kb), d.psyms[ps+pi], 1)
 		}
 	}
 }
@@ -509,29 +457,9 @@ func (m *Multiset) applyRangeLocked(produce []Tuple, d *deltaScratch, cs, ce, ps
 // TryRemoveAll atomically removes one occurrence of every tuple in ts — all
 // or nothing. Duplicate tuples in ts require that many occurrences. This is
 // the claim half of the two-phase TryRemoveAll/AddAll commit (see AddAll): a
-// caller that matched a reaction's replace-list claims exactly those
-// molecules, and the claim fails if a concurrent writer consumed one first.
+// produce-less ApplyDelta.
 func (m *Multiset) TryRemoveAll(ts []Tuple) bool {
-	if len(ts) == 0 {
-		return true
-	}
-	d := deltaPool.Get().(*deltaScratch)
-	defer deltaPool.Put(d)
-	d.reset()
-	var involved [shardCount]bool
-	d.stageConsume(ts, nil, &involved)
-	m.lockShards(&involved)
-	ok := m.claimRangeLocked(0, len(ts), d)
-	if ok {
-		for i := range ts {
-			s := &m.shards[d.cshards[i]]
-			s.removeLocked(s.byKey[d.ckeys[i]])
-		}
-	}
-	m.unlockShards(&involved)
-	if ok {
-		m.size.Add(-int64(len(ts)))
-	}
+	ok, _ := m.ApplyDelta(ts, nil, nil, nil)
 	return ok
 }
 
@@ -539,12 +467,13 @@ func (m *Multiset) TryRemoveAll(ts []Tuple) bool {
 // commit: it atomically removes one occurrence of every tuple in consume
 // (all-or-nothing, duplicates requiring that many occurrences) and, on
 // success, inserts every tuple in produce — grouped by shard and applied
-// under one lock acquisition per involved shard, instead of the seed
-// engine's separate TryRemoveAll and AddAll passes.
+// under one lock acquisition per involved shard. It is the key-addressed
+// front door of the commit (replay, tests and tools that hold tuples, not
+// handles): keys are resolved to entries under the lock and the same core
+// runs as for the matcher's handle-addressed deltas (Delta.Refs).
 //
-// ckeys, when non-nil, must hold Key() of each consume tuple; the matcher
-// passes the fingerprints cached on the entries it enumerated, so the commit
-// never rebuilds them. A nil ckeys computes the keys here.
+// ckeys, when non-nil, must hold Key() of each consume tuple, so the commit
+// does not rebuild them. A nil ckeys computes the keys here.
 //
 // On success it appends the deduplicated label symbols of the produced tuples
 // to syms (NoLabelSym standing in for unlabeled tuples) and returns the
@@ -608,38 +537,24 @@ func (m *Multiset) Distinct() int {
 // BySym returns the distinct tuples whose label symbol equals sym, with
 // their multiplicities and cached keys, in ascending key order. The slice is
 // a snapshot.
-func (m *Multiset) BySym(sym symtab.Sym) []Counted {
-	s := m.shardForSym(sym)
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	l := s.bySym[sym]
-	if l == nil {
-		return nil
-	}
-	out := make([]Counted, 0, l.len())
-	l.each(func(e *entry) bool {
-		out = append(out, Counted{Tuple: e.tuple, N: e.count, Key: e.key})
-		return true
-	})
+func (m *Multiset) BySym(sym symtab.Sym) (out []Counted) {
+	m.IterSym(sym, collect(&out))
 	return out
+}
+
+// collect returns an Iter callback that appends what it is given to out.
+func collect(out *[]Counted) func(t Tuple, n int, key string) bool {
+	return func(t Tuple, n int, key string) bool {
+		*out = append(*out, Counted{Tuple: t, N: n, Key: key})
+		return true
+	}
 }
 
 // BySymTag returns the distinct tuples matching both label symbol and tag,
 // with multiplicities and cached keys, in ascending key order — the
 // dynamic-dataflow operand lookup. The slice is a snapshot.
-func (m *Multiset) BySymTag(sym symtab.Sym, tag int64) []Counted {
-	s := m.shardForSym(sym)
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	l := s.bySymTag[symTag{sym, tag}]
-	if l == nil {
-		return nil
-	}
-	out := make([]Counted, 0, l.len())
-	l.each(func(e *entry) bool {
-		out = append(out, Counted{Tuple: e.tuple, N: e.count, Key: e.key})
-		return true
-	})
+func (m *Multiset) BySymTag(sym symtab.Sym, tag int64) (out []Counted) {
+	m.IterSymTag(sym, tag, collect(&out))
 	return out
 }
 
@@ -663,17 +578,16 @@ func (m *Multiset) ByLabelTag(label string, tag int64) []Counted {
 }
 
 // IterSym calls fn once per distinct tuple whose label symbol equals sym, in
-// ascending key order, passing the entry's cached key fingerprint — the
-// matcher's claim-tracking identity — without copying the index. It is a
-// one-shot View (see LockView): the shard read lock is held for the whole
-// iteration, so fn must not mutate the multiset. A caller enumerating more
-// than once per consistent state — the reaction matcher — holds one View
-// across all of it instead.
+// ascending key order, passing the entry's cached key fingerprint, without
+// copying the index. It is a one-shot View (see LockView): the shard read
+// lock is held for the whole iteration, so fn must not mutate the multiset. A
+// caller enumerating more than once per consistent state — the reaction
+// matcher — holds one View across all of it instead.
 func (m *Multiset) IterSym(sym symtab.Sym, fn func(t Tuple, n int, key string) bool) {
 	var v View
 	m.LockView(&v, []symtab.Sym{sym}, false)
 	defer v.Unlock()
-	v.EachSym(sym, 0, fn)
+	v.EachSym(sym, 0, unref(fn))
 }
 
 // IterSymTag is IterSym over the (label symbol, tag) index.
@@ -681,7 +595,12 @@ func (m *Multiset) IterSymTag(sym symtab.Sym, tag int64, fn func(t Tuple, n int,
 	var v View
 	m.LockView(&v, []symtab.Sym{sym}, false)
 	defer v.Unlock()
-	v.EachSymTag(sym, tag, 0, fn)
+	v.EachSymTag(sym, tag, 0, unref(fn))
+}
+
+// unref adapts a tuple callback to the View's handle callback.
+func unref(fn func(t Tuple, n int, key string) bool) func(Ref) bool {
+	return func(r Ref) bool { return fn(r.e.tuple, r.e.count, r.e.key) }
 }
 
 // IterLabel is IterSym by label string, without the key (compatibility
@@ -709,14 +628,9 @@ func (m *Multiset) IterLabelTag(label string, tag int64, fn func(t Tuple, n int)
 // actually visited. All shard read locks are held for the whole iteration:
 // fn must not mutate the multiset.
 func (m *Multiset) IterAll(fn func(t Tuple, n int, key string) bool) {
-	for i := range m.shards {
-		m.shards[i].mu.RLock()
-	}
-	defer func() {
-		for i := range m.shards {
-			m.shards[i].mu.RUnlock()
-		}
-	}()
+	var v View
+	m.LockView(&v, nil, true)
+	defer v.Unlock()
 	var cursors [shardCount]ecursor
 	for i := range m.shards {
 		cursors[i].l = &m.shards[i].sorted
@@ -755,7 +669,7 @@ func (m *Multiset) IterAllRot(rot uint64, fn func(t Tuple, n int, key string) bo
 	var v View
 	m.LockView(&v, nil, true)
 	defer v.Unlock()
-	v.EachAll(rot, fn)
+	v.EachAll(rot, unref(fn))
 }
 
 // IterSorted is IterAll without the key (compatibility surface).
@@ -823,11 +737,10 @@ func (m *Multiset) Clone() *Multiset {
 		s.mu.RLock()
 		if n := s.sorted.len(); n > 0 {
 			d.byKey = make(map[string]*entry, n)
-			d.bySym = make(map[symtab.Sym]*elist, len(s.bySym))
-			d.bySymTag = make(map[symTag]*elist, len(s.bySymTag))
+			d.labels = make(map[symtab.Sym]*labelIndex, len(s.labels))
 		}
 		s.sorted.each(func(e *entry) bool {
-			d.addEntryLocked(e.tuple, e.key, e.sym, e.count)
+			d.link(c.id, e.tuple, e.key, e.sym, e.count)
 			size += int64(e.count)
 			return true
 		})

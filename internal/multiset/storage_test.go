@@ -23,60 +23,62 @@ func allocBytes(fn func()) uint64 {
 
 // TestSingletonChurnAllocatesNothing is the storage discipline Algorithm 1's
 // output needs: every edge is one element [v, 'edge', tag], so a firing empties
-// one (label, tag) list and fills another. On a warmed multiset that cycle
-// must get every index list from the shard freelist, perform no allocation of
-// its own (arena chunk refills amortize to well under one per step), and cost
-// no more than the arena bytes of the produced tuple.
+// one (label, tag) bucket and fills another. On a warmed multiset that cycle
+// must perform no allocation of its own (arena chunk refills amortize to well
+// under one per step) and cost no more than the arena bytes of the produced
+// tuple — with one entry per bucket because the entry sits inline in its map
+// slot and no list is involved at all, with two because the spilled list
+// comes back from the shard freelist.
 func TestSingletonChurnAllocatesNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector makes sync.Pool drop the commit scratch")
 	}
-	const steps = 4096
-	tuples := make([]Tuple, steps+1)
-	keys := make([]string, steps+1)
-	for i := range tuples {
-		tuples[i] = IntElem(int64(i), "edge", int64(i)) // a fresh (label, tag) list per step
-		keys[i] = tuples[i].Key()
-	}
-	m := New(tuples[0])
-	i := 0
-	var syms []symtab.Sym // the caller's delta buffer, reused like the engine's
-	step := func() {
-		var ok bool
-		ok, syms = m.ApplyDelta(tuples[i:i+1], keys[i:i+1], tuples[i+1:i+2], syms[:0])
-		if !ok {
-			t.Fatalf("step %d: claim failed", i)
+	for _, perTag := range []int{1, 2} {
+		const steps = 4096
+		tuples := make([]Tuple, (steps+1)*perTag)
+		keys := make([]string, len(tuples))
+		for i := range tuples {
+			tuples[i] = IntElem(int64(i), "edge", int64(i/perTag)) // a fresh (label, tag) bucket per step
+			keys[i] = tuples[i].Key()
 		}
-		i++
-	}
-	for i < 64 { // warm: freelists, scratch pool, first arena chunks
-		step()
-	}
-	before := m.Storage()
-	const measured = 2000
-	if avg := testing.AllocsPerRun(measured-1, step); avg != 0 {
-		t.Errorf("%v allocations per consume-one/produce-one step, want 0", avg)
-	}
-	after := m.Storage()
-	if fresh := after.ListsFresh - before.ListsFresh; fresh != 0 {
-		t.Errorf("%d index lists allocated over %d steps, want all recycled", fresh, measured)
-	}
-	// The consume runs first, so both the 'edge' label list and the
-	// (edge, tag) list drain, leave their maps and come back per step.
-	if got := after.ListsRecycled - before.ListsRecycled; got != 2*measured {
-		t.Errorf("%d lists recycled over %d steps, want %d", got, measured, 2*measured)
-	}
-	start := i
-	perStep := allocBytes(func() {
-		for i < start+1000 {
+		m := New(tuples[:perTag]...)
+		i := 0
+		var syms []symtab.Sym // the caller's delta buffer, reused like the engine's
+		step := func() {
+			var ok bool
+			ok, syms = m.ApplyDelta(tuples[i:i+perTag], keys[i:i+perTag], tuples[i+perTag:i+2*perTag], syms[:0])
+			if !ok {
+				t.Fatalf("step %d: claim failed", i)
+			}
+			i += perTag
+		}
+		for i < 64*perTag { // warm: freelists, scratch pool, first arena chunks
 			step()
 		}
-	}) / 1000
-	if perStep > 200 {
-		t.Errorf("%d B allocated per step, want <= 200", perStep)
-	}
-	if m.Len() != 1 || !m.Contains(tuples[i]) {
-		t.Errorf("after %d steps the multiset is %s", i, m)
+		before := m.Storage()
+		const measured = 2000
+		if avg := testing.AllocsPerRun(measured-1, step); avg != 0 {
+			t.Errorf("%d per tag: %v allocations per consume/produce step, want 0", perTag, avg)
+		}
+		after := m.Storage()
+		if fresh := after.ListsFresh - before.ListsFresh; fresh != 0 {
+			t.Errorf("%d per tag: %d index lists allocated over %d steps, want none", perTag, fresh, measured)
+		}
+		if got, want := after.ListsRecycled-before.ListsRecycled, int64((perTag-1)*measured); got != want {
+			t.Errorf("%d per tag: %d lists recycled over %d steps, want %d", perTag, got, measured, want)
+		}
+		start := i
+		perStep := allocBytes(func() {
+			for i < start+1000*perTag {
+				step()
+			}
+		}) / 1000
+		if perStep > uint64(200*perTag) {
+			t.Errorf("%d per tag: %d B allocated per step, want <= %d", perTag, perStep, 200*perTag)
+		}
+		if err := m.CheckInvariants(); err != nil || m.Len() != perTag || !m.Contains(tuples[i]) {
+			t.Errorf("%d per tag: after %d steps the multiset is %s (%v)", perTag, i/perTag, m, err)
+		}
 	}
 }
 
@@ -172,11 +174,12 @@ func TestCloneFromEntries(t *testing.T) {
 	}
 }
 
-// TestViewReadersDuringListChurn runs View enumerations of the label and
-// (label, tag) indexes against a writer that drains those lists to empty and
-// refills them through the shard's list freelist. Under -race (make stress)
-// any recycled list, parked chunk or lazily made map a reader could still
-// reach is a reported race; the readers also check what they see is coherent.
+// TestViewReadersDuringListChurn runs View enumerations of the label lists and
+// (label, tag) buckets against a writer that takes every bucket through empty
+// → inline singleton → spilled list → empty, the lists coming from and going
+// back to the shard freelist. Under -race (make stress) any recycled list,
+// parked chunk, map slot or lazily made map a reader could still reach is a
+// reported race; the readers also check what they see is coherent.
 func TestViewReadersDuringListChurn(t *testing.T) {
 	labels := []string{"churn-a", "churn-b", "churn-c"}
 	syms := make([]symtab.Sym, len(labels))
@@ -195,25 +198,25 @@ func TestViewReadersDuringListChurn(t *testing.T) {
 				m.LockView(&v, syms, false)
 				for i, sym := range syms {
 					n, prev := 0, ""
-					v.EachSym(sym, 0, func(tp Tuple, cnt int, key string) bool {
-						if l, _ := tp.Label(); l != labels[i] || cnt < 1 || key <= prev {
-							t.Errorf("reader saw %s (count %d) after %q under %s", tp, cnt, prev, labels[i])
+					v.EachSym(sym, 0, func(c Ref) bool {
+						if l, _ := c.Tuple().Label(); l != labels[i] || c.Count() < 1 || c.Key() <= prev {
+							t.Errorf("reader saw %s (count %d) after %q under %s", c.Tuple(), c.Count(), prev, labels[i])
 						}
-						n, prev = n+1, key
+						n, prev = n+1, c.Key()
 						return true
 					})
 					tagged := 0
 					for tag := int64(0); tag < 4; tag++ {
-						v.EachSymTag(sym, tag, rot, func(tp Tuple, _ int, _ string) bool {
-							if got, _ := tp.Tag(); got != tag {
-								t.Errorf("reader saw %s under tag %d", tp, tag)
+						v.EachSymTag(sym, tag, rot, func(c Ref) bool {
+							if got, _ := c.Tuple().Tag(); got != tag {
+								t.Errorf("reader saw %s under tag %d", c.Tuple(), tag)
 							}
 							tagged++
 							return true
 						})
 					}
 					if tagged != n {
-						t.Errorf("label list holds %d, its tag lists %d", n, tagged)
+						t.Errorf("label list holds %d, its tag buckets %d", n, tagged)
 					}
 				}
 				v.Unlock()
@@ -222,25 +225,35 @@ func TestViewReadersDuringListChurn(t *testing.T) {
 		}(r)
 	}
 	for round := 0; round < 400; round++ {
-		var live []Tuple
+		// Per (label, tag) 0–3 entries, added one layer at a time.
+		var layers [3][]Tuple
 		for i, l := range labels {
-			for k := 0; k <= (round+i)%3; k++ {
-				live = append(live, IntElem(int64(round), l, int64(k)))
+			for tag := 0; tag < 4; tag++ {
+				for k := 0; k < (round+i+tag)%4; k++ {
+					layers[k] = append(layers[k], IntElem(int64(round*3+k), l, int64(tag)))
+				}
 			}
 		}
-		if ok, _ := m.ApplyDelta(nil, nil, live, nil); !ok {
-			t.Fatal("produce-only delta refused")
+		for _, layer := range layers {
+			if ok, _ := m.ApplyDelta(nil, nil, layer, nil); !ok {
+				t.Fatal("produce-only delta refused")
+			}
 		}
-		if ok, _ := m.ApplyDelta(live, nil, nil, nil); !ok { // every list back to empty
-			t.Fatal("consume of what was just produced refused")
+		if err := m.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+		for _, layer := range layers { // first in, first out: lists shrink from the front
+			if ok, _ := m.ApplyDelta(layer, nil, nil, nil); !ok {
+				t.Fatal("consume of what was just produced refused")
+			}
 		}
 	}
 	stop.Store(true)
 	wg.Wait()
-	if m.Len() != 0 {
-		t.Errorf("multiset not empty after churn: %s", m)
+	if err := m.CheckInvariants(); err != nil || m.Len() != 0 {
+		t.Errorf("multiset not empty after churn: %s (%v)", m, err)
 	}
 	if st := m.Storage(); st.ListsRecycled == 0 {
-		t.Errorf("churn never recycled a list: %+v", st)
+		t.Errorf("spilled buckets never came from the freelist: %+v", st)
 	}
 }

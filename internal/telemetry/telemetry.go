@@ -209,8 +209,8 @@ func (t *Track) append(e ringEvent) {
 	}
 	if t.total >= int64(len(t.buf)) && len(t.buf) < t.rec.cap {
 		// The ring starts empty and doubles toward cap as events arrive, so a
-		// short traced run costs a short buffer — eager full-cap rings turned
-		// every 3-step service run into a quarter-megabyte allocation (e23).
+		// short traced run costs a short buffer — eager full-cap rings made a
+		// 3-step service run allocate 256 kB (see TestTraceAllocationCost).
 		// Before the first wrap head == total, so the old buffer is already
 		// oldest-first and the next write slot is its former length.
 		n := 2 * len(t.buf)

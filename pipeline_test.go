@@ -181,22 +181,28 @@ func TestPipelineProfileAndReuse(t *testing.T) {
 }
 
 // TestLoopAllocScaling is the allocation-scaling gate of `make check-ci`:
-// bytes allocated per Γ step on the paper's Fig. 2 loop after Algorithm 1
-// must not depend on the trip count and must stay under an absolute ceiling. Algorithm 1 makes every edge one
-// element, so every firing flips a few (label, tag) index lists between empty
-// and non-empty; what a step may allocate is the arena bytes of the tuples it
-// produces plus the matcher's scratch, ~0.5 kB. A fixed-size chunk or a fresh
-// index list per flip (3.5 kB/step before the multiset recycled them) or any
-// cost that grows with the run shows here, not in wall-clock noise.
+// what one more Γ step allocates on the paper's Fig. 2 loop after Algorithm 1
+// must not depend on the trip count, and a whole run must stay under an
+// absolute ceiling per step. Algorithm 1 makes every edge one element, so
+// every firing flips a few (label, tag) buckets between empty and non-empty;
+// what a step may allocate is the arena bytes of the tuples it produces,
+// ~0.25 kB. A fixed-size chunk or a fresh index list per flip (3.5 kB/step
+// before the multiset recycled them) or any cost that grows with the run
+// shows here, not in wall-clock noise. The gate is on marginal bytes between
+// trip counts, not on bytes/steps: a run's fixed set-up (kernels, searchers)
+// is a few kB, so the quotient falls with z for no reason a step is
+// responsible for. The marginal may fall with z too — arena chunks double
+// until they reach their maximum, so early steps carry up to twice their
+// share (316 then 242 B here) — but it must never rise.
 func TestLoopAllocScaling(t *testing.T) {
-	const ceiling, flat = 1024.0, 1.25
-	lo, hi := 0.0, 0.0
+	const ceiling, marginalMax, flat = 1024.0, 400.0, 1.25
+	var bytes, steps []float64
 	for _, z := range []int64{64, 512, 4096} {
 		prog, init, err := core.ToGamma(paper.Fig2GraphObservable(10, 4, z))
 		if err != nil {
 			t.Fatal(err)
 		}
-		var perStep float64
+		var total, n float64
 		for pass := 0; pass < 2; pass++ { // the first pass warms kernels and pools
 			var a, b runtime.MemStats
 			m := init.Clone()
@@ -206,23 +212,28 @@ func TestLoopAllocScaling(t *testing.T) {
 			if err != nil || st.Steps < z {
 				t.Fatalf("z=%d: %d steps, err %v", z, st.Steps, err)
 			}
-			perStep = float64(b.TotalAlloc-a.TotalAlloc) / float64(st.Steps)
+			total, n = float64(b.TotalAlloc-a.TotalAlloc), float64(st.Steps)
 			if pass == 1 && st.ListsFresh > 64 {
 				t.Errorf("z=%d: %d index lists freshly allocated in %d steps (%d recycled)", z, st.ListsFresh, st.Steps, st.ListsRecycled)
 			}
 		}
-		t.Logf("z=%d: %.0f B/step", z, perStep)
-		if perStep > ceiling {
-			t.Errorf("z=%d: %.0f B allocated per step, ceiling %.0f", z, perStep, ceiling)
+		t.Logf("z=%d: %.0f B/step over %.0f steps", z, total/n, n)
+		if total/n > ceiling {
+			t.Errorf("z=%d: %.0f B allocated per step, ceiling %.0f", z, total/n, ceiling)
 		}
-		if lo == 0 || perStep < lo {
-			lo = perStep
-		}
-		if perStep > hi {
-			hi = perStep
-		}
+		bytes, steps = append(bytes, total), append(steps, n)
 	}
-	if hi > flat*lo {
-		t.Errorf("bytes per step range %.0f–%.0f across trip counts: max/min %.2f > %.2f", lo, hi, hi/lo, flat)
+	prev := 0.0
+	for i := 1; i < len(bytes); i++ {
+		marginal := (bytes[i] - bytes[i-1]) / (steps[i] - steps[i-1])
+		t.Logf("steps %.0f -> %.0f: %.0f B per extra step", steps[i-1], steps[i], marginal)
+		if raceEnabled {
+			continue // the whole-run ceiling above still holds; the per-step budget does not
+		}
+		if marginal > marginalMax || (prev > 0 && marginal > flat*prev) {
+			t.Errorf("steps %.0f -> %.0f: %.0f B per extra step, want <= %.0f and <= %.2f x the %.0f before it",
+				steps[i-1], steps[i], marginal, marginalMax, flat, prev)
+		}
+		prev = marginal
 	}
 }
