@@ -40,6 +40,10 @@ loc:
 		END { for (d in lines) printf "%6d %6d %s\n", lines[d], code[d], d; \
 		      printf "%6d %6d total\n", tl, tc }' | sort -k3 | sed '1i\ lines   code package'
 
+# The size criterion as a gate: check-ci fails when the total of `make loc`
+# exceeds this. A PR may lower the ceiling, never raise it.
+LOC_CEILING = 20750
+
 # Observability demo: trace the paper's Fig. 1 program and emit a
 # Perfetto-loadable timeline (open trace.json at https://ui.perfetto.dev) plus
 # the provenance DAG as DOT — the run rendered as the paper's dataflow graph.
@@ -48,8 +52,8 @@ trace-demo:
 	$(GO) run ./cmd/gammarun -trace fig1-provenance.dot -trace-format dot examples/fig1.gamma
 	@echo "wrote trace.json (Perfetto) and fig1-provenance.dot (Graphviz)"
 
-# Cancellation / fault-model stress: the context, panic-recovery and
-# dead-node tests under the race detector, plus the compiled-vs-interpreted
+# Cancellation / fault-model stress: the context and panic-recovery
+# tests under the race detector, plus the compiled-vs-interpreted
 # differential suites (kernel matcher, expression compiler, pure dataflow
 # ops, batched multiset commits, steal-scheduler determinism and batch-vs-
 # sequential equivalence, three-way dataflow engine differentials (goldens,
@@ -69,8 +73,8 @@ trace-demo:
 # probes and candidates of the tournament and the sieve under both wake
 # policies.
 stress:
-	$(GO) test -race -count=2 -run 'Cancel|Panic|Fault|Dead|Deadline|Wedge|Retr|Differential|KernelMatches|ApplyDelta|Steal|Batch|Rollup|Replay|Churn|Recycled|Invariant|Handle|Stale|Narrow' \
-		./internal/gamma/ ./internal/dataflow/ ./internal/dist/ ./internal/rt/ \
+	$(GO) test -race -count=2 -run 'Cancel|Panic|Fault|Deadline|Wedge|Retr|Differential|KernelMatches|ApplyDelta|Steal|Batch|Rollup|Replay|Churn|Recycled|Invariant|Handle|Stale|Narrow' \
+		./internal/gamma/ ./internal/dataflow/ ./internal/rt/ \
 		./internal/expr/ ./internal/multiset/ ./internal/equiv/ \
 		./internal/service/ ./internal/telemetry/ ./internal/replay/ .
 	$(GO) test -race -timeout 5m -run 'TestLabelFreeScaling|TestWakePolicyScaling|TestAlg1ImageShape' ./internal/gamma/
@@ -78,9 +82,10 @@ stress:
 check: vet fmt-check build race bench-check
 
 # CI gate: like check but with explicit timeouts so a wedged pool fails the
-# build instead of hanging it. The parallel differential suites repeat under
-# GOMAXPROCS=2 and GOMAXPROCS=8 so the steal scheduler is exercised both
-# time-sliced on few cores and genuinely concurrent. The serving stack is
+# build instead of hanging it, and with the size ceiling above. The parallel
+# differential suites repeat under GOMAXPROCS=2 and GOMAXPROCS=8 so the steal
+# scheduler is exercised both time-sliced on few cores and genuinely
+# concurrent. The serving stack is
 # gated by gammad -selfcheck, which boots the server on a loopback port and
 # drives the client-package smoke (lifecycle, taxonomy over the wire,
 # backpressure, trace/stats fetch, schedule replay, Prometheus exposition).
@@ -101,9 +106,12 @@ check: vet fmt-check build race bench-check
 # GOMAXPROCS 2 and 8. Wall times are bench/'s business: the pipeline compares
 # its seven workloads against the parent commit.
 check-ci: vet fmt-check build bench-check
+	@total=$$($(MAKE) -s loc | awk '$$3 == "total" { print $$1 }'); \
+	echo "make loc: $$total non-test lines (ceiling $(LOC_CEILING))"; \
+	[ "$$total" -le $(LOC_CEILING) ]
 	$(GO) test -race -timeout 5m ./...
-	$(GO) test -race -timeout 2m -count=2 -run 'Cancel|Panic|Fault|Dead' \
-		./internal/gamma/ ./internal/dataflow/ ./internal/dist/
+	$(GO) test -race -timeout 2m -count=2 -run 'Cancel|Panic|Fault|Deadline' \
+		./internal/gamma/ ./internal/dataflow/
 	GOMAXPROCS=2 $(GO) test -race -timeout 2m -count=2 -run 'Steal|Batch|Differential' ./internal/gamma/
 	GOMAXPROCS=8 $(GO) test -race -timeout 2m -count=2 -run 'Steal|Batch|Differential' ./internal/gamma/
 	$(GO) test -race -timeout 2m -count=2 -run 'Golden|Replay' ./internal/replay/ ./internal/service/ ./cmd/gammarun/ ./cmd/dfrun/

@@ -3,8 +3,13 @@ package gammaflow
 import (
 	"context"
 	"errors"
+	"reflect"
+	"slices"
 	"testing"
 	"time"
+
+	"repro/internal/dataflow"
+	"repro/internal/gamma"
 )
 
 // TestContextAPIAcrossModels pins the facade contract: the same RunConfig
@@ -122,6 +127,13 @@ func TestRunSpecDrivesTheFacade(t *testing.T) {
 	if _, err := RunProgramContext(context.Background(), prog, init.Clone(), bad); !errors.Is(err, ErrInvalid) {
 		t.Errorf("unknown engine: err = %v, want ErrInvalid", err)
 	}
+	// MapMultiset runs graph instances under the same spec check as RunGraph.
+	for _, spec := range []RunSpec{{Engine: "quantum"}, {Workers: -1}} {
+		gopt := GraphOptions{RunConfig: RunConfig{RunSpec: spec}}
+		if _, err := MapMultiset(prog.Reactions[0], init.Clone(), gopt); !errors.Is(err, ErrInvalid) {
+			t.Errorf("MapMultiset with spec %+v: err = %v, want ErrInvalid", spec, err)
+		}
+	}
 
 	// EngineSeq forces the deterministic interpreter even with Workers set;
 	// the run must still reach the stable state.
@@ -146,5 +158,55 @@ func TestRunSpecDrivesTheFacade(t *testing.T) {
 	}
 	if st == nil {
 		t.Error("TimeoutMS expiry must return partial stats")
+	}
+}
+
+// TestOptionsCensus pins the settable fields of every options struct to a
+// literal list, each entry naming who sets the field outside tests and
+// examples. A new knob fails here until its line, and so its production
+// caller, is in the diff.
+func TestOptionsCensus(t *testing.T) {
+	for _, c := range []struct {
+		opts any
+		want []string
+	}{
+		{gamma.Options{}, []string{
+			"Workers",       // gammarun -workers; wire spec.workers (service); bench gamma_tournament_par
+			"Seed",          // gammarun -seed; wire spec.seed (service)
+			"MaxSteps",      // gammarun -maxsteps; wire spec.max_steps and the tenant step budget (service)
+			"FullScan",      // gammarun -fullscan, the wake-policy reference (ROADMAP 8b)
+			"FaultInjector", // ProgramOptions.FaultInjector, the stress suites' fault hook
+			"Recorder",      // -trace/-metrics/-metrics-addr (internal/cli); traced runs (service)
+			"Schedule",      // gammarun -profile and -trace-format schedule|dot; traced runs (service)
+		}},
+		{dataflow.Options{}, []string{
+			"Workers",       // dfrun -workers; wire spec.workers (service)
+			"Engine",        // dfrun -engine matrix; wire spec.engine (service)
+			"MaxFirings",    // dfrun -maxfirings; wire spec.max_steps (service)
+			"FaultInjector", // GraphOptions.FaultInjector, the stress suites' fault hook
+			"Recorder",      // -trace/-metrics/-metrics-addr (internal/cli); traced runs (service)
+			"Schedule",      // dfrun -profile and -trace-format schedule|dot; traced runs (service)
+		}},
+		{RunConfig{}, []string{
+			"RunSpec",  // the wire struct itself: engine, workers, seed, max_steps, timeout_ms, trace
+			"Schedule", // lowered to both engines' Schedule
+		}},
+		{ProgramOptions{}, []string{
+			"RunConfig",
+			"FaultInjector", // lowered to gamma.Options.FaultInjector
+		}},
+		{GraphOptions{}, []string{
+			"RunConfig",
+			"FaultInjector", // lowered to dataflow.Options.FaultInjector
+		}},
+	} {
+		typ := reflect.TypeOf(c.opts)
+		var got []string
+		for i := 0; i < typ.NumField(); i++ {
+			got = append(got, typ.Field(i).Name)
+		}
+		if !slices.Equal(got, c.want) {
+			t.Errorf("%s fields = %v, want %v: name the new field's production setter here, or delete the one that lost its last", typ, got, c.want)
+		}
 	}
 }

@@ -11,7 +11,6 @@ import (
 	"repro/internal/compiler"
 	"repro/internal/core"
 	"repro/internal/dataflow"
-	"repro/internal/dist"
 	"repro/internal/equiv"
 	"repro/internal/gamma"
 	"repro/internal/gammalang"
@@ -19,7 +18,6 @@ import (
 	"repro/internal/paper"
 	"repro/internal/profile"
 	"repro/internal/replay"
-	"repro/internal/reuse"
 	"repro/internal/schema"
 	"repro/internal/value"
 )
@@ -102,7 +100,7 @@ func BenchmarkFig2LoopGamma(b *testing.B) {
 	}
 }
 
-// ---- E4 + E12: Eq. 2 min element, size and worker sweeps ----
+// ---- E4: Eq. 2 min element, size and worker sweeps ----
 
 func minProgram(b *testing.B) *gamma.Program {
 	b.Helper()
@@ -137,8 +135,7 @@ func BenchmarkMinElement(b *testing.B) {
 	}
 }
 
-// BenchmarkGammaParallel sweeps workers with a costly action (WorkFactor),
-// the configuration where the model's natural parallelism shows.
+// BenchmarkGammaParallel sweeps workers on the Eq. 2 min element program.
 func BenchmarkGammaParallel(b *testing.B) {
 	prog := minProgram(b)
 	init := intMultiset(400)
@@ -146,9 +143,7 @@ func BenchmarkGammaParallel(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				m := init.Clone()
-				if _, err := gamma.Run(prog, m, gamma.Options{
-					Workers: workers, Seed: 1, WorkFactor: 20000,
-				}); err != nil {
+				if _, err := gamma.Run(prog, m, gamma.Options{Workers: workers, Seed: 1}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -156,8 +151,7 @@ func BenchmarkGammaParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkDataflowParallel sweeps PEs over a wide compiled program with a
-// costly instruction (WorkFactor).
+// BenchmarkDataflowParallel sweeps PEs over a wide compiled program.
 func BenchmarkDataflowParallel(b *testing.B) {
 	// A wide expression dag: 64 independent multiply-add chains.
 	src := "int a = 3;\n"
@@ -171,9 +165,7 @@ func BenchmarkDataflowParallel(b *testing.B) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := dataflow.Run(g, dataflow.Options{
-					Workers: workers, WorkFactor: 20000,
-				}); err != nil {
+				if _, err := dataflow.Run(g, dataflow.Options{Workers: workers}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -289,73 +281,7 @@ func BenchmarkAlgorithm2(b *testing.B) {
 	}
 }
 
-// ---- E13: trace reuse ----
-
-// BenchmarkTraceReuse runs a loop whose body recomputes identical values
-// across iterations, with an expensive instruction cost: the memoized run
-// skips the recomputation, the paper's DF-DTM motivation.
-func BenchmarkTraceReuse(b *testing.B) {
-	// The loop body recomputes eight k-only products per iteration with
-	// identical operands (no common-subexpression elimination in the
-	// compiler, so each is its own vertex). With an expensive instruction
-	// cost, most firings become memo hits after the first iteration.
-	src := `int i; int k = 7; int s = 0;
-	        for (i = 50; i > 0; i--)
-	            s = s + k*k + k*k + k*k + k*k + k*k + k*k + k*k + k*k;
-	        output s;`
-	g, err := compiler.Compile("reuse", src)
-	if err != nil {
-		b.Fatal(err)
-	}
-	const work = 50000
-	b.Run("no-memo", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := dataflow.Run(g, dataflow.Options{WorkFactor: work}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("memo", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			tbl := reuse.NewTable(0)
-			res, err := dataflow.Run(g, dataflow.Options{WorkFactor: work, Memo: tbl})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if res.MemoHits == 0 {
-				b.Fatal("memo never hit")
-			}
-		}
-	})
-	// The same workload after conversion, with reaction-level reuse.
-	prog, init, err := core.ToGamma(g)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("gamma-no-memo", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			m := init.Clone()
-			if _, err := gamma.Run(prog, m, gamma.Options{WorkFactor: work}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("gamma-memo", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			tbl := reuse.NewTable(0)
-			m := init.Clone()
-			st, err := gamma.Run(prog, m, gamma.Options{WorkFactor: work, Memo: tbl})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if st.MemoHits == 0 {
-				b.Fatal("memo never hit")
-			}
-		}
-	})
-}
-
-// ---- E16: incremental matching engine vs the seed full rescan ----
+// ---- Wake policy: incremental matching engine vs the seed full rescan ----
 
 // tournamentProgram is a staged pairwise min reduction over labeled elements
 // (min-element-style, in the literal-label shape Algorithm 1 emits): stage i
@@ -388,7 +314,7 @@ func tournamentMultiset(n int) *multiset.Multiset {
 // seed full-rescan baseline (Options.FullScan) on the ISSUE workloads:
 // Eq. 2 min element, the staged labeled variant, and the §II-B primes sieve
 // (step-capped: its probes are quadratic in any engine). probes/op is the
-// matching-engine work metric; see EXPERIMENTS.md E16.
+// matching-engine work metric; see EXPERIMENTS.md "Wake policy, in counts".
 func BenchmarkGammaIncremental(b *testing.B) {
 	engines := []struct {
 		name     string
@@ -514,32 +440,6 @@ func BenchmarkValueTaggedVsBoxed(b *testing.B) {
 			b.Fatal("impossible")
 		}
 	})
-}
-
-// ---- E14: distributed multiset (the paper's §IV future work) ----
-
-// BenchmarkDistributedMin runs the Eq. 2 min-element program over a
-// simulated cluster, sweeping node counts.
-func BenchmarkDistributedMin(b *testing.B) {
-	prog := minProgram(b)
-	init := intMultiset(128)
-	for _, nodes := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("nodes=%d", nodes), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				c, err := dist.NewCluster(prog, dist.Options{Nodes: nodes, Seed: int64(i + 1)})
-				if err != nil {
-					b.Fatal(err)
-				}
-				result, _, err := c.Run(init.Clone())
-				if err != nil {
-					b.Fatal(err)
-				}
-				if result.Len() != 1 {
-					b.Fatalf("result = %s", result)
-				}
-			}
-		})
-	}
 }
 
 // ---- E15: parallelism profiling, and its overhead (ablation) ----

@@ -6,7 +6,6 @@ import (
 	"repro/internal/compiler"
 	"repro/internal/core"
 	"repro/internal/dataflow"
-	"repro/internal/dist"
 	"repro/internal/equiv"
 	"repro/internal/gamma"
 	"repro/internal/gammalang"
@@ -15,7 +14,6 @@ import (
 	"repro/internal/paper"
 	"repro/internal/profile"
 	"repro/internal/replay"
-	"repro/internal/reuse"
 	"repro/internal/value"
 )
 
@@ -297,118 +295,6 @@ func expE11() error {
 	return nil
 }
 
-// expE12 measures parallel scaling of both runtimes with expensive
-// operations.
-func expE12() error {
-	t := metrics.NewTable("parallel scaling (WorkFactor 20000 per operation)",
-		"runtime", "workers", "time", "speedup")
-	// Gamma: min element over 300 values.
-	prog, err := gammalang.ParseProgram("min", paper.MinElementListing)
-	if err != nil {
-		return err
-	}
-	init := multiset.New()
-	for i := 0; i < 300; i++ {
-		init.Add(multiset.New1(value.Int(int64((i*31 + 7) % 1000))))
-	}
-	var base float64
-	for _, w := range []int{1, 2, 4, 8} {
-		d := metrics.TimeN(3, func() {
-			m := init.Clone()
-			if _, err := gamma.Run(prog, m, gamma.Options{Workers: w, Seed: 1, WorkFactor: 20000}); err != nil {
-				panic(err)
-			}
-		})
-		if w == 1 {
-			base = float64(d)
-		}
-		t.Row("gamma", w, d, base/float64(d))
-	}
-	// Dataflow: wide compiled expression dag.
-	src := "int a = 3;\n"
-	for i := 0; i < 64; i++ {
-		src += fmt.Sprintf("int v%d; v%d = (a * %d + 1) * (a + %d) - a * %d;\n", i, i, i+1, i+2, i+3)
-	}
-	g, err := compiler.Compile("wide", src)
-	if err != nil {
-		return err
-	}
-	for _, w := range []int{1, 2, 4, 8} {
-		d := metrics.TimeN(3, func() {
-			if _, err := dataflow.Run(g, dataflow.Options{Workers: w, WorkFactor: 20000}); err != nil {
-				panic(err)
-			}
-		})
-		if w == 1 {
-			base = float64(d)
-		}
-		t.Row("dataflow", w, d, base/float64(d))
-	}
-	fmt.Print(t)
-	fmt.Println("paper: both models expose parallelism naturally; speedup bounded by GOMAXPROCS")
-	return nil
-}
-
-// expE13 measures trace reuse in both models on a loop with repeated
-// subcomputations.
-func expE13() error {
-	src := `int i; int k = 7; int s = 0;
-	        for (i = 50; i > 0; i--)
-	            s = s + k*k + k*k + k*k + k*k + k*k + k*k + k*k + k*k;
-	        output s;`
-	g, err := compiler.Compile("reuse", src)
-	if err != nil {
-		return err
-	}
-	const work = 50000
-	t := metrics.NewTable("trace reuse (DF-DTM) on s += 8*(k*k), 50 iterations, WorkFactor 50000",
-		"runtime", "memo", "time", "hits", "hit rate")
-
-	d := metrics.TimeN(3, func() {
-		if _, err := dataflow.Run(g, dataflow.Options{WorkFactor: work}); err != nil {
-			panic(err)
-		}
-	})
-	t.Row("dataflow", "off", d, 0, "-")
-	var hits int64
-	var tbl *reuse.Table
-	d = metrics.TimeN(3, func() {
-		tbl = reuse.NewTable(0)
-		res, err := dataflow.Run(g, dataflow.Options{WorkFactor: work, Memo: tbl})
-		if err != nil {
-			panic(err)
-		}
-		hits = res.MemoHits
-	})
-	t.Row("dataflow", "on", d, hits, fmt.Sprintf("%.0f%%", 100*tbl.Stats().HitRate()))
-
-	prog, init, err := core.ToGamma(g)
-	if err != nil {
-		return err
-	}
-	d = metrics.TimeN(3, func() {
-		m := init.Clone()
-		if _, err := gamma.Run(prog, m, gamma.Options{WorkFactor: work}); err != nil {
-			panic(err)
-		}
-	})
-	t.Row("gamma", "off", d, 0, "-")
-	d = metrics.TimeN(3, func() {
-		tbl = reuse.NewTable(0)
-		m := init.Clone()
-		st, err := gamma.Run(prog, m, gamma.Options{WorkFactor: work, Memo: tbl})
-		if err != nil {
-			panic(err)
-		}
-		hits = st.MemoHits
-	})
-	t.Row("gamma", "on", d, hits, fmt.Sprintf("%.0f%%", 100*tbl.Stats().HitRate()))
-	fmt.Print(t)
-	fmt.Println("paper (§I): conversion lets Gamma programs profit from dataflow trace reuse [3];")
-	fmt.Println("tag-masked reaction memoization carries the same technique back to Gamma")
-	return nil
-}
-
 // profileOf folds a recorded run's commit-ordered schedule into its
 // work/span report.
 func profileOf(rec *replay.Recorder) profile.Report {
@@ -508,45 +394,5 @@ func expE15() error {
 	fmt.Println("paper: both models \"expose parallelism naturally\"; span is the schedule-")
 	fmt.Println("independent limit. Reductions (§III-A3) shrink span per instance to 1 but do")
 	fmt.Println("not change cross-instance parallelism; loops are sequential chains by nature")
-	return nil
-}
-
-// expE14 runs the min-element program over the simulated distributed
-// multiset, the paper's §IV future-work environment.
-func expE14() error {
-	prog, err := gammalang.ParseProgram("min", paper.MinElementListing)
-	if err != nil {
-		return err
-	}
-	init := multiset.New()
-	for i := 0; i < 128; i++ {
-		init.Add(multiset.New1(value.Int(int64((i*37 + 5) % 500))))
-	}
-	t := metrics.NewTable("distributed min over 128 elements",
-		"nodes", "topology", "steps", "rounds", "migrations", "gathers", "time")
-	for _, topo := range []dist.Topology{dist.TopologyFull, dist.TopologyRing} {
-		for _, nodes := range []int{1, 2, 4, 8} {
-			var stats *dist.Stats
-			var result *multiset.Multiset
-			d := metrics.TimeN(3, func() {
-				c, err := dist.NewCluster(prog, dist.Options{Nodes: nodes, Seed: int64(nodes), Topology: topo})
-				if err != nil {
-					panic(err)
-				}
-				result, stats, err = c.Run(init.Clone())
-				if err != nil {
-					panic(err)
-				}
-			})
-			if result.Len() != 1 {
-				return fmt.Errorf("nodes=%d: result %s", nodes, result)
-			}
-			t.Row(nodes, topo, stats.Steps, stats.Rounds, stats.Migrations, stats.Gathers, d)
-		}
-	}
-	fmt.Print(t)
-	fmt.Println("paper (§IV): a program in dataflow form \"can be exploited in an execution")
-	fmt.Println("environment quite suitable to IoT\" via Gamma distributed multisets; the result")
-	fmt.Println("is node-count independent, reaction count stays n-1, migrations grow with nodes")
 	return nil
 }

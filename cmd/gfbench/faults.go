@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/dataflow"
-	"repro/internal/dist"
 	"repro/internal/equiv"
 	"repro/internal/gamma"
 	"repro/internal/gammalang"
@@ -100,43 +99,8 @@ func expE17() error {
 	row("dataflow par", "canceled context", "rt.ErrCanceled", res != nil,
 		errors.Is(err, rt.ErrCanceled) && res != nil)
 
-	// Dist: a node that always faults is declared dead after its retry
-	// budget; the survivors adopt its shard and still reach the right stable
-	// state (degraded mode).
-	c, err := dist.NewCluster(prog, dist.Options{
-		Nodes: 4, Seed: 7,
-		FaultInjector: func(node, round int) error {
-			if node == 0 {
-				return errors.New("node 0 unplugged")
-			}
-			return nil
-		},
-	})
-	if err != nil {
-		return err
-	}
-	result, dstats, err := c.Run(minInit(128))
-	degradedOK := err == nil && dstats.Degraded &&
-		len(dstats.DeadNodes) == 1 && dstats.DeadNodes[0] == 0 &&
-		result != nil && result.Len() == 1
-	row("dist 4 nodes", "node 0 dead", "degraded, no error", dstats != nil, degradedOK)
-
-	// Dist: when every node faults, the run surfaces the *rt.NodeError.
-	c, err = dist.NewCluster(prog, dist.Options{
-		Nodes: 2, Seed: 7,
-		FaultInjector: func(node, round int) error { return errors.New("site power loss") },
-	})
-	if err != nil {
-		return err
-	}
-	var ne *rt.NodeError
-	_, dstats, err = c.Run(minInit(16))
-	row("dist 2 nodes", "all nodes dead", "*rt.NodeError", dstats != nil,
-		errors.As(err, &ne) && dstats != nil)
-
 	fmt.Print(t)
-	fmt.Println("every failure mode returns a classified error plus partial statistics;")
-	fmt.Println("a dead node degrades the cluster instead of failing it (DESIGN.md §9)")
+	fmt.Println("every failure mode returns a classified error plus partial statistics (DESIGN.md §9)")
 	if fail > 0 {
 		return fmt.Errorf("e17: %d scenario(s) failed", fail)
 	}

@@ -1,12 +1,12 @@
 // Command gfbench regenerates the paper's experiments (DESIGN.md §3,
-// E1–E15 and the E17 fault matrix): it executes every figure, listing and
+// E1–E11, E15 and the E17 fault matrix): it executes every figure, listing and
 // claim and prints paper-vs-measured tables. EXPERIMENTS.md is written from
 // this output. Performance is measured and gated elsewhere: bench/ owns the
 // timed workloads, Go shape tests own the scaling and allocation properties.
 //
 // Usage:
 //
-//	gfbench [-exp e1|e3|e4|e5|e7|e8|e9|e11|e12|e13|e14|e15|e17|all] [-figures dir] [-timeout 10m]
+//	gfbench [-exp e1|e3|e4|e5|e7|e8|e9|e11|e15|e17|all] [-figures dir] [-timeout 10m]
 package main
 
 import (
@@ -34,9 +34,6 @@ var experiments = []experiment{
 	{"e8", "Fig. 4: multiset-to-instances mapping", expE8},
 	{"e9", "Algorithm 1 equivalence on random graphs", expE9},
 	{"e11", "§III-C correspondence: firings = reaction steps", expE11},
-	{"e12", "parallel execution scaling (both runtimes)", expE12},
-	{"e13", "trace reuse (DF-DTM) across both models", expE13},
-	{"e14", "future work: Gamma over a distributed multiset (IoT)", expE14},
 	{"e15", "work/span/parallelism profiles across both models", expE15},
 	{"e17", "cancellation & fault-injection matrix (DESIGN.md §9)", expE17},
 }

@@ -9,27 +9,12 @@ import (
 	"testing"
 )
 
-// TestFastExperiments executes the cheap experiment drivers end to end; the
-// timing-heavy ones (e12, e13) run only outside -short.
+// TestFastExperiments executes every experiment driver in the table end to
+// end; none of them times anything, so all of them are cheap.
 func TestFastExperiments(t *testing.T) {
-	fast := map[string]func() error{
-		"e1": expE1, "e3": expE3, "e4": expE4, "e5": expE5,
-		"e7": expE7, "e8": expE8, "e9": expE9, "e11": expE11, "e15": expE15,
-	}
-	for id, fn := range fast {
-		if err := fn(); err != nil {
-			t.Errorf("%s: %v", id, err)
-		}
-	}
-}
-
-func TestSlowExperiments(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing experiments")
-	}
-	for id, fn := range map[string]func() error{"e12": expE12, "e13": expE13, "e14": expE14} {
-		if err := fn(); err != nil {
-			t.Errorf("%s: %v", id, err)
+	for _, e := range experiments {
+		if err := e.run(); err != nil {
+			t.Errorf("%s: %v", e.id, err)
 		}
 	}
 }
@@ -61,6 +46,7 @@ func TestSelectExperiments(t *testing.T) {
 		{"e4,e99", `"e99"`},
 		{"e4,e21", `"e21"`},
 		{"e16", `"e16"`},
+		{"e13", `"e13"`},
 		{"", "no experiment"},
 		{",", "no experiment"},
 	} {
@@ -78,12 +64,28 @@ func TestSelectExperiments(t *testing.T) {
 // TestDocsCiteKnownExperiments keeps the prose honest: every `gfbench -exp
 // <list>` in README, DESIGN and EXPERIMENTS, and every one — or a bare
 // parenthesized `(eN)` — in a Go file outside bench/ (which has its own
-// module and rules), must resolve against the experiments table, so neither
-// the docs nor a comment can cite a deleted experiment.
+// module and rules), must resolve against the experiments table, and every
+// prose id `E<n>` (as in "EXPERIMENTS.md E5") in the same files against the
+// rows of DESIGN.md's §3 index, where each runnable experiment has its row:
+// neither the docs nor a comment can cite a deleted experiment.
 func TestDocsCiteKnownExperiments(t *testing.T) {
 	cite := regexp.MustCompile(`gfbench\s+-exp[\s=]+([A-Za-z0-9,]+)|\((e[0-9]+)\)`)
+	prose := regexp.MustCompile(`\bE[0-9]+\b`)
+	design, err := os.ReadFile("../../DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	indexed := map[string]bool{}
+	for _, m := range regexp.MustCompile(`(?m)^\| (E[0-9]+) \|`).FindAllSubmatch(design, -1) {
+		indexed[string(m[1])] = true
+	}
+	for _, e := range experiments {
+		if !indexed[strings.ToUpper(e.id)] {
+			t.Errorf("experiment %s has no row in DESIGN.md §3", e.id)
+		}
+	}
 	docs := []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"}
-	err := filepath.WalkDir("../..", func(path string, d fs.DirEntry, err error) error {
+	err = filepath.WalkDir("../..", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
@@ -110,7 +112,13 @@ func TestDocsCiteKnownExperiments(t *testing.T) {
 				t.Errorf("%s cites `%s`: %v", doc, m[0], err)
 			}
 		}
-		total += len(cites)
+		ids := prose.FindAll(text, -1)
+		for _, id := range ids {
+			if !indexed[string(id)] {
+				t.Errorf("%s cites %s, which DESIGN.md §3 does not index", doc, id)
+			}
+		}
+		total += len(cites) + len(ids)
 	}
 	t.Logf("%d files: %d experiment citations", len(docs), total)
 }

@@ -1,8 +1,8 @@
 // Analysis: the cross-model benefits the paper's introduction promises, on
 // one program — a Gamma source is type-checked (Structured-Gamma style),
 // profiled for available parallelism (the dataflow-analysis benefit [2]),
-// executed with trace reuse (DF-DTM [3]), and finally reduced (§III-A3),
-// with the profiler quantifying what the reduction traded away.
+// and finally reduced (§III-A3), with the profiler quantifying what the
+// reduction traded away.
 package main
 
 import (
@@ -60,17 +60,12 @@ func main() {
 	// 2. Profile the full program: work, critical path, parallelism — a fold
 	// over the run's recorded firing schedule.
 	rec := gammaflow.NewScheduleRecorder(gammaflow.ScheduleGamma, "example1x8")
-	reuseTable := gammaflow.NewReuseTable(0)
 	m := file.Init.Clone()
-	stats, err := gammaflow.RunProgram(prog, m, gammaflow.ProgramOptions{
-		RunConfig: gammaflow.RunConfig{Schedule: rec}, Memo: reuseTable,
-	})
+	stats, err := gammaflow.RunProgram(prog, m, gammaflow.ProgramOptions{RunConfig: gammaflow.RunConfig{Schedule: rec}})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("full program:    %s\n", profileOf(rec))
-	fmt.Printf("reuse:           %s (identical B1*C1*D1 sub-computations repeat across instances)\n",
-		reuseTable.Stats())
 	mCount := 0
 	for _, c := range m.ByLabel("m") {
 		mCount += c.N

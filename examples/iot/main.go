@@ -1,10 +1,7 @@
-// IoT: the paper's closing motivation — executing Gamma over a distributed
-// multiset, the deployment style it envisions for Internet-of-Things
-// environments (§IV future work). A fleet of simulated edge nodes each holds
-// a shard of the multiset; sensor readings react locally where possible and
-// diffuse between nodes until the global stable state is reached.
-//
-// The workload combines two reactions over edge telemetry:
+// IoT: the paper's closing motivation — Gamma programs over sensor data, the
+// deployment style it envisions for Internet-of-Things environments (§IV
+// future work) — shown on the part of it the paper defines: the ';'
+// composition of two reactions over edge telemetry:
 //
 //	AGG  = replace [t1, id, s], [t2, id, s] by [(t1 + t2) / 2, id, s]
 //	           — fuse same-device, same-window temperature readings
@@ -50,26 +47,18 @@ AGG ; ALRM
 	}
 	fmt.Printf("telemetry: %d readings from 16 devices\n", m.Len())
 
-	// Stage 1 (AGG) then stage 2 (ALRM), each over an 8-node cluster.
+	// Stage 1 (AGG) runs to its stable state, then stage 2 (ALRM).
 	plan, err := file.Plan("edge")
 	if err != nil {
 		log.Fatal(err)
 	}
-	for stage, prog := range plan.Stages {
-		cluster, err := gammaflow.NewCluster(prog, gammaflow.ClusterOptions{
-			Nodes: 8, Seed: int64(stage + 1), WorkersPerNode: 2,
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		result, stats, err := cluster.Run(m)
-		if err != nil {
-			log.Fatal(err)
-		}
-		m = result
-		fmt.Printf("stage %d (%s): %d reactions over %d rounds, %d element migrations\n",
-			stage+1, prog.Name, stats.Steps, stats.Rounds, stats.Migrations)
+	stats, err := gammaflow.RunPlan(plan, m, gammaflow.ProgramOptions{
+		RunConfig: gammaflow.RunConfig{RunSpec: gammaflow.RunSpec{Workers: 2}},
+	})
+	if err != nil {
+		log.Fatal(err)
 	}
+	fmt.Printf("AGG ; ALRM: %d reactions on %d workers\n", stats.Steps, stats.Workers)
 
 	alarms := 0
 	for _, a := range m.ByLabel("alarm") {

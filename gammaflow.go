@@ -43,7 +43,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataflow"
 	"repro/internal/dfir"
-	"repro/internal/dist"
 	"repro/internal/equiv"
 	"repro/internal/expr"
 	"repro/internal/gamma"
@@ -51,16 +50,14 @@ import (
 	"repro/internal/multiset"
 	"repro/internal/profile"
 	"repro/internal/replay"
-	"repro/internal/reuse"
 	"repro/internal/rt"
 	"repro/internal/schema"
 	"repro/internal/value"
 )
 
 // Error taxonomy. Every error returned by the Run functions is classified
-// under exactly one of these classes (plus the typed *PanicError and
-// *NodeError), so callers route failures with errors.Is / errors.As instead
-// of string matching. ErrDeadline and ErrCanceled additionally satisfy
+// under exactly one of these classes (plus the typed *PanicError), so callers
+// route failures with errors.Is / errors.As instead of string matching. ErrDeadline and ErrCanceled additionally satisfy
 // errors.Is against context.DeadlineExceeded / context.Canceled.
 var (
 	// ErrMaxSteps classifies step/firing-budget exhaustion in either model.
@@ -70,7 +67,7 @@ var (
 	// ErrDeadline classifies runs stopped by a context deadline.
 	ErrDeadline = rt.ErrDeadline
 	// ErrDivergent classifies executions judged non-terminating (equivalence
-	// harness budget overruns, cluster round limits).
+	// harness budget overruns).
 	ErrDivergent = rt.ErrDivergent
 	// ErrParse classifies source-language syntax errors.
 	ErrParse = rt.ErrParse
@@ -82,8 +79,6 @@ type (
 	// PanicError reports a panic recovered inside a worker or processing
 	// element, with the runtime, reaction/vertex and worker identity attached.
 	PanicError = rt.PanicError
-	// NodeError reports a cluster node declared dead after its retry budget.
-	NodeError = rt.NodeError
 	// FaultInjector is a test hook invoked before every reaction or vertex
 	// application; see ProgramOptions.FaultInjector.
 	FaultInjector = rt.FaultInjector
@@ -157,9 +152,6 @@ type RunConfig struct {
 	// RunSpec holds the serializable knobs (Engine, Workers, Seed, MaxSteps,
 	// TimeoutMS), promoted so opt.Workers etc. read as before.
 	RunSpec
-	// WorkFactor emulates instruction/action cost by spinning this many
-	// iterations per application. Process-local: not part of the wire spec.
-	WorkFactor int
 	// Schedule, when set, records every committed firing with its consumed
 	// and produced keys. Process-local: not part of the wire spec.
 	Schedule *ScheduleRecorder
@@ -204,17 +196,12 @@ type (
 	Plan = gamma.Plan
 	// ProgramStats reports a Gamma execution.
 	ProgramStats = gamma.Stats
-	// ProgramMemo caches reaction applications (ReuseTable implements it).
-	ProgramMemo = gamma.Memo
 )
 
 // ProgramOptions configures Gamma execution: the shared RunConfig knobs plus
 // the Gamma-specific ones.
 type ProgramOptions struct {
 	RunConfig
-	// Memo, when set, caches reaction products by reaction and consumed
-	// elements.
-	Memo ProgramMemo
 	// FaultInjector, when set, runs before every reaction application; a
 	// non-nil return aborts the run, a panic exercises worker recovery.
 	FaultInjector FaultInjector
@@ -237,8 +224,6 @@ func (o ProgramOptions) lower() gamma.Options {
 		Workers:       o.EffectiveWorkers(),
 		Seed:          o.Seed,
 		MaxSteps:      o.MaxSteps,
-		WorkFactor:    o.WorkFactor,
-		Memo:          o.Memo,
 		FaultInjector: o.FaultInjector,
 	}
 	if o.Schedule != nil { // a typed nil would defeat the engine's disabled fast path
@@ -321,8 +306,6 @@ type (
 	NodeKind = dataflow.NodeKind
 	// TaggedValue is an output token (value plus iteration tag).
 	TaggedValue = dataflow.TaggedValue
-	// GraphMemo caches pure-vertex firings (ReuseTable implements it).
-	GraphMemo = dataflow.Memo
 )
 
 // GraphOptions configures dataflow execution: the shared RunConfig knobs
@@ -330,8 +313,6 @@ type (
 // RunConfig.Seed is ignored (the runtime is tag-deterministic).
 type GraphOptions struct {
 	RunConfig
-	// Memo, when set, caches pure-vertex results by operation and operands.
-	Memo GraphMemo
 	// FaultInjector, when set, runs before every vertex firing; a non-nil
 	// return aborts the run, a panic exercises PE recovery.
 	FaultInjector FaultInjector
@@ -341,8 +322,6 @@ func (o GraphOptions) lower() dataflow.Options {
 	opt := dataflow.Options{
 		Workers:       o.EffectiveWorkers(),
 		MaxFirings:    o.MaxSteps,
-		WorkFactor:    o.WorkFactor,
-		Memo:          o.Memo,
 		FaultInjector: o.FaultInjector,
 	}
 	if o.Schedule != nil {
@@ -405,6 +384,9 @@ type MapResult = core.MapResult
 // MapMultiset is Algorithm 2 step 2: the Fig. 4 multiset-to-instances
 // mapping. The graph instances run under opt.
 func MapMultiset(r *Reaction, m *Multiset, opt GraphOptions) (*MapResult, error) {
+	if err := opt.Validate(); err != nil {
+		return nil, err
+	}
 	return core.MapMultiset(r, m, opt.lower())
 }
 
@@ -432,17 +414,6 @@ var (
 	// RandomGraph generates seeded random graphs for property testing.
 	RandomGraph = equiv.RandomGraph
 )
-
-// Trace reuse (DF-DTM-style memoization, usable by both runtimes).
-type (
-	// ReuseTable memoizes vertex firings and reaction applications.
-	ReuseTable = reuse.Table
-	// ReuseStats reports a table's hit/miss counters.
-	ReuseStats = reuse.Stats
-)
-
-// NewReuseTable returns a memoization table (capacity 0 = unbounded).
-var NewReuseTable = reuse.NewTable
 
 // Expression language shared by reactions and the compiler.
 type Expr = expr.Expr
@@ -486,17 +457,3 @@ type (
 // NewProfileCollector returns an empty collector; feed it a recorded run with
 // rec.Schedule().Each(col.RecordFiring).
 var NewProfileCollector = profile.NewCollector
-
-// Distributed multiset execution (the paper's §IV future work: Gamma over
-// distributed multisets for IoT-style deployments).
-type (
-	// Cluster is a simulated distributed Gamma machine.
-	Cluster = dist.Cluster
-	// ClusterOptions configures node count, diffusion and seeds.
-	ClusterOptions = dist.Options
-	// ClusterStats reports rounds, migrations and per-node firings.
-	ClusterStats = dist.Stats
-)
-
-// NewCluster builds a distributed Gamma machine for a program.
-var NewCluster = dist.NewCluster

@@ -98,7 +98,7 @@ func TestPublicAPIGraphFormats(t *testing.T) {
 	}
 }
 
-func TestPublicAPIReduceAndReuse(t *testing.T) {
+func TestPublicAPIReduce(t *testing.T) {
 	prog, err := ParseProgram("ex1", paper.Example1GammaListing)
 	if err != nil {
 		t.Fatal(err)
@@ -107,15 +107,15 @@ func TestPublicAPIReduceAndReuse(t *testing.T) {
 	if err != nil || fused != 2 || len(reduced.Reactions) != 1 {
 		t.Fatalf("reduce: %v fused=%d", err, fused)
 	}
-	tbl := NewReuseTable(0)
 	m, err := ParseMultiset(paper.Example1InitialMultiset)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunProgram(reduced, m, ProgramOptions{Memo: tbl}); err != nil {
+	st, err := RunProgram(reduced, m, ProgramOptions{})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if tbl.Stats().Stores == 0 {
-		t.Error("reuse table unused")
+	if st.Steps != 1 {
+		t.Errorf("reduced program took %d steps, want 1", st.Steps)
 	}
 }

@@ -15,7 +15,6 @@
 //	5  canceled or deadline exceeded (rt.ErrCanceled, rt.ErrDeadline)
 //	6  a worker panicked (*rt.PanicError)
 //	7  execution judged divergent (rt.ErrDivergent)
-//	8  a cluster node died (*rt.NodeError)
 package cli
 
 import (
@@ -44,7 +43,6 @@ const (
 	ExitCanceled  = 5
 	ExitPanic     = 6
 	ExitDivergent = 7
-	ExitNodeDead  = 8
 )
 
 // ExitCode maps err to the command exit code for its error class. The
@@ -52,14 +50,11 @@ const (
 // that a caller also marked canceled still reports the panic.
 func ExitCode(err error) int {
 	var pe *rt.PanicError
-	var ne *rt.NodeError
 	switch {
 	case err == nil:
 		return ExitOK
 	case errors.As(err, &pe):
 		return ExitPanic
-	case errors.As(err, &ne):
-		return ExitNodeDead
 	case errors.Is(err, rt.ErrDivergent):
 		return ExitDivergent
 	case errors.Is(err, rt.ErrCanceled), errors.Is(err, rt.ErrDeadline):
@@ -83,7 +78,7 @@ func ExitCode(err error) int {
 //	408  the run's deadline or step budget expired (rt.ErrDeadline, rt.ErrMaxSteps)
 //	422  execution judged divergent (rt.ErrDivergent)
 //	499  canceled by the client (rt.ErrCanceled; nginx's client-closed-request)
-//	500  a worker panicked, a cluster node died, or the error is unclassified
+//	500  a worker panicked, or the error is unclassified
 //
 // StatusClientClosed is 499: not an IANA code, but the de-facto standard for
 // "the client gave up first" and distinct from the server-owned 4xx/5xx.
@@ -96,13 +91,10 @@ const (
 // ExitCode, so the two mappings always agree on the class an error reports.
 func HTTPStatus(err error) int {
 	var pe *rt.PanicError
-	var ne *rt.NodeError
 	switch {
 	case err == nil:
 		return http.StatusOK
 	case errors.As(err, &pe):
-		return http.StatusInternalServerError
-	case errors.As(err, &ne):
 		return http.StatusInternalServerError
 	case errors.Is(err, rt.ErrDivergent):
 		return http.StatusUnprocessableEntity

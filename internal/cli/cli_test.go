@@ -23,7 +23,6 @@ func TestExitCode(t *testing.T) {
 		{rt.ErrDeadline, ExitCanceled},
 		{rt.Mark(rt.ErrDivergent, fmt.Errorf("wrap: %w", rt.ErrMaxSteps)), ExitDivergent},
 		{rt.NewPanicError("gamma", "R1", 2, "boom"), ExitPanic},
-		{fmt.Errorf("dist: %w", &rt.NodeError{Node: 1, Attempts: 3, Err: errors.New("x")}), ExitNodeDead},
 	}
 	for _, c := range cases {
 		if got := ExitCode(c.err); got != c.want {
@@ -50,7 +49,6 @@ func TestHTTPStatus(t *testing.T) {
 		{"ErrDeadline", rt.ErrDeadline, http.StatusRequestTimeout},
 		{"ErrDivergent", rt.Mark(rt.ErrDivergent, fmt.Errorf("wrap: %w", rt.ErrMaxSteps)), http.StatusUnprocessableEntity},
 		{"PanicError", rt.NewPanicError("gamma", "R1", 2, "boom"), http.StatusInternalServerError},
-		{"NodeError", fmt.Errorf("dist: %w", &rt.NodeError{Node: 1, Attempts: 3, Err: errors.New("x")}), http.StatusInternalServerError},
 	}
 	for _, c := range cases {
 		if got := HTTPStatus(c.err); got != c.want {
@@ -66,7 +64,6 @@ func TestHTTPStatusAgreesWithExitCode(t *testing.T) {
 	byExit := map[int]int{
 		ExitOK:        http.StatusOK,
 		ExitPanic:     http.StatusInternalServerError,
-		ExitNodeDead:  http.StatusInternalServerError,
 		ExitDivergent: http.StatusUnprocessableEntity,
 		ExitCanceled:  0, // split below: canceled 499, deadline 408
 		ExitBudget:    http.StatusRequestTimeout,
@@ -81,7 +78,6 @@ func TestHTTPStatusAgreesWithExitCode(t *testing.T) {
 		fmt.Errorf("w: %w", rt.ErrMaxSteps),
 		rt.ErrDivergent,
 		rt.NewPanicError("gamma", "R", 0, "v"),
-		&rt.NodeError{Node: 0, Attempts: 1, Err: errors.New("n")},
 		// A panic additionally marked canceled: both tables must pick panic.
 		rt.Mark(rt.ErrCanceled, error(rt.NewPanicError("gamma", "R", 1, "v"))),
 	}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"sync/atomic"
 
 	"repro/internal/rt"
 	"repro/internal/telemetry"
@@ -34,8 +33,6 @@ type Result struct {
 	Firings int64
 	// PerNode counts activations per vertex name.
 	PerNode map[string]int64
-	// MemoHits counts firings answered from Options.Memo.
-	MemoHits int64
 	// Pending counts operands left waiting in vertex matching stores when
 	// the program terminated: tokens that arrived on some port but whose
 	// partner operands never did (typically because a steer dropped the
@@ -68,15 +65,6 @@ func (r *Result) Output(label string) (value.Value, bool) {
 // context.DeadlineExceeded) when the context stopped the run. See package rt
 // for the full taxonomy.
 var ErrMaxFirings = rt.Wrap("dataflow: maximum firing count exceeded", rt.ErrMaxSteps)
-
-// Memo caches pure vertex computations — the instruction-reuse mechanism the
-// paper cites as a benefit of mapping Gamma onto dataflow (DF-DTM [3]). Keys
-// identify a vertex and its operand values; implementations must be safe for
-// concurrent use when Workers > 1.
-type Memo interface {
-	LookupFiring(key string) (value.Value, bool)
-	StoreFiring(key string, v value.Value)
-}
 
 // ScheduleRecorder is the engines' one per-firing observer: it receives every
 // vertex firing with a commit sequence number and opaque keys identifying
@@ -112,14 +100,6 @@ type Options struct {
 	Engine string
 	// MaxFirings bounds total vertex activations; 0 means no bound.
 	MaxFirings int64
-	// Memo, when set, caches the results of pure vertices (arithmetic,
-	// comparison, unary): a hit skips the computation and its WorkFactor.
-	Memo Memo
-	// WorkFactor emulates instruction cost: each pure-vertex firing spins
-	// this many iterations before computing. 0 means no extra work. It
-	// exists so reuse and scaling benchmarks measure a realistic
-	// computation-to-overhead ratio rather than nanosecond additions.
-	WorkFactor int
 	// FaultInjector, when set, runs before every vertex firing with the
 	// vertex name and PE index; a non-nil return aborts the run with that
 	// error, and a panic inside it exercises the PE pool's panic recovery.
@@ -309,7 +289,7 @@ func TokenKey(g *Graph, t Token) string {
 }
 
 // ReplayFire computes one vertex activation outside an engine: the replay
-// verifier's way to re-execute a recorded firing (no memo, no work factor).
+// verifier's way to re-execute a recorded firing.
 // The returned tokens are the activation's emissions in port fan-out order.
 func ReplayFire(g *Graph, n *Node, tag int64, operands []value.Value) ([]Token, error) {
 	var p plan
@@ -330,32 +310,8 @@ func ReplayFire(g *Graph, n *Node, tag int64, operands []value.Value) ([]Token, 
 	return toks, nil
 }
 
-// workSink defeats any optimization of the WorkFactor spin loop.
-var workSink atomic.Uint64
-
-// spin emulates the cost of an expensive instruction.
-func spin(n int) {
-	if n <= 0 {
-		return
-	}
-	acc := workSink.Load()
-	for i := 0; i < n; i++ {
-		acc = acc*1664525 + 1013904223
-	}
-	workSink.Store(acc)
-}
-
-// memoKey identifies a pure firing: the vertex and its operand values.
-func memoKey(n *Node, operands []value.Value) string {
-	key := fmt.Sprintf("%d|%s|%s", n.ID, n.Kind, n.Op)
-	for _, v := range operands {
-		key += "|" + v.String()
-	}
-	return key
-}
-
 // isPure reports whether the vertex kind computes a value from operands
-// alone, making it memoizable.
+// alone.
 func (k NodeKind) isPure() bool {
 	return k == KindArith || k == KindCompare || k == KindUnaryOp
 }
@@ -404,7 +360,7 @@ type core struct {
 	outputs  map[string][]TaggedValue
 	site     *Node // the vertex being fired, for the panic report
 
-	fired, memoHits int64
+	fired int64
 }
 
 // newCore returns PE pe's core (-1: the pool's coordinator, which only seeds).
@@ -475,7 +431,6 @@ func (c *core) fire(id int32, tag int64, operands []value.Value, keys []string, 
 // number is drawn before the caller makes the emission visible to a consumer,
 // so the numbers linearize even the pool's interleaving.
 func (c *core) commit(id int32, n *Node, tag int64, operands []value.Value, keys []string, depth int64) ([]int32, value.Value, int64, error) {
-	mh0 := c.memoHits
 	t0 := c.ts.begin()
 	port, v, outTag, err := c.route(id, n, tag, operands)
 	if err != nil {
@@ -492,39 +447,21 @@ func (c *core) commit(id int32, n *Node, tag int64, operands []value.Value, keys
 	c.fired++
 	c.p.counts[id]++
 	if c.ts != nil {
-		if c.memoHits > mh0 {
-			c.ts.memoHit()
-		}
 		c.ts.firing(NodeID(id), n.Name, t0, depth+int64(len(row)), len(row))
 	}
 	return row, v, outTag, nil
 }
 
 // route computes a vertex activation down to its single emission: output
-// port, value, tag. Pure kinds go through the memo and op tables, the rest
-// move an operand.
+// port, value, tag. Pure kinds go through the op table, the rest move an
+// operand.
 func (c *core) route(id int32, n *Node, tag int64, operands []value.Value) (int, value.Value, int64, error) {
 	vo := c.p.vert[id]
 	if vo.layout == opRoute {
 		return routeOperand(vo.kind, n, tag, operands)
 	}
-	key := ""
-	if c.opt.Memo != nil {
-		key = memoKey(n, operands)
-		if v, ok := c.opt.Memo.LookupFiring(key); ok {
-			c.memoHits++
-			return 0, v, tag, nil
-		}
-	}
-	spin(c.opt.WorkFactor)
 	v, err := c.p.evalPure(n, vo, operands)
-	if err != nil {
-		return 0, value.Value{}, 0, err
-	}
-	if c.opt.Memo != nil {
-		c.opt.Memo.StoreFiring(key, v)
-	}
-	return 0, v, tag, nil
+	return 0, v, tag, err
 }
 
 // seed fires every const vertex once with tag 0, handing each emitted token
@@ -557,7 +494,6 @@ func (p *plan) finish(workers int, ticks int64, queuePeak int, cores ...*core) *
 	entriesPeak, fired := 0, 0
 	for _, c := range cores {
 		res.Firings += c.fired
-		res.MemoHits += c.memoHits
 		res.Pending += c.match.pending()
 		entriesPeak += c.match.peak
 		if res.Outputs == nil {

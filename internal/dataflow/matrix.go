@@ -63,7 +63,7 @@ type matFiring struct {
 // runMatrix executes the graph in bulk-synchronous ticks. It is
 // single-threaded and deterministic: within a tick, tokens are delivered in
 // dense edge order and activations fire in discovery order. The multiset of
-// firings — hence Outputs, Firings, PerNode, MemoHits and Pending — equals
+// firings — hence Outputs, Firings, PerNode and Pending — equals
 // the sequential engine's (dataflow firing is confluent; DESIGN.md §14).
 func runMatrix(ctx context.Context, g *Graph, opt Options) (res *Result, err error) {
 	p := newPlan(g)

@@ -14,12 +14,6 @@ import (
 	"repro/internal/value"
 )
 
-// testMemo is a minimal in-package Memo for the matrix engine's memo path.
-type testMemo map[string]value.Value
-
-func (m testMemo) LookupFiring(key string) (value.Value, bool) { v, ok := m[key]; return v, ok }
-func (m testMemo) StoreFiring(key string, v value.Value)       { m[key] = v }
-
 // recSchedule collects firing records for order-insensitive comparison.
 type recSchedule struct {
 	mu   sync.Mutex
@@ -89,12 +83,10 @@ func TestMatrixLoop(t *testing.T) {
 // holds every observable Result field to exact agreement. Graphs are rebuilt
 // by the caller per engine when they carry state (consts are re-read each
 // run, so sharing is fine here).
-func matrixAgreesWithSequential(t *testing.T, name string, build func() *Graph, mkOpt func() Options) {
+func matrixAgreesWithSequential(t *testing.T, name string, build func() *Graph) {
 	t.Helper()
-	seqOpt, matOpt := mkOpt(), mkOpt()
-	matOpt.Engine = EngineMatrix
-	seqRes, seqErr := Run(build(), seqOpt)
-	matRes, matErr := Run(build(), matOpt)
+	seqRes, seqErr := Run(build(), Options{})
+	matRes, matErr := Run(build(), Options{Engine: EngineMatrix})
 	if (seqErr == nil) != (matErr == nil) {
 		t.Fatalf("%s: seq err = %v, matrix err = %v", name, seqErr, matErr)
 	}
@@ -110,32 +102,23 @@ func matrixAgreesWithSequential(t *testing.T, name string, build func() *Graph, 
 	if !reflect.DeepEqual(seqRes.PerNode, matRes.PerNode) {
 		t.Errorf("%s: per-node seq %v matrix %v", name, seqRes.PerNode, matRes.PerNode)
 	}
-	if seqRes.MemoHits != matRes.MemoHits {
-		t.Errorf("%s: memo hits seq %d matrix %d", name, seqRes.MemoHits, matRes.MemoHits)
-	}
 	if seqRes.Pending != matRes.Pending {
 		t.Errorf("%s: pending seq %d matrix %d", name, seqRes.Pending, matRes.Pending)
 	}
 }
 
 func TestMatrixDifferentialVsSequential(t *testing.T) {
-	noOpt := func() Options { return Options{} }
-	matrixAgreesWithSequential(t, "fig1", func() *Graph { return buildFig1(1, 5, 3, 2) }, noOpt)
-	matrixAgreesWithSequential(t, "fig1-alt", func() *Graph { return buildFig1(-3, 12, 7, 0) }, noOpt)
+	matrixAgreesWithSequential(t, "fig1", func() *Graph { return buildFig1(1, 5, 3, 2) })
+	matrixAgreesWithSequential(t, "fig1-alt", func() *Graph { return buildFig1(-3, 12, 7, 0) })
 	for _, n := range []int64{0, 1, 5, 40} {
 		n := n
 		matrixAgreesWithSequential(t, fmt.Sprintf("loop-%d", n),
-			func() *Graph { return buildLoop(3, 9, n) }, noOpt)
+			func() *Graph { return buildLoop(3, 9, n) })
 	}
-	matrixAgreesWithSequential(t, "loop-memo", func() *Graph { return buildLoop(2, 2, 10) },
-		func() Options { return Options{Memo: testMemo{}} })
-}
-
-func TestMatrixMemoHits(t *testing.T) {
-	// Two same-tag matches with identical operands on one vertex: the second
-	// firing must hit the memo, exactly as under the sequential engine.
-	build := func() *Graph {
-		g := NewGraph("memoq")
+	matrixAgreesWithSequential(t, "loop-2-2", func() *Graph { return buildLoop(2, 2, 10) })
+	// Two same-tag matches with identical operands queued on one vertex.
+	matrixAgreesWithSequential(t, "same-tag-queue", func() *Graph {
+		g := NewGraph("queue")
 		add := g.AddArith("add", "+")
 		c1 := g.AddConst("c1", value.Int(1))
 		c2 := g.AddConst("c2", value.Int(1))
@@ -152,15 +135,7 @@ func TestMatrixMemoHits(t *testing.T) {
 		must(g.Connect(c4, 0, add, 1, "r2"))
 		must(g.ConnectOut(add, 0, "s"))
 		return g
-	}
-	res, err := Run(build(), Options{Engine: EngineMatrix, Memo: testMemo{}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.MemoHits != 1 {
-		t.Errorf("memo hits = %d, want 1", res.MemoHits)
-	}
-	matrixAgreesWithSequential(t, "memoq", build, func() Options { return Options{Memo: testMemo{}} })
+	})
 }
 
 func TestMatrixScheduleDifferential(t *testing.T) {
@@ -311,7 +286,7 @@ func TestMatrixPendingTokens(t *testing.T) {
 	if res.Pending != 1 {
 		t.Errorf("pending = %d, want 1 (stranded add operand)", res.Pending)
 	}
-	matrixAgreesWithSequential(t, "strand", build, func() Options { return Options{} })
+	matrixAgreesWithSequential(t, "strand", build)
 }
 
 func TestMatrixUnknownEngineRejected(t *testing.T) {

@@ -16,13 +16,12 @@ type dfSink struct {
 	track *telemetry.Track
 	reg   *telemetry.Registry
 
-	firings  *telemetry.Counter
-	memoHits *telemetry.Counter
-	fired    []*telemetry.Counter // by NodeID
-	lat      *telemetry.Histogram
-	depth    *telemetry.Gauge
-	ticks    *telemetry.Counter   // matrix engine bulk-synchronous rounds
-	perTick  *telemetry.Histogram // activations fired per round
+	firings *telemetry.Counter
+	fired   []*telemetry.Counter // by NodeID
+	lat     *telemetry.Histogram
+	depth   *telemetry.Gauge
+	ticks   *telemetry.Counter   // matrix engine bulk-synchronous rounds
+	perTick *telemetry.Histogram // activations fired per round
 }
 
 // newDFSink resolves the PE's track and instruments; nil when telemetry is
@@ -39,14 +38,13 @@ func newDFSink(opt Options, g *Graph, pe int) *dfSink {
 	}
 	reg := rec.Metrics
 	s := &dfSink{
-		track:    rec.Track(name),
-		reg:      reg,
-		firings:  reg.Counter("dataflow.firings"),
-		memoHits: reg.Counter("dataflow.memo_hits"),
-		lat:      reg.Histogram("dataflow.firing_ns"),
-		depth:    reg.Gauge("dataflow.queue_depth"),
-		ticks:    reg.Counter("dataflow.ticks"),
-		perTick:  reg.Histogram("dataflow.fired_per_tick"),
+		track:   rec.Track(name),
+		reg:     reg,
+		firings: reg.Counter("dataflow.firings"),
+		lat:     reg.Histogram("dataflow.firing_ns"),
+		depth:   reg.Gauge("dataflow.queue_depth"),
+		ticks:   reg.Counter("dataflow.ticks"),
+		perTick: reg.Histogram("dataflow.fired_per_tick"),
 	}
 	s.fired = make([]*telemetry.Counter, len(g.Nodes))
 	for _, n := range g.Nodes {
@@ -76,14 +74,6 @@ func (s *dfSink) firing(id NodeID, name string, start time.Time, depth int64, em
 	lat := time.Since(start)
 	s.lat.Observe(lat.Nanoseconds())
 	s.track.SpanDur(telemetry.KindFiring, name, start, lat, depth, int64(emitted))
-}
-
-// memoHit accounts one firing answered from the memo table.
-func (s *dfSink) memoHit() {
-	if s == nil {
-		return
-	}
-	s.memoHits.Inc()
 }
 
 // tick accounts one bulk-synchronous round of the matrix engine and the size

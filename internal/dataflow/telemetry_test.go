@@ -14,9 +14,6 @@ func checkDFTelemetryAgrees(t *testing.T, rec *telemetry.Recorder, res *Result) 
 	if got := reg.CounterValue("dataflow.firings"); got != res.Firings {
 		t.Errorf("counter dataflow.firings = %d, result says %d", got, res.Firings)
 	}
-	if got := reg.CounterValue("dataflow.memo_hits"); got != res.MemoHits {
-		t.Errorf("counter dataflow.memo_hits = %d, result says %d", got, res.MemoHits)
-	}
 	for name, want := range res.PerNode {
 		if got := reg.CounterValue("dataflow.fired." + name); got != want {
 			t.Errorf("counter dataflow.fired.%s = %d, result says %d", name, got, want)
@@ -70,5 +67,4 @@ func TestTelemetryDisabledSinkIsNil(t *testing.T) {
 	}
 	var nilSink *dfSink
 	nilSink.firing(0, "n", nilSink.begin(), 0, 0)
-	nilSink.memoHit()
 }

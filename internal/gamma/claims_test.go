@@ -25,7 +25,7 @@ func batchFirings(t *testing.T, r *Reaction, m *multiset.Multiset, rng *rand.Ran
 	m.LockView(&s.view, k.viewSyms, k.viewAll)
 	var ds []multiset.Delta
 	for len(ds) < batchMaxFirings && s.search(0) {
-		prods, err := k.produce(r.Name, s.branch, s.env)
+		_, prods, err := k.produceInto(r.Name, s.branch, s.env, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

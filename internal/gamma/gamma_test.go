@@ -486,6 +486,10 @@ func TestPlanSequentialStages(t *testing.T) {
 	if stats.Steps != 5 {
 		t.Errorf("steps = %d, want 5", stats.Steps)
 	}
+	// Options{} echoes one worker, as Run does on a single program.
+	if stats.Workers != 1 {
+		t.Errorf("workers = %d, want 1", stats.Workers)
+	}
 	// A failing stage surfaces with stage name.
 	badStage := MustProgram("boom", &Reaction{
 		Name:     "div",
@@ -620,5 +624,34 @@ func TestManyReactionsManyLabels(t *testing.T) {
 	}
 	if !m2.Contains(multiset.Pair(value.Int(20), "A20")) {
 		t.Fatalf("parallel chain result = %s", m2)
+	}
+}
+
+func TestPatternMatchEdgeCases(t *testing.T) {
+	env := make(expr.MapEnv)
+	// Arity mismatch.
+	p := Pattern{FVar("x"), FLabel("L")}
+	if _, ok := p.match(multiset.IntElem(1, "L", 0), env); ok {
+		t.Error("arity mismatch should fail")
+	}
+	// Literal mismatch unbinds partial bindings.
+	p2 := Pattern{FVar("x"), FLabel("L")}
+	if _, ok := p2.match(multiset.Pair(value.Int(1), "Z"), env); ok {
+		t.Error("label mismatch should fail")
+	}
+	if len(env) != 0 {
+		t.Errorf("env leaked bindings: %v", env)
+	}
+	// Repeated var conflict.
+	p3 := Pattern{FVar("x"), FVar("x")}
+	if _, ok := p3.match(multiset.Tuple{value.Int(1), value.Int(2)}, env); ok {
+		t.Error("conflicting repeat should fail")
+	}
+	if len(env) != 0 {
+		t.Errorf("env leaked bindings: %v", env)
+	}
+	// Repeated var agreement.
+	if bound, ok := p3.match(multiset.Tuple{value.Int(2), value.Int(2)}, env); !ok || len(bound) != 1 {
+		t.Errorf("repeat agreement: ok=%v bound=%v", ok, bound)
 	}
 }

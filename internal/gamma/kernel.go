@@ -216,8 +216,8 @@ func addUnique[T comparable](xs []T, x T) []T {
 }
 
 // kernel returns r's compiled form, building it on first use. Reactions are
-// immutable once running (the same contract the memo plan and subscription
-// index rely on).
+// immutable once running (the same contract the subscription index
+// relies on).
 func (r *Reaction) kernel() *kernel {
 	r.kernOnce.Do(func() { r.kern = compileKernel(r) })
 	return r.kern
@@ -243,32 +243,14 @@ func (k *kernel) selectBranch(name string, env []value.Value) (int, error) {
 	return -1, nil
 }
 
-// produce instantiates branch idx's products under the slot env. The compiled
-// counterpart of Reaction.produce, with the same error wrapping.
-func (k *kernel) produce(name string, idx int, env []value.Value) ([]multiset.Tuple, error) {
-	prods := k.branches[idx].prods
-	out := make([]multiset.Tuple, 0, len(prods))
-	for _, tpl := range prods {
-		t := make(multiset.Tuple, len(tpl))
-		for i, ce := range tpl {
-			v, err := ce(env)
-			if err != nil {
-				return nil, fmt.Errorf("gamma: reaction %s action: %w", name, err)
-			}
-			t[i] = v
-		}
-		out = append(out, t)
-	}
-	return out, nil
-}
-
-// produceInto is produce onto caller-owned arenas: product value cells append
-// to vals, tuple headers (capacity-clamped subslices of vals) append to out,
-// and both grown slices return to the caller. A mid-batch realloc of vals is
-// harmless — earlier headers keep reading the old backing, whose cells are
-// immutable and already correct. Callers must not retain the headers past the
-// commit that clones them (the memoized path therefore uses produce instead:
-// the memo table stores product slices indefinitely).
+// produceInto instantiates branch idx's products under the slot env — the
+// compiled counterpart of Reaction.produce, with the same error wrapping —
+// onto caller-owned arenas: product value cells append to vals, tuple headers
+// (capacity-clamped subslices of vals) append to out, and both grown slices
+// return to the caller. A mid-batch realloc of vals is harmless — earlier
+// headers keep reading the old backing, whose cells are immutable and already
+// correct. Callers must not retain the headers past the commit that clones
+// them.
 func (k *kernel) produceInto(name string, idx int, env []value.Value, vals []value.Value, out []multiset.Tuple) ([]value.Value, []multiset.Tuple, error) {
 	prods := k.branches[idx].prods
 	for _, tpl := range prods {

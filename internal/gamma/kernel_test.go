@@ -218,7 +218,7 @@ func matchesInterpreter(t *testing.T, what string, r *Reaction, m *multiset.Mult
 	if !s.probe(m, nil) {
 		t.Fatalf("%s: probe after FindMatch found nothing (err %v)", what, s.err)
 	}
-	gotP, gErr := r.kernel().produce(r.Name, s.branch, s.env)
+	_, gotP, gErr := r.kernel().produceInto(r.Name, s.branch, s.env, nil, nil)
 	if (wErr == nil) != (gErr == nil) || (wErr != nil && wErr.Error() != gErr.Error()) {
 		t.Fatalf("%s: produce err: oracle %v kernel %v", what, wErr, gErr)
 	}

@@ -135,9 +135,6 @@ type Reaction struct {
 	Patterns []Pattern
 	Branches []Branch
 
-	planOnce sync.Once
-	plan     *memoPlan
-
 	kernOnce sync.Once
 	kern     *kernel
 }

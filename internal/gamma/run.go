@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/expr"
 	"repro/internal/multiset"
 	"repro/internal/rt"
 	"repro/internal/symtab"
@@ -25,16 +24,6 @@ import (
 // context.Canceled / context.DeadlineExceeded) when the context stopped the
 // run. See package rt for the full taxonomy.
 var ErrMaxSteps = rt.Wrap("gamma: maximum step count exceeded", rt.ErrMaxSteps)
-
-// Memo caches reaction applications: the products (and branch) computed for
-// a given combination of consumed elements. It mirrors the dataflow side's
-// instruction reuse (DF-DTM [3]) at reaction granularity — one of the
-// cross-model benefits the paper's introduction motivates. Implementations
-// must be safe for concurrent use when Workers > 1.
-type Memo interface {
-	LookupReaction(key string) ([]multiset.Tuple, bool)
-	StoreReaction(key string, products []multiset.Tuple)
-}
 
 // ScheduleRecorder is the engines' one per-firing observer: it receives every
 // committed reaction firing with its commit sequence number and the raw
@@ -65,13 +54,6 @@ type Options struct {
 	Seed int64
 	// MaxSteps bounds the total number of reaction firings; 0 means no bound.
 	MaxSteps int64
-	// Memo, when set, caches reaction products by reaction and consumed
-	// elements; a hit skips the action evaluation and its WorkFactor.
-	Memo Memo
-	// WorkFactor emulates expensive reaction actions: each application spins
-	// this many iterations before evaluating products. See the dataflow
-	// counterpart for rationale.
-	WorkFactor int
 	// FullScan selects the seed engine's wake policy: after a commit every
 	// reaction is marked runnable again, instead of only those subscribed to
 	// a label the commit added (schedule.go). Matching and committing are
@@ -89,10 +71,6 @@ type Options struct {
 	// and registry counters/gauges/histograms mirroring Stats increment for
 	// increment. Nil costs one branch per record site on the hot paths.
 	Recorder *telemetry.Recorder
-	// TrackLabel prefixes this run's telemetry track names (default
-	// "gamma"); dist sets it per node so a cluster trace shows one track
-	// group per node.
-	TrackLabel string
 	// Schedule, when set, receives every committed firing (see
 	// ScheduleRecorder). Nil costs one branch per commit.
 	Schedule ScheduleRecorder
@@ -123,8 +101,6 @@ type Stats struct {
 	// place (with capped exponential backoff) rather than abandoned to the
 	// scheduler. Conflicts - Retries is therefore the number of give-ups.
 	Retries int64
-	// MemoHits counts reaction applications answered from Options.Memo.
-	MemoHits int64
 	// Steals counts reaction indexes taken from another worker's deque
 	// (parallel runtime only): work-stealing load balancing events.
 	Steals int64
@@ -157,7 +133,6 @@ func (s *Stats) merge(o *Stats) {
 	s.Candidates += o.Candidates
 	s.Conflicts += o.Conflicts
 	s.Retries += o.Retries
-	s.MemoHits += o.MemoHits
 	s.Steals += o.Steals
 	s.Batches += o.Batches
 	s.BackoffWaits += o.BackoffWaits
@@ -167,153 +142,6 @@ func (s *Stats) merge(o *Stats) {
 	for k, v := range o.Fired {
 		s.Fired[k] += v
 	}
-}
-
-// workSink defeats any optimization of the WorkFactor spin loop.
-var workSink atomic.Uint64
-
-func spin(n int) {
-	if n <= 0 {
-		return
-	}
-	acc := workSink.Load()
-	for i := 0; i < n; i++ {
-		acc = acc*1664525 + 1013904223
-	}
-	workSink.Store(acc)
-}
-
-// memoPlan is the per-reaction analysis backing tag-insensitive reuse. Two
-// matches that differ only in the iteration tag perform the same expensive
-// computation (the value fields of the products); only product fields whose
-// expressions mention the tag variable differ, affinely. The plan records
-// which chosen-tuple fields to mask out of the memo key and which product
-// fields to re-evaluate on a hit. Masking applies only when every pattern
-// binds the same tag variable in its third field and no branch condition
-// reads it — the shape Algorithm 1 emits; otherwise keys stay exact, which
-// is always sound.
-type memoPlan struct {
-	tagVar string
-	mask   [][]bool   // per pattern, per field: part of the tag, exclude from key
-	reeval [][][]bool // per branch, per product, per field: mentions the tag
-}
-
-func (r *Reaction) memoPlan() *memoPlan {
-	r.planOnce.Do(func() {
-		plan := &memoPlan{}
-		tagVar := ""
-		for _, p := range r.Patterns {
-			if len(p) < 3 || p[2].Var == "" {
-				r.plan = plan
-				return
-			}
-			if tagVar == "" {
-				tagVar = p[2].Var
-			} else if p[2].Var != tagVar {
-				r.plan = plan
-				return
-			}
-		}
-		for _, b := range r.Branches {
-			if b.Cond != nil {
-				for _, v := range expr.FreeVars(b.Cond) {
-					if v == tagVar {
-						r.plan = plan
-						return
-					}
-				}
-			}
-		}
-		plan.tagVar = tagVar
-		plan.mask = make([][]bool, len(r.Patterns))
-		for i, p := range r.Patterns {
-			plan.mask[i] = make([]bool, len(p))
-			for j, f := range p {
-				plan.mask[i][j] = f.Var == tagVar
-			}
-		}
-		plan.reeval = make([][][]bool, len(r.Branches))
-		for bi, b := range r.Branches {
-			plan.reeval[bi] = make([][]bool, len(b.Products))
-			for pi, tpl := range b.Products {
-				plan.reeval[bi][pi] = make([]bool, len(tpl))
-				for fi, e := range tpl {
-					for _, v := range expr.FreeVars(e) {
-						if v == tagVar {
-							plan.reeval[bi][pi][fi] = true
-						}
-					}
-				}
-			}
-		}
-		r.plan = plan
-	})
-	return r.plan
-}
-
-// applyAction is the memoized action (stage has the plain one): the enabled
-// branch's products over the firing's slot environment, answered from
-// Options.Memo or evaluated, work factor included, and stored there.
-func (w *worker) applyAction(r *Reaction, s *searcher) ([]multiset.Tuple, error) {
-	k, opt := r.kernel(), &w.opt
-	plan := r.memoPlan()
-	key := r.Name
-	for i, t := range s.chosen {
-		for j, v := range t {
-			if plan.tagVar != "" && plan.mask[i][j] {
-				continue
-			}
-			key += "|" + v.String()
-		}
-		key += "||"
-	}
-	if cached, ok := opt.Memo.LookupReaction(key); ok {
-		w.stats.MemoHits++
-		w.ts.memoHit()
-		return refreshProducts(r, cached, s.env)
-	}
-	spin(opt.WorkFactor)
-	products, err := k.produce(r.Name, s.branch, s.env)
-	if err != nil {
-		return nil, err
-	}
-	stored := append([]multiset.Tuple{multisetBranchMarker(s.branch)}, products...)
-	opt.Memo.StoreReaction(key, stored)
-	return products, nil
-}
-
-// multisetBranchMarker encodes the branch index as a leading 1-tuple in the
-// stored product list, so the Memo interface stays a plain tuple store.
-func multisetBranchMarker(branch int) multiset.Tuple {
-	return multiset.Tuple{value.Int(int64(branch))}
-}
-
-// refreshProducts rebuilds cached products for the current match: fields
-// whose expressions mention the tag variable are re-evaluated (cheap), the
-// rest — the expensive value computation — are reused.
-func refreshProducts(r *Reaction, cached []multiset.Tuple, env []value.Value) ([]multiset.Tuple, error) {
-	k, plan := r.kernel(), r.memoPlan()
-	branch := int(cached[0].Value().AsInt())
-	stored := cached[1:]
-	if plan.tagVar == "" {
-		return stored, nil
-	}
-	out := make([]multiset.Tuple, len(stored))
-	for pi, t := range stored {
-		flags := plan.reeval[branch][pi]
-		fresh := t.Clone()
-		for fi := range fresh {
-			if flags[fi] {
-				v, err := k.branches[branch].prods[pi][fi](env)
-				if err != nil {
-					return nil, fmt.Errorf("gamma: reaction %s memo refresh: %w", r.Name, err)
-				}
-				fresh[fi] = v
-			}
-		}
-		out[pi] = fresh
-	}
-	return out, nil
 }
 
 // Run executes p on m until the stable state of Eq. 1 is reached: no reaction
@@ -581,24 +409,13 @@ func (w *worker) fire(idx int, s *searcher, t0 time.Time) error {
 // stage evaluates the firing s holds and appends it to the worker's batch as
 // a handle-addressed delta. Product cells land in the worker's vals arena and
 // the headers in its produce list — the commit clones what it inserts and
-// nothing retains the headers past it — except under a memo table, which does
-// retain them, so applyAction allocates.
+// nothing retains the headers past it.
 func (w *worker) stage(r *Reaction, s *searcher) error {
 	k := r.kernel()
 	cs, ps := len(w.consume), len(w.produce)
-	psyms := k.branches[s.branch].psyms
-	if w.opt.Memo == nil {
-		spin(w.opt.WorkFactor)
-		var err error
-		if w.vals, w.produce, err = k.produceInto(r.Name, s.branch, s.env, w.vals, w.produce); err != nil {
-			return err
-		}
-	} else {
-		prods, err := w.applyAction(r, s)
-		if err != nil {
-			return err
-		}
-		w.produce, psyms = append(w.produce, prods...), nil
+	var err error
+	if w.vals, w.produce, err = k.produceInto(r.Name, s.branch, s.env, w.vals, w.produce); err != nil {
+		return err
 	}
 	w.consume = append(w.consume, s.chosen...)
 	w.refs = append(w.refs, s.refs()...)
@@ -609,7 +426,7 @@ func (w *worker) stage(r *Reaction, s *searcher) error {
 		Consume: w.consume[cs:len(w.consume):len(w.consume)],
 		Refs:    w.refs[cs:len(w.refs):len(w.refs)],
 		Produce: w.produce[ps:len(w.produce):len(w.produce)],
-		PSyms:   psyms,
+		PSyms:   k.branches[s.branch].psyms,
 	})
 	return nil
 }
@@ -705,8 +522,8 @@ func (sh *stealSched) wake() {
 //  1. match: find up to batchMaxFirings pairwise-disjoint enabled
 //     combinations of molecules of one reaction under one shard view
 //     (randomized order, the model's nondeterminism);
-//  2. compute: instantiate the enabled branches' products (into per-worker
-//     arenas when no memo table retains them);
+//  2. compute: instantiate the enabled branches' products into per-worker
+//     arenas;
 //  3. commit: atomically claim the matched molecules, one ApplyDeltas per
 //     batch; claims a concurrent worker beat us to fail individually, and a
 //     fully failed batch is rematched with cancellation-aware backoff;
@@ -1101,7 +918,7 @@ func (pl *Plan) Run(m *multiset.Multiset, opt Options) (*Stats, error) {
 // current stage at its next commit boundary and returns the stats merged
 // across the stages run so far.
 func (pl *Plan) RunContext(ctx context.Context, m *multiset.Multiset, opt Options) (*Stats, error) {
-	total := newStats(opt.Workers)
+	total := newStats(max(opt.Workers, 1))
 	for _, stage := range pl.Stages {
 		st, err := RunContext(ctx, stage, m, opt)
 		if st != nil {

@@ -23,7 +23,6 @@ type telSink struct {
 	cands        *telemetry.Counter
 	conflicts    *telemetry.Counter
 	retries      *telemetry.Counter
-	memoHits     *telemetry.Counter
 	steals       *telemetry.Counter
 	batches      *telemetry.Counter
 	backoffWaits *telemetry.Counter
@@ -35,28 +34,21 @@ type telSink struct {
 }
 
 // newTelSink resolves the worker's track and instruments; nil when telemetry
-// is disabled. The track name is "<label>/w<worker>", where label defaults
-// to "gamma" and is overridden by Options.TrackLabel (dist names node
-// shards).
+// is disabled. The track name is "gamma/w<worker>".
 func newTelSink(opt Options, p *Program, worker int) *telSink {
 	rec := opt.Recorder
 	if rec == nil {
 		return nil
 	}
-	label := opt.TrackLabel
-	if label == "" {
-		label = "gamma"
-	}
 	reg := rec.Metrics
 	ts := &telSink{
-		track:        rec.Track(fmt.Sprintf("%s/w%d", label, worker)),
+		track:        rec.Track(fmt.Sprintf("gamma/w%d", worker)),
 		verbose:      rec.Verbose,
 		steps:        reg.Counter("gamma.steps"),
 		probes:       reg.Counter("gamma.probes"),
 		cands:        reg.Counter("gamma.candidates"),
 		conflicts:    reg.Counter("gamma.conflicts"),
 		retries:      reg.Counter("gamma.retries"),
-		memoHits:     reg.Counter("gamma.memo_hits"),
 		steals:       reg.Counter("gamma.steals"),
 		batches:      reg.Counter("gamma.batches"),
 		backoffWaits: reg.Counter("gamma.backoff_waits"),
@@ -166,12 +158,4 @@ func (t *telSink) retry(name string) {
 	}
 	t.retries.Inc()
 	t.track.Instant(telemetry.KindRetry, name, 0, 0)
-}
-
-// memoHit accounts one reaction application answered from the memo table.
-func (t *telSink) memoHit() {
-	if t == nil {
-		return
-	}
-	t.memoHits.Inc()
 }

@@ -26,7 +26,6 @@ func checkTelemetryAgrees(t *testing.T, rec *telemetry.Recorder, st *Stats) {
 		{"gamma.candidates", st.Candidates},
 		{"gamma.conflicts", st.Conflicts},
 		{"gamma.retries", st.Retries},
-		{"gamma.memo_hits", st.MemoHits},
 		{"gamma.steals", st.Steals},
 		{"gamma.batches", st.Batches},
 		{"gamma.backoff_waits", st.BackoffWaits},
@@ -114,29 +113,6 @@ func TestTelemetryDifferentialFaultInjected(t *testing.T) {
 	}
 }
 
-func TestTelemetryDifferentialMemo(t *testing.T) {
-	rec := telemetry.New(0)
-	memo := mapMemo{}
-	run := func(rec *telemetry.Recorder) *Stats {
-		t.Helper()
-		m := example1Input()
-		st, err := Run(example1Program(), m, Options{Memo: memo, Recorder: rec})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return st
-	}
-	run(rec) // populate the memo
-	st := run(rec)
-	if st.MemoHits == 0 {
-		t.Fatal("second run should hit the memo")
-	}
-	// Counters accumulated over both runs; compare against their sum.
-	if got := rec.Metrics.CounterValue("gamma.memo_hits"); got != st.MemoHits {
-		t.Errorf("memo_hits counter = %d, want %d", got, st.MemoHits)
-	}
-}
-
 // TestTelemetryEventsSequential pins the event-level contract of a traced
 // run: one firing span per step on the worker track, cardinality in Arg.
 func TestTelemetryEventsSequential(t *testing.T) {
@@ -195,19 +171,6 @@ func TestTelemetryVerboseProbeEvents(t *testing.T) {
 	}
 }
 
-// TestTelemetryTrackLabel checks the dist-facing naming override.
-func TestTelemetryTrackLabel(t *testing.T) {
-	rec := telemetry.New(0)
-	m := example1Input()
-	if _, err := Run(example1Program(), m, Options{Recorder: rec, TrackLabel: "node3"}); err != nil {
-		t.Fatal(err)
-	}
-	snap := rec.Snapshot()
-	if len(snap) != 1 || snap[0].Name != "node3/w0" {
-		t.Fatalf("tracks = %v, want [node3/w0]", trackNames(snap))
-	}
-}
-
 // TestTelemetryDisabledIsNil guards the fast path: with no recorder the
 // sinks must resolve to nil (one branch per record site, nothing else).
 func TestTelemetryDisabledIsNil(t *testing.T) {
@@ -221,7 +184,6 @@ func TestTelemetryDisabledIsNil(t *testing.T) {
 	nilSink.batch(1)
 	nilSink.conflictN("r", 2)
 	nilSink.retry("r")
-	nilSink.memoHit()
 	nilSink.steal()
 	nilSink.backoffWait()
 }

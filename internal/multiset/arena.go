@@ -14,7 +14,7 @@ import (
 // by a fresh one rather than grown (growing would relocate live carves). That
 // write-once discipline is what makes the unsafe.String view over the key
 // bytes sound, and it preserves the shard contract that tuple backings and
-// key strings handed to searchers, memo keys and traces are never reused.
+// key strings handed to searchers and traces are never reused.
 //
 // Chunks are geometric: the first of each kind is 1/128 of its maximum
 // (entryChunk, keyChunk, cellChunk) and every replacement doubles up to it,

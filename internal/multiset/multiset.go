@@ -76,7 +76,7 @@ type shard struct {
 	labels map[symtab.Sym]*labelIndex
 	// free recycles entry structs across unlink/link cycles (bounded by
 	// freeMax), zeroed except gen. Only the struct is recycled: tuple backings
-	// and key strings escape to searchers, memo keys and traces.
+	// and key strings escape to searchers and traces.
 	free []*entry
 	// arena chunk-allocates entries, key strings and tuple-cell copies for
 	// freelist misses (see arena.go) — the commit path's hot allocations.

@@ -1,6 +1,5 @@
 // Package rt is the shared execution-runtime contract of the two models'
-// runtimes (internal/gamma and internal/dataflow) and of the distributed
-// executor (internal/dist): a typed error taxonomy that supports errors.Is /
+// runtimes (internal/gamma and internal/dataflow): a typed error taxonomy that supports errors.Is /
 // errors.As across package boundaries, the context-to-taxonomy mapping, and
 // the fault-injection hook used by the stress tests.
 //
@@ -17,15 +16,13 @@
 //     errors.Is(err, context.Canceled) / errors.Is(err, context.DeadlineExceeded)
 //     hold as callers expect.
 //   - ErrDivergent — the execution provably made no progress toward a stable
-//     state within its budget (a cluster that diffuses past MaxRounds, an
-//     equivalence check whose subject graph never quiesces).
+//     state within its budget (an equivalence check whose subject graph
+//     never quiesces).
 //   - ErrInvalid — the program or graph failed structural validation.
 //   - ErrParse — source text failed to parse (Fig. 3 grammar, dfir, the von
 //     Neumann mini language).
 //   - *PanicError — a worker recovered a panic out of a reaction action or
 //     vertex operation; carries the site identity and stack.
-//   - *NodeError — a distributed node exhausted its retry budget and was
-//     declared dead.
 //
 // Sentinels classify; they do not replace messages. Mark attaches a class to
 // a detailed error without changing what the user reads.
@@ -91,7 +88,6 @@ func (m *marked) Unwrap() []error { return []error{m.err, m.class} }
 const (
 	CodeOK        = "ok"
 	CodePanic     = "panic"
-	CodeNodeDead  = "node_dead"
 	CodeDivergent = "divergent"
 	CodeCanceled  = "canceled"
 	CodeDeadline  = "deadline"
@@ -107,14 +103,11 @@ const (
 // reports. Unclassified errors are CodeInternal.
 func Code(err error) string {
 	var pe *PanicError
-	var ne *NodeError
 	switch {
 	case err == nil:
 		return CodeOK
 	case errors.As(err, &pe):
 		return CodePanic
-	case errors.As(err, &ne):
-		return CodeNodeDead
 	case errors.Is(err, ErrDivergent):
 		return CodeDivergent
 	case errors.Is(err, ErrCanceled):
@@ -134,9 +127,9 @@ func Code(err error) string {
 
 // FromCode maps a wire identifier back to its sentinel class, so a client
 // that received an error over the wire can route it with errors.Is exactly
-// like a local caller. Codes without a sentinel (ok, panic, node_dead,
-// internal — the first has no error, the others are typed values that cannot
-// be reconstructed remotely) return nil.
+// like a local caller. Codes without a sentinel (ok, panic, internal — the
+// first has no error, the others are typed values that cannot be
+// reconstructed remotely) return nil.
 func FromCode(code string) error {
 	switch code {
 	case CodeDivergent:
@@ -197,24 +190,6 @@ func NewPanicError(runtime, site string, worker int, value any) *PanicError {
 func (e *PanicError) Error() string {
 	return fmt.Sprintf("%s: worker %d: panic in %s: %v", e.Runtime, e.Worker, e.Site, e.Value)
 }
-
-// NodeError reports a distributed node that exhausted its retry budget and
-// was declared dead; the cluster degrades (survivors adopt its shard and
-// finish the fixpoint) rather than hanging on it.
-type NodeError struct {
-	// Node is the dead node's index.
-	Node int
-	// Attempts is how many times the node's react phase was tried.
-	Attempts int
-	// Err is the last failure.
-	Err error
-}
-
-func (e *NodeError) Error() string {
-	return fmt.Sprintf("node %d dead after %d attempts: %v", e.Node, e.Attempts, e.Err)
-}
-
-func (e *NodeError) Unwrap() error { return e.Err }
 
 // FaultInjector is the fault-injection hook of both runtimes
 // (Options.FaultInjector): invoked before every reaction application or

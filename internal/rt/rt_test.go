@@ -100,18 +100,6 @@ func TestPanicError(t *testing.T) {
 	}
 }
 
-func TestNodeError(t *testing.T) {
-	inner := Wrap("node timed out", context.DeadlineExceeded)
-	ne := &NodeError{Node: 2, Attempts: 3, Err: inner}
-	var got *NodeError
-	if !errors.As(fmt.Errorf("dist: %w", ne), &got) || got.Node != 2 {
-		t.Fatal("NodeError must survive wrapping")
-	}
-	if !errors.Is(ne, context.DeadlineExceeded) {
-		t.Error("NodeError must unwrap to its cause")
-	}
-}
-
 func TestCode(t *testing.T) {
 	cases := []struct {
 		err  error
@@ -126,7 +114,6 @@ func TestCode(t *testing.T) {
 		{ErrDeadline, CodeDeadline},
 		{Mark(ErrDivergent, fmt.Errorf("wrap: %w", ErrMaxSteps)), CodeDivergent},
 		{NewPanicError("gamma", "R1", 2, "boom"), CodePanic},
-		{fmt.Errorf("dist: %w", &NodeError{Node: 1, Attempts: 3, Err: errors.New("x")}), CodeNodeDead},
 	}
 	for _, c := range cases {
 		if got := Code(c.err); got != c.want {
@@ -149,7 +136,7 @@ func TestFromCodeRoundTrip(t *testing.T) {
 			t.Errorf("errors.Is(%v, FromCode(%q)) = false", err, Code(err))
 		}
 	}
-	for _, code := range []string{CodeOK, CodePanic, CodeNodeDead, CodeInternal, "unknown"} {
+	for _, code := range []string{CodeOK, CodePanic, CodeInternal, "unknown"} {
 		if got := FromCode(code); got != nil {
 			t.Errorf("FromCode(%q) = %v, want nil", code, got)
 		}

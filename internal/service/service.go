@@ -608,7 +608,6 @@ func (s *Server) execute(r *Run) {
 		}
 		if r.Traced {
 			opt.Recorder = r.rec
-			opt.TrackLabel = r.ID
 			opt.Schedule = r.sched
 		}
 		st, err := r.plan.RunContext(ctx, r.init, opt)

@@ -38,30 +38,22 @@ func usec(ns int64) float64 { return float64(ns) / 1e3 }
 // shrinking toward the stable state).
 func perfettoEvent(e Event, tid int) (traceEvent, *traceEvent) {
 	te := traceEvent{Name: e.Name, TS: usec(e.TS), PID: tracePID, TID: tid}
-	switch e.Kind {
-	case KindFiring, KindRound:
-		te.Ph = "X"
-		d := usec(e.Dur)
-		te.Dur = &d
-		te.Args = map[string]any{"kind": e.Kind.String()}
-		if e.Kind == KindFiring {
-			te.Args["cardinality"] = e.Arg
-			te.Args["woken"] = e.Arg2
-			ctr := traceEvent{
-				Name: "cardinality", Ph: "C", TS: usec(e.TS + e.Dur),
-				PID: tracePID, TID: tid,
-				Args: map[string]any{"elements": e.Arg},
-			}
-			return te, &ctr
-		}
-		te.Args["fired"] = e.Arg
-		te.Args["live_nodes"] = e.Arg2
-	default:
+	if e.Kind != KindFiring {
 		te.Ph = "i"
 		te.S = "t"
 		te.Args = map[string]any{"kind": e.Kind.String(), "arg": e.Arg, "arg2": e.Arg2}
+		return te, nil
 	}
-	return te, nil
+	te.Ph = "X"
+	d := usec(e.Dur)
+	te.Dur = &d
+	te.Args = map[string]any{"kind": e.Kind.String(), "cardinality": e.Arg, "woken": e.Arg2}
+	ctr := traceEvent{
+		Name: "cardinality", Ph: "C", TS: usec(e.TS + e.Dur),
+		PID: tracePID, TID: tid,
+		Args: map[string]any{"elements": e.Arg},
+	}
+	return te, &ctr
 }
 
 // WritePerfetto exports the recorder's event buffers as Chrome trace-event

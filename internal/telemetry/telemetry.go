@@ -1,5 +1,5 @@
-// Package telemetry is the runtime observability layer shared by the gamma,
-// dataflow and dist runtimes: a low-overhead event recorder (per-worker ring
+// Package telemetry is the runtime observability layer shared by the gamma
+// and dataflow runtimes: a low-overhead event recorder (per-worker ring
 // buffers of timestamped events), a registry of atomic counters, gauges and
 // latency histograms, and exporters — Chrome trace-event JSON (loadable in
 // Perfetto, one track per worker/PE), a JSONL event stream, and a provenance
@@ -12,13 +12,11 @@
 // enabled, the hot commit path records a single span event per committed
 // firing — the firing latency, with the multiset cardinality and scheduler
 // wakeup count folded into the event payload — while high-frequency
-// occurrences (probes, memo hits) only bump atomic counters unless Verbose
-// is set. Rare occurrences (commit conflicts, retries, dist rounds,
-// migrations, dead-node adoptions) are individual events.
+// occurrences (probes) only bump atomic counters unless Verbose is set. Rare
+// occurrences (commit conflicts, retries) are individual events.
 //
 // Concurrency contract: a Track has a single writer at a time (each worker
-// or PE owns its track; sequential phases may reuse a track across rounds
-// when ordered by happens-before, as dist's round barrier does). The
+// or PE owns its track). The
 // Registry is safe for arbitrary concurrent use. Snapshots of the event
 // buffers must be taken after the traced run returns; Registry snapshots may
 // be taken live (the -metrics-addr HTTP endpoint does).
@@ -51,15 +49,6 @@ const (
 	KindConflict
 	// KindRetry is a conflict rematch attempt (parallel gamma).
 	KindRetry
-	// KindRound is one dist react-diffuse round (a span on the coordinator
-	// track; Arg = firings in the round, Arg2 = live nodes).
-	KindRound
-	// KindMigrate is a batch of element migrations (Arg = elements moved).
-	KindMigrate
-	// KindGather is a dist global stability check on the union multiset.
-	KindGather
-	// KindAdopt is a dead-node shard adoption (Arg = the dead node).
-	KindAdopt
 )
 
 func (k EventKind) String() string {
@@ -72,14 +61,6 @@ func (k EventKind) String() string {
 		return "conflict"
 	case KindRetry:
 		return "retry"
-	case KindRound:
-		return "round"
-	case KindMigrate:
-		return "migrate"
-	case KindGather:
-		return "gather"
-	case KindAdopt:
-		return "adopt"
 	}
 	return "unknown"
 }
@@ -119,7 +100,7 @@ const DefaultEventCap = 1 << 14
 const ringInitial = 64
 
 // Recorder owns the event tracks and the metrics registry of one observed
-// run (or several, when reused across dist rounds).
+// run.
 type Recorder struct {
 	start time.Time
 	cap   int
@@ -239,12 +220,6 @@ func (t *Track) append(e ringEvent) {
 // Instant records a point event at the current time.
 func (t *Track) Instant(kind EventKind, name string, arg, arg2 int64) {
 	t.append(ringEvent{ts: t.rec.now(), kind: kind, name: symtab.Intern(name), arg: arg, arg2: arg2})
-}
-
-// Span records an event that started at start and ends now.
-func (t *Track) Span(kind EventKind, name string, start time.Time, arg, arg2 int64) {
-	ts := t.rec.Since(start)
-	t.append(ringEvent{ts: ts, dur: t.rec.now() - ts, kind: kind, name: symtab.Intern(name), arg: arg, arg2: arg2})
 }
 
 // SpanDur records a span that started at start and lasted dur. Callers that

@@ -57,7 +57,7 @@ func TestMetricsOnlyRecorderBuffersNothing(t *testing.T) {
 	r := New(-1)
 	tr := r.Track("t")
 	tr.Instant(KindFiring, "f", 1, 0)
-	tr.Span(KindFiring, "f", time.Now(), 1, 0)
+	tr.SpanDur(KindFiring, "f", time.Now(), 0, 1, 0)
 	snap := r.Snapshot()
 	if len(snap) != 1 || len(snap[0].Events) != 0 {
 		t.Fatalf("metrics-only recorder buffered events: %+v", snap)
@@ -79,8 +79,8 @@ func TestSnapshotSortsByTS(t *testing.T) {
 	// append order is instant-then-span, the TS order is span-then-instant.
 	start := time.Now()
 	time.Sleep(time.Millisecond)
-	tr.Instant(KindGather, "g", 0, 0)
-	tr.Span(KindRound, "round", start, 1, 1)
+	tr.Instant(KindRetry, "g", 0, 0)
+	tr.SpanDur(KindFiring, "f", start, time.Since(start), 1, 1)
 	evs := r.Snapshot()[0].Events
 	if len(evs) != 2 {
 		t.Fatalf("events = %d", len(evs))
@@ -90,7 +90,7 @@ func TestSnapshotSortsByTS(t *testing.T) {
 			t.Fatalf("snapshot out of TS order: %+v", evs)
 		}
 	}
-	if evs[0].Kind != KindRound {
+	if evs[0].Kind != KindFiring {
 		t.Errorf("span should sort first (earlier TS), got %v", evs[0].Kind)
 	}
 	if evs[0].Dur <= 0 {
@@ -231,13 +231,13 @@ func populate(r *Recorder) {
 	w0 := r.Track("gamma/w0")
 	start := time.Now()
 	w0.Instant(KindConflict, "R1", 0, 0)
-	w0.Span(KindFiring, "R1", start, 5, 1)
-	w0.Span(KindFiring, "R2", time.Now(), 4, 0)
-	cl := r.Track("cluster")
-	cl.Span(KindRound, "round", start, 3, 2)
-	cl.Instant(KindGather, "gather", 4, 0)
-	cl.Instant(KindAdopt, "adopt", 2, 0)
-	cl.Instant(KindMigrate, "migrate", 7, 0)
+	w0.SpanDur(KindFiring, "R1", start, time.Since(start), 5, 1)
+	w0.SpanDur(KindFiring, "R2", time.Now(), 0, 4, 0)
+	w1 := r.Track("gamma/w1")
+	w1.SpanDur(KindFiring, "R1", start, time.Since(start), 3, 2)
+	w1.Instant(KindRetry, "R1", 4, 0)
+	w1.Instant(KindProbe, "R2", 2, 0)
+	w1.Instant(KindConflict, "R2", 7, 0)
 }
 
 // TestPerfettoSchema pins the trace-event contract Perfetto relies on: valid
@@ -300,8 +300,8 @@ func TestPerfettoSchema(t *testing.T) {
 	for _, n := range threadNames {
 		names[n] = true
 	}
-	if !names["gamma/w0"] || !names["cluster"] {
-		t.Errorf("thread names = %v, want gamma/w0 and cluster", threadNames)
+	if !names["gamma/w0"] || !names["gamma/w1"] {
+		t.Errorf("thread names = %v, want gamma/w0 and gamma/w1", threadNames)
 	}
 }
 

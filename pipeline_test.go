@@ -130,16 +130,15 @@ func TestPipelineGammaFixtures(t *testing.T) {
 	}
 }
 
-// TestPipelineProfileAndReuse attaches the profiler and the reuse table to a
-// fixture run through the public API, as the analysis example does.
-func TestPipelineProfileAndReuse(t *testing.T) {
+// TestPipelineProfile attaches the profiler to a fixture run through the
+// public API, as the analysis example does.
+func TestPipelineProfile(t *testing.T) {
 	g, err := CompileSource("sumsq", readFixture(t, "sumsquares.vn"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	rec := NewScheduleRecorder(ScheduleDataflow, "sumsq")
-	tbl := NewReuseTable(0)
-	res, err := RunGraph(g, GraphOptions{RunConfig: RunConfig{RunSpec: RunSpec{MaxSteps: 1_000_000}, Schedule: rec}, Memo: tbl})
+	res, err := RunGraph(g, GraphOptions{RunConfig: RunConfig{RunSpec: RunSpec{MaxSteps: 1_000_000}, Schedule: rec}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,9 +153,6 @@ func TestPipelineProfileAndReuse(t *testing.T) {
 	}
 	if r.Span <= 10 {
 		t.Errorf("10-iteration loop should have a long span, got %d", r.Span)
-	}
-	if tbl.Stats().Stores == 0 {
-		t.Error("reuse table unused")
 	}
 	// The same trace invariants hold for the converted program.
 	prog, init, err := ToGamma(g)
