@@ -220,7 +220,7 @@ func run(ctx context.Context, path string, opt gamma.Options, tel *cli.Telemetry
 			perStep = float64(st.Candidates) / float64(st.Steps)
 		}
 		fmt.Printf("  candidates %d (%.1f per step)\n", st.Candidates, perStep)
-		fmt.Printf("  storage arena %d B, index lists %d recycled / %d fresh\n", st.ArenaBytes, st.ListsRecycled, st.ListsFresh)
+		fmt.Printf("  storage arena %d B\n", st.ArenaBytes)
 	}
 	return nil
 }

@@ -20,9 +20,9 @@ import (
 func batchFirings(t *testing.T, r *Reaction, m *multiset.Multiset, rng *rand.Rand) []multiset.Delta {
 	t.Helper()
 	k := r.kernel()
-	s := newSearcher(r)
+	s := newSearcher(r, new(multiset.View))
 	s.begin(m, rng)
-	m.LockView(&s.view, k.viewSyms, k.viewAll)
+	m.LockView(s.view, k.viewSyms, k.viewAll)
 	var ds []multiset.Delta
 	for len(ds) < batchMaxFirings && s.search(0) {
 		_, prods, err := k.produceInto(r.Name, s.branch, s.env, nil, nil)
@@ -115,8 +115,8 @@ func TestClaimTrackerMatchesMapReference(t *testing.T) {
 		}
 		gm, wm := init, init.Clone() // handles commit only to the multiset that issued them
 		gApplied, wApplied := make([]bool, len(got)), make([]bool, len(want))
-		gm.ApplyDeltas(got, gApplied, nil)
-		wm.ApplyDeltas(want, wApplied, nil)
+		gm.ApplyDeltas(got, gApplied, nil, nil)
+		wm.ApplyDeltas(want, wApplied, nil, nil)
 		if fmt.Sprint(gApplied) != fmt.Sprint(wApplied) || !gm.Equal(wm) || gm.CheckInvariants() != nil {
 			t.Fatalf("seed %d: %s on %s: commit %v -> %s, reference %v -> %s",
 				seed, r.Name, init, gApplied, gm, wApplied, wm)

@@ -1,17 +1,24 @@
 package gamma
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/multiset"
 )
 
 // CheckCommits makes every commit of every run started in t verify the
-// multiset's storage invariants (the afterCommit hook). Not for parallel
-// tests: the hook is one package variable.
+// multiset's storage invariants (the afterCommit hook): from inside the
+// sequential interpreter's write session, which already holds every lock the
+// walk needs, and under a read View of its own after a pool commit. Not for
+// parallel tests: the hook is one package variable.
 func CheckCommits(t testing.TB) {
-	afterCommit = func(m *multiset.Multiset) {
-		if err := m.CheckInvariants(); err != nil {
+	afterCommit = func(w *worker) {
+		check := w.m.CheckInvariants
+		if w.sh == nil {
+			check = w.view.CheckInvariants
+		}
+		if err := check(); err != nil {
 			t.Error(err)
 		}
 	}
@@ -33,3 +40,12 @@ func Generic(p *Program) (wildcard, viewAll int) {
 // RaceEnabled lets the external test package skip allocation counts under
 // the race detector.
 const RaceEnabled = raceEnabled
+
+// probe runs one search of m under a read session of the searcher's own, the
+// way FindMatch does, and reports whether it found an enabled firing.
+func (s *searcher) probe(m *multiset.Multiset, rng *rand.Rand) bool {
+	s.begin(m, rng)
+	m.LockView(s.view, s.k.viewSyms, s.k.viewAll)
+	defer s.view.Unlock()
+	return s.search(0)
+}

@@ -267,13 +267,14 @@ func (k *kernel) produceInto(name string, idx int, env []value.Value, vals []val
 	return vals, out, nil
 }
 
-// newSearcher returns searcher scratch for r, sized once: the claim stack's
-// capacity is the most a batch can hold.
-func newSearcher(r *Reaction) *searcher {
+// newSearcher returns searcher scratch for r, enumerating through view and
+// sized once: the claim stack's capacity is the most a batch can hold.
+func newSearcher(r *Reaction, view *multiset.View) *searcher {
 	k := r.kernel()
 	return &searcher{
 		r:      r,
 		k:      k,
+		view:   view,
 		env:    make([]value.Value, k.nslots),
 		claims: make([]multiset.Ref, 0, len(k.pats)*batchMaxFirings),
 		chosen: make([]multiset.Tuple, len(k.pats)),

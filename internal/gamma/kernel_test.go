@@ -3,6 +3,7 @@ package gamma
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"repro/internal/expr"
@@ -20,10 +21,11 @@ import (
 // state-derived rotated order as IterAllRot.
 func findMatchOracle(r *Reaction, m *multiset.Multiset) (*Match, error) {
 	var cands, rotCands []multiset.Counted
-	m.IterAll(func(t multiset.Tuple, n int, key string) bool {
+	m.IterAllRot(0, func(t multiset.Tuple, n int, key string) bool {
 		cands = append(cands, multiset.Counted{Tuple: t, N: n, Key: key})
 		return true
 	})
+	sort.Slice(cands, func(i, j int) bool { return cands[i].Key < cands[j].Key })
 	m.IterAllRot(detRotation(m.Len()), func(t multiset.Tuple, n int, key string) bool {
 		rotCands = append(rotCands, multiset.Counted{Tuple: t, N: n, Key: key})
 		return true
@@ -214,7 +216,7 @@ func matchesInterpreter(t *testing.T, what string, r *Reaction, m *multiset.Mult
 
 	// Products: compiled produce vs interpreted produce on the same env.
 	wantP, wErr := r.produce(want.Branch, want.Env)
-	s := newSearcher(r)
+	s := newSearcher(r, new(multiset.View))
 	if !s.probe(m, nil) {
 		t.Fatalf("%s: probe after FindMatch found nothing (err %v)", what, s.err)
 	}
@@ -323,7 +325,7 @@ func TestFindFiringNoMatchAllocationFree(t *testing.T) {
 		multiset.IntElem(2, "A", 1),
 		multiset.IntElem(3, "B", 0),
 	)
-	s := newSearcher(r)
+	s := newSearcher(r, new(multiset.View))
 	allocs := testing.AllocsPerRun(200, func() {
 		if s.probe(m, nil) || s.err != nil {
 			t.Fatalf("probe matched or failed: %v", s.err)

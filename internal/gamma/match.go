@@ -32,8 +32,9 @@ type Match struct {
 // programs match in near-constant time; fully generic patterns walk the
 // whole multiset.
 //
-// Every search enumerates through one multiset.View read session, opened once
-// per probe (searcher.probe) or once per probe batch (the pool's tryFireBatch):
+// Every search enumerates through one multiset.View session — a read session
+// per FindMatch or per probe batch (the pool's tryFireBatch), or the write
+// session of runSequential:
 // the live chunked indexes are walked in place — no snapshot, no per-probe
 // sort, each candidate arriving as a handle (multiset.Ref) — so a probe
 // costs only the candidates it actually visits, whatever the multiset's size
@@ -44,12 +45,17 @@ type Match struct {
 // writers is caught by the optimistic commit.
 //
 // FindMatch materializes the bindings into a MapEnv for its callers (tests,
-// Enabled, the dataflow equivalence checker) on scratch of its own; the step
-// loop in run.go probes on the worker's searchers and keeps the slot
-// environment instead.
+// Enabled, the dataflow equivalence checker) on scratch and a read session of
+// its own, released on every exit path, a panic out of a reaction condition
+// included; the step loop in run.go probes on the worker's searchers and keeps
+// the slot environment instead.
 func FindMatch(r *Reaction, m *multiset.Multiset, rng *rand.Rand) (*Match, error) {
-	s := newSearcher(r)
-	if !s.probe(m, rng) {
+	var v multiset.View
+	s := newSearcher(r, &v)
+	s.begin(m, rng)
+	m.LockView(&v, s.k.viewSyms, s.k.viewAll)
+	defer v.Unlock()
+	if !s.search(0) {
 		return nil, s.err
 	}
 	env := make(expr.MapEnv, len(s.k.varOf))
@@ -63,29 +69,17 @@ func FindMatch(r *Reaction, m *multiset.Multiset, rng *rand.Rand) (*Match, error
 	return &Match{Chosen: chosen, Env: env, Branch: s.branch}, nil
 }
 
-// probe runs one search of m under its own read session and reports whether
-// it found an enabled firing — then held by s: slot env, chosen tuples, their
-// handles (refs), branch; on false, s.err says whether a condition failed. The
-// shards the reaction's patterns can enumerate are read-locked once, for all
-// nesting levels, and released on every exit path — including a panic out of
-// a reaction condition, which the sequential engine recovers into an error; a
-// read lock that outlived its probe would block every later writer.
-func (s *searcher) probe(m *multiset.Multiset, rng *rand.Rand) bool {
-	s.begin(m, rng)
-	m.LockView(&s.view, s.k.viewSyms, s.k.viewAll)
-	defer s.view.Unlock()
-	return s.search(0)
-}
-
 // searcher is the reusable scratch of one reaction's match searches, owned by
-// one worker (newSearcher, begin).
+// one worker (newSearcher, begin). A search that succeeds leaves the enabled
+// firing in it: slot env, chosen tuples, their handles (refs), branch; one
+// that fails says in err whether a condition failed.
 type searcher struct {
 	k    *kernel
 	r    *Reaction
 	rng  *rand.Rand
-	view multiset.View // the read session candidates are enumerated through
-	rot  uint64        // enumeration rotation of the current search; see eachCandidate
-	env  []value.Value // slot-indexed bindings; invalid Value = unbound
+	view *multiset.View // the session candidates are enumerated through: the owning worker's, or FindMatch's own
+	rot  uint64         // enumeration rotation of the current search; see eachCandidate
+	env  []value.Value  // slot-indexed bindings; invalid Value = unbound
 	// claims is the claim tracker: the handle of every occurrence the search
 	// holds, as a stack. A candidate is exhausted once it appears there as
 	// often as its multiplicity. Backtracking pops exactly what it pushed, so

@@ -32,12 +32,14 @@ var ErrMaxSteps = rt.Wrap("gamma: maximum step count exceeded", rt.ErrMaxSteps)
 // multiset's commit critical sections, so sorting the records by seq yields a
 // sequential firing order that is a valid linearization even of a
 // nondeterministic parallel run; provenance, work/span profiles and replay
-// are all folds over that order (package replay). Calls arrive after the
-// commit's locks are released, concurrently and out of seq order when
-// Workers > 1, so implementations must be safe for concurrent use. The tuples
-// are only borrowed for the call: implementations extract what they need
-// before returning (replay.Recorder fingerprints them into one byte buffer,
-// so recording allocates nothing per firing).
+// are all folds over that order (package replay). With Workers > 1 calls
+// arrive after the commit's locks are released, concurrently and out of seq
+// order, so implementations must be safe for concurrent use; the sequential
+// engine calls from inside its write session, every shard locked, so an
+// implementation must not touch the multiset being run, not even to read it.
+// The tuples are only borrowed for the call: implementations extract what
+// they need before returning (replay.Recorder fingerprints them into one byte
+// buffer, so recording allocates nothing per firing).
 type ScheduleRecorder interface {
 	RecordStepTuples(seq uint64, name string, consumed, produced []multiset.Tuple)
 }
@@ -111,14 +113,9 @@ type Stats struct {
 	// BackoffWaits counts timed conflict backoffs: retries that slept (with
 	// cancellation observed) rather than just yielding the processor.
 	BackoffWaits int64
-	// ArenaBytes, ListsRecycled and ListsFresh are the multiset storage work
-	// the run caused (multiset.Storage, after minus before): arena chunk
-	// bytes carved, and index lists handed out from a shard freelist vs
-	// freshly allocated. ListsFresh growing with Steps is per-firing set-up
-	// cost coming back.
-	ArenaBytes    int64
-	ListsRecycled int64
-	ListsFresh    int64
+	// ArenaBytes is the multiset storage work the run caused: arena chunk
+	// bytes carved (Multiset.ArenaBytes, after minus before).
+	ArenaBytes int64
 	// Workers echoes the worker count used.
 	Workers int
 }
@@ -137,8 +134,6 @@ func (s *Stats) merge(o *Stats) {
 	s.Batches += o.Batches
 	s.BackoffWaits += o.BackoffWaits
 	s.ArenaBytes += o.ArenaBytes
-	s.ListsRecycled += o.ListsRecycled
-	s.ListsFresh += o.ListsFresh
 	for k, v := range o.Fired {
 		s.Fired[k] += v
 	}
@@ -165,9 +160,12 @@ func Run(p *Program, m *multiset.Multiset, opt Options) (*Stats, error) {
 // or rt.ErrDeadline (which also satisfy errors.Is against context.Canceled /
 // context.DeadlineExceeded), ErrMaxSteps, or *rt.PanicError.
 func RunContext(ctx context.Context, p *Program, m *multiset.Multiset, opt Options) (*Stats, error) {
-	before := m.Storage()
+	before := m.ArenaBytes()
 	st, err := runContext(ctx, p, m, opt)
-	st.setStorage(before, m.Storage(), opt.Recorder)
+	st.ArenaBytes = m.ArenaBytes() - before
+	if opt.Recorder != nil {
+		opt.Recorder.Metrics.Counter("gamma.arena_bytes").Add(st.ArenaBytes)
+	}
 	return st, err
 }
 
@@ -196,19 +194,6 @@ func runContext(ctx context.Context, p *Program, m *multiset.Multiset, opt Optio
 	return runParallel(ctx, p, m, opt)
 }
 
-// setStorage accounts the multiset storage work between two Storage readings
-// to the run, in Stats and — the same increments — in the recorder's registry.
-func (s *Stats) setStorage(before, after multiset.Storage, rec *telemetry.Recorder) {
-	s.ArenaBytes = after.ArenaBytes - before.ArenaBytes
-	s.ListsRecycled = after.ListsRecycled - before.ListsRecycled
-	s.ListsFresh = after.ListsFresh - before.ListsFresh
-	if rec != nil {
-		rec.Metrics.Counter("gamma.arena_bytes").Add(s.ArenaBytes)
-		rec.Metrics.Counter("gamma.lists_recycled").Add(s.ListsRecycled)
-		rec.Metrics.Counter("gamma.lists_fresh").Add(s.ListsFresh)
-	}
-}
-
 // worker is one executor's state for the length of a run. The sequential
 // interpreter is a single worker draining a dirty worklist; the parallel
 // runtime is a pool of them coordinated by sh. Everything fixed for the run
@@ -229,9 +214,11 @@ type worker struct {
 	remaining int
 
 	// Per reaction index: the worker's searcher scratch and its firing count,
-	// folded into stats.Fired by foldFired at exit.
+	// folded into stats.Fired by foldFired at exit. All of them enumerate through
+	// view: the pool's read session per probe batch, runSequential's write one.
 	searchers []*searcher
 	fired     []int64
+	view      multiset.View
 
 	sh *stealSched // pool coordination; nil in the sequential interpreter
 	batchWorker
@@ -241,7 +228,7 @@ func newWorker(ctx context.Context, p *Program, m *multiset.Multiset, opt Option
 	w := &worker{ctx: ctx, p: p, m: m, opt: opt, id: id, stats: newStats(max(opt.Workers, 1)),
 		fired: make([]int64, len(p.Reactions))}
 	for _, r := range p.Reactions {
-		w.searchers = append(w.searchers, newSearcher(r))
+		w.searchers = append(w.searchers, newSearcher(r, &w.view))
 	}
 	return w
 }
@@ -299,13 +286,14 @@ func (w *worker) committed(idx, k int, syms []symtab.Sym, t0 time.Time) {
 	}
 	w.ts.firing(idx, r.Name, t0, w.m, woken, depth, k)
 	if afterCommit != nil {
-		afterCommit(w.m)
+		afterCommit(w)
 	}
 }
 
 // afterCommit is a test hook: the differential and stress suites point it at
-// multiset.CheckInvariants so every commit of their runs is checked.
-var afterCommit func(*multiset.Multiset)
+// the multiset's CheckInvariants so every commit of their runs is checked. In
+// the sequential interpreter it runs inside w's write session.
+var afterCommit func(w *worker)
 
 // runSequential is the direct implementation of the Γ recursion (Eq. 1):
 // while some (Ri, Ai) is enabled, replace the matched elements with the
@@ -321,6 +309,13 @@ var afterCommit func(*multiset.Multiset)
 // deterministic result — is identical under the FullScan policy's full
 // round-robin; only the wasted probes disappear.
 //
+// The run is the only writer of m while it lasts and does not pay for writers
+// it cannot have: it probes and commits under one write session over every
+// shard (multiset.LockWrite), given up and re-taken every sessionProbes probes
+// — 64 lock operations, about a nanosecond a probe — so that a concurrent
+// reader (Count, ForEach, String, a View) waits a bounded number of steps and
+// then sees the state between two firings. Every exit releases it.
+//
 // The context is observed once per probe; a panic out of a reaction's
 // condition or action (or the fault injector) is recovered into *rt.PanicError
 // with the partial stats preserved.
@@ -332,6 +327,7 @@ func runSequential(ctx context.Context, p *Program, m *multiset.Multiset, opt Op
 		if rec := recover(); rec != nil {
 			err = rt.NewPanicError("gamma", site, 0, rec)
 		}
+		w.view.Unlock() // idempotent
 		w.foldFired()
 	}()
 	n := len(p.Reactions)
@@ -345,6 +341,7 @@ func runSequential(ctx context.Context, p *Program, m *multiset.Multiset, opt Op
 	for i := range w.dirty {
 		w.dirty[i] = true
 	}
+	m.LockWrite(&w.view)
 	for i := 0; w.remaining > 0; i = (i + 1) % n {
 		if !w.dirty[i] {
 			continue
@@ -354,11 +351,15 @@ func runSequential(ctx context.Context, p *Program, m *multiset.Multiset, opt Op
 		if cerr := ctx.Err(); cerr != nil {
 			return stats, rt.FromContext(cerr)
 		}
-		stats.Probes++
+		if stats.Probes++; stats.Probes%sessionProbes == 0 {
+			w.view.Unlock()
+			m.LockWrite(&w.view)
+		}
 		t0 := w.ts.begin()
 		w.ts.probe(r.Name)
 		s := w.searchers[i]
-		ok := s.probe(m, w.rng)
+		s.begin(m, w.rng)
+		ok := s.search(0)
 		stats.Candidates += s.visited
 		w.ts.candidates(s.visited)
 		if s.err != nil {
@@ -377,6 +378,9 @@ func runSequential(ctx context.Context, p *Program, m *multiset.Multiset, opt Op
 	}
 	return stats, nil
 }
+
+// sessionProbes is the most probes a reader waits for runSequential's session.
+const sessionProbes = 1024
 
 // fire applies the enabled firing of reaction idx held by s and commits it:
 // the consume+produce lands as one delta under a single lock acquisition per
@@ -431,22 +435,28 @@ func (w *worker) stage(r *Reaction, s *searcher) error {
 	return nil
 }
 
-// commit lands the staged batch as one multiset commit — one write-lock
-// acquisition over the shard union, per-firing all-or-nothing claims by handle
-// — tells the schedule recorder of every applied firing, and returns how many
-// applied with the label symbols they added.
+// commit lands the staged batch as one multiset commit — per-firing
+// all-or-nothing claims by handle, under runSequential's session or, in the
+// pool, one write-lock acquisition over the shard union — tells the schedule
+// recorder of every applied firing, and returns how many applied with the
+// label symbols they added.
 func (w *worker) commit(name string) (int, []symtab.Sym) {
 	applied := w.applied[:len(w.deltas)]
+	rec := w.opt.Schedule
+	var seqs []uint64
+	if rec != nil {
+		seqs = w.seqs[:len(w.deltas)]
+	}
 	var n int
-	if rec := w.opt.Schedule; rec != nil {
-		n, w.symsBuf = w.m.ApplyDeltasSeq(w.deltas, applied, w.seqs[:len(w.deltas)], w.symsBuf[:0])
-		for i := range w.deltas {
-			if applied[i] {
-				rec.RecordStepTuples(w.seqs[i], name, w.deltas[i].Consume, w.deltas[i].Produce)
-			}
-		}
+	if w.sh == nil {
+		n, w.symsBuf = w.view.Commit(w.deltas, applied, seqs, w.symsBuf[:0])
 	} else {
-		n, w.symsBuf = w.m.ApplyDeltas(w.deltas, applied, w.symsBuf[:0])
+		n, w.symsBuf = w.m.ApplyDeltas(w.deltas, applied, seqs, w.symsBuf[:0])
+	}
+	for i := range seqs {
+		if applied[i] {
+			rec.RecordStepTuples(seqs[i], name, w.deltas[i].Consume, w.deltas[i].Produce)
+		}
 	}
 	return n, w.symsBuf
 }
@@ -698,7 +708,7 @@ func (w *worker) tryFireBatch(idx int, requeue bool) (fired, stop bool) {
 	s := w.searchers[idx]
 	defer func() {
 		if rec := recover(); rec != nil {
-			s.view.Unlock() // idempotent; no-op when not held
+			w.view.Unlock() // idempotent; no-op when not held
 			sh.fail(rt.NewPanicError("gamma", r.Name, w.id, rec))
 			fired, stop = false, true
 		}
@@ -723,7 +733,7 @@ func (w *worker) tryFireBatch(idx int, requeue bool) (fired, stop bool) {
 		w.reset()
 		t0 := w.ts.begin()
 		s.begin(m, w.rng)
-		m.LockView(&s.view, s.k.viewSyms, s.k.viewAll)
+		m.LockView(&w.view, s.k.viewSyms, s.k.viewAll)
 		var ferr error
 		for len(w.deltas) < maxB {
 			w.stats.Probes++
@@ -746,7 +756,7 @@ func (w *worker) tryFireBatch(idx int, requeue bool) (fired, stop bool) {
 			}
 			s.nextInBatch()
 		}
-		s.view.Unlock()
+		w.view.Unlock()
 		w.stats.Candidates += s.visited
 		w.ts.candidates(s.visited)
 		if ferr != nil {

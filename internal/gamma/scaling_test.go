@@ -392,7 +392,7 @@ func TestProbeLeavesNoClaimStorage(t *testing.T) {
 	for i := 0; i < n; i++ {
 		m.Add(multiset.New1(value.Int(int64(i))))
 	}
-	s := newSearcher(r)
+	s := newSearcher(r, new(multiset.View))
 	if s.probe(m, nil) {
 		t.Fatal("x + y < 0 matched on non-negative elements")
 	}

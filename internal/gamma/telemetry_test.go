@@ -30,8 +30,6 @@ func checkTelemetryAgrees(t *testing.T, rec *telemetry.Recorder, st *Stats) {
 		{"gamma.batches", st.Batches},
 		{"gamma.backoff_waits", st.BackoffWaits},
 		{"gamma.arena_bytes", st.ArenaBytes},
-		{"gamma.lists_recycled", st.ListsRecycled},
-		{"gamma.lists_fresh", st.ListsFresh},
 	} {
 		if got := reg.CounterValue(c.name); got != c.want {
 			t.Errorf("counter %s = %d, stats say %d", c.name, got, c.want)

@@ -20,7 +20,7 @@ import (
 // (entryChunk, keyChunk, cellChunk) and every replacement doubles up to it,
 // so a shard of a handful of elements carves a few hundred bytes and reaching
 // the maximum costs less than one extra maximum chunk. bytes totals the chunk
-// memory carved (Multiset.Storage).
+// memory carved (Multiset.ArenaBytes).
 //
 // Chunk memory is reclaimed by the GC once every entry, key and tuple carved
 // from it dies; a long-lived carve pins at most one chunk of each kind.

@@ -26,29 +26,25 @@ type Delta struct {
 // claim semantics per firing. Deltas are processed in order, each claim
 // checked against the multiset as left by the deltas applied before it; a
 // failed claim skips exactly that delta (a concurrent worker consumed one of
-// its molecules between match and commit). applied, when non-nil, must have
-// len(ds) entries and records per-delta success.
+// its molecules between match and commit). applied and seqs, when non-nil,
+// have len(ds) entries: per-delta success, and each applied delta's commit
+// sequence number — drawn in delta order while the shard locks are held, so
+// across concurrent batches the numbers form a valid linearization of the
+// parallel execution, the property the replay recorder sorts on.
 //
 // The commit is observationally identical to calling ApplyDelta once per
 // delta in order — same deltas succeed, same final multiset, and syms
 // collects the same deduplicated produce label symbols of the applied deltas
 // (the 500-seed property test in batch_test.go pins the equivalence). It
 // returns the number of deltas applied and the extended syms.
-func (m *Multiset) ApplyDeltas(ds []Delta, applied []bool, syms []symtab.Sym) (int, []symtab.Sym) {
-	return m.applyDeltas(ds, applied, nil, syms)
+func (m *Multiset) ApplyDeltas(ds []Delta, applied []bool, seqs []uint64, syms []symtab.Sym) (int, []symtab.Sym) {
+	return m.applyDeltas(ds, applied, seqs, syms, 0)
 }
 
-// ApplyDeltasSeq is ApplyDeltas that additionally records each applied
-// delta's commit sequence number into seqs (which must have len(ds) entries;
-// skipped deltas leave their slot untouched). Numbers are drawn in delta
-// order while the shard locks are held, so across concurrent batches they
-// form a valid sequential linearization of the parallel execution — the
-// property the replay recorder sorts on.
-func (m *Multiset) ApplyDeltasSeq(ds []Delta, applied []bool, seqs []uint64, syms []symtab.Sym) (int, []symtab.Sym) {
-	return m.applyDeltas(ds, applied, seqs, syms)
-}
-
-func (m *Multiset) applyDeltas(ds []Delta, applied []bool, seqs []uint64, syms []symtab.Sym) (int, []symtab.Sym) {
+// applyDeltas is the commit core under every writer: ApplyDelta(s) enter with
+// held 0 and lock the shards the batch touches; a write session's Commit
+// enters holding them all.
+func (m *Multiset) applyDeltas(ds []Delta, applied []bool, seqs []uint64, syms []symtab.Sym, held uint32) (int, []symtab.Sym) {
 	if len(ds) == 0 {
 		return 0, syms
 	}
@@ -59,6 +55,7 @@ func (m *Multiset) applyDeltas(ds []Delta, applied []bool, seqs []uint64, syms [
 	for i := range ds {
 		d.stage(&ds[i], &mask)
 	}
+	mask &^= held
 	m.eachShard(mask, (*sync.RWMutex).Lock)
 	n := 0
 	var size int64
@@ -90,55 +87,87 @@ func (m *Multiset) applyDeltas(ds []Delta, applied []bool, seqs []uint64, syms [
 	return n, syms
 }
 
-// View is a caller-owned read session over a static set of shards: the
-// matcher's way to enumerate candidates zero-copy, any number of times against
-// one consistent state, while tolerating concurrent commits to other shards.
-// A View holds the shard read locks across a probe (the sequential matcher)
-// or a whole multi-firing batch of probes (the pool) and walks the live
-// chunked indexes from a caller-chosen rotation: 0 is ascending key order, an
-// rng-drawn one decorrelates concurrent searchers without copying or
-// shuffling anything. Writers to the viewed shards block for the duration,
-// which is exactly the window an optimistic matcher wants: candidates cannot
-// vanish mid-enumeration, staleness is confined to the commit and caught by
-// its claim.
+// View is a caller-owned session over a static set of shards: the matcher's
+// way to enumerate candidates zero-copy, any number of times against one
+// consistent state, walking the live chunked lists from a caller-chosen
+// rotation — 0 is ascending key order, an rng-drawn one decorrelates
+// concurrent searchers without copying or shuffling anything.
 //
-// The shard set is fixed at LockView from the label symbols the caller's
-// patterns can touch (generic patterns need all=true); locks are taken in
-// shard index order, the same deadlock-avoidance order every multi-shard
-// writer uses. A View must be Unlocked before the commit's write locks are
-// taken. The zero View is ready for LockView and reusable after Unlock.
+// A read View (LockView) holds the shard read locks across a probe (FindMatch)
+// or a whole multi-firing batch of probes (the pool) and tolerates commits to
+// other shards. Writers to the viewed shards block for the duration, which is
+// the window an optimistic matcher wants: candidates cannot vanish
+// mid-enumeration, staleness is confined to the commit and caught by its
+// claim. It must be Unlocked before the commit's write locks are taken.
+//
+// A write View (LockWrite) is the session of a multiset's only writer, the
+// sequential engine: every shard write-locked once, then enumerated and
+// committed to (Commit) with no further lock operation. Its holder owes
+// concurrent readers a bounded wait, so it gives the session up and takes it
+// again at a fixed period.
+//
+// Locks are taken in shard index order, the deadlock-avoidance order every
+// multi-shard operation uses. The zero View is ready for locking and reusable
+// after Unlock.
 type View struct {
 	m      *Multiset
 	mask   uint32 // the shards held
 	locked bool
+	write  bool
 }
+
+const allShards = 1<<shardCount - 1
 
 // LockView read-locks the shards that can hold tuples labeled with any of
 // syms, or every shard when all is set.
 func (m *Multiset) LockView(v *View, syms []symtab.Sym, all bool) {
-	if v.locked {
-		panic("multiset: LockView on an already locked View")
-	}
-	v.m, v.mask = m, 0
+	mask := uint32(0)
 	if all {
-		v.mask = 1<<shardCount - 1
+		mask = allShards
 	}
 	for _, sym := range syms {
-		v.mask |= 1 << (uint32(sym) & (shardCount - 1))
+		mask |= 1 << (uint32(sym) & (shardCount - 1))
 	}
-	m.eachShard(v.mask, (*sync.RWMutex).RLock)
-	v.locked = true
+	m.lock(v, mask, false)
 }
 
-// Unlock releases the view's read locks and its reference to the multiset.
+// LockWrite write-locks every shard: a write session (see View).
+func (m *Multiset) LockWrite(v *View) { m.lock(v, allShards, true) }
+
+func (m *Multiset) lock(v *View, mask uint32, write bool) {
+	if v.locked {
+		panic("multiset: locking an already locked View")
+	}
+	if write {
+		m.eachShard(mask, (*sync.RWMutex).Lock)
+	} else {
+		m.eachShard(mask, (*sync.RWMutex).RLock)
+	}
+	v.m, v.mask, v.write, v.locked = m, mask, write, true
+}
+
+// Unlock releases the view's locks and its reference to the multiset.
 // Idempotent, so panic-recovery paths can call it unconditionally.
 func (v *View) Unlock() {
 	if !v.locked {
 		return
 	}
 	v.locked = false
-	v.m.eachShard(v.mask, (*sync.RWMutex).RUnlock)
+	if v.write {
+		v.m.eachShard(v.mask, (*sync.RWMutex).Unlock)
+	} else {
+		v.m.eachShard(v.mask, (*sync.RWMutex).RUnlock)
+	}
 	v.m = nil
+}
+
+// Commit is ApplyDeltas from inside a write session: the same commit core,
+// entered with every lock already held.
+func (v *View) Commit(ds []Delta, applied []bool, seqs []uint64, syms []symtab.Sym) (int, []symtab.Sym) {
+	if !v.locked || !v.write {
+		panic("multiset: Commit outside a write session")
+	}
+	return v.m.applyDeltas(ds, applied, seqs, syms, v.mask)
 }
 
 // EachSym enumerates the distinct tuples labeled sym — which must route to a
@@ -147,32 +176,27 @@ func (v *View) Unlock() {
 // ran to completion (fn never returned false).
 func (v *View) EachSym(sym symtab.Sym, rot uint64, fn func(Ref) bool) bool {
 	si := uint32(sym) & (shardCount - 1)
-	li := v.shardChecked(si).labels[sym]
+	_, li := v.shardChecked(si).home(sym, false)
 	return li == nil || li.all.eachRot(rot, func(e *entry) bool { return fn(Ref{e, e.gen, si}) })
 }
 
-// EachSymTag is EachSym over the (label symbol, tag) bucket.
+// EachSymTag is EachSym over the entries of the label that carry index tag
+// tag: the (label, tag) bucket, or for a label too small to have buckets a
+// filtered walk of its list.
 func (v *View) EachSymTag(sym symtab.Sym, tag int64, rot uint64, fn func(Ref) bool) bool {
 	si := uint32(sym) & (shardCount - 1)
-	li := v.shardChecked(si).labels[sym]
-	if li == nil {
-		return true
-	}
-	b := li.byTag[tag]
-	if b.list == nil {
-		return b.one == nil || fn(Ref{b.one, b.one.gen, si})
-	}
-	return b.list.eachRot(rot, func(e *entry) bool { return fn(Ref{e, e.gen, si}) })
+	_, li := v.shardChecked(si).home(sym, false)
+	return li == nil || li.eachTag(tag, rot, func(e *entry) bool { return fn(Ref{e, e.gen, si}) })
 }
 
 // EachAll enumerates every distinct tuple of the multiset (the view must
 // hold all shards), rotating both the shard order and the position within
-// each shard.
+// each list of a shard: its bare list, then its labels' lists in order.
 func (v *View) EachAll(rot uint64, fn func(Ref) bool) {
 	start := uint32(rot) % shardCount
 	for i := uint32(0); i < shardCount; i++ {
 		si := (start + i) & (shardCount - 1)
-		if !v.shardChecked(si).sorted.eachRot(rot, func(e *entry) bool { return fn(Ref{e, e.gen, si}) }) {
+		if !v.shardChecked(si).eachRot(rot, func(e *entry) bool { return fn(Ref{e, e.gen, si}) }) {
 			return
 		}
 	}

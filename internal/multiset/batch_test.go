@@ -68,7 +68,7 @@ func TestApplyDeltasMatchesSequential(t *testing.T) {
 				}
 			}
 			applied := make([]bool, k)
-			gotN, gotSyms := batched.ApplyDeltas(ds, applied, nil)
+			gotN, gotSyms := batched.ApplyDeltas(ds, applied, nil, nil)
 
 			wantN := 0
 			var wantSyms, handledSyms []symtab.Sym
@@ -85,7 +85,7 @@ func TestApplyDeltasMatchesSequential(t *testing.T) {
 					}
 				}
 				var hn int
-				if hn, handledSyms = handled.ApplyDeltas([]Delta{hd}, nil, handledSyms); (hn == 1) != ok {
+				if hn, handledSyms = handled.ApplyDeltas([]Delta{hd}, nil, nil, handledSyms); (hn == 1) != ok {
 					t.Fatalf("seed %d round %d delta %d: by handle applied=%v, by key %v (consume=%v)",
 						seed, round, i, hn == 1, ok, ds[i].Consume)
 				}
@@ -128,7 +128,7 @@ func TestApplyDeltasLaterSeesEarlier(t *testing.T) {
 		{Consume: []Tuple{IntElem(1, "A", 0)}, Produce: []Tuple{IntElem(2, "B", 0)}},
 		{Consume: []Tuple{IntElem(1, "A", 0)}, Produce: []Tuple{IntElem(7, "C", 0)}}, // gone: claimed by delta 0
 		{Consume: []Tuple{IntElem(2, "B", 0)}, Produce: []Tuple{IntElem(3, "C", 0)}}, // produced by delta 0
-	}, applied, nil)
+	}, applied, nil, nil)
 	if n != 2 || !applied[0] || applied[1] || !applied[2] {
 		t.Fatalf("applied = %v (n=%d), want [true false true]", applied, n)
 	}
@@ -256,7 +256,7 @@ func TestViewOutsideShardSetPanics(t *testing.T) {
 
 // TestApplyDeltaSeqLinearizes pins the property the replay recorder is built
 // on: commit sequence numbers drawn inside the locked commit region
-// (ApplyDeltaSeq and batched ApplyDeltasSeq, racing across workers) are
+// (ApplyDeltas with seqs, one delta or a batch at a time, racing across workers) are
 // unique, and re-applying the commits sequentially in seq order against a
 // clone of the initial multiset succeeds at every step and reproduces the
 // concurrent execution's final multiset exactly.
@@ -300,7 +300,7 @@ func TestApplyDeltaSeqLinearizes(t *testing.T) {
 					}
 					applied := make([]bool, len(ds))
 					seqs := make([]uint64, len(ds))
-					m.ApplyDeltasSeq(ds, applied, seqs, nil)
+					m.ApplyDeltas(ds, applied, seqs, nil)
 					for i, ok := range applied {
 						if ok {
 							won = append(won, commit{seqs[i], ds[i].Consume[0], ds[i].Produce[0]})
@@ -311,9 +311,10 @@ func TestApplyDeltaSeqLinearizes(t *testing.T) {
 				for _, i := range perm {
 					consume := Tuple{value.Int(int64(i)), value.Str("T")}
 					produce := Tuple{value.Int(int64(i)), value.Str("D")}
-					ok, seq, _ := m.ApplyDeltaSeq([]Tuple{consume}, nil, []Tuple{produce}, nil)
-					if ok {
-						won = append(won, commit{seq, consume, produce})
+					var seq [1]uint64
+					n, _ := m.ApplyDeltas([]Delta{{Consume: []Tuple{consume}, Produce: []Tuple{produce}}}, nil, seq[:], nil)
+					if n == 1 {
+						won = append(won, commit{seq[0], consume, produce})
 					}
 				}
 			}

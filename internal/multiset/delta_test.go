@@ -1,6 +1,7 @@
 package multiset
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -31,10 +32,10 @@ func TestByLabelKeyOrdered(t *testing.T) {
 	}
 }
 
-// TestIterSortedAgreesWithSnapshot checks the zero-copy merged iteration
-// against the Compare-sorted Snapshot: same tuples, same order (Key order and
-// Compare order agree), same counts.
-func TestIterSortedAgreesWithSnapshot(t *testing.T) {
+// TestForEachAgreesWithSnapshot checks the whole-multiset walk — per shard
+// the bare list, then the label lists — against the Compare-sorted Snapshot:
+// every distinct tuple once, with its count, whatever list it is filed in.
+func TestForEachAgreesWithSnapshot(t *testing.T) {
 	m := New()
 	for i := 0; i < 200; i++ {
 		m.Add(New1(value.Int(int64(i * 37 % 101))))
@@ -45,27 +46,28 @@ func TestIterSortedAgreesWithSnapshot(t *testing.T) {
 			m.Add(New1(value.Str("s")))
 		}
 	}
-	snap := m.Snapshot()
-	i := 0
-	m.IterSorted(func(tp Tuple, n int) bool {
-		if i >= len(snap) {
-			t.Fatalf("IterSorted yields more than %d distinct tuples", len(snap))
+	want := map[string]int{}
+	for _, c := range m.Snapshot() {
+		want[c.Tuple.Key()] = c.N
+	}
+	seen := 0
+	m.ForEach(func(tp Tuple, n int) bool {
+		if want[tp.Key()] != n {
+			t.Fatalf("ForEach yields (%v,%d), Snapshot has count %d", tp, n, want[tp.Key()])
 		}
-		if !tp.Equal(snap[i].Tuple) || n != snap[i].N {
-			t.Fatalf("IterSorted[%d] = (%v,%d), Snapshot has (%v,%d)", i, tp, n, snap[i].Tuple, snap[i].N)
-		}
-		i++
+		delete(want, tp.Key())
+		seen++
 		return true
 	})
-	if i != len(snap) {
-		t.Fatalf("IterSorted yielded %d distinct tuples, Snapshot has %d", i, len(snap))
+	if len(want) != 0 || seen != m.Distinct() {
+		t.Fatalf("ForEach yielded %d distinct tuples of %d, missed %d", seen, m.Distinct(), len(want))
 	}
 }
 
 // TestIterAllRotExhaustive checks that the rotated whole-set walk visits
-// exactly IterAll's element set — every distinct tuple once, with the same
-// count and cached key — for many rotations, that a fixed rotation yields a
-// fixed order (determinism), and that early exit works.
+// exactly the multiset's element set — every distinct tuple once, with the
+// same count and cached key — for many rotations, that a fixed rotation yields
+// a fixed order (determinism), and that early exit works.
 func TestIterAllRotExhaustive(t *testing.T) {
 	m := New()
 	for i := 0; i < 150; i++ {
@@ -75,10 +77,9 @@ func TestIterAllRotExhaustive(t *testing.T) {
 		}
 	}
 	want := map[string]int{}
-	m.IterAll(func(tp Tuple, n int, key string) bool {
-		want[key] = n
-		return true
-	})
+	for _, c := range m.Snapshot() {
+		want[c.Tuple.Key()] = c.N
+	}
 	for _, rot := range []uint64{0, 1, 31, 32, 1 << 40, ^uint64(0), detRotTest(151)} {
 		got := map[string]int{}
 		var order1, order2 []string
@@ -134,13 +135,14 @@ func TestIterEarlyExit(t *testing.T) {
 	for i := int64(0); i < 50; i++ {
 		m.Add(IntElem(i, "L", i%4))
 	}
-	for name, iter := range map[string]func(fn func(Tuple, int) bool){
-		"IterSorted":   m.IterSorted,
-		"IterLabel":    func(fn func(Tuple, int) bool) { m.IterLabel("L", fn) },
-		"IterLabelTag": func(fn func(Tuple, int) bool) { m.IterLabelTag("L", 2, fn) },
+	sym, _ := symtab.SymOf("L")
+	for name, iter := range map[string]func(fn func(Tuple, int, string) bool){
+		"IterAllRot": func(fn func(Tuple, int, string) bool) { m.IterAllRot(0, fn) },
+		"IterSym":    func(fn func(Tuple, int, string) bool) { m.IterSym(sym, fn) },
+		"IterSymTag": func(fn func(Tuple, int, string) bool) { m.IterSymTag(sym, 2, fn) },
 	} {
 		calls := 0
-		iter(func(Tuple, int) bool {
+		iter(func(Tuple, int, string) bool {
 			calls++
 			return calls < 3
 		})
@@ -150,9 +152,9 @@ func TestIterEarlyExit(t *testing.T) {
 	}
 }
 
-// TestIterLabelTagMatchesByLabelTag checks the zero-copy (label, tag) walk
+// TestIterSymTagMatchesByLabelTag checks the zero-copy (label, tag) walk
 // yields exactly the snapshot the randomized path sees.
-func TestIterLabelTagMatchesByLabelTag(t *testing.T) {
+func TestIterSymTagMatchesByLabelTag(t *testing.T) {
 	m := New()
 	for i := int64(0); i < 40; i++ {
 		m.Add(IntElem(i, "L", i%5))
@@ -160,12 +162,13 @@ func TestIterLabelTagMatchesByLabelTag(t *testing.T) {
 	}
 	want := m.ByLabelTag("L", 3)
 	var got []Counted
-	m.IterLabelTag("L", 3, func(tp Tuple, n int) bool {
+	sym, _ := symtab.SymOf("L")
+	m.IterSymTag(sym, 3, func(tp Tuple, n int, _ string) bool {
 		got = append(got, Counted{Tuple: tp, N: n})
 		return true
 	})
 	if len(got) != len(want) {
-		t.Fatalf("IterLabelTag yields %d, ByLabelTag %d", len(got), len(want))
+		t.Fatalf("IterSymTag yields %d, ByLabelTag %d", len(got), len(want))
 	}
 	for i := range got {
 		if !got[i].Tuple.Equal(want[i].Tuple) || got[i].N != want[i].N {
@@ -196,10 +199,8 @@ func TestIndexesAfterRemoval(t *testing.T) {
 			t.Fatalf("removed tuple %v still indexed", c.Tuple)
 		}
 	}
-	seen := 0
-	m.IterSorted(func(Tuple, int) bool { seen++; return true })
-	if seen != 15 {
-		t.Fatalf("IterSorted sees %d tuples after removal, want 15", seen)
+	if len(m.Snapshot()) != 15 || m.Distinct() != 15 {
+		t.Fatalf("%d tuples enumerated, %d distinct after removal, want 15", len(m.Snapshot()), m.Distinct())
 	}
 }
 
@@ -353,28 +354,58 @@ func TestIterKeysMatchTupleKey(t *testing.T) {
 	m.IterSym(aSym, func(tp Tuple, n int, key string) bool { check("IterSym", tp, key); return true })
 	m.IterSymTag(aSym, 5, func(tp Tuple, n int, key string) bool { check("IterSymTag", tp, key); return true })
 	seen := 0
-	m.IterAll(func(tp Tuple, n int, key string) bool { seen++; check("IterAll", tp, key); return true })
+	m.IterAllRot(0, func(tp Tuple, n int, key string) bool { seen++; check("IterAllRot", tp, key); return true })
 	if seen != 4 {
-		t.Fatalf("IterAll visited %d, want 4", seen)
+		t.Fatalf("IterAllRot visited %d, want 4", seen)
 	}
 	for _, c := range m.BySym(aSym) {
 		check("BySym", c.Tuple, c.Key)
 	}
 }
 
-// TestUnknownLabelLookupsMissCleanly exercises the string-API wrappers on a
-// label that was never interned anywhere in the process.
+// TestUnknownLabelLookupsMissCleanly exercises every query and consume entry
+// point on labels that were never interned anywhere in the process: each
+// answers "absent" — a failed claim changes nothing — and none of them grows
+// the process-global symbol table, which a read-only query (in gammad, a
+// hostile request) could otherwise fill for good. Only an insert interns.
 func TestUnknownLabelLookupsMissCleanly(t *testing.T) {
 	m := New(IntElem(1, "A", 0))
+	before, want := symtab.Len(), m.String()
 	if got := m.ByLabel("never-interned-label-xyz"); got != nil {
 		t.Fatalf("ByLabel on unknown label = %v", got)
 	}
 	if got := m.ByLabelTag("never-interned-label-xyz", 0); got != nil {
 		t.Fatalf("ByLabelTag on unknown label = %v", got)
 	}
-	called := false
-	m.IterLabel("never-interned-label-xyz", func(Tuple, int) bool { called = true; return true })
-	if called {
-		t.Fatal("IterLabel on unknown label invoked the callback")
+	known := []Tuple{IntElem(2, "C", 0)}
+	symtab.Intern("C")
+	before = symtab.Len()
+	for name, miss := range map[string]func(t Tuple) bool{
+		"Count":        func(t Tuple) bool { return m.Count(t) != 0 },
+		"Contains":     m.Contains,
+		"Remove":       m.Remove,
+		"TryRemoveAll": func(t Tuple) bool { return m.TryRemoveAll([]Tuple{IntElem(1, "A", 0), t}) },
+		"ApplyDelta": func(t Tuple) bool {
+			ok, syms := m.ApplyDelta([]Tuple{t}, nil, known, nil)
+			return ok || len(syms) != 0
+		},
+		"ApplyDelta keyed": func(t Tuple) bool {
+			ok, _ := m.ApplyDelta([]Tuple{IntElem(1, "A", 0), t}, []string{IntElem(1, "A", 0).Key(), t.Key()}, known, nil)
+			return ok
+		},
+	} {
+		if miss(Pair(value.Int(1), "never-interned-"+name)) || miss(IntElem(1, "never-interned-"+name, 3)) {
+			t.Errorf("%s found a tuple whose label nobody interned", name)
+		}
+		if got := symtab.Len(); got != before {
+			t.Errorf("%s on a never-seen label grew the symbol table by %d", name, got-before)
+		}
+	}
+	if m.String() != want || m.CheckInvariants() != nil {
+		t.Errorf("misses changed the multiset: %s (%v)", m, m.CheckInvariants())
+	}
+	m.Add(Pair(value.Int(1), fmt.Sprintf("interned-by-insert-%d", before))) // fresh on every -count run
+	if symtab.Len() != before+1 {
+		t.Errorf("an insert under a new label interned %d symbols, want 1", symtab.Len()-before)
 	}
 }

@@ -1,9 +1,13 @@
 package multiset
 
-import "sort"
+import (
+	"sort"
+
+	"repro/internal/symtab"
+)
 
 // elist is a paged, chunked ordered list of entries in ascending key order —
-// the storage behind a shard's sorted index, every label's all list and every
+// the storage behind a shard's bare list, every label's all list and every
 // spilled (label, tag) bucket.
 //
 // Entries live in chunks of at most chunkMax and chunks in directory pages of
@@ -24,39 +28,71 @@ import "sort"
 // insert/remove cycle at a boundary cannot thrash split/merge.
 //
 // Cost tracks contents: Algorithm 1 makes every dataflow edge one element, so
-// a converted program holds 0–1 entries under each (label, tag) and flips
-// them on every firing. What a flip may touch is fixed here. Inline: a
-// bucket's first entry is a pointer in its map slot, no list. Parked: a list
-// starts with chunkStart slots and a one-slot page, and one that drains keeps
-// its last chunk and page (see remove) for the next insert to revive — at most
-// chunkMin slots and pageMin headers, every parked slot nil; a spilled
-// bucket's drained list returns to the shard freelist (at most listFreeMax).
-// Retained: a labelIndex never leaves its shard's map, so an emptied label
-// costs one struct, a parked all list and an empty byTag map — bounded by the
-// labels the process ever interned (symtab only grows, and programs, not
-// data, populate it).
+// a converted program holds 0–2 entries under each label and flips them on
+// every firing — one remove from and one insert into the label's list, and
+// nothing else. A list starts with chunkStart slots and a one-slot page, and
+// one that drains keeps its last chunk and page parked (see remove) for the
+// next insert to revive — at most chunkMin slots and pageMin headers, every
+// parked slot nil. A labelIndex never leaves its shard, so an emptied label
+// costs one struct and a parked list — bounded by the labels the process ever
+// interned (symtab only grows, and programs, not data, populate it).
 type elist struct {
 	pages   []epage // non-empty, each ascending; pages ascending overall
 	nchunks int
 	total   int
 }
 
-// labelIndex is what a shard holds per label symbol: every entry carrying the
-// label, and those with an index tag (IndexTag) again by tag — the
-// dynamic-dataflow tag-matching index.
+// labelIndex is what a shard holds per label symbol: all, the home list of
+// every entry carrying the label, and — only while bucketed — those with an
+// index tag (IndexTag) again by tag, the dynamic-dataflow tag-matching index.
+// A label of at most bucketAt entries answers a tag query by a filtered walk
+// of all, so an Algorithm 1 image never touches a map; the buckets are built
+// when all outgrows bucketAt and dropped only when it drains, so churn across
+// the threshold cannot thrash.
 type labelIndex struct {
-	all   elist
-	byTag map[int64]bucket
+	sym      symtab.Sym
+	all      elist
+	byTag    map[int64]bucket // empty unless bucketed
+	bucketed bool
 }
 
+// bucketAt is the label population a tag query still scans.
+const bucketAt = 4
+
 // bucket is one (label, tag) slot: a single entry inline or, from the second
-// on, a list from the shard freelist — never both, and never mapped empty.
+// on, a list — never both, and never mapped empty.
 type bucket struct {
 	one  *entry
 	list *elist
 }
 
-func (li *labelIndex) addTagged(s *shard, e *entry) {
+// linked files e, just inserted into li.all, under its tag: into its bucket
+// when li is bucketed, and into fresh buckets along with everything else in
+// all when e is what takes the label past bucketAt.
+func (li *labelIndex) linked(e *entry) {
+	switch {
+	case li.bucketed:
+		li.addTagged(e)
+	case li.all.len() > bucketAt:
+		li.bucketed = true
+		li.all.each(func(e *entry) bool { li.addTagged(e); return true })
+	}
+}
+
+// unlinked is linked's inverse, called once e has left li.all.
+func (li *labelIndex) unlinked(e *entry) {
+	if li.bucketed && e.hasTag {
+		if l := li.byTag[e.tag].list; l == nil || l.remove(e.key) == 0 {
+			delete(li.byTag, e.tag)
+		}
+	}
+	li.bucketed = li.bucketed && li.all.len() > 0
+}
+
+func (li *labelIndex) addTagged(e *entry) {
+	if !e.hasTag {
+		return
+	}
 	switch b := li.byTag[e.tag]; {
 	case b.list != nil:
 		b.list.insert(e)
@@ -66,21 +102,24 @@ func (li *labelIndex) addTagged(s *shard, e *entry) {
 		}
 		li.byTag[e.tag] = bucket{one: e}
 	default:
-		b.list = s.getList()
+		b.list = new(elist)
 		b.list.insert(b.one)
 		b.list.insert(e)
 		li.byTag[e.tag] = bucket{list: b.list}
 	}
 }
 
-func (li *labelIndex) removeTagged(s *shard, e *entry) {
-	if l := li.byTag[e.tag].list; l != nil {
-		if l.remove(e.key); l.len() > 0 {
-			return
-		}
-		s.putList(l)
+// eachTag walks the entries of li tagged tag from rotation rot: the bucket
+// when li is bucketed, else all, filtered on the cached tag.
+func (li *labelIndex) eachTag(tag int64, rot uint64, fn func(e *entry) bool) bool {
+	if !li.bucketed {
+		return li.all.eachRot(rot, func(e *entry) bool { return !e.hasTag || e.tag != tag || fn(e) })
 	}
-	delete(li.byTag, e.tag)
+	b := li.byTag[tag]
+	if b.list == nil {
+		return b.one == nil || fn(b.one)
+	}
+	return b.list.eachRot(rot, fn)
 }
 
 // epage is one directory page: a short ordered run of chunks.
@@ -96,34 +135,63 @@ const (
 
 func (l *elist) len() int { return l.total }
 
-// lastKey returns the largest key in the page (pages and chunks are never
-// empty).
-func (p epage) lastKey() string {
-	c := p[len(p)-1]
-	return c[len(c)-1].key
+// epos is a position in an elist: page, chunk, offset in the chunk.
+type epos struct{ pi, ci, i int }
+
+// lastKey returns the largest key in the chunk (chunks are never empty).
+func lastKey(c []*entry) string { return c[len(c)-1].key }
+
+// locate finds key, held as a string or as the bytes of one: the entry filed
+// under it and its position, or nil and the position an entry with that key
+// belongs at. One search serves membership, multiplicity (an equal key is the
+// same tuple: count it, do not insert) and placement. Comparing against
+// string(key) converts nothing.
+func locate[K string | []byte](l *elist, key K) (epos, *entry) {
+	var at epos
+	if l.nchunks == 0 {
+		return at, nil
+	}
+	if l.nchunks > 1 {
+		// The first page, then chunk, whose last key is >= key is the only one
+		// that can hold it; past every key, the last of each grows.
+		at.pi = sort.Search(len(l.pages)-1, func(i int) bool { p := l.pages[i]; return lastKey(p[len(p)-1]) >= string(key) })
+		p := l.pages[at.pi]
+		at.ci = sort.Search(len(p)-1, func(i int) bool { return lastKey(p[i]) >= string(key) })
+	}
+	c := l.pages[at.pi][at.ci]
+	lo, hi := 0, len(c)
+	for lo < hi {
+		if mid := int(uint(lo+hi) >> 1); c[mid].key < string(key) {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	if at.i = lo; lo < len(c) && c[lo].key == string(key) {
+		return at, c[lo]
+	}
+	return at, nil
 }
 
-// pageFor returns the index of the first page whose last key is >= key: the
-// only page that can contain key. Equals len(l.pages) when key sorts after
-// everything.
-func (l *elist) pageFor(key string) int {
-	return sort.Search(len(l.pages), func(i int) bool {
-		return l.pages[i].lastKey() >= key
-	})
-}
-
-// chunkFor returns the index of the first chunk in p whose last key is >=
-// key, len(p) when key sorts after the whole page.
-func chunkFor(p epage, key string) int {
-	return sort.Search(len(p), func(i int) bool {
-		c := p[i]
-		return c[len(c)-1].key >= key
-	})
+// end is the position past the last entry: where a key above every key goes.
+func (l *elist) end() epos {
+	if l.nchunks == 0 {
+		return epos{}
+	}
+	pi := len(l.pages) - 1
+	ci := len(l.pages[pi]) - 1
+	return epos{pi, ci, len(l.pages[pi][ci])}
 }
 
 // insert places e by ascending key. Keys are unique (one entry per distinct
-// tuple), so equality cannot occur.
+// tuple): the caller has established that e.key is absent.
 func (l *elist) insert(e *entry) {
+	at, _ := locate(l, e.key)
+	l.insertAt(at, e)
+}
+
+// insertAt places e at the position locate returned for its key.
+func (l *elist) insertAt(at epos, e *entry) {
 	l.total++
 	if len(l.pages) == 0 {
 		if cap(l.pages) == 0 { // nothing parked: start small
@@ -136,23 +204,13 @@ func (l *elist) insert(e *entry) {
 		l.nchunks = 1
 		return
 	}
-	pi := l.pageFor(e.key)
-	if pi == len(l.pages) {
-		pi-- // beyond every key: grow the last page
-	}
-	p := l.pages[pi]
-	ci := chunkFor(p, e.key)
-	if ci == len(p) {
-		ci-- // beyond the page (only possible in the last one): grow its last chunk
-	}
-	c := p[ci]
-	i := sort.Search(len(c), func(i int) bool { return c[i].key >= e.key })
-	c = append(c, nil)
-	copy(c[i+1:], c[i:])
-	c[i] = e
-	p[ci] = c
+	p := l.pages[at.pi]
+	c := append(p[at.ci], nil)
+	copy(c[at.i+1:], c[at.i:])
+	c[at.i] = e
+	p[at.ci] = c
 	if len(c) > chunkMax {
-		l.splitChunk(pi, ci)
+		l.splitChunk(at.pi, at.ci)
 	}
 }
 
@@ -194,22 +252,16 @@ func (l *elist) splitPage(pi int) {
 	l.pages[pi+1] = right
 }
 
-// remove deletes the entry with the given key, if present.
-func (l *elist) remove(key string) {
-	pi := l.pageFor(key)
-	if pi == len(l.pages) {
-		return
+// remove deletes the entry with the given key, if present, and returns how
+// many entries remain.
+func (l *elist) remove(key string) int {
+	at, e := locate(l, key)
+	if e == nil {
+		return l.total
 	}
+	pi, ci, i := at.pi, at.ci, at.i
 	p := l.pages[pi]
-	ci := chunkFor(p, key)
-	if ci == len(p) {
-		return
-	}
 	c := p[ci]
-	i := sort.Search(len(c), func(i int) bool { return c[i].key >= key })
-	if i >= len(c) || c[i].key != key {
-		return
-	}
 	copy(c[i:], c[i+1:])
 	c[len(c)-1] = nil
 	c = c[:len(c)-1]
@@ -221,7 +273,7 @@ func (l *elist) remove(key string) {
 		// directories for the next insert — unless one outgrew the bound.
 		if cap(c) > chunkMin || cap(p) > pageMin || cap(l.pages) > pageMin {
 			*l = elist{}
-			return
+			return 0
 		}
 		l.pages[0] = p[:0]
 		l.pages = l.pages[:0]
@@ -231,6 +283,7 @@ func (l *elist) remove(key string) {
 	case len(c) < chunkMin:
 		l.mergeChunk(pi, ci)
 	}
+	return l.total
 }
 
 func (l *elist) dropChunk(pi, ci int) {
@@ -286,20 +339,9 @@ func (l *elist) mergePage(pi int) {
 	}
 }
 
-// each walks every entry in ascending key order until fn returns false.
-// Reports whether the walk ran to completion.
-func (l *elist) each(fn func(e *entry) bool) bool {
-	for _, p := range l.pages {
-		for _, c := range p {
-			for _, e := range c {
-				if !fn(e) {
-					return false
-				}
-			}
-		}
-	}
-	return true
-}
+// each walks every entry in ascending key order — rotation 0 — until fn
+// returns false, and reports whether the walk ran to completion.
+func (l *elist) each(fn func(e *entry) bool) bool { return l.eachRot(0, fn) }
 
 // eachRot walks every entry exactly once starting at a rotated position
 // derived from r — chunk index and in-chunk offset are picked independently,
@@ -353,35 +395,4 @@ func (l *elist) eachRot(r uint64, fn func(e *entry) bool) bool {
 		}
 	}
 	return true
-}
-
-// ecursor is a forward cursor over an elist, used by IterAll's cross-shard
-// ordered merge.
-type ecursor struct {
-	l   *elist
-	pi  int
-	ci  int
-	off int
-}
-
-// peek returns the entry under the cursor, nil at the end.
-func (c *ecursor) peek() *entry {
-	if c.pi >= len(c.l.pages) {
-		return nil
-	}
-	return c.l.pages[c.pi][c.ci][c.off]
-}
-
-func (c *ecursor) advance() {
-	c.off++
-	if c.off < len(c.l.pages[c.pi][c.ci]) {
-		return
-	}
-	c.off = 0
-	c.ci++
-	if c.ci < len(c.l.pages[c.pi]) {
-		return
-	}
-	c.ci = 0
-	c.pi++
 }

@@ -107,17 +107,15 @@ func checkElistSlack(t *testing.T, l *elist) {
 	}
 }
 
-// TestElistDrainRefillRecycled cycles lists through a shard's freelist the
-// way singleton (label, tag) lists live: fill (mostly 1–3 entries, now and
-// then far past the parking bound), check order and len against a model,
-// drain to empty in random order, recycle. Every state is checked for stale
-// slots, and the counters must show one allocation ever.
+// TestElistDrainRefillRecycled cycles one list the way an Algorithm 1 label's
+// list lives: fill (mostly 1–3 entries, now and then far past the parking
+// bound), check order and len against a model, drain to empty in random
+// order, fill again. Every state is checked for stale slots.
 func TestElistDrainRefillRecycled(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	var s shard
+	l := new(elist)
 	const cycles = 400
 	for cycle := 0; cycle < cycles; cycle++ {
-		l := s.getList()
 		if l.len() != 0 || len(l.pages) != 0 || l.nchunks != 0 {
 			t.Fatalf("cycle %d: recycled list not empty: len=%d pages=%d nchunks=%d", cycle, l.len(), len(l.pages), l.nchunks)
 		}
@@ -153,17 +151,6 @@ func TestElistDrainRefillRecycled(t *testing.T) {
 			t.Fatalf("cycle %d: drained list still enumerates %q", cycle, e.key)
 			return false
 		})
-		s.putList(l)
-	}
-	if s.listsFresh != 1 || s.listsRecycled != cycles-1 {
-		t.Errorf("lists fresh/recycled = %d/%d, want 1/%d", s.listsFresh, s.listsRecycled, cycles-1)
-	}
-	// The freelist is bounded.
-	for i := 0; i < 3*listFreeMax; i++ {
-		s.putList(new(elist))
-	}
-	if len(s.freeLists) != listFreeMax {
-		t.Errorf("freelist holds %d lists, bound is %d", len(s.freeLists), listFreeMax)
 	}
 }
 
@@ -309,27 +296,5 @@ func TestElistPageChurn(t *testing.T) {
 	checkElist(t, &l)
 	if l.len() != 0 || len(l.pages) != 0 || l.nchunks != 0 {
 		t.Fatalf("drained list not empty: len=%d pages=%d nchunks=%d", l.len(), len(l.pages), l.nchunks)
-	}
-}
-
-// TestElistCursor checks the merge cursor walks in order to the end.
-func TestElistCursor(t *testing.T) {
-	var l elist
-	for i := 0; i < 1500; i++ {
-		l.insert(&entry{key: fmt.Sprintf("k%06d", (i*7+3)%1500)}) // 7 ⟂ 1500: a permutation
-	}
-	cur := ecursor{l: &l}
-	prev := ""
-	n := 0
-	for e := cur.peek(); e != nil; e = cur.peek() {
-		if n > 0 && e.key <= prev {
-			t.Fatalf("cursor out of order: %q after %q", e.key, prev)
-		}
-		prev = e.key
-		n++
-		cur.advance()
-	}
-	if n != l.len() {
-		t.Fatalf("cursor visited %d, len %d", n, l.len())
 	}
 }

@@ -1,6 +1,7 @@
 package multiset
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -28,7 +29,7 @@ func refsOf(m *Multiset, ts []Tuple) []Ref {
 
 // consumeByRef commits one handle-addressed delta and reports whether it applied.
 func consumeByRef(m *Multiset, refs []Ref, produce ...Tuple) bool {
-	n, _ := m.ApplyDeltas([]Delta{{Refs: refs, Produce: produce}}, nil, nil)
+	n, _ := m.ApplyDeltas([]Delta{{Refs: refs, Produce: produce}}, nil, nil, nil)
 	return n == 1
 }
 
@@ -96,37 +97,56 @@ func TestHandleFromCloneRefused(t *testing.T) {
 }
 
 // TestCheckInvariantsCatchesCorruption breaks each invariant by hand and
-// expects CheckInvariants to say so.
+// expects CheckInvariants to say so. Label A is past bucketAt, so it is
+// bucketed; label B is not.
 func TestCheckInvariantsCatchesCorruption(t *testing.T) {
 	build := func() (*Multiset, *shard, *entry) {
-		m := New(IntElem(1, "A", 0), IntElem(2, "A", 1), IntElem(3, "A", 1), Pair(value.Int(4), "A"), New1(value.Int(9)))
+		m := New(IntElem(1, "A", 0), IntElem(2, "A", 1), IntElem(3, "A", 1), Pair(value.Int(4), "A"), IntElem(6, "A", 2),
+			IntElem(7, "B", 0), New1(value.Int(9)))
 		m.Add(IntElem(5, "A", 0))
 		m.Remove(IntElem(5, "A", 0)) // leaves an entry on the freelist
 		if err := m.CheckInvariants(); err != nil {
 			t.Fatal(err)
 		}
-		s := &m.shards[shardIndex(symtab.Intern("A"), "")]
-		return m, s, s.byKey[IntElem(1, "A", 0).Key()]
+		symA := symtab.Intern("A")
+		s := &m.shards[shardIndex(symA, "")]
+		_, liA := s.home(symA, false)
+		_, liB := m.shards[shardIndex(symtab.Intern("B"), "")].home(symtab.Intern("B"), false)
+		if !liA.bucketed || liB.byTag != nil {
+			t.Fatal("fixture: A should be bucketed, B never")
+		}
+		return m, s, find(s, symA, IntElem(1, "A", 0).Key())
 	}
+	bare := func(m *Multiset) *shard { return &m.shards[shardIndex(symtab.None, New1(value.Int(9)).Key())] }
 	for name, corrupt := range map[string]func(m *Multiset, s *shard, e *entry){
-		"Len":              func(m *Multiset, s *shard, e *entry) { m.size.Add(1) },
-		"count":            func(m *Multiset, s *shard, e *entry) { e.count = 0 },
-		"byKey":            func(m *Multiset, s *shard, e *entry) { delete(s.byKey, e.key) },
-		"sorted":           func(m *Multiset, s *shard, e *entry) { s.sorted.remove(e.key) },
-		"label list":       func(m *Multiset, s *shard, e *entry) { s.labels[e.sym].all.remove(e.key) },
-		"bucket unlink":    func(m *Multiset, s *shard, e *entry) { s.unlinkSkippingBucket(e) },
-		"bucket missing":   func(m *Multiset, s *shard, e *entry) { delete(s.labels[e.sym].byTag, 0) },
-		"bucket both":      func(m *Multiset, s *shard, e *entry) { s.labels[e.sym].byTag[0] = bucket{one: e, list: new(elist)} },
-		"bucket empty":     func(m *Multiset, s *shard, e *entry) { s.labels[e.sym].byTag[5] = bucket{} },
-		"bucket wrong tag": func(m *Multiset, s *shard, e *entry) { s.labels[e.sym].byTag[1].list.insert(e) },
+		"Len":        func(m *Multiset, s *shard, e *entry) { m.size.Add(1) },
+		"count":      func(m *Multiset, s *shard, e *entry) { e.count = 0 },
+		"home list":  func(m *Multiset, s *shard, e *entry) { e.li.all.remove(e.key) },
+		"wrong home": func(m *Multiset, s *shard, e *entry) { e.li.all.remove(e.key); bare(m).bare.insert(e) },
+		"two homes":  func(m *Multiset, s *shard, e *entry) { bare(m).bare.insert(e) },
+		"li disagrees with labels": func(m *Multiset, s *shard, e *entry) {
+			li := *e.li
+			s.labels[slices.Index(s.labels, e.li)] = &li
+		},
+		"label order":                     func(m *Multiset, s *shard, e *entry) { s.labels = append(s.labels, e.li) },
+		"cached tag":                      func(m *Multiset, s *shard, e *entry) { e.tag = 7 },
+		"bucket unlink":                   func(m *Multiset, s *shard, e *entry) { s.unlinkSkippingBucket(e) },
+		"bucket missing":                  func(m *Multiset, s *shard, e *entry) { delete(e.li.byTag, 0) },
+		"stale bucket after un-bucketing": func(m *Multiset, s *shard, e *entry) { e.li.bucketed = false },
+		"bucketed and drained": func(m *Multiset, s *shard, e *entry) {
+			_, li := s.home(symtab.Intern("drained"), true)
+			li.bucketed = true
+		},
+		"bucket both":      func(m *Multiset, s *shard, e *entry) { e.li.byTag[0] = bucket{one: e, list: new(elist)} },
+		"bucket empty":     func(m *Multiset, s *shard, e *entry) { e.li.byTag[5] = bucket{} },
+		"bucket wrong tag": func(m *Multiset, s *shard, e *entry) { e.li.byTag[1].list.insert(e) },
 		"owner":            func(m *Multiset, s *shard, e *entry) { e.owner++ },
 		"freelist":         func(m *Multiset, s *shard, e *entry) { s.free = append(s.free, &entry{key: "left behind"}) },
 		"parked slot": func(m *Multiset, s *shard, e *entry) {
-			l := new(elist)
+			l, _ := s.home(symtab.Intern("drained"), true)
 			l.insert(e)
 			l.remove(e.key)
 			l.pages[:1][0][:1][0][:1][0] = e
-			s.freeLists = append(s.freeLists, l)
 		},
 	} {
 		m, s, e := build()
@@ -138,7 +158,7 @@ func TestCheckInvariantsCatchesCorruption(t *testing.T) {
 }
 
 // unlinkSkippingBucket is unlink with the seeded defect the invariant check
-// exists for: the entry leaves every index but its (label, tag) bucket.
+// exists for: the entry leaves its home list but not its (label, tag) bucket.
 func (s *shard) unlinkSkippingBucket(e *entry) {
 	e.hasTag = false
 	s.unlink(e)

@@ -7,18 +7,29 @@ import (
 	"repro/internal/symtab"
 )
 
-// CheckInvariants verifies, under a View of every shard, what the commit core
-// and the handle contract rely on, and returns the first violation: Len is the
-// sum of counts; every entry is linked exactly once in byKey, sorted, its
-// label's all list and, when tagged, its bucket, each ascending by key; no
-// bucket is both inline and spilled, or mapped empty; freelist entries are
-// zeroed except gen; drained lists hold only nil slots. A full walk — the
+// CheckInvariants verifies what the commit core and the handle contract rely
+// on, and returns the first violation: Len is the sum of counts; every entry
+// is filed exactly once, in its home list — the all list of the label index
+// e.li names, which is the one labels holds for its label, or bare — and, iff
+// that label is bucketed, in its bucket; lists ascend by key and order by
+// symbol; an unbucketed label maps no bucket, and no bucket is both inline and
+// spilled, or mapped empty; freelist entries are zeroed except gen; drained
+// lists hold only nil slots. A full walk under a View of every shard — the
 // differential and stress tests call it after every commit.
-func (m *Multiset) CheckInvariants() (err error) {
+func (m *Multiset) CheckInvariants() error {
 	var v View
 	m.LockView(&v, nil, true)
 	defer v.Unlock()
-	total := 0
+	return v.CheckInvariants()
+}
+
+// CheckInvariants is Multiset.CheckInvariants from inside a session that
+// holds every shard, taking no lock of its own.
+func (v *View) CheckInvariants() (err error) {
+	if !v.locked || v.mask != allShards {
+		panic("multiset: CheckInvariants needs a View of every shard")
+	}
+	m, total := v.m, 0
 	for si := range m.shards {
 		s := &m.shards[si]
 		fail := func(format string, a ...any) bool {
@@ -27,8 +38,8 @@ func (m *Multiset) CheckInvariants() (err error) {
 			}
 			return false
 		}
-		live := func(e *entry) bool { return e != nil && e.owner == m.id && e.count > 0 && s.byKey[e.key] == e }
-		// walk checks one index list — ascending live entries that all belong
+		live := func(e *entry) bool { return e != nil && e.owner == m.id && e.count > 0 }
+		// walk checks one list — ascending live entries that all belong
 		// (member), nothing parked behind a drained one — and returns its length.
 		walk := func(what string, l *elist, member func(*entry) bool) int {
 			n, prev := 0, ""
@@ -44,43 +55,59 @@ func (m *Multiset) CheckInvariants() (err error) {
 			}
 			return n
 		}
-		labeled, tagged := 0, 0
-		if n := walk("sorted", &s.sorted, func(e *entry) bool {
-			total += e.count
-			if e.sym != symtab.None {
-				labeled++
+		// home checks an entry found in the home list of li: it says so itself,
+		// what it caches agrees with its tuple, and the tuple routes here.
+		tagged := 0
+		home := func(li *labelIndex) func(*entry) bool {
+			return func(e *entry) bool {
+				total += e.count
+				tag, hasTag := int64(0), false
+				if li != nil && len(e.tuple) >= 3 {
+					tag, hasTag = IndexTag(e.tuple[2])
+				}
+				if hasTag {
+					tagged++
+				}
+				sym, _ := knownSymOf(e.tuple)
+				return e.li == li && (li == nil && sym == symtab.None || li != nil && li.sym == sym) &&
+					e.key == e.tuple.Key() && e.tag == tag && e.hasTag == hasTag && shardIndex(sym, e.key) == uint32(si)
 			}
-			if e.hasTag {
-				tagged++
-			}
-			return e.key == e.tuple.Key() && e.sym == labelSymOf(e.tuple) && shardIndex(e.sym, e.key) == uint32(si)
-		}); n != len(s.byKey) {
-			fail("sorted holds %d entries, byKey %d", n, len(s.byKey))
 		}
-		for sym, li := range s.labels {
-			labeled -= walk("label list", &li.all, func(e *entry) bool { return e.sym == sym })
+		walk("bare list", &s.bare, home(nil))
+		for i, li := range s.labels {
+			if li.sym == symtab.None || (i > 0 && s.labels[i-1].sym >= li.sym) {
+				fail("label %d out of order", li.sym)
+			}
+			tagged = 0
+			n := walk("label list", &li.all, home(li))
+			if (li.bucketed && n == 0) || (!li.bucketed && len(li.byTag) != 0) {
+				fail("label %d: %d entries, bucketed %v, %d buckets mapped", li.sym, n, li.bucketed, len(li.byTag))
+			}
+			if !li.bucketed {
+				continue
+			}
 			for tag, b := range li.byTag {
-				in := func(e *entry) bool { return e.sym == sym && e.hasTag && e.tag == tag }
+				in := func(e *entry) bool {
+					_, filed := locate(&li.all, e.key)
+					return filed == e && e.hasTag && e.tag == tag
+				}
 				switch {
 				case b.list == nil && live(b.one) && in(b.one):
 					tagged--
 				case b.one == nil && b.list != nil && b.list.len() > 0:
 					tagged -= walk("bucket", b.list, in)
 				default:
-					fail("bucket (%d, %d) is empty, stale, or both inline and spilled", sym, tag)
+					fail("bucket (%d, %d) is empty, stale, or both inline and spilled", li.sym, tag)
 				}
 			}
-		}
-		if labeled != 0 || tagged != 0 {
-			fail("%d labeled and %d tagged entries are not in their label index exactly once", labeled, tagged)
-		}
-		for _, e := range s.free {
-			if e.tuple != nil || e.key != "" || e.count != 0 || e.owner != 0 || e.tag != 0 || e.sym != 0 || e.hasTag {
-				fail("freelist entry not zeroed: %+v", *e)
+			if tagged != 0 {
+				fail("label %d: %d tagged entries are missing from its buckets", li.sym, tagged)
 			}
 		}
-		for _, l := range s.freeLists {
-			walk("freelist list", l, func(*entry) bool { return false })
+		for _, e := range s.free {
+			if e.tuple != nil || e.key != "" || e.count != 0 || e.owner != 0 || e.tag != 0 || e.li != nil || e.hasTag {
+				fail("freelist entry not zeroed: %+v", *e)
+			}
 		}
 	}
 	if err == nil && total != m.Len() {

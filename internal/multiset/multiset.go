@@ -26,17 +26,19 @@ const shardCount = 32
 var NoLabelSym = symtab.Intern("\x00")
 
 // entry is one distinct tuple with its multiplicity. key caches Tuple.Key()
-// (the ordering used by every sorted index), and sym/tag cache the label symbol
-// and index tag so unlinking never re-derives them from the tuple. owner and
-// gen are what make a Ref checkable: owner is the id of the Multiset the entry
-// is linked in (0 on a freelist), and gen is bumped every time the struct is
-// unlinked. Both fit the padding: the struct is a hot allocation.
+// (the ordering of every list), li is the label index whose all list is the
+// entry's home — nil for an unlabeled tuple, whose home is the shard's bare
+// list — and tag caches the index tag, so unlinking re-derives and looks up
+// nothing. owner and gen are what make a Ref checkable: owner is the id of the
+// Multiset the entry is linked in (0 on a freelist), and gen is bumped every
+// time the struct is unlinked. Both fit the padding: the struct is a hot
+// allocation.
 type entry struct {
 	tuple  Tuple
 	key    string
+	li     *labelIndex
 	count  int
 	tag    int64
-	sym    symtab.Sym // label symbol; symtab.None for unlabeled tuples
 	gen    uint32
 	owner  uint32
 	hasTag bool
@@ -63,67 +65,31 @@ func (r Ref) Key() string  { return r.e.key }
 // same label land in the same shard, so a label-constrained pattern match
 // takes exactly one shard lock.
 //
-// Entries are found three ways: byKey (produce, and the key-addressed front
-// door), sorted (every entry, ascending key: whole-multiset enumeration) and
-// labels (per label symbol, its entries and their (label, tag) buckets — see
-// labelIndex in elist.go). Enumeration is an in-order walk of a maintained
-// list, never a per-probe sort or a map iteration. link and unlink are the
-// only code that touches the indexes.
+// An entry has one home: its label's all list (labelIndex in elist.go), or
+// bare when it carries no label. Every list ascends by key and no hash of keys
+// stands beside them: the binary search that finds where a tuple belongs is
+// what finds it already there (locate), so produce, the key-addressed front
+// door and unlink resolve a key the same way, in a list that for an Algorithm
+// 1 image holds 0–2 entries. Enumeration is an in-order walk of a maintained
+// list; add and unlink are the only code that touches the lists.
 type shard struct {
-	mu     sync.RWMutex
-	byKey  map[string]*entry
-	sorted elist
-	labels map[symtab.Sym]*labelIndex
-	// free recycles entry structs across unlink/link cycles (bounded by
+	mu   sync.RWMutex
+	bare elist
+	// labels ascends by symbol — found by binary search, and the order of a
+	// whole-shard walk (eachRot), which so depends on symbol numbering exactly
+	// as the shard a label routes to does.
+	labels []*labelIndex
+	// free recycles entry structs across unlink/add cycles (bounded by
 	// freeMax), zeroed except gen. Only the struct is recycled: tuple backings
 	// and key strings escape to searchers and traces.
 	free []*entry
 	// arena chunk-allocates entries, key strings and tuple-cell copies for
 	// freelist misses (see arena.go) — the commit path's hot allocations.
 	arena shardArena
-	// freeLists recycles spilled bucket lists that drained to empty, parked
-	// backings included (elist.go; bounded by listFreeMax).
-	freeLists     []*elist
-	listsRecycled int64 // getList calls served from freeLists
-	listsFresh    int64 // getList calls that allocated
 }
 
-// freeMax bounds the per-shard entry freelist, listFreeMax the list one.
-const (
-	freeMax     = 1024
-	listFreeMax = 64
-)
-
-// getEntry returns a recycled or fresh entry struct.
-func (s *shard) getEntry() *entry {
-	if n := len(s.free); n > 0 {
-		e := s.free[n-1]
-		s.free[n-1] = nil
-		s.free = s.free[:n-1]
-		return e
-	}
-	return s.arena.newEntry()
-}
-
-// getList returns a recycled or fresh empty index list.
-func (s *shard) getList() *elist {
-	if n := len(s.freeLists); n > 0 {
-		l := s.freeLists[n-1]
-		s.freeLists[n-1] = nil
-		s.freeLists = s.freeLists[:n-1]
-		s.listsRecycled++
-		return l
-	}
-	s.listsFresh++
-	return new(elist)
-}
-
-// putList recycles a bucket list that drained to empty and left its map.
-func (s *shard) putList(l *elist) {
-	if len(s.freeLists) < listFreeMax {
-		s.freeLists = append(s.freeLists, l)
-	}
-}
+// freeMax bounds the per-shard entry freelist.
+const freeMax = 1024
 
 // Multiset is the Gamma model's single database: a counted multiset of
 // tuples safe for concurrent use. The zero value is not usable; call New.
@@ -131,7 +97,7 @@ type Multiset struct {
 	id     uint32 // process-unique, never 0: what binds a Ref to its Multiset
 	shards [shardCount]shard
 	size   atomic.Int64 // total element count incl. multiplicity
-	// commitSeq numbers committed writes (ApplyDeltaSeq/ApplyDeltasSeq). A
+	// commitSeq numbers committed writes (ApplyDeltas' seqs). A
 	// sequence number taken while the writer still holds the locks of every
 	// shard it touched is a valid linearization of the execution: a firing
 	// that consumes another firing's product must take that product's shard
@@ -151,12 +117,24 @@ func New(tuples ...Tuple) *Multiset {
 }
 
 // labelSymOf interns the tuple's label, or returns symtab.None when t has no
-// string label field.
+// string label field: the insert side's resolution.
 func labelSymOf(t Tuple) symtab.Sym {
 	if label, ok := t.Label(); ok {
 		return symtab.Intern(label)
 	}
 	return symtab.None
+}
+
+// knownSymOf is the query side's: it resolves t's label without interning it.
+// A label nobody interned is carried by no tuple of any multiset, so the miss
+// (ok false) answers "absent" and leaves the process-global symbol table —
+// which only grows — out of reach of whoever chooses the queries.
+func knownSymOf(t Tuple) (sym symtab.Sym, ok bool) {
+	label, labeled := t.Label()
+	if !labeled {
+		return symtab.None, true
+	}
+	return symtab.SymOf(label)
 }
 
 // shardIndex picks the shard for a tuple: labeled tuples route by label
@@ -183,15 +161,11 @@ func (m *Multiset) AddN(t Tuple, n int) {
 	if n <= 0 {
 		panic(fmt.Sprintf("multiset: AddN(%s, %d): n must be positive", t, n))
 	}
-	key := t.Key()
-	sym := labelSymOf(t)
+	var buf [64]byte
+	key, sym := t.AppendKey(buf[:0]), labelSymOf(t)
 	s := &m.shards[shardIndex(sym, key)]
 	s.mu.Lock()
-	if e, ok := s.byKey[key]; ok {
-		e.count += n
-	} else {
-		s.link(m.id, t, key, sym, n)
-	}
+	s.add(m.id, t, key, sym, n)
 	m.size.Add(int64(n))
 	s.mu.Unlock()
 }
@@ -215,46 +189,82 @@ func IndexTag(v value.Value) (int64, bool) {
 	return t, -1<<53 < t && t < 1<<53
 }
 
-// link inserts a new distinct tuple into every index of an already locked
-// shard of Multiset owner. The caller has established that key is absent from
-// byKey. A shard's maps are made on its first insert: nil maps read as empty.
-func (s *shard) link(owner uint32, t Tuple, key string, sym symtab.Sym, n int) {
-	if s.byKey == nil {
-		s.byKey = make(map[string]*entry)
-		s.labels = make(map[symtab.Sym]*labelIndex)
-	}
-	e := s.getEntry()
-	e.tuple, e.key, e.count, e.sym, e.owner = s.arena.cloneTuple(t), key, n, sym, owner
-	s.byKey[key] = e
-	s.sorted.insert(e)
+// home returns, in an already locked shard, the list a tuple labeled sym is
+// filed in and its label index (nil for bare). A label's index is made on its
+// first insert; without create an unseen label has no home.
+func (s *shard) home(sym symtab.Sym, create bool) (*elist, *labelIndex) {
 	if sym == symtab.None {
-		return
+		return &s.bare, nil
 	}
-	li := s.labels[sym]
-	if li == nil {
-		li = new(labelIndex)
-		s.labels[sym] = li
-	}
-	li.all.insert(e)
-	if len(t) >= 3 {
-		if e.tag, e.hasTag = IndexTag(t[2]); e.hasTag {
-			li.addTagged(s, e)
+	i, n := 0, len(s.labels)
+	for i < n {
+		if mid := int(uint(i+n) >> 1); s.labels[mid].sym < sym {
+			i = mid + 1
+		} else {
+			n = mid
 		}
+	}
+	if i == len(s.labels) || s.labels[i].sym != sym {
+		if !create {
+			return nil, nil
+		}
+		s.labels = slices.Insert(s.labels, i, &labelIndex{sym: sym})
+	}
+	return &s.labels[i].all, s.labels[i]
+}
+
+// find returns the entry of an already locked shard filed under key (bytes or
+// string) and label sym, nil when there is none.
+func find[K string | []byte](s *shard, sym symtab.Sym, key K) *entry {
+	home, _ := s.home(sym, false)
+	if home == nil {
+		return nil
+	}
+	_, e := locate(home, key)
+	return e
+}
+
+// add files n occurrences of t, whose fingerprint is key and label sym, in an
+// already locked shard of Multiset owner: one search of t's home list finds
+// the tuple there (its count grows, no list does) or where a new entry goes.
+// The key string is materialized only for a new entry.
+func (s *shard) add(owner uint32, t Tuple, key []byte, sym symtab.Sym, n int) {
+	home, li := s.home(sym, true)
+	if at, e := locate(home, key); e != nil {
+		e.count += n
+	} else {
+		s.file(home, li, at, owner, t, s.arena.internKey(key), n)
 	}
 }
 
-// unlink removes e from every index of its locked shard and retires the
-// struct: gen moves, so outstanding Refs fail their claim, and the rest is
-// zeroed (dropping the tuple and key) before it joins the freelist.
-func (s *shard) unlink(e *entry) {
-	delete(s.byKey, e.key)
-	s.sorted.remove(e.key)
-	if e.sym != symtab.None {
-		li := s.labels[e.sym]
-		li.all.remove(e.key)
-		if e.hasTag {
-			li.removeTagged(s, e)
+// file links a new entry for t — a recycled or fresh struct, the tuple copied
+// into the arena — at position at of home, the list of li, and in li's buckets.
+func (s *shard) file(home *elist, li *labelIndex, at epos, owner uint32, t Tuple, key string, n int) {
+	var e *entry
+	if k := len(s.free); k > 0 {
+		e, s.free[k-1], s.free = s.free[k-1], nil, s.free[:k-1]
+	} else {
+		e = s.arena.newEntry()
+	}
+	e.tuple, e.key, e.count, e.li, e.owner = s.arena.cloneTuple(t), key, n, li, owner
+	home.insertAt(at, e)
+	if li != nil {
+		if len(t) >= 3 {
+			e.tag, e.hasTag = IndexTag(t[2])
 		}
+		li.linked(e)
+	}
+}
+
+// unlink removes e from its home list and bucket in its locked shard and
+// retires the struct: gen moves, so outstanding Refs fail their claim, and the
+// rest is zeroed (dropping the tuple and key) before it joins the freelist.
+func (s *shard) unlink(e *entry) {
+	if li := e.li; li == nil {
+		s.bare.remove(e.key)
+	} else {
+		li.all.remove(e.key)
+		li.unlinked(e)
 	}
 	*e = entry{gen: e.gen + 1}
 	if len(s.free) < freeMax {
@@ -275,15 +285,17 @@ func (m *Multiset) AddAll(ts []Tuple) {
 func (m *Multiset) Remove(t Tuple) bool { return m.TryRemoveAll([]Tuple{t}) }
 
 // deltaScratch holds the per-commit scratch of applyDeltas so the hot commit
-// path performs no bookkeeping allocations: keys and shard routes of the
-// key-addressed consumes, the entries the delta being applied resolved to,
-// routes and label symbols of the produce side, the byte buffer produce
-// fingerprints are built into (a key string is materialized only when a
-// genuinely new entry is inserted), and the per-firing annihilation marks.
+// path performs no bookkeeping allocations: keys, label symbols and shard
+// routes of the key-addressed consumes, the entries (and their shards) the
+// delta being applied resolved to, routes and label symbols of the produce
+// side, the byte buffer produce fingerprints are built into, and the
+// per-firing annihilation marks.
 type deltaScratch struct {
 	ckeys   []string
-	cshards []uint32
+	csyms   []symtab.Sym
+	cshards []uint32 // noShard: the label was never interned, the claim fails
 	cents   []*entry
+	centsAt []uint32 // shard of each of cents
 	pshards []uint32
 	psyms   []symtab.Sym
 	kbuf    []byte // produce fingerprints, back to back
@@ -292,20 +304,24 @@ type deltaScratch struct {
 	pcan    []bool
 }
 
+// noShard routes a key-addressed consume whose label no tuple can carry.
+const noShard = shardCount
+
 var deltaPool = sync.Pool{New: func() any { return new(deltaScratch) }}
 
 // lastID numbers the Multisets of the process (Multiset.id).
 var lastID atomic.Uint32
 
 func (d *deltaScratch) reset() {
-	d.ckeys, d.cshards = d.ckeys[:0], d.cshards[:0]
+	d.ckeys, d.csyms, d.cshards = d.ckeys[:0], d.csyms[:0], d.cshards[:0]
 	d.pshards, d.psyms = d.pshards[:0], d.psyms[:0]
 	d.kbuf, d.koff = d.kbuf[:0], d.koff[:0]
 }
 
 // stage routes one delta before any lock is taken, collecting the shards it
 // touches in mask. A handle names its shard; a key-addressed consume is routed
-// like an insert; a product gets its fingerprint rendered into kbuf and its
+// like an insert, except that its label is looked up, never interned
+// (knownSymOf); a product gets its fingerprint rendered into kbuf and its
 // label symbol from PSyms where the caller resolved it, else from the tuple.
 func (d *deltaScratch) stage(dl *Delta, mask *uint32) {
 	for _, r := range dl.Refs {
@@ -319,10 +335,13 @@ func (d *deltaScratch) stage(dl *Delta, mask *uint32) {
 			} else {
 				key = t.Key()
 			}
-			si := shardIndex(labelSymOf(t), key)
-			d.ckeys = append(d.ckeys, key)
-			d.cshards = append(d.cshards, si)
-			*mask |= 1 << si
+			si := uint32(noShard)
+			sym, known := knownSymOf(t)
+			if known {
+				si = shardIndex(sym, key)
+				*mask |= 1 << si
+			}
+			d.ckeys, d.csyms, d.cshards = append(d.ckeys, key), append(d.csyms, sym), append(d.cshards, si)
 		}
 	}
 	for i, t := range dl.Produce {
@@ -375,22 +394,27 @@ func (m *Multiset) eachShard(mask uint32, op func(*sync.RWMutex)) {
 	}
 }
 
-// claimLocked resolves one firing's consume side to entries (d.cents) and
-// verifies that it is fully available; shards are locked, nothing is
-// modified. A handle resolves to its entry if that is still the element it
-// was issued for, in this multiset; a key (the staged ones from kc on) through
-// byKey. Duplicates within the firing require that many occurrences.
+// claimLocked resolves one firing's consume side to entries (d.cents, shards
+// in d.centsAt) and verifies that it is fully available; shards are locked,
+// nothing is modified. A handle resolves to its entry if that is still the
+// element it was issued for, in this multiset; a key (the staged ones from kc
+// on) by searching its home list. Duplicates within the firing require that
+// many occurrences.
 func (m *Multiset) claimLocked(dl *Delta, d *deltaScratch, kc int) bool {
-	d.cents = d.cents[:0]
+	d.cents, d.centsAt = d.cents[:0], d.centsAt[:0]
 	for _, r := range dl.Refs {
 		if r.e == nil || r.e.owner != m.id || r.e.gen != r.gen {
 			return false
 		}
-		d.cents = append(d.cents, r.e)
+		d.cents, d.centsAt = append(d.cents, r.e), append(d.centsAt, r.shard)
 	}
 	if dl.Refs == nil {
 		for i := range dl.Consume {
-			d.cents = append(d.cents, m.shards[d.cshards[kc+i]].byKey[d.ckeys[kc+i]])
+			si := d.cshards[kc+i]
+			if si == noShard {
+				return false
+			}
+			d.cents, d.centsAt = append(d.cents, find(&m.shards[si], d.csyms[kc+i], d.ckeys[kc+i])), append(d.centsAt, si)
 		}
 	}
 	for i, e := range d.cents {
@@ -408,10 +432,10 @@ func (m *Multiset) claimLocked(dl *Delta, d *deltaScratch, kc int) bool {
 }
 
 // applyRangeLocked commits one firing whose claim just passed — the one place
-// entries are unlinked and linked by a commit: the claimed entries (d.cents)
+// entries are unlinked and added by a commit: the claimed entries (d.cents)
 // lose one occurrence each and the produce tuples (staged from ps on) are
 // inserted. A consume/produce pair with identical fingerprints annihilates —
-// its net effect on every count is zero, so neither side touches the indexes
+// its net effect on every count is zero, so neither side touches the lists
 // or materializes a key string. The claim was checked gross, so observable
 // semantics stay exactly remove-then-insert.
 func (m *Multiset) applyRangeLocked(produce []Tuple, d *deltaScratch, ps int) {
@@ -434,22 +458,12 @@ func (m *Multiset) applyRangeLocked(produce []Tuple, d *deltaScratch, ps int) {
 			continue
 		}
 		if e.count--; e.count == 0 {
-			m.shards[shardIndex(e.sym, e.key)].unlink(e)
+			m.shards[d.centsAt[cj]].unlink(e)
 		}
 	}
 	for pi, t := range produce {
-		if d.pcan[pi] {
-			continue
-		}
-		s := &m.shards[d.pshards[ps+pi]]
-		kb := d.pkey(ps + pi)
-		if e, ok := s.byKey[string(kb)]; ok {
-			e.count++
-		} else {
-			// internKey: the byte fingerprint becomes a chunk-backed string,
-			// so the common miss path (every insert of a fresh tuple) does
-			// not pay a per-key allocation.
-			s.link(m.id, t, s.arena.internKey(kb), d.psyms[ps+pi], 1)
+		if !d.pcan[pi] {
+			m.shards[d.pshards[ps+pi]].add(m.id, t, d.pkey(ps+pi), d.psyms[ps+pi], 1)
 		}
 	}
 }
@@ -463,54 +477,38 @@ func (m *Multiset) TryRemoveAll(ts []Tuple) bool {
 	return ok
 }
 
-// ApplyDelta is one reaction firing's consume+produce as a single batched
-// commit: it atomically removes one occurrence of every tuple in consume
-// (all-or-nothing, duplicates requiring that many occurrences) and, on
-// success, inserts every tuple in produce — grouped by shard and applied
-// under one lock acquisition per involved shard. It is the key-addressed
-// front door of the commit (replay, tests and tools that hold tuples, not
-// handles): keys are resolved to entries under the lock and the same core
-// runs as for the matcher's handle-addressed deltas (Delta.Refs).
-//
-// ckeys, when non-nil, must hold Key() of each consume tuple, so the commit
-// does not rebuild them. A nil ckeys computes the keys here.
+// ApplyDelta is one reaction firing's consume+produce as a single commit: it
+// atomically removes one occurrence of every tuple in consume (all-or-nothing,
+// duplicates requiring that many occurrences) and, on success, inserts every
+// tuple in produce, under one lock acquisition per involved shard. It is the
+// key-addressed front door of the commit (replay, tests and tools that hold
+// tuples, not handles) and the one-firing case of ApplyDeltas: keys are
+// resolved to entries under the lock and the same core runs as for the
+// matcher's handle-addressed deltas (Delta.Refs). ckeys, when non-nil, must
+// hold Key() of each consume tuple, so the commit does not rebuild them.
 //
 // On success it appends the deduplicated label symbols of the produced tuples
 // to syms (NoLabelSym standing in for unlabeled tuples) and returns the
 // extended slice — the delta that drives the incremental reaction scheduler.
 // On a failed claim nothing is modified and syms is returned unchanged.
 func (m *Multiset) ApplyDelta(consume []Tuple, ckeys []string, produce []Tuple, syms []symtab.Sym) (bool, []symtab.Sym) {
-	ok, _, syms := m.applyDelta(consume, ckeys, produce, syms, false)
-	return ok, syms
-}
-
-// ApplyDeltaSeq is ApplyDelta that additionally returns the firing's commit
-// sequence number, drawn while the shard locks are still held — the property
-// that makes the numbers a valid linearization (see commitSeq).
-func (m *Multiset) ApplyDeltaSeq(consume []Tuple, ckeys []string, produce []Tuple, syms []symtab.Sym) (bool, uint64, []symtab.Sym) {
-	return m.applyDelta(consume, ckeys, produce, syms, true)
-}
-
-// applyDelta is the one-firing case of the batched commit (batch.go): one
-// commit path for every writer.
-func (m *Multiset) applyDelta(consume []Tuple, ckeys []string, produce []Tuple, syms []symtab.Sym, wantSeq bool) (bool, uint64, []symtab.Sym) {
 	ds := [1]Delta{{Consume: consume, CKeys: ckeys, Produce: produce}}
-	var seq [1]uint64
-	var seqs []uint64
-	if wantSeq {
-		seqs = seq[:]
-	}
-	n, syms := m.applyDeltas(ds[:], nil, seqs, syms)
-	return n == 1, seq[0], syms
+	n, syms := m.applyDeltas(ds[:], nil, nil, syms, 0)
+	return n == 1, syms
 }
 
 // Count returns the multiplicity of t.
 func (m *Multiset) Count(t Tuple) int {
-	key := t.Key()
-	s := &m.shards[shardIndex(labelSymOf(t), key)]
+	sym, known := knownSymOf(t)
+	if !known {
+		return 0
+	}
+	var buf [64]byte
+	key := t.AppendKey(buf[:0])
+	s := &m.shards[shardIndex(sym, key)]
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if e, ok := s.byKey[key]; ok {
+	if e := find(s, sym, key); e != nil {
 		return e.count
 	}
 	return 0
@@ -528,7 +526,10 @@ func (m *Multiset) Distinct() int {
 	for i := range m.shards {
 		s := &m.shards[i]
 		s.mu.RLock()
-		n += s.sorted.len()
+		n += s.bare.len()
+		for _, li := range s.labels {
+			n += li.all.len()
+		}
 		s.mu.RUnlock()
 	}
 	return n
@@ -561,28 +562,25 @@ func (m *Multiset) BySymTag(sym symtab.Sym, tag int64) (out []Counted) {
 // ByLabel is BySym by label string; a label that was never interned has no
 // entries anywhere, so the miss answers without touching the symbol table.
 func (m *Multiset) ByLabel(label string) []Counted {
-	sym, ok := symtab.SymOf(label)
-	if !ok {
-		return nil
+	if sym, ok := symtab.SymOf(label); ok {
+		return m.BySym(sym)
 	}
-	return m.BySym(sym)
+	return nil
 }
 
 // ByLabelTag is BySymTag by label string.
 func (m *Multiset) ByLabelTag(label string, tag int64) []Counted {
-	sym, ok := symtab.SymOf(label)
-	if !ok {
-		return nil
+	if sym, ok := symtab.SymOf(label); ok {
+		return m.BySymTag(sym, tag)
 	}
-	return m.BySymTag(sym, tag)
+	return nil
 }
 
 // IterSym calls fn once per distinct tuple whose label symbol equals sym, in
 // ascending key order, passing the entry's cached key fingerprint, without
-// copying the index. It is a one-shot View (see LockView): the shard read
-// lock is held for the whole iteration, so fn must not mutate the multiset. A
-// caller enumerating more than once per consistent state — the reaction
-// matcher — holds one View across all of it instead.
+// copying anything. It is a one-shot View (see LockView): the shard read lock
+// is held for the whole iteration, so fn must not mutate the multiset. A
+// caller enumerating more than once per consistent state holds one View.
 func (m *Multiset) IterSym(sym symtab.Sym, fn func(t Tuple, n int, key string) bool) {
 	var v View
 	m.LockView(&v, []symtab.Sym{sym}, false)
@@ -603,78 +601,17 @@ func unref(fn func(t Tuple, n int, key string) bool) func(Ref) bool {
 	return func(r Ref) bool { return fn(r.e.tuple, r.e.count, r.e.key) }
 }
 
-// IterLabel is IterSym by label string, without the key (compatibility
-// surface; the matcher iterates by symbol).
-func (m *Multiset) IterLabel(label string, fn func(t Tuple, n int) bool) {
-	sym, ok := symtab.SymOf(label)
-	if !ok {
-		return
-	}
-	m.IterSym(sym, func(t Tuple, n int, _ string) bool { return fn(t, n) })
-}
-
-// IterLabelTag is IterLabel over the (label, tag) index.
-func (m *Multiset) IterLabelTag(label string, tag int64, fn func(t Tuple, n int) bool) {
-	sym, ok := symtab.SymOf(label)
-	if !ok {
-		return
-	}
-	m.IterSymTag(sym, tag, func(t Tuple, n int, _ string) bool { return fn(t, n) })
-}
-
-// IterAll calls fn once per distinct tuple in ascending key order across the
-// whole multiset with the entry's cached key, lazily merging the shards'
-// sorted runs — no copy, no sort, and early exit costs only the elements
-// actually visited. All shard read locks are held for the whole iteration:
-// fn must not mutate the multiset.
-func (m *Multiset) IterAll(fn func(t Tuple, n int, key string) bool) {
-	var v View
-	m.LockView(&v, nil, true)
-	defer v.Unlock()
-	var cursors [shardCount]ecursor
-	for i := range m.shards {
-		cursors[i].l = &m.shards[i].sorted
-	}
-	for {
-		best := -1
-		var bestKey string
-		for i := range cursors {
-			e := cursors[i].peek()
-			if e == nil {
-				continue
-			}
-			if best < 0 || e.key < bestKey {
-				best, bestKey = i, e.key
-			}
-		}
-		if best < 0 {
-			return
-		}
-		e := cursors[best].peek()
-		cursors[best].advance()
-		if !fn(e.tuple, e.count, e.key) {
-			return
-		}
-	}
-}
-
-// IterAllRot calls fn once per distinct tuple exactly like IterAll, but
-// enumeration starts at a position derived from rot — shard order and the
-// position within each shard both rotate — instead of the global ascending
-// key order. The walk is still exhaustive and, for a fixed rot and multiset
-// state, still deterministic; only the starting point moves (why the matcher
-// wants that: gamma's eachCandidate). A one-shot View over every shard, with
-// IterSym's locking contract.
+// IterAllRot calls fn once per distinct tuple of the whole multiset with the
+// entry's cached key, starting at a position derived from rot: shard order and
+// the position within each list both rotate (View.EachAll). The walk is
+// exhaustive and, for a fixed rot and multiset state, deterministic; only the
+// starting point moves (why the matcher wants that: gamma's eachCandidate). A
+// one-shot View over every shard, with IterSym's locking contract.
 func (m *Multiset) IterAllRot(rot uint64, fn func(t Tuple, n int, key string) bool) {
 	var v View
 	m.LockView(&v, nil, true)
 	defer v.Unlock()
 	v.EachAll(rot, unref(fn))
-}
-
-// IterSorted is IterAll without the key (compatibility surface).
-func (m *Multiset) IterSorted(fn func(t Tuple, n int) bool) {
-	m.IterAll(func(t Tuple, n int, _ string) bool { return fn(t, n) })
 }
 
 // Counted pairs a distinct tuple with its multiplicity and, when it comes
@@ -692,7 +629,7 @@ func (m *Multiset) ForEach(fn func(t Tuple, n int) bool) {
 	for i := range m.shards {
 		s := &m.shards[i]
 		s.mu.RLock()
-		done := !s.sorted.each(func(e *entry) bool { return fn(e.tuple, e.count) })
+		done := !s.eachRot(0, func(e *entry) bool { return fn(e.tuple, e.count) })
 		s.mu.RUnlock()
 		if done {
 			return
@@ -713,34 +650,40 @@ func (m *Multiset) Snapshot() []Counted {
 	return out
 }
 
-// Expand returns every element including multiplicity as a flat sorted slice.
-func (m *Multiset) Expand() []Tuple {
-	snap := m.Snapshot()
-	var out []Tuple
-	for _, c := range snap {
-		for i := 0; i < c.N; i++ {
-			out = append(out, c.Tuple)
+// eachRot walks every entry of a locked shard — bare, then each label's list
+// in order, each list from rotation rot (0: ascending) — until fn returns
+// false, and reports whether it ran to completion.
+func (s *shard) eachRot(rot uint64, fn func(e *entry) bool) bool {
+	if !s.bare.eachRot(rot, fn) {
+		return false
+	}
+	for _, li := range s.labels {
+		if !li.all.eachRot(rot, fn) {
+			return false
 		}
 	}
-	return out
+	return true
 }
 
-// Clone returns an independent deep copy, built shard by shard from what the
-// entries cache — the key (shared: strings are immutable) and the label
-// symbol, which also fix the shard — so nothing is re-rendered, re-interned or
-// re-routed. Each source shard is read-locked in turn, like ForEach.
+// Clone returns an independent deep copy, built list by list from what the
+// entries cache — the key (shared: strings are immutable) and the home list,
+// which also fixes the shard — so nothing is re-rendered, re-interned,
+// re-routed or searched for: a walk arrives ascending and every entry goes at
+// its list's end. Each source shard is read-locked in turn, like ForEach.
 func (m *Multiset) Clone() *Multiset {
 	c := New()
 	var size int64
 	for i := range m.shards {
 		s, d := &m.shards[i], &c.shards[i] // c is not shared yet: d needs no lock
 		s.mu.RLock()
-		if n := s.sorted.len(); n > 0 {
-			d.byKey = make(map[string]*entry, n)
-			d.labels = make(map[symtab.Sym]*labelIndex, len(s.labels))
-		}
-		s.sorted.each(func(e *entry) bool {
-			d.link(c.id, e.tuple, e.key, e.sym, e.count)
+		var from, li *labelIndex // the source label being walked (nil: bare) and its copy
+		home := &d.bare
+		s.eachRot(0, func(e *entry) bool {
+			if e.li != from {
+				from = e.li
+				home, li = d.home(from.sym, true)
+			}
+			d.file(home, li, home.end(), c.id, e.tuple, e.key, e.count)
 			size += int64(e.count)
 			return true
 		})
@@ -750,27 +693,16 @@ func (m *Multiset) Clone() *Multiset {
 	return c
 }
 
-// Storage counts the storage layer's work so far: arena chunk bytes carved,
-// and index lists handed out recycled vs freshly allocated. It moves only on
-// a chunk refill or a list get, never per element.
-type Storage struct {
-	ArenaBytes    int64
-	ListsRecycled int64
-	ListsFresh    int64
-}
-
-// Storage sums the per-shard storage counters.
-func (m *Multiset) Storage() Storage {
-	var st Storage
+// ArenaBytes sums the arena chunk bytes the shards have carved so far. It
+// moves only on a chunk refill, never per element.
+func (m *Multiset) ArenaBytes() (n int64) {
 	for i := range m.shards {
 		s := &m.shards[i]
 		s.mu.RLock()
-		st.ArenaBytes += s.arena.bytes
-		st.ListsRecycled += s.listsRecycled
-		st.ListsFresh += s.listsFresh
+		n += s.arena.bytes
 		s.mu.RUnlock()
 	}
-	return st
+	return n
 }
 
 // Equal reports whether two multisets hold exactly the same elements with the

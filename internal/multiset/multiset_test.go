@@ -224,9 +224,8 @@ func TestSnapshotExpandCloneEqual(t *testing.T) {
 	if len(snap) != 2 || snap[0].N != 2 {
 		t.Errorf("snapshot = %v", snap)
 	}
-	exp := m.Expand()
-	if len(exp) != 3 {
-		t.Errorf("expand = %v", exp)
+	if snap[0].N+snap[1].N != 3 || m.Len() != 3 {
+		t.Errorf("snapshot counts %v, Len %d, want 3 elements", snap, m.Len())
 	}
 	c := m.Clone()
 	if !c.Equal(m) {

@@ -23,63 +23,115 @@ func allocBytes(fn func()) uint64 {
 
 // TestSingletonChurnAllocatesNothing is the storage discipline Algorithm 1's
 // output needs: every edge is one element [v, 'edge', tag], so a firing empties
-// one (label, tag) bucket and fills another. On a warmed multiset that cycle
-// must perform no allocation of its own (arena chunk refills amortize to well
-// under one per step) and cost no more than the arena bytes of the produced
-// tuple — with one entry per bucket because the entry sits inline in its map
-// slot and no list is involved at all, with two because the spilled list
-// comes back from the shard freelist.
+// a label's list and fills it again under the next tag. On a warmed multiset
+// that cycle must perform no allocation of its own (arena chunk refills
+// amortize to well under one per step), cost no more than the arena bytes of
+// the produced tuple, and — with one or two entries under the label — be one
+// remove from and one insert into the label's list and nothing else: no
+// (label, tag) map is ever made. Six entries, each under its own tag, are past
+// bucketAt: the label is bucketed on the way up and un-bucketed as it drains,
+// every step, on the map it keeps.
 func TestSingletonChurnAllocatesNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector makes sync.Pool drop the commit scratch")
 	}
-	for _, perTag := range []int{1, 2} {
+	for _, perStep := range []int{1, 2, 6} {
 		const steps = 4096
-		tuples := make([]Tuple, (steps+1)*perTag)
+		tuples := make([]Tuple, (steps+1)*perStep)
 		keys := make([]string, len(tuples))
 		for i := range tuples {
-			tuples[i] = IntElem(int64(i), "edge", int64(i/perTag)) // a fresh (label, tag) bucket per step
+			tag := i / perStep // a fresh tag per step, shared by the step's elements
+			if perStep > bucketAt {
+				tag = i
+			}
+			tuples[i] = IntElem(int64(i), "edge", int64(tag))
 			keys[i] = tuples[i].Key()
 		}
-		m := New(tuples[:perTag]...)
+		m := New(tuples[:perStep]...)
 		i := 0
 		var syms []symtab.Sym // the caller's delta buffer, reused like the engine's
 		step := func() {
 			var ok bool
-			ok, syms = m.ApplyDelta(tuples[i:i+perTag], keys[i:i+perTag], tuples[i+perTag:i+2*perTag], syms[:0])
+			ok, syms = m.ApplyDelta(tuples[i:i+perStep], keys[i:i+perStep], tuples[i+perStep:i+2*perStep], syms[:0])
 			if !ok {
 				t.Fatalf("step %d: claim failed", i)
 			}
-			i += perTag
+			i += perStep
 		}
-		for i < 64*perTag { // warm: freelists, scratch pool, first arena chunks
+		for i < 64*perStep { // warm: entry freelist, scratch pool, first arena chunks
 			step()
 		}
-		before := m.Storage()
-		const measured = 2000
-		if avg := testing.AllocsPerRun(measured-1, step); avg != 0 {
-			t.Errorf("%d per tag: %v allocations per consume/produce step, want 0", perTag, avg)
+		if avg := testing.AllocsPerRun(1999, step); avg != 0 {
+			t.Errorf("%d per step: %v allocations per consume/produce step, want 0", perStep, avg)
 		}
-		after := m.Storage()
-		if fresh := after.ListsFresh - before.ListsFresh; fresh != 0 {
-			t.Errorf("%d per tag: %d index lists allocated over %d steps, want none", perTag, fresh, measured)
-		}
-		if got, want := after.ListsRecycled-before.ListsRecycled, int64((perTag-1)*measured); got != want {
-			t.Errorf("%d per tag: %d lists recycled over %d steps, want %d", perTag, got, measured, want)
+		sym := symtab.Intern("edge")
+		_, li := m.shards[shardIndex(sym, "")].home(sym, false)
+		if bucketed := perStep > bucketAt; li.bucketed != bucketed || (li.byTag != nil) != bucketed {
+			t.Errorf("%d per step: label bucketed %v, map made %v", perStep, li.bucketed, li.byTag != nil)
 		}
 		start := i
-		perStep := allocBytes(func() {
-			for i < start+1000*perTag {
+		bytes := allocBytes(func() {
+			for i < start+1000*perStep {
 				step()
 			}
 		}) / 1000
-		if perStep > uint64(200*perTag) {
-			t.Errorf("%d per tag: %d B allocated per step, want <= %d", perTag, perStep, 200*perTag)
+		if bytes > uint64(200*perStep) {
+			t.Errorf("%d per step: %d B allocated per step, want <= %d", perStep, bytes, 200*perStep)
 		}
-		if err := m.CheckInvariants(); err != nil || m.Len() != perTag || !m.Contains(tuples[i]) {
-			t.Errorf("%d per tag: after %d steps the multiset is %s (%v)", perTag, i/perTag, m, err)
+		if err := m.CheckInvariants(); err != nil || m.Len() != perStep || !m.Contains(tuples[i]) {
+			t.Errorf("%d per step: after %d steps the multiset is %s (%v)", perStep, i/perStep, m, err)
 		}
 	}
+}
+
+// TestBucketHysteresis: a label gets its (label, tag) buckets when it outgrows
+// bucketAt, keeps them while it shrinks — churn across the threshold builds
+// nothing — and drops them only when it drains; bucketed or not, a tag query
+// answers the same, in ascending key order.
+func TestBucketHysteresis(t *testing.T) {
+	m := New()
+	sym := symtab.Intern("hyst")
+	li := func() *labelIndex { _, li := m.shards[shardIndex(sym, "")].home(sym, false); return li }
+	check := func(n int, bucketed bool) {
+		t.Helper()
+		if err := m.CheckInvariants(); err != nil || li().all.len() != n || li().bucketed != bucketed {
+			t.Fatalf("%d entries, bucketed %v; want %d, %v (%v)", li().all.len(), li().bucketed, n, bucketed, err)
+		}
+		for tag := int64(0); tag < 3; tag++ {
+			var want []string
+			m.IterSym(sym, func(tp Tuple, _ int, key string) bool {
+				if got, _ := tp.Tag(); got == tag {
+					want = append(want, key)
+				}
+				return true
+			})
+			var got []string
+			m.IterSymTag(sym, tag, func(_ Tuple, _ int, key string) bool { got = append(got, key); return true })
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("%d entries: tag %d enumerates %q, the label list holds %q", n, tag, got, want)
+			}
+		}
+	}
+	for i := int64(0); i < bucketAt; i++ {
+		m.Add(IntElem(i, "hyst", i%3))
+		check(int(i)+1, false)
+	}
+	m.Add(IntElem(bucketAt, "hyst", 1))
+	check(bucketAt+1, true)
+	for round := 0; round < 100; round++ { // across the threshold and back
+		m.Remove(IntElem(bucketAt, "hyst", 1))
+		check(bucketAt, true)
+		m.Add(IntElem(bucketAt, "hyst", 1))
+		check(bucketAt+1, true)
+	}
+	for i := int64(bucketAt); i > 0; i-- {
+		m.Remove(IntElem(i, "hyst", i%3))
+		check(int(i), true)
+	}
+	m.Remove(IntElem(0, "hyst", 0))
+	check(0, false)
+	m.Add(IntElem(7, "hyst", 2))
+	check(1, false)
 }
 
 // TestSmallMultisetFootprint: an empty multiset is one allocation, and the
@@ -98,8 +150,8 @@ func TestSmallMultisetFootprint(t *testing.T) {
 	if got > 16<<10 {
 		t.Errorf("New() + Example 1's four elements allocated %d B, want <= 16 KiB", got)
 	}
-	if m.Len() != 4 || m.Storage().ArenaBytes == 0 {
-		t.Errorf("m = %s, storage %+v", m, m.Storage())
+	if m.Len() != 4 || m.ArenaBytes() == 0 {
+		t.Errorf("m = %s, arena %d B", m, m.ArenaBytes())
 	}
 }
 
@@ -159,9 +211,11 @@ func TestCloneFromEntries(t *testing.T) {
 		}
 	}
 	// Drain the clone completely, then refill the source: neither sees the other.
-	for _, tp := range c.Expand() {
-		if !c.Remove(tp) {
-			t.Fatalf("clone lost %s", tp)
+	for _, e := range c.Snapshot() {
+		for i := 0; i < e.N; i++ {
+			if !c.Remove(e.Tuple) {
+				t.Fatalf("clone lost %s", e.Tuple)
+			}
 		}
 	}
 	if c.Len() != 0 || m.String() != want {
@@ -175,11 +229,11 @@ func TestCloneFromEntries(t *testing.T) {
 }
 
 // TestViewReadersDuringListChurn runs View enumerations of the label lists and
-// (label, tag) buckets against a writer that takes every bucket through empty
-// → inline singleton → spilled list → empty, the lists coming from and going
-// back to the shard freelist. Under -race (make stress) any recycled list,
-// parked chunk, map slot or lazily made map a reader could still reach is a
-// reported race; the readers also check what they see is coherent.
+// (label, tag) buckets against a writer that takes every label through
+// unbucketed → bucketed → drained, and every bucket through empty → inline
+// singleton → spilled list → empty. Under -race (make stress) any parked
+// chunk, map slot or lazily made map a reader could still reach is a reported
+// race; the readers also check what they see is coherent.
 func TestViewReadersDuringListChurn(t *testing.T) {
 	labels := []string{"churn-a", "churn-b", "churn-c"}
 	syms := make([]symtab.Sym, len(labels))
@@ -252,8 +306,5 @@ func TestViewReadersDuringListChurn(t *testing.T) {
 	wg.Wait()
 	if err := m.CheckInvariants(); err != nil || m.Len() != 0 {
 		t.Errorf("multiset not empty after churn: %s (%v)", m, err)
-	}
-	if st := m.Storage(); st.ListsRecycled == 0 {
-		t.Errorf("spilled buckets never came from the freelist: %+v", st)
 	}
 }

@@ -6,8 +6,8 @@
 // triplets [value, label, tag] where the tag is the dynamic-dataflow iteration
 // number. The multiset is sharded by label so that the reaction matcher — which
 // in converted dataflow programs always constrains the label field — touches a
-// single shard per pattern, and it maintains a (label, tag) index so the
-// dynamic tag-matching rule costs O(1) per candidate lookup.
+// single shard per pattern, and a label that outgrows a scan is indexed by tag,
+// so the dynamic tag-matching rule costs O(1) per candidate lookup.
 package multiset
 
 import (
@@ -85,7 +85,7 @@ func (t Tuple) Clone() Tuple {
 }
 
 // Key returns a canonical fingerprint of the tuple, unique per distinct
-// tuple. Used as the map key inside the multiset.
+// tuple: what the multiset orders and finds its entries by.
 func (t Tuple) Key() string {
 	var b strings.Builder
 	for i, v := range t {
@@ -101,9 +101,8 @@ func (t Tuple) Key() string {
 }
 
 // AppendKey appends exactly Key()'s fingerprint of t to b and returns the
-// extended slice — the allocation-free form the commit path uses to look up
-// produced tuples (map indexing by string(b) does not allocate) so the key
-// string is materialized only when a genuinely new entry is inserted.
+// extended slice — the allocation-free form the commit path searches by, so
+// the key string is materialized only when a genuinely new entry is inserted.
 func (t Tuple) AppendKey(b []byte) []byte {
 	for i, v := range t {
 		if i > 0 {

@@ -595,3 +595,42 @@ func TestRecorderCostPerFiring(t *testing.T) {
 			cost(), bare, recorded, steps, ceilingNS)
 	}
 }
+
+// TestReplaySessionScheduleLinearizes: the sequential engine commits under one
+// write session that it gives up and re-takes every gamma.sessionProbes probes,
+// and tells the recorder of each firing from inside it. The sequence numbers
+// it draws there must still be the run's own order — 1, 2, 3, … with no gap
+// across a session boundary — and the schedule must replay to the recorded
+// final state. 2 500 firings span two boundaries.
+func TestReplaySessionScheduleLinearizes(t *testing.T) {
+	p, err := gammalang.ParseProgram("pairs", "P = replace [x, 'L'], [y, 'L'] by [x + y, 'M']")
+	if err != nil {
+		t.Fatal(err)
+	}
+	init := multiset.New()
+	for i := int64(0); i < 5000; i++ {
+		init.Add(multiset.Pair(value.Int(i), "L"))
+	}
+	for _, seed := range []int64{0, 7} {
+		rec := NewRecorder(KindGamma, p.Name)
+		m := init.Clone()
+		st, err := gamma.Run(p, m, gamma.Options{Seed: seed, Schedule: rec})
+		if err != nil || st.Steps != 2500 {
+			t.Fatalf("seed %d: %d steps, err %v", seed, st.Steps, err)
+		}
+		sched := rec.Schedule()
+		for i, step := range sched.Steps {
+			if step.Seq != uint64(i+1) {
+				t.Fatalf("seed %d: firing %d carries seq %d", seed, i, step.Seq)
+			}
+		}
+		res, err := ReplayGamma(p, init.Clone(), sched)
+		if err != nil {
+			t.Fatalf("seed %d: replay: %v", seed, err)
+		}
+		if res.Divergence != nil || !res.Stable || res.Steps != 2500 || !res.Final.Equal(m) {
+			t.Fatalf("seed %d: divergence %v, stable %v, %d steps, final equal %v",
+				seed, res.Divergence, res.Stable, res.Steps, res.Final.Equal(m))
+		}
+	}
+}
