@@ -58,7 +58,10 @@ trace-demo:
 # ops, batched multiset commits, steal-scheduler determinism and batch-vs-
 # sequential equivalence, three-way dataflow engine differentials (goldens,
 # random programs, and random wide- and loop-shaped graphs on the firing
-# core), the service-side traced-run differential: per-tenant/per-engine registry
+# core, the matching table's invariants walked after every commit), the
+# dataflow plan cache (every Graph mutator between two runs against a fresh
+# Clone, and one Graph run from 8 goroutines per engine at once),
+# the service-side traced-run differential: per-tenant/per-engine registry
 # rollups equal the global registry exactly under concurrent load, and the
 # record/replay differentials: a parallel run's commit-order schedule must
 # replay sequentially to the byte-identical final state, and the provenance
@@ -77,7 +80,7 @@ trace-demo:
 # the sieve under both wake policies; steps and candidates per step on the
 # home-list workloads, with the invariants checked after every commit.
 stress:
-	$(GO) test -race -count=2 -run 'Cancel|Panic|Fault|Deadline|Wedge|Retr|Differential|KernelMatches|ApplyDelta|Steal|Batch|Rollup|Replay|Churn|Recycled|Invariant|Handle|Stale|Narrow|Session|Hysteresis|UnknownLabel' \
+	$(GO) test -race -count=2 -run 'Cancel|Panic|Fault|Deadline|Wedge|Retr|Differential|KernelMatches|ApplyDelta|Steal|Batch|Rollup|Replay|Churn|Recycled|Invariant|Handle|Stale|Narrow|Session|Hysteresis|UnknownLabel|PlanCache' \
 		./internal/gamma/ ./internal/dataflow/ ./internal/rt/ \
 		./internal/expr/ ./internal/multiset/ ./internal/equiv/ \
 		./internal/service/ ./internal/telemetry/ ./internal/replay/ .
@@ -104,8 +107,11 @@ check: vet fmt-check build race bench-check
 # 400 B, a whole run under 1 kB per step) and the counts of a step on an
 # Algorithm 1 image (no wildcard reaction, pinned steps and probes, 0.2
 # allocations per step);
-# allocations and bytes per vertex firing on the wide graph (flat in the
-# width, under 1 allocation / 300 B on all three engines); bytes per service
+# allocations and bytes per vertex firing on a re-run of the wide graph (flat
+# in the width, under 1 allocation / 150 B on all three engines, and short of
+# the first run by the plan's tables); the matching table's and dataflow
+# replay's wall-time exponents (one vertex under n tags; schedules of 2 432 to
+# 38 912 steps, the widest under 250 ms); bytes per service
 # request untraced, trace-asked and traced; nanoseconds per recorded firing;
 # and the count gates at full size — steps, probes and candidates under both
 # wake policies up to n=10^5, and the pool's conflicts and steps per batch at
@@ -121,12 +127,13 @@ check-ci: vet fmt-check build bench-check
 	GOMAXPROCS=2 $(GO) test -race -timeout 2m -count=2 -run 'Steal|Batch|Differential' ./internal/gamma/
 	GOMAXPROCS=8 $(GO) test -race -timeout 2m -count=2 -run 'Steal|Batch|Differential' ./internal/gamma/
 	$(GO) test -race -timeout 2m -count=2 -run 'Golden|Replay' ./internal/replay/ ./internal/service/ ./cmd/gammarun/ ./cmd/dfrun/
+	$(GO) test -race -timeout 2m -count=10 -run 'TestPlanCache' ./internal/dataflow/
 	$(GO) test -timeout 2m -count=1 -run 'TestLabelFreeScaling|TestWakePolicyScaling|TestHomeList' ./internal/gamma/
 	GOMAXPROCS=2 $(GO) test -timeout 2m -count=1 -run 'TestPoolCommitShape' ./internal/gamma/
 	GOMAXPROCS=8 $(GO) test -timeout 2m -count=1 -run 'TestPoolCommitShape' ./internal/gamma/
 	$(GO) test -timeout 2m -count=1 -run 'TestLoopAllocScaling' .
 	$(GO) test -timeout 2m -count=1 -run 'TestAlg1ImageShape' ./internal/gamma/
-	$(GO) test -timeout 2m -count=1 -run 'TestWideAllocShape' ./internal/dataflow/
+	$(GO) test -timeout 2m -count=1 -run 'TestWideAllocShape|TestMatchTableScaling' ./internal/dataflow/
 	$(GO) test -timeout 2m -count=1 -run 'TestTraceAllocationCost' ./internal/service/
-	$(GO) test -timeout 2m -count=1 -run 'TestRecorderCostPerFiring' ./internal/replay/
+	$(GO) test -timeout 2m -count=1 -run 'TestRecorderCostPerFiring|TestReplayDataflowScaling' ./internal/replay/
 	$(GO) run ./cmd/gammad -selfcheck

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"strings"
 
 	"repro/internal/dataflow"
 	"repro/internal/expr"
@@ -346,9 +345,9 @@ type MapResult struct {
 // scope of this work"). The implemented semantics, documented in DESIGN.md:
 // repeatedly (a) find an enabled match of r in m using the Gamma matcher —
 // the same enabling test as the runtime, so mapping terminates exactly when
-// Γ does; (b) instantiate a fresh copy of the reaction's subgraph with the
-// matched values as its roots; (c) run the instance; (d) feed its terminal
-// tokens back into m as elements. The multiset m is modified in place.
+// Γ does; (b) instantiate the reaction's subgraph by setting the matched
+// values as its roots; (c) run the instance; (d) feed its terminal tokens
+// back into m as elements. The multiset m is modified in place.
 func MapMultiset(r *gamma.Reaction, m *multiset.Multiset, opt dataflow.Options) (*MapResult, error) {
 	proto, err := ReactionToGraph(r)
 	if err != nil {
@@ -389,28 +388,22 @@ func MapMultiset(r *gamma.Reaction, m *multiset.Multiset, opt dataflow.Options) 
 			return res, fmt.Errorf("core: matched elements vanished during mapping")
 		}
 		res.Instances++
-		inst := proto.Clone(fmt.Sprintf("%s#%d", r.Name, res.Instances), func(l string) string {
-			return fmt.Sprintf("%s@%d", l, res.Instances)
-		})
-		// Fill the roots with the matched values.
-		for _, n := range inst.RootNodes() {
+		// An instance is the subgraph with the matched values as its roots:
+		// SetConst keeps the graph's version, so all of them run on one plan.
+		for _, n := range proto.RootNodes() {
 			if v, ok := match.Env[n.Name]; ok {
-				if err := inst.SetConst(n.ID, v); err != nil {
+				if err := proto.SetConst(n.ID, v); err != nil {
 					return res, err
 				}
 			}
 		}
-		run, err := dataflow.Run(inst, opt)
+		run, err := dataflow.Run(proto, opt)
 		if err != nil {
 			return res, err
 		}
 		res.Firings += run.Firings
 		for label, vals := range run.Outputs {
-			base := label
-			if i := strings.LastIndex(base, "@"); i >= 0 {
-				base = base[:i]
-			}
-			tpl, ok := meta[base]
+			tpl, ok := meta[label]
 			if !ok {
 				return res, fmt.Errorf("core: instance output %s has no product template", label)
 			}
@@ -420,7 +413,7 @@ func MapMultiset(r *gamma.Reaction, m *multiset.Multiset, opt dataflow.Options) 
 				for f := 1; f < len(tpl); f++ {
 					fv, err := expr.Eval(tpl[f], match.Env)
 					if err != nil {
-						return res, fmt.Errorf("core: product field %d of %s: %w", f, base, err)
+						return res, fmt.Errorf("core: product field %d of %s: %w", f, label, err)
 					}
 					tuple[f] = fv
 				}

@@ -7,14 +7,17 @@ import (
 	"repro/internal/value"
 )
 
-// plan is the dense form of a Graph that every engine routes through, built
-// once per run (graphs may be extended between runs) in O(V+E) time and a
-// fixed number of allocations: the incidence structure of "Dataflow Graphs as
-// Matrices" (PAPERS.md) in CSR form — producer→edge rows per (vertex, output
-// port), edge→consumer columns — and the op table. Immediates and names are
-// read from the Node when needed.
+// plan is the compiled form of one version of a Graph that every engine and
+// ReplayFire route through: built once per version (Graph.plan) in O(V+E) time
+// and a fixed number of allocations, immutable afterwards and shared by all
+// its runs, overlapping ones included. It holds the incidence structure of
+// "Dataflow Graphs as Matrices" (PAPERS.md) in CSR form — producer→edge rows
+// per (vertex, output port), edge→consumer columns — the op table and the
+// immediates. A firing reads nothing else; the Node supplies what the plan
+// leaves out: names, and a const's initial operand (SetConst may change it).
 type plan struct {
-	g *Graph
+	g     *Graph
+	stamp stamp
 	// portBase[v] is the first flat output-port index of vertex v; the row of
 	// flat port f is outEdges[outStart[f]:outStart[f+1]].
 	portBase, outStart, outEdges []int32
@@ -23,14 +26,17 @@ type plan struct {
 	edgeTo   []int32
 	edgePort []uint8
 	vert     []vertexOp
+	imm      []value.Value // by vertex id; invalid where the vertex has none
 	fns      []resolvedOp
-	// terminals counts the output edges and multiPort the vertices that need
-	// tag matching: the sizes output maps and matching tables start at.
-	terminals, multiPort, maxArity int
+	// What run state is sized from: the output edges, the vertices that need
+	// tag matching, the widest operand vector and the tokens the consts emit.
+	terminals, multiPort, maxArity, seeds int
+}
 
-	// The counters the run's cores share: firings per vertex (a vertex is
-	// fired by exactly one core, so the slots are unshared), the schedule's
-	// commit sequence and the firings reserved against Options.MaxFirings.
+// run is what one execution's cores share besides the plan: firings per vertex
+// (a vertex is fired by exactly one core, so the slots are unshared), the
+// schedule's commit sequence and the firings reserved against MaxFirings.
+type run struct {
 	counts []int64
 	seq    atomic.Uint64
 	budget atomic.Int64
@@ -40,17 +46,17 @@ type plan struct {
 type opLayout uint8
 
 const (
-	opRoute    opLayout = iota // not pure: the vertex moves an operand (routeOperand)
+	opRoute    opLayout = iota // not pure: the vertex moves an operand (plan.route)
 	opBinary                   // fn(o[0], o[1])
-	opImmRight                 // fn(o[0], n.Imm)
-	opImmLeft                  // fn(n.Imm, o[0])
+	opImmRight                 // fn(o[0], imm)
+	opImmLeft                  // fn(imm, o[0])
 	opUnary                    // fn(o[0])
 )
 
 // vertexOp is one vertex's op-table entry: kind and arity, copied so the
 // firing path dispatches without touching the Node, and for pure vertices the
-// operator (an index into plan.fns) and operand layout, decided once per run
-// instead of on every activation.
+// operator (an index into plan.fns) and operand layout, decided once per
+// version instead of on every activation.
 type vertexOp struct {
 	fn     uint16
 	kind   NodeKind
@@ -58,8 +64,8 @@ type vertexOp struct {
 	arity  uint8
 }
 
-// resolvedOp is one distinct operator of the run, resolved once however many
-// vertices carry it.
+// resolvedOp is one distinct operator of the graph, resolved once however
+// many vertices carry it.
 type resolvedOp struct {
 	name  string
 	unary bool
@@ -67,6 +73,24 @@ type resolvedOp struct {
 	un    func(a value.Value) (value.Value, error)
 }
 
+// plan returns the plan of g as it stands, validating and compiling only a
+// version that has not been yet: the one compile site. Overlapping first runs
+// may each compile; the plans are equal and either one stays.
+func (g *Graph) plan() (*plan, error) {
+	st, p := g.stamp(), g.compiled.Load()
+	if p == nil || p.stamp != st {
+		if v := g.valid.Load(); v == nil || *v != st {
+			if err := g.Validate(); err != nil {
+				return nil, err
+			}
+		}
+		p = newPlan(g)
+		g.compiled.Store(p)
+	}
+	return p, nil
+}
+
+// newPlan compiles a graph that passed Validate.
 func newPlan(g *Graph) *plan {
 	nv, ne := len(g.Nodes), len(g.Edges)
 	flat := 0
@@ -76,13 +100,14 @@ func newPlan(g *Graph) *plan {
 	ints := make([]int32, (nv+1)+(flat+1)+ne+ne)
 	p := &plan{
 		g:        g,
+		stamp:    g.stamp(),
 		portBase: ints[:nv+1],
 		outStart: ints[nv+1 : nv+flat+2],
 		outEdges: ints[nv+flat+2 : nv+flat+2 : nv+flat+2+ne],
 		edgeTo:   ints[nv+flat+2+ne:],
 		edgePort: make([]uint8, ne),
 		vert:     make([]vertexOp, nv),
-		counts:   make([]int64, nv),
+		imm:      make([]value.Value, nv),
 	}
 	f := int32(0)
 	for i, n := range g.Nodes {
@@ -94,10 +119,13 @@ func newPlan(g *Graph) *plan {
 			}
 			f++
 		}
-		p.vert[i] = p.compile(n)
+		p.vert[i], p.imm[i] = p.compile(n), n.Imm
 		p.maxArity = max(p.maxArity, len(n.In))
 		if len(n.In) > 1 {
 			p.multiPort++
+		}
+		if n.Kind == KindConst {
+			p.seeds += len(n.Out[0])
 		}
 	}
 	p.portBase[nv], p.outStart[f] = f, int32(len(p.outEdges))
@@ -153,22 +181,25 @@ func (p *plan) compile(n *Node) vertexOp {
 	return vo
 }
 
-// evalPure computes a pure vertex through its op-table entry. Semantics are
+// name serves the slow paths: errors, fault injector, schedule, telemetry.
+func (p *plan) name(id int32) string { return p.g.Nodes[id].Name }
+
+// evalPure computes pure vertex id through its op-table entry vo. Semantics are
 // exactly those of the tree-walking pureResult that
 // TestCompiledPureOpsDifferential keeps as the oracle.
-func (p *plan) evalPure(n *Node, vo vertexOp, o []value.Value) (v value.Value, err error) {
+func (p *plan) evalPure(id int32, vo vertexOp, o []value.Value) (v value.Value, err error) {
 	switch vo.layout {
 	case opBinary:
 		v, err = p.fns[vo.fn].bin(o[0], o[1])
 	case opImmRight:
-		v, err = p.fns[vo.fn].bin(o[0], n.Imm)
+		v, err = p.fns[vo.fn].bin(o[0], p.imm[id])
 	case opImmLeft:
-		v, err = p.fns[vo.fn].bin(n.Imm, o[0])
+		v, err = p.fns[vo.fn].bin(p.imm[id], o[0])
 	default:
 		v, err = p.fns[vo.fn].un(o[0])
 	}
 	if err != nil {
-		return value.Value{}, fmt.Errorf("dataflow: node %s: %w", n.Name, err)
+		return value.Value{}, fmt.Errorf("dataflow: node %s: %w", p.name(id), err)
 	}
 	if vo.kind == KindCompare {
 		// Algorithm 1 (lines 25-27): comparisons produce 1 or 0 control

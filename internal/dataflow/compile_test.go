@@ -62,9 +62,9 @@ func TestCompiledPureOpsDifferential(t *testing.T) {
 				operands = []value.Value{randVal(rng), randVal(rng)}
 			}
 		}
-		p := &plan{}
+		p := &plan{g: &Graph{Nodes: []*Node{n}}, imm: []value.Value{n.Imm}}
 		want, wantErr := pureResult(n, operands)
-		got, gotErr := p.evalPure(n, p.compile(n), operands)
+		got, gotErr := p.evalPure(0, p.compile(n), operands)
 		if (wantErr == nil) != (gotErr == nil) ||
 			(wantErr != nil && wantErr.Error() != gotErr.Error()) {
 			t.Fatalf("seed %d: %s %q imm=%v left=%v operands=%v:\n oracle err %v\n compiled err %v",

@@ -6,7 +6,10 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"sort"
 	"testing"
+	"time"
+	"unsafe"
 
 	"repro/internal/telemetry"
 	"repro/internal/value"
@@ -73,6 +76,193 @@ func BenchmarkWide(b *testing.B) {
 	}
 }
 
+// checkInvariants states the matching table's structure between two
+// deliveries: a recycled entry is empty with every slot it ever held cleared
+// (it pins no value or key); an entry at rest has at least one empty port —
+// a full set fires — and at least one waiting operand — a drained entry is
+// recycled; and peak has seen every entry.
+func (t *matchTable) checkInvariants() error {
+	for _, e := range t.free {
+		for i, q := range e.ports[:cap(e.ports)] {
+			if len(q.items) != 0 || q.head != 0 {
+				return fmt.Errorf("recycled entry: port %d holds %d operands at head %d", i, len(q.items), q.head)
+			}
+			for _, o := range q.items[:cap(q.items)] {
+				if o != (operand{}) {
+					return fmt.Errorf("recycled entry: port %d slot not cleared: %+v", i, o)
+				}
+			}
+		}
+	}
+	for k, e := range t.entries {
+		waiting := 0
+		for _, q := range e.ports {
+			if len(q.items) > q.head {
+				waiting++
+			}
+		}
+		if waiting == 0 || waiting == len(e.ports) {
+			return fmt.Errorf("entry %+v at rest with %d of %d ports waiting", k, waiting, len(e.ports))
+		}
+	}
+	if t.peak < len(t.entries) {
+		return fmt.Errorf("peak %d below the %d entries waiting", t.peak, len(t.entries))
+	}
+	return nil
+}
+
+// checkMatchTables makes every commit of every run started in t walk the
+// firing core's matching table (the afterCommit hook); in the pool each PE
+// walks its own. Not for parallel tests: the hook is one package variable.
+func checkMatchTables(t testing.TB) {
+	afterCommit = func(c *core) {
+		if err := c.match.checkInvariants(); err != nil {
+			t.Errorf("PE %d after firing %s: %v", c.pe, c.p.name(c.site), err)
+		}
+	}
+	t.Cleanup(func() { afterCommit = nil })
+}
+
+// TestMatchTableInvariantsCatchDefects seeds each defect the walk exists for
+// into a table it passes, and requires it to be reported.
+func TestMatchTableInvariantsCatchDefects(t *testing.T) {
+	val := value.Int(7)
+	// Two entries waiting on port 0, one recycled after firing.
+	healthy := func() *matchTable {
+		tb := &matchTable{keyed: true}
+		for tag := int64(0); tag < 3; tag++ {
+			tb.arrive(0, 2, 0, tag, val, "k", nil, nil)
+		}
+		if _, _, ready := tb.arrive(0, 2, 1, 2, val, "k", nil, nil); !ready || len(tb.free) != 1 || len(tb.entries) != 2 {
+			t.Fatalf("fixture: ready %v, %d free, %d entries", ready, len(tb.free), len(tb.entries))
+		}
+		return tb
+	}
+	if err := healthy().checkInvariants(); err != nil {
+		t.Fatalf("healthy table: %v", err)
+	}
+	resting := func(tb *matchTable) *matchEntry { return tb.entries[matchKey{0, 0}] }
+	for _, d := range []struct {
+		name   string
+		damage func(tb *matchTable)
+	}{
+		{"recycled entry still holds an operand", func(tb *matchTable) {
+			tb.free[0].ports[0].items = append(tb.free[0].ports[0].items, operand{val: val})
+		}},
+		{"recycled entry not rewound", func(tb *matchTable) { tb.free[0].ports[0].head = 1 }},
+		{"recycled slot pins its key", func(tb *matchTable) {
+			q := &tb.free[0].ports[0]
+			q.items[:1][0] = operand{key: "pinned"}
+		}},
+		{"recycled slot of the second port pins its value", func(tb *matchTable) {
+			q := &tb.free[0].ports[:2][1]
+			q.items = append(q.items, operand{val: val})[:0]
+		}},
+		{"complete operand set left waiting", func(tb *matchTable) {
+			e := resting(tb)
+			e.ports[1].items = append(e.ports[1].items, operand{val: val})
+		}},
+		{"drained entry not recycled", func(tb *matchTable) { resting(tb).ports[0].pop() }},
+		{"peak below the entries", func(tb *matchTable) { tb.peak = len(tb.entries) - 1 }},
+	} {
+		tb := healthy()
+		d.damage(tb)
+		if err := tb.checkInvariants(); err == nil {
+			t.Errorf("%s: not reported", d.name)
+		}
+	}
+}
+
+// TestMatchTableScaling is the matching table's complexity gate (ROADMAP 6d):
+// every token of the run addressed to ONE two-port vertex under n distinct
+// tags — n operands parked, then n partners completing them — for n from 2^10
+// to 2^14. The counts (n entries at the peak, n activations, every entry
+// recycled, nothing pending) and the invariants after every delivery run
+// under -race; a plain build also requires wall time ~ n^<=1.3 and a bounded
+// number of allocations per activation at every n. Before failing on time it
+// measures again and keeps each size's faster median: a busy host only adds
+// time, a quadratic table is slow every time.
+func TestMatchTableScaling(t *testing.T) {
+	sizes := []int{1 << 10, 1 << 11, 1 << 12, 1 << 13, 1 << 14}
+	drive := func(n int, check bool) (allocs float64, wall time.Duration) {
+		var a, b runtime.MemStats
+		runtime.ReadMemStats(&a)
+		t0 := time.Now()
+		var tb matchTable
+		scratch := make([]value.Value, 0, 2)
+		fired := 0
+		for port := 0; port < 2; port++ {
+			for tag := 0; tag < n; tag++ {
+				vals, _, ready := tb.arrive(3, 2, port, int64(tag), value.Int(int64(tag)), "", scratch, nil)
+				if ready {
+					fired++
+					if vals[0] != vals[1] {
+						t.Fatalf("n=%d: tag %d matched operands %v", n, tag, vals)
+					}
+				}
+				if check && tag%64 == 0 {
+					if err := tb.checkInvariants(); err != nil {
+						t.Fatalf("n=%d port %d tag %d: %v", n, port, tag, err)
+					}
+				}
+			}
+			if port == 0 && (tb.peak != n || len(tb.entries) != n || tb.pending() != n) {
+				t.Fatalf("n=%d: %d entries at peak %d holding %d operands, want n each", n, len(tb.entries), tb.peak, tb.pending())
+			}
+		}
+		wall = time.Since(t0)
+		runtime.ReadMemStats(&b)
+		if fired != n || len(tb.entries) != 0 || len(tb.free) != n || tb.pending() != 0 || tb.peak != n {
+			t.Fatalf("n=%d: %d fired, %d waiting, %d recycled, %d pending, peak %d", n, fired, len(tb.entries), len(tb.free), tb.pending(), tb.peak)
+		}
+		return float64(b.Mallocs-a.Mallocs) / float64(n), wall
+	}
+	for _, n := range sizes {
+		drive(n, true)
+	}
+	if raceEnabled || testing.Short() {
+		return
+	}
+	measure := func() (ns, walls []float64) {
+		for _, n := range sizes {
+			ds := make([]time.Duration, 7)
+			for i := range ds {
+				var allocs float64
+				if allocs, ds[i] = drive(n, false); allocs > 4 {
+					t.Errorf("n=%d: %.2f allocations per activation, want O(1) (<= 4)", n, allocs)
+				}
+			}
+			sort.Slice(ds, func(i, j int) bool { return ds[i] < ds[j] })
+			ns, walls = append(ns, float64(n)), append(walls, float64(ds[len(ds)/2]))
+		}
+		return ns, walls
+	}
+	ns, walls := measure()
+	exp := fitExponent(ns, walls)
+	if exp > 1.3 {
+		_, again := measure()
+		for i := range walls {
+			walls[i] = min(walls[i], again[i])
+		}
+		exp = fitExponent(ns, walls)
+	}
+	t.Logf("wall time ~ n^%.2f (%.0f ns per activation at n=%d)", exp, walls[len(walls)-1]/ns[len(ns)-1], sizes[len(sizes)-1])
+	if exp > 1.3 {
+		t.Errorf("wall time ~ n^%.2f over n=2^10..2^14, want <= 1.3", exp)
+	}
+}
+
+// fitExponent is the least-squares slope of log(y) against log(x).
+func fitExponent(xs, ys []float64) float64 {
+	var sx, sy, sxx, sxy float64
+	for i := range xs {
+		lx, ly := math.Log(xs[i]), math.Log(ys[i])
+		sx, sy, sxx, sxy = sx+lx, sy+ly, sxx+lx*lx, sxy+lx*ly
+	}
+	k := float64(len(xs))
+	return (k*sxy - sx*sy) / (k*sxx - sx*sx)
+}
+
 // refStore is the matching table's oracle: the per-vertex map[tag]*waiting
 // store the engines used before the shared table, kept deliberately naive —
 // every operand is queued, every arity goes through the map, consumed slots
@@ -119,8 +309,8 @@ func (s refStore) pending() int {
 // two edges merging into a port look like to the table), arities 1 to 3 —
 // through the shared table and through refStore, and requires the same
 // activations in the same order with the same operand vectors and keys, the
-// same Pending after every delivery, and every recycled entry empty with its
-// consumed slots cleared.
+// same Pending and the table's invariants (checkInvariants) after every
+// delivery.
 func TestMatchTableModel(t *testing.T) {
 	for seed := int64(0); seed < 60; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -167,25 +357,12 @@ func TestMatchTableModel(t *testing.T) {
 			if got := table.pending(); got != want {
 				t.Fatalf("seed %d step %d: pending %d, reference %d", seed, step, got, want)
 			}
-			for _, e := range table.free {
-				for i := range e.ports[:cap(e.ports)] {
-					q := e.ports[:cap(e.ports)][i]
-					if len(q.items) != 0 || q.head != 0 {
-						t.Fatalf("seed %d step %d: recycled entry holds %d operands at head %d", seed, step, len(q.items), q.head)
-					}
-					for _, o := range q.items[:cap(q.items)] {
-						if o != (operand{}) {
-							t.Fatalf("seed %d step %d: recycled slot not cleared: %+v", seed, step, o)
-						}
-					}
-				}
+			if err := table.checkInvariants(); err != nil {
+				t.Fatalf("seed %d step %d: %v", seed, step, err)
 			}
 		}
 		if fired == 0 {
 			t.Fatalf("seed %d: no activation fired", seed)
-		}
-		if table.peak < len(table.entries) {
-			t.Errorf("seed %d: peak %d below the %d entries waiting", seed, table.peak, len(table.entries))
 		}
 	}
 }
@@ -256,8 +433,10 @@ func buildSkewedLoop(n int64, delay int, strand bool) *Graph {
 // to each other and to a plain-Go oracle on random wide-shaped and loop-shaped
 // graphs: same outputs, firings, per-vertex counts, pending operands, and —
 // across all engines, the pool included — the same set of (vertex, consumed,
-// produced) schedule records.
+// produced) schedule records. The matching table's invariants are walked after
+// every commit.
 func TestCoreEngineDifferential(t *testing.T) {
+	checkMatchTables(t)
 	type graphCase struct {
 		name    string
 		build   func() *Graph
@@ -327,9 +506,9 @@ func TestCoreEngineDifferential(t *testing.T) {
 				}
 				continue
 			}
-			if res.Firings != ref.Firings || !reflect.DeepEqual(res.PerNode, ref.PerNode) {
+			if res.Firings != ref.Firings || !reflect.DeepEqual(res.PerNode(), ref.PerNode()) {
 				t.Errorf("%s/%s: firings %d per-vertex %v, sequential %d %v",
-					gc.name, e.name, res.Firings, res.PerNode, ref.Firings, ref.PerNode)
+					gc.name, e.name, res.Firings, res.PerNode(), ref.Firings, ref.PerNode())
 			}
 			if got := sched.sorted(); !reflect.DeepEqual(got, refSched) {
 				t.Errorf("%s/%s: schedule records differ from sequential:\n%v\n%v", gc.name, e.name, got, refSched)
@@ -364,25 +543,38 @@ func TestSkewedLoopMatchingPeaks(t *testing.T) {
 
 // TestWideAllocShape is the dataflow allocation-shape gate of `make check-ci`
 // (next to TestLoopAllocScaling): on every engine, allocations and bytes per
-// firing on the wide graph must stay under one allocation and 300 B (12.2 and
-// 1 018 B on the sequential engine before the shared core) and must not grow
-// with the graph's width, so per-firing set-up cannot silently return to any
-// engine. Flat means max/min <= 1.5 across widths; allocation counts get a
-// quarter of an allocation of absolute slack on top, because at ~0.1 per
-// firing the pool's fixed set-up (goroutines, mailboxes, a table per PE) is
-// already a third of the smallest width's count.
+// firing on a re-run of the wide graph must stay under one allocation and
+// 150 B (12.2 and 1 018 B on the sequential engine before the shared core,
+// 145–210 B while every run rebuilt the plan) and must not grow with the
+// graph's width, so per-firing set-up cannot silently return to any engine.
+// Flat means max/min <= 1.5 across widths; allocation counts get a quarter of
+// an allocation of absolute slack on top, because at ~0.1 per firing the
+// pool's fixed set-up (goroutines, mailboxes, a table per PE) is already a
+// third of the smallest width's count.
+//
+// The first run of a graph compiles its plan and the re-run must not: it has
+// to come in under the first by the bytes of the plan's tables, the only
+// allocation of a run that is proportional to the graph rather than to the
+// run's own tokens and counters — by three quarters of them, as the pool's
+// mailboxes grow a few percent differently from run to run (the sequential
+// and matrix engines read the tables' size plus 12–14 kB of size-class
+// rounding at every width).
 func TestWideAllocShape(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are only meaningful without the race detector")
 	}
-	const flat, allocSlack, maxAllocs, maxBytes = 1.5, 0.25, 1.0, 300.0
+	const flat, allocSlack, maxAllocs, maxBytes = 1.5, 0.25, 1.0, 150.0
+	if _, err := Run(buildWide(wideInputs(64), 16), Options{Workers: 2}); err != nil { // warm the runtime
+		t.Fatal(err)
+	}
 	for _, e := range engineOptions {
 		loAllocs, hiAllocs, loBytes, hiBytes := math.Inf(1), 0.0, math.Inf(1), 0.0
 		for _, width := range []int{64, 512, 4096} {
 			g := buildWide(wideInputs(width), 16)
 			var a, b runtime.MemStats
 			var res *Result
-			for pass := 0; pass < 2; pass++ { // the first pass warms the runtime
+			var first uint64
+			for pass := 0; pass < 2; pass++ { // the first run of the graph, then a re-run
 				runtime.ReadMemStats(&a)
 				var err error
 				res, err = Run(g, e.opt)
@@ -390,13 +582,25 @@ func TestWideAllocShape(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				if pass == 0 {
+					first = b.TotalAlloc - a.TotalAlloc
+				}
 			}
+			p := g.compiled.Load()
+			tables := uint64(4*(len(p.portBase)+len(p.outStart)+cap(p.outEdges)+len(p.edgeTo))+len(p.edgePort)) +
+				uint64(len(p.vert))*uint64(unsafe.Sizeof(vertexOp{})) + uint64(len(p.imm))*uint64(unsafe.Sizeof(value.Value{}))
+			rerun := b.TotalAlloc - a.TotalAlloc
 			allocs := float64(b.Mallocs-a.Mallocs) / float64(res.Firings)
-			bytes := float64(b.TotalAlloc-a.TotalAlloc) / float64(res.Firings)
-			t.Logf("%s width %d: %.2f allocs, %.0f B per firing", e.name, width, allocs, bytes)
+			bytes := float64(rerun) / float64(res.Firings)
+			t.Logf("%s width %d: %.2f allocs, %.0f B per firing; first run %d B, re-run %d B, plan tables %d B",
+				e.name, width, allocs, bytes, first, rerun, tables)
 			if allocs > maxAllocs || bytes > maxBytes {
 				t.Errorf("%s width %d: %.2f allocs and %.0f B per firing, ceilings %.0f and %.0f",
 					e.name, width, allocs, bytes, maxAllocs, maxBytes)
+			}
+			if rerun+tables*3/4 > first {
+				t.Errorf("%s width %d: the re-run allocated %d B against the first run's %d B; it must save most of the plan's %d B",
+					e.name, width, rerun, first, tables)
 			}
 			loAllocs, hiAllocs = min(loAllocs, allocs), max(hiAllocs, allocs)
 			loBytes, hiBytes = min(loBytes, bytes), max(hiBytes, bytes)

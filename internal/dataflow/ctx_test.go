@@ -116,3 +116,42 @@ func TestMaxFiringsClassified(t *testing.T) {
 		}
 	}
 }
+
+// TestRunContextJudgesSpecBeforeContext: under a context that is already done,
+// an unknown engine or an invalid graph is still rt.ErrInvalid with no Result,
+// and the early Result of a good spec echoes the PE count the chosen engine
+// would have used — 1 under the matrix engine, whatever Workers says.
+func TestRunContextJudgesSpecBeforeContext(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	invalid := NewGraph("invalid")
+	invalid.AddCopy("dangling")
+	for _, tc := range []struct {
+		name    string
+		g       *Graph
+		opt     Options
+		want    error
+		workers int // of the early Result; 0: no Result
+	}{
+		{"unknown engine", buildFig1(1, 5, 3, 2), Options{Engine: "bogus"}, rt.ErrInvalid, 0},
+		{"unknown engine, workers", buildFig1(1, 5, 3, 2), Options{Engine: "bogus", Workers: 4}, rt.ErrInvalid, 0},
+		{"invalid graph", invalid, Options{}, rt.ErrInvalid, 0},
+		{"invalid graph, matrix", invalid, Options{Engine: EngineMatrix}, rt.ErrInvalid, 0},
+		{"sequential", buildFig1(1, 5, 3, 2), Options{}, rt.ErrCanceled, 1},
+		{"sequential, workers 1", buildFig1(1, 5, 3, 2), Options{Workers: 1}, rt.ErrCanceled, 1},
+		{"pool", buildFig1(1, 5, 3, 2), Options{Workers: 4}, rt.ErrCanceled, 4},
+		{"matrix", buildFig1(1, 5, 3, 2), Options{Engine: EngineMatrix}, rt.ErrCanceled, 1},
+		{"matrix, workers", buildFig1(1, 5, 3, 2), Options{Engine: EngineMatrix, Workers: 4}, rt.ErrCanceled, 1},
+	} {
+		res, err := RunContext(ctx, tc.g, tc.opt)
+		if !errors.Is(err, tc.want) {
+			t.Errorf("%s: err = %v, want %v", tc.name, err, tc.want)
+		}
+		switch {
+		case tc.workers == 0 && res != nil:
+			t.Errorf("%s: a rejected spec returned a Result: %+v", tc.name, res)
+		case tc.workers != 0 && (res == nil || res.Workers != tc.workers || res.Firings != 0 || res.Outputs == nil || len(res.PerNode()) != 0):
+			t.Errorf("%s: early Result = %+v, want Workers %d and no work", tc.name, res, tc.workers)
+		}
+	}
+}

@@ -49,8 +49,8 @@ func TestFig1Sequential(t *testing.T) {
 	if res.Firings != 7 {
 		t.Errorf("firings = %d, want 7", res.Firings)
 	}
-	if res.PerNode["R3"] != 1 || res.PerNode["x"] != 1 {
-		t.Errorf("per-node = %v", res.PerNode)
+	if per := res.PerNode(); per["R3"] != 1 || per["x"] != 1 {
+		t.Errorf("per-node = %v", per)
 	}
 }
 

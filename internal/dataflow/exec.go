@@ -3,6 +3,7 @@ package dataflow
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"repro/internal/rt"
@@ -31,8 +32,9 @@ type Result struct {
 	Outputs map[string][]TaggedValue
 	// Firings is the total number of vertex activations.
 	Firings int64
-	// PerNode counts activations per vertex name.
-	PerNode map[string]int64
+	// Counts holds the activations of every vertex, by NodeID (nil when the
+	// context was done before the run); PerNode folds it by vertex name.
+	Counts []int64
 	// Pending counts operands left waiting in vertex matching stores when
 	// the program terminated: tokens that arrived on some port but whose
 	// partner operands never did (typically because a steer dropped the
@@ -45,6 +47,18 @@ type Result struct {
 	// readiness sweep plus one batched apply pass per tick. Zero under the
 	// token-at-a-time engines.
 	Ticks int64
+	g     *Graph // names Counts for PerNode
+}
+
+// PerNode counts activations per vertex name, over the vertices that fired.
+func (r *Result) PerNode() map[string]int64 {
+	m := make(map[string]int64)
+	for id, k := range r.Counts {
+		if k > 0 {
+			m[r.g.Nodes[id].Name] += k
+		}
+	}
+	return m
 }
 
 // Output returns the single output value for label, for the common case of
@@ -131,25 +145,26 @@ func Run(g *Graph, opt Options) (*Result, error) {
 // partial Result describing the work done up to the stop, alongside the
 // classifying error (rt.ErrCanceled, rt.ErrDeadline, ErrMaxFirings, or
 // *rt.PanicError; see package rt).
+// The spec is judged before the context: an unknown engine or an invalid
+// graph is rt.ErrInvalid even under a context that is already done.
 func RunContext(ctx context.Context, g *Graph, opt Options) (*Result, error) {
-	if err := g.Validate(); err != nil {
+	engine, workers := runSequential, 1
+	switch {
+	case opt.Engine == EngineMatrix:
+		engine = runMatrix
+	case opt.Engine != "":
+		return nil, rt.Mark(rt.ErrInvalid, fmt.Errorf("dataflow: unknown engine %q", opt.Engine))
+	case opt.Workers > 1:
+		engine, workers = runParallel, opt.Workers
+	}
+	p, err := g.plan()
+	if err != nil {
 		return nil, rt.Mark(rt.ErrInvalid, err)
 	}
 	if err := ctx.Err(); err != nil {
-		return &Result{Outputs: map[string][]TaggedValue{}, PerNode: map[string]int64{}, Workers: max(opt.Workers, 1)}, rt.FromContext(err)
+		return &Result{Outputs: map[string][]TaggedValue{}, Workers: workers, g: g}, rt.FromContext(err)
 	}
-	switch opt.Engine {
-	case "":
-		// Workers decides below.
-	case EngineMatrix:
-		return runMatrix(ctx, g, opt)
-	default:
-		return nil, rt.Mark(rt.ErrInvalid, fmt.Errorf("dataflow: unknown engine %q", opt.Engine))
-	}
-	if opt.Workers <= 1 {
-		return runSequential(ctx, g, opt)
-	}
-	return runParallel(ctx, g, opt)
+	return engine(ctx, p, &run{counts: make([]int64, len(p.vert))}, opt)
 }
 
 // operand is one parked token in the matching table: its value plus the token
@@ -292,20 +307,18 @@ func TokenKey(g *Graph, t Token) string {
 // verifier's way to re-execute a recorded firing.
 // The returned tokens are the activation's emissions in port fan-out order.
 func ReplayFire(g *Graph, n *Node, tag int64, operands []value.Value) ([]Token, error) {
-	var p plan
-	port, v, outTag := 0, value.Value{}, tag
-	var err error
-	if vo := p.compile(n); vo.layout != opRoute {
-		v, err = p.evalPure(n, vo, operands)
-	} else {
-		port, v, outTag, err = routeOperand(n.Kind, n, tag, operands)
+	p, err := g.plan()
+	if err != nil {
+		return nil, rt.Mark(rt.ErrInvalid, err)
 	}
+	port, v, outTag, err := p.route(int32(n.ID), tag, operands)
 	if err != nil {
 		return nil, err
 	}
-	toks := make([]Token, len(n.Out[port]))
-	for i, e := range n.Out[port] {
-		toks[i] = Token{Val: v, Edge: e, Tag: outTag}
+	row := p.row(int32(n.ID), port)
+	toks := make([]Token, len(row))
+	for i, e := range row {
+		toks[i] = Token{Val: v, Edge: EdgeID(e), Tag: outTag}
 	}
 	return toks, nil
 }
@@ -316,17 +329,21 @@ func (k NodeKind) isPure() bool {
 	return k == KindArith || k == KindCompare || k == KindUnaryOp
 }
 
-// routeOperand is the activation of a routing vertex (const, steer, inctag,
-// copy, settag): the output port, value and tag of its single emission, made
-// by moving an operand.
-func routeOperand(kind NodeKind, n *Node, tag int64, operands []value.Value) (int, value.Value, int64, error) {
-	switch kind {
+// route computes the activation of vertex id down to its single emission:
+// output port, value, tag. Pure kinds go through the op table; the routing
+// kinds (const, steer, inctag, copy, settag) move an operand.
+func (p *plan) route(id int32, tag int64, operands []value.Value) (int, value.Value, int64, error) {
+	vo := p.vert[id]
+	switch vo.kind {
+	case KindArith, KindCompare, KindUnaryOp:
+		v, err := p.evalPure(id, vo, operands)
+		return 0, v, tag, err
 	case KindConst:
-		return 0, n.Init, tag, nil
+		return 0, p.g.Nodes[id].Init, tag, nil
 	case KindSteer:
 		ctl, err := operands[1].Truthy()
 		if err != nil {
-			return 0, value.Value{}, 0, fmt.Errorf("dataflow: steer %s control: %w", n.Name, err)
+			return 0, value.Value{}, 0, fmt.Errorf("dataflow: steer %s control: %w", p.name(id), err)
 		}
 		if ctl {
 			return PortTrue, operands[0], tag, nil
@@ -339,16 +356,18 @@ func routeOperand(kind NodeKind, n *Node, tag int64, operands []value.Value) (in
 	case KindSetTag:
 		return 0, operands[0], 0, nil
 	}
-	return 0, value.Value{}, 0, fmt.Errorf("dataflow: node %s has invalid kind", n.Name)
+	return 0, value.Value{}, 0, fmt.Errorf("dataflow: node %s has invalid kind", p.name(id))
 }
 
 // core is the firing state of one engine — one PE in the pool — over the
-// run's shared plan. All three engines run on it: token arrival (arrive), the
-// one check → route → record → count step (fire), const seeding (seed) and
-// the Result fold (plan.finish). They differ only in which enabled activation
-// goes next and in the queue the returned emission row is pushed onto.
+// graph's plan and the run's counters. All three engines run on it: token
+// arrival (arrive), the one check → route → record → count step (fire), const
+// seeding (seed) and the Result fold (finish). They differ only in which
+// enabled activation goes next and in the queue the returned emission row is
+// pushed onto.
 type core struct {
 	p   *plan
+	r   *run
 	opt Options
 	// ctx is consulted before every firing; nil in the PE pool, whose
 	// watcher turns cancellation into fail() instead.
@@ -358,15 +377,16 @@ type core struct {
 	match    matchTable
 	operands []value.Value // scratch for one activation's operand vector
 	outputs  map[string][]TaggedValue
-	site     *Node // the vertex being fired, for the panic report
+	outSlab  []TaggedValue // this core's share of the terminal edges, one slot each
+	site     int32         // the vertex being fired (-1: none yet), for the panic report
 
 	fired int64
 }
 
 // newCore returns PE pe's core (-1: the pool's coordinator, which only seeds).
-func newCore(ctx context.Context, p *plan, opt Options, pe int) *core {
+func newCore(ctx context.Context, p *plan, r *run, opt Options, pe int) *core {
 	return &core{
-		p: p, opt: opt, ctx: ctx, pe: pe,
+		p: p, r: r, opt: opt, ctx: ctx, pe: pe, site: -1,
 		ts:       newDFSink(opt, p.g, pe),
 		match:    matchTable{keyed: opt.Schedule != nil, sizing: p.multiPort / max(opt.Workers, 1)},
 		operands: make([]value.Value, 0, p.maxArity),
@@ -376,8 +396,8 @@ func newCore(ctx context.Context, p *plan, opt Options, pe int) *core {
 // panicError wraps a recovered panic with the vertex that was firing.
 func (c *core) panicError(rec any) error {
 	site := ""
-	if c.site != nil {
-		site = c.site.Name
+	if c.site >= 0 {
+		site = c.p.name(c.site)
 	}
 	return rt.NewPanicError("dataflow", site, max(c.pe, 0), rec)
 }
@@ -395,15 +415,20 @@ func (c *core) arrive(to int32, tok Token, vals []value.Value, keys []string) ([
 func (c *core) output(tok Token) {
 	if c.outputs == nil {
 		c.outputs = make(map[string][]TaggedValue, c.p.terminals)
+		c.outSlab = make([]TaggedValue, (c.p.terminals-1)/max(c.opt.Workers, 1)+1)
 	}
 	label := c.p.g.Edges[tok.Edge].Label
-	c.outputs[label] = append(c.outputs[label], TaggedValue{Tag: tok.Tag, Val: tok.Val})
+	vs, ok := c.outputs[label]
+	if !ok && len(c.outSlab) > 0 { // most labels see one token: a slot of the slab
+		vs, c.outSlab = c.outSlab[:0:1], c.outSlab[1:]
+	}
+	c.outputs[label] = append(vs, TaggedValue{Tag: tok.Tag, Val: tok.Val})
 }
 
 // overBudget reserves one firing against Options.MaxFirings before the vertex
 // runs, so a run — concurrent PEs included — never overdraws its budget.
 func (c *core) overBudget() bool {
-	return c.opt.MaxFirings > 0 && c.p.budget.Add(1) > c.opt.MaxFirings
+	return c.opt.MaxFirings > 0 && c.r.budget.Add(1) > c.opt.MaxFirings
 }
 
 // fire runs one enabled activation: context, budget and fault injector are
@@ -411,28 +436,27 @@ func (c *core) overBudget() bool {
 // row, value, tag — for the engine to push onto its own queue. depth is the
 // engine's token depth without this activation's operands, for telemetry.
 func (c *core) fire(id int32, tag int64, operands []value.Value, keys []string, depth int64) ([]int32, value.Value, int64, error) {
-	n := c.p.g.Nodes[id]
-	c.site = n
+	c.site = id
 	var err error
 	if c.ctx != nil && c.ctx.Err() != nil {
 		err = rt.FromContext(c.ctx.Err())
 	} else if c.overBudget() {
 		err = ErrMaxFirings
 	} else if c.opt.FaultInjector != nil {
-		err = c.opt.FaultInjector(n.Name, c.pe)
+		err = c.opt.FaultInjector(c.p.name(id), c.pe)
 	}
 	if err != nil {
 		return nil, value.Value{}, 0, err
 	}
-	return c.commit(id, n, tag, operands, keys, depth)
+	return c.commit(id, tag, operands, keys, depth)
 }
 
 // commit is the package's one route → record → count sequence. The schedule
 // number is drawn before the caller makes the emission visible to a consumer,
 // so the numbers linearize even the pool's interleaving.
-func (c *core) commit(id int32, n *Node, tag int64, operands []value.Value, keys []string, depth int64) ([]int32, value.Value, int64, error) {
+func (c *core) commit(id int32, tag int64, operands []value.Value, keys []string, depth int64) ([]int32, value.Value, int64, error) {
 	t0 := c.ts.begin()
-	port, v, outTag, err := c.route(id, n, tag, operands)
+	port, v, outTag, err := c.p.route(id, tag, operands)
 	if err != nil {
 		return nil, value.Value{}, 0, err
 	}
@@ -442,27 +466,22 @@ func (c *core) commit(id int32, n *Node, tag int64, operands []value.Value, keys
 		for i, e := range row {
 			produced[i] = TokenKey(c.p.g, Token{Edge: EdgeID(e), Tag: outTag})
 		}
-		c.opt.Schedule.RecordStep(c.p.seq.Add(1), n.Name, keys, produced)
+		c.opt.Schedule.RecordStep(c.r.seq.Add(1), c.p.name(id), keys, produced)
 	}
 	c.fired++
-	c.p.counts[id]++
+	c.r.counts[id]++
 	if c.ts != nil {
-		c.ts.firing(NodeID(id), n.Name, t0, depth+int64(len(row)), len(row))
+		c.ts.firing(NodeID(id), c.p.name(id), t0, depth+int64(len(row)), len(row))
+	}
+	if afterCommit != nil {
+		afterCommit(c)
 	}
 	return row, v, outTag, nil
 }
 
-// route computes a vertex activation down to its single emission: output
-// port, value, tag. Pure kinds go through the op table, the rest move an
-// operand.
-func (c *core) route(id int32, n *Node, tag int64, operands []value.Value) (int, value.Value, int64, error) {
-	vo := c.p.vert[id]
-	if vo.layout == opRoute {
-		return routeOperand(vo.kind, n, tag, operands)
-	}
-	v, err := c.p.evalPure(n, vo, operands)
-	return 0, v, tag, err
-}
+// afterCommit is a test hook: the engine differentials point it at the
+// matching table's invariants walk so every commit of their runs is checked.
+var afterCommit func(c *core)
 
 // seed fires every const vertex once with tag 0, handing each emitted token
 // to emit. Consts are numbered before any token is routed, so every schedule
@@ -473,12 +492,11 @@ func (c *core) seed(emit func(e int32, v value.Value)) error {
 		if vo.kind != KindConst {
 			continue
 		}
-		n := c.p.g.Nodes[id]
-		c.site = n
+		c.site = int32(id)
 		if c.overBudget() {
 			return ErrMaxFirings
 		}
-		row, v, _, _ := c.commit(int32(id), n, 0, nil, nil, depth) // a const firing cannot fail
+		row, v, _, _ := c.commit(int32(id), 0, nil, nil, depth) // a const firing cannot fail
 		depth += int64(len(row))
 		for _, e := range row {
 			emit(e, v)
@@ -489,9 +507,9 @@ func (c *core) seed(emit func(e int32, v value.Value)) error {
 
 // finish folds the run's cores into its Result — on every exit path, so an
 // early stop reports the work done up to it — and sets the run-end gauges.
-func (p *plan) finish(workers int, ticks int64, queuePeak int, cores ...*core) *Result {
-	res := &Result{Workers: workers, Ticks: ticks}
-	entriesPeak, fired := 0, 0
+func (r *run) finish(workers int, ticks int64, queuePeak int, cores ...*core) *Result {
+	res := &Result{Workers: workers, Ticks: ticks, Counts: r.counts, g: cores[0].p.g}
+	entriesPeak := 0
 	for _, c := range cores {
 		res.Firings += c.fired
 		res.Pending += c.match.pending()
@@ -510,17 +528,6 @@ func (p *plan) finish(workers int, ticks int64, queuePeak int, cores ...*core) *
 	for _, vs := range res.Outputs {
 		if len(vs) > 1 {
 			sort.SliceStable(vs, func(i, j int) bool { return vs[i].Tag < vs[j].Tag })
-		}
-	}
-	for _, k := range p.counts {
-		if k > 0 {
-			fired++
-		}
-	}
-	res.PerNode = make(map[string]int64, fired)
-	for id, k := range p.counts {
-		if k > 0 {
-			res.PerNode[p.g.Nodes[id].Name] += k
 		}
 	}
 	cores[0].ts.peaks(entriesPeak, queuePeak)
@@ -557,15 +564,15 @@ func (r *ring) pop() Token {
 // tokens, each delivered to its consumer, firing vertices as their operand
 // sets complete. A panic out of a vertex operation is recovered into
 // *rt.PanicError with the partial Result preserved.
-func runSequential(ctx context.Context, g *Graph, opt Options) (res *Result, err error) {
-	p := newPlan(g)
-	c := newCore(ctx, p, opt, 0)
-	var q ring
+func runSequential(ctx context.Context, p *plan, r *run, opt Options) (res *Result, err error) {
+	c := newCore(ctx, p, r, opt, 0)
+	// The worklist starts at the seed tokens; fan-out beyond them grows it.
+	q := ring{buf: make([]Token, 1<<bits.Len(uint(max(p.seeds, 64)-1)))}
 	defer func() {
 		if rec := recover(); rec != nil {
 			err = c.panicError(rec)
 		}
-		res = p.finish(1, 0, q.peak, c)
+		res = r.finish(1, 0, q.peak, c)
 	}()
 	if err := c.seed(func(e int32, v value.Value) { q.push(Token{Val: v, Edge: EdgeID(e)}) }); err != nil {
 		return nil, err

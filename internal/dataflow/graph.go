@@ -10,6 +10,7 @@ package dataflow
 import (
 	"fmt"
 	"strings"
+	"sync/atomic"
 
 	"repro/internal/value"
 )
@@ -145,13 +146,32 @@ type Edge struct {
 
 // Graph is a dynamic dataflow program. Build one with the Add/Connect
 // methods, then Validate before running.
+//
+// Mutate a graph through its methods only: each structural one starts a new
+// version, and a version is validated and compiled to its plan (compile.go)
+// once, however often it runs. A Node or Edge reached through the exported
+// slices is read-only once the graph has run. Runs of one graph may overlap;
+// a mutation may overlap nothing. Copy a Graph with Clone only.
 type Graph struct {
 	Name  string
 	Nodes []*Node
 	Edges []*Edge
 
 	labels map[string]EdgeID
+
+	version  uint64                // structural mutations: addNode, setImm, connect
+	valid    atomic.Pointer[stamp] // the last stamp that passed Validate
+	compiled atomic.Pointer[plan]  // the plan of the last version that ran
 }
+
+// stamp identifies one version of a graph; the lengths also catch an append
+// to the exported slices that went around the methods.
+type stamp struct {
+	version      uint64
+	nodes, edges int
+}
+
+func (g *Graph) stamp() stamp { return stamp{g.version, len(g.Nodes), len(g.Edges)} }
 
 // NewGraph returns an empty graph.
 func NewGraph(name string) *Graph {
@@ -169,6 +189,7 @@ func (g *Graph) addNode(kind NodeKind, name, op string, init value.Value) NodeID
 		Out: make([][]EdgeID, kind.OutPorts()),
 	}
 	g.Nodes = append(g.Nodes, n)
+	g.version++
 	return id
 }
 
@@ -179,6 +200,7 @@ func (g *Graph) setImm(id NodeID, imm value.Value, immLeft bool) NodeID {
 	n.Imm = imm
 	n.ImmLeft = immLeft
 	n.In = make([][]EdgeID, 1)
+	g.version++
 	return id
 }
 
@@ -290,6 +312,7 @@ func (g *Graph) connect(from NodeID, fromPort int, to NodeID, toPort int, label 
 	fn.Out[fromPort] = append(fn.Out[fromPort], id)
 	g.Edges = append(g.Edges, e)
 	g.labels[label] = id
+	g.version++
 	return id, nil
 }
 
@@ -327,7 +350,9 @@ func (g *Graph) NodeByName(name string) *Node {
 }
 
 // SetConst re-parameterizes a Const vertex, so a built graph can be re-run on
-// different inputs (the equivalence harness does this).
+// different inputs (the equivalence harness does this). The plan holds no
+// initial operand, so this starts no version and itself refuses the one value
+// Validate would, the invalid Value.
 func (g *Graph) SetConst(id NodeID, v value.Value) error {
 	n, err := g.node(id)
 	if err != nil {
@@ -335,6 +360,9 @@ func (g *Graph) SetConst(id NodeID, v value.Value) error {
 	}
 	if n.Kind != KindConst {
 		return fmt.Errorf("dataflow: SetConst on %s node %s", n.Kind, n.Name)
+	}
+	if !v.IsValid() {
+		return fmt.Errorf("dataflow: const node %s has no value", n.Name)
 	}
 	n.Init = v
 	return nil
@@ -363,8 +391,10 @@ func (g *Graph) RootNodes() []*Node {
 }
 
 // Validate checks structural well-formedness: every input port of every
-// non-const vertex connected, operators known, and at least one vertex.
+// non-const vertex connected, operators known, and at least one vertex. It
+// always walks; a run of the version it passed does not walk again.
 func (g *Graph) Validate() error {
+	st := g.stamp()
 	if len(g.Nodes) == 0 {
 		return fmt.Errorf("dataflow: graph %s has no nodes", g.Name)
 	}
@@ -399,13 +429,13 @@ func (g *Graph) Validate() error {
 			}
 		}
 	}
+	g.valid.Store(&st)
 	return nil
 }
 
-// Clone returns an independent deep copy of the graph, optionally renaming
-// every edge label through rename (nil keeps labels). Used by the Gamma→
-// dataflow mapper, which instantiates a reaction subgraph once per match
-// (Fig. 4) and must keep labels unique across instances.
+// Clone returns an independent deep copy of the graph — a first version of its
+// own, sharing no plan — optionally renaming every edge label through rename
+// (nil keeps labels).
 func (g *Graph) Clone(name string, rename func(label string) string) *Graph {
 	c := NewGraph(name)
 	for _, n := range g.Nodes {

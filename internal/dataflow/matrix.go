@@ -63,20 +63,19 @@ type matFiring struct {
 // runMatrix executes the graph in bulk-synchronous ticks. It is
 // single-threaded and deterministic: within a tick, tokens are delivered in
 // dense edge order and activations fire in discovery order. The multiset of
-// firings — hence Outputs, Firings, PerNode and Pending — equals
+// firings — hence Outputs, Firings, Counts and Pending — equals
 // the sequential engine's (dataflow firing is confluent; DESIGN.md §14).
-func runMatrix(ctx context.Context, g *Graph, opt Options) (res *Result, err error) {
-	p := newPlan(g)
-	c := newCore(ctx, p, opt, 0)
+func runMatrix(ctx context.Context, p *plan, r *run, opt Options) (res *Result, err error) {
+	c := newCore(ctx, p, r, opt, 0)
 	ticks, peak := int64(0), 0
 	defer func() {
 		if rec := recover(); rec != nil {
 			err = c.panicError(rec)
 		}
-		res = p.finish(1, ticks, peak, c)
+		res = r.finish(1, ticks, peak, c)
 	}()
-	links := make([]int32, 2*len(g.Edges))
-	q := edgeQueues{head: links[:len(g.Edges)], tail: links[len(g.Edges):]}
+	links := make([]int32, 2*len(p.edgeTo))
+	q := edgeQueues{head: links[:len(p.edgeTo)], tail: links[len(p.edgeTo):], toks: make([]chainTok, 0, p.seeds)}
 
 	// inflight counts emitted-but-unconsumed tokens: +fanout per firing,
 	// -nops when a firing consumes its operands, -1 when a terminal edge

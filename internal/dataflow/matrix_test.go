@@ -99,8 +99,8 @@ func matrixAgreesWithSequential(t *testing.T, name string, build func() *Graph) 
 	if seqRes.Firings != matRes.Firings {
 		t.Errorf("%s: firings seq %d matrix %d", name, seqRes.Firings, matRes.Firings)
 	}
-	if !reflect.DeepEqual(seqRes.PerNode, matRes.PerNode) {
-		t.Errorf("%s: per-node seq %v matrix %v", name, seqRes.PerNode, matRes.PerNode)
+	if !reflect.DeepEqual(seqRes.PerNode(), matRes.PerNode()) {
+		t.Errorf("%s: per-node seq %v matrix %v", name, seqRes.PerNode(), matRes.PerNode())
 	}
 	if seqRes.Pending != matRes.Pending {
 		t.Errorf("%s: pending seq %d matrix %d", name, seqRes.Pending, matRes.Pending)
@@ -108,6 +108,7 @@ func matrixAgreesWithSequential(t *testing.T, name string, build func() *Graph) 
 }
 
 func TestMatrixDifferentialVsSequential(t *testing.T) {
+	checkMatchTables(t)
 	matrixAgreesWithSequential(t, "fig1", func() *Graph { return buildFig1(1, 5, 3, 2) })
 	matrixAgreesWithSequential(t, "fig1-alt", func() *Graph { return buildFig1(-3, 12, 7, 0) })
 	for _, n := range []int64{0, 1, 5, 40} {
@@ -139,6 +140,7 @@ func TestMatrixDifferentialVsSequential(t *testing.T) {
 }
 
 func TestMatrixScheduleDifferential(t *testing.T) {
+	checkMatchTables(t)
 	// The set of (vertex, consumed, produced) records is engine-independent;
 	// only the firing order differs.
 	seqTr, matTr := &recSchedule{}, &recSchedule{}

@@ -25,10 +25,10 @@ import (
 // into fail + mailbox close: parked PEs wake immediately, and a failed engine
 // drops queued tokens instead of firing them, so a canceled run returns in
 // delivery time even with a deep backlog.
-func runParallel(ctx context.Context, g *Graph, opt Options) (*Result, error) {
+func runParallel(ctx context.Context, p *plan, r *run, opt Options) (*Result, error) {
 	workers := opt.Workers
 	eng := &parEngine{
-		p:     newPlan(g),
+		p:     p,
 		boxes: make([]*mailbox, workers),
 		done:  make(chan struct{}),
 	}
@@ -36,9 +36,9 @@ func runParallel(ctx context.Context, g *Graph, opt Options) (*Result, error) {
 	cores := make([]*core, workers, workers+1)
 	for i := range cores {
 		eng.boxes[i] = newMailbox()
-		cores[i] = newCore(nil, eng.p, opt, i)
+		cores[i] = newCore(nil, p, r, opt, i)
 	}
-	coord := newCore(nil, eng.p, opt, -1)
+	coord := newCore(nil, p, r, opt, -1)
 	cores = append(cores, coord)
 
 	watchDone := make(chan struct{})
@@ -61,7 +61,7 @@ func runParallel(ctx context.Context, g *Graph, opt Options) (*Result, error) {
 
 	// Inject the const tokens, counted first so the in-flight counter cannot
 	// transiently hit zero between sends; the PEs are parked until then.
-	var toks []Token
+	toks := make([]Token, 0, p.seeds)
 	err := coord.seed(func(e int32, v value.Value) { toks = append(toks, Token{Val: v, Edge: EdgeID(e)}) })
 	if err != nil {
 		eng.fail(err)
@@ -80,7 +80,7 @@ func runParallel(ctx context.Context, g *Graph, opt Options) (*Result, error) {
 	for _, b := range eng.boxes {
 		backlog += b.peak
 	}
-	res := eng.p.finish(workers, 0, backlog, cores...)
+	res := r.finish(workers, 0, backlog, cores...)
 	if err := eng.err.Load(); err != nil {
 		return res, err.(error)
 	}

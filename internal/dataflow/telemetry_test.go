@@ -14,7 +14,7 @@ func checkDFTelemetryAgrees(t *testing.T, rec *telemetry.Recorder, res *Result) 
 	if got := reg.CounterValue("dataflow.firings"); got != res.Firings {
 		t.Errorf("counter dataflow.firings = %d, result says %d", got, res.Firings)
 	}
-	for name, want := range res.PerNode {
+	for name, want := range res.PerNode() {
 		if got := reg.CounterValue("dataflow.fired." + name); got != want {
 			t.Errorf("counter dataflow.fired.%s = %d, result says %d", name, got, want)
 		}

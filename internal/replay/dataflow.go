@@ -2,6 +2,7 @@ package replay
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"strconv"
 	"strings"
@@ -39,13 +40,6 @@ func (r *DataflowResult) Output(label string) (value.Value, bool) {
 	return vs[len(vs)-1].Val, true
 }
 
-// tokenQueue holds the values in flight on one (edge, tag) in production
-// order; the schedule's linearization makes FIFO per key exactly the order
-// the recorded run's matching stores saw.
-type tokenQueue struct {
-	vals []value.Value
-}
-
 // ReplayDataflow re-executes a recorded dataflow schedule step for step
 // against graph g: each step pops its consumed tokens (by key, FIFO) from
 // the in-flight pool, re-fires the named vertex on their values, and checks
@@ -66,10 +60,20 @@ func ReplayDataflow(g *dataflow.Graph, s *Schedule) (*DataflowResult, error) {
 		return nil, rt.Mark(rt.ErrInvalid, err)
 	}
 	res := &DataflowResult{Outputs: make(map[string][]dataflow.TaggedValue)}
-	avail := make(map[string]*tokenQueue)
+	// avail holds the values in flight on each (edge, tag) key in production
+	// order; the schedule's linearization makes FIFO per key exactly the
+	// order the recorded run's matching stores saw.
+	avail := make(map[string][]value.Value)
+	// One index for all steps; as in NodeByName, a name means its first vertex.
+	byName := make(map[string]*dataflow.Node, len(g.Nodes))
+	for _, n := range g.Nodes {
+		if byName[n.Name] == nil {
+			byName[n.Name] = n
+		}
+	}
 	for i := range s.Steps {
 		st := &s.Steps[i]
-		div, err := replayDataflowStep(g, s, i, st, avail, res)
+		div, err := replayDataflowStep(g, byName[st.Name], s, i, st, avail, res)
 		if err != nil {
 			return nil, err
 		}
@@ -86,15 +90,10 @@ func ReplayDataflow(g *dataflow.Graph, s *Schedule) (*DataflowResult, error) {
 	return res, nil
 }
 
-func replayDataflowStep(g *dataflow.Graph, s *Schedule, idx int, st *Step, avail map[string]*tokenQueue, res *DataflowResult) (*Divergence, error) {
-	n := g.NodeByName(st.Name)
+func replayDataflowStep(g *dataflow.Graph, n *dataflow.Node, s *Schedule, idx int, st *Step, avail map[string][]value.Value, res *DataflowResult) (*Divergence, error) {
 	if n == nil {
-		return &Divergence{
-			Step: st.Step, Seq: st.Seq, Name: st.Name,
-			Reason:    ReasonUnknownNode,
-			Detail:    fmt.Sprintf("graph %s has no vertex %s", g.Name, st.Name),
-			Ancestors: ancestors(s, idx),
-		}, nil
+		detail := fmt.Sprintf("graph %s has no vertex %s", g.Name, st.Name)
+		return s.diverged(idx, Divergence{Reason: ReasonUnknownNode, Detail: detail}), nil
 	}
 	// Pop the consumed tokens. Keys are recorded in input-port order, so the
 	// popped values form the operand vector positionally.
@@ -109,53 +108,22 @@ func replayDataflowStep(g *dataflow.Graph, s *Schedule, idx int, st *Step, avail
 			tag = kTag
 		}
 		q := avail[key]
-		if q == nil || len(q.vals) == 0 {
-			return &Divergence{
-				Step: st.Step, Seq: st.Seq, Name: st.Name,
-				Reason:    ReasonConsumedMissing,
-				Missing:   []string{key},
-				Ancestors: ancestors(s, idx),
-			}, nil
+		if len(q) == 0 {
+			return s.diverged(idx, Divergence{Reason: ReasonConsumedMissing, Missing: []string{key}}), nil
 		}
-		operands[j] = q.vals[0]
-		q.vals = q.vals[1:]
-	}
-	restore := func() {
-		// Push the popped operands back at the front, preserving FIFO order,
-		// so the returned state is the pre-step state.
-		for j := len(st.Consumed) - 1; j >= 0; j-- {
-			key := st.Consumed[j]
-			q := avail[key]
-			if q == nil {
-				q = &tokenQueue{}
-				avail[key] = q
-			}
-			q.vals = append([]value.Value{operands[j]}, q.vals...)
-		}
+		operands[j], avail[key] = q[0], q[1:]
 	}
 	out, err := dataflow.ReplayFire(g, n, tag, operands)
 	if err != nil {
-		restore()
-		return &Divergence{
-			Step: st.Step, Seq: st.Seq, Name: st.Name,
-			Reason:    ReasonKernelError,
-			Detail:    err.Error(),
-			Ancestors: ancestors(s, idx),
-		}, nil
+		return s.diverged(idx, Divergence{Reason: ReasonKernelError, Detail: err.Error()}), nil
 	}
 	actual := make([]string, len(out))
 	for j, t := range out {
 		actual[j] = dataflow.TokenKey(g, t)
 	}
 	if expected := sortedKeys(st.Produced); !keysEqual(expected, sortedKeys(actual)) {
-		restore()
-		return &Divergence{
-			Step: st.Step, Seq: st.Seq, Name: st.Name,
-			Reason:    ReasonProductMismatch,
-			Expected:  expected,
-			Actual:    sortedKeys(actual),
-			Ancestors: ancestors(s, idx),
-		}, nil
+		mismatch := Divergence{Reason: ReasonProductMismatch, Expected: expected, Actual: sortedKeys(actual)}
+		return s.diverged(idx, mismatch), nil
 	}
 	for j, t := range out {
 		e := g.Edges[t.Edge]
@@ -163,13 +131,7 @@ func replayDataflowStep(g *dataflow.Graph, s *Schedule, idx int, st *Step, avail
 			res.Outputs[e.Label] = append(res.Outputs[e.Label], dataflow.TaggedValue{Tag: t.Tag, Val: t.Val})
 			continue
 		}
-		key := actual[j]
-		q := avail[key]
-		if q == nil {
-			q = &tokenQueue{}
-			avail[key] = q
-		}
-		q.vals = append(q.vals, t.Val)
+		avail[actual[j]] = append(avail[actual[j]], t.Val)
 	}
 	return nil, nil
 }
@@ -191,34 +153,29 @@ func keyTag(key string) (int64, error) {
 // (Pending) and whether any vertex has a token on every input port for some
 // single tag — if so the replayed state is not stable (the recorded run
 // stopped early, e.g. a canceled run's committed prefix).
-func dataflowQuiescence(g *dataflow.Graph, avail map[string]*tokenQueue) (pending int, stable bool) {
+func dataflowQuiescence(g *dataflow.Graph, avail map[string][]value.Value) (pending int, stable bool) {
 	type nodeTag struct {
 		node dataflow.NodeID
 		tag  int64
 	}
-	covered := make(map[nodeTag]map[int]bool)
+	covered := make(map[nodeTag]uint) // bit i: input port i holds a token
 	for key, q := range avail {
-		if len(q.vals) == 0 {
+		if len(q) == 0 {
 			continue
 		}
-		pending += len(q.vals)
-		at := strings.LastIndexByte(key, '@')
-		e := g.EdgeByLabel(key[:at])
-		if e == nil || e.To == dataflow.NoNode {
-			continue
-		}
-		tag, err := strconv.ParseInt(key[at+1:], 10, 64)
+		pending += len(q)
+		tag, err := keyTag(key)
 		if err != nil {
 			continue
 		}
-		nt := nodeTag{node: e.To, tag: tag}
-		if covered[nt] == nil {
-			covered[nt] = make(map[int]bool)
+		e := g.EdgeByLabel(key[:strings.LastIndexByte(key, '@')])
+		if e == nil || e.To == dataflow.NoNode {
+			continue
 		}
-		covered[nt][e.ToPort] = true
+		covered[nodeTag{node: e.To, tag: tag}] |= 1 << e.ToPort
 	}
 	for nt, ports := range covered {
-		if len(ports) == g.Nodes[nt.node].InArity() {
+		if bits.OnesCount(ports) == g.Nodes[nt.node].InArity() {
 			return pending, false
 		}
 	}

@@ -49,6 +49,14 @@ type Divergence struct {
 	Detail    string   `json:"detail,omitempty"`
 }
 
+// diverged completes d, the finding at step index idx (0-based), with the
+// step's identity and its ancestors.
+func (s *Schedule) diverged(idx int, d Divergence) *Divergence {
+	st := &s.Steps[idx]
+	d.Step, d.Seq, d.Name, d.Ancestors = st.Step, st.Seq, st.Name, ancestors(s, idx)
+	return &d
+}
+
 // String renders a one-paragraph human-readable report.
 func (d *Divergence) String() string {
 	var b strings.Builder

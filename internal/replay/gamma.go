@@ -93,43 +93,24 @@ func ReplayGamma(p *gamma.Program, m *multiset.Multiset, s *Schedule) (*GammaRes
 func replayGammaStep(p *gamma.Program, m *multiset.Multiset, s *Schedule, idx int, st *Step) *Divergence {
 	r := p.Reaction(st.Name)
 	if r == nil {
-		return &Divergence{
-			Step: st.Step, Seq: st.Seq, Name: st.Name,
-			Reason:    ReasonUnknownReaction,
-			Detail:    fmt.Sprintf("program %s has no reaction %s", p.Name, st.Name),
-			Ancestors: ancestors(s, idx),
-		}
+		detail := fmt.Sprintf("program %s has no reaction %s", p.Name, st.Name)
+		return s.diverged(idx, Divergence{Reason: ReasonUnknownReaction, Detail: detail})
 	}
 	chosen := make([]multiset.Tuple, len(st.Consumed))
 	for j, key := range st.Consumed {
 		t, err := KeyTuple(key)
 		if err != nil {
-			return &Divergence{
-				Step: st.Step, Seq: st.Seq, Name: st.Name,
-				Reason:    ReasonKernelError,
-				Detail:    err.Error(),
-				Ancestors: ancestors(s, idx),
-			}
+			return s.diverged(idx, Divergence{Reason: ReasonKernelError, Detail: err.Error()})
 		}
 		chosen[j] = t
 	}
 	if !m.TryRemoveAll(chosen) {
-		return &Divergence{
-			Step: st.Step, Seq: st.Seq, Name: st.Name,
-			Reason:    ReasonConsumedMissing,
-			Missing:   missingFrom(m, chosen),
-			Ancestors: ancestors(s, idx),
-		}
+		return s.diverged(idx, Divergence{Reason: ReasonConsumedMissing, Missing: missingFrom(m, chosen)})
 	}
 	products, err := r.ReplayFiring(chosen)
 	if err != nil {
 		m.AddAll(chosen)
-		return &Divergence{
-			Step: st.Step, Seq: st.Seq, Name: st.Name,
-			Reason:    ReasonKernelError,
-			Detail:    err.Error(),
-			Ancestors: ancestors(s, idx),
-		}
+		return s.diverged(idx, Divergence{Reason: ReasonKernelError, Detail: err.Error()})
 	}
 	actual := make([]string, len(products))
 	for j, t := range products {
@@ -138,13 +119,7 @@ func replayGammaStep(p *gamma.Program, m *multiset.Multiset, s *Schedule, idx in
 	actual = sortedKeys(actual)
 	if expected := sortedKeys(st.Produced); !keysEqual(expected, actual) {
 		m.AddAll(chosen)
-		return &Divergence{
-			Step: st.Step, Seq: st.Seq, Name: st.Name,
-			Reason:    ReasonProductMismatch,
-			Expected:  expected,
-			Actual:    actual,
-			Ancestors: ancestors(s, idx),
-		}
+		return s.diverged(idx, Divergence{Reason: ReasonProductMismatch, Expected: expected, Actual: actual})
 	}
 	m.AddAll(products)
 	return nil
