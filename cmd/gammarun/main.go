@@ -191,13 +191,12 @@ func run(ctx context.Context, path string, opt gamma.Options, tel *cli.Telemetry
 		if st != nil {
 			// Early exit: report the partial work so an interrupted run is
 			// still diagnosable.
-			fmt.Fprintf(os.Stderr, "partial: steps=%d probes=%d conflicts=%d retries=%d\n",
-				st.Steps, st.Probes, st.Conflicts, st.Retries)
+			fmt.Fprintf(os.Stderr, "partial: steps=%d probes=%d parts=%v\n", st.Steps, st.Probes, st.PartSteps)
 		}
 		return err
 	}
 	fmt.Println(m)
-	fmt.Printf("steps=%d probes=%d conflicts=%d retries=%d workers=%d\n", st.Steps, st.Probes, st.Conflicts, st.Retries, st.Workers)
+	fmt.Printf("steps=%d probes=%d parts=%v workers=%d\n", st.Steps, st.Probes, st.PartSteps, st.Workers)
 	if prof {
 		col := profile.NewCollector()
 		sched.Schedule().Each(col.RecordFiring)

@@ -51,8 +51,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("fusion ran %d reactions on 4 workers (%d commit conflicts)\n\n",
-		stats.Steps, stats.Conflicts)
+	fmt.Printf("fusion ran %d reactions on 4 workers (%v inside their sub-solutions)\n\n",
+		stats.Steps, stats.PartSteps)
 
 	// One fused report per (track, scan) remains; repeated pairwise
 	// averaging keeps each estimate within the sensors' noise envelope.

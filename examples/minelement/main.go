@@ -49,8 +49,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("parallel gamma:     %s in %d reactions (%d commit conflicts)\n",
-		m, stats.Steps, stats.Conflicts)
+	fmt.Printf("parallel gamma:     %s in %d reactions (%v inside the 4 sub-solutions)\n",
+		m, stats.Steps, stats.PartSteps)
 
 	// Algorithm 2: the reaction becomes a comparison + steer subgraph; the
 	// mapper instantiates it per match until the Γ fixpoint (Fig. 4).

@@ -56,7 +56,8 @@ func main() {
 		}
 	}
 
-	// The parallel runtime performs independent swaps concurrently.
+	// The parallel runtime splits the multiset into sub-solutions, swaps inside
+	// each concurrently, and finishes on the whole.
 	m2 := gammaflow.NewMultiset()
 	for idx, v := range input {
 		m2.Add(gammaflow.Tuple{gammaflow.Int(v), gammaflow.Int(int64(idx))})
@@ -65,7 +66,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("parallel run: %d swaps, %d conflicts, same fixpoint\n", stats2.Steps, stats2.Conflicts)
+	fmt.Printf("parallel run: %d swaps, %v inside the 4 sub-solutions, same fixpoint\n", stats2.Steps, stats2.PartSteps)
 
 	// Algorithm 2 on the swap reaction: condition tree plus one steer per
 	// routed operand.

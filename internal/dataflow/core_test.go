@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
 	"reflect"
 	"runtime"
 	"sort"
@@ -178,10 +179,11 @@ func TestMatchTableInvariantsCatchDefects(t *testing.T) {
 // tags — n operands parked, then n partners completing them — for n from 2^10
 // to 2^14. The counts (n entries at the peak, n activations, every entry
 // recycled, nothing pending) and the invariants after every delivery run
-// under -race; a plain build also requires wall time ~ n^<=1.3 and a bounded
-// number of allocations per activation at every n. Before failing on time it
-// measures again and keeps each size's faster median: a busy host only adds
-// time, a quadratic table is slow every time.
+// under -race; a plain build also requires a bounded number of allocations
+// per activation at every n, and with wall-clock gates on (wallClock) wall
+// time ~ n^<=1.3. Before failing on time it measures again and keeps each
+// size's faster median: a busy host only adds time, a quadratic table is slow
+// every time.
 func TestMatchTableScaling(t *testing.T) {
 	sizes := []int{1 << 10, 1 << 11, 1 << 12, 1 << 13, 1 << 14}
 	drive := func(n int, check bool) (allocs float64, wall time.Duration) {
@@ -219,18 +221,18 @@ func TestMatchTableScaling(t *testing.T) {
 	}
 	for _, n := range sizes {
 		drive(n, true)
+		if allocs, _ := drive(n, false); !raceEnabled && allocs > 4 {
+			t.Errorf("n=%d: %.2f allocations per activation, want O(1) (<= 4)", n, allocs)
+		}
 	}
-	if raceEnabled || testing.Short() {
+	if !wallClock() {
 		return
 	}
 	measure := func() (ns, walls []float64) {
 		for _, n := range sizes {
 			ds := make([]time.Duration, 7)
 			for i := range ds {
-				var allocs float64
-				if allocs, ds[i] = drive(n, false); allocs > 4 {
-					t.Errorf("n=%d: %.2f allocations per activation, want O(1) (<= 4)", n, allocs)
-				}
+				_, ds[i] = drive(n, false)
 			}
 			sort.Slice(ds, func(i, j int) bool { return ds[i] < ds[j] })
 			ns, walls = append(ns, float64(n)), append(walls, float64(ds[len(ds)/2]))
@@ -250,6 +252,15 @@ func TestMatchTableScaling(t *testing.T) {
 	if exp > 1.3 {
 		t.Errorf("wall time ~ n^%.2f over n=2^10..2^14, want <= 1.3", exp)
 	}
+}
+
+// wallClock reports whether this run asserts wall-clock fits. Tier-1 (go test
+// ./...) runs packages side by side on two cores, where an exponent fitted
+// over a few milliseconds reads what the neighbours leave it (ROADMAP 8e), so
+// it asserts the count forms only; make check-ci sets GAMMAFLOW_WALLCLOCK on
+// its serial plain-build lines.
+func wallClock() bool {
+	return os.Getenv("GAMMAFLOW_WALLCLOCK") != "" && !raceEnabled && !testing.Short()
 }
 
 // fitExponent is the least-squares slope of log(y) against log(x).
@@ -558,7 +569,12 @@ func TestSkewedLoopMatchingPeaks(t *testing.T) {
 // run's own tokens and counters — by three quarters of them, as the pool's
 // mailboxes grow a few percent differently from run to run (the sequential
 // and matrix engines read the tables' size plus 12–14 kB of size-class
-// rounding at every width).
+// rounding at every width). A re-run is measured three times and its smallest
+// reading kept: the sequential and matrix engines repeat exactly, and how far
+// the pool's mailboxes grow depends on how its PEs interleave, which next to
+// the other packages of a go test ./... once read 107 B per firing at width
+// 4 096 against 70 at 512 — over the flatness bound with nothing changed
+// (ROADMAP 8e).
 func TestWideAllocShape(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are only meaningful without the race detector")
@@ -574,7 +590,8 @@ func TestWideAllocShape(t *testing.T) {
 			var a, b runtime.MemStats
 			var res *Result
 			var first uint64
-			for pass := 0; pass < 2; pass++ { // the first run of the graph, then a re-run
+			rerun, mallocs := uint64(math.MaxUint64), uint64(math.MaxUint64)
+			for pass := 0; pass < 4; pass++ { // the first run of the graph, then re-runs
 				runtime.ReadMemStats(&a)
 				var err error
 				res, err = Run(g, e.opt)
@@ -584,13 +601,14 @@ func TestWideAllocShape(t *testing.T) {
 				}
 				if pass == 0 {
 					first = b.TotalAlloc - a.TotalAlloc
+					continue
 				}
+				rerun, mallocs = min(rerun, b.TotalAlloc-a.TotalAlloc), min(mallocs, b.Mallocs-a.Mallocs)
 			}
 			p := g.compiled.Load()
 			tables := uint64(4*(len(p.portBase)+len(p.outStart)+cap(p.outEdges)+len(p.edgeTo))+len(p.edgePort)) +
 				uint64(len(p.vert))*uint64(unsafe.Sizeof(vertexOp{})) + uint64(len(p.imm))*uint64(unsafe.Sizeof(value.Value{}))
-			rerun := b.TotalAlloc - a.TotalAlloc
-			allocs := float64(b.Mallocs-a.Mallocs) / float64(res.Firings)
+			allocs := float64(mallocs) / float64(res.Firings)
 			bytes := float64(rerun) / float64(res.Firings)
 			t.Logf("%s width %d: %.2f allocs, %.0f B per firing; first run %d B, re-run %d B, plan tables %d B",
 				e.name, width, allocs, bytes, first, rerun, tables)

@@ -2,7 +2,6 @@ package gamma
 
 import (
 	"errors"
-	"fmt"
 	"math/rand"
 	"sync/atomic"
 	"testing"
@@ -14,72 +13,77 @@ import (
 	"repro/internal/value"
 )
 
-// batchFirings matches up to batchMaxFirings firings of r on m under one read
-// session exactly as tryFireBatch does — one searcher, claims kept between
-// searches — and returns them as deltas.
-func batchFirings(t *testing.T, r *Reaction, m *multiset.Multiset, rng *rand.Rand) []multiset.Delta {
+// firings fires r on m until it is disabled, one search and one commit at a
+// time on the kernel matcher — the claim tracker deciding, within each search,
+// which occurrences the earlier patterns hold — and returns the consumed
+// tuples of every firing.
+func firings(t *testing.T, r *Reaction, m *multiset.Multiset, rng *rand.Rand) [][]multiset.Tuple {
 	t.Helper()
 	k := r.kernel()
 	s := newSearcher(r, new(multiset.View))
-	s.begin(m, rng)
-	m.LockView(s.view, k.viewSyms, k.viewAll)
-	var ds []multiset.Delta
-	for len(ds) < batchMaxFirings && s.search(0) {
+	var out [][]multiset.Tuple
+	for {
+		s.begin(m, rng)
+		m.LockView(s.view, k.viewSyms, k.viewAll)
+		ok := s.search(0)
+		s.view.Unlock()
+		if s.err != nil {
+			t.Fatal(s.err)
+		}
+		if !ok {
+			return out
+		}
 		_, prods, err := k.produceInto(r.Name, s.branch, s.env, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ds = append(ds, multiset.Delta{
-			Consume: append([]multiset.Tuple(nil), s.chosen...),
-			Refs:    append([]multiset.Ref(nil), s.refs()...),
-			Produce: prods,
-		})
-		s.nextInBatch()
+		chosen := append([]multiset.Tuple(nil), s.chosen...)
+		ds := []multiset.Delta{{Consume: chosen, Refs: s.refs(), Produce: prods}}
+		if n, _ := m.ApplyDeltas(ds, nil, nil, nil); n != 1 {
+			t.Fatalf("%s on %s: the firing's own handles failed their claim", r.Name, m)
+		}
+		out = append(out, chosen)
 	}
-	if s.err != nil {
-		t.Fatal(s.err)
-	}
-	s.view.Unlock()
-	return ds
 }
 
-// batchFiringsOracle is batchFirings on the interpreted matcher with the claim
-// tracker the kernel replaced: a map[string]int of claimed occurrences, kept
-// across the batch's searches. rng must be seeded like the kernel's so each
-// search walks the multiset from the same rotation.
-func batchFiringsOracle(t *testing.T, r *Reaction, m *multiset.Multiset, rng *rand.Rand) []multiset.Delta {
+// firingsOracle is firings on the interpreted matcher with the claim tracker
+// the kernel replaced: a map[string]int of the occurrences a search holds. rng
+// must be seeded like the kernel's so each search walks the multiset from the
+// same rotation.
+func firingsOracle(t *testing.T, r *Reaction, m *multiset.Multiset, rng *rand.Rand) [][]multiset.Tuple {
 	t.Helper()
-	used := make(map[string]int)
-	var ds []multiset.Delta
-	for len(ds) < batchMaxFirings {
+	var out [][]multiset.Tuple
+	for {
 		var cands []multiset.Counted
 		m.IterAllRot(rng.Uint64(), func(tp multiset.Tuple, n int, key string) bool {
 			cands = append(cands, multiset.Counted{Tuple: tp, N: n, Key: key})
 			return true
 		})
-		s := &oracleSearcher{r: r, rotCands: cands, env: make(expr.MapEnv), used: used,
+		s := &oracleSearcher{r: r, rotCands: cands, env: make(expr.MapEnv), used: make(map[string]int),
 			chosen: make([]multiset.Tuple, len(r.Patterns))}
 		if !s.search(0) {
 			if s.err != nil {
 				t.Fatal(s.err)
 			}
-			break
+			return out
 		}
 		prods, err := r.produce(s.branch, s.env)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ds = append(ds, multiset.Delta{Consume: s.chosen, Produce: prods})
+		if ok, _ := m.ApplyDelta(s.chosen, nil, prods, nil); !ok {
+			t.Fatalf("%s on %s: the reference's firing failed its claim", r.Name, m)
+		}
+		out = append(out, s.chosen)
 	}
-	return ds
 }
 
 // TestClaimTrackerMatchesMapReference is the claim tracker's differential:
 // on reactions whose matches are decided by multiplicity — the same variable
 // in two patterns over elements present once, twice or three times; three
-// patterns over two distinct keys; Eq. 2 over duplicates — a batch of up to
-// eight firings under one view must choose exactly what the map-tracked
-// reference chooses, and commit to the same multiset.
+// patterns over two distinct keys; Eq. 2 over duplicates — every firing to
+// the stable state must choose exactly what the map-tracked reference chooses,
+// and the two must end on the same multiset.
 func TestClaimTrackerMatchesMapReference(t *testing.T) {
 	one := func(name string) Pattern { return Pattern{FVar(name)} }
 	reactions := []*Reaction{
@@ -100,31 +104,22 @@ func TestClaimTrackerMatchesMapReference(t *testing.T) {
 		for i := 0; i < distinct; i++ {
 			init.AddN(multiset.New1(value.Int(int64(rng.Intn(50)))), 1+rng.Intn(3))
 		}
-		got := batchFirings(t, r, init, rand.New(rand.NewSource(seed)))
-		want := batchFiringsOracle(t, r, init, rand.New(rand.NewSource(seed)))
+		gm, wm := init.Clone(), init.Clone()
+		got := firings(t, r, gm, rand.New(rand.NewSource(seed)))
+		want := firingsOracle(t, r, wm, rand.New(rand.NewSource(seed)))
 		if len(got) != len(want) {
 			t.Fatalf("seed %d: %s on %s: %d firings, reference %d", seed, r.Name, init, len(got), len(want))
 		}
 		for i := range want {
-			for j := range want[i].Consume {
-				if !got[i].Consume[j].Equal(want[i].Consume[j]) {
+			for j := range want[i] {
+				if !got[i][j].Equal(want[i][j]) {
 					t.Fatalf("seed %d: %s on %s: firing %d chose %v, reference %v",
-						seed, r.Name, init, i, got[i].Consume, want[i].Consume)
+						seed, r.Name, init, i, got[i], want[i])
 				}
 			}
 		}
-		gm, wm := init, init.Clone() // handles commit only to the multiset that issued them
-		gApplied, wApplied := make([]bool, len(got)), make([]bool, len(want))
-		gm.ApplyDeltas(got, gApplied, nil, nil)
-		wm.ApplyDeltas(want, wApplied, nil, nil)
-		if fmt.Sprint(gApplied) != fmt.Sprint(wApplied) || !gm.Equal(wm) || gm.CheckInvariants() != nil {
-			t.Fatalf("seed %d: %s on %s: commit %v -> %s, reference %v -> %s",
-				seed, r.Name, init, gApplied, gm, wApplied, wm)
-		}
-		for i, ok := range gApplied {
-			if !ok {
-				t.Fatalf("seed %d: %s on %s: firing %d of the batch overlaps an earlier one", seed, r.Name, init, i)
-			}
+		if !gm.Equal(wm) || gm.CheckInvariants() != nil {
+			t.Fatalf("seed %d: %s on %s: ended on %s, reference %s", seed, r.Name, init, gm, wm)
 		}
 	}
 }

@@ -153,8 +153,10 @@ func TestPanicDoesNotWedgePool(t *testing.T) {
 	}
 }
 
-// TestRetriesCounted checks the commit-conflict accounting contract:
-// Retries never exceeds Conflicts, and the counters survive merging.
+// TestRetriesCounted pins what is left of the commit-conflict accounting: the
+// sub-solution engine has no optimistic commit to lose, so under the workload
+// that used to contend hardest Conflicts, Retries and the other pool counters
+// stay 0, as Stats documents.
 func TestRetriesCounted(t *testing.T) {
 	p := MustProgram("min", &Reaction{
 		Name:     "Min",
@@ -173,8 +175,6 @@ func TestRetriesCounted(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if st.Retries > st.Conflicts {
-			t.Fatalf("Retries (%d) cannot exceed Conflicts (%d)", st.Retries, st.Conflicts)
-		}
+		poolCountersZero(t, fmt.Sprintf("seed %d", seed), st)
 	}
 }

@@ -8,17 +8,13 @@ import (
 )
 
 // CheckCommits makes every commit of every run started in t verify the
-// multiset's storage invariants (the afterCommit hook): from inside the
-// sequential interpreter's write session, which already holds every lock the
-// walk needs, and under a read View of its own after a pool commit. Not for
-// parallel tests: the hook is one package variable.
+// storage invariants of the multiset committed to — a part, in a parallel run
+// — through the afterCommit hook: from inside the interpreter's write session,
+// which already holds every lock the walk needs. Not for parallel tests: the
+// hook is one package variable.
 func CheckCommits(t testing.TB) {
 	afterCommit = func(w *worker) {
-		check := w.m.CheckInvariants
-		if w.sh == nil {
-			check = w.view.CheckInvariants
-		}
-		if err := check(); err != nil {
+		if err := w.view.CheckInvariants(); err != nil {
 			t.Error(err)
 		}
 	}

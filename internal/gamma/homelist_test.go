@@ -2,6 +2,7 @@ package gamma
 
 import (
 	"math"
+	"os"
 	"runtime"
 	"sort"
 	"testing"
@@ -104,19 +105,28 @@ var homeListGates = []struct {
 	},
 }
 
+// wallClock reports whether this run asserts wall-clock fits. Tier-1 (go test
+// ./...) runs packages side by side on two cores, where an exponent fitted
+// over a few milliseconds reads what the neighbours leave it (ROADMAP 8e), so
+// it asserts the count forms only; make check-ci sets GAMMAFLOW_WALLCLOCK on
+// its serial plain-build lines.
+func wallClock() bool {
+	return os.Getenv("GAMMAFLOW_WALLCLOCK") != "" && !raceEnabled && !testing.Short()
+}
+
 // TestHomeListScaling is the shape gate on the multiset paths whose complexity
 // moved when the key hash and the second ordered list went away (ROADMAP
 // 6(d)): what a step costs must not depend on how many elements its label
 // holds. Each workload runs once, small, with the storage invariants checked
 // after every commit; then at three sizes for the counts — closed-form steps,
 // candidates per step under a constant — which repeat exactly and so run under
-// -race; and, on a plain build, for wall time, whose exponent over n must stay
-// under 1.5 (n log n fits 1.1 here; a per-step scan or re-sort fits 2.0). A
+// -race; and, with wall-clock gates on (wallClock), for wall time, whose
+// exponent over n must stay under 1.5 (n log n fits 1.1 here; a per-step scan or re-sort fits 2.0). A
 // busy host only adds time, so a failing fit is measured again and each size
 // keeps its faster reading.
 func TestHomeListScaling(t *testing.T) {
 	sizes := []int{1 << 12, 1 << 14, 1 << 16}
-	timed := !testing.Short() && !raceEnabled
+	timed := wallClock()
 	for _, g := range homeListGates {
 		run := func(t *testing.T, n int) time.Duration {
 			m := g.init(n)

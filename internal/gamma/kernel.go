@@ -268,7 +268,7 @@ func (k *kernel) produceInto(name string, idx int, env []value.Value, vals []val
 }
 
 // newSearcher returns searcher scratch for r, enumerating through view and
-// sized once: the claim stack's capacity is the most a batch can hold.
+// sized once: the claim stack's capacity is the most a search can hold.
 func newSearcher(r *Reaction, view *multiset.View) *searcher {
 	k := r.kernel()
 	return &searcher{
@@ -276,13 +276,13 @@ func newSearcher(r *Reaction, view *multiset.View) *searcher {
 		k:      k,
 		view:   view,
 		env:    make([]value.Value, k.nslots),
-		claims: make([]multiset.Ref, 0, len(k.pats)*batchMaxFirings),
+		claims: make([]multiset.Ref, 0, len(k.pats)),
 		chosen: make([]multiset.Tuple, len(k.pats)),
 	}
 }
 
-// begin readies the scratch for a fresh probe (or probe batch) of m's current
-// state under rng: nothing claimed, nothing bound, nothing visited.
+// begin readies the scratch for a fresh probe of m's current state under rng:
+// nothing claimed, nothing bound, nothing visited.
 func (s *searcher) begin(m *multiset.Multiset, rng *rand.Rand) {
 	s.rng, s.err, s.visited, s.claims = rng, nil, 0, s.claims[:0]
 	switch {

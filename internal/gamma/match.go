@@ -33,16 +33,14 @@ type Match struct {
 // whole multiset.
 //
 // Every search enumerates through one multiset.View session — a read session
-// per FindMatch or per probe batch (the pool's tryFireBatch), or the write
-// session of runSequential:
+// per FindMatch, or the write session of runSequential:
 // the live chunked indexes are walked in place — no snapshot, no per-probe
 // sort, each candidate arriving as a handle (multiset.Ref) — so a probe
 // costs only the candidates it actually visits, whatever the multiset's size
 // and whatever earlier probes did. Only the starting rotation differs by mode:
 // 0 (ascending key order) for labeled patterns and a size-derived rotation for
 // label-free ones under the deterministic matcher, one rng draw per search
-// for seeded and pool runs (see eachCandidate). Staleness under concurrent
-// writers is caught by the optimistic commit.
+// for seeded runs and the parts of a parallel one (see eachCandidate).
 //
 // FindMatch materializes the bindings into a MapEnv for its callers (tests,
 // Enabled, the dataflow equivalence checker) on scratch and a read session of
@@ -83,10 +81,9 @@ type searcher struct {
 	// claims is the claim tracker: the handle of every occurrence the search
 	// holds, as a stack. A candidate is exhausted once it appears there as
 	// often as its multiplicity. Backtracking pops exactly what it pushed, so
-	// lookup, undo and reset all cost O(live claims) — at most arity ×
-	// batchMaxFirings, the stack's fixed capacity — and nothing a probe scans
-	// past is ever recorded. The top len(pats) entries of a successful search
-	// are the chosen tuples' handles in pattern order (see refs).
+	// lookup, undo and reset all cost O(live claims) — at most the arity, the
+	// stack's fixed capacity — and nothing a probe scans past is ever recorded.
+	// A successful search leaves the chosen tuples' handles in pattern order.
 	claims  []multiset.Ref
 	chosen  []multiset.Tuple
 	branch  int
@@ -96,9 +93,7 @@ type searcher struct {
 
 // refs returns the handle of each chosen tuple of the search that just
 // succeeded, in pattern order.
-func (s *searcher) refs() []multiset.Ref {
-	return s.claims[len(s.claims)-len(s.chosen):]
-}
+func (s *searcher) refs() []multiset.Ref { return s.claims }
 
 // claimed counts the occurrences of c's element the search already holds.
 // Handles of one View are equal exactly when they name the same entry.
@@ -110,21 +105,6 @@ func (s *searcher) claimed(c multiset.Ref) int {
 		}
 	}
 	return n
-}
-
-// nextInBatch readies the searcher for the next search of a multi-firing
-// batch: the slot environment is cleared but the claim tracker is kept, so
-// the occurrences chosen by the batch's earlier (not yet committed) firings
-// stay claimed — that is what makes the batch's deltas pairwise disjoint and
-// the single ApplyDeltas commit equivalent to firing them one by one. The
-// caller must copy chosen/refs out before calling; the next search overwrites
-// chosen and stacks its handles above the kept ones. Batches are the pool's, so
-// the next search draws its own rotation from the worker's rng.
-func (s *searcher) nextInBatch() {
-	for i := range s.env {
-		s.env[i] = value.Value{}
-	}
-	s.rot = s.rng.Uint64()
 }
 
 func (s *searcher) search(i int) bool {
@@ -170,10 +150,10 @@ func (s *searcher) search(i int) bool {
 // rotated start and receives candidates as handles. A pattern with several
 // labels (a narrowed label variable) walks their indexes one after another.
 //
-// One rotation serves all nesting levels of a search. Seeded and pool
-// searches draw it from their rng, so enumeration starts at a random position
-// and wraps — the model's nondeterministic selection, and what decorrelates
-// concurrent searchers without copying. The deterministic matcher walks
+// One rotation serves all nesting levels of a search. Seeded searches (the
+// parts of a parallel run always are) draw it from their rng, so enumeration
+// starts at a random position and wraps — the model's nondeterministic
+// selection. The deterministic matcher walks
 // labeled indexes from rotation 0, which is exactly ascending key order, and
 // label-free patterns from a rotation derived from the multiset's size:
 // starting every whole-multiset probe at the global lex-first key is an

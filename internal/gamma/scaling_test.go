@@ -3,6 +3,7 @@ package gamma
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"sort"
 	"testing"
 	"time"
@@ -331,49 +332,61 @@ func TestWakePolicyScaling(t *testing.T) {
 	})
 }
 
-// TestPoolCommitShape is the pool's "did not collapse" gate in counts: on the
-// 17-stage tournament at n=10⁵ a healthy pool commits several firings per
-// ApplyDeltas batch and loses few optimistic commits, whatever the host's
-// clock does. A pool that degenerates to one firing per lock acquisition, or
-// whose workers keep invalidating each other's batches, shows here as
-// steps/batch → 1 or conflicts → steps; its *time* is bench/'s
-// gamma_tournament_par against gamma_tournament.
+// TestPoolCommitShape is the parallel engine's "did not collapse" gate in
+// counts, whatever the host's clock does: on the 17-stage tournament at n=10⁵
+// the work must be done in the sub-solutions, evenly, and not in the sequential
+// completion pass after them — every part fires >= 0.8 × steps / workers and
+// the completion pass <= 1 % of the steps — and splitting must cost memory
+// linear in n with a small constant: a run allocates at most what the
+// sequential run does plus 64 B per element. The parts' chunk arrays are most
+// of that: 8 B a slot, but a list appended to at its end splits every chunk it
+// fills and leaves the halves their grown capacity, 20–27 B per element (Clone
+// files the same way); the rest is the parts' arenas restarting their
+// geometric chunk growth, once per part and label. An engine whose partition
+// puts everything in one part, or whose parts cannot finish their own work,
+// shows here as a starved part or a long completion pass; its *time* is
+// bench/'s gamma_tournament_par against gamma_tournament.
 //
-// Thresholds: conflicts <= steps/10 = 9 999, steps/batch >= 2. Observed over
-// 20 runs per cell on the 2-core host (99 994 steps every run):
-//
-//	                        conflicts w=2  w=8          steps/batch w=2  w=8
-//	GOMAXPROCS=2            158–384        662–2 436    7.2–7.9          7.5–7.9
-//	GOMAXPROCS=8            27–295         1 061–1 549  7.7–8.0          7.7–7.9
-//	GOMAXPROCS=2 -race      226–728        1 018–3 171  4.8–8.0          4.6–6.9
-//	GOMAXPROCS=8 -race      29–258         506–1 579    5.8–6.6          6.6–6.9
-//
-// The -race rows show the thresholds hold with the engine 10× slower; CI runs
-// the test on a plain build at GOMAXPROCS 2 and 8 and skips it under the
-// detector (12 s there, and the pool's race coverage is the stress and
-// differential suites, not this).
+// Reads, identical over 12 runs at GOMAXPROCS 2 and 8: workers=2 parts
+// 49 994 + 49 994, completion 6, 3.29 MB (33 B per element) over the
+// sequential run's 11.2 MB; workers=8 parts 8 × 12 494, completion 42, 4.79 MB
+// (48 B per element) over. CI runs the test on a plain build at GOMAXPROCS 2
+// and 8; the allocation half is skipped under the race detector.
 func TestPoolCommitShape(t *testing.T) {
-	if raceEnabled {
-		t.Skip("count gate: runs on a plain build at GOMAXPROCS 2 and 8")
-	}
 	const n, stages = 100000, 17
 	p := tournamentProgram(stages)
 	want := tournamentSteps(n, stages)
-	for _, workers := range []int{2, 8} {
-		st, err := Run(p, tournamentInit(n), Options{Workers: workers, Seed: 1})
+	allocated := func(opt Options) (*Stats, uint64) {
+		m := tournamentInit(n)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		st, err := Run(p, m, opt)
+		runtime.ReadMemStats(&after)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if st.Steps != want {
-			t.Fatalf("workers=%d: %d steps, sequential fires %d", workers, st.Steps, want)
+			t.Fatalf("workers=%d: %d steps, the tournament fires %d", opt.Workers, st.Steps, want)
 		}
-		perBatch := float64(st.Steps) / float64(st.Batches)
-		if st.Conflicts > want/10 || perBatch < 2 {
-			t.Errorf("workers=%d: %d conflicts (want <= %d), %d batches = %.1f steps per batch (want >= 2)",
-				workers, st.Conflicts, want/10, st.Batches, perBatch)
+		return st, after.TotalAlloc - before.TotalAlloc
+	}
+	_, seqBytes := allocated(Options{})
+	for _, workers := range []int{2, 8} {
+		st, bytes := allocated(Options{Workers: workers, Seed: 1})
+		completion := st.Steps
+		for id, fired := range st.PartSteps {
+			completion -= fired
+			if float64(fired) < 0.8*float64(want)/float64(workers) {
+				t.Errorf("workers=%d: part %d fired %d of %d steps, want >= 0.8 of an even share", workers, id, fired, want)
+			}
 		}
-		t.Logf("workers=%d: steps %d conflicts %d batches %d (%.1f steps/batch) steals %d",
-			workers, st.Steps, st.Conflicts, st.Batches, perBatch, st.Steals)
+		if len(st.PartSteps) != workers || completion > want/100 {
+			t.Errorf("workers=%d: parts fired %v, the completion pass %d of %d steps, want <= 1 %%", workers, st.PartSteps, completion, want)
+		}
+		if extra := int64(bytes) - int64(seqBytes); !raceEnabled && extra > 64*n {
+			t.Errorf("workers=%d: allocated %d B, sequential %d B: %d B extra, want <= %d", workers, bytes, seqBytes, extra, 64*n)
+		}
+		t.Logf("workers=%d: parts %v completion %d, allocated %d B (sequential %d B)", workers, st.PartSteps, completion, bytes, seqBytes)
 	}
 }
 
@@ -399,7 +412,7 @@ func TestProbeLeavesNoClaimStorage(t *testing.T) {
 	if want := int64(n + n*n); s.visited != want {
 		t.Fatalf("probe visited %d candidates, want the full %d", s.visited, want)
 	}
-	if limit := r.Arity() * batchMaxFirings; len(s.claims) != 0 || cap(s.claims) > limit {
+	if limit := r.Arity(); len(s.claims) != 0 || cap(s.claims) > limit {
 		t.Errorf("finished probe holds len=%d cap=%d claim slots, want 0 and <= %d", len(s.claims), cap(s.claims), limit)
 	}
 }

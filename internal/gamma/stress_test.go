@@ -1,17 +1,19 @@
 package gamma_test
 
-// Race stress for the delta-driven parallel runtime (run with -race): the
-// worklist scheduling must not change any observable result. Min-element and
-// the primes sieve run under 2–8 workers against the sequential oracle, and a
-// seeded property test sweeps Algorithm-1 programs derived from random
-// dataflow graphs, comparing the incremental engine with the FullScan seed
-// baseline in both runtimes. Every commit of every run here is followed by
-// multiset.CheckInvariants (gamma.CheckCommits).
+// Race stress for the parallel runtime (run with -race): splitting the
+// multiset into sub-solutions must not change any observable result.
+// Min-element and the primes sieve run under 2–8 workers against the sequential
+// oracle, and seeded property tests sweep Algorithm-1 programs derived from
+// random dataflow graphs — comparing the incremental engine with the FullScan
+// seed baseline in both runtimes — and from random mini-language programs with
+// loops. Every commit of every run here is followed by multiset.CheckInvariants
+// on the multiset committed to (gamma.CheckCommits).
 
 import (
 	"fmt"
 	"testing"
 
+	"repro/internal/compiler"
 	"repro/internal/core"
 	"repro/internal/equiv"
 	"repro/internal/gamma"
@@ -21,7 +23,7 @@ import (
 	"repro/internal/value"
 )
 
-var stressWorkers = []int{2, 4, 8}
+var stressWorkers = []int{2, 3, 4, 8}
 
 // runSeq produces the deterministic sequential result as the oracle.
 func runSeq(t *testing.T, p *gamma.Program, init *multiset.Multiset, opt gamma.Options) *multiset.Multiset {
@@ -157,5 +159,50 @@ func TestStressPropertyRandomGraphs(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestPartitionDifferentialRandomPrograms is the sub-solution engine's
+// differential on the confluent programs of equiv.RandomProgram: seeded
+// mini-language programs with counted loops, compiled to dataflow graphs
+// (steer and inctag vertices, so tagged operands that Partition must keep
+// together for an iteration to fire inside a part) and converted by Algorithm
+// 1. A dataflow graph is deterministic, so the stable multiset is unique: at
+// every worker count and seed the parallel run must end on the sequential
+// run's multiset after the same number of firings (§III-C's correspondence).
+func TestPartitionDifferentialRandomPrograms(t *testing.T) {
+	gamma.CheckCommits(t)
+	progs := int64(12)
+	if testing.Short() {
+		progs = 4
+	}
+	for ps := int64(1); ps <= progs; ps++ {
+		src, _ := equiv.RandomProgram(ps, 2+int(ps)%3, 3+int(ps)%5)
+		g, err := compiler.Compile("rand", src)
+		if err != nil {
+			t.Fatalf("program %d: %v\n%s", ps, err, src)
+		}
+		prog, init, err := core.ToGamma(g)
+		if err != nil {
+			t.Fatalf("program %d: %v", ps, err)
+		}
+		want := init.Clone()
+		seq, err := gamma.Run(prog, want, gamma.Options{MaxSteps: 1_000_000})
+		if err != nil {
+			t.Fatalf("program %d: %v\n%s", ps, err, src)
+		}
+		for _, workers := range stressWorkers {
+			for seed := int64(1); seed <= 3; seed++ {
+				m := init.Clone()
+				st, err := gamma.Run(prog, m, gamma.Options{Workers: workers, Seed: seed, MaxSteps: 1_000_000})
+				if err != nil {
+					t.Fatalf("program %d workers=%d seed=%d: %v", ps, workers, seed, err)
+				}
+				if !m.Equal(want) || st.Steps != seq.Steps {
+					t.Fatalf("program %d workers=%d seed=%d: %d steps to %s\nsequential: %d steps to %s\n%s",
+						ps, workers, seed, st.Steps, m, seq.Steps, want, src)
+				}
+			}
+		}
 	}
 }

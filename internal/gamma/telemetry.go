@@ -18,19 +18,13 @@ type telSink struct {
 	track   *telemetry.Track
 	verbose bool
 
-	steps        *telemetry.Counter
-	probes       *telemetry.Counter
-	cands        *telemetry.Counter
-	conflicts    *telemetry.Counter
-	retries      *telemetry.Counter
-	steals       *telemetry.Counter
-	batches      *telemetry.Counter
-	backoffWaits *telemetry.Counter
-	fired        []*telemetry.Counter   // per reaction index
-	lat          []*telemetry.Histogram // per reaction index
-	batchSize    *telemetry.Histogram
-	card         *telemetry.Gauge
-	depth        *telemetry.Gauge
+	steps  *telemetry.Counter
+	probes *telemetry.Counter
+	cands  *telemetry.Counter
+	fired  []*telemetry.Counter   // per reaction index
+	lat    []*telemetry.Histogram // per reaction index
+	card   *telemetry.Gauge
+	depth  *telemetry.Gauge
 }
 
 // newTelSink resolves the worker's track and instruments; nil when telemetry
@@ -42,19 +36,13 @@ func newTelSink(opt Options, p *Program, worker int) *telSink {
 	}
 	reg := rec.Metrics
 	ts := &telSink{
-		track:        rec.Track(fmt.Sprintf("gamma/w%d", worker)),
-		verbose:      rec.Verbose,
-		steps:        reg.Counter("gamma.steps"),
-		probes:       reg.Counter("gamma.probes"),
-		cands:        reg.Counter("gamma.candidates"),
-		conflicts:    reg.Counter("gamma.conflicts"),
-		retries:      reg.Counter("gamma.retries"),
-		steals:       reg.Counter("gamma.steals"),
-		batches:      reg.Counter("gamma.batches"),
-		backoffWaits: reg.Counter("gamma.backoff_waits"),
-		batchSize:    reg.Histogram("gamma.batch_size"),
-		card:         reg.Gauge("gamma.cardinality"),
-		depth:        reg.Gauge("gamma.worklist_depth"),
+		track:   rec.Track(fmt.Sprintf("gamma/w%d", worker)),
+		verbose: rec.Verbose,
+		steps:   reg.Counter("gamma.steps"),
+		probes:  reg.Counter("gamma.probes"),
+		cands:   reg.Counter("gamma.candidates"),
+		card:    reg.Gauge("gamma.cardinality"),
+		depth:   reg.Gauge("gamma.worklist_depth"),
 	}
 	ts.fired = make([]*telemetry.Counter, len(p.Reactions))
 	ts.lat = make([]*telemetry.Histogram, len(p.Reactions))
@@ -96,66 +84,20 @@ func (t *telSink) candidates(n int64) {
 	t.cands.Add(n)
 }
 
-// firing accounts one commit of k firings of the same reaction (k is 1
-// outside the pool's batches): the latency span since begin, with the
-// post-commit cardinality and the scheduler wakeups the commit caused folded
-// into the event payload. Counters advance by k so the Stats cross-check
-// stays exact; the span and latency cover the whole commit (one ring write
-// per commit, the point of batching).
-func (t *telSink) firing(idx int, name string, start time.Time, m *multiset.Multiset, woken, depth, k int) {
+// firing accounts one committed firing: the latency span since begin, with
+// the post-commit cardinality — of the part the worker runs on, in a parallel
+// run — and the scheduler wakeups the commit caused folded into the event
+// payload.
+func (t *telSink) firing(idx int, name string, start time.Time, m *multiset.Multiset, woken, depth int) {
 	if t == nil {
 		return
 	}
-	t.steps.Add(int64(k))
-	t.fired[idx].Add(int64(k))
+	t.steps.Inc()
+	t.fired[idx].Inc()
 	card := int64(m.Len())
 	t.card.Set(card)
 	t.depth.Set(int64(depth))
 	lat := time.Since(start)
 	t.lat[idx].Observe(lat.Nanoseconds())
 	t.track.SpanDur(telemetry.KindFiring, name, start, lat, card, int64(woken))
-}
-
-// batch accounts one committed ApplyDeltas batch of k firings, mirroring
-// Stats.Batches.
-func (t *telSink) batch(k int) {
-	if t == nil {
-		return
-	}
-	t.batches.Inc()
-	t.batchSize.Observe(int64(k))
-}
-
-// conflictN accounts n failed claims out of one batched commit.
-func (t *telSink) conflictN(name string, n int) {
-	if t == nil {
-		return
-	}
-	t.conflicts.Add(int64(n))
-	t.track.Instant(telemetry.KindConflict, name, int64(n), 0)
-}
-
-// steal accounts one successful steal from another worker's deque.
-func (t *telSink) steal() {
-	if t == nil {
-		return
-	}
-	t.steals.Inc()
-}
-
-// backoffWait accounts one timed (sleeping, not yielding) conflict backoff.
-func (t *telSink) backoffWait() {
-	if t == nil {
-		return
-	}
-	t.backoffWaits.Inc()
-}
-
-// retry accounts one in-place conflict rematch.
-func (t *telSink) retry(name string) {
-	if t == nil {
-		return
-	}
-	t.retries.Inc()
-	t.track.Instant(telemetry.KindRetry, name, 0, 0)
 }

@@ -24,11 +24,6 @@ func checkTelemetryAgrees(t *testing.T, rec *telemetry.Recorder, st *Stats) {
 		{"gamma.steps", st.Steps},
 		{"gamma.probes", st.Probes},
 		{"gamma.candidates", st.Candidates},
-		{"gamma.conflicts", st.Conflicts},
-		{"gamma.retries", st.Retries},
-		{"gamma.steals", st.Steals},
-		{"gamma.batches", st.Batches},
-		{"gamma.backoff_waits", st.BackoffWaits},
 		{"gamma.arena_bytes", st.ArenaBytes},
 	} {
 		if got := reg.CounterValue(c.name); got != c.want {
@@ -178,12 +173,8 @@ func TestTelemetryDisabledIsNil(t *testing.T) {
 	var nilSink *telSink
 	// Every method must be a no-op on the nil receiver, not a panic.
 	nilSink.probe("r")
-	nilSink.firing(0, "r", nilSink.begin(), multiset.New(), 0, 0, 1)
-	nilSink.batch(1)
-	nilSink.conflictN("r", 2)
-	nilSink.retry("r")
-	nilSink.steal()
-	nilSink.backoffWait()
+	nilSink.candidates(2)
+	nilSink.firing(0, "r", nilSink.begin(), multiset.New(), 0, 0)
 }
 
 func ExampleOptions_recorder() {

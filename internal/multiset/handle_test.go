@@ -141,7 +141,19 @@ func TestCheckInvariantsCatchesCorruption(t *testing.T) {
 		"bucket empty":     func(m *Multiset, s *shard, e *entry) { e.li.byTag[5] = bucket{} },
 		"bucket wrong tag": func(m *Multiset, s *shard, e *entry) { e.li.byTag[1].list.insert(e) },
 		"owner":            func(m *Multiset, s *shard, e *entry) { e.owner++ },
-		"freelist":         func(m *Multiset, s *shard, e *entry) { s.free = append(s.free, &entry{key: "left behind"}) },
+		// A move between multisets (Partition, Absorb) done by halves: the entry
+		// adopted elsewhere and still linked here, and one adopted here that
+		// still says it is its old multiset's.
+		"linked in two multisets": func(m *Multiset, s *shard, e *entry) {
+			New().adopt(int(shardIndex(e.li.sym, "")), e)
+		},
+		"adopted, owner left behind": func(m *Multiset, s *shard, e *entry) {
+			o := New(IntElem(8, "A", 3))
+			oe := find(&o.shards[shardIndex(e.li.sym, "")], e.li.sym, IntElem(8, "A", 3).Key())
+			m.adopt(int(shardIndex(e.li.sym, "")), oe)
+			oe.owner = o.id
+		},
+		"freelist": func(m *Multiset, s *shard, e *entry) { s.free = append(s.free, &entry{key: "left behind"}) },
 		"parked slot": func(m *Multiset, s *shard, e *entry) {
 			l, _ := s.home(symtab.Intern("drained"), true)
 			l.insert(e)

@@ -103,13 +103,16 @@ type Multiset struct {
 	// that consumes another firing's product must take that product's shard
 	// lock after the producer released it, so the producer's number is always
 	// the smaller one. Replay recorders sort on it to turn a nondeterministic
-	// parallel run into a sequential schedule.
-	commitSeq atomic.Uint64
+	// parallel run into a sequential schedule. It is the multiset's own seq, or
+	// in a part of a Partition the seq of the multiset that was split.
+	commitSeq *atomic.Uint64
+	seq       atomic.Uint64
 }
 
 // New returns an empty multiset, optionally pre-populated with tuples.
 func New(tuples ...Tuple) *Multiset {
 	m := &Multiset{id: lastID.Add(1)}
+	m.commitSeq = &m.seq
 	for _, t := range tuples {
 		m.Add(t)
 	}

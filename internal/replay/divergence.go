@@ -85,43 +85,41 @@ func prettyKeys(keys []string) string {
 	return "{" + strings.Join(parts, ", ") + "}"
 }
 
-// ancestors walks the schedule backwards from step index idx (0-based) and
-// collects the steps whose products the divergent firing transitively
-// consumed: for each consumed key, the latest earlier step producing that
-// key is its parent. Returns 1-based step numbers, sorted. Keys produced by
-// no earlier step come from the initial state and contribute nothing.
+// ancestors collects the steps whose products the firing at step index idx
+// (0-based) transitively consumed: for each consumed key, the latest earlier
+// step producing that key is its parent. Returns 1-based step numbers, sorted.
+// Keys produced by no earlier step come from the initial state and contribute
+// nothing. One pass up to idx indexes every key's latest producer and reads
+// each step's parents off it, and the walk over them keeps its own stack, so a
+// divergent schedule of S steps costs O(S) however deep its dependency chain
+// (gammad replays schedules it is sent).
 func ancestors(s *Schedule, idx int) []int {
-	seen := make(map[int]bool)
-	var visit func(i int)
-	visit = func(i int) {
+	latest := make(map[string]int)
+	parents := make([][]int, idx+1)
+	for i := range parents {
 		for _, key := range s.Steps[i].Consumed {
-			for j := i - 1; j >= 0; j-- {
-				if produced(s.Steps[j].Produced, key) {
-					if !seen[j] {
-						seen[j] = true
-						visit(j)
-					}
-					break
-				}
+			if j, ok := latest[key]; ok {
+				parents[i] = append(parents[i], j)
+			}
+		}
+		for _, key := range s.Steps[i].Produced {
+			latest[key] = i
+		}
+	}
+	seen := make([]bool, idx+1)
+	var out []int
+	for stack := []int{idx}; len(stack) > 0; {
+		i := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, j := range parents[i] {
+			if !seen[j] {
+				seen[j] = true
+				out, stack = append(out, s.Steps[j].Step), append(stack, j)
 			}
 		}
 	}
-	visit(idx)
-	out := make([]int, 0, len(seen))
-	for j := range seen {
-		out = append(out, s.Steps[j].Step)
-	}
 	sort.Ints(out)
 	return out
-}
-
-func produced(keys []string, key string) bool {
-	for _, k := range keys {
-		if k == key {
-			return true
-		}
-	}
-	return false
 }
 
 // sortedKeys returns a sorted copy, the canonical multiset-of-keys form the
