@@ -42,7 +42,7 @@ loc:
 
 # The size criterion as a gate: check-ci fails when the total of `make loc`
 # exceeds this. A PR may lower the ceiling, never raise it.
-LOC_CEILING = 20156
+LOC_CEILING = 19916
 
 # Observability demo: trace the paper's Fig. 1 program and emit a
 # Perfetto-loadable timeline (open trace.json at https://ui.perfetto.dev) plus
@@ -55,7 +55,8 @@ trace-demo:
 # Cancellation / fault-model stress: the context and panic-recovery
 # tests under the race detector, plus the compiled-vs-interpreted
 # differential suites (kernel matcher, expression compiler, pure dataflow
-# ops, batched multiset commits, the parallel Gamma engine's sub-solutions
+# ops, the multiset's one-firing commit core against the two-phase
+# TryRemoveAll/AddAll reference, the parallel Gamma engine's sub-solutions
 # against the sequential engine — stable state, step count, every exit a
 # replayable prefix — and the multiset's Partition/Absorb they rest on,
 # three-way dataflow engine differentials (goldens,
@@ -82,7 +83,7 @@ trace-demo:
 # the sieve under both wake policies; steps and candidates per step on the
 # home-list workloads, with the invariants checked after every commit.
 stress:
-	$(GO) test -race -count=2 -run 'Cancel|Panic|Fault|Deadline|Wedge|Partition|Absorb|Differential|KernelMatches|ApplyDelta|Rollup|Replay|Churn|Recycled|Invariant|Handle|Stale|Narrow|Session|Hysteresis|UnknownLabel|PlanCache' \
+	$(GO) test -race -count=2 -run 'Cancel|Panic|Fault|Deadline|Wedge|Partition|Absorb|Differential|KernelMatches|ApplyDelta|TestCommit|TestView|Rollup|Replay|Churn|Recycled|Invariant|Handle|Stale|Narrow|Session|Hysteresis|UnknownLabel|PlanCache' \
 		./internal/gamma/ ./internal/dataflow/ ./internal/rt/ \
 		./internal/expr/ ./internal/multiset/ ./internal/equiv/ \
 		./internal/service/ ./internal/telemetry/ ./internal/replay/ .

@@ -23,10 +23,7 @@ func firings(t *testing.T, r *Reaction, m *multiset.Multiset, rng *rand.Rand) []
 	s := newSearcher(r, new(multiset.View))
 	var out [][]multiset.Tuple
 	for {
-		s.begin(m, rng)
-		m.LockView(s.view, k.viewSyms, k.viewAll)
-		ok := s.search(0)
-		s.view.Unlock()
+		ok := s.probe(m, rng)
 		if s.err != nil {
 			t.Fatal(s.err)
 		}
@@ -38,8 +35,9 @@ func firings(t *testing.T, r *Reaction, m *multiset.Multiset, rng *rand.Rand) []
 			t.Fatal(err)
 		}
 		chosen := append([]multiset.Tuple(nil), s.chosen...)
-		ds := []multiset.Delta{{Consume: chosen, Refs: s.refs(), Produce: prods}}
-		if n, _ := m.ApplyDeltas(ds, nil, nil, nil); n != 1 {
+		m.LockWrite(s.view)
+		_, ok, _ = s.view.Commit(&multiset.Delta{Consume: chosen, Refs: s.refs(), Produce: prods}, false, nil)
+		if s.view.Unlock(); !ok {
 			t.Fatalf("%s on %s: the firing's own handles failed their claim", r.Name, m)
 		}
 		out = append(out, chosen)
@@ -126,7 +124,7 @@ func TestClaimTrackerMatchesMapReference(t *testing.T) {
 
 // TestConditionPanicReleasesReadSession: no lock outlives a probe. A
 // condition that panics mid-search is recovered into *rt.PanicError by both
-// engines; the probe's shard read locks must be gone by then, or the next
+// engines; the probe's read lock must be gone by then, or the next
 // writer blocks forever.
 func TestConditionPanicReleasesReadSession(t *testing.T) {
 	for _, workers := range []int{1, 2} {

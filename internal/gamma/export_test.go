@@ -23,14 +23,14 @@ func CheckCommits(t testing.TB) {
 
 // Generic reports, for TestAlg1ImageShape in the external test package, how
 // many reactions of p the scheduler wakes on every commit (the wildcard
-// bucket) and how many kernels must view every shard.
-func Generic(p *Program) (wildcard, viewAll int) {
+// bucket) and how many kernels walk the whole multiset for some pattern.
+func Generic(p *Program) (wildcard, generic int) {
 	for _, r := range p.Reactions {
-		if r.kernel().viewAll {
-			viewAll++
+		if r.kernel().generic {
+			generic++
 		}
 	}
-	return len(p.subs().wildcard), viewAll
+	return len(p.subs().wildcard), generic
 }
 
 // RaceEnabled lets the external test package skip allocation counts under
@@ -41,7 +41,7 @@ const RaceEnabled = raceEnabled
 // way FindMatch does, and reports whether it found an enabled firing.
 func (s *searcher) probe(m *multiset.Multiset, rng *rand.Rand) bool {
 	s.begin(m, rng)
-	m.LockView(s.view, s.k.viewSyms, s.k.viewAll)
+	m.LockRead(s.view)
 	defer s.view.Unlock()
 	return s.search(0)
 }

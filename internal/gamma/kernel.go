@@ -126,12 +126,8 @@ type kernel struct {
 	pats     []kpat
 	branches []kbranch
 
-	// View plan: the label symbols this reaction's patterns can enumerate
-	// (deduplicated), or viewAll when any pattern is generic and needs the
-	// whole multiset. multiset.LockView read-locks exactly these shards for the
-	// duration of a probe (or a pool worker's probe batch).
-	viewSyms []symtab.Sym
-	viewAll  bool
+	// generic: some pattern names no label and enumerates the whole multiset.
+	generic bool
 }
 
 // compileKernel lowers r. Slot assignment follows the fixed search order —
@@ -157,10 +153,9 @@ func compileKernel(r *Reaction) *kernel {
 		for _, label := range patternLabels(r, p) {
 			sym := symtab.Intern(label)
 			kp.labels = addUnique(kp.labels, sym)
-			k.viewSyms = addUnique(k.viewSyms, sym)
 		}
 		if len(kp.labels) == 0 {
-			k.viewAll = true
+			k.generic = true
 		} else if len(p) >= 3 {
 			if f := p[2]; f.Var == "" {
 				if tag, ok := multiset.IndexTag(f.Lit); ok {
@@ -288,7 +283,7 @@ func (s *searcher) begin(m *multiset.Multiset, rng *rand.Rand) {
 	switch {
 	case rng != nil:
 		s.rot = rng.Uint64()
-	case s.k.viewAll:
+	case s.k.generic:
 		// Deterministic search with a generic pattern: derive the whole-set
 		// enumeration rotation from the multiset state, not a counter, so the
 		// probe order is a pure function of the state — identical across

@@ -51,7 +51,7 @@ func FindMatch(r *Reaction, m *multiset.Multiset, rng *rand.Rand) (*Match, error
 	var v multiset.View
 	s := newSearcher(r, &v)
 	s.begin(m, rng)
-	m.LockView(&v, s.k.viewSyms, s.k.viewAll)
+	m.LockRead(&v)
 	defer v.Unlock()
 	if !s.search(0) {
 		return nil, s.err
@@ -191,7 +191,7 @@ func (s *searcher) eachCandidate(kp *kpat, fn func(multiset.Ref) bool) {
 // detRotation maps a multiset size to an enumeration rotation via a
 // splitmix64 finalizer round: consecutive sizes land on well-scattered
 // rotations, so a shrinking (or growing) multiset keeps moving the probe's
-// starting shard and offset.
+// starting chunk and offset.
 func detRotation(n int) uint64 {
 	z := uint64(n) + 0x9e3779b97f4a7c15
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9

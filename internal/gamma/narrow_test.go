@@ -70,8 +70,8 @@ func TestNarrowLabelSet(t *testing.T) {
 			want = append(want, symtab.Intern(l))
 		}
 		k, sub := r.kernel(), buildSubscriptions([]*Reaction{r})
-		if k.viewAll || fmt.Sprint(k.pats[0].labels) != fmt.Sprint(want) || len(sub.wildcard) != 0 {
-			t.Errorf("%s: viewAll=%v labels=%v wildcard=%v, want narrowed to %v %v", what, k.viewAll, k.pats[0].labels, sub.wildcard, c.labels, want)
+		if k.generic || fmt.Sprint(k.pats[0].labels) != fmt.Sprint(want) || len(sub.wildcard) != 0 {
+			t.Errorf("%s: generic=%v labels=%v wildcard=%v, want narrowed to %v %v", what, k.generic, k.pats[0].labels, sub.wildcard, c.labels, want)
 		}
 		for _, l := range c.labels {
 			if sym := symtab.Intern(l); len(sub.bySym[sym]) != 1 {
@@ -104,8 +104,8 @@ func TestNarrowNegativeCasesStayGeneric(t *testing.T) {
 	} {
 		r := narrowReaction(c.conds...)
 		k, sub := r.kernel(), buildSubscriptions([]*Reaction{r})
-		if patternLabels(r, r.Patterns[0]) != nil || !k.viewAll || len(k.pats[0].labels) != 0 || len(sub.wildcard) != 1 || len(sub.bySym) != 0 {
-			t.Errorf("%s: viewAll=%v labels=%v wildcard=%v bySym=%v, want generic", c.name, k.viewAll, k.pats[0].labels, sub.wildcard, sub.bySym)
+		if patternLabels(r, r.Patterns[0]) != nil || !k.generic || len(k.pats[0].labels) != 0 || len(sub.wildcard) != 1 || len(sub.bySym) != 0 {
+			t.Errorf("%s: generic=%v labels=%v wildcard=%v bySym=%v, want generic", c.name, k.generic, k.pats[0].labels, sub.wildcard, sub.bySym)
 		}
 		if steps := drain(t, c.name, r); steps != c.steps {
 			t.Errorf("%s: %d steps, want %d", c.name, steps, c.steps)
@@ -122,8 +122,8 @@ func TestNarrowSecondPattern(t *testing.T) {
 		Branches: []Branch{{Cond: expr.MustParse("x == 'p' or x == 'q'"),
 			Products: []Template{{expr.MustParse("a + b"), expr.Lit{Val: value.Str("out")}, expr.MustParse("v")}}}}}
 	k := r.kernel()
-	if k.viewAll || len(k.viewSyms) != 3 || k.pats[1].tagMode != tagSlot || len(buildSubscriptions([]*Reaction{r}).wildcard) != 0 {
-		t.Fatalf("viewAll=%v viewSyms=%v tagMode=%d", k.viewAll, k.viewSyms, k.pats[1].tagMode)
+	if k.generic || len(k.pats[0].labels) != 1 || len(k.pats[1].labels) != 2 || k.pats[1].tagMode != tagSlot || len(buildSubscriptions([]*Reaction{r}).wildcard) != 0 {
+		t.Fatalf("generic=%v labels=%v %v tagMode=%d", k.generic, k.pats[0].labels, k.pats[1].labels, k.pats[1].tagMode)
 	}
 	m, _ := multiset.Parse("{[1,'L',0], [2,'L',1], [10,'q',1], [20,'p',0], [30,'r',0], [40,'L',0]}")
 	CheckCommits(t)
@@ -135,7 +135,7 @@ func TestNarrowSecondPattern(t *testing.T) {
 		t.Errorf("stable state %s, want %s", m, want)
 	}
 	mixed := &Reaction{Name: "mixed", Patterns: []Pattern{r.Patterns[1], {FVar("y")}}, Branches: r.Branches[:1]}
-	if k := mixed.kernel(); !k.viewAll || len(k.pats[0].labels) != 2 || len(buildSubscriptions([]*Reaction{mixed}).wildcard) != 1 {
-		t.Errorf("mixed: viewAll=%v labels=%v, want a narrowed pattern in a generic reaction", k.viewAll, k.pats[0].labels)
+	if k := mixed.kernel(); !k.generic || len(k.pats[0].labels) != 2 || len(buildSubscriptions([]*Reaction{mixed}).wildcard) != 1 {
+		t.Errorf("mixed: generic=%v labels=%v, want a narrowed pattern in a generic reaction", k.generic, k.pats[0].labels)
 	}
 }

@@ -34,8 +34,8 @@ var ErrMaxSteps = rt.Wrap("gamma: maximum step count exceeded", rt.ErrMaxSteps)
 // are all folds over that order (package replay). With Workers > 1 calls
 // arrive from every part's goroutine, concurrently and out of seq order, so
 // implementations must be safe for concurrent use; every call comes from
-// inside a write session, every shard locked, so an implementation must not
-// touch the multiset being run, not even to read it.
+// inside a write session, so an implementation must not touch the multiset
+// being run, not even to read it.
 // The tuples are only borrowed for the call: implementations extract what
 // they need before returning (replay.Recorder fingerprints them into one byte
 // buffer, so recording allocates nothing per firing).
@@ -219,7 +219,11 @@ type worker struct {
 	fired     []int64
 	view      multiset.View
 
-	commitScratch
+	// The commit scratch (see fire): the one delta handed to View.Commit, the
+	// cells its products live in and the label symbols the commit reports.
+	delta   multiset.Delta
+	vals    []value.Value
+	symsBuf []symtab.Sym
 }
 
 // newWorker builds the worker of one runSequential call. id is what that call
@@ -296,11 +300,11 @@ var afterCommit func(w *worker)
 // round-robin; only the wasted probes disappear.
 //
 // The run is the only writer of m while it lasts and does not pay for writers
-// it cannot have: it probes and commits under one write session over every
-// shard (multiset.LockWrite), given up and re-taken every sessionProbes probes
-// — 64 lock operations, about a nanosecond a probe — so that a concurrent
-// reader (Count, ForEach, String, a View) waits a bounded number of steps and
-// then sees the state between two firings. Every exit releases it.
+// it cannot have: it probes and commits under one write session
+// (multiset.LockWrite), given up and re-taken every sessionProbes probes — two
+// lock operations — so that a concurrent reader (Count, ForEach, String, a
+// View) waits a bounded number of steps and then sees the state between two
+// firings. Every exit releases it.
 //
 // The context is observed once per probe; a panic out of a reaction's
 // condition or action (or the fault injector) is recovered into *rt.PanicError
@@ -369,8 +373,9 @@ func runSequential(ctx context.Context, p *Program, m *multiset.Multiset, opt Op
 const sessionProbes = 1024
 
 // fire applies the enabled firing of reaction idx held by s and commits it
-// inside the worker's write session; the label symbols the commit returns
-// drive the wakeups.
+// inside the worker's write session — an all-or-nothing claim by handle —
+// tells the schedule recorder of it, and wakes what the label symbols the
+// commit returns name.
 func (w *worker) fire(idx int, s *searcher, t0 time.Time) error {
 	r := w.p.Reactions[idx]
 	// The match just found proves the program is still enabled past the step
@@ -389,87 +394,29 @@ func (w *worker) fire(idx int, s *searcher, t0 time.Time) error {
 			return err
 		}
 	}
-	w.reset()
-	if err := w.stage(r, s); err != nil {
+	// The firing is built in place as a handle-addressed delta: the searcher's
+	// chosen tuples and their handles as they stand, product cells in the
+	// worker's vals arena, product headers in the delta's own list — truncated,
+	// not freed, between firings, so a steady-state firing allocates nothing.
+	// The commit clones what it inserts and nothing retains the headers past it.
+	k, d := r.kernel(), &w.delta
+	var err error
+	if w.vals, d.Produce, err = k.produceInto(r.Name, s.branch, s.env, w.vals[:0], d.Produce[:0]); err != nil {
 		return err
 	}
-	n, syms := w.commit(r.Name)
-	if n == 0 {
+	d.Consume, d.Refs, d.PSyms = s.chosen, s.refs(), k.branches[s.branch].psyms
+	rec := w.opt.Schedule
+	seq, ok, syms := w.view.Commit(d, rec != nil, w.symsBuf[:0])
+	if !ok {
 		// Unreachable: the session's holder is the multiset's only writer.
 		return fmt.Errorf("gamma: matched elements vanished in sequential run of %s", r.Name)
 	}
+	w.symsBuf = syms
+	if rec != nil {
+		rec.RecordStepTuples(seq, r.Name, d.Consume, d.Produce)
+	}
 	w.committed(idx, syms, t0)
 	return nil
-}
-
-// stage evaluates the firing s holds and files it in the worker's commit
-// scratch as a handle-addressed delta. Product cells land in the worker's vals
-// arena and the headers in its produce list — the commit clones what it
-// inserts and nothing retains the headers past it.
-func (w *worker) stage(r *Reaction, s *searcher) error {
-	k := r.kernel()
-	cs, ps := len(w.consume), len(w.produce)
-	var err error
-	if w.vals, w.produce, err = k.produceInto(r.Name, s.branch, s.env, w.vals, w.produce); err != nil {
-		return err
-	}
-	w.consume = append(w.consume, s.chosen...)
-	w.refs = append(w.refs, s.refs()...)
-	w.deltas = append(w.deltas, multiset.Delta{
-		Consume: w.consume[cs:len(w.consume):len(w.consume)],
-		Refs:    w.refs[cs:len(w.refs):len(w.refs)],
-		Produce: w.produce[ps:len(w.produce):len(w.produce)],
-		PSyms:   k.branches[s.branch].psyms,
-	})
-	return nil
-}
-
-// commit lands the staged firing inside the worker's write session — an
-// all-or-nothing claim by handle — tells the schedule recorder of it, and
-// returns whether it applied (1 or 0) with the label symbols it added.
-func (w *worker) commit(name string) (int, []symtab.Sym) {
-	applied := w.applied[:len(w.deltas)]
-	rec := w.opt.Schedule
-	var seqs []uint64
-	if rec != nil {
-		seqs = w.seqs[:len(w.deltas)]
-	}
-	var n int
-	n, w.symsBuf = w.view.Commit(w.deltas, applied, seqs, w.symsBuf[:0])
-	for i := range seqs {
-		if applied[i] {
-			rec.RecordStepTuples(seqs[i], name, w.deltas[i].Consume, w.deltas[i].Produce)
-		}
-	}
-	return n, w.symsBuf
-}
-
-// commitScratch is a worker's reusable commit scratch: the delta list handed
-// to View.Commit — one firing long — and the arenas its tuples live in (stage
-// fills them). Consume headers point at multiset entry tuples (immutable
-// backings that are never recycled), refs are their handles, produce headers
-// point at cells of the worker-owned vals arena; everything is truncated — not
-// freed — between firings, so a steady-state firing allocates nothing. It is
-// the shape the work-stealing pool's eight-firing batches left behind, kept
-// because runSequential's commit path is measured as it stands (ROADMAP 7c
-// has the session-owned scratch that would replace it).
-type commitScratch struct {
-	deltas  []multiset.Delta
-	applied [1]bool
-	seqs    [1]uint64
-	symsBuf []symtab.Sym
-	consume []multiset.Tuple
-	refs    []multiset.Ref
-	produce []multiset.Tuple
-	vals    []value.Value
-}
-
-func (b *commitScratch) reset() {
-	b.deltas = b.deltas[:0]
-	b.consume = b.consume[:0]
-	b.refs = b.refs[:0]
-	b.produce = b.produce[:0]
-	b.vals = b.vals[:0]
 }
 
 // part is what tells a sub-solution's worker, and the completion pass after

@@ -19,7 +19,7 @@ import (
 // Algorithm 1 image may cost (§III-C: one reaction step per operator firing,
 // same operands, same tag rule). Every reaction Algorithm 1 emits names its
 // labels — literally, or through the inctag or-chain — so none may land in the
-// scheduler's wildcard bucket or view every shard; and on the benchmark's
+// scheduler's wildcard bucket or walk the whole multiset; and on the benchmark's
 // 2 000-trip loop the step, probe and candidate counts are pinned, no label
 // ever holds more than the four elements a tag query still scans — so a firing
 // flips 0–1-entry lists and never builds, fills or drains a (label, tag) map
@@ -49,8 +49,8 @@ func TestAlg1ImageShape(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if wildcard, viewAll := gamma.Generic(prog); wildcard != 0 || viewAll != 0 {
-			t.Errorf("%s: %d reactions in the wildcard bucket, %d kernels view every shard, want none:\n%s", name, wildcard, viewAll, prog)
+		if wildcard, generic := gamma.Generic(prog); wildcard != 0 || generic != 0 {
+			t.Errorf("%s: %d reactions in the wildcard bucket, %d kernels walk the whole multiset, want none:\n%s", name, wildcard, generic, prog)
 		}
 	}
 

@@ -6,26 +6,26 @@ import (
 	"repro/internal/value"
 )
 
-// shardArena amortizes the three allocations that linking a distinct tuple
-// into a shard otherwise costs — the entry struct, the key string, and the
+// arena amortizes the three allocations that linking a distinct tuple into a
+// multiset otherwise costs — the entry struct, the key string, and the
 // defensive copy of the tuple cells — by carving each from append-only
 // chunks. A chunk region is written exactly once, when carved, and never
 // again: later carves append strictly past it and a full chunk is replaced
 // by a fresh one rather than grown (growing would relocate live carves). That
 // write-once discipline is what makes the unsafe.String view over the key
-// bytes sound, and it preserves the shard contract that tuple backings and
+// bytes sound, and it preserves the contract that tuple backings and
 // key strings handed to searchers and traces are never reused.
 //
 // Chunks are geometric: the first of each kind is 1/128 of its maximum
 // (entryChunk, keyChunk, cellChunk) and every replacement doubles up to it,
-// so a shard of a handful of elements carves a few hundred bytes and reaching
+// so a multiset of a handful of elements carves a few hundred bytes and reaching
 // the maximum costs less than one extra maximum chunk. bytes totals the chunk
 // memory carved (Multiset.ArenaBytes).
 //
 // Chunk memory is reclaimed by the GC once every entry, key and tuple carved
 // from it dies; a long-lived carve pins at most one chunk of each kind.
-// All methods require the owning shard's write lock.
-type shardArena struct {
+// All methods require the owning multiset's write lock.
+type arena struct {
 	entries []entry
 	keys    []byte
 	cells   []value.Value
@@ -50,7 +50,7 @@ func nextChunk(c, need, limit int) int {
 }
 
 // newEntry carves a zeroed entry, switching to a fresh chunk when full.
-func (a *shardArena) newEntry() *entry {
+func (a *arena) newEntry() *entry {
 	if len(a.entries) == cap(a.entries) {
 		a.entries = make([]entry, 0, nextChunk(cap(a.entries), 1, entryChunk))
 		a.bytes += int64(cap(a.entries)) * int64(unsafe.Sizeof(entry{}))
@@ -62,7 +62,7 @@ func (a *shardArena) newEntry() *entry {
 // internKey copies the fingerprint bytes into the key chunk and returns a
 // string viewing them. Oversized keys get their own allocation so one huge
 // key cannot waste most of a chunk.
-func (a *shardArena) internKey(kb []byte) string {
+func (a *arena) internKey(kb []byte) string {
 	n := len(kb)
 	if n == 0 {
 		return ""
@@ -82,7 +82,7 @@ func (a *shardArena) internKey(kb []byte) string {
 // cloneTuple copies t's cells into the cell chunk and returns a capacity-
 // clamped tuple over them, equivalent to t.Clone() without the per-tuple
 // allocation.
-func (a *shardArena) cloneTuple(t Tuple) Tuple {
+func (a *arena) cloneTuple(t Tuple) Tuple {
 	n := len(t)
 	if n == 0 {
 		return nil

@@ -32,8 +32,8 @@ func TestByLabelKeyOrdered(t *testing.T) {
 	}
 }
 
-// TestForEachAgreesWithSnapshot checks the whole-multiset walk — per shard
-// the bare list, then the label lists — against the Compare-sorted Snapshot:
+// TestForEachAgreesWithSnapshot checks the whole-multiset walk — the bare
+// list, then the label lists — against the Compare-sorted Snapshot:
 // every distinct tuple once, with its count, whatever list it is filed in.
 func TestForEachAgreesWithSnapshot(t *testing.T) {
 	m := New()

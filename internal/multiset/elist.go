@@ -7,7 +7,7 @@ import (
 )
 
 // elist is a paged, chunked ordered list of entries in ascending key order —
-// the storage behind a shard's bare list, every label's all list and every
+// the storage behind the bare list, every label's all list and every
 // spilled (label, tag) bucket.
 //
 // Entries live in chunks of at most chunkMax and chunks in directory pages of
@@ -33,7 +33,7 @@ import (
 // nothing else. A list starts with chunkStart slots and a one-slot page, and
 // one that drains keeps its last chunk and page parked (see remove) for the
 // next insert to revive — at most chunkMin slots and pageMin headers, every
-// parked slot nil. A labelIndex never leaves its shard, so an emptied label
+// parked slot nil. A labelIndex never leaves its multiset, so an emptied label
 // costs one struct and a parked list — bounded by the labels the process ever
 // interned (symtab only grows, and programs, not data, populate it).
 type elist struct {
@@ -42,7 +42,7 @@ type elist struct {
 	total   int
 }
 
-// labelIndex is what a shard holds per label symbol: all, the home list of
+// labelIndex is what a multiset holds per label symbol: all, the home list of
 // every entry carrying the label, and — only while bucketed — those with an
 // index tag (IndexTag) again by tag, the dynamic-dataflow tag-matching index.
 // A label of at most bucketAt entries answers a tag query by a filtered walk

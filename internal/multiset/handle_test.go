@@ -13,7 +13,7 @@ import (
 // them; a tuple m does not hold gets the zero Ref.
 func refsOf(m *Multiset, ts []Tuple) []Ref {
 	var v View
-	m.LockView(&v, nil, true)
+	m.LockRead(&v)
 	defer v.Unlock()
 	refs := make([]Ref, len(ts))
 	for i, t := range ts {
@@ -27,15 +27,24 @@ func refsOf(m *Multiset, ts []Tuple) []Ref {
 	return refs
 }
 
+// commitIn commits dl in a write session of its own, the engine's door, and
+// returns what View.Commit does.
+func commitIn(m *Multiset, dl Delta, numbered bool, syms []symtab.Sym) (uint64, bool, []symtab.Sym) {
+	var v View
+	m.LockWrite(&v)
+	defer v.Unlock()
+	return v.Commit(&dl, numbered, syms)
+}
+
 // consumeByRef commits one handle-addressed delta and reports whether it applied.
 func consumeByRef(m *Multiset, refs []Ref, produce ...Tuple) bool {
-	n, _ := m.ApplyDeltas([]Delta{{Refs: refs, Produce: produce}}, nil, nil, nil)
-	return n == 1
+	_, ok, _ := commitIn(m, Delta{Refs: refs, Produce: produce}, false, nil)
+	return ok
 }
 
 // TestStaleHandleFailsClaim is the pool's ABA case made deterministic: a
 // handle issued under a View, the element consumed by another commit, and the
-// very same entry struct re-issued from the shard freelist for a different
+// very same entry struct re-issued from the freelist for a different
 // tuple before the handle's own commit runs. The claim must fail — by gen —
 // and leave the multiset alone; it must never consume the new tenant.
 func TestStaleHandleFailsClaim(t *testing.T) {
@@ -100,7 +109,7 @@ func TestHandleFromCloneRefused(t *testing.T) {
 // expects CheckInvariants to say so. Label A is past bucketAt, so it is
 // bucketed; label B is not.
 func TestCheckInvariantsCatchesCorruption(t *testing.T) {
-	build := func() (*Multiset, *shard, *entry) {
+	build := func() (*Multiset, *entry) {
 		m := New(IntElem(1, "A", 0), IntElem(2, "A", 1), IntElem(3, "A", 1), Pair(value.Int(4), "A"), IntElem(6, "A", 2),
 			IntElem(7, "B", 0), New1(value.Int(9)))
 		m.Add(IntElem(5, "A", 0))
@@ -109,60 +118,58 @@ func TestCheckInvariantsCatchesCorruption(t *testing.T) {
 			t.Fatal(err)
 		}
 		symA := symtab.Intern("A")
-		s := &m.shards[shardIndex(symA, "")]
-		_, liA := s.home(symA, false)
-		_, liB := m.shards[shardIndex(symtab.Intern("B"), "")].home(symtab.Intern("B"), false)
+		_, liA := m.home(symA, false)
+		_, liB := m.home(symtab.Intern("B"), false)
 		if !liA.bucketed || liB.byTag != nil {
 			t.Fatal("fixture: A should be bucketed, B never")
 		}
-		return m, s, find(s, symA, IntElem(1, "A", 0).Key())
+		return m, find(m, symA, IntElem(1, "A", 0).Key())
 	}
-	bare := func(m *Multiset) *shard { return &m.shards[shardIndex(symtab.None, New1(value.Int(9)).Key())] }
-	for name, corrupt := range map[string]func(m *Multiset, s *shard, e *entry){
-		"Len":        func(m *Multiset, s *shard, e *entry) { m.size.Add(1) },
-		"count":      func(m *Multiset, s *shard, e *entry) { e.count = 0 },
-		"home list":  func(m *Multiset, s *shard, e *entry) { e.li.all.remove(e.key) },
-		"wrong home": func(m *Multiset, s *shard, e *entry) { e.li.all.remove(e.key); bare(m).bare.insert(e) },
-		"two homes":  func(m *Multiset, s *shard, e *entry) { bare(m).bare.insert(e) },
-		"li disagrees with labels": func(m *Multiset, s *shard, e *entry) {
+	for name, corrupt := range map[string]func(m *Multiset, e *entry){
+		"Len":        func(m *Multiset, e *entry) { m.size.Add(1) },
+		"count":      func(m *Multiset, e *entry) { e.count = 0 },
+		"home list":  func(m *Multiset, e *entry) { e.li.all.remove(e.key) },
+		"wrong home": func(m *Multiset, e *entry) { e.li.all.remove(e.key); m.bare.insert(e) },
+		"two homes":  func(m *Multiset, e *entry) { m.bare.insert(e) },
+		"li disagrees with labels": func(m *Multiset, e *entry) {
 			li := *e.li
-			s.labels[slices.Index(s.labels, e.li)] = &li
+			m.labels[slices.Index(m.labels, e.li)] = &li
 		},
-		"label order":                     func(m *Multiset, s *shard, e *entry) { s.labels = append(s.labels, e.li) },
-		"cached tag":                      func(m *Multiset, s *shard, e *entry) { e.tag = 7 },
-		"bucket unlink":                   func(m *Multiset, s *shard, e *entry) { s.unlinkSkippingBucket(e) },
-		"bucket missing":                  func(m *Multiset, s *shard, e *entry) { delete(e.li.byTag, 0) },
-		"stale bucket after un-bucketing": func(m *Multiset, s *shard, e *entry) { e.li.bucketed = false },
-		"bucketed and drained": func(m *Multiset, s *shard, e *entry) {
-			_, li := s.home(symtab.Intern("drained"), true)
+		"label order":                     func(m *Multiset, e *entry) { m.labels = append(m.labels, e.li) },
+		"cached tag":                      func(m *Multiset, e *entry) { e.tag = 7 },
+		"bucket unlink":                   func(m *Multiset, e *entry) { m.unlinkSkippingBucket(e) },
+		"bucket missing":                  func(m *Multiset, e *entry) { delete(e.li.byTag, 0) },
+		"stale bucket after un-bucketing": func(m *Multiset, e *entry) { e.li.bucketed = false },
+		"bucketed and drained": func(m *Multiset, e *entry) {
+			_, li := m.home(symtab.Intern("drained"), true)
 			li.bucketed = true
 		},
-		"bucket both":      func(m *Multiset, s *shard, e *entry) { e.li.byTag[0] = bucket{one: e, list: new(elist)} },
-		"bucket empty":     func(m *Multiset, s *shard, e *entry) { e.li.byTag[5] = bucket{} },
-		"bucket wrong tag": func(m *Multiset, s *shard, e *entry) { e.li.byTag[1].list.insert(e) },
-		"owner":            func(m *Multiset, s *shard, e *entry) { e.owner++ },
+		"bucket both":      func(m *Multiset, e *entry) { e.li.byTag[0] = bucket{one: e, list: new(elist)} },
+		"bucket empty":     func(m *Multiset, e *entry) { e.li.byTag[5] = bucket{} },
+		"bucket wrong tag": func(m *Multiset, e *entry) { e.li.byTag[1].list.insert(e) },
+		"owner":            func(m *Multiset, e *entry) { e.owner++ },
 		// A move between multisets (Partition, Absorb) done by halves: the entry
 		// adopted elsewhere and still linked here, and one adopted here that
 		// still says it is its old multiset's.
-		"linked in two multisets": func(m *Multiset, s *shard, e *entry) {
-			New().adopt(int(shardIndex(e.li.sym, "")), e)
+		"linked in two multisets": func(m *Multiset, e *entry) {
+			New().adopt(e)
 		},
-		"adopted, owner left behind": func(m *Multiset, s *shard, e *entry) {
+		"adopted, owner left behind": func(m *Multiset, e *entry) {
 			o := New(IntElem(8, "A", 3))
-			oe := find(&o.shards[shardIndex(e.li.sym, "")], e.li.sym, IntElem(8, "A", 3).Key())
-			m.adopt(int(shardIndex(e.li.sym, "")), oe)
+			oe := find(o, e.li.sym, IntElem(8, "A", 3).Key())
+			m.adopt(oe)
 			oe.owner = o.id
 		},
-		"freelist": func(m *Multiset, s *shard, e *entry) { s.free = append(s.free, &entry{key: "left behind"}) },
-		"parked slot": func(m *Multiset, s *shard, e *entry) {
-			l, _ := s.home(symtab.Intern("drained"), true)
+		"freelist": func(m *Multiset, e *entry) { m.free = append(m.free, &entry{key: "left behind"}) },
+		"parked slot": func(m *Multiset, e *entry) {
+			l, _ := m.home(symtab.Intern("drained"), true)
 			l.insert(e)
 			l.remove(e.key)
 			l.pages[:1][0][:1][0][:1][0] = e
 		},
 	} {
-		m, s, e := build()
-		corrupt(m, s, e)
+		m, e := build()
+		corrupt(m, e)
 		if err := m.CheckInvariants(); err == nil || !strings.HasPrefix(err.Error(), "multiset: ") {
 			t.Errorf("%s: CheckInvariants = %v, want a violation", name, err)
 		}
@@ -171,7 +178,7 @@ func TestCheckInvariantsCatchesCorruption(t *testing.T) {
 
 // unlinkSkippingBucket is unlink with the seeded defect the invariant check
 // exists for: the entry leaves its home list but not its (label, tag) bucket.
-func (s *shard) unlinkSkippingBucket(e *entry) {
+func (m *Multiset) unlinkSkippingBucket(e *entry) {
 	e.hasTag = false
-	s.unlink(e)
+	m.unlink(e)
 }

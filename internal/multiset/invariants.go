@@ -14,100 +14,94 @@ import (
 // that label is bucketed, in its bucket; lists ascend by key and order by
 // symbol; an unbucketed label maps no bucket, and no bucket is both inline and
 // spilled, or mapped empty; freelist entries are zeroed except gen; drained
-// lists hold only nil slots. A full walk under a View of every shard — the
-// differential and stress tests call it after every commit.
+// lists hold only nil slots. A full walk under a read View — the differential
+// and stress tests call it after every commit.
 func (m *Multiset) CheckInvariants() error {
 	var v View
-	m.LockView(&v, nil, true)
+	m.LockRead(&v)
 	defer v.Unlock()
 	return v.CheckInvariants()
 }
 
-// CheckInvariants is Multiset.CheckInvariants from inside a session that
-// holds every shard, taking no lock of its own.
+// CheckInvariants is Multiset.CheckInvariants from inside a session, taking no
+// lock of its own.
 func (v *View) CheckInvariants() (err error) {
-	if !v.locked || v.mask != allShards {
-		panic("multiset: CheckInvariants needs a View of every shard")
+	m, total := v.held(), 0
+	fail := func(format string, a ...any) bool {
+		if err == nil {
+			err = fmt.Errorf("multiset: "+format, a...)
+		}
+		return false
 	}
-	m, total := v.m, 0
-	for si := range m.shards {
-		s := &m.shards[si]
-		fail := func(format string, a ...any) bool {
-			if err == nil {
-				err = fmt.Errorf("multiset: shard %d: %s", si, fmt.Sprintf(format, a...))
+	live := func(e *entry) bool { return e != nil && e.owner == m.id && e.count > 0 }
+	// walk checks one list — ascending live entries that all belong
+	// (member), nothing parked behind a drained one — and returns its length.
+	walk := func(what string, l *elist, member func(*entry) bool) int {
+		n, prev := 0, ""
+		l.each(func(e *entry) bool {
+			if !live(e) || (n > 0 && e.key <= prev) || !member(e) {
+				return fail("%s: entry %d misplaced after %q", what, n, prev)
 			}
-			return false
+			n, prev = n+1, e.key
+			return true
+		})
+		if n != l.len() || (n == 0 && !l.drainedClean()) {
+			fail("%s: %d entries walked, len %d, or a parked slot is not nil", what, n, l.len())
 		}
-		live := func(e *entry) bool { return e != nil && e.owner == m.id && e.count > 0 }
-		// walk checks one list — ascending live entries that all belong
-		// (member), nothing parked behind a drained one — and returns its length.
-		walk := func(what string, l *elist, member func(*entry) bool) int {
-			n, prev := 0, ""
-			l.each(func(e *entry) bool {
-				if !live(e) || (n > 0 && e.key <= prev) || !member(e) {
-					return fail("%s: entry %d misplaced after %q", what, n, prev)
-				}
-				n, prev = n+1, e.key
-				return true
-			})
-			if n != l.len() || (n == 0 && !l.drainedClean()) {
-				fail("%s: %d entries walked, len %d, or a parked slot is not nil", what, n, l.len())
+		return n
+	}
+	// home checks an entry found in the home list of li: it says so itself
+	// and what it caches agrees with its tuple.
+	tagged := 0
+	home := func(li *labelIndex) func(*entry) bool {
+		return func(e *entry) bool {
+			total += e.count
+			tag, hasTag := int64(0), false
+			if li != nil && len(e.tuple) >= 3 {
+				tag, hasTag = IndexTag(e.tuple[2])
 			}
-			return n
+			if hasTag {
+				tagged++
+			}
+			sym, _ := knownSymOf(e.tuple)
+			return e.li == li && (li == nil && sym == symtab.None || li != nil && li.sym == sym) &&
+				e.key == e.tuple.Key() && e.tag == tag && e.hasTag == hasTag
 		}
-		// home checks an entry found in the home list of li: it says so itself,
-		// what it caches agrees with its tuple, and the tuple routes here.
-		tagged := 0
-		home := func(li *labelIndex) func(*entry) bool {
-			return func(e *entry) bool {
-				total += e.count
-				tag, hasTag := int64(0), false
-				if li != nil && len(e.tuple) >= 3 {
-					tag, hasTag = IndexTag(e.tuple[2])
-				}
-				if hasTag {
-					tagged++
-				}
-				sym, _ := knownSymOf(e.tuple)
-				return e.li == li && (li == nil && sym == symtab.None || li != nil && li.sym == sym) &&
-					e.key == e.tuple.Key() && e.tag == tag && e.hasTag == hasTag && shardIndex(sym, e.key) == uint32(si)
-			}
+	}
+	walk("bare list", &m.bare, home(nil))
+	for i, li := range m.labels {
+		if li.sym == symtab.None || (i > 0 && m.labels[i-1].sym >= li.sym) {
+			fail("label %d out of order", li.sym)
 		}
-		walk("bare list", &s.bare, home(nil))
-		for i, li := range s.labels {
-			if li.sym == symtab.None || (i > 0 && s.labels[i-1].sym >= li.sym) {
-				fail("label %d out of order", li.sym)
+		tagged = 0
+		n := walk("label list", &li.all, home(li))
+		if (li.bucketed && n == 0) || (!li.bucketed && len(li.byTag) != 0) {
+			fail("label %d: %d entries, bucketed %v, %d buckets mapped", li.sym, n, li.bucketed, len(li.byTag))
+		}
+		if !li.bucketed {
+			continue
+		}
+		for tag, b := range li.byTag {
+			in := func(e *entry) bool {
+				_, filed := locate(&li.all, e.key)
+				return filed == e && e.hasTag && e.tag == tag
 			}
-			tagged = 0
-			n := walk("label list", &li.all, home(li))
-			if (li.bucketed && n == 0) || (!li.bucketed && len(li.byTag) != 0) {
-				fail("label %d: %d entries, bucketed %v, %d buckets mapped", li.sym, n, li.bucketed, len(li.byTag))
-			}
-			if !li.bucketed {
-				continue
-			}
-			for tag, b := range li.byTag {
-				in := func(e *entry) bool {
-					_, filed := locate(&li.all, e.key)
-					return filed == e && e.hasTag && e.tag == tag
-				}
-				switch {
-				case b.list == nil && live(b.one) && in(b.one):
-					tagged--
-				case b.one == nil && b.list != nil && b.list.len() > 0:
-					tagged -= walk("bucket", b.list, in)
-				default:
-					fail("bucket (%d, %d) is empty, stale, or both inline and spilled", li.sym, tag)
-				}
-			}
-			if tagged != 0 {
-				fail("label %d: %d tagged entries are missing from its buckets", li.sym, tagged)
+			switch {
+			case b.list == nil && live(b.one) && in(b.one):
+				tagged--
+			case b.one == nil && b.list != nil && b.list.len() > 0:
+				tagged -= walk("bucket", b.list, in)
+			default:
+				fail("bucket (%d, %d) is empty, stale, or both inline and spilled", li.sym, tag)
 			}
 		}
-		for _, e := range s.free {
-			if e.tuple != nil || e.key != "" || e.count != 0 || e.owner != 0 || e.tag != 0 || e.li != nil || e.hasTag {
-				fail("freelist entry not zeroed: %+v", *e)
-			}
+		if tagged != 0 {
+			fail("label %d: %d tagged entries are missing from its buckets", li.sym, tagged)
+		}
+	}
+	for _, e := range m.free {
+		if e.tuple != nil || e.key != "" || e.count != 0 || e.owner != 0 || e.tag != 0 || e.li != nil || e.hasTag {
+			fail("freelist entry not zeroed: %+v", *e)
 		}
 	}
 	if err == nil && total != m.Len() {

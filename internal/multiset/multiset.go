@@ -2,7 +2,6 @@ package multiset
 
 import (
 	"fmt"
-	"math/bits"
 	"slices"
 	"sort"
 	"strings"
@@ -13,11 +12,6 @@ import (
 	"repro/internal/value"
 )
 
-// shardCount is the number of independently locked shards. A fixed power of
-// two keeps shard selection a cheap mask; 32 comfortably exceeds the worker
-// counts exercised by the benchmarks.
-const shardCount = 32
-
 // NoLabelSym is the delta marker ApplyDelta reports for produced tuples that
 // carry no string label field. It cannot collide unsoundly with a real label
 // extracted by Tuple.Label: a real "\x00" label interns to the same symbol
@@ -27,12 +21,11 @@ var NoLabelSym = symtab.Intern("\x00")
 
 // entry is one distinct tuple with its multiplicity. key caches Tuple.Key()
 // (the ordering of every list), li is the label index whose all list is the
-// entry's home — nil for an unlabeled tuple, whose home is the shard's bare
-// list — and tag caches the index tag, so unlinking re-derives and looks up
-// nothing. owner and gen are what make a Ref checkable: owner is the id of the
-// Multiset the entry is linked in (0 on a freelist), and gen is bumped every
-// time the struct is unlinked. Both fit the padding: the struct is a hot
-// allocation.
+// entry's home — nil for an unlabeled tuple, whose home is the bare list — and
+// tag caches the index tag, so unlinking re-derives and looks up nothing. owner
+// and gen are what make a Ref checkable: owner is the id of the Multiset the
+// entry is linked in (0 on a freelist), and gen is bumped every time the
+// struct is unlinked. Both fit the padding: the struct is a hot allocation.
 type entry struct {
 	tuple  Tuple
 	key    string
@@ -47,13 +40,12 @@ type entry struct {
 // Ref is an element handle: what a View hands the matcher, and what a Delta
 // carries back to the commit, in place of the key string. It is valid under
 // the View that issued it, and afterwards only in a commit on the same
-// Multiset, which claims it under the shard write lock: a Ref whose entry was
+// Multiset, which claims it under the write lock: a Ref whose entry was
 // consumed since (even if the struct was re-issued for another tuple — gen
 // moved) or is another Multiset's (owner differs) fails its claim, never aliases.
 type Ref struct {
-	e     *entry
-	gen   uint32
-	shard uint32
+	e   *entry
+	gen uint32
 }
 
 // Tuple, Count and Key read the element; call them only under the issuing View.
@@ -61,9 +53,12 @@ func (r Ref) Tuple() Tuple { return r.e.tuple }
 func (r Ref) Count() int   { return r.e.count }
 func (r Ref) Key() string  { return r.e.key }
 
-// shard is an independently locked slice of the multiset. All tuples with the
-// same label land in the same shard, so a label-constrained pattern match
-// takes exactly one shard lock.
+// freeMax bounds the entry freelist.
+const freeMax = 1024
+
+// Multiset is the Gamma model's single database: a counted multiset of
+// tuples behind one reader/writer lock, safe for concurrent use. The zero
+// value is not usable; call New.
 //
 // An entry has one home: its label's all list (labelIndex in elist.go), or
 // bare when it carries no label. Every list ascends by key and no hash of keys
@@ -72,12 +67,12 @@ func (r Ref) Key() string  { return r.e.key }
 // door and unlink resolve a key the same way, in a list that for an Algorithm
 // 1 image holds 0–2 entries. Enumeration is an in-order walk of a maintained
 // list; add and unlink are the only code that touches the lists.
-type shard struct {
+type Multiset struct {
+	id   uint32 // process-unique, never 0: what binds a Ref to its Multiset
 	mu   sync.RWMutex
 	bare elist
 	// labels ascends by symbol — found by binary search, and the order of a
-	// whole-shard walk (eachRot), which so depends on symbol numbering exactly
-	// as the shard a label routes to does.
+	// whole-multiset walk (eachRot), which so depends on symbol numbering.
 	labels []*labelIndex
 	// free recycles entry structs across unlink/add cycles (bounded by
 	// freeMax), zeroed except gen. Only the struct is recycled: tuple backings
@@ -85,22 +80,11 @@ type shard struct {
 	free []*entry
 	// arena chunk-allocates entries, key strings and tuple-cell copies for
 	// freelist misses (see arena.go) — the commit path's hot allocations.
-	arena shardArena
-}
-
-// freeMax bounds the per-shard entry freelist.
-const freeMax = 1024
-
-// Multiset is the Gamma model's single database: a counted multiset of
-// tuples safe for concurrent use. The zero value is not usable; call New.
-type Multiset struct {
-	id     uint32 // process-unique, never 0: what binds a Ref to its Multiset
-	shards [shardCount]shard
-	size   atomic.Int64 // total element count incl. multiplicity
-	// commitSeq numbers committed writes (ApplyDeltas' seqs). A
-	// sequence number taken while the writer still holds the locks of every
-	// shard it touched is a valid linearization of the execution: a firing
-	// that consumes another firing's product must take that product's shard
+	arena arena
+	size  atomic.Int64 // total element count incl. multiplicity
+	// commitSeq numbers committed writes (commit's seq). A sequence number
+	// taken while the writer still holds the lock is a valid linearization of
+	// the execution: a firing that consumes another firing's product takes the
 	// lock after the producer released it, so the producer's number is always
 	// the smaller one. Replay recorders sort on it to turn a nondeterministic
 	// parallel run into a sequential schedule. It is the multiset's own seq, or
@@ -140,22 +124,6 @@ func knownSymOf(t Tuple) (sym symtab.Sym, ok bool) {
 	return symtab.SymOf(label)
 }
 
-// shardIndex picks the shard for a tuple: labeled tuples route by label
-// symbol (so label queries are single-shard, and the route is a mask instead
-// of a byte hash), unlabeled ones by the full key — held as a string or as
-// bytes, which hash identically.
-func shardIndex[K string | []byte](sym symtab.Sym, key K) uint32 {
-	if sym != symtab.None {
-		return uint32(sym) & (shardCount - 1)
-	}
-	h := uint32(2166136261) // 32-bit FNV-1a, inlined so nothing allocates a hasher
-	for i := 0; i < len(key); i++ {
-		h ^= uint32(key[i])
-		h *= 16777619
-	}
-	return h & (shardCount - 1)
-}
-
 // Add inserts one occurrence of t.
 func (m *Multiset) Add(t Tuple) { m.AddN(t, 1) }
 
@@ -166,11 +134,10 @@ func (m *Multiset) AddN(t Tuple, n int) {
 	}
 	var buf [64]byte
 	key, sym := t.AppendKey(buf[:0]), labelSymOf(t)
-	s := &m.shards[shardIndex(sym, key)]
-	s.mu.Lock()
-	s.add(m.id, t, key, sym, n)
+	m.mu.Lock()
+	m.add(t, key, sym, n)
 	m.size.Add(int64(n))
-	s.mu.Unlock()
+	m.mu.Unlock()
 }
 
 // IndexTag reports the (label, tag) bucket a tag-field value files under: an
@@ -192,34 +159,34 @@ func IndexTag(v value.Value) (int64, bool) {
 	return t, -1<<53 < t && t < 1<<53
 }
 
-// home returns, in an already locked shard, the list a tuple labeled sym is
-// filed in and its label index (nil for bare). A label's index is made on its
-// first insert; without create an unseen label has no home.
-func (s *shard) home(sym symtab.Sym, create bool) (*elist, *labelIndex) {
+// home returns, with the lock held, the list a tuple labeled sym is filed in
+// and its label index (nil for bare). A label's index is made on its first
+// insert; without create an unseen label has no home.
+func (m *Multiset) home(sym symtab.Sym, create bool) (*elist, *labelIndex) {
 	if sym == symtab.None {
-		return &s.bare, nil
+		return &m.bare, nil
 	}
-	i, n := 0, len(s.labels)
+	i, n := 0, len(m.labels)
 	for i < n {
-		if mid := int(uint(i+n) >> 1); s.labels[mid].sym < sym {
+		if mid := int(uint(i+n) >> 1); m.labels[mid].sym < sym {
 			i = mid + 1
 		} else {
 			n = mid
 		}
 	}
-	if i == len(s.labels) || s.labels[i].sym != sym {
+	if i == len(m.labels) || m.labels[i].sym != sym {
 		if !create {
 			return nil, nil
 		}
-		s.labels = slices.Insert(s.labels, i, &labelIndex{sym: sym})
+		m.labels = slices.Insert(m.labels, i, &labelIndex{sym: sym})
 	}
-	return &s.labels[i].all, s.labels[i]
+	return &m.labels[i].all, m.labels[i]
 }
 
-// find returns the entry of an already locked shard filed under key (bytes or
+// find returns, with the lock held, the entry filed under key (bytes or
 // string) and label sym, nil when there is none.
-func find[K string | []byte](s *shard, sym symtab.Sym, key K) *entry {
-	home, _ := s.home(sym, false)
+func find[K string | []byte](m *Multiset, sym symtab.Sym, key K) *entry {
+	home, _ := m.home(sym, false)
 	if home == nil {
 		return nil
 	}
@@ -227,29 +194,29 @@ func find[K string | []byte](s *shard, sym symtab.Sym, key K) *entry {
 	return e
 }
 
-// add files n occurrences of t, whose fingerprint is key and label sym, in an
-// already locked shard of Multiset owner: one search of t's home list finds
-// the tuple there (its count grows, no list does) or where a new entry goes.
-// The key string is materialized only for a new entry.
-func (s *shard) add(owner uint32, t Tuple, key []byte, sym symtab.Sym, n int) {
-	home, li := s.home(sym, true)
+// add files, with the write lock held, n occurrences of t, whose fingerprint
+// is key and label sym: one search of t's home list finds the tuple there (its
+// count grows, no list does) or where a new entry goes. The key string is
+// materialized only for a new entry.
+func (m *Multiset) add(t Tuple, key []byte, sym symtab.Sym, n int) {
+	home, li := m.home(sym, true)
 	if at, e := locate(home, key); e != nil {
 		e.count += n
 	} else {
-		s.file(home, li, at, owner, t, s.arena.internKey(key), n)
+		m.file(home, li, at, t, m.arena.internKey(key), n)
 	}
 }
 
 // file links a new entry for t — a recycled or fresh struct, the tuple copied
 // into the arena — at position at of home, the list of li, and in li's buckets.
-func (s *shard) file(home *elist, li *labelIndex, at epos, owner uint32, t Tuple, key string, n int) {
+func (m *Multiset) file(home *elist, li *labelIndex, at epos, t Tuple, key string, n int) {
 	var e *entry
-	if k := len(s.free); k > 0 {
-		e, s.free[k-1], s.free = s.free[k-1], nil, s.free[:k-1]
+	if k := len(m.free); k > 0 {
+		e, m.free[k-1], m.free = m.free[k-1], nil, m.free[:k-1]
 	} else {
-		e = s.arena.newEntry()
+		e = m.arena.newEntry()
 	}
-	e.tuple, e.key, e.count, e.li, e.owner = s.arena.cloneTuple(t), key, n, li, owner
+	e.tuple, e.key, e.count, e.li, e.owner = m.arena.cloneTuple(t), key, n, li, m.id
 	home.insertAt(at, e)
 	if li != nil {
 		if len(t) >= 3 {
@@ -259,19 +226,19 @@ func (s *shard) file(home *elist, li *labelIndex, at epos, owner uint32, t Tuple
 	}
 }
 
-// unlink removes e from its home list and bucket in its locked shard and
-// retires the struct: gen moves, so outstanding Refs fail their claim, and the
-// rest is zeroed (dropping the tuple and key) before it joins the freelist.
-func (s *shard) unlink(e *entry) {
+// unlink removes e from its home list and bucket, with the write lock held,
+// and retires the struct: gen moves, so outstanding Refs fail their claim, and
+// the rest is zeroed (dropping the tuple and key) before it joins the freelist.
+func (m *Multiset) unlink(e *entry) {
 	if li := e.li; li == nil {
-		s.bare.remove(e.key)
+		m.bare.remove(e.key)
 	} else {
 		li.all.remove(e.key)
 		li.unlinked(e)
 	}
 	*e = entry{gen: e.gen + 1}
-	if len(s.free) < freeMax {
-		s.free = append(s.free, e)
+	if len(m.free) < freeMax {
+		m.free = append(m.free, e)
 	}
 }
 
@@ -287,85 +254,25 @@ func (m *Multiset) AddAll(ts []Tuple) {
 // Remove deletes one occurrence of t, reporting whether one existed.
 func (m *Multiset) Remove(t Tuple) bool { return m.TryRemoveAll([]Tuple{t}) }
 
-// deltaScratch holds the per-commit scratch of applyDeltas so the hot commit
-// path performs no bookkeeping allocations: keys, label symbols and shard
-// routes of the key-addressed consumes, the entries (and their shards) the
-// delta being applied resolved to, routes and label symbols of the produce
-// side, the byte buffer produce fingerprints are built into, and the
-// per-firing annihilation marks.
+// deltaScratch holds the per-commit scratch of the commit core so the hot
+// path performs no bookkeeping allocations: the entries the delta's consume
+// side resolved to, the label symbols of the produce side, the byte buffer
+// produce fingerprints are built into, and the annihilation marks.
 type deltaScratch struct {
-	ckeys   []string
-	csyms   []symtab.Sym
-	cshards []uint32 // noShard: the label was never interned, the claim fails
-	cents   []*entry
-	centsAt []uint32 // shard of each of cents
-	pshards []uint32
-	psyms   []symtab.Sym
-	kbuf    []byte // produce fingerprints, back to back
-	koff    []int  // start offset of each produce fingerprint in kbuf
-	ccan    []bool // annihilation marks of the firing being applied
-	pcan    []bool
+	cents []*entry
+	psyms []symtab.Sym
+	kbuf  []byte // produce fingerprints, back to back
+	koff  []int  // start offset of each produce fingerprint in kbuf
+	ccan  []bool // annihilation marks
+	pcan  []bool
 }
-
-// noShard routes a key-addressed consume whose label no tuple can carry.
-const noShard = shardCount
 
 var deltaPool = sync.Pool{New: func() any { return new(deltaScratch) }}
 
 // lastID numbers the Multisets of the process (Multiset.id).
 var lastID atomic.Uint32
 
-func (d *deltaScratch) reset() {
-	d.ckeys, d.csyms, d.cshards = d.ckeys[:0], d.csyms[:0], d.cshards[:0]
-	d.pshards, d.psyms = d.pshards[:0], d.psyms[:0]
-	d.kbuf, d.koff = d.kbuf[:0], d.koff[:0]
-}
-
-// stage routes one delta before any lock is taken, collecting the shards it
-// touches in mask. A handle names its shard; a key-addressed consume is routed
-// like an insert, except that its label is looked up, never interned
-// (knownSymOf); a product gets its fingerprint rendered into kbuf and its
-// label symbol from PSyms where the caller resolved it, else from the tuple.
-func (d *deltaScratch) stage(dl *Delta, mask *uint32) {
-	for _, r := range dl.Refs {
-		*mask |= 1 << (r.shard & (shardCount - 1))
-	}
-	if dl.Refs == nil {
-		for i, t := range dl.Consume {
-			var key string
-			if dl.CKeys != nil {
-				key = dl.CKeys[i]
-			} else {
-				key = t.Key()
-			}
-			si := uint32(noShard)
-			sym, known := knownSymOf(t)
-			if known {
-				si = shardIndex(sym, key)
-				*mask |= 1 << si
-			}
-			d.ckeys, d.csyms, d.cshards = append(d.ckeys, key), append(d.csyms, sym), append(d.cshards, si)
-		}
-	}
-	for i, t := range dl.Produce {
-		sym := symtab.None
-		if dl.PSyms != nil {
-			sym = dl.PSyms[i]
-		}
-		if sym == symtab.None {
-			sym = labelSymOf(t)
-		}
-		off := len(d.kbuf)
-		d.koff = append(d.koff, off)
-		d.kbuf = t.AppendKey(d.kbuf)
-		si := shardIndex(sym, d.kbuf[off:])
-		d.pshards = append(d.pshards, si)
-		d.psyms = append(d.psyms, sym)
-		*mask |= 1 << si
-	}
-}
-
-// pkey returns the i-th staged produce fingerprint.
+// pkey returns the i-th produce fingerprint.
 func (d *deltaScratch) pkey(i int) []byte {
 	end := len(d.kbuf)
 	if i+1 < len(d.koff) {
@@ -388,36 +295,58 @@ func appendSymsDedup(syms []symtab.Sym, add []symtab.Sym) []symtab.Sym {
 	return syms
 }
 
-// eachShard applies op — one of RWMutex's lock methods — to every shard whose
-// bit is set in mask, in index order (the deadlock-avoidance order shared by
-// all multi-shard operations).
-func (m *Multiset) eachShard(mask uint32, op func(*sync.RWMutex)) {
-	for b := mask; b != 0; b &= b - 1 {
-		op(&m.shards[bits.TrailingZeros32(b)].mu)
+// commit is the commit core under both doors — View.Commit inside a write
+// session and the key-addressed ApplyDelta — entered with the write lock held:
+// one firing's all-or-nothing claim, then its consume and produce. It reports
+// whether the claim held, appends the deduplicated label symbols of the
+// produced tuples to syms, and when numbered draws the firing's commit
+// sequence number (see Multiset.commitSeq). A failed claim modifies nothing.
+func (m *Multiset) commit(dl *Delta, numbered bool, syms []symtab.Sym) (seq uint64, ok bool, _ []symtab.Sym) {
+	d := deltaPool.Get().(*deltaScratch)
+	defer deltaPool.Put(d)
+	if !m.claim(dl, d) {
+		return 0, false, syms
 	}
+	if numbered {
+		seq = m.commitSeq.Add(1)
+	}
+	m.apply(dl, d)
+	if grew := len(dl.Produce) - len(d.cents); grew != 0 {
+		m.size.Add(int64(grew)) // inside the lock: Len equals the sum of counts whenever it is held
+	}
+	return seq, true, appendSymsDedup(syms, d.psyms)
 }
 
-// claimLocked resolves one firing's consume side to entries (d.cents, shards
-// in d.centsAt) and verifies that it is fully available; shards are locked,
-// nothing is modified. A handle resolves to its entry if that is still the
-// element it was issued for, in this multiset; a key (the staged ones from kc
-// on) by searching its home list. Duplicates within the firing require that
-// many occurrences.
-func (m *Multiset) claimLocked(dl *Delta, d *deltaScratch, kc int) bool {
-	d.cents, d.centsAt = d.cents[:0], d.centsAt[:0]
+// claim resolves the firing's consume side to entries (d.cents) and verifies
+// that it is fully available; nothing is modified. A handle resolves to its
+// entry if that is still the element it was issued for, in this multiset; a
+// key by searching its home list, its label looked up, never interned
+// (knownSymOf). Duplicates within the firing require that many occurrences.
+func (m *Multiset) claim(dl *Delta, d *deltaScratch) bool {
+	d.cents = d.cents[:0]
 	for _, r := range dl.Refs {
 		if r.e == nil || r.e.owner != m.id || r.e.gen != r.gen {
 			return false
 		}
-		d.cents, d.centsAt = append(d.cents, r.e), append(d.centsAt, r.shard)
+		d.cents = append(d.cents, r.e)
 	}
 	if dl.Refs == nil {
-		for i := range dl.Consume {
-			si := d.cshards[kc+i]
-			if si == noShard {
+		for i, t := range dl.Consume {
+			sym, known := knownSymOf(t)
+			if !known {
 				return false
 			}
-			d.cents, d.centsAt = append(d.cents, find(&m.shards[si], d.csyms[kc+i], d.ckeys[kc+i])), append(d.centsAt, si)
+			var e *entry
+			if dl.CKeys != nil {
+				e = find(m, sym, dl.CKeys[i])
+			} else {
+				d.kbuf = t.AppendKey(d.kbuf[:0])
+				e = find(m, sym, d.kbuf)
+			}
+			if e == nil {
+				return false
+			}
+			d.cents = append(d.cents, e)
 		}
 	}
 	for i, e := range d.cents {
@@ -427,27 +356,40 @@ func (m *Multiset) claimLocked(dl *Delta, d *deltaScratch, kc int) bool {
 				need++
 			}
 		}
-		if e == nil || e.count < need {
+		if e.count < need {
 			return false
 		}
 	}
 	return true
 }
 
-// applyRangeLocked commits one firing whose claim just passed — the one place
-// entries are unlinked and added by a commit: the claimed entries (d.cents)
-// lose one occurrence each and the produce tuples (staged from ps on) are
-// inserted. A consume/produce pair with identical fingerprints annihilates —
-// its net effect on every count is zero, so neither side touches the lists
-// or materializes a key string. The claim was checked gross, so observable
+// apply commits the firing whose claim just passed — the one place entries
+// are unlinked and added by a commit: the claimed entries (d.cents) lose one
+// occurrence each and the produce tuples are inserted, each under the label
+// symbol PSyms names where the caller resolved it, else the tuple's own. A
+// consume/produce pair with identical fingerprints annihilates — its net
+// effect on every count is zero, so neither side touches the lists or
+// materializes a key string. The claim was checked gross, so observable
 // semantics stay exactly remove-then-insert.
-func (m *Multiset) applyRangeLocked(produce []Tuple, d *deltaScratch, ps int) {
+func (m *Multiset) apply(dl *Delta, d *deltaScratch) {
+	d.psyms, d.kbuf, d.koff = d.psyms[:0], d.kbuf[:0], d.koff[:0]
 	d.ccan, d.pcan = d.ccan[:0], d.pcan[:0]
 	for range d.cents {
 		d.ccan = append(d.ccan, false)
 	}
-	for pi := range produce {
-		kb, can := d.pkey(ps+pi), false
+	for pi, t := range dl.Produce {
+		sym := symtab.None
+		if dl.PSyms != nil {
+			sym = dl.PSyms[pi]
+		}
+		if sym == symtab.None {
+			sym = labelSymOf(t)
+		}
+		d.psyms = append(d.psyms, sym)
+		off := len(d.kbuf)
+		d.koff = append(d.koff, off)
+		d.kbuf = t.AppendKey(d.kbuf)
+		kb, can := d.kbuf[off:], false
 		for cj, e := range d.cents {
 			if !d.ccan[cj] && string(kb) == e.key { // compared in place, not converted
 				d.ccan[cj], can = true, true
@@ -461,12 +403,12 @@ func (m *Multiset) applyRangeLocked(produce []Tuple, d *deltaScratch, ps int) {
 			continue
 		}
 		if e.count--; e.count == 0 {
-			m.shards[d.centsAt[cj]].unlink(e)
+			m.unlink(e)
 		}
 	}
-	for pi, t := range produce {
+	for pi, t := range dl.Produce {
 		if !d.pcan[pi] {
-			m.shards[d.pshards[ps+pi]].add(m.id, t, d.pkey(ps+pi), d.psyms[ps+pi], 1)
+			m.add(t, d.pkey(pi), d.psyms[pi], 1)
 		}
 	}
 }
@@ -483,21 +425,23 @@ func (m *Multiset) TryRemoveAll(ts []Tuple) bool {
 // ApplyDelta is one reaction firing's consume+produce as a single commit: it
 // atomically removes one occurrence of every tuple in consume (all-or-nothing,
 // duplicates requiring that many occurrences) and, on success, inserts every
-// tuple in produce, under one lock acquisition per involved shard. It is the
-// key-addressed front door of the commit (replay, tests and tools that hold
-// tuples, not handles) and the one-firing case of ApplyDeltas: keys are
-// resolved to entries under the lock and the same core runs as for the
-// matcher's handle-addressed deltas (Delta.Refs). ckeys, when non-nil, must
-// hold Key() of each consume tuple, so the commit does not rebuild them.
+// tuple in produce, under the write lock. It is the key-addressed front door
+// of the commit (replay, tests and tools that hold tuples, not handles): keys
+// are resolved to entries under the lock and the same core runs as for the
+// matcher's handle-addressed deltas (Delta.Refs, View.Commit). ckeys, when
+// non-nil, must hold Key() of each consume tuple, so the commit does not
+// rebuild them.
 //
 // On success it appends the deduplicated label symbols of the produced tuples
 // to syms (NoLabelSym standing in for unlabeled tuples) and returns the
 // extended slice — the delta that drives the incremental reaction scheduler.
 // On a failed claim nothing is modified and syms is returned unchanged.
 func (m *Multiset) ApplyDelta(consume []Tuple, ckeys []string, produce []Tuple, syms []symtab.Sym) (bool, []symtab.Sym) {
-	ds := [1]Delta{{Consume: consume, CKeys: ckeys, Produce: produce}}
-	n, syms := m.applyDeltas(ds[:], nil, nil, syms, 0)
-	return n == 1, syms
+	dl := Delta{Consume: consume, CKeys: ckeys, Produce: produce}
+	m.mu.Lock()
+	_, ok, syms := m.commit(&dl, false, syms)
+	m.mu.Unlock()
+	return ok, syms
 }
 
 // Count returns the multiplicity of t.
@@ -508,10 +452,9 @@ func (m *Multiset) Count(t Tuple) int {
 	}
 	var buf [64]byte
 	key := t.AppendKey(buf[:0])
-	s := &m.shards[shardIndex(sym, key)]
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if e := find(s, sym, key); e != nil {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	if e := find(m, sym, key); e != nil {
 		return e.count
 	}
 	return 0
@@ -525,15 +468,11 @@ func (m *Multiset) Len() int { return int(m.size.Load()) }
 
 // Distinct returns the number of distinct tuples.
 func (m *Multiset) Distinct() int {
-	n := 0
-	for i := range m.shards {
-		s := &m.shards[i]
-		s.mu.RLock()
-		n += s.bare.len()
-		for _, li := range s.labels {
-			n += li.all.len()
-		}
-		s.mu.RUnlock()
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	n := m.bare.len()
+	for _, li := range m.labels {
+		n += li.all.len()
 	}
 	return n
 }
@@ -581,12 +520,12 @@ func (m *Multiset) ByLabelTag(label string, tag int64) []Counted {
 
 // IterSym calls fn once per distinct tuple whose label symbol equals sym, in
 // ascending key order, passing the entry's cached key fingerprint, without
-// copying anything. It is a one-shot View (see LockView): the shard read lock
-// is held for the whole iteration, so fn must not mutate the multiset. A
-// caller enumerating more than once per consistent state holds one View.
+// copying anything. It is a one-shot View (see LockRead): the read lock is
+// held for the whole iteration, so fn must not mutate the multiset. A caller
+// enumerating more than once per consistent state holds one View.
 func (m *Multiset) IterSym(sym symtab.Sym, fn func(t Tuple, n int, key string) bool) {
 	var v View
-	m.LockView(&v, []symtab.Sym{sym}, false)
+	m.LockRead(&v)
 	defer v.Unlock()
 	v.EachSym(sym, 0, unref(fn))
 }
@@ -594,7 +533,7 @@ func (m *Multiset) IterSym(sym symtab.Sym, fn func(t Tuple, n int, key string) b
 // IterSymTag is IterSym over the (label symbol, tag) index.
 func (m *Multiset) IterSymTag(sym symtab.Sym, tag int64, fn func(t Tuple, n int, key string) bool) {
 	var v View
-	m.LockView(&v, []symtab.Sym{sym}, false)
+	m.LockRead(&v)
 	defer v.Unlock()
 	v.EachSymTag(sym, tag, 0, unref(fn))
 }
@@ -605,14 +544,14 @@ func unref(fn func(t Tuple, n int, key string) bool) func(Ref) bool {
 }
 
 // IterAllRot calls fn once per distinct tuple of the whole multiset with the
-// entry's cached key, starting at a position derived from rot: shard order and
-// the position within each list both rotate (View.EachAll). The walk is
-// exhaustive and, for a fixed rot and multiset state, deterministic; only the
-// starting point moves (why the matcher wants that: gamma's eachCandidate). A
-// one-shot View over every shard, with IterSym's locking contract.
+// entry's cached key, list by list, each list from a position derived from rot
+// (View.EachAll). The walk is exhaustive and, for a fixed rot and multiset
+// state, deterministic; only the starting point moves (why the matcher wants
+// that: gamma's eachCandidate). A one-shot View, with IterSym's locking
+// contract.
 func (m *Multiset) IterAllRot(rot uint64, fn func(t Tuple, n int, key string) bool) {
 	var v View
-	m.LockView(&v, nil, true)
+	m.LockRead(&v)
 	defer v.Unlock()
 	v.EachAll(rot, unref(fn))
 }
@@ -626,18 +565,12 @@ type Counted struct {
 }
 
 // ForEach calls fn once per distinct tuple with its multiplicity, stopping
-// early if fn returns false. Iteration takes shard read locks one at a time;
-// concurrent mutation of other shards may or may not be observed.
+// early if fn returns false, under the read lock: fn must not mutate the
+// multiset.
 func (m *Multiset) ForEach(fn func(t Tuple, n int) bool) {
-	for i := range m.shards {
-		s := &m.shards[i]
-		s.mu.RLock()
-		done := !s.eachRot(0, func(e *entry) bool { return fn(e.tuple, e.count) })
-		s.mu.RUnlock()
-		if done {
-			return
-		}
-	}
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	m.eachRot(0, func(e *entry) bool { return fn(e.tuple, e.count) })
 }
 
 // Snapshot returns every distinct tuple with multiplicity, sorted
@@ -653,14 +586,14 @@ func (m *Multiset) Snapshot() []Counted {
 	return out
 }
 
-// eachRot walks every entry of a locked shard — bare, then each label's list
-// in order, each list from rotation rot (0: ascending) — until fn returns
+// eachRot walks every entry, with the lock held — bare, then each label's list
+// by symbol, each list from rotation rot (0: ascending) — until fn returns
 // false, and reports whether it ran to completion.
-func (s *shard) eachRot(rot uint64, fn func(e *entry) bool) bool {
-	if !s.bare.eachRot(rot, fn) {
+func (m *Multiset) eachRot(rot uint64, fn func(e *entry) bool) bool {
+	if !m.bare.eachRot(rot, fn) {
 		return false
 	}
-	for _, li := range s.labels {
+	for _, li := range m.labels {
 		if !li.all.eachRot(rot, fn) {
 			return false
 		}
@@ -669,43 +602,34 @@ func (s *shard) eachRot(rot uint64, fn func(e *entry) bool) bool {
 }
 
 // Clone returns an independent deep copy, built list by list from what the
-// entries cache — the key (shared: strings are immutable) and the home list,
-// which also fixes the shard — so nothing is re-rendered, re-interned,
-// re-routed or searched for: a walk arrives ascending and every entry goes at
-// its list's end. Each source shard is read-locked in turn, like ForEach.
+// entries cache — the key (shared: strings are immutable) and the home list —
+// so nothing is re-rendered, re-interned or searched for: a walk arrives
+// ascending and every entry goes at its list's end. The source is read-locked
+// for the walk, like ForEach.
 func (m *Multiset) Clone() *Multiset {
-	c := New()
-	var size int64
-	for i := range m.shards {
-		s, d := &m.shards[i], &c.shards[i] // c is not shared yet: d needs no lock
-		s.mu.RLock()
-		var from, li *labelIndex // the source label being walked (nil: bare) and its copy
-		home := &d.bare
-		s.eachRot(0, func(e *entry) bool {
-			if e.li != from {
-				from = e.li
-				home, li = d.home(from.sym, true)
-			}
-			d.file(home, li, home.end(), c.id, e.tuple, e.key, e.count)
-			size += int64(e.count)
-			return true
-		})
-		s.mu.RUnlock()
-	}
-	c.size.Store(size)
+	c := New() // not shared yet: needs no lock
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	var from, li *labelIndex // the source label being walked (nil: bare) and its copy
+	home := &c.bare
+	m.eachRot(0, func(e *entry) bool {
+		if e.li != from {
+			from = e.li
+			home, li = c.home(from.sym, true)
+		}
+		c.file(home, li, home.end(), e.tuple, e.key, e.count)
+		return true
+	})
+	c.size.Store(m.size.Load())
 	return c
 }
 
-// ArenaBytes sums the arena chunk bytes the shards have carved so far. It
-// moves only on a chunk refill, never per element.
-func (m *Multiset) ArenaBytes() (n int64) {
-	for i := range m.shards {
-		s := &m.shards[i]
-		s.mu.RLock()
-		n += s.arena.bytes
-		s.mu.RUnlock()
-	}
-	return n
+// ArenaBytes is the arena chunk bytes carved so far. It moves only on a chunk
+// refill, never per element.
+func (m *Multiset) ArenaBytes() int64 {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	return m.arena.bytes
 }
 
 // Equal reports whether two multisets hold exactly the same elements with the

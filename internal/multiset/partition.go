@@ -29,10 +29,8 @@ func (v *View) Absorb(parts []*Multiset) {
 	m := v.session()
 	for _, p := range parts {
 		p.moveAll(func(*entry, int) *Multiset { return m })
-		for si := range p.shards {
-			m.shards[si].arena.bytes += p.shards[si].arena.bytes
-			p.shards[si].arena.bytes = 0
-		}
+		m.arena.bytes += p.arena.bytes
+		p.arena.bytes = 0
 	}
 }
 
@@ -47,27 +45,24 @@ func (v *View) session() *Multiset {
 // names for each entry and its position in the walk.
 func (src *Multiset) moveAll(to func(e *entry, nth int) *Multiset) {
 	nth := 0
-	for si := range src.shards {
-		s := &src.shards[si]
-		s.eachRot(0, func(e *entry) bool {
-			src.size.Add(-int64(e.count))
-			to(e, nth).adopt(si, e)
-			nth++
-			return true
-		})
-		s.bare = elist{}
-		for _, li := range s.labels {
-			li.all, li.byTag, li.bucketed = elist{}, nil, false
-		}
+	src.eachRot(0, func(e *entry) bool {
+		src.size.Add(-int64(e.count))
+		to(e, nth).adopt(e)
+		nth++
+		return true
+	})
+	src.bare = elist{}
+	for _, li := range src.labels {
+		li.all, li.byTag, li.bucketed = elist{}, nil, false
 	}
 }
 
-// adopt links e, an entry of another multiset's shard si, into m's: at its home
-// list's end when its key is the greatest, else where locate says or finds it.
-func (m *Multiset) adopt(si int, e *entry) {
-	home, li := &m.shards[si].bare, (*labelIndex)(nil)
+// adopt links e, an entry of another multiset, into m: at its home list's end
+// when its key is the greatest, else where locate says or finds it.
+func (m *Multiset) adopt(e *entry) {
+	home, li := &m.bare, (*labelIndex)(nil)
 	if e.li != nil {
-		home, li = m.shards[si].home(e.li.sym, true)
+		home, li = m.home(e.li.sym, true)
 	}
 	m.size.Add(int64(e.count))
 	at := home.end()

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 
 	"repro/internal/symtab"
 	"repro/internal/value"
@@ -65,7 +66,7 @@ func TestSingletonChurnAllocatesNothing(t *testing.T) {
 			t.Errorf("%d per step: %v allocations per consume/produce step, want 0", perStep, avg)
 		}
 		sym := symtab.Intern("edge")
-		_, li := m.shards[shardIndex(sym, "")].home(sym, false)
+		_, li := m.home(sym, false)
 		if bucketed := perStep > bucketAt; li.bucketed != bucketed || (li.byTag != nil) != bucketed {
 			t.Errorf("%d per step: label bucketed %v, map made %v", perStep, li.bucketed, li.byTag != nil)
 		}
@@ -91,7 +92,7 @@ func TestSingletonChurnAllocatesNothing(t *testing.T) {
 func TestBucketHysteresis(t *testing.T) {
 	m := New()
 	sym := symtab.Intern("hyst")
-	li := func() *labelIndex { _, li := m.shards[shardIndex(sym, "")].home(sym, false); return li }
+	li := func() *labelIndex { _, li := m.home(sym, false); return li }
 	check := func(n int, bucketed bool) {
 		t.Helper()
 		if err := m.CheckInvariants(); err != nil || li().all.len() != n || li().bucketed != bucketed {
@@ -155,6 +156,31 @@ func TestSmallMultisetFootprint(t *testing.T) {
 	}
 }
 
+// TestMultisetFootprint is the shape of the one-lock store, in the style of
+// dataflow's TestWideAllocShape: the struct is one mutex, one set of lists, one
+// freelist and one arena — a few words each, not an array of them — and a
+// multiset the size of Example 1's costs what its four elements carve.
+func TestMultisetFootprint(t *testing.T) {
+	if size := unsafe.Sizeof(Multiset{}); size > 512 {
+		t.Errorf("unsafe.Sizeof(Multiset{}) = %d B, want <= 512", size)
+	}
+	if raceEnabled {
+		t.Skip("allocation sizes differ under the race detector")
+	}
+	elems := []Tuple{
+		Pair(value.Int(1), "A1"), Pair(value.Int(5), "B1"),
+		Pair(value.Int(3), "C1"), Pair(value.Int(2), "D1"),
+	}
+	New(elems...) // intern the labels
+	var m *Multiset
+	if got := allocBytes(func() { m = New(elems...) }); got > 2<<10 {
+		t.Errorf("New() + Example 1's four elements allocated %d B, want <= 2 kB", got)
+	}
+	if err := m.CheckInvariants(); err != nil || m.Len() != 4 {
+		t.Errorf("m = %s (%v)", m, err)
+	}
+}
+
 // TestArenaChunksGeometric pins the refill schedule: 1/128 of the maximum,
 // doubling, capped — and never smaller than the carve that forced it.
 func TestArenaChunksGeometric(t *testing.T) {
@@ -171,7 +197,7 @@ func TestArenaChunksGeometric(t *testing.T) {
 		t.Errorf("first key chunk for a maximal key = %d", c)
 	}
 	// Write-once: a refill replaces the chunk, earlier carves stay intact.
-	var a shardArena
+	var a arena
 	var keys []string
 	for i := 0; i < 2000; i++ {
 		keys = append(keys, a.internKey([]byte(fmt.Sprintf("key-%04d", i))))
@@ -249,7 +275,7 @@ func TestViewReadersDuringListChurn(t *testing.T) {
 			defer wg.Done()
 			var v View
 			for rot := uint64(r); !stop.Load(); rot += 0x9e3779b97f4a7c15 {
-				m.LockView(&v, syms, false)
+				m.LockRead(&v)
 				for i, sym := range syms {
 					n, prev := 0, ""
 					v.EachSym(sym, 0, func(c Ref) bool {

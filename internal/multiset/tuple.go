@@ -4,10 +4,16 @@
 // Elements follow the paper's conventions: a bare scalar is a 1-tuple, the
 // Example-1 elements are pairs [value, label], and the Example-2 elements are
 // triplets [value, label, tag] where the tag is the dynamic-dataflow iteration
-// number. The multiset is sharded by label so that the reaction matcher — which
-// in converted dataflow programs always constrains the label field — touches a
-// single shard per pattern, and a label that outgrows a scan is indexed by tag,
+// number. Elements are filed by label so that the reaction matcher — which in
+// converted dataflow programs always constrains the label field — walks one
+// short list per pattern, and a label that outgrows a scan is indexed by tag,
 // so the dynamic tag-matching rule costs O(1) per candidate lookup.
+//
+// One reader/writer lock guards the whole structure: a multiset has one
+// writer at a time — the sequential engine holding a write session (View), or
+// a caller of Add / ApplyDelta — and parallelism is private sub-solutions
+// (View.Partition), not goroutines sharing one multiset's lists. A commit is
+// one firing: an all-or-nothing claim of what it consumes, then its products.
 package multiset
 
 import (

@@ -1,13 +1,12 @@
 // Package symtab interns element labels into dense integer symbols.
 //
-// The Gamma runtime routes almost everything by label: multiset sharding, the
+// The Gamma runtime routes almost everything by label: the multiset's
 // per-label candidate indexes behind the reaction matcher, and the label →
 // reaction subscription index of the incremental scheduler. Labels are program
 // constants — a handful of short strings fixed at compile/convert time — but
 // the seed engine re-hashed and re-compared their bytes on every probe and
 // every commit. Interning turns each distinct label into a small dense Sym
-// once, so the hot paths do integer map lookups and integer comparisons, and
-// shard routing is a mask on the symbol itself.
+// once, so the hot paths do integer map lookups and integer comparisons.
 //
 // The table is process-global and append-only: symbols are never reused, so a
 // Sym obtained anywhere stays valid for the life of the process, and two

@@ -12,8 +12,7 @@
 // enabled, the hot commit path records a single span event per committed
 // firing — the firing latency, with the multiset cardinality and scheduler
 // wakeup count folded into the event payload — while high-frequency
-// occurrences (probes) only bump atomic counters unless Verbose is set. Rare
-// occurrences (commit conflicts, retries) are individual events.
+// occurrences (probes) only bump atomic counters unless Verbose is set.
 //
 // Concurrency contract: a Track has a single writer at a time (each worker
 // or PE owns its track). The
@@ -45,10 +44,6 @@ const (
 	// Recorder.Verbose is set (probes outnumber firings by the probe→match
 	// ratio); always counted in the registry.
 	KindProbe
-	// KindConflict is a failed optimistic commit (parallel gamma).
-	KindConflict
-	// KindRetry is a conflict rematch attempt (parallel gamma).
-	KindRetry
 )
 
 func (k EventKind) String() string {
@@ -57,10 +52,6 @@ func (k EventKind) String() string {
 		return "firing"
 	case KindProbe:
 		return "probe"
-	case KindConflict:
-		return "conflict"
-	case KindRetry:
-		return "retry"
 	}
 	return "unknown"
 }

@@ -79,7 +79,7 @@ func TestSnapshotSortsByTS(t *testing.T) {
 	// append order is instant-then-span, the TS order is span-then-instant.
 	start := time.Now()
 	time.Sleep(time.Millisecond)
-	tr.Instant(KindRetry, "g", 0, 0)
+	tr.Instant(KindProbe, "g", 0, 0)
 	tr.SpanDur(KindFiring, "f", start, time.Since(start), 1, 1)
 	evs := r.Snapshot()[0].Events
 	if len(evs) != 2 {
@@ -230,14 +230,14 @@ func TestMountPprof(t *testing.T) {
 func populate(r *Recorder) {
 	w0 := r.Track("gamma/w0")
 	start := time.Now()
-	w0.Instant(KindConflict, "R1", 0, 0)
+	w0.Instant(KindProbe, "R1", 0, 0)
 	w0.SpanDur(KindFiring, "R1", start, time.Since(start), 5, 1)
 	w0.SpanDur(KindFiring, "R2", time.Now(), 0, 4, 0)
 	w1 := r.Track("gamma/w1")
 	w1.SpanDur(KindFiring, "R1", start, time.Since(start), 3, 2)
-	w1.Instant(KindRetry, "R1", 4, 0)
+	w1.Instant(KindProbe, "R1", 4, 0)
 	w1.Instant(KindProbe, "R2", 2, 0)
-	w1.Instant(KindConflict, "R2", 7, 0)
+	w1.Instant(KindProbe, "R2", 7, 0)
 }
 
 // TestPerfettoSchema pins the trace-event contract Perfetto relies on: valid
