@@ -180,7 +180,7 @@ func TestOptionsCensus(t *testing.T) {
 			"Schedule",      // gammarun -profile and -trace-format schedule|dot; traced runs (service)
 		}},
 		{dataflow.Options{}, []string{
-			"Workers",       // dfrun -workers; wire spec.workers (service)
+			"Workers",       // no production setter: ignored (one core per run); bench/layers.go still sets it
 			"Engine",        // dfrun -engine matrix; wire spec.engine (service)
 			"MaxFirings",    // dfrun -maxfirings; wire spec.max_steps (service)
 			"FaultInjector", // GraphOptions.FaultInjector, the stress suites' fault hook

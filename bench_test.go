@@ -151,28 +151,6 @@ func BenchmarkGammaParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkDataflowParallel sweeps PEs over a wide compiled program.
-func BenchmarkDataflowParallel(b *testing.B) {
-	// A wide expression dag: 64 independent multiply-add chains.
-	src := "int a = 3;\n"
-	for i := 0; i < 64; i++ {
-		src += fmt.Sprintf("int v%d; v%d = (a * %d + 1) * (a + %d) - a * %d;\n", i, i, i+1, i+2, i+3)
-	}
-	g, err := compiler.Compile("wide", src)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := dataflow.Run(g, dataflow.Options{Workers: workers}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // ---- E5: §III-A3 reduction granularity ----
 
 // BenchmarkReductionGranularity compares the full Example-1 program (three

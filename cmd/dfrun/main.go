@@ -2,14 +2,14 @@
 //
 // Usage:
 //
-//	dfrun [-engine E] [-workers N] [-maxfirings N] [-timeout D] [-dot out.dot] [-compile] file
+//	dfrun [-engine E] [-maxfirings N] [-timeout D] [-dot out.dot] [-compile] file
 //
 // The input is a .dfir graph description by default; with -compile it is a
 // source file in the paper's von Neumann mini language, translated first.
 //
 // The run is bounded by -timeout and canceled by SIGINT/SIGTERM; exit codes
 // follow the shared taxonomy of package internal/cli (3 parse/invalid,
-// 4 firing budget, 5 canceled/deadline, 6 PE panic, ...).
+// 4 firing budget, 5 canceled/deadline, 6 vertex panic, ...).
 //
 // Record and replay: -trace sched.jsonl -trace-format schedule records the
 // run's committed firing order as an executable schedule; -replay
@@ -36,8 +36,7 @@ import (
 )
 
 func main() {
-	engine := flag.String("engine", "", "execution engine: seq, parallel, or matrix (default: workers decide)")
-	workers := flag.Int("workers", 1, "processing elements (1 = sequential deterministic)")
+	engine := flag.String("engine", "", "execution engine: seq or matrix (default seq; parallel runs seq)")
 	maxFirings := flag.Int64("maxfirings", 1_000_000, "abort after this many vertex activations (0 = unlimited)")
 	dot := flag.String("dot", "", "also write the graph as Graphviz DOT to this file")
 	compile := flag.Bool("compile", false, "treat the input as von Neumann source, not .dfir")
@@ -61,7 +60,7 @@ func main() {
 	if *replayFile != "" {
 		err = replayRun(flag.Arg(0), *replayFile, *compile)
 	} else {
-		err = run(ctx, flag.Arg(0), &tel, *engine, *workers, *maxFirings, *dot, *compile, *prof)
+		err = run(ctx, flag.Arg(0), &tel, *engine, *maxFirings, *dot, *compile, *prof)
 	}
 	stop()
 	if terr := tel.Finish(); err == nil {
@@ -126,10 +125,10 @@ func replayRun(path, schedPath string, compile bool) error {
 	return nil
 }
 
-func run(ctx context.Context, path string, tel *cli.TelemetryFlags, engine string, workers int, maxFirings int64, dot string, compile, prof bool) error {
+func run(ctx context.Context, path string, tel *cli.TelemetryFlags, engine string, maxFirings int64, dot string, compile, prof bool) error {
 	// Route engine selection through the wire spec so the CLI accepts exactly
-	// the enum gammad does and inherits its worker-forcing rules.
-	spec := schema.RunSpec{Engine: engine, Workers: workers}
+	// the enum gammad does.
+	spec := schema.RunSpec{Engine: engine}
 	if err := spec.Validate(); err != nil {
 		return err
 	}
@@ -142,7 +141,7 @@ func run(ctx context.Context, path string, tel *cli.TelemetryFlags, engine strin
 			return err
 		}
 	}
-	opt := dataflow.Options{Workers: spec.EffectiveWorkers(), MaxFirings: maxFirings, Recorder: tel.Recorder()}
+	opt := dataflow.Options{MaxFirings: maxFirings, Recorder: tel.Recorder()}
 	sched := tel.Schedule()
 	if sched == nil && prof {
 		sched = replay.NewRecorder(replay.KindDataflow, path)
@@ -172,7 +171,7 @@ func run(ctx context.Context, path string, tel *cli.TelemetryFlags, engine strin
 			fmt.Printf("%s = %s (tag %d)\n", l, tv.Val, tv.Tag)
 		}
 	}
-	fmt.Printf("firings=%d pending=%d workers=%d [%s]\n", res.Firings, res.Pending, res.Workers, dfir.Stats(g))
+	fmt.Printf("firings=%d pending=%d [%s]\n", res.Firings, res.Pending, dfir.Stats(g))
 	if prof {
 		col := profile.NewCollector()
 		sched.Schedule().Each(col.RecordFiring)

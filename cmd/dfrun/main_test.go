@@ -33,19 +33,19 @@ edge m add:0 -> out
 
 func TestRunDfir(t *testing.T) {
 	path := writeTemp(t, "g.dfir", fig1ish)
-	if err := run(context.Background(), path, &cli.TelemetryFlags{}, "", 1, 1000, "", false, false); err != nil {
+	if err := run(context.Background(), path, &cli.TelemetryFlags{}, "", 1000, "", false, false); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(context.Background(), path, &cli.TelemetryFlags{}, "", 4, 1000, "", false, false); err != nil {
-		t.Fatal(err)
+	if err := run(context.Background(), path, &cli.TelemetryFlags{}, "parallel", 1000, "", false, false); err != nil {
+		t.Fatalf("engine parallel, run sequentially: %v", err)
 	}
-	if err := run(context.Background(), path, &cli.TelemetryFlags{}, "", 1, 1000, "", false, true); err != nil {
+	if err := run(context.Background(), path, &cli.TelemetryFlags{}, "", 1000, "", false, true); err != nil {
 		t.Fatalf("profile mode: %v", err)
 	}
-	if err := run(context.Background(), path, &cli.TelemetryFlags{}, "matrix", 1, 1000, "", false, false); err != nil {
+	if err := run(context.Background(), path, &cli.TelemetryFlags{}, "matrix", 1000, "", false, false); err != nil {
 		t.Fatalf("matrix engine: %v", err)
 	}
-	if err := run(context.Background(), path, &cli.TelemetryFlags{}, "quantum", 1, 1000, "", false, false); !errors.Is(err, rt.ErrInvalid) {
+	if err := run(context.Background(), path, &cli.TelemetryFlags{}, "quantum", 1000, "", false, false); !errors.Is(err, rt.ErrInvalid) {
 		t.Fatalf("unknown engine not rejected as invalid: %v", err)
 	}
 }
@@ -53,7 +53,7 @@ func TestRunDfir(t *testing.T) {
 func TestRunCompileAndDot(t *testing.T) {
 	src := writeTemp(t, "p.vn", `int a = 2; int b; b = a * a + 1;`)
 	dot := filepath.Join(t.TempDir(), "out.dot")
-	if err := run(context.Background(), src, &cli.TelemetryFlags{}, "", 1, 1000, dot, true, false); err != nil {
+	if err := run(context.Background(), src, &cli.TelemetryFlags{}, "", 1000, dot, true, false); err != nil {
 		t.Fatal(err)
 	}
 	content, err := os.ReadFile(dot)
@@ -66,26 +66,26 @@ func TestRunCompileAndDot(t *testing.T) {
 }
 
 func TestRunErrors(t *testing.T) {
-	if err := run(context.Background(), "/nonexistent", &cli.TelemetryFlags{}, "", 1, 0, "", false, false); err == nil {
+	if err := run(context.Background(), "/nonexistent", &cli.TelemetryFlags{}, "", 0, "", false, false); err == nil {
 		t.Error("missing file should error")
 	}
 	bad := writeTemp(t, "bad.dfir", "nonsense")
-	if err := run(context.Background(), bad, &cli.TelemetryFlags{}, "", 1, 0, "", false, false); err == nil {
+	if err := run(context.Background(), bad, &cli.TelemetryFlags{}, "", 0, "", false, false); err == nil {
 		t.Error("bad dfir should error")
 	}
 	badSrc := writeTemp(t, "bad.vn", "x = 1;")
-	if err := run(context.Background(), badSrc, &cli.TelemetryFlags{}, "", 1, 0, "", true, false); err == nil {
+	if err := run(context.Background(), badSrc, &cli.TelemetryFlags{}, "", 0, "", true, false); err == nil {
 		t.Error("bad source should error")
 	}
 	good := writeTemp(t, "g.dfir", fig1ish)
-	if err := run(context.Background(), good, &cli.TelemetryFlags{}, "", 1, 0, "/no/such/dir/out.dot", false, false); err == nil {
+	if err := run(context.Background(), good, &cli.TelemetryFlags{}, "", 0, "/no/such/dir/out.dot", false, false); err == nil {
 		t.Error("unwritable DOT path should error")
 	}
 }
 
-// TestRecordReplayLoop drives the CLI's record/replay surface: a parallel
-// graph run recorded with -trace-format schedule replays clean against the
-// same graph, and a tampered schedule diverges with exit-3 classification.
+// TestRecordReplayLoop drives the CLI's record/replay surface: a matrix-engine
+// run recorded with -trace-format schedule replays clean against the same
+// graph, and a tampered schedule diverges with exit-3 classification.
 func TestRecordReplayLoop(t *testing.T) {
 	path := writeTemp(t, "g.dfir", fig1ish)
 	sched := filepath.Join(t.TempDir(), "sched.jsonl")
@@ -93,7 +93,7 @@ func TestRecordReplayLoop(t *testing.T) {
 	if err := tel.Start(nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(context.Background(), path, tel, "", 4, 1000, "", false, false); err != nil {
+	if err := run(context.Background(), path, tel, "matrix", 1000, "", false, false); err != nil {
 		t.Fatal(err)
 	}
 	if err := tel.Finish(); err != nil {
@@ -124,13 +124,13 @@ func TestRecordReplayLoop(t *testing.T) {
 
 func TestRunClassifiesParseError(t *testing.T) {
 	bad := writeTemp(t, "bad.dfir", "graph g\nnonsense")
-	if err := run(context.Background(), bad, &cli.TelemetryFlags{}, "", 1, 1000, "", false, false); !errors.Is(err, rt.ErrParse) {
+	if err := run(context.Background(), bad, &cli.TelemetryFlags{}, "", 1000, "", false, false); !errors.Is(err, rt.ErrParse) {
 		t.Errorf("dfir parse error not classified: %v", err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	g := writeTemp(t, "g.dfir", fig1ish)
-	if err := run(ctx, g, &cli.TelemetryFlags{}, "", 1, 1000, "", false, false); !errors.Is(err, rt.ErrCanceled) {
+	if err := run(ctx, g, &cli.TelemetryFlags{}, "", 1000, "", false, false); !errors.Is(err, rt.ErrCanceled) {
 		t.Errorf("canceled run not classified: %v", err)
 	}
 }

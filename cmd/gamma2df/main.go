@@ -91,7 +91,7 @@ func run(path string, tel *cli.TelemetryFlags, singleReaction bool, dot string) 
 		// the trace shows the dataflow execution the Gamma program maps to.
 		// Single-reaction subgraphs have unconnected roots and are skipped.
 		if !singleReaction {
-			opt := dataflow.Options{Workers: 1, MaxFirings: 1_000_000, Recorder: tel.Recorder()}
+			opt := dataflow.Options{MaxFirings: 1_000_000, Recorder: tel.Recorder()}
 			if s := tel.Schedule(); s != nil {
 				opt.Schedule = s
 			}

@@ -82,21 +82,21 @@ func expE17() error {
 	row("gamma par", "expired deadline", "rt.ErrDeadline", st != nil,
 		errors.Is(err, rt.ErrDeadline) && errors.Is(err, context.DeadlineExceeded) && st != nil)
 
-	// Dataflow, parallel: injected panic on a vertex is recovered into
-	// *rt.PanicError with the vertex and PE identity.
+	// Dataflow, sequential: injected panic on a vertex is recovered into
+	// *rt.PanicError with the vertex identity.
 	g := equiv.RandomGraph(17, 4, 24)
 	res, err := dataflow.Run(g, dataflow.Options{
-		Workers:       4,
 		FaultInjector: func(site string, pe int) error { panic("injected panic") },
 	})
-	row("dataflow par", "injected panic", "*rt.PanicError", res != nil,
+	row("dataflow seq", "injected panic", "*rt.PanicError", res != nil,
 		errors.As(err, &pe) && pe.Runtime == "dataflow" && res != nil)
 
-	// Dataflow, parallel: canceled context stops the PEs promptly.
+	// Dataflow, sequential: a canceled context stops the run before its
+	// first firing.
 	cctx, ccancel := context.WithCancel(context.Background())
 	ccancel()
-	res, err = dataflow.RunContext(cctx, g, dataflow.Options{Workers: 4})
-	row("dataflow par", "canceled context", "rt.ErrCanceled", res != nil,
+	res, err = dataflow.RunContext(cctx, g, dataflow.Options{})
+	row("dataflow seq", "canceled context", "rt.ErrCanceled", res != nil,
 		errors.Is(err, rt.ErrCanceled) && res != nil)
 
 	fmt.Print(t)

@@ -62,8 +62,8 @@ func main() {
 	x2, _ := res2.Output("x")
 	fmt.Printf("round trip (gamma -> dataflow): x = %s\n", x2)
 
-	// Parallel execution of the same loop: 4 PEs, 4 Gamma workers.
-	resP, err := gammaflow.RunGraph(g, gammaflow.GraphOptions{RunConfig: gammaflow.RunConfig{RunSpec: gammaflow.RunSpec{Workers: 4, MaxSteps: 100000}}})
+	// The same loop on the matrix engine's ticks and on 4 Gamma workers.
+	resP, err := gammaflow.RunGraph(g, gammaflow.GraphOptions{RunConfig: gammaflow.RunConfig{RunSpec: gammaflow.RunSpec{Engine: gammaflow.EngineMatrix, MaxSteps: 100000}}})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -73,5 +73,5 @@ func main() {
 		log.Fatal(err)
 	}
 	outsP := gammaflow.OutputsFromMultiset(mp, []string{"x"})
-	fmt.Printf("parallel: dataflow x = %s, gamma x = %s\n", xp, outsP["x"][0].Val)
+	fmt.Printf("matrix dataflow x = %s, parallel gamma x = %s\n", xp, outsP["x"][0].Val)
 }

@@ -140,14 +140,14 @@ var (
 // a wire. It is embedded in ProgramOptions and GraphOptions, so the shared
 // knobs are set the same way regardless of model:
 //
-//	gammaflow.ProgramOptions{RunConfig: gammaflow.RunConfig{RunSpec: gammaflow.RunSpec{Workers: 8}}}
-//	gammaflow.GraphOptions{RunConfig: gammaflow.RunConfig{RunSpec: gammaflow.RunSpec{Workers: 8}}}
+//	gammaflow.ProgramOptions{RunConfig: gammaflow.RunConfig{RunSpec: gammaflow.RunSpec{MaxSteps: 1000}}}
+//	gammaflow.GraphOptions{RunConfig: gammaflow.RunConfig{RunSpec: gammaflow.RunSpec{MaxSteps: 1000}}}
 //
 // RunSpec.TimeoutMS, when set, bounds the run like a context deadline
-// (ErrDeadline); RunSpec.Engine selects the scheduler explicitly (EngineSeq,
-// EngineParallel) or leaves it to Workers (EngineAuto). An invalid spec
-// (unknown engine, negative knobs) fails the run with ErrInvalid before any
-// execution.
+// (ErrDeadline); RunSpec.Engine picks EngineSeq, EngineParallel (Gamma) or
+// EngineMatrix (dataflow), or leaves the choice to Workers (EngineAuto). An
+// invalid spec (unknown engine, negative knobs) fails the run with ErrInvalid
+// before any execution.
 type RunConfig struct {
 	// RunSpec holds the serializable knobs (Engine, Workers, Seed, MaxSteps,
 	// TimeoutMS), promoted so opt.Workers etc. read as before.
@@ -310,20 +310,18 @@ type (
 
 // GraphOptions configures dataflow execution: the shared RunConfig knobs
 // plus the dataflow-specific ones. RunConfig.MaxSteps bounds vertex firings;
-// RunConfig.Seed is ignored (the runtime is tag-deterministic).
+// RunConfig.Seed is ignored (the runtime is tag-deterministic), and so are
+// RunConfig.Workers and EngineParallel: every dataflow run executes on one
+// core, on the sequential engine unless EngineMatrix is asked for.
 type GraphOptions struct {
 	RunConfig
 	// FaultInjector, when set, runs before every vertex firing; a non-nil
-	// return aborts the run, a panic exercises PE recovery.
+	// return aborts the run, a panic exercises the engine's recovery.
 	FaultInjector FaultInjector
 }
 
 func (o GraphOptions) lower() dataflow.Options {
-	opt := dataflow.Options{
-		Workers:       o.EffectiveWorkers(),
-		MaxFirings:    o.MaxSteps,
-		FaultInjector: o.FaultInjector,
-	}
+	opt := dataflow.Options{MaxFirings: o.MaxSteps, FaultInjector: o.FaultInjector}
 	if o.Schedule != nil {
 		opt.Schedule = o.Schedule
 	}

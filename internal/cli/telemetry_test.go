@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/telemetry"
 )
@@ -50,7 +51,7 @@ func TestTelemetryFlagsJSONLLifecycle(t *testing.T) {
 	if rec == nil {
 		t.Fatal("trace requested but no recorder")
 	}
-	rec.Track("gamma/w0").Instant(telemetry.KindFiring, "R1", 1, 0)
+	rec.Track("gamma/w0").SpanDur(telemetry.KindFiring, "R1", time.Now(), 0, 1, 0)
 	if err := tel.Finish(); err != nil {
 		t.Fatal(err)
 	}

@@ -182,12 +182,12 @@ func TestCompiledLoopParallelAgrees(t *testing.T) {
 		t.Fatal(err)
 	}
 	g2 := MustCompile("p", src)
-	par, err := dataflow.Run(g2, dataflow.Options{Workers: 4})
+	par, err := dataflow.Run(g2, dataflow.Options{Engine: dataflow.EngineMatrix})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(seq.Outputs, par.Outputs) {
-		t.Errorf("sequential %v vs parallel %v", seq.Outputs, par.Outputs)
+		t.Errorf("sequential %v vs matrix %v", seq.Outputs, par.Outputs)
 	}
 }
 

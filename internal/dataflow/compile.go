@@ -2,7 +2,6 @@ package dataflow
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"repro/internal/value"
 )
@@ -31,15 +30,6 @@ type plan struct {
 	// What run state is sized from: the output edges, the vertices that need
 	// tag matching, the widest operand vector and the tokens the consts emit.
 	terminals, multiPort, maxArity, seeds int
-}
-
-// run is what one execution's cores share besides the plan: firings per vertex
-// (a vertex is fired by exactly one core, so the slots are unshared), the
-// schedule's commit sequence and the firings reserved against MaxFirings.
-type run struct {
-	counts []int64
-	seq    atomic.Uint64
-	budget atomic.Int64
 }
 
 // opLayout says where a pure vertex's operator finds its operands.

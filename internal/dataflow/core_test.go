@@ -60,7 +60,6 @@ var engineOptions = []struct {
 }{
 	{"seq", Options{}},
 	{"matrix", Options{Engine: EngineMatrix}},
-	{"pool", Options{Workers: 2}},
 }
 
 func BenchmarkWide(b *testing.B) {
@@ -113,12 +112,12 @@ func (t *matchTable) checkInvariants() error {
 }
 
 // checkMatchTables makes every commit of every run started in t walk the
-// firing core's matching table (the afterCommit hook); in the pool each PE
-// walks its own. Not for parallel tests: the hook is one package variable.
+// firing core's matching table (the afterCommit hook). Not for parallel
+// tests: the hook is one package variable.
 func checkMatchTables(t testing.TB) {
 	afterCommit = func(c *core) {
 		if err := c.match.checkInvariants(); err != nil {
-			t.Errorf("PE %d after firing %s: %v", c.pe, c.p.name(c.site), err)
+			t.Errorf("after firing %s: %v", c.p.name(c.site), err)
 		}
 	}
 	t.Cleanup(func() { afterCommit = nil })
@@ -440,12 +439,12 @@ func buildSkewedLoop(n int64, delay int, strand bool) *Graph {
 	return g
 }
 
-// TestCoreEngineDifferential holds the three schedules of the one firing core
+// TestCoreEngineDifferential holds the two schedules of the one firing core
 // to each other and to a plain-Go oracle on random wide-shaped and loop-shaped
-// graphs: same outputs, firings, per-vertex counts, pending operands, and —
-// across all engines, the pool included — the same set of (vertex, consumed,
-// produced) schedule records. The matching table's invariants are walked after
-// every commit.
+// graphs: same outputs, firings, per-vertex counts, pending operands, and the
+// same set of (vertex, consumed, produced) schedule records — the matrix
+// engine's tick order is a different linearization of the same firings. The
+// matching table's invariants are walked after every commit.
 func TestCoreEngineDifferential(t *testing.T) {
 	checkMatchTables(t)
 	type graphCase struct {
@@ -490,14 +489,10 @@ func TestCoreEngineDifferential(t *testing.T) {
 		cases = append(cases, graphCase{fmt.Sprintf("loop%d-delay%d-strand%v", n, delay, strand),
 			func() *Graph { return buildSkewedLoop(n, delay, strand) }, want, pending})
 	}
-	engines := append(engineOptions[:len(engineOptions):len(engineOptions)], struct {
-		name string
-		opt  Options
-	}{"pool8", Options{Workers: 8}})
 	for _, gc := range cases {
 		var ref *Result
 		var refSched []string
-		for _, e := range engines {
+		for _, e := range engineOptions {
 			opt, sched := e.opt, &recSchedule{}
 			opt.Schedule = sched
 			res, err := Run(gc.build(), opt)
@@ -542,7 +537,7 @@ func TestSkewedLoopMatchingPeaks(t *testing.T) {
 		}
 		gauges := rec.Metrics.Snapshot().Gauges
 		// 20 stranded trips plus the stranded constant wait to the end; on
-		// top of them at least two tags at dbl (pool: on whichever PE).
+		// top of them at least two tags at dbl.
 		if got := gauges["dataflow.match_entries_peak"].Value; got < 22 {
 			t.Errorf("%s: dataflow.match_entries_peak = %d, want >= 22", e.name, got)
 		}
@@ -558,29 +553,21 @@ func TestSkewedLoopMatchingPeaks(t *testing.T) {
 // 150 B (12.2 and 1 018 B on the sequential engine before the shared core,
 // 145–210 B while every run rebuilt the plan) and must not grow with the
 // graph's width, so per-firing set-up cannot silently return to any engine.
-// Flat means max/min <= 1.5 across widths; allocation counts get a quarter of
-// an allocation of absolute slack on top, because at ~0.1 per firing the
-// pool's fixed set-up (goroutines, mailboxes, a table per PE) is already a
-// third of the smallest width's count.
+// Flat means max/min <= 1.5 across widths, with a quarter of an allocation of
+// absolute slack on the counts.
 //
 // The first run of a graph compiles its plan and the re-run must not: it has
-// to come in under the first by the bytes of the plan's tables, the only
-// allocation of a run that is proportional to the graph rather than to the
-// run's own tokens and counters — by three quarters of them, as the pool's
-// mailboxes grow a few percent differently from run to run (the sequential
-// and matrix engines read the tables' size plus 12–14 kB of size-class
-// rounding at every width). A re-run is measured three times and its smallest
-// reading kept: the sequential and matrix engines repeat exactly, and how far
-// the pool's mailboxes grow depends on how its PEs interleave, which next to
-// the other packages of a go test ./... once read 107 B per firing at width
-// 4 096 against 70 at 512 — over the flatness bound with nothing changed
-// (ROADMAP 8e).
+// to come in under the first by three quarters of the bytes of the plan's
+// tables, the only allocation of a run that is proportional to the graph
+// rather than to the run's own tokens and counters (both engines read the
+// tables' size plus 12–14 kB of size-class rounding at every width). A re-run
+// is measured three times and its smallest reading kept.
 func TestWideAllocShape(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are only meaningful without the race detector")
 	}
 	const flat, allocSlack, maxAllocs, maxBytes = 1.5, 0.25, 1.0, 150.0
-	if _, err := Run(buildWide(wideInputs(64), 16), Options{Workers: 2}); err != nil { // warm the runtime
+	if _, err := Run(buildWide(wideInputs(64), 16), Options{}); err != nil { // warm the runtime
 		t.Fatal(err)
 	}
 	for _, e := range engineOptions {

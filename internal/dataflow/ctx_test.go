@@ -1,9 +1,11 @@
 package dataflow
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -87,71 +89,108 @@ func TestRunContextCancelMidRunDF(t *testing.T) {
 }
 
 func TestFaultInjectorPanicRecoveredDF(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		res, err := Run(buildFig1(1, 5, 3, 2), Options{
-			Workers:       workers,
-			FaultInjector: func(site string, pe int) error { panic("kaboom") },
-		})
+	for _, e := range engineOptions {
+		opt := e.opt
+		opt.FaultInjector = func(site string, pe int) error { panic("kaboom") }
+		res, err := Run(buildFig1(1, 5, 3, 2), opt)
 		var perr *rt.PanicError
 		if !errors.As(err, &perr) {
-			t.Fatalf("workers=%d: err = %v (%T), want *rt.PanicError", workers, err, err)
+			t.Fatalf("%s: err = %v (%T), want *rt.PanicError", e.name, err, err)
 		}
 		if perr.Runtime != "dataflow" || perr.Site == "" {
-			t.Errorf("workers=%d: panic identity = %q/%q", workers, perr.Runtime, perr.Site)
+			t.Errorf("%s: panic identity = %q/%q", e.name, perr.Runtime, perr.Site)
 		}
 		if res == nil {
-			t.Errorf("workers=%d: partial Result missing", workers)
+			t.Errorf("%s: partial Result missing", e.name)
 		}
 	}
 }
 
 func TestMaxFiringsClassified(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		res, err := Run(buildSpinner(), Options{Workers: workers, MaxFirings: 100})
+	for _, e := range engineOptions {
+		opt := e.opt
+		opt.MaxFirings = 100
+		res, err := Run(buildSpinner(), opt)
 		if !errors.Is(err, ErrMaxFirings) || !errors.Is(err, rt.ErrMaxSteps) {
-			t.Errorf("workers=%d: err = %v, want ErrMaxFirings ⊂ rt.ErrMaxSteps", workers, err)
+			t.Errorf("%s: err = %v, want ErrMaxFirings ⊂ rt.ErrMaxSteps", e.name, err)
 		}
 		if res == nil {
-			t.Errorf("workers=%d: partial Result missing", workers)
+			t.Errorf("%s: partial Result missing", e.name)
 		}
 	}
 }
 
+// TestWorkersRunOnOneCore: Options.Workers is ignored. A run asking for 8
+// workers starts no goroutine — the count read inside the fault injector, at
+// every firing, is the count before the run — hands the injector PE index 0
+// every time, and reports and records exactly what the Workers: 1 run does.
+func TestWorkersRunOnOneCore(t *testing.T) {
+	g := buildWide(wideInputs(64), 4)
+	run := func(workers int) (*Result, []byte) {
+		before := runtime.NumGoroutine()
+		var rec lineSchedule
+		res, err := RunContext(context.Background(), g, Options{Workers: workers, Schedule: &rec,
+			FaultInjector: func(site string, pe int) error {
+				if n := runtime.NumGoroutine(); n != before || pe != 0 {
+					t.Errorf("workers=%d: firing %s on PE %d with %d goroutines, %d before the run", workers, site, pe, n, before)
+				}
+				return nil
+			}})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		return res, rec.Bytes()
+	}
+	one, oneSched := run(1)
+	eight, eightSched := run(8)
+	if err := sameRun(eight, one); err != nil {
+		t.Errorf("workers=8 against workers=1: %v", err)
+	}
+	if !bytes.Equal(eightSched, oneSched) {
+		t.Errorf("workers=8 recorded a different schedule:\n%s\nworkers=1:\n%s", eightSched, oneSched)
+	}
+}
+
+// lineSchedule records every firing as one line, in call order.
+type lineSchedule struct{ bytes.Buffer }
+
+func (s *lineSchedule) RecordStep(seq uint64, name string, consumed, produced []string) {
+	fmt.Fprintf(s, "%d %s %q %q\n", seq, name, consumed, produced)
+}
+
 // TestRunContextJudgesSpecBeforeContext: under a context that is already done,
 // an unknown engine or an invalid graph is still rt.ErrInvalid with no Result,
-// and the early Result of a good spec echoes the PE count the chosen engine
-// would have used — 1 under the matrix engine, whatever Workers says.
+// and a good spec returns an early Result that reports no work.
 func TestRunContextJudgesSpecBeforeContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	invalid := NewGraph("invalid")
 	invalid.AddCopy("dangling")
 	for _, tc := range []struct {
-		name    string
-		g       *Graph
-		opt     Options
-		want    error
-		workers int // of the early Result; 0: no Result
+		name  string
+		g     *Graph
+		opt   Options
+		want  error
+		early bool // an early Result, not none
 	}{
-		{"unknown engine", buildFig1(1, 5, 3, 2), Options{Engine: "bogus"}, rt.ErrInvalid, 0},
-		{"unknown engine, workers", buildFig1(1, 5, 3, 2), Options{Engine: "bogus", Workers: 4}, rt.ErrInvalid, 0},
-		{"invalid graph", invalid, Options{}, rt.ErrInvalid, 0},
-		{"invalid graph, matrix", invalid, Options{Engine: EngineMatrix}, rt.ErrInvalid, 0},
-		{"sequential", buildFig1(1, 5, 3, 2), Options{}, rt.ErrCanceled, 1},
-		{"sequential, workers 1", buildFig1(1, 5, 3, 2), Options{Workers: 1}, rt.ErrCanceled, 1},
-		{"pool", buildFig1(1, 5, 3, 2), Options{Workers: 4}, rt.ErrCanceled, 4},
-		{"matrix", buildFig1(1, 5, 3, 2), Options{Engine: EngineMatrix}, rt.ErrCanceled, 1},
-		{"matrix, workers", buildFig1(1, 5, 3, 2), Options{Engine: EngineMatrix, Workers: 4}, rt.ErrCanceled, 1},
+		{"unknown engine", buildFig1(1, 5, 3, 2), Options{Engine: "bogus"}, rt.ErrInvalid, false},
+		{"unknown engine, workers", buildFig1(1, 5, 3, 2), Options{Engine: "bogus", Workers: 4}, rt.ErrInvalid, false},
+		{"invalid graph", invalid, Options{}, rt.ErrInvalid, false},
+		{"invalid graph, matrix", invalid, Options{Engine: EngineMatrix}, rt.ErrInvalid, false},
+		{"sequential", buildFig1(1, 5, 3, 2), Options{}, rt.ErrCanceled, true},
+		{"sequential, workers 4", buildFig1(1, 5, 3, 2), Options{Workers: 4}, rt.ErrCanceled, true},
+		{"matrix", buildFig1(1, 5, 3, 2), Options{Engine: EngineMatrix}, rt.ErrCanceled, true},
+		{"matrix, workers", buildFig1(1, 5, 3, 2), Options{Engine: EngineMatrix, Workers: 4}, rt.ErrCanceled, true},
 	} {
 		res, err := RunContext(ctx, tc.g, tc.opt)
 		if !errors.Is(err, tc.want) {
 			t.Errorf("%s: err = %v, want %v", tc.name, err, tc.want)
 		}
 		switch {
-		case tc.workers == 0 && res != nil:
+		case !tc.early && res != nil:
 			t.Errorf("%s: a rejected spec returned a Result: %+v", tc.name, res)
-		case tc.workers != 0 && (res == nil || res.Workers != tc.workers || res.Firings != 0 || res.Outputs == nil || len(res.PerNode()) != 0):
-			t.Errorf("%s: early Result = %+v, want Workers %d and no work", tc.name, res, tc.workers)
+		case tc.early && (res == nil || res.Firings != 0 || res.Outputs == nil || len(res.PerNode()) != 0):
+			t.Errorf("%s: early Result = %+v, want no work", tc.name, res)
 		}
 	}
 }

@@ -54,18 +54,23 @@ func TestFig1Sequential(t *testing.T) {
 	}
 }
 
+// TestFig1Parallel: a Workers count is ignored — every run is on one core —
+// and Fig. 1 reads the same on both schedules whatever it asks for.
 func TestFig1Parallel(t *testing.T) {
 	for _, workers := range []int{2, 4, 8} {
-		g := buildFig1(1, 5, 3, 2)
-		res, err := Run(g, Options{Workers: workers})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if m, ok := res.Output("m"); !ok || m != value.Int(0) {
-			t.Fatalf("workers=%d: m = %v", workers, m)
-		}
-		if res.Firings != 7 {
-			t.Errorf("workers=%d: firings = %d", workers, res.Firings)
+		for _, e := range engineOptions {
+			opt := e.opt
+			opt.Workers = workers
+			res, err := Run(buildFig1(1, 5, 3, 2), opt)
+			if err != nil {
+				t.Fatalf("%s workers=%d: %v", e.name, workers, err)
+			}
+			if m, ok := res.Output("m"); !ok || m != value.Int(0) {
+				t.Fatalf("%s workers=%d: m = %v", e.name, workers, m)
+			}
+			if res.Firings != 7 {
+				t.Errorf("%s workers=%d: firings = %d", e.name, workers, res.Firings)
+			}
 		}
 	}
 }
@@ -151,14 +156,19 @@ func TestLoopSequential(t *testing.T) {
 	}
 }
 
+// TestLoopParallel: as TestFig1Parallel, on the loop graph.
 func TestLoopParallel(t *testing.T) {
 	for _, workers := range []int{2, 4, 8} {
-		res, err := Run(buildLoop(10, 4, 25), Options{Workers: workers})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if out, _ := res.Output("out"); out != value.Int(110) {
-			t.Errorf("workers=%d: out = %v, want 110", workers, out)
+		for _, e := range engineOptions {
+			opt := e.opt
+			opt.Workers = workers
+			res, err := Run(buildLoop(10, 4, 25), opt)
+			if err != nil {
+				t.Fatalf("%s workers=%d: %v", e.name, workers, err)
+			}
+			if out, _ := res.Output("out"); out != value.Int(110) {
+				t.Errorf("%s workers=%d: out = %v, want 110", e.name, workers, out)
+			}
 		}
 	}
 }
@@ -406,8 +416,8 @@ func TestRuntimeErrors(t *testing.T) {
 	if _, err := Run(g, Options{}); err == nil {
 		t.Error("sequential divide by zero should error")
 	}
-	if _, err := Run(g, Options{Workers: 4}); err == nil {
-		t.Error("parallel divide by zero should error")
+	if _, err := Run(g, Options{Engine: EngineMatrix}); err == nil {
+		t.Error("matrix divide by zero should error")
 	}
 	// Steer with non-truthy control.
 	g2 := NewGraph("badsteer")
@@ -452,7 +462,7 @@ func TestMaxFirings(t *testing.T) {
 	must(g.Connect(cp, 0, inc, 0, "back"))
 	// Every engine refuses the firing that would exceed the budget: the
 	// partial result never overdraws it (gammad charges tenants by it).
-	for _, opt := range []Options{{}, {Workers: 4}, {Engine: EngineMatrix}} {
+	for _, opt := range []Options{{}, {Engine: EngineMatrix}} {
 		opt.MaxFirings = 100
 		res, err := Run(g, opt)
 		if !errors.Is(err, ErrMaxFirings) {
@@ -533,8 +543,8 @@ func TestTokenQueuePerPort(t *testing.T) {
 	}
 }
 
-// Property: the loop graph computes a + b*n for arbitrary small inputs, in
-// both schedulers.
+// Property: the loop graph computes a + b*n for arbitrary small inputs, on
+// both engines.
 func TestQuickLoopComputesAffine(t *testing.T) {
 	f := func(a, b int16, n uint8) bool {
 		iters := int64(n % 12)
@@ -549,7 +559,7 @@ func TestQuickLoopComputesAffine(t *testing.T) {
 			return false
 		}
 		gp := buildLoop(int64(a), int64(b), iters)
-		resP, err := Run(gp, Options{Workers: 4})
+		resP, err := Run(gp, Options{Engine: EngineMatrix})
 		if err != nil {
 			return false
 		}

@@ -41,11 +41,9 @@ type Result struct {
 	// other path). In the Gamma translation these are exactly the non-output
 	// elements of the stable multiset.
 	Pending int
-	// Workers echoes the PE count used.
-	Workers int
 	// Ticks counts the bulk-synchronous rounds of the matrix engine: one
 	// readiness sweep plus one batched apply pass per tick. Zero under the
-	// token-at-a-time engines.
+	// sequential engine.
 	Ticks int64
 	g     *Graph // names Counts for PerNode
 }
@@ -81,17 +79,13 @@ func (r *Result) Output(label string) (value.Value, bool) {
 var ErrMaxFirings = rt.Wrap("dataflow: maximum firing count exceeded", rt.ErrMaxSteps)
 
 // ScheduleRecorder is the engines' one per-firing observer: it receives every
-// vertex firing with a commit sequence number and opaque keys identifying
-// the tokens it consumed (in input-port order, which is what lets replay
-// rebuild the operand vector positionally) and produced; a consumed key
-// always equals some earlier firing's produced key. Numbers are drawn before
-// a firing's output tokens become visible to any consumer, so sorting the
-// records by seq yields a sequential firing order that is a valid
-// linearization even of the parallel PE pool; provenance, work/span profiles
-// and replay are all folds over that order (package replay). Calls arrive
-// concurrently and out of seq order when Workers > 1, so implementations must
-// be safe for concurrent use. The engine hands over ownership of the key
-// slices — implementations may retain them without copying.
+// vertex firing with a commit sequence number (1, 2, 3, … in firing order)
+// and opaque keys identifying the tokens it consumed (in input-port order,
+// which is what lets replay rebuild the operand vector positionally) and
+// produced; a consumed key always equals some earlier firing's produced key.
+// Provenance, work/span profiles and replay are all folds over that order
+// (package replay). The engine hands over ownership of the key slices —
+// implementations may retain them without copying.
 type ScheduleRecorder interface {
 	RecordStep(seq uint64, name string, consumed, produced []string)
 }
@@ -103,24 +97,22 @@ const EngineMatrix = "matrix"
 
 // Options configures an execution.
 type Options struct {
-	// Workers is the number of processing elements (PEs). 0 or 1 selects the
-	// deterministic sequential scheduler; more selects the parallel runtime
-	// where vertices are partitioned over PE goroutines.
+	// Workers is ignored: every run executes on one core, whichever Engine
+	// schedules it. It stays declared only because bench/ still sets it.
 	Workers int
-	// Engine overrides the Workers-driven scheduler choice. Empty leaves the
-	// choice to Workers; EngineMatrix selects the bulk-synchronous
-	// sparse-matrix engine (which is single-threaded — Workers is ignored and
-	// echoed as 1). Any other value is rt.ErrInvalid.
+	// Engine selects the schedule: empty for the sequential FIFO worklist,
+	// EngineMatrix for the bulk-synchronous sparse-matrix ticks. Any other
+	// value is rt.ErrInvalid.
 	Engine string
 	// MaxFirings bounds total vertex activations; 0 means no bound.
 	MaxFirings int64
 	// FaultInjector, when set, runs before every vertex firing with the
-	// vertex name and PE index; a non-nil return aborts the run with that
-	// error, and a panic inside it exercises the PE pool's panic recovery.
+	// vertex name and PE index 0; a non-nil return aborts the run with that
+	// error, and a panic inside it exercises the engine's panic recovery.
 	// For stress tests; leave nil in production runs.
 	FaultInjector rt.FaultInjector
 	// Recorder, when set, receives the execution's telemetry: one event
-	// track per PE (firing spans with latency and token depth) and registry
+	// track (firing spans with latency and token depth) and registry
 	// counters mirroring the Result fields increment for increment. Nil
 	// costs one branch per record site on the hot paths.
 	Recorder *telemetry.Recorder
@@ -138,9 +130,8 @@ func Run(g *Graph, opt Options) (*Result, error) {
 	return RunContext(context.Background(), g, opt)
 }
 
-// RunContext is Run under a context: cancellation and deadline propagate to
-// every PE, which observe ctx between firings and stop promptly, dropping
-// in-flight tokens. Early exits of every kind — cancellation, deadline,
+// RunContext is Run under a context: the engine observes ctx before every
+// firing and stops promptly, dropping in-flight tokens. Early exits of every kind — cancellation, deadline,
 // firing budget, a failing vertex, a recovered panic — return a non-nil
 // partial Result describing the work done up to the stop, alongside the
 // classifying error (rt.ErrCanceled, rt.ErrDeadline, ErrMaxFirings, or
@@ -148,23 +139,22 @@ func Run(g *Graph, opt Options) (*Result, error) {
 // The spec is judged before the context: an unknown engine or an invalid
 // graph is rt.ErrInvalid even under a context that is already done.
 func RunContext(ctx context.Context, g *Graph, opt Options) (*Result, error) {
-	engine, workers := runSequential, 1
-	switch {
-	case opt.Engine == EngineMatrix:
+	engine := runSequential
+	switch opt.Engine {
+	case "":
+	case EngineMatrix:
 		engine = runMatrix
-	case opt.Engine != "":
+	default:
 		return nil, rt.Mark(rt.ErrInvalid, fmt.Errorf("dataflow: unknown engine %q", opt.Engine))
-	case opt.Workers > 1:
-		engine, workers = runParallel, opt.Workers
 	}
 	p, err := g.plan()
 	if err != nil {
 		return nil, rt.Mark(rt.ErrInvalid, err)
 	}
 	if err := ctx.Err(); err != nil {
-		return &Result{Outputs: map[string][]TaggedValue{}, Workers: workers, g: g}, rt.FromContext(err)
+		return &Result{Outputs: map[string][]TaggedValue{}, g: g}, rt.FromContext(err)
 	}
-	return engine(ctx, p, &run{counts: make([]int64, len(p.vert))}, opt)
+	return engine(newCore(ctx, p, opt))
 }
 
 // operand is one parked token in the matching table: its value plus the token
@@ -200,15 +190,15 @@ type matchEntry struct {
 
 type matchKey struct{ vertex, tag int64 }
 
-// matchTable is the tag-matching store of one engine (one PE in the pool, so
-// it needs no lock): the dynamic dataflow firing rule — a vertex fires when
-// every input port holds an operand with the same tag — for all the engine's
-// vertices, keyed by (vertex, tag). Drained entries are recycled.
+// matchTable is the tag-matching store of one run: the dynamic dataflow
+// firing rule — a vertex fires when every input port holds an operand with
+// the same tag — for all the graph's vertices, keyed by (vertex, tag).
+// Drained entries are recycled.
 type matchTable struct {
 	entries map[matchKey]*matchEntry
 	free    []*matchEntry
 	slab    []matchEntry // fresh entries are carved from fixed-size chunks
-	sizing  int          // entries to size the map for: the engine's multi-port vertices
+	sizing  int          // entries to size the map for: the graph's multi-port vertices
 	keyed   bool         // operands carry schedule keys
 	peak    int          // most entries waiting at once
 }
@@ -306,10 +296,14 @@ func TokenKey(g *Graph, t Token) string {
 // ReplayFire computes one vertex activation outside an engine: the replay
 // verifier's way to re-execute a recorded firing.
 // The returned tokens are the activation's emissions in port fan-out order.
+// An operand vector that is not one operand per input port is rt.ErrInvalid.
 func ReplayFire(g *Graph, n *Node, tag int64, operands []value.Value) ([]Token, error) {
 	p, err := g.plan()
 	if err != nil {
 		return nil, rt.Mark(rt.ErrInvalid, err)
+	}
+	if arity := int(p.vert[n.ID].arity); len(operands) != arity {
+		return nil, rt.Mark(rt.ErrInvalid, fmt.Errorf("dataflow: vertex %s takes %d operands, got %d", n.Name, arity, len(operands)))
 	}
 	port, v, outTag, err := p.route(int32(n.ID), tag, operands)
 	if err != nil {
@@ -359,37 +353,32 @@ func (p *plan) route(id int32, tag int64, operands []value.Value) (int, value.Va
 	return 0, value.Value{}, 0, fmt.Errorf("dataflow: node %s has invalid kind", p.name(id))
 }
 
-// core is the firing state of one engine — one PE in the pool — over the
-// graph's plan and the run's counters. All three engines run on it: token
-// arrival (arrive), the one check → route → record → count step (fire), const
-// seeding (seed) and the Result fold (finish). They differ only in which
-// enabled activation goes next and in the queue the returned emission row is
-// pushed onto.
+// core is the firing state of one run over the graph's plan. Both engines run
+// on it: token arrival (arrive), the one check → route → record → count step
+// (fire), const seeding (seed) and the Result fold (finish). They differ only
+// in which enabled activation goes next and in the queue the returned
+// emission row is pushed onto.
 type core struct {
-	p   *plan
-	r   *run
-	opt Options
-	// ctx is consulted before every firing; nil in the PE pool, whose
-	// watcher turns cancellation into fail() instead.
-	ctx      context.Context
-	pe       int
+	p        *plan
+	opt      Options
+	ctx      context.Context // consulted before every firing
 	ts       *dfSink
 	match    matchTable
 	operands []value.Value // scratch for one activation's operand vector
 	outputs  map[string][]TaggedValue
-	outSlab  []TaggedValue // this core's share of the terminal edges, one slot each
+	outSlab  []TaggedValue // the terminal edges, one slot each
+	counts   []int64       // firings per vertex, by NodeID
 	site     int32         // the vertex being fired (-1: none yet), for the panic report
-
-	fired int64
+	fired    int64         // firings so far; the schedule number of the last
 }
 
-// newCore returns PE pe's core (-1: the pool's coordinator, which only seeds).
-func newCore(ctx context.Context, p *plan, r *run, opt Options, pe int) *core {
+func newCore(ctx context.Context, p *plan, opt Options) *core {
 	return &core{
-		p: p, r: r, opt: opt, ctx: ctx, pe: pe, site: -1,
-		ts:       newDFSink(opt, p.g, pe),
-		match:    matchTable{keyed: opt.Schedule != nil, sizing: p.multiPort / max(opt.Workers, 1)},
+		p: p, opt: opt, ctx: ctx, site: -1,
+		ts:       newDFSink(opt, p.g),
+		match:    matchTable{keyed: opt.Schedule != nil, sizing: p.multiPort},
 		operands: make([]value.Value, 0, p.maxArity),
+		counts:   make([]int64, len(p.vert)),
 	}
 }
 
@@ -399,7 +388,7 @@ func (c *core) panicError(rec any) error {
 	if c.site >= 0 {
 		site = c.p.name(c.site)
 	}
-	return rt.NewPanicError("dataflow", site, max(c.pe, 0), rec)
+	return rt.NewPanicError("dataflow", site, 0, rec)
 }
 
 // arrive delivers a token to its consumer, vertex to; see matchTable.arrive.
@@ -415,7 +404,7 @@ func (c *core) arrive(to int32, tok Token, vals []value.Value, keys []string) ([
 func (c *core) output(tok Token) {
 	if c.outputs == nil {
 		c.outputs = make(map[string][]TaggedValue, c.p.terminals)
-		c.outSlab = make([]TaggedValue, (c.p.terminals-1)/max(c.opt.Workers, 1)+1)
+		c.outSlab = make([]TaggedValue, c.p.terminals)
 	}
 	label := c.p.g.Edges[tok.Edge].Label
 	vs, ok := c.outputs[label]
@@ -425,10 +414,9 @@ func (c *core) output(tok Token) {
 	c.outputs[label] = append(vs, TaggedValue{Tag: tok.Tag, Val: tok.Val})
 }
 
-// overBudget reserves one firing against Options.MaxFirings before the vertex
-// runs, so a run — concurrent PEs included — never overdraws its budget.
+// overBudget reports whether Options.MaxFirings forbids one more firing.
 func (c *core) overBudget() bool {
-	return c.opt.MaxFirings > 0 && c.r.budget.Add(1) > c.opt.MaxFirings
+	return c.opt.MaxFirings > 0 && c.fired >= c.opt.MaxFirings
 }
 
 // fire runs one enabled activation: context, budget and fault injector are
@@ -438,12 +426,12 @@ func (c *core) overBudget() bool {
 func (c *core) fire(id int32, tag int64, operands []value.Value, keys []string, depth int64) ([]int32, value.Value, int64, error) {
 	c.site = id
 	var err error
-	if c.ctx != nil && c.ctx.Err() != nil {
+	if c.ctx.Err() != nil {
 		err = rt.FromContext(c.ctx.Err())
 	} else if c.overBudget() {
 		err = ErrMaxFirings
 	} else if c.opt.FaultInjector != nil {
-		err = c.opt.FaultInjector(c.p.name(id), c.pe)
+		err = c.opt.FaultInjector(c.p.name(id), 0)
 	}
 	if err != nil {
 		return nil, value.Value{}, 0, err
@@ -451,9 +439,7 @@ func (c *core) fire(id int32, tag int64, operands []value.Value, keys []string, 
 	return c.commit(id, tag, operands, keys, depth)
 }
 
-// commit is the package's one route → record → count sequence. The schedule
-// number is drawn before the caller makes the emission visible to a consumer,
-// so the numbers linearize even the pool's interleaving.
+// commit is the package's one route → record → count sequence.
 func (c *core) commit(id int32, tag int64, operands []value.Value, keys []string, depth int64) ([]int32, value.Value, int64, error) {
 	t0 := c.ts.begin()
 	port, v, outTag, err := c.p.route(id, tag, operands)
@@ -461,15 +447,15 @@ func (c *core) commit(id int32, tag int64, operands []value.Value, keys []string
 		return nil, value.Value{}, 0, err
 	}
 	row := c.p.row(id, port)
+	c.fired++
+	c.counts[id]++
 	if c.opt.Schedule != nil {
 		produced := make([]string, len(row))
 		for i, e := range row {
 			produced[i] = TokenKey(c.p.g, Token{Edge: EdgeID(e), Tag: outTag})
 		}
-		c.opt.Schedule.RecordStep(c.r.seq.Add(1), c.p.name(id), keys, produced)
+		c.opt.Schedule.RecordStep(uint64(c.fired), c.p.name(id), keys, produced)
 	}
-	c.fired++
-	c.r.counts[id]++
 	if c.ts != nil {
 		c.ts.firing(NodeID(id), c.p.name(id), t0, depth+int64(len(row)), len(row))
 	}
@@ -484,8 +470,8 @@ func (c *core) commit(id int32, tag int64, operands []value.Value, keys []string
 var afterCommit func(c *core)
 
 // seed fires every const vertex once with tag 0, handing each emitted token
-// to emit. Consts are numbered before any token is routed, so every schedule
-// starts with them in node order, and they draw on the firing budget.
+// to emit. Consts fire before any token is routed, so every schedule starts
+// with them in node order, and they draw on the firing budget.
 func (c *core) seed(emit func(e int32, v value.Value)) error {
 	depth := int64(0)
 	for id, vo := range c.p.vert {
@@ -505,23 +491,10 @@ func (c *core) seed(emit func(e int32, v value.Value)) error {
 	return nil
 }
 
-// finish folds the run's cores into its Result — on every exit path, so an
+// finish folds the core into the run's Result — on every exit path, so an
 // early stop reports the work done up to it — and sets the run-end gauges.
-func (r *run) finish(workers int, ticks int64, queuePeak int, cores ...*core) *Result {
-	res := &Result{Workers: workers, Ticks: ticks, Counts: r.counts, g: cores[0].p.g}
-	entriesPeak := 0
-	for _, c := range cores {
-		res.Firings += c.fired
-		res.Pending += c.match.pending()
-		entriesPeak += c.match.peak
-		if res.Outputs == nil {
-			res.Outputs = c.outputs
-			continue
-		}
-		for label, vs := range c.outputs {
-			res.Outputs[label] = append(res.Outputs[label], vs...)
-		}
-	}
+func (c *core) finish(ticks int64, queuePeak int) *Result {
+	res := &Result{Outputs: c.outputs, Firings: c.fired, Counts: c.counts, Pending: c.match.pending(), Ticks: ticks, g: c.p.g}
 	if res.Outputs == nil {
 		res.Outputs = make(map[string][]TaggedValue)
 	}
@@ -530,7 +503,7 @@ func (r *run) finish(workers int, ticks int64, queuePeak int, cores ...*core) *R
 			sort.SliceStable(vs, func(i, j int) bool { return vs[i].Tag < vs[j].Tag })
 		}
 	}
-	cores[0].ts.peaks(entriesPeak, queuePeak)
+	c.ts.peaks(c.match.peak, queuePeak)
 	return res
 }
 
@@ -560,19 +533,19 @@ func (r *ring) pop() Token {
 	return t
 }
 
-// runSequential is the deterministic single-PE schedule: a FIFO worklist of
-// tokens, each delivered to its consumer, firing vertices as their operand
-// sets complete. A panic out of a vertex operation is recovered into
+// runSequential is the deterministic FIFO schedule: a worklist of tokens,
+// each delivered to its consumer, firing vertices as their operand sets
+// complete. A panic out of a vertex operation is recovered into
 // *rt.PanicError with the partial Result preserved.
-func runSequential(ctx context.Context, p *plan, r *run, opt Options) (res *Result, err error) {
-	c := newCore(ctx, p, r, opt, 0)
+func runSequential(c *core) (res *Result, err error) {
+	p := c.p
 	// The worklist starts at the seed tokens; fan-out beyond them grows it.
 	q := ring{buf: make([]Token, 1<<bits.Len(uint(max(p.seeds, 64)-1)))}
 	defer func() {
 		if rec := recover(); rec != nil {
 			err = c.panicError(rec)
 		}
-		res = r.finish(1, 0, q.peak, c)
+		res = c.finish(0, q.peak)
 	}()
 	if err := c.seed(func(e int32, v value.Value) { q.push(Token{Val: v, Edge: EdgeID(e)}) }); err != nil {
 		return nil, err

@@ -2,21 +2,20 @@ package dataflow
 
 // The bulk-synchronous sparse-matrix schedule (Options.Engine == EngineMatrix).
 //
-// Instead of taking tokens one at a time (runSequential) or partitioning
-// vertices over PE goroutines (runParallel), this engine runs the shared core
-// in bulk-synchronous ticks over the plan's incidence matrices: a readiness
-// sweep delivers every queued token in dense edge order and collects the
-// fire-vector of ALL enabled (vertex, tag) activations, then a batched apply
-// pass fires them, emitting into the edge queues the next sweep reads — one
-// sweep is a sparse matrix-vector product of the incidence structure with the
-// token vector ("Dataflow Graphs as Matrices", PAPERS.md; DESIGN.md §14).
+// Instead of taking tokens one at a time (runSequential), this engine runs
+// the shared core in bulk-synchronous ticks over the plan's incidence
+// matrices: a readiness sweep delivers every queued token in dense edge order
+// and collects the fire-vector of ALL enabled (vertex, tag) activations, then
+// a batched apply pass fires them, emitting into the edge queues the next
+// sweep reads — one sweep is a sparse matrix-vector product of the incidence
+// structure with the token vector ("Dataflow Graphs as Matrices", PAPERS.md;
+// DESIGN.md §14).
 // Termination is "fire-vector empty", cross-checked against an explicit
 // in-flight token count. Wide graphs — Algorithm 2's replicated reaction
 // subgraphs, Fig. 4 — are the shape where a tick that fires thousands of
 // vertices amortizes scheduling to nearly nothing.
 
 import (
-	"context"
 	"fmt"
 
 	"repro/internal/rt"
@@ -65,14 +64,14 @@ type matFiring struct {
 // dense edge order and activations fire in discovery order. The multiset of
 // firings — hence Outputs, Firings, Counts and Pending — equals
 // the sequential engine's (dataflow firing is confluent; DESIGN.md §14).
-func runMatrix(ctx context.Context, p *plan, r *run, opt Options) (res *Result, err error) {
-	c := newCore(ctx, p, r, opt, 0)
+func runMatrix(c *core) (res *Result, err error) {
+	p := c.p
 	ticks, peak := int64(0), 0
 	defer func() {
 		if rec := recover(); rec != nil {
 			err = c.panicError(rec)
 		}
-		res = r.finish(1, ticks, peak, c)
+		res = c.finish(ticks, peak)
 	}()
 	links := make([]int32, 2*len(p.edgeTo))
 	q := edgeQueues{head: links[:len(p.edgeTo)], tail: links[len(p.edgeTo):], toks: make([]chainTok, 0, p.seeds)}

@@ -18,9 +18,9 @@ func sameRun(got, want *Result) error {
 		return nil
 	case !reflect.DeepEqual(got.Outputs, want.Outputs):
 		return fmt.Errorf("outputs %v, want %v", got.Outputs, want.Outputs)
-	case got.Firings != want.Firings || got.Pending != want.Pending || got.Workers != want.Workers || got.Ticks != want.Ticks:
-		return fmt.Errorf("firings/pending/workers/ticks %d/%d/%d/%d, want %d/%d/%d/%d",
-			got.Firings, got.Pending, got.Workers, got.Ticks, want.Firings, want.Pending, want.Workers, want.Ticks)
+	case got.Firings != want.Firings || got.Pending != want.Pending || got.Ticks != want.Ticks:
+		return fmt.Errorf("firings/pending/ticks %d/%d/%d, want %d/%d/%d",
+			got.Firings, got.Pending, got.Ticks, want.Firings, want.Pending, want.Ticks)
 	case !reflect.DeepEqual(got.Counts, want.Counts):
 		return fmt.Errorf("counts %v, want %v", got.Counts, want.Counts)
 	case !reflect.DeepEqual(got.PerNode(), want.PerNode()):
@@ -33,9 +33,10 @@ func sameRun(got, want *Result) error {
 // plan": after a first run, every mutating method of Graph — alone, where that
 // leaves a runnable or a rejected graph, and wired in — followed by a second
 // run must give exactly what a fresh Clone of the mutated graph gives, error
-// text included, on all three engines. The plan pointer is the compile
-// counter (plan() publishes every plan it compiles): it must change exactly
-// when the version did, and never on a plain re-run.
+// text included, on both engines and under a Workers count (ignored: it runs
+// the sequential engine). The plan pointer is the compile counter (plan()
+// publishes every plan it compiles): it must change exactly when the version
+// did, and never on a plain re-run.
 func TestPlanCacheInvalidation(t *testing.T) {
 	// a=6, b=3, add=a+b → "sum".
 	base := func() *Graph {
@@ -96,8 +97,12 @@ func TestPlanCacheInvalidation(t *testing.T) {
 		{"SetConst invalid value", func(g *Graph) error { return g.SetConst(a, value.Value{}) }},
 		{"SetConst on an operator", func(g *Graph) error { return g.SetConst(add, value.Int(1)) }},
 	}
+	engines := append(engineOptions[:len(engineOptions):len(engineOptions)], struct {
+		name string
+		opt  Options
+	}{"pool", Options{Workers: 2}})
 	for _, m := range mutators {
-		for _, e := range engineOptions {
+		for _, e := range engines {
 			t.Run(m.name+"/"+e.name, func(t *testing.T) {
 				g := base()
 				if res, err := Run(g, e.opt); err != nil || res.Outputs["sum"][0].Val != value.Int(9) {

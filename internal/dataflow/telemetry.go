@@ -1,15 +1,14 @@
 package dataflow
 
 import (
-	"fmt"
 	"time"
 
 	"repro/internal/telemetry"
 )
 
-// dfSink is the per-PE telemetry state of one execution, resolved once per
-// PE so a disabled recorder costs one nil-check branch per record site (all
-// methods are no-ops on a nil receiver). Counters mirror the Result fields
+// dfSink is the telemetry state of one execution, resolved once per run so a
+// disabled recorder costs one nil-check branch per record site (all methods
+// are no-ops on a nil receiver). Counters mirror the Result fields
 // increment for increment; the differential tests hold them to exact
 // agreement.
 type dfSink struct {
@@ -24,21 +23,16 @@ type dfSink struct {
 	perTick *telemetry.Histogram // activations fired per round
 }
 
-// newDFSink resolves the PE's track and instruments; nil when telemetry is
-// disabled. PE -1 is the coordinator (const-token injection in the parallel
-// runtime); 0..N-1 are the PEs, named "dataflow/pe<i>".
-func newDFSink(opt Options, g *Graph, pe int) *dfSink {
+// newDFSink resolves the run's track, "dataflow/pe0", and instruments; nil
+// when telemetry is disabled.
+func newDFSink(opt Options, g *Graph) *dfSink {
 	rec := opt.Recorder
 	if rec == nil {
 		return nil
 	}
-	name := fmt.Sprintf("dataflow/pe%d", pe)
-	if pe < 0 {
-		name = "dataflow/init"
-	}
 	reg := rec.Metrics
 	s := &dfSink{
-		track:   rec.Track(name),
+		track:   rec.Track("dataflow/pe0"),
 		reg:     reg,
 		firings: reg.Counter("dataflow.firings"),
 		lat:     reg.Histogram("dataflow.firing_ns"),
@@ -62,8 +56,8 @@ func (s *dfSink) begin() time.Time {
 }
 
 // firing accounts one vertex activation: the latency span since begin, with
-// the runtime's current token depth (sequential queue length or parallel
-// in-flight count) and the tokens the firing emitted in the payload.
+// the engine's current token depth (queued or in flight) and the tokens the
+// firing emitted in the payload.
 func (s *dfSink) firing(id NodeID, name string, start time.Time, depth int64, emitted int) {
 	if s == nil {
 		return
@@ -87,8 +81,8 @@ func (s *dfSink) tick(fired int) {
 }
 
 // peaks publishes the run's high-water marks — activations waiting in the
-// matching tables and tokens queued in the engine, each summed over PEs —
-// once, at run end: the matching work no per-firing counter shows.
+// matching table and tokens queued in the engine — once, at run end: the
+// matching work no per-firing counter shows.
 func (s *dfSink) peaks(entries, queued int) {
 	if s == nil {
 		return

@@ -45,24 +45,29 @@ func TestTelemetryDifferentialSequential(t *testing.T) {
 	}
 }
 
+// TestTelemetryDifferentialParallel holds the counters to the Result on the
+// loop graph under both schedules and a Workers count, which is ignored.
 func TestTelemetryDifferentialParallel(t *testing.T) {
 	for _, workers := range []int{2, 4} {
-		rec := telemetry.New(0)
-		g := buildLoop(1, 1, 40)
-		res, err := Run(g, Options{Workers: workers, Recorder: rec})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		checkDFTelemetryAgrees(t, rec, res)
-		if res.Firings == 0 {
-			t.Fatalf("workers=%d: no firings", workers)
+		for _, e := range engineOptions {
+			rec := telemetry.New(0)
+			opt := e.opt
+			opt.Workers, opt.Recorder = workers, rec
+			res, err := Run(buildLoop(1, 1, 40), opt)
+			if err != nil {
+				t.Fatalf("%s workers=%d: %v", e.name, workers, err)
+			}
+			checkDFTelemetryAgrees(t, rec, res)
+			if res.Firings == 0 {
+				t.Fatalf("%s workers=%d: no firings", e.name, workers)
+			}
 		}
 	}
 }
 
 func TestTelemetryDisabledSinkIsNil(t *testing.T) {
 	g := buildFig1(1, 5, 3, 2)
-	if s := newDFSink(Options{}, g, 0); s != nil {
+	if s := newDFSink(Options{}, g); s != nil {
 		t.Fatalf("sink without recorder = %+v, want nil", s)
 	}
 	var nilSink *dfSink

@@ -27,12 +27,11 @@ import (
 
 // Options configures a Check run.
 type Options struct {
-	// DataflowWorkers and GammaWorkers select the schedulers (0/1 =
-	// sequential deterministic).
-	DataflowWorkers int
-	GammaWorkers    int
-	// DataflowEngine overrides the dataflow execution engine ("" = let
-	// DataflowWorkers decide; dataflow.EngineMatrix = bulk-synchronous).
+	// GammaWorkers selects the Gamma scheduler (0/1 = sequential
+	// deterministic).
+	GammaWorkers int
+	// DataflowEngine selects the dataflow engine ("" = sequential;
+	// dataflow.EngineMatrix = bulk-synchronous).
 	DataflowEngine string
 	// GammaSeed randomizes the Gamma matcher's nondeterministic choices.
 	GammaSeed int64
@@ -66,9 +65,7 @@ func Check(g *dataflow.Graph, opt Options) (*Report, error) {
 // rt.ErrDivergent — for the harness, "didn't stabilize within the budget" is
 // evidence of divergence, not an infrastructure failure.
 func CheckContext(ctx context.Context, g *dataflow.Graph, opt Options) (*Report, error) {
-	dfRes, err := dataflow.RunContext(ctx, g, dataflow.Options{
-		Workers: opt.DataflowWorkers, MaxFirings: opt.MaxSteps, Engine: opt.DataflowEngine,
-	})
+	dfRes, err := dataflow.RunContext(ctx, g, dataflow.Options{MaxFirings: opt.MaxSteps, Engine: opt.DataflowEngine})
 	if err != nil {
 		return nil, fmt.Errorf("equiv: dataflow run: %w", markBudget(err))
 	}

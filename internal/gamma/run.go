@@ -346,7 +346,7 @@ func runSequential(ctx context.Context, p *Program, m *multiset.Multiset, opt Op
 			m.LockWrite(&w.view)
 		}
 		t0 := w.ts.begin()
-		w.ts.probe(r.Name)
+		w.ts.probe()
 		s := w.searchers[i]
 		s.begin(m, w.rng)
 		ok := s.search(0)

@@ -15,8 +15,7 @@ import (
 // for increment — the differential tests in telemetry_test.go hold the two
 // accountings to exact agreement.
 type telSink struct {
-	track   *telemetry.Track
-	verbose bool
+	track *telemetry.Track
 
 	steps  *telemetry.Counter
 	probes *telemetry.Counter
@@ -36,13 +35,12 @@ func newTelSink(opt Options, p *Program, worker int) *telSink {
 	}
 	reg := rec.Metrics
 	ts := &telSink{
-		track:   rec.Track(fmt.Sprintf("gamma/w%d", worker)),
-		verbose: rec.Verbose,
-		steps:   reg.Counter("gamma.steps"),
-		probes:  reg.Counter("gamma.probes"),
-		cands:   reg.Counter("gamma.candidates"),
-		card:    reg.Gauge("gamma.cardinality"),
-		depth:   reg.Gauge("gamma.worklist_depth"),
+		track:  rec.Track(fmt.Sprintf("gamma/w%d", worker)),
+		steps:  reg.Counter("gamma.steps"),
+		probes: reg.Counter("gamma.probes"),
+		cands:  reg.Counter("gamma.candidates"),
+		card:   reg.Gauge("gamma.cardinality"),
+		depth:  reg.Gauge("gamma.worklist_depth"),
 	}
 	ts.fired = make([]*telemetry.Counter, len(p.Reactions))
 	ts.lat = make([]*telemetry.Histogram, len(p.Reactions))
@@ -62,17 +60,14 @@ func (t *telSink) begin() time.Time {
 	return time.Now()
 }
 
-// probe accounts one match attempt. Event volume is counter-only unless the
-// recorder is verbose: probes outnumber firings by the probe→match ratio and
-// would dominate both the ring and the enabled-mode overhead.
-func (t *telSink) probe(name string) {
+// probe accounts one match attempt, as a counter only: probes outnumber
+// firings by the probe→match ratio and would dominate both the ring and the
+// enabled-mode overhead.
+func (t *telSink) probe() {
 	if t == nil {
 		return
 	}
 	t.probes.Inc()
-	if t.verbose {
-		t.track.Instant(telemetry.KindProbe, name, 0, 0)
-	}
 }
 
 // candidates accounts the n elements a probe (or probe batch) enumerated,

@@ -56,7 +56,7 @@ func TestFig2ObservableComputesLoop(t *testing.T) {
 
 func TestFig2ObservableParallel(t *testing.T) {
 	g := Fig2GraphObservable(10, 4, 25)
-	res, err := dataflow.Run(g, dataflow.Options{Workers: 4})
+	res, err := dataflow.Run(g, dataflow.Options{Engine: dataflow.EngineMatrix})
 	if err != nil {
 		t.Fatal(err)
 	}

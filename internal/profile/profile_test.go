@@ -152,9 +152,9 @@ func TestLoopSpanGrowsWithIterations(t *testing.T) {
 }
 
 func TestParallelRuntimesProduceSameWork(t *testing.T) {
-	// Tracing under the parallel runtimes: same work, and the gamma span
-	// must match the sequential one (dependencies are schedule-independent
-	// for this confluent program).
+	// Tracing under the parallel Gamma runtime and the dataflow matrix
+	// engine: same work, and the span must match the sequential one
+	// (dependencies are schedule-independent for this confluent program).
 	prog, init, err := core.ToGamma(paper.Fig1Graph())
 	if err != nil {
 		t.Fatal(err)
@@ -163,8 +163,8 @@ func TestParallelRuntimesProduceSameWork(t *testing.T) {
 	if r.Work != 3 || r.Span != 2 {
 		t.Errorf("parallel gamma: %s, want work=3 span=2", r)
 	}
-	if r2 := dataflowReport(t, paper.Fig1Graph(), dataflow.Options{Workers: 4}); r2.Work != 7 {
-		t.Errorf("parallel dataflow work = %d, want 7", r2.Work)
+	if r2 := dataflowReport(t, paper.Fig1Graph(), dataflow.Options{Engine: dataflow.EngineMatrix}); r2.Work != 7 || r2.Span != 3 {
+		t.Errorf("matrix dataflow: %s, want work=7 span=3", r2)
 	}
 }
 

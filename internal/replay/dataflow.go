@@ -96,13 +96,22 @@ func replayDataflowStep(g *dataflow.Graph, n *dataflow.Node, s *Schedule, idx in
 		return s.diverged(idx, Divergence{Reason: ReasonUnknownNode, Detail: detail}), nil
 	}
 	// Pop the consumed tokens. Keys are recorded in input-port order, so the
-	// popped values form the operand vector positionally.
+	// popped values form the operand vector positionally: one per input port,
+	// key j on an edge into port j, or no engine could have fired the step.
+	if len(st.Consumed) != len(n.In) {
+		detail := fmt.Sprintf("vertex %s takes %d operands, the step consumed %d", n.Name, len(n.In), len(st.Consumed))
+		return s.diverged(idx, Divergence{Reason: ReasonKernelError, Detail: detail}), nil
+	}
 	var tag int64
 	operands := make([]value.Value, len(st.Consumed))
 	for j, key := range st.Consumed {
 		kTag, err := keyTag(key)
 		if err != nil {
 			return nil, err
+		}
+		if !intoPort(g, n.In[j], key[:strings.LastIndexByte(key, '@')]) {
+			detail := fmt.Sprintf("consumed %s is not on an edge into port %d of vertex %s", key, j, n.Name)
+			return s.diverged(idx, Divergence{Reason: ReasonKernelError, Detail: detail}), nil
 		}
 		if j == 0 {
 			tag = kTag
@@ -134,6 +143,16 @@ func replayDataflowStep(g *dataflow.Graph, n *dataflow.Node, s *Schedule, idx in
 		avail[actual[j]] = append(avail[actual[j]], t.Val)
 	}
 	return nil, nil
+}
+
+// intoPort reports whether one of a port's in-edges carries the label.
+func intoPort(g *dataflow.Graph, port []dataflow.EdgeID, label string) bool {
+	for _, e := range port {
+		if g.Edges[e].Label == label {
+			return true
+		}
+	}
+	return false
 }
 
 // keyTag extracts the iteration tag from a "label@tag" token key.

@@ -390,18 +390,19 @@ func TestReplayDataflowFig1(t *testing.T) {
 	}
 }
 
-// TestReplayDataflowParallelDifferential: a parallel PE-pool execution of
-// Fig. 2, recorded in commit order, replays sequentially to the same
+// TestReplayDataflowParallelDifferential: the matrix engine's execution of
+// Fig. 2 — every enabled vertex of a tick fired together, a linearization
+// other than the sequential engine's FIFO — replays step for step to the same
 // outputs. Run under -race by make stress.
 func TestReplayDataflowParallelDifferential(t *testing.T) {
 	g := paper.Fig2Graph()
-	sched, rec := recordDataflow(t, g, dataflow.Options{Workers: 4})
+	sched, rec := recordDataflow(t, g, dataflow.Options{Engine: dataflow.EngineMatrix})
 	res, err := ReplayDataflow(g, sched)
 	if err != nil {
 		t.Fatalf("replay: %v", err)
 	}
 	if res.Divergence != nil {
-		t.Fatalf("parallel schedule diverged on sequential replay: %v", res.Divergence)
+		t.Fatalf("matrix schedule diverged on replay: %v", res.Divergence)
 	}
 	if int64(res.Steps) != rec.Firings {
 		t.Errorf("replayed %d steps, recorded %d firings", res.Steps, rec.Firings)
@@ -456,6 +457,45 @@ func TestReplayDataflowDivergence(t *testing.T) {
 	}
 	if res.Divergence == nil || res.Divergence.Reason != ReasonConsumedMissing {
 		t.Errorf("dropped firing: got %+v", res.Divergence)
+	}
+}
+
+// TestReplayDataflowOperandVector: a step's consumed keys are its operand
+// vector, one per input port in port order. A vector of the wrong length, or
+// keys on edges that do not feed the vertex's ports, is a divergence at that
+// step — not a panic in the vertex operation, and not a clean replay.
+func TestReplayDataflowOperandVector(t *testing.T) {
+	g := paper.Fig1Graph()
+	sched, _ := recordDataflow(t, g, dataflow.Options{})
+	step := func(s *Schedule, name string) *Step {
+		for i := range s.Steps {
+			if s.Steps[i].Name == name {
+				return &s.Steps[i]
+			}
+		}
+		t.Fatalf("no step fires %s", name)
+		return nil
+	}
+	for _, tc := range []struct {
+		name   string
+		mutate func(s *Schedule)
+	}{
+		{"one operand for a two-port vertex", func(s *Schedule) { step(s, "R1").Consumed = []string{"A1@0"} }},
+		{"R1 and R2 consume each other's operands", func(s *Schedule) {
+			r1, r2 := step(s, "R1"), step(s, "R2")
+			r1.Consumed, r2.Consumed = r2.Consumed, r1.Consumed
+		}},
+	} {
+		s := *sched
+		s.Steps = append([]Step(nil), sched.Steps...)
+		tc.mutate(&s)
+		res, err := ReplayDataflow(g, &s)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if d := res.Divergence; d == nil || d.Reason != ReasonKernelError || d.Name != "R1" {
+			t.Errorf("%s: divergence %+v, want %s at R1", tc.name, d, ReasonKernelError)
+		}
 	}
 }
 

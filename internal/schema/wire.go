@@ -75,7 +75,7 @@ func CheckWireVersion(v string) error {
 const (
 	EngineAuto     = ""         // sequential unless Workers > 1
 	EngineSeq      = "seq"      // the deterministic sequential interpreter
-	EngineParallel = "parallel" // the work-stealing parallel runtime
+	EngineParallel = "parallel" // Gamma's sub-solution runtime; a dataflow run executes sequentially
 	// EngineMatrix is the bulk-synchronous sparse-matrix dataflow engine
 	// (wire minor 1.1, dataflow runs only): single-threaded ticks firing
 	// every enabled vertex per round. Gamma runs reject it at Validate.
@@ -89,12 +89,14 @@ const (
 // envelope (so the service configures runs from the same struct instead of a
 // parallel one).
 type RunSpec struct {
-	// Engine selects the execution engine: EngineAuto, EngineSeq or
-	// EngineParallel. Unknown values fail Validate with rt.ErrInvalid.
+	// Engine selects the execution engine: EngineAuto, EngineSeq,
+	// EngineParallel or EngineMatrix. Unknown values fail Validate with
+	// rt.ErrInvalid.
 	Engine string `json:"engine,omitempty"`
-	// Workers is the number of concurrent executors (reaction workers or
-	// dataflow PEs). Under EngineAuto, 0 or 1 selects the deterministic
-	// sequential scheduler; under EngineParallel, 0 means one per CPU.
+	// Workers is the number of Gamma reaction workers. Under EngineAuto, 0
+	// or 1 selects the deterministic sequential scheduler; under
+	// EngineParallel, 0 means one per CPU. The dataflow runtime runs every
+	// execution on one core and ignores it.
 	Workers int `json:"workers,omitempty"`
 	// Seed seeds nondeterministic choices. The dataflow runtime is
 	// tag-deterministic and ignores it.

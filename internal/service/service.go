@@ -73,7 +73,7 @@ type Quota struct {
 // Config configures a Server.
 type Config struct {
 	// Pool is the number of executor goroutines runs are multiplexed over;
-	// <= 0 means 4. Each executor runs one submission at a time; the
+	// <= 0 means 4. Each executor runs one submission at a time; a Gamma
 	// submission itself may use several workers (RunSpec.Workers).
 	Pool int
 	// QueueDepth bounds the pending queue; <= 0 means 64. A full queue
@@ -200,7 +200,8 @@ type Run struct {
 	// Spec is the submitted spec; MaxSteps holds the effective (clamped)
 	// per-run cap.
 	Spec schema.RunSpec
-	// Engine is the resolved engine label ("seq", "parallel" or "matrix") —
+	// Engine is the resolved engine label ("seq", "parallel" or "matrix";
+	// a dataflow run is never "parallel") —
 	// what actually runs, with EngineAuto resolved, and the run's coordinate
 	// in the registry's engine dimension.
 	Engine string
@@ -322,13 +323,19 @@ func (s *Server) gaugeAdd(name string, n int64, tenant, engine string) {
 
 // engineLabel resolves a spec to the engine that will actually execute it —
 // the registry's engine dimension and the stats payload report this, not the
-// raw Engine field, so EngineAuto runs are attributed to seq or parallel.
-func engineLabel(spec schema.RunSpec) string {
-	switch spec.Engine {
-	case schema.EngineSeq, schema.EngineParallel, schema.EngineMatrix:
+// raw Engine field, so EngineAuto Gamma runs are attributed to seq or
+// parallel, and a dataflow run to matrix when asked for and to seq otherwise
+// (the dataflow runtime has no parallel engine: it runs such a spec
+// sequentially).
+func engineLabel(kind string, spec schema.RunSpec) string {
+	switch {
+	case kind == schema.KindDataflow && spec.Engine == schema.EngineMatrix:
+		return schema.EngineMatrix
+	case kind == schema.KindDataflow:
+		return schema.EngineSeq
+	case spec.Engine != schema.EngineAuto:
 		return spec.Engine
-	}
-	if spec.EffectiveWorkers() > 1 {
+	case spec.EffectiveWorkers() > 1:
 		return schema.EngineParallel
 	}
 	return schema.EngineSeq
@@ -406,7 +413,7 @@ func (s *Server) Submit(req *schema.RunRequest, tenant string) (*Run, error) {
 	if err := req.Validate(); err != nil {
 		return nil, err
 	}
-	r := &Run{Tenant: tenant, Kind: req.Kind, Spec: req.Spec, Engine: engineLabel(req.Spec),
+	r := &Run{Tenant: tenant, Kind: req.Kind, Spec: req.Spec, Engine: engineLabel(req.Kind, req.Spec),
 		done: make(chan struct{}), state: schema.StatePending}
 	switch req.Kind {
 	case schema.KindGamma:
@@ -620,10 +627,7 @@ func (s *Server) execute(r *Run) {
 		}
 		s.finish(r, res, err, steps, &wall)
 	case schema.KindDataflow:
-		opt := dataflow.Options{
-			Workers:    r.Spec.EffectiveWorkers(),
-			MaxFirings: r.Spec.MaxSteps,
-		}
+		opt := dataflow.Options{MaxFirings: r.Spec.MaxSteps}
 		if r.Spec.Engine == schema.EngineMatrix {
 			opt.Engine = dataflow.EngineMatrix
 		}

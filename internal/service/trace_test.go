@@ -150,6 +150,28 @@ func TestTracedDataflowRun(t *testing.T) {
 	}
 }
 
+// TestDataflowParallelSpecRunsSeq: the wire still accepts engine parallel and
+// workers on a dataflow spec, and the dataflow runtime runs it on its
+// sequential engine — which is what /stats and the registry's engine label
+// report.
+func TestDataflowParallelSpecRunsSeq(t *testing.T) {
+	s, ts := newTestServer(t, Config{Pool: 1})
+	graph := "graph g\nconst x = 3\nconst y = 4\narith add +\nedge a x:0 -> add:0\nedge b y:0 -> add:1\nedge m add:0 -> out\n"
+	req := schema.NewGraphRequest(graph, schema.RunSpec{Engine: schema.EngineParallel, Workers: 4, MaxSteps: 100, Trace: true})
+	hres, resp := postRun(t, ts, req, "?wait=true", "")
+	if hres.StatusCode != http.StatusOK || resp.State != schema.StateDone {
+		t.Fatalf("dataflow run: status %d, state %s (%+v)", hres.StatusCode, resp.State, resp.Error)
+	}
+	if _, st := getStats(t, ts, resp.ID); st == nil || st.Engine != schema.EngineSeq {
+		t.Fatalf("stats engine of a parallel dataflow spec: %+v, want %q", st, schema.EngineSeq)
+	}
+	reg := s.Registry()
+	if seq, par := reg.Labeled("engine", schema.EngineSeq).CounterValue("service.done"),
+		reg.Labeled("engine", schema.EngineParallel).CounterValue("service.done"); seq != 1 || par != 0 {
+		t.Errorf("service.done by engine label: seq %d, parallel %d, want 1 and 0", seq, par)
+	}
+}
+
 // TestTraceErrorSurface pins the failure modes: 404 for unknown runs and for
 // runs submitted without the trace knob; 409 while the run still executes.
 func TestTraceErrorSurface(t *testing.T) {

@@ -9,8 +9,8 @@ import (
 )
 
 // The Perfetto exporter emits Chrome trace-event JSON ("JSON object format"):
-// a traceEvents array of metadata (ph "M"), complete-span (ph "X"), instant
-// (ph "i") and counter (ph "C") events. One recorder track maps to one
+// a traceEvents array of metadata (ph "M"), complete-span (ph "X") and
+// counter (ph "C") events. One recorder track maps to one
 // thread (tid) inside a single process (pid 1); Perfetto renders each as its
 // own timeline row named by a thread_name metadata event. Timestamps are
 // microseconds (the format's unit), recorder-relative.
@@ -23,7 +23,6 @@ type traceEvent struct {
 	Dur  *float64       `json:"dur,omitempty"`
 	PID  int            `json:"pid"`
 	TID  int            `json:"tid"`
-	S    string         `json:"s,omitempty"`
 	Args map[string]any `json:"args,omitempty"`
 }
 
@@ -32,28 +31,20 @@ const tracePID = 1
 
 func usec(ns int64) float64 { return float64(ns) / 1e3 }
 
-// perfettoEvent converts one recorded event for track tid; a second counter
-// sample is returned for firing events, which carry the post-commit
-// cardinality/depth in Arg (the Perfetto counter track plots the multiset
-// shrinking toward the stable state).
-func perfettoEvent(e Event, tid int) (traceEvent, *traceEvent) {
-	te := traceEvent{Name: e.Name, TS: usec(e.TS), PID: tracePID, TID: tid}
-	if e.Kind != KindFiring {
-		te.Ph = "i"
-		te.S = "t"
-		te.Args = map[string]any{"kind": e.Kind.String(), "arg": e.Arg, "arg2": e.Arg2}
-		return te, nil
-	}
-	te.Ph = "X"
+// perfettoEvent converts one recorded firing for track tid into its span and
+// a counter sample of the post-commit cardinality/depth it carries in Arg
+// (the Perfetto counter track plots the multiset shrinking toward the stable
+// state).
+func perfettoEvent(e Event, tid int) (traceEvent, traceEvent) {
 	d := usec(e.Dur)
-	te.Dur = &d
-	te.Args = map[string]any{"kind": e.Kind.String(), "cardinality": e.Arg, "woken": e.Arg2}
+	te := traceEvent{Name: e.Name, Ph: "X", TS: usec(e.TS), Dur: &d, PID: tracePID, TID: tid,
+		Args: map[string]any{"kind": e.Kind.String(), "cardinality": e.Arg, "woken": e.Arg2}}
 	ctr := traceEvent{
 		Name: "cardinality", Ph: "C", TS: usec(e.TS + e.Dur),
 		PID: tracePID, TID: tid,
 		Args: map[string]any{"elements": e.Arg},
 	}
-	return te, &ctr
+	return te, ctr
 }
 
 // WritePerfetto exports the recorder's event buffers as Chrome trace-event
@@ -69,10 +60,7 @@ func WritePerfetto(w io.Writer, r *Recorder) error {
 		})
 		for _, e := range tr.Events {
 			te, ctr := perfettoEvent(e, tid)
-			events = append(events, te)
-			if ctr != nil {
-				events = append(events, *ctr)
-			}
+			events = append(events, te, ctr)
 		}
 	}
 	// Canonical order: per-track nondecreasing ts. Counter samples are

@@ -227,7 +227,7 @@ func TestDroppedEventsCounter(t *testing.T) {
 	rec := New(4)
 	tr := rec.Track("w0")
 	for i := 0; i < 7; i++ {
-		tr.Instant(KindProbe, "x", 0, 0)
+		tr.SpanDur(KindFiring, "x", time.Now(), 0, 0, 0)
 	}
 	if got := rec.Dropped(); got != 3 {
 		t.Errorf("Dropped() = %d, want 3 (7 events into a 4-ring)", got)
@@ -237,7 +237,7 @@ func TestDroppedEventsCounter(t *testing.T) {
 	}
 
 	mo := New(-1) // metrics-only: every event is discarded
-	mo.Track("w0").Instant(KindProbe, "x", 0, 0)
+	mo.Track("w0").SpanDur(KindFiring, "x", time.Now(), 0, 0, 0)
 	if got := mo.Metrics.CounterValue("telemetry.dropped_events"); got != 1 {
 		t.Errorf("metrics-only dropped_events = %d, want 1", got)
 	}

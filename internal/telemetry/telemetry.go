@@ -12,7 +12,7 @@
 // enabled, the hot commit path records a single span event per committed
 // firing — the firing latency, with the multiset cardinality and scheduler
 // wakeup count folded into the event payload — while high-frequency
-// occurrences (probes) only bump atomic counters unless Verbose is set.
+// occurrences (probes) only bump atomic counters.
 //
 // Concurrency contract: a Track has a single writer at a time (each worker
 // or PE owns its track). The
@@ -40,18 +40,11 @@ const (
 	// cardinality (gamma) or pending-token depth (dataflow) after the
 	// commit; Arg2 the number of scheduler wakeups the commit caused.
 	KindFiring EventKind = iota
-	// KindProbe is one match attempt. Only recorded as an event when
-	// Recorder.Verbose is set (probes outnumber firings by the probe→match
-	// ratio); always counted in the registry.
-	KindProbe
 )
 
 func (k EventKind) String() string {
-	switch k {
-	case KindFiring:
+	if k == KindFiring {
 		return "firing"
-	case KindProbe:
-		return "probe"
 	}
 	return "unknown"
 }
@@ -95,10 +88,6 @@ const ringInitial = 64
 type Recorder struct {
 	start time.Time
 	cap   int
-	// Verbose additionally records per-probe instant events. Off by default:
-	// probe events dominate the timeline volume and the registry's probe
-	// counter already carries the aggregate.
-	Verbose bool
 	// Metrics is the recorder's registry; never nil.
 	Metrics *Registry
 
@@ -156,9 +145,6 @@ func (r *Recorder) Track(name string) *Track {
 // Since returns the recorder-relative timestamp of t in nanoseconds.
 func (r *Recorder) Since(t time.Time) int64 { return t.Sub(r.start).Nanoseconds() }
 
-// now is the current recorder-relative timestamp.
-func (r *Recorder) now() int64 { return time.Since(r.start).Nanoseconds() }
-
 // Track is one worker/PE event ring. Appends are lock-free single-writer;
 // the buffer keeps the most recent cap events and counts what it dropped.
 type Track struct {
@@ -208,11 +194,6 @@ func (t *Track) append(e ringEvent) {
 	t.total++
 }
 
-// Instant records a point event at the current time.
-func (t *Track) Instant(kind EventKind, name string, arg, arg2 int64) {
-	t.append(ringEvent{ts: t.rec.now(), kind: kind, name: symtab.Intern(name), arg: arg, arg2: arg2})
-}
-
 // SpanDur records a span that started at start and lasted dur. Callers that
 // already measured the latency (the gamma firing path feeds the same reading
 // to its histogram) use this to avoid a second clock read.
@@ -257,9 +238,9 @@ func (r *Recorder) Snapshot() []TrackEvents {
 			}
 		}
 		// Spans are appended at their end time but stamped with their start
-		// time, so an instant recorded mid-span can precede it in the buffer
-		// while following it in TS order. Restore per-track TS monotonicity
-		// for the exporters.
+		// time, so a span that began before an already-recorded one can
+		// follow it in the buffer while preceding it in TS order. Restore
+		// per-track TS monotonicity for the exporters.
 		sort.SliceStable(evs, func(i, j int) bool { return evs[i].TS < evs[j].TS })
 		out = append(out, TrackEvents{Name: t.name, Events: evs, Dropped: t.dropped})
 	}

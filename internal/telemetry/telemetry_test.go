@@ -32,7 +32,7 @@ func TestRingWrapKeepsNewestAndCountsDropped(t *testing.T) {
 	r := New(4)
 	tr := r.Track("t")
 	for i := 0; i < 10; i++ {
-		tr.Instant(KindProbe, "p", int64(i), 0)
+		tr.SpanDur(KindFiring, "p", time.Now(), 0, int64(i), 0)
 	}
 	snap := r.Snapshot()
 	if len(snap) != 1 {
@@ -56,7 +56,7 @@ func TestRingWrapKeepsNewestAndCountsDropped(t *testing.T) {
 func TestMetricsOnlyRecorderBuffersNothing(t *testing.T) {
 	r := New(-1)
 	tr := r.Track("t")
-	tr.Instant(KindFiring, "f", 1, 0)
+	tr.SpanDur(KindFiring, "f", time.Now(), 0, 1, 0)
 	tr.SpanDur(KindFiring, "f", time.Now(), 0, 1, 0)
 	snap := r.Snapshot()
 	if len(snap) != 1 || len(snap[0].Events) != 0 {
@@ -75,11 +75,11 @@ func TestMetricsOnlyRecorderBuffersNothing(t *testing.T) {
 func TestSnapshotSortsByTS(t *testing.T) {
 	r := New(0)
 	tr := r.Track("t")
-	// A span stamped with a start before an already-recorded instant: the
-	// append order is instant-then-span, the TS order is span-then-instant.
+	// A span stamped with a start before an already-recorded one: the append
+	// order is g-then-f, the TS order is f-then-g.
 	start := time.Now()
 	time.Sleep(time.Millisecond)
-	tr.Instant(KindProbe, "g", 0, 0)
+	tr.SpanDur(KindFiring, "g", time.Now(), 0, 0, 0)
 	tr.SpanDur(KindFiring, "f", start, time.Since(start), 1, 1)
 	evs := r.Snapshot()[0].Events
 	if len(evs) != 2 {
@@ -90,8 +90,8 @@ func TestSnapshotSortsByTS(t *testing.T) {
 			t.Fatalf("snapshot out of TS order: %+v", evs)
 		}
 	}
-	if evs[0].Kind != KindFiring {
-		t.Errorf("span should sort first (earlier TS), got %v", evs[0].Kind)
+	if evs[0].Name != "f" {
+		t.Errorf("the earlier span should sort first, got %q", evs[0].Name)
 	}
 	if evs[0].Dur <= 0 {
 		t.Errorf("span dur = %d, want > 0", evs[0].Dur)
@@ -230,14 +230,14 @@ func TestMountPprof(t *testing.T) {
 func populate(r *Recorder) {
 	w0 := r.Track("gamma/w0")
 	start := time.Now()
-	w0.Instant(KindProbe, "R1", 0, 0)
 	w0.SpanDur(KindFiring, "R1", start, time.Since(start), 5, 1)
 	w0.SpanDur(KindFiring, "R2", time.Now(), 0, 4, 0)
+	w0.SpanDur(KindFiring, "R1", time.Now(), 0, 3, 0)
 	w1 := r.Track("gamma/w1")
 	w1.SpanDur(KindFiring, "R1", start, time.Since(start), 3, 2)
-	w1.Instant(KindProbe, "R1", 4, 0)
-	w1.Instant(KindProbe, "R2", 2, 0)
-	w1.Instant(KindProbe, "R2", 7, 0)
+	w1.SpanDur(KindFiring, "R1", time.Now(), 0, 4, 0)
+	w1.SpanDur(KindFiring, "R2", time.Now(), 0, 2, 0)
+	w1.SpanDur(KindFiring, "R2", time.Now(), 0, 7, 0)
 }
 
 // TestPerfettoSchema pins the trace-event contract Perfetto relies on: valid
