@@ -547,6 +547,14 @@ func TestSkewedLoopMatchingPeaks(t *testing.T) {
 	}
 }
 
+// TestTokenSize pins the operand a firing queues and routes: a 32-byte
+// value.Value, the edge and the tag.
+func TestTokenSize(t *testing.T) {
+	if size := unsafe.Sizeof(Token{}); size > 48 {
+		t.Errorf("unsafe.Sizeof(Token{}) = %d B, want <= 48", size)
+	}
+}
+
 // TestWideAllocShape is the dataflow allocation-shape gate of `make check-ci`
 // (next to TestLoopAllocScaling): on every engine, allocations and bytes per
 // firing on a re-run of the wide graph must stay under one allocation and

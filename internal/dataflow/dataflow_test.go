@@ -2,6 +2,7 @@ package dataflow
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -372,6 +373,30 @@ func TestGraphString(t *testing.T) {
 	if !strings.Contains(ls, "true:") || !strings.Contains(ls, "false:") {
 		t.Errorf("steer ports not rendered:\n%s", ls)
 	}
+}
+
+// Clone returns an independent deep copy of the graph — a first version of its
+// own, sharing no plan — optionally renaming every edge label through rename
+// (nil keeps labels).
+func (g *Graph) Clone(name string, rename func(label string) string) *Graph {
+	c := NewGraph(name)
+	for _, n := range g.Nodes {
+		id := c.addNode(n.Kind, n.Name, n.Op, n.Init)
+		if n.Imm.IsValid() {
+			c.setImm(id, n.Imm, n.ImmLeft)
+		}
+	}
+	for _, e := range g.Edges {
+		label := e.Label
+		if rename != nil {
+			label = rename(label)
+		}
+		if _, err := c.connect(e.From, e.FromPort, e.To, e.ToPort, label); err != nil {
+			// Impossible for a well-formed source graph with injective rename.
+			panic(fmt.Sprintf("dataflow: clone of %s broke: %v", g.Name, err))
+		}
+	}
+	return c
 }
 
 func TestClone(t *testing.T) {

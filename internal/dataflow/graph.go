@@ -433,30 +433,6 @@ func (g *Graph) Validate() error {
 	return nil
 }
 
-// Clone returns an independent deep copy of the graph — a first version of its
-// own, sharing no plan — optionally renaming every edge label through rename
-// (nil keeps labels).
-func (g *Graph) Clone(name string, rename func(label string) string) *Graph {
-	c := NewGraph(name)
-	for _, n := range g.Nodes {
-		id := c.addNode(n.Kind, n.Name, n.Op, n.Init)
-		if n.Imm.IsValid() {
-			c.setImm(id, n.Imm, n.ImmLeft)
-		}
-	}
-	for _, e := range g.Edges {
-		label := e.Label
-		if rename != nil {
-			label = rename(label)
-		}
-		if _, err := c.connect(e.From, e.FromPort, e.To, e.ToPort, label); err != nil {
-			// Impossible for a well-formed source graph with injective rename.
-			panic(fmt.Sprintf("dataflow: clone of %s broke: %v", g.Name, err))
-		}
-	}
-	return c
-}
-
 // String renders a compact structural description, one vertex per line.
 func (g *Graph) String() string {
 	var b strings.Builder

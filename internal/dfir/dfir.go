@@ -8,6 +8,7 @@ package dfir
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"repro/internal/dataflow"
@@ -260,11 +261,10 @@ func parseEndpoint(s string, names map[string]dataflow.NodeID, g *dataflow.Graph
 	case "false":
 		return id, dataflow.PortFalse, nil
 	}
-	port := 0
-	if _, err := fmt.Sscanf(portStr, "%d", &port); err != nil {
-		return 0, 0, fmt.Errorf("bad port %q", portStr)
+	if port, err := strconv.Atoi(portStr); err == nil {
+		return id, port, nil
 	}
-	return id, port, nil
+	return 0, 0, fmt.Errorf("bad port %q", portStr)
 }
 
 // ToDOT renders the graph in Graphviz DOT with the paper's shape

@@ -1,6 +1,7 @@
 package dfir
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -148,6 +149,30 @@ func TestUnmarshalErrors(t *testing.T) {
 	for _, src := range bad[:len(bad)-1] {
 		if _, err := Unmarshal(src); err == nil {
 			t.Errorf("Unmarshal(%q) should error", src)
+		}
+	}
+}
+
+// TestUnmarshalRejectsEndpoints: a port is a whole decimal number (or a
+// steer's true/false); trailing text or another base is an error, not the
+// digits a scan happens to read first.
+func TestUnmarshalRejectsEndpoints(t *testing.T) {
+	const src = "graph g\nconst a = 1\nunary n -\nedge e %s -> %s\nedge o n:0 -> out\n"
+	if _, err := Unmarshal(fmt.Sprintf(src, "a:0", "n:0")); err != nil {
+		t.Fatalf("the well-formed graph: %v", err)
+	}
+	for _, c := range []struct{ from, to string }{
+		{"a:0abc", "n:0"},
+		{"a:0x0", "n:0"},
+		{"a:00x", "n:0"},
+		{"a:", "n:0"},
+		{"a:0.0", "n:0"},
+		{"a:0", "n:0abc"},
+		{"a:0", "n:0x0"},
+		{"a:0", "n:"},
+	} {
+		if _, err := Unmarshal(fmt.Sprintf(src, c.from, c.to)); err == nil {
+			t.Errorf("edge %s -> %s: accepted", c.from, c.to)
 		}
 	}
 }

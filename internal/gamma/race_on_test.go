@@ -2,7 +2,7 @@
 
 package gamma
 
-// raceEnabled gates allocation-count assertions: the race detector makes
-// sync.Pool and map operations allocate, so alloc-exactness is only
-// meaningful in non-race builds.
+// raceEnabled gates allocation-count assertions: under the race detector map
+// operations allocate, so alloc-exactness is only meaningful in non-race
+// builds.
 const raceEnabled = true

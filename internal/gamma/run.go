@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -343,6 +344,7 @@ func runSequential(ctx context.Context, p *Program, m *multiset.Multiset, opt Op
 		}
 		if stats.Probes++; stats.Probes%sessionProbes == 0 {
 			w.view.Unlock()
+			runtime.Gosched() // let the readers just woken in before the next LockWrite
 			m.LockWrite(&w.view)
 		}
 		t0 := w.ts.begin()

@@ -13,8 +13,8 @@ import (
 // again: later carves append strictly past it and a full chunk is replaced
 // by a fresh one rather than grown (growing would relocate live carves). That
 // write-once discipline is what makes the unsafe.String view over the key
-// bytes sound, and it preserves the contract that tuple backings and
-// key strings handed to searchers and traces are never reused.
+// bytes sound, keeps tuple backings and key strings handed to searchers and
+// traces from reuse, and lets a Clone share its source's carves.
 //
 // Chunks are geometric: the first of each kind is 1/128 of its maximum
 // (entryChunk, keyChunk, cellChunk) and every replacement doubles up to it,

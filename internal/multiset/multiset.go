@@ -80,8 +80,9 @@ type Multiset struct {
 	free []*entry
 	// arena chunk-allocates entries, key strings and tuple-cell copies for
 	// freelist misses (see arena.go) — the commit path's hot allocations.
-	arena arena
-	size  atomic.Int64 // total element count incl. multiplicity
+	arena   arena
+	scratch deltaScratch // commit's bookkeeping, reused under the write lock
+	size    atomic.Int64 // total element count incl. multiplicity
 	// commitSeq numbers committed writes (commit's seq). A sequence number
 	// taken while the writer still holds the lock is a valid linearization of
 	// the execution: a firing that consumes another firing's product takes the
@@ -203,12 +204,12 @@ func (m *Multiset) add(t Tuple, key []byte, sym symtab.Sym, n int) {
 	if at, e := locate(home, key); e != nil {
 		e.count += n
 	} else {
-		m.file(home, li, at, t, m.arena.internKey(key), n)
+		m.file(home, li, at, m.arena.cloneTuple(t), m.arena.internKey(key), n)
 	}
 }
 
-// file links a new entry for t — a recycled or fresh struct, the tuple copied
-// into the arena — at position at of home, the list of li, and in li's buckets.
+// file links a new entry for t and key — arena carves, or the ones Clone
+// shares — at position at of home, the list of li, and in li's buckets.
 func (m *Multiset) file(home *elist, li *labelIndex, at epos, t Tuple, key string, n int) {
 	var e *entry
 	if k := len(m.free); k > 0 {
@@ -216,7 +217,7 @@ func (m *Multiset) file(home *elist, li *labelIndex, at epos, t Tuple, key strin
 	} else {
 		e = m.arena.newEntry()
 	}
-	e.tuple, e.key, e.count, e.li, e.owner = m.arena.cloneTuple(t), key, n, li, m.id
+	e.tuple, e.key, e.count, e.li, e.owner = t, key, n, li, m.id
 	home.insertAt(at, e)
 	if li != nil {
 		if len(t) >= 3 {
@@ -267,8 +268,6 @@ type deltaScratch struct {
 	pcan  []bool
 }
 
-var deltaPool = sync.Pool{New: func() any { return new(deltaScratch) }}
-
 // lastID numbers the Multisets of the process (Multiset.id).
 var lastID atomic.Uint32
 
@@ -302,8 +301,7 @@ func appendSymsDedup(syms []symtab.Sym, add []symtab.Sym) []symtab.Sym {
 // produced tuples to syms, and when numbered draws the firing's commit
 // sequence number (see Multiset.commitSeq). A failed claim modifies nothing.
 func (m *Multiset) commit(dl *Delta, numbered bool, syms []symtab.Sym) (seq uint64, ok bool, _ []symtab.Sym) {
-	d := deltaPool.Get().(*deltaScratch)
-	defer deltaPool.Put(d)
+	d := &m.scratch
 	if !m.claim(dl, d) {
 		return 0, false, syms
 	}
@@ -601,11 +599,11 @@ func (m *Multiset) eachRot(rot uint64, fn func(e *entry) bool) bool {
 	return true
 }
 
-// Clone returns an independent deep copy, built list by list from what the
-// entries cache — the key (shared: strings are immutable) and the home list —
-// so nothing is re-rendered, re-interned or searched for: a walk arrives
-// ascending and every entry goes at its list's end. The source is read-locked
-// for the walk, like ForEach.
+// Clone returns an independent copy with its own entries and counts, built
+// list by list from what the entries cache — the tuple and key, shared (arena
+// carves are write-once), and the home list — so nothing is copied, rendered,
+// interned or searched for: a walk arrives ascending and every entry goes at
+// its list's end. The source is read-locked for the walk, like ForEach.
 func (m *Multiset) Clone() *Multiset {
 	c := New() // not shared yet: needs no lock
 	m.mu.RLock()

@@ -67,6 +67,44 @@ func TestTupleEqualCloneKey(t *testing.T) {
 	}
 }
 
+// TestFloatElementIdentity: two tuples are the same element exactly when their
+// keys agree, and Tuple.Equal says so too — -0 and +0 are two elements, ±Inf
+// two more, and every NaN one, whatever its bits.
+func TestFloatElementIdentity(t *testing.T) {
+	zero := 0.0
+	negZero, posZero := Elem(value.Float(math.Copysign(0, -1)), "F", 0), Elem(value.Float(0), "F", 0)
+	inf, ninf := Elem(value.Float(math.Inf(1)), "F", 0), Elem(value.Float(math.Inf(-1)), "F", 0)
+	nan1, nan2 := Elem(value.Float(math.NaN()), "F", 0), Elem(value.Float(zero/zero), "F", 0)
+	for _, c := range []struct {
+		name string
+		a, b Tuple
+		same bool
+	}{
+		{"-0 vs +0", negZero, posZero, false},
+		{"+Inf vs -Inf", inf, ninf, false},
+		{"+Inf vs +Inf", inf, Elem(value.Float(math.Inf(1)), "F", 0), true},
+		{"NaN vs 0/0", nan1, nan2, true},
+	} {
+		if got := c.a.Equal(c.b); got != c.same {
+			t.Errorf("%s: Tuple.Equal = %v, want %v", c.name, got, c.same)
+		}
+		if got := c.a[0] == c.b[0]; got != c.same {
+			t.Errorf("%s: == = %v, want %v", c.name, got, c.same)
+		}
+		if got := c.a.Key() == c.b.Key(); got != c.same {
+			t.Errorf("%s: keys %q, %q agree = %v, want %v", c.name, c.a.Key(), c.b.Key(), got, c.same)
+		}
+	}
+	m := New(negZero, posZero, inf, ninf, nan1, nan2)
+	if m.Count(nan1) != 2 || m.Count(nan2) != 2 || m.Count(negZero) != 1 || m.Count(posZero) != 1 {
+		t.Errorf("counts NaN %d/%d, -0 %d, +0 %d; want 2/2, 1, 1",
+			m.Count(nan1), m.Count(nan2), m.Count(negZero), m.Count(posZero))
+	}
+	if m.Distinct() != 5 {
+		t.Errorf("%s holds %d distinct elements, want 5", m, m.Distinct())
+	}
+}
+
 func TestTupleString(t *testing.T) {
 	e := IntElem(1, "A1", 0)
 	if got := e.String(); got != "[1, 'A1', 0]" {

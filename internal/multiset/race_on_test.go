@@ -2,7 +2,6 @@
 
 package multiset
 
-// raceEnabled gates allocation assertions: the race detector makes sync.Pool
-// drop items at random, so the commit scratch is reallocated and
-// allocation-free checks are only meaningful in non-race builds.
+// raceEnabled gates allocation assertions: allocation counts and sizes differ
+// under the race detector, so they are checked in non-race builds only.
 const raceEnabled = true

@@ -33,9 +33,6 @@ func allocBytes(fn func()) uint64 {
 // bucketAt: the label is bucketed on the way up and un-bucketed as it drains,
 // every step, on the map it keeps.
 func TestSingletonChurnAllocatesNothing(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race detector makes sync.Pool drop the commit scratch")
-	}
 	for _, perStep := range []int{1, 2, 6} {
 		const steps = 4096
 		tuples := make([]Tuple, (steps+1)*perStep)
@@ -251,6 +248,62 @@ func TestCloneFromEntries(t *testing.T) {
 	m.Add(IntElem(999, "L0", 0))
 	if c2.String() != want {
 		t.Error("adding to the source changed an earlier clone")
+	}
+}
+
+// TestCloneSharesTuples: a clone carves no tuple cells — it links the source's
+// write-once cells — and firings in the clone, run while the source is read
+// from another goroutine (a reported race under -race if a commit wrote a
+// shared cell), leave the source's counts and tuples as they were.
+func TestCloneSharesTuples(t *testing.T) {
+	m := New()
+	for i := int64(0); i < 200; i++ {
+		m.AddN(IntElem(i%50, fmt.Sprintf("L%d", i%5), i%4), int(i%3)+1)
+	}
+	want := m.String()
+	c := m.Clone()
+	if cap(c.arena.cells) != 0 {
+		t.Errorf("clone carved a %d-cell chunk", cap(c.arena.cells))
+	}
+	src := map[string]Tuple{}
+	m.ForEach(func(tp Tuple, _ int) bool { src[tp.Key()] = tp; return true })
+	c.ForEach(func(tp Tuple, _ int) bool {
+		if &tp[0] != &src[tp.Key()][0] {
+			t.Errorf("clone's %s is a copy, not the source's cells", tp)
+			return false
+		}
+		return true
+	})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 50; i++ {
+			m.ForEach(func(tp Tuple, n int) bool {
+				if !tp.Equal(src[tp.Key()]) {
+					t.Errorf("source element %s changed", tp)
+				}
+				return true
+			})
+		}
+	}()
+	for _, e := range c.Snapshot() {
+		for i := 0; i < e.N; i++ {
+			next := Elem(value.Int(e.Tuple.Value().AsInt()+1), "out", 0)
+			if ok, _ := c.ApplyDelta([]Tuple{e.Tuple}, nil, []Tuple{next}, nil); !ok {
+				t.Fatalf("clone lost %s", e.Tuple)
+			}
+		}
+	}
+	wg.Wait()
+	if got := m.String(); got != want {
+		t.Errorf("firing in the clone changed the source:\n got %s\nwant %s", got, want)
+	}
+	if c.Len() != m.Len() || len(c.ByLabel("out")) == 0 {
+		t.Errorf("clone holds %d elements, want %d, all labeled 'out'", c.Len(), m.Len())
+	}
+	if err := c.CheckInvariants(); err != nil {
+		t.Error(err)
 	}
 }
 

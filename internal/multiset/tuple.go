@@ -70,7 +70,8 @@ func (t Tuple) Tag() (int64, bool) {
 
 // Equal reports field-wise equality (exact, not numeric-promoting: a tuple
 // holding Int(2) is a different element from one holding Float(2.0), exactly
-// as two distinct molecules).
+// as two distinct molecules). It agrees with Key: floats compare by bits, so
+// -0 and +0 are different elements and every NaN is the same one.
 func (t Tuple) Equal(u Tuple) bool {
 	if len(t) != len(u) {
 		return false

@@ -32,7 +32,7 @@ func bothInt(a, b Value) bool { return a.kind == KindInt && b.kind == KindInt }
 func Add(a, b Value) (Value, error) {
 	switch {
 	case bothInt(a, b):
-		return Int(a.i + b.i), nil
+		return Int(a.i() + b.i()), nil
 	case numericPair(a, b):
 		return Float(a.AsFloat() + b.AsFloat()), nil
 	case a.kind == KindString && b.kind == KindString:
@@ -45,7 +45,7 @@ func Add(a, b Value) (Value, error) {
 func Sub(a, b Value) (Value, error) {
 	switch {
 	case bothInt(a, b):
-		return Int(a.i - b.i), nil
+		return Int(a.i() - b.i()), nil
 	case numericPair(a, b):
 		return Float(a.AsFloat() - b.AsFloat()), nil
 	}
@@ -56,7 +56,7 @@ func Sub(a, b Value) (Value, error) {
 func Mul(a, b Value) (Value, error) {
 	switch {
 	case bothInt(a, b):
-		return Int(a.i * b.i), nil
+		return Int(a.i() * b.i()), nil
 	case numericPair(a, b):
 		return Float(a.AsFloat() * b.AsFloat()), nil
 	}
@@ -67,10 +67,10 @@ func Mul(a, b Value) (Value, error) {
 func Div(a, b Value) (Value, error) {
 	switch {
 	case bothInt(a, b):
-		if b.i == 0 {
+		if b.i() == 0 {
 			return Value{}, &DivisionByZero{Op: "division"}
 		}
-		return Int(a.i / b.i), nil
+		return Int(a.i() / b.i()), nil
 	case numericPair(a, b):
 		if b.AsFloat() == 0 {
 			return Value{}, &DivisionByZero{Op: "division"}
@@ -85,19 +85,19 @@ func Mod(a, b Value) (Value, error) {
 	if !bothInt(a, b) {
 		return Value{}, &TypeError{Op: "%", Left: a, Right: b}
 	}
-	if b.i == 0 {
+	if b.i() == 0 {
 		return Value{}, &DivisionByZero{Op: "modulo"}
 	}
-	return Int(a.i % b.i), nil
+	return Int(a.i() % b.i()), nil
 }
 
 // Neg returns -a for numeric a.
 func Neg(a Value) (Value, error) {
 	switch a.kind {
 	case KindInt:
-		return Int(-a.i), nil
+		return Int(-a.i()), nil
 	case KindFloat:
-		return Float(-a.f), nil
+		return Float(-a.f()), nil
 	}
 	return Value{}, &TypeError{Op: "-", Left: a}
 }
@@ -142,7 +142,7 @@ func Or(a, b Value) (Value, error) {
 func Equal(a, b Value) bool {
 	if numericPair(a, b) {
 		if bothInt(a, b) {
-			return a.i == b.i
+			return a.i() == b.i()
 		}
 		return a.AsFloat() == b.AsFloat()
 	}
@@ -156,9 +156,9 @@ func Compare(a, b Value) (int, error) {
 	switch {
 	case bothInt(a, b):
 		switch {
-		case a.i < b.i:
+		case a.i() < b.i():
 			return -1, nil
-		case a.i > b.i:
+		case a.i() > b.i():
 			return 1, nil
 		}
 		return 0, nil
@@ -181,9 +181,9 @@ func Compare(a, b Value) (int, error) {
 		return 0, nil
 	case a.kind == KindBool && b.kind == KindBool:
 		switch {
-		case !a.b && b.b:
+		case !a.b() && b.b():
 			return -1, nil
-		case a.b && !b.b:
+		case a.b() && !b.b():
 			return 1, nil
 		}
 		return 0, nil
@@ -194,50 +194,35 @@ func Compare(a, b Value) (int, error) {
 // Binary applies the named binary operator. Supported operators are the
 // arithmetic set {+ - * / %}, comparisons {== != < <= > >=} and logical
 // {and or}. Comparison results are booleans, matching the 0/1 control
-// elements the paper's steer reactions consume via Truthy.
+// elements the paper's steer reactions consume via Truthy. == and != hold
+// across kinds: operands of different non-numeric kinds are unequal.
 func Binary(op string, a, b Value) (Value, error) {
 	switch op {
-	case "+":
-		return Add(a, b)
-	case "-":
-		return Sub(a, b)
-	case "*":
-		return Mul(a, b)
-	case "/":
-		return Div(a, b)
-	case "%":
-		return Mod(a, b)
-	case "and", "&&":
-		return And(a, b)
-	case "or", "||":
-		return Or(a, b)
-	case "==":
-		if numericPair(a, b) || a.kind == b.kind {
-			return Bool(Equal(a, b)), nil
-		}
-		return Bool(false), nil
-	case "!=":
-		if numericPair(a, b) || a.kind == b.kind {
-			return Bool(!Equal(a, b)), nil
-		}
-		return Bool(true), nil
 	case "<", "<=", ">", ">=":
-		c, err := Compare(a, b)
-		if err != nil {
-			return Value{}, err
-		}
-		switch op {
-		case "<":
-			return Bool(c < 0), nil
-		case "<=":
-			return Bool(c <= 0), nil
-		case ">":
-			return Bool(c > 0), nil
-		default:
-			return Bool(c >= 0), nil
-		}
+		return order(op, a, b)
+	}
+	if fn, ok := BinaryFn(op); ok {
+		return fn(a, b)
 	}
 	return Value{}, fmt.Errorf("value: unknown binary operator %q", op)
+}
+
+// order applies the comparison operator op to Compare's verdict on a and b.
+func order(op string, a, b Value) (Value, error) {
+	c, err := Compare(a, b)
+	if err != nil {
+		return Value{}, err
+	}
+	switch op {
+	case "<":
+		return Bool(c < 0), nil
+	case "<=":
+		return Bool(c <= 0), nil
+	case ">":
+		return Bool(c > 0), nil
+	default:
+		return Bool(c >= 0), nil
+	}
 }
 
 // BinaryFn resolves the named binary operator to its implementation once, so
@@ -261,37 +246,11 @@ func BinaryFn(op string) (fn func(a, b Value) (Value, error), ok bool) {
 	case "or", "||":
 		return Or, true
 	case "==":
-		return func(a, b Value) (Value, error) {
-			if numericPair(a, b) || a.kind == b.kind {
-				return Bool(Equal(a, b)), nil
-			}
-			return Bool(false), nil
-		}, true
+		return func(a, b Value) (Value, error) { return Bool(Equal(a, b)), nil }, true
 	case "!=":
-		return func(a, b Value) (Value, error) {
-			if numericPair(a, b) || a.kind == b.kind {
-				return Bool(!Equal(a, b)), nil
-			}
-			return Bool(true), nil
-		}, true
+		return func(a, b Value) (Value, error) { return Bool(!Equal(a, b)), nil }, true
 	case "<", "<=", ">", ">=":
-		o := op
-		return func(a, b Value) (Value, error) {
-			c, err := Compare(a, b)
-			if err != nil {
-				return Value{}, err
-			}
-			switch o {
-			case "<":
-				return Bool(c < 0), nil
-			case "<=":
-				return Bool(c <= 0), nil
-			case ">":
-				return Bool(c > 0), nil
-			default:
-				return Bool(c >= 0), nil
-			}
-		}, true
+		return func(a, b Value) (Value, error) { return order(op, a, b) }, true
 	}
 	return nil, false
 }
@@ -317,16 +276,8 @@ func UnaryFn(op string) (fn func(a Value) (Value, error), ok bool) {
 
 // Unary applies the named unary operator (- or !).
 func Unary(op string, a Value) (Value, error) {
-	switch op {
-	case "-":
-		return Neg(a)
-	case "!", "not":
-		return Not(a)
-	case "+":
-		if a.IsNumeric() {
-			return a, nil
-		}
-		return Value{}, &TypeError{Op: "+", Left: a}
+	if fn, ok := UnaryFn(op); ok {
+		return fn(a)
 	}
 	return Value{}, fmt.Errorf("value: unknown unary operator %q", op)
 }

@@ -8,10 +8,17 @@
 // floats, booleans and strings). It is a comparable struct, so it can be used
 // directly as a map key — the multiset and the dataflow matching stores rely
 // on that property.
+//
+// A float's identity is its bits: == tells -0 from +0 and holds between two
+// NaNs, because Float stores one canonical NaN. That is the identity of the
+// rendered form ("-0.0", "NaN") the multiset files elements by. Equal and
+// Compare stay numeric: Equal(Float(-0), Float(0)) holds, and a NaN equals
+// nothing there.
 package value
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -46,28 +53,47 @@ func (k Kind) String() string {
 
 // Value is an immutable scalar. The zero Value has KindInvalid and is not a
 // legal operand; runtimes treat it as "absent".
+//
+// The int, float and bool payloads share n (two's-complement bits,
+// math.Float64bits, 0/1), so a Value is 32 bytes; only this package reads n.
 type Value struct {
 	kind Kind
-	i    int64
-	f    float64
+	n    uint64
 	s    string
-	b    bool
 }
 
-// Int returns an integer Value.
-func Int(i int64) Value { return Value{kind: KindInt, i: i} }
+// nanBits is the one NaN a Value holds, whatever NaN Float is given.
+var nanBits = math.Float64bits(math.NaN())
 
-// Float returns a floating-point Value.
-func Float(f float64) Value { return Value{kind: KindFloat, f: f} }
+// Int returns an integer Value.
+func Int(i int64) Value { return Value{kind: KindInt, n: uint64(i)} }
+
+// Float returns a floating-point Value. Every NaN is stored as the same bits.
+func Float(f float64) Value {
+	if f != f {
+		return Value{kind: KindFloat, n: nanBits}
+	}
+	return Value{kind: KindFloat, n: math.Float64bits(f)}
+}
 
 // Bool returns a boolean Value.
-func Bool(b bool) Value { return Value{kind: KindBool, b: b} }
+func Bool(b bool) Value {
+	if b {
+		return Value{kind: KindBool, n: 1}
+	}
+	return Value{kind: KindBool}
+}
 
 // Str returns a string Value.
 func Str(s string) Value { return Value{kind: KindString, s: s} }
 
 // Kind reports the variant held by v.
 func (v Value) Kind() Kind { return v.kind }
+
+// i, f and b read n as the payload of kind int, float and bool.
+func (v Value) i() int64   { return int64(v.n) }
+func (v Value) f() float64 { return math.Float64frombits(v.n) }
+func (v Value) b() bool    { return v.n != 0 }
 
 // IsValid reports whether v holds any variant at all.
 func (v Value) IsValid() bool { return v.kind != KindInvalid }
@@ -77,7 +103,7 @@ func (v Value) AsInt() int64 {
 	if v.kind != KindInt {
 		panic(fmt.Sprintf("value: AsInt on %s value %s", v.kind, v))
 	}
-	return v.i
+	return v.i()
 }
 
 // AsFloat returns the numeric payload widened to float64. It panics unless v
@@ -85,9 +111,9 @@ func (v Value) AsInt() int64 {
 func (v Value) AsFloat() float64 {
 	switch v.kind {
 	case KindFloat:
-		return v.f
+		return v.f()
 	case KindInt:
-		return float64(v.i)
+		return float64(v.i())
 	}
 	panic(fmt.Sprintf("value: AsFloat on %s value %s", v.kind, v))
 }
@@ -97,7 +123,7 @@ func (v Value) AsBool() bool {
 	if v.kind != KindBool {
 		panic(fmt.Sprintf("value: AsBool on %s value %s", v.kind, v))
 	}
-	return v.b
+	return v.b()
 }
 
 // AsString returns the string payload. It panics unless Kind is KindString.
@@ -117,11 +143,11 @@ func (v Value) IsNumeric() bool { return v.kind == KindInt || v.kind == KindFloa
 func (v Value) Truthy() (bool, error) {
 	switch v.kind {
 	case KindBool:
-		return v.b, nil
+		return v.b(), nil
 	case KindInt:
-		return v.i != 0, nil
+		return v.i() != 0, nil
 	case KindFloat:
-		return v.f != 0, nil
+		return v.f() != 0, nil
 	default:
 		return false, fmt.Errorf("value: %s value %s has no truth value", v.kind, v)
 	}
@@ -135,15 +161,16 @@ func (v Value) Truthy() (bool, error) {
 func (v Value) String() string {
 	switch v.kind {
 	case KindInt:
-		return strconv.FormatInt(v.i, 10)
+		return strconv.FormatInt(v.i(), 10)
 	case KindFloat:
-		s := strconv.FormatFloat(v.f, 'g', -1, 64)
-		if v.f-v.f == 0 && !strings.ContainsAny(s, ".eE") {
+		f := v.f()
+		s := strconv.FormatFloat(f, 'g', -1, 64)
+		if f-f == 0 && !strings.ContainsAny(s, ".eE") {
 			s += ".0"
 		}
 		return s
 	case KindBool:
-		return strconv.FormatBool(v.b)
+		return strconv.FormatBool(v.b())
 	case KindString:
 		if strings.IndexByte(v.s, '\'') >= 0 {
 			return `"` + v.s + `"`
@@ -161,11 +188,12 @@ func (v Value) String() string {
 func (v Value) Append(b []byte) []byte {
 	switch v.kind {
 	case KindInt:
-		return strconv.AppendInt(b, v.i, 10)
+		return strconv.AppendInt(b, v.i(), 10)
 	case KindFloat:
 		n := len(b)
-		b = strconv.AppendFloat(b, v.f, 'g', -1, 64)
-		if v.f-v.f != 0 { // NaN or ±Inf take no ".0": Parse would refuse it
+		f := v.f()
+		b = strconv.AppendFloat(b, f, 'g', -1, 64)
+		if f-f != 0 { // NaN or ±Inf take no ".0": Parse would refuse it
 			return b
 		}
 		for _, c := range b[n:] {
@@ -175,7 +203,7 @@ func (v Value) Append(b []byte) []byte {
 		}
 		return append(b, '.', '0')
 	case KindBool:
-		return strconv.AppendBool(b, v.b)
+		return strconv.AppendBool(b, v.b())
 	case KindString:
 		q := byte('\'')
 		if strings.IndexByte(v.s, q) >= 0 {

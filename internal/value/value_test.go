@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestKindString(t *testing.T) {
@@ -112,7 +113,8 @@ func TestStringRendering(t *testing.T) {
 
 func TestParseRoundTrip(t *testing.T) {
 	for _, v := range []Value{Int(0), Int(-12), Float(3.25), Bool(true), Bool(false), Str("C12"),
-		Str("a'b"), Str(`a"b`), Str("'"), Float(math.Inf(1)), Float(math.Inf(-1)), Float(math.MaxFloat64)} {
+		Str("a'b"), Str(`a"b`), Str("'"), Float(math.Inf(1)), Float(math.Inf(-1)), Float(math.MaxFloat64),
+		Float(math.NaN()), Float(math.Copysign(0, -1))} {
 		got, err := Parse(v.String())
 		if err != nil {
 			t.Fatalf("Parse(%q): %v", v.String(), err)
@@ -121,9 +123,40 @@ func TestParseRoundTrip(t *testing.T) {
 			t.Errorf("Parse(%q) = %#v, want %#v", v.String(), got, v)
 		}
 	}
-	// NaN != NaN, so it gets its own check.
-	if got, err := Parse(Float(math.NaN()).String()); err != nil || !math.IsNaN(got.AsFloat()) {
-		t.Errorf("Parse(%q) = %#v, %v, want NaN", Float(math.NaN()).String(), got, err)
+}
+
+// TestFloatIdentityIsBits pins what == means on floats: the bits, like the
+// rendered form, so -0 and +0 differ and every NaN is the one canonical NaN;
+// Equal and Compare stay numeric.
+func TestFloatIdentityIsBits(t *testing.T) {
+	negZero, posZero := Float(math.Copysign(0, -1)), Float(0)
+	nan1, nan2 := Float(math.NaN()), Float(math.Float64frombits(math.Float64bits(math.NaN())^1<<63))
+	if negZero == posZero || negZero.String() == posZero.String() {
+		t.Errorf("-0 and +0: == %v, renderings %s, %s; want distinct", negZero == posZero, negZero, posZero)
+	}
+	if !Equal(negZero, posZero) {
+		t.Error("Equal(-0, +0) = false, want numeric equality")
+	}
+	if c, err := Compare(negZero, posZero); c != 0 || err != nil {
+		t.Errorf("Compare(-0, +0) = %d, %v, want 0", c, err)
+	}
+	if nan1 != nan2 || nan1.String() != nan2.String() {
+		t.Errorf("NaNs of different bits: == %v, renderings %s, %s; want one NaN", nan1 == nan2, nan1, nan2)
+	}
+	if Equal(nan1, nan2) {
+		t.Error("Equal(NaN, NaN) = true, want numeric inequality")
+	}
+	inf, ninf := Float(math.Inf(1)), Float(math.Inf(-1))
+	if inf != Float(math.Inf(1)) || inf == ninf || Equal(inf, ninf) {
+		t.Errorf("±Inf identity: +Inf == +Inf %v, +Inf == -Inf %v", inf == Float(math.Inf(1)), inf == ninf)
+	}
+}
+
+// TestValueSize pins the layout: a kind, one 64-bit payload and a string. Every
+// tuple cell, token and matcher binding is a copy of it.
+func TestValueSize(t *testing.T) {
+	if size := unsafe.Sizeof(Value{}); size != 32 {
+		t.Errorf("unsafe.Sizeof(Value{}) = %d B, want 32", size)
 	}
 }
 

@@ -2,7 +2,6 @@
 
 package gammaflow
 
-// raceEnabled gates allocation-size assertions: the race detector makes
-// sync.Pool drop the commit scratch, so bytes per step are only meaningful
-// in non-race builds.
+// raceEnabled gates allocation-size assertions: allocation sizes differ under
+// the race detector, so bytes per step are only meaningful in non-race builds.
 const raceEnabled = true
