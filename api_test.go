@@ -181,7 +181,7 @@ func TestOptionsCensus(t *testing.T) {
 		}},
 		{dataflow.Options{}, []string{
 			"Workers",       // no production setter: ignored (one core per run); bench/layers.go still sets it
-			"Engine",        // dfrun -engine matrix; wire spec.engine (service)
+			"Engine",        // no production setter; bench/ still sets it
 			"MaxFirings",    // dfrun -maxfirings; wire spec.max_steps (service)
 			"FaultInjector", // GraphOptions.FaultInjector, the stress suites' fault hook
 			"Recorder",      // -trace/-metrics/-metrics-addr (internal/cli); traced runs (service)

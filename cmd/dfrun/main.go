@@ -36,7 +36,7 @@ import (
 )
 
 func main() {
-	engine := flag.String("engine", "", "execution engine: seq or matrix (default seq; parallel runs seq)")
+	engine := flag.String("engine", "", "execution engine: seq (the default; matrix and parallel are accepted and run seq)")
 	maxFirings := flag.Int64("maxfirings", 1_000_000, "abort after this many vertex activations (0 = unlimited)")
 	dot := flag.String("dot", "", "also write the graph as Graphviz DOT to this file")
 	compile := flag.Bool("compile", false, "treat the input as von Neumann source, not .dfir")
@@ -126,8 +126,8 @@ func replayRun(path, schedPath string, compile bool) error {
 }
 
 func run(ctx context.Context, path string, tel *cli.TelemetryFlags, engine string, maxFirings int64, dot string, compile, prof bool) error {
-	// Route engine selection through the wire spec so the CLI accepts exactly
-	// the enum gammad does.
+	// Validate the engine through the wire spec so the CLI accepts exactly the
+	// enum gammad does; every accepted value runs the one FIFO schedule.
 	spec := schema.RunSpec{Engine: engine}
 	if err := spec.Validate(); err != nil {
 		return err
@@ -148,9 +148,6 @@ func run(ctx context.Context, path string, tel *cli.TelemetryFlags, engine strin
 	}
 	if sched != nil {
 		opt.Schedule = sched
-	}
-	if spec.Engine == schema.EngineMatrix {
-		opt.Engine = dataflow.EngineMatrix
 	}
 	res, err := dataflow.RunContext(ctx, g, opt)
 	if err != nil {

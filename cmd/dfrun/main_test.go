@@ -1,10 +1,12 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 
@@ -43,7 +45,7 @@ func TestRunDfir(t *testing.T) {
 		t.Fatalf("profile mode: %v", err)
 	}
 	if err := run(context.Background(), path, &cli.TelemetryFlags{}, "matrix", 1000, "", false, false); err != nil {
-		t.Fatalf("matrix engine: %v", err)
+		t.Fatalf("engine matrix, run sequentially: %v", err)
 	}
 	if err := run(context.Background(), path, &cli.TelemetryFlags{}, "quantum", 1000, "", false, false); !errors.Is(err, rt.ErrInvalid) {
 		t.Fatalf("unknown engine not rejected as invalid: %v", err)
@@ -83,9 +85,43 @@ func TestRunErrors(t *testing.T) {
 	}
 }
 
-// TestRecordReplayLoop drives the CLI's record/replay surface: a matrix-engine
-// run recorded with -trace-format schedule replays clean against the same
-// graph, and a tampered schedule diverges with exit-3 classification.
+// levelReversed returns the dataflow schedule s with the steps of each
+// dependency level in reverse order. A step's level is one more than its
+// latest producer's (a const is level 0), so every step still follows its
+// producers: a linearisation the FIFO schedule never produces. Steps keep
+// their recorded Seq and are renumbered densely.
+func levelReversed(s *replay.Schedule) *replay.Schedule {
+	level := make([]int, len(s.Steps))
+	live := make(map[string][]int) // key → levels of its producers, oldest first
+	for i, st := range s.Steps {
+		for _, k := range st.Consumed {
+			if q := live[k]; len(q) > 0 {
+				level[i] = max(level[i], q[0]+1)
+				live[k] = q[1:]
+			}
+		}
+		for _, k := range st.Produced {
+			live[k] = append(live[k], level[i])
+		}
+	}
+	order := make([]int, len(s.Steps))
+	for i := range order {
+		order[i] = len(order) - 1 - i
+	}
+	sort.SliceStable(order, func(a, b int) bool { return level[order[a]] < level[order[b]] })
+	out := &replay.Schedule{Kind: s.Kind, Name: s.Name, Steps: make([]replay.Step, len(order))}
+	for i, j := range order {
+		out.Steps[i] = s.Steps[j]
+		out.Steps[i].Step = i + 1
+	}
+	return out
+}
+
+// TestRecordReplayLoop drives the CLI's record/replay surface: a run recorded
+// with -trace-format schedule replays clean against the same graph, so does
+// that schedule with every dependency level reversed (a linearisation other
+// than the FIFO one), and a tampered schedule diverges with exit-3
+// classification.
 func TestRecordReplayLoop(t *testing.T) {
 	path := writeTemp(t, "g.dfir", fig1ish)
 	sched := filepath.Join(t.TempDir(), "sched.jsonl")
@@ -93,7 +129,7 @@ func TestRecordReplayLoop(t *testing.T) {
 	if err := tel.Start(nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(context.Background(), path, tel, "matrix", 1000, "", false, false); err != nil {
+	if err := run(context.Background(), path, tel, "", 1000, "", false, false); err != nil {
 		t.Fatal(err)
 	}
 	if err := tel.Finish(); err != nil {
@@ -107,6 +143,17 @@ func TestRecordReplayLoop(t *testing.T) {
 	raw, err := os.ReadFile(sched)
 	if err != nil {
 		t.Fatal(err)
+	}
+	recorded, err := replay.Parse(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	reversed := levelReversed(recorded).Bytes()
+	if bytes.Equal(reversed, raw) {
+		t.Fatal("the level-reversed schedule is the FIFO one")
+	}
+	if err := replayRun(path, writeTemp(t, "reversed.jsonl", string(reversed)), false); err != nil {
+		t.Fatalf("level-reversed replay: %v", err)
 	}
 	bad := filepath.Join(t.TempDir(), "bad.jsonl")
 	if err := os.WriteFile(bad, []byte(strings.Replace(string(raw), `"name":"add"`, `"name":"sub"`, 1)), 0o644); err != nil {

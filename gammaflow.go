@@ -110,9 +110,9 @@ var NewScheduleRecorder = replay.NewRecorder
 // struct whether it executes in-process or over HTTP.
 type RunSpec = schema.RunSpec
 
-// Engines selectable in a RunSpec. EngineMatrix is dataflow-only: the
-// bulk-synchronous sparse-matrix engine firing every enabled vertex per tick
-// (Gamma runs reject it with ErrInvalid).
+// Engines selectable in a RunSpec. EngineMatrix is dataflow-only and runs
+// the one dataflow schedule, as every dataflow engine value does; Gamma runs
+// reject it with ErrInvalid.
 const (
 	EngineAuto     = schema.EngineAuto
 	EngineSeq      = schema.EngineSeq
@@ -144,8 +144,9 @@ var (
 //	gammaflow.GraphOptions{RunConfig: gammaflow.RunConfig{RunSpec: gammaflow.RunSpec{MaxSteps: 1000}}}
 //
 // RunSpec.TimeoutMS, when set, bounds the run like a context deadline
-// (ErrDeadline); RunSpec.Engine picks EngineSeq, EngineParallel (Gamma) or
-// EngineMatrix (dataflow), or leaves the choice to Workers (EngineAuto). An
+// (ErrDeadline); RunSpec.Engine picks EngineSeq or EngineParallel (Gamma),
+// or leaves the choice to Workers (EngineAuto); EngineMatrix is accepted on
+// dataflow runs only. An
 // invalid spec (unknown engine, negative knobs) fails the run with ErrInvalid
 // before any execution.
 type RunConfig struct {
@@ -207,8 +208,8 @@ type ProgramOptions struct {
 	FaultInjector FaultInjector
 }
 
-// validate extends the spec check with the Gamma-side engine constraint: the
-// matrix engine schedules dataflow ticks, not reactions.
+// validate extends the spec check with the Gamma-side engine constraint:
+// EngineMatrix names a dataflow schedule, not a Gamma one.
 func (o ProgramOptions) validate() error {
 	if err := o.Validate(); err != nil {
 		return err
@@ -311,8 +312,8 @@ type (
 // GraphOptions configures dataflow execution: the shared RunConfig knobs
 // plus the dataflow-specific ones. RunConfig.MaxSteps bounds vertex firings;
 // RunConfig.Seed is ignored (the runtime is tag-deterministic), and so are
-// RunConfig.Workers and EngineParallel: every dataflow run executes on one
-// core, on the sequential engine unless EngineMatrix is asked for.
+// RunConfig.Workers, EngineParallel and EngineMatrix: every dataflow run
+// executes the one FIFO schedule on one core.
 type GraphOptions struct {
 	RunConfig
 	// FaultInjector, when set, runs before every vertex firing; a non-nil
@@ -324,9 +325,6 @@ func (o GraphOptions) lower() dataflow.Options {
 	opt := dataflow.Options{MaxFirings: o.MaxSteps, FaultInjector: o.FaultInjector}
 	if o.Schedule != nil {
 		opt.Schedule = o.Schedule
-	}
-	if o.Engine == EngineMatrix {
-		opt.Engine = dataflow.EngineMatrix
 	}
 	return opt
 }

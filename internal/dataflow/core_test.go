@@ -54,6 +54,9 @@ func wideInputs(width int) []int64 {
 	return xs
 }
 
+// engineOptions are the Options.Engine spellings the runtime accepts. Both
+// run the one FIFO schedule; the suites that range over them hold the
+// retired matrix spelling to it.
 var engineOptions = []struct {
 	name string
 	opt  Options
@@ -64,15 +67,15 @@ var engineOptions = []struct {
 
 func BenchmarkWide(b *testing.B) {
 	g := buildWide(wideInputs(2048), 16)
-	for _, e := range engineOptions {
-		b.Run(e.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := Run(g, e.opt); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	if _, err := Run(g, Options{}); err != nil { // compile the plan outside the timer
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Run(g, Options{}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -342,7 +345,7 @@ func TestMatchTableModel(t *testing.T) {
 				key = fmt.Sprintf("k%d", step)
 			}
 			wantVals, wantKeys, wantReady := refs[v].deliver(arities[v], port, tag, val, key)
-			// Append behind a sentinel, as the matrix engine's arena does.
+			// Append behind a sentinel: arrive appends, it does not overwrite.
 			gotVals, gotKeys, ready := table.arrive(int32(v), arities[v], port, tag, val, key,
 				[]value.Value{value.Int(-1)}, []string{"sentinel"})
 			if ready != wantReady {
@@ -439,12 +442,13 @@ func buildSkewedLoop(n int64, delay int, strand bool) *Graph {
 	return g
 }
 
-// TestCoreEngineDifferential holds the two schedules of the one firing core
-// to each other and to a plain-Go oracle on random wide-shaped and loop-shaped
-// graphs: same outputs, firings, per-vertex counts, pending operands, and the
-// same set of (vertex, consumed, produced) schedule records — the matrix
-// engine's tick order is a different linearization of the same firings. The
-// matching table's invariants are walked after every commit.
+// TestCoreEngineDifferential holds the firing core's FIFO schedule, under both
+// accepted engine spellings, to a plain-Go oracle on random wide-shaped and
+// loop-shaped graphs: same outputs, firings, per-vertex counts, pending
+// operands and set of (vertex, consumed, produced) schedule records, and the
+// ticks to the schedule's level fold (checkTicks). The matching table's
+// invariants are walked after every commit. A non-FIFO linearisation of the
+// same firings is replay's differential (TestReplayDataflowParallelDifferential).
 func TestCoreEngineDifferential(t *testing.T) {
 	checkMatchTables(t)
 	type graphCase struct {
@@ -490,6 +494,7 @@ func TestCoreEngineDifferential(t *testing.T) {
 			func() *Graph { return buildSkewedLoop(n, delay, strand) }, want, pending})
 	}
 	for _, gc := range cases {
+		checkTicks(t, gc.name, gc.build(), Options{})
 		var ref *Result
 		var refSched []string
 		for _, e := range engineOptions {
@@ -556,18 +561,18 @@ func TestTokenSize(t *testing.T) {
 }
 
 // TestWideAllocShape is the dataflow allocation-shape gate of `make check-ci`
-// (next to TestLoopAllocScaling): on every engine, allocations and bytes per
+// (next to TestLoopAllocScaling): allocations and bytes per
 // firing on a re-run of the wide graph must stay under one allocation and
 // 150 B (12.2 and 1 018 B on the sequential engine before the shared core,
 // 145–210 B while every run rebuilt the plan) and must not grow with the
-// graph's width, so per-firing set-up cannot silently return to any engine.
+// graph's width, so per-firing set-up cannot silently return.
 // Flat means max/min <= 1.5 across widths, with a quarter of an allocation of
 // absolute slack on the counts.
 //
 // The first run of a graph compiles its plan and the re-run must not: it has
 // to come in under the first by three quarters of the bytes of the plan's
 // tables, the only allocation of a run that is proportional to the graph
-// rather than to the run's own tokens and counters (both engines read the
+// rather than to the run's own tokens and counters (the gap reads the
 // tables' size plus 12–14 kB of size-class rounding at every width). A re-run
 // is measured three times and its smallest reading kept.
 func TestWideAllocShape(t *testing.T) {
@@ -578,49 +583,47 @@ func TestWideAllocShape(t *testing.T) {
 	if _, err := Run(buildWide(wideInputs(64), 16), Options{}); err != nil { // warm the runtime
 		t.Fatal(err)
 	}
-	for _, e := range engineOptions {
-		loAllocs, hiAllocs, loBytes, hiBytes := math.Inf(1), 0.0, math.Inf(1), 0.0
-		for _, width := range []int{64, 512, 4096} {
-			g := buildWide(wideInputs(width), 16)
-			var a, b runtime.MemStats
-			var res *Result
-			var first uint64
-			rerun, mallocs := uint64(math.MaxUint64), uint64(math.MaxUint64)
-			for pass := 0; pass < 4; pass++ { // the first run of the graph, then re-runs
-				runtime.ReadMemStats(&a)
-				var err error
-				res, err = Run(g, e.opt)
-				runtime.ReadMemStats(&b)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if pass == 0 {
-					first = b.TotalAlloc - a.TotalAlloc
-					continue
-				}
-				rerun, mallocs = min(rerun, b.TotalAlloc-a.TotalAlloc), min(mallocs, b.Mallocs-a.Mallocs)
+	loAllocs, hiAllocs, loBytes, hiBytes := math.Inf(1), 0.0, math.Inf(1), 0.0
+	for _, width := range []int{64, 512, 4096} {
+		g := buildWide(wideInputs(width), 16)
+		var a, b runtime.MemStats
+		var res *Result
+		var first uint64
+		rerun, mallocs := uint64(math.MaxUint64), uint64(math.MaxUint64)
+		for pass := 0; pass < 4; pass++ { // the first run of the graph, then re-runs
+			runtime.ReadMemStats(&a)
+			var err error
+			res, err = Run(g, Options{})
+			runtime.ReadMemStats(&b)
+			if err != nil {
+				t.Fatal(err)
 			}
-			p := g.compiled.Load()
-			tables := uint64(4*(len(p.portBase)+len(p.outStart)+cap(p.outEdges)+len(p.edgeTo))+len(p.edgePort)) +
-				uint64(len(p.vert))*uint64(unsafe.Sizeof(vertexOp{})) + uint64(len(p.imm))*uint64(unsafe.Sizeof(value.Value{}))
-			allocs := float64(mallocs) / float64(res.Firings)
-			bytes := float64(rerun) / float64(res.Firings)
-			t.Logf("%s width %d: %.2f allocs, %.0f B per firing; first run %d B, re-run %d B, plan tables %d B",
-				e.name, width, allocs, bytes, first, rerun, tables)
-			if allocs > maxAllocs || bytes > maxBytes {
-				t.Errorf("%s width %d: %.2f allocs and %.0f B per firing, ceilings %.0f and %.0f",
-					e.name, width, allocs, bytes, maxAllocs, maxBytes)
+			if pass == 0 {
+				first = b.TotalAlloc - a.TotalAlloc
+				continue
 			}
-			if rerun+tables*3/4 > first {
-				t.Errorf("%s width %d: the re-run allocated %d B against the first run's %d B; it must save most of the plan's %d B",
-					e.name, width, rerun, first, tables)
-			}
-			loAllocs, hiAllocs = min(loAllocs, allocs), max(hiAllocs, allocs)
-			loBytes, hiBytes = min(loBytes, bytes), max(hiBytes, bytes)
+			rerun, mallocs = min(rerun, b.TotalAlloc-a.TotalAlloc), min(mallocs, b.Mallocs-a.Mallocs)
 		}
-		if hiAllocs > flat*loAllocs+allocSlack || hiBytes > flat*loBytes {
-			t.Errorf("%s: per firing %.2f–%.2f allocs, %.0f–%.0f B across widths: not flat",
-				e.name, loAllocs, hiAllocs, loBytes, hiBytes)
+		p := g.compiled.Load()
+		tables := uint64(4*(len(p.portBase)+len(p.outStart)+cap(p.outEdges)+len(p.edgeTo))+len(p.edgePort)) +
+			uint64(len(p.vert))*uint64(unsafe.Sizeof(vertexOp{})) + uint64(len(p.imm))*uint64(unsafe.Sizeof(value.Value{}))
+		allocs := float64(mallocs) / float64(res.Firings)
+		bytes := float64(rerun) / float64(res.Firings)
+		t.Logf("width %d: %.2f allocs, %.0f B per firing; first run %d B, re-run %d B, plan tables %d B",
+			width, allocs, bytes, first, rerun, tables)
+		if allocs > maxAllocs || bytes > maxBytes {
+			t.Errorf("width %d: %.2f allocs and %.0f B per firing, ceilings %.0f and %.0f",
+				width, allocs, bytes, maxAllocs, maxBytes)
 		}
+		if rerun+tables*3/4 > first {
+			t.Errorf("width %d: the re-run allocated %d B against the first run's %d B; it must save most of the plan's %d B",
+				width, rerun, first, tables)
+		}
+		loAllocs, hiAllocs = min(loAllocs, allocs), max(hiAllocs, allocs)
+		loBytes, hiBytes = min(loBytes, bytes), max(hiBytes, bytes)
+	}
+	if hiAllocs > flat*loAllocs+allocSlack || hiBytes > flat*loBytes {
+		t.Errorf("per firing %.2f–%.2f allocs, %.0f–%.0f B across widths: not flat",
+			loAllocs, hiAllocs, loBytes, hiBytes)
 	}
 }

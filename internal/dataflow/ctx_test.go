@@ -127,6 +127,12 @@ func TestMaxFiringsClassified(t *testing.T) {
 func TestWorkersRunOnOneCore(t *testing.T) {
 	g := buildWide(wideInputs(64), 4)
 	run := func(workers int) (*Result, []byte) {
+		// An earlier test's goroutine may still be exiting (TestRunContextCancelMidRunDF's
+		// runner sends its result, then returns): let it finish, for up to a
+		// second, before the count is taken. A test binary idles at 2.
+		for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > 2 && time.Now().Before(deadline); {
+			time.Sleep(time.Millisecond)
+		}
 		before := runtime.NumGoroutine()
 		var rec lineSchedule
 		res, err := RunContext(context.Background(), g, Options{Workers: workers, Schedule: &rec,

@@ -441,9 +441,6 @@ func TestRuntimeErrors(t *testing.T) {
 	if _, err := Run(g, Options{}); err == nil {
 		t.Error("sequential divide by zero should error")
 	}
-	if _, err := Run(g, Options{Engine: EngineMatrix}); err == nil {
-		t.Error("matrix divide by zero should error")
-	}
 	// Steer with non-truthy control.
 	g2 := NewGraph("badsteer")
 	cd := g2.AddConst("d", value.Int(1))
@@ -485,8 +482,9 @@ func TestMaxFirings(t *testing.T) {
 	must(g.Connect(c, 0, inc, 0, "seed"))
 	must(g.Connect(inc, 0, cp, 0, "fwd"))
 	must(g.Connect(cp, 0, inc, 0, "back"))
-	// Every engine refuses the firing that would exceed the budget: the
-	// partial result never overdraws it (gammad charges tenants by it).
+	// Under either engine spelling the run refuses the firing that would
+	// exceed the budget: the partial result never overdraws it (gammad
+	// charges tenants by it).
 	for _, opt := range []Options{{}, {Engine: EngineMatrix}} {
 		opt.MaxFirings = 100
 		res, err := Run(g, opt)
@@ -568,8 +566,7 @@ func TestTokenQueuePerPort(t *testing.T) {
 	}
 }
 
-// Property: the loop graph computes a + b*n for arbitrary small inputs, on
-// both engines.
+// Property: the loop graph computes a + b*n for arbitrary small inputs.
 func TestQuickLoopComputesAffine(t *testing.T) {
 	f := func(a, b int16, n uint8) bool {
 		iters := int64(n % 12)
@@ -580,16 +577,7 @@ func TestQuickLoopComputesAffine(t *testing.T) {
 		}
 		want := int64(a) + int64(b)*iters
 		out, ok := res.Output("out")
-		if !ok || out.AsInt() != want {
-			return false
-		}
-		gp := buildLoop(int64(a), int64(b), iters)
-		resP, err := Run(gp, Options{Engine: EngineMatrix})
-		if err != nil {
-			return false
-		}
-		outP, okP := resP.Output("out")
-		return okP && outP.AsInt() == want
+		return ok && out.AsInt() == want
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)

@@ -41,9 +41,9 @@ type Result struct {
 	// other path). In the Gamma translation these are exactly the non-output
 	// elements of the stable multiset.
 	Pending int
-	// Ticks counts the bulk-synchronous rounds of the matrix engine: one
-	// readiness sweep plus one batched apply pass per tick. Zero under the
-	// sequential engine.
+	// Ticks counts the dependency levels that fired past the const seeding:
+	// the FIFO worklist's levels (runSequential), so a graph's depth past its
+	// consts on an acyclic run.
 	Ticks int64
 	g     *Graph // names Counts for PerNode
 }
@@ -90,26 +90,26 @@ type ScheduleRecorder interface {
 	RecordStep(seq uint64, name string, consumed, produced []string)
 }
 
-// EngineMatrix selects the bulk-synchronous sparse-matrix engine (matrix.go)
-// via Options.Engine. The string equals schema.EngineMatrix so specs pass
-// through the facade and service unchanged.
+// EngineMatrix is the one Options.Engine value besides empty. It names the
+// retired bulk-synchronous tick schedule, is still accepted, and runs the
+// FIFO schedule like every run. The string equals schema.EngineMatrix.
 const EngineMatrix = "matrix"
 
 // Options configures an execution.
 type Options struct {
-	// Workers is ignored: every run executes on one core, whichever Engine
-	// schedules it. It stays declared only because bench/ still sets it.
+	// Workers is ignored: every run executes on one core. It stays declared
+	// only because bench/ still sets it.
 	Workers int
-	// Engine selects the schedule: empty for the sequential FIFO worklist,
-	// EngineMatrix for the bulk-synchronous sparse-matrix ticks. Any other
-	// value is rt.ErrInvalid.
+	// Engine is empty or EngineMatrix, and either runs the one FIFO
+	// schedule; any other value is rt.ErrInvalid. It stays declared only
+	// because bench/ still sets it.
 	Engine string
 	// MaxFirings bounds total vertex activations; 0 means no bound.
 	MaxFirings int64
 	// FaultInjector, when set, runs before every vertex firing with the
-	// vertex name and PE index 0; a non-nil return aborts the run with that
-	// error, and a panic inside it exercises the engine's panic recovery.
-	// For stress tests; leave nil in production runs.
+	// vertex name and worker 0 (the one core); a non-nil return aborts the
+	// run with that error, and a panic inside it exercises the panic
+	// recovery. For stress tests; leave nil in production runs.
 	FaultInjector rt.FaultInjector
 	// Recorder, when set, receives the execution's telemetry: one event
 	// track (firing spans with latency and token depth) and registry
@@ -139,12 +139,7 @@ func Run(g *Graph, opt Options) (*Result, error) {
 // The spec is judged before the context: an unknown engine or an invalid
 // graph is rt.ErrInvalid even under a context that is already done.
 func RunContext(ctx context.Context, g *Graph, opt Options) (*Result, error) {
-	engine := runSequential
-	switch opt.Engine {
-	case "":
-	case EngineMatrix:
-		engine = runMatrix
-	default:
+	if opt.Engine != "" && opt.Engine != EngineMatrix {
 		return nil, rt.Mark(rt.ErrInvalid, fmt.Errorf("dataflow: unknown engine %q", opt.Engine))
 	}
 	p, err := g.plan()
@@ -154,7 +149,7 @@ func RunContext(ctx context.Context, g *Graph, opt Options) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return &Result{Outputs: map[string][]TaggedValue{}, g: g}, rt.FromContext(err)
 	}
-	return engine(newCore(ctx, p, opt))
+	return runSequential(newCore(ctx, p, opt))
 }
 
 // operand is one parked token in the matching table: its value plus the token
@@ -353,11 +348,10 @@ func (p *plan) route(id int32, tag int64, operands []value.Value) (int, value.Va
 	return 0, value.Value{}, 0, fmt.Errorf("dataflow: node %s has invalid kind", p.name(id))
 }
 
-// core is the firing state of one run over the graph's plan. Both engines run
-// on it: token arrival (arrive), the one check → route → record → count step
-// (fire), const seeding (seed) and the Result fold (finish). They differ only
-// in which enabled activation goes next and in the queue the returned
-// emission row is pushed onto.
+// core is the firing state of one run over the graph's plan: the matching
+// table (match.arrive), the one check → route → record → count step (fire), const
+// seeding (seed) and the Result fold (finish). The schedule (runSequential)
+// picks the next token and queues the returned emission row.
 type core struct {
 	p        *plan
 	opt      Options
@@ -391,15 +385,6 @@ func (c *core) panicError(rec any) error {
 	return rt.NewPanicError("dataflow", site, 0, rec)
 }
 
-// arrive delivers a token to its consumer, vertex to; see matchTable.arrive.
-func (c *core) arrive(to int32, tok Token, vals []value.Value, keys []string) ([]value.Value, []string, bool) {
-	key := ""
-	if c.match.keyed {
-		key = TokenKey(c.p.g, tok)
-	}
-	return c.match.arrive(to, int(c.p.vert[to].arity), int(c.p.edgePort[tok.Edge]), tok.Tag, tok.Val, key, vals, keys)
-}
-
 // output absorbs a token that arrived on a terminal edge.
 func (c *core) output(tok Token) {
 	if c.outputs == nil {
@@ -421,8 +406,8 @@ func (c *core) overBudget() bool {
 
 // fire runs one enabled activation: context, budget and fault injector are
 // consulted, then the vertex is committed. It returns the emission — out-edge
-// row, value, tag — for the engine to push onto its own queue. depth is the
-// engine's token depth without this activation's operands, for telemetry.
+// row, value, tag — for the schedule to queue. depth is the worklist's token
+// depth without this activation's operands, for telemetry.
 func (c *core) fire(id int32, tag int64, operands []value.Value, keys []string, depth int64) ([]int32, value.Value, int64, error) {
 	c.site = id
 	var err error
@@ -465,15 +450,14 @@ func (c *core) commit(id int32, tag int64, operands []value.Value, keys []string
 	return row, v, outTag, nil
 }
 
-// afterCommit is a test hook: the engine differentials point it at the
-// matching table's invariants walk so every commit of their runs is checked.
+// afterCommit is a test hook: the differentials point it at the matching
+// table's invariants walk so every commit of their runs is checked.
 var afterCommit func(c *core)
 
-// seed fires every const vertex once with tag 0, handing each emitted token
-// to emit. Consts fire before any token is routed, so every schedule starts
-// with them in node order, and they draw on the firing budget.
-func (c *core) seed(emit func(e int32, v value.Value)) error {
-	depth := int64(0)
+// seed fires every const vertex once with tag 0 and queues its tokens on q.
+// Consts fire before any token is routed, so the schedule starts with them
+// in node order, and they draw on the firing budget.
+func (c *core) seed(q *ring) error {
 	for id, vo := range c.p.vert {
 		if vo.kind != KindConst {
 			continue
@@ -482,10 +466,9 @@ func (c *core) seed(emit func(e int32, v value.Value)) error {
 		if c.overBudget() {
 			return ErrMaxFirings
 		}
-		row, v, _, _ := c.commit(int32(id), 0, nil, nil, depth) // a const firing cannot fail
-		depth += int64(len(row))
+		row, v, _, _ := c.commit(int32(id), 0, nil, nil, int64(q.n)) // a const firing cannot fail
 		for _, e := range row {
-			emit(e, v)
+			q.push(Token{Val: v, Edge: EdgeID(e)})
 		}
 	}
 	return nil
@@ -535,32 +518,57 @@ func (r *ring) pop() Token {
 
 // runSequential is the deterministic FIFO schedule: a worklist of tokens,
 // each delivered to its consumer, firing vertices as their operand sets
-// complete. A panic out of a vertex operation is recovered into
-// *rt.PanicError with the partial Result preserved.
+// complete; a vertex panic is recovered into *rt.PanicError with the partial
+// Result preserved. FIFO is breadth-first — the seed tokens are level 0 and
+// a firing's emissions queue behind every token of its own level — so a level
+// that fires is one tick (Result.Ticks, dataflow.ticks, fired_per_tick): left
+// counts the level's tokens still queued and mark the firings before it.
 func runSequential(c *core) (res *Result, err error) {
 	p := c.p
 	// The worklist starts at the seed tokens; fan-out beyond them grows it.
 	q := ring{buf: make([]Token, 1<<bits.Len(uint(max(p.seeds, 64)-1)))}
+	ticks := int64(0)
 	defer func() {
 		if rec := recover(); rec != nil {
 			err = c.panicError(rec)
 		}
-		res = c.finish(0, q.peak)
+		res = c.finish(ticks, q.peak)
 	}()
-	if err := c.seed(func(e int32, v value.Value) { q.push(Token{Val: v, Edge: EdgeID(e)}) }); err != nil {
+	if err := c.seed(&q); err != nil {
 		return nil, err
 	}
-	for q.n > 0 {
+	// inflight counts emitted-but-unconsumed tokens: +fan-out per firing,
+	// -arity per firing, -1 per output. At termination it must equal the
+	// operands parked in the matching table, which is exactly Result.Pending.
+	inflight, left, mark := q.n, q.n, c.fired
+	for {
+		if left == 0 {
+			if c.fired > mark {
+				ticks++
+				c.ts.tick(int(c.fired - mark))
+			}
+			if q.n == 0 {
+				break
+			}
+			left, mark = q.n, c.fired
+		}
+		left--
 		tok := q.pop()
 		to := p.edgeTo[tok.Edge]
 		if to < 0 {
 			c.output(tok)
+			inflight--
 			continue
 		}
-		operands, keys, ready := c.arrive(to, tok, c.operands, nil)
+		key := ""
+		if c.match.keyed {
+			key = TokenKey(p.g, tok)
+		}
+		operands, keys, ready := c.match.arrive(to, int(p.vert[to].arity), int(p.edgePort[tok.Edge]), tok.Tag, tok.Val, key, c.operands, nil)
 		if !ready {
 			continue
 		}
+		inflight -= len(operands)
 		row, v, tag, err := c.fire(to, tok.Tag, operands, keys, int64(q.n))
 		if err != nil {
 			return nil, err
@@ -568,6 +576,14 @@ func runSequential(c *core) (res *Result, err error) {
 		for _, e := range row {
 			q.push(Token{Val: v, Edge: EdgeID(e), Tag: tag})
 		}
+		inflight += len(row)
+	}
+
+	// Termination cross-check, the version-idle protocol: every emitted
+	// token must be accounted for as consumed, absorbed, or parked.
+	if parked := c.match.pending(); parked != inflight {
+		return nil, rt.Mark(rt.ErrInvalid,
+			fmt.Errorf("dataflow: idle protocol violated: %d tokens in flight, %d parked", inflight, parked))
 	}
 	return nil, nil
 }

@@ -33,8 +33,8 @@ func sameRun(got, want *Result) error {
 // plan": after a first run, every mutating method of Graph — alone, where that
 // leaves a runnable or a rejected graph, and wired in — followed by a second
 // run must give exactly what a fresh Clone of the mutated graph gives, error
-// text included, on both engines and under a Workers count (ignored: it runs
-// the sequential engine). The plan pointer is the compile counter (plan()
+// text included, under both accepted engine spellings and a Workers count
+// (ignored: each runs the one FIFO schedule). The plan pointer is the compile counter (plan()
 // publishes every plan it compiles): it must change exactly when the version
 // did, and never on a plain re-run.
 func TestPlanCacheInvalidation(t *testing.T) {
@@ -194,7 +194,7 @@ func TestPlanCacheVersions(t *testing.T) {
 	}
 }
 
-// TestPlanCacheConcurrentRuns runs one Graph from 8 goroutines per engine at
+// TestPlanCacheConcurrentRuns runs one Graph from 8 goroutines per spelling at
 // once, from cold — so the first runs race to validate, compile and publish
 // the plan — and requires every run to report exactly the reference result.
 // Under -race this is the check that the plan is shared read-only and every

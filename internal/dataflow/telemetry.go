@@ -19,8 +19,8 @@ type dfSink struct {
 	fired   []*telemetry.Counter // by NodeID
 	lat     *telemetry.Histogram
 	depth   *telemetry.Gauge
-	ticks   *telemetry.Counter   // matrix engine bulk-synchronous rounds
-	perTick *telemetry.Histogram // activations fired per round
+	ticks   *telemetry.Counter   // FIFO levels that fired (Result.Ticks)
+	perTick *telemetry.Histogram // activations fired per level
 }
 
 // newDFSink resolves the run's track, "dataflow/pe0", and instruments; nil
@@ -70,8 +70,7 @@ func (s *dfSink) firing(id NodeID, name string, start time.Time, depth int64, em
 	s.track.SpanDur(telemetry.KindFiring, name, start, lat, depth, int64(emitted))
 }
 
-// tick accounts one bulk-synchronous round of the matrix engine and the size
-// of its fire-vector.
+// tick accounts one FIFO level that fired and the activations it fired.
 func (s *dfSink) tick(fired int) {
 	if s == nil {
 		return
@@ -81,7 +80,7 @@ func (s *dfSink) tick(fired int) {
 }
 
 // peaks publishes the run's high-water marks — activations waiting in the
-// matching table and tokens queued in the engine — once, at run end: the
+// matching table and tokens queued in the worklist — once, at run end: the
 // matching work no per-firing counter shows.
 func (s *dfSink) peaks(entries, queued int) {
 	if s == nil {

@@ -1,5 +1,10 @@
 package dataflow
 
+// The EngineMatrix spelling is still accepted (the wire's engine: matrix) and
+// runs the one FIFO schedule. These cases run that spelling, and hold
+// Result.Ticks and the dataflow.ticks / fired_per_tick series to the level
+// fold of the run's own schedule (checkTicks).
+
 import (
 	"context"
 	"errors"
@@ -8,6 +13,7 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/profile"
 	"repro/internal/rt"
 	"repro/internal/telemetry"
 	"repro/internal/value"
@@ -32,12 +38,53 @@ func (r *recSchedule) sorted() []string {
 	return out
 }
 
-func TestMatrixFig1(t *testing.T) {
-	g := buildFig1(1, 5, 3, 2)
-	res, err := Run(g, Options{Engine: EngineMatrix})
-	if err != nil {
-		t.Fatal(err)
+// profileFold feeds a run's firings straight into a work/span profile.
+type profileFold struct{ *profile.Collector }
+
+func (f profileFold) RecordStep(_ uint64, name string, consumed, produced []string) {
+	f.RecordFiring(name, consumed, produced)
+}
+
+// checkTicks runs g with telemetry and a work/span profile of the schedule
+// attached, and holds the ticks to the profile: Ticks = Span − 1 (the consts
+// are depth 1), the dataflow.ticks counter reads Ticks, and fired_per_tick
+// observed exactly the per-depth widths above the const level — compared as
+// count, sum, max and quantiles, since a histogram keeps no samples.
+func checkTicks(t *testing.T, name string, g *Graph, opt Options) (*Result, *telemetry.Recorder) {
+	t.Helper()
+	if opt.Recorder == nil {
+		opt.Recorder = telemetry.New(0)
 	}
+	col := profile.NewCollector()
+	opt.Schedule = profileFold{col}
+	res, err := Run(g, opt)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	rep := col.Report()
+	if want := max(rep.Span-1, 0); res.Ticks != want {
+		t.Errorf("%s: ticks %d, the schedule's span past the consts is %d", name, res.Ticks, want)
+	}
+	reg := opt.Recorder.Metrics
+	if got := reg.CounterValue("dataflow.ticks"); got != res.Ticks {
+		t.Errorf("%s: counter dataflow.ticks = %d, result says %d", name, got, res.Ticks)
+	}
+	var widths telemetry.Histogram
+	for d := 1; d < len(rep.Profile); d++ {
+		widths.Observe(rep.Profile[d])
+	}
+	summary := func(h *telemetry.Histogram) string {
+		return fmt.Sprintf("count %d sum %d max %d p50 %d p90 %d p99 %d",
+			h.Count(), h.Sum(), h.Max(), h.Quantile(0.5), h.Quantile(0.9), h.Quantile(0.99))
+	}
+	if got, want := summary(reg.Histogram("dataflow.fired_per_tick")), summary(&widths); got != want {
+		t.Errorf("%s: fired_per_tick %s, per-level widths %s", name, got, want)
+	}
+	return res, opt.Recorder
+}
+
+func TestMatrixFig1(t *testing.T) {
+	res, _ := checkTicks(t, "fig1", buildFig1(1, 5, 3, 2), Options{Engine: EngineMatrix})
 	if m, ok := res.Output("m"); !ok || m != value.Int(0) {
 		t.Fatalf("m = %v (%v), want 0", m, ok)
 	}
@@ -59,21 +106,18 @@ func TestMatrixLoop(t *testing.T) {
 		{7, 100, -2, 7},
 	}
 	for _, c := range cases {
-		res, err := Run(buildLoop(c.a, c.b, c.n), Options{Engine: EngineMatrix})
-		if err != nil {
-			t.Fatalf("loop(%d,%d,%d): %v", c.a, c.b, c.n, err)
-		}
+		name := fmt.Sprintf("loop(%d,%d,%d)", c.a, c.b, c.n)
+		res, _ := checkTicks(t, name, buildLoop(c.a, c.b, c.n), Options{Engine: EngineMatrix})
 		out, ok := res.Output("out")
 		if !ok || out != value.Int(c.want) {
-			t.Errorf("loop(%d,%d,%d) = %v, want %d", c.a, c.b, c.n, out, c.want)
+			t.Errorf("%s = %v, want %d", name, out, c.want)
 		}
 	}
 }
 
-// matrixAgreesWithSequential runs g under both deterministic engines and
-// holds every observable Result field to exact agreement. Graphs are rebuilt
-// by the caller per engine when they carry state (consts are re-read each
-// run, so sharing is fine here).
+// matrixAgreesWithSequential runs g under both accepted engine spellings and
+// holds every observable Result field to exact agreement, then the ticks to
+// the schedule's level fold.
 func matrixAgreesWithSequential(t *testing.T, name string, build func() *Graph) {
 	t.Helper()
 	seqRes, seqErr := Run(build(), Options{})
@@ -87,8 +131,8 @@ func matrixAgreesWithSequential(t *testing.T, name string, build func() *Graph) 
 	if !reflect.DeepEqual(seqRes.Outputs, matRes.Outputs) {
 		t.Errorf("%s: outputs differ:\nseq    %v\nmatrix %v", name, seqRes.Outputs, matRes.Outputs)
 	}
-	if seqRes.Firings != matRes.Firings {
-		t.Errorf("%s: firings seq %d matrix %d", name, seqRes.Firings, matRes.Firings)
+	if seqRes.Firings != matRes.Firings || seqRes.Ticks != matRes.Ticks {
+		t.Errorf("%s: firings/ticks seq %d/%d matrix %d/%d", name, seqRes.Firings, seqRes.Ticks, matRes.Firings, matRes.Ticks)
 	}
 	if !reflect.DeepEqual(seqRes.PerNode(), matRes.PerNode()) {
 		t.Errorf("%s: per-node seq %v matrix %v", name, seqRes.PerNode(), matRes.PerNode())
@@ -96,6 +140,7 @@ func matrixAgreesWithSequential(t *testing.T, name string, build func() *Graph) 
 	if seqRes.Pending != matRes.Pending {
 		t.Errorf("%s: pending seq %d matrix %d", name, seqRes.Pending, matRes.Pending)
 	}
+	checkTicks(t, name, build(), Options{})
 }
 
 func TestMatrixDifferentialVsSequential(t *testing.T) {
@@ -130,10 +175,10 @@ func TestMatrixDifferentialVsSequential(t *testing.T) {
 	})
 }
 
+// TestMatrixScheduleDifferential: the matrix spelling records the default
+// run's schedule, firing for firing.
 func TestMatrixScheduleDifferential(t *testing.T) {
 	checkMatchTables(t)
-	// The set of (vertex, consumed, produced) records is engine-independent;
-	// only the firing order differs.
 	seqTr, matTr := &recSchedule{}, &recSchedule{}
 	if _, err := Run(buildLoop(1, 3, 6), Options{Schedule: seqTr}); err != nil {
 		t.Fatal(err)
@@ -141,8 +186,8 @@ func TestMatrixScheduleDifferential(t *testing.T) {
 	if _, err := Run(buildLoop(1, 3, 6), Options{Engine: EngineMatrix, Schedule: matTr}); err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(seqTr.sorted(), matTr.sorted()) {
-		t.Errorf("trace records differ:\nseq    %v\nmatrix %v", seqTr.sorted(), matTr.sorted())
+	if !reflect.DeepEqual(seqTr.recs, matTr.recs) {
+		t.Errorf("trace records differ:\nseq    %v\nmatrix %v", seqTr.recs, matTr.recs)
 	}
 }
 
@@ -170,7 +215,7 @@ func TestMatrixMaxFirings(t *testing.T) {
 
 func TestMatrixCancelMidRun(t *testing.T) {
 	// Cancel from inside a firing (via the fault injector) on an otherwise
-	// infinite loop: the apply pass must observe ctx and stop promptly.
+	// infinite loop: the worklist must observe ctx and stop promptly.
 	g := buildLoop(0, 1, 1<<40)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -248,38 +293,64 @@ func TestMatrixRuntimeError(t *testing.T) {
 	}
 }
 
-func TestMatrixPendingTokens(t *testing.T) {
-	// A steer whose false branch feeds one port of a binary vertex that never
-	// completes: the stranded operand must be reported as Pending, matching
-	// the sequential engine.
-	build := func() *Graph {
-		g := NewGraph("strand")
-		cd := g.AddConst("d", value.Int(1))
-		cc := g.AddConst("c", value.Int(1)) // control true
-		st := g.AddSteer("st")
-		add := g.AddArith("add", "+")
-		c2 := g.AddConst("c2", value.Int(5))
-		must := func(_ EdgeID, err error) {
-			if err != nil {
-				panic(err)
-			}
+// buildStrand is a steer whose false branch feeds one port of a binary vertex
+// that never completes: one operand is left parked, and it parks before the
+// steer fires.
+func buildStrand() *Graph {
+	g := NewGraph("strand")
+	c2 := g.AddConst("c2", value.Int(5))
+	cd := g.AddConst("d", value.Int(1))
+	cc := g.AddConst("c", value.Int(1)) // control true
+	st := g.AddSteer("st")
+	add := g.AddArith("add", "+")
+	must := func(_ EdgeID, err error) {
+		if err != nil {
+			panic(err)
 		}
-		must(g.Connect(cd, 0, st, 0, "d0"))
-		must(g.Connect(cc, 0, st, 1, "c0"))
-		must(g.Connect(st, PortTrue, NoNode, 0, "t"))
-		must(g.Connect(st, PortFalse, add, 0, "f"))
-		must(g.Connect(c2, 0, add, 1, "r"))
-		must(g.ConnectOut(add, 0, "s"))
-		return g
 	}
-	res, err := Run(build(), Options{Engine: EngineMatrix})
+	must(g.Connect(cd, 0, st, 0, "d0"))
+	must(g.Connect(cc, 0, st, 1, "c0"))
+	must(g.Connect(st, PortTrue, NoNode, 0, "t"))
+	must(g.Connect(st, PortFalse, add, 0, "f"))
+	must(g.Connect(c2, 0, add, 1, "r"))
+	must(g.ConnectOut(add, 0, "s"))
+	return g
+}
+
+func TestMatrixPendingTokens(t *testing.T) {
+	res, err := Run(buildStrand(), Options{Engine: EngineMatrix})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Pending != 1 {
 		t.Errorf("pending = %d, want 1 (stranded add operand)", res.Pending)
 	}
-	matrixAgreesWithSequential(t, "strand", build)
+	matrixAgreesWithSequential(t, "strand", buildStrand)
+}
+
+// TestIdleProtocolCatchesDroppedOperand seeds the defect "the dataflow engine
+// drops a stuck operand": the afterCommit hook forgets the one operand parked
+// in the matching table. Outputs and firings are unchanged and Pending reads
+// 0, so only the termination cross-check — tokens in flight against operands
+// parked — can see it.
+func TestIdleProtocolCatchesDroppedOperand(t *testing.T) {
+	dropped := false
+	afterCommit = func(c *core) {
+		for k := range c.match.entries {
+			if !dropped && c.match.pending() == 1 {
+				delete(c.match.entries, k)
+				dropped = true
+			}
+		}
+	}
+	t.Cleanup(func() { afterCommit = nil })
+	_, err := Run(buildStrand(), Options{})
+	if !dropped {
+		t.Fatal("no operand was ever parked alone: the defect was not seeded")
+	}
+	if !errors.Is(err, rt.ErrInvalid) {
+		t.Errorf("run with a dropped operand: err = %v, want rt.ErrInvalid", err)
+	}
 }
 
 func TestMatrixUnknownEngineRejected(t *testing.T) {
@@ -290,23 +361,15 @@ func TestMatrixUnknownEngineRejected(t *testing.T) {
 }
 
 func TestTelemetryDifferentialMatrix(t *testing.T) {
-	rec := telemetry.New(0)
 	g := buildLoop(1, 1, 40)
-	res, err := Run(g, Options{Engine: EngineMatrix, Recorder: rec})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res, rec := checkTicks(t, "loop", g, Options{Engine: EngineMatrix})
 	checkDFTelemetryAgrees(t, rec, res)
-	reg := rec.Metrics
-	if got := reg.CounterValue("dataflow.ticks"); got != res.Ticks {
-		t.Errorf("counter dataflow.ticks = %d, result says %d", got, res.Ticks)
-	}
 	if res.Ticks == 0 {
 		t.Error("matrix run reported zero ticks")
 	}
 	// The fired_per_tick histogram observed exactly one sample per tick, and
 	// the samples sum to the non-const firings (consts fire before tick 1).
-	h := reg.Histogram("dataflow.fired_per_tick")
+	h := rec.Metrics.Histogram("dataflow.fired_per_tick")
 	if h.Count() != res.Ticks {
 		t.Errorf("fired_per_tick count = %d, ticks = %d", h.Count(), res.Ticks)
 	}

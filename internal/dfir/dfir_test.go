@@ -2,10 +2,13 @@ package dfir
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 
+	"repro/internal/compiler"
 	"repro/internal/dataflow"
 	"repro/internal/paper"
 	"repro/internal/value"
@@ -215,4 +218,45 @@ func TestSplitFieldsQuoted(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("splitFields = %v", got)
 	}
+}
+
+// FuzzUnmarshal feeds the decoder every dataflow submission to gammad passes
+// through arbitrary text. It must never panic, and whatever it accepts has a
+// canonical form: Marshal of the decoded graph decodes again and marshals to
+// the same bytes. Seeded with the compiled testdata/*.vn programs, the
+// paper's figures and the service tests' graphs.
+func FuzzUnmarshal(f *testing.F) {
+	files, _ := filepath.Glob("../../testdata/*.vn")
+	for _, file := range files {
+		src, err := os.ReadFile(file)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(Marshal(compiler.MustCompile(file, string(src))))
+	}
+	for _, g := range []*dataflow.Graph{paper.Fig1Graph(), paper.Fig2GraphObservable(10, 4, 3)} {
+		f.Add(Marshal(g))
+	}
+	for _, seed := range []string{
+		"graph g\nconst x = 3\nconst y = 4\narith add +\nedge a x:0 -> add:0\nedge b y:0 -> add:1\nedge m add:0 -> out\n",
+		"graph spin\nconst c = 1\ninctag inc\ncopy cp\nedge seed c:0 -> inc:0\nedge fwd inc:0 -> cp:0\nedge back cp:0 -> inc:0\n",
+		"graph g\nconst c 1\nout c m\n",
+		"graph q\nconst s = 'a b'\ncompare lt < immleft 2.5\nsteer st\nsettag z\nunary n -\n# comment\n",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		g, err := Unmarshal(src)
+		if err != nil {
+			return
+		}
+		text := Marshal(g)
+		back, err := Unmarshal(text)
+		if err != nil {
+			t.Fatalf("Unmarshal(%q) marshals to text that does not decode: %v\n%s", src, err, text)
+		}
+		if again := Marshal(back); again != text {
+			t.Fatalf("Unmarshal(%q): marshal not canonical:\n%s\nvs\n%s", src, text, again)
+		}
+	})
 }

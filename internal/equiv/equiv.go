@@ -30,9 +30,6 @@ type Options struct {
 	// GammaWorkers selects the Gamma scheduler (0/1 = sequential
 	// deterministic).
 	GammaWorkers int
-	// DataflowEngine selects the dataflow engine ("" = sequential;
-	// dataflow.EngineMatrix = bulk-synchronous).
-	DataflowEngine string
 	// GammaSeed randomizes the Gamma matcher's nondeterministic choices.
 	GammaSeed int64
 	// MaxSteps bounds both executions (0 = none); diverging graphs error.
@@ -65,7 +62,7 @@ func Check(g *dataflow.Graph, opt Options) (*Report, error) {
 // rt.ErrDivergent — for the harness, "didn't stabilize within the budget" is
 // evidence of divergence, not an infrastructure failure.
 func CheckContext(ctx context.Context, g *dataflow.Graph, opt Options) (*Report, error) {
-	dfRes, err := dataflow.RunContext(ctx, g, dataflow.Options{MaxFirings: opt.MaxSteps, Engine: opt.DataflowEngine})
+	dfRes, err := dataflow.RunContext(ctx, g, dataflow.Options{MaxFirings: opt.MaxSteps})
 	if err != nil {
 		return nil, fmt.Errorf("equiv: dataflow run: %w", markBudget(err))
 	}

@@ -85,7 +85,7 @@ func TestAlgorithm1EquivalenceParallel(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		g := RandomGraph(seed*100, 4, 20)
 		rep, err := Check(g, Options{
-			DataflowEngine: dataflow.EngineMatrix, GammaWorkers: 4, GammaSeed: seed, MaxSteps: 100000,
+			GammaWorkers: 4, GammaSeed: seed, MaxSteps: 100000,
 		})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)

@@ -54,9 +54,11 @@ func TestFig2ObservableComputesLoop(t *testing.T) {
 	}
 }
 
+// TestFig2ObservableParallel: a Workers count is ignored; the run is the one
+// FIFO schedule on one core.
 func TestFig2ObservableParallel(t *testing.T) {
 	g := Fig2GraphObservable(10, 4, 25)
-	res, err := dataflow.Run(g, dataflow.Options{Engine: dataflow.EngineMatrix})
+	res, err := dataflow.Run(g, dataflow.Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

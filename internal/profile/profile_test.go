@@ -152,8 +152,8 @@ func TestLoopSpanGrowsWithIterations(t *testing.T) {
 }
 
 func TestParallelRuntimesProduceSameWork(t *testing.T) {
-	// Tracing under the parallel Gamma runtime and the dataflow matrix
-	// engine: same work, and the span must match the sequential one
+	// Tracing under the parallel Gamma runtime, and the dataflow run with
+	// its level count: same work, and the span must match the sequential one
 	// (dependencies are schedule-independent for this confluent program).
 	prog, init, err := core.ToGamma(paper.Fig1Graph())
 	if err != nil {
@@ -163,8 +163,8 @@ func TestParallelRuntimesProduceSameWork(t *testing.T) {
 	if r.Work != 3 || r.Span != 2 {
 		t.Errorf("parallel gamma: %s, want work=3 span=2", r)
 	}
-	if r2 := dataflowReport(t, paper.Fig1Graph(), dataflow.Options{Engine: dataflow.EngineMatrix}); r2.Work != 7 || r2.Span != 3 {
-		t.Errorf("matrix dataflow: %s, want work=7 span=3", r2)
+	if r2 := dataflowReport(t, paper.Fig1Graph(), dataflow.Options{}); r2.Work != 7 || r2.Span != 3 {
+		t.Errorf("dataflow: %s, want work=7 span=3", r2)
 	}
 }
 

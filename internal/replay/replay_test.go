@@ -390,28 +390,65 @@ func TestReplayDataflowFig1(t *testing.T) {
 	}
 }
 
-// TestReplayDataflowParallelDifferential: the matrix engine's execution of
-// Fig. 2 — every enabled vertex of a tick fired together, a linearization
-// other than the sequential engine's FIFO — replays step for step to the same
-// outputs. Run under -race by make stress.
+// levelReversed returns the dataflow schedule s with the steps of each
+// dependency level in reverse order. A step's level is one more than its
+// latest producer's (a const is level 0), so every step still follows its
+// producers: a linearisation the FIFO schedule never produces. Steps keep
+// their recorded Seq and are renumbered densely.
+func levelReversed(s *Schedule) *Schedule {
+	level := make([]int, len(s.Steps))
+	live := make(map[string][]int) // key → levels of its producers, oldest first
+	for i, st := range s.Steps {
+		for _, k := range st.Consumed {
+			if q := live[k]; len(q) > 0 {
+				level[i] = max(level[i], q[0]+1)
+				live[k] = q[1:]
+			}
+		}
+		for _, k := range st.Produced {
+			live[k] = append(live[k], level[i])
+		}
+	}
+	order := make([]int, len(s.Steps))
+	for i := range order {
+		order[i] = len(order) - 1 - i
+	}
+	sort.SliceStable(order, func(a, b int) bool { return level[order[a]] < level[order[b]] })
+	out := &Schedule{Kind: s.Kind, Name: s.Name, Steps: make([]Step, len(order))}
+	for i, j := range order {
+		out.Steps[i] = s.Steps[j]
+		out.Steps[i].Step = i + 1
+	}
+	return out
+}
+
+// TestReplayDataflowParallelDifferential: Fig. 1's and Fig. 2's FIFO
+// schedules with every dependency level reversed — a linearisation other
+// than the FIFO one — replay step for step to the recorded outputs and
+// pending operands. Run under -race by make stress.
 func TestReplayDataflowParallelDifferential(t *testing.T) {
-	g := paper.Fig2Graph()
-	sched, rec := recordDataflow(t, g, dataflow.Options{Engine: dataflow.EngineMatrix})
-	res, err := ReplayDataflow(g, sched)
-	if err != nil {
-		t.Fatalf("replay: %v", err)
-	}
-	if res.Divergence != nil {
-		t.Fatalf("matrix schedule diverged on replay: %v", res.Divergence)
-	}
-	if int64(res.Steps) != rec.Firings {
-		t.Errorf("replayed %d steps, recorded %d firings", res.Steps, rec.Firings)
-	}
-	if err := sameOutputs(res.Outputs, rec.Outputs); err != nil {
-		t.Errorf("outputs diverged: %v", err)
-	}
-	if res.Pending != rec.Pending {
-		t.Errorf("pending %d, recorded %d", res.Pending, rec.Pending)
+	for _, g := range []*dataflow.Graph{paper.Fig1Graph(), paper.Fig2Graph()} {
+		sched, rec := recordDataflow(t, g, dataflow.Options{})
+		perm := levelReversed(sched)
+		if bytes.Equal(perm.Bytes(), sched.Bytes()) {
+			t.Fatalf("%s: the level-reversed schedule is the FIFO one", g.Name)
+		}
+		res, err := ReplayDataflow(g, perm)
+		if err != nil {
+			t.Fatalf("%s: replay: %v", g.Name, err)
+		}
+		if res.Divergence != nil {
+			t.Fatalf("%s: level-reversed schedule diverged on replay: %v", g.Name, res.Divergence)
+		}
+		if int64(res.Steps) != rec.Firings {
+			t.Errorf("%s: replayed %d steps, recorded %d firings", g.Name, res.Steps, rec.Firings)
+		}
+		if err := sameOutputs(res.Outputs, rec.Outputs); err != nil {
+			t.Errorf("%s: outputs diverged: %v", g.Name, err)
+		}
+		if res.Pending != rec.Pending {
+			t.Errorf("%s: pending %d, recorded %d", g.Name, res.Pending, rec.Pending)
+		}
 	}
 }
 

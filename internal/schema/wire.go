@@ -76,9 +76,9 @@ const (
 	EngineAuto     = ""         // sequential unless Workers > 1
 	EngineSeq      = "seq"      // the deterministic sequential interpreter
 	EngineParallel = "parallel" // Gamma's sub-solution runtime; a dataflow run executes sequentially
-	// EngineMatrix is the bulk-synchronous sparse-matrix dataflow engine
-	// (wire minor 1.1, dataflow runs only): single-threaded ticks firing
-	// every enabled vertex per round. Gamma runs reject it at Validate.
+	// EngineMatrix (wire minor 1.1, dataflow runs only) named the retired
+	// bulk-synchronous tick schedule; a dataflow run that asks for it runs
+	// the one FIFO schedule. Gamma runs reject it at Validate.
 	EngineMatrix = "matrix"
 )
 
@@ -142,8 +142,7 @@ func (s RunSpec) Validate() error {
 func (s RunSpec) EffectiveWorkers() int {
 	switch s.Engine {
 	case EngineSeq, EngineMatrix:
-		// The matrix engine is single-threaded: its parallelism is the width
-		// of each tick's fire-vector, not a worker count.
+		// A matrix spec is a dataflow run, which executes on one core.
 		return 1
 	case EngineParallel:
 		if s.Workers > 1 {

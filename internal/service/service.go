@@ -200,8 +200,8 @@ type Run struct {
 	// Spec is the submitted spec; MaxSteps holds the effective (clamped)
 	// per-run cap.
 	Spec schema.RunSpec
-	// Engine is the resolved engine label ("seq", "parallel" or "matrix";
-	// a dataflow run is never "parallel") —
+	// Engine is the resolved engine label ("seq" or "parallel"; a dataflow
+	// run is always "seq") —
 	// what actually runs, with EngineAuto resolved, and the run's coordinate
 	// in the registry's engine dimension.
 	Engine string
@@ -324,13 +324,10 @@ func (s *Server) gaugeAdd(name string, n int64, tenant, engine string) {
 // engineLabel resolves a spec to the engine that will actually execute it —
 // the registry's engine dimension and the stats payload report this, not the
 // raw Engine field, so EngineAuto Gamma runs are attributed to seq or
-// parallel, and a dataflow run to matrix when asked for and to seq otherwise
-// (the dataflow runtime has no parallel engine: it runs such a spec
-// sequentially).
+// parallel, and every dataflow run to seq (the dataflow runtime has one
+// schedule: it runs a parallel or matrix spec on it).
 func engineLabel(kind string, spec schema.RunSpec) string {
 	switch {
-	case kind == schema.KindDataflow && spec.Engine == schema.EngineMatrix:
-		return schema.EngineMatrix
 	case kind == schema.KindDataflow:
 		return schema.EngineSeq
 	case spec.Engine != schema.EngineAuto:
@@ -628,9 +625,6 @@ func (s *Server) execute(r *Run) {
 		s.finish(r, res, err, steps, &wall)
 	case schema.KindDataflow:
 		opt := dataflow.Options{MaxFirings: r.Spec.MaxSteps}
-		if r.Spec.Engine == schema.EngineMatrix {
-			opt.Engine = dataflow.EngineMatrix
-		}
 		if r.Traced {
 			opt.Recorder = r.rec
 			opt.Schedule = r.sched

@@ -183,9 +183,10 @@ edge m sub:0 -> out
 	}
 }
 
-// TestMatrixEngineKind pins the wire-minor-1.1 engine end to end: a dataflow
-// submission selecting the matrix engine executes to the same output as the
-// default engine, and a Gamma submission selecting it bounces at admission.
+// TestMatrixEngineKind pins the wire-minor-1.1 engine value end to end: a
+// dataflow submission selecting matrix is accepted and runs the one dataflow
+// schedule to the default output, and a Gamma submission selecting it
+// bounces at admission.
 func TestMatrixEngineKind(t *testing.T) {
 	const graph = `graph ex1
 const x = 1
@@ -395,7 +396,8 @@ func waitState(t *testing.T, ts *httptest.Server, id, state string) {
 // TestStepBudget429 pins the cumulative budget gate: a tenant whose runs
 // have spent their firing allowance gets 429 on the next submission, and a
 // single run never overdraws the remaining budget — on the Gamma engine and
-// on every dataflow engine, which refuse the firing that would exceed it.
+// under every dataflow engine spelling, which refuse the firing that would
+// exceed it.
 func TestStepBudget429(t *testing.T) {
 	// Both programs run forever, so they burn exactly their per-run cap.
 	const spinner = "graph spin\nconst c = 1\ninctag inc\ncopy cp\n" +

@@ -127,7 +127,7 @@ func TestTraceLifecycle(t *testing.T) {
 }
 
 // TestTracedDataflowRun checks the trace surface covers the dataflow kind
-// too: firings == steps on the matrix engine's trace.
+// too: firings == steps on its trace.
 func TestTracedDataflowRun(t *testing.T) {
 	_, ts := newTestServer(t, Config{Pool: 1})
 	graph := "graph g\nconst x = 3\nconst y = 4\narith add +\nedge a x:0 -> add:0\nedge b y:0 -> add:1\nedge m add:0 -> out\n"
@@ -150,25 +150,31 @@ func TestTracedDataflowRun(t *testing.T) {
 	}
 }
 
-// TestDataflowParallelSpecRunsSeq: the wire still accepts engine parallel and
-// workers on a dataflow spec, and the dataflow runtime runs it on its
-// sequential engine — which is what /stats and the registry's engine label
-// report.
+// TestDataflowParallelSpecRunsSeq: the wire still accepts engine parallel
+// with workers, and engine matrix, on a dataflow spec, and the dataflow
+// runtime runs each on its one FIFO schedule — which is what /stats and the
+// registry's engine label report.
 func TestDataflowParallelSpecRunsSeq(t *testing.T) {
-	s, ts := newTestServer(t, Config{Pool: 1})
 	graph := "graph g\nconst x = 3\nconst y = 4\narith add +\nedge a x:0 -> add:0\nedge b y:0 -> add:1\nedge m add:0 -> out\n"
-	req := schema.NewGraphRequest(graph, schema.RunSpec{Engine: schema.EngineParallel, Workers: 4, MaxSteps: 100, Trace: true})
-	hres, resp := postRun(t, ts, req, "?wait=true", "")
-	if hres.StatusCode != http.StatusOK || resp.State != schema.StateDone {
-		t.Fatalf("dataflow run: status %d, state %s (%+v)", hres.StatusCode, resp.State, resp.Error)
-	}
-	if _, st := getStats(t, ts, resp.ID); st == nil || st.Engine != schema.EngineSeq {
-		t.Fatalf("stats engine of a parallel dataflow spec: %+v, want %q", st, schema.EngineSeq)
-	}
-	reg := s.Registry()
-	if seq, par := reg.Labeled("engine", schema.EngineSeq).CounterValue("service.done"),
-		reg.Labeled("engine", schema.EngineParallel).CounterValue("service.done"); seq != 1 || par != 0 {
-		t.Errorf("service.done by engine label: seq %d, parallel %d, want 1 and 0", seq, par)
+	for _, spec := range []schema.RunSpec{
+		{Engine: schema.EngineParallel, Workers: 4, MaxSteps: 100, Trace: true},
+		{Engine: schema.EngineMatrix, MaxSteps: 100, Trace: true},
+	} {
+		s, ts := newTestServer(t, Config{Pool: 1})
+		hres, resp := postRun(t, ts, schema.NewGraphRequest(graph, spec), "?wait=true", "")
+		if hres.StatusCode != http.StatusOK || resp.State != schema.StateDone {
+			t.Fatalf("%s: dataflow run: status %d, state %s (%+v)", spec.Engine, hres.StatusCode, resp.State, resp.Error)
+		}
+		if _, st := getStats(t, ts, resp.ID); st == nil || st.Engine != schema.EngineSeq {
+			t.Fatalf("%s: stats engine of a dataflow spec: %+v, want %q", spec.Engine, st, schema.EngineSeq)
+		}
+		reg := s.Registry()
+		if got := reg.Labeled("engine", schema.EngineSeq).CounterValue("service.done"); got != 1 {
+			t.Errorf("%s: service.done under engine seq = %d, want 1", spec.Engine, got)
+		}
+		if got := reg.Labeled("engine", spec.Engine).CounterValue("service.done"); got != 0 {
+			t.Errorf("%s: service.done under engine %s = %d, want 0", spec.Engine, spec.Engine, got)
+		}
 	}
 }
 
