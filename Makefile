@@ -42,7 +42,7 @@ loc:
 
 # The size criterion as a gate: check-ci fails when the total of `make loc`
 # exceeds this. A PR may lower the ceiling, never raise it.
-LOC_CEILING = 19351
+LOC_CEILING = 19018
 
 # Observability demo: trace the paper's Fig. 1 program and emit a
 # Perfetto-loadable timeline (open trace.json at https://ui.perfetto.dev) plus
@@ -84,8 +84,12 @@ trace-demo:
 # sizes and matcher modes; steps, probes and candidates of the tournament and
 # the sieve under both wake policies; steps and candidates per step on the
 # home-list workloads, with the invariants checked after every commit. And
-# ten seconds of fuzzing the dfir decoder every dataflow submission passes
-# through: whatever it accepts must marshal to a canonical form.
+# ten seconds each of fuzzing the decoders of what a client sends: the dfir
+# decoder every dataflow submission passes through (whatever it accepts must
+# marshal to a canonical form), the multiset literal parser of gammad's init
+# field (whatever it accepts must print and parse back), the schedule decoder
+# of /v1/replay (whatever it accepts must re-encode to a fixed point) and the
+# run-request envelope (whatever it accepts must encode and decode back equal).
 stress:
 	$(GO) test -race -count=2 -run 'Cancel|Panic|Fault|Deadline|Wedge|Partition|Absorb|Differential|KernelMatches|ApplyDelta|TestCommit|TestView|Rollup|Replay|Churn|Recycled|Invariant|Handle|Stale|Narrow|Session|Hysteresis|UnknownLabel|PlanCache' \
 		./internal/gamma/ ./internal/dataflow/ ./internal/rt/ \
@@ -93,6 +97,9 @@ stress:
 		./internal/service/ ./internal/telemetry/ ./internal/replay/ .
 	$(GO) test -race -timeout 5m -run 'TestLabelFreeScaling|TestWakePolicyScaling|TestAlg1ImageShape|TestHomeList' ./internal/gamma/
 	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshal$$' -fuzztime 10s ./internal/dfir/
+	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/multiset/
+	$(GO) test -run '^$$' -fuzz '^FuzzScheduleRoundTrip$$' -fuzztime 10s ./internal/replay/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRunRequest$$' -fuzztime 10s ./internal/schema/
 
 check: vet fmt-check build race bench-check
 

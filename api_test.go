@@ -176,16 +176,14 @@ func TestOptionsCensus(t *testing.T) {
 			"MaxSteps",      // gammarun -maxsteps; wire spec.max_steps and the tenant step budget (service)
 			"FullScan",      // gammarun -fullscan, the wake-policy reference (ROADMAP 8b)
 			"FaultInjector", // ProgramOptions.FaultInjector, the stress suites' fault hook
-			"Recorder",      // -trace/-metrics/-metrics-addr (internal/cli); traced runs (service)
-			"Schedule",      // gammarun -profile and -trace-format schedule|dot; traced runs (service)
+			"Schedule",      // gammarun -profile, -trace and -metrics (internal/cli); traced runs (service)
 		}},
 		{dataflow.Options{}, []string{
 			"Workers",       // no production setter: ignored (one core per run); bench/layers.go still sets it
 			"Engine",        // no production setter; bench/ still sets it
 			"MaxFirings",    // dfrun -maxfirings; wire spec.max_steps (service)
 			"FaultInjector", // GraphOptions.FaultInjector, the stress suites' fault hook
-			"Recorder",      // -trace/-metrics/-metrics-addr (internal/cli); traced runs (service)
-			"Schedule",      // dfrun -profile and -trace-format schedule|dot; traced runs (service)
+			"Schedule",      // dfrun -profile, -trace and -metrics (internal/cli); traced runs (service)
 		}},
 		{RunConfig{}, []string{
 			"RunSpec",  // the wire struct itself: engine, workers, seed, max_steps, timeout_ms, trace

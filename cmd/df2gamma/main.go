@@ -98,11 +98,11 @@ func run(ctx context.Context, path string, tel *cli.TelemetryFlags, compile, red
 		// Observe the conversion's output, not just print it: execute the
 		// emitted Gamma program on a copy of its init multiset so the trace
 		// shows the program the user is about to run.
-		opt := gamma.Options{Workers: 1, MaxSteps: 1_000_000, Recorder: tel.Recorder()}
-		if s := tel.Schedule(); s != nil {
-			opt.Schedule = s
-		}
-		if _, err := gamma.RunContext(ctx, prog, init.Clone(), opt); err != nil {
+		opt := gamma.Options{Workers: 1, MaxSteps: 1_000_000, Schedule: tel.Schedule()}
+		plan := gamma.Sequence(prog)
+		st, err := plan.RunContext(ctx, init.Clone(), opt)
+		tel.GammaRun(plan, init.Len(), st)
+		if err != nil {
 			return fmt.Errorf("traced run of converted program: %w", err)
 		}
 	}

@@ -141,7 +141,7 @@ func run(ctx context.Context, path string, tel *cli.TelemetryFlags, engine strin
 			return err
 		}
 	}
-	opt := dataflow.Options{MaxFirings: maxFirings, Recorder: tel.Recorder()}
+	opt := dataflow.Options{MaxFirings: maxFirings}
 	sched := tel.Schedule()
 	if sched == nil && prof {
 		sched = replay.NewRecorder(replay.KindDataflow, path)
@@ -150,6 +150,7 @@ func run(ctx context.Context, path string, tel *cli.TelemetryFlags, engine strin
 		opt.Schedule = sched
 	}
 	res, err := dataflow.RunContext(ctx, g, opt)
+	tel.DataflowRun(g, res)
 	if err != nil {
 		if res != nil {
 			// Early exit: report the partial work so an interrupted run is

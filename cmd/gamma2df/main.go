@@ -91,11 +91,9 @@ func run(path string, tel *cli.TelemetryFlags, singleReaction bool, dot string) 
 		// the trace shows the dataflow execution the Gamma program maps to.
 		// Single-reaction subgraphs have unconnected roots and are skipped.
 		if !singleReaction {
-			opt := dataflow.Options{MaxFirings: 1_000_000, Recorder: tel.Recorder()}
-			if s := tel.Schedule(); s != nil {
-				opt.Schedule = s
-			}
-			if _, err := dataflow.Run(g, opt); err != nil {
+			res, err := dataflow.Run(g, dataflow.Options{MaxFirings: 1_000_000, Schedule: tel.Schedule()})
+			tel.DataflowRun(g, res)
+			if err != nil {
 				return fmt.Errorf("traced run of converted graph: %w", err)
 			}
 		} else {

@@ -6,7 +6,7 @@
 //
 //	gammad [-addr :8080] [-pool N] [-queue N] [-max-steps-cap N]
 //	       [-concurrent N] [-step-budget N] [-tenant key=conc,steps,budget]...
-//	       [-trace-sample P] [-trace-events N] [-log json|text|off]
+//	       [-trace-sample P] [-log json|text|off]
 //	       [-metrics-addr host:port] [-pprof] [-selfcheck [-remote-trace FILE]]
 //
 // API (see package internal/service):
@@ -31,9 +31,10 @@
 // Admission control rejects with 429 + Retry-After when the pending queue is
 // full or the tenant (API key) is over its concurrency or step-budget quota.
 //
-// Submissions with "trace": true in their spec are recorded (event rings +
-// firing provenance, sampled at -trace-sample) and their traces retained with
-// the terminal run. The server logs one structured record (-log json|text)
+// Submissions with "trace": true in their spec are recorded (the run's
+// firing schedule, sampled at -trace-sample) and retained with the terminal
+// run; its Perfetto/JSONL timeline, provenance DAG and run metrics are folds
+// over that schedule. The server logs one structured record (-log json|text)
 // per admission, rejection and completion, keyed by run id, tenant and
 // engine. Metrics carry per-tenant and per-engine label series alongside the
 // globals, scrape-able at /metrics?format=prom.
@@ -111,7 +112,6 @@ func main() {
 	metricsAddr := flag.String("metrics-addr", "", "serve live service metrics JSON on this HTTP address")
 	pprofFlag := flag.Bool("pprof", false, "also serve /debug/pprof/ on the -metrics-addr endpoint")
 	traceSample := flag.Float64("trace-sample", 0, "fraction of trace-requesting runs actually traced (0 = all, <0 = none)")
-	traceEvents := flag.Int("trace-events", 0, "per-track event-ring capacity of traced runs (0 = 4096)")
 	logFormat := flag.String("log", "json", "structured log format: json, text or off")
 	selfcheck := flag.Bool("selfcheck", false, "start on a loopback port, run the client smoke test and exit")
 	remoteTrace := flag.String("remote-trace", "", "with -selfcheck: write the remotely fetched Perfetto trace to this file")
@@ -138,16 +138,15 @@ func main() {
 	}
 
 	cfg := service.Config{
-		Pool:          *pool,
-		QueueDepth:    *queue,
-		Quota:         service.Quota{MaxConcurrent: *concurrent, StepBudget: *stepBudget},
-		Tenants:       tenants,
-		MaxStepsCap:   *stepsCap,
-		Retain:        *retain,
-		MaxBody:       *maxBody,
-		TraceSample:   *traceSample,
-		TraceEventCap: *traceEvents,
-		Logger:        logger,
+		Pool:        *pool,
+		QueueDepth:  *queue,
+		Quota:       service.Quota{MaxConcurrent: *concurrent, StepBudget: *stepBudget},
+		Tenants:     tenants,
+		MaxStepsCap: *stepsCap,
+		Retain:      *retain,
+		MaxBody:     *maxBody,
+		TraceSample: *traceSample,
+		Logger:      logger,
 	}
 
 	if *selfcheck {

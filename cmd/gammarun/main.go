@@ -71,7 +71,7 @@ func main() {
 		cli.Exit("gammarun", err)
 	}
 	ctx, stop := cli.Context(*timeout)
-	opt := gamma.Options{Workers: *workers, Seed: *seed, MaxSteps: *maxSteps, FullScan: *fullScan, Recorder: tel.Recorder()}
+	opt := gamma.Options{Workers: *workers, Seed: *seed, MaxSteps: *maxSteps, FullScan: *fullScan}
 	if *replayFile != "" {
 		err = replayRun(flag.Arg(0), *replayFile, *initSet)
 	} else {
@@ -186,7 +186,9 @@ func run(ctx context.Context, path string, opt gamma.Options, tel *cli.Telemetry
 	if sched != nil {
 		opt.Schedule = sched
 	}
+	m0 := m.Len()
 	st, err := plan.RunContext(ctx, m, opt)
+	tel.GammaRun(plan, m0, st)
 	if err != nil {
 		if st != nil {
 			// Early exit: report the partial work so an interrupted run is

@@ -137,6 +137,7 @@ R = replace [x, 'a'] by [x + 1, 'a']
 	}{
 		{gamma.Options{Workers: -3}, "spec: negative workers -3"},
 		{gamma.Options{Workers: 1, MaxSteps: -1}, "spec: negative max_steps -1"},
+		{gamma.Options{Workers: 2_000_000_000}, "spec: workers 2000000000 above the limit of 1024"},
 	} {
 		err := run(context.Background(), diverge, tc.opt, &cli.TelemetryFlags{}, "", false, false, false)
 		if !errors.Is(err, rt.ErrInvalid) || err.Error() != tc.want || cli.ExitCode(err) != cli.ExitParse {

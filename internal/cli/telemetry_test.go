@@ -9,8 +9,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"repro/internal/telemetry"
 )
 
 func TestTelemetryFlagsDisabledIsFree(t *testing.T) {
@@ -26,8 +24,8 @@ func TestTelemetryFlagsDisabledIsFree(t *testing.T) {
 	if err := tel.Start(nil); err != nil {
 		t.Fatal(err)
 	}
-	if tel.Recorder() != nil || tel.Schedule() != nil {
-		t.Fatal("disabled telemetry must keep the nil fast path")
+	if tel.Schedule() != nil {
+		t.Fatal("disabled telemetry must keep the untraced path")
 	}
 	if err := tel.Finish(); err != nil {
 		t.Fatal(err)
@@ -47,11 +45,11 @@ func TestTelemetryFlagsJSONLLifecycle(t *testing.T) {
 	if err := tel.Start(nil); err != nil {
 		t.Fatal(err)
 	}
-	rec := tel.Recorder()
-	if rec == nil {
-		t.Fatal("trace requested but no recorder")
+	sched := tel.Schedule()
+	if sched == nil {
+		t.Fatal("trace requested but no schedule recorder")
 	}
-	rec.Track("gamma/w0").SpanDur(telemetry.KindFiring, "R1", time.Now(), 0, 1, 0)
+	sched.RecordStep(1, "R1", time.Now(), []string{"a"}, []string{"b"})
 	if err := tel.Finish(); err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +82,7 @@ func TestTelemetryFlagsDOTLifecycle(t *testing.T) {
 	if sched == nil {
 		t.Fatal("dot format must build a schedule recorder to fold the DAG from")
 	}
-	sched.RecordStep(1, "R1", []string{"a"}, []string{"b"})
+	sched.RecordStep(1, "R1", time.Now(), []string{"a"}, []string{"b"})
 	if err := tel.Finish(); err != nil {
 		t.Fatal(err)
 	}

@@ -12,7 +12,6 @@ import (
 	"time"
 	"unsafe"
 
-	"repro/internal/telemetry"
 	"repro/internal/value"
 )
 
@@ -528,26 +527,23 @@ func TestCoreEngineDifferential(t *testing.T) {
 	}
 }
 
-// TestSkewedLoopMatchingPeaks checks the run-end gauges on a graph whose
+// TestSkewedLoopMatchingPeaks checks the run-end peaks on a graph whose
 // matching work is known: with the slow path 12 copies behind the fast one,
 // several trips' operands wait at dbl at once, and the worklist holds more
 // than one token.
 func TestSkewedLoopMatchingPeaks(t *testing.T) {
 	for _, e := range engineOptions {
-		rec := telemetry.New(0)
-		opt := e.opt
-		opt.Recorder = rec
-		if _, err := Run(buildSkewedLoop(20, 12, true), opt); err != nil {
+		res, err := Run(buildSkewedLoop(20, 12, true), e.opt)
+		if err != nil {
 			t.Fatalf("%s: %v", e.name, err)
 		}
-		gauges := rec.Metrics.Snapshot().Gauges
 		// 20 stranded trips plus the stranded constant wait to the end; on
 		// top of them at least two tags at dbl.
-		if got := gauges["dataflow.match_entries_peak"].Value; got < 22 {
-			t.Errorf("%s: dataflow.match_entries_peak = %d, want >= 22", e.name, got)
+		if res.MatchPeak < 22 {
+			t.Errorf("%s: MatchPeak = %d, want >= 22", e.name, res.MatchPeak)
 		}
-		if got := gauges["dataflow.queue_peak"].Value; got < 2 {
-			t.Errorf("%s: dataflow.queue_peak = %d, want >= 2", e.name, got)
+		if res.QueuePeak < 2 {
+			t.Errorf("%s: QueuePeak = %d, want >= 2", e.name, res.QueuePeak)
 		}
 	}
 }

@@ -160,7 +160,7 @@ func TestWorkersRunOnOneCore(t *testing.T) {
 // lineSchedule records every firing as one line, in call order.
 type lineSchedule struct{ bytes.Buffer }
 
-func (s *lineSchedule) RecordStep(seq uint64, name string, consumed, produced []string) {
+func (s *lineSchedule) RecordStep(seq uint64, name string, _ time.Time, consumed, produced []string) {
 	fmt.Fprintf(s, "%d %s %q %q\n", seq, name, consumed, produced)
 }
 

@@ -5,9 +5,9 @@ import (
 	"fmt"
 	"math/bits"
 	"sort"
+	"time"
 
 	"repro/internal/rt"
-	"repro/internal/telemetry"
 	"repro/internal/value"
 )
 
@@ -45,7 +45,11 @@ type Result struct {
 	// the FIFO worklist's levels (runSequential), so a graph's depth past its
 	// consts on an acyclic run.
 	Ticks int64
-	g     *Graph // names Counts for PerNode
+	// MatchPeak is the most activations waiting in the matching table at
+	// once, and QueuePeak the most tokens queued: the matching work no
+	// firing count shows.
+	MatchPeak, QueuePeak int
+	g                    *Graph // names Counts for PerNode
 }
 
 // PerNode counts activations per vertex name, over the vertices that fired.
@@ -79,15 +83,16 @@ func (r *Result) Output(label string) (value.Value, bool) {
 var ErrMaxFirings = rt.Wrap("dataflow: maximum firing count exceeded", rt.ErrMaxSteps)
 
 // ScheduleRecorder is the engines' one per-firing observer: it receives every
-// vertex firing with a commit sequence number (1, 2, 3, … in firing order)
-// and opaque keys identifying the tokens it consumed (in input-port order,
-// which is what lets replay rebuild the operand vector positionally) and
-// produced; a consumed key always equals some earlier firing's produced key.
+// vertex firing with a commit sequence number (1, 2, 3, … in firing order),
+// the time the firing started, and opaque keys identifying the tokens it
+// consumed (in input-port order, which is what lets replay rebuild the
+// operand vector positionally) and produced; a consumed key always equals
+// some earlier firing's produced key.
 // Provenance, work/span profiles and replay are all folds over that order
 // (package replay). The engine hands over ownership of the key slices —
 // implementations may retain them without copying.
 type ScheduleRecorder interface {
-	RecordStep(seq uint64, name string, consumed, produced []string)
+	RecordStep(seq uint64, name string, start time.Time, consumed, produced []string)
 }
 
 // EngineMatrix is the one Options.Engine value besides empty. It names the
@@ -111,13 +116,9 @@ type Options struct {
 	// run with that error, and a panic inside it exercises the panic
 	// recovery. For stress tests; leave nil in production runs.
 	FaultInjector rt.FaultInjector
-	// Recorder, when set, receives the execution's telemetry: one event
-	// track (firing spans with latency and token depth) and registry
-	// counters mirroring the Result fields increment for increment. Nil
-	// costs one branch per record site on the hot paths.
-	Recorder *telemetry.Recorder
 	// Schedule, when set, receives every firing (see ScheduleRecorder). Nil
-	// costs one branch per firing.
+	// costs two branches per firing: the engine reads the clock only for a
+	// recorder.
 	Schedule ScheduleRecorder
 }
 
@@ -356,7 +357,6 @@ type core struct {
 	p        *plan
 	opt      Options
 	ctx      context.Context // consulted before every firing
-	ts       *dfSink
 	match    matchTable
 	operands []value.Value // scratch for one activation's operand vector
 	outputs  map[string][]TaggedValue
@@ -369,7 +369,6 @@ type core struct {
 func newCore(ctx context.Context, p *plan, opt Options) *core {
 	return &core{
 		p: p, opt: opt, ctx: ctx, site: -1,
-		ts:       newDFSink(opt, p.g),
 		match:    matchTable{keyed: opt.Schedule != nil, sizing: p.multiPort},
 		operands: make([]value.Value, 0, p.maxArity),
 		counts:   make([]int64, len(p.vert)),
@@ -406,9 +405,8 @@ func (c *core) overBudget() bool {
 
 // fire runs one enabled activation: context, budget and fault injector are
 // consulted, then the vertex is committed. It returns the emission — out-edge
-// row, value, tag — for the schedule to queue. depth is the worklist's token
-// depth without this activation's operands, for telemetry.
-func (c *core) fire(id int32, tag int64, operands []value.Value, keys []string, depth int64) ([]int32, value.Value, int64, error) {
+// row, value, tag — for the schedule to queue.
+func (c *core) fire(id int32, tag int64, operands []value.Value, keys []string) ([]int32, value.Value, int64, error) {
 	c.site = id
 	var err error
 	if c.ctx.Err() != nil {
@@ -421,12 +419,15 @@ func (c *core) fire(id int32, tag int64, operands []value.Value, keys []string, 
 	if err != nil {
 		return nil, value.Value{}, 0, err
 	}
-	return c.commit(id, tag, operands, keys, depth)
+	return c.commit(id, tag, operands, keys)
 }
 
 // commit is the package's one route → record → count sequence.
-func (c *core) commit(id int32, tag int64, operands []value.Value, keys []string, depth int64) ([]int32, value.Value, int64, error) {
-	t0 := c.ts.begin()
+func (c *core) commit(id int32, tag int64, operands []value.Value, keys []string) ([]int32, value.Value, int64, error) {
+	var t0 time.Time
+	if c.opt.Schedule != nil {
+		t0 = time.Now()
+	}
 	port, v, outTag, err := c.p.route(id, tag, operands)
 	if err != nil {
 		return nil, value.Value{}, 0, err
@@ -439,10 +440,7 @@ func (c *core) commit(id int32, tag int64, operands []value.Value, keys []string
 		for i, e := range row {
 			produced[i] = TokenKey(c.p.g, Token{Edge: EdgeID(e), Tag: outTag})
 		}
-		c.opt.Schedule.RecordStep(uint64(c.fired), c.p.name(id), keys, produced)
-	}
-	if c.ts != nil {
-		c.ts.firing(NodeID(id), c.p.name(id), t0, depth+int64(len(row)), len(row))
+		c.opt.Schedule.RecordStep(uint64(c.fired), c.p.name(id), t0, keys, produced)
 	}
 	if afterCommit != nil {
 		afterCommit(c)
@@ -466,7 +464,7 @@ func (c *core) seed(q *ring) error {
 		if c.overBudget() {
 			return ErrMaxFirings
 		}
-		row, v, _, _ := c.commit(int32(id), 0, nil, nil, int64(q.n)) // a const firing cannot fail
+		row, v, _, _ := c.commit(int32(id), 0, nil, nil) // a const firing cannot fail
 		for _, e := range row {
 			q.push(Token{Val: v, Edge: EdgeID(e)})
 		}
@@ -475,9 +473,10 @@ func (c *core) seed(q *ring) error {
 }
 
 // finish folds the core into the run's Result — on every exit path, so an
-// early stop reports the work done up to it — and sets the run-end gauges.
+// early stop reports the work done up to it.
 func (c *core) finish(ticks int64, queuePeak int) *Result {
-	res := &Result{Outputs: c.outputs, Firings: c.fired, Counts: c.counts, Pending: c.match.pending(), Ticks: ticks, g: c.p.g}
+	res := &Result{Outputs: c.outputs, Firings: c.fired, Counts: c.counts, Pending: c.match.pending(), Ticks: ticks,
+		MatchPeak: c.match.peak, QueuePeak: queuePeak, g: c.p.g}
 	if res.Outputs == nil {
 		res.Outputs = make(map[string][]TaggedValue)
 	}
@@ -486,7 +485,6 @@ func (c *core) finish(ticks int64, queuePeak int) *Result {
 			sort.SliceStable(vs, func(i, j int) bool { return vs[i].Tag < vs[j].Tag })
 		}
 	}
-	c.ts.peaks(c.match.peak, queuePeak)
 	return res
 }
 
@@ -521,8 +519,8 @@ func (r *ring) pop() Token {
 // complete; a vertex panic is recovered into *rt.PanicError with the partial
 // Result preserved. FIFO is breadth-first — the seed tokens are level 0 and
 // a firing's emissions queue behind every token of its own level — so a level
-// that fires is one tick (Result.Ticks, dataflow.ticks, fired_per_tick): left
-// counts the level's tokens still queued and mark the firings before it.
+// that fires is one tick (Result.Ticks): left counts the level's tokens still
+// queued and mark the firings before it.
 func runSequential(c *core) (res *Result, err error) {
 	p := c.p
 	// The worklist starts at the seed tokens; fan-out beyond them grows it.
@@ -545,7 +543,6 @@ func runSequential(c *core) (res *Result, err error) {
 		if left == 0 {
 			if c.fired > mark {
 				ticks++
-				c.ts.tick(int(c.fired - mark))
 			}
 			if q.n == 0 {
 				break
@@ -569,7 +566,7 @@ func runSequential(c *core) (res *Result, err error) {
 			continue
 		}
 		inflight -= len(operands)
-		row, v, tag, err := c.fire(to, tok.Tag, operands, keys, int64(q.n))
+		row, v, tag, err := c.fire(to, tok.Tag, operands, keys)
 		if err != nil {
 			return nil, err
 		}

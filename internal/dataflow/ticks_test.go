@@ -2,8 +2,7 @@ package dataflow
 
 // The EngineMatrix spelling is still accepted (the wire's engine: matrix) and
 // runs the one FIFO schedule. These cases run that spelling, and hold
-// Result.Ticks and the dataflow.ticks / fired_per_tick series to the level
-// fold of the run's own schedule (checkTicks).
+// Result.Ticks to the level fold of the run's own schedule (checkTicks).
 
 import (
 	"context"
@@ -12,10 +11,10 @@ import (
 	"reflect"
 	"sort"
 	"testing"
+	"time"
 
 	"repro/internal/profile"
 	"repro/internal/rt"
-	"repro/internal/telemetry"
 	"repro/internal/value"
 )
 
@@ -24,7 +23,7 @@ type recSchedule struct {
 	recs []string
 }
 
-func (r *recSchedule) RecordStep(_ uint64, name string, consumed, produced []string) {
+func (r *recSchedule) RecordStep(_ uint64, name string, _ time.Time, consumed, produced []string) {
 	c := append([]string(nil), consumed...)
 	p := append([]string(nil), produced...)
 	sort.Strings(c)
@@ -41,50 +40,30 @@ func (r *recSchedule) sorted() []string {
 // profileFold feeds a run's firings straight into a work/span profile.
 type profileFold struct{ *profile.Collector }
 
-func (f profileFold) RecordStep(_ uint64, name string, consumed, produced []string) {
+func (f profileFold) RecordStep(_ uint64, name string, _ time.Time, consumed, produced []string) {
 	f.RecordFiring(name, consumed, produced)
 }
 
-// checkTicks runs g with telemetry and a work/span profile of the schedule
-// attached, and holds the ticks to the profile: Ticks = Span − 1 (the consts
-// are depth 1), the dataflow.ticks counter reads Ticks, and fired_per_tick
-// observed exactly the per-depth widths above the const level — compared as
-// count, sum, max and quantiles, since a histogram keeps no samples.
-func checkTicks(t *testing.T, name string, g *Graph, opt Options) (*Result, *telemetry.Recorder) {
+// checkTicks runs g with a work/span profile of its schedule attached and
+// holds the ticks to the profile: Ticks = Span − 1, the consts being depth 1.
+// (The run-end fold's dataflow.ticks and fired_per_tick are held to Ticks in
+// the external telemetry tests.)
+func checkTicks(t *testing.T, name string, g *Graph, opt Options) *Result {
 	t.Helper()
-	if opt.Recorder == nil {
-		opt.Recorder = telemetry.New(0)
-	}
 	col := profile.NewCollector()
 	opt.Schedule = profileFold{col}
 	res, err := Run(g, opt)
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
-	rep := col.Report()
-	if want := max(rep.Span-1, 0); res.Ticks != want {
+	if want := max(col.Report().Span-1, 0); res.Ticks != want {
 		t.Errorf("%s: ticks %d, the schedule's span past the consts is %d", name, res.Ticks, want)
 	}
-	reg := opt.Recorder.Metrics
-	if got := reg.CounterValue("dataflow.ticks"); got != res.Ticks {
-		t.Errorf("%s: counter dataflow.ticks = %d, result says %d", name, got, res.Ticks)
-	}
-	var widths telemetry.Histogram
-	for d := 1; d < len(rep.Profile); d++ {
-		widths.Observe(rep.Profile[d])
-	}
-	summary := func(h *telemetry.Histogram) string {
-		return fmt.Sprintf("count %d sum %d max %d p50 %d p90 %d p99 %d",
-			h.Count(), h.Sum(), h.Max(), h.Quantile(0.5), h.Quantile(0.9), h.Quantile(0.99))
-	}
-	if got, want := summary(reg.Histogram("dataflow.fired_per_tick")), summary(&widths); got != want {
-		t.Errorf("%s: fired_per_tick %s, per-level widths %s", name, got, want)
-	}
-	return res, opt.Recorder
+	return res
 }
 
 func TestMatrixFig1(t *testing.T) {
-	res, _ := checkTicks(t, "fig1", buildFig1(1, 5, 3, 2), Options{Engine: EngineMatrix})
+	res := checkTicks(t, "fig1", buildFig1(1, 5, 3, 2), Options{Engine: EngineMatrix})
 	if m, ok := res.Output("m"); !ok || m != value.Int(0) {
 		t.Fatalf("m = %v (%v), want 0", m, ok)
 	}
@@ -107,7 +86,7 @@ func TestMatrixLoop(t *testing.T) {
 	}
 	for _, c := range cases {
 		name := fmt.Sprintf("loop(%d,%d,%d)", c.a, c.b, c.n)
-		res, _ := checkTicks(t, name, buildLoop(c.a, c.b, c.n), Options{Engine: EngineMatrix})
+		res := checkTicks(t, name, buildLoop(c.a, c.b, c.n), Options{Engine: EngineMatrix})
 		out, ok := res.Output("out")
 		if !ok || out != value.Int(c.want) {
 			t.Errorf("%s = %v, want %d", name, out, c.want)
@@ -357,24 +336,5 @@ func TestMatrixUnknownEngineRejected(t *testing.T) {
 	_, err := Run(buildFig1(1, 5, 3, 2), Options{Engine: "quantum"})
 	if !errors.Is(err, rt.ErrInvalid) {
 		t.Errorf("err = %v, want rt.ErrInvalid", err)
-	}
-}
-
-func TestTelemetryDifferentialMatrix(t *testing.T) {
-	g := buildLoop(1, 1, 40)
-	res, rec := checkTicks(t, "loop", g, Options{Engine: EngineMatrix})
-	checkDFTelemetryAgrees(t, rec, res)
-	if res.Ticks == 0 {
-		t.Error("matrix run reported zero ticks")
-	}
-	// The fired_per_tick histogram observed exactly one sample per tick, and
-	// the samples sum to the non-const firings (consts fire before tick 1).
-	h := rec.Metrics.Histogram("dataflow.fired_per_tick")
-	if h.Count() != res.Ticks {
-		t.Errorf("fired_per_tick count = %d, ticks = %d", h.Count(), res.Ticks)
-	}
-	consts := int64(len(g.RootNodes()))
-	if h.Sum() != res.Firings-consts {
-		t.Errorf("fired_per_tick sum = %d, want %d", h.Sum(), res.Firings-consts)
 	}
 }

@@ -49,15 +49,15 @@ func levelReversed(s *replay.Schedule) *replay.Schedule {
 }
 
 // checkSchedules runs g on the FIFO schedule, recorded, and holds the run to
-// two folds of its schedule. The ticks fold: Result.Ticks and the
-// dataflow.ticks counter equal the schedule's span past the const level
-// (internal/profile), and fired_per_tick observed the per-level widths above
-// it. The replay: the level-reversed schedule replays without divergence to
+// two folds of its schedule. The ticks fold: Result.Ticks equals the
+// schedule's span past the const level (internal/profile), and the run-end
+// fold's dataflow.ticks and fired_per_tick read the engine's Ticks and the
+// firings above the const level. The replay: the level-reversed schedule replays without divergence to
 // the run's outputs, firings and pending operands. moved reports whether the
 // reversal changed the order at all; a chain has one step per level.
 func checkSchedules(g *dataflow.Graph, maxSteps int64) (moved bool, err error) {
-	rec, tel := replay.NewRecorder(replay.KindDataflow, g.Name), telemetry.New(0)
-	res, err := dataflow.Run(g, dataflow.Options{MaxFirings: maxSteps, Schedule: rec, Recorder: tel})
+	rec := replay.NewRecorder(replay.KindDataflow, g.Name)
+	res, err := dataflow.Run(g, dataflow.Options{MaxFirings: maxSteps, Schedule: rec})
 	if err != nil {
 		return false, err
 	}
@@ -65,15 +65,17 @@ func checkSchedules(g *dataflow.Graph, maxSteps int64) (moved bool, err error) {
 	col := profile.NewCollector()
 	sched.Each(col.RecordFiring)
 	rep := col.Report()
-	var widths telemetry.Histogram
-	for d := 1; d < len(rep.Profile); d++ {
-		widths.Observe(rep.Profile[d])
+	reg := telemetry.NewRegistry()
+	replay.DataflowMetrics(reg, g, res, sched)
+	h := reg.Histogram("dataflow.fired_per_tick")
+	consts := int64(0)
+	if len(rep.Profile) > 0 {
+		consts = rep.Profile[0]
 	}
-	h := tel.Metrics.Histogram("dataflow.fired_per_tick")
-	if ticks := tel.Metrics.CounterValue("dataflow.ticks"); res.Ticks != max(rep.Span-1, 0) || ticks != res.Ticks ||
-		h.Count() != widths.Count() || h.Sum() != widths.Sum() || h.Max() != widths.Max() {
-		return false, fmt.Errorf("ticks %d (counter %d, fired_per_tick %d/%d/%d), schedule span %d and widths %v",
-			res.Ticks, ticks, h.Count(), h.Sum(), h.Max(), rep.Span, rep.Profile)
+	if ticks := reg.CounterValue("dataflow.ticks"); res.Ticks != max(rep.Span-1, 0) || ticks != res.Ticks ||
+		h.Count() != res.Ticks || h.Sum() != res.Firings-consts {
+		return false, fmt.Errorf("ticks %d (counter %d, fired_per_tick %d/%d), firings %d, schedule span %d and widths %v",
+			res.Ticks, ticks, h.Count(), h.Sum(), res.Firings, rep.Span, rep.Profile)
 	}
 
 	perm := levelReversed(sched)

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/multiset"
 	"repro/internal/rt"
-	"repro/internal/telemetry"
 	"repro/internal/value"
 )
 
@@ -94,13 +93,11 @@ func TestStealBatchDifferentialExample1(t *testing.T) {
 }
 
 // TestPartitionWorkerIdentity: the part index is the worker id everywhere one
-// is reported — the fault injector's argument, a recovered panic's Worker, and
-// the telemetry track a part writes (one each: the parts run concurrently).
+// is reported — the fault injector's argument and a recovered panic's Worker.
 func TestPartitionWorkerIdentity(t *testing.T) {
 	const workers = 4
 	var seen [workers]atomic.Int64
-	rec := telemetry.New(0)
-	st, err := Run(tournamentProgram(6), tournamentInit(1<<10), Options{Workers: workers, Seed: 5, Recorder: rec,
+	st, err := Run(tournamentProgram(6), tournamentInit(1<<10), Options{Workers: workers, Seed: 5,
 		FaultInjector: func(_ string, worker int) error {
 			seen[worker].Add(1)
 			return nil
@@ -112,26 +109,6 @@ func TestPartitionWorkerIdentity(t *testing.T) {
 		// The completion pass reports as worker 0.
 		if got, fired := seen[id].Load(), st.PartSteps[id]; got < fired || id > 0 && got != fired {
 			t.Errorf("injector saw worker %d %d times, the part fired %d", id, got, fired)
-		}
-	}
-	checkTelemetryAgrees(t, rec, st)
-	snap := rec.Snapshot()
-	if len(snap) != workers {
-		t.Fatalf("tracks = %v, want one per part", trackNames(snap))
-	}
-	for _, tr := range snap {
-		var id int
-		if _, err := fmt.Sscanf(tr.Name, "gamma/w%d", &id); err != nil || id < 0 || id >= workers {
-			t.Fatalf("track %q is not a part's", tr.Name)
-		}
-		firings := int64(0)
-		for _, e := range tr.Events {
-			if e.Kind == telemetry.KindFiring {
-				firings++
-			}
-		}
-		if fired := st.PartSteps[id]; firings < fired || id > 0 && firings != fired {
-			t.Errorf("track %q holds %d firings, the part fired %d", tr.Name, firings, fired)
 		}
 	}
 

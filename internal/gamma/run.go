@@ -12,7 +12,6 @@ import (
 	"repro/internal/multiset"
 	"repro/internal/rt"
 	"repro/internal/symtab"
-	"repro/internal/telemetry"
 	"repro/internal/value"
 )
 
@@ -26,22 +25,23 @@ import (
 var ErrMaxSteps = rt.Wrap("gamma: maximum step count exceeded", rt.ErrMaxSteps)
 
 // ScheduleRecorder is the engines' one per-firing observer: it receives every
-// committed reaction firing with its commit sequence number and the raw
-// tuples it consumed (in pattern order, which is what lets replay re-match
-// them positionally) and produced. Sequence numbers are drawn inside the
-// multiset's commit critical sections, so sorting the records by seq yields a
-// sequential firing order that is a valid linearization even of a
-// nondeterministic parallel run; provenance, work/span profiles and replay
-// are all folds over that order (package replay). With Workers > 1 calls
-// arrive from every part's goroutine, concurrently and out of seq order, so
-// implementations must be safe for concurrent use; every call comes from
-// inside a write session, so an implementation must not touch the multiset
-// being run, not even to read it.
+// committed reaction firing with its commit sequence number, the time its
+// successful probe started, and the raw tuples it consumed (in pattern order,
+// which is what lets replay re-match them positionally) and produced.
+// Sequence numbers are drawn inside the multiset's commit critical sections,
+// so sorting the records by seq yields a sequential firing order that is a
+// valid linearization even of a nondeterministic parallel run; provenance,
+// work/span profiles, run metrics and replay are all folds over that order
+// (package replay). With Workers > 1 calls arrive from every part's
+// goroutine, concurrently and out of seq order, so implementations must be
+// safe for concurrent use; every call comes from inside a write session, so
+// an implementation must not touch the multiset being run, not even to read
+// it.
 // The tuples are only borrowed for the call: implementations extract what
 // they need before returning (replay.Recorder fingerprints them into one byte
 // buffer, so recording allocates nothing per firing).
 type ScheduleRecorder interface {
-	RecordStepTuples(seq uint64, name string, consumed, produced []multiset.Tuple)
+	RecordStepTuples(seq uint64, name string, start time.Time, consumed, produced []multiset.Tuple)
 }
 
 // Options configures an execution.
@@ -69,13 +69,9 @@ type Options struct {
 	// exercises the engines' panic recovery. For stress tests; leave nil in
 	// production runs.
 	FaultInjector rt.FaultInjector
-	// Recorder, when set, receives the execution's telemetry: per-worker
-	// event tracks (firing spans with latency) and registry
-	// counters/gauges/histograms mirroring Stats increment for increment. Nil
-	// costs one branch per record site on the hot paths.
-	Recorder *telemetry.Recorder
 	// Schedule, when set, receives every committed firing (see
-	// ScheduleRecorder). Nil costs one branch per commit.
+	// ScheduleRecorder). Nil costs one branch per probe and one per commit:
+	// the engine reads the clock only for a recorder.
 	Schedule ScheduleRecorder
 }
 
@@ -163,9 +159,6 @@ func RunContext(ctx context.Context, p *Program, m *multiset.Multiset, opt Optio
 	before := m.ArenaBytes()
 	st, err := runContext(ctx, p, m, opt)
 	st.ArenaBytes = m.ArenaBytes() - before
-	if opt.Recorder != nil {
-		opt.Recorder.Metrics.Counter("gamma.arena_bytes").Add(st.ArenaBytes)
-	}
 	return st, err
 }
 
@@ -203,8 +196,7 @@ type worker struct {
 	m     *multiset.Multiset
 	opt   Options
 	stats *Stats
-	rng   *rand.Rand // nil selects the deterministic sequential matcher
-	ts    *telSink
+	rng   *rand.Rand    // nil selects the deterministic sequential matcher
 	id    int           // part index in a parallel run (see part), else 0
 	steps *atomic.Int64 // the parallel run's remaining step budget, else nil
 
@@ -251,20 +243,18 @@ func (w *worker) foldFired() {
 }
 
 // committed is the bookkeeping once a firing of reaction idx has landed in the
-// multiset: Stats, the wake policy, and the telemetry span opened at t0. syms
-// holds the label symbols the commit added. The incremental policy wakes the
+// multiset: Stats and the wake policy. syms holds the label symbols the commit
+// added. The incremental policy wakes the
 // reactions subscribed to those labels (schedule.go) plus the fired one, which
 // may still be enabled on what remains; FullScan wakes every reaction, as the
 // seed engine did.
-func (w *worker) committed(idx int, syms []symtab.Sym, t0 time.Time) {
+func (w *worker) committed(idx int, syms []symtab.Sym) {
 	w.stats.Steps++
 	w.fired[idx]++
-	woken := 0
 	mark := func(j int) {
 		if !w.dirty[j] {
 			w.dirty[j] = true
 			w.remaining++
-			woken++
 		}
 	}
 	if w.opt.FullScan {
@@ -275,7 +265,6 @@ func (w *worker) committed(idx int, syms []symtab.Sym, t0 time.Time) {
 		w.p.subs().forEachSym(syms, mark)
 		mark(idx)
 	}
-	w.ts.firing(idx, w.p.Reactions[idx].Name, t0, w.m, woken, w.remaining)
 	if afterCommit != nil {
 		afterCommit(w)
 	}
@@ -325,7 +314,7 @@ func runSequential(ctx context.Context, p *Program, m *multiset.Multiset, opt Op
 	if n == 0 {
 		return stats, nil
 	}
-	w.ts, w.dirty, w.remaining = newTelSink(opt, p, w.id), make([]bool, n), n
+	w.dirty, w.remaining = make([]bool, n), n
 	if opt.Seed != 0 {
 		w.rng = rand.New(rand.NewSource(opt.Seed))
 	}
@@ -347,13 +336,14 @@ func runSequential(ctx context.Context, p *Program, m *multiset.Multiset, opt Op
 			runtime.Gosched() // let the readers just woken in before the next LockWrite
 			m.LockWrite(&w.view)
 		}
-		t0 := w.ts.begin()
-		w.ts.probe()
+		var t0 time.Time
+		if opt.Schedule != nil {
+			t0 = time.Now()
+		}
 		s := w.searchers[i]
 		s.begin(m, w.rng)
 		ok := s.search(0)
 		stats.Candidates += s.visited
-		w.ts.candidates(s.visited)
 		if s.err != nil {
 			return stats, s.err
 		}
@@ -376,8 +366,8 @@ const sessionProbes = 1024
 
 // fire applies the enabled firing of reaction idx held by s and commits it
 // inside the worker's write session — an all-or-nothing claim by handle —
-// tells the schedule recorder of it, and wakes what the label symbols the
-// commit returns name.
+// tells the schedule recorder of it (with t0, when the probe that found it
+// started), and wakes what the label symbols the commit returns name.
 func (w *worker) fire(idx int, s *searcher, t0 time.Time) error {
 	r := w.p.Reactions[idx]
 	// The match just found proves the program is still enabled past the step
@@ -415,9 +405,9 @@ func (w *worker) fire(idx int, s *searcher, t0 time.Time) error {
 	}
 	w.symsBuf = syms
 	if rec != nil {
-		rec.RecordStepTuples(seq, r.Name, d.Consume, d.Produce)
+		rec.RecordStepTuples(seq, r.Name, t0, d.Consume, d.Produce)
 	}
-	w.committed(idx, syms, t0)
+	w.committed(idx, syms)
 	return nil
 }
 

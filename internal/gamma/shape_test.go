@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/compiler"
 	"repro/internal/core"
@@ -108,7 +109,7 @@ func (p *labelPopulation) add(t multiset.Tuple, n int) {
 	}
 }
 
-func (p *labelPopulation) RecordStepTuples(_ uint64, _ string, consumed, produced []multiset.Tuple) {
+func (p *labelPopulation) RecordStepTuples(_ uint64, _ string, _ time.Time, consumed, produced []multiset.Tuple) {
 	for _, t := range consumed {
 		p.add(t, -1)
 	}

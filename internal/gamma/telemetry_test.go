@@ -1,74 +1,120 @@
-package gamma
+package gamma_test
+
+// The run-end fold (replay.GammaMetrics) against its two sources: the Stats a
+// run returns and the schedule it recorded. The engine has no other
+// per-firing observer, so these hold every published series to the engine's
+// own accounting.
 
 import (
+	"bufio"
+	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"sync/atomic"
 	"testing"
+	"time"
 
+	"repro/internal/gamma"
+	"repro/internal/gammalang"
 	"repro/internal/multiset"
+	"repro/internal/paper"
+	"repro/internal/replay"
 	"repro/internal/telemetry"
 	"repro/internal/value"
 )
 
-// checkTelemetryAgrees holds the registry counters to exact agreement with
-// the Stats the run returned — the telemetry layer's correctness contract:
-// every counter increment sits adjacent to its Stats field increment.
-func checkTelemetryAgrees(t *testing.T, rec *telemetry.Recorder, st *Stats) {
+func minProgram(t testing.TB) *gamma.Program {
+	p, err := gammalang.ParseProgram("min", "R = replace (x, y) by x where x < y")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// tracedRun runs p on m with a schedule recorder and folds the run's
+// registry; the error is the run's.
+func tracedRun(p *gamma.Program, m *multiset.Multiset, opt gamma.Options) (*gamma.Stats, *replay.Schedule, *telemetry.Registry, error) {
+	rec := replay.NewRecorder(replay.KindGamma, p.Name)
+	opt.Schedule = rec
+	plan, m0 := gamma.Sequence(p), m.Len()
+	st, err := plan.Run(m, opt)
+	sched, reg := rec.Schedule(), telemetry.NewRegistry()
+	replay.GammaMetrics(reg, plan, m0, st, sched)
+	return st, sched, reg, err
+}
+
+// checkTelemetryAgrees holds the folded registry to the Stats the run
+// returned and to the schedule it recorded: the counters are the Stats
+// fields, gamma.steps is the schedule's length, gamma.fired.<r> is both the
+// Stats count and the schedule's per-name count, and gamma.firing_ns.<r>
+// observed every recorded firing of r once.
+func checkTelemetryAgrees(t *testing.T, reg *telemetry.Registry, st *gamma.Stats, sched *replay.Schedule) {
 	t.Helper()
-	reg := rec.Metrics
 	for _, c := range []struct {
 		name string
 		want int64
 	}{
 		{"gamma.steps", st.Steps},
+		{"gamma.steps", int64(len(sched.Steps))},
 		{"gamma.probes", st.Probes},
 		{"gamma.candidates", st.Candidates},
 		{"gamma.arena_bytes", st.ArenaBytes},
 	} {
 		if got := reg.CounterValue(c.name); got != c.want {
-			t.Errorf("counter %s = %d, stats say %d", c.name, got, c.want)
+			t.Errorf("counter %s = %d, want %d", c.name, got, c.want)
 		}
 	}
+	perName := map[string]int64{}
+	for _, s := range sched.Steps {
+		perName[s.Name]++
+	}
 	for name, want := range st.Fired {
-		if got := reg.CounterValue("gamma.fired." + name); got != want {
-			t.Errorf("counter gamma.fired.%s = %d, stats say %d", name, got, want)
+		if got := reg.CounterValue("gamma.fired." + name); got != want || perName[name] != want {
+			t.Errorf("counter gamma.fired.%s = %d, schedule %d, stats %d", name, got, perName[name], want)
+		}
+	}
+	for name, n := range perName {
+		if got := reg.Histogram("gamma.firing_ns." + name).Count(); got != n {
+			t.Errorf("histogram gamma.firing_ns.%s observed %d firings, schedule has %d", name, got, n)
 		}
 	}
 }
 
 func TestTelemetryDifferentialSequential(t *testing.T) {
 	for _, fullScan := range []bool{false, true} {
-		rec := telemetry.New(0)
-		m := intsMultiset()
+		m := multiset.New()
 		for i := int64(1); i <= 200; i++ {
 			m.Add(multiset.New1(value.Int(i*7%211 + 1)))
 		}
-		p := MustProgram("min", minReaction())
-		st, err := Run(p, m, Options{FullScan: fullScan, Recorder: rec})
+		m0 := int64(m.Len())
+		st, sched, reg, err := tracedRun(minProgram(t), m, gamma.Options{FullScan: fullScan})
 		if err != nil {
 			t.Fatalf("fullScan=%v: %v", fullScan, err)
 		}
-		checkTelemetryAgrees(t, rec, st)
+		checkTelemetryAgrees(t, reg, st, sched)
 		if st.Steps == 0 {
 			t.Fatalf("fullScan=%v: run did no work", fullScan)
+		}
+		// Every firing shrinks the multiset by one: the fold ends at the
+		// stable state's size and peaked at the initial one.
+		if g := reg.Gauge("gamma.cardinality"); g.Value() != int64(m.Len()) || g.Max() != m0-1 {
+			t.Errorf("fullScan=%v: cardinality %d max %d, want %d max %d", fullScan, g.Value(), g.Max(), m.Len(), m0-1)
 		}
 	}
 }
 
 func TestTelemetryDifferentialParallel(t *testing.T) {
 	for _, workers := range []int{2, 4} {
-		rec := telemetry.New(0)
-		m := intsMultiset()
+		m := multiset.New()
 		for i := int64(1); i <= 300; i++ {
 			m.Add(multiset.New1(value.Int(i)))
 		}
-		p := MustProgram("min", minReaction())
-		st, err := Run(p, m, Options{Workers: workers, Seed: int64(workers), Recorder: rec})
+		st, sched, reg, err := tracedRun(minProgram(t), m, gamma.Options{Workers: workers, Seed: int64(workers)})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		checkTelemetryAgrees(t, rec, st)
+		checkTelemetryAgrees(t, reg, st, sched)
 		if st.Steps != 299 {
 			t.Errorf("workers=%d: steps = %d, want 299", workers, st.Steps)
 		}
@@ -78,15 +124,13 @@ func TestTelemetryDifferentialParallel(t *testing.T) {
 func TestTelemetryDifferentialFaultInjected(t *testing.T) {
 	boom := errors.New("injected")
 	for _, workers := range []int{1, 4} {
-		rec := telemetry.New(0)
-		m := intsMultiset()
+		m := multiset.New()
 		for i := int64(1); i <= 100; i++ {
 			m.Add(multiset.New1(value.Int(i)))
 		}
 		var fired atomic.Int64 // the injector runs on every worker concurrently
-		p := MustProgram("min", minReaction())
-		st, err := Run(p, m, Options{
-			Workers: workers, Seed: 7, Recorder: rec,
+		st, sched, reg, err := tracedRun(minProgram(t), m, gamma.Options{
+			Workers: workers, Seed: 7,
 			FaultInjector: func(site string, worker int) error {
 				if fired.Add(1) > 20 {
 					return boom
@@ -100,64 +144,104 @@ func TestTelemetryDifferentialFaultInjected(t *testing.T) {
 		if st == nil {
 			t.Fatalf("workers=%d: no partial stats", workers)
 		}
-		// The run died mid-flight: the registry must still mirror the partial
-		// Stats exactly, including the work that never committed.
-		checkTelemetryAgrees(t, rec, st)
+		// The run died mid-flight: the fold must still agree with the
+		// partial Stats and the recorded prefix exactly.
+		checkTelemetryAgrees(t, reg, st, sched)
 	}
 }
 
-// TestTelemetryEventsSequential pins the event-level contract of a traced
-// run: one firing span per step on the worker track, cardinality in Arg.
-func TestTelemetryEventsSequential(t *testing.T) {
-	rec := telemetry.New(0)
-	m := example1Input()
-	st, err := Run(example1Program(), m, Options{Recorder: rec})
-	if err != nil {
+// timelineLanes exports the schedule's timeline as JSONL and returns its
+// spans by lane.
+func timelineLanes(t *testing.T, sched *replay.Schedule) map[string][][2]int64 {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := sched.Timeline().WriteJSONL(&buf); err != nil {
 		t.Fatal(err)
 	}
-	snap := rec.Snapshot()
-	if len(snap) != 1 || snap[0].Name != "gamma/w0" {
-		t.Fatalf("tracks = %v, want [gamma/w0]", trackNames(snap))
+	lanes := map[string][][2]int64{}
+	sc := bufio.NewScanner(&buf)
+	for sc.Scan() {
+		var e struct {
+			Track string `json:"track"`
+			TS    int64  `json:"ts_ns"`
+			Dur   int64  `json:"dur_ns"`
+		}
+		if err := json.Unmarshal(sc.Bytes(), &e); err != nil {
+			t.Fatal(err)
+		}
+		lanes[e.Track] = append(lanes[e.Track], [2]int64{e.TS, e.Dur})
 	}
-	firings := 0
-	for _, e := range snap[0].Events {
-		if e.Kind == telemetry.KindFiring {
-			firings++
-			if e.Arg <= 0 {
-				t.Errorf("firing %s: cardinality payload %d, want > 0", e.Name, e.Arg)
+	for name, spans := range lanes {
+		for i := 1; i < len(spans); i++ {
+			if spans[i][0] < spans[i-1][0]+spans[i-1][1] {
+				t.Fatalf("lane %s: span at %d overlaps the one before it, %v", name, spans[i][0], spans[i-1])
 			}
 		}
 	}
-	if int64(firings) != st.Steps {
-		t.Errorf("firing events = %d, steps = %d", firings, st.Steps)
+	return lanes
+}
+
+// TestTelemetryEventsSequential pins the timeline of a sequential run: one
+// lane, gamma/w0, holding one span per step.
+func TestTelemetryEventsSequential(t *testing.T) {
+	p, err := gammalang.ParseProgram("example1", paper.Example1GammaListing)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := multiset.Parse(paper.Example1InitialMultiset)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, sched, _, err := tracedRun(p, m, gamma.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lanes := timelineLanes(t, sched)
+	if len(lanes) != 1 || int64(len(lanes["gamma/w0"])) != st.Steps {
+		t.Fatalf("lanes = %v, want gamma/w0 with %d spans", lanes, st.Steps)
 	}
 }
 
-func trackNames(snap []telemetry.TrackEvents) []string {
-	names := make([]string, len(snap))
-	for i, tr := range snap {
-		names[i] = tr.Name
+// TestTelemetryTimelineParallel: a workers-2 run's spans pack into at most
+// two lanes that never overlap, one span per firing, every one inside the
+// run's wall time.
+func TestTelemetryTimelineParallel(t *testing.T) {
+	m := multiset.New()
+	for i := int64(1); i <= 4000; i++ {
+		m.Add(multiset.New1(value.Int(i*7919%4001 + 1)))
 	}
-	return names
-}
-
-// TestTelemetryDisabledIsNil guards the fast path: with no recorder the
-// sinks must resolve to nil (one branch per record site, nothing else).
-func TestTelemetryDisabledIsNil(t *testing.T) {
-	if s := newTelSink(Options{}, example1Program(), 0); s != nil {
-		t.Fatalf("sink without recorder = %+v, want nil", s)
+	begin := time.Now() // no later than the recorder's clock base
+	st, sched, _, err := tracedRun(minProgram(t), m, gamma.Options{Workers: 2, Seed: 3})
+	wall := time.Since(begin).Nanoseconds()
+	if err != nil {
+		t.Fatal(err)
 	}
-	var nilSink *telSink
-	// Every method must be a no-op on the nil receiver, not a panic.
-	nilSink.probe()
-	nilSink.candidates(2)
-	nilSink.firing(0, "r", nilSink.begin(), multiset.New(), 0, 0)
+	lanes := timelineLanes(t, sched)
+	spans := int64(0)
+	for name, lane := range lanes {
+		if name != "gamma/w0" && name != "gamma/w1" {
+			t.Errorf("lane %s: a workers-2 run needs two lanes at most", name)
+		}
+		for _, s := range lane {
+			if s[0] < 0 || s[0]+s[1] > wall {
+				t.Fatalf("lane %s: span [%d, +%d] outside the run's %d ns", name, s[0], s[1], wall)
+			}
+		}
+		spans += int64(len(lane))
+	}
+	if spans != st.Steps {
+		t.Errorf("%d spans for %d steps", spans, st.Steps)
+	}
 }
 
 func ExampleOptions_recorder() {
-	rec := telemetry.New(0)
-	m := example1Input()
-	st, _ := Run(example1Program(), m, Options{Recorder: rec})
-	fmt.Println(st.Steps, rec.Metrics.CounterValue("gamma.steps"))
-	// Output: 3 3
+	p, _ := gammalang.ParseProgram("min", "R = replace (x, y) by x where x < y")
+	m, _ := multiset.Parse("{[42], [7], [99], [3], [58]}")
+	rec := replay.NewRecorder(replay.KindGamma, "min")
+	m0 := m.Len()
+	st, _ := gamma.Run(p, m, gamma.Options{Schedule: rec})
+	reg := telemetry.NewRegistry()
+	replay.GammaMetrics(reg, gamma.Sequence(p), m0, st, rec.Schedule())
+	fmt.Println(st.Steps, reg.CounterValue("gamma.fired.R"), reg.Gauge("gamma.cardinality").Value())
+	// Output: 4 4 1
 }

@@ -1,4 +1,4 @@
-package profile
+package profile_test
 
 import (
 	"strings"
@@ -10,39 +10,40 @@ import (
 	"repro/internal/gammalang"
 	"repro/internal/multiset"
 	"repro/internal/paper"
+	"repro/internal/profile"
 	"repro/internal/replay"
 	"repro/internal/value"
 )
 
 // gammaReport runs p on m with a schedule recorder and folds the
 // commit-ordered schedule into its report.
-func gammaReport(t *testing.T, p *gamma.Program, m *multiset.Multiset, opt gamma.Options) Report {
+func gammaReport(t *testing.T, p *gamma.Program, m *multiset.Multiset, opt gamma.Options) profile.Report {
 	t.Helper()
 	rec := replay.NewRecorder(replay.KindGamma, p.Name)
 	opt.Schedule = rec
 	if _, err := gamma.Run(p, m, opt); err != nil {
 		t.Fatal(err)
 	}
-	col := NewCollector()
+	col := profile.NewCollector()
 	rec.Schedule().Each(col.RecordFiring)
 	return col.Report()
 }
 
 // dataflowReport is gammaReport for a dataflow graph.
-func dataflowReport(t *testing.T, g *dataflow.Graph, opt dataflow.Options) Report {
+func dataflowReport(t *testing.T, g *dataflow.Graph, opt dataflow.Options) profile.Report {
 	t.Helper()
 	rec := replay.NewRecorder(replay.KindDataflow, g.Name)
 	opt.Schedule = rec
 	if _, err := dataflow.Run(g, opt); err != nil {
 		t.Fatal(err)
 	}
-	col := NewCollector()
+	col := profile.NewCollector()
 	rec.Schedule().Each(col.RecordFiring)
 	return col.Report()
 }
 
 func TestCollectorManual(t *testing.T) {
-	c := NewCollector()
+	c := profile.NewCollector()
 	// Diamond: a and b independent, c consumes both.
 	c.RecordFiring("a", nil, []string{"x"})
 	c.RecordFiring("b", nil, []string{"y"})
@@ -63,13 +64,13 @@ func TestCollectorManual(t *testing.T) {
 	if !strings.Contains(r.String(), "work=3 span=2") {
 		t.Errorf("render: %s", r)
 	}
-	if rr := NewCollector().Report(); rr.Work != 0 || rr.Span != 0 || rr.Parallelism != 0 {
+	if rr := profile.NewCollector().Report(); rr.Work != 0 || rr.Span != 0 || rr.Parallelism != 0 {
 		t.Errorf("empty collector: %+v", rr)
 	}
 }
 
 func TestDuplicateKeysStack(t *testing.T) {
-	c := NewCollector()
+	c := profile.NewCollector()
 	// Two producers of the same key (multiset multiplicity), two consumers.
 	c.RecordFiring("p1", nil, []string{"k"})
 	c.RecordFiring("p2", []string{"k"}, []string{"k"}) // depth 2, k restacked

@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/dataflow"
 	"repro/internal/gamma"
@@ -47,9 +48,9 @@ func recordGamma(t *testing.T, p *gamma.Program, init *multiset.Multiset, opt ga
 
 func TestScheduleRoundTrip(t *testing.T) {
 	rec := NewRecorder(KindGamma, "ex1")
-	rec.RecordStep(2, "R2", []string{"01\x1f3'A1'"}, []string{"02\x1f3'B2'"})
-	rec.RecordStep(1, "R1", []string{"01\x1f3'A1'", "05\x1f3'B1'"}, nil)
-	rec.RecordStep(3, "R3", nil, []string{"3true"})
+	rec.RecordStep(2, "R2", time.Now(), []string{"01\x1f3'A1'"}, []string{"02\x1f3'B2'"})
+	rec.RecordStep(1, "R1", time.Now(), []string{"01\x1f3'A1'", "05\x1f3'B1'"}, nil)
+	rec.RecordStep(3, "R3", time.Now(), nil, []string{"3true"})
 	s := rec.Schedule()
 	if s.Steps[0].Name != "R1" || s.Steps[0].Step != 1 {
 		t.Fatalf("linearization: want R1 first, got %+v", s.Steps[0])
@@ -568,13 +569,13 @@ func TestRecorderFootprintTracksSchedule(t *testing.T) {
 		runtime.ReadMemStats(&a)
 		rec := NewRecorder(KindGamma, "footprint")
 		for i := 0; i < steps; i++ {
-			rec.RecordStepTuples(uint64(i), "R", consumed, produced)
+			rec.RecordStepTuples(uint64(i), "R", time.Now(), consumed, produced)
 		}
 		runtime.ReadMemStats(&b)
 		if rec.Len() != steps {
 			t.Fatalf("recorded %d of %d steps", rec.Len(), steps)
 		}
-		return b.TotalAlloc - a.TotalAlloc, uint64(len(rec.buf) + 4*len(rec.offs) + 16*len(rec.raw))
+		return b.TotalAlloc - a.TotalAlloc, uint64(len(rec.buf) + 4*len(rec.offs) + int(unsafe.Sizeof(rawStep{}))*len(rec.raw))
 	}
 	small, _ := record(3)
 	long, held := record(20000)
@@ -592,12 +593,12 @@ func TestRecorderFootprintTracksSchedule(t *testing.T) {
 // (1 994 firings, sequential engine). A share of the bare run's time would
 // fail whenever the engine gets faster with the recorder unchanged; a
 // nanosecond figure fails only when recording itself gets dearer. The cost is
-// three keys rendered into a byte buffer under a lock, ≈ 250 ns in isolation
-// and ≈ 450 ns inside a run with the collector's share of the retained
-// schedule (35–1 081 over 20 runs on the 2-core host: a bare firing is 2.5 µs,
-// so 10 % of host noise reads as 250 ns); the 1 500 ns ceiling is there to
-// catch a second per-firing cost (a string per key, a map insert, a fixed
-// chunk), not a slow host.
+// three keys rendered into a byte buffer under a lock, the collector's share
+// of the retained schedule, and the firing's timing — a clock read at every
+// probe start and one at the record: 580–790 ns per firing on the 2-core
+// host (a bare firing is 2.5 µs, so 10 % of host noise reads as 250 ns); the
+// 1 500 ns ceiling is there to catch a second per-firing cost (a string per
+// key, a map insert, a fixed chunk), not a slow host.
 //
 // A timed sample is a batch of 8 back-to-back runs, because much of the cost
 // is collector work that amortizes across runs; bare and recorded batches

@@ -22,6 +22,7 @@ import (
 	"io"
 	"sort"
 	"sync"
+	"time"
 
 	"repro/internal/multiset"
 	"repro/internal/rt"
@@ -49,13 +50,17 @@ type header struct {
 // of the elements/tokens it consumed (in pattern/port order) and produced
 // (in template/fan-out order), and the commit sequence number the engines
 // drew inside the commit critical section. Step numbers are 1-based and
-// dense in linearized (seq-sorted) order.
+// dense in linearized (seq-sorted) order. Start and Dur time the firing, in
+// nanoseconds since the recorder was created, from the start the engine
+// reported to the record; they are not part of the encoding, so a parsed
+// schedule reads 0 for both.
 type Step struct {
-	Step     int      `json:"step"`
-	Seq      uint64   `json:"seq"`
-	Name     string   `json:"name"`
-	Consumed []string `json:"consumed,omitempty"`
-	Produced []string `json:"produced,omitempty"`
+	Step       int      `json:"step"`
+	Seq        uint64   `json:"seq"`
+	Name       string   `json:"name"`
+	Consumed   []string `json:"consumed,omitempty"`
+	Produced   []string `json:"produced,omitempty"`
+	Start, Dur int64    `json:"-"`
 }
 
 // Schedule is an executable firing sequence.
@@ -93,7 +98,8 @@ func encodeLine(w *bufio.Writer, v any) error {
 
 // Each calls fn once per firing in linearized (commit) order. It is the one
 // way to derive an analysis from a run: telemetry.Provenance and
-// profile.Collector are folds over it (sched.Each(col.RecordFiring)).
+// profile.Collector are folds over it (sched.Each(col.RecordFiring)), as are
+// the run-end metrics and the timeline (metrics.go).
 func (s *Schedule) Each(fn func(name string, consumed, produced []string)) {
 	for i := range s.Steps {
 		fn(s.Steps[i].Name, s.Steps[i].Consumed, s.Steps[i].Produced)
@@ -169,6 +175,7 @@ type Recorder struct {
 	mu    sync.Mutex
 	kind  string
 	name  string
+	base  time.Time // Step.Start is measured from here
 	steps []Step
 	// Raw-tuple fast path (RecordStepTuples): key text accumulates in buf
 	// and is materialized into strings only when Schedule() runs, so the
@@ -183,27 +190,34 @@ type Recorder struct {
 	offs    []uint32
 }
 
-// rawStep is one RecordStepTuples record: 16 pointer-free bytes. Its keys
+// rawStep is one RecordStepTuples record: 32 pointer-free bytes. Its keys
 // are buf[...] spans whose end offsets sit in offs (nc consumed ends, then
 // np produced ends); name indexes Recorder.names.
 type rawStep struct {
-	seq    uint64
-	name   uint32
-	nc, np uint16
+	seq        uint64
+	start, dur int64
+	name       uint32
+	nc, np     uint16
 }
 
 // NewRecorder returns an empty recorder for an execution of the given kind
 // (KindGamma or KindDataflow); name labels the schedule (program or run id).
 func NewRecorder(kind, name string) *Recorder {
-	return &Recorder{kind: kind, name: name}
+	return &Recorder{kind: kind, name: name, base: time.Now()}
+}
+
+// span times a firing that started at start and is being recorded now.
+func (r *Recorder) span(start time.Time) (int64, int64) {
+	return start.Sub(r.base).Nanoseconds(), time.Since(start).Nanoseconds()
 }
 
 // RecordStep implements dataflow.ScheduleRecorder. The recorder retains the
 // key slices without copying: callers hand over ownership and must not
 // mutate them afterwards. The engines render fresh keys per firing, so taking
 // ownership keeps the cost to the rendering itself plus one locked append.
-func (r *Recorder) RecordStep(seq uint64, name string, consumed, produced []string) {
+func (r *Recorder) RecordStep(seq uint64, name string, start time.Time, consumed, produced []string) {
 	st := Step{Seq: seq, Name: name, Consumed: consumed, Produced: produced}
+	st.Start, st.Dur = r.span(start)
 	r.mu.Lock()
 	r.steps = append(r.steps, st)
 	r.mu.Unlock()
@@ -214,7 +228,7 @@ func (r *Recorder) RecordStep(seq uint64, name string, consumed, produced []stri
 // straight into the recorder's byte buffer (multiset.Tuple.AppendKey) and
 // key strings are materialized only when Schedule() runs. Amortized, a
 // firing costs three pointer-free appends under the lock.
-func (r *Recorder) RecordStepTuples(seq uint64, name string, consumed, produced []multiset.Tuple) {
+func (r *Recorder) RecordStepTuples(seq uint64, name string, start time.Time, consumed, produced []multiset.Tuple) {
 	if len(consumed) > 1<<16-1 || len(produced) > 1<<16-1 {
 		// Arity overflows rawStep's packed counts; take the string path.
 		// Unreachable for real programs (pattern and kernel arities are
@@ -227,9 +241,10 @@ func (r *Recorder) RecordStepTuples(seq uint64, name string, consumed, produced 
 		for i, t := range produced {
 			pk[i] = t.Key()
 		}
-		r.RecordStep(seq, name, ck, pk)
+		r.RecordStep(seq, name, start, ck, pk)
 		return
 	}
+	t0, dur := r.span(start)
 	r.mu.Lock()
 	ni, ok := r.nameIdx[name]
 	if !ok {
@@ -270,7 +285,7 @@ func (r *Recorder) RecordStepTuples(seq uint64, name string, consumed, produced 
 		r.buf = t.AppendKey(r.buf)
 		r.offs = append(r.offs, uint32(len(r.buf)))
 	}
-	r.raw = append(r.raw, rawStep{seq: seq, name: ni, nc: uint16(len(consumed)), np: uint16(len(produced))})
+	r.raw = append(r.raw, rawStep{seq: seq, start: t0, dur: dur, name: ni, nc: uint16(len(consumed)), np: uint16(len(produced))})
 	r.mu.Unlock()
 }
 
@@ -306,7 +321,7 @@ func (r *Recorder) Schedule() *Schedule {
 	}
 	for _, rs := range r.raw {
 		steps = append(steps, Step{Seq: rs.seq, Name: r.names[rs.name],
-			Consumed: keyRun(int(rs.nc)), Produced: keyRun(int(rs.np))})
+			Consumed: keyRun(int(rs.nc)), Produced: keyRun(int(rs.np)), Start: rs.start, Dur: rs.dur})
 	}
 	r.mu.Unlock()
 	sort.SliceStable(steps, func(i, j int) bool { return steps[i].Seq < steps[j].Seq })

@@ -109,15 +109,21 @@ type RunSpec struct {
 	// deadline. Expiry reports rt.ErrDeadline.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 	// Trace asks the service to record the run's firing history (wire minor
-	// 1.2): event rings plus firing provenance, retained with the terminal run
-	// and served at GET /v1/runs/{id}/trace and /stats. Subject to the
+	// 1.2): its commit-ordered schedule, retained with the terminal run and
+	// served at GET /v1/runs/{id}/trace — as the schedule itself or the
+	// timeline and provenance DAG folded from it — and /stats. Subject to the
 	// server's sampling rate — a traced=false in the run's stats means the
 	// sampler skipped it. Older servers ignore the field entirely.
 	Trace bool `json:"trace,omitempty"`
 }
 
+// MaxWorkers bounds RunSpec.Workers: a parallel Gamma run builds one
+// sub-solution and one goroutine per worker, so an unbounded count from the
+// wire is an allocation the request does not pay for.
+const MaxWorkers = 1024
+
 // Validate reports rt.ErrInvalid for specs no engine can execute: unknown
-// engine names and negative knobs.
+// engine names, negative knobs and more than MaxWorkers workers.
 func (s RunSpec) Validate() error {
 	switch s.Engine {
 	case EngineAuto, EngineSeq, EngineParallel, EngineMatrix:
@@ -127,6 +133,9 @@ func (s RunSpec) Validate() error {
 	}
 	if s.Workers < 0 {
 		return rt.Mark(rt.ErrInvalid, fmt.Errorf("spec: negative workers %d", s.Workers))
+	}
+	if s.Workers > MaxWorkers {
+		return rt.Mark(rt.ErrInvalid, fmt.Errorf("spec: workers %d above the limit of %d", s.Workers, MaxWorkers))
 	}
 	if s.MaxSteps < 0 {
 		return rt.Mark(rt.ErrInvalid, fmt.Errorf("spec: negative max_steps %d", s.MaxSteps))
@@ -525,8 +534,8 @@ func DecodeReplayResponse(data []byte) (*ReplayResponse, error) {
 }
 
 // RunStats is the payload of GET /v1/runs/{id}/stats (wire minor 1.2): the
-// run's execution accounting plus, when the run was traced, the recorder-side
-// view of the same execution. Firings is the length of the run's recorded
+// run's execution accounting plus, when the run was traced, what its
+// recorded schedule says about the same execution. Firings is the length of the run's recorded
 // commit-ordered schedule, so on a traced run it must equal Steps exactly —
 // the wire form of the paper's firing-history equivalence, and the
 // cross-check the service test suite holds.
@@ -548,15 +557,17 @@ type RunStats struct {
 	Steps       int64   `json:"steps"`
 	WallMS      float64 `json:"wall_ms"`
 	QueueWaitMS float64 `json:"queue_wait_ms"`
-	// TraceEvents and TraceDropped size the retained event rings: events still
-	// buffered and events the rings overwrote (telemetry.dropped_events).
+	// TraceEvents counts the trace's events: one per recorded firing, so it
+	// equals Firings. TraceDropped is always 0 — the record drops nothing —
+	// and stays declared because a minor version only adds fields.
 	TraceEvents  int64 `json:"trace_events,omitempty"`
 	TraceDropped int64 `json:"trace_dropped,omitempty"`
 	// Firings is the recorded schedule's committed-firing count.
 	Firings int64 `json:"firings,omitempty"`
-	// Counters is the traced run's private registry snapshot (gamma.steps,
-	// probe/conflict counts, ...) with its gauges' final values alongside
-	// (dataflow.match_entries_peak, dataflow.queue_peak), absent on untraced
+	// Counters is the traced run's registry, folded at run end from its
+	// stats and schedule (gamma.steps, gamma.fired.<r>, ...), with its
+	// gauges' final values alongside (gamma.cardinality,
+	// dataflow.match_entries_peak, dataflow.queue_peak); absent on untraced
 	// runs.
 	Counters map[string]int64 `json:"counters,omitempty"`
 }

@@ -336,11 +336,24 @@ func TestDecodeRejections(t *testing.T) {
 		{"bad engine", `{"version": "1.0", "kind": "dataflow", "graph": "g", "spec": {"engine": "quantum"}}`, rt.ErrInvalid},
 		{"gamma with matrix engine", `{"version": "1.1", "kind": "gamma", "program": "x", "spec": {"engine": "matrix"}}`, rt.ErrInvalid},
 		{"negative steps", `{"version": "1.0", "kind": "dataflow", "graph": "g", "spec": {"max_steps": -1}}`, rt.ErrInvalid},
+		{"too many workers", `{"version": "1.0", "kind": "gamma", "program": "x", "spec": {"workers": 2000000000}}`, rt.ErrInvalid},
 	}
 	for _, c := range cases {
 		_, err := DecodeRunRequest([]byte(c.data))
 		if !errors.Is(err, c.want) {
 			t.Errorf("%s: DecodeRunRequest = %v, want %v", c.name, err, c.want)
+		}
+	}
+}
+
+// TestRunSpecWorkersBound: Validate accepts MaxWorkers and refuses one more.
+func TestRunSpecWorkersBound(t *testing.T) {
+	if err := (RunSpec{Workers: MaxWorkers}).Validate(); err != nil {
+		t.Errorf("workers = MaxWorkers: %v", err)
+	}
+	for _, w := range []int{MaxWorkers + 1, 2_000_000_000} {
+		if err := (RunSpec{Workers: w}).Validate(); !errors.Is(err, rt.ErrInvalid) {
+			t.Errorf("workers = %d: err = %v, want rt.ErrInvalid", w, err)
 		}
 	}
 }
@@ -378,4 +391,43 @@ func TestWireErrorRoundTrip(t *testing.T) {
 	if NewWireError(nil) != nil || (*WireError)(nil).Err() != nil {
 		t.Fatal("nil error must round-trip to nil")
 	}
+}
+
+// FuzzDecodeRunRequest feeds the submission decoder — gammad's trust
+// boundary — arbitrary bytes: it must never panic, and any envelope it
+// accepts must Encode and decode back to the same request.
+func FuzzDecodeRunRequest(f *testing.F) {
+	example := NewGammaRequest(paper.Example1GammaListing, paper.Example1InitialMultiset,
+		RunSpec{Engine: EngineSeq, Workers: 2, Seed: 7, MaxSteps: 100, TimeoutMS: 50, Trace: true})
+	data, err := example.Encode()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(data)
+	for _, seed := range []string{
+		`{"version": "1.0", "kind": "dataflow", "graph": "graph g\n", "spec": {"engine": "matrix"}}`,
+		`{"version": "1.3", "kind": "gamma", "program": "R = replace [x] by 0", "extra": [1, {"a": null}]}`,
+		`{"version": "1.0", "kind": "gamma", "program": "x", "spec": {"workers": 1025}}`,
+		`{"version": "1.0", "kind": "gamma", "program": "é\ud800", "init": "{[1]}"}`,
+		`{"version": "2.0"}`, `{`, `null`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		req, err := DecodeRunRequest(data)
+		if err != nil {
+			return
+		}
+		enc, err := req.Encode()
+		if err != nil {
+			t.Fatalf("accepted request does not encode: %v", err)
+		}
+		back, err := DecodeRunRequest(enc)
+		if err != nil {
+			t.Fatalf("encoded request does not decode: %v\n%s", err, enc)
+		}
+		if *back != *req {
+			t.Fatalf("round trip changed the request:\n%+v\n%+v", *req, *back)
+		}
+	})
 }

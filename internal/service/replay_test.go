@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/multiset"
 	"repro/internal/paper"
@@ -194,7 +195,7 @@ func TestReplayEndpointErrors(t *testing.T) {
 	}
 
 	rec := replay.NewRecorder(replay.KindDataflow, "g")
-	rec.RecordStep(1, "add", nil, nil)
+	rec.RecordStep(1, "add", time.Now(), nil, nil)
 	kindMismatch := schema.NewGammaReplayRequest(counterProgram, counterInit, string(rec.Schedule().Bytes()))
 	body, err := kindMismatch.Encode()
 	if err != nil {

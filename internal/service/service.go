@@ -92,15 +92,11 @@ type Config struct {
 	// MaxBody caps the request body in bytes; <= 0 means 1 MiB.
 	MaxBody int64
 	// Registry receives the service's counters, gauges and histograms; nil
-	// allocates a private one. Share it with telemetry.ServeMetrics to
-	// expose the pool on -metrics-addr. The service additionally accounts
+	// allocates a private one. Share it with telemetry.MetricsMux to
+	// expose the pool on gammad -metrics-addr. The service additionally accounts
 	// every event into the registry's "tenant" and "engine" label dimensions
 	// (Registry.Labeled), each rolling up to the global series exactly.
 	Registry *telemetry.Registry
-	// TraceEventCap is the per-track ring capacity of a traced run's
-	// recorder; <= 0 means 4096. Together with Retain it bounds the trace
-	// memory: at most Retain terminal runs hold rings at once.
-	TraceEventCap int
 	// TraceSample is the fraction of trace-requesting runs actually traced:
 	// 0 means every one (the default), values in (0, 1) sample
 	// deterministically (the i-th requesting run is traced iff the scaled
@@ -132,9 +128,6 @@ func (c *Config) fill() {
 	}
 	if c.Registry == nil {
 		c.Registry = telemetry.NewRegistry()
-	}
-	if c.TraceEventCap <= 0 {
-		c.TraceEventCap = 4096
 	}
 	switch {
 	case c.TraceSample == 0:
@@ -175,8 +168,8 @@ var ErrUnknownRun = errors.New("service: unknown run id")
 var ErrNotTraced = errors.New("service: run was not traced")
 
 // ErrRunActive reports a trace request for a run that has not reached a
-// terminal state: the event rings are single-writer and only readable after
-// the run returns. 409 on the wire; poll the run and retry.
+// terminal state: its schedule and metrics are complete only once the run
+// returns. 409 on the wire; poll the run and retry.
 var ErrRunActive = errors.New("service: run still executing; trace available at terminal state")
 
 // ErrClosed reports a submission to a server that has been Closed.
@@ -206,15 +199,16 @@ type Run struct {
 	// in the registry's engine dimension.
 	Engine string
 	// Traced reports whether the sampler granted this run's Spec.Trace ask;
-	// when set, rec and sched observe the execution and are retained with
-	// the terminal run for /trace and /stats.
+	// when set, sched records the execution and is retained with the
+	// terminal run for /trace, and reg holds the run-end fold of it for
+	// /stats.
 	Traced bool
 
 	plan  *gamma.Plan
 	init  *multiset.Multiset
 	graph *dataflow.Graph
-	rec   *telemetry.Recorder
 	sched *replay.Recorder
+	reg   *telemetry.Registry
 
 	ctx      context.Context
 	cancel   context.CancelFunc
@@ -492,15 +486,13 @@ func (s *Server) Submit(req *schema.RunRequest, tenant string) (*Run, error) {
 	}
 	// Tracing is decided at admission so the decision is stable for the
 	// run's whole life — and before the send, which publishes the run to the
-	// executors: Spec.Trace asks, the sampler grants. The recorder and
-	// schedule recorder are private to the run (its stats counters are the
-	// run's own, not the server's) and ride the Run into the terminal ring.
+	// executors: Spec.Trace asks, the sampler grants. The schedule recorder
+	// is private to the run and rides the Run into the terminal ring.
 	if req.Spec.Trace && s.sampleTrace() {
 		r.Traced = true
-		r.rec = telemetry.New(s.cfg.TraceEventCap)
 		// The schedule is the run's one firing record: every traced run is
-		// replayable (GET /trace?format=schedule → POST /v1/replay), and the
-		// provenance DAG and firing count are read off it on request.
+		// replayable (GET /trace?format=schedule → POST /v1/replay), and its
+		// timeline, provenance DAG and run metrics are folds over it.
 		kind := replay.KindGamma
 		if r.Kind == schema.KindDataflow {
 			kind = replay.KindDataflow
@@ -611,11 +603,15 @@ func (s *Server) execute(r *Run) {
 			MaxSteps: r.Spec.MaxSteps,
 		}
 		if r.Traced {
-			opt.Recorder = r.rec
 			opt.Schedule = r.sched
 		}
+		m0 := r.init.Len()
 		st, err := r.plan.RunContext(ctx, r.init, opt)
 		wall := time.Since(start)
+		if r.Traced {
+			r.reg = telemetry.NewRegistry()
+			replay.GammaMetrics(r.reg, r.plan, m0, st, r.sched.Schedule())
+		}
 		res := &schema.RunResult{Multiset: r.init.String(), WallMS: float64(wall.Nanoseconds()) / 1e6}
 		var steps int64
 		if st != nil {
@@ -626,11 +622,14 @@ func (s *Server) execute(r *Run) {
 	case schema.KindDataflow:
 		opt := dataflow.Options{MaxFirings: r.Spec.MaxSteps}
 		if r.Traced {
-			opt.Recorder = r.rec
 			opt.Schedule = r.sched
 		}
 		dres, err := dataflow.RunContext(ctx, r.graph, opt)
 		wall := time.Since(start)
+		if r.Traced && dres != nil {
+			r.reg = telemetry.NewRegistry()
+			replay.DataflowMetrics(r.reg, r.graph, dres, r.sched.Schedule())
+		}
 		res := &schema.RunResult{WallMS: float64(wall.Nanoseconds()) / 1e6}
 		var steps int64
 		if dres != nil {
@@ -743,8 +742,8 @@ func (s *Server) Health() *schema.Health {
 
 // terminalSnapshot returns the run's terminal state, result and queue wait,
 // or ErrRunActive while the run is still pending/running. The trace surfaces
-// gate on this: the recorder's rings are single-writer and must not be read
-// concurrently with the engine.
+// gate on this: a run's schedule and metrics are complete only once it
+// stopped.
 func (r *Run) terminalSnapshot() (state string, res *schema.RunResult, wait time.Duration, err error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -756,9 +755,9 @@ func (r *Run) terminalSnapshot() (state string, res *schema.RunResult, wait time
 
 // Stats renders a terminal run's execution accounting as the wire RunStats
 // payload: the response-envelope numbers plus, when the run was traced, the
-// recorder-side view (buffered events, drops, the private registry's
-// counters) and the recorded schedule's firing count. On a traced run
-// Firings equals Steps exactly — the firing-history equivalence on the wire.
+// recorded schedule's firing count and the run-end fold's registry. On a
+// traced run Firings equals Steps exactly — the firing-history equivalence
+// on the wire.
 func (s *Server) Stats(id string) (*schema.RunStats, error) {
 	r, err := s.Lookup(id)
 	if err != nil {
@@ -783,12 +782,13 @@ func (s *Server) Stats(id string) (*schema.RunStats, error) {
 		st.WallMS = res.WallMS
 	}
 	if r.Traced {
+		// The trace is the schedule's timeline: one event per recorded
+		// firing, none dropped.
 		st.Firings = int64(r.sched.Len())
-		for _, te := range r.rec.Snapshot() {
-			st.TraceEvents += int64(len(te.Events))
-			st.TraceDropped += te.Dropped
-		}
-		snap := r.rec.Metrics.Snapshot()
+		st.TraceEvents = st.Firings
+	}
+	if r.reg != nil { // a traced run the engine started
+		snap := r.reg.Snapshot()
 		st.Counters = snap.Counters
 		// Gauges ride in the same map by their last value: a terminal run's
 		// are its run-end figures (dataflow.match_entries_peak, queue_peak).
@@ -800,9 +800,9 @@ func (s *Server) Stats(id string) (*schema.RunStats, error) {
 }
 
 // WriteTrace renders a terminal run's retained trace in the given format:
-// FormatPerfetto and FormatJSONL export the event rings, FormatSchedule the
-// executable schedule (wire minor 1.3) a client can POST back to /v1/replay,
-// FormatDOT the firing-provenance DAG folded from that schedule. ErrNotTraced when the run was
+// FormatSchedule is the executable schedule (wire minor 1.3) a client can
+// POST back to /v1/replay, and FormatPerfetto, FormatJSONL and FormatDOT are
+// folds over it — its timeline and its firing-provenance DAG. ErrNotTraced when the run was
 // not traced, ErrRunActive before the terminal state.
 func (s *Server) WriteTrace(w io.Writer, id string, format telemetry.Format) error {
 	r, err := s.Lookup(id)
@@ -815,17 +815,18 @@ func (s *Server) WriteTrace(w io.Writer, id string, format telemetry.Format) err
 	if !r.Traced {
 		return ErrNotTraced
 	}
+	sched := r.sched.Schedule()
 	switch format {
 	case telemetry.FormatDOT:
 		prov := telemetry.NewProvenance()
-		r.sched.Schedule().Each(prov.RecordFiring)
+		sched.Each(prov.RecordFiring)
 		return prov.WriteDOT(w)
 	case telemetry.FormatJSONL:
-		return telemetry.WriteJSONL(w, r.rec)
+		return sched.Timeline().WriteJSONL(w)
 	case telemetry.FormatSchedule:
-		return r.sched.Schedule().Encode(w)
+		return sched.Encode(w)
 	default:
-		return telemetry.WritePerfetto(w, r.rec)
+		return sched.Timeline().WritePerfetto(w)
 	}
 }
 

@@ -276,6 +276,7 @@ func TestMalformedRequests(t *testing.T) {
 		{"gamma parse error", `{"version": "1.0", "kind": "gamma", "program": "replace"}`, 400, rt.CodeParse},
 		{"bad init literal", fmt.Sprintf(`{"version": "1.0", "kind": "gamma", "program": %q, "init": "{oops"}`, counterProgram), 400, rt.CodeParse},
 		{"bad graph", `{"version": "1.0", "kind": "dataflow", "graph": "graph g\nbogus line\n"}`, 400, rt.CodeParse},
+		{"too many workers", fmt.Sprintf(`{"version": "1.0", "kind": "gamma", "program": %q, "spec": {"workers": 2000000000}}`, counterProgram), 400, rt.CodeInvalid},
 		{"oversized body", `{"version": "1.0", "kind": "gamma", "program": "` + strings.Repeat("x", 4096) + `"}`, 400, rt.CodeInvalid},
 	}
 	for _, c := range cases {

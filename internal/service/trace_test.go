@@ -85,8 +85,8 @@ func TestTraceLifecycle(t *testing.T) {
 	if st.Counters["gamma.steps"] != st.Steps {
 		t.Errorf("traced registry gamma.steps = %d, want %d", st.Counters["gamma.steps"], st.Steps)
 	}
-	if st.TraceEvents == 0 || st.TraceDropped != 0 {
-		t.Errorf("trace ring: events %d dropped %d, want >0 and 0", st.TraceEvents, st.TraceDropped)
+	if st.TraceEvents != st.Firings || st.TraceDropped != 0 {
+		t.Errorf("trace: events %d dropped %d, want one per firing (%d) and 0", st.TraceEvents, st.TraceDropped, st.Firings)
 	}
 
 	for format, wantCT := range map[string]string{
@@ -108,10 +108,21 @@ func TestTraceLifecycle(t *testing.T) {
 		switch format {
 		case "", "perfetto":
 			var tr struct {
-				TraceEvents []json.RawMessage `json:"traceEvents"`
+				TraceEvents []struct {
+					Ph string `json:"ph"`
+				} `json:"traceEvents"`
 			}
-			if err := json.Unmarshal(body, &tr); err != nil || len(tr.TraceEvents) == 0 {
+			if err := json.Unmarshal(body, &tr); err != nil {
 				t.Errorf("perfetto trace broken (%v):\n%.200s", err, body)
+			}
+			spans := int64(0)
+			for _, e := range tr.TraceEvents {
+				if e.Ph == "X" {
+					spans++
+				}
+			}
+			if spans != st.Firings {
+				t.Errorf("perfetto trace holds %d spans, the run fired %d times", spans, st.Firings)
 			}
 		case "dot":
 			if !bytes.Contains(body, []byte("digraph")) {
@@ -260,9 +271,9 @@ func TestTraceSamplingDeterministic(t *testing.T) {
 // Example 1 (3 firings) submitted in process, one executor, so every
 // allocation between Submit and Done belongs to the request. Asking for a trace on a server whose sampler is
 // off must cost what not asking costs (the knob is one branch at admission),
-// and a granted trace — event rings, schedule recorder, retention — must keep
-// the whole request under 64 KiB (untraced ≈ 33 kB, traced ≈ 42 kB); a fixed
-// first chunk in any recorder store shows here at once.
+// and a granted trace — schedule recorder, run-end fold, retention — must
+// keep the whole request under 64 KiB (untraced ≈ 16.7 kB, traced ≈ 22.4 kB);
+// a fixed first chunk in any recorder store shows here at once.
 func TestTraceAllocationCost(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation bytes are not repeatable under the race detector")

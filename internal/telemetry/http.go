@@ -81,7 +81,7 @@ func WatchHandler(reg *Registry) http.Handler {
 
 // MetricsMux is the standard metrics surface: the format-dispatching
 // snapshot handler at /metrics (and /, for curl convenience) plus the SSE
-// stream at /metrics/watch. Mount it on a dedicated port via ServeMetrics
+// stream at /metrics/watch. Mount it on a dedicated port via ServeMux
 // or merge the routes into a service mux.
 func MetricsMux(reg *Registry) *http.ServeMux {
 	mux := http.NewServeMux()
@@ -105,18 +105,10 @@ func MountPprof(mux *http.ServeMux) {
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 }
 
-// ServeMetrics starts an HTTP endpoint serving live registry snapshots at
-// /metrics (JSON by default, Prometheus text exposition with ?format=prom)
-// and an SSE stream at /metrics/watch, on addr (e.g. "localhost:6060" or
+// ServeMux starts an HTTP endpoint serving mux — MetricsMux, possibly
+// extended with MountPprof behind a flag — on addr (e.g. "localhost:6060" or
 // ":0" for an ephemeral port). It returns the bound address and a close
 // function; the server runs until closed.
-func ServeMetrics(addr string, reg *Registry) (string, func(), error) {
-	return ServeMux(addr, MetricsMux(reg))
-}
-
-// ServeMux serves an already-assembled mux the way ServeMetrics does — the
-// entry point for callers that first extend the standard metrics mux, e.g.
-// with MountPprof behind a flag.
 func ServeMux(addr string, mux *http.ServeMux) (string, func(), error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {

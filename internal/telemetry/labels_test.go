@@ -220,25 +220,3 @@ func TestWatchSSE(t *testing.T) {
 		t.Fatalf("got %d events, want 2 (scanner err %v)", events, sc.Err())
 	}
 }
-
-// TestDroppedEventsCounter pins the satellite: ring overwrites and
-// metrics-only discards surface as the telemetry.dropped_events counter.
-func TestDroppedEventsCounter(t *testing.T) {
-	rec := New(4)
-	tr := rec.Track("w0")
-	for i := 0; i < 7; i++ {
-		tr.SpanDur(KindFiring, "x", time.Now(), 0, 0, 0)
-	}
-	if got := rec.Dropped(); got != 3 {
-		t.Errorf("Dropped() = %d, want 3 (7 events into a 4-ring)", got)
-	}
-	if got := rec.Metrics.CounterValue("telemetry.dropped_events"); got != 3 {
-		t.Errorf("registry dropped_events = %d, want 3", got)
-	}
-
-	mo := New(-1) // metrics-only: every event is discarded
-	mo.Track("w0").SpanDur(KindFiring, "x", time.Now(), 0, 0, 0)
-	if got := mo.Metrics.CounterValue("telemetry.dropped_events"); got != 1 {
-		t.Errorf("metrics-only dropped_events = %d, want 1", got)
-	}
-}

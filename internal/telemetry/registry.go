@@ -23,8 +23,8 @@ func (c *Counter) Add(n int64) { c.v.Add(n) }
 // Value reads the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
 
-// Gauge is an atomic instantaneous value (worklist depth, cardinality, live
-// nodes). Unlike a Counter it moves both ways and keeps a high-water mark.
+// Gauge is an atomic instantaneous value (cardinality, queue depth, busy
+// executors). Unlike a Counter it moves both ways and keeps a high-water mark.
 type Gauge struct {
 	v   atomic.Int64
 	max atomic.Int64
@@ -110,7 +110,8 @@ func (h *Histogram) Mean() float64 {
 }
 
 // Quantile estimates the q-quantile (0 ≤ q ≤ 1) by linear interpolation
-// within the containing power-of-two bucket.
+// within the containing power-of-two bucket, whose upper end is clipped to
+// the largest observation: no quantile reads above Max.
 func (h *Histogram) Quantile(q float64) int64 {
 	n := h.count.Load()
 	if n == 0 {
@@ -128,10 +129,7 @@ func (h *Histogram) Quantile(q float64) int64 {
 			if i > 0 {
 				lo = int64(1) << uint(i-1)
 			}
-			hi := int64(1)<<uint(i) - 1
-			if i == 0 {
-				hi = 0
-			}
+			hi := min(int64(1)<<uint(i)-1, h.max.Load())
 			frac := (rank - float64(seen)) / float64(c)
 			return lo + int64(math.Round(frac*float64(hi-lo)))
 		}
@@ -149,7 +147,7 @@ func (h *Histogram) Quantile(q float64) int64 {
 // are full registries with their own instruments; writers account the same
 // event into the global instrument AND the labeled child's same-named one,
 // two independent accountings the CheckRollup differential holds to exact
-// equality — the same discipline the telSink/Stats cross-check uses. (A
+// equality. (A
 // chained write-through design was rejected: one event recorded under two
 // dimensions would double-count the parent, and a trivially-true rollup
 // checks nothing.)
@@ -343,7 +341,7 @@ type GaugeSnapshot struct {
 }
 
 // Snapshot is a point-in-time copy of every instrument, JSON-marshalable —
-// the payload of the -metrics-addr HTTP endpoint. Children holds the label
+// the payload of the /metrics JSON endpoint. Children holds the label
 // dimensions (dimension → label value → that child's snapshot); absent when
 // the registry has none (additive, so pre-label consumers are unaffected).
 type Snapshot struct {

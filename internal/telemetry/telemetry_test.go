@@ -10,91 +10,61 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 )
 
-func TestTrackGetOrCreate(t *testing.T) {
-	r := New(0)
-	a := r.Track("gamma/w0")
-	b := r.Track("gamma/w0")
-	if a != b {
-		t.Fatal("same name must return the same track")
-	}
-	if c := r.Track("gamma/w1"); c == a {
-		t.Fatal("different names must not alias")
-	}
-	if a.Name() != "gamma/w0" {
-		t.Fatalf("name = %q", a.Name())
-	}
-}
-
-func TestRingWrapKeepsNewestAndCountsDropped(t *testing.T) {
-	r := New(4)
-	tr := r.Track("t")
-	for i := 0; i < 10; i++ {
-		tr.SpanDur(KindFiring, "p", time.Now(), 0, int64(i), 0)
-	}
-	snap := r.Snapshot()
-	if len(snap) != 1 {
-		t.Fatalf("tracks = %d", len(snap))
-	}
-	evs := snap[0].Events
-	if len(evs) != 4 {
-		t.Fatalf("buffered = %d, want 4", len(evs))
-	}
-	// The ring keeps the most recent cap events, oldest first.
-	for i, e := range evs {
-		if want := int64(6 + i); e.Arg != want {
-			t.Errorf("event %d: arg = %d, want %d", i, e.Arg, want)
-		}
-	}
-	if snap[0].Dropped != 6 {
-		t.Errorf("dropped = %d, want 6", snap[0].Dropped)
-	}
-}
-
-func TestMetricsOnlyRecorderBuffersNothing(t *testing.T) {
-	r := New(-1)
-	tr := r.Track("t")
-	tr.SpanDur(KindFiring, "f", time.Now(), 0, 1, 0)
-	tr.SpanDur(KindFiring, "f", time.Now(), 0, 1, 0)
-	snap := r.Snapshot()
-	if len(snap) != 1 || len(snap[0].Events) != 0 {
-		t.Fatalf("metrics-only recorder buffered events: %+v", snap)
-	}
-	if snap[0].Dropped != 2 {
-		t.Errorf("dropped = %d, want 2", snap[0].Dropped)
-	}
-	// The registry still works.
-	r.Metrics.Counter("x").Inc()
-	if got := r.Metrics.CounterValue("x"); got != 1 {
-		t.Errorf("counter = %d", got)
-	}
-}
-
+// TestSnapshotSortsByTS holds the timeline to start order within a lane: a
+// parallel run's schedule is in commit order, which need not be the order
+// its firings started in, and a lane must still read left to right.
 func TestSnapshotSortsByTS(t *testing.T) {
-	r := New(0)
-	tr := r.Track("t")
-	// A span stamped with a start before an already-recorded one: the append
-	// order is g-then-f, the TS order is f-then-g.
-	start := time.Now()
-	time.Sleep(time.Millisecond)
-	tr.SpanDur(KindFiring, "g", time.Now(), 0, 0, 0)
-	tr.SpanDur(KindFiring, "f", start, time.Since(start), 1, 1)
-	evs := r.Snapshot()[0].Events
-	if len(evs) != 2 {
-		t.Fatalf("events = %d", len(evs))
+	tl := NewTimeline("gamma/w")
+	// Recorded g-then-f (commit order); f started first and is still running
+	// when g starts, so the two take two lanes, each in start order.
+	tl.RecordSpan(1, "g", 500, 100)
+	tl.RecordSpan(2, "f", 0, 1000)
+	tl.RecordSpan(3, "h", 700, 50)
+	lanes := tl.lanes()
+	if len(lanes) != 2 {
+		t.Fatalf("lanes = %v, want 2", lanes)
 	}
-	for i := 1; i < len(evs); i++ {
-		if evs[i].TS < evs[i-1].TS {
-			t.Fatalf("snapshot out of TS order: %+v", evs)
+	for _, lane := range lanes {
+		for i := 1; i < len(lane); i++ {
+			if lane[i].start < lane[i-1].start {
+				t.Fatalf("lane out of start order: %+v", lane)
+			}
 		}
 	}
-	if evs[0].Name != "f" {
-		t.Errorf("the earlier span should sort first, got %q", evs[0].Name)
+	if lanes[0][0].name != "f" || lanes[1][0].name != "g" || lanes[1][1].name != "h" {
+		t.Errorf("the earlier span should take the first lane: %+v", lanes)
 	}
-	if evs[0].Dur <= 0 {
-		t.Errorf("span dur = %d, want > 0", evs[0].Dur)
+}
+
+// TestTimelineLanesNeverOverlap packs spans that touch end to start into
+// one lane and opens a lane only for a span that starts before every open
+// lane's last one ends.
+func TestTimelineLanesNeverOverlap(t *testing.T) {
+	tl := NewTimeline("dataflow/pe")
+	for i := int64(0); i < 5; i++ {
+		tl.RecordSpan(int(i+1), "v", 10*i, 10) // back to back: one lane
+	}
+	if lanes := tl.lanes(); len(lanes) != 1 || len(lanes[0]) != 5 {
+		t.Fatalf("sequential spans took %d lanes, want 1", len(lanes))
+	}
+	tl = NewTimeline("gamma/w")
+	for i := int64(0); i < 40; i++ {
+		tl.RecordSpan(int(i+1), "R", (i%4)*3+(i/4)*20, 15) // up to three at once
+	}
+	lanes := tl.lanes()
+	spans := 0
+	for _, lane := range lanes {
+		for i := 1; i < len(lane); i++ {
+			if lane[i].start < lane[i-1].start+lane[i-1].dur {
+				t.Fatalf("overlapping spans in one lane: %+v, %+v", lane[i-1], lane[i])
+			}
+		}
+		spans += len(lane)
+	}
+	if spans != 40 || len(lanes) > 4 {
+		t.Errorf("%d spans in %d lanes, want 40 in at most 4", spans, len(lanes))
 	}
 }
 
@@ -141,6 +111,30 @@ func TestCounterGaugeHistogram(t *testing.T) {
 	var empty Histogram
 	if empty.Mean() != 0 || empty.Quantile(0.5) != 0 {
 		t.Error("empty histogram must report zeros")
+	}
+}
+
+// TestHistogramQuantileNeverExceedsMax: a quantile interpolates inside its
+// power-of-two bucket, but never past the largest observation — 100
+// observations of 2048 read 2048 at every quantile, not up to 4095.
+func TestHistogramQuantileNeverExceedsMax(t *testing.T) {
+	var same Histogram
+	for i := 0; i < 100; i++ {
+		same.Observe(2048)
+	}
+	for _, q := range []float64{0, 0.5, 0.9, 0.99, 1} {
+		if got := same.Quantile(q); got != 2048 {
+			t.Errorf("100 x 2048: q%.2f = %d, want 2048", q, got)
+		}
+	}
+	var spread Histogram
+	for v := int64(1); v <= 3000; v += 7 {
+		spread.Observe(v)
+	}
+	for q := 0.0; q <= 1; q += 0.01 {
+		if got := spread.Quantile(q); got > spread.Max() {
+			t.Fatalf("q%.2f = %d above max %d", q, got, spread.Max())
+		}
 	}
 }
 
@@ -226,28 +220,26 @@ func TestMountPprof(t *testing.T) {
 	}
 }
 
-// populate records a representative mix of events on two tracks.
-func populate(r *Recorder) {
-	w0 := r.Track("gamma/w0")
-	start := time.Now()
-	w0.SpanDur(KindFiring, "R1", start, time.Since(start), 5, 1)
-	w0.SpanDur(KindFiring, "R2", time.Now(), 0, 4, 0)
-	w0.SpanDur(KindFiring, "R1", time.Now(), 0, 3, 0)
-	w1 := r.Track("gamma/w1")
-	w1.SpanDur(KindFiring, "R1", start, time.Since(start), 3, 2)
-	w1.SpanDur(KindFiring, "R1", time.Now(), 0, 4, 0)
-	w1.SpanDur(KindFiring, "R2", time.Now(), 0, 2, 0)
-	w1.SpanDur(KindFiring, "R2", time.Now(), 0, 7, 0)
+// populate records a representative mix of spans: two workers' firings,
+// overlapping in time, so the timeline has two lanes.
+func populate() *Timeline {
+	tl := NewTimeline("gamma/w")
+	for i, s := range []struct {
+		name       string
+		start, dur int64
+	}{{"R1", 0, 400}, {"R1", 100, 200}, {"R2", 350, 100}, {"R1", 420, 10}, {"R2", 460, 40}, {"R2", 470, 20}, {"R1", 600, 5}} {
+		tl.RecordSpan(i+1, s.name, s.start, s.dur)
+	}
+	return tl
 }
 
 // TestPerfettoSchema pins the trace-event contract Perfetto relies on: valid
 // JSON, a traceEvents array, pid/tid/ph on every event, dur on "X" spans, a
-// thread_name metadata record per track, and nondecreasing ts per tid.
+// thread_name metadata record per lane, nondecreasing ts per tid, and one
+// span per recorded firing.
 func TestPerfettoSchema(t *testing.T) {
-	r := New(0)
-	populate(r)
 	var buf bytes.Buffer
-	if err := WritePerfetto(&buf, r); err != nil {
+	if err := populate().WritePerfetto(&buf); err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {
@@ -261,6 +253,7 @@ func TestPerfettoSchema(t *testing.T) {
 	}
 	threadNames := map[float64]string{}
 	lastTS := map[float64]float64{}
+	spans := 0
 	for i, e := range doc.TraceEvents {
 		ph, _ := e["ph"].(string)
 		if ph == "" {
@@ -280,10 +273,10 @@ func TestPerfettoSchema(t *testing.T) {
 			threadNames[tid], _ = args["name"].(string)
 			continue
 		case "X":
+			spans++
 			if _, ok := e["dur"].(float64); !ok {
 				t.Errorf("event %d: span without dur: %v", i, e)
 			}
-		case "i", "C":
 		default:
 			t.Errorf("event %d: unexpected ph %q", i, ph)
 		}
@@ -303,50 +296,42 @@ func TestPerfettoSchema(t *testing.T) {
 	if !names["gamma/w0"] || !names["gamma/w1"] {
 		t.Errorf("thread names = %v, want gamma/w0 and gamma/w1", threadNames)
 	}
+	if spans != 7 {
+		t.Errorf("spans = %d, want one per recorded firing (7)", spans)
+	}
 }
 
 func TestJSONLRoundTrip(t *testing.T) {
-	r := New(2) // force a drop so the summary line appears
-	populate(r)
 	var buf bytes.Buffer
-	if err := WriteJSONL(&buf, r); err != nil {
+	if err := populate().WriteJSONL(&buf); err != nil {
 		t.Fatal(err)
 	}
-	lines, dropped := 0, 0
+	steps := map[int]bool{}
 	sc := bufio.NewScanner(&buf)
 	for sc.Scan() {
 		var le struct {
 			Track string `json:"track"`
 			Kind  string `json:"kind"`
-			TSNS  int64  `json:"ts_ns"`
-			Arg   int64  `json:"arg"`
+			Name  string `json:"name"`
+			Step  int    `json:"step"`
 		}
 		if err := json.Unmarshal(sc.Bytes(), &le); err != nil {
-			t.Fatalf("line %d not JSON: %v\n%s", lines, err, sc.Text())
+			t.Fatalf("line %d not JSON: %v\n%s", len(steps), err, sc.Text())
 		}
-		if le.Track == "" || le.Kind == "" {
-			t.Fatalf("line %d missing track/kind: %s", lines, sc.Text())
+		if le.Track == "" || le.Kind != "firing" || le.Name == "" {
+			t.Fatalf("line %d missing track/kind/name: %s", len(steps), sc.Text())
 		}
-		if le.Kind == "dropped" {
-			dropped++
-			if le.Arg <= 0 {
-				t.Errorf("dropped summary without count: %s", sc.Text())
-			}
-		}
-		lines++
+		steps[le.Step] = true
 	}
-	if lines == 0 {
-		t.Fatal("no lines exported")
-	}
-	if dropped != 2 {
-		t.Errorf("dropped summaries = %d, want 2 (both tracks overflowed)", dropped)
+	if len(steps) != 7 {
+		t.Errorf("exported steps %v, want each of the 7 recorded firings once", steps)
 	}
 }
 
 func TestServeMetrics(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("gamma.steps").Add(42)
-	addr, closeSrv, err := ServeMetrics("127.0.0.1:0", reg)
+	addr, closeSrv, err := ServeMux("127.0.0.1:0", MetricsMux(reg))
 	if err != nil {
 		t.Fatal(err)
 	}
