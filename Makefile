@@ -42,7 +42,7 @@ loc:
 
 # The size criterion as a gate: check-ci fails when the total of `make loc`
 # exceeds this. A PR may lower the ceiling, never raise it.
-LOC_CEILING = 19018
+LOC_CEILING = 18836
 
 # Observability demo: trace the paper's Fig. 1 program and emit a
 # Perfetto-loadable timeline (open trace.json at https://ui.perfetto.dev) plus
@@ -88,8 +88,10 @@ trace-demo:
 # decoder every dataflow submission passes through (whatever it accepts must
 # marshal to a canonical form), the multiset literal parser of gammad's init
 # field (whatever it accepts must print and parse back), the schedule decoder
-# of /v1/replay (whatever it accepts must re-encode to a fixed point) and the
-# run-request envelope (whatever it accepts must encode and decode back equal).
+# of /v1/replay (whatever it accepts must re-encode to a fixed point, and its
+# firing DAG must fold: producers before consumers, work = steps, widths
+# summing to work, span <= work, the DOT written) and the run-request
+# envelope (whatever it accepts must encode and decode back equal).
 stress:
 	$(GO) test -race -count=2 -run 'Cancel|Panic|Fault|Deadline|Wedge|Partition|Absorb|Differential|KernelMatches|ApplyDelta|TestCommit|TestView|Rollup|Replay|Churn|Recycled|Invariant|Handle|Stale|Narrow|Session|Hysteresis|UnknownLabel|PlanCache' \
 		./internal/gamma/ ./internal/dataflow/ ./internal/rt/ \

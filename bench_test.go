@@ -16,7 +16,6 @@ import (
 	"repro/internal/gammalang"
 	"repro/internal/multiset"
 	"repro/internal/paper"
-	"repro/internal/profile"
 	"repro/internal/replay"
 	"repro/internal/schema"
 	"repro/internal/value"
@@ -440,9 +439,7 @@ func BenchmarkProfileOverhead(b *testing.B) {
 			if _, err := dataflow.Run(g, dataflow.Options{Schedule: rec}); err != nil {
 				b.Fatal(err)
 			}
-			col := profile.NewCollector()
-			rec.Schedule().Each(col.RecordFiring)
-			if col.Report().Work == 0 {
+			if rec.Schedule().Profile().Work == 0 {
 				b.Fatal("empty trace")
 			}
 		}
@@ -466,9 +463,7 @@ func BenchmarkProfileOverhead(b *testing.B) {
 			if _, err := gamma.Run(prog, m, gamma.Options{Schedule: rec}); err != nil {
 				b.Fatal(err)
 			}
-			col := profile.NewCollector()
-			rec.Schedule().Each(col.RecordFiring)
-			if col.Report().Work == 0 {
+			if rec.Schedule().Profile().Work == 0 {
 				b.Fatal("empty trace")
 			}
 		}

@@ -26,7 +26,6 @@ import (
 	"repro/internal/equiv"
 	"repro/internal/gamma"
 	"repro/internal/gammalang"
-	"repro/internal/multiset"
 	"repro/internal/rt"
 )
 
@@ -43,7 +42,7 @@ func main() {
 		flag.PrintDefaults()
 		os.Exit(cli.ExitUsage)
 	}
-	if err := tel.Start(multiset.PrettyKey); err != nil {
+	if err := tel.Start(); err != nil {
 		cli.Exit("df2gamma", err)
 	}
 	ctx, stop := cli.Context(*timeout)

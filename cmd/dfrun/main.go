@@ -29,7 +29,6 @@ import (
 	"repro/internal/compiler"
 	"repro/internal/dataflow"
 	"repro/internal/dfir"
-	"repro/internal/profile"
 	"repro/internal/replay"
 	"repro/internal/rt"
 	"repro/internal/schema"
@@ -52,7 +51,7 @@ func main() {
 		os.Exit(cli.ExitUsage)
 	}
 	tel.ScheduleKind = replay.KindDataflow
-	if err := tel.Start(nil); err != nil {
+	if err := tel.Start(); err != nil {
 		cli.Exit("dfrun", err)
 	}
 	ctx, stop := cli.Context(*timeout)
@@ -171,9 +170,7 @@ func run(ctx context.Context, path string, tel *cli.TelemetryFlags, engine strin
 	}
 	fmt.Printf("firings=%d pending=%d [%s]\n", res.Firings, res.Pending, dfir.Stats(g))
 	if prof {
-		col := profile.NewCollector()
-		sched.Schedule().Each(col.RecordFiring)
-		fmt.Println("profile:", col.Report())
+		fmt.Println("profile:", sched.Schedule().Profile())
 	}
 	return nil
 }

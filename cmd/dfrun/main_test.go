@@ -87,21 +87,16 @@ func TestRunErrors(t *testing.T) {
 
 // levelReversed returns the dataflow schedule s with the steps of each
 // dependency level in reverse order. A step's level is one more than its
-// latest producer's (a const is level 0), so every step still follows its
-// producers: a linearisation the FIFO schedule never produces. Steps keep
-// their recorded Seq and are renumbered densely.
+// deepest producer's in the firing DAG (Sources; a const is level 0), so
+// every step still follows its producers: a linearisation the FIFO schedule
+// never produces. Steps keep their recorded Seq and are renumbered densely.
 func levelReversed(s *replay.Schedule) *replay.Schedule {
 	level := make([]int, len(s.Steps))
-	live := make(map[string][]int) // key → levels of its producers, oldest first
-	for i, st := range s.Steps {
-		for _, k := range st.Consumed {
-			if q := live[k]; len(q) > 0 {
-				level[i] = max(level[i], q[0]+1)
-				live[k] = q[1:]
+	for i, srcs := range s.Sources() {
+		for _, src := range srcs {
+			if src.Step >= 0 {
+				level[i] = max(level[i], level[src.Step]+1)
 			}
-		}
-		for _, k := range st.Produced {
-			live[k] = append(live[k], level[i])
 		}
 	}
 	order := make([]int, len(s.Steps))
@@ -126,7 +121,7 @@ func TestRecordReplayLoop(t *testing.T) {
 	path := writeTemp(t, "g.dfir", fig1ish)
 	sched := filepath.Join(t.TempDir(), "sched.jsonl")
 	tel := &cli.TelemetryFlags{Trace: sched, TraceFormat: "schedule", ScheduleKind: replay.KindDataflow}
-	if err := tel.Start(nil); err != nil {
+	if err := tel.Start(); err != nil {
 		t.Fatal(err)
 	}
 	if err := run(context.Background(), path, tel, "", 1000, "", false, false); err != nil {

@@ -42,7 +42,7 @@ func main() {
 		os.Exit(cli.ExitUsage)
 	}
 	tel.ScheduleKind = replay.KindDataflow // the traced run executes the emitted graph
-	if err := tel.Start(nil); err != nil {
+	if err := tel.Start(); err != nil {
 		cli.Exit("gamma2df", err)
 	}
 	err := run(flag.Arg(0), &tel, *reaction, *dot)

@@ -31,7 +31,6 @@ import (
 	"repro/internal/gamma"
 	"repro/internal/gammalang"
 	"repro/internal/multiset"
-	"repro/internal/profile"
 	"repro/internal/replay"
 	"repro/internal/rt"
 	"repro/internal/schema"
@@ -66,7 +65,7 @@ func main() {
 		cli.Exit("gammarun", err)
 	}
 	tel.ScheduleKind = replay.KindGamma
-	if err := tel.Start(multiset.PrettyKey); err != nil {
+	if err := tel.Start(); err != nil {
 		profStop()
 		cli.Exit("gammarun", err)
 	}
@@ -200,9 +199,7 @@ func run(ctx context.Context, path string, opt gamma.Options, tel *cli.Telemetry
 	fmt.Println(m)
 	fmt.Printf("steps=%d probes=%d parts=%v workers=%d\n", st.Steps, st.Probes, st.PartSteps, st.Workers)
 	if prof {
-		col := profile.NewCollector()
-		sched.Schedule().Each(col.RecordFiring)
-		fmt.Println("profile:", col.Report())
+		fmt.Println("profile:", sched.Schedule().Profile())
 	}
 	if stats {
 		names := make([]string, 0, len(st.Fired))

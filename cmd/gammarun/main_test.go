@@ -81,7 +81,7 @@ R2 = replace [a,'A2'], [b,'B2'] by [a+b,'C2']
 `)
 	sched := filepath.Join(t.TempDir(), "sched.jsonl")
 	tel := &cli.TelemetryFlags{Trace: sched, TraceFormat: "schedule", ScheduleKind: replay.KindGamma}
-	if err := tel.Start(nil); err != nil {
+	if err := tel.Start(); err != nil {
 		t.Fatal(err)
 	}
 	opt := gamma.Options{Workers: 4, Seed: 2, MaxSteps: 1000, Schedule: tel.Schedule()}

@@ -12,7 +12,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/multiset"
 	"repro/internal/paper"
-	"repro/internal/profile"
 	"repro/internal/replay"
 	"repro/internal/value"
 )
@@ -295,26 +294,20 @@ func expE11() error {
 	return nil
 }
 
-// profileOf folds a recorded run's commit-ordered schedule into its
+// profileGamma runs p on m and folds its recorded schedule into the
 // work/span report.
-func profileOf(rec *replay.Recorder) profile.Report {
-	col := profile.NewCollector()
-	rec.Schedule().Each(col.RecordFiring)
-	return col.Report()
-}
-
-func profileGamma(p *gamma.Program, m *multiset.Multiset, opt gamma.Options) (profile.Report, error) {
+func profileGamma(p *gamma.Program, m *multiset.Multiset, opt gamma.Options) (replay.ProfileReport, error) {
 	rec := replay.NewRecorder(replay.KindGamma, p.Name)
 	opt.Schedule = rec
 	_, err := gamma.Run(p, m, opt)
-	return profileOf(rec), err
+	return rec.Schedule().Profile(), err
 }
 
-func profileGraph(g *dataflow.Graph, opt dataflow.Options) (profile.Report, error) {
+func profileGraph(g *dataflow.Graph, opt dataflow.Options) (replay.ProfileReport, error) {
 	rec := replay.NewRecorder(replay.KindDataflow, g.Name)
 	opt.Schedule = rec
 	_, err := dataflow.Run(g, opt)
-	return profileOf(rec), err
+	return rec.Schedule().Profile(), err
 }
 
 // expE15 profiles work, span and average parallelism across the paper's

@@ -29,14 +29,6 @@ R2 = replace [id1, 'C1'], [id2, 'D1'] by [id1 * id2, 'C2']
 R3 = replace [id1, 'B2'], [id2, 'C2'] by [id1 - id2, 'm']
 `
 
-// profileOf folds a recorded run's commit-ordered schedule into its
-// work/span report.
-func profileOf(rec *gammaflow.ScheduleRecorder) gammaflow.ProfileReport {
-	col := gammaflow.NewProfileCollector()
-	rec.Schedule().Each(col.RecordFiring)
-	return col.Report()
-}
-
 func main() {
 	file, err := gammaflow.ParseGammaFile(src)
 	if err != nil {
@@ -65,7 +57,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("full program:    %s\n", profileOf(rec))
+	fmt.Printf("full program:    %s\n", rec.Schedule().Profile())
 	mCount := 0
 	for _, c := range m.ByLabel("m") {
 		mCount += c.N
@@ -84,7 +76,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("after reduction: %d fusions -> %s\n", fused, gammaflow.FormatProgram(reduced))
-	fmt.Printf("reduced profile: %s\n", profileOf(rec2))
+	fmt.Printf("reduced profile: %s\n", rec2.Schedule().Profile())
 	fmt.Println("\nthe reduction shrinks span per instance to 1 but halves peak parallelism —")
 	fmt.Println("exactly the paper's granularity observation, measured")
 }

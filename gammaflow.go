@@ -48,7 +48,6 @@ import (
 	"repro/internal/gamma"
 	"repro/internal/gammalang"
 	"repro/internal/multiset"
-	"repro/internal/profile"
 	"repro/internal/replay"
 	"repro/internal/rt"
 	"repro/internal/schema"
@@ -88,8 +87,8 @@ type (
 // ScheduleRecorder attached as RunConfig.Schedule receives every committed
 // firing in both runtimes; its Schedule() is the commit-ordered firing
 // history (§III-C), which replays step for step and from which every
-// analysis is a fold — rec.Schedule().Each(col.RecordFiring) for a
-// ProfileCollector.
+// analysis is a fold over its firing DAG — rec.Schedule().Profile() for the
+// work/span ProfileReport.
 //
 // Build one ScheduleRecorder per run with NewScheduleRecorder.
 type ScheduleRecorder = replay.Recorder
@@ -441,15 +440,8 @@ var (
 	AnyType    = expr.AnyType
 )
 
-// Execution profiling: work/span/parallelism analysis over either runtime
-// (the §I benefit of studying Gamma programs with dataflow analyses [2]).
-type (
-	// ProfileCollector folds a recorded Schedule into work/span metrics.
-	ProfileCollector = profile.Collector
-	// ProfileReport holds work, span, parallelism and the depth profile.
-	ProfileReport = profile.Report
-)
-
-// NewProfileCollector returns an empty collector; feed it a recorded run with
-// rec.Schedule().Each(col.RecordFiring).
-var NewProfileCollector = profile.NewCollector
+// ProfileReport is the work/span/parallelism analysis of a recorded run of
+// either runtime (the §I benefit of studying Gamma programs with dataflow
+// analyses [2]): work, span, parallelism and the depth profile, folded from a
+// ScheduleRecorder's rec.Schedule().Profile().
+type ProfileReport = replay.ProfileReport

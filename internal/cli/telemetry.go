@@ -32,10 +32,9 @@ type TelemetryFlags struct {
 	// Start; it is not a flag.
 	ScheduleKind string
 
-	format  telemetry.Format
-	labeler func(string) string
-	sched   *replay.Recorder
-	fold    func(*telemetry.Registry, *replay.Schedule) // the run-end fold for -metrics
+	format telemetry.Format
+	sched  *replay.Recorder
+	fold   func(*telemetry.Registry, *replay.Schedule) // the run-end fold for -metrics
 }
 
 // Register declares the telemetry flags on fs (the default FlagSet in the
@@ -50,10 +49,9 @@ func (t *TelemetryFlags) Register(fs *flag.FlagSet) {
 func (t *TelemetryFlags) Enabled() bool { return t.Trace != "" || t.Metrics }
 
 // Start validates the flags and, when any output was requested, builds the
-// schedule recorder every output is folded from at Finish (labeler renders
-// the provenance DAG's element keys; nil keeps them raw). Call Finish before
-// exiting.
-func (t *TelemetryFlags) Start(labeler func(string) string) error {
+// schedule recorder every output is folded from at Finish. Call Finish
+// before exiting.
+func (t *TelemetryFlags) Start() error {
 	if t.Trace != "" {
 		f, err := telemetry.ParseFormat(t.TraceFormat)
 		if err != nil {
@@ -64,7 +62,6 @@ func (t *TelemetryFlags) Start(labeler func(string) string) error {
 	if !t.Enabled() {
 		return nil
 	}
-	t.labeler = labeler
 	kind := t.ScheduleKind
 	if kind == "" {
 		kind = replay.KindGamma
@@ -108,19 +105,7 @@ func (t *TelemetryFlags) Finish() error {
 		if err != nil {
 			return fmt.Errorf("trace: %w", err)
 		}
-		switch t.format {
-		case telemetry.FormatPerfetto:
-			err = s.Timeline().WritePerfetto(f)
-		case telemetry.FormatDOT:
-			prov := telemetry.NewProvenance()
-			prov.Labeler = t.labeler
-			s.Each(prov.RecordFiring)
-			err = prov.WriteDOT(f)
-		case telemetry.FormatJSONL:
-			err = s.Timeline().WriteJSONL(f)
-		case telemetry.FormatSchedule:
-			err = s.Encode(f)
-		}
+		err = s.WriteTrace(f, t.format)
 		if cerr := f.Close(); err == nil {
 			err = cerr
 		}

@@ -9,6 +9,9 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/multiset"
+	"repro/internal/value"
 )
 
 func TestTelemetryFlagsDisabledIsFree(t *testing.T) {
@@ -21,7 +24,7 @@ func TestTelemetryFlagsDisabledIsFree(t *testing.T) {
 	if tel.Enabled() {
 		t.Fatal("no flags set must mean disabled")
 	}
-	if err := tel.Start(nil); err != nil {
+	if err := tel.Start(); err != nil {
 		t.Fatal(err)
 	}
 	if tel.Schedule() != nil {
@@ -34,7 +37,7 @@ func TestTelemetryFlagsDisabledIsFree(t *testing.T) {
 
 func TestTelemetryFlagsRejectsUnknownFormat(t *testing.T) {
 	tel := TelemetryFlags{Trace: "x.out", TraceFormat: "svg"}
-	if err := tel.Start(nil); err == nil {
+	if err := tel.Start(); err == nil {
 		t.Fatal("unknown trace format must fail Start")
 	}
 }
@@ -42,7 +45,7 @@ func TestTelemetryFlagsRejectsUnknownFormat(t *testing.T) {
 func TestTelemetryFlagsJSONLLifecycle(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "trace.jsonl")
 	tel := TelemetryFlags{Trace: out, TraceFormat: "jsonl"}
-	if err := tel.Start(nil); err != nil {
+	if err := tel.Start(); err != nil {
 		t.Fatal(err)
 	}
 	sched := tel.Schedule()
@@ -75,14 +78,15 @@ func TestTelemetryFlagsJSONLLifecycle(t *testing.T) {
 func TestTelemetryFlagsDOTLifecycle(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "prov.dot")
 	tel := TelemetryFlags{Trace: out, TraceFormat: "dot"}
-	if err := tel.Start(func(k string) string { return "k:" + k }); err != nil {
+	if err := tel.Start(); err != nil {
 		t.Fatal(err)
 	}
 	sched := tel.Schedule()
 	if sched == nil {
 		t.Fatal("dot format must build a schedule recorder to fold the DAG from")
 	}
-	sched.RecordStep(1, "R1", time.Now(), []string{"a"}, []string{"b"})
+	// A Γ schedule (the default kind) labels its boxes with the tuple.
+	sched.RecordStepTuples(1, "R1", time.Now(), []multiset.Tuple{multiset.Pair(value.Int(1), "A1")}, nil)
 	if err := tel.Finish(); err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +94,7 @@ func TestTelemetryFlagsDOTLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"digraph provenance", `label="R1"`, `label="k:a"`} {
+	for _, want := range []string{"digraph provenance", `label="R1"`, `label="[1, 'A1']"`} {
 		if !strings.Contains(string(dot), want) {
 			t.Errorf("DOT missing %q:\n%s", want, dot)
 		}

@@ -11,10 +11,16 @@ import (
 
 	"repro/internal/dataflow"
 	"repro/internal/paper"
-	"repro/internal/profile"
 	"repro/internal/replay"
 	"repro/internal/telemetry"
 )
+
+func init() {
+	dataflow.SpanRecorder = func() (dataflow.ScheduleRecorder, func() int64) {
+		rec := replay.NewRecorder(replay.KindDataflow, "")
+		return rec, func() int64 { return rec.Schedule().Profile().Span }
+	}
+}
 
 // tracedRun runs g with a schedule recorder and folds the run's registry.
 func tracedRun(t *testing.T, g *dataflow.Graph, opt dataflow.Options) (*dataflow.Result, *replay.Schedule, *telemetry.Registry) {
@@ -55,9 +61,7 @@ func checkDFTelemetryAgrees(t *testing.T, g *dataflow.Graph, reg *telemetry.Regi
 			t.Errorf("%s = %d, want %d", c.name, c.got, c.want)
 		}
 	}
-	col := profile.NewCollector()
-	sched.Each(col.RecordFiring)
-	perName := col.Report().PerName
+	perName := sched.Profile().PerName
 	for name, want := range res.PerNode() {
 		if got := reg.CounterValue("dataflow.fired." + name); got != want || perName[name] != want {
 			t.Errorf("counter dataflow.fired.%s = %d, schedule %d, result %d", name, got, perName[name], want)

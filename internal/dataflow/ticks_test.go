@@ -13,7 +13,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/profile"
 	"repro/internal/rt"
 	"repro/internal/value"
 )
@@ -37,26 +36,24 @@ func (r *recSchedule) sorted() []string {
 	return out
 }
 
-// profileFold feeds a run's firings straight into a work/span profile.
-type profileFold struct{ *profile.Collector }
+// SpanRecorder returns a schedule recorder and the span of the firing DAG of
+// what it recorded. The DAG is package replay's, which imports this package,
+// so the external tests set this hook (telemetry_test.go).
+var SpanRecorder func() (ScheduleRecorder, func() int64)
 
-func (f profileFold) RecordStep(_ uint64, name string, _ time.Time, consumed, produced []string) {
-	f.RecordFiring(name, consumed, produced)
-}
-
-// checkTicks runs g with a work/span profile of its schedule attached and
-// holds the ticks to the profile: Ticks = Span − 1, the consts being depth 1.
+// checkTicks runs g with a schedule recorder attached and holds the ticks to
+// the span of its firing DAG: Ticks = Span − 1, the consts being depth 1.
 // (The run-end fold's dataflow.ticks and fired_per_tick are held to Ticks in
 // the external telemetry tests.)
 func checkTicks(t *testing.T, name string, g *Graph, opt Options) *Result {
 	t.Helper()
-	col := profile.NewCollector()
-	opt.Schedule = profileFold{col}
+	rec, span := SpanRecorder()
+	opt.Schedule = rec
 	res, err := Run(g, opt)
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
-	if want := max(col.Report().Span-1, 0); res.Ticks != want {
+	if want := max(span()-1, 0); res.Ticks != want {
 		t.Errorf("%s: ticks %d, the schedule's span past the consts is %d", name, res.Ticks, want)
 	}
 	return res

@@ -11,28 +11,22 @@ import (
 	"repro/internal/compiler"
 	"repro/internal/dataflow"
 	"repro/internal/paper"
-	"repro/internal/profile"
 	"repro/internal/replay"
 	"repro/internal/telemetry"
 )
 
 // levelReversed returns the dataflow schedule s with the steps of each
 // dependency level in reverse order. A step's level is one more than its
-// latest producer's (a const is level 0), so every step still follows its
-// producers: a linearisation the FIFO schedule never produces. Steps keep
-// their recorded Seq and are renumbered densely.
+// deepest producer's in the firing DAG (Sources; a const is level 0), so
+// every step still follows its producers: a linearisation the FIFO schedule
+// never produces. Steps keep their recorded Seq and are renumbered densely.
 func levelReversed(s *replay.Schedule) *replay.Schedule {
 	level := make([]int, len(s.Steps))
-	live := make(map[string][]int) // key → levels of its producers, oldest first
-	for i, st := range s.Steps {
-		for _, k := range st.Consumed {
-			if q := live[k]; len(q) > 0 {
-				level[i] = max(level[i], q[0]+1)
-				live[k] = q[1:]
+	for i, srcs := range s.Sources() {
+		for _, src := range srcs {
+			if src.Step >= 0 {
+				level[i] = max(level[i], level[src.Step]+1)
 			}
-		}
-		for _, k := range st.Produced {
-			live[k] = append(live[k], level[i])
 		}
 	}
 	order := make([]int, len(s.Steps))
@@ -50,7 +44,7 @@ func levelReversed(s *replay.Schedule) *replay.Schedule {
 
 // checkSchedules runs g on the FIFO schedule, recorded, and holds the run to
 // two folds of its schedule. The ticks fold: Result.Ticks equals the
-// schedule's span past the const level (internal/profile), and the run-end
+// schedule's span past the const level (Schedule.Profile), and the run-end
 // fold's dataflow.ticks and fired_per_tick read the engine's Ticks and the
 // firings above the const level. The replay: the level-reversed schedule replays without divergence to
 // the run's outputs, firings and pending operands. moved reports whether the
@@ -62,9 +56,7 @@ func checkSchedules(g *dataflow.Graph, maxSteps int64) (moved bool, err error) {
 		return false, err
 	}
 	sched := rec.Schedule()
-	col := profile.NewCollector()
-	sched.Each(col.RecordFiring)
-	rep := col.Report()
+	rep := sched.Profile()
 	reg := telemetry.NewRegistry()
 	replay.DataflowMetrics(reg, g, res, sched)
 	h := reg.Histogram("dataflow.fired_per_tick")

@@ -86,33 +86,20 @@ func prettyKeys(keys []string) string {
 }
 
 // ancestors collects the steps whose products the firing at step index idx
-// (0-based) transitively consumed: for each consumed key, the latest earlier
-// step producing that key is its parent. Returns 1-based step numbers, sorted.
-// Keys produced by no earlier step come from the initial state and contribute
-// nothing. One pass up to idx indexes every key's latest producer and reads
-// each step's parents off it, and the walk over them keeps its own stack, so a
+// (0-based) transitively consumed, walking the firing DAG (Sources) of the
+// schedule's prefix up to idx. Returns 1-based step numbers, sorted. Keys from
+// the initial state contribute nothing. The walk keeps its own stack, so a
 // divergent schedule of S steps costs O(S) however deep its dependency chain
 // (gammad replays schedules it is sent).
 func ancestors(s *Schedule, idx int) []int {
-	latest := make(map[string]int)
-	parents := make([][]int, idx+1)
-	for i := range parents {
-		for _, key := range s.Steps[i].Consumed {
-			if j, ok := latest[key]; ok {
-				parents[i] = append(parents[i], j)
-			}
-		}
-		for _, key := range s.Steps[i].Produced {
-			latest[key] = i
-		}
-	}
+	srcs := (&Schedule{Steps: s.Steps[:idx+1]}).Sources()
 	seen := make([]bool, idx+1)
 	var out []int
 	for stack := []int{idx}; len(stack) > 0; {
 		i := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, j := range parents[i] {
-			if !seen[j] {
+		for _, src := range srcs[i] {
+			if j := src.Step; j >= 0 && !seen[j] {
 				seen[j] = true
 				out, stack = append(out, s.Steps[j].Step), append(stack, j)
 			}

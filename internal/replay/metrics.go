@@ -1,20 +1,21 @@
 package replay
 
 import (
+	"io"
+
 	"repro/internal/dataflow"
 	"repro/internal/gamma"
-	"repro/internal/profile"
 	"repro/internal/telemetry"
 )
 
 // GammaMetrics is the run-end fold of a Γ run: it fills reg from the run's
 // Stats and its recorded schedule s. gamma.steps, probes, candidates and
 // arena_bytes are the Stats fields; gamma.fired.<r> is the schedule's
-// per-name count (profile.Collector), gamma.firing_ns.<r> its recorded
-// durations, and gamma.cardinality steps from m0, the initial multiset's
-// size, by produced − consumed at every firing, so its max is the largest
-// multiset the run passed through. Every reaction of p gets its fired and
-// firing_ns series, fired or not.
+// per-name count, gamma.firing_ns.<r> its recorded durations, and
+// gamma.cardinality steps from m0, the initial multiset's size, by produced −
+// consumed at every firing, so its max is the largest multiset the run passed
+// through. Every reaction of p gets its fired and firing_ns series, fired or
+// not.
 func GammaMetrics(reg *telemetry.Registry, p *gamma.Plan, m0 int, st *gamma.Stats, s *Schedule) {
 	reg.Counter("gamma.steps").Add(st.Steps)
 	reg.Counter("gamma.probes").Add(st.Probes)
@@ -26,12 +27,10 @@ func GammaMetrics(reg *telemetry.Registry, p *gamma.Plan, m0 int, st *gamma.Stat
 			reg.Histogram("gamma.firing_ns." + r.Name)
 		}
 	}
-	for name, n := range profileOf(s).PerName {
-		reg.Counter("gamma.fired." + name).Add(n)
-	}
 	card, n := reg.Gauge("gamma.cardinality"), int64(m0)
 	for i := range s.Steps {
 		step := &s.Steps[i]
+		reg.Counter("gamma.fired." + step.Name).Inc()
 		reg.Histogram("gamma.firing_ns." + step.Name).Observe(step.Dur)
 		n += int64(len(step.Produced) - len(step.Consumed))
 		card.Set(n)
@@ -53,7 +52,7 @@ func DataflowMetrics(reg *telemetry.Registry, g *dataflow.Graph, res *dataflow.R
 	for _, n := range g.Nodes {
 		reg.Counter("dataflow.fired." + n.Name)
 	}
-	rep := profileOf(s)
+	rep := s.Profile()
 	for name, n := range rep.PerName {
 		reg.Counter("dataflow.fired." + name).Add(n)
 	}
@@ -82,9 +81,18 @@ func (s *Schedule) Timeline() *telemetry.Timeline {
 	return tl
 }
 
-// profileOf is the work/span profile of s.
-func profileOf(s *Schedule) profile.Report {
-	col := profile.NewCollector()
-	s.Each(col.RecordFiring)
-	return col.Report()
+// WriteTrace writes the schedule as the trace format f: the timeline as
+// Perfetto JSON (the default) or JSONL, the firing DAG as DOT, or the
+// schedule itself.
+func (s *Schedule) WriteTrace(w io.Writer, f telemetry.Format) error {
+	switch f {
+	case telemetry.FormatDOT:
+		return s.WriteDOT(w)
+	case telemetry.FormatJSONL:
+		return s.Timeline().WriteJSONL(w)
+	case telemetry.FormatSchedule:
+		return s.Encode(w)
+	default:
+		return s.Timeline().WritePerfetto(w)
+	}
 }

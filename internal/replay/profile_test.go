@@ -1,4 +1,4 @@
-package profile_test
+package replay
 
 import (
 	"strings"
@@ -10,45 +10,39 @@ import (
 	"repro/internal/gammalang"
 	"repro/internal/multiset"
 	"repro/internal/paper"
-	"repro/internal/profile"
-	"repro/internal/replay"
 	"repro/internal/value"
 )
 
-// gammaReport runs p on m with a schedule recorder and folds the
-// commit-ordered schedule into its report.
-func gammaReport(t *testing.T, p *gamma.Program, m *multiset.Multiset, opt gamma.Options) profile.Report {
+// gammaProfile runs p on m with a schedule recorder and folds the
+// commit-ordered schedule into its work/span report.
+func gammaProfile(t *testing.T, p *gamma.Program, m *multiset.Multiset, opt gamma.Options) ProfileReport {
 	t.Helper()
-	rec := replay.NewRecorder(replay.KindGamma, p.Name)
-	opt.Schedule = rec
-	if _, err := gamma.Run(p, m, opt); err != nil {
-		t.Fatal(err)
-	}
-	col := profile.NewCollector()
-	rec.Schedule().Each(col.RecordFiring)
-	return col.Report()
+	s, _ := recordGamma(t, p, m, opt)
+	return s.Profile()
 }
 
-// dataflowReport is gammaReport for a dataflow graph.
-func dataflowReport(t *testing.T, g *dataflow.Graph, opt dataflow.Options) profile.Report {
+// dataflowProfile is gammaProfile for a dataflow graph.
+func dataflowProfile(t *testing.T, g *dataflow.Graph, opt dataflow.Options) ProfileReport {
 	t.Helper()
-	rec := replay.NewRecorder(replay.KindDataflow, g.Name)
-	opt.Schedule = rec
-	if _, err := dataflow.Run(g, opt); err != nil {
-		t.Fatal(err)
-	}
-	col := profile.NewCollector()
-	rec.Schedule().Each(col.RecordFiring)
-	return col.Report()
+	s, _ := recordDataflow(t, g, opt)
+	return s.Profile()
 }
 
-func TestCollectorManual(t *testing.T) {
-	c := profile.NewCollector()
+// firings numbers steps densely into a schedule.
+func firings(steps ...Step) *Schedule {
+	for i := range steps {
+		steps[i].Step = i + 1
+	}
+	return &Schedule{Kind: KindDataflow, Steps: steps}
+}
+
+func TestProfileManual(t *testing.T) {
 	// Diamond: a and b independent, c consumes both.
-	c.RecordFiring("a", nil, []string{"x"})
-	c.RecordFiring("b", nil, []string{"y"})
-	c.RecordFiring("c", []string{"x", "y"}, []string{"z"})
-	r := c.Report()
+	r := firings(
+		Step{Name: "a", Produced: []string{"x"}},
+		Step{Name: "b", Produced: []string{"y"}},
+		Step{Name: "c", Consumed: []string{"x", "y"}, Produced: []string{"z"}},
+	).Profile()
 	if r.Work != 3 || r.Span != 2 {
 		t.Fatalf("work=%d span=%d, want 3/2", r.Work, r.Span)
 	}
@@ -64,25 +58,25 @@ func TestCollectorManual(t *testing.T) {
 	if !strings.Contains(r.String(), "work=3 span=2") {
 		t.Errorf("render: %s", r)
 	}
-	if rr := profile.NewCollector().Report(); rr.Work != 0 || rr.Span != 0 || rr.Parallelism != 0 {
-		t.Errorf("empty collector: %+v", rr)
+	if rr := firings().Profile(); rr.Work != 0 || rr.Span != 0 || rr.Parallelism != 0 {
+		t.Errorf("empty schedule: %+v", rr)
 	}
 }
 
 func TestDuplicateKeysStack(t *testing.T) {
-	c := profile.NewCollector()
 	// Two producers of the same key (multiset multiplicity), two consumers.
-	c.RecordFiring("p1", nil, []string{"k"})
-	c.RecordFiring("p2", []string{"k"}, []string{"k"}) // depth 2, k restacked
-	c.RecordFiring("c1", []string{"k"}, nil)           // consumes p2's k: depth 3
-	r := c.Report()
+	r := firings(
+		Step{Name: "p1", Produced: []string{"k"}},
+		Step{Name: "p2", Consumed: []string{"k"}, Produced: []string{"k"}}, // depth 2, k restacked
+		Step{Name: "c1", Consumed: []string{"k"}},                          // consumes p2's k: depth 3
+	).Profile()
 	if r.Span != 3 {
 		t.Errorf("span = %d, want 3 (chained through duplicate key)", r.Span)
 	}
 }
 
 func TestFig1DataflowSpan(t *testing.T) {
-	r := dataflowReport(t, paper.Fig1Graph(), dataflow.Options{})
+	r := dataflowProfile(t, paper.Fig1Graph(), dataflow.Options{})
 	// consts at depth 1, R1/R2 at depth 2, R3 at depth 3.
 	if r.Work != 7 || r.Span != 3 {
 		t.Fatalf("work=%d span=%d, want 7/3 (%s)", r.Work, r.Span, r)
@@ -97,7 +91,7 @@ func TestFig1GammaSpan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := gammaReport(t, prog, init, gamma.Options{})
+	r := gammaProfile(t, prog, init, gamma.Options{})
 	// R1 and R2 at depth 1 (consuming initial elements), R3 at depth 2.
 	if r.Work != 3 || r.Span != 2 {
 		t.Fatalf("work=%d span=%d, want 3/2 (%s)", r.Work, r.Span, r)
@@ -123,7 +117,7 @@ func TestReductionShrinksSpan(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r := gammaReport(t, p, m, gamma.Options{})
+		r := gammaProfile(t, p, m, gamma.Options{})
 		return r.Work, r.Span
 	}
 	fw, fs := span(full)
@@ -139,7 +133,7 @@ func TestReductionShrinksSpan(t *testing.T) {
 func TestLoopSpanGrowsWithIterations(t *testing.T) {
 	spanFor := func(z int64) int64 {
 		g := paper.Fig2GraphObservable(10, 4, z)
-		return dataflowReport(t, g, dataflow.Options{MaxFirings: 100000}).Span
+		return dataflowProfile(t, g, dataflow.Options{MaxFirings: 100000}).Span
 	}
 	s2, s8 := spanFor(2), spanFor(8)
 	if s8 <= s2 {
@@ -160,17 +154,17 @@ func TestParallelRuntimesProduceSameWork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := gammaReport(t, prog, init.Clone(), gamma.Options{Workers: 4, Seed: 3})
+	r := gammaProfile(t, prog, init, gamma.Options{Workers: 4, Seed: 3})
 	if r.Work != 3 || r.Span != 2 {
 		t.Errorf("parallel gamma: %s, want work=3 span=2", r)
 	}
-	if r2 := dataflowReport(t, paper.Fig1Graph(), dataflow.Options{}); r2.Work != 7 || r2.Span != 3 {
+	if r2 := dataflowProfile(t, paper.Fig1Graph(), dataflow.Options{}); r2.Work != 7 || r2.Span != 3 {
 		t.Errorf("dataflow: %s, want work=7 span=3", r2)
 	}
 }
 
-// TestMinElementSpanLogarithmicIdeal: with nondeterministic pairing the min
-// reduction has span between log2(n) (balanced tournament) and n-1 (chain).
+// TestMinElementSpan: with nondeterministic pairing the min reduction has
+// span between log2(n) (balanced tournament) and n-1 (chain).
 func TestMinElementSpan(t *testing.T) {
 	prog, err := gammalang.ParseProgram("min", paper.MinElementListing)
 	if err != nil {
@@ -180,7 +174,7 @@ func TestMinElementSpan(t *testing.T) {
 	for i := int64(1); i <= 32; i++ {
 		m.Add(multiset.New1(value.Int(i)))
 	}
-	r := gammaReport(t, prog, m, gamma.Options{Seed: 5})
+	r := gammaProfile(t, prog, m, gamma.Options{Seed: 5})
 	if r.Work != 31 {
 		t.Errorf("work = %d, want 31", r.Work)
 	}

@@ -12,25 +12,20 @@ import (
 	"repro/internal/gammalang"
 	"repro/internal/multiset"
 	"repro/internal/paper"
-	"repro/internal/profile"
-	"repro/internal/telemetry"
 	"repro/internal/value"
 )
 
 // foldSchedule derives the two post-run analyses from a schedule: the
 // work/span report and the number of initial inputs the provenance DAG found
 // (consumed keys with no earlier producer).
-func foldSchedule(t *testing.T, s *Schedule) (profile.Report, int) {
+func foldSchedule(t *testing.T, s *Schedule) (ProfileReport, int) {
 	t.Helper()
-	col, prov := profile.NewCollector(), telemetry.NewProvenance()
-	s.Each(col.RecordFiring)
-	s.Each(prov.RecordFiring)
 	var dot bytes.Buffer
-	if err := prov.WriteDOT(&dot); err != nil {
+	if err := s.WriteDOT(&dot); err != nil {
 		t.Fatal(err)
 	}
 	// Input vertices are the boxes WriteDOT fills with the input colour.
-	return col.Report(), strings.Count(dot.String(), `fillcolor="#e8f0fe"`)
+	return s.Profile(), strings.Count(dot.String(), `fillcolor="#e8f0fe"`)
 }
 
 // TestParallelProvenanceDifferential pins that the analyses folded from a

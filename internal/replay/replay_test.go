@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
+	"reflect"
 	"runtime"
 	"sort"
 	"strings"
@@ -104,7 +106,34 @@ func FuzzScheduleRoundTrip(f *testing.F) {
 		if again := back.Bytes(); !bytes.Equal(enc, again) {
 			t.Fatalf("canonical form not a fixed point:\n%s\nvs\n%s", enc, again)
 		}
+		checkFolds(t, s)
 	})
+}
+
+// checkFolds holds the firing-DAG folds of an accepted schedule to their
+// invariants: every producer comes before its consumer, the profile's work
+// is the step count, its per-depth widths sum to the work and its span is at
+// most the work, and the DOT writer succeeds.
+func checkFolds(t *testing.T, s *Schedule) {
+	t.Helper()
+	for i, srcs := range s.Sources() {
+		for j, src := range srcs {
+			if src.Step >= i || src.Step < -1 {
+				t.Fatalf("step %d consumed slot %d from step %d", i, j, src.Step)
+			}
+		}
+	}
+	r := s.Profile()
+	sum := int64(0)
+	for _, n := range r.Profile {
+		sum += n
+	}
+	if r.Work != int64(len(s.Steps)) || sum != r.Work || r.Span > r.Work {
+		t.Fatalf("profile work=%d span=%d widths %v for %d steps", r.Work, r.Span, r.Profile, len(s.Steps))
+	}
+	if err := s.WriteDOT(io.Discard); err != nil {
+		t.Fatalf("WriteDOT: %v", err)
+	}
 }
 
 func recordGammaF(f *testing.F, p *gamma.Program, init *multiset.Multiset) (*Schedule, *multiset.Multiset) {
@@ -393,21 +422,16 @@ func TestReplayDataflowFig1(t *testing.T) {
 
 // levelReversed returns the dataflow schedule s with the steps of each
 // dependency level in reverse order. A step's level is one more than its
-// latest producer's (a const is level 0), so every step still follows its
-// producers: a linearisation the FIFO schedule never produces. Steps keep
-// their recorded Seq and are renumbered densely.
+// deepest producer's in the firing DAG (Sources; a const is level 0), so
+// every step still follows its producers: a linearisation the FIFO schedule
+// never produces. Steps keep their recorded Seq and are renumbered densely.
 func levelReversed(s *Schedule) *Schedule {
 	level := make([]int, len(s.Steps))
-	live := make(map[string][]int) // key → levels of its producers, oldest first
-	for i, st := range s.Steps {
-		for _, k := range st.Consumed {
-			if q := live[k]; len(q) > 0 {
-				level[i] = max(level[i], q[0]+1)
-				live[k] = q[1:]
+	for i, srcs := range s.Sources() {
+		for _, src := range srcs {
+			if src.Step >= 0 {
+				level[i] = max(level[i], level[src.Step]+1)
 			}
-		}
-		for _, k := range st.Produced {
-			live[k] = append(live[k], level[i])
 		}
 	}
 	order := make([]int, len(s.Steps))
@@ -553,6 +577,22 @@ func TestAncestors(t *testing.T) {
 	}
 	if got := ancestors(s, 0); len(got) != 0 {
 		t.Errorf("step 1 has ancestors %v", got)
+	}
+
+	// Duplicate keys: A and B each produce one k, C and D each consume one.
+	// The most recent unconsumed product goes first — C takes B's, D A's —
+	// as in the firing DAG the DOT draws.
+	dup := &Schedule{Kind: KindGamma, Steps: []Step{
+		{Step: 1, Seq: 1, Name: "A", Produced: []string{"k"}},
+		{Step: 2, Seq: 2, Name: "B", Produced: []string{"k"}},
+		{Step: 3, Seq: 3, Name: "C", Consumed: []string{"k"}},
+		{Step: 4, Seq: 4, Name: "D", Consumed: []string{"k"}},
+	}}
+	if got := ancestors(dup, 2); !reflect.DeepEqual(got, []int{2}) {
+		t.Errorf("C's ancestors = %v, want [2]", got)
+	}
+	if got := ancestors(dup, 3); !reflect.DeepEqual(got, []int{1}) {
+		t.Errorf("D's ancestors = %v, want [1]", got)
 	}
 }
 

@@ -7,7 +7,8 @@
 // Fig. 2 runs), and the strongest cross-engine differential: a
 // nondeterministic parallel execution, recorded in commit order, replays
 // sequentially to the identical final state (§III-C firing-history
-// equivalence made executable).
+// equivalence made executable). Its firing DAG (Sources) is the one source
+// of the provenance DOT, the work/span profile and a divergence's ancestors.
 //
 // The schedule format is line-oriented JSON: one header object naming the
 // format version and execution kind, then one object per firing in
@@ -94,16 +95,6 @@ func encodeLine(w *bufio.Writer, v any) error {
 		return err
 	}
 	return w.WriteByte('\n')
-}
-
-// Each calls fn once per firing in linearized (commit) order. It is the one
-// way to derive an analysis from a run: telemetry.Provenance and
-// profile.Collector are folds over it (sched.Each(col.RecordFiring)), as are
-// the run-end metrics and the timeline (metrics.go).
-func (s *Schedule) Each(fn func(name string, consumed, produced []string)) {
-	for i := range s.Steps {
-		fn(s.Steps[i].Name, s.Steps[i].Consumed, s.Steps[i].Produced)
-	}
 }
 
 // Bytes renders the schedule as Encode would write it.

@@ -815,19 +815,7 @@ func (s *Server) WriteTrace(w io.Writer, id string, format telemetry.Format) err
 	if !r.Traced {
 		return ErrNotTraced
 	}
-	sched := r.sched.Schedule()
-	switch format {
-	case telemetry.FormatDOT:
-		prov := telemetry.NewProvenance()
-		sched.Each(prov.RecordFiring)
-		return prov.WriteDOT(w)
-	case telemetry.FormatJSONL:
-		return sched.Timeline().WriteJSONL(w)
-	case telemetry.FormatSchedule:
-		return sched.Encode(w)
-	default:
-		return sched.Timeline().WritePerfetto(w)
-	}
+	return r.sched.Schedule().WriteTrace(w, format)
 }
 
 // wireDivergence converts a replay divergence report to its wire mirror.

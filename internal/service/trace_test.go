@@ -8,6 +8,7 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"runtime"
 	"strings"
 	"sync"
@@ -134,6 +135,27 @@ func TestTraceLifecycle(t *testing.T) {
 	// An unknown format is a 400, not a silent default.
 	if tres, _ := getTrace(t, ts, resp.ID, "pprof"); tres.StatusCode != http.StatusBadRequest {
 		t.Errorf("unknown trace format status = %d, want 400", tres.StatusCode)
+	}
+}
+
+// TestTraceFig1ProvenanceGolden: the DOT trace of a traced Example 1 run is
+// the Fig. 1 provenance golden of package telemetry byte for byte — the same
+// listing and initial multiset, the firing DAG rendered as gammarun
+// -trace-format dot renders it, its Γ keys printed as tuples.
+func TestTraceFig1ProvenanceGolden(t *testing.T) {
+	_, ts := newTestServer(t, Config{Pool: 1})
+	req := schema.NewGammaRequest(paper.Example1GammaListing, paper.Example1InitialMultiset,
+		schema.RunSpec{Engine: schema.EngineSeq, MaxSteps: 10000, Trace: true})
+	hres, resp := postRun(t, ts, req, "?wait=true", "")
+	if hres.StatusCode != http.StatusOK || resp.State != schema.StateDone {
+		t.Fatalf("traced run: status %d, state %s", hres.StatusCode, resp.State)
+	}
+	want, err := os.ReadFile("../telemetry/testdata/fig1_provenance.dot")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tres, body := getTrace(t, ts, resp.ID, "dot"); tres.StatusCode != http.StatusOK || !bytes.Equal(body, want) {
+		t.Errorf("dot trace (status %d):\n%q\nwant the Fig. 1 golden:\n%s", tres.StatusCode, body, want)
 	}
 }
 

@@ -9,7 +9,7 @@ import (
 )
 
 // Timeline lays a run's recorded firings out in time: a post-run fold over
-// the commit-ordered schedule, as Provenance is, fed one span per firing
+// the commit-ordered schedule, fed one span per firing
 // (replay.Schedule.Timeline). Spans are packed greedily into lanes that never
 // overlap — by start, each into the first lane free by then — so a sequential
 // run fills one lane and a parallel one no more lanes than it ran workers.
@@ -127,7 +127,7 @@ func (t *Timeline) WriteJSONL(w io.Writer) error {
 	return bw.Flush()
 }
 
-// Format names an export format accepted by Write.
+// Format names a trace export format (written by replay.Schedule.WriteTrace).
 type Format string
 
 const (

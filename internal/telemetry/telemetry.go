@@ -9,7 +9,8 @@
 //   - a Timeline of one span per recorded firing, packed into lanes that
 //     never overlap, exported as Chrome trace-event JSON (loadable in
 //     Perfetto) or as JSONL (export.go);
-//   - the provenance DOT of the firing DAG (provenance.go);
+//   - the trace Formats a schedule is written in (export.go; the provenance
+//     DOT of the firing DAG is replay.Schedule.WriteDOT);
 //   - the Prometheus exposition, the live JSON and SSE endpoints (prom.go,
 //     http.go).
 //
@@ -19,5 +20,5 @@
 //
 // Concurrency contract: the Registry is safe for arbitrary concurrent use
 // and its snapshots may be taken live (gammad's metrics endpoint does);
-// Timeline and Provenance are single-goroutine folds.
+// a Timeline is a single-goroutine fold.
 package telemetry

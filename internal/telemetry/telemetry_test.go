@@ -350,62 +350,3 @@ func TestServeMetrics(t *testing.T) {
 		t.Errorf("served counter = %d, want 42", s.Counters["gamma.steps"])
 	}
 }
-
-func TestProvenanceThreading(t *testing.T) {
-	p := NewProvenance()
-	// x and y consumed from the inputs, z produced then consumed, out left.
-	p.RecordFiring("R1", []string{"x", "y"}, []string{"z"})
-	p.RecordFiring("R2", []string{"z"}, []string{"out"})
-	if p.Firings() != 2 {
-		t.Fatalf("firings = %d", p.Firings())
-	}
-	var buf bytes.Buffer
-	if err := p.WriteDOT(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{
-		`i0 [shape=box`, `label="x"`, `label="y"`,
-		`f0 [shape=ellipse, label="R1"]`, `f1 [shape=ellipse, label="R2"]`,
-		`o0 [shape=box`, `label="out"`,
-		"i0 -> f0;", "i1 -> f0;", "f0 -> f1;", "f1 -> o0;",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("DOT missing %q:\n%s", want, out)
-		}
-	}
-}
-
-func TestProvenanceDuplicateKeysStack(t *testing.T) {
-	p := NewProvenance()
-	// Two producers of the same key: consumption unwinds most recent first,
-	// mirroring token-queue semantics.
-	p.RecordFiring("A", nil, []string{"k"})
-	p.RecordFiring("B", nil, []string{"k"})
-	p.RecordFiring("C", []string{"k"}, nil)
-	var buf bytes.Buffer
-	if err := p.WriteDOT(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.Contains(out, "f1 -> f2;") {
-		t.Errorf("consumer must attach to the most recent producer:\n%s", out)
-	}
-	if strings.Contains(out, "f0 -> f2;") {
-		t.Errorf("older producer must stay live:\n%s", out)
-	}
-}
-
-func TestProvenanceLabeler(t *testing.T) {
-	p := NewProvenance()
-	p.Labeler = func(key string) string { return "<" + key + ">" }
-	p.RecordFiring("R", []string{"a"}, []string{"b"})
-	var buf bytes.Buffer
-	if err := p.WriteDOT(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.Contains(out, `label="<a>"`) || !strings.Contains(out, `label="<b>"`) {
-		t.Errorf("labeler not applied:\n%s", out)
-	}
-}

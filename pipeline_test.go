@@ -142,12 +142,10 @@ func TestPipelineProfile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	col := NewProfileCollector()
-	rec.Schedule().Each(col.RecordFiring)
 	if s, _ := res.Output("s"); s != Int(385) {
 		t.Errorf("s = %v", s)
 	}
-	r := col.Report()
+	r := rec.Schedule().Profile()
 	if r.Work != res.Firings {
 		t.Errorf("profiled work %d != firings %d", r.Work, res.Firings)
 	}
@@ -164,14 +162,13 @@ func TestPipelineProfile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	colG := NewProfileCollector()
-	recG.Schedule().Each(colG.RecordFiring)
-	if colG.Report().Work != stats.Steps {
-		t.Errorf("gamma work %d != steps %d", colG.Report().Work, stats.Steps)
+	rG := recG.Schedule().Profile()
+	if rG.Work != stats.Steps {
+		t.Errorf("gamma work %d != steps %d", rG.Work, stats.Steps)
 	}
 	// Reaction span equals operator span: each firing maps one to one, and
 	// const firings (depth 1 in the dataflow trace) shift the chain by one.
-	if gSpan, dSpan := colG.Report().Span, r.Span; gSpan != dSpan-1 {
+	if gSpan, dSpan := rG.Span, r.Span; gSpan != dSpan-1 {
 		t.Errorf("gamma span %d, dataflow span %d, want exactly one const-depth difference", gSpan, dSpan)
 	}
 }
