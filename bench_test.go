@@ -18,6 +18,7 @@ import (
 	"repro/internal/paper"
 	"repro/internal/replay"
 	"repro/internal/schema"
+	"repro/internal/symtab"
 	"repro/internal/value"
 )
 
@@ -559,21 +560,24 @@ func BenchmarkGammaParse(b *testing.B) {
 func BenchmarkMultiset(b *testing.B) {
 	b.Run("add-remove", func(b *testing.B) {
 		m := multiset.New()
+		one := []multiset.Tuple{nil}
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			e := multiset.IntElem(int64(i%64), "L", int64(i%8))
-			m.Add(e)
-			m.Remove(e)
+			one[0] = multiset.IntElem(int64(i%64), "L", int64(i%8))
+			m.Add(one[0])
+			m.TryRemoveAll(one)
 		}
 	})
-	b.Run("bylabeltag", func(b *testing.B) {
+	b.Run("symtag", func(b *testing.B) {
 		m := multiset.New()
 		for i := 0; i < 1024; i++ {
 			m.Add(multiset.IntElem(int64(i), fmt.Sprintf("L%d", i%16), int64(i%64)))
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if got := m.ByLabelTag(fmt.Sprintf("L%d", i%16), int64(i%64)); len(got) == 0 {
+			n := 0
+			m.IterSymTag(symtab.Intern(fmt.Sprintf("L%d", i%16)), int64(i%64), func(multiset.Tuple, int, string) bool { n++; return true })
+			if n == 0 {
 				b.Fatal("lookup miss")
 			}
 		}

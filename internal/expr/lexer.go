@@ -113,13 +113,6 @@ func (l *Lexer) errf(format string, args ...any) error {
 	return &SyntaxError{Line: l.line, Col: l.col, Msg: fmt.Sprintf(format, args...)}
 }
 
-func (l *Lexer) peekByte() byte {
-	if l.pos >= len(l.src) {
-		return 0
-	}
-	return l.src[l.pos]
-}
-
 func (l *Lexer) advance(n int) {
 	for i := 0; i < n && l.pos < len(l.src); i++ {
 		if l.src[l.pos] == '\n' {

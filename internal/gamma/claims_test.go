@@ -10,6 +10,7 @@ import (
 	"repro/internal/expr"
 	"repro/internal/multiset"
 	"repro/internal/rt"
+	"repro/internal/symtab"
 	"repro/internal/value"
 )
 
@@ -119,6 +120,37 @@ func TestClaimTrackerMatchesMapReference(t *testing.T) {
 		if !gm.Equal(wm) || gm.CheckInvariants() != nil {
 			t.Fatalf("seed %d: %s on %s: ended on %s, reference %s", seed, r.Name, init, gm, wm)
 		}
+	}
+}
+
+// TestHandleSameEntryThroughTwoWalks: one search can reach one entry twice, by
+// its label's list and by its (label, tag) bucket, and the two handles carry
+// different slots. The claim tracker must hold them for one occurrence: on
+// six elements under six tags, `[x, 'B', t], [y, 'B', t]` has no match.
+func TestHandleSameEntryThroughTwoWalks(t *testing.T) {
+	CheckCommits(t)
+	m := multiset.New()
+	for i := int64(1); i <= 6; i++ {
+		m.Add(multiset.IntElem(i, "B", i)) // past the bucket threshold
+	}
+	sym := symtab.Intern("B")
+	var byList, byTag []multiset.Ref
+	var v multiset.View
+	m.LockRead(&v)
+	v.EachSym(sym, 0, func(r multiset.Ref) bool { byList = append(byList, r); return true })
+	v.EachSymTag(sym, 2, 0, func(r multiset.Ref) bool { byTag = append(byTag, r); return true })
+	v.Unlock()
+	if len(byTag) != 1 || byTag[0] == byList[1] || !byTag[0].Same(byList[1]) {
+		t.Fatalf("fixture: [2, 'B', 2] should be one element met at two slots: list %v, bucket %v", byList, byTag)
+	}
+	pat := func(v string) Pattern { return Pattern{FVar(v), FLabel("B"), FVar("t")} }
+	r := &Reaction{Name: "pair", Patterns: []Pattern{pat("x"), pat("y")},
+		Branches: []Branch{{Products: []Template{{expr.MustParse("x + y"), expr.MustParse("'C'"), expr.MustParse("t")}}}}}
+	if match, err := FindMatch(r, m, nil); match != nil || err != nil {
+		t.Fatalf("one occurrence matched twice: %v (%v)", match, err)
+	}
+	if st, err := Run(MustProgram("pair", r), m, Options{}); err != nil || st.Steps != 0 || m.Len() != 6 {
+		t.Fatalf("run: %v, %v, %s", st, err, m)
 	}
 }
 

@@ -95,12 +95,14 @@ type searcher struct {
 // succeeded, in pattern order.
 func (s *searcher) refs() []multiset.Ref { return s.claims }
 
-// claimed counts the occurrences of c's element the search already holds.
-// Handles of one View are equal exactly when they name the same entry.
+// claimed counts the occurrences of c's element the search already holds:
+// handles that are the Same, whatever slot each walk met the entry at — one
+// entry reached through its label's list and through a tag bucket in one
+// search is one element.
 func (s *searcher) claimed(c multiset.Ref) int {
 	n := 0
 	for _, have := range s.claims {
-		if have == c {
+		if have.Same(c) {
 			n++
 		}
 	}

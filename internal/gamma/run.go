@@ -163,7 +163,7 @@ func RunContext(ctx context.Context, p *Program, m *multiset.Multiset, opt Optio
 }
 
 // runContext is RunContext without the storage accounting, which sits in a
-// frame of its own on purpose: the matcher below copies 48-byte values through
+// frame of its own on purpose: the matcher below copies 32-byte values through
 // the stack, and Eq. 2 min runs ~8 % slower when the frames between Run and
 // the matcher shift it by 16–48 bytes modulo a cache line (bisected on the
 // gamma_min benchmark, CHANGES.md PR 14). Re-measure gamma_min after changing

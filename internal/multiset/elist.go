@@ -31,7 +31,7 @@ import (
 // a converted program holds 0–2 entries under each label and flips them on
 // every firing — one remove from and one insert into the label's list, and
 // nothing else. A list starts with chunkStart slots and a one-slot page, and
-// one that drains keeps its last chunk and page parked (see remove) for the
+// one that drains keeps its last chunk and page parked (see removeAt) for the
 // next insert to revive — at most chunkMin slots and pageMin headers, every
 // parked slot nil. A labelIndex never leaves its multiset, so an emptied label
 // costs one struct and a parked list — bounded by the labels the process ever
@@ -75,14 +75,14 @@ func (li *labelIndex) linked(e *entry) {
 		li.addTagged(e)
 	case li.all.len() > bucketAt:
 		li.bucketed = true
-		li.all.each(func(e *entry) bool { li.addTagged(e); return true })
+		li.all.eachRot(0, func(e *entry, _ slot) bool { li.addTagged(e); return true })
 	}
 }
 
 // unlinked is linked's inverse, called once e has left li.all.
 func (li *labelIndex) unlinked(e *entry) {
 	if li.bucketed && e.hasTag {
-		if l := li.byTag[e.tag].list; l == nil || l.remove(e.key) == 0 {
+		if l := li.byTag[e.tag].list; l == nil || l.removeAt(l.seek(e, 0)) == 0 { // keyed: no slot is the bucket's
 			delete(li.byTag, e.tag)
 		}
 	}
@@ -110,14 +110,15 @@ func (li *labelIndex) addTagged(e *entry) {
 }
 
 // eachTag walks the entries of li tagged tag from rotation rot: the bucket
-// when li is bucketed, else all, filtered on the cached tag.
-func (li *labelIndex) eachTag(tag int64, rot uint64, fn func(e *entry) bool) bool {
+// when li is bucketed, else all, filtered on the cached tag. A bucket's slots
+// are places in the bucket list: seek does not find the entry there.
+func (li *labelIndex) eachTag(tag int64, rot uint64, fn func(*entry, slot) bool) bool {
 	if !li.bucketed {
-		return li.all.eachRot(rot, func(e *entry) bool { return !e.hasTag || e.tag != tag || fn(e) })
+		return li.all.eachRot(rot, func(e *entry, at slot) bool { return !e.hasTag || e.tag != tag || fn(e, at) })
 	}
 	b := li.byTag[tag]
 	if b.list == nil {
-		return b.one == nil || fn(b.one)
+		return b.one == nil || fn(b.one, 0)
 	}
 	return b.list.eachRot(rot, fn)
 }
@@ -137,6 +138,28 @@ func (l *elist) len() int { return l.total }
 
 // epos is a position in an elist: page, chunk, offset in the chunk.
 type epos struct{ pi, ci, i int }
+
+// slot is an epos packed into 32 bits — offset in the low 10, chunk in the
+// next 6, page in the top 16 — so a Ref carries where its View met the entry
+// in its padding. It is a hint, never trusted unchecked (seek): a page index
+// past 16 bits wraps to a place that holds some other entry, or none.
+type slot uint32
+
+func (p epos) slot() slot { return slot(p.pi)<<16 | slot(p.ci&63)<<10 | slot(p.i&1023) }
+func (s slot) pos() epos  { return epos{int(s >> 16), int(s >> 10 & 63), int(s & 1023)} }
+
+// seek returns e's position in l, its home list: the hinted slot when e is
+// still there — one check, whatever the list's size — else (a split, merge or
+// drop since the hint was taken, or a hint from another list) the position
+// its key locates.
+func (l *elist) seek(e *entry, hint slot) epos {
+	if at := hint.pos(); at.pi < len(l.pages) && at.ci < len(l.pages[at.pi]) &&
+		at.i < len(l.pages[at.pi][at.ci]) && l.pages[at.pi][at.ci][at.i] == e {
+		return at
+	}
+	at, _ := locate(l, e.key)
+	return at
+}
 
 // lastKey returns the largest key in the chunk (chunks are never empty).
 func lastKey(c []*entry) string { return c[len(c)-1].key }
@@ -252,13 +275,9 @@ func (l *elist) splitPage(pi int) {
 	l.pages[pi+1] = right
 }
 
-// remove deletes the entry with the given key, if present, and returns how
-// many entries remain.
-func (l *elist) remove(key string) int {
-	at, e := locate(l, key)
-	if e == nil {
-		return l.total
-	}
+// removeAt deletes the entry at position at, which holds one, and returns
+// how many entries remain.
+func (l *elist) removeAt(at epos) int {
 	pi, ci, i := at.pi, at.ci, at.i
 	p := l.pages[pi]
 	c := p[ci]
@@ -339,18 +358,15 @@ func (l *elist) mergePage(pi int) {
 	}
 }
 
-// each walks every entry in ascending key order — rotation 0 — until fn
-// returns false, and reports whether the walk ran to completion.
-func (l *elist) each(fn func(e *entry) bool) bool { return l.eachRot(0, fn) }
-
 // eachRot walks every entry exactly once starting at a rotated position
 // derived from r — chunk index and in-chunk offset are picked independently,
 // so distinct workers probing the same index start on distinct cache lines —
 // until fn returns false; it reports whether the walk ran to completion.
 // The distribution over entries need not be uniform: rotation exists to
 // decorrelate concurrent searchers (the model's nondeterministic selection),
-// and the walk stays exhaustive, which is what correctness needs.
-func (l *elist) eachRot(r uint64, fn func(e *entry) bool) bool {
+// and the walk stays exhaustive, which is what correctness needs. fn gets each
+// entry with its slot, the hint a Ref carries to the commit.
+func (l *elist) eachRot(r uint64, fn func(*entry, slot) bool) bool {
 	if l.nchunks == 0 {
 		return true
 	}
@@ -365,12 +381,21 @@ func (l *elist) eachRot(r uint64, fn func(e *entry) bool) bool {
 	ci := g
 	start := l.pages[pi][ci]
 	off := int(uint32(r>>32) % uint32(len(start)))
+	// run walks chunk c of page p from offset i to j.
+	run := func(p, c, i, j int) bool {
+		at := epos{p, c, i}.slot()
+		for _, e := range l.pages[p][c][i:j] {
+			if !fn(e, at) {
+				return false
+			}
+			at++
+		}
+		return true
+	}
 	// Tail of the starting chunk, the following chunks wrapping around, then
 	// the head of the starting chunk.
-	for _, e := range start[off:] {
-		if !fn(e) {
-			return false
-		}
+	if !run(pi, ci, off, len(start)) {
+		return false
 	}
 	for p, c := pi, ci; ; {
 		c++
@@ -383,16 +408,9 @@ func (l *elist) eachRot(r uint64, fn func(e *entry) bool) bool {
 		if p == pi && c == ci {
 			break
 		}
-		for _, e := range l.pages[p][c] {
-			if !fn(e) {
-				return false
-			}
-		}
-	}
-	for _, e := range start[:off] {
-		if !fn(e) {
+		if !run(p, c, 0, len(l.pages[p][c])) {
 			return false
 		}
 	}
-	return true
+	return run(pi, ci, 0, off)
 }

@@ -7,9 +7,18 @@ import (
 	"testing"
 )
 
+// remove deletes the entry with the given key, if present, and returns how
+// many entries remain.
+func (l *elist) remove(key string) int {
+	if at, e := locate(l, key); e != nil {
+		return l.removeAt(at)
+	}
+	return l.total
+}
+
 func elistKeys(l *elist) []string {
 	var keys []string
-	l.each(func(e *entry) bool {
+	l.eachRot(0, func(e *entry, _ slot) bool {
 		keys = append(keys, e.key)
 		return true
 	})
@@ -147,7 +156,7 @@ func TestElistDrainRefillRecycled(t *testing.T) {
 		if l.len() != 0 {
 			t.Fatalf("cycle %d: %d entries left after draining", cycle, l.len())
 		}
-		l.eachRot(uint64(cycle), func(e *entry) bool {
+		l.eachRot(uint64(cycle), func(e *entry, _ slot) bool {
 			t.Fatalf("cycle %d: drained list still enumerates %q", cycle, e.key)
 			return false
 		})
@@ -192,7 +201,8 @@ func TestElistChurn(t *testing.T) {
 }
 
 // TestElistRotExhaustive checks eachRot visits every entry exactly once for
-// arbitrary rotations, across enough entries to span multiple chunks.
+// arbitrary rotations, across enough entries to span multiple chunks, each
+// with the slot that holds it.
 func TestElistRotExhaustive(t *testing.T) {
 	var l elist
 	const n = 2000 // several chunks
@@ -205,9 +215,12 @@ func TestElistRotExhaustive(t *testing.T) {
 	}
 	for _, rot := range []uint64{0, 1, 5<<32 | 999, ^uint64(0), 1 << 31} {
 		seen := map[string]bool{}
-		l.eachRot(rot, func(e *entry) bool {
+		l.eachRot(rot, func(e *entry, at slot) bool {
 			if seen[e.key] {
 				t.Fatalf("rot %d: key %q visited twice", rot, e.key)
+			}
+			if p := at.pos(); l.pages[p.pi][p.ci][p.i] != e {
+				t.Fatalf("rot %d: key %q passed with slot %+v, which holds %q", rot, e.key, p, l.pages[p.pi][p.ci][p.i].key)
 			}
 			seen[e.key] = true
 			return true
@@ -218,7 +231,7 @@ func TestElistRotExhaustive(t *testing.T) {
 	}
 	// Early exit stops the walk.
 	calls := 0
-	l.eachRot(7, func(e *entry) bool { calls++; return calls < 10 })
+	l.eachRot(7, func(*entry, slot) bool { calls++; return calls < 10 })
 	if calls != 10 {
 		t.Fatalf("early exit after %d calls, want 10", calls)
 	}

@@ -180,5 +180,5 @@ func TestCheckInvariantsCatchesCorruption(t *testing.T) {
 // exists for: the entry leaves its home list but not its (label, tag) bucket.
 func (m *Multiset) unlinkSkippingBucket(e *entry) {
 	e.hasTag = false
-	m.unlink(e)
+	m.unlink(e, 0)
 }

@@ -38,7 +38,7 @@ func (v *View) CheckInvariants() (err error) {
 	// (member), nothing parked behind a drained one — and returns its length.
 	walk := func(what string, l *elist, member func(*entry) bool) int {
 		n, prev := 0, ""
-		l.each(func(e *entry) bool {
+		l.eachRot(0, func(e *entry, _ slot) bool {
 			if !live(e) || (n > 0 && e.key <= prev) || !member(e) {
 				return fail("%s: entry %d misplaced after %q", what, n, prev)
 			}

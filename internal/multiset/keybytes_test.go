@@ -24,6 +24,7 @@ func TestAppendKeyMatchesKey(t *testing.T) {
 		{value.Bool(false)},
 		{value.Str("")},
 		{value.Str("with \x1f separator byte")},
+		{value.Str("stuffed \x1e\x1f\x1e\x1e bytes'\"")},
 		{value.Value{}}, // invalid
 		Pair(value.Int(7), "A1"),
 		Elem(value.Float(3.5), "B2", 9),
@@ -36,5 +37,35 @@ func TestAppendKeyMatchesKey(t *testing.T) {
 		if string(buf) != tp.Key() {
 			t.Errorf("AppendKey(%v) = %q, Key() = %q", tp, buf, tp.Key())
 		}
+	}
+}
+
+// keyCollision is two distinct tuples whose keys were one before string
+// fields stuffed 0x1e/0x1f: the first one's third field, holding both quote
+// characters and the separator, rendered as the second one's last two fields.
+const keyCollision = "{[1, 'L', 'a'\"\x1f4\"b''], [1, 'L', \"a'\", \"b'\"]}"
+
+// TestKeyInjective: a string field cannot fake a field boundary, so two
+// distinct tuples are two entries, and PrettyKey undoes the stuffing.
+func TestKeyInjective(t *testing.T) {
+	m, err := Parse(keyCollision)
+	if err != nil {
+		t.Fatal(err)
+	}
+	faked := Tuple{value.Int(1), value.Str("L"), value.Str("a'\"\x1f4\"b'")}
+	split := Tuple{value.Int(1), value.Str("L"), value.Str("a'"), value.Str("b'")}
+	if m.Len() != 2 || m.Distinct() != 2 || m.Count(faked) != 1 || m.Count(split) != 1 || faked.Key() == split.Key() {
+		t.Fatalf("%s: Len %d, Distinct %d, counts %d and %d", m, m.Len(), m.Distinct(), m.Count(faked), m.Count(split))
+	}
+	if want := "{" + split.String() + ", " + faked.String() + "}"; m.String() != want {
+		t.Fatalf("String() = %q, want %q", m, want)
+	}
+	for _, tp := range []Tuple{faked, split, {value.Str("\x1e"), value.Str("\x1e\x1f")}} {
+		if got, want := PrettyKey(tp.Key()), tp.String(); got != want {
+			t.Errorf("PrettyKey(%q) = %q, want %q", tp.Key(), got, want)
+		}
+	}
+	if fields, ok := KeyFields("11\x1f4'a\x1e"); !ok || len(fields) != 2 || fields[1] != "4'a\x1e" {
+		t.Errorf("a trailing lone 0x1e: fields %q, %v", fields, ok) // malformed: kept raw, not dropped
 	}
 }

@@ -43,15 +43,24 @@ type entry struct {
 // Multiset, which claims it under the write lock: a Ref whose entry was
 // consumed since (even if the struct was re-issued for another tuple — gen
 // moved) or is another Multiset's (owner differs) fails its claim, never aliases.
+//
+// at is where the issuing walk met the entry, packed into what was padding (a
+// Ref is 16 bytes): the commit unlinks there after one check, and searches by
+// key only when the check fails. It is not part of the handle's identity —
+// one entry met through two walks carries two slots (see Same).
 type Ref struct {
 	e   *entry
 	gen uint32
+	at  slot
 }
 
-// Tuple, Count and Key read the element; call them only under the issuing View.
+// Tuple and Count read the element; call them only under the issuing View.
 func (r Ref) Tuple() Tuple { return r.e.tuple }
 func (r Ref) Count() int   { return r.e.count }
-func (r Ref) Key() string  { return r.e.key }
+
+// Same reports whether r and o name the same element: entry and generation,
+// whatever slot each was met at.
+func (r Ref) Same(o Ref) bool { return r.e == o.e && r.gen == o.gen }
 
 // freeMax bounds the entry freelist.
 const freeMax = 1024
@@ -227,14 +236,15 @@ func (m *Multiset) file(home *elist, li *labelIndex, at epos, t Tuple, key strin
 	}
 }
 
-// unlink removes e from its home list and bucket, with the write lock held,
-// and retires the struct: gen moves, so outstanding Refs fail their claim, and
-// the rest is zeroed (dropping the tuple and key) before it joins the freelist.
-func (m *Multiset) unlink(e *entry) {
+// unlink removes e from its home list — at the slot hint if e is still there
+// (seek) — and its bucket, with the write lock held, and retires the struct:
+// gen moves, so outstanding Refs fail their claim, and the rest is zeroed
+// (dropping the tuple and key) before it joins the freelist.
+func (m *Multiset) unlink(e *entry, hint slot) {
 	if li := e.li; li == nil {
-		m.bare.remove(e.key)
+		m.bare.removeAt(m.bare.seek(e, hint))
 	} else {
-		li.all.remove(e.key)
+		li.all.removeAt(li.all.seek(e, hint))
 		li.unlinked(e)
 	}
 	*e = entry{gen: e.gen + 1}
@@ -252,33 +262,20 @@ func (m *Multiset) AddAll(ts []Tuple) {
 	}
 }
 
-// Remove deletes one occurrence of t, reporting whether one existed.
-func (m *Multiset) Remove(t Tuple) bool { return m.TryRemoveAll([]Tuple{t}) }
-
 // deltaScratch holds the per-commit scratch of the commit core so the hot
-// path performs no bookkeeping allocations: the entries the delta's consume
-// side resolved to, the label symbols of the produce side, the byte buffer
-// produce fingerprints are built into, and the annihilation marks.
+// path performs no bookkeeping allocations: the claimed handles, the label
+// symbols of the produce side, the byte buffer a key is rendered into, and
+// the annihilation marks.
 type deltaScratch struct {
-	cents []*entry
+	cents []Ref
 	psyms []symtab.Sym
-	kbuf  []byte // produce fingerprints, back to back
-	koff  []int  // start offset of each produce fingerprint in kbuf
+	kbuf  []byte
 	ccan  []bool // annihilation marks
 	pcan  []bool
 }
 
 // lastID numbers the Multisets of the process (Multiset.id).
 var lastID atomic.Uint32
-
-// pkey returns the i-th produce fingerprint.
-func (d *deltaScratch) pkey(i int) []byte {
-	end := len(d.kbuf)
-	if i+1 < len(d.koff) {
-		end = d.koff[i+1]
-	}
-	return d.kbuf[d.koff[i]:end]
-}
 
 // appendSymsDedup appends the label symbols in add to syms, deduplicated,
 // with NoLabelSym standing in for unlabeled tuples.
@@ -326,7 +323,7 @@ func (m *Multiset) claim(dl *Delta, d *deltaScratch) bool {
 		if r.e == nil || r.e.owner != m.id || r.e.gen != r.gen {
 			return false
 		}
-		d.cents = append(d.cents, r.e)
+		d.cents = append(d.cents, r)
 	}
 	if dl.Refs == nil {
 		for i, t := range dl.Consume {
@@ -344,17 +341,17 @@ func (m *Multiset) claim(dl *Delta, d *deltaScratch) bool {
 			if e == nil {
 				return false
 			}
-			d.cents = append(d.cents, e)
+			d.cents = append(d.cents, Ref{e: e}) // slot 0: the list head, else a search
 		}
 	}
-	for i, e := range d.cents {
+	for i, c := range d.cents {
 		need := 1
 		for _, prev := range d.cents[:i] {
-			if prev == e {
+			if prev.e == c.e {
 				need++
 			}
 		}
-		if e.count < need {
+		if c.e.count < need {
 			return false
 		}
 	}
@@ -365,13 +362,15 @@ func (m *Multiset) claim(dl *Delta, d *deltaScratch) bool {
 // are unlinked and added by a commit: the claimed entries (d.cents) lose one
 // occurrence each and the produce tuples are inserted, each under the label
 // symbol PSyms names where the caller resolved it, else the tuple's own. A
-// consume/produce pair with identical fingerprints annihilates — its net
-// effect on every count is zero, so neither side touches the lists or
-// materializes a key string. The claim was checked gross, so observable
-// semantics stay exactly remove-then-insert.
+// produce tuple equal to a claimed entry's annihilates with it — the net
+// effect on every count is zero, so neither side touches the lists, and the
+// product's key is never rendered. The claim was checked gross, so observable
+// semantics stay exactly remove-then-insert. Entries are unlinked last claim
+// first, at their slot hints (unlink): a firing that consumes two neighbours
+// of one chunk in walk order removes the later one first, and the earlier
+// one's slot still holds it.
 func (m *Multiset) apply(dl *Delta, d *deltaScratch) {
-	d.psyms, d.kbuf, d.koff = d.psyms[:0], d.kbuf[:0], d.koff[:0]
-	d.ccan, d.pcan = d.ccan[:0], d.pcan[:0]
+	d.psyms, d.ccan, d.pcan = d.psyms[:0], d.ccan[:0], d.pcan[:0]
 	for range d.cents {
 		d.ccan = append(d.ccan, false)
 	}
@@ -384,29 +383,26 @@ func (m *Multiset) apply(dl *Delta, d *deltaScratch) {
 			sym = labelSymOf(t)
 		}
 		d.psyms = append(d.psyms, sym)
-		off := len(d.kbuf)
-		d.koff = append(d.koff, off)
-		d.kbuf = t.AppendKey(d.kbuf)
-		kb, can := d.kbuf[off:], false
-		for cj, e := range d.cents {
-			if !d.ccan[cj] && string(kb) == e.key { // compared in place, not converted
+		can := false
+		for cj, c := range d.cents {
+			if !d.ccan[cj] && t.Equal(c.e.tuple) {
 				d.ccan[cj], can = true, true
 				break
 			}
 		}
 		d.pcan = append(d.pcan, can)
 	}
-	for cj, e := range d.cents {
-		if d.ccan[cj] {
-			continue
-		}
-		if e.count--; e.count == 0 {
-			m.unlink(e)
+	for cj := len(d.cents) - 1; cj >= 0; cj-- {
+		if c := d.cents[cj]; !d.ccan[cj] {
+			if c.e.count--; c.e.count == 0 {
+				m.unlink(c.e, c.at)
+			}
 		}
 	}
 	for pi, t := range dl.Produce {
 		if !d.pcan[pi] {
-			m.add(t, d.pkey(pi), d.psyms[pi], 1)
+			d.kbuf = t.AppendKey(d.kbuf[:0])
+			m.add(t, d.kbuf, d.psyms[pi], 1)
 		}
 	}
 }
@@ -464,56 +460,18 @@ func (m *Multiset) Contains(t Tuple) bool { return m.Count(t) > 0 }
 // Len returns the total number of elements, counting multiplicity.
 func (m *Multiset) Len() int { return int(m.size.Load()) }
 
-// Distinct returns the number of distinct tuples.
-func (m *Multiset) Distinct() int {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	n := m.bare.len()
-	for _, li := range m.labels {
-		n += li.all.len()
-	}
-	return n
-}
-
-// BySym returns the distinct tuples whose label symbol equals sym, with
-// their multiplicities and cached keys, in ascending key order. The slice is
-// a snapshot.
-func (m *Multiset) BySym(sym symtab.Sym) (out []Counted) {
-	m.IterSym(sym, collect(&out))
-	return out
-}
-
-// collect returns an Iter callback that appends what it is given to out.
-func collect(out *[]Counted) func(t Tuple, n int, key string) bool {
-	return func(t Tuple, n int, key string) bool {
-		*out = append(*out, Counted{Tuple: t, N: n, Key: key})
-		return true
-	}
-}
-
-// BySymTag returns the distinct tuples matching both label symbol and tag,
-// with multiplicities and cached keys, in ascending key order — the
-// dynamic-dataflow operand lookup. The slice is a snapshot.
-func (m *Multiset) BySymTag(sym symtab.Sym, tag int64) (out []Counted) {
-	m.IterSymTag(sym, tag, collect(&out))
-	return out
-}
-
-// ByLabel is BySym by label string; a label that was never interned has no
-// entries anywhere, so the miss answers without touching the symbol table.
-func (m *Multiset) ByLabel(label string) []Counted {
+// ByLabel returns the distinct tuples labeled label, with their
+// multiplicities and cached keys, in ascending key order. The slice is a
+// snapshot. A label that was never interned has no entries anywhere, so the
+// miss answers without touching the symbol table.
+func (m *Multiset) ByLabel(label string) (out []Counted) {
 	if sym, ok := symtab.SymOf(label); ok {
-		return m.BySym(sym)
+		m.IterSym(sym, func(t Tuple, n int, key string) bool {
+			out = append(out, Counted{Tuple: t, N: n, Key: key})
+			return true
+		})
 	}
-	return nil
-}
-
-// ByLabelTag is BySymTag by label string.
-func (m *Multiset) ByLabelTag(label string, tag int64) []Counted {
-	if sym, ok := symtab.SymOf(label); ok {
-		return m.BySymTag(sym, tag)
-	}
-	return nil
+	return out
 }
 
 // IterSym calls fn once per distinct tuple whose label symbol equals sym, in
@@ -568,7 +526,7 @@ type Counted struct {
 func (m *Multiset) ForEach(fn func(t Tuple, n int) bool) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	m.eachRot(0, func(e *entry) bool { return fn(e.tuple, e.count) })
+	m.eachRot(0, func(e *entry, _ slot) bool { return fn(e.tuple, e.count) })
 }
 
 // Snapshot returns every distinct tuple with multiplicity, sorted
@@ -587,7 +545,7 @@ func (m *Multiset) Snapshot() []Counted {
 // eachRot walks every entry, with the lock held — bare, then each label's list
 // by symbol, each list from rotation rot (0: ascending) — until fn returns
 // false, and reports whether it ran to completion.
-func (m *Multiset) eachRot(rot uint64, fn func(e *entry) bool) bool {
+func (m *Multiset) eachRot(rot uint64, fn func(*entry, slot) bool) bool {
 	if !m.bare.eachRot(rot, fn) {
 		return false
 	}
@@ -610,7 +568,7 @@ func (m *Multiset) Clone() *Multiset {
 	defer m.mu.RUnlock()
 	var from, li *labelIndex // the source label being walked (nil: bare) and its copy
 	home := &c.bare
-	m.eachRot(0, func(e *entry) bool {
+	m.eachRot(0, func(e *entry, _ slot) bool {
 		if e.li != from {
 			from = e.li
 			home, li = c.home(from.sym, true)
@@ -631,18 +589,15 @@ func (m *Multiset) ArenaBytes() int64 {
 }
 
 // Equal reports whether two multisets hold exactly the same elements with the
-// same multiplicities.
+// same multiplicities: equal sizes, and every element of m as often in o.
 func (m *Multiset) Equal(o *Multiset) bool {
-	if m.Len() != o.Len() || m.Distinct() != o.Distinct() {
+	if m.Len() != o.Len() {
 		return false
 	}
 	equal := true
 	m.ForEach(func(t Tuple, n int) bool {
-		if o.Count(t) != n {
-			equal = false
-			return false
-		}
-		return true
+		equal = o.Count(t) == n
+		return equal
 	})
 	return equal
 }
@@ -669,14 +624,23 @@ func (m *Multiset) String() string {
 // Parse reads a multiset from its braced source form, e.g.
 // "{[1, 'A1', 0], [5, 'B1', 0]}".
 func Parse(src string) (*Multiset, error) {
+	m := New()
+	if err := parseElems(src, m.Add); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+// parseElems reads the braced source form and hands add each element, in
+// source order.
+func parseElems(src string, add func(Tuple)) error {
 	s := strings.TrimSpace(src)
 	if len(s) < 2 || s[0] != '{' || s[len(s)-1] != '}' {
-		return nil, fmt.Errorf("multiset: %q must be braced", src)
+		return fmt.Errorf("multiset: %q must be braced", src)
 	}
 	inner := strings.TrimSpace(s[1 : len(s)-1])
-	m := New()
 	if inner == "" {
-		return m, nil
+		return nil
 	}
 	// Split on commas outside brackets and, like splitTopLevel, outside quotes.
 	depth := 0
@@ -691,7 +655,7 @@ func Parse(src string) (*Multiset, error) {
 		if err != nil {
 			return err
 		}
-		m.Add(t)
+		add(t)
 		return nil
 	}
 	for i := 0; i < len(inner); i++ {
@@ -708,13 +672,10 @@ func Parse(src string) (*Multiset, error) {
 			depth--
 		case c == ',' && depth == 0:
 			if err := flush(i); err != nil {
-				return nil, err
+				return err
 			}
 			start = i + 1
 		}
 	}
-	if err := flush(len(inner)); err != nil {
-		return nil, err
-	}
-	return m, nil
+	return flush(len(inner))
 }

@@ -3,6 +3,7 @@ package multiset
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -390,6 +391,7 @@ func FuzzParse(f *testing.F) {
 		`{[1, "it's"], [2, 'say "hi"']}`, "{[1, 'a]}", "{[[1]]}", "{[1],}", "{]", "{[1, 'x'] [2]}",
 		"{[NaN, 'L', 0]}", "{[+Inf, 'L', 0], [-Inf, 'L', 0]}", `{["a'b", 'L', 0]}`,
 		"{[NaN.0, 'L', 0]}", "{[+Inf.0, 'L', 0]}", "{['a'b', 'L', 0]}", // what String printed before it agreed with Parse
+		keyCollision,
 	} {
 		f.Add(seed)
 	}
@@ -397,6 +399,19 @@ func FuzzParse(f *testing.F) {
 		m, err := Parse(src)
 		if err != nil {
 			return
+		}
+		// One entry per Tuple.Equal class of the elements: Key neither merges
+		// distinct tuples nor splits equal ones.
+		var elems []Tuple
+		parseElems(src, func(tp Tuple) { elems = append(elems, tp) })
+		classes := 0
+		for i, tp := range elems {
+			if !slices.ContainsFunc(elems[:i], tp.Equal) {
+				classes++
+			}
+		}
+		if m.Distinct() != classes || m.Len() != len(elems) {
+			t.Fatalf("Parse(%q): %d entries, %d elements; want %d, one per distinct tuple of %d", src, m.Distinct(), m.Len(), classes, len(elems))
 		}
 		printable := true
 		m.ForEach(func(tp Tuple, _ int) bool {

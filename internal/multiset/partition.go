@@ -45,7 +45,7 @@ func (v *View) session() *Multiset {
 // names for each entry and its position in the walk.
 func (src *Multiset) moveAll(to func(e *entry, nth int) *Multiset) {
 	nth := 0
-	src.eachRot(0, func(e *entry) bool {
+	src.eachRot(0, func(e *entry, _ slot) bool {
 		src.size.Add(-int64(e.count))
 		to(e, nth).adopt(e)
 		nth++

@@ -18,6 +18,7 @@ package multiset
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/value"
@@ -94,50 +95,76 @@ func (t Tuple) Clone() Tuple {
 // Key returns a canonical fingerprint of the tuple, unique per distinct
 // tuple: what the multiset orders and finds its entries by.
 func (t Tuple) Key() string {
-	var b strings.Builder
-	for i, v := range t {
-		if i > 0 {
-			b.WriteByte(0x1f)
-		}
-		// Kind byte disambiguates e.g. Int(2) ("2") from Float(2.0) ("2.0")
-		// even if formatting ever collides.
-		b.WriteByte(byte('0' + v.Kind()))
-		b.WriteString(v.String())
-	}
-	return b.String()
+	var buf [64]byte
+	return string(t.AppendKey(buf[:0]))
 }
 
-// AppendKey appends exactly Key()'s fingerprint of t to b and returns the
-// extended slice — the allocation-free form the commit path searches by, so
-// the key string is materialized only when a genuinely new entry is inserted.
+// AppendKey appends Key()'s fingerprint of t to b and returns the extended
+// slice — the allocation-free form the commit path searches by, so the key
+// string is materialized only when a genuinely new entry is inserted.
+//
+// Fields are joined by 0x1f, each a kind byte (which disambiguates e.g.
+// Int(2) "2" from Float(2.0) "2.0") and its source rendering. A string's
+// rendering does not escape its quotes, so inside a string field 0x1e and
+// 0x1f are stuffed behind a 0x1e: no field then holds a bare separator, and
+// a string cannot fake a field boundary. Keys without those bytes read as
+// plain renderings.
 func (t Tuple) AppendKey(b []byte) []byte {
 	for i, v := range t {
 		if i > 0 {
 			b = append(b, 0x1f)
 		}
 		b = append(b, byte('0'+v.Kind()))
+		n := len(b)
 		b = v.Append(b)
+		for j := n; v.Kind() == value.KindString && j < len(b); j++ {
+			if b[j]|1 == 0x1f { // 0x1e or 0x1f
+				b = slices.Insert(b, j, 0x1e)
+				j++
+			}
+		}
 	}
 	return b
 }
 
+// KeyFields splits a Tuple.Key into its fields, each a kind byte and the
+// value's source rendering, un-stuffed (see AppendKey); ok is false for a key
+// that is empty or has an empty field. What a key's reader — replay, the
+// provenance DOT — needs to invert it.
+func KeyFields(key string) (fields []string, ok bool) {
+	start, stuffed := 0, false
+	for i := 0; i <= len(key); i++ {
+		switch {
+		case i+1 < len(key) && key[i] == 0x1e:
+			i, stuffed = i+1, true
+		case i < len(key) && key[i] != 0x1f:
+		case i == start:
+			return nil, false
+		default:
+			f := key[start:i]
+			if stuffed {
+				f = unstuff.Replace(f)
+			}
+			fields, start, stuffed = append(fields, f), i+1, false
+		}
+	}
+	return fields, true
+}
+
+var unstuff = strings.NewReplacer("\x1e\x1e", "\x1e", "\x1e\x1f", "\x1f")
+
 // PrettyKey renders a Tuple.Key back into the paper's bracketed tuple form
-// ("[1, 'A1']"): fields are split on the key separator and stripped of their
-// kind byte. Consumers of execution traces (the telemetry provenance DOT)
-// use it to label elements that are only known by key. Strings that are not
+// ("[1, 'A1']"): its fields stripped of their kind byte. Strings that are not
 // well-formed keys are returned unchanged.
 func PrettyKey(key string) string {
-	if key == "" {
+	fields, ok := KeyFields(key)
+	if !ok {
 		return key
 	}
-	parts := strings.Split(key, "\x1f")
-	for i, p := range parts {
-		if p == "" {
-			return key
-		}
-		parts[i] = p[1:]
+	for i, f := range fields {
+		fields[i] = f[1:]
 	}
-	return "[" + strings.Join(parts, ", ") + "]"
+	return "[" + strings.Join(fields, ", ") + "]"
 }
 
 // String renders the tuple in the paper's bracketed style: [1, 'A1', 0].

@@ -93,9 +93,9 @@ func (v *View) held() *Multiset {
 }
 
 // ref adapts a handle callback to the lists' entry callback: the handle a
-// session issues for e is e at its current gen.
-func ref(fn func(Ref) bool) func(*entry) bool {
-	return func(e *entry) bool { return fn(Ref{e, e.gen}) }
+// session issues for e is e at its current gen, with the slot it was met at.
+func ref(fn func(Ref) bool) func(*entry, slot) bool {
+	return func(e *entry, at slot) bool { return fn(Ref{e, e.gen, at}) }
 }
 
 // EachSym enumerates the distinct tuples labeled sym as handles, starting at a

@@ -2,7 +2,6 @@ package replay
 
 import (
 	"fmt"
-	"strings"
 
 	"repro/internal/gamma"
 	"repro/internal/multiset"
@@ -10,21 +9,18 @@ import (
 	"repro/internal/value"
 )
 
-// KeyTuple inverts multiset.Tuple.Key: fields are split on the key
-// separator, each field's leading kind byte is checked against the parsed
-// value's kind, and the canonical string form is parsed back into a value.
-// Every key an engine emits round-trips; keys from a corrupted schedule
-// fail with rt.ErrParse.
+// KeyTuple inverts multiset.Tuple.Key: the key is split into its fields
+// (multiset.KeyFields), each field's leading kind byte is checked against the
+// parsed value's kind, and the canonical string form is parsed back into a
+// value. Every key an engine emits round-trips; keys from a corrupted
+// schedule fail with rt.ErrParse.
 func KeyTuple(key string) (multiset.Tuple, error) {
-	if key == "" {
-		return nil, rt.Mark(rt.ErrParse, fmt.Errorf("replay: empty tuple key"))
+	parts, ok := multiset.KeyFields(key)
+	if !ok {
+		return nil, rt.Mark(rt.ErrParse, fmt.Errorf("replay: tuple key %q is empty or has an empty field", key))
 	}
-	parts := strings.Split(key, "\x1f")
 	t := make(multiset.Tuple, len(parts))
 	for i, p := range parts {
-		if p == "" {
-			return nil, rt.Mark(rt.ErrParse, fmt.Errorf("replay: tuple key %q: empty field %d", key, i))
-		}
 		v, err := value.Parse(p[1:])
 		if err != nil {
 			return nil, rt.Mark(rt.ErrParse, fmt.Errorf("replay: tuple key %q field %d: %w", key, i, err))

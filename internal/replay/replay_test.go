@@ -151,6 +151,7 @@ func TestKeyTupleRoundTrip(t *testing.T) {
 		{value.Int(-42), value.Float(2.0), value.Float(1.5e300)},
 		{value.Bool(true), value.Bool(false), value.Str("")},
 		{value.Str("with spaces and @ and \x1e")},
+		{value.Str("a'\"\x1f4\"b'"), value.Str("\x1e\x1f")}, // both quotes and the stuffed bytes
 		{value.Int(0)},
 	}
 	for _, tu := range tuples {
