@@ -42,7 +42,7 @@ loc:
 
 # The size criterion as a gate: check-ci fails when the total of `make loc`
 # exceeds this. A PR may lower the ceiling, never raise it.
-LOC_CEILING = 18833
+LOC_CEILING = 18825
 
 # Observability demo: trace the paper's Fig. 1 program and emit a
 # Perfetto-loadable timeline (open trace.json at https://ui.perfetto.dev) plus

@@ -161,6 +161,30 @@ func TestRunSpecDrivesTheFacade(t *testing.T) {
 	}
 }
 
+// TestMapMultisetDeadline: MaxSteps bounds each mapped instance, not the
+// mapping, so a diverging reaction maps forever unless TimeoutMS stops it —
+// with ErrDeadline, like the facade's other entry points.
+func TestMapMultisetDeadline(t *testing.T) {
+	r, err := ParseReaction(`R = replace [x, 'a'] by [x + 1, 'a']`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := GraphOptions{RunConfig: RunConfig{RunSpec: RunSpec{TimeoutMS: 50, MaxSteps: 10}}}
+	done := make(chan error, 1)
+	go func() {
+		_, err := MapMultiset(r, NewMultiset(PairElem(Int(0), "a")), opt)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if !errors.Is(err, ErrDeadline) {
+			t.Errorf("err = %v, want ErrDeadline", err)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("MapMultiset ignored TimeoutMS: still mapping after 1 s")
+	}
+}
+
 // TestOptionsCensus pins the settable fields of every options struct to a
 // literal list, each entry naming who sets the field outside tests and
 // examples. A new knob fails here until its line, and so its production

@@ -5,6 +5,7 @@ package gammaflow
 // EXPERIMENTS.md records the measured shapes against the paper's claims.
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -215,7 +216,7 @@ func BenchmarkGammaToDataflowMapping(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				m := init.Clone()
-				if _, err := core.MapMultiset(r, m, dataflow.Options{}); err != nil {
+				if _, err := core.MapMultiset(context.Background(), r, m, dataflow.Options{}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -19,14 +19,12 @@ import (
 	"os"
 
 	"repro/internal/cli"
-	"repro/internal/compiler"
 	"repro/internal/core"
-	"repro/internal/dataflow"
-	"repro/internal/dfir"
 	"repro/internal/equiv"
 	"repro/internal/gamma"
 	"repro/internal/gammalang"
-	"repro/internal/rt"
+	"repro/internal/replay"
+	"repro/internal/schema"
 )
 
 func main() {
@@ -42,7 +40,7 @@ func main() {
 		flag.PrintDefaults()
 		os.Exit(cli.ExitUsage)
 	}
-	if err := tel.Start(); err != nil {
+	if err := tel.Start(replay.KindGamma); err != nil {
 		cli.Exit("df2gamma", err)
 	}
 	ctx, stop := cli.Context(*timeout)
@@ -59,16 +57,11 @@ func run(ctx context.Context, path string, tel *cli.TelemetryFlags, compile, red
 	if err != nil {
 		return err
 	}
-	var g *dataflow.Graph
-	if compile {
-		g, err = compiler.Compile(path, string(src))
-	} else {
-		g, err = dfir.Unmarshal(string(src))
-		err = rt.Mark(rt.ErrParse, err)
-	}
+	job, err := schema.LoadGraph(path, string(src), compile)
 	if err != nil {
 		return err
 	}
+	g := job.Graph
 	if check {
 		rep, err := equiv.CheckContext(ctx, g, equiv.Options{MaxSteps: 1_000_000})
 		if err != nil {
@@ -97,10 +90,10 @@ func run(ctx context.Context, path string, tel *cli.TelemetryFlags, compile, red
 		// Observe the conversion's output, not just print it: execute the
 		// emitted Gamma program on a copy of its init multiset so the trace
 		// shows the program the user is about to run.
-		opt := gamma.Options{Workers: 1, MaxSteps: 1_000_000, Schedule: tel.Schedule()}
-		plan := gamma.Sequence(prog)
-		st, err := plan.RunContext(ctx, init.Clone(), opt)
-		tel.GammaRun(plan, init.Len(), st)
+		job := &schema.Job{Plan: gamma.Sequence(prog), Init: init.Clone()}
+		gopt, dopt := schema.RunSpec{Workers: 1, MaxSteps: 1_000_000}.Lower(tel.Schedule(), nil)
+		out, err := job.Run(ctx, gopt, dopt)
+		defer tel.PrintMetrics(os.Stdout, out)
 		if err != nil {
 			return fmt.Errorf("traced run of converted program: %w", err)
 		}

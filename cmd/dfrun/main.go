@@ -22,15 +22,14 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 
 	"repro/internal/cli"
-	"repro/internal/compiler"
 	"repro/internal/dataflow"
 	"repro/internal/dfir"
 	"repro/internal/replay"
-	"repro/internal/rt"
 	"repro/internal/schema"
 )
 
@@ -50,16 +49,15 @@ func main() {
 		flag.PrintDefaults()
 		os.Exit(cli.ExitUsage)
 	}
-	tel.ScheduleKind = replay.KindDataflow
-	if err := tel.Start(); err != nil {
+	if err := tel.Start(replay.KindDataflow); err != nil {
 		cli.Exit("dfrun", err)
 	}
 	ctx, stop := cli.Context(*timeout)
 	var err error
 	if *replayFile != "" {
-		err = replayRun(flag.Arg(0), *replayFile, *compile)
+		err = replayRun(os.Stdout, flag.Arg(0), *replayFile, *compile)
 	} else {
-		err = run(ctx, flag.Arg(0), &tel, *engine, *maxFirings, *dot, *compile, *prof)
+		err = run(ctx, os.Stdout, flag.Arg(0), &tel, *engine, *maxFirings, *dot, *compile, *prof)
 	}
 	stop()
 	if terr := tel.Finish(); err == nil {
@@ -68,28 +66,35 @@ func main() {
 	cli.Exit("dfrun", err)
 }
 
-// loadGraph reads and parses the input the way run does: .dfir by default,
-// von Neumann source with -compile.
-func loadGraph(path string, compile bool) (*dataflow.Graph, error) {
+// load reads the input into the job both modes run against: a .dfir graph
+// by default, von Neumann source compiled to one with -compile.
+func load(path string, compile bool) (*schema.Job, error) {
 	src, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	if compile {
-		return compiler.Compile(path, string(src))
+	return schema.LoadGraph(path, string(src), compile)
+}
+
+// printOutputs prints terminal-edge tokens one per line, edges by label.
+func printOutputs(w io.Writer, outputs map[string][]dataflow.TaggedValue) {
+	labels := make([]string, 0, len(outputs))
+	for l := range outputs {
+		labels = append(labels, l)
 	}
-	g, err := dfir.Unmarshal(string(src))
-	if err != nil {
-		return nil, rt.Mark(rt.ErrParse, err)
+	sort.Strings(labels)
+	for _, l := range labels {
+		for _, tv := range outputs[l] {
+			fmt.Fprintf(w, "%s = %s (tag %d)\n", l, tv.Val, tv.Tag)
+		}
 	}
-	return g, nil
 }
 
 // replayRun re-executes a recorded schedule against the graph, step for
 // step, printing the replayed outputs on success and the divergence report
 // on the first step the graph no longer reproduces.
-func replayRun(path, schedPath string, compile bool) error {
-	g, err := loadGraph(path, compile)
+func replayRun(w io.Writer, path, schedPath string, compile bool) error {
+	job, err := load(path, compile)
 	if err != nil {
 		return err
 	}
@@ -97,59 +102,46 @@ func replayRun(path, schedPath string, compile bool) error {
 	if err != nil {
 		return err
 	}
-	sched, err := replay.Parse(sf)
-	sf.Close()
+	defer sf.Close()
+	rep, err := job.Replay(sf)
 	if err != nil {
 		return err
 	}
-	res, err := replay.ReplayDataflow(g, sched)
-	if err != nil {
+	if err := rep.Err(); err != nil {
+		fmt.Fprintln(os.Stderr, rep.Divergence)
 		return err
 	}
-	if res.Divergence != nil {
-		fmt.Fprintln(os.Stderr, res.Divergence)
-		return rt.Mark(rt.ErrInvalid, fmt.Errorf("replay diverged at step %d (%s)", res.Divergence.Step, res.Divergence.Reason))
-	}
-	labels := make([]string, 0, len(res.Outputs))
-	for l := range res.Outputs {
-		labels = append(labels, l)
-	}
-	sort.Strings(labels)
-	for _, l := range labels {
-		for _, tv := range res.Outputs[l] {
-			fmt.Printf("%s = %s (tag %d)\n", l, tv.Val, tv.Tag)
-		}
-	}
-	fmt.Printf("replayed steps=%d pending=%d stable=%v\n", res.Steps, res.Pending, res.Stable)
+	res := rep.Dataflow
+	printOutputs(w, res.Outputs)
+	fmt.Fprintf(w, "replayed steps=%d pending=%d stable=%v\n", res.Steps, res.Pending, res.Stable)
 	return nil
 }
 
-func run(ctx context.Context, path string, tel *cli.TelemetryFlags, engine string, maxFirings int64, dot string, compile, prof bool) error {
-	// Validate the engine through the wire spec so the CLI accepts exactly the
-	// enum gammad does; every accepted value runs the one FIFO schedule.
-	spec := schema.RunSpec{Engine: engine}
+func run(ctx context.Context, w io.Writer, path string, tel *cli.TelemetryFlags, engine string, maxFirings int64, dot string, compile, prof bool) error {
+	// Validate the flags through the wire spec so the CLI accepts exactly what
+	// gammad does; every accepted engine runs the one FIFO schedule.
+	spec := schema.RunSpec{Engine: engine, MaxSteps: maxFirings}
 	if err := spec.Validate(); err != nil {
 		return err
 	}
-	g, err := loadGraph(path, compile)
+	job, err := load(path, compile)
 	if err != nil {
 		return err
 	}
+	g := job.Graph
 	if dot != "" {
 		if err := os.WriteFile(dot, []byte(dfir.ToDOT(g)), 0o644); err != nil {
 			return err
 		}
 	}
-	opt := dataflow.Options{MaxFirings: maxFirings}
 	sched := tel.Schedule()
 	if sched == nil && prof {
 		sched = replay.NewRecorder(replay.KindDataflow, path)
 	}
-	if sched != nil {
-		opt.Schedule = sched
-	}
-	res, err := dataflow.RunContext(ctx, g, opt)
-	tel.DataflowRun(g, res)
+	gopt, dopt := spec.Lower(sched, nil)
+	out, err := job.Run(ctx, gopt, dopt)
+	defer tel.PrintMetrics(w, out)
+	res := out.Dataflow
 	if err != nil {
 		if res != nil {
 			// Early exit: report the partial work so an interrupted run is
@@ -158,19 +150,10 @@ func run(ctx context.Context, path string, tel *cli.TelemetryFlags, engine strin
 		}
 		return err
 	}
-	labels := make([]string, 0, len(res.Outputs))
-	for l := range res.Outputs {
-		labels = append(labels, l)
-	}
-	sort.Strings(labels)
-	for _, l := range labels {
-		for _, tv := range res.Outputs[l] {
-			fmt.Printf("%s = %s (tag %d)\n", l, tv.Val, tv.Tag)
-		}
-	}
-	fmt.Printf("firings=%d pending=%d [%s]\n", res.Firings, res.Pending, dfir.Stats(g))
+	printOutputs(w, res.Outputs)
+	fmt.Fprintf(w, "firings=%d pending=%d [%s]\n", res.Firings, res.Pending, dfir.Stats(g))
 	if prof {
-		fmt.Println("profile:", sched.Schedule().Profile())
+		fmt.Fprintln(w, "profile:", sched.Schedule().Profile())
 	}
 	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -35,19 +36,19 @@ edge m add:0 -> out
 
 func TestRunDfir(t *testing.T) {
 	path := writeTemp(t, "g.dfir", fig1ish)
-	if err := run(context.Background(), path, &cli.TelemetryFlags{}, "", 1000, "", false, false); err != nil {
+	if err := run(context.Background(), io.Discard, path, &cli.TelemetryFlags{}, "", 1000, "", false, false); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(context.Background(), path, &cli.TelemetryFlags{}, "parallel", 1000, "", false, false); err != nil {
+	if err := run(context.Background(), io.Discard, path, &cli.TelemetryFlags{}, "parallel", 1000, "", false, false); err != nil {
 		t.Fatalf("engine parallel, run sequentially: %v", err)
 	}
-	if err := run(context.Background(), path, &cli.TelemetryFlags{}, "", 1000, "", false, true); err != nil {
+	if err := run(context.Background(), io.Discard, path, &cli.TelemetryFlags{}, "", 1000, "", false, true); err != nil {
 		t.Fatalf("profile mode: %v", err)
 	}
-	if err := run(context.Background(), path, &cli.TelemetryFlags{}, "matrix", 1000, "", false, false); err != nil {
+	if err := run(context.Background(), io.Discard, path, &cli.TelemetryFlags{}, "matrix", 1000, "", false, false); err != nil {
 		t.Fatalf("engine matrix, run sequentially: %v", err)
 	}
-	if err := run(context.Background(), path, &cli.TelemetryFlags{}, "quantum", 1000, "", false, false); !errors.Is(err, rt.ErrInvalid) {
+	if err := run(context.Background(), io.Discard, path, &cli.TelemetryFlags{}, "quantum", 1000, "", false, false); !errors.Is(err, rt.ErrInvalid) {
 		t.Fatalf("unknown engine not rejected as invalid: %v", err)
 	}
 }
@@ -55,7 +56,7 @@ func TestRunDfir(t *testing.T) {
 func TestRunCompileAndDot(t *testing.T) {
 	src := writeTemp(t, "p.vn", `int a = 2; int b; b = a * a + 1;`)
 	dot := filepath.Join(t.TempDir(), "out.dot")
-	if err := run(context.Background(), src, &cli.TelemetryFlags{}, "", 1000, dot, true, false); err != nil {
+	if err := run(context.Background(), io.Discard, src, &cli.TelemetryFlags{}, "", 1000, dot, true, false); err != nil {
 		t.Fatal(err)
 	}
 	content, err := os.ReadFile(dot)
@@ -68,19 +69,19 @@ func TestRunCompileAndDot(t *testing.T) {
 }
 
 func TestRunErrors(t *testing.T) {
-	if err := run(context.Background(), "/nonexistent", &cli.TelemetryFlags{}, "", 0, "", false, false); err == nil {
+	if err := run(context.Background(), io.Discard, "/nonexistent", &cli.TelemetryFlags{}, "", 0, "", false, false); err == nil {
 		t.Error("missing file should error")
 	}
 	bad := writeTemp(t, "bad.dfir", "nonsense")
-	if err := run(context.Background(), bad, &cli.TelemetryFlags{}, "", 0, "", false, false); err == nil {
+	if err := run(context.Background(), io.Discard, bad, &cli.TelemetryFlags{}, "", 0, "", false, false); err == nil {
 		t.Error("bad dfir should error")
 	}
 	badSrc := writeTemp(t, "bad.vn", "x = 1;")
-	if err := run(context.Background(), badSrc, &cli.TelemetryFlags{}, "", 0, "", true, false); err == nil {
+	if err := run(context.Background(), io.Discard, badSrc, &cli.TelemetryFlags{}, "", 0, "", true, false); err == nil {
 		t.Error("bad source should error")
 	}
 	good := writeTemp(t, "g.dfir", fig1ish)
-	if err := run(context.Background(), good, &cli.TelemetryFlags{}, "", 0, "/no/such/dir/out.dot", false, false); err == nil {
+	if err := run(context.Background(), io.Discard, good, &cli.TelemetryFlags{}, "", 0, "/no/such/dir/out.dot", false, false); err == nil {
 		t.Error("unwritable DOT path should error")
 	}
 }
@@ -120,18 +121,18 @@ func levelReversed(s *replay.Schedule) *replay.Schedule {
 func TestRecordReplayLoop(t *testing.T) {
 	path := writeTemp(t, "g.dfir", fig1ish)
 	sched := filepath.Join(t.TempDir(), "sched.jsonl")
-	tel := &cli.TelemetryFlags{Trace: sched, TraceFormat: "schedule", ScheduleKind: replay.KindDataflow}
-	if err := tel.Start(); err != nil {
+	tel := &cli.TelemetryFlags{Trace: sched, TraceFormat: "schedule"}
+	if err := tel.Start(replay.KindDataflow); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(context.Background(), path, tel, "", 1000, "", false, false); err != nil {
+	if err := run(context.Background(), io.Discard, path, tel, "", 1000, "", false, false); err != nil {
 		t.Fatal(err)
 	}
 	if err := tel.Finish(); err != nil {
 		t.Fatal(err)
 	}
 
-	if err := replayRun(path, sched, false); err != nil {
+	if err := replayRun(io.Discard, path, sched, false); err != nil {
 		t.Fatalf("faithful replay: %v", err)
 	}
 
@@ -147,32 +148,32 @@ func TestRecordReplayLoop(t *testing.T) {
 	if bytes.Equal(reversed, raw) {
 		t.Fatal("the level-reversed schedule is the FIFO one")
 	}
-	if err := replayRun(path, writeTemp(t, "reversed.jsonl", string(reversed)), false); err != nil {
+	if err := replayRun(io.Discard, path, writeTemp(t, "reversed.jsonl", string(reversed)), false); err != nil {
 		t.Fatalf("level-reversed replay: %v", err)
 	}
 	bad := filepath.Join(t.TempDir(), "bad.jsonl")
 	if err := os.WriteFile(bad, []byte(strings.Replace(string(raw), `"name":"add"`, `"name":"sub"`, 1)), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := replayRun(path, bad, false); !errors.Is(err, rt.ErrInvalid) {
+	if err := replayRun(io.Discard, path, bad, false); !errors.Is(err, rt.ErrInvalid) {
 		t.Errorf("divergent replay err = %v, want ErrInvalid", err)
 	}
 
 	garbage := writeTemp(t, "junk.jsonl", "junk\n")
-	if err := replayRun(path, garbage, false); !errors.Is(err, rt.ErrParse) {
+	if err := replayRun(io.Discard, path, garbage, false); !errors.Is(err, rt.ErrParse) {
 		t.Errorf("junk schedule err = %v, want ErrParse", err)
 	}
 }
 
 func TestRunClassifiesParseError(t *testing.T) {
 	bad := writeTemp(t, "bad.dfir", "graph g\nnonsense")
-	if err := run(context.Background(), bad, &cli.TelemetryFlags{}, "", 1000, "", false, false); !errors.Is(err, rt.ErrParse) {
+	if err := run(context.Background(), io.Discard, bad, &cli.TelemetryFlags{}, "", 1000, "", false, false); !errors.Is(err, rt.ErrParse) {
 		t.Errorf("dfir parse error not classified: %v", err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	g := writeTemp(t, "g.dfir", fig1ish)
-	if err := run(ctx, g, &cli.TelemetryFlags{}, "", 1000, "", false, false); !errors.Is(err, rt.ErrCanceled) {
+	if err := run(ctx, io.Discard, g, &cli.TelemetryFlags{}, "", 1000, "", false, false); !errors.Is(err, rt.ErrCanceled) {
 		t.Errorf("canceled run not classified: %v", err)
 	}
 }

@@ -18,6 +18,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -28,6 +29,7 @@ import (
 	"repro/internal/dfir"
 	"repro/internal/gammalang"
 	"repro/internal/replay"
+	"repro/internal/schema"
 )
 
 func main() {
@@ -41,8 +43,7 @@ func main() {
 		flag.PrintDefaults()
 		os.Exit(cli.ExitUsage)
 	}
-	tel.ScheduleKind = replay.KindDataflow // the traced run executes the emitted graph
-	if err := tel.Start(); err != nil {
+	if err := tel.Start(replay.KindDataflow); err != nil { // the traced run executes the emitted graph
 		cli.Exit("gamma2df", err)
 	}
 	err := run(flag.Arg(0), &tel, *reaction, *dot)
@@ -91,8 +92,9 @@ func run(path string, tel *cli.TelemetryFlags, singleReaction bool, dot string) 
 		// the trace shows the dataflow execution the Gamma program maps to.
 		// Single-reaction subgraphs have unconnected roots and are skipped.
 		if !singleReaction {
-			res, err := dataflow.Run(g, dataflow.Options{MaxFirings: 1_000_000, Schedule: tel.Schedule()})
-			tel.DataflowRun(g, res)
+			gopt, dopt := schema.RunSpec{MaxSteps: 1_000_000}.Lower(tel.Schedule(), nil)
+			out, err := (&schema.Job{Graph: g}).Run(context.Background(), gopt, dopt)
+			defer tel.PrintMetrics(os.Stdout, out)
 			if err != nil {
 				return fmt.Errorf("traced run of converted graph: %w", err)
 			}

@@ -24,15 +24,13 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 
 	"repro/internal/cli"
 	"repro/internal/gamma"
-	"repro/internal/gammalang"
-	"repro/internal/multiset"
 	"repro/internal/replay"
-	"repro/internal/rt"
 	"repro/internal/schema"
 )
 
@@ -64,17 +62,16 @@ func main() {
 	if err != nil {
 		cli.Exit("gammarun", err)
 	}
-	tel.ScheduleKind = replay.KindGamma
-	if err := tel.Start(); err != nil {
+	if err := tel.Start(replay.KindGamma); err != nil {
 		profStop()
 		cli.Exit("gammarun", err)
 	}
 	ctx, stop := cli.Context(*timeout)
-	opt := gamma.Options{Workers: *workers, Seed: *seed, MaxSteps: *maxSteps, FullScan: *fullScan}
+	runSpec := schema.RunSpec{Workers: *workers, Seed: *seed, MaxSteps: *maxSteps}
 	if *replayFile != "" {
-		err = replayRun(flag.Arg(0), *replayFile, *initSet)
+		err = replayRun(os.Stdout, flag.Arg(0), *replayFile, *initSet)
 	} else {
-		err = run(ctx, flag.Arg(0), opt, &tel, *initSet, *stats, *typecheck, *prof)
+		err = run(ctx, os.Stdout, flag.Arg(0), runSpec, *fullScan, &tel, *initSet, *stats, *typecheck, *prof)
 	}
 	stop()
 	if terr := tel.Finish(); err == nil {
@@ -84,44 +81,24 @@ func main() {
 	cli.Exit("gammarun", err)
 }
 
-// load parses the Gamma file at path and resolves what both modes run
-// against: the initial multiset (-init overrides the file's) and the plan.
-func load(path, initSet string) (*gammalang.File, *multiset.Multiset, *gamma.Plan, error) {
+// load reads the Gamma file at path into the job both modes run against:
+// the plan, over the initial multiset -init gives or else the file declares.
+func load(path, initSet string) (*schema.Job, error) {
 	src, err := os.ReadFile(path)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
-	file, err := gammalang.ParseFile(string(src))
-	if err != nil {
-		return nil, nil, nil, err
+	job, err := schema.LoadGamma(path, string(src), initSet)
+	if err == nil && job.Init == nil {
+		err = fmt.Errorf("no initial multiset: declare init {...} in the file or pass -init")
 	}
-	m := file.Init
-	if initSet != "" {
-		if m, err = multiset.Parse(initSet); err != nil {
-			return nil, nil, nil, rt.Mark(rt.ErrParse, err)
-		}
-	}
-	if m == nil {
-		return nil, nil, nil, fmt.Errorf("no initial multiset: declare init {...} in the file or pass -init")
-	}
-	plan, err := file.Plan(path)
-	return file, m, plan, err
+	return job, err
 }
 
 // replayRun re-executes a recorded schedule against the program and initial
-// multiset of path, step for step. A staged composition replays against the
-// union of its stages' reactions — the schedule's firing order already
-// respects the stage boundaries it was recorded under.
-func replayRun(path, schedPath, initSet string) error {
-	_, m, plan, err := load(path, initSet)
-	if err != nil {
-		return err
-	}
-	var reactions []*gamma.Reaction
-	for _, stage := range plan.Stages {
-		reactions = append(reactions, stage.Reactions...)
-	}
-	prog, err := gamma.NewProgram(path, reactions...)
+// multiset of path, step for step.
+func replayRun(w io.Writer, path, schedPath, initSet string) error {
+	job, err := load(path, initSet)
 	if err != nil {
 		return err
 	}
@@ -129,36 +106,33 @@ func replayRun(path, schedPath, initSet string) error {
 	if err != nil {
 		return err
 	}
-	sched, err := replay.Parse(sf)
-	sf.Close()
+	defer sf.Close()
+	rep, err := job.Replay(sf)
 	if err != nil {
 		return err
 	}
-	res, err := replay.ReplayGamma(prog, m, sched)
-	if err != nil {
+	if err := rep.Err(); err != nil {
+		fmt.Fprintln(os.Stderr, rep.Divergence)
 		return err
 	}
-	if res.Divergence != nil {
-		fmt.Fprintln(os.Stderr, res.Divergence)
-		return rt.Mark(rt.ErrInvalid, fmt.Errorf("replay diverged at step %d (%s)", res.Divergence.Step, res.Divergence.Reason))
-	}
-	fmt.Println(res.Final)
-	fmt.Printf("replayed steps=%d stable=%v\n", res.Steps, res.Stable)
+	fmt.Fprintln(w, rep.Gamma.Final)
+	fmt.Fprintf(w, "replayed steps=%d stable=%v\n", rep.Gamma.Steps, rep.Gamma.Stable)
 	return nil
 }
 
-func run(ctx context.Context, path string, opt gamma.Options, tel *cli.TelemetryFlags, initSet string, stats, typecheck, prof bool) error {
+func run(ctx context.Context, w io.Writer, path string, spec schema.RunSpec, fullScan bool, tel *cli.TelemetryFlags, initSet string, stats, typecheck, prof bool) error {
 	// The flags are checked by the wire spec's rules, so the CLI rejects
 	// exactly what gammad and dfrun reject, with the same message and code.
-	if err := (schema.RunSpec{Workers: opt.Workers, MaxSteps: opt.MaxSteps}).Validate(); err != nil {
+	if err := spec.Validate(); err != nil {
 		return err
 	}
-	file, m, plan, err := load(path, initSet)
+	job, err := load(path, initSet)
 	if err != nil {
 		return err
 	}
+	m := job.Init
 	if typecheck {
-		all, err := gamma.NewProgram(path, file.Reactions...)
+		all, err := gamma.NewProgram(path, job.Reactions...)
 		if err != nil {
 			return err
 		}
@@ -169,37 +143,34 @@ func run(ctx context.Context, path string, opt gamma.Options, tel *cli.Telemetry
 		if err := sch.Check(all, m); err != nil {
 			return fmt.Errorf("typecheck: %w", err)
 		}
-		fmt.Print(sch)
+		fmt.Fprint(w, sch)
 		hint, why := gamma.AnalyzeTermination(all)
-		fmt.Printf("termination: %s (%s)\n", hint, why)
+		fmt.Fprintf(w, "termination: %s (%s)\n", hint, why)
 		if dead := gamma.DeadReactions(all, m); len(dead) > 0 {
-			fmt.Printf("warning: reactions that can never fire: %v\n", dead)
+			fmt.Fprintf(w, "warning: reactions that can never fire: %v\n", dead)
 		}
 	}
-	// One firing record serves the trace file and the profile: both are read
-	// off the commit-ordered schedule after the run.
+	// One firing record serves the trace file, the metrics and the profile:
+	// all are read off the commit-ordered schedule after the run.
 	sched := tel.Schedule()
 	if sched == nil && prof {
 		sched = replay.NewRecorder(replay.KindGamma, path)
 	}
-	if sched != nil {
-		opt.Schedule = sched
-	}
-	m0 := m.Len()
-	st, err := plan.RunContext(ctx, m, opt)
-	tel.GammaRun(plan, m0, st)
+	gopt, dopt := spec.Lower(sched, nil)
+	gopt.FullScan = fullScan
+	out, err := job.Run(ctx, gopt, dopt)
+	defer tel.PrintMetrics(w, out)
+	st := out.Stats
 	if err != nil {
-		if st != nil {
-			// Early exit: report the partial work so an interrupted run is
-			// still diagnosable.
-			fmt.Fprintf(os.Stderr, "partial: steps=%d probes=%d parts=%v\n", st.Steps, st.Probes, st.PartSteps)
-		}
+		// Early exit: report the partial work so an interrupted run is still
+		// diagnosable.
+		fmt.Fprintf(os.Stderr, "partial: steps=%d probes=%d parts=%v\n", st.Steps, st.Probes, st.PartSteps)
 		return err
 	}
-	fmt.Println(m)
-	fmt.Printf("steps=%d probes=%d parts=%v workers=%d\n", st.Steps, st.Probes, st.PartSteps, st.Workers)
+	fmt.Fprintln(w, m)
+	fmt.Fprintf(w, "steps=%d probes=%d parts=%v workers=%d\n", st.Steps, st.Probes, st.PartSteps, st.Workers)
 	if prof {
-		fmt.Println("profile:", sched.Schedule().Profile())
+		fmt.Fprintln(w, "profile:", sched.Schedule().Profile())
 	}
 	if stats {
 		names := make([]string, 0, len(st.Fired))
@@ -208,7 +179,7 @@ func run(ctx context.Context, path string, opt gamma.Options, tel *cli.Telemetry
 		}
 		sort.Strings(names)
 		for _, name := range names {
-			fmt.Printf("  %s fired %d\n", name, st.Fired[name])
+			fmt.Fprintf(w, "  %s fired %d\n", name, st.Fired[name])
 		}
 		// Matcher work: elements enumerated inside the probes. Per step it is
 		// the matcher's locality — flat in n when a firing costs only the
@@ -217,8 +188,8 @@ func run(ctx context.Context, path string, opt gamma.Options, tel *cli.Telemetry
 		if st.Steps > 0 {
 			perStep = float64(st.Candidates) / float64(st.Steps)
 		}
-		fmt.Printf("  candidates %d (%.1f per step)\n", st.Candidates, perStep)
-		fmt.Printf("  storage arena %d B\n", st.ArenaBytes)
+		fmt.Fprintf(w, "  candidates %d (%.1f per step)\n", st.Candidates, perStep)
+		fmt.Fprintf(w, "  storage arena %d B\n", st.ArenaBytes)
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/compiler"
@@ -230,7 +231,7 @@ func expE8() error {
 		for i := 0; i < n; i++ {
 			m.Add(multiset.Pair(value.Int(int64(i+1)), "a"))
 		}
-		res, err := core.MapMultiset(r, m, dataflow.Options{})
+		res, err := core.MapMultiset(context.Background(), r, m, dataflow.Options{})
 		if err != nil {
 			return err
 		}

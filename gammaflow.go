@@ -219,19 +219,6 @@ func (o ProgramOptions) validate() error {
 	return nil
 }
 
-func (o ProgramOptions) lower() gamma.Options {
-	opt := gamma.Options{
-		Workers:       o.EffectiveWorkers(),
-		Seed:          o.Seed,
-		MaxSteps:      o.MaxSteps,
-		FaultInjector: o.FaultInjector,
-	}
-	if o.Schedule != nil { // a typed nil would defeat the engine's disabled fast path
-		opt.Schedule = o.Schedule
-	}
-	return opt
-}
-
 // RunProgramContext executes a Gamma program to its stable state (Eq. 1)
 // under ctx. Early exits return partial ProgramStats alongside a classified
 // error.
@@ -241,7 +228,8 @@ func RunProgramContext(ctx context.Context, p *Program, m *Multiset, opt Program
 	}
 	ctx, cancel := opt.RunSpec.Context(ctx)
 	defer cancel()
-	return gamma.RunContext(ctx, p, m, opt.lower())
+	gopt, _ := opt.Lower(opt.Schedule, opt.FaultInjector)
+	return gamma.RunContext(ctx, p, m, gopt)
 }
 
 // RunProgram is RunProgramContext with context.Background().
@@ -256,7 +244,8 @@ func RunPlanContext(ctx context.Context, pl *Plan, m *Multiset, opt ProgramOptio
 	}
 	ctx, cancel := opt.RunSpec.Context(ctx)
 	defer cancel()
-	return pl.RunContext(ctx, m, opt.lower())
+	gopt, _ := opt.Lower(opt.Schedule, opt.FaultInjector)
+	return pl.RunContext(ctx, m, gopt)
 }
 
 // RunPlan is RunPlanContext with context.Background().
@@ -320,14 +309,6 @@ type GraphOptions struct {
 	FaultInjector FaultInjector
 }
 
-func (o GraphOptions) lower() dataflow.Options {
-	opt := dataflow.Options{MaxFirings: o.MaxSteps, FaultInjector: o.FaultInjector}
-	if o.Schedule != nil {
-		opt.Schedule = o.Schedule
-	}
-	return opt
-}
-
 // RunGraphContext executes a graph until no token is in flight, under ctx.
 // Early exits return a partial GraphResult alongside a classified error.
 func RunGraphContext(ctx context.Context, g *Graph, opt GraphOptions) (*GraphResult, error) {
@@ -336,7 +317,8 @@ func RunGraphContext(ctx context.Context, g *Graph, opt GraphOptions) (*GraphRes
 	}
 	ctx, cancel := opt.RunSpec.Context(ctx)
 	defer cancel()
-	return dataflow.RunContext(ctx, g, opt.lower())
+	_, dopt := opt.Lower(opt.Schedule, opt.FaultInjector)
+	return dataflow.RunContext(ctx, g, dopt)
 }
 
 // RunGraph is RunGraphContext with context.Background().
@@ -377,12 +359,17 @@ var (
 type MapResult = core.MapResult
 
 // MapMultiset is Algorithm 2 step 2: the Fig. 4 multiset-to-instances
-// mapping. The graph instances run under opt.
+// mapping. The graph instances run under opt: RunConfig.MaxSteps bounds
+// each instance's firings, and RunConfig.TimeoutMS the whole mapping
+// (ErrDeadline).
 func MapMultiset(r *Reaction, m *Multiset, opt GraphOptions) (*MapResult, error) {
 	if err := opt.Validate(); err != nil {
 		return nil, err
 	}
-	return core.MapMultiset(r, m, opt.lower())
+	ctx, cancel := opt.RunSpec.Context(context.Background())
+	defer cancel()
+	_, dopt := opt.Lower(opt.Schedule, opt.FaultInjector)
+	return core.MapMultiset(ctx, r, m, dopt)
 }
 
 // Compilation from the paper's von Neumann mini language.

@@ -3,11 +3,11 @@ package cli
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
-	"repro/internal/dataflow"
-	"repro/internal/gamma"
 	"repro/internal/replay"
+	"repro/internal/schema"
 	"repro/internal/telemetry"
 )
 
@@ -27,14 +27,9 @@ type TelemetryFlags struct {
 	TraceFormat string
 	// Metrics prints the run's registry as a table on stdout after the run.
 	Metrics bool
-	// ScheduleKind names what the schedule recorder records —
-	// replay.KindGamma or replay.KindDataflow. The command sets it before
-	// Start; it is not a flag.
-	ScheduleKind string
 
 	format telemetry.Format
 	sched  *replay.Recorder
-	fold   func(*telemetry.Registry, *replay.Schedule) // the run-end fold for -metrics
 }
 
 // Register declares the telemetry flags on fs (the default FlagSet in the
@@ -49,9 +44,9 @@ func (t *TelemetryFlags) Register(fs *flag.FlagSet) {
 func (t *TelemetryFlags) Enabled() bool { return t.Trace != "" || t.Metrics }
 
 // Start validates the flags and, when any output was requested, builds the
-// schedule recorder every output is folded from at Finish. Call Finish
-// before exiting.
-func (t *TelemetryFlags) Start() error {
+// schedule recorder of the run's kind (replay.KindGamma or KindDataflow)
+// every output is folded from. Call Finish before exiting.
+func (t *TelemetryFlags) Start(kind string) error {
 	if t.Trace != "" {
 		f, err := telemetry.ParseFormat(t.TraceFormat)
 		if err != nil {
@@ -62,61 +57,44 @@ func (t *TelemetryFlags) Start() error {
 	if !t.Enabled() {
 		return nil
 	}
-	kind := t.ScheduleKind
-	if kind == "" {
-		kind = replay.KindGamma
-	}
 	t.sched = replay.NewRecorder(kind, t.Trace)
 	return nil
 }
 
-// Schedule is the schedule recorder to pass as Options.Schedule; non-nil
-// exactly when Enabled. (The runtime option is an interface, so outside an
-// Enabled branch assign it through a nil check — a typed nil would defeat the
-// runtimes' untraced path.)
+// Schedule is the schedule recorder to hand schema.RunSpec.Lower; non-nil
+// exactly when Enabled.
 func (t *TelemetryFlags) Schedule() *replay.Recorder { return t.sched }
 
-// GammaRun hands Finish what -metrics folds besides the schedule: the plan
-// that ran, the initial multiset's size m0 and the Stats it returned, partial
-// ones included.
-func (t *TelemetryFlags) GammaRun(p *gamma.Plan, m0 int, st *gamma.Stats) {
-	t.fold = func(reg *telemetry.Registry, s *replay.Schedule) { replay.GammaMetrics(reg, p, m0, st, s) }
-}
-
-// DataflowRun is GammaRun for a dataflow run of g.
-func (t *TelemetryFlags) DataflowRun(g *dataflow.Graph, res *dataflow.Result) {
-	if res == nil { // the graph or engine was refused: nothing ran
+// PrintMetrics prints on w, when -metrics asked for it, the table of the run
+// pipeline's fold (schema.Outcome.Metrics) of out and the schedule; nothing
+// when the engine refused the run before it started.
+func (t *TelemetryFlags) PrintMetrics(w io.Writer, out *schema.Outcome) {
+	if !t.Metrics {
 		return
 	}
-	t.fold = func(reg *telemetry.Registry, s *replay.Schedule) { replay.DataflowMetrics(reg, g, res, s) }
+	if reg := out.Metrics(t.sched.Schedule()); reg != nil {
+		fmt.Fprint(w, reg.Table())
+	}
 }
 
-// Finish writes the trace file in the selected format and prints the metrics
-// table. Safe to call when telemetry is disabled, and on error paths — a
-// partial run's trace is often exactly what is wanted (for the schedule
-// format it is the replayable committed prefix).
+// Finish writes the trace file in the selected format. Safe to call when
+// telemetry is disabled, and on error paths — a partial run's trace is often
+// exactly what is wanted (for the schedule format it is the replayable
+// committed prefix).
 func (t *TelemetryFlags) Finish() error {
-	if t.sched == nil {
+	if t.sched == nil || t.Trace == "" {
 		return nil
 	}
-	s := t.sched.Schedule()
-	if t.Trace != "" {
-		f, err := os.Create(t.Trace)
-		if err != nil {
-			return fmt.Errorf("trace: %w", err)
-		}
-		err = s.WriteTrace(f, t.format)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return fmt.Errorf("trace: %w", err)
-		}
+	f, err := os.Create(t.Trace)
+	if err != nil {
+		return fmt.Errorf("trace: %w", err)
 	}
-	if t.Metrics && t.fold != nil {
-		reg := telemetry.NewRegistry()
-		t.fold(reg, s)
-		fmt.Print(reg.Table())
+	err = t.sched.Schedule().WriteTrace(f, t.format)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return fmt.Errorf("trace: %w", err)
 	}
 	return nil
 }

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/multiset"
+	"repro/internal/replay"
 	"repro/internal/value"
 )
 
@@ -24,7 +25,7 @@ func TestTelemetryFlagsDisabledIsFree(t *testing.T) {
 	if tel.Enabled() {
 		t.Fatal("no flags set must mean disabled")
 	}
-	if err := tel.Start(); err != nil {
+	if err := tel.Start(replay.KindGamma); err != nil {
 		t.Fatal(err)
 	}
 	if tel.Schedule() != nil {
@@ -37,7 +38,7 @@ func TestTelemetryFlagsDisabledIsFree(t *testing.T) {
 
 func TestTelemetryFlagsRejectsUnknownFormat(t *testing.T) {
 	tel := TelemetryFlags{Trace: "x.out", TraceFormat: "svg"}
-	if err := tel.Start(); err == nil {
+	if err := tel.Start(replay.KindGamma); err == nil {
 		t.Fatal("unknown trace format must fail Start")
 	}
 }
@@ -45,7 +46,7 @@ func TestTelemetryFlagsRejectsUnknownFormat(t *testing.T) {
 func TestTelemetryFlagsJSONLLifecycle(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "trace.jsonl")
 	tel := TelemetryFlags{Trace: out, TraceFormat: "jsonl"}
-	if err := tel.Start(); err != nil {
+	if err := tel.Start(replay.KindGamma); err != nil {
 		t.Fatal(err)
 	}
 	sched := tel.Schedule()
@@ -78,14 +79,14 @@ func TestTelemetryFlagsJSONLLifecycle(t *testing.T) {
 func TestTelemetryFlagsDOTLifecycle(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "prov.dot")
 	tel := TelemetryFlags{Trace: out, TraceFormat: "dot"}
-	if err := tel.Start(); err != nil {
+	if err := tel.Start(replay.KindGamma); err != nil {
 		t.Fatal(err)
 	}
 	sched := tel.Schedule()
 	if sched == nil {
 		t.Fatal("dot format must build a schedule recorder to fold the DAG from")
 	}
-	// A Γ schedule (the default kind) labels its boxes with the tuple.
+	// A Γ schedule labels its boxes with the tuple.
 	sched.RecordStepTuples(1, "R1", time.Now(), []multiset.Tuple{multiset.Pair(value.Int(1), "A1")}, nil)
 	if err := tel.Finish(); err != nil {
 		t.Fatal(err)

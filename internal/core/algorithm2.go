@@ -1,12 +1,14 @@
 package core
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/dataflow"
 	"repro/internal/expr"
 	"repro/internal/gamma"
 	"repro/internal/multiset"
+	"repro/internal/rt"
 	"repro/internal/value"
 )
 
@@ -347,8 +349,10 @@ type MapResult struct {
 // the same enabling test as the runtime, so mapping terminates exactly when
 // Γ does; (b) instantiate the reaction's subgraph by setting the matched
 // values as its roots; (c) run the instance; (d) feed its terminal tokens
-// back into m as elements. The multiset m is modified in place.
-func MapMultiset(r *gamma.Reaction, m *multiset.Multiset, opt dataflow.Options) (*MapResult, error) {
+// back into m as elements. The multiset m is modified in place. opt bounds
+// each instance (MaxFirings is per instance); ctx bounds the whole mapping
+// and is checked between instances.
+func MapMultiset(ctx context.Context, r *gamma.Reaction, m *multiset.Multiset, opt dataflow.Options) (*MapResult, error) {
 	proto, err := ReactionToGraph(r)
 	if err != nil {
 		return nil, err
@@ -377,6 +381,9 @@ func MapMultiset(r *gamma.Reaction, m *multiset.Multiset, opt dataflow.Options) 
 
 	res := &MapResult{}
 	for {
+		if err := ctx.Err(); err != nil {
+			return res, rt.FromContext(err)
+		}
 		match, err := gamma.FindMatch(r, m, nil)
 		if err != nil {
 			return res, err
@@ -397,7 +404,7 @@ func MapMultiset(r *gamma.Reaction, m *multiset.Multiset, opt dataflow.Options) 
 				}
 			}
 		}
-		run, err := dataflow.Run(proto, opt)
+		run, err := dataflow.RunContext(ctx, proto, opt)
 		if err != nil {
 			return res, err
 		}

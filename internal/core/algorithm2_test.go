@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -466,7 +467,7 @@ func TestMapMultisetSwapSort(t *testing.T) {
 	for idx, v := range input {
 		m.Add(multiset.Tuple{value.Int(v), value.Int(int64(idx))})
 	}
-	if _, err := MapMultiset(swap, m, dataflow.Options{}); err != nil {
+	if _, err := MapMultiset(context.Background(), swap, m, dataflow.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	got := make([]int64, len(input))
@@ -489,7 +490,7 @@ func TestFig4Replication(t *testing.T) {
 	for i := int64(1); i <= 6; i++ {
 		m.Add(multiset.Pair(value.Int(i), "a"))
 	}
-	res, err := MapMultiset(r, m, dataflow.Options{})
+	res, err := MapMultiset(context.Background(), r, m, dataflow.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -517,7 +518,7 @@ func TestMapMultisetMinElement(t *testing.T) {
 	for _, v := range []int64{9, 4, 7, 1, 8, 3} {
 		m.Add(multiset.New1(value.Int(v)))
 	}
-	res, err := MapMultiset(r, m, dataflow.Options{})
+	res, err := MapMultiset(context.Background(), r, m, dataflow.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -541,7 +542,7 @@ func TestMapMultisetTaggedSteer(t *testing.T) {
 		multiset.IntElem(99, "DAT", 8),
 		multiset.IntElem(0, "CTL", 8),
 	)
-	if _, err := MapMultiset(r, m, dataflow.Options{}); err != nil {
+	if _, err := MapMultiset(context.Background(), r, m, dataflow.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	if m.Len() != 1 || !m.Contains(multiset.IntElem(42, "T", 7)) {

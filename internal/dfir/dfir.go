@@ -12,6 +12,7 @@ import (
 	"strings"
 
 	"repro/internal/dataflow"
+	"repro/internal/rt"
 	"repro/internal/value"
 )
 
@@ -78,7 +79,8 @@ func Marshal(g *dataflow.Graph) string {
 	return b.String()
 }
 
-// Unmarshal parses the dfir text format back into a graph.
+// Unmarshal parses the dfir text format back into a graph. Every error it
+// returns is rt.ErrParse, a graph that fails validation included.
 func Unmarshal(src string) (*dataflow.Graph, error) {
 	var g *dataflow.Graph
 	names := make(map[string]dataflow.NodeID)
@@ -89,7 +91,7 @@ func Unmarshal(src string) (*dataflow.Graph, error) {
 		}
 		fields := splitFields(line)
 		errf := func(format string, args ...any) error {
-			return fmt.Errorf("dfir: line %d: %s", lineNo+1, fmt.Sprintf(format, args...))
+			return rt.Mark(rt.ErrParse, fmt.Errorf("dfir: line %d: %s", lineNo+1, fmt.Sprintf(format, args...)))
 		}
 		if g == nil {
 			if fields[0] != "graph" || len(fields) != 2 {
@@ -195,10 +197,10 @@ func Unmarshal(src string) (*dataflow.Graph, error) {
 		}
 	}
 	if g == nil {
-		return nil, fmt.Errorf("dfir: empty input")
+		return nil, rt.Mark(rt.ErrParse, fmt.Errorf("dfir: empty input"))
 	}
 	if err := g.Validate(); err != nil {
-		return nil, err
+		return nil, rt.Mark(rt.ErrParse, err)
 	}
 	return g, nil
 }

@@ -1,6 +1,7 @@
 package dfir
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -11,6 +12,7 @@ import (
 	"repro/internal/compiler"
 	"repro/internal/dataflow"
 	"repro/internal/paper"
+	"repro/internal/rt"
 	"repro/internal/value"
 )
 
@@ -152,6 +154,22 @@ func TestUnmarshalErrors(t *testing.T) {
 	for _, src := range bad[:len(bad)-1] {
 		if _, err := Unmarshal(src); err == nil {
 			t.Errorf("Unmarshal(%q) should error", src)
+		}
+	}
+}
+
+// TestUnmarshalClassifiesErrors: every Unmarshal error is rt.ErrParse,
+// whether the text is malformed or it describes a graph that fails
+// validation, so callers route it without marking it themselves.
+func TestUnmarshalClassifiesErrors(t *testing.T) {
+	for _, src := range []string{
+		"const a = 1",                // no graph directive
+		"graph g\nconst a = @",       // bad literal
+		"graph g\nedge e a:0 -> b:0", // unknown nodes
+		"graph g\narith x +",         // valid text, unconnected inputs
+	} {
+		if _, err := Unmarshal(src); !errors.Is(err, rt.ErrParse) {
+			t.Errorf("Unmarshal(%q): err = %v, want ErrParse", src, err)
 		}
 	}
 }

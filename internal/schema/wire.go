@@ -31,6 +31,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/replay"
 	"repro/internal/rt"
 )
 
@@ -479,21 +480,11 @@ func DecodeReplayRequest(data []byte) (*ReplayRequest, error) {
 	return &r, nil
 }
 
-// WireDivergence is the wire mirror of a replay divergence report
-// (internal/replay.Divergence): the first schedule step the replay could
-// not reproduce, with the recorded-vs-reexecuted delta and the provenance
-// ancestors of the divergent firing.
-type WireDivergence struct {
-	Step      int      `json:"step"`
-	Seq       uint64   `json:"seq,omitempty"`
-	Name      string   `json:"name"`
-	Reason    string   `json:"reason"`
-	Missing   []string `json:"missing,omitempty"`
-	Expected  []string `json:"expected,omitempty"`
-	Actual    []string `json:"actual,omitempty"`
-	Ancestors []int    `json:"ancestors,omitempty"`
-	Detail    string   `json:"detail,omitempty"`
-}
+// WireDivergence is a replay divergence report on the wire: the first
+// schedule step the replay could not reproduce, with the
+// recorded-vs-reexecuted delta and the provenance ancestors of the divergent
+// firing. The JSON form is replay.Divergence's own.
+type WireDivergence = replay.Divergence
 
 // ReplayResponse is the result envelope of POST /v1/replay: either a
 // confirmed replay (Divergence nil, Stable reporting whether the replayed

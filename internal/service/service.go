@@ -39,10 +39,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/dataflow"
-	"repro/internal/dfir"
-	"repro/internal/gamma"
-	"repro/internal/gammalang"
 	"repro/internal/multiset"
 	"repro/internal/replay"
 	"repro/internal/rt"
@@ -204,9 +200,7 @@ type Run struct {
 	// /stats.
 	Traced bool
 
-	plan  *gamma.Plan
-	init  *multiset.Multiset
-	graph *dataflow.Graph
+	job   *schema.Job
 	sched *replay.Recorder
 	reg   *telemetry.Registry
 
@@ -315,23 +309,6 @@ func (s *Server) gaugeAdd(name string, n int64, tenant, engine string) {
 	}
 }
 
-// engineLabel resolves a spec to the engine that will actually execute it —
-// the registry's engine dimension and the stats payload report this, not the
-// raw Engine field, so EngineAuto Gamma runs are attributed to seq or
-// parallel, and every dataflow run to seq (the dataflow runtime has one
-// schedule: it runs a parallel or matrix spec on it).
-func engineLabel(kind string, spec schema.RunSpec) string {
-	switch {
-	case kind == schema.KindDataflow:
-		return schema.EngineSeq
-	case spec.Engine != schema.EngineAuto:
-		return spec.Engine
-	case spec.EffectiveWorkers() > 1:
-		return schema.EngineParallel
-	}
-	return schema.EngineSeq
-}
-
 // New starts a server: Config.Pool executor goroutines draining the pending
 // queue. Close releases them.
 func New(cfg Config) *Server {
@@ -404,34 +381,12 @@ func (s *Server) Submit(req *schema.RunRequest, tenant string) (*Run, error) {
 	if err := req.Validate(); err != nil {
 		return nil, err
 	}
-	r := &Run{Tenant: tenant, Kind: req.Kind, Spec: req.Spec, Engine: engineLabel(req.Kind, req.Spec),
-		done: make(chan struct{}), state: schema.StatePending}
-	switch req.Kind {
-	case schema.KindGamma:
-		f, err := gammalang.ParseFile(req.Program)
-		if err != nil {
-			return nil, err
-		}
-		init := f.Init
-		if req.Init != "" {
-			if init, err = multiset.Parse(req.Init); err != nil {
-				return nil, rt.Mark(rt.ErrParse, err)
-			}
-		}
-		if init == nil {
-			init = multiset.New()
-		}
-		r.init = init
-		if r.plan, err = f.Plan("run"); err != nil {
-			return nil, rt.Mark(rt.ErrInvalid, err)
-		}
-	case schema.KindDataflow:
-		g, err := dfir.Unmarshal(req.Graph)
-		if err != nil {
-			return nil, rt.Mark(rt.ErrParse, err)
-		}
-		r.graph = g
+	job, err := load(req.Kind, "run", req.Program, req.Init, req.Graph)
+	if err != nil {
+		return nil, err
 	}
+	r := &Run{Tenant: tenant, Kind: req.Kind, Spec: req.Spec, Engine: req.Spec.EngineLabel(req.Kind),
+		job: job, done: make(chan struct{}), state: schema.StatePending}
 
 	s.mu.Lock()
 	if s.closed {
@@ -511,6 +466,19 @@ func (s *Server) Submit(req *schema.RunRequest, tenant string) (*Run, error) {
 		"run", r.ID, "tenant", tenant, "kind", r.Kind, "engine", r.Engine,
 		"traced", r.Traced, "max_steps", r.Spec.MaxSteps)
 	return r, nil
+}
+
+// load parses a submission's payload through the run pipeline's loader; a Γ
+// program that declares no initial multiset runs on {}.
+func load(kind, name, program, init, graph string) (*schema.Job, error) {
+	if kind == schema.KindDataflow {
+		return schema.LoadGraph(name, graph, false)
+	}
+	job, err := schema.LoadGamma(name, program, init)
+	if err == nil && job.Init == nil {
+		job.Init = multiset.New()
+	}
+	return job, err
 }
 
 // reject accounts and logs one admission rejection, returning busy.
@@ -594,58 +562,13 @@ func (s *Server) execute(r *Run) {
 	ctx, cancel := r.Spec.Context(r.ctx)
 	defer cancel()
 
-	start := time.Now()
-	switch r.Kind {
-	case schema.KindGamma:
-		opt := gamma.Options{
-			Workers:  r.Spec.EffectiveWorkers(),
-			Seed:     r.Spec.Seed,
-			MaxSteps: r.Spec.MaxSteps,
-		}
-		if r.Traced {
-			opt.Schedule = r.sched
-		}
-		m0 := r.init.Len()
-		st, err := r.plan.RunContext(ctx, r.init, opt)
-		wall := time.Since(start)
-		if r.Traced {
-			r.reg = telemetry.NewRegistry()
-			replay.GammaMetrics(r.reg, r.plan, m0, st, r.sched.Schedule())
-		}
-		res := &schema.RunResult{Multiset: r.init.String(), WallMS: float64(wall.Nanoseconds()) / 1e6}
-		var steps int64
-		if st != nil {
-			steps = st.Steps
-			res.Steps = st.Steps
-		}
-		s.finish(r, res, err, steps, &wall)
-	case schema.KindDataflow:
-		opt := dataflow.Options{MaxFirings: r.Spec.MaxSteps}
-		if r.Traced {
-			opt.Schedule = r.sched
-		}
-		dres, err := dataflow.RunContext(ctx, r.graph, opt)
-		wall := time.Since(start)
-		if r.Traced && dres != nil {
-			r.reg = telemetry.NewRegistry()
-			replay.DataflowMetrics(r.reg, r.graph, dres, r.sched.Schedule())
-		}
-		res := &schema.RunResult{WallMS: float64(wall.Nanoseconds()) / 1e6}
-		var steps int64
-		if dres != nil {
-			steps = dres.Firings
-			res.Steps = dres.Firings
-			res.Outputs = make(map[string][]string, len(dres.Outputs))
-			for label, series := range dres.Outputs {
-				out := make([]string, len(series))
-				for i, tv := range series {
-					out[i] = fmt.Sprintf("%s@%d", tv.Val, tv.Tag)
-				}
-				res.Outputs[label] = out
-			}
-		}
-		s.finish(r, res, err, steps, &wall)
+	gopt, dopt := r.Spec.Lower(r.sched, nil) // sched is nil unless traced
+	out, err := r.job.Run(ctx, gopt, dopt)
+	if r.Traced {
+		r.reg = out.Metrics(r.sched.Schedule())
 	}
+	res := out.Result()
+	s.finish(r, res, err, res.Steps, &out.Wall)
 }
 
 // finish moves a run to its terminal state and settles the accounting: the
@@ -818,18 +741,6 @@ func (s *Server) WriteTrace(w io.Writer, id string, format telemetry.Format) err
 	return r.sched.Schedule().WriteTrace(w, format)
 }
 
-// wireDivergence converts a replay divergence report to its wire mirror.
-func wireDivergence(d *replay.Divergence) *schema.WireDivergence {
-	if d == nil {
-		return nil
-	}
-	return &schema.WireDivergence{
-		Step: d.Step, Seq: d.Seq, Name: d.Name, Reason: d.Reason,
-		Missing: d.Missing, Expected: d.Expected, Actual: d.Actual,
-		Ancestors: d.Ancestors, Detail: d.Detail,
-	}
-}
-
 // Replay re-executes a recorded schedule against the submitted program and
 // initial state (POST /v1/replay, wire minor 1.3). The replay runs
 // synchronously on the caller's goroutine — its cost is bounded by the
@@ -844,73 +755,15 @@ func (s *Server) Replay(req *schema.ReplayRequest, tenant string) (*schema.Repla
 	if err := req.Validate(); err != nil {
 		return nil, err
 	}
-	sched, err := replay.Parse(strings.NewReader(req.Schedule))
+	job, err := load(req.Kind, "replay", req.Program, req.Init, req.Graph)
 	if err != nil {
 		return nil, err
 	}
-	resp := &schema.ReplayResponse{Version: schema.WireVersion, Kind: req.Kind}
-	switch req.Kind {
-	case schema.KindGamma:
-		f, err := gammalang.ParseFile(req.Program)
-		if err != nil {
-			return nil, err
-		}
-		init := f.Init
-		if req.Init != "" {
-			if init, err = multiset.Parse(req.Init); err != nil {
-				return nil, rt.Mark(rt.ErrParse, err)
-			}
-		}
-		if init == nil {
-			init = multiset.New()
-		}
-		plan, err := f.Plan("replay")
-		if err != nil {
-			return nil, rt.Mark(rt.ErrInvalid, err)
-		}
-		// A staged plan replays against the union of its stages' reactions
-		// (names are the schedule's identifiers and the recorded order
-		// already respects stage boundaries); ReplayGamma checks stability
-		// against the union, which at the recorded final state coincides
-		// with the last stage's stability for the programs the service runs.
-		var reactions []*gamma.Reaction
-		for _, stage := range plan.Stages {
-			reactions = append(reactions, stage.Reactions...)
-		}
-		prog, err := gamma.NewProgram("replay", reactions...)
-		if err != nil {
-			return nil, rt.Mark(rt.ErrInvalid, err)
-		}
-		res, err := replay.ReplayGamma(prog, init, sched)
-		if err != nil {
-			return nil, err
-		}
-		resp.Steps = res.Steps
-		resp.Stable = res.Stable
-		resp.Multiset = res.Final.String()
-		resp.Divergence = wireDivergence(res.Divergence)
-	case schema.KindDataflow:
-		g, err := dfir.Unmarshal(req.Graph)
-		if err != nil {
-			return nil, rt.Mark(rt.ErrParse, err)
-		}
-		res, err := replay.ReplayDataflow(g, sched)
-		if err != nil {
-			return nil, err
-		}
-		resp.Steps = res.Steps
-		resp.Stable = res.Stable
-		resp.Pending = res.Pending
-		resp.Outputs = make(map[string][]string, len(res.Outputs))
-		for label, series := range res.Outputs {
-			out := make([]string, len(series))
-			for i, tv := range series {
-				out[i] = fmt.Sprintf("%s@%d", tv.Val, tv.Tag)
-			}
-			resp.Outputs[label] = out
-		}
-		resp.Divergence = wireDivergence(res.Divergence)
+	rep, err := job.Replay(strings.NewReader(req.Schedule))
+	if err != nil {
+		return nil, err
 	}
+	resp := rep.Response()
 	s.count("service.replays", 1, tenant, "")
 	if resp.Divergence != nil {
 		s.count("service.replays.diverged", 1, tenant, "")
