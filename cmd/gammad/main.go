@@ -21,7 +21,6 @@
 //	GET    /v1/runs/{id}/stats   terminal run's execution accounting
 //	GET    /v1/healthz           load snapshot
 //	GET    /metrics              registry snapshot (?format=prom for Prometheus)
-//	GET    /metrics/watch        SSE metrics stream
 //
 // -pprof additionally mounts the net/http/pprof introspection handlers under
 // /debug/pprof/ on the -metrics-addr endpoint (never on the public API
@@ -356,6 +355,17 @@ func runSelfcheck(cfg service.Config, remoteTrace string) error {
 		if !strings.Contains(promBody, want) {
 			return fmt.Errorf("selfcheck metrics: exposition missing %q", want)
 		}
+	}
+	// Example 1 ran twice (steps 2 and 5): the second run's plan came from
+	// the plan cache.
+	var hits int64
+	for _, line := range strings.Split(promBody, "\n") {
+		if v, ok := strings.CutPrefix(line, "service_plan_cache_hits "); ok {
+			hits, _ = strconv.ParseInt(v, 10, 64)
+		}
+	}
+	if hits < 1 {
+		return fmt.Errorf("selfcheck plan cache: service_plan_cache_hits = %d after Example 1 ran twice, want >= 1", hits)
 	}
 	if resp, err := http.Get(c.BaseURL + "/metrics?format=avro"); err != nil {
 		return fmt.Errorf("selfcheck metrics 406: %w", err)

@@ -44,7 +44,6 @@ import (
 	"repro/internal/dataflow"
 	"repro/internal/dfir"
 	"repro/internal/equiv"
-	"repro/internal/expr"
 	"repro/internal/gamma"
 	"repro/internal/gammalang"
 	"repro/internal/multiset"
@@ -119,21 +118,6 @@ const (
 	EngineMatrix   = schema.EngineMatrix
 )
 
-// RunRequest and RunResponse are the gammad service's v1 wire envelopes;
-// package client wraps them in a typed Go API.
-type (
-	RunRequest  = schema.RunRequest
-	RunResponse = schema.RunResponse
-)
-
-// NewGammaRequest and NewGraphRequest build v1 service submissions from the
-// same text formats the cmd/ tools read (Fig. 3 grammar + multiset literal,
-// dfir).
-var (
-	NewGammaRequest = schema.NewGammaRequest
-	NewGraphRequest = schema.NewGraphRequest
-)
-
 // RunConfig holds the execution knobs shared by both runtimes: the
 // serializable RunSpec plus the process-local hooks that cannot travel over
 // a wire. It is embedded in ProgramOptions and GraphOptions, so the shared
@@ -169,11 +153,10 @@ type (
 
 // Value constructors.
 var (
-	Int        = value.Int
-	Float      = value.Float
-	Bool       = value.Bool
-	Str        = value.Str
-	ParseValue = value.Parse
+	Int   = value.Int
+	Float = value.Float
+	Bool  = value.Bool
+	Str   = value.Str
 )
 
 // Tuple constructors following the paper's element shapes.
@@ -265,9 +248,6 @@ var (
 	// (size-decreasing reactions terminate; unconditional self-feeding
 	// growth diverges).
 	AnalyzeTermination = gamma.AnalyzeTermination
-	// DeadReactions lists reactions that can never fire from an initial
-	// multiset (label-reachability fixpoint).
-	DeadReactions = gamma.DeadReactions
 	// NewProgram builds and validates a program.
 	NewProgram = gamma.NewProgram
 	// SequencePrograms composes programs with the paper's ';' operator.
@@ -281,8 +261,6 @@ var (
 	ParseGammaFile = gammalang.ParseFile
 	// FormatProgram renders a program in the paper's listing style.
 	FormatProgram = gammalang.Format
-	// FormatGammaFile renders a full source file.
-	FormatGammaFile = gammalang.FormatFile
 )
 
 // Dynamic dataflow model.
@@ -291,8 +269,6 @@ type (
 	Graph = dataflow.Graph
 	// GraphResult reports a dataflow execution.
 	GraphResult = dataflow.Result
-	// NodeKind enumerates vertex types.
-	NodeKind = dataflow.NodeKind
 	// TaggedValue is an output token (value plus iteration tag).
 	TaggedValue = dataflow.TaggedValue
 )
@@ -347,8 +323,6 @@ var (
 	// ProgramToGraph reconstructs a whole graph from a Gamma program using
 	// the reaction classifier (the paper's future work).
 	ProgramToGraph = core.ProgramToGraph
-	// ClassifyReaction maps a reaction to the dataflow vertex it behaves as.
-	ClassifyReaction = core.ClassifyReaction
 	// Reduce fuses reaction chains (§III-A3 reductions, Rd1).
 	Reduce = core.Reduce
 	// OutputsFromMultiset extracts program outputs from a stable multiset.
@@ -390,42 +364,17 @@ var (
 	// CheckEquivalence runs a graph natively and through Algorithm 1 and
 	// compares outputs, stuck operands and firing counts.
 	CheckEquivalence = equiv.Check
-	// CheckEquivalenceContext is CheckEquivalence under a context: the
-	// deadline/cancellation propagates into both executions.
-	CheckEquivalenceContext = equiv.CheckContext
 	// RandomGraph generates seeded random graphs for property testing.
 	RandomGraph = equiv.RandomGraph
 )
 
-// Expression language shared by reactions and the compiler.
-type Expr = expr.Expr
-
-// ParseExpr parses an arithmetic/boolean expression.
-var ParseExpr = expr.Parse
-
 // Structured-Gamma-style static typing (the paper's §II-B: "type checking at
 // compile time").
-type (
-	// Schema declares element arities and field types per label.
-	Schema = schema.Schema
-	// ElementType is one label's declared shape.
-	ElementType = schema.ElementType
-	// Type is a static scalar type (IntType, BoolType, ... or AnyType).
-	Type = expr.Type
-)
+// Schema declares element arities and field types per label.
+type Schema = schema.Schema
 
-var (
-	// NewSchema returns an empty schema (strict = undeclared labels error).
-	NewSchema = schema.New
-	// InferSchema derives a schema from a program and initial multiset.
-	InferSchema = schema.Infer
-	// The static scalar types.
-	IntType    = expr.IntType
-	FloatType  = expr.FloatType
-	BoolType   = expr.BoolType
-	StringType = expr.StringType
-	AnyType    = expr.AnyType
-)
+// InferSchema derives a schema from a program and initial multiset.
+var InferSchema = schema.Infer
 
 // ProfileReport is the work/span/parallelism analysis of a recorded run of
 // either runtime (the §I benefit of studying Gamma programs with dataflow

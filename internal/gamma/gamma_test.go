@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/expr"
 	"repro/internal/multiset"
+	"repro/internal/rt"
 	"repro/internal/value"
 )
 
@@ -236,6 +237,29 @@ func TestValidate(t *testing.T) {
 	}
 	if _, err := NewProgram("p", bad[0]); err == nil {
 		t.Error("NewProgram should validate")
+	}
+}
+
+// TestValidateOnce holds the run's well-formedness check to the verdict taken
+// with the kernel: a program built by hand, past NewProgram, still fails
+// every run with rt.ErrInvalid, and a warm run of a valid program no longer
+// pays for re-validating (the per-run Validate cost 16 allocations here
+// against 10 without it).
+func TestValidateOnce(t *testing.T) {
+	p := &Program{Name: "hand", Reactions: []*Reaction{{Name: "unbound", Patterns: []Pattern{{FVar("x")}},
+		Branches: []Branch{{Cond: expr.MustParse("y > 0")}}}}}
+	for run := 1; run <= 2; run++ {
+		if _, err := Run(p, intsMultiset(1), Options{}); !errors.Is(err, rt.ErrInvalid) {
+			t.Errorf("run %d of an unbound variable: err = %v, want ErrInvalid", run, err)
+		}
+	}
+	if raceEnabled {
+		t.Skip("allocation counts are not repeatable under the race detector")
+	}
+	warm, m := MustProgram("min", minReaction()), intsMultiset(1)
+	Run(warm, m, Options{})
+	if a := testing.AllocsPerRun(100, func() { Run(warm, m, Options{}) }); a > 12 {
+		t.Errorf("a warm run on a stable state allocates %.0f times, want <= 12", a)
 	}
 }
 

@@ -137,6 +137,7 @@ type Reaction struct {
 
 	kernOnce sync.Once
 	kern     *kernel
+	invalid  error // Validate's verdict, taken with the kernel
 }
 
 // Arity returns the number of elements the reaction consumes.

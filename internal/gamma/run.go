@@ -174,7 +174,7 @@ func runContext(ctx context.Context, p *Program, m *multiset.Multiset, opt Optio
 		workers = 1
 	}
 	for _, r := range p.Reactions {
-		if err := r.Validate(); err != nil {
+		if err := r.checked(); err != nil {
 			return newStats(workers), rt.Mark(rt.ErrInvalid, err)
 		}
 	}

@@ -29,7 +29,6 @@ import (
 //	GET    /v1/healthz           load snapshot; 200 + schema.Health
 //	GET    /metrics              registry snapshot; ?format=prom for the
 //	                             Prometheus text exposition
-//	GET    /metrics/watch        SSE stream of registry snapshots
 //
 // Tenancy comes from the Authorization bearer token or X-API-Key header;
 // absent both, the request is accounted to AnonymousTenant. Admission
@@ -46,7 +45,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/runs/{id}/stats", s.handleStats)
 	mux.HandleFunc("GET /v1/healthz", s.handleHealth)
 	mux.Handle("GET /metrics", telemetry.MetricsHandler(s.reg))
-	mux.Handle("GET /metrics/watch", telemetry.WatchHandler(s.reg))
 	return mux
 }
 

@@ -34,6 +34,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -102,7 +103,7 @@ type Config struct {
 	// Logger receives the service's structured log: one record per
 	// admission, rejection and completion, each carrying the run id, tenant
 	// and engine so records correlate with the trace and metrics surfaces.
-	// nil discards.
+	// nil discards, without rendering the records first.
 	Logger *slog.Logger
 }
 
@@ -134,7 +135,7 @@ func (c *Config) fill() {
 		c.TraceSample = 1
 	}
 	if c.Logger == nil {
-		c.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
+		c.Logger = slog.New(slog.NewTextHandler(io.Discard, &slog.HandlerOptions{Level: slog.Level(math.MaxInt)}))
 	}
 }
 
@@ -265,6 +266,7 @@ type Server struct {
 	runs     map[string]*Run
 	terminal []string // terminal run ids in completion order, for eviction
 	tenants  map[string]*tenantState
+	plans    planCache
 
 	gPending, gRunning *telemetry.Gauge
 }
@@ -323,6 +325,7 @@ func New(cfg Config) *Server {
 		queue:      make(chan *Run, cfg.QueueDepth),
 		runs:       make(map[string]*Run),
 		tenants:    make(map[string]*tenantState),
+		plans:      planCache{jobs: make(map[planKey]*schema.Job)},
 	}
 	s.gPending = s.reg.Gauge("service.pending")
 	s.gRunning = s.reg.Gauge("service.running")
@@ -381,7 +384,7 @@ func (s *Server) Submit(req *schema.RunRequest, tenant string) (*Run, error) {
 	if err := req.Validate(); err != nil {
 		return nil, err
 	}
-	job, err := load(req.Kind, "run", req.Program, req.Init, req.Graph)
+	job, err := s.load(tenant, req.Kind, "run", req.Program, req.Init, req.Graph)
 	if err != nil {
 		return nil, err
 	}
@@ -462,23 +465,98 @@ func (s *Server) Submit(req *schema.RunRequest, tenant string) (*Run, error) {
 	s.count("service.submitted", 1, tenant, r.Engine)
 	s.gaugeAdd("service.queue_depth", 1, tenant, r.Engine)
 	s.gPending.Set(int64(len(s.queue)))
-	s.log.Info("run admitted",
-		"run", r.ID, "tenant", tenant, "kind", r.Kind, "engine", r.Engine,
-		"traced", r.Traced, "max_steps", r.Spec.MaxSteps)
+	if s.log.Enabled(context.Background(), slog.LevelInfo) {
+		s.log.Info("run admitted",
+			"run", r.ID, "tenant", tenant, "kind", r.Kind, "engine", r.Engine,
+			"traced", r.Traced, "max_steps", r.Spec.MaxSteps)
+	}
 	return r, nil
 }
 
-// load parses a submission's payload through the run pipeline's loader; a Γ
-// program that declares no initial multiset runs on {}.
-func load(kind, name, program, init, graph string) (*schema.Job, error) {
+// The plan cache's bounds: entries, and program source bytes summed over
+// them (MaxBody's default). The oldest entry is evicted first.
+const (
+	planCacheEntries = 64
+	planCacheBytes   = 1 << 20
+)
+
+// planCache holds what schema.LoadGamma made of a program — its plan, whose
+// kernels and subscription index are built once, its reactions, and its
+// source's initial multiset, which no run receives — keyed by the tenant that
+// sent it and its full source: a plan is shared among one tenant's runs only.
+type planCache struct {
+	mu    sync.Mutex
+	jobs  map[planKey]*schema.Job
+	order []planKey // insertion order, oldest first
+	bytes int
+}
+
+type planKey struct{ tenant, program string }
+
+// get returns the loaded program of key and whether it was cached. A miss
+// loads it, and caches it unless the load failed. Every stage is named
+// "run.N", a submission's and a replay's alike, so one plan serves both.
+func (c *planCache) get(key planKey) (*schema.Job, bool, error) {
+	c.mu.Lock()
+	job, ok := c.jobs[key]
+	c.mu.Unlock()
+	if ok {
+		return job, true, nil
+	}
+	job, err := schema.LoadGamma("run", key.program, "")
+	if err != nil {
+		return nil, false, err
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if prior, ok := c.jobs[key]; ok { // a concurrent miss cached it first
+		return prior, false, nil
+	}
+	c.jobs[key], c.order, c.bytes = job, append(c.order, key), c.bytes+len(key.program)
+	for len(c.order) > planCacheEntries || c.bytes > planCacheBytes {
+		old := c.order[0] // cleared below, so the dead slot keeps no source alive
+		c.order[0], c.order, c.bytes = planKey{}, c.order[1:], c.bytes-len(old.program)
+		delete(c.jobs, old)
+	}
+	return job, false, nil
+}
+
+// load parses a submission's payload through the run pipeline's loader, a Γ
+// program through the plan cache. Only the initial multiset is built per
+// request: the override literal, else a copy of the source's (a run rewrites
+// its Init in place), else {}.
+func (s *Server) load(tenant, kind, name, program, init, graph string) (*schema.Job, error) {
 	if kind == schema.KindDataflow {
 		return schema.LoadGraph(name, graph, false)
 	}
-	job, err := schema.LoadGamma(name, program, init)
-	if err == nil && job.Init == nil {
-		job.Init = multiset.New()
+	src, hit, err := s.plans.get(planKey{tenant, program})
+	if hit {
+		s.count("service.plan_cache.hits", 1, tenant, "")
+	} else {
+		s.count("service.plan_cache.misses", 1, tenant, "")
 	}
-	return job, err
+	// schema.LoadGamma's order of errors: the program's syntax, then the
+	// override, then the composition (rt.ErrInvalid).
+	if err != nil && !errors.Is(err, rt.ErrInvalid) {
+		return nil, err
+	}
+	var m *multiset.Multiset
+	if init != "" {
+		var perr error
+		if m, perr = multiset.Parse(init); perr != nil {
+			return nil, rt.Mark(rt.ErrParse, perr)
+		}
+	}
+	switch {
+	case err != nil:
+		return nil, err
+	case m != nil:
+	case src.Init != nil:
+		m = src.Init.Clone()
+	default:
+		m = multiset.New()
+	}
+	return &schema.Job{Name: name, Plan: src.Plan, Reactions: src.Reactions, Init: m}, nil
 }
 
 // reject accounts and logs one admission rejection, returning busy.
@@ -576,13 +654,15 @@ func (s *Server) execute(r *Run) {
 // runs included) are charged against its budget, and the terminal-run ring
 // evicts past Config.Retain.
 func (s *Server) finish(r *Run, res *schema.RunResult, err error, steps int64, wall *time.Duration) {
-	state := schema.StateDone
+	// rt.ErrNode wraps reaction/vertex panics the runtimes recovered; logging
+	// a failure here is the service's panic path.
+	state, counter, level, msg := schema.StateDone, "service.done", slog.LevelInfo, "run finished"
 	switch {
 	case err == nil:
 	case errors.Is(err, rt.ErrCanceled):
-		state = schema.StateCanceled
+		state, counter, msg = schema.StateCanceled, "service.canceled", "run canceled"
 	default:
-		state = schema.StateFailed
+		state, counter, level, msg = schema.StateFailed, "service.failed", slog.LevelError, "run failed"
 	}
 
 	r.mu.Lock()
@@ -591,14 +671,7 @@ func (s *Server) finish(r *Run, res *schema.RunResult, err error, steps int64, w
 	r.err = err
 	r.mu.Unlock()
 
-	switch state {
-	case schema.StateDone:
-		s.count("service.done", 1, r.Tenant, r.Engine)
-	case schema.StateCanceled:
-		s.count("service.canceled", 1, r.Tenant, r.Engine)
-	default:
-		s.count("service.failed", 1, r.Tenant, r.Engine)
-	}
+	s.count(counter, 1, r.Tenant, r.Engine)
 	if steps > 0 {
 		s.count("service.steps", steps, r.Tenant, r.Engine)
 		s.observe("service.run_steps", steps, r.Tenant, r.Engine)
@@ -607,22 +680,18 @@ func (s *Server) finish(r *Run, res *schema.RunResult, err error, steps int64, w
 		s.observe("service.run_wall_ns", wall.Nanoseconds(), r.Tenant, r.Engine)
 	}
 
-	attrs := []any{
-		"run", r.ID, "tenant", r.Tenant, "kind", r.Kind, "engine", r.Engine,
-		"state", state, "steps", steps, "traced", r.Traced,
-	}
-	if wall != nil {
-		attrs = append(attrs, "wall_ms", float64(wall.Nanoseconds())/1e6)
-	}
-	switch state {
-	case schema.StateFailed:
-		// rt.ErrNode wraps reaction/vertex panics the runtimes recovered;
-		// logging it here is the service's panic path.
-		s.log.Error("run failed", append(attrs, "error", err)...)
-	case schema.StateCanceled:
-		s.log.Info("run canceled", append(attrs, "error", err)...)
-	default:
-		s.log.Info("run finished", attrs...)
+	if ctx := context.Background(); s.log.Enabled(ctx, level) {
+		attrs := []any{
+			"run", r.ID, "tenant", r.Tenant, "kind", r.Kind, "engine", r.Engine,
+			"state", state, "steps", steps, "traced", r.Traced,
+		}
+		if wall != nil {
+			attrs = append(attrs, "wall_ms", float64(wall.Nanoseconds())/1e6)
+		}
+		if err != nil {
+			attrs = append(attrs, "error", err)
+		}
+		s.log.Log(ctx, level, msg, attrs...)
 	}
 
 	s.mu.Lock()
@@ -755,7 +824,7 @@ func (s *Server) Replay(req *schema.ReplayRequest, tenant string) (*schema.Repla
 	if err := req.Validate(); err != nil {
 		return nil, err
 	}
-	job, err := load(req.Kind, "replay", req.Program, req.Init, req.Graph)
+	job, err := s.load(tenant, req.Kind, "replay", req.Program, req.Init, req.Graph)
 	if err != nil {
 		return nil, err
 	}

@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -294,7 +295,7 @@ func TestTraceSamplingDeterministic(t *testing.T) {
 // allocation between Submit and Done belongs to the request. Asking for a trace on a server whose sampler is
 // off must cost what not asking costs (the knob is one branch at admission),
 // and a granted trace — schedule recorder, run-end fold, retention — must
-// keep the whole request under 64 KiB (untraced ≈ 16.7 kB, traced ≈ 22.4 kB);
+// keep the whole request under 64 KiB (untraced ≈ 6.6 kB, traced ≈ 12.0 kB);
 // a fixed first chunk in any recorder store shows here at once.
 func TestTraceAllocationCost(t *testing.T) {
 	if raceEnabled {
@@ -393,8 +394,8 @@ func TestTracedRunsDifferential(t *testing.T) {
 }
 
 // TestServiceMetricsEndpoints checks the service handler itself serves the
-// metrics surfaces: /metrics in both formats (with the tenant and engine
-// label series present) and the SSE stream at /metrics/watch.
+// metrics surfaces: /metrics in both formats, with the tenant and engine
+// label series present, and 406 on an unknown format.
 func TestServiceMetricsEndpoints(t *testing.T) {
 	_, ts := newTestServer(t, Config{Pool: 1})
 	req := schema.NewGammaRequest(paper.Example1GammaListing, paper.Example1InitialMultiset,
@@ -515,5 +516,16 @@ func TestStructuredLogCorrelation(t *testing.T) {
 	}
 	if rejected == nil || rejected.Level != "WARN" || rejected.Reason != "concurrency quota" {
 		t.Errorf("rejection record missing or wrong: %+v", rejected)
+	}
+}
+
+// TestDefaultLoggerDisabled: without a Config.Logger the service discards its
+// records before building them — no level is enabled, so neither the handler
+// nor the attribute lists run.
+func TestDefaultLoggerDisabled(t *testing.T) {
+	s := New(Config{})
+	defer s.Close()
+	if s.log.Enabled(context.Background(), slog.LevelError) {
+		t.Error("the default logger is enabled at Error, so every record is rendered and thrown away")
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"strconv"
 	"time"
 )
 
@@ -37,57 +36,13 @@ func MetricsHandler(reg *Registry) http.Handler {
 	})
 }
 
-// WatchHandler streams registry snapshots as Server-Sent Events: one `data:`
-// line of compact Snapshot JSON per tick until the client disconnects. The
-// tick defaults to 1s; ?interval_ms= overrides it (clamped to ≥ 50ms so a
-// dashboard cannot busy-loop the server). The first event is sent
-// immediately, so a one-shot consumer need not wait a full interval.
-func WatchHandler(reg *Registry) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		flusher, ok := w.(http.Flusher)
-		if !ok {
-			http.Error(w, "streaming unsupported", http.StatusNotImplemented)
-			return
-		}
-		interval := time.Second
-		if ms, err := strconv.Atoi(r.URL.Query().Get("interval_ms")); err == nil && ms > 0 {
-			if ms < 50 {
-				ms = 50
-			}
-			interval = time.Duration(ms) * time.Millisecond
-		}
-		w.Header().Set("Content-Type", "text/event-stream")
-		w.Header().Set("Cache-Control", "no-cache")
-		w.Header().Set("Connection", "keep-alive")
-		tick := time.NewTicker(interval)
-		defer tick.Stop()
-		for {
-			data, err := json.Marshal(reg.Snapshot())
-			if err != nil {
-				return
-			}
-			if _, err := fmt.Fprintf(w, "data: %s\n\n", data); err != nil {
-				return
-			}
-			flusher.Flush()
-			select {
-			case <-r.Context().Done():
-				return
-			case <-tick.C:
-			}
-		}
-	})
-}
-
 // MetricsMux is the standard metrics surface: the format-dispatching
-// snapshot handler at /metrics (and /, for curl convenience) plus the SSE
-// stream at /metrics/watch. Mount it on a dedicated port via ServeMux
-// or merge the routes into a service mux.
+// snapshot handler at /metrics (and /, for curl convenience). Mount it on a
+// dedicated port via ServeMux or merge the routes into a service mux.
 func MetricsMux(reg *Registry) *http.ServeMux {
 	mux := http.NewServeMux()
 	h := MetricsHandler(reg)
 	mux.Handle("/metrics", h)
-	mux.Handle("/metrics/watch", WatchHandler(reg))
 	mux.Handle("/", h)
 	return mux
 }

@@ -1,9 +1,7 @@
 package telemetry
 
 import (
-	"bufio"
 	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -12,7 +10,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 // TestLabeledRollupExact pins the label-registry invariant: events accounted
@@ -171,52 +168,5 @@ func TestMetricsHandlerFormats(t *testing.T) {
 	resp, _ = get("?format=xml")
 	if resp.StatusCode != http.StatusNotAcceptable {
 		t.Errorf("unknown format status = %d, want 406", resp.StatusCode)
-	}
-}
-
-// TestWatchSSE reads two events off the /metrics/watch stream and checks
-// they are well-formed SSE data lines carrying Snapshot JSON.
-func TestWatchSSE(t *testing.T) {
-	reg := NewRegistry()
-	reg.Counter("gamma.steps").Add(9)
-	ts := httptest.NewServer(MetricsMux(reg))
-	defer ts.Close()
-
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, "GET", ts.URL+"/metrics/watch?interval_ms=50", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
-		t.Fatalf("Content-Type = %q, want text/event-stream", ct)
-	}
-	sc := bufio.NewScanner(resp.Body)
-	events := 0
-	for sc.Scan() && events < 2 {
-		line := sc.Text()
-		if line == "" {
-			continue
-		}
-		data, ok := strings.CutPrefix(line, "data: ")
-		if !ok {
-			t.Fatalf("non-SSE line: %q", line)
-		}
-		var s Snapshot
-		if err := json.Unmarshal([]byte(data), &s); err != nil {
-			t.Fatalf("event not Snapshot JSON: %v\n%s", err, data)
-		}
-		if s.Counters["gamma.steps"] != 9 {
-			t.Errorf("event counter = %d, want 9", s.Counters["gamma.steps"])
-		}
-		events++
-	}
-	if events < 2 {
-		t.Fatalf("got %d events, want 2 (scanner err %v)", events, sc.Err())
 	}
 }
