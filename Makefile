@@ -42,7 +42,7 @@ loc:
 
 # The size criterion as a gate: check-ci fails when the total of `make loc`
 # exceeds this. A PR may lower the ceiling, never raise it.
-LOC_CEILING = 18818
+LOC_CEILING = 18817
 
 # Observability demo: trace the paper's Fig. 1 program and emit a
 # Perfetto-loadable timeline (open trace.json at https://ui.perfetto.dev) plus
@@ -132,7 +132,9 @@ check: vet fmt-check build race bench-check
 # allocations per step);
 # allocations and bytes per vertex firing on a re-run of the wide graph (flat
 # in the width, under 1 allocation / 150 B, and short of the first run by
-# the plan's tables); the matching table's, dataflow
+# the plan's tables); allocations per line and bytes per source byte of
+# decoding the wide graph's dfir text (under 1.5 and 16, never rising with the
+# width) and the one allocation of encoding it; the matching table's, dataflow
 # replay's and the divergence report's wall-time exponents (one vertex under n
 # tags; schedules of 2 432 to 38 912 steps, the widest under 250 ms; dependency
 # chains of 2^10 to 2^16 steps); bytes per service
@@ -158,7 +160,7 @@ check-ci: vet fmt-check build bench-check
 	GOMAXPROCS=8 $(GO) test -timeout 2m -count=1 -run 'TestPoolCommitShape' ./internal/gamma/
 	$(GO) test -timeout 2m -count=1 -run 'TestLoopAllocScaling' .
 	$(GO) test -timeout 2m -count=1 -run 'TestAlg1ImageShape' ./internal/gamma/
-	GAMMAFLOW_WALLCLOCK=1 $(GO) test -timeout 2m -count=1 -run 'TestWideAllocShape|TestMatchTableScaling' ./internal/dataflow/
+	GAMMAFLOW_WALLCLOCK=1 $(GO) test -timeout 2m -count=1 -run 'TestWideAllocShape|TestMatchTableScaling|TestCodecAllocShape' ./internal/dataflow/ ./internal/dfir/
 	$(GO) test -timeout 2m -count=1 -run 'TestTraceAllocationCost' ./internal/service/
 	GAMMAFLOW_WALLCLOCK=1 $(GO) test -timeout 2m -count=1 -run 'TestRecorderCostPerFiring|TestReplayDataflowScaling|TestReplayAncestorsScaling' ./internal/replay/
 	$(GO) run ./cmd/gammad -selfcheck

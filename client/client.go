@@ -192,7 +192,7 @@ func (c *Client) TraceTo(ctx context.Context, id, format string, w io.Writer) er
 	}
 	defer hres.Body.Close()
 	if hres.StatusCode != http.StatusOK {
-		body, err := io.ReadAll(hres.Body)
+		body, err := schema.ReadBody(hres.Body, hres.ContentLength, maxPresize)
 		if err != nil {
 			return err
 		}
@@ -304,9 +304,12 @@ func (c *Client) roundTrip(hreq *http.Request) ([]byte, *http.Response, error) {
 		return nil, nil, err
 	}
 	defer hres.Body.Close()
-	raw, err := io.ReadAll(hres.Body)
+	raw, err := schema.ReadBody(hres.Body, hres.ContentLength, maxPresize)
 	if err != nil {
 		return nil, hres, err
 	}
 	return raw, hres, nil
 }
+
+// maxPresize caps the buffer a response's Content-Length alone may size.
+const maxPresize = 1 << 24

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dataflow"
+	"repro/internal/dfir"
 	"repro/internal/gamma"
 	"repro/internal/paper"
 	"repro/internal/value"
@@ -211,7 +212,7 @@ func TestCompileErrors(t *testing.T) {
 	}
 	for _, src := range bad {
 		if g, err := Compile("bad", src); err == nil {
-			t.Errorf("Compile(%q) should error, got graph:\n%s", src, g)
+			t.Errorf("Compile(%q) should error, got graph:\n%s", src, dfir.Marshal(g))
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dataflow"
+	"repro/internal/dfir"
 	"repro/internal/equiv"
 	"repro/internal/gamma"
 	"repro/internal/value"
@@ -134,7 +135,7 @@ func TestFunctionErrors(t *testing.T) {
 	}
 	for name, src := range bad {
 		if g, err := Compile("bad", src); err == nil {
-			t.Errorf("%s: should error, got\n%s", name, g)
+			t.Errorf("%s: should error, got\n%s", name, dfir.Marshal(g))
 		}
 	}
 	// Builtin-looking calls are still rejected (no dataflow vertex).

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/dataflow"
+	"repro/internal/dfir"
 	"repro/internal/expr"
 	"repro/internal/gamma"
 	"repro/internal/gammalang"
@@ -284,7 +285,7 @@ func TestReactionToGraphUnconditional(t *testing.T) {
 	for name, v := range vals {
 		n := g.NodeByName(name)
 		if n == nil {
-			t.Fatalf("missing root %s in\n%s", name, g)
+			t.Fatalf("missing root %s in\n%s", name, dfir.Marshal(g))
 		}
 		if err := g.SetConst(n.ID, value.Int(v)); err != nil {
 			t.Fatal(err)
@@ -426,7 +427,7 @@ func TestReactionToGraphSwapSort(t *testing.T) {
 	set := func(name string, v int64) {
 		n := g.NodeByName(name)
 		if n == nil {
-			t.Fatalf("missing root %s in\n%s", name, g)
+			t.Fatalf("missing root %s in\n%s", name, dfir.Marshal(g))
 		}
 		if err := g.SetConst(n.ID, value.Int(v)); err != nil {
 			t.Fatal(err)

@@ -9,7 +9,7 @@ package dataflow
 
 import (
 	"fmt"
-	"strings"
+	"strconv"
 	"sync/atomic"
 
 	"repro/internal/value"
@@ -49,27 +49,15 @@ const (
 	KindSetTag
 )
 
+var kindNames = [...]string{KindConst: "const", KindArith: "arith", KindCompare: "compare", KindSteer: "steer",
+	KindIncTag: "inctag", KindCopy: "copy", KindUnaryOp: "unary", KindSetTag: "settag"}
+
+// String is the kind's dfir directive, or "invalid".
 func (k NodeKind) String() string {
-	switch k {
-	case KindConst:
-		return "const"
-	case KindArith:
-		return "arith"
-	case KindCompare:
-		return "compare"
-	case KindSteer:
-		return "steer"
-	case KindIncTag:
-		return "inctag"
-	case KindCopy:
-		return "copy"
-	case KindUnaryOp:
-		return "unary"
-	case KindSetTag:
-		return "settag"
-	default:
-		return "invalid"
+	if int(k) < len(kindNames) && k != KindInvalid {
+		return kindNames[k]
 	}
+	return "invalid"
 }
 
 // Steer output ports.
@@ -158,6 +146,13 @@ type Graph struct {
 	Edges []*Edge
 
 	labels map[string]EdgeID
+	// The slabs addNode and connect carve vertices, edges, port headers and
+	// each port's first edge from: a few allocations per graph, not a few
+	// per vertex and edge.
+	nodeSlab pool[Node]
+	edgeSlab pool[Edge]
+	portSlab pool[[]EdgeID]
+	idSlab   pool[EdgeID]
 
 	version  uint64                // structural mutations: addNode, setImm, connect
 	valid    atomic.Pointer[stamp] // the last stamp that passed Validate
@@ -181,13 +176,12 @@ func NewGraph(name string) *Graph {
 func (g *Graph) addNode(kind NodeKind, name, op string, init value.Value) NodeID {
 	id := NodeID(len(g.Nodes))
 	if name == "" {
-		name = fmt.Sprintf("n%d", id)
+		name = "n" + strconv.Itoa(int(id))
 	}
-	n := &Node{
-		ID: id, Kind: kind, Name: name, Op: op, Init: init,
-		In:  make([][]EdgeID, kind.InArity()),
-		Out: make([][]EdgeID, kind.OutPorts()),
-	}
+	in, out := kind.InArity(), kind.OutPorts()
+	ports := g.portSlab.take(in + out)
+	n := &g.nodeSlab.take(1)[0]
+	*n = Node{ID: id, Kind: kind, Name: name, Op: op, Init: init, In: ports[:in:in], Out: ports[in:]}
 	g.Nodes = append(g.Nodes, n)
 	g.version++
 	return id
@@ -199,9 +193,40 @@ func (g *Graph) setImm(id NodeID, imm value.Value, immLeft bool) NodeID {
 	n := g.Nodes[id]
 	n.Imm = imm
 	n.ImmLeft = immLeft
-	n.In = make([][]EdgeID, 1)
+	n.In = n.In[:1:1]
 	g.version++
 	return id
+}
+
+// pool is one slab's free tail. A chunk is never reallocated, so what was
+// carved from it stays put. A new chunk holds half the slots handed out so
+// far, from slabFirst up to slabMax: a small graph pays for a small one, and
+// a large one leaves about a third of its slots unused at most.
+type pool[T any] struct {
+	free []T
+	used int
+}
+
+const slabFirst, slabMax = 8, 256
+
+// take carves n zeroed slots, capped at n so an append never runs into the
+// next carve.
+func (p *pool[T]) take(n int) []T {
+	if len(p.free) < n {
+		p.free = make([]T, max(n, min(max(p.used/2, slabFirst), slabMax)))
+	}
+	s := p.free[:n:n]
+	p.free, p.used = p.free[n:], p.used+n
+	return s
+}
+
+// appendID appends id to a port's edge list, carving the list's first slot
+// from the slab; a second edge on the port moves the list to the heap.
+func (g *Graph) appendID(list []EdgeID, id EdgeID) []EdgeID {
+	if cap(list) == 0 {
+		list = g.idSlab.take(1)[:0]
+	}
+	return append(list, id)
 }
 
 // AddArithImm adds an arithmetic vertex computing (input op imm), e.g.
@@ -298,7 +323,6 @@ func (g *Graph) connect(from NodeID, fromPort int, to NodeID, toPort int, label 
 		return NoEdge, fmt.Errorf("dataflow: node %s has no output port %d", fn.Name, fromPort)
 	}
 	id := EdgeID(len(g.Edges))
-	e := &Edge{ID: id, Label: label, From: from, FromPort: fromPort, To: to, ToPort: toPort}
 	if to != NoNode {
 		tn, err := g.node(to)
 		if err != nil {
@@ -307,9 +331,11 @@ func (g *Graph) connect(from NodeID, fromPort int, to NodeID, toPort int, label 
 		if toPort < 0 || toPort >= len(tn.In) {
 			return NoEdge, fmt.Errorf("dataflow: node %s has no input port %d", tn.Name, toPort)
 		}
-		tn.In[toPort] = append(tn.In[toPort], id)
+		tn.In[toPort] = g.appendID(tn.In[toPort], id)
 	}
-	fn.Out[fromPort] = append(fn.Out[fromPort], id)
+	fn.Out[fromPort] = g.appendID(fn.Out[fromPort], id)
+	e := &g.edgeSlab.take(1)[0]
+	*e = Edge{ID: id, Label: label, From: from, FromPort: fromPort, To: to, ToPort: toPort}
 	g.Edges = append(g.Edges, e)
 	g.labels[label] = id
 	g.version++
@@ -431,48 +457,4 @@ func (g *Graph) Validate() error {
 	}
 	g.valid.Store(&st)
 	return nil
-}
-
-// String renders a compact structural description, one vertex per line.
-func (g *Graph) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "graph %s\n", g.Name)
-	for _, n := range g.Nodes {
-		fmt.Fprintf(&b, "  %s %s", n.Name, n.Kind)
-		if n.Op != "" {
-			fmt.Fprintf(&b, " %q", n.Op)
-		}
-		if n.Kind == KindConst {
-			fmt.Fprintf(&b, " = %s", n.Init)
-		}
-		var ins []string
-		for _, port := range n.In {
-			for _, in := range port {
-				ins = append(ins, g.Edges[in].Label)
-			}
-		}
-		if len(ins) > 0 {
-			fmt.Fprintf(&b, " in(%s)", strings.Join(ins, ", "))
-		}
-		for port, outs := range n.Out {
-			if len(outs) == 0 {
-				continue
-			}
-			var ls []string
-			for _, o := range outs {
-				ls = append(ls, g.Edges[o].Label)
-			}
-			portName := ""
-			if n.Kind == KindSteer {
-				if port == PortTrue {
-					portName = "true:"
-				} else {
-					portName = "false:"
-				}
-			}
-			fmt.Fprintf(&b, " out(%s%s)", portName, strings.Join(ls, ", "))
-		}
-		b.WriteByte('\n')
-	}
-	return b.String()
 }

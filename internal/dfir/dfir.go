@@ -10,6 +10,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"unsafe"
 
 	"repro/internal/dataflow"
 	"repro/internal/rt"
@@ -26,72 +27,90 @@ import (
 //	edge m R3:0 -> out
 //
 // Steer source ports are written R15:true / R15:false. The output is
-// canonical: nodes in id order, edges in id order.
+// canonical: nodes in id order, edges in id order. It is appended into one
+// buffer sized from the graph.
 func Marshal(g *dataflow.Graph) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "graph %s\n", g.Name)
+	size := len("graph \n") + len(g.Name)
 	for _, n := range g.Nodes {
+		size += len("compare   immleft \n") + len(n.Name) + len(n.Op) + valueLen(n.Init) + valueLen(n.Imm)
+	}
+	for _, e := range g.Edges {
+		size += len("edge  :false -> :0\n") + len(e.Label) + len(g.Nodes[e.From].Name)
+		if e.To != dataflow.NoNode {
+			size += len(g.Nodes[e.To].Name)
+		}
+	}
+	b := make([]byte, 0, size)
+	b = append(append(append(b, "graph "...), g.Name...), '\n')
+	for _, n := range g.Nodes {
+		b = append(append(append(b, n.Kind.String()...), ' '), n.Name...)
 		switch n.Kind {
 		case dataflow.KindConst:
-			fmt.Fprintf(&b, "const %s = %s\n", n.Name, n.Init)
-		case dataflow.KindArith, dataflow.KindCompare:
-			kind := "arith"
-			if n.Kind == dataflow.KindCompare {
-				kind = "compare"
-			}
-			fmt.Fprintf(&b, "%s %s %s", kind, n.Name, n.Op)
+			b = n.Init.Append(append(b, " = "...))
+		case dataflow.KindArith, dataflow.KindCompare, dataflow.KindUnaryOp:
+			b = append(append(b, ' '), n.Op...)
 			if n.Imm.IsValid() {
 				if n.ImmLeft {
-					fmt.Fprintf(&b, " immleft %s", n.Imm)
+					b = append(b, " immleft "...)
 				} else {
-					fmt.Fprintf(&b, " imm %s", n.Imm)
+					b = append(b, " imm "...)
 				}
+				b = n.Imm.Append(b)
 			}
-			b.WriteByte('\n')
-		case dataflow.KindSteer:
-			fmt.Fprintf(&b, "steer %s\n", n.Name)
-		case dataflow.KindIncTag:
-			fmt.Fprintf(&b, "inctag %s\n", n.Name)
-		case dataflow.KindSetTag:
-			fmt.Fprintf(&b, "settag %s\n", n.Name)
-		case dataflow.KindCopy:
-			fmt.Fprintf(&b, "copy %s\n", n.Name)
-		case dataflow.KindUnaryOp:
-			fmt.Fprintf(&b, "unary %s %s\n", n.Name, n.Op)
 		}
+		b = append(b, '\n')
 	}
 	for _, e := range g.Edges {
 		from := g.Nodes[e.From]
-		src := fmt.Sprintf("%s:%d", from.Name, e.FromPort)
-		if from.Kind == dataflow.KindSteer {
-			port := "true"
-			if e.FromPort == dataflow.PortFalse {
-				port = "false"
-			}
-			src = fmt.Sprintf("%s:%s", from.Name, port)
+		b = append(append(append(append(append(b, "edge "...), e.Label...), ' '), from.Name...), ':')
+		switch {
+		case from.Kind != dataflow.KindSteer:
+			b = strconv.AppendInt(b, int64(e.FromPort), 10)
+		case e.FromPort == dataflow.PortFalse:
+			b = append(b, "false"...)
+		default:
+			b = append(b, "true"...)
 		}
 		if e.To == dataflow.NoNode {
-			fmt.Fprintf(&b, "edge %s %s -> out\n", e.Label, src)
-		} else {
-			fmt.Fprintf(&b, "edge %s %s -> %s:%d\n", e.Label, src, g.Nodes[e.To].Name, e.ToPort)
+			b = append(b, " -> out\n"...)
+			continue
 		}
+		b = append(append(append(b, " -> "...), g.Nodes[e.To].Name...), ':')
+		b = append(strconv.AppendInt(b, int64(e.ToPort), 10), '\n')
 	}
-	return b.String()
+	// b is never written again, so the string may share its bytes.
+	return unsafe.String(unsafe.SliceData(b), len(b))
+}
+
+// valueLen is the length of v's rendering, 0 for the invalid Value.
+func valueLen(v value.Value) int {
+	switch v.Kind() {
+	case value.KindInvalid:
+		return 0
+	case value.KindString:
+		return len(v.AsString()) + 2
+	}
+	var buf [32]byte
+	return len(v.Append(buf[:0]))
 }
 
 // Unmarshal parses the dfir text format back into a graph. Every error it
-// returns is rt.ErrParse, a graph that fails validation included.
+// returns is rt.ErrParse, a graph that fails validation included. It reads
+// the text in place: names, operators and labels are slices of src.
 func Unmarshal(src string) (*dataflow.Graph, error) {
 	var g *dataflow.Graph
-	names := make(map[string]dataflow.NodeID)
-	for lineNo, raw := range strings.Split(src, "\n") {
-		line := strings.TrimSpace(raw)
-		if line == "" || strings.HasPrefix(line, "#") {
+	// Every line but an edge may declare a node.
+	names := make(map[string]dataflow.NodeID, strings.Count(src, "\n")+1-strings.Count(src, "\nedge "))
+	var fields []string
+	for lineNo, rest := 1, src; rest != ""; lineNo++ {
+		var line string
+		line, rest, _ = strings.Cut(rest, "\n")
+		if line = strings.TrimSpace(line); line == "" || line[0] == '#' {
 			continue
 		}
-		fields := splitFields(line)
+		fields = splitFields(line, fields[:0])
 		errf := func(format string, args ...any) error {
-			return rt.Mark(rt.ErrParse, fmt.Errorf("dfir: line %d: %s", lineNo+1, fmt.Sprintf(format, args...)))
+			return rt.Mark(rt.ErrParse, fmt.Errorf("dfir: line %d: %s", lineNo, fmt.Sprintf(format, args...)))
 		}
 		if g == nil {
 			if fields[0] != "graph" || len(fields) != 2 {
@@ -100,7 +119,8 @@ func Unmarshal(src string) (*dataflow.Graph, error) {
 			g = dataflow.NewGraph(fields[1])
 			continue
 		}
-		switch fields[0] {
+		var id dataflow.NodeID
+		switch kind := fields[0]; kind {
 		case "graph":
 			return nil, errf("duplicate graph directive")
 		case "const":
@@ -111,46 +131,40 @@ func Unmarshal(src string) (*dataflow.Graph, error) {
 			if err != nil {
 				return nil, errf("%v", err)
 			}
-			if err := declare(names, fields[1], g.AddConst(fields[1], v)); err != nil {
-				return nil, errf("%v", err)
-			}
+			id = g.AddConst(fields[1], v)
 		case "arith", "compare":
 			if len(fields) != 3 && len(fields) != 5 {
-				return nil, errf("expected '%s <name> <op> [imm|immleft <value>]'", fields[0])
+				return nil, errf("expected '%s <name> <op> [imm|immleft <value>]'", kind)
 			}
 			name, op := fields[1], fields[2]
-			var id dataflow.NodeID
+			var v value.Value
 			if len(fields) == 5 {
-				v, err := value.Parse(fields[4])
-				if err != nil {
+				var err error
+				if v, err = value.Parse(fields[4]); err != nil {
 					return nil, errf("%v", err)
 				}
-				switch {
-				case fields[0] == "arith" && fields[3] == "imm":
-					id = g.AddArithImm(name, op, v)
-				case fields[0] == "arith" && fields[3] == "immleft":
-					id = g.AddArithImmLeft(name, op, v)
-				case fields[0] == "compare" && fields[3] == "imm":
-					id = g.AddCompareImm(name, op, v)
-				case fields[0] == "compare" && fields[3] == "immleft":
-					id = g.AddCompareImmLeft(name, op, v)
-				default:
-					return nil, errf("expected imm or immleft, got %q", fields[3])
-				}
-			} else if fields[0] == "arith" {
-				id = g.AddArith(name, op)
-			} else {
-				id = g.AddCompare(name, op)
 			}
-			if err := declare(names, name, id); err != nil {
-				return nil, errf("%v", err)
+			switch {
+			case len(fields) == 3 && kind == "arith":
+				id = g.AddArith(name, op)
+			case len(fields) == 3:
+				id = g.AddCompare(name, op)
+			case kind == "arith" && fields[3] == "imm":
+				id = g.AddArithImm(name, op, v)
+			case kind == "arith" && fields[3] == "immleft":
+				id = g.AddArithImmLeft(name, op, v)
+			case fields[3] == "imm":
+				id = g.AddCompareImm(name, op, v)
+			case fields[3] == "immleft":
+				id = g.AddCompareImmLeft(name, op, v)
+			default:
+				return nil, errf("expected imm or immleft, got %q", fields[3])
 			}
 		case "steer", "inctag", "copy", "settag":
 			if len(fields) != 2 {
-				return nil, errf("expected '%s <name>'", fields[0])
+				return nil, errf("expected '%s <name>'", kind)
 			}
-			var id dataflow.NodeID
-			switch fields[0] {
+			switch kind {
 			case "steer":
 				id = g.AddSteer(fields[1])
 			case "inctag":
@@ -160,41 +174,34 @@ func Unmarshal(src string) (*dataflow.Graph, error) {
 			default:
 				id = g.AddCopy(fields[1])
 			}
-			if err := declare(names, fields[1], id); err != nil {
-				return nil, errf("%v", err)
-			}
 		case "unary":
 			if len(fields) != 3 {
 				return nil, errf("expected 'unary <name> <op>'")
 			}
-			if err := declare(names, fields[1], g.AddUnary(fields[1], fields[2])); err != nil {
-				return nil, errf("%v", err)
-			}
+			id = g.AddUnary(fields[1], fields[2])
 		case "edge":
 			if len(fields) != 5 || fields[3] != "->" {
 				return nil, errf("expected 'edge <label> <from>:<port> -> <to>:<port>|out'")
 			}
-			label := fields[1]
-			fromName, fromPort, err := parseEndpoint(fields[2], names, g, true)
+			from, fromPort, err := parseEndpoint(fields[2], names)
+			to, toPort := dataflow.NoNode, 0
+			if err == nil && fields[4] != "out" {
+				to, toPort, err = parseEndpoint(fields[4], names)
+			}
+			if err == nil {
+				_, err = g.Connect(from, fromPort, to, toPort, fields[1])
+			}
 			if err != nil {
 				return nil, errf("%v", err)
 			}
-			if fields[4] == "out" {
-				if _, err := g.ConnectOut(fromName, fromPort, label); err != nil {
-					return nil, errf("%v", err)
-				}
-				continue
-			}
-			toName, toPort, err := parseEndpoint(fields[4], names, g, false)
-			if err != nil {
-				return nil, errf("%v", err)
-			}
-			if _, err := g.Connect(fromName, fromPort, toName, toPort, label); err != nil {
-				return nil, errf("%v", err)
-			}
+			continue
 		default:
-			return nil, errf("unknown directive %q", fields[0])
+			return nil, errf("unknown directive %q", kind)
 		}
+		if _, dup := names[fields[1]]; dup {
+			return nil, errf("node %s declared twice", fields[1])
+		}
+		names[fields[1]] = id
 	}
 	if g == nil {
 		return nil, rt.Mark(rt.ErrParse, fmt.Errorf("dfir: empty input"))
@@ -205,49 +212,39 @@ func Unmarshal(src string) (*dataflow.Graph, error) {
 	return g, nil
 }
 
-func declare(names map[string]dataflow.NodeID, name string, id dataflow.NodeID) error {
-	if _, dup := names[name]; dup {
-		return fmt.Errorf("node %s declared twice", name)
-	}
-	names[name] = id
-	return nil
-}
-
-// splitFields splits on whitespace but keeps quoted strings (for const
-// values like 'A1') intact.
-func splitFields(line string) []string {
-	var fields []string
-	cur := strings.Builder{}
+// splitFields appends line's fields to fields: runs of bytes split on spaces
+// and tabs, except inside quotes (for const values like 'a b').
+func splitFields(line string, fields []string) []string {
+	start := -1
 	var quote byte
 	for i := 0; i < len(line); i++ {
 		c := line[i]
 		switch {
 		case quote != 0:
-			cur.WriteByte(c)
 			if c == quote {
 				quote = 0
 			}
+		case c == ' ' || c == '\t':
+			if start >= 0 {
+				fields, start = append(fields, line[start:i]), -1
+			}
+			continue
 		case c == '\'' || c == '"':
 			quote = c
-			cur.WriteByte(c)
-		case c == ' ' || c == '\t':
-			if cur.Len() > 0 {
-				fields = append(fields, cur.String())
-				cur.Reset()
-			}
-		default:
-			cur.WriteByte(c)
+		}
+		if start < 0 {
+			start = i
 		}
 	}
-	if cur.Len() > 0 {
-		fields = append(fields, cur.String())
+	if start >= 0 {
+		fields = append(fields, line[start:])
 	}
 	return fields
 }
 
 // parseEndpoint parses "name:port", with true/false accepted for steer
 // source ports.
-func parseEndpoint(s string, names map[string]dataflow.NodeID, g *dataflow.Graph, from bool) (dataflow.NodeID, int, error) {
+func parseEndpoint(s string, names map[string]dataflow.NodeID) (dataflow.NodeID, int, error) {
 	i := strings.LastIndex(s, ":")
 	if i < 0 {
 		return 0, 0, fmt.Errorf("endpoint %q needs a :port suffix", s)
@@ -323,22 +320,17 @@ func ToDOT(g *dataflow.Graph) string {
 	return b.String()
 }
 
-// Stats summarizes a graph for reporting: node counts per kind and edge
-// count.
+// Stats summarizes a graph for reporting: node counts per kind, in kind
+// order, and edge count.
 func Stats(g *dataflow.Graph) string {
 	counts := make(map[string]int)
 	for _, n := range g.Nodes {
 		counts[n.Kind.String()]++
 	}
-	kinds := make([]string, 0, len(counts))
-	for k := range counts {
-		kinds = append(kinds, k)
+	parts := make([]string, 0, len(counts)+1)
+	for k, c := range counts {
+		parts = append(parts, fmt.Sprintf("%s=%d", k, c))
 	}
-	sort.Strings(kinds)
-	parts := make([]string, 0, len(kinds)+1)
-	for _, k := range kinds {
-		parts = append(parts, fmt.Sprintf("%s=%d", k, counts[k]))
-	}
-	parts = append(parts, fmt.Sprintf("edges=%d", len(g.Edges)))
-	return strings.Join(parts, " ")
+	sort.Strings(parts) // no kind's name is a prefix of another's, so this is kind order
+	return strings.Join(append(parts, fmt.Sprintf("edges=%d", len(g.Edges))), " ")
 }

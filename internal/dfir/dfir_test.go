@@ -231,7 +231,7 @@ func TestStats(t *testing.T) {
 }
 
 func TestSplitFieldsQuoted(t *testing.T) {
-	got := splitFields("const a = 'hello world'")
+	got := splitFields("const a = 'hello world'", nil)
 	want := []string{"const", "a", "=", "'hello world'"}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("splitFields = %v", got)

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/compiler"
 	"repro/internal/dataflow"
+	"repro/internal/dfir"
 	"repro/internal/paper"
 	"repro/internal/value"
 )
@@ -73,10 +74,10 @@ func TestAlgorithm1Equivalence(t *testing.T) {
 		g := RandomGraph(seed, 3+int(seed)%4, size)
 		rep, err := Check(g, Options{MaxSteps: 100000})
 		if err != nil {
-			t.Fatalf("seed %d: %v\n%s", seed, err, g)
+			t.Fatalf("seed %d: %v\n%s", seed, err, dfir.Marshal(g))
 		}
 		if !rep.Equivalent {
-			t.Errorf("seed %d: not equivalent: %v\n%s", seed, rep.Mismatches, g)
+			t.Errorf("seed %d: not equivalent: %v\n%s", seed, rep.Mismatches, dfir.Marshal(g))
 		}
 	}
 }
@@ -99,11 +100,11 @@ func TestAlgorithm1EquivalenceParallel(t *testing.T) {
 func TestRandomGraphDeterministic(t *testing.T) {
 	g1 := RandomGraph(7, 4, 20)
 	g2 := RandomGraph(7, 4, 20)
-	if g1.String() != g2.String() {
+	if dfir.Marshal(g1) != dfir.Marshal(g2) {
 		t.Error("same seed should give the same graph")
 	}
 	g3 := RandomGraph(8, 4, 20)
-	if g1.String() == g3.String() {
+	if dfir.Marshal(g1) == dfir.Marshal(g3) {
 		t.Error("different seeds should differ")
 	}
 	if err := g1.Validate(); err != nil {

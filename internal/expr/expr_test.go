@@ -396,3 +396,19 @@ func TestQuickFoldPreservesEval(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// LexAll tokenizes the whole input, excluding the trailing EOF token.
+func LexAll(src string) ([]Token, error) {
+	l := NewLexer(src)
+	var toks []Token
+	for {
+		t, err := l.Next()
+		if err != nil {
+			return nil, err
+		}
+		if t.Kind == TokEOF {
+			return toks, nil
+		}
+		toks = append(toks, t)
+	}
+}

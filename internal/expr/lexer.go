@@ -280,19 +280,3 @@ func (l *Lexer) lexOperator() (Token, error) {
 	}
 	return tok, l.errf("unexpected character %q", rest[0])
 }
-
-// LexAll tokenizes the whole input, excluding the trailing EOF token.
-func LexAll(src string) ([]Token, error) {
-	l := NewLexer(src)
-	var toks []Token
-	for {
-		t, err := l.Next()
-		if err != nil {
-			return nil, err
-		}
-		if t.Kind == TokEOF {
-			return toks, nil
-		}
-		toks = append(toks, t)
-	}
-}

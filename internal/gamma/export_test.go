@@ -45,3 +45,12 @@ func (s *searcher) probe(m *multiset.Multiset, rng *rand.Rand) bool {
 	defer s.view.Unlock()
 	return s.search(0)
 }
+
+// CountValidations counts, until t ends, the walks of Validate on each
+// reaction. Not for parallel tests: the hook is one package variable.
+func CountValidations(t testing.TB) map[*Reaction]int {
+	walks := make(map[*Reaction]int)
+	validated = func(r *Reaction) { walks[r]++ }
+	t.Cleanup(func() { validated = nil })
+	return walks
+}

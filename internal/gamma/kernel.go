@@ -210,23 +210,23 @@ func addUnique[T comparable](xs []T, x T) []T {
 	return append(xs, x)
 }
 
-// kernel returns r's compiled form, building it on first use together with
-// r's Validate verdict. Reactions are immutable once running (the same
-// contract the subscription index relies on), so a reaction is frozen at its
-// first run: its kernel and its well-formedness both.
+// kernel returns r's compiled form, building it on first use. Reactions are
+// immutable once running (the same contract the subscription index relies
+// on), so a reaction is frozen at its first run: its kernel and its
+// well-formedness both.
 func (r *Reaction) kernel() *kernel {
-	r.kernOnce.Do(func() { r.invalid, r.kern = r.Validate(), compileKernel(r) })
+	r.kernOnce.Do(func() { r.kern = compileKernel(r) })
 	return r.kern
 }
 
-// checked is r's Validate verdict, taken once with its kernel. It stays out
-// of line so that runContext keeps the frame the Validate call gave it (see
-// runContext on why that frame matters).
+// checked builds r's kernel and returns its Validate verdict, both taken
+// once. It stays out of line so that runContext keeps the frame the Validate
+// call gave it (see runContext on why that frame matters).
 //
 //go:noinline
 func (r *Reaction) checked() error {
 	r.kernel()
-	return r.invalid
+	return r.Validate()
 }
 
 // selectBranch returns the first enabled branch under the slot env, or -1.

@@ -135,9 +135,10 @@ type Reaction struct {
 	Patterns []Pattern
 	Branches []Branch
 
-	kernOnce sync.Once
-	kern     *kernel
-	invalid  error // Validate's verdict, taken with the kernel
+	kernOnce  sync.Once
+	kern      *kernel
+	validOnce sync.Once
+	invalid   error // Validate's verdict, taken once
 }
 
 // Arity returns the number of elements the reaction consumes.
@@ -145,8 +146,21 @@ func (r *Reaction) Arity() int { return len(r.Patterns) }
 
 // Validate checks structural well-formedness: at least one pattern and one
 // branch, every expression variable bound by some pattern, and at most one
-// else branch, in final position.
+// else branch, in final position. The verdict is taken once and kept: a
+// reaction is frozen at its first Validate — the parser's, NewProgram's or its
+// first run's, whichever comes first — as it is at its first run.
 func (r *Reaction) Validate() error {
+	r.validOnce.Do(func() { r.invalid = r.validate() })
+	return r.invalid
+}
+
+// validated, when set, sees every walk of validate; the tests count them.
+var validated func(*Reaction)
+
+func (r *Reaction) validate() error {
+	if validated != nil {
+		validated(r)
+	}
 	if len(r.Patterns) == 0 {
 		return fmt.Errorf("gamma: reaction %s has no replace list", r.Name)
 	}

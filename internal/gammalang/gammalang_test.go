@@ -399,3 +399,12 @@ func TestListingEquivalenceExample1(t *testing.T) {
 		}
 	}
 }
+
+// MustParseProgram is ParseProgram that panics on error, for fixtures.
+func MustParseProgram(name, src string) *gamma.Program {
+	p, err := ParseProgram(name, src)
+	if err != nil {
+		panic(err)
+	}
+	return p
+}

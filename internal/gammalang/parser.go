@@ -92,15 +92,6 @@ func ParseProgram(name, src string) (*gamma.Program, error) {
 	return f.Program(name)
 }
 
-// MustParseProgram is ParseProgram that panics on error, for fixtures.
-func MustParseProgram(name, src string) *gamma.Program {
-	p, err := ParseProgram(name, src)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
-
 // ParseReaction parses a single reaction.
 func ParseReaction(src string) (*gamma.Reaction, error) {
 	f, err := ParseFile(src)

@@ -642,7 +642,7 @@ func parseElems(src string, add func(Tuple)) error {
 	if inner == "" {
 		return nil
 	}
-	// Split on commas outside brackets and, like splitTopLevel, outside quotes.
+	// Split on commas outside brackets and, like cutField, outside quotes.
 	depth := 0
 	quote := byte(0)
 	start := 0

@@ -218,9 +218,14 @@ func ParseTuple(src string) (Tuple, error) {
 	if inner == "" {
 		return nil, fmt.Errorf("multiset: empty tuple %q", src)
 	}
-	fields := splitTopLevel(inner)
-	t := make(Tuple, 0, len(fields))
-	for _, f := range fields {
+	n := 0
+	for rest, more := inner, true; more; n++ {
+		_, rest, more = cutField(rest)
+	}
+	t := make(Tuple, 0, n)
+	for rest, more := inner, true; more; {
+		var f string
+		f, rest, more = cutField(rest)
 		v, err := value.Parse(f)
 		if err != nil {
 			return nil, fmt.Errorf("multiset: tuple %q: %v", src, err)
@@ -230,25 +235,21 @@ func ParseTuple(src string) (Tuple, error) {
 	return t, nil
 }
 
-// splitTopLevel splits on commas that are not inside quotes.
-func splitTopLevel(s string) []string {
-	var out []string
-	depth := byte(0)
-	start := 0
+// cutField cuts s at its first comma outside quotes, reporting whether there
+// was one.
+func cutField(s string) (field, rest string, found bool) {
+	var quote byte
 	for i := 0; i < len(s); i++ {
-		c := s[i]
-		switch {
-		case depth != 0:
-			if c == depth {
-				depth = 0
+		switch c := s[i]; {
+		case quote != 0:
+			if c == quote {
+				quote = 0
 			}
 		case c == '\'' || c == '"':
-			depth = c
+			quote = c
 		case c == ',':
-			out = append(out, strings.TrimSpace(s[start:i]))
-			start = i + 1
+			return s[:i], s[i+1:], true
 		}
 	}
-	out = append(out, strings.TrimSpace(s[start:]))
-	return out
+	return s, "", false
 }

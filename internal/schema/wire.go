@@ -26,6 +26,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"runtime"
 	"strconv"
 	"strings"
@@ -254,6 +255,25 @@ func (r RunRequest) Encode() ([]byte, error) {
 		return nil, err
 	}
 	return append(data, '\n'), nil
+}
+
+// ReadBody reads r to its end into one buffer sized from the declared body
+// length n when 0 <= n <= limit, else as io.ReadAll does. n is a hint: a body
+// longer or shorter reads whole, and a bound on the body is r's own
+// (http.MaxBytesReader).
+func ReadBody(r io.Reader, n, limit int64) ([]byte, error) {
+	if n < 0 || n > limit {
+		return io.ReadAll(r)
+	}
+	b := make([]byte, n+1) // one byte more, for the read that sees the end
+	if m, err := io.ReadFull(r, b); err != nil {
+		if err == io.EOF || err == io.ErrUnexpectedEOF {
+			err = nil
+		}
+		return b[:m], err
+	}
+	rest, err := io.ReadAll(r) // longer than declared
+	return append(b, rest...), err
 }
 
 // DecodeRunRequest unmarshals and validates a v1 submission. Unknown fields

@@ -5,9 +5,11 @@ import (
 	"encoding/json"
 	"errors"
 	"flag"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
+	"testing/iotest"
 
 	"repro/internal/paper"
 	"repro/internal/rt"
@@ -430,4 +432,24 @@ func FuzzDecodeRunRequest(f *testing.F) {
 			t.Fatalf("round trip changed the request:\n%+v\n%+v", *req, *back)
 		}
 	})
+}
+
+// TestReadBody: the declared length sizes the buffer and nothing else — a
+// body reads whole whether it is as long as declared, shorter, longer, empty
+// or of unknown length — and the reader's own error comes back.
+func TestReadBody(t *testing.T) {
+	body := bytes.Repeat([]byte("gamma "), 100)
+	for _, n := range []int64{int64(len(body)), 10, 0, -1, 1 << 20, 2 << 20} {
+		got, err := ReadBody(bytes.NewReader(body), n, 1<<20)
+		if err != nil || !bytes.Equal(got, body) {
+			t.Errorf("declared %d: read %d bytes, err %v; want the %d-byte body", n, len(got), err, len(body))
+		}
+	}
+	if got, err := ReadBody(bytes.NewReader(nil), 0, 1<<20); err != nil || len(got) != 0 {
+		t.Errorf("empty body: %q, %v", got, err)
+	}
+	broken := errors.New("connection reset")
+	if _, err := ReadBody(io.MultiReader(bytes.NewReader(body), iotest.ErrReader(broken)), int64(len(body)), 1<<20); !errors.Is(err, broken) {
+		t.Errorf("a failing reader: err = %v, want %v", err, broken)
+	}
 }

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strings"
 
@@ -97,15 +96,25 @@ func (s *Server) writeError(w http.ResponseWriter, err error) {
 	})
 }
 
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBody))
-	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			s.writeError(w, rt.Mark(rt.ErrInvalid, fmt.Errorf("service: request body over %d bytes", tooBig.Limit)))
-			return
-		}
+// readBody reads a request body of at most MaxBody bytes into one buffer,
+// answering the request itself when that fails: an oversized body is
+// rt.ErrInvalid whatever its Content-Length says.
+func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
+	raw, err := schema.ReadBody(http.MaxBytesReader(w, r.Body, s.cfg.MaxBody), r.ContentLength, s.cfg.MaxBody)
+	if err == nil {
+		return raw, true
+	}
+	if tooBig := (*http.MaxBytesError)(nil); errors.As(err, &tooBig) {
+		s.writeError(w, rt.Mark(rt.ErrInvalid, fmt.Errorf("service: request body over %d bytes", tooBig.Limit)))
+	} else {
 		s.writeError(w, rt.Mark(rt.ErrParse, err))
+	}
+	return nil, false
+}
+
+func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	raw, ok := s.readBody(w, r)
+	if !ok {
 		return
 	}
 	req, err := schema.DecodeRunRequest(raw)
@@ -167,14 +176,8 @@ var traceContentTypes = map[telemetry.Format]string{
 }
 
 func (s *Server) handleReplay(w http.ResponseWriter, r *http.Request) {
-	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBody))
-	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			s.writeError(w, rt.Mark(rt.ErrInvalid, fmt.Errorf("service: request body over %d bytes", tooBig.Limit)))
-			return
-		}
-		s.writeError(w, rt.Mark(rt.ErrParse, err))
+	raw, ok := s.readBody(w, r)
+	if !ok {
 		return
 	}
 	req, err := schema.DecodeReplayRequest(raw)

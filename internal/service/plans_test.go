@@ -12,6 +12,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/multiset"
 	"repro/internal/paper"
@@ -319,4 +320,63 @@ func TestPlanCacheMissCost(t *testing.T) {
 	if miss > plain+256 {
 		t.Errorf("a cache miss allocates %.0f B against %.0f B uncached, want within 256 B", miss, plain)
 	}
+}
+
+// TestPlanCacheRefusedLoadsNothing: admission comes before the load, so a
+// submission refused for a full queue or a spent budget neither parses its
+// program nor touches the plan cache — and a program that would not parse is
+// refused as busy, not malformed.
+func TestPlanCacheRefusedLoadsNothing(t *testing.T) {
+	fresh := []*schema.RunRequest{
+		{Version: schema.WireVersion, Kind: schema.KindGamma, Program: "R = replace [x], [y] by [x] if x < y"},
+		{Version: schema.WireVersion, Kind: schema.KindGamma, Program: "replace"},
+	}
+	refused := func(t *testing.T, s *Server, tenant string) {
+		t.Helper()
+		hits, misses := planCounters(s)
+		for _, req := range fresh {
+			var busy *TooBusyError
+			if _, err := s.Submit(req, tenant); !errors.As(err, &busy) {
+				t.Errorf("%q: err = %v, want *TooBusyError", req.Program, err)
+			}
+		}
+		if h, m := planCounters(s); h != hits || m != misses {
+			t.Errorf("plan cache hits/misses moved %d/%d → %d/%d on refused submissions", hits, misses, h, m)
+		}
+	}
+	wait := func(t *testing.T, r *Run, state string) {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); r.snapshot().State != state; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("run %s never reached %s", r.ID, state)
+			}
+		}
+	}
+	spin := schema.NewGammaRequest(counterProgram, counterInit, schema.RunSpec{MaxSteps: 5000})
+
+	t.Run("queue full", func(t *testing.T) {
+		s := New(Config{Pool: 1, QueueDepth: 1})
+		defer s.Close()
+		spin := spin
+		spin.Spec.MaxSteps = 0
+		first, err := s.Submit(&spin, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		wait(t, first, schema.StateRunning)
+		if _, err := s.Submit(&spin, ""); err != nil {
+			t.Fatal(err)
+		}
+		refused(t, s, "")
+	})
+	t.Run("budget spent", func(t *testing.T) {
+		s := New(Config{Pool: 1, Tenants: map[string]Quota{"carol": {StepBudget: 100}}})
+		defer s.Close()
+		r, err := s.Submit(&spin, "carol")
+		if err != nil {
+			t.Fatal(err)
+		}
+		<-r.Done()
+		refused(t, s, "carol")
+	})
 }

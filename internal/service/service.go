@@ -262,6 +262,7 @@ type Server struct {
 
 	mu       sync.Mutex
 	closed   bool
+	reserved int // queue places held by submissions loading their program
 	seq      int64
 	runs     map[string]*Run
 	terminal []string // terminal run ids in completion order, for eviction
@@ -374,9 +375,10 @@ func (s *Server) quotaFor(tenant string) Quota {
 	return q
 }
 
-// Submit validates, parses and admits one run. The returned Run is already
-// queued; watch Done or poll Lookup. Parse failures are rt.ErrParse /
-// rt.ErrInvalid; admission failures are *TooBusyError.
+// Submit validates, admits and parses one run. The returned Run is already
+// queued; watch Done or poll Lookup. Admission comes first, so a refused
+// request never loads its program: admission failures are *TooBusyError,
+// then parse failures rt.ErrParse / rt.ErrInvalid.
 func (s *Server) Submit(req *schema.RunRequest, tenant string) (*Run, error) {
 	if tenant == "" {
 		tenant = AnonymousTenant
@@ -384,12 +386,8 @@ func (s *Server) Submit(req *schema.RunRequest, tenant string) (*Run, error) {
 	if err := req.Validate(); err != nil {
 		return nil, err
 	}
-	job, err := s.load(tenant, req.Kind, "run", req.Program, req.Init, req.Graph)
-	if err != nil {
-		return nil, err
-	}
 	r := &Run{Tenant: tenant, Kind: req.Kind, Spec: req.Spec, Engine: req.Spec.EngineLabel(req.Kind),
-		job: job, done: make(chan struct{}), state: schema.StatePending}
+		done: make(chan struct{}), state: schema.StatePending}
 
 	s.mu.Lock()
 	if s.closed {
@@ -430,18 +428,35 @@ func (s *Server) Submit(req *schema.RunRequest, tenant string) (*Run, error) {
 		}
 	}
 	r.Spec.MaxSteps = eff
-
-	s.seq++
-	r.ID = fmt.Sprintf("r-%d", s.seq)
-	r.ctx, r.cancel = context.WithCancel(s.baseCtx)
-	r.enqueued = time.Now()
-	// Submit is the queue's only sender and holds s.mu, so a free slot seen
-	// here is still free at the send below.
-	if len(s.queue) == cap(s.queue) {
+	// Submit is the queue's only sender and counts the places it reserved,
+	// so a place reserved here is still free at the send below.
+	if len(s.queue)+s.reserved == cap(s.queue) {
 		s.mu.Unlock()
 		return nil, s.reject("service.rejected.queue",
 			&TooBusyError{Reason: "queue full", Tenant: tenant, RetryAfter: time.Second}, r)
 	}
+	s.reserved++
+	ts.inflight++
+	s.mu.Unlock()
+
+	// The program loads outside the lock, in the slot reserved above; a
+	// failed load, or a Close meanwhile, gives the slot back.
+	job, err := s.load(tenant, req.Kind, "run", req.Program, req.Init, req.Graph)
+	s.mu.Lock()
+	s.reserved--
+	if err == nil && s.closed {
+		err = ErrClosed
+	}
+	if err != nil {
+		ts.inflight--
+		s.mu.Unlock()
+		return nil, err
+	}
+	r.job = job
+	s.seq++
+	r.ID = fmt.Sprintf("r-%d", s.seq)
+	r.ctx, r.cancel = context.WithCancel(s.baseCtx)
+	r.enqueued = time.Now()
 	// Tracing is decided at admission so the decision is stable for the
 	// run's whole life — and before the send, which publishes the run to the
 	// executors: Spec.Trace asks, the sampler grants. The schedule recorder
@@ -458,7 +473,6 @@ func (s *Server) Submit(req *schema.RunRequest, tenant string) (*Run, error) {
 		r.sched = replay.NewRecorder(kind, r.ID)
 	}
 	s.queue <- r
-	ts.inflight++
 	s.runs[r.ID] = r
 	s.mu.Unlock()
 

@@ -260,6 +260,34 @@ func TestCancelRun(t *testing.T) {
 	}
 }
 
+// TestOversizedBodyAnyLength: a body over MaxBody is rt.ErrInvalid whatever
+// its Content-Length says — honest, absent (chunked) or too low — on both
+// endpoints that read one. The declared length only sizes the buffer.
+func TestOversizedBodyAnyLength(t *testing.T) {
+	s := New(Config{Pool: 1, MaxBody: 2048})
+	defer s.Close()
+	body := `{"version": "1.0", "kind": "gamma", "program": "` + strings.Repeat("x", 4096) + `"}`
+	for _, path := range []string{"/v1/runs", "/v1/replay"} {
+		for _, c := range []struct {
+			name   string
+			length int64
+		}{{"honest", int64(len(body))}, {"absent", -1}, {"too low", 16}} {
+			req := httptest.NewRequest("POST", path, strings.NewReader(body))
+			req.ContentLength = c.length
+			rec := httptest.NewRecorder()
+			s.Handler().ServeHTTP(rec, req)
+			var resp schema.RunResponse
+			if err := json.NewDecoder(rec.Body).Decode(&resp); err != nil {
+				t.Fatalf("%s, %s length: decode: %v", path, c.name, err)
+			}
+			if rec.Code != http.StatusBadRequest || resp.Error == nil || resp.Error.Code != rt.CodeInvalid {
+				t.Errorf("%s, %s length: status %d, error %+v; want 400 and code %s",
+					path, c.name, rec.Code, resp.Error, rt.CodeInvalid)
+			}
+		}
+	}
+}
+
 // TestMalformedRequests pins the 4xx surface: broken JSON, bad versions and
 // unknown runs must never reach the pool.
 func TestMalformedRequests(t *testing.T) {

@@ -16,7 +16,10 @@
 // touch the table at all.
 package symtab
 
-import "sync"
+import (
+	"strings"
+	"sync"
+)
 
 // Sym is a dense interned symbol. The zero Sym (None) is reserved: it names
 // no label and is what lookups report for "absent".
@@ -49,6 +52,7 @@ func Intern(name string) Sym {
 	if s, ok := table.syms[name]; ok {
 		return s
 	}
+	name = strings.Clone(name) // a label sliced from a request must not keep the request alive
 	s = Sym(len(table.names))
 	table.syms[name] = s
 	table.names = append(table.names, name)

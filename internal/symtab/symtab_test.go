@@ -2,8 +2,10 @@ package symtab
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 )
 
 func TestInternStableAndDense(t *testing.T) {
@@ -71,5 +73,18 @@ func TestConcurrentIntern(t *testing.T) {
 				t.Fatalf("worker %d disagrees at %d: %d vs %d", w, i, results[w][i], results[0][i])
 			}
 		}
+	}
+}
+
+// TestInternDoesNotPinSource: the table keeps its own copy of a fresh label,
+// so a label sliced out of a large text (a request's init literal) does not
+// keep that text alive for the life of the process.
+func TestInternDoesNotPinSource(t *testing.T) {
+	src := strings.Repeat("x", 16<<10) + "symtab-test-pinned"
+	label := src[16<<10:]
+	name := Name(Intern(label))
+	lo := uintptr(unsafe.Pointer(unsafe.StringData(src)))
+	if p := uintptr(unsafe.Pointer(unsafe.StringData(name))); name != label || p >= lo && p < lo+uintptr(len(src)) {
+		t.Errorf("interned %q points into its 16-kB source", name)
 	}
 }

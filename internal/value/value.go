@@ -242,12 +242,3 @@ func Parse(s string) (Value, error) {
 	}
 	return Value{}, fmt.Errorf("value: cannot parse literal %q", s)
 }
-
-// MustParse is Parse that panics on error; for tests and fixtures.
-func MustParse(s string) Value {
-	v, err := Parse(s)
-	if err != nil {
-		panic(err)
-	}
-	return v
-}

@@ -381,3 +381,12 @@ func TestQuickParseStringIdentity(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// MustParse is Parse that panics on error; for tests and fixtures.
+func MustParse(s string) Value {
+	v, err := Parse(s)
+	if err != nil {
+		panic(err)
+	}
+	return v
+}
