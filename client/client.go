@@ -77,14 +77,12 @@ type Client struct {
 	BaseURL string
 	// APIKey, when set, is sent as the bearer token and names the tenant.
 	APIKey string
-	// HTTPClient defaults to http.DefaultClient.
+	// HTTPClient, when nil, is http.DefaultClient.
 	HTTPClient *http.Client
 }
 
 // New returns a client for the gammad at baseURL.
-func New(baseURL string) *Client {
-	return &Client{BaseURL: baseURL, HTTPClient: http.DefaultClient}
-}
+func New(baseURL string) *Client { return &Client{BaseURL: baseURL} }
 
 // Submit enqueues a run asynchronously and returns its pending envelope;
 // poll with Get or Wait. Admission rejections return *BusyError.
@@ -139,18 +137,7 @@ func (c *Client) Wait(ctx context.Context, id string, interval time.Duration) (*
 // count (equal to Steps on a traced sequential run). 409 while the run still
 // executes surfaces as an error; poll Wait first.
 func (c *Client) Stats(ctx context.Context, id string) (*RunStats, error) {
-	hreq, err := http.NewRequestWithContext(ctx, "GET", c.BaseURL+"/v1/runs/"+id+"/stats", nil)
-	if err != nil {
-		return nil, err
-	}
-	body, hres, err := c.roundTrip(hreq)
-	if err != nil {
-		return nil, err
-	}
-	if hres.StatusCode != http.StatusOK {
-		return nil, c.statusErr(body, hres)
-	}
-	return schema.DecodeRunStats(body)
+	return fetch(ctx, c, "GET", "/v1/runs/"+id+"/stats", nil, schema.DecodeRunStats)
 }
 
 // Trace fetches a traced terminal run's trace (wire minor 1.2) in the given
@@ -175,18 +162,7 @@ func (c *Client) TraceTo(ctx context.Context, id, format string, w io.Writer) er
 	if format != "" {
 		path += "?format=" + format
 	}
-	hreq, err := http.NewRequestWithContext(ctx, "GET", c.BaseURL+path, nil)
-	if err != nil {
-		return err
-	}
-	if c.APIKey != "" {
-		hreq.Header.Set("Authorization", "Bearer "+c.APIKey)
-	}
-	hc := c.HTTPClient
-	if hc == nil {
-		hc = http.DefaultClient
-	}
-	hres, err := hc.Do(hreq)
+	hres, err := c.send(ctx, "GET", path, nil)
 	if err != nil {
 		return err
 	}
@@ -196,7 +172,7 @@ func (c *Client) TraceTo(ctx context.Context, id, format string, w io.Writer) er
 		if err != nil {
 			return err
 		}
-		return c.statusErr(body, hres)
+		return statusErr(body, hres)
 	}
 	_, err = io.Copy(w, hres.Body)
 	return err
@@ -213,41 +189,34 @@ func (c *Client) Replay(ctx context.Context, req ReplayRequest) (*ReplayResponse
 	if err != nil {
 		return nil, err
 	}
-	hreq, err := http.NewRequestWithContext(ctx, "POST", c.BaseURL+"/v1/replay", bytes.NewReader(payload))
-	if err != nil {
-		return nil, err
-	}
-	hreq.Header.Set("Content-Type", "application/json")
-	body, hres, err := c.roundTrip(hreq)
-	if err != nil {
-		return nil, err
-	}
-	if hres.StatusCode != http.StatusOK {
-		return nil, c.statusErr(body, hres)
-	}
-	return schema.DecodeReplayResponse(body)
+	return fetch(ctx, c, "POST", "/v1/replay", payload, schema.DecodeReplayResponse)
 }
 
-// statusErr reconstructs the taxonomy error a non-200 trace/stats response
-// carries (the body is a RunResponse error envelope).
-func (c *Client) statusErr(body []byte, hres *http.Response) error {
+// Health fetches the server's load snapshot.
+func (c *Client) Health(ctx context.Context) (*Health, error) {
+	return fetch(ctx, c, "GET", "/v1/healthz", nil, schema.DecodeHealth)
+}
+
+// statusErr reconstructs the taxonomy error a non-200 response carries (the
+// body is a RunResponse error envelope).
+func statusErr(body []byte, hres *http.Response) error {
 	if resp, err := schema.DecodeRunResponse(body); err == nil && resp.Error != nil {
 		return resp.Error.Err()
 	}
 	return fmt.Errorf("gammad: status %d", hres.StatusCode)
 }
 
-// Health fetches the server's load snapshot.
-func (c *Client) Health(ctx context.Context) (*Health, error) {
-	hreq, err := http.NewRequestWithContext(ctx, "GET", c.BaseURL+"/v1/healthz", nil)
+// fetch makes one round trip whose 200 body decode reads; any other status
+// is the error its envelope carries.
+func fetch[T any](ctx context.Context, c *Client, method, path string, payload []byte, decode func([]byte) (*T, error)) (*T, error) {
+	body, hres, err := c.roundTrip(ctx, method, path, payload)
 	if err != nil {
 		return nil, err
 	}
-	body, _, err := c.roundTrip(hreq)
-	if err != nil {
-		return nil, err
+	if hres.StatusCode != http.StatusOK {
+		return nil, statusErr(body, hres)
 	}
-	return schema.DecodeHealth(body)
+	return decode(body)
 }
 
 func (c *Client) post(ctx context.Context, path string, req RunRequest) (*RunResponse, error) {
@@ -258,19 +227,10 @@ func (c *Client) post(ctx context.Context, path string, req RunRequest) (*RunRes
 	return c.do(ctx, "POST", path, payload)
 }
 
+// do makes one round trip on the /v1/runs endpoints, whose every answer is a
+// RunResponse: a 429 is *BusyError, a terminal failure its taxonomy error.
 func (c *Client) do(ctx context.Context, method, path string, payload []byte) (*RunResponse, error) {
-	var body io.Reader
-	if payload != nil {
-		body = bytes.NewReader(payload)
-	}
-	hreq, err := http.NewRequestWithContext(ctx, method, c.BaseURL+path, body)
-	if err != nil {
-		return nil, err
-	}
-	if payload != nil {
-		hreq.Header.Set("Content-Type", "application/json")
-	}
-	raw, hres, err := c.roundTrip(hreq)
+	raw, hres, err := c.roundTrip(ctx, method, path, payload)
 	if err != nil {
 		return nil, err
 	}
@@ -291,7 +251,32 @@ func (c *Client) do(ctx context.Context, method, path string, payload []byte) (*
 	return resp, resp.Error.Err()
 }
 
-func (c *Client) roundTrip(hreq *http.Request) ([]byte, *http.Response, error) {
+// roundTrip sends one request and reads its whole response body.
+func (c *Client) roundTrip(ctx context.Context, method, path string, payload []byte) ([]byte, *http.Response, error) {
+	hres, err := c.send(ctx, method, path, payload)
+	if err != nil {
+		return nil, nil, err
+	}
+	defer hres.Body.Close()
+	raw, err := schema.ReadBody(hres.Body, hres.ContentLength, maxPresize)
+	return raw, hres, err
+}
+
+// send is every request's one path: it sends payload, when not nil, as the
+// JSON body, and the API key as the bearer token, on HTTPClient or else
+// http.DefaultClient. The caller closes the response body.
+func (c *Client) send(ctx context.Context, method, path string, payload []byte) (*http.Response, error) {
+	var body io.Reader
+	if payload != nil {
+		body = bytes.NewReader(payload)
+	}
+	hreq, err := http.NewRequestWithContext(ctx, method, c.BaseURL+path, body)
+	if err != nil {
+		return nil, err
+	}
+	if payload != nil {
+		hreq.Header.Set("Content-Type", "application/json")
+	}
 	if c.APIKey != "" {
 		hreq.Header.Set("Authorization", "Bearer "+c.APIKey)
 	}
@@ -299,16 +284,7 @@ func (c *Client) roundTrip(hreq *http.Request) ([]byte, *http.Response, error) {
 	if hc == nil {
 		hc = http.DefaultClient
 	}
-	hres, err := hc.Do(hreq)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer hres.Body.Close()
-	raw, err := schema.ReadBody(hres.Body, hres.ContentLength, maxPresize)
-	if err != nil {
-		return nil, hres, err
-	}
-	return raw, hres, nil
+	return hc.Do(hreq)
 }
 
 // maxPresize caps the buffer a response's Content-Length alone may size.

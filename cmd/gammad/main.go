@@ -7,7 +7,7 @@
 //	gammad [-addr :8080] [-pool N] [-queue N] [-max-steps-cap N]
 //	       [-concurrent N] [-step-budget N] [-tenant key=conc,steps,budget]...
 //	       [-trace-sample P] [-log json|text|off]
-//	       [-metrics-addr host:port] [-pprof] [-selfcheck [-remote-trace FILE]]
+//	       [-metrics-addr host:port] [-pprof]
 //
 // API (see package internal/service):
 //
@@ -38,11 +38,12 @@
 // engine. Metrics carry per-tenant and per-engine label series alongside the
 // globals, scrape-able at /metrics?format=prom.
 //
-// -selfcheck starts the server on a loopback port, drives a smoke test
-// through the client package (lifecycle, taxonomy mapping, backpressure,
-// trace fetch, Prometheus exposition) and exits; it is the deployment health
-// gate used by make check-ci. -remote-trace FILE additionally writes the
-// fetched Perfetto trace there for inspection.
+// Quotas are counts: a negative -concurrent, -step-budget or -tenant field
+// is a usage error (exit 2), never "unbounded".
+//
+// The deployment gate is TestGammadBinary, which boots this binary on a
+// loopback port, runs Example 1 and stops it with SIGTERM; the client and
+// service test suites cover the API behind it.
 package main
 
 import (
@@ -50,7 +51,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"log/slog"
 	"net"
 	"net/http"
@@ -60,11 +60,7 @@ import (
 	"strings"
 	"syscall"
 
-	"repro/client"
 	"repro/internal/cli"
-	"repro/internal/paper"
-	"repro/internal/rt"
-	"repro/internal/schema"
 	"repro/internal/service"
 	"repro/internal/telemetry"
 )
@@ -95,7 +91,20 @@ func (t tenantFlags) Set(v string) error {
 	if q.StepBudget, err = strconv.ParseInt(parts[2], 10, 64); err != nil {
 		return err
 	}
+	if err := checkQuota(q); err != nil {
+		return err
+	}
 	t[key] = q
+	return nil
+}
+
+// checkQuota refuses a negative count: Quota reads 0 as "unbounded" and the
+// service enforces positive bounds only, so a -1 would silently remove the
+// bound it seems to set.
+func checkQuota(q service.Quota) error {
+	if q.MaxConcurrent < 0 || q.MaxSteps < 0 || q.StepBudget < 0 {
+		return fmt.Errorf("quota fields are counts (0 = unbounded), got %d,%d,%d", q.MaxConcurrent, q.MaxSteps, q.StepBudget)
+	}
 	return nil
 }
 
@@ -112,14 +121,18 @@ func main() {
 	pprofFlag := flag.Bool("pprof", false, "also serve /debug/pprof/ on the -metrics-addr endpoint")
 	traceSample := flag.Float64("trace-sample", 0, "fraction of trace-requesting runs actually traced (0 = all, <0 = none)")
 	logFormat := flag.String("log", "json", "structured log format: json, text or off")
-	selfcheck := flag.Bool("selfcheck", false, "start on a loopback port, run the client smoke test and exit")
-	remoteTrace := flag.String("remote-trace", "", "with -selfcheck: write the remotely fetched Perfetto trace to this file")
 	tenants := tenantFlags{}
 	flag.Var(tenants, "tenant", "per-API-key quota override key=concurrent,maxsteps,budget (repeatable)")
 	flag.Parse()
 	if flag.NArg() != 0 {
 		fmt.Fprintln(os.Stderr, "usage: gammad [flags]")
 		flag.PrintDefaults()
+		os.Exit(cli.ExitUsage)
+	}
+
+	quota := service.Quota{MaxConcurrent: *concurrent, StepBudget: *stepBudget}
+	if err := checkQuota(quota); err != nil {
+		fmt.Fprintf(os.Stderr, "gammad: -concurrent, -step-budget: %v\n", err)
 		os.Exit(cli.ExitUsage)
 	}
 
@@ -139,21 +152,13 @@ func main() {
 	cfg := service.Config{
 		Pool:        *pool,
 		QueueDepth:  *queue,
-		Quota:       service.Quota{MaxConcurrent: *concurrent, StepBudget: *stepBudget},
+		Quota:       quota,
 		Tenants:     tenants,
 		MaxStepsCap: *stepsCap,
 		Retain:      *retain,
 		MaxBody:     *maxBody,
 		TraceSample: *traceSample,
 		Logger:      logger,
-	}
-
-	if *selfcheck {
-		if err := runSelfcheck(cfg, *remoteTrace); err != nil {
-			cli.Exit("gammad", err)
-		}
-		fmt.Println("gammad selfcheck: PASS")
-		return
 	}
 
 	if *pprofFlag && *metricsAddr == "" {
@@ -197,197 +202,4 @@ func main() {
 	if err := srv.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		cli.Exit("gammad", err)
 	}
-}
-
-// runSelfcheck boots the service on a loopback port and exercises the whole
-// serving stack through the public client: submit/wait lifecycle with the
-// paper's Example 1, the error-taxonomy mapping on a truncated divergent
-// run, per-tenant backpressure, cancel, the health endpoint, a traced run's
-// trace/stats surfaces (all four formats), the record→replay loop with a
-// divergence probe, and the Prometheus exposition. remoteTrace, when
-// non-empty, receives the fetched Perfetto trace, streamed via TraceTo.
-func runSelfcheck(cfg service.Config, remoteTrace string) error {
-	// Selfcheck wants deterministic backpressure: one tenant slot.
-	cfg.Tenants = map[string]service.Quota{"selfcheck-quota": {MaxConcurrent: 1}}
-	s := service.New(cfg)
-	defer s.Close()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	srv := &http.Server{Handler: s.Handler()}
-	go srv.Serve(ln) //nolint:errcheck // torn down with the listener
-	defer srv.Close()
-
-	ctx := context.Background()
-	c := client.New("http://" + ln.Addr().String())
-
-	// 1. Health.
-	h, err := c.Health(ctx)
-	if err != nil {
-		return fmt.Errorf("selfcheck health: %w", err)
-	}
-	if h.Status != "ok" {
-		return fmt.Errorf("selfcheck health: status %q", h.Status)
-	}
-
-	// 2. Example 1 to its stable state, synchronously.
-	resp, err := c.Run(ctx, client.NewGammaRequest(
-		paper.Example1GammaListing, paper.Example1InitialMultiset,
-		client.RunSpec{MaxSteps: 10000}))
-	if err != nil {
-		return fmt.Errorf("selfcheck example1: %w", err)
-	}
-	if resp.State != schema.StateDone || !strings.Contains(resp.Result.Multiset, "'m'") {
-		return fmt.Errorf("selfcheck example1: state %s result %+v", resp.State, resp.Result)
-	}
-
-	// 3. A divergent counter truncated by its step cap maps to ErrMaxSteps
-	// across the wire.
-	divergent := client.NewGammaRequest(
-		`R = replace [x, 'G'] by [x + 1, 'G']`, `{[0, 'G']}`,
-		client.RunSpec{MaxSteps: 100})
-	if _, err := c.Run(ctx, divergent); !errors.Is(err, rt.ErrMaxSteps) {
-		return fmt.Errorf("selfcheck taxonomy: err = %v, want ErrMaxSteps", err)
-	}
-
-	// 4. Backpressure: with a one-slot quota, a second concurrent run
-	// bounces as BusyError; canceling the first frees the slot.
-	qc := client.New(c.BaseURL)
-	qc.APIKey = "selfcheck-quota"
-	unbounded := client.NewGammaRequest(
-		`R = replace [x, 'G'] by [x + 1, 'G']`, `{[0, 'G']}`, client.RunSpec{})
-	first, err := qc.Submit(ctx, unbounded)
-	if err != nil {
-		return fmt.Errorf("selfcheck quota submit: %w", err)
-	}
-	var busy *client.BusyError
-	if _, err := qc.Submit(ctx, unbounded); !errors.As(err, &busy) {
-		return fmt.Errorf("selfcheck quota: err = %v, want BusyError", err)
-	}
-	if _, err := qc.Cancel(ctx, first.ID); err != nil {
-		return fmt.Errorf("selfcheck cancel: %w", err)
-	}
-	if _, err := qc.Wait(ctx, first.ID, 0); !errors.Is(err, rt.ErrCanceled) {
-		return fmt.Errorf("selfcheck cancel wait: err = %v, want ErrCanceled", err)
-	}
-
-	// 5. A traced run: the remote stats must hold firings == steps (the
-	// firing-history equivalence over the wire) and every trace format must
-	// download non-empty.
-	traced, err := c.Run(ctx, client.NewGammaRequest(
-		paper.Example1GammaListing, paper.Example1InitialMultiset,
-		client.RunSpec{Engine: schema.EngineSeq, MaxSteps: 10000, Trace: true}))
-	if err != nil {
-		return fmt.Errorf("selfcheck traced run: %w", err)
-	}
-	st, err := c.Stats(ctx, traced.ID)
-	if err != nil {
-		return fmt.Errorf("selfcheck stats: %w", err)
-	}
-	if !st.Traced || st.Firings != st.Steps || st.Steps != traced.Result.Steps {
-		return fmt.Errorf("selfcheck stats: %+v, want traced with firings == steps == %d",
-			st, traced.Result.Steps)
-	}
-	for _, format := range []string{client.TracePerfetto, client.TraceJSONL, client.TraceDOT, client.TraceSchedule} {
-		data, err := c.Trace(ctx, traced.ID, format)
-		if err != nil || len(data) == 0 {
-			return fmt.Errorf("selfcheck trace %s: %d bytes, %v", format, len(data), err)
-		}
-	}
-	if remoteTrace != "" {
-		// TraceTo streams straight into the file — the export never lives
-		// wholly in client memory.
-		f, err := os.Create(remoteTrace)
-		if err != nil {
-			return fmt.Errorf("selfcheck -remote-trace: %w", err)
-		}
-		err = c.TraceTo(ctx, traced.ID, client.TracePerfetto, f)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return fmt.Errorf("selfcheck -remote-trace: %w", err)
-		}
-		fi, err := os.Stat(remoteTrace)
-		if err != nil || fi.Size() == 0 {
-			return fmt.Errorf("selfcheck -remote-trace: empty trace file (%v)", err)
-		}
-		fmt.Fprintf(os.Stderr, "gammad: remote trace written to %s (%d bytes)\n", remoteTrace, fi.Size())
-	}
-
-	// 5b. Record → replay over the wire: the traced run's schedule, replayed
-	// against the same program and initial multiset, must confirm the exact
-	// recorded answer; a corrupted product must come back as a structured
-	// divergence naming the tampered step.
-	sched, err := c.Trace(ctx, traced.ID, client.TraceSchedule)
-	if err != nil {
-		return fmt.Errorf("selfcheck schedule fetch: %w", err)
-	}
-	rep, err := c.Replay(ctx, client.NewGammaReplayRequest(
-		paper.Example1GammaListing, paper.Example1InitialMultiset, string(sched)))
-	if err != nil {
-		return fmt.Errorf("selfcheck replay: %w", err)
-	}
-	if rep.Divergence != nil || !rep.Stable || rep.Multiset != traced.Result.Multiset {
-		return fmt.Errorf("selfcheck replay: %+v, want stable %q", rep, traced.Result.Multiset)
-	}
-	corrupt := strings.Replace(string(sched), `"produced":["`, `"produced":["9999`, 1)
-	rep, err = c.Replay(ctx, client.NewGammaReplayRequest(
-		paper.Example1GammaListing, paper.Example1InitialMultiset, corrupt))
-	if err != nil {
-		return fmt.Errorf("selfcheck replay divergence: %w", err)
-	}
-	if rep.Divergence == nil || rep.Divergence.Step == 0 {
-		return fmt.Errorf("selfcheck replay divergence: corrupted schedule replayed clean (%+v)", rep)
-	}
-
-	// 6. The Prometheus exposition serves with its Content-Type and carries
-	// the labeled service series; an unknown format is 406, not JSON.
-	promBody, promCT, err := httpGet(c.BaseURL + "/metrics?format=prom")
-	if err != nil {
-		return fmt.Errorf("selfcheck metrics: %w", err)
-	}
-	if !strings.HasPrefix(promCT, "text/plain") {
-		return fmt.Errorf("selfcheck metrics: Content-Type %q, want text/plain", promCT)
-	}
-	for _, want := range []string{"# TYPE service_done counter", `service_done{engine="seq"}`} {
-		if !strings.Contains(promBody, want) {
-			return fmt.Errorf("selfcheck metrics: exposition missing %q", want)
-		}
-	}
-	// Example 1 ran twice (steps 2 and 5): the second run's plan came from
-	// the plan cache.
-	var hits int64
-	for _, line := range strings.Split(promBody, "\n") {
-		if v, ok := strings.CutPrefix(line, "service_plan_cache_hits "); ok {
-			hits, _ = strconv.ParseInt(v, 10, 64)
-		}
-	}
-	if hits < 1 {
-		return fmt.Errorf("selfcheck plan cache: service_plan_cache_hits = %d after Example 1 ran twice, want >= 1", hits)
-	}
-	if resp, err := http.Get(c.BaseURL + "/metrics?format=avro"); err != nil {
-		return fmt.Errorf("selfcheck metrics 406: %w", err)
-	} else if resp.Body.Close(); resp.StatusCode != http.StatusNotAcceptable {
-		return fmt.Errorf("selfcheck metrics 406: status %d", resp.StatusCode)
-	}
-	return nil
-}
-
-// httpGet fetches one URL, returning the body and Content-Type.
-func httpGet(url string) (string, string, error) {
-	resp, err := http.Get(url)
-	if err != nil {
-		return "", "", err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return "", "", err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return "", "", fmt.Errorf("GET %s: status %d", url, resp.StatusCode)
-	}
-	return string(body), resp.Header.Get("Content-Type"), nil
 }

@@ -3,6 +3,7 @@ package main
 import (
 	"context"
 	"fmt"
+	"time"
 
 	"repro/internal/compiler"
 	"repro/internal/core"
@@ -10,22 +11,56 @@ import (
 	"repro/internal/equiv"
 	"repro/internal/gamma"
 	"repro/internal/gammalang"
-	"repro/internal/metrics"
 	"repro/internal/multiset"
 	"repro/internal/paper"
 	"repro/internal/replay"
+	"repro/internal/telemetry"
 	"repro/internal/value"
 )
+
+// timeIt runs fn and returns its wall-clock duration.
+func timeIt(fn func()) time.Duration {
+	start := time.Now()
+	fn()
+	return time.Since(start)
+}
+
+// timeN runs fn reps times and returns the minimum duration, which damps
+// scheduler noise in a table's coarse timings.
+func timeN(reps int, fn func()) time.Duration {
+	best := time.Duration(0)
+	for i := 0; i < reps; i++ {
+		d := timeIt(fn)
+		if i == 0 || d < best {
+			best = d
+		}
+	}
+	return best
+}
+
+// formatDuration renders d with three significant figures and a compact
+// unit, keeping table columns narrow.
+func formatDuration(d time.Duration) string {
+	switch {
+	case d >= time.Second:
+		return fmt.Sprintf("%.2fs", d.Seconds())
+	case d >= time.Millisecond:
+		return fmt.Sprintf("%.2fms", float64(d.Microseconds())/1000)
+	case d >= time.Microsecond:
+		return fmt.Sprintf("%.2fµs", float64(d.Nanoseconds())/1000)
+	}
+	return fmt.Sprintf("%dns", d.Nanoseconds())
+}
 
 // expE1 regenerates Example 1: the Fig. 1 graph, its conversion and both
 // executions, checking m = (x+y)-(k*j) = 0.
 func expE1() error {
-	t := metrics.NewTable("Example 1: m = (x+y)-(k*j), inputs 1,5,3,2",
+	t := telemetry.NewTable("Example 1: m = (x+y)-(k*j), inputs 1,5,3,2",
 		"pipeline", "m", "firings/steps", "time")
 
 	g := paper.Fig1Graph()
 	var dfRes *dataflow.Result
-	d := metrics.TimeN(5, func() {
+	d := timeN(5, func() {
 		var err error
 		dfRes, err = dataflow.Run(g, dataflow.Options{})
 		if err != nil {
@@ -33,7 +68,7 @@ func expE1() error {
 		}
 	})
 	m, _ := dfRes.Output("m")
-	t.Row("dataflow (Fig. 1 graph)", m, dfRes.Firings, d)
+	t.Row("dataflow (Fig. 1 graph)", m, dfRes.Firings, formatDuration(d))
 
 	prog, init, err := core.ToGamma(g)
 	if err != nil {
@@ -41,14 +76,14 @@ func expE1() error {
 	}
 	var st *gamma.Stats
 	var stable *multiset.Multiset
-	d = metrics.TimeN(5, func() {
+	d = timeN(5, func() {
 		stable = init.Clone()
 		st, err = gamma.Run(prog, stable, gamma.Options{})
 		if err != nil {
 			panic(err)
 		}
 	})
-	t.Row("gamma (Algorithm 1 output)", stable, st.Steps, d)
+	t.Row("gamma (Algorithm 1 output)", stable, st.Steps, formatDuration(d))
 
 	listing, err := gammalang.ParseProgram("ex1", paper.Example1GammaListing)
 	if err != nil {
@@ -71,7 +106,7 @@ func expE1() error {
 // expE3 regenerates Example 2: the loop for several z, in both models, with
 // the faithful (discarding) and observable variants.
 func expE3() error {
-	t := metrics.NewTable("Example 2: for(i=z; i>0; i--) x=x+y, x=10 y=4",
+	t := telemetry.NewTable("Example 2: for(i=z; i>0; i--) x=x+y, x=10 y=4",
 		"z", "dataflow xout", "gamma xout", "firings", "steps", "stable multiset size")
 	for _, z := range []int64{0, 1, 3, 10, 25} {
 		g := paper.Fig2GraphObservable(10, 4, z)
@@ -117,7 +152,7 @@ func expE4() error {
 	if err != nil {
 		return err
 	}
-	t := metrics.NewTable("Eq. 2: R = replace(x,y) by x where x < y",
+	t := telemetry.NewTable("Eq. 2: R = replace(x,y) by x where x < y",
 		"n", "min", "steps", "time")
 	for _, n := range []int{10, 100, 400} {
 		m := multiset.New()
@@ -130,13 +165,13 @@ func expE4() error {
 			m.Add(multiset.New1(value.Int(v)))
 		}
 		var st *gamma.Stats
-		d := metrics.Time(func() {
+		d := timeIt(func() {
 			st, err = gamma.Run(prog, m, gamma.Options{})
 			if err != nil {
 				panic(err)
 			}
 		})
-		t.Row(n, m, st.Steps, d)
+		t.Row(n, m, st.Steps, formatDuration(d))
 		if !m.Contains(multiset.New1(value.Int(want))) {
 			return fmt.Errorf("min mismatch: %s, want %d", m, want)
 		}
@@ -160,7 +195,7 @@ func expE5() error {
 	fmt.Printf("reducer fused %d chains: %d reactions -> %d (paper: R1,R2,R3 -> Rd1)\n",
 		fused, len(full.Reactions), len(reduced.Reactions))
 
-	t := metrics.NewTable("granularity: full (3 reactions) vs reduced (Rd1)",
+	t := telemetry.NewTable("granularity: full (3 reactions) vs reduced (Rd1)",
 		"instances", "variant", "steps", "time")
 	for _, n := range []int{1, 8, 32} {
 		init := multiset.New()
@@ -176,7 +211,7 @@ func expE5() error {
 		}{{"full", full}, {"reduced", reduced}} {
 			m := init.Clone()
 			var st *gamma.Stats
-			d := metrics.TimeN(3, func() {
+			d := timeN(3, func() {
 				m = init.Clone()
 				var err error
 				st, err = gamma.Run(variant.prog, m, gamma.Options{})
@@ -184,7 +219,7 @@ func expE5() error {
 					panic(err)
 				}
 			})
-			t.Row(n, variant.name, st.Steps, d)
+			t.Row(n, variant.name, st.Steps, formatDuration(d))
 		}
 	}
 	fmt.Print(t)
@@ -195,7 +230,7 @@ func expE5() error {
 
 // expE7 parses every listing in the paper under the Fig. 3 grammar.
 func expE7() error {
-	t := metrics.NewTable("Fig. 3 grammar over the paper's listings",
+	t := telemetry.NewTable("Fig. 3 grammar over the paper's listings",
 		"listing", "reactions", "status")
 	for _, l := range []struct {
 		name string
@@ -224,7 +259,7 @@ func expE8() error {
 	if err != nil {
 		return err
 	}
-	t := metrics.NewTable("Fig. 4: arity-2 reaction mapped over n elements",
+	t := telemetry.NewTable("Fig. 4: arity-2 reaction mapped over n elements",
 		"elements", "instances", "final size", "vertex firings")
 	for _, n := range []int{6, 12, 60} {
 		m := multiset.New()
@@ -244,7 +279,7 @@ func expE8() error {
 
 // expE9 checks Algorithm 1 equivalence over seeded random graphs.
 func expE9() error {
-	t := metrics.NewTable("Algorithm 1 equivalence on random graphs",
+	t := telemetry.NewTable("Algorithm 1 equivalence on random graphs",
 		"seed", "operators", "equivalent", "firings=steps")
 	ok := 0
 	for seed := int64(1); seed <= 20; seed++ {
@@ -267,7 +302,7 @@ func expE9() error {
 // expE11 demonstrates the §III-C correspondence on the paper's graphs and
 // compiled programs.
 func expE11() error {
-	t := metrics.NewTable("§III-C: operator firings = reaction steps, stuck operands = residual elements",
+	t := telemetry.NewTable("§III-C: operator firings = reaction steps, stuck operands = residual elements",
 		"program", "operator firings", "reaction steps", "pending", "residual")
 	progs := map[string]*dataflow.Graph{
 		"Fig. 1":            paper.Fig1Graph(),
@@ -315,7 +350,7 @@ func profileGraph(g *dataflow.Graph, opt dataflow.Options) (replay.ProfileReport
 // programs in both models — the model-level version of the parallelism
 // claims, independent of machine and scheduler.
 func expE15() error {
-	t := metrics.NewTable("work / span / average parallelism (ideal-scheduler bounds)",
+	t := telemetry.NewTable("work / span / average parallelism (ideal-scheduler bounds)",
 		"program", "model", "work", "span", "parallelism", "peak width")
 
 	// Fig. 1 in both models.

@@ -10,10 +10,10 @@ import (
 	"repro/internal/equiv"
 	"repro/internal/gamma"
 	"repro/internal/gammalang"
-	"repro/internal/metrics"
 	"repro/internal/multiset"
 	"repro/internal/paper"
 	"repro/internal/rt"
+	"repro/internal/telemetry"
 	"repro/internal/value"
 )
 
@@ -36,7 +36,7 @@ func expE17() error {
 		return m
 	}
 
-	t := metrics.NewTable("fault-injection matrix: every failure mode stops cleanly",
+	t := telemetry.NewTable("fault-injection matrix: every failure mode stops cleanly",
 		"runtime", "fault", "error class", "partial stats", "verdict")
 	fail := 0
 	row := func(runtime, fault, class string, partial, ok bool) {

@@ -7,6 +7,7 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+	"time"
 )
 
 // TestFastExperiments executes every experiment driver in the table end to
@@ -121,4 +122,31 @@ func TestDocsCiteKnownExperiments(t *testing.T) {
 		total += len(cites) + len(ids)
 	}
 	t.Logf("%d files: %d experiment citations", len(docs), total)
+}
+
+func TestFormatDuration(t *testing.T) {
+	cases := map[time.Duration]string{
+		2 * time.Second:         "2.00s",
+		1500 * time.Millisecond: "1.50s",
+		3 * time.Millisecond:    "3.00ms",
+		250 * time.Microsecond:  "250.00µs",
+		480 * time.Nanosecond:   "480ns",
+	}
+	for d, want := range cases {
+		if got := formatDuration(d); got != want {
+			t.Errorf("formatDuration(%v) = %q, want %q", d, got, want)
+		}
+	}
+}
+
+func TestTimeAndTimeN(t *testing.T) {
+	d := timeIt(func() { time.Sleep(2 * time.Millisecond) })
+	if d < 2*time.Millisecond {
+		t.Errorf("timeIt too short: %v", d)
+	}
+	n := 0
+	best := timeN(3, func() { n++ })
+	if n != 3 || best < 0 {
+		t.Errorf("timeN ran %d times, best %v", n, best)
+	}
 }

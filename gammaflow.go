@@ -8,7 +8,7 @@
 //   - the Gamma runtime (multiset rewriting with sequential and parallel
 //     execution) and the Gamma source language of the paper's Fig. 3 grammar;
 //   - the dynamic dataflow runtime (tagged tokens, steer/inctag vertices,
-//     sequential and parallel PE schedulers);
+//     one FIFO schedule on one core);
 //   - Algorithm 1 (dataflow → Gamma) and Algorithm 2 (Gamma → dataflow),
 //     the reaction classifier, the multiset mapper of Fig. 4, and the
 //     §III-A3 reduction engine;

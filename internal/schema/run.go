@@ -60,24 +60,37 @@ type Job struct {
 	Graph     *dataflow.Graph
 }
 
-// LoadGamma parses Fig. 3 source, applies the init override (a multiset
-// literal; "" keeps the source's) and builds the plan. Syntax errors are
-// rt.ErrParse, a composition naming an unknown reaction rt.ErrInvalid.
+// LoadGamma parses Fig. 3 source, binds the init override (BindInit) and
+// builds the plan. Syntax errors are rt.ErrParse, a composition naming an
+// unknown reaction rt.ErrInvalid; a malformed override reports between the
+// two.
 func LoadGamma(name, program, init string) (*Job, error) {
 	f, err := gammalang.ParseFile(program)
 	if err != nil {
 		return nil, err
 	}
-	j := &Job{Name: name, Reactions: f.Reactions, Init: f.Init}
-	if init != "" {
-		if j.Init, err = multiset.Parse(init); err != nil {
-			return nil, rt.Mark(rt.ErrParse, err)
-		}
+	j := &Job{Name: name, Reactions: f.Reactions}
+	if j.Init, err = BindInit(init, f.Init); err != nil {
+		return nil, err
 	}
 	if j.Plan, err = f.Plan(name); err != nil {
 		return nil, rt.Mark(rt.ErrInvalid, err)
 	}
 	return j, nil
+}
+
+// BindInit returns the multiset a run starts from: init, a multiset literal,
+// or src, the program's own, when init is "". A malformed literal is
+// rt.ErrParse.
+func BindInit(init string, src *multiset.Multiset) (*multiset.Multiset, error) {
+	if init == "" {
+		return src, nil
+	}
+	m, err := multiset.Parse(init)
+	if err != nil {
+		return nil, rt.Mark(rt.ErrParse, err)
+	}
+	return m, nil
 }
 
 // LoadGraph decodes dfir text or, with compile, translates von Neumann

@@ -186,8 +186,10 @@ const (
 	KindDataflow = "dataflow" // Graph (dfir text)
 )
 
-// RunRequest is the v1 submission envelope of POST /v1/runs.
-type RunRequest struct {
+// payload is what a run and a replay submit alike: the envelope's version,
+// the model and the program in that model's text format. Embedded first in
+// both request envelopes, it keeps their JSON field order.
+type payload struct {
 	// Version is the wire format version, WireVersion on envelopes this
 	// build produces.
 	Version string `json:"version"`
@@ -200,57 +202,75 @@ type RunRequest struct {
 	Init string `json:"init,omitempty"`
 	// Graph is the dataflow graph in dfir text (KindDataflow).
 	Graph string `json:"graph,omitempty"`
+}
+
+// validate checks the version, the kind and that the payload is the kind's.
+// Violations are rt.ErrInvalid; the program and graph themselves are only
+// parsed at execution time (their errors are rt.ErrParse).
+func (p *payload) validate() error {
+	if err := CheckWireVersion(p.Version); err != nil {
+		return err
+	}
+	switch p.Kind {
+	case KindGamma:
+		if p.Program == "" {
+			return rt.Mark(rt.ErrInvalid, fmt.Errorf("wire: kind %q needs a program", p.Kind))
+		}
+		if p.Graph != "" {
+			return rt.Mark(rt.ErrInvalid, fmt.Errorf("wire: kind %q does not take a graph", p.Kind))
+		}
+	case KindDataflow:
+		if p.Graph == "" {
+			return rt.Mark(rt.ErrInvalid, fmt.Errorf("wire: kind %q needs a graph", p.Kind))
+		}
+		if p.Program != "" || p.Init != "" {
+			return rt.Mark(rt.ErrInvalid, fmt.Errorf("wire: kind %q does not take a program/init", p.Kind))
+		}
+	case "":
+		return rt.Mark(rt.ErrInvalid, fmt.Errorf("wire: missing kind (want %q or %q)", KindGamma, KindDataflow))
+	default:
+		return rt.Mark(rt.ErrInvalid, fmt.Errorf("wire: unknown kind %q (want %q or %q)", p.Kind, KindGamma, KindDataflow))
+	}
+	return nil
+}
+
+// RunRequest is the v1 submission envelope of POST /v1/runs: the payload's
+// Version, Kind, Program, Init and Graph, and the run's Spec.
+type RunRequest struct {
+	payload
 	// Spec holds the execution knobs.
 	Spec RunSpec `json:"spec"`
 }
 
 // NewGammaRequest builds a v1 Gamma submission.
 func NewGammaRequest(program, init string, spec RunSpec) RunRequest {
-	return RunRequest{Version: WireVersion, Kind: KindGamma, Program: program, Init: init, Spec: spec}
+	return RunRequest{payload{Version: WireVersion, Kind: KindGamma, Program: program, Init: init}, spec}
 }
 
 // NewGraphRequest builds a v1 dataflow submission.
 func NewGraphRequest(graph string, spec RunSpec) RunRequest {
-	return RunRequest{Version: WireVersion, Kind: KindDataflow, Graph: graph, Spec: spec}
+	return RunRequest{payload{Version: WireVersion, Kind: KindDataflow, Graph: graph}, spec}
 }
 
-// Validate checks the envelope's version, kind, payload shape and spec.
-// Violations are rt.ErrInvalid; the payloads themselves are only parsed at
-// execution time (their errors are rt.ErrParse).
+// Validate checks the envelope's payload and spec, and that a matrix spec
+// asks for a dataflow run. Violations are rt.ErrInvalid.
 func (r *RunRequest) Validate() error {
-	if err := CheckWireVersion(r.Version); err != nil {
+	if err := r.validate(); err != nil {
 		return err
 	}
-	switch r.Kind {
-	case KindGamma:
-		if r.Program == "" {
-			return rt.Mark(rt.ErrInvalid, fmt.Errorf("wire: kind %q needs a program", r.Kind))
-		}
-		if r.Graph != "" {
-			return rt.Mark(rt.ErrInvalid, fmt.Errorf("wire: kind %q does not take a graph", r.Kind))
-		}
-		if r.Spec.Engine == EngineMatrix {
-			return rt.Mark(rt.ErrInvalid, fmt.Errorf("wire: engine %q runs dataflow graphs only", EngineMatrix))
-		}
-	case KindDataflow:
-		if r.Graph == "" {
-			return rt.Mark(rt.ErrInvalid, fmt.Errorf("wire: kind %q needs a graph", r.Kind))
-		}
-		if r.Program != "" || r.Init != "" {
-			return rt.Mark(rt.ErrInvalid, fmt.Errorf("wire: kind %q does not take a program/init", r.Kind))
-		}
-	case "":
-		return rt.Mark(rt.ErrInvalid, fmt.Errorf("wire: missing kind (want %q or %q)", KindGamma, KindDataflow))
-	default:
-		return rt.Mark(rt.ErrInvalid, fmt.Errorf("wire: unknown kind %q (want %q or %q)", r.Kind, KindGamma, KindDataflow))
+	if r.Kind == KindGamma && r.Spec.Engine == EngineMatrix {
+		return rt.Mark(rt.ErrInvalid, fmt.Errorf("wire: engine %q runs dataflow graphs only", EngineMatrix))
 	}
 	return r.Spec.Validate()
 }
 
 // Encode marshals the envelope in the canonical indented form (the form the
 // golden files pin).
-func (r RunRequest) Encode() ([]byte, error) {
-	data, err := json.MarshalIndent(r, "", "  ")
+func (r RunRequest) Encode() ([]byte, error) { return encode(r) }
+
+// encode marshals an envelope indented, with a final newline.
+func encode(envelope any) ([]byte, error) {
+	data, err := json.MarshalIndent(envelope, "", "  ")
 	if err != nil {
 		return nil, err
 	}
@@ -276,18 +296,24 @@ func ReadBody(r io.Reader, n, limit int64) ([]byte, error) {
 	return append(b, rest...), err
 }
 
-// DecodeRunRequest unmarshals and validates a v1 submission. Unknown fields
-// are tolerated (the minor-version contract); syntactically broken JSON is
-// rt.ErrParse, structural violations are rt.ErrInvalid.
-func DecodeRunRequest(data []byte) (*RunRequest, error) {
-	var r RunRequest
-	if err := json.Unmarshal(data, &r); err != nil {
+// decode unmarshals an envelope and checks it: a request with its Validate,
+// a response with CheckWireVersion. Unknown fields are tolerated (the
+// minor-version contract); syntactically broken JSON is rt.ErrParse, and
+// what check refuses is its own error.
+func decode[E any](data []byte, check func(*E) error) (*E, error) {
+	e := new(E)
+	if err := json.Unmarshal(data, e); err != nil {
 		return nil, rt.Mark(rt.ErrParse, fmt.Errorf("wire: %w", err))
 	}
-	if err := r.Validate(); err != nil {
+	if err := check(e); err != nil {
 		return nil, err
 	}
-	return &r, nil
+	return e, nil
+}
+
+// DecodeRunRequest decodes and validates a POST /v1/runs submission.
+func DecodeRunRequest(data []byte) (*RunRequest, error) {
+	return decode(data, (*RunRequest).Validate)
 }
 
 // Run states. Pending and running are transient; done, failed and canceled
@@ -370,17 +396,9 @@ type RunResponse struct {
 	Error *WireError `json:"error,omitempty"`
 }
 
-// DecodeRunResponse unmarshals a response envelope, tolerating unknown
-// fields and rejecting unknown major versions.
+// DecodeRunResponse decodes a /v1/runs response envelope.
 func DecodeRunResponse(data []byte) (*RunResponse, error) {
-	var r RunResponse
-	if err := json.Unmarshal(data, &r); err != nil {
-		return nil, rt.Mark(rt.ErrParse, fmt.Errorf("wire: %w", err))
-	}
-	if err := CheckWireVersion(r.Version); err != nil {
-		return nil, err
-	}
-	return &r, nil
+	return decode(data, func(r *RunResponse) error { return CheckWireVersion(r.Version) })
 }
 
 // Health is the payload of GET /v1/healthz.
@@ -400,17 +418,9 @@ type Health struct {
 	Completed int64 `json:"completed"`
 }
 
-// DecodeHealth unmarshals a health payload with the same version rules as
-// the run envelopes.
+// DecodeHealth decodes a GET /v1/healthz payload.
 func DecodeHealth(data []byte) (*Health, error) {
-	var h Health
-	if err := json.Unmarshal(data, &h); err != nil {
-		return nil, rt.Mark(rt.ErrParse, fmt.Errorf("wire: %w", err))
-	}
-	if err := CheckWireVersion(h.Version); err != nil {
-		return nil, err
-	}
-	return &h, nil
+	return decode(data, func(r *Health) error { return CheckWireVersion(r.Version) })
 }
 
 // ReplayRequest is the submission envelope of POST /v1/replay (wire minor
@@ -420,17 +430,11 @@ func DecodeHealth(data []byte) (*Health, error) {
 // execution; carrying program+init+schedule also lets a client replay a
 // recording made anywhere (another server, a local gammarun) against this
 // build's kernels.
+//
+// Its fields are the payload's Version, Kind, Program, Init and Graph, the
+// Kind matching the schedule document's own kind header, and the Schedule.
 type ReplayRequest struct {
-	Version string `json:"version"`
-	// Kind selects the model and must match the schedule document's own
-	// kind header: KindGamma or KindDataflow.
-	Kind string `json:"kind"`
-	// Program and Init are the Gamma source and initial multiset literal
-	// (KindGamma).
-	Program string `json:"program,omitempty"`
-	Init    string `json:"init,omitempty"`
-	// Graph is the dataflow graph in dfir text (KindDataflow).
-	Graph string `json:"graph,omitempty"`
+	payload
 	// Schedule is the schedule document (the line-oriented JSON of
 	// internal/replay, as exported by GET /v1/runs/{id}/trace?format=schedule).
 	Schedule string `json:"schedule"`
@@ -438,40 +442,19 @@ type ReplayRequest struct {
 
 // NewGammaReplayRequest builds a v1 Gamma replay submission.
 func NewGammaReplayRequest(program, init, schedule string) ReplayRequest {
-	return ReplayRequest{Version: WireVersion, Kind: KindGamma, Program: program, Init: init, Schedule: schedule}
+	return ReplayRequest{payload{Version: WireVersion, Kind: KindGamma, Program: program, Init: init}, schedule}
 }
 
 // NewGraphReplayRequest builds a v1 dataflow replay submission.
 func NewGraphReplayRequest(graph, schedule string) ReplayRequest {
-	return ReplayRequest{Version: WireVersion, Kind: KindDataflow, Graph: graph, Schedule: schedule}
+	return ReplayRequest{payload{Version: WireVersion, Kind: KindDataflow, Graph: graph}, schedule}
 }
 
-// Validate checks the envelope shape with the same rules as RunRequest plus
-// a non-empty schedule; the schedule document itself is parsed at execution
-// time (rt.ErrParse).
+// Validate checks the envelope's payload and that it carries a schedule;
+// the schedule document itself is parsed at execution time (rt.ErrParse).
 func (r *ReplayRequest) Validate() error {
-	if err := CheckWireVersion(r.Version); err != nil {
+	if err := r.validate(); err != nil {
 		return err
-	}
-	switch r.Kind {
-	case KindGamma:
-		if r.Program == "" {
-			return rt.Mark(rt.ErrInvalid, fmt.Errorf("wire: replay kind %q needs a program", r.Kind))
-		}
-		if r.Graph != "" {
-			return rt.Mark(rt.ErrInvalid, fmt.Errorf("wire: replay kind %q does not take a graph", r.Kind))
-		}
-	case KindDataflow:
-		if r.Graph == "" {
-			return rt.Mark(rt.ErrInvalid, fmt.Errorf("wire: replay kind %q needs a graph", r.Kind))
-		}
-		if r.Program != "" || r.Init != "" {
-			return rt.Mark(rt.ErrInvalid, fmt.Errorf("wire: replay kind %q does not take a program/init", r.Kind))
-		}
-	case "":
-		return rt.Mark(rt.ErrInvalid, fmt.Errorf("wire: missing kind (want %q or %q)", KindGamma, KindDataflow))
-	default:
-		return rt.Mark(rt.ErrInvalid, fmt.Errorf("wire: unknown kind %q (want %q or %q)", r.Kind, KindGamma, KindDataflow))
 	}
 	if r.Schedule == "" {
 		return rt.Mark(rt.ErrInvalid, fmt.Errorf("wire: replay needs a schedule"))
@@ -480,24 +463,11 @@ func (r *ReplayRequest) Validate() error {
 }
 
 // Encode marshals the envelope in the canonical indented form.
-func (r ReplayRequest) Encode() ([]byte, error) {
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(data, '\n'), nil
-}
+func (r ReplayRequest) Encode() ([]byte, error) { return encode(r) }
 
-// DecodeReplayRequest unmarshals and validates a replay submission.
+// DecodeReplayRequest decodes and validates a POST /v1/replay submission.
 func DecodeReplayRequest(data []byte) (*ReplayRequest, error) {
-	var r ReplayRequest
-	if err := json.Unmarshal(data, &r); err != nil {
-		return nil, rt.Mark(rt.ErrParse, fmt.Errorf("wire: %w", err))
-	}
-	if err := r.Validate(); err != nil {
-		return nil, err
-	}
-	return &r, nil
+	return decode(data, (*ReplayRequest).Validate)
 }
 
 // WireDivergence is a replay divergence report on the wire: the first
@@ -531,17 +501,9 @@ type ReplayResponse struct {
 	Error *WireError `json:"error,omitempty"`
 }
 
-// DecodeReplayResponse unmarshals a replay response with the same version
-// rules as the run envelopes.
+// DecodeReplayResponse decodes a POST /v1/replay response.
 func DecodeReplayResponse(data []byte) (*ReplayResponse, error) {
-	var r ReplayResponse
-	if err := json.Unmarshal(data, &r); err != nil {
-		return nil, rt.Mark(rt.ErrParse, fmt.Errorf("wire: %w", err))
-	}
-	if err := CheckWireVersion(r.Version); err != nil {
-		return nil, err
-	}
-	return &r, nil
+	return decode(data, func(r *ReplayResponse) error { return CheckWireVersion(r.Version) })
 }
 
 // RunStats is the payload of GET /v1/runs/{id}/stats (wire minor 1.2): the
@@ -583,15 +545,7 @@ type RunStats struct {
 	Counters map[string]int64 `json:"counters,omitempty"`
 }
 
-// DecodeRunStats unmarshals a stats payload with the same version rules as
-// the run envelopes.
+// DecodeRunStats decodes a GET /v1/runs/{id}/stats payload.
 func DecodeRunStats(data []byte) (*RunStats, error) {
-	var s RunStats
-	if err := json.Unmarshal(data, &s); err != nil {
-		return nil, rt.Mark(rt.ErrParse, fmt.Errorf("wire: %w", err))
-	}
-	if err := CheckWireVersion(s.Version); err != nil {
-		return nil, err
-	}
-	return &s, nil
+	return decode(data, func(r *RunStats) error { return CheckWireVersion(r.Version) })
 }

@@ -395,9 +395,13 @@ func TestWireErrorRoundTrip(t *testing.T) {
 	}
 }
 
-// FuzzDecodeRunRequest feeds the submission decoder — gammad's trust
-// boundary — arbitrary bytes: it must never panic, and any envelope it
-// accepts must Encode and decode back to the same request.
+// FuzzDecodeRunRequest feeds the submission decoders — gammad's trust
+// boundary — arbitrary bytes, each input as a run and as a replay request.
+// Neither may panic; any envelope they accept must Encode and decode back to
+// the same request; and the payload rules the two envelopes share are one:
+// JSON the payload cannot read is rt.ErrParse in both, and a payload that
+// breaks its rules fails both with exactly the payload's rt.ErrInvalid,
+// unless the envelope's own field does not parse (rt.ErrParse).
 func FuzzDecodeRunRequest(f *testing.F) {
 	example := NewGammaRequest(paper.Example1GammaListing, paper.Example1InitialMultiset,
 		RunSpec{Engine: EngineSeq, Workers: 2, Seed: 7, MaxSteps: 100, TimeoutMS: 50, Trace: true})
@@ -411,25 +415,54 @@ func FuzzDecodeRunRequest(f *testing.F) {
 		`{"version": "1.3", "kind": "gamma", "program": "R = replace [x] by 0", "extra": [1, {"a": null}]}`,
 		`{"version": "1.0", "kind": "gamma", "program": "x", "spec": {"workers": 1025}}`,
 		`{"version": "1.0", "kind": "gamma", "program": "é\ud800", "init": "{[1]}"}`,
+		`{"version": "1.3", "kind": "gamma", "program": "x", "schedule": "s"}`,
+		`{"version": "1.3", "kind": "dataflow", "program": "x", "schedule": 5, "spec": 5}`,
 		`{"version": "2.0"}`, `{`, `null`,
 	} {
 		f.Add([]byte(seed))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		req, err := DecodeRunRequest(data)
-		if err != nil {
-			return
+		var p payload
+		perr := json.Unmarshal(data, &p)
+		var verdict error
+		if perr == nil {
+			verdict = p.validate()
 		}
-		enc, err := req.Encode()
-		if err != nil {
-			t.Fatalf("accepted request does not encode: %v", err)
+		run, runErr := DecodeRunRequest(data)
+		replay, replayErr := DecodeReplayRequest(data)
+		for envelope, err := range map[string]error{"run": runErr, "replay": replayErr} {
+			switch {
+			case perr != nil && !errors.Is(err, rt.ErrParse):
+				t.Fatalf("%s request: err %v on JSON the payload cannot read (%v), want rt.ErrParse", envelope, err, perr)
+			case verdict != nil && (err == nil || !errors.Is(err, rt.ErrParse) && err.Error() != verdict.Error()):
+				t.Fatalf("%s request: err %v on a payload that fails its rules with %v", envelope, err, verdict)
+			}
 		}
-		back, err := DecodeRunRequest(enc)
-		if err != nil {
-			t.Fatalf("encoded request does not decode: %v\n%s", err, enc)
+		if run != nil {
+			enc, err := run.Encode()
+			if err != nil {
+				t.Fatalf("accepted request does not encode: %v", err)
+			}
+			back, err := DecodeRunRequest(enc)
+			if err != nil {
+				t.Fatalf("encoded request does not decode: %v\n%s", err, enc)
+			}
+			if *back != *run {
+				t.Fatalf("round trip changed the request:\n%+v\n%+v", *run, *back)
+			}
 		}
-		if *back != *req {
-			t.Fatalf("round trip changed the request:\n%+v\n%+v", *req, *back)
+		if replay != nil {
+			enc, err := replay.Encode()
+			if err != nil {
+				t.Fatalf("accepted replay request does not encode: %v", err)
+			}
+			back, err := DecodeReplayRequest(enc)
+			if err != nil {
+				t.Fatalf("encoded replay request does not decode: %v\n%s", err, enc)
+			}
+			if *back != *replay {
+				t.Fatalf("round trip changed the replay request:\n%+v\n%+v", *replay, *back)
+			}
 		}
 	})
 }

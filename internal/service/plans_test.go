@@ -327,16 +327,16 @@ func TestPlanCacheMissCost(t *testing.T) {
 // program nor touches the plan cache — and a program that would not parse is
 // refused as busy, not malformed.
 func TestPlanCacheRefusedLoadsNothing(t *testing.T) {
-	fresh := []*schema.RunRequest{
-		{Version: schema.WireVersion, Kind: schema.KindGamma, Program: "R = replace [x], [y] by [x] if x < y"},
-		{Version: schema.WireVersion, Kind: schema.KindGamma, Program: "replace"},
+	fresh := []schema.RunRequest{
+		schema.NewGammaRequest("R = replace [x], [y] by [x] if x < y", "", schema.RunSpec{}),
+		schema.NewGammaRequest("replace", "", schema.RunSpec{}),
 	}
 	refused := func(t *testing.T, s *Server, tenant string) {
 		t.Helper()
 		hits, misses := planCounters(s)
 		for _, req := range fresh {
 			var busy *TooBusyError
-			if _, err := s.Submit(req, tenant); !errors.As(err, &busy) {
+			if _, err := s.Submit(&req, tenant); !errors.As(err, &busy) {
 				t.Errorf("%q: err = %v, want *TooBusyError", req.Program, err)
 			}
 		}

@@ -1,8 +1,9 @@
 // Package service is the networked, multi-tenant Gamma service behind
 // cmd/gammad: it accepts Gamma programs and dataflow graphs over the
 // versioned internal/schema wire format and multiplexes many concurrent runs
-// over one shared bounded executor pool (each run executing on the
-// work-stealing runtime of internal/gamma / internal/dataflow).
+// over one shared bounded executor pool (each run executing on the engines
+// of internal/gamma / internal/dataflow through the run pipeline of
+// internal/schema).
 //
 // The paper's Γ model is naturally a server: a stable state under Eq. 1 is a
 // response. Each submission is an isolated process in the Kahn sense — its
@@ -268,8 +269,6 @@ type Server struct {
 	terminal []string // terminal run ids in completion order, for eviction
 	tenants  map[string]*tenantState
 	plans    planCache
-
-	gPending, gRunning *telemetry.Gauge
 }
 
 // count, observe and gaugeAdd account one event into the global registry
@@ -277,11 +276,9 @@ type Server struct {
 // engine children — three independent accountings per event, each child
 // dimension summing to the global exactly (telemetry.Registry.CheckRollup;
 // the service test suite and make stress hold the invariant under -race).
-// The Set-based load gauges (service.pending, service.running) stay
-// global-only; the occupancy gauges written through gaugeAdd
-// (service.queue_depth, service.executors_busy) move by +1/-1 deltas, so
-// their per-label values sum to the global at quiescence and CheckRollup
-// covers them.
+// The occupancy gauges written through gaugeAdd (service.queue_depth,
+// service.executors_busy) move by +1/-1 deltas, so their per-label values
+// sum to the global at quiescence and CheckRollup covers them.
 func (s *Server) count(name string, n int64, tenant, engine string) {
 	s.reg.Counter(name).Add(n)
 	if tenant != "" {
@@ -328,8 +325,6 @@ func New(cfg Config) *Server {
 		tenants:    make(map[string]*tenantState),
 		plans:      planCache{jobs: make(map[planKey]*schema.Job)},
 	}
-	s.gPending = s.reg.Gauge("service.pending")
-	s.gRunning = s.reg.Gauge("service.running")
 	for i := 0; i < cfg.Pool; i++ {
 		s.wg.Add(1)
 		go s.executor()
@@ -478,7 +473,6 @@ func (s *Server) Submit(req *schema.RunRequest, tenant string) (*Run, error) {
 
 	s.count("service.submitted", 1, tenant, r.Engine)
 	s.gaugeAdd("service.queue_depth", 1, tenant, r.Engine)
-	s.gPending.Set(int64(len(s.queue)))
 	if s.log.Enabled(context.Background(), slog.LevelInfo) {
 		s.log.Info("run admitted",
 			"run", r.ID, "tenant", tenant, "kind", r.Kind, "engine", r.Engine,
@@ -536,9 +530,9 @@ func (c *planCache) get(key planKey) (*schema.Job, bool, error) {
 }
 
 // load parses a submission's payload through the run pipeline's loader, a Γ
-// program through the plan cache. Only the initial multiset is built per
-// request: the override literal, else a copy of the source's (a run rewrites
-// its Init in place), else {}.
+// program through the plan cache, and binds its init as schema.LoadGamma
+// does: only the initial multiset is built per request, {} when neither the
+// request nor the source declares one.
 func (s *Server) load(tenant, kind, name, program, init, graph string) (*schema.Job, error) {
 	if kind == schema.KindDataflow {
 		return schema.LoadGraph(name, graph, false)
@@ -554,21 +548,20 @@ func (s *Server) load(tenant, kind, name, program, init, graph string) (*schema.
 	if err != nil && !errors.Is(err, rt.ErrInvalid) {
 		return nil, err
 	}
-	var m *multiset.Multiset
-	if init != "" {
-		var perr error
-		if m, perr = multiset.Parse(init); perr != nil {
-			return nil, rt.Mark(rt.ErrParse, perr)
-		}
+	var own *multiset.Multiset
+	if err == nil {
+		own = src.Init
 	}
+	m, ierr := schema.BindInit(init, own)
 	switch {
+	case ierr != nil:
+		return nil, ierr
 	case err != nil:
 		return nil, err
-	case m != nil:
-	case src.Init != nil:
-		m = src.Init.Clone()
-	default:
+	case m == nil:
 		m = multiset.New()
+	case m == own:
+		m = own.Clone() // a run rewrites its Init; the cached one stays pristine
 	}
 	return &schema.Job{Name: name, Plan: src.Plan, Reactions: src.Reactions, Init: m}, nil
 }
@@ -631,7 +624,6 @@ func (s *Server) executor() {
 // execute runs one submission to its terminal state.
 func (s *Server) execute(r *Run) {
 	s.gaugeAdd("service.queue_depth", -1, r.Tenant, r.Engine)
-	s.gPending.Set(int64(len(s.queue)))
 	wait := time.Since(r.enqueued)
 	s.observe("service.queue_wait_ns", wait.Nanoseconds(), r.Tenant, r.Engine)
 
@@ -645,9 +637,9 @@ func (s *Server) execute(r *Run) {
 	r.queueWait = wait
 	r.mu.Unlock()
 	s.gaugeAdd("service.executors_busy", 1, r.Tenant, r.Engine)
-	s.gRunning.Set(s.nRunning.Add(1))
+	s.nRunning.Add(1)
 	defer func() {
-		s.gRunning.Set(s.nRunning.Add(-1))
+		s.nRunning.Add(-1)
 		s.gaugeAdd("service.executors_busy", -1, r.Tenant, r.Engine)
 	}()
 

@@ -5,10 +5,9 @@ import (
 	"math"
 	"math/bits"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
-
-	"repro/internal/metrics"
 )
 
 // Counter is a monotone atomic counter.
@@ -402,9 +401,9 @@ func (r *Registry) Snapshot() Snapshot {
 
 // Table renders the registry as the -metrics summary table, instruments
 // sorted by name within kind.
-func (r *Registry) Table() *metrics.Table {
+func (r *Registry) Table() *Table {
 	s := r.Snapshot()
-	t := metrics.NewTable("telemetry metrics", "metric", "kind", "value", "detail")
+	t := NewTable("telemetry metrics", "metric", "kind", "value", "detail")
 	for _, name := range sortedKeys(s.Counters) {
 		t.Row(name, "counter", s.Counters[name], "")
 	}
@@ -427,4 +426,69 @@ func sortedKeys[V any](m map[string]V) []string {
 	}
 	sort.Strings(keys)
 	return keys
+}
+
+// Table accumulates rows and renders them with aligned columns: the -metrics
+// summary of every command, and cmd/gfbench's experiment tables.
+type Table struct {
+	Title   string
+	headers []string
+	rows    [][]string
+}
+
+// NewTable returns a table with the given title and column headers.
+func NewTable(title string, headers ...string) *Table {
+	return &Table{Title: title, headers: headers}
+}
+
+// Row appends a row; float64 cells render with two decimals, the rest with
+// %v.
+func (t *Table) Row(cells ...any) {
+	row := make([]string, len(cells))
+	for i, c := range cells {
+		if v, ok := c.(float64); ok {
+			row[i] = fmt.Sprintf("%.2f", v)
+		} else {
+			row[i] = fmt.Sprint(c)
+		}
+	}
+	t.rows = append(t.rows, row)
+}
+
+// String renders the table.
+func (t *Table) String() string {
+	widths := make([]int, len(t.headers))
+	for i, h := range t.headers {
+		widths[i] = len(h)
+	}
+	for _, row := range t.rows {
+		for i, c := range row {
+			if i < len(widths) && len(c) > widths[i] {
+				widths[i] = len(c)
+			}
+		}
+	}
+	var b strings.Builder
+	if t.Title != "" {
+		fmt.Fprintf(&b, "== %s ==\n", t.Title)
+	}
+	line := func(cells []string) {
+		for i, c := range cells {
+			if i > 0 {
+				b.WriteString("  ")
+			}
+			fmt.Fprintf(&b, "%-*s", widths[i], c)
+		}
+		b.WriteByte('\n')
+	}
+	line(t.headers)
+	seps := make([]string, len(t.headers))
+	for i := range seps {
+		seps[i] = strings.Repeat("-", widths[i])
+	}
+	line(seps)
+	for _, row := range t.rows {
+		line(row)
+	}
+	return b.String()
 }

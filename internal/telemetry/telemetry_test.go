@@ -350,3 +350,32 @@ func TestServeMetrics(t *testing.T) {
 		t.Errorf("served counter = %d, want 42", s.Counters["gamma.steps"])
 	}
 }
+
+func TestTableRendering(t *testing.T) {
+	tbl := NewTable("demo", "name", "value", "time")
+	tbl.Row("alpha", 42, "1.50ms")
+	tbl.Row("a-much-longer-name", 3.14159, "2.00s")
+	s := tbl.String()
+	for _, want := range []string{"== demo ==", "name", "-----", "alpha", "1.50ms", "2.00s", "3.14", "a-much-longer-name"} {
+		if !strings.Contains(s, want) {
+			t.Errorf("table missing %q:\n%s", want, s)
+		}
+	}
+	if strings.Contains(s, "3.14159") {
+		t.Errorf("float cell not rounded to two decimals:\n%s", s)
+	}
+	lines := strings.Split(strings.TrimRight(s, "\n"), "\n")
+	if len(lines) != 5 { // title, header, separator, two rows
+		t.Errorf("line count = %d:\n%s", len(lines), s)
+	}
+	// Columns align: header and rows have the same prefix width for col 2.
+	hdr := lines[1]
+	row := lines[3]
+	if strings.Index(hdr, "value") != strings.Index(row, "42") {
+		t.Errorf("columns misaligned:\n%s", s)
+	}
+	// Untitled table has no title line.
+	if s2 := NewTable("", "a").String(); strings.Contains(s2, "==") {
+		t.Errorf("untitled table rendered a title:\n%s", s2)
+	}
+}
