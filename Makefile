@@ -42,7 +42,7 @@ loc:
 
 # The size criterion as a gate: check-ci fails when the total of `make loc`
 # exceeds this. A PR may lower the ceiling, never raise it.
-LOC_CEILING = 18549
+LOC_CEILING = 18548
 
 # Observability demo: trace the paper's Fig. 1 program and emit a
 # Perfetto-loadable timeline (open trace.json at https://ui.perfetto.dev) plus
@@ -89,7 +89,9 @@ trace-demo:
 # ten seconds each of fuzzing the decoders of what a client sends: the dfir
 # decoder every dataflow submission passes through (whatever it accepts must
 # marshal to a canonical form), the multiset literal parser of gammad's init
-# field (whatever it accepts must print and parse back), the schedule decoder
+# field (whatever it accepts must be what one Add per element builds, and print
+# and parse back; TestParseDifferential runs the same oracle on random literals
+# above, and TestElistDoubleEndedChurn the list chunks under churn), the schedule decoder
 # of /v1/replay (whatever it accepts must re-encode to a fixed point, and its
 # firing DAG must fold: producers before consumers, work = steps, widths
 # summing to work, span <= work, the DOT written) and the run-request
@@ -136,7 +138,9 @@ check: vet fmt-check build race bench-check
 # in the width, under 1 allocation / 150 B, and short of the first run by
 # the plan's tables); allocations per line and bytes per source byte of
 # decoding the wide graph's dfir text (under 1.5 and 16, never rising with the
-# width) and the one allocation of encoding it; the matching table's, dataflow
+# width) and the one allocation of encoding it; allocations and bytes per
+# element of parsing a multiset literal (under 0.25 and 320 B from 256
+# elements on, never rising with the size); the matching table's, dataflow
 # replay's and the divergence report's wall-time exponents (one vertex under n
 # tags; schedules of 2 432 to 38 912 steps, the widest under 250 ms; dependency
 # chains of 2^10 to 2^16 steps); bytes per service
@@ -163,5 +167,6 @@ check-ci: vet fmt-check build bench-check
 	$(GO) test -timeout 2m -count=1 -run 'TestLoopAllocScaling' .
 	$(GO) test -timeout 2m -count=1 -run 'TestAlg1ImageShape' ./internal/gamma/
 	GAMMAFLOW_WALLCLOCK=1 $(GO) test -timeout 2m -count=1 -run 'TestWideAllocShape|TestMatchTableScaling|TestCodecAllocShape' ./internal/dataflow/ ./internal/dfir/
+	$(GO) test -timeout 2m -count=1 -run 'TestParseAllocShape' ./internal/multiset/
 	$(GO) test -timeout 2m -count=1 -run 'TestTraceAllocationCost' ./internal/service/
 	GAMMAFLOW_WALLCLOCK=1 $(GO) test -timeout 2m -count=1 -run 'TestRecorderCostPerFiring|TestReplayDataflowScaling|TestReplayAncestorsScaling' ./internal/replay/

@@ -38,8 +38,9 @@
 // engine. Metrics carry per-tenant and per-engine label series alongside the
 // globals, scrape-able at /metrics?format=prom.
 //
-// Quotas are counts: a negative -concurrent, -step-budget or -tenant field
-// is a usage error (exit 2), never "unbounded".
+// Quotas and sizes are counts: a negative -concurrent, -step-budget, -tenant
+// field, -pool, -queue, -retain, -max-body or -max-steps-cap is a usage error
+// (exit 2), never "unbounded" or the default.
 //
 // The deployment gate is TestGammadBinary, which boots this binary on a
 // loopback port, runs Example 1 and stops it with SIGTERM; the client and
@@ -108,6 +109,15 @@ func checkQuota(q service.Quota) error {
 	return nil
 }
 
+// checkSizes refuses a negative size: service.Config reads one as its
+// default, so a -1 would silently serve a bound it seems to change.
+func checkSizes(pool, queue, retain int, maxBody, stepsCap int64) error {
+	if pool < 0 || queue < 0 || retain < 0 || maxBody < 0 || stepsCap < 0 {
+		return fmt.Errorf("sizes are counts (0 = default), got -pool %d -queue %d -retain %d -max-body %d -max-steps-cap %d", pool, queue, retain, maxBody, stepsCap)
+	}
+	return nil
+}
+
 func main() {
 	addr := flag.String("addr", ":8080", "HTTP listen address")
 	pool := flag.Int("pool", 4, "executor goroutines runs are multiplexed over")
@@ -131,8 +141,8 @@ func main() {
 	}
 
 	quota := service.Quota{MaxConcurrent: *concurrent, StepBudget: *stepBudget}
-	if err := checkQuota(quota); err != nil {
-		fmt.Fprintf(os.Stderr, "gammad: -concurrent, -step-budget: %v\n", err)
+	if err := errors.Join(checkQuota(quota), checkSizes(*pool, *queue, *retain, *maxBody, *stepsCap)); err != nil {
+		fmt.Fprintf(os.Stderr, "gammad: %v\n", err)
 		os.Exit(cli.ExitUsage)
 	}
 
@@ -190,8 +200,8 @@ func main() {
 		cli.Exit("gammad", err)
 	}
 	srv := &http.Server{Handler: s.Handler()}
-	fmt.Fprintf(os.Stderr, "gammad: serving on http://%s (pool %d, queue %d)\n",
-		ln.Addr(), cfg.Pool, cfg.QueueDepth)
+	h := s.Health() // what New made of cfg: defaults filled in
+	fmt.Fprintf(os.Stderr, "gammad: serving on http://%s (pool %d, queue %d)\n", ln.Addr(), h.Pool, h.QueueDepth)
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()

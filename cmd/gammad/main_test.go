@@ -114,3 +114,28 @@ func TestTenantFlag(t *testing.T) {
 		t.Error("-step-budget -1 accepted")
 	}
 }
+
+// TestSizeFlags: -pool, -queue, -retain, -max-body and -max-steps-cap are
+// counts, 0 the default, and a negative one is refused rather than read as
+// the default.
+func TestSizeFlags(t *testing.T) {
+	for _, c := range []struct {
+		pool, queue, retain int
+		maxBody, stepsCap   int64
+		ok                  bool
+	}{
+		{4, 64, 1024, 1 << 20, 10_000_000, true},
+		{0, 0, 0, 0, 0, true},
+		{1, 1, 1, 1, 1, true},
+		{-1, 64, 1024, 1 << 20, 10_000_000, false},
+		{4, -1, 1024, 1 << 20, 10_000_000, false},
+		{4, 64, -1, 1 << 20, 10_000_000, false},
+		{4, 64, 1024, -1, 10_000_000, false},
+		{4, 64, 1024, 1 << 20, -1, false},
+		{-3, -1, -1, -1, -1, false},
+	} {
+		if err := checkSizes(c.pool, c.queue, c.retain, c.maxBody, c.stepsCap); (err == nil) != c.ok {
+			t.Errorf("checkSizes%v = %v, want ok %v", []int64{int64(c.pool), int64(c.queue), int64(c.retain), c.maxBody, c.stepsCap}, err, c.ok)
+		}
+	}
+}

@@ -476,14 +476,15 @@ func (fp *fileParser) parseTemplate() (gamma.Template, error) {
 	return tpl, nil
 }
 
-// parseMultiset parses "{ [lit, ...], ... }" into a multiset.
+// parseMultiset parses "{ [lit, ...], ... }" into a multiset, built from the
+// whole literal at once (multiset.New) as a request's init field is.
 func (fp *fileParser) parseMultiset() (*multiset.Multiset, error) {
 	if err := fp.expect(expr.TokLBrace, ""); err != nil {
 		return nil, err
 	}
-	m := multiset.New()
+	var ts []multiset.Tuple
 	if fp.at(expr.TokRBrace, "") {
-		return m, fp.advance()
+		return multiset.New(), fp.advance()
 	}
 	for {
 		if err := fp.expect(expr.TokLBrack, ""); err != nil {
@@ -510,7 +511,7 @@ func (fp *fileParser) parseMultiset() (*multiset.Multiset, error) {
 		if err := fp.expect(expr.TokRBrack, ""); err != nil {
 			return nil, err
 		}
-		m.Add(tup)
+		ts = append(ts, tup)
 		if fp.at(expr.TokComma, "") {
 			if err := fp.advance(); err != nil {
 				return nil, err
@@ -522,5 +523,5 @@ func (fp *fileParser) parseMultiset() (*multiset.Multiset, error) {
 	if err := fp.expect(expr.TokRBrace, ""); err != nil {
 		return nil, err
 	}
-	return m, nil
+	return multiset.New(ts...), nil
 }

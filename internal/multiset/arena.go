@@ -7,24 +7,18 @@ import (
 )
 
 // arena amortizes the three allocations that linking a distinct tuple into a
-// multiset otherwise costs — the entry struct, the key string, and the
-// defensive copy of the tuple cells — by carving each from append-only
-// chunks. A chunk region is written exactly once, when carved, and never
-// again: later carves append strictly past it and a full chunk is replaced
-// by a fresh one rather than grown (growing would relocate live carves). That
-// write-once discipline is what makes the unsafe.String view over the key
-// bytes sound, keeps tuple backings and key strings handed to searchers and
-// traces from reuse, and lets a Clone share its source's carves.
+// multiset otherwise costs — the entry struct, the key string and the copy of
+// the tuple cells — by carving each from append-only chunks. A carve is
+// written once and never again: later carves append past it, and a full
+// chunk is replaced, not grown (growing would move live carves). That is what
+// makes the unsafe.String key views sound, keeps tuples and keys handed to
+// searchers and traces from reuse, and lets a Clone share its source's carves.
 //
 // Chunks are geometric: the first of each kind is 1/128 of its maximum
-// (entryChunk, keyChunk, cellChunk) and every replacement doubles up to it,
-// so a multiset of a handful of elements carves a few hundred bytes and reaching
-// the maximum costs less than one extra maximum chunk. bytes totals the chunk
-// memory carved (Multiset.ArenaBytes).
-//
-// Chunk memory is reclaimed by the GC once every entry, key and tuple carved
-// from it dies; a long-lived carve pins at most one chunk of each kind.
-// All methods require the owning multiset's write lock.
+// (entryChunk, keyChunk, cellChunk), each replacement doubles up to it, and a
+// bulk build's run (reserve) takes one chunk, exactly its size past the
+// maximum. bytes totals the chunk memory carved (Multiset.ArenaBytes). A
+// long-lived carve pins its chunk; all methods need the write lock.
 type arena struct {
 	entries []entry
 	keys    []byte
@@ -39,9 +33,12 @@ const (
 )
 
 // nextChunk returns the capacity of the chunk replacing one of capacity c
-// that cannot hold need (<= limit/4) more items: double, from limit/128, up
-// to limit.
+// that cannot hold need more items: double, from limit/128, up to limit — or
+// exactly need past the limit, a bulk build's run (reserve).
 func nextChunk(c, need, limit int) int {
+	if need > limit {
+		return need
+	}
 	c = min(max(2*c, limit/128), limit)
 	for c < need {
 		c *= 2
@@ -49,12 +46,35 @@ func nextChunk(c, need, limit int) int {
 	return c
 }
 
+// fit returns chunk when it has room for n more items, else its replacement
+// (refill, kept apart so this check inlines), whose bytes it accounts.
+func fit[T any](chunk []T, n, limit int, bytes *int64) []T {
+	if cap(chunk)-len(chunk) >= n {
+		return chunk
+	}
+	return refill(chunk, n, limit, bytes)
+}
+
+func refill[T any](chunk []T, n, limit int, bytes *int64) []T {
+	var item T
+	chunk = make([]T, 0, nextChunk(cap(chunk), n, limit))
+	*bytes += int64(cap(chunk)) * int64(unsafe.Sizeof(item))
+	return chunk
+}
+
+// reserve makes room for a bulk build's n entries, k key bytes and c cells in
+// one chunk each: the geometric chunk a first carve would open when it holds
+// the run — a run that fits a first chunk leaves the room single carves
+// would — else one of exactly the run.
+func (a *arena) reserve(n, k, c int) {
+	a.entries = fit(a.entries, n, entryChunk, &a.bytes)
+	a.keys = fit(a.keys, k, keyChunk, &a.bytes)
+	a.cells = fit(a.cells, c, cellChunk, &a.bytes)
+}
+
 // newEntry carves a zeroed entry, switching to a fresh chunk when full.
 func (a *arena) newEntry() *entry {
-	if len(a.entries) == cap(a.entries) {
-		a.entries = make([]entry, 0, nextChunk(cap(a.entries), 1, entryChunk))
-		a.bytes += int64(cap(a.entries)) * int64(unsafe.Sizeof(entry{}))
-	}
+	a.entries = fit(a.entries, 1, entryChunk, &a.bytes)
 	a.entries = a.entries[:len(a.entries)+1]
 	return &a.entries[len(a.entries)-1]
 }
@@ -70,10 +90,7 @@ func (a *arena) internKey(kb []byte) string {
 	if n > keyChunk/4 {
 		return string(kb)
 	}
-	if cap(a.keys)-len(a.keys) < n {
-		a.keys = make([]byte, 0, nextChunk(cap(a.keys), n, keyChunk))
-		a.bytes += int64(cap(a.keys))
-	}
+	a.keys = fit(a.keys, n, keyChunk, &a.bytes)
 	off := len(a.keys)
 	a.keys = append(a.keys, kb...)
 	return unsafe.String(&a.keys[off], n)
@@ -90,10 +107,7 @@ func (a *arena) cloneTuple(t Tuple) Tuple {
 	if n > cellChunk/4 {
 		return t.Clone()
 	}
-	if cap(a.cells)-len(a.cells) < n {
-		a.cells = make([]value.Value, 0, nextChunk(cap(a.cells), n, cellChunk))
-		a.bytes += int64(cap(a.cells)) * int64(unsafe.Sizeof(value.Value{}))
-	}
+	a.cells = fit(a.cells, n, cellChunk, &a.bytes)
 	off := len(a.cells)
 	a.cells = append(a.cells, t...)
 	return Tuple(a.cells[off : off+n : off+n])

@@ -1,6 +1,7 @@
 package multiset
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/symtab"
@@ -10,32 +11,22 @@ import (
 // the storage behind the bare list, every label's all list and every
 // spilled (label, tag) bucket.
 //
-// Entries live in chunks of at most chunkMax and chunks in directory pages of
-// at most pageMax, so an insert or remove memmoves at most one chunk of
-// pointers and a chunk split or drop at most one page of headers, whatever
-// the population. Two properties the matcher relies on hold exactly:
+// Entries live in double-ended chunks (chunk) of at most chunkMax and chunks
+// in directory pages of at most pageMax, so an insert or remove memmoves at
+// most half a chunk of pointers and a split or drop one page of headers,
+// whatever the population. The matcher relies on exact ascending-key order
+// from rotation 0 (the golden schedules observe it) and on cheap positional
+// rotation: a walk starts at a chosen offset instead of copying the index.
 //
-//   - exact ascending-key iteration order, which the deterministic sequential
-//     matcher (and the golden traces pinned on it) observe;
-//   - cheap positional rotation, which the matcher uses to start candidate
-//     enumeration at a chosen offset (rotation 0 is the ascending walk)
-//     instead of copying the index per probe.
-//
-// Chunk sizes stay within [chunkMin, chunkMax] and pages within
-// [pageMin, pageMax] (except the last survivor at each level): a split at
-// >max yields two halves, a removal that drains below min merges into a
-// neighbor when the result fits. The wide hysteresis bands mean an
-// insert/remove cycle at a boundary cannot thrash split/merge.
-//
-// Cost tracks contents: Algorithm 1 makes every dataflow edge one element, so
-// a converted program holds 0–2 entries under each label and flips them on
-// every firing — one remove from and one insert into the label's list, and
-// nothing else. A list starts with chunkStart slots and a one-slot page, and
-// one that drains keeps its last chunk and page parked (see removeAt) for the
-// next insert to revive — at most chunkMin slots and pageMin headers, every
-// parked slot nil. A labelIndex never leaves its multiset, so an emptied label
-// costs one struct and a parked list — bounded by the labels the process ever
-// interned (symtab only grows, and programs, not data, populate it).
+// Chunks stay within [chunkMin, chunkMax] and pages within [pageMin,
+// pageMax], but for the last survivor at each level: a split at >max yields
+// two halves, a removal below min merges into a neighbor when the result
+// fits, and the wide bands keep an insert/remove cycle at a boundary from
+// thrashing. A list starts with chunkStart slots and a one-slot page, and one
+// that drains parks its last chunk and page (see removeAt) for the next
+// insert to revive — at most chunkMin slots and pageMin headers, all nil — so
+// an Algorithm 1 label, which flips 0–2 entries every firing, allocates
+// nothing, and an emptied label costs one struct and a parked list.
 type elist struct {
 	pages   []epage // non-empty, each ascending; pages ascending overall
 	nchunks int
@@ -44,11 +35,9 @@ type elist struct {
 
 // labelIndex is what a multiset holds per label symbol: all, the home list of
 // every entry carrying the label, and — only while bucketed — those with an
-// index tag (IndexTag) again by tag, the dynamic-dataflow tag-matching index.
-// A label of at most bucketAt entries answers a tag query by a filtered walk
-// of all, so an Algorithm 1 image never touches a map; the buckets are built
-// when all outgrows bucketAt and dropped only when it drains, so churn across
-// the threshold cannot thrash.
+// index tag (IndexTag) again by tag, the tag-matching index. Up to bucketAt
+// entries a tag query is a filtered walk of all (an Algorithm 1 image never
+// touches a map); the buckets are built past it and dropped only on a drain.
 type labelIndex struct {
 	sym      symtab.Sym
 	all      elist
@@ -124,7 +113,64 @@ func (li *labelIndex) eachTag(tag int64, rot uint64, fn func(*entry, slot) bool)
 }
 
 // epage is one directory page: a short ordered run of chunks.
-type epage [][]*entry
+type epage []chunk
+
+// chunk is one run of a list's entries, ascending: buf[lo:], after a nil gap
+// that keeps buf's backing array from its first slot. A remove or insert
+// moves the shorter side of its position — the head through the gap, or the
+// tail — so either end costs no move, and the gap is capacity an insert takes
+// back (room), never lost. Offsets and slots count from lo: walkers see what
+// a gapless chunk would hold.
+type chunk struct {
+	buf []*entry
+	lo  int
+}
+
+func (c chunk) live() []*entry { return c.buf[c.lo:] }
+func (c chunk) len() int       { return len(c.buf) - c.lo }
+
+// lastKey returns the largest key in the chunk (chunks are never empty).
+func (c chunk) lastKey() string { return c.buf[len(c.buf)-1].key }
+
+// insert places e at offset i, moving the shorter side it has room for.
+func (c *chunk) insert(i int, e *entry) {
+	if n := c.len(); c.lo > 0 && i < n-i {
+		c.lo--
+		copy(c.buf[c.lo:], c.buf[c.lo+1:c.lo+1+i])
+		c.buf[c.lo+i] = e
+		return
+	}
+	c.room(1)
+	if c.buf = append(c.buf, e); c.lo+i < len(c.buf)-1 {
+		copy(c.buf[c.lo+i+1:], c.buf[c.lo+i:])
+		c.buf[c.lo+i] = e
+	}
+}
+
+// remove deletes the entry at offset i, shifting the shorter side.
+func (c *chunk) remove(i int) {
+	if i < c.len()-1-i {
+		copy(c.buf[c.lo+1:], c.buf[c.lo:c.lo+i])
+		c.buf[c.lo] = nil
+		c.lo++
+		return
+	}
+	at := c.lo + i
+	copy(c.buf[at:], c.buf[at+1:])
+	c.buf[len(c.buf)-1] = nil
+	c.buf = c.buf[:len(c.buf)-1]
+}
+
+// room makes space for k more entries past the end by moving the entries
+// down into the gap, so a chunk grows only when every slot is taken.
+func (c *chunk) room(k int) {
+	if cap(c.buf)-len(c.buf) >= k || c.lo == 0 {
+		return
+	}
+	n := copy(c.buf, c.live())
+	clear(c.buf[n:])
+	c.buf, c.lo = c.buf[:n], 0
+}
 
 const (
 	chunkMax   = 512
@@ -153,22 +199,18 @@ func (s slot) pos() epos  { return epos{int(s >> 16), int(s >> 10 & 63), int(s &
 // drop since the hint was taken, or a hint from another list) the position
 // its key locates.
 func (l *elist) seek(e *entry, hint slot) epos {
-	if at := hint.pos(); at.pi < len(l.pages) && at.ci < len(l.pages[at.pi]) &&
-		at.i < len(l.pages[at.pi][at.ci]) && l.pages[at.pi][at.ci][at.i] == e {
-		return at
+	if at := hint.pos(); at.pi < len(l.pages) && at.ci < len(l.pages[at.pi]) {
+		if c := l.pages[at.pi][at.ci].live(); at.i < len(c) && c[at.i] == e {
+			return at
+		}
 	}
 	at, _ := locate(l, e.key)
 	return at
 }
 
-// lastKey returns the largest key in the chunk (chunks are never empty).
-func lastKey(c []*entry) string { return c[len(c)-1].key }
-
-// locate finds key, held as a string or as the bytes of one: the entry filed
-// under it and its position, or nil and the position an entry with that key
-// belongs at. One search serves membership, multiplicity (an equal key is the
-// same tuple: count it, do not insert) and placement. Comparing against
-// string(key) converts nothing.
+// locate finds key, a string or its bytes: the entry filed under it and its
+// position, or nil and where an entry with that key belongs — one search for
+// membership, multiplicity (an equal key is the same tuple) and placement.
 func locate[K string | []byte](l *elist, key K) (epos, *entry) {
 	var at epos
 	if l.nchunks == 0 {
@@ -177,11 +219,11 @@ func locate[K string | []byte](l *elist, key K) (epos, *entry) {
 	if l.nchunks > 1 {
 		// The first page, then chunk, whose last key is >= key is the only one
 		// that can hold it; past every key, the last of each grows.
-		at.pi = sort.Search(len(l.pages)-1, func(i int) bool { p := l.pages[i]; return lastKey(p[len(p)-1]) >= string(key) })
+		at.pi = sort.Search(len(l.pages)-1, func(i int) bool { p := l.pages[i]; return p[len(p)-1].lastKey() >= string(key) })
 		p := l.pages[at.pi]
-		at.ci = sort.Search(len(p)-1, func(i int) bool { return lastKey(p[i]) >= string(key) })
+		at.ci = sort.Search(len(p)-1, func(i int) bool { return p[i].lastKey() >= string(key) })
 	}
-	c := l.pages[at.pi][at.ci]
+	c := l.pages[at.pi][at.ci].live()
 	lo, hi := 0, len(c)
 	for lo < hi {
 		if mid := int(uint(lo+hi) >> 1); c[mid].key < string(key) {
@@ -203,7 +245,7 @@ func (l *elist) end() epos {
 	}
 	pi := len(l.pages) - 1
 	ci := len(l.pages[pi]) - 1
-	return epos{pi, ci, len(l.pages[pi][ci])}
+	return epos{pi, ci, l.pages[pi][ci].len()}
 }
 
 // insert places e by ascending key. Keys are unique (one entry per distinct
@@ -218,21 +260,18 @@ func (l *elist) insertAt(at epos, e *entry) {
 	l.total++
 	if len(l.pages) == 0 {
 		if cap(l.pages) == 0 { // nothing parked: start small
-			l.pages = []epage{{make([]*entry, 0, chunkStart)}}
+			l.pages = []epage{{{buf: make([]*entry, 0, chunkStart)}}}
 		}
 		// Revive the page and chunk parked in slot 0 of their directories.
 		l.pages = l.pages[:1]
 		l.pages[0] = l.pages[0][:1]
-		l.pages[0][0] = append(l.pages[0][0], e)
+		l.pages[0][0].buf = append(l.pages[0][0].buf, e)
 		l.nchunks = 1
 		return
 	}
-	p := l.pages[at.pi]
-	c := append(p[at.ci], nil)
-	copy(c[at.i+1:], c[at.i:])
-	c[at.i] = e
-	p[at.ci] = c
-	if len(c) > chunkMax {
+	c := &l.pages[at.pi][at.ci]
+	c.insert(at.i, e)
+	if c.len() > chunkMax {
 		l.splitChunk(at.pi, at.ci)
 	}
 }
@@ -241,105 +280,84 @@ func (l *elist) insertAt(at epos, e *entry) {
 // bounded by pageMax.
 func (l *elist) splitChunk(pi, ci int) {
 	p := l.pages[pi]
-	c := p[ci]
+	c := p[ci].live()
 	mid := len(c) / 2
 	right := make([]*entry, len(c)-mid, chunkMax/2+chunkMin)
 	copy(right, c[mid:])
-	for i := mid; i < len(c); i++ {
-		c[i] = nil
-	}
-	p[ci] = c[:mid]
-	p = append(p, nil)
-	copy(p[ci+2:], p[ci+1:])
-	p[ci+1] = right
-	l.pages[pi] = p
+	clear(c[mid:])
+	p[ci].buf = p[ci].buf[:p[ci].lo+mid]
+	l.pages[pi] = slices.Insert(p, ci+1, chunk{buf: right})
 	l.nchunks++
-	if len(p) > pageMax {
+	if len(l.pages[pi]) > pageMax {
 		l.splitPage(pi)
 	}
 }
 
-// splitPage halves page pi in place; the page-directory memmove is over a
-// directory pageMax times shorter than the chunk population.
+// splitPage halves page pi in place, splitChunk one level up.
 func (l *elist) splitPage(pi int) {
 	p := l.pages[pi]
 	mid := len(p) / 2
 	right := make(epage, len(p)-mid, pageMax/2+pageMin)
 	copy(right, p[mid:])
-	for i := mid; i < len(p); i++ {
-		p[i] = nil
-	}
+	clear(p[mid:])
 	l.pages[pi] = p[:mid]
-	l.pages = append(l.pages, nil)
-	copy(l.pages[pi+2:], l.pages[pi+1:])
-	l.pages[pi+1] = right
+	l.pages = slices.Insert(l.pages, pi+1, right)
 }
 
 // removeAt deletes the entry at position at, which holds one, and returns
 // how many entries remain.
 func (l *elist) removeAt(at epos) int {
-	pi, ci, i := at.pi, at.ci, at.i
+	pi, ci := at.pi, at.ci
 	p := l.pages[pi]
-	c := p[ci]
-	copy(c[i:], c[i+1:])
-	c[len(c)-1] = nil
-	c = c[:len(c)-1]
-	p[ci] = c
+	c := &p[ci]
+	c.remove(at.i)
 	l.total--
 	switch {
 	case l.total == 0:
 		// Drained: park the sole chunk and page, emptied, in slot 0 of their
 		// directories for the next insert — unless one outgrew the bound.
-		if cap(c) > chunkMin || cap(p) > pageMin || cap(l.pages) > pageMin {
+		if cap(c.buf) > chunkMin || cap(p) > pageMin || cap(l.pages) > pageMin {
 			*l = elist{}
 			return 0
 		}
+		c.buf, c.lo = c.buf[:0], 0
 		l.pages[0] = p[:0]
 		l.pages = l.pages[:0]
 		l.nchunks = 0
-	case len(c) == 0:
+	case c.len() == 0:
 		l.dropChunk(pi, ci)
-	case len(c) < chunkMin:
+	case c.len() < chunkMin:
 		l.mergeChunk(pi, ci)
 	}
 	return l.total
 }
 
 func (l *elist) dropChunk(pi, ci int) {
-	p := l.pages[pi]
-	copy(p[ci:], p[ci+1:])
-	p[len(p)-1] = nil
-	p = p[:len(p)-1]
+	p := slices.Delete(l.pages[pi], ci, ci+1)
 	l.pages[pi] = p
 	l.nchunks--
 	switch {
 	case len(p) == 0:
-		l.dropPage(pi)
+		l.pages = slices.Delete(l.pages, pi, pi+1)
 	case len(p) < pageMin:
 		l.mergePage(pi)
 	}
 }
 
-func (l *elist) dropPage(pi int) {
-	copy(l.pages[pi:], l.pages[pi+1:])
-	l.pages[len(l.pages)-1] = nil
-	l.pages = l.pages[:len(l.pages)-1]
-}
-
 // mergeChunk folds the underfull chunk ci into a same-page neighbor when the
-// combination stays within chunkMax; otherwise the small chunk simply
-// persists (it is still ordered and bounded below only by emptiness). Not
-// merging across a page boundary keeps the operation page-local; at most two
-// persistent small chunks per page boundary is within the hysteresis budget.
+// combination stays within chunkMax; otherwise the small chunk persists.
+// Merges stay page-local: at most two small chunks per page boundary.
 func (l *elist) mergeChunk(pi, ci int) {
 	p := l.pages[pi]
-	if ci+1 < len(p) && len(p[ci])+len(p[ci+1]) <= chunkMax {
-		p[ci] = append(p[ci], p[ci+1]...)
+	if ci+1 < len(p) && p[ci].len()+p[ci+1].len() <= chunkMax {
+		p[ci].room(p[ci+1].len())
+		p[ci].buf = append(p[ci].buf, p[ci+1].live()...)
 		l.dropChunk(pi, ci+1)
 		return
 	}
-	if ci > 0 && len(p[ci-1])+len(p[ci]) <= chunkMax {
-		p[ci-1] = append(p[ci-1], p[ci]...)
+	if ci > 0 && p[ci-1].len()+p[ci].len() <= chunkMax {
+		p[ci-1].room(p[ci].len())
+		p[ci-1].buf = append(p[ci-1].buf, p[ci].live()...)
 		l.dropChunk(pi, ci)
 	}
 }
@@ -349,29 +367,25 @@ func (l *elist) mergeChunk(pi, ci int) {
 func (l *elist) mergePage(pi int) {
 	if pi+1 < len(l.pages) && len(l.pages[pi])+len(l.pages[pi+1]) <= pageMax {
 		l.pages[pi] = append(l.pages[pi], l.pages[pi+1]...)
-		l.dropPage(pi + 1)
+		l.pages = slices.Delete(l.pages, pi+1, pi+2)
 		return
 	}
 	if pi > 0 && len(l.pages[pi-1])+len(l.pages[pi]) <= pageMax {
 		l.pages[pi-1] = append(l.pages[pi-1], l.pages[pi]...)
-		l.dropPage(pi)
+		l.pages = slices.Delete(l.pages, pi, pi+1)
 	}
 }
 
-// eachRot walks every entry exactly once starting at a rotated position
-// derived from r — chunk index and in-chunk offset are picked independently,
-// so distinct workers probing the same index start on distinct cache lines —
-// until fn returns false; it reports whether the walk ran to completion.
-// The distribution over entries need not be uniform: rotation exists to
-// decorrelate concurrent searchers (the model's nondeterministic selection),
-// and the walk stays exhaustive, which is what correctness needs. fn gets each
+// eachRot walks every entry exactly once, until fn returns false, from a
+// position derived from r — chunk and in-chunk offset picked independently;
+// not uniform, but exhaustive, which is what the model's nondeterministic
+// selection needs — and reports whether it ran to completion. fn gets each
 // entry with its slot, the hint a Ref carries to the commit.
 func (l *elist) eachRot(r uint64, fn func(*entry, slot) bool) bool {
 	if l.nchunks == 0 {
 		return true
 	}
-	// Locate the rotated global chunk index; the page scan is O(#pages),
-	// which eachRot callers (one scan per probe over many candidates) absorb.
+	// The rotated chunk; the page scan is O(#pages), once per walk.
 	g := int(uint32(r) % uint32(l.nchunks))
 	pi := 0
 	for g >= len(l.pages[pi]) {
@@ -379,12 +393,12 @@ func (l *elist) eachRot(r uint64, fn func(*entry, slot) bool) bool {
 		pi++
 	}
 	ci := g
-	start := l.pages[pi][ci]
-	off := int(uint32(r>>32) % uint32(len(start)))
+	n := l.pages[pi][ci].len()
+	off := int(uint32(r>>32) % uint32(n))
 	// run walks chunk c of page p from offset i to j.
 	run := func(p, c, i, j int) bool {
 		at := epos{p, c, i}.slot()
-		for _, e := range l.pages[p][c][i:j] {
+		for _, e := range l.pages[p][c].live()[i:j] {
 			if !fn(e, at) {
 				return false
 			}
@@ -394,7 +408,7 @@ func (l *elist) eachRot(r uint64, fn func(*entry, slot) bool) bool {
 	}
 	// Tail of the starting chunk, the following chunks wrapping around, then
 	// the head of the starting chunk.
-	if !run(pi, ci, off, len(start)) {
+	if !run(pi, ci, off, n) {
 		return false
 	}
 	for p, c := pi, ci; ; {
@@ -408,7 +422,7 @@ func (l *elist) eachRot(r uint64, fn func(*entry, slot) bool) bool {
 		if p == pi && c == ci {
 			break
 		}
-		if !run(p, c, 0, len(l.pages[p][c])) {
+		if !run(p, c, 0, l.pages[p][c].len()) {
 			return false
 		}
 	}

@@ -40,14 +40,14 @@ func checkElist(t *testing.T, l *elist) {
 			t.Fatalf("page %d holds %d chunks > pageMax", pi, len(p))
 		}
 		for ci, c := range p {
-			if len(c) == 0 {
+			if c.len() == 0 {
 				t.Fatalf("page %d chunk %d empty", pi, ci)
 			}
-			if len(c) > chunkMax {
-				t.Fatalf("page %d chunk %d holds %d > chunkMax", pi, ci, len(c))
+			if c.len() > chunkMax {
+				t.Fatalf("page %d chunk %d holds %d > chunkMax", pi, ci, c.len())
 			}
 			nc++
-			for _, e := range c {
+			for _, e := range c.live() {
 				if n > 0 && e.key <= prev {
 					t.Fatalf("keys out of order: %q after %q", e.key, prev)
 				}
@@ -66,22 +66,23 @@ func checkElist(t *testing.T, l *elist) {
 }
 
 // checkElistSlack verifies nothing stale is reachable through capacity beyond
-// a length: every chunk slot past len is nil, and every directory slot past
-// len is empty — except slot 0 of an empty list's directories, where a drain
-// parks its last page and chunk as zero-length slices within the retention
-// bounds (all slots nil) for the next insert to revive.
+// a length: every chunk slot in its gap or past its len is nil, and every
+// directory slot past len is empty — except slot 0 of an empty list's
+// directories, where a drain parks its last page and chunk as zero-length
+// slices within the retention bounds (all slots nil) for the next insert to
+// revive.
 func checkElistSlack(t *testing.T, l *elist) {
 	t.Helper()
-	nilBeyond := func(what string, c []*entry) {
-		for i, e := range c[len(c):cap(c)] {
-			if e != nil {
-				t.Fatalf("%s: slot %d beyond len %d holds %q", what, len(c)+i, len(c), e.key)
+	nilBeyond := func(what string, c chunk) {
+		for i, e := range c.buf[:cap(c.buf)] {
+			if e != nil && (i < c.lo || i >= len(c.buf)) {
+				t.Fatalf("%s: slot %d outside [%d, %d) holds %q", what, i, c.lo, len(c.buf), e.key)
 			}
 		}
 	}
 	emptyBeyond := func(what string, p epage) {
 		for i, c := range p[len(p):cap(p)] {
-			if c != nil {
+			if c.buf != nil {
 				t.Fatalf("%s: chunk header %d beyond len %d not cleared", what, len(p)+i, len(p))
 			}
 		}
@@ -98,9 +99,9 @@ func checkElistSlack(t *testing.T, l *elist) {
 		if len(parked) != 0 || cap(parked) > pageMin || cap(l.pages) > pageMin {
 			t.Fatalf("parked page len %d cap %d (directory cap %d)", len(parked), cap(parked), cap(l.pages))
 		}
-		if chunks := parked[:cap(parked)]; chunks[0] != nil {
-			if len(chunks[0]) != 0 || cap(chunks[0]) > chunkMin {
-				t.Fatalf("parked chunk len %d cap %d", len(chunks[0]), cap(chunks[0]))
+		if chunks := parked[:cap(parked)]; chunks[0].buf != nil {
+			if len(chunks[0].buf) != 0 || chunks[0].lo != 0 || cap(chunks[0].buf) > chunkMin {
+				t.Fatalf("parked chunk len %d lo %d cap %d", len(chunks[0].buf), chunks[0].lo, cap(chunks[0].buf))
 			}
 			nilBeyond("parked chunk", chunks[0])
 			emptyBeyond("parked page", parked[:1])
@@ -219,8 +220,8 @@ func TestElistRotExhaustive(t *testing.T) {
 			if seen[e.key] {
 				t.Fatalf("rot %d: key %q visited twice", rot, e.key)
 			}
-			if p := at.pos(); l.pages[p.pi][p.ci][p.i] != e {
-				t.Fatalf("rot %d: key %q passed with slot %+v, which holds %q", rot, e.key, p, l.pages[p.pi][p.ci][p.i].key)
+			if p := at.pos(); l.pages[p.pi][p.ci].live()[p.i] != e {
+				t.Fatalf("rot %d: key %q passed with slot %+v, which holds %q", rot, e.key, p, l.pages[p.pi][p.ci].live()[p.i].key)
 			}
 			seen[e.key] = true
 			return true

@@ -165,7 +165,7 @@ func TestCheckInvariantsCatchesCorruption(t *testing.T) {
 			l, _ := m.home(symtab.Intern("drained"), true)
 			l.insert(e)
 			l.remove(e.key)
-			l.pages[:1][0][:1][0][:1][0] = e
+			l.pages[:1][0][:1][0].buf[:1][0] = e
 		},
 	} {
 		m, e := build()

@@ -40,7 +40,7 @@ func hintFixture(t *testing.T) (*Multiset, *elist) {
 // entry at p of l, and checks that its slot says p.
 func handleAt(t *testing.T, m *Multiset, sym string, l *elist, p epos) Ref {
 	t.Helper()
-	want := l.pages[p.pi][p.ci][p.i]
+	want := l.pages[p.pi][p.ci].live()[p.i]
 	var got Ref
 	var v View
 	m.LockRead(&v)
@@ -60,8 +60,8 @@ func handleAt(t *testing.T, m *Multiset, sym string, l *elist, p epos) Ref {
 // holds reports whether r's slot still holds its entry in l.
 func holds(l *elist, r Ref) bool {
 	p := r.at.pos()
-	return p.pi < len(l.pages) && p.ci < len(l.pages[p.pi]) && p.i < len(l.pages[p.pi][p.ci]) &&
-		l.pages[p.pi][p.ci][p.i] == r.e
+	return p.pi < len(l.pages) && p.ci < len(l.pages[p.pi]) && p.i < l.pages[p.pi][p.ci].len() &&
+		l.pages[p.pi][p.ci].live()[p.i] == r.e
 }
 
 // consumeChecked commits refs through a write session and checks that the
@@ -95,7 +95,7 @@ func consumeChecked(t *testing.T, m *Multiset, hinted bool, refs ...Ref) {
 func removeChecked(t *testing.T, m *Multiset, l *elist, pi, ci, n int) {
 	t.Helper()
 	var ts []Tuple
-	for _, e := range l.pages[pi][ci][:n] {
+	for _, e := range l.pages[pi][ci].live()[:n] {
 		ts = append(ts, e.tuple)
 	}
 	if !m.TryRemoveAll(ts) {
@@ -109,8 +109,8 @@ func removeChecked(t *testing.T, m *Multiset, l *elist, pi, ci, n int) {
 // growChunk inserts elements right after the head of chunk ci of page pi
 // until it holds n entries (n <= chunkMax: no split).
 func growChunk(m *Multiset, l *elist, pi, ci, n int) {
-	head := l.pages[pi][ci][0].tuple[0].AsInt()
-	for j := 0; len(l.pages[pi][ci]) < n; j++ {
+	head := l.pages[pi][ci].live()[0].tuple[0].AsInt()
+	for j := 0; l.pages[pi][ci].len() < n; j++ {
 		m.Add(hintEl(int(head), fmt.Sprintf("n%05d", j)))
 	}
 }
@@ -124,9 +124,9 @@ func TestHandleSlotHint(t *testing.T) {
 	t.Run("chunk head and tail", func(t *testing.T) {
 		m, l := hintFixture(t)
 		consumeChecked(t, m, true, handleAt(t, m, "H", l, epos{0, 1, 0}))
-		consumeChecked(t, m, true, handleAt(t, m, "H", l, epos{0, 1, len(l.pages[0][1]) - 1}))
+		consumeChecked(t, m, true, handleAt(t, m, "H", l, epos{0, 1, l.pages[0][1].len() - 1}))
 		last := len(l.pages) - 1
-		consumeChecked(t, m, true, handleAt(t, m, "H", l, epos{last, len(l.pages[last]) - 1, len(l.pages[last][len(l.pages[last])-1]) - 1}))
+		consumeChecked(t, m, true, handleAt(t, m, "H", l, epos{last, len(l.pages[last]) - 1, l.pages[last][len(l.pages[last])-1].len() - 1}))
 	})
 	t.Run("two from one chunk, walk order", func(t *testing.T) {
 		m, l := hintFixture(t)
@@ -140,7 +140,7 @@ func TestHandleSlotHint(t *testing.T) {
 	})
 	t.Run("chunk split", func(t *testing.T) {
 		m, l := hintFixture(t)
-		r := handleAt(t, m, "H", l, epos{0, 1, len(l.pages[0][1]) - 1})
+		r := handleAt(t, m, "H", l, epos{0, 1, l.pages[0][1].len() - 1})
 		for j, n := 0, l.nchunks; l.nchunks == n; j++ {
 			m.Add(hintEl(int(r.e.tuple[0].AsInt()), fmt.Sprintf("a%05d", j))) // sorts just before r
 		}
@@ -152,7 +152,7 @@ func TestHandleSlotHint(t *testing.T) {
 	t.Run("merge", func(t *testing.T) {
 		m, l := hintFixture(t)
 		r := handleAt(t, m, "H", l, epos{0, 2, 0})
-		removeChecked(t, m, l, 0, 1, len(l.pages[0][1])-chunkMin)
+		removeChecked(t, m, l, 0, 1, l.pages[0][1].len()-chunkMin)
 		for n := l.nchunks; l.nchunks == n; {
 			removeChecked(t, m, l, 0, 1, 1)
 		}
@@ -167,9 +167,9 @@ func TestHandleSlotHint(t *testing.T) {
 		growChunk(m, l, 0, 2, chunkMax) // neither, it drains to nothing
 		r := handleAt(t, m, "H", l, epos{0, 2, 0})
 		n := l.nchunks
-		removeChecked(t, m, l, 0, 1, len(l.pages[0][1])-1)
+		removeChecked(t, m, l, 0, 1, l.pages[0][1].len()-1)
 		removeChecked(t, m, l, 0, 1, 1)
-		if l.nchunks != n-1 || l.pages[0][1][0] != r.e {
+		if l.nchunks != n-1 || l.pages[0][1].live()[0] != r.e {
 			t.Fatal("chunk 1 was merged, not dropped")
 		}
 		if holds(l, r) {
@@ -181,7 +181,7 @@ func TestHandleSlotHint(t *testing.T) {
 		m, l := hintFixture(t)
 		r := handleAt(t, m, "H", l, epos{1, 0, 0})
 		for j, n := 0, len(l.pages); len(l.pages) == n; j++ {
-			m.Add(hintEl(int(l.pages[0][0][0].tuple[0].AsInt()), fmt.Sprintf("n%05d", j)))
+			m.Add(hintEl(int(l.pages[0][0].live()[0].tuple[0].AsInt()), fmt.Sprintf("n%05d", j)))
 		}
 		if holds(l, r) {
 			t.Fatal("the page split left the slot holding its entry")

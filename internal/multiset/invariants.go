@@ -9,13 +9,11 @@ import (
 
 // CheckInvariants verifies what the commit core and the handle contract rely
 // on, and returns the first violation: Len is the sum of counts; every entry
-// is filed exactly once, in its home list — the all list of the label index
-// e.li names, which is the one labels holds for its label, or bare — and, iff
-// that label is bucketed, in its bucket; lists ascend by key and order by
-// symbol; an unbucketed label maps no bucket, and no bucket is both inline and
-// spilled, or mapped empty; freelist entries are zeroed except gen; drained
-// lists hold only nil slots. A full walk under a read View — the differential
-// and stress tests call it after every commit.
+// is filed once, in its home list (that of the label index e.li names, or
+// bare) and, iff its label is bucketed, in its bucket; lists ascend by key and
+// labels by symbol; no bucket is mapped unbucketed, empty, or both inline and
+// spilled; freelist entries are zeroed but for gen; drained lists hold only
+// nil slots. The differential and stress tests call it after every commit.
 func (m *Multiset) CheckInvariants() error {
 	var v View
 	m.LockRead(&v)
@@ -115,7 +113,7 @@ func (v *View) CheckInvariants() (err error) {
 func (l *elist) drainedClean() bool {
 	for _, p := range l.pages[:cap(l.pages)] {
 		for _, c := range p[:cap(p)] {
-			if slices.ContainsFunc(c[:cap(c)], func(e *entry) bool { return e != nil }) {
+			if slices.ContainsFunc(c.buf[:cap(c.buf)], func(e *entry) bool { return e != nil }) {
 				return false
 			}
 		}

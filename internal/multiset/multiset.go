@@ -1,6 +1,7 @@
 package multiset
 
 import (
+	"bytes"
 	"fmt"
 	"slices"
 	"sort"
@@ -13,19 +14,15 @@ import (
 )
 
 // NoLabelSym is the delta marker ApplyDelta reports for produced tuples that
-// carry no string label field. It cannot collide unsoundly with a real label
-// extracted by Tuple.Label: a real "\x00" label interns to the same symbol
-// and reports itself, which still wakes a superset of the reactions that
-// could match — see gamma's subscription index.
+// carry no string label field. A real "\x00" label shares it, which only
+// wakes a superset of the reactions that could match (gamma's subscriptions).
 var NoLabelSym = symtab.Intern("\x00")
 
 // entry is one distinct tuple with its multiplicity. key caches Tuple.Key()
-// (the ordering of every list), li is the label index whose all list is the
-// entry's home — nil for an unlabeled tuple, whose home is the bare list — and
-// tag caches the index tag, so unlinking re-derives and looks up nothing. owner
-// and gen are what make a Ref checkable: owner is the id of the Multiset the
-// entry is linked in (0 on a freelist), and gen is bumped every time the
-// struct is unlinked. Both fit the padding: the struct is a hot allocation.
+// (the ordering of every list), li the label index whose all list is its home
+// (nil: the bare list) and tag the index tag, so unlinking looks up nothing.
+// owner (the Multiset's id, 0 on a freelist) and gen (bumped on every unlink)
+// make a Ref checkable, in what was padding.
 type entry struct {
 	tuple  Tuple
 	key    string
@@ -40,14 +37,12 @@ type entry struct {
 // Ref is an element handle: what a View hands the matcher, and what a Delta
 // carries back to the commit, in place of the key string. It is valid under
 // the View that issued it, and afterwards only in a commit on the same
-// Multiset, which claims it under the write lock: a Ref whose entry was
-// consumed since (even if the struct was re-issued for another tuple — gen
-// moved) or is another Multiset's (owner differs) fails its claim, never aliases.
+// Multiset: a Ref whose entry was consumed since (gen moved, even if the struct
+// was re-issued) or is another Multiset's (owner) fails its claim.
 //
-// at is where the issuing walk met the entry, packed into what was padding (a
-// Ref is 16 bytes): the commit unlinks there after one check, and searches by
-// key only when the check fails. It is not part of the handle's identity —
-// one entry met through two walks carries two slots (see Same).
+// at is where the issuing walk met the entry, in what was padding: the commit
+// unlinks there after one check, and searches by key only when it fails. It
+// is not part of the handle's identity (see Same).
 type Ref struct {
 	e   *entry
 	gen uint32
@@ -70,12 +65,10 @@ const freeMax = 1024
 // value is not usable; call New.
 //
 // An entry has one home: its label's all list (labelIndex in elist.go), or
-// bare when it carries no label. Every list ascends by key and no hash of keys
-// stands beside them: the binary search that finds where a tuple belongs is
-// what finds it already there (locate), so produce, the key-addressed front
-// door and unlink resolve a key the same way, in a list that for an Algorithm
-// 1 image holds 0–2 entries. Enumeration is an in-order walk of a maintained
-// list; add and unlink are the only code that touches the lists.
+// bare when it carries no label. Every list ascends by key, and no hash of
+// keys stands beside them: the search that places a tuple is what finds it
+// already there (locate). Enumeration is an in-order walk of a list; file and
+// unlink are the only code that links or unlinks an entry.
 type Multiset struct {
 	id   uint32 // process-unique, never 0: what binds a Ref to its Multiset
 	mu   sync.RWMutex
@@ -92,25 +85,88 @@ type Multiset struct {
 	arena   arena
 	scratch deltaScratch // commit's bookkeeping, reused under the write lock
 	size    atomic.Int64 // total element count incl. multiplicity
-	// commitSeq numbers committed writes (commit's seq). A sequence number
-	// taken while the writer still holds the lock is a valid linearization of
-	// the execution: a firing that consumes another firing's product takes the
-	// lock after the producer released it, so the producer's number is always
-	// the smaller one. Replay recorders sort on it to turn a nondeterministic
-	// parallel run into a sequential schedule. It is the multiset's own seq, or
-	// in a part of a Partition the seq of the multiset that was split.
+	// commitSeq numbers committed writes (commit's seq), drawn under the
+	// lock, so a consumer's number exceeds its producer's: a linearization
+	// replay recorders sort a parallel run by. It is the multiset's own seq,
+	// or in a part of a Partition that of the multiset that was split.
 	commitSeq *atomic.Uint64
 	seq       atomic.Uint64
 }
 
-// New returns an empty multiset, optionally pre-populated with tuples.
+// New returns a multiset holding tuples — what adding them one by one gives,
+// built in one pass (build).
 func New(tuples ...Tuple) *Multiset {
 	m := &Multiset{id: lastID.Add(1)}
 	m.commitSeq = &m.seq
-	for _, t := range tuples {
-		m.Add(t)
-	}
+	m.build(tuples, false)
 	return m
+}
+
+// build files ts into m, new and unshared, as len(ts) Adds would — labels
+// interned in argument order (so the walk order is theirs), the same entries,
+// counts and list order — but sorts once: keys rendered into one buffer,
+// elements sorted by key (which holds the label, so each list's run ascends)
+// and equal keys folded, then entries, keys and — unless owned, cells Parse
+// scanned into m's arena — cells carved as one run each (arena.reserve) and
+// filed at their lists' ends (tail).
+func (m *Multiset) build(ts []Tuple, owned bool) {
+	if len(ts) == 0 {
+		return
+	}
+	type elem struct {
+		sym    symtab.Sym
+		i      int32 // index in ts
+		k0, k1 int   // the key, kb[k0:k1]
+	}
+	es := make([]elem, len(ts))
+	kb := make([]byte, 0, 12*len(ts)) // about a pair's key each
+	cells := 0
+	for i, t := range ts {
+		es[i] = elem{symtab.None, int32(i), len(kb), 0}
+		if l, ok := t.Label(); ok && i > 0 && es[i-1].sym != symtab.None && l == ts[i-1][1].AsString() {
+			es[i].sym = es[i-1].sym // a run of one label interns it once
+		} else if ok {
+			es[i].sym = symtab.Intern(l)
+		}
+		kb = t.AppendKey(kb)
+		es[i].k1, cells = len(kb), cells+len(t)
+	}
+	slices.SortFunc(es, func(a, b elem) int { return bytes.Compare(kb[a.k0:a.k1], kb[b.k0:b.k1]) })
+	if owned {
+		cells = 0
+	}
+	m.arena.reserve(len(ts), len(kb), cells)
+	w := tail{m: m}
+	for j := 0; j < len(es); {
+		e, k := es[j], j+1
+		for k < len(es) && bytes.Equal(kb[es[k].k0:es[k].k1], kb[e.k0:e.k1]) { // an equal key is the same tuple
+			k++
+		}
+		t := ts[e.i]
+		if !owned {
+			t = m.arena.cloneTuple(t)
+		}
+		w.file(e.sym, t, m.arena.internKey(kb[e.k0:e.k1]), k-j)
+		j = k
+	}
+	m.size.Store(int64(len(ts)))
+}
+
+// tail files entries arriving ascending in each list (build's sorted run,
+// Clone's walk) at their lists' ends, looking a list up once per run.
+type tail struct {
+	m    *Multiset
+	sym  symtab.Sym
+	home *elist
+	li   *labelIndex
+}
+
+func (w *tail) file(sym symtab.Sym, t Tuple, key string, n int) {
+	if w.home == nil || sym != w.sym {
+		w.sym = sym
+		w.home, w.li = w.m.home(sym, true)
+	}
+	w.m.file(w.home, w.li, w.home.end(), t, key, n)
 }
 
 // labelSymOf interns the tuple's label, or returns symtab.None when t has no
@@ -122,10 +178,8 @@ func labelSymOf(t Tuple) symtab.Sym {
 	return symtab.None
 }
 
-// knownSymOf is the query side's: it resolves t's label without interning it.
-// A label nobody interned is carried by no tuple of any multiset, so the miss
-// (ok false) answers "absent" and leaves the process-global symbol table —
-// which only grows — out of reach of whoever chooses the queries.
+// knownSymOf is the query side's, interning nothing: a label nobody interned
+// is on no tuple (ok false), and queries cannot grow the symbol table.
 func knownSymOf(t Tuple) (sym symtab.Sym, ok bool) {
 	label, labeled := t.Label()
 	if !labeled {
@@ -170,8 +224,7 @@ func IndexTag(v value.Value) (int64, bool) {
 }
 
 // home returns, with the lock held, the list a tuple labeled sym is filed in
-// and its label index (nil for bare). A label's index is made on its first
-// insert; without create an unseen label has no home.
+// and its label index (nil for bare), made on its first insert if create.
 func (m *Multiset) home(sym symtab.Sym, create bool) (*elist, *labelIndex) {
 	if sym == symtab.None {
 		return &m.bare, nil
@@ -205,9 +258,8 @@ func find[K string | []byte](m *Multiset, sym symtab.Sym, key K) *entry {
 }
 
 // add files, with the write lock held, n occurrences of t, whose fingerprint
-// is key and label sym: one search of t's home list finds the tuple there (its
-// count grows, no list does) or where a new entry goes. The key string is
-// materialized only for a new entry.
+// is key and label sym: one search of its home list finds the tuple there
+// (its count grows) or where a new entry, and only then its key string, goes.
 func (m *Multiset) add(t Tuple, key []byte, sym symtab.Sym, n int) {
 	home, li := m.home(sym, true)
 	if at, e := locate(home, key); e != nil {
@@ -236,10 +288,9 @@ func (m *Multiset) file(home *elist, li *labelIndex, at epos, t Tuple, key strin
 	}
 }
 
-// unlink removes e from its home list — at the slot hint if e is still there
-// (seek) — and its bucket, with the write lock held, and retires the struct:
-// gen moves, so outstanding Refs fail their claim, and the rest is zeroed
-// (dropping the tuple and key) before it joins the freelist.
+// unlink removes e from its home list (at the slot hint if it still holds e)
+// and its bucket, with the write lock held, and retires the struct to the
+// freelist zeroed but for gen, which moves: outstanding Refs fail their claim.
 func (m *Multiset) unlink(e *entry, hint slot) {
 	if li := e.li; li == nil {
 		m.bare.removeAt(m.bare.seek(e, hint))
@@ -262,10 +313,8 @@ func (m *Multiset) AddAll(ts []Tuple) {
 	}
 }
 
-// deltaScratch holds the per-commit scratch of the commit core so the hot
-// path performs no bookkeeping allocations: the claimed handles, the label
-// symbols of the produce side, the byte buffer a key is rendered into, and
-// the annihilation marks.
+// deltaScratch is the commit core's scratch, reused so a commit allocates no
+// bookkeeping.
 type deltaScratch struct {
 	cents []Ref
 	psyms []symtab.Sym
@@ -291,12 +340,11 @@ func appendSymsDedup(syms []symtab.Sym, add []symtab.Sym) []symtab.Sym {
 	return syms
 }
 
-// commit is the commit core under both doors — View.Commit inside a write
-// session and the key-addressed ApplyDelta — entered with the write lock held:
-// one firing's all-or-nothing claim, then its consume and produce. It reports
-// whether the claim held, appends the deduplicated label symbols of the
-// produced tuples to syms, and when numbered draws the firing's commit
-// sequence number (see Multiset.commitSeq). A failed claim modifies nothing.
+// commit is the core under both doors — View.Commit and ApplyDelta — with the
+// write lock held: one firing's all-or-nothing claim, then its consume and
+// produce. It reports whether the claim held (a failed one modifies nothing),
+// appends the products' label symbols to syms, and when numbered draws the
+// firing's sequence number (Multiset.commitSeq).
 func (m *Multiset) commit(dl *Delta, numbered bool, syms []symtab.Sym) (seq uint64, ok bool, _ []symtab.Sym) {
 	d := &m.scratch
 	if !m.claim(dl, d) {
@@ -312,11 +360,10 @@ func (m *Multiset) commit(dl *Delta, numbered bool, syms []symtab.Sym) (seq uint
 	return seq, true, appendSymsDedup(syms, d.psyms)
 }
 
-// claim resolves the firing's consume side to entries (d.cents) and verifies
-// that it is fully available; nothing is modified. A handle resolves to its
-// entry if that is still the element it was issued for, in this multiset; a
-// key by searching its home list, its label looked up, never interned
-// (knownSymOf). Duplicates within the firing require that many occurrences.
+// claim resolves the firing's consume side to entries (d.cents) and checks,
+// modifying nothing, that all are there: a handle's entry if it is still the
+// element issued, in this multiset; a key's by a search of its home list
+// (knownSymOf: interning nothing). A duplicate needs that many occurrences.
 func (m *Multiset) claim(dl *Delta, d *deltaScratch) bool {
 	d.cents = d.cents[:0]
 	for _, r := range dl.Refs {
@@ -358,22 +405,16 @@ func (m *Multiset) claim(dl *Delta, d *deltaScratch) bool {
 	return true
 }
 
-// apply commits the firing whose claim just passed — the one place entries
-// are unlinked and added by a commit: the claimed entries (d.cents) lose one
-// occurrence each and the produce tuples are inserted, each under the label
-// symbol PSyms names where the caller resolved it, else the tuple's own. A
-// produce tuple equal to a claimed entry's annihilates with it — the net
-// effect on every count is zero, so neither side touches the lists, and the
-// product's key is never rendered. The claim was checked gross, so observable
-// semantics stay exactly remove-then-insert. Entries are unlinked last claim
-// first, at their slot hints (unlink): a firing that consumes two neighbours
-// of one chunk in walk order removes the later one first, and the earlier
-// one's slot still holds it.
+// apply commits the firing whose claim just passed: the claimed entries
+// (d.cents) lose one occurrence each and the products are inserted, under the
+// symbol PSyms names, else their own. A product equal to a claimed entry
+// annihilates with it — no list is touched, no key rendered; the claim was
+// checked gross, so this is still remove-then-insert. Entries unlink last
+// claim first, so of two neighbours met in walk order the earlier one's slot
+// still holds it.
 func (m *Multiset) apply(dl *Delta, d *deltaScratch) {
-	d.psyms, d.ccan, d.pcan = d.psyms[:0], d.ccan[:0], d.pcan[:0]
-	for range d.cents {
-		d.ccan = append(d.ccan, false)
-	}
+	d.psyms, d.ccan, d.pcan = d.psyms[:0], slices.Grow(d.ccan[:0], len(d.cents))[:len(d.cents)], d.pcan[:0]
+	clear(d.ccan)
 	for pi, t := range dl.Produce {
 		sym := symtab.None
 		if dl.PSyms != nil {
@@ -407,10 +448,9 @@ func (m *Multiset) apply(dl *Delta, d *deltaScratch) {
 	}
 }
 
-// TryRemoveAll atomically removes one occurrence of every tuple in ts — all
-// or nothing. Duplicate tuples in ts require that many occurrences. This is
-// the claim half of the two-phase TryRemoveAll/AddAll commit (see AddAll): a
-// produce-less ApplyDelta.
+// TryRemoveAll atomically removes one occurrence of every tuple in ts, all or
+// nothing, duplicates requiring that many: a produce-less ApplyDelta, the
+// claim half of the two-phase TryRemoveAll/AddAll commit (see AddAll).
 func (m *Multiset) TryRemoveAll(ts []Tuple) bool {
 	ok, _ := m.ApplyDelta(ts, nil, nil, nil)
 	return ok
@@ -419,17 +459,13 @@ func (m *Multiset) TryRemoveAll(ts []Tuple) bool {
 // ApplyDelta is one reaction firing's consume+produce as a single commit: it
 // atomically removes one occurrence of every tuple in consume (all-or-nothing,
 // duplicates requiring that many occurrences) and, on success, inserts every
-// tuple in produce, under the write lock. It is the key-addressed front door
-// of the commit (replay, tests and tools that hold tuples, not handles): keys
-// are resolved to entries under the lock and the same core runs as for the
-// matcher's handle-addressed deltas (Delta.Refs, View.Commit). ckeys, when
-// non-nil, must hold Key() of each consume tuple, so the commit does not
-// rebuild them.
+// tuple in produce. It is the key-addressed door of the commit (replay, tests,
+// tools) onto the core the matcher's handles use (View.Commit). ckeys, when
+// non-nil, holds Key() of each consume tuple.
 //
-// On success it appends the deduplicated label symbols of the produced tuples
-// to syms (NoLabelSym standing in for unlabeled tuples) and returns the
-// extended slice — the delta that drives the incremental reaction scheduler.
-// On a failed claim nothing is modified and syms is returned unchanged.
+// On success it appends the deduplicated label symbols of the products to
+// syms (NoLabelSym for unlabeled ones) — what drives the incremental reaction
+// scheduler. On a failed claim nothing is modified and syms is returned as is.
 func (m *Multiset) ApplyDelta(consume []Tuple, ckeys []string, produce []Tuple, syms []symtab.Sym) (bool, []symtab.Sym) {
 	dl := Delta{Consume: consume, CKeys: ckeys, Produce: produce}
 	m.mu.Lock()
@@ -460,10 +496,9 @@ func (m *Multiset) Contains(t Tuple) bool { return m.Count(t) > 0 }
 // Len returns the total number of elements, counting multiplicity.
 func (m *Multiset) Len() int { return int(m.size.Load()) }
 
-// ByLabel returns the distinct tuples labeled label, with their
-// multiplicities and cached keys, in ascending key order. The slice is a
-// snapshot. A label that was never interned has no entries anywhere, so the
-// miss answers without touching the symbol table.
+// ByLabel returns a snapshot of the distinct tuples labeled label, with their
+// multiplicities and cached keys, ascending by key; an unknown label interns
+// nothing.
 func (m *Multiset) ByLabel(label string) (out []Counted) {
 	if sym, ok := symtab.SymOf(label); ok {
 		m.IterSym(sym, func(t Tuple, n int, key string) bool {
@@ -474,11 +509,9 @@ func (m *Multiset) ByLabel(label string) (out []Counted) {
 	return out
 }
 
-// IterSym calls fn once per distinct tuple whose label symbol equals sym, in
-// ascending key order, passing the entry's cached key fingerprint, without
-// copying anything. It is a one-shot View (see LockRead): the read lock is
-// held for the whole iteration, so fn must not mutate the multiset. A caller
-// enumerating more than once per consistent state holds one View.
+// IterSym calls fn once per distinct tuple labeled sym, ascending by key, with
+// the entry's cached key, copying nothing: a one-shot View (LockRead), whose
+// read lock fn must not write under; to enumerate twice, hold one View.
 func (m *Multiset) IterSym(sym symtab.Sym, fn func(t Tuple, n int, key string) bool) {
 	var v View
 	m.LockRead(&v)
@@ -500,11 +533,9 @@ func unref(fn func(t Tuple, n int, key string) bool) func(Ref) bool {
 }
 
 // IterAllRot calls fn once per distinct tuple of the whole multiset with the
-// entry's cached key, list by list, each list from a position derived from rot
-// (View.EachAll). The walk is exhaustive and, for a fixed rot and multiset
-// state, deterministic; only the starting point moves (why the matcher wants
-// that: gamma's eachCandidate). A one-shot View, with IterSym's locking
-// contract.
+// entry's cached key, each list from a position derived from rot (View.EachAll):
+// exhaustive and, for a fixed rot and state, deterministic. A one-shot View,
+// with IterSym's locking contract.
 func (m *Multiset) IterAllRot(rot uint64, fn func(t Tuple, n int, key string) bool) {
 	var v View
 	m.LockRead(&v)
@@ -512,8 +543,7 @@ func (m *Multiset) IterAllRot(rot uint64, fn func(t Tuple, n int, key string) bo
 	v.EachAll(rot, unref(fn))
 }
 
-// Counted pairs a distinct tuple with its multiplicity and, when it comes
-// from a maintained index, the cached Tuple.Key fingerprint.
+// Counted is a distinct tuple, its multiplicity and, from an index, its Key.
 type Counted struct {
 	Tuple Tuple
 	N     int
@@ -558,22 +588,20 @@ func (m *Multiset) eachRot(rot uint64, fn func(*entry, slot) bool) bool {
 }
 
 // Clone returns an independent copy with its own entries and counts, built
-// list by list from what the entries cache — the tuple and key, shared (arena
-// carves are write-once), and the home list — so nothing is copied, rendered,
-// interned or searched for: a walk arrives ascending and every entry goes at
-// its list's end. The source is read-locked for the walk, like ForEach.
+// from what the entries cache — the tuple and key, shared (arena carves are
+// write-once), and the home — with nothing copied, rendered, interned or
+// searched for: each entry goes at its list's end (tail), under a read lock.
 func (m *Multiset) Clone() *Multiset {
 	c := New() // not shared yet: needs no lock
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	var from, li *labelIndex // the source label being walked (nil: bare) and its copy
-	home := &c.bare
+	w := tail{m: c}
 	m.eachRot(0, func(e *entry, _ slot) bool {
-		if e.li != from {
-			from = e.li
-			home, li = c.home(from.sym, true)
+		sym := symtab.None
+		if e.li != nil {
+			sym = e.li.sym
 		}
-		c.file(home, li, home.end(), e.tuple, e.key, e.count)
+		w.file(sym, e.tuple, e.key, e.count)
 		return true
 	})
 	c.size.Store(m.size.Load())
@@ -605,77 +633,70 @@ func (m *Multiset) Equal(o *Multiset) bool {
 // String renders the multiset in the paper's style, sorted for determinism:
 // {[1, 'A1', 0], [5, 'B1', 0]}. Multiplicities repeat the element.
 func (m *Multiset) String() string {
-	var b strings.Builder
-	b.WriteByte('{')
-	first := true
+	var elems []string
 	for _, c := range m.Snapshot() {
-		for i := 0; i < c.N; i++ {
-			if !first {
-				b.WriteString(", ")
-			}
-			first = false
-			b.WriteString(c.Tuple.String())
+		for range c.N {
+			elems = append(elems, c.Tuple.String())
 		}
 	}
-	b.WriteByte('}')
-	return b.String()
+	return "{" + strings.Join(elems, ", ") + "}"
 }
 
 // Parse reads a multiset from its braced source form, e.g.
-// "{[1, 'A1', 0], [5, 'B1', 0]}".
+// "{[1, 'A1', 0], [5, 'B1', 0]}": scanned in place into one run of m's cell
+// chunk, then built in one pass (build). A literal that does not scan
+// interns nothing.
 func Parse(src string) (*Multiset, error) {
 	m := New()
-	if err := parseElems(src, m.Add); err != nil {
+	ts, err := parseElems(src, &m.arena)
+	if err != nil {
 		return nil, err
 	}
+	m.build(ts, true)
 	return m, nil
 }
 
-// parseElems reads the braced source form and hands add each element, in
-// source order.
-func parseElems(src string, add func(Tuple)) error {
+// parseElems reads the braced source form into cells carved from a and
+// returns its elements in source order, each a capacity-clamped tuple over
+// them; the first malformed element is the error.
+func parseElems(src string, a *arena) ([]Tuple, error) {
 	s := strings.TrimSpace(src)
 	if len(s) < 2 || s[0] != '{' || s[len(s)-1] != '}' {
-		return fmt.Errorf("multiset: %q must be braced", src)
+		return nil, fmt.Errorf("multiset: %q must be braced", src)
 	}
 	inner := strings.TrimSpace(s[1 : len(s)-1])
 	if inner == "" {
-		return nil
+		return nil, nil
 	}
-	// Split on commas outside brackets and, like cutField, outside quotes.
-	depth := 0
-	quote := byte(0)
-	start := 0
-	flush := func(end int) error {
-		field := strings.TrimSpace(inner[start:end])
-		if field == "" {
-			return fmt.Errorf("multiset: empty element in %q", src)
+	// Every field but an element's first follows a comma, and so does every
+	// element but the first: the commas bound the cells, which therefore never
+	// leave the run reserved here, and the brackets bound the elements.
+	a.reserve(0, 0, strings.Count(inner, ",")+1)
+	ts := make([]Tuple, 0, strings.Count(inner, "["))
+	for rest, more := inner, true; more; {
+		var elem string
+		elem, rest, more = cutField(rest, true)
+		if elem = strings.TrimSpace(elem); elem == "" {
+			return nil, fmt.Errorf("multiset: empty element in %q", src)
 		}
-		t, err := ParseTuple(field)
-		if err != nil {
-			return err
+		if len(elem) < 2 || elem[0] != '[' || elem[len(elem)-1] != ']' {
+			return nil, fmt.Errorf("multiset: tuple %q must be bracketed", elem)
 		}
-		add(t)
-		return nil
-	}
-	for i := 0; i < len(inner); i++ {
-		switch c := inner[i]; {
-		case quote != 0:
-			if c == quote {
-				quote = 0
+		fields := strings.TrimSpace(elem[1 : len(elem)-1])
+		if fields == "" {
+			return nil, fmt.Errorf("multiset: empty tuple %q", elem)
+		}
+		off := len(a.cells)
+		for more := true; more; {
+			var f string
+			f, fields, more = cutField(fields, false)
+			v, err := value.Parse(f)
+			if err != nil {
+				return nil, fmt.Errorf("multiset: tuple %q: %v", elem, err)
 			}
-		case c == '\'' || c == '"':
-			quote = c
-		case c == '[':
-			depth++
-		case c == ']':
-			depth--
-		case c == ',' && depth == 0:
-			if err := flush(i); err != nil {
-				return err
-			}
-			start = i + 1
+			a.cells = append(a.cells, v)
 		}
+		ts = append(ts, Tuple(a.cells[off:len(a.cells):len(a.cells)]))
 	}
-	return flush(len(inner))
+	return ts, nil
 }

@@ -130,25 +130,33 @@ func TestTupleCompare(t *testing.T) {
 	}
 }
 
+// TestParseTuple: the literal scanner reads one element's fields in place.
 func TestParseTuple(t *testing.T) {
-	got, err := ParseTuple("[1, 'A1', 0]")
+	parse := func(src string) (Tuple, error) {
+		ts, err := parseElems("{"+src+"}", new(arena))
+		if err != nil || len(ts) != 1 {
+			return nil, fmt.Errorf("%d elements, %v", len(ts), err)
+		}
+		return ts[0], nil
+	}
+	got, err := parse("[1, 'A1', 0]")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !got.Equal(IntElem(1, "A1", 0)) {
-		t.Errorf("ParseTuple = %s", got)
+	if !got.Equal(IntElem(1, "A1", 0)) || cap(got) != 3 {
+		t.Errorf("parsed %s, cap %d", got, cap(got))
 	}
 	// String containing a comma must not split.
-	got2, err := ParseTuple("['a,b', 2]")
+	got2, err := parse("['a,b', 2]")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !got2.Equal(Tuple{value.Str("a,b"), value.Int(2)}) {
-		t.Errorf("ParseTuple comma-in-string = %s", got2)
+		t.Errorf("comma-in-string parsed as %s", got2)
 	}
 	for _, bad := range []string{"", "[]", "1, 2", "[1, @]", "[1"} {
-		if _, err := ParseTuple(bad); err == nil {
-			t.Errorf("ParseTuple(%q) should error", bad)
+		if _, err := parse(bad); err == nil {
+			t.Errorf("element %q should error", bad)
 		}
 	}
 }
@@ -380,10 +388,11 @@ func TestParseQuotedBrackets(t *testing.T) {
 }
 
 // FuzzParse feeds the multiset literal parser — gammad's init field, so a
-// hostile-input path — arbitrary text: it must never panic, and whatever it
-// accepts must survive String → Parse unchanged — except a string holding both
-// quote characters (the lenient reader lets `'a'"b'` through as one), which
-// has no escape-free literal form.
+// hostile-input path — arbitrary text: it must never panic, whatever it
+// accepts must be what one Add per element builds (checkParseMatchesAdds),
+// and survive String → Parse unchanged — except a string holding both quote
+// characters (the lenient reader lets `'a'"b'` through as one), which has no
+// escape-free literal form.
 func FuzzParse(f *testing.F) {
 	for _, seed := range []string{
 		"{}", "{[1, 'A1', 0], [5, 'B1', 0], [1, 'A1', 0]}", "{[1.5], [true], ['s']}",
@@ -396,14 +405,13 @@ func FuzzParse(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, src string) {
-		m, err := Parse(src)
-		if err != nil {
+		if !checkParseMatchesAdds(t, src) {
 			return
 		}
+		m, _ := Parse(src)
 		// One entry per Tuple.Equal class of the elements: Key neither merges
 		// distinct tuples nor splits equal ones.
-		var elems []Tuple
-		parseElems(src, func(tp Tuple) { elems = append(elems, tp) })
+		elems, _ := parseElems(src, new(arena))
 		classes := 0
 		for i, tp := range elems {
 			if !slices.ContainsFunc(elems[:i], tp.Equal) {

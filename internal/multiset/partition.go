@@ -2,11 +2,10 @@ package multiset
 
 // Partition empties the session's multiset into k fresh ones — sub-solutions
 // that may each evolve on their own (firings on disjoint elements commute)
-// until Absorb brings back what is left. Entries move, they are not copied: the
-// structs, re-owned, list by list in ascending order, so each lands at its new
-// list's end unsearched, as in Clone. An element with an index tag goes to part
-// tag mod k, keeping one dataflow iteration's operands together; the rest are
-// dealt out in turn. The parts number their commits from m's counter.
+// until Absorb brings back what is left. The entry structs move, re-owned, in
+// walk order, each to its new list's end. An element with an index tag goes to
+// part tag mod k, keeping one dataflow iteration's operands together; the
+// rest are dealt out in turn. The parts number their commits from m's counter.
 func (v *View) Partition(k int) []*Multiset {
 	m := v.session()
 	parts := make([]*Multiset, k)
@@ -66,7 +65,7 @@ func (m *Multiset) adopt(e *entry) {
 	}
 	m.size.Add(int64(e.count))
 	at := home.end()
-	if home.len() > 0 && lastKey(home.pages[at.pi][at.ci]) >= e.key {
+	if home.len() > 0 && home.pages[at.pi][at.ci].lastKey() >= e.key {
 		var have *entry
 		if at, have = locate(home, e.key); have != nil {
 			have.count += e.count

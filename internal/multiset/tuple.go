@@ -3,21 +3,18 @@
 //
 // Elements follow the paper's conventions: a bare scalar is a 1-tuple, the
 // Example-1 elements are pairs [value, label], and the Example-2 elements are
-// triplets [value, label, tag] where the tag is the dynamic-dataflow iteration
-// number. Elements are filed by label so that the reaction matcher — which in
-// converted dataflow programs always constrains the label field — walks one
-// short list per pattern, and a label that outgrows a scan is indexed by tag,
-// so the dynamic tag-matching rule costs O(1) per candidate lookup.
+// triplets [value, label, tag], the tag a dynamic-dataflow iteration number.
+// Elements are filed by label, so the matcher walks one short list per
+// pattern, and a label that outgrows a scan is indexed by tag as well.
 //
-// One reader/writer lock guards the whole structure: a multiset has one
-// writer at a time — the sequential engine holding a write session (View), or
-// a caller of Add / ApplyDelta — and parallelism is private sub-solutions
-// (View.Partition), not goroutines sharing one multiset's lists. A commit is
-// one firing: an all-or-nothing claim of what it consumes, then its products.
+// One reader/writer lock guards the whole structure: one writer at a time —
+// the sequential engine's write session (View), or a caller of Add or
+// ApplyDelta — and parallelism is private sub-solutions (View.Partition). A
+// commit is one firing: an all-or-nothing claim, then its products.
 package multiset
 
 import (
-	"fmt"
+	"cmp"
 	"slices"
 	"strings"
 
@@ -99,16 +96,11 @@ func (t Tuple) Key() string {
 	return string(t.AppendKey(buf[:0]))
 }
 
-// AppendKey appends Key()'s fingerprint of t to b and returns the extended
-// slice — the allocation-free form the commit path searches by, so the key
-// string is materialized only when a genuinely new entry is inserted.
-//
-// Fields are joined by 0x1f, each a kind byte (which disambiguates e.g.
-// Int(2) "2" from Float(2.0) "2.0") and its source rendering. A string's
-// rendering does not escape its quotes, so inside a string field 0x1e and
-// 0x1f are stuffed behind a 0x1e: no field then holds a bare separator, and
-// a string cannot fake a field boundary. Keys without those bytes read as
-// plain renderings.
+// AppendKey appends Key()'s fingerprint of t to b — the allocation-free form
+// the commit path searches by. Fields are joined by 0x1f, each a kind byte
+// (Int(2) "2" is not Float(2.0) "2.0") and its source rendering; inside a
+// string field 0x1e and 0x1f are stuffed behind a 0x1e, so a string cannot
+// fake a field boundary. Keys without those bytes read as plain renderings.
 func (t Tuple) AppendKey(b []byte) []byte {
 	for i, v := range t {
 		if i > 0 {
@@ -176,69 +168,22 @@ func (t Tuple) String() string {
 	return "[" + strings.Join(parts, ", ") + "]"
 }
 
-// Compare orders tuples lexicographically by field string form; used only to
-// produce deterministic snapshots for tests and printing.
+// Compare orders tuples lexicographically, field by field by kind and then
+// string form, a prefix first; used only to produce deterministic snapshots
+// for tests and printing.
 func (t Tuple) Compare(u Tuple) int {
-	n := len(t)
-	if len(u) < n {
-		n = len(u)
-	}
-	for i := 0; i < n; i++ {
-		a, b := t[i].String(), u[i].String()
-		// Order by kind first so mixed-kind multisets sort stably.
-		if ka, kb := t[i].Kind(), u[i].Kind(); ka != kb {
-			if ka < kb {
-				return -1
-			}
-			return 1
-		}
-		if a != b {
-			if a < b {
-				return -1
-			}
-			return 1
+	for i := range min(len(t), len(u)) {
+		if c := cmp.Or(cmp.Compare(t[i].Kind(), u[i].Kind()), strings.Compare(t[i].String(), u[i].String())); c != 0 {
+			return c
 		}
 	}
-	switch {
-	case len(t) < len(u):
-		return -1
-	case len(t) > len(u):
-		return 1
-	}
-	return 0
+	return cmp.Compare(len(t), len(u))
 }
 
-// ParseTuple reads a tuple from its bracketed source form, e.g. "[1, 'A1', 0]".
-func ParseTuple(src string) (Tuple, error) {
-	s := strings.TrimSpace(src)
-	if len(s) < 2 || s[0] != '[' || s[len(s)-1] != ']' {
-		return nil, fmt.Errorf("multiset: tuple %q must be bracketed", src)
-	}
-	inner := strings.TrimSpace(s[1 : len(s)-1])
-	if inner == "" {
-		return nil, fmt.Errorf("multiset: empty tuple %q", src)
-	}
-	n := 0
-	for rest, more := inner, true; more; n++ {
-		_, rest, more = cutField(rest)
-	}
-	t := make(Tuple, 0, n)
-	for rest, more := inner, true; more; {
-		var f string
-		f, rest, more = cutField(rest)
-		v, err := value.Parse(f)
-		if err != nil {
-			return nil, fmt.Errorf("multiset: tuple %q: %v", src, err)
-		}
-		t = append(t, v)
-	}
-	return t, nil
-}
-
-// cutField cuts s at its first comma outside quotes, reporting whether there
-// was one.
-func cutField(s string) (field, rest string, found bool) {
-	var quote byte
+// cutField cuts s at its first comma outside quotes and, for an element of
+// a multiset (nested), outside brackets, reporting whether there was one.
+func cutField(s string, nested bool) (field, rest string, found bool) {
+	depth, quote := 0, byte(0)
 	for i := 0; i < len(s); i++ {
 		switch c := s[i]; {
 		case quote != 0:
@@ -247,7 +192,11 @@ func cutField(s string) (field, rest string, found bool) {
 			}
 		case c == '\'' || c == '"':
 			quote = c
-		case c == ',':
+		case nested && c == '[':
+			depth++
+		case nested && c == ']':
+			depth--
+		case c == ',' && depth == 0:
 			return s[:i], s[i+1:], true
 		}
 	}

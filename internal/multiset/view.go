@@ -3,12 +3,10 @@ package multiset
 import "repro/internal/symtab"
 
 // Delta is one reaction firing's consume/produce sets — the unit of a commit.
-// The consume side is addressed one of two ways: by Refs, the handles the
-// matcher's View issued (Consume is then not read), or, when Refs is nil, by
-// the Consume tuples themselves, with CKeys optionally supplying Key() of
-// each. PSyms, when non-nil, holds the label symbol of each Produce tuple the
-// caller already knows — a kernel resolves its literal product labels once —
-// and symtab.None where it does not.
+// The consume side is addressed by Refs, the handles the matcher's View
+// issued, or when Refs is nil by the Consume tuples, CKeys optionally holding
+// Key() of each. PSyms, when non-nil, holds the label symbol of each Produce
+// tuple the caller already knows (a kernel's literal labels), else symtab.None.
 type Delta struct {
 	Consume []Tuple
 	CKeys   []string
@@ -18,21 +16,16 @@ type Delta struct {
 }
 
 // View is a caller-owned session on the multiset's lock: the matcher's way to
-// enumerate candidates zero-copy, any number of times against one consistent
-// state, walking the live chunked lists from a caller-chosen rotation — 0 is
-// ascending key order, an rng-drawn one is the model's nondeterministic
-// selection without copying or shuffling anything.
+// enumerate candidates zero-copy, any number of times against one state,
+// from a chosen rotation — 0 is ascending key order, an rng-drawn one the
+// model's nondeterministic selection, with nothing copied or shuffled.
 //
-// A read View (LockRead) holds the read lock across a probe (FindMatch) or a
-// query (IterSym): writers wait, so candidates cannot vanish mid-enumeration,
-// and a handle it issued that goes stale afterwards is caught by the commit's
-// claim.
-//
-// A write View (LockWrite) is the session of the multiset's writer, the
-// sequential engine: the write lock taken once, then enumerated and committed
-// to (Commit) with no further lock operation. Its holder owes concurrent
-// readers a bounded wait, so it gives the session up and takes it again at a
-// fixed period.
+// A read View (LockRead) holds the read lock across a probe or a query:
+// candidates cannot vanish mid-enumeration, and a handle that goes stale
+// afterwards fails the commit's claim. A write View (LockWrite) is the
+// writer's session: the lock taken once, then enumerated and committed to
+// (Commit); its holder gives it up and retakes it at a fixed period so
+// readers wait a bounded time.
 //
 // The zero View is ready for locking and reusable after Unlock. Enumerating
 // through a View that is not locked panics: it would race the writer silently.
