@@ -63,6 +63,9 @@ trace-demo:
 # loop-shaped graphs on the firing core: the matching table's invariants
 # walked after every commit, Ticks held to the level fold of the run's
 # schedule, and the schedule replayed with every dependency level reversed),
+# the token store itself (its direct slots and map held to a naive model on
+# scripted and random deliveries, and its invariants walk against seeded
+# defects),
 # the dataflow plan cache (every Graph mutator between two runs against a
 # fresh Clone, and one Graph run from 8 goroutines per engine spelling),
 # gammad's plan cache (cached answers against the uncached pipeline across
@@ -98,7 +101,7 @@ trace-demo:
 # and replay envelopes (whatever either accepts must encode and decode back
 # equal, and the payload rules they share must give both the same verdict).
 stress:
-	$(GO) test -race -count=2 -run 'Cancel|Panic|Fault|Deadline|Wedge|Partition|Absorb|Differential|KernelMatches|ApplyDelta|TestCommit|TestView|Rollup|Replay|Churn|Recycled|Invariant|Handle|Stale|Narrow|Session|Hysteresis|UnknownLabel|PlanCache' \
+	$(GO) test -race -count=2 -run 'Cancel|Panic|Fault|Deadline|Wedge|Partition|Absorb|Differential|KernelMatches|ApplyDelta|TestCommit|TestView|Rollup|Replay|Churn|Recycled|Invariant|Handle|Stale|Narrow|Session|Hysteresis|UnknownLabel|PlanCache|MatchTable' \
 		./internal/gamma/ ./internal/dataflow/ ./internal/rt/ \
 		./internal/expr/ ./internal/multiset/ ./internal/equiv/ \
 		./internal/service/ ./internal/telemetry/ ./internal/replay/ .
@@ -133,7 +136,8 @@ check: vet fmt-check build race bench-check
 # step on the converted Fig. 2 loop (never rising with the trip count, under
 # 400 B, a whole run under 1 kB per step) and the counts of a step on an
 # Algorithm 1 image (no wildcard reaction, pinned steps and probes, 0.2
-# allocations per step);
+# allocations per step) and the bytes of a tournament run on a parsed literal
+# (no more than on the Add-built multiset);
 # allocations and bytes per vertex firing on a re-run of the wide graph (flat
 # in the width, under 1 allocation / 150 B, and short of the first run by
 # the plan's tables); allocations per line and bytes per source byte of
@@ -165,7 +169,7 @@ check-ci: vet fmt-check build bench-check
 	GOMAXPROCS=2 $(GO) test -timeout 2m -count=1 -run 'TestPoolCommitShape' ./internal/gamma/
 	GOMAXPROCS=8 $(GO) test -timeout 2m -count=1 -run 'TestPoolCommitShape' ./internal/gamma/
 	$(GO) test -timeout 2m -count=1 -run 'TestLoopAllocScaling' .
-	$(GO) test -timeout 2m -count=1 -run 'TestAlg1ImageShape' ./internal/gamma/
+	$(GO) test -timeout 2m -count=1 -run 'TestAlg1ImageShape|TestParsedInitRunAllocation' ./internal/gamma/
 	GAMMAFLOW_WALLCLOCK=1 $(GO) test -timeout 2m -count=1 -run 'TestWideAllocShape|TestMatchTableScaling|TestCodecAllocShape' ./internal/dataflow/ ./internal/dfir/
 	$(GO) test -timeout 2m -count=1 -run 'TestParseAllocShape' ./internal/multiset/
 	$(GO) test -timeout 2m -count=1 -run 'TestTraceAllocationCost' ./internal/service/

@@ -7,29 +7,26 @@ import (
 )
 
 // plan is the compiled form of one version of a Graph that every engine and
-// ReplayFire route through: built once per version (Graph.plan) in O(V+E) time
-// and a fixed number of allocations, immutable afterwards and shared by all
-// its runs, overlapping ones included. It holds the incidence structure of
-// "Dataflow Graphs as Matrices" (PAPERS.md) in CSR form — producer→edge rows
-// per (vertex, output port), edge→consumer columns — the op table and the
-// immediates. A firing reads nothing else; the Node supplies what the plan
-// leaves out: names, and a const's initial operand (SetConst may change it).
+// ReplayFire route through: built once per version (Graph.plan) in O(V+E) time,
+// shared by all its runs, overlapping ones included, and immutable but for the
+// const operands SetConst writes through. It holds the incidence structure of
+// "Dataflow Graphs as Matrices" (PAPERS.md) in CSR form as graph-local ints,
+// the op table and the operands: a firing reads one vertex record, one edge
+// record and its row, and a Node only for its name.
 type plan struct {
 	g     *Graph
 	stamp stamp
-	// portBase[v] is the first flat output-port index of vertex v; the row of
-	// flat port f is outEdges[outStart[f]:outStart[f+1]].
-	portBase, outStart, outEdges []int32
-	// edgeTo[e] is the consumer of edge e (-1 terminal), edgePort[e] its
-	// input port. Ports and arities fit a byte: a vertex kind has at most two.
-	edgeTo   []int32
-	edgePort []uint8
-	vert     []vertexOp
-	imm      []value.Value // by vertex id; invalid where the vertex has none
-	fns      []resolvedOp
-	// What run state is sized from: the output edges, the vertices that need
-	// tag matching, the widest operand vector and the tokens the consts emit.
-	terminals, multiPort, maxArity, seeds int
+	vert  []vertexOp
+	// The row of flat output port f is outEdges[outStart[f]:outStart[f+1]].
+	outStart, outEdges []int32
+	edges              []edgeRec
+	vals               []value.Value // the distinct immediates and each const's operand
+	consts             []int32       // the const vertices, in node order
+	labels             []string      // the terminal edges' labels, by output slot
+	fns                []resolvedOp
+	// What run state is sized from: the vertices that need tag matching (a
+	// direct slot each), the widest operand vector and the seed tokens.
+	multiPort, maxArity, seeds int
 }
 
 // opLayout says where a pure vertex's operator finds its operands.
@@ -43,15 +40,23 @@ const (
 	opUnary                    // fn(o[0])
 )
 
-// vertexOp is one vertex's op-table entry: kind and arity, copied so the
-// firing path dispatches without touching the Node, and for pure vertices the
-// operator (an index into plan.fns) and operand layout, decided once per
-// version instead of on every activation.
+// vertexOp is one vertex's record: kind, arity and first flat output port,
+// for pure vertices the operator (an index into plan.fns) and operand layout,
+// and arg, which indexes plan.vals (an immediate, a const's operand) or the
+// token store's direct slots (a multi-port vertex).
 type vertexOp struct {
-	fn     uint16
-	kind   NodeKind
-	layout opLayout
-	arity  uint8
+	portBase, arg int32
+	fn            uint16
+	kind          NodeKind
+	layout        opLayout
+	arity         uint8
+}
+
+// edgeRec is one edge's consumer and input port (a vertex kind has at most
+// two), or -1-slot for a terminal edge, slot indexing plan.labels.
+type edgeRec struct {
+	to   int32
+	port uint8
 }
 
 // resolvedOp is one distinct operator of the graph, resolved once however
@@ -82,26 +87,24 @@ func (g *Graph) plan() (*plan, error) {
 
 // newPlan compiles a graph that passed Validate.
 func newPlan(g *Graph) *plan {
-	nv, ne := len(g.Nodes), len(g.Edges)
-	flat := 0
+	flat, ne := 0, len(g.Edges)
 	for _, n := range g.Nodes {
 		flat += len(n.Out)
 	}
-	ints := make([]int32, (nv+1)+(flat+1)+ne+ne)
+	ints := make([]int32, flat+1+ne)
 	p := &plan{
 		g:        g,
 		stamp:    g.stamp(),
-		portBase: ints[:nv+1],
-		outStart: ints[nv+1 : nv+flat+2],
-		outEdges: ints[nv+flat+2 : nv+flat+2 : nv+flat+2+ne],
-		edgeTo:   ints[nv+flat+2+ne:],
-		edgePort: make([]uint8, ne),
-		vert:     make([]vertexOp, nv),
-		imm:      make([]value.Value, nv),
+		vert:     make([]vertexOp, len(g.Nodes)),
+		outStart: ints[:flat+1],
+		outEdges: ints[flat+1 : flat+1 : flat+1+ne],
+		edges:    make([]edgeRec, ne),
 	}
+	imms := map[value.Value]int32{}
 	f := int32(0)
 	for i, n := range g.Nodes {
-		p.portBase[i] = f
+		vo := p.compile(n)
+		vo.portBase = f
 		for _, edges := range n.Out {
 			p.outStart[f] = int32(len(p.outEdges))
 			for _, e := range edges {
@@ -109,20 +112,27 @@ func newPlan(g *Graph) *plan {
 			}
 			f++
 		}
-		p.vert[i], p.imm[i] = p.compile(n), n.Imm
-		p.maxArity = max(p.maxArity, len(n.In))
-		if len(n.In) > 1 {
-			p.multiPort++
-		}
-		if n.Kind == KindConst {
+		switch {
+		case vo.layout == opImmRight || vo.layout == opImmLeft:
+			k, ok := imms[n.Imm]
+			if !ok {
+				k = int32(len(p.vals))
+				imms[n.Imm], p.vals = k, append(p.vals, n.Imm)
+			}
+			vo.arg = k
+		case vo.arity > 1:
+			vo.arg, p.multiPort = int32(p.multiPort), p.multiPort+1
+		case n.Kind == KindConst:
+			vo.arg, p.vals, p.consts = int32(len(p.vals)), append(p.vals, n.Init), append(p.consts, int32(i))
 			p.seeds += len(n.Out[0])
 		}
+		p.vert[i], p.maxArity = vo, max(p.maxArity, len(n.In))
 	}
-	p.portBase[nv], p.outStart[f] = f, int32(len(p.outEdges))
+	p.outStart[f] = int32(len(p.outEdges))
 	for i, e := range g.Edges {
-		p.edgeTo[i], p.edgePort[i] = int32(e.To), uint8(e.ToPort)
+		p.edges[i] = edgeRec{int32(e.To), uint8(e.ToPort)}
 		if e.To == NoNode {
-			p.terminals++
+			p.edges[i].to, p.labels = -1-int32(len(p.labels)), append(p.labels, e.Label)
 		}
 	}
 	return p
@@ -130,7 +140,7 @@ func newPlan(g *Graph) *plan {
 
 // row returns the out-edge ids of vertex v's output port.
 func (p *plan) row(v int32, port int) []int32 {
-	f := int(p.portBase[v]) + port
+	f := int(p.vert[v].portBase) + port
 	return p.outEdges[p.outStart[f]:p.outStart[f+1]]
 }
 
@@ -182,9 +192,9 @@ func (p *plan) evalPure(id int32, vo vertexOp, o []value.Value) (v value.Value, 
 	case opBinary:
 		v, err = p.fns[vo.fn].bin(o[0], o[1])
 	case opImmRight:
-		v, err = p.fns[vo.fn].bin(o[0], p.imm[id])
+		v, err = p.fns[vo.fn].bin(o[0], p.vals[vo.arg])
 	case opImmLeft:
-		v, err = p.fns[vo.fn].bin(p.imm[id], o[0])
+		v, err = p.fns[vo.fn].bin(p.vals[vo.arg], o[0])
 	default:
 		v, err = p.fns[vo.fn].un(o[0])
 	}

@@ -3,6 +3,7 @@ package dataflow
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/value"
@@ -62,7 +63,7 @@ func TestCompiledPureOpsDifferential(t *testing.T) {
 				operands = []value.Value{randVal(rng), randVal(rng)}
 			}
 		}
-		p := &plan{g: &Graph{Nodes: []*Node{n}}, imm: []value.Value{n.Imm}}
+		p := &plan{g: &Graph{Nodes: []*Node{n}}, vals: []value.Value{n.Imm}}
 		want, wantErr := pureResult(n, operands)
 		got, gotErr := p.evalPure(0, p.compile(n), operands)
 		if (wantErr == nil) != (gotErr == nil) ||
@@ -125,12 +126,21 @@ func TestCompilePureOpsCoversGraph(t *testing.T) {
 		t.Errorf("resolved ops = %d (a→%d, b→%d), want + and < once each", len(p.fns), p.vert[a].fn, p.vert[b].fn)
 	}
 	for _, e := range g.Edges {
-		if NodeID(p.edgeTo[e.ID]) != e.To || (e.To != NoNode && int(p.edgePort[e.ID]) != e.ToPort) {
-			t.Errorf("edge %s: consumer (%d,%d), want (%d,%d)", e.Label, p.edgeTo[e.ID], p.edgePort[e.ID], e.To, e.ToPort)
+		er := p.edges[e.ID]
+		if e.To == NoNode && (er.to >= 0 || p.labels[-1-er.to] != e.Label) ||
+			e.To != NoNode && (NodeID(er.to) != e.To || int(er.port) != e.ToPort) {
+			t.Errorf("edge %s: record %+v, want consumer (%d,%d)", e.Label, er, e.To, e.ToPort)
 		}
 	}
-	if p.terminals != 2 || p.multiPort != 3 || p.maxArity != 2 {
-		t.Errorf("terminals/multiPort/maxArity = %d/%d/%d, want 2/3/2", p.terminals, p.multiPort, p.maxArity)
+	if len(p.labels) != 2 || p.multiPort != 3 || p.maxArity != 2 {
+		t.Errorf("terminals/multiPort/maxArity = %d/%d/%d, want 2/3/2", len(p.labels), p.multiPort, p.maxArity)
+	}
+	// Direct slots are dense over the multi-port vertices, and the one
+	// immediate and the one const each index the operands.
+	if p.vert[a].arg != 0 || p.vert[cmp].arg != 1 || p.vert[st].arg != 2 ||
+		p.vals[p.vert[b].arg] != value.Int(1) || p.vals[p.vert[c].arg] != value.Int(2) || !slices.Equal(p.consts, []int32{int32(c)}) {
+		t.Errorf("vertex args: a %d, lt %d, st %d, b's imm %v, c's operand %v, consts %v",
+			p.vert[a].arg, p.vert[cmp].arg, p.vert[st].arg, p.vals[p.vert[b].arg], p.vals[p.vert[c].arg], p.consts)
 	}
 }
 

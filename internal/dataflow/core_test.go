@@ -78,37 +78,71 @@ func BenchmarkWide(b *testing.B) {
 	}
 }
 
-// checkInvariants states the matching table's structure between two
-// deliveries: a recycled entry is empty with every slot it ever held cleared
-// (it pins no value or key); an entry at rest has at least one empty port —
-// a full set fires — and at least one waiting operand — a drained entry is
-// recycled; and peak has seen every entry.
+// checkInvariants states the token store's structure between two
+// deliveries: a recycled map entry and a free direct slot are empty with
+// every slot they ever held cleared (they pin no value or key); an activation
+// at rest — a used slot or a map entry — has at least one empty port (a full
+// set fires) and at least one waiting operand (a drained one is freed); no
+// tag waits both in a vertex's slot and in the map; used counts the used
+// slots; and peak has seen every activation.
 func (t *matchTable) checkInvariants() error {
-	for _, e := range t.free {
-		for i, q := range e.ports[:cap(e.ports)] {
+	cleared := func(e *matchEntry) error {
+		for i, q := range e.ports {
 			if len(q.items) != 0 || q.head != 0 {
-				return fmt.Errorf("recycled entry: port %d holds %d operands at head %d", i, len(q.items), q.head)
+				return fmt.Errorf("port %d holds %d operands at head %d", i, len(q.items), q.head)
 			}
 			for _, o := range q.items[:cap(q.items)] {
 				if o != (operand{}) {
-					return fmt.Errorf("recycled entry: port %d slot not cleared: %+v", i, o)
+					return fmt.Errorf("port %d slot not cleared: %+v", i, o)
 				}
 			}
 		}
+		return nil
 	}
-	for k, e := range t.entries {
+	atRest := func(e *matchEntry) error {
 		waiting := 0
-		for _, q := range e.ports {
+		for _, q := range e.ports[:e.arity] {
 			if len(q.items) > q.head {
 				waiting++
 			}
 		}
-		if waiting == 0 || waiting == len(e.ports) {
-			return fmt.Errorf("entry %+v at rest with %d of %d ports waiting", k, waiting, len(e.ports))
+		if waiting == 0 || waiting == e.arity {
+			return fmt.Errorf("at rest with %d of %d ports waiting", waiting, e.arity)
+		}
+		return nil
+	}
+	for _, e := range t.free {
+		if err := cleared(e); err != nil {
+			return fmt.Errorf("recycled entry: %v", err)
 		}
 	}
-	if t.peak < len(t.entries) {
-		return fmt.Errorf("peak %d below the %d entries waiting", t.peak, len(t.entries))
+	used := 0
+	for s := range t.direct {
+		d := &t.direct[s]
+		if d.arity == 0 {
+			if err := cleared(d); err != nil {
+				return fmt.Errorf("free slot %d: %v", s, err)
+			}
+			continue
+		}
+		used++
+		if err := atRest(d); err != nil {
+			return fmt.Errorf("slot %d tag %d: %v", s, d.tag, err)
+		}
+		if t.entries[matchKey{int64(s), d.tag}] != nil {
+			return fmt.Errorf("slot %d: tag %d waits in the slot and in the map", s, d.tag)
+		}
+	}
+	if used != t.used {
+		return fmt.Errorf("%d slots in use, counted %d", used, t.used)
+	}
+	for k, e := range t.entries {
+		if err := atRest(e); err != nil {
+			return fmt.Errorf("entry %+v: %v", k, err)
+		}
+	}
+	if t.peak < used+len(t.entries) {
+		return fmt.Errorf("peak %d below the %d slots and %d entries waiting", t.peak, used, len(t.entries))
 	}
 	return nil
 }
@@ -129,21 +163,24 @@ func checkMatchTables(t testing.TB) {
 // into a table it passes, and requires it to be reported.
 func TestMatchTableInvariantsCatchDefects(t *testing.T) {
 	val := value.Int(7)
-	// Two entries waiting on port 0, one recycled after firing.
+	// Slot 0 waits on tag 0 and the map on tags 1 and 2; tag 2 fires and its
+	// entry is recycled. Slot 1 matches tag 5 and is free again.
 	healthy := func() *matchTable {
-		tb := &matchTable{keyed: true}
+		tb := &matchTable{keyed: true, direct: make([]matchEntry, 2)}
 		for tag := int64(0); tag < 3; tag++ {
 			tb.arrive(0, 2, 0, tag, val, "k", nil, nil)
 		}
-		if _, _, ready := tb.arrive(0, 2, 1, 2, val, "k", nil, nil); !ready || len(tb.free) != 1 || len(tb.entries) != 2 {
-			t.Fatalf("fixture: ready %v, %d free, %d entries", ready, len(tb.free), len(tb.entries))
+		tb.arrive(1, 2, 0, 5, val, "k", nil, nil)
+		_, _, ready2 := tb.arrive(0, 2, 1, 2, val, "k", nil, nil)
+		_, _, ready5 := tb.arrive(1, 2, 1, 5, val, "k", nil, nil)
+		if !ready2 || !ready5 || len(tb.free) != 1 || len(tb.entries) != 1 || tb.used != 1 {
+			t.Fatalf("fixture: ready %v %v, %d free, %d entries, %d slots used", ready2, ready5, len(tb.free), len(tb.entries), tb.used)
 		}
 		return tb
 	}
 	if err := healthy().checkInvariants(); err != nil {
 		t.Fatalf("healthy table: %v", err)
 	}
-	resting := func(tb *matchTable) *matchEntry { return tb.entries[matchKey{0, 0}] }
 	for _, d := range []struct {
 		name   string
 		damage func(tb *matchTable)
@@ -157,15 +194,34 @@ func TestMatchTableInvariantsCatchDefects(t *testing.T) {
 			q.items[:1][0] = operand{key: "pinned"}
 		}},
 		{"recycled slot of the second port pins its value", func(tb *matchTable) {
-			q := &tb.free[0].ports[:2][1]
+			q := &tb.free[0].ports[1]
 			q.items = append(q.items, operand{val: val})[:0]
 		}},
-		{"complete operand set left waiting", func(tb *matchTable) {
-			e := resting(tb)
+		{"free slot still holds an operand", func(tb *matchTable) {
+			q := &tb.direct[1].ports[0]
+			q.items = append(q.items, operand{val: val})
+		}},
+		{"free slot not rewound", func(tb *matchTable) { tb.direct[1].ports[0].head = 1 }},
+		{"free slot pins its key", func(tb *matchTable) {
+			q := &tb.direct[1].ports[0]
+			q.items[:1][0] = operand{key: "pinned"}
+		}},
+		{"complete operand set left waiting in a slot", func(tb *matchTable) {
+			e := &tb.direct[0]
 			e.ports[1].items = append(e.ports[1].items, operand{val: val})
 		}},
-		{"drained entry not recycled", func(tb *matchTable) { resting(tb).ports[0].pop() }},
-		{"peak below the entries", func(tb *matchTable) { tb.peak = len(tb.entries) - 1 }},
+		{"complete operand set left waiting in the map", func(tb *matchTable) {
+			e := tb.entries[matchKey{0, 1}]
+			e.ports[1].items = append(e.ports[1].items, operand{val: val})
+		}},
+		{"drained slot not freed", func(tb *matchTable) { tb.direct[0].ports[0].pop() }},
+		{"drained entry not recycled", func(tb *matchTable) { tb.entries[matchKey{0, 1}].ports[0].pop() }},
+		{"tag split between the slot and the map", func(tb *matchTable) {
+			tb.entries[matchKey{0, 0}] = tb.entries[matchKey{0, 1}]
+			tb.peak++
+		}},
+		{"slots in use miscounted", func(tb *matchTable) { tb.used++ }},
+		{"peak below the activations", func(tb *matchTable) { tb.peak = tb.used + len(tb.entries) - 1 }},
 	} {
 		tb := healthy()
 		d.damage(tb)
@@ -191,7 +247,7 @@ func TestMatchTableScaling(t *testing.T) {
 		var a, b runtime.MemStats
 		runtime.ReadMemStats(&a)
 		t0 := time.Now()
-		var tb matchTable
+		tb := matchTable{direct: make([]matchEntry, 4)}
 		scratch := make([]value.Value, 0, 2)
 		fired := 0
 		for port := 0; port < 2; port++ {
@@ -209,14 +265,15 @@ func TestMatchTableScaling(t *testing.T) {
 					}
 				}
 			}
-			if port == 0 && (tb.peak != n || len(tb.entries) != n || tb.pending() != n) {
-				t.Fatalf("n=%d: %d entries at peak %d holding %d operands, want n each", n, len(tb.entries), tb.peak, tb.pending())
+			if port == 0 && (tb.peak != n || tb.used+len(tb.entries) != n || tb.pending() != n) {
+				t.Fatalf("n=%d: %d activations at peak %d holding %d operands, want n each", n, tb.used+len(tb.entries), tb.peak, tb.pending())
 			}
 		}
 		wall = time.Since(t0)
 		runtime.ReadMemStats(&b)
-		if fired != n || len(tb.entries) != 0 || len(tb.free) != n || tb.pending() != 0 || tb.peak != n {
-			t.Fatalf("n=%d: %d fired, %d waiting, %d recycled, %d pending, peak %d", n, fired, len(tb.entries), len(tb.free), tb.pending(), tb.peak)
+		// The first tag matched in the vertex's direct slot, the others in the map.
+		if fired != n || tb.used+len(tb.entries) != 0 || len(tb.free) != n-1 || tb.pending() != 0 || tb.peak != n {
+			t.Fatalf("n=%d: %d fired, %d waiting, %d recycled, %d pending, peak %d", n, fired, tb.used+len(tb.entries), len(tb.free), tb.pending(), tb.peak)
 		}
 		return float64(b.Mallocs-a.Mallocs) / float64(n), wall
 	}
@@ -316,48 +373,47 @@ func (s refStore) pending() int {
 	return n
 }
 
-// TestMatchTableModel drives random delivery sequences — several tags in
-// flight at one vertex, repeated same-tag tokens on one port (which is what
-// two edges merging into a port look like to the table), arities 1 to 3 —
-// through the shared table and through refStore, and requires the same
-// activations in the same order with the same operand vectors and keys, the
-// same Pending and the table's invariants (checkInvariants) after every
-// delivery.
+// TestMatchTableModel drives delivery sequences — several tags in flight at
+// one vertex, repeated same-tag tokens on one port (which is what two edges
+// merging into a port look like to the table), arities 1 and 2 — through the
+// token store and through refStore, and requires the same activations in the
+// same order with the same operand vectors and keys, the same Pending and the
+// table's invariants (checkInvariants) after every delivery. A scripted
+// sequence drives the overtaking case first: tag 1 parks in the map while the
+// slot holds tag 0, tag 0 drains, and tag 1's next operands must join the map
+// entry, not the free slot; then random sequences follow.
 func TestMatchTableModel(t *testing.T) {
-	for seed := int64(0); seed < 60; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		keyed := seed%2 == 0
-		arities := make([]int, 1+rng.Intn(6))
+	type delivery struct {
+		v, port int
+		tag     int64
+	}
+	drive := func(name string, keyed bool, arities []int, steps func(step int) delivery, n int) (table *matchTable, fired int) {
 		refs := make([]refStore, len(arities))
-		for v := range arities {
-			arities[v] = 1 + rng.Intn(3)
+		for v := range refs {
 			refs[v] = refStore{}
 		}
-		tags := int64(1 + rng.Intn(4))
-		table := matchTable{keyed: keyed}
-		fired := 0
-		for step := 0; step < 400; step++ {
-			v := rng.Intn(len(arities))
-			port, tag := rng.Intn(arities[v]), rng.Int63n(tags)
+		table = &matchTable{keyed: keyed, direct: make([]matchEntry, len(arities))}
+		for step := 0; step < n; step++ {
+			d := steps(step)
 			val, key := value.Int(int64(step)), ""
 			if keyed {
 				key = fmt.Sprintf("k%d", step)
 			}
-			wantVals, wantKeys, wantReady := refs[v].deliver(arities[v], port, tag, val, key)
+			wantVals, wantKeys, wantReady := refs[d.v].deliver(arities[d.v], d.port, d.tag, val, key)
 			// Append behind a sentinel: arrive appends, it does not overwrite.
-			gotVals, gotKeys, ready := table.arrive(int32(v), arities[v], port, tag, val, key,
+			gotVals, gotKeys, ready := table.arrive(int32(d.v), arities[d.v], d.port, d.tag, val, key,
 				[]value.Value{value.Int(-1)}, []string{"sentinel"})
 			if ready != wantReady {
-				t.Fatalf("seed %d step %d: vertex %d/%d port %d tag %d: ready %v, reference %v",
-					seed, step, v, arities[v], port, tag, ready, wantReady)
+				t.Fatalf("%s step %d: vertex %d/%d port %d tag %d: ready %v, reference %v",
+					name, step, d.v, arities[d.v], d.port, d.tag, ready, wantReady)
 			}
 			if !keyed {
 				wantKeys = nil
 			}
 			if !reflect.DeepEqual(gotVals[1:], append([]value.Value{}, wantVals...)) ||
 				!reflect.DeepEqual(gotKeys[1:], append([]string{}, wantKeys...)) {
-				t.Fatalf("seed %d step %d: activation (%v, %v), reference (%v, %v)",
-					seed, step, gotVals[1:], gotKeys[1:], wantVals, wantKeys)
+				t.Fatalf("%s step %d: activation (%v, %v), reference (%v, %v)",
+					name, step, gotVals[1:], gotKeys[1:], wantVals, wantKeys)
 			}
 			if ready {
 				fired++
@@ -367,12 +423,37 @@ func TestMatchTableModel(t *testing.T) {
 				want += r.pending()
 			}
 			if got := table.pending(); got != want {
-				t.Fatalf("seed %d step %d: pending %d, reference %d", seed, step, got, want)
+				t.Fatalf("%s step %d: pending %d, reference %d", name, step, got, want)
 			}
 			if err := table.checkInvariants(); err != nil {
-				t.Fatalf("seed %d step %d: %v", seed, step, err)
+				t.Fatalf("%s step %d: %v", name, step, err)
 			}
 		}
+		return table, fired
+	}
+	script := []delivery{
+		{0, 0, 0}, {0, 0, 1}, {0, 0, 1}, // tag 1 parks twice in the map while the slot holds tag 0
+		{0, 1, 0},            // tag 0 fires and frees the slot
+		{0, 1, 1},            // tag 1 must complete in the map, not park in the free slot
+		{0, 0, 2},            // tag 2 takes the slot
+		{0, 1, 1}, {0, 1, 2}, // and both drain
+	}
+	table, fired := drive("script", true, []int{2}, func(step int) delivery { return script[step] }, len(script))
+	if fired != 4 || table.used != 0 || len(table.entries) != 0 || len(table.free) != 1 || table.peak != 2 {
+		t.Fatalf("script: %d fired, %d slots and %d entries in use, %d recycled, peak %d; want 4, 0, 0, 1, 2",
+			fired, table.used, len(table.entries), len(table.free), table.peak)
+	}
+	for seed := int64(0); seed < 60; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		arities := make([]int, 1+rng.Intn(6))
+		for v := range arities {
+			arities[v] = 1 + rng.Intn(2)
+		}
+		tags := int64(1 + rng.Intn(4))
+		_, fired := drive(fmt.Sprintf("seed %d", seed), seed%2 == 0, arities, func(int) delivery {
+			v := rng.Intn(len(arities))
+			return delivery{v, rng.Intn(arities[v]), rng.Int63n(tags)}
+		}, 400)
 		if fired == 0 {
 			t.Fatalf("seed %d: no activation fired", seed)
 		}
@@ -389,7 +470,7 @@ func TestMatchTableSinglePortBypass(t *testing.T) {
 			t.Fatalf("delivery %d: (%v, %v, %v)", i, vals, keys, ready)
 		}
 	}
-	if table.entries != nil || table.peak != 0 || table.free != nil {
+	if table.entries != nil || table.used != 0 || table.peak != 0 || table.free != nil {
 		t.Errorf("single-port deliveries touched the table: %+v", table)
 	}
 }
@@ -556,6 +637,17 @@ func TestTokenSize(t *testing.T) {
 	}
 }
 
+// TestPlanRecordSize pins the two plan records a firing reads: the vertex's
+// and the edge's that delivered its operand.
+func TestPlanRecordSize(t *testing.T) {
+	if size := unsafe.Sizeof(vertexOp{}); size > 16 {
+		t.Errorf("unsafe.Sizeof(vertexOp{}) = %d B, want <= 16", size)
+	}
+	if size := unsafe.Sizeof(edgeRec{}); size > 8 {
+		t.Errorf("unsafe.Sizeof(edgeRec{}) = %d B, want <= 8", size)
+	}
+}
+
 // TestWideAllocShape is the dataflow allocation-shape gate of `make check-ci`
 // (next to TestLoopAllocScaling): allocations and bytes per
 // firing on a re-run of the wide graph must stay under one allocation and
@@ -601,8 +693,9 @@ func TestWideAllocShape(t *testing.T) {
 			rerun, mallocs = min(rerun, b.TotalAlloc-a.TotalAlloc), min(mallocs, b.Mallocs-a.Mallocs)
 		}
 		p := g.compiled.Load()
-		tables := uint64(4*(len(p.portBase)+len(p.outStart)+cap(p.outEdges)+len(p.edgeTo))+len(p.edgePort)) +
-			uint64(len(p.vert))*uint64(unsafe.Sizeof(vertexOp{})) + uint64(len(p.imm))*uint64(unsafe.Sizeof(value.Value{}))
+		tables := uint64(4*(len(p.outStart)+cap(p.outEdges))) + uint64(len(p.edges))*uint64(unsafe.Sizeof(edgeRec{})) +
+			uint64(len(p.vert))*uint64(unsafe.Sizeof(vertexOp{})) + uint64(len(p.vals))*uint64(unsafe.Sizeof(value.Value{})) +
+			uint64(4*len(p.consts)) + uint64(len(p.labels))*uint64(unsafe.Sizeof(""))
 		allocs := float64(mallocs) / float64(res.Firings)
 		bytes := float64(rerun) / float64(res.Firings)
 		t.Logf("width %d: %.2f allocs, %.0f B per firing; first run %d B, re-run %d B, plan tables %d B",

@@ -376,7 +376,7 @@ func (g *Graph) Clone(name string, rename func(label string) string) *Graph {
 		if rename != nil {
 			label = rename(label)
 		}
-		if _, err := c.connect(e.From, e.FromPort, e.To, e.ToPort, label); err != nil {
+		if _, err := c.Connect(e.From, e.FromPort, e.To, e.ToPort, label); err != nil {
 			// Impossible for a well-formed source graph with injective rename.
 			panic(fmt.Sprintf("dataflow: clone of %s broke: %v", g.Name, err))
 		}

@@ -180,46 +180,57 @@ func (q *portQueue) pop() operand {
 // matchEntry is the waiting state of one (vertex, tag) activation: a queue
 // per input port. At rest at least one queue is empty — a full set fires.
 type matchEntry struct {
-	ports  []portQueue
-	inline [2]portQueue // backs ports: no vertex kind has more than two inputs
+	tag   int64        // a direct slot's activation (a map entry's is its key's)
+	arity int          // the ports in use; 0 on a free direct slot
+	ports [2]portQueue // no vertex kind has more than two inputs
 }
 
-type matchKey struct{ vertex, tag int64 }
+type matchKey struct{ slot, tag int64 }
 
-// matchTable is the tag-matching store of one run: the dynamic dataflow
-// firing rule — a vertex fires when every input port holds an operand with
-// the same tag — for all the graph's vertices, keyed by (vertex, tag).
-// Drained entries are recycled.
+// matchTable is the token store of one run: the dynamic dataflow firing rule
+// — a vertex fires when every input port holds an operand with the same tag.
+// A multi-port vertex matches its current tag in its direct entry,
+// direct[vertexOp.arg], and a second tag waiting at once in the map, keyed by
+// (slot, tag); while the map holds a tag it takes all of that tag's operands,
+// even with the slot free. Drained map entries are recycled.
 type matchTable struct {
+	direct  []matchEntry
 	entries map[matchKey]*matchEntry
 	free    []*matchEntry
-	slab    []matchEntry // fresh entries are carved from fixed-size chunks
-	sizing  int          // entries to size the map for: the graph's multi-port vertices
-	keyed   bool         // operands carry schedule keys
-	peak    int          // most entries waiting at once
+	slab    pool[matchEntry] // fresh map entries are carved from it
+	used    int              // direct entries in use
+	keyed   bool             // operands carry schedule keys
+	peak    int              // most activations waiting at once
 }
 
-// arrive delivers one operand to an input port of the activation (vertex,
-// tag). When that completes the operand set it appends the consumed operands
-// (on a keyed table also their keys) to vals and keys in port order, oldest
-// first per port, and reports true. A one-port vertex is enabled by arrival
-// itself and never touches the table.
-func (t *matchTable) arrive(vertex int32, arity, port int, tag int64, v value.Value, key string, vals []value.Value, keys []string) ([]value.Value, []string, bool) {
+// arrive delivers one operand to an input port of the activation (slot, tag).
+// When that completes the operand set it appends the consumed operands (on a
+// keyed table also their keys) to vals and keys in port order, oldest first
+// per port, and reports true. A one-port vertex is enabled by arrival itself
+// and never touches the table.
+func (t *matchTable) arrive(slot int32, arity, port int, tag int64, v value.Value, key string, vals []value.Value, keys []string) ([]value.Value, []string, bool) {
 	if arity == 1 {
 		if t.keyed {
 			keys = append(keys, key)
 		}
 		return append(vals, v), keys, true
 	}
-	k := matchKey{int64(vertex), tag}
-	e := t.entries[k]
-	if e == nil {
-		e = t.take(arity)
-		if t.entries == nil {
-			t.entries = make(map[matchKey]*matchEntry, t.sizing)
+	d := &t.direct[slot]
+	k, e := matchKey{int64(slot), tag}, d
+	if d.arity == 0 || d.tag != tag {
+		if e = t.entries[k]; e == nil {
+			if d.arity == 0 { // the slot is free and the map holds no part of the tag
+				e, d.tag, t.used = d, tag, t.used+1
+			} else {
+				e = t.take()
+				if t.entries == nil {
+					t.entries = make(map[matchKey]*matchEntry)
+				}
+				t.entries[k] = e
+			}
+			e.arity = arity
+			t.peak = max(t.peak, t.used+len(t.entries))
 		}
-		t.entries[k] = e
-		t.peak = max(t.peak, len(t.entries))
 	}
 	// The set is complete exactly when this port was the only empty one; a
 	// token behind others on its own port waits its turn.
@@ -232,7 +243,7 @@ func (t *matchTable) arrive(vertex int32, arity, port int, tag int64, v value.Va
 		return vals, keys, false
 	}
 	drained := true
-	for i := range e.ports {
+	for i := range e.ports[:arity] {
 		o := operand{val: v, key: key}
 		if i != port {
 			o = e.ports[i].pop()
@@ -243,40 +254,39 @@ func (t *matchTable) arrive(vertex int32, arity, port int, tag int64, v value.Va
 			keys = append(keys, o.key)
 		}
 	}
-	if drained {
+	switch {
+	case !drained:
+	case e == d:
+		d.arity, t.used = 0, t.used-1
+	default:
 		delete(t.entries, k)
 		t.free = append(t.free, e)
 	}
 	return vals, keys, true
 }
 
-// take returns an empty entry with arity port queues, recycled if possible.
-func (t *matchTable) take(arity int) *matchEntry {
-	var e *matchEntry
+// take returns a map entry, recycled if possible.
+func (t *matchTable) take() (e *matchEntry) {
 	if n := len(t.free); n > 0 {
 		e, t.free = t.free[n-1], t.free[:n-1]
-	} else {
-		if len(t.slab) == cap(t.slab) {
-			t.slab = make([]matchEntry, 0, 64)
-		}
-		t.slab = t.slab[:len(t.slab)+1]
-		e = &t.slab[len(t.slab)-1]
-		e.ports = e.inline[:]
+		return e
 	}
-	if cap(e.ports) < arity {
-		e.ports = make([]portQueue, arity)
-	}
-	e.ports = e.ports[:arity]
-	return e
+	return &t.slab.take(1)[0]
 }
 
 // pending totals the operands parked in the table.
 func (t *matchTable) pending() int {
 	n := 0
-	for _, e := range t.entries {
-		for i := range e.ports {
+	count := func(e *matchEntry) {
+		for i := range e.ports[:e.arity] {
 			n += len(e.ports[i].items) - e.ports[i].head
 		}
+	}
+	for _, e := range t.entries {
+		count(e)
+	}
+	for i := range t.direct {
+		count(&t.direct[i])
 	}
 	return n
 }
@@ -329,7 +339,7 @@ func (p *plan) route(id int32, tag int64, operands []value.Value) (int, value.Va
 		v, err := p.evalPure(id, vo, operands)
 		return 0, v, tag, err
 	case KindConst:
-		return 0, p.g.Nodes[id].Init, tag, nil
+		return 0, p.vals[vo.arg], tag, nil
 	case KindSteer:
 		ctl, err := operands[1].Truthy()
 		if err != nil {
@@ -358,19 +368,21 @@ type core struct {
 	opt      Options
 	ctx      context.Context // consulted before every firing
 	match    matchTable
-	operands []value.Value // scratch for one activation's operand vector
-	outputs  map[string][]TaggedValue
-	outSlab  []TaggedValue // the terminal edges, one slot each
-	counts   []int64       // firings per vertex, by NodeID
-	site     int32         // the vertex being fired (-1: none yet), for the panic report
-	fired    int64         // firings so far; the schedule number of the last
+	operands []value.Value     // scratch for one activation's operand vector
+	series   [][]TaggedValue   // the tokens absorbed, by output slot
+	outSlab  pool[TaggedValue] // each series' first token
+	filled   int               // the series holding a token
+	counts   []int64           // firings per vertex, by NodeID
+	site     int32             // the vertex being fired (-1: none yet), for the panic report
+	fired    int64             // firings so far; the schedule number of the last
 }
 
 func newCore(ctx context.Context, p *plan, opt Options) *core {
 	return &core{
 		p: p, opt: opt, ctx: ctx, site: -1,
-		match:    matchTable{keyed: opt.Schedule != nil, sizing: p.multiPort},
+		match:    matchTable{keyed: opt.Schedule != nil, direct: make([]matchEntry, p.multiPort)},
 		operands: make([]value.Value, 0, p.maxArity),
+		series:   make([][]TaggedValue, len(p.labels)),
 		counts:   make([]int64, len(p.vert)),
 	}
 }
@@ -384,18 +396,13 @@ func (c *core) panicError(rec any) error {
 	return rt.NewPanicError("dataflow", site, 0, rec)
 }
 
-// output absorbs a token that arrived on a terminal edge.
-func (c *core) output(tok Token) {
-	if c.outputs == nil {
-		c.outputs = make(map[string][]TaggedValue, c.p.terminals)
-		c.outSlab = make([]TaggedValue, c.p.terminals)
+// output absorbs a token that arrived on the terminal edge of output slot.
+func (c *core) output(slot int32, tok Token) {
+	vs := c.series[slot]
+	if vs == nil { // most labels see one token: a slot of the slab
+		vs, c.filled = c.outSlab.take(1)[:0], c.filled+1
 	}
-	label := c.p.g.Edges[tok.Edge].Label
-	vs, ok := c.outputs[label]
-	if !ok && len(c.outSlab) > 0 { // most labels see one token: a slot of the slab
-		vs, c.outSlab = c.outSlab[:0:1], c.outSlab[1:]
-	}
-	c.outputs[label] = append(vs, TaggedValue{Tag: tok.Tag, Val: tok.Val})
+	c.series[slot] = append(vs, TaggedValue{Tag: tok.Tag, Val: tok.Val})
 }
 
 // overBudget reports whether Options.MaxFirings forbids one more firing.
@@ -456,15 +463,12 @@ var afterCommit func(c *core)
 // Consts fire before any token is routed, so the schedule starts with them
 // in node order, and they draw on the firing budget.
 func (c *core) seed(q *ring) error {
-	for id, vo := range c.p.vert {
-		if vo.kind != KindConst {
-			continue
-		}
-		c.site = int32(id)
+	for _, id := range c.p.consts {
+		c.site = id
 		if c.overBudget() {
 			return ErrMaxFirings
 		}
-		row, v, _, _ := c.commit(int32(id), 0, nil, nil) // a const firing cannot fail
+		row, v, _, _ := c.commit(id, 0, nil, nil) // a const firing cannot fail
 		for _, e := range row {
 			q.push(Token{Val: v, Edge: EdgeID(e)})
 		}
@@ -475,14 +479,14 @@ func (c *core) seed(q *ring) error {
 // finish folds the core into the run's Result — on every exit path, so an
 // early stop reports the work done up to it.
 func (c *core) finish(ticks int64, queuePeak int) *Result {
-	res := &Result{Outputs: c.outputs, Firings: c.fired, Counts: c.counts, Pending: c.match.pending(), Ticks: ticks,
-		MatchPeak: c.match.peak, QueuePeak: queuePeak, g: c.p.g}
-	if res.Outputs == nil {
-		res.Outputs = make(map[string][]TaggedValue)
-	}
-	for _, vs := range res.Outputs {
+	res := &Result{Outputs: make(map[string][]TaggedValue, c.filled), Firings: c.fired, Counts: c.counts,
+		Pending: c.match.pending(), Ticks: ticks, MatchPeak: c.match.peak, QueuePeak: queuePeak, g: c.p.g}
+	for slot, vs := range c.series {
 		if len(vs) > 1 {
 			sort.SliceStable(vs, func(i, j int) bool { return vs[i].Tag < vs[j].Tag })
+		}
+		if vs != nil {
+			res.Outputs[c.p.labels[slot]] = vs
 		}
 	}
 	return res
@@ -551,9 +555,9 @@ func runSequential(c *core) (res *Result, err error) {
 		}
 		left--
 		tok := q.pop()
-		to := p.edgeTo[tok.Edge]
-		if to < 0 {
-			c.output(tok)
+		er := p.edges[tok.Edge]
+		if er.to < 0 {
+			c.output(-1-er.to, tok)
 			inflight--
 			continue
 		}
@@ -561,12 +565,13 @@ func runSequential(c *core) (res *Result, err error) {
 		if c.match.keyed {
 			key = TokenKey(p.g, tok)
 		}
-		operands, keys, ready := c.match.arrive(to, int(p.vert[to].arity), int(p.edgePort[tok.Edge]), tok.Tag, tok.Val, key, c.operands, nil)
+		vo := p.vert[er.to]
+		operands, keys, ready := c.match.arrive(vo.arg, int(vo.arity), int(er.port), tok.Tag, tok.Val, key, c.operands, nil)
 		if !ready {
 			continue
 		}
 		inflight -= len(operands)
-		row, v, tag, err := c.fire(to, tok.Tag, operands, keys)
+		row, v, tag, err := c.fire(er.to, tok.Tag, operands, keys)
 		if err != nil {
 			return nil, err
 		}

@@ -9,6 +9,7 @@ package dataflow
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"sync/atomic"
 
@@ -100,14 +101,12 @@ const NoEdge EdgeID = -1
 // InArity returns the number of input ports the kind requires.
 func (k NodeKind) InArity() int {
 	switch k {
-	case KindConst:
-		return 0
 	case KindArith, KindCompare, KindSteer:
 		return 2
 	case KindIncTag, KindCopy, KindUnaryOp, KindSetTag:
 		return 1
 	}
-	return 0
+	return 0 // a const, or no kind
 }
 
 // OutPorts returns the number of output ports of the kind.
@@ -173,6 +172,15 @@ func NewGraph(name string) *Graph {
 	return &Graph{Name: name, labels: make(map[string]EdgeID)}
 }
 
+// Grow makes room for nodes more vertices and edges more edges, so a decoder
+// that counted them builds the graph without regrowing its tables.
+func (g *Graph) Grow(nodes, edges int) {
+	g.Nodes, g.Edges = slices.Grow(g.Nodes, nodes), slices.Grow(g.Edges, edges)
+	if len(g.labels) == 0 {
+		g.labels = make(map[string]EdgeID, edges)
+	}
+}
+
 func (g *Graph) addNode(kind NodeKind, name, op string, init value.Value) NodeID {
 	id := NodeID(len(g.Nodes))
 	if name == "" {
@@ -191,9 +199,7 @@ func (g *Graph) addNode(kind NodeKind, name, op string, init value.Value) NodeID
 // reducing it to a single input port.
 func (g *Graph) setImm(id NodeID, imm value.Value, immLeft bool) NodeID {
 	n := g.Nodes[id]
-	n.Imm = imm
-	n.ImmLeft = immLeft
-	n.In = n.In[:1:1]
+	n.Imm, n.ImmLeft, n.In = imm, immLeft, n.In[:1:1]
 	g.version++
 	return id
 }
@@ -294,21 +300,17 @@ func (g *Graph) AddSetTag(name string) NodeID {
 	return g.addNode(KindSetTag, name, "", value.Value{})
 }
 
-// Connect adds an edge labelled label from output port fromPort of node from
-// to input port toPort of node to.
-func (g *Graph) Connect(from NodeID, fromPort int, to NodeID, toPort int, label string) (EdgeID, error) {
-	if to == NoNode {
-		return g.connect(from, fromPort, NoNode, 0, label)
-	}
-	return g.connect(from, fromPort, to, toPort, label)
-}
-
 // ConnectOut adds a terminal (output) edge from output port fromPort of from.
 func (g *Graph) ConnectOut(from NodeID, fromPort int, label string) (EdgeID, error) {
-	return g.connect(from, fromPort, NoNode, 0, label)
+	return g.Connect(from, fromPort, NoNode, 0, label)
 }
 
-func (g *Graph) connect(from NodeID, fromPort int, to NodeID, toPort int, label string) (EdgeID, error) {
+// Connect adds an edge labelled label from output port fromPort of node from
+// to input port toPort of node to, or a terminal edge when to is NoNode.
+func (g *Graph) Connect(from NodeID, fromPort int, to NodeID, toPort int, label string) (EdgeID, error) {
+	if to == NoNode {
+		toPort = 0
+	}
 	if label == "" {
 		return NoEdge, fmt.Errorf("dataflow: edge needs a label")
 	}
@@ -376,9 +378,9 @@ func (g *Graph) NodeByName(name string) *Node {
 }
 
 // SetConst re-parameterizes a Const vertex, so a built graph can be re-run on
-// different inputs (the equivalence harness does this). The plan holds no
-// initial operand, so this starts no version and itself refuses the one value
-// Validate would, the invalid Value.
+// different inputs (the equivalence harness does this). It starts no version:
+// it writes through to the current plan's operands, and itself refuses the
+// one value Validate would, the invalid Value.
 func (g *Graph) SetConst(id NodeID, v value.Value) error {
 	n, err := g.node(id)
 	if err != nil {
@@ -391,6 +393,9 @@ func (g *Graph) SetConst(id NodeID, v value.Value) error {
 		return fmt.Errorf("dataflow: const node %s has no value", n.Name)
 	}
 	n.Init = v
+	if p := g.compiled.Load(); p != nil && p.stamp == g.stamp() {
+		p.vals[p.vert[id].arg] = v
+	}
 	return nil
 }
 
@@ -416,6 +421,16 @@ func (g *Graph) RootNodes() []*Node {
 	return out
 }
 
+// kindOps are the operators Validate accepts per operator kind, by name.
+var kindOps = map[NodeKind]struct {
+	word string
+	ops  []string
+}{
+	KindArith:   {"arithmetic", []string{"+", "-", "*", "/", "%"}},
+	KindCompare: {"comparison", []string{"==", "!=", "<", "<=", ">", ">="}},
+	KindUnaryOp: {"unary", []string{"-", "!"}},
+}
+
 // Validate checks structural well-formedness: every input port of every
 // non-const vertex connected, operators known, and at least one vertex. It
 // always walks; a run of the version it passed does not walk again.
@@ -430,29 +445,11 @@ func (g *Graph) Validate() error {
 				return fmt.Errorf("dataflow: node %s (%s) input port %d unconnected", n.Name, n.Kind, port)
 			}
 		}
-		switch n.Kind {
-		case KindArith:
-			switch n.Op {
-			case "+", "-", "*", "/", "%":
-			default:
-				return fmt.Errorf("dataflow: node %s: unknown arithmetic operator %q", n.Name, n.Op)
-			}
-		case KindCompare:
-			switch n.Op {
-			case "==", "!=", "<", "<=", ">", ">=":
-			default:
-				return fmt.Errorf("dataflow: node %s: unknown comparison operator %q", n.Name, n.Op)
-			}
-		case KindUnaryOp:
-			switch n.Op {
-			case "-", "!":
-			default:
-				return fmt.Errorf("dataflow: node %s: unknown unary operator %q", n.Name, n.Op)
-			}
-		case KindConst:
-			if !n.Init.IsValid() {
-				return fmt.Errorf("dataflow: const node %s has no value", n.Name)
-			}
+		if k, ok := kindOps[n.Kind]; ok && !slices.Contains(k.ops, n.Op) {
+			return fmt.Errorf("dataflow: node %s: unknown %s operator %q", n.Name, k.word, n.Op)
+		}
+		if n.Kind == KindConst && !n.Init.IsValid() {
+			return fmt.Errorf("dataflow: const node %s has no value", n.Name)
 		}
 	}
 	g.valid.Store(&st)

@@ -306,15 +306,15 @@ func TestMatrixPendingTokens(t *testing.T) {
 
 // TestIdleProtocolCatchesDroppedOperand seeds the defect "the dataflow engine
 // drops a stuck operand": the afterCommit hook forgets the one operand parked
-// in the matching table. Outputs and firings are unchanged and Pending reads
-// 0, so only the termination cross-check — tokens in flight against operands
-// parked — can see it.
+// in the token store, in the add vertex's direct slot. Outputs and firings
+// are unchanged and Pending reads 0, so only the termination cross-check —
+// tokens in flight against operands parked — can see it.
 func TestIdleProtocolCatchesDroppedOperand(t *testing.T) {
 	dropped := false
 	afterCommit = func(c *core) {
-		for k := range c.match.entries {
-			if !dropped && c.match.pending() == 1 {
-				delete(c.match.entries, k)
+		for i := range c.match.direct {
+			if d := &c.match.direct[i]; !dropped && d.arity > 0 && c.match.pending() == 1 {
+				d.arity, c.match.used = 0, c.match.used-1
 				dropped = true
 			}
 		}

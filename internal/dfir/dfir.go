@@ -100,7 +100,9 @@ func valueLen(v value.Value) int {
 func Unmarshal(src string) (*dataflow.Graph, error) {
 	var g *dataflow.Graph
 	// Every line but an edge may declare a node.
-	names := make(map[string]dataflow.NodeID, strings.Count(src, "\n")+1-strings.Count(src, "\nedge "))
+	edges := strings.Count(src, "\nedge ")
+	nodes := strings.Count(src, "\n") + 1 - edges
+	names := make(map[string]dataflow.NodeID, nodes)
 	var fields []string
 	for lineNo, rest := 1, src; rest != ""; lineNo++ {
 		var line string
@@ -117,6 +119,7 @@ func Unmarshal(src string) (*dataflow.Graph, error) {
 				return nil, errf("expected 'graph <name>' first, got %q", line)
 			}
 			g = dataflow.NewGraph(fields[1])
+			g.Grow(nodes, edges)
 			continue
 		}
 		var id dataflow.NodeID

@@ -418,3 +418,47 @@ func TestProbeLeavesNoClaimStorage(t *testing.T) {
 		t.Errorf("finished probe holds len=%d cap=%d claim slots, want 0 and <= %d", len(s.claims), cap(s.claims), limit)
 	}
 }
+
+// TestParsedInitRunAllocation holds a run on a bulk-built multiset to what the
+// same run allocates on one built by one Add per element: the 9-stage
+// tournament on a 512-pair literal (gammad's init field), whose entries and
+// keys each overflow one arena chunk, so Parse carves them as one run past the
+// chunk maximum. The products carved after that run must continue the way a
+// fresh arena's would, not open a maximum-size chunk for the first of them.
+// The smallest of five runs on each side is compared.
+func TestParsedInitRunAllocation(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are only meaningful without the race detector")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const n, stages = 512, 9
+	p := tournamentProgram(stages)
+	src := tournamentInit(n).String()
+	allocated := func(build func() *multiset.Multiset) uint64 {
+		least := uint64(math.MaxUint64)
+		for i := 0; i < 5; i++ {
+			m := build()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			st, err := Run(p, m, Options{})
+			runtime.ReadMemStats(&after)
+			if err != nil || st.Steps != tournamentSteps(n, stages) {
+				t.Fatalf("run: %v, %d steps", err, st.Steps)
+			}
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+		return least
+	}
+	parsed := allocated(func() *multiset.Multiset {
+		m, err := multiset.Parse(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	})
+	added := allocated(func() *multiset.Multiset { return tournamentInit(n) })
+	t.Logf("run on the parsed literal %d B, on the Add-built multiset %d B", parsed, added)
+	if parsed > added {
+		t.Errorf("the run on the parsed literal allocated %d B, %d B more than on the Add-built multiset", parsed, parsed-added)
+	}
+}

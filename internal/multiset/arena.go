@@ -16,9 +16,9 @@ import (
 //
 // Chunks are geometric: the first of each kind is 1/128 of its maximum
 // (entryChunk, keyChunk, cellChunk), each replacement doubles up to it, and a
-// bulk build's run (reserve) takes one chunk, exactly its size past the
-// maximum. bytes totals the chunk memory carved (Multiset.ArenaBytes). A
-// long-lived carve pins its chunk; all methods need the write lock.
+// bulk build's run (reserve) takes one chunk (nextChunk). bytes totals the
+// chunk memory carved (Multiset.ArenaBytes). A long-lived carve pins its
+// chunk; all methods need the write lock.
 type arena struct {
 	entries []entry
 	keys    []byte
@@ -34,10 +34,11 @@ const (
 
 // nextChunk returns the capacity of the chunk replacing one of capacity c
 // that cannot hold need more items: double, from limit/128, up to limit — or
-// exactly need past the limit, a bulk build's run (reserve).
+// past it a bulk build's run (reserve) rounded up to whole chunks of limit,
+// whose room the single carves after it fill as they would a fresh arena's.
 func nextChunk(c, need, limit int) int {
 	if need > limit {
-		return need
+		return (need + limit - 1) / limit * limit
 	}
 	c = min(max(2*c, limit/128), limit)
 	for c < need {
@@ -65,7 +66,7 @@ func refill[T any](chunk []T, n, limit int, bytes *int64) []T {
 // reserve makes room for a bulk build's n entries, k key bytes and c cells in
 // one chunk each: the geometric chunk a first carve would open when it holds
 // the run — a run that fits a first chunk leaves the room single carves
-// would — else one of exactly the run.
+// would — else one of the run rounded up to whole maximum chunks (nextChunk).
 func (a *arena) reserve(n, k, c int) {
 	a.entries = fit(a.entries, n, entryChunk, &a.bytes)
 	a.keys = fit(a.keys, k, keyChunk, &a.bytes)
