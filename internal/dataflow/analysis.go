@@ -2,7 +2,6 @@ package dataflow
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 	"strings"
 )
@@ -36,21 +35,33 @@ func (g *Graph) CheckLoops() error {
 	}
 	for _, scc := range t.sccs {
 		nontrivial := len(scc) > 1
-		for _, outs := range g.Nodes[scc[0]].Out { // or a self-loop
-			for _, e := range outs {
-				nontrivial = nontrivial || g.Edges[e].To == NodeID(scc[0])
+		if len(scc) == 1 {
+			// Self-loop?
+			v := scc[0]
+			for _, outs := range g.Nodes[v].Out {
+				for _, e := range outs {
+					if g.Edges[e].To == NodeID(v) {
+						nontrivial = true
+					}
+				}
 			}
 		}
-		if !nontrivial || slices.ContainsFunc(scc, func(v int) bool { return g.Nodes[v].Kind == KindIncTag }) {
+		if !nontrivial {
 			continue
 		}
-		names := make([]string, len(scc))
-		for i, v := range scc {
-			names[i] = g.Nodes[v].Name
+		hasIncTag := false
+		var names []string
+		for _, v := range scc {
+			if g.Nodes[v].Kind == KindIncTag {
+				hasIncTag = true
+			}
+			names = append(names, g.Nodes[v].Name)
 		}
-		sort.Strings(names)
-		return fmt.Errorf("dataflow: cycle through {%s} has no inctag vertex; tokens would recirculate at an unchanged tag",
-			strings.Join(names, ", "))
+		if !hasIncTag {
+			sort.Strings(names)
+			return fmt.Errorf("dataflow: cycle through {%s} has no inctag vertex; tokens would recirculate at an unchanged tag",
+				strings.Join(names, ", "))
+		}
 	}
 	return nil
 }
@@ -68,8 +79,11 @@ type tarjan struct {
 }
 
 func (t *tarjan) strongconnect(v int) {
-	t.index[v], t.low[v], t.counter = t.counter, t.counter, t.counter+1
-	t.stack, t.onSt[v] = append(t.stack, v), true
+	t.index[v] = t.counter
+	t.low[v] = t.counter
+	t.counter++
+	t.stack = append(t.stack, v)
+	t.onSt[v] = true
 
 	for _, outs := range t.g.Nodes[v].Out {
 		for _, e := range outs {
@@ -80,9 +94,11 @@ func (t *tarjan) strongconnect(v int) {
 			w := int(to)
 			if t.index[w] == -1 {
 				t.strongconnect(w)
-				t.low[v] = min(t.low[v], t.low[w])
-			} else if t.onSt[w] {
-				t.low[v] = min(t.low[v], t.index[w])
+				if t.low[w] < t.low[v] {
+					t.low[v] = t.low[w]
+				}
+			} else if t.onSt[w] && t.index[w] < t.low[v] {
+				t.low[v] = t.index[w]
 			}
 		}
 	}

@@ -25,8 +25,8 @@ type plan struct {
 	labels             []string      // the terminal edges' labels, by output slot
 	fns                []resolvedOp
 	// What run state is sized from: the vertices that need tag matching (a
-	// direct slot each), the widest operand vector and the seed tokens.
-	multiPort, maxArity, seeds int
+	// direct slot each) and the seed tokens.
+	multiPort, seeds int
 }
 
 // opLayout says where a pure vertex's operator finds its operands.
@@ -126,7 +126,7 @@ func newPlan(g *Graph) *plan {
 			vo.arg, p.vals, p.consts = int32(len(p.vals)), append(p.vals, n.Init), append(p.consts, int32(i))
 			p.seeds += len(n.Out[0])
 		}
-		p.vert[i], p.maxArity = vo, max(p.maxArity, len(n.In))
+		p.vert[i] = vo
 	}
 	p.outStart[f] = int32(len(p.outEdges))
 	for i, e := range g.Edges {

@@ -132,8 +132,8 @@ func TestCompilePureOpsCoversGraph(t *testing.T) {
 			t.Errorf("edge %s: record %+v, want consumer (%d,%d)", e.Label, er, e.To, e.ToPort)
 		}
 	}
-	if len(p.labels) != 2 || p.multiPort != 3 || p.maxArity != 2 {
-		t.Errorf("terminals/multiPort/maxArity = %d/%d/%d, want 2/3/2", len(p.labels), p.multiPort, p.maxArity)
+	if len(p.labels) != 2 || p.multiPort != 3 {
+		t.Errorf("terminals/multiPort = %d/%d, want 2/3", len(p.labels), p.multiPort)
 	}
 	// Direct slots are dense over the multi-port vertices, and the one
 	// immediate and the one const each index the operands.

@@ -375,7 +375,8 @@ func (s refStore) pending() int {
 
 // TestMatchTableModel drives delivery sequences — several tags in flight at
 // one vertex, repeated same-tag tokens on one port (which is what two edges
-// merging into a port look like to the table), arities 1 and 2 — through the
+// merging into a port look like to the table), arities 1 and 2, the only ones
+// Validate lets a vertex have (TestValidationPortCount) — through the
 // token store and through refStore, and requires the same activations in the
 // same order with the same operand vectors and keys, the same Pending and the
 // table's invariants (checkInvariants) after every delivery. A scripted

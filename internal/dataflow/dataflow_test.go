@@ -3,6 +3,7 @@ package dataflow
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -312,6 +313,49 @@ func TestValidationErrors(t *testing.T) {
 	}
 }
 
+// TestValidationPortCount: a vertex whose input ports differ from what its
+// kind takes is refused before it runs, not matched in the token store (two
+// inline ports) or given a direct slot while its layout reads an immediate.
+// Such vertices are only reachable by editing the exported slices.
+func TestValidationPortCount(t *testing.T) {
+	// An arithmetic vertex given a third port by hand, all three fed.
+	g := NewGraph("wide")
+	c0 := g.AddConst("c", value.Int(1))
+	a0 := g.AddArith("a", "+")
+	g.Nodes[a0].In = append(g.Nodes[a0].In, nil)
+	for port, label := range []string{"e0", "e1", "e2"} {
+		if _, err := g.Connect(c0, 0, a0, port, label); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := g.ConnectOut(a0, 0, "out"); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.Validate(); err == nil || !strings.Contains(err.Error(), "3 input ports, want 2") {
+		t.Errorf("three-port arith: Validate = %v", err)
+	}
+	if _, err := Run(g, Options{}); err == nil || !strings.Contains(err.Error(), "3 input ports") {
+		t.Errorf("three-port arith: Run = %v, want the validation error, not a panic", err)
+	}
+	// A fused immediate beside two ports.
+	h := NewGraph("imm2")
+	c := h.AddConst("c", value.Int(1))
+	a := h.AddArithImm("a", "+", value.Int(2))
+	if _, err := h.Connect(c, 0, a, 0, "e1"); err != nil {
+		t.Fatal(err)
+	}
+	h.Nodes[a].In = append(h.Nodes[a].In, []EdgeID{0})
+	if err := h.Validate(); err == nil || !strings.Contains(err.Error(), "2 input ports, want 1") {
+		t.Errorf("immediate beside two ports: Validate = %v", err)
+	}
+	// An input port on a const.
+	k := NewGraph("constin")
+	k.Nodes[k.AddConst("c", value.Int(1))].In = [][]EdgeID{{0}}
+	if err := k.Validate(); err == nil || !strings.Contains(err.Error(), "1 input ports, want 0") {
+		t.Errorf("const with an input port: Validate = %v", err)
+	}
+}
+
 func TestConnectErrors(t *testing.T) {
 	g := NewGraph("conn")
 	c := g.AddConst("c", value.Int(1))
@@ -376,7 +420,7 @@ func (g *Graph) Clone(name string, rename func(label string) string) *Graph {
 		if rename != nil {
 			label = rename(label)
 		}
-		if _, err := c.Connect(e.From, e.FromPort, e.To, e.ToPort, label); err != nil {
+		if _, err := c.connect(e.From, e.FromPort, e.To, e.ToPort, label); err != nil {
 			// Impossible for a well-formed source graph with injective rename.
 			panic(fmt.Sprintf("dataflow: clone of %s broke: %v", g.Name, err))
 		}

@@ -232,30 +232,22 @@ func (t *matchTable) arrive(slot int32, arity, port int, tag int64, v value.Valu
 			t.peak = max(t.peak, t.used+len(t.entries))
 		}
 	}
-	// The set is complete exactly when this port was the only empty one; a
-	// token behind others on its own port waits its turn.
-	ready := len(e.ports[port].items) == 0
-	for i := 0; ready && i < arity; i++ {
-		ready = i == port || len(e.ports[i].items) > 0
-	}
-	if !ready {
-		e.ports[port].items = append(e.ports[port].items, operand{val: v, key: key})
+	// A multi-port vertex has two ports (Validate sees to it), and at rest
+	// one is empty: the set is complete exactly when the other port holds an
+	// operand, and a token behind others on its own port waits its turn.
+	in, other := operand{val: v, key: key}, &e.ports[1-port]
+	if len(other.items) == 0 {
+		e.ports[port].items = append(e.ports[port].items, in)
 		return vals, keys, false
 	}
-	drained := true
-	for i := range e.ports[:arity] {
-		o := operand{val: v, key: key}
-		if i != port {
-			o = e.ports[i].pop()
-			drained = drained && len(e.ports[i].items) == 0
-		}
-		vals = append(vals, o.val)
-		if t.keyed {
-			keys = append(keys, o.key)
-		}
+	o := [2]operand{}
+	o[port], o[1-port] = in, other.pop()
+	vals = append(vals, o[0].val, o[1].val)
+	if t.keyed {
+		keys = append(keys, o[0].key, o[1].key)
 	}
 	switch {
-	case !drained:
+	case len(other.items) > 0:
 	case e == d:
 		d.arity, t.used = 0, t.used-1
 	default:
@@ -278,7 +270,7 @@ func (t *matchTable) take() (e *matchEntry) {
 func (t *matchTable) pending() int {
 	n := 0
 	count := func(e *matchEntry) {
-		for i := range e.ports[:e.arity] {
+		for i := range e.ports {
 			n += len(e.ports[i].items) - e.ports[i].head
 		}
 	}
@@ -368,7 +360,7 @@ type core struct {
 	opt      Options
 	ctx      context.Context // consulted before every firing
 	match    matchTable
-	operands []value.Value     // scratch for one activation's operand vector
+	operands []value.Value     // scratch for one activation's operands (two at most)
 	series   [][]TaggedValue   // the tokens absorbed, by output slot
 	outSlab  pool[TaggedValue] // each series' first token
 	filled   int               // the series holding a token
@@ -381,7 +373,7 @@ func newCore(ctx context.Context, p *plan, opt Options) *core {
 	return &core{
 		p: p, opt: opt, ctx: ctx, site: -1,
 		match:    matchTable{keyed: opt.Schedule != nil, direct: make([]matchEntry, p.multiPort)},
-		operands: make([]value.Value, 0, p.maxArity),
+		operands: make([]value.Value, 0, 2),
 		series:   make([][]TaggedValue, len(p.labels)),
 		counts:   make([]int64, len(p.vert)),
 	}

@@ -101,12 +101,14 @@ const NoEdge EdgeID = -1
 // InArity returns the number of input ports the kind requires.
 func (k NodeKind) InArity() int {
 	switch k {
+	case KindConst:
+		return 0
 	case KindArith, KindCompare, KindSteer:
 		return 2
 	case KindIncTag, KindCopy, KindUnaryOp, KindSetTag:
 		return 1
 	}
-	return 0 // a const, or no kind
+	return 0
 }
 
 // OutPorts returns the number of output ports of the kind.
@@ -199,7 +201,9 @@ func (g *Graph) addNode(kind NodeKind, name, op string, init value.Value) NodeID
 // reducing it to a single input port.
 func (g *Graph) setImm(id NodeID, imm value.Value, immLeft bool) NodeID {
 	n := g.Nodes[id]
-	n.Imm, n.ImmLeft, n.In = imm, immLeft, n.In[:1:1]
+	n.Imm = imm
+	n.ImmLeft = immLeft
+	n.In = n.In[:1:1]
 	g.version++
 	return id
 }
@@ -300,17 +304,21 @@ func (g *Graph) AddSetTag(name string) NodeID {
 	return g.addNode(KindSetTag, name, "", value.Value{})
 }
 
-// ConnectOut adds a terminal (output) edge from output port fromPort of from.
-func (g *Graph) ConnectOut(from NodeID, fromPort int, label string) (EdgeID, error) {
-	return g.Connect(from, fromPort, NoNode, 0, label)
-}
-
 // Connect adds an edge labelled label from output port fromPort of node from
-// to input port toPort of node to, or a terminal edge when to is NoNode.
+// to input port toPort of node to.
 func (g *Graph) Connect(from NodeID, fromPort int, to NodeID, toPort int, label string) (EdgeID, error) {
 	if to == NoNode {
-		toPort = 0
+		return g.connect(from, fromPort, NoNode, 0, label)
 	}
+	return g.connect(from, fromPort, to, toPort, label)
+}
+
+// ConnectOut adds a terminal (output) edge from output port fromPort of from.
+func (g *Graph) ConnectOut(from NodeID, fromPort int, label string) (EdgeID, error) {
+	return g.connect(from, fromPort, NoNode, 0, label)
+}
+
+func (g *Graph) connect(from NodeID, fromPort int, to NodeID, toPort int, label string) (EdgeID, error) {
 	if label == "" {
 		return NoEdge, fmt.Errorf("dataflow: edge needs a label")
 	}
@@ -421,35 +429,51 @@ func (g *Graph) RootNodes() []*Node {
 	return out
 }
 
-// kindOps are the operators Validate accepts per operator kind, by name.
-var kindOps = map[NodeKind]struct {
-	word string
-	ops  []string
-}{
-	KindArith:   {"arithmetic", []string{"+", "-", "*", "/", "%"}},
-	KindCompare: {"comparison", []string{"==", "!=", "<", "<=", ">", ">="}},
-	KindUnaryOp: {"unary", []string{"-", "!"}},
-}
-
-// Validate checks structural well-formedness: every input port of every
-// non-const vertex connected, operators known, and at least one vertex. It
-// always walks; a run of the version it passed does not walk again.
+// Validate checks structural well-formedness: every vertex with the input
+// ports its kind takes (one fewer for a fused immediate), each connected,
+// operators known, and at least one vertex. It always walks; a run of the
+// version it passed does not walk again.
 func (g *Graph) Validate() error {
 	st := g.stamp()
 	if len(g.Nodes) == 0 {
 		return fmt.Errorf("dataflow: graph %s has no nodes", g.Name)
 	}
 	for _, n := range g.Nodes {
+		want := n.Kind.InArity()
+		if n.Imm.IsValid() && (n.Kind == KindArith || n.Kind == KindCompare) {
+			want--
+		}
+		if len(n.In) != want {
+			return fmt.Errorf("dataflow: node %s (%s) has %d input ports, want %d", n.Name, n.Kind, len(n.In), want)
+		}
 		for port, ins := range n.In {
 			if len(ins) == 0 {
 				return fmt.Errorf("dataflow: node %s (%s) input port %d unconnected", n.Name, n.Kind, port)
 			}
 		}
-		if k, ok := kindOps[n.Kind]; ok && !slices.Contains(k.ops, n.Op) {
-			return fmt.Errorf("dataflow: node %s: unknown %s operator %q", n.Name, k.word, n.Op)
-		}
-		if n.Kind == KindConst && !n.Init.IsValid() {
-			return fmt.Errorf("dataflow: const node %s has no value", n.Name)
+		switch n.Kind {
+		case KindArith:
+			switch n.Op {
+			case "+", "-", "*", "/", "%":
+			default:
+				return fmt.Errorf("dataflow: node %s: unknown arithmetic operator %q", n.Name, n.Op)
+			}
+		case KindCompare:
+			switch n.Op {
+			case "==", "!=", "<", "<=", ">", ">=":
+			default:
+				return fmt.Errorf("dataflow: node %s: unknown comparison operator %q", n.Name, n.Op)
+			}
+		case KindUnaryOp:
+			switch n.Op {
+			case "-", "!":
+			default:
+				return fmt.Errorf("dataflow: node %s: unknown unary operator %q", n.Name, n.Op)
+			}
+		case KindConst:
+			if !n.Init.IsValid() {
+				return fmt.Errorf("dataflow: const node %s has no value", n.Name)
+			}
 		}
 	}
 	g.valid.Store(&st)

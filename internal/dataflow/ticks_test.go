@@ -314,7 +314,7 @@ func TestIdleProtocolCatchesDroppedOperand(t *testing.T) {
 	afterCommit = func(c *core) {
 		for i := range c.match.direct {
 			if d := &c.match.direct[i]; !dropped && d.arity > 0 && c.match.pending() == 1 {
-				d.arity, c.match.used = 0, c.match.used-1
+				d.ports, d.arity, c.match.used = [2]portQueue{}, 0, c.match.used-1
 				dropped = true
 			}
 		}
