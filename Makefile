@@ -67,7 +67,9 @@ trace-demo:
 # scripted and random deliveries, and its invariants walk against seeded
 # defects),
 # the dataflow plan cache (every Graph mutator between two runs against a
-# fresh Clone, and one Graph run from 8 goroutines per engine spelling),
+# fresh Clone, and one Graph run from 8 goroutines per engine spelling) and
+# the run state a plan lends (early stops, parked operands and grown graphs
+# against fresh runs),
 # gammad's plan cache (cached answers against the uncached pipeline across
 # tenants under concurrent submissions, error order, the bounds, replay hits),
 # the service-side traced-run differential: per-tenant/per-engine registry
@@ -101,7 +103,7 @@ trace-demo:
 # and replay envelopes (whatever either accepts must encode and decode back
 # equal, and the payload rules they share must give both the same verdict).
 stress:
-	$(GO) test -race -count=2 -run 'Cancel|Panic|Fault|Deadline|Wedge|Partition|Absorb|Differential|KernelMatches|ApplyDelta|TestCommit|TestView|Rollup|Replay|Churn|Recycled|Invariant|Handle|Stale|Narrow|Session|Hysteresis|UnknownLabel|PlanCache|MatchTable' \
+	$(GO) test -race -count=2 -run 'Cancel|Panic|Fault|Deadline|Wedge|Partition|Absorb|Differential|KernelMatches|ApplyDelta|TestCommit|TestView|Rollup|Replay|Churn|Recycled|Invariant|Handle|Stale|Narrow|Session|Hysteresis|UnknownLabel|PlanCache|RunStateReuse|MatchTable' \
 		./internal/gamma/ ./internal/dataflow/ ./internal/rt/ \
 		./internal/expr/ ./internal/multiset/ ./internal/equiv/ \
 		./internal/service/ ./internal/telemetry/ ./internal/replay/ .
@@ -139,8 +141,10 @@ check: vet fmt-check build race bench-check
 # allocations per step) and the bytes of a tournament run on a parsed literal
 # (no more than on the Add-built multiset);
 # allocations and bytes per vertex firing on a re-run of the wide graph (flat
-# in the width, under 1 allocation / 150 B, and short of the first run by
-# the plan's tables); allocations per line and bytes per source byte of
+# in the width, under 1 allocation / 14 B, three allocations besides the
+# Outputs map at every width, and short of the first run by the plan's
+# tables); allocations per replayed dataflow step (never rising with the
+# width); allocations per line and bytes per source byte of
 # decoding the wide graph's dfir text (under 1.5 and 16, never rising with the
 # width) and the one allocation of encoding it; allocations and bytes per
 # element of parsing a multiset literal (under 0.25 and 320 B from 256
@@ -164,7 +168,7 @@ check-ci: vet fmt-check build bench-check
 	GOMAXPROCS=2 $(GO) test -race -timeout 5m -count=10 -run 'Partition|Differential' ./internal/gamma/ ./internal/multiset/ ./internal/replay/
 	GOMAXPROCS=8 $(GO) test -race -timeout 5m -count=10 -run 'Partition|Differential' ./internal/gamma/ ./internal/multiset/ ./internal/replay/
 	$(GO) test -race -timeout 2m -count=2 -run 'Golden|Replay' ./internal/replay/ ./internal/service/ ./cmd/gammarun/ ./cmd/dfrun/
-	$(GO) test -race -timeout 2m -count=10 -run 'TestPlanCache' ./internal/dataflow/ ./internal/service/
+	$(GO) test -race -timeout 2m -count=10 -run 'TestPlanCache|TestRunStateReuse' ./internal/dataflow/ ./internal/service/
 	GAMMAFLOW_WALLCLOCK=1 $(GO) test -timeout 2m -count=1 -run 'TestLabelFreeScaling|TestWakePolicyScaling|TestHomeList' ./internal/gamma/
 	GOMAXPROCS=2 $(GO) test -timeout 2m -count=1 -run 'TestPoolCommitShape' ./internal/gamma/
 	GOMAXPROCS=8 $(GO) test -timeout 2m -count=1 -run 'TestPoolCommitShape' ./internal/gamma/
@@ -173,4 +177,4 @@ check-ci: vet fmt-check build bench-check
 	GAMMAFLOW_WALLCLOCK=1 $(GO) test -timeout 2m -count=1 -run 'TestWideAllocShape|TestMatchTableScaling|TestCodecAllocShape' ./internal/dataflow/ ./internal/dfir/
 	$(GO) test -timeout 2m -count=1 -run 'TestParseAllocShape' ./internal/multiset/
 	$(GO) test -timeout 2m -count=1 -run 'TestTraceAllocationCost' ./internal/service/
-	GAMMAFLOW_WALLCLOCK=1 $(GO) test -timeout 2m -count=1 -run 'TestRecorderCostPerFiring|TestReplayDataflowScaling|TestReplayAncestorsScaling' ./internal/replay/
+	GAMMAFLOW_WALLCLOCK=1 $(GO) test -timeout 2m -count=1 -run 'TestRecorderCostPerFiring|TestReplayDataflowScaling|TestReplayDataflowAllocScaling|TestReplayAncestorsScaling' ./internal/replay/

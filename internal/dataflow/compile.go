@@ -2,6 +2,7 @@ package dataflow
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"repro/internal/value"
 )
@@ -27,6 +28,7 @@ type plan struct {
 	// What run state is sized from: the vertices that need tag matching (a
 	// direct slot each) and the seed tokens.
 	multiPort, seeds int
+	spare            atomic.Pointer[runState] // the state the last clean run handed back
 }
 
 // opLayout says where a pure vertex's operator finds its operands.

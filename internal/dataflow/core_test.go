@@ -578,10 +578,9 @@ func TestCoreEngineDifferential(t *testing.T) {
 		checkTicks(t, gc.name, gc.build(), Options{})
 		var ref *Result
 		var refSched []string
+		var refPerName map[string]int64
 		for _, e := range engineOptions {
-			opt, sched := e.opt, &recSchedule{}
-			opt.Schedule = sched
-			res, err := Run(gc.build(), opt)
+			res, sched, err := recorded(gc.build(), e.opt)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", gc.name, e.name, err)
 			}
@@ -592,15 +591,15 @@ func TestCoreEngineDifferential(t *testing.T) {
 				t.Errorf("%s/%s: pending %d, oracle %d", gc.name, e.name, res.Pending, gc.pending)
 			}
 			if ref == nil {
-				ref, refSched = res, sched.sorted()
+				ref, refSched, refPerName = res, sched.sorted(), sched.perName
 				if int64(len(refSched)) != res.Firings {
 					t.Errorf("%s: %d schedule records for %d firings", gc.name, len(refSched), res.Firings)
 				}
 				continue
 			}
-			if res.Firings != ref.Firings || !reflect.DeepEqual(res.PerNode(), ref.PerNode()) {
+			if res.Firings != ref.Firings || !reflect.DeepEqual(sched.perName, refPerName) {
 				t.Errorf("%s/%s: firings %d per-vertex %v, sequential %d %v",
-					gc.name, e.name, res.Firings, res.PerNode(), ref.Firings, ref.PerNode())
+					gc.name, e.name, res.Firings, sched.perName, ref.Firings, refPerName)
 			}
 			if got := sched.sorted(); !reflect.DeepEqual(got, refSched) {
 				t.Errorf("%s/%s: schedule records differ from sequential:\n%v\n%v", gc.name, e.name, got, refSched)
@@ -652,23 +651,28 @@ func TestPlanRecordSize(t *testing.T) {
 // TestWideAllocShape is the dataflow allocation-shape gate of `make check-ci`
 // (next to TestLoopAllocScaling): allocations and bytes per
 // firing on a re-run of the wide graph must stay under one allocation and
-// 150 B (12.2 and 1 018 B on the sequential engine before the shared core,
-// 145–210 B while every run rebuilt the plan) and must not grow with the
+// 14 B (7–8 B since a run borrows its state from the plan; 50–100 B while
+// every run built its own and a per-vertex counter, 12.2 and 1 018 B on the
+// sequential engine before the shared core) and must not grow with the
 // graph's width, so per-firing set-up cannot silently return.
 // Flat means max/min <= 1.5 across widths, with a quarter of an allocation of
 // absolute slack on the counts.
 //
+// The reuse shape: beyond the allocations of its Outputs map, a re-run makes
+// the same three at every width — the Result, the core and one first-token
+// slab — so nothing the plan lends is rebuilt.
+//
 // The first run of a graph compiles its plan and the re-run must not: it has
 // to come in under the first by three quarters of the bytes of the plan's
 // tables, the only allocation of a run that is proportional to the graph
-// rather than to the run's own tokens and counters (the gap reads the
-// tables' size plus 12–14 kB of size-class rounding at every width). A re-run
-// is measured three times and its smallest reading kept.
+// rather than to the run's own tokens (the gap reads the tables' size, the
+// run state the plan then lends and size-class rounding). A re-run is
+// measured three times and its smallest reading kept.
 func TestWideAllocShape(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are only meaningful without the race detector")
 	}
-	const flat, allocSlack, maxAllocs, maxBytes = 1.5, 0.25, 1.0, 150.0
+	const flat, allocSlack, maxAllocs, maxBytes, reuseAllocs = 1.5, 0.25, 1.0, 14.0, 3
 	if _, err := Run(buildWide(wideInputs(64), 16), Options{}); err != nil { // warm the runtime
 		t.Fatal(err)
 	}
@@ -697,10 +701,21 @@ func TestWideAllocShape(t *testing.T) {
 		tables := uint64(4*(len(p.outStart)+cap(p.outEdges))) + uint64(len(p.edges))*uint64(unsafe.Sizeof(edgeRec{})) +
 			uint64(len(p.vert))*uint64(unsafe.Sizeof(vertexOp{})) + uint64(len(p.vals))*uint64(unsafe.Sizeof(value.Value{})) +
 			uint64(4*len(p.consts)) + uint64(len(p.labels))*uint64(unsafe.Sizeof(""))
+		var m map[string][]TaggedValue // escapes, as the Result's map does
+		outputs := uint64(testing.AllocsPerRun(3, func() {
+			m = make(map[string][]TaggedValue, len(res.Outputs))
+			for label, vs := range res.Outputs {
+				m[label] = vs
+			}
+		}))
 		allocs := float64(mallocs) / float64(res.Firings)
 		bytes := float64(rerun) / float64(res.Firings)
-		t.Logf("width %d: %.2f allocs, %.0f B per firing; first run %d B, re-run %d B, plan tables %d B",
-			width, allocs, bytes, first, rerun, tables)
+		t.Logf("width %d: %.2f allocs, %.1f B per firing; re-run %d allocs, %d of them the Outputs map; first run %d B, re-run %d B, plan tables %d B",
+			width, allocs, bytes, mallocs, outputs, first, rerun, tables)
+		if mallocs > outputs+reuseAllocs {
+			t.Errorf("width %d: a re-run made %d allocations besides its Outputs map's %d, want at most %d",
+				width, mallocs-outputs, outputs, reuseAllocs)
+		}
 		if allocs > maxAllocs || bytes > maxBytes {
 			t.Errorf("width %d: %.2f allocs and %.0f B per firing, ceilings %.0f and %.0f",
 				width, allocs, bytes, maxAllocs, maxBytes)

@@ -188,6 +188,8 @@ func TestRunContextJudgesSpecBeforeContext(t *testing.T) {
 		{"matrix", buildFig1(1, 5, 3, 2), Options{Engine: EngineMatrix}, rt.ErrCanceled, true},
 		{"matrix, workers", buildFig1(1, 5, 3, 2), Options{Engine: EngineMatrix, Workers: 4}, rt.ErrCanceled, true},
 	} {
+		rec := &recSchedule{}
+		tc.opt.Schedule = rec
 		res, err := RunContext(ctx, tc.g, tc.opt)
 		if !errors.Is(err, tc.want) {
 			t.Errorf("%s: err = %v, want %v", tc.name, err, tc.want)
@@ -195,7 +197,7 @@ func TestRunContextJudgesSpecBeforeContext(t *testing.T) {
 		switch {
 		case !tc.early && res != nil:
 			t.Errorf("%s: a rejected spec returned a Result: %+v", tc.name, res)
-		case tc.early && (res == nil || res.Firings != 0 || res.Outputs == nil || len(res.PerNode()) != 0):
+		case tc.early && (res == nil || res.Firings != 0 || res.Outputs == nil || len(rec.perName) != 0):
 			t.Errorf("%s: early Result = %+v, want no work", tc.name, res)
 		}
 	}

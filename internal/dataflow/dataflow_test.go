@@ -38,7 +38,7 @@ func buildFig1(x, y, k, j int64) *Graph {
 
 func TestFig1Sequential(t *testing.T) {
 	g := buildFig1(1, 5, 3, 2)
-	res, err := Run(g, Options{})
+	res, rec, err := recorded(g, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func TestFig1Sequential(t *testing.T) {
 	if res.Firings != 7 {
 		t.Errorf("firings = %d, want 7", res.Firings)
 	}
-	if per := res.PerNode(); per["R3"] != 1 || per["x"] != 1 {
+	if per := rec.perName; per["R3"] != 1 || per["x"] != 1 {
 		t.Errorf("per-node = %v", per)
 	}
 }

@@ -32,9 +32,6 @@ type Result struct {
 	Outputs map[string][]TaggedValue
 	// Firings is the total number of vertex activations.
 	Firings int64
-	// Counts holds the activations of every vertex, by NodeID (nil when the
-	// context was done before the run); PerNode folds it by vertex name.
-	Counts []int64
 	// Pending counts operands left waiting in vertex matching stores when
 	// the program terminated: tokens that arrived on some port but whose
 	// partner operands never did (typically because a steer dropped the
@@ -49,18 +46,6 @@ type Result struct {
 	// once, and QueuePeak the most tokens queued: the matching work no
 	// firing count shows.
 	MatchPeak, QueuePeak int
-	g                    *Graph // names Counts for PerNode
-}
-
-// PerNode counts activations per vertex name, over the vertices that fired.
-func (r *Result) PerNode() map[string]int64 {
-	m := make(map[string]int64)
-	for id, k := range r.Counts {
-		if k > 0 {
-			m[r.g.Nodes[id].Name] += k
-		}
-	}
-	return m
 }
 
 // Output returns the single output value for label, for the common case of
@@ -148,7 +133,7 @@ func RunContext(ctx context.Context, g *Graph, opt Options) (*Result, error) {
 		return nil, rt.Mark(rt.ErrInvalid, err)
 	}
 	if err := ctx.Err(); err != nil {
-		return &Result{Outputs: map[string][]TaggedValue{}, g: g}, rt.FromContext(err)
+		return &Result{Outputs: map[string][]TaggedValue{}}, rt.FromContext(err)
 	}
 	return runSequential(newCore(ctx, p, opt))
 }
@@ -356,27 +341,36 @@ func (p *plan) route(id int32, tag int64, operands []value.Value) (int, value.Va
 // seeding (seed) and the Result fold (finish). The schedule (runSequential)
 // picks the next token and queues the returned emission row.
 type core struct {
+	*runState
 	p        *plan
 	opt      Options
-	ctx      context.Context // consulted before every firing
-	match    matchTable
-	operands []value.Value     // scratch for one activation's operands (two at most)
-	series   [][]TaggedValue   // the tokens absorbed, by output slot
+	ctx      context.Context   // consulted before every firing
+	operands [2]value.Value    // scratch for one activation's operands
 	outSlab  pool[TaggedValue] // each series' first token
-	filled   int               // the series holding a token
-	counts   []int64           // firings per vertex, by NodeID
 	site     int32             // the vertex being fired (-1: none yet), for the panic report
 	fired    int64             // firings so far; the schedule number of the last
 }
 
+// runState is what a run sizes from the plan and a clean run hands on through
+// plan.spare, to one run at a time: the worklist, the token store, the series
+// by output slot and how many hold a token (the next first-token slab's size).
+type runState struct {
+	q      ring
+	match  matchTable
+	series [][]TaggedValue
+	filled int
+}
+
 func newCore(ctx context.Context, p *plan, opt Options) *core {
-	return &core{
-		p: p, opt: opt, ctx: ctx, site: -1,
-		match:    matchTable{keyed: opt.Schedule != nil, direct: make([]matchEntry, p.multiPort)},
-		operands: make([]value.Value, 0, 2),
-		series:   make([][]TaggedValue, len(p.labels)),
-		counts:   make([]int64, len(p.vert)),
+	st := p.spare.Swap(nil)
+	if st == nil {
+		// The worklist starts at the seed tokens; fan-out beyond them grows it.
+		st = &runState{q: ring{buf: make([]Token, 1<<bits.Len(uint(max(p.seeds, 64)-1)))},
+			match: matchTable{direct: make([]matchEntry, p.multiPort)}, series: make([][]TaggedValue, len(p.labels))}
 	}
+	c := &core{runState: st, p: p, opt: opt, ctx: ctx, site: -1, outSlab: pool[TaggedValue]{free: make([]TaggedValue, st.filled)}}
+	c.q.peak, c.match.peak, c.match.keyed, c.filled = 0, 0, opt.Schedule != nil, 0
+	return c
 }
 
 // panicError wraps a recovered panic with the vertex that was firing.
@@ -433,7 +427,6 @@ func (c *core) commit(id int32, tag int64, operands []value.Value, keys []string
 	}
 	row := c.p.row(id, port)
 	c.fired++
-	c.counts[id]++
 	if c.opt.Schedule != nil {
 		produced := make([]string, len(row))
 		for i, e := range row {
@@ -451,10 +444,10 @@ func (c *core) commit(id int32, tag int64, operands []value.Value, keys []string
 // table's invariants walk so every commit of their runs is checked.
 var afterCommit func(c *core)
 
-// seed fires every const vertex once with tag 0 and queues its tokens on q.
-// Consts fire before any token is routed, so the schedule starts with them
-// in node order, and they draw on the firing budget.
-func (c *core) seed(q *ring) error {
+// seed fires every const vertex once with tag 0 and queues its tokens on the
+// worklist. Consts fire before any token is routed, so the schedule starts
+// with them in node order, and they draw on the firing budget.
+func (c *core) seed() error {
 	for _, id := range c.p.consts {
 		c.site = id
 		if c.overBudget() {
@@ -462,7 +455,7 @@ func (c *core) seed(q *ring) error {
 		}
 		row, v, _, _ := c.commit(id, 0, nil, nil) // a const firing cannot fail
 		for _, e := range row {
-			q.push(Token{Val: v, Edge: EdgeID(e)})
+			c.q.push(Token{Val: v, Edge: EdgeID(e)})
 		}
 	}
 	return nil
@@ -470,16 +463,17 @@ func (c *core) seed(q *ring) error {
 
 // finish folds the core into the run's Result — on every exit path, so an
 // early stop reports the work done up to it.
-func (c *core) finish(ticks int64, queuePeak int) *Result {
-	res := &Result{Outputs: make(map[string][]TaggedValue, c.filled), Firings: c.fired, Counts: c.counts,
-		Pending: c.match.pending(), Ticks: ticks, MatchPeak: c.match.peak, QueuePeak: queuePeak, g: c.p.g}
+func (c *core) finish(ticks int64) *Result {
+	res := &Result{Outputs: make(map[string][]TaggedValue, c.filled), Firings: c.fired,
+		Pending: c.match.pending(), Ticks: ticks, MatchPeak: c.match.peak, QueuePeak: c.q.peak}
 	for slot, vs := range c.series {
+		if vs == nil {
+			continue
+		}
 		if len(vs) > 1 {
 			sort.SliceStable(vs, func(i, j int) bool { return vs[i].Tag < vs[j].Tag })
 		}
-		if vs != nil {
-			res.Outputs[c.p.labels[slot]] = vs
-		}
+		res.Outputs[c.p.labels[slot]], c.series[slot] = vs, nil
 	}
 	return res
 }
@@ -518,17 +512,20 @@ func (r *ring) pop() Token {
 // that fires is one tick (Result.Ticks): left counts the level's tokens still
 // queued and mark the firings before it.
 func runSequential(c *core) (res *Result, err error) {
-	p := c.p
-	// The worklist starts at the seed tokens; fan-out beyond them grows it.
-	q := ring{buf: make([]Token, 1<<bits.Len(uint(max(p.seeds, 64)-1)))}
+	p, q := c.p, &c.q
 	ticks := int64(0)
 	defer func() {
 		if rec := recover(); rec != nil {
 			err = c.panicError(rec)
 		}
-		res = c.finish(ticks, q.peak)
+		// A run that stopped early or left an operand parked drops its state;
+		// a clean one leaves it empty but for the worklist's stale tokens.
+		if res = c.finish(ticks); err == nil && res.Pending == 0 {
+			clear(c.q.buf)
+			p.spare.Store(c.runState)
+		}
 	}()
-	if err := c.seed(&q); err != nil {
+	if err := c.seed(); err != nil {
 		return nil, err
 	}
 	// inflight counts emitted-but-unconsumed tokens: +fan-out per firing,
@@ -558,7 +555,7 @@ func runSequential(c *core) (res *Result, err error) {
 			key = TokenKey(p.g, tok)
 		}
 		vo := p.vert[er.to]
-		operands, keys, ready := c.match.arrive(vo.arg, int(vo.arity), int(er.port), tok.Tag, tok.Val, key, c.operands, nil)
+		operands, keys, ready := c.match.arrive(vo.arg, int(vo.arity), int(er.port), tok.Tag, tok.Val, key, c.operands[:0], nil)
 		if !ready {
 			continue
 		}

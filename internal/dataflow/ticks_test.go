@@ -17,9 +17,12 @@ import (
 	"repro/internal/value"
 )
 
-// recSchedule collects firing records for order-insensitive comparison.
+// recSchedule collects firing records for order-insensitive comparison and
+// counts them per vertex name: the per-vertex activity of a run is its
+// schedule's.
 type recSchedule struct {
-	recs []string
+	recs    []string
+	perName map[string]int64
 }
 
 func (r *recSchedule) RecordStep(_ uint64, name string, _ time.Time, consumed, produced []string) {
@@ -28,6 +31,18 @@ func (r *recSchedule) RecordStep(_ uint64, name string, _ time.Time, consumed, p
 	sort.Strings(c)
 	sort.Strings(p)
 	r.recs = append(r.recs, fmt.Sprintf("%s|%v|%v", name, c, p))
+	if r.perName == nil {
+		r.perName = make(map[string]int64)
+	}
+	r.perName[name]++
+}
+
+// recorded runs g with a recSchedule attached.
+func recorded(g *Graph, opt Options) (*Result, *recSchedule, error) {
+	rec := &recSchedule{}
+	opt.Schedule = rec
+	res, err := Run(g, opt)
+	return res, rec, err
 }
 
 func (r *recSchedule) sorted() []string {
@@ -96,8 +111,8 @@ func TestMatrixLoop(t *testing.T) {
 // the schedule's level fold.
 func matrixAgreesWithSequential(t *testing.T, name string, build func() *Graph) {
 	t.Helper()
-	seqRes, seqErr := Run(build(), Options{})
-	matRes, matErr := Run(build(), Options{Engine: EngineMatrix})
+	seqRes, seqRec, seqErr := recorded(build(), Options{})
+	matRes, matRec, matErr := recorded(build(), Options{Engine: EngineMatrix})
 	if (seqErr == nil) != (matErr == nil) {
 		t.Fatalf("%s: seq err = %v, matrix err = %v", name, seqErr, matErr)
 	}
@@ -110,8 +125,8 @@ func matrixAgreesWithSequential(t *testing.T, name string, build func() *Graph) 
 	if seqRes.Firings != matRes.Firings || seqRes.Ticks != matRes.Ticks {
 		t.Errorf("%s: firings/ticks seq %d/%d matrix %d/%d", name, seqRes.Firings, seqRes.Ticks, matRes.Firings, matRes.Ticks)
 	}
-	if !reflect.DeepEqual(seqRes.PerNode(), matRes.PerNode()) {
-		t.Errorf("%s: per-node seq %v matrix %v", name, seqRes.PerNode(), matRes.PerNode())
+	if !reflect.DeepEqual(seqRec.perName, matRec.perName) {
+		t.Errorf("%s: per-node seq %v matrix %v", name, seqRec.perName, matRec.perName)
 	}
 	if seqRes.Pending != matRes.Pending {
 		t.Errorf("%s: pending seq %d matrix %d", name, seqRes.Pending, matRes.Pending)

@@ -118,6 +118,35 @@ func TestReplayDataflowScaling(t *testing.T) {
 	}
 }
 
+// TestReplayDataflowAllocScaling is the counted twin of
+// TestReplayDataflowScaling, over the same graphs: allocations per replayed
+// step, a count no busy host moves. Replay that did per-step work in the size
+// of the graph or of the schedule allocates more per step as the graph
+// widens; the widest may read at most 1.1× the narrowest.
+// testing.AllocsPerRun measures at GOMAXPROCS 1; skipped under -race.
+func TestReplayDataflowAllocScaling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are only meaningful without the race detector")
+	}
+	const depth, maxRatio = 16, 1.1
+	var perStep []float64
+	for _, width := range []int{1 << 7, 1 << 8, 1 << 9, 1 << 10, 1 << 11} {
+		g := wideGraph(t, width, depth)
+		sched, _ := recordDataflow(t, g, dataflow.Options{})
+		allocs := testing.AllocsPerRun(1, func() {
+			if _, err := ReplayDataflow(g, sched); err != nil {
+				t.Fatal(err)
+			}
+		})
+		perStep = append(perStep, allocs/float64(len(sched.Steps)))
+	}
+	t.Logf("allocations per replayed step, widths 2^7..2^11: %.3f", perStep)
+	if ratio := perStep[len(perStep)-1] / perStep[0]; ratio > maxRatio {
+		t.Errorf("allocations per replayed step rise %.3f → %.3f (%.2f×) from width 2^7 to 2^11, want <= %.1f×",
+			perStep[0], perStep[len(perStep)-1], ratio, maxRatio)
+	}
+}
+
 // chainSchedule is the adversarial input of ancestors: S steps, each consuming
 // its predecessor's product — a dependency chain S deep — and an initial key no
 // step produces, for which a backward scan of the schedule runs to its start.
