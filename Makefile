@@ -101,7 +101,13 @@ trace-demo:
 # firing DAG must fold: producers before consumers, work = steps, widths
 # summing to work, span <= work, the DOT written) and the run-request
 # and replay envelopes (whatever either accepts must encode and decode back
-# equal, and the payload rules they share must give both the same verdict).
+# equal, and the payload rules they share must give both the same verdict),
+# and a Γ program with its init run recorded, under a step budget and a
+# deadline, with the invariants checked after every commit (no panic, every
+# error classified, and the schedule replays to the multiset the run left: the
+# end-to-end check that a commit reuses only carves freed before it). The
+# Recycled tests above hold the multiset's seal contract: whatever a surface
+# handed out survives 1 000 commits that would reuse it.
 stress:
 	$(GO) test -race -count=2 -run 'Cancel|Panic|Fault|Deadline|Wedge|Partition|Absorb|Differential|KernelMatches|ApplyDelta|TestCommit|TestView|Rollup|Replay|Churn|Recycled|Invariant|Handle|Stale|Narrow|Session|Hysteresis|UnknownLabel|PlanCache|RunStateReuse|MatchTable' \
 		./internal/gamma/ ./internal/dataflow/ ./internal/rt/ \
@@ -112,6 +118,7 @@ stress:
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/multiset/
 	$(GO) test -run '^$$' -fuzz '^FuzzScheduleRoundTrip$$' -fuzztime 10s ./internal/replay/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRunRequest$$' -fuzztime 10s ./internal/schema/
+	$(GO) test -run '^$$' -fuzz '^FuzzRunReplays$$' -fuzztime 10s ./internal/gamma/
 
 check: vet fmt-check build race bench-check
 
@@ -173,7 +180,7 @@ check-ci: vet fmt-check build bench-check
 	GOMAXPROCS=2 $(GO) test -timeout 2m -count=1 -run 'TestPoolCommitShape' ./internal/gamma/
 	GOMAXPROCS=8 $(GO) test -timeout 2m -count=1 -run 'TestPoolCommitShape' ./internal/gamma/
 	$(GO) test -timeout 2m -count=1 -run 'TestLoopAllocScaling' .
-	$(GO) test -timeout 2m -count=1 -run 'TestAlg1ImageShape|TestParsedInitRunAllocation' ./internal/gamma/
+	$(GO) test -timeout 2m -count=1 -run 'TestAlg1ImageShape|TestParsedInitRunAllocation|TestAlgorithm1RunArenaFlat' ./internal/gamma/
 	GAMMAFLOW_WALLCLOCK=1 $(GO) test -timeout 2m -count=1 -run 'TestWideAllocShape|TestMatchTableScaling|TestCodecAllocShape' ./internal/dataflow/ ./internal/dfir/
 	$(GO) test -timeout 2m -count=1 -run 'TestParseAllocShape' ./internal/multiset/
 	$(GO) test -timeout 2m -count=1 -run 'TestTraceAllocationCost' ./internal/service/

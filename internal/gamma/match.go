@@ -10,7 +10,8 @@ import (
 
 // Match is one enabled application of a reaction: the concrete elements
 // chosen from the multiset, the variable bindings they induce, and the branch
-// that fired.
+// that fired. Chosen holds the elements' own cells, as Ref.Tuple does: valid
+// until the commit after the one that consumes them.
 type Match struct {
 	Chosen []multiset.Tuple
 	Env    expr.MapEnv

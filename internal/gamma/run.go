@@ -37,9 +37,10 @@ var ErrMaxSteps = rt.Wrap("gamma: maximum step count exceeded", rt.ErrMaxSteps)
 // safe for concurrent use; every call comes from inside a write session, so
 // an implementation must not touch the multiset being run, not even to read
 // it.
-// The tuples are only borrowed for the call: implementations extract what
-// they need before returning (replay.Recorder fingerprints them into one byte
-// buffer, so recording allocates nothing per firing).
+// The tuples are valid only during the call — the consumed ones are the
+// multiset's own cells, which the next commit may reuse — so implementations
+// extract what they need before returning (replay.Recorder fingerprints them
+// into one byte buffer, so recording allocates nothing per firing).
 type ScheduleRecorder interface {
 	RecordStepTuples(seq uint64, name string, start time.Time, consumed, produced []multiset.Tuple)
 }

@@ -2,7 +2,9 @@ package gamma_test
 
 import (
 	"fmt"
+	"math"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -91,6 +93,59 @@ func TestAlg1ImageShape(t *testing.T) {
 	}
 	if perStep := float64(b.Mallocs-a.Mallocs) / float64(st.Steps); perStep > 0.1 && !gamma.RaceEnabled {
 		t.Errorf("loop: %.2f objects allocated per step on a warm run, want <= 0.1", perStep)
+	}
+}
+
+// TestAlgorithm1RunArenaFlat is the gate on what a Γ run of an Algorithm 1
+// image keeps carving: a firing renames one or two elements of a multiset that
+// never holds more than a few dozen, so the cells and key bytes a commit frees
+// are what the next one's products reuse (multiset's carve). The 2 000-trip
+// loop read 4.18 MB per run when every product was carved afresh, 10× that at
+// 20 000 trips; now runs of 200, 2 000 and 20 000 trips must allocate within
+// 8 KiB of each other and carve the same arena bytes. The least of three warm
+// runs per trip count is compared; skipped under -race.
+func TestAlgorithm1RunArenaFlat(t *testing.T) {
+	if gamma.RaceEnabled {
+		t.Skip("allocation counts are only meaningful without the race detector")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var least []uint64
+	var arena []int64
+	for _, trips := range []int{200, 2000, 20000} {
+		src := fmt.Sprintf("int s = 3;\nint t = 5;\nint i;\nfor (i = %d; i > 0; i--) { s = s + i*i; t = t + s %% 7; }\noutput s;\noutput t;\n", trips)
+		g, err := compiler.Compile("loop", src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prog, init, err := core.ToGamma(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var a, b runtime.MemStats
+		bytes := uint64(math.MaxUint64)
+		for run := 0; run < 4; run++ { // the first warms kernels and labels
+			m := init.Clone()
+			runtime.ReadMemStats(&a)
+			st, err := gamma.Run(prog, m, gamma.Options{})
+			runtime.ReadMemStats(&b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if run > 0 {
+				bytes = min(bytes, b.TotalAlloc-a.TotalAlloc)
+			}
+			if run == 1 {
+				arena = append(arena, st.ArenaBytes)
+			}
+		}
+		least = append(least, bytes)
+		t.Logf("%d trips: %d B per run, arena %d B", trips, bytes, arena[len(arena)-1])
+	}
+	if spread := slices.Max(least) - slices.Min(least); spread > 8<<10 {
+		t.Errorf("runs of 200, 2 000 and 20 000 trips allocated %v B: %d B apart, want <= 8 KiB", least, spread)
+	}
+	if arena[0] != arena[1] || arena[1] != arena[2] {
+		t.Errorf("runs of 200, 2 000 and 20 000 trips carved %v arena bytes, want them equal", arena)
 	}
 }
 

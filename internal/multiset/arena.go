@@ -8,11 +8,12 @@ import (
 
 // arena amortizes the three allocations that linking a distinct tuple into a
 // multiset otherwise costs — the entry struct, the key string and the copy of
-// the tuple cells — by carving each from append-only chunks. A carve is
-// written once and never again: later carves append past it, and a full
-// chunk is replaced, not grown (growing would move live carves). That is what
-// makes the unsafe.String key views sound, keeps tuples and keys handed to
-// searchers and traces from reuse, and lets a Clone share its source's carves.
+// the tuple cells — by carving each from append-only chunks. Later carves
+// append past a carve, and a full chunk is replaced, not grown (growing would
+// move live carves), so a carve never moves: the unsafe.String key views rest
+// on that. The arena itself never rewrites one; the multiset may, once the
+// entry holding it is unlinked, if no surface handed it out (carve, seal), so
+// a Clone shares its source's carves and a trace keeps what it was given.
 //
 // Chunks are geometric: the first of each kind is 1/128 of its maximum
 // (entryChunk, keyChunk, cellChunk), each replacement doubles up to it, and a
@@ -67,10 +68,12 @@ func refill[T any](chunk []T, n, limit int, bytes *int64) []T {
 // one chunk each: the geometric chunk a first carve would open when it holds
 // the run — a run that fits a first chunk leaves the room single carves
 // would — else one of the run rounded up to whole maximum chunks (nextChunk).
+// Keys and cells, which a commit reuses only from the next one, round up past
+// whole chunks: the first products after a run of whole chunks find room.
 func (a *arena) reserve(n, k, c int) {
 	a.entries = fit(a.entries, n, entryChunk, &a.bytes)
-	a.keys = fit(a.keys, k, keyChunk, &a.bytes)
-	a.cells = fit(a.cells, c, cellChunk, &a.bytes)
+	a.keys = fit(a.keys, k+k/keyChunk, keyChunk, &a.bytes)
+	a.cells = fit(a.cells, c+c/cellChunk, cellChunk, &a.bytes)
 }
 
 // newEntry carves a zeroed entry, switching to a fresh chunk when full.
@@ -80,30 +83,30 @@ func (a *arena) newEntry() *entry {
 	return &a.entries[len(a.entries)-1]
 }
 
-// internKey copies the fingerprint bytes into the key chunk and returns a
-// string viewing them. Oversized keys get their own allocation so one huge
-// key cannot waste most of a chunk.
-func (a *arena) internKey(kb []byte) string {
+// internKey copies the fingerprint bytes into a carve of c >= len(kb) bytes
+// of the key chunk and returns a string viewing them. Oversized keys get their
+// own allocation so one huge key cannot waste most of a chunk.
+func (a *arena) internKey(kb []byte, c int) string {
 	n := len(kb)
 	if n == 0 {
 		return ""
 	}
 	if n > keyChunk/4 {
-		return string(kb)
+		return unsafe.String(&append(make([]byte, 0, c), kb...)[0], n)
 	}
-	a.keys = fit(a.keys, n, keyChunk, &a.bytes)
+	a.keys = fit(a.keys, c, keyChunk, &a.bytes)
 	off := len(a.keys)
-	a.keys = append(a.keys, kb...)
+	a.keys = append(a.keys, kb...)[:off+c]
 	return unsafe.String(&a.keys[off], n)
 }
 
-// cloneTuple copies t's cells into the cell chunk and returns a capacity-
-// clamped tuple over them, equivalent to t.Clone() without the per-tuple
-// allocation.
-func (a *arena) cloneTuple(t Tuple) Tuple {
+// cloneTuple copies t's cells into the cells of into when they hold them
+// (keeping its capacity), else into the cell chunk, and returns a tuple over
+// them, equivalent to t.Clone() without the per-tuple allocation.
+func (a *arena) cloneTuple(t, into Tuple) Tuple {
 	n := len(t)
-	if n == 0 {
-		return nil
+	if n <= cap(into) {
+		return into[:copy(into[:n], t)]
 	}
 	if n > cellChunk/4 {
 		return t.Clone()

@@ -4,6 +4,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/symtab"
 	"repro/internal/value"
@@ -152,15 +153,21 @@ func TestCheckInvariantsCatchesCorruption(t *testing.T) {
 		// adopted elsewhere and still linked here, and one adopted here that
 		// still says it is its old multiset's.
 		"linked in two multisets": func(m *Multiset, e *entry) {
-			New().adopt(e)
+			New().adopt(e, false)
 		},
 		"adopted, owner left behind": func(m *Multiset, e *entry) {
 			o := New(IntElem(8, "A", 3))
 			oe := find(o, e.li.sym, IntElem(8, "A", 3).Key())
-			m.adopt(oe)
+			m.adopt(oe, false)
 			oe.owner = o.id
 		},
 		"freelist": func(m *Multiset, e *entry) { m.free = append(m.free, &entry{key: "left behind"}) },
+		// A carve recycled while an entry still holds it, or recycled twice.
+		"spare in use": func(m *Multiset, e *entry) { m.spare = append(m.spare, spare{cells: e.tuple}) },
+		"spare twice":  func(m *Multiset, e *entry) { m.spare = append(m.spare, m.spare[0]) },
+		"spare key used": func(m *Multiset, e *entry) {
+			m.spare = append(m.spare, spare{key: unsafe.Slice(unsafe.StringData(e.key), len(e.key))})
+		},
 		"parked slot": func(m *Multiset, e *entry) {
 			l, _ := m.home(symtab.Intern("drained"), true)
 			l.insert(e)

@@ -3,6 +3,7 @@ package multiset
 import (
 	"fmt"
 	"slices"
+	"unsafe"
 
 	"repro/internal/symtab"
 )
@@ -12,8 +13,9 @@ import (
 // is filed once, in its home list (that of the label index e.li names, or
 // bare) and, iff its label is bucketed, in its bucket; lists ascend by key and
 // labels by symbol; no bucket is mapped unbucketed, empty, or both inline and
-// spilled; freelist entries are zeroed but for gen; drained lists hold only
-// nil slots. The differential and stress tests call it after every commit.
+// spilled; freelist entries are zeroed but for gen; no spare's cells or key
+// bytes are an entry's or another spare's; drained lists hold only nil slots.
+// The differential and stress tests call it after every commit.
 func (m *Multiset) CheckInvariants() error {
 	var v View
 	m.LockRead(&v)
@@ -32,6 +34,17 @@ func (v *View) CheckInvariants() (err error) {
 		return false
 	}
 	live := func(e *entry) bool { return e != nil && e.owner == m.id && e.count > 0 }
+	spares := make(map[unsafe.Pointer]bool, 2*len(m.spare)) // each spare carve's first cell or byte
+	claim := func(p unsafe.Pointer, n int) bool {
+		dup := n > 0 && spares[p]
+		spares[p] = spares[p] || n > 0
+		return !dup
+	}
+	for _, sp := range m.spare {
+		if !claim(unsafe.Pointer(unsafe.SliceData(sp.cells)), cap(sp.cells)) || !claim(unsafe.Pointer(unsafe.SliceData(sp.key)), cap(sp.key)) {
+			fail("spare carve %v / %q recycled twice", sp.cells, sp.key)
+		}
+	}
 	// walk checks one list — ascending live entries that all belong
 	// (member), nothing parked behind a drained one — and returns its length.
 	walk := func(what string, l *elist, member func(*entry) bool) int {
@@ -63,7 +76,8 @@ func (v *View) CheckInvariants() (err error) {
 			}
 			sym, _ := knownSymOf(e.tuple)
 			return e.li == li && (li == nil && sym == symtab.None || li != nil && li.sym == sym) &&
-				e.key == e.tuple.Key() && e.tag == tag && e.hasTag == hasTag
+				e.key == e.tuple.Key() && e.tag == tag && e.hasTag == hasTag &&
+				!spares[unsafe.Pointer(unsafe.SliceData(e.tuple))] && !spares[unsafe.Pointer(unsafe.StringData(e.key))]
 		}
 	}
 	walk("bare list", &m.bare, home(nil))
@@ -98,7 +112,7 @@ func (v *View) CheckInvariants() (err error) {
 		}
 	}
 	for _, e := range m.free {
-		if e.tuple != nil || e.key != "" || e.count != 0 || e.owner != 0 || e.tag != 0 || e.li != nil || e.hasTag {
+		if e.tuple != nil || e.key != "" || e.count != 0 || e.owner != 0 || e.tag != 0 || e.li != nil || e.hasTag || e.mark != 0 || e.kcap != 0 {
 			fail("freelist entry not zeroed: %+v", *e)
 		}
 	}

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"repro/internal/symtab"
 	"repro/internal/value"
@@ -22,7 +23,8 @@ var NoLabelSym = symtab.Intern("\x00")
 // (the ordering of every list), li the label index whose all list is its home
 // (nil: the bare list) and tag the index tag, so unlinking looks up nothing.
 // owner (the Multiset's id, 0 on a freelist) and gen (bumped on every unlink)
-// make a Ref checkable, in what was padding.
+// make a Ref checkable, in what was padding, as do mark (see seal; 0: shared)
+// and kcap, the key carve's capacity, which reuse keeps (carve).
 type entry struct {
 	tuple  Tuple
 	key    string
@@ -32,6 +34,8 @@ type entry struct {
 	gen    uint32
 	owner  uint32
 	hasTag bool
+	kcap   uint16
+	mark   uint32
 }
 
 // Ref is an element handle: what a View hands the matcher, and what a Delta
@@ -50,6 +54,8 @@ type Ref struct {
 }
 
 // Tuple and Count read the element; call them only under the issuing View.
+// The tuple is the entry's own cells: they hold until the commit after the
+// one that consumes the element, which may reuse them (carve).
 func (r Ref) Tuple() Tuple { return r.e.tuple }
 func (r Ref) Count() int   { return r.e.count }
 
@@ -77,9 +83,11 @@ type Multiset struct {
 	// whole-multiset walk (eachRot), which so depends on symbol numbering.
 	labels []*labelIndex
 	// free recycles entry structs across unlink/add cycles (bounded by
-	// freeMax), zeroed except gen. Only the struct is recycled: tuple backings
-	// and key strings escape to searchers and traces.
-	free []*entry
+	// freeMax), zeroed except gen; spare the tuple cells and key bytes of
+	// those nothing outside m has seen (carve), as epoch tells (seal).
+	free  []*entry
+	spare []spare
+	epoch atomic.Uint32
 	// arena chunk-allocates entries, key strings and tuple-cell copies for
 	// freelist misses (see arena.go) — the commit path's hot allocations.
 	arena   arena
@@ -144,9 +152,9 @@ func (m *Multiset) build(ts []Tuple, owned bool) {
 		}
 		t := ts[e.i]
 		if !owned {
-			t = m.arena.cloneTuple(t)
+			t = m.arena.cloneTuple(t, nil)
 		}
-		w.file(e.sym, t, m.arena.internKey(kb[e.k0:e.k1]), k-j)
+		w.file(e.sym, t, m.arena.internKey(kb[e.k0:e.k1], e.k1-e.k0), k-j).own(m, e.k1-e.k0)
 		j = k
 	}
 	m.size.Store(int64(len(ts)))
@@ -161,12 +169,12 @@ type tail struct {
 	li   *labelIndex
 }
 
-func (w *tail) file(sym symtab.Sym, t Tuple, key string, n int) {
+func (w *tail) file(sym symtab.Sym, t Tuple, key string, n int) *entry {
 	if w.home == nil || sym != w.sym {
 		w.sym = sym
 		w.home, w.li = w.m.home(sym, true)
 	}
-	w.m.file(w.home, w.li, w.home.end(), t, key, n)
+	return w.m.file(w.home, w.li, w.home.end(), t, key, n)
 }
 
 // labelSymOf interns the tuple's label, or returns symtab.None when t has no
@@ -199,7 +207,7 @@ func (m *Multiset) AddN(t Tuple, n int) {
 	var buf [64]byte
 	key, sym := t.AppendKey(buf[:0]), labelSymOf(t)
 	m.mu.Lock()
-	m.add(t, key, sym, n)
+	m.add(t, key, sym, n, 1)
 	m.size.Add(int64(n))
 	m.mu.Unlock()
 }
@@ -259,19 +267,52 @@ func find[K string | []byte](m *Multiset, sym symtab.Sym, key K) *entry {
 
 // add files, with the write lock held, n occurrences of t, whose fingerprint
 // is key and label sym: one search of its home list finds the tuple there
-// (its count grows) or where a new entry, and only then its key string, goes.
-func (m *Multiset) add(t Tuple, key []byte, sym symtab.Sym, n int) {
+// (its count grows) or where a new entry, and only then its carves (a fresh
+// key carve a whole number of q bytes, q a power of two), goes.
+func (m *Multiset) add(t Tuple, key []byte, sym symtab.Sym, n, q int) {
 	home, li := m.home(sym, true)
 	if at, e := locate(home, key); e != nil {
 		e.count += n
 	} else {
-		m.file(home, li, at, m.arena.cloneTuple(t), m.arena.internKey(key), n)
+		t, k, kcap := m.carve(t, key, q)
+		m.file(home, li, at, t, k, n).own(m, kcap)
 	}
 }
 
+// spare is the tuple cells and key bytes of an entry a commit unlinked.
+type spare struct {
+	cells Tuple
+	key   []byte
+}
+
+// carve copies t and its key into the last spare's carves where they fit,
+// else fresh ones, and returns the key carve's capacity: kept whole on reuse,
+// so a commit's products, whose fresh keys take 32-byte units (apply), keep
+// fitting the carves of the renames they follow as keys grow a digit.
+func (m *Multiset) carve(t Tuple, key []byte, q int) (Tuple, string, int) {
+	var sp spare
+	if k, last := m.scratch.avail-1, len(m.spare)-1; k >= 0 { // freed before this commit
+		sp, m.spare[k] = m.spare[k], m.spare[last]
+		m.spare, m.scratch.avail = m.spare[:last], k
+	}
+	t = m.arena.cloneTuple(t, sp.cells)
+	if c := (len(key) + q - 1) &^ (q - 1); len(key) == 0 || len(key) > cap(sp.key) {
+		return t, m.arena.internKey(key, c), c
+	}
+	return t, unsafe.String(&sp.key[0], copy(sp.key[:len(key)], key)), cap(sp.key)
+}
+
+// own marks e's carves, its key's of capacity kcap (past 16 bits: less), m's.
+func (e *entry) own(m *Multiset, kcap int) { e.mark, e.kcap = m.epoch.Load()+1, uint16(kcap) }
+
+// seal marks every carve m has made as seen outside it, never to be reused:
+// every surface that hands a tuple or key out calls it, under the read lock.
+// A carve is m's own while its entry's mark is one past the epoch.
+func (m *Multiset) seal() { m.epoch.Add(1) }
+
 // file links a new entry for t and key — arena carves, or the ones Clone
 // shares — at position at of home, the list of li, and in li's buckets.
-func (m *Multiset) file(home *elist, li *labelIndex, at epos, t Tuple, key string, n int) {
+func (m *Multiset) file(home *elist, li *labelIndex, at epos, t Tuple, key string, n int) *entry {
 	var e *entry
 	if k := len(m.free); k > 0 {
 		e, m.free[k-1], m.free = m.free[k-1], nil, m.free[:k-1]
@@ -286,17 +327,27 @@ func (m *Multiset) file(home *elist, li *labelIndex, at epos, t Tuple, key strin
 		}
 		li.linked(e)
 	}
+	return e
 }
 
 // unlink removes e from its home list (at the slot hint if it still holds e)
 // and its bucket, with the write lock held, and retires the struct to the
 // freelist zeroed but for gen, which moves: outstanding Refs fail their claim.
+// m's own carves become spares past scratch.avail, which carve leaves to the
+// next commit (a recorder reads them), capped lower than the freelist: a
+// shrinking run reuses none.
 func (m *Multiset) unlink(e *entry, hint slot) {
 	if li := e.li; li == nil {
 		m.bare.removeAt(m.bare.seek(e, hint))
 	} else {
 		li.all.removeAt(li.all.seek(e, hint))
 		li.unlinked(e)
+	}
+	if e.mark == m.epoch.Load()+1 && e.key != "" && len(m.spare) < freeMax/16 {
+		if m.spare == nil {
+			m.spare = make([]spare, 0, 8) // what a short run frees, in one allocation
+		}
+		m.spare = append(m.spare, spare{e.tuple, unsafe.Slice(unsafe.StringData(e.key), e.kcap)})
 	}
 	*e = entry{gen: e.gen + 1}
 	if len(m.free) < freeMax {
@@ -321,6 +372,7 @@ type deltaScratch struct {
 	kbuf  []byte
 	ccan  []bool // annihilation marks
 	pcan  []bool
+	avail int // spares a product may take: m.spare[:avail], all between commits
 }
 
 // lastID numbers the Multisets of the process (Multiset.id).
@@ -443,9 +495,10 @@ func (m *Multiset) apply(dl *Delta, d *deltaScratch) {
 	for pi, t := range dl.Produce {
 		if !d.pcan[pi] {
 			d.kbuf = t.AppendKey(d.kbuf[:0])
-			m.add(t, d.kbuf, d.psyms[pi], 1)
+			m.add(t, d.kbuf, d.psyms[pi], 1, 32)
 		}
 	}
+	d.avail = len(m.spare)
 }
 
 // TryRemoveAll atomically removes one occurrence of every tuple in ts, all or
@@ -511,11 +564,13 @@ func (m *Multiset) ByLabel(label string) (out []Counted) {
 
 // IterSym calls fn once per distinct tuple labeled sym, ascending by key, with
 // the entry's cached key, copying nothing: a one-shot View (LockRead), whose
-// read lock fn must not write under; to enumerate twice, hold one View.
+// read lock fn must not write under; to enumerate twice, hold one View. The
+// tuples and keys stay valid after it: handing them out seals them.
 func (m *Multiset) IterSym(sym symtab.Sym, fn func(t Tuple, n int, key string) bool) {
 	var v View
 	m.LockRead(&v)
 	defer v.Unlock()
+	m.seal()
 	v.EachSym(sym, 0, unref(fn))
 }
 
@@ -524,6 +579,7 @@ func (m *Multiset) IterSymTag(sym symtab.Sym, tag int64, fn func(t Tuple, n int,
 	var v View
 	m.LockRead(&v)
 	defer v.Unlock()
+	m.seal()
 	v.EachSymTag(sym, tag, 0, unref(fn))
 }
 
@@ -540,10 +596,13 @@ func (m *Multiset) IterAllRot(rot uint64, fn func(t Tuple, n int, key string) bo
 	var v View
 	m.LockRead(&v)
 	defer v.Unlock()
+	m.seal()
 	v.EachAll(rot, unref(fn))
 }
 
-// Counted is a distinct tuple, its multiplicity and, from an index, its Key.
+// Counted is a distinct tuple, its multiplicity and, from an index, its Key:
+// the multiset's own carves, which stay valid since handing them out sealed
+// them (no commit reuses them).
 type Counted struct {
 	Tuple Tuple
 	N     int
@@ -556,6 +615,7 @@ type Counted struct {
 func (m *Multiset) ForEach(fn func(t Tuple, n int) bool) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
+	m.seal()
 	m.eachRot(0, func(e *entry, _ slot) bool { return fn(e.tuple, e.count) })
 }
 
@@ -588,13 +648,14 @@ func (m *Multiset) eachRot(rot uint64, fn func(*entry, slot) bool) bool {
 }
 
 // Clone returns an independent copy with its own entries and counts, built
-// from what the entries cache — the tuple and key, shared (arena carves are
-// write-once), and the home — with nothing copied, rendered, interned or
+// from what the entries cache — the tuple and key, shared (sealed: neither
+// reuses them), and the home — with nothing copied, rendered, interned or
 // searched for: each entry goes at its list's end (tail), under a read lock.
 func (m *Multiset) Clone() *Multiset {
 	c := New() // not shared yet: needs no lock
 	m.mu.RLock()
 	defer m.mu.RUnlock()
+	m.seal()
 	w := tail{m: c}
 	m.eachRot(0, func(e *entry, _ slot) bool {
 		sym := symtab.None

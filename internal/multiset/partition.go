@@ -41,12 +41,12 @@ func (v *View) session() *Multiset {
 }
 
 // moveAll drains src, list by list in ascending order, into the multisets to
-// names for each entry and its position in the walk.
+// names for each entry and its position in the walk, src's own carves theirs.
 func (src *Multiset) moveAll(to func(e *entry, nth int) *Multiset) {
-	nth := 0
+	nth, epoch := 0, src.epoch.Load()
 	src.eachRot(0, func(e *entry, _ slot) bool {
 		src.size.Add(-int64(e.count))
-		to(e, nth).adopt(e)
+		to(e, nth).adopt(e, e.mark == epoch+1)
 		nth++
 		return true
 	})
@@ -56,9 +56,10 @@ func (src *Multiset) moveAll(to func(e *entry, nth int) *Multiset) {
 	}
 }
 
-// adopt links e, an entry of another multiset, into m: at its home list's end
-// when its key is the greatest, else where locate says or finds it.
-func (m *Multiset) adopt(e *entry) {
+// adopt links e, an entry of another multiset (its carves that one's own if
+// own), into m: at its home list's end when its key is the greatest, else
+// where locate says or finds it.
+func (m *Multiset) adopt(e *entry, own bool) {
 	home, li := &m.bare, (*labelIndex)(nil)
 	if e.li != nil {
 		home, li = m.home(e.li.sym, true)
@@ -73,7 +74,9 @@ func (m *Multiset) adopt(e *entry) {
 			return
 		}
 	}
-	e.owner, e.li, e.gen = m.id, li, e.gen+1
+	if e.owner, e.li, e.gen, e.mark = m.id, li, e.gen+1, 0; own {
+		e.own(m, int(e.kcap))
+	}
 	home.insertAt(at, e)
 	if li != nil {
 		li.linked(e)

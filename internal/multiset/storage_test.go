@@ -193,11 +193,12 @@ func TestArenaChunksGeometric(t *testing.T) {
 	if c := nextChunk(0, keyChunk/4, keyChunk); c < keyChunk/4 || c > keyChunk {
 		t.Errorf("first key chunk for a maximal key = %d", c)
 	}
-	// Write-once: a refill replaces the chunk, earlier carves stay intact.
+	// A refill replaces the chunk: earlier carves never move and stay intact.
 	var a arena
 	var keys []string
 	for i := 0; i < 2000; i++ {
-		keys = append(keys, a.internKey([]byte(fmt.Sprintf("key-%04d", i))))
+		kb := []byte(fmt.Sprintf("key-%04d", i))
+		keys = append(keys, a.internKey(kb, len(kb)))
 	}
 	for i, k := range keys {
 		if k != fmt.Sprintf("key-%04d", i) {
@@ -252,7 +253,7 @@ func TestCloneFromEntries(t *testing.T) {
 }
 
 // TestCloneSharesTuples: a clone carves no tuple cells — it links the source's
-// write-once cells — and firings in the clone, run while the source is read
+// cells, sealed by the Clone — and firings in the clone, run while the source is read
 // from another goroutine (a reported race under -race if a commit wrote a
 // shared cell), leave the source's counts and tuples as they were.
 func TestCloneSharesTuples(t *testing.T) {
