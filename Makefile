@@ -42,7 +42,7 @@ loc:
 
 # The size criterion as a gate: check-ci fails when the total of `make loc`
 # exceeds this. A PR may lower the ceiling, never raise it.
-LOC_CEILING = 18548
+LOC_CEILING = 17957
 
 # Observability demo: trace the paper's Fig. 1 program and emit a
 # Perfetto-loadable timeline (open trace.json at https://ui.perfetto.dev) plus
@@ -123,8 +123,10 @@ stress:
 check: vet fmt-check build race bench-check
 
 # CI gate: like check but with explicit timeouts so a wedged run fails the
-# build instead of hanging it, and with the size ceiling above. The parallel
-# differential suites repeat under GOMAXPROCS=2 and GOMAXPROCS=8 so the
+# build instead of hanging it, and with the size ceiling above. EXPERIMENTS.md's
+# generated blocks must regenerate byte for byte twenty times over, on one
+# core and on two, so no number there may depend on map order or scheduling.
+# The parallel differential suites repeat under GOMAXPROCS=2 and GOMAXPROCS=8 so the
 # sub-solutions run both time-sliced on few cores and genuinely concurrent,
 # ten times over. The serving stack is
 # gated inside go test -race ./...: cmd/gammad's TestGammadBinary boots the
@@ -170,6 +172,8 @@ check-ci: vet fmt-check build bench-check
 	echo "make loc: $$total non-test lines (ceiling $(LOC_CEILING))"; \
 	[ "$$total" -le $(LOC_CEILING) ]
 	$(GO) test -race -timeout 5m ./...
+	GOMAXPROCS=1 $(GO) test -timeout 2m -count=20 -run TestExperiments ./internal/paper/
+	GOMAXPROCS=2 $(GO) test -timeout 2m -count=20 -run TestExperiments ./internal/paper/
 	$(GO) test -race -timeout 2m -count=2 -run 'Cancel|Panic|Fault|Deadline' \
 		./internal/gamma/ ./internal/dataflow/
 	GOMAXPROCS=2 $(GO) test -race -timeout 5m -count=10 -run 'Partition|Differential' ./internal/gamma/ ./internal/multiset/ ./internal/replay/

@@ -429,7 +429,7 @@ func sortedKeys[V any](m map[string]V) []string {
 }
 
 // Table accumulates rows and renders them with aligned columns: the -metrics
-// summary of every command, and cmd/gfbench's experiment tables.
+// summary of every command, and internal/paper's EXPERIMENTS.md tables.
 type Table struct {
 	Title   string
 	headers []string
