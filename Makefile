@@ -42,7 +42,7 @@ loc:
 
 # The size criterion as a gate: check-ci fails when the total of `make loc`
 # exceeds this. A PR may lower the ceiling, never raise it.
-LOC_CEILING = 17957
+LOC_CEILING = 17864
 
 # Observability demo: trace the paper's Fig. 1 program and emit a
 # Perfetto-loadable timeline (open trace.json at https://ui.perfetto.dev) plus
@@ -93,8 +93,9 @@ trace-demo:
 # home-list workloads, with the invariants checked after every commit. And
 # ten seconds each of fuzzing the decoders of what a client sends: the dfir
 # decoder every dataflow submission passes through (whatever it accepts must
-# marshal to a canonical form), the multiset literal parser of gammad's init
-# field (whatever it accepts must be what one Add per element builds, and print
+# marshal to a canonical form, and run, recorded, under a firing budget and a
+# deadline to a classified end whose schedule replays), the multiset literal
+# parser of gammad's init field (whatever it accepts must be what one Add per element builds, and print
 # and parse back; TestParseDifferential runs the same oracle on random literals
 # above, and TestElistDoubleEndedChurn the list chunks under churn), the schedule decoder
 # of /v1/replay (whatever it accepts must re-encode to a fixed point, and its
@@ -161,7 +162,9 @@ check: vet fmt-check build race bench-check
 # replay's and the divergence report's wall-time exponents (one vertex under n
 # tags; schedules of 2 432 to 38 912 steps, the widest under 250 ms; dependency
 # chains of 2^10 to 2^16 steps); bytes per service
-# request untraced, trace-asked and traced; nanoseconds per recorded firing;
+# request untraced, trace-asked and traced; allocations per recorded dataflow
+# firing (none: under 0.1, never rising with the width); nanoseconds per
+# recorded firing, Γ and dataflow;
 # and the count gates at full size — steps, probes and candidates under both
 # wake policies up to n=10^5, and the parallel engine's steps per part,
 # completion-pass share and allocation over the sequential run at GOMAXPROCS 2
@@ -187,5 +190,6 @@ check-ci: vet fmt-check build bench-check
 	$(GO) test -timeout 2m -count=1 -run 'TestAlg1ImageShape|TestParsedInitRunAllocation|TestAlgorithm1RunArenaFlat' ./internal/gamma/
 	GAMMAFLOW_WALLCLOCK=1 $(GO) test -timeout 2m -count=1 -run 'TestWideAllocShape|TestMatchTableScaling|TestCodecAllocShape' ./internal/dataflow/ ./internal/dfir/
 	$(GO) test -timeout 2m -count=1 -run 'TestParseAllocShape' ./internal/multiset/
+	$(GO) test -timeout 2m -count=1 -run 'TestDataflowRecorderAllocs' ./internal/replay/
 	$(GO) test -timeout 2m -count=1 -run 'TestTraceAllocationCost' ./internal/service/
-	GAMMAFLOW_WALLCLOCK=1 $(GO) test -timeout 2m -count=1 -run 'TestRecorderCostPerFiring|TestReplayDataflowScaling|TestReplayDataflowAllocScaling|TestReplayAncestorsScaling' ./internal/replay/
+	GAMMAFLOW_WALLCLOCK=1 $(GO) test -timeout 2m -count=1 -run 'TestRecorderCostPerFiring|TestDataflowRecorderCostPerFiring|TestReplayDataflowScaling|TestReplayDataflowAllocScaling|TestReplayAncestorsScaling' ./internal/replay/

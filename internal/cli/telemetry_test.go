@@ -53,7 +53,7 @@ func TestTelemetryFlagsJSONLLifecycle(t *testing.T) {
 	if sched == nil {
 		t.Fatal("trace requested but no schedule recorder")
 	}
-	sched.RecordStep(1, "R1", time.Now(), []string{"a"}, []string{"b"})
+	sched.RecordStepTuples(1, "R1", time.Now(), []multiset.Tuple{multiset.Pair(value.Int(1), "a")}, []multiset.Tuple{multiset.Pair(value.Int(1), "b")})
 	if err := tel.Finish(); err != nil {
 		t.Fatal(err)
 	}

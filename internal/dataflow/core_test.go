@@ -80,7 +80,7 @@ func BenchmarkWide(b *testing.B) {
 
 // checkInvariants states the token store's structure between two
 // deliveries: a recycled map entry and a free direct slot are empty with
-// every slot they ever held cleared (they pin no value or key); an activation
+// every slot they ever held cleared (they pin no value); an activation
 // at rest — a used slot or a map entry — has at least one empty port (a full
 // set fires) and at least one waiting operand (a drained one is freed); no
 // tag waits both in a vertex's slot and in the map; used counts the used
@@ -166,13 +166,13 @@ func TestMatchTableInvariantsCatchDefects(t *testing.T) {
 	// Slot 0 waits on tag 0 and the map on tags 1 and 2; tag 2 fires and its
 	// entry is recycled. Slot 1 matches tag 5 and is free again.
 	healthy := func() *matchTable {
-		tb := &matchTable{keyed: true, direct: make([]matchEntry, 2)}
+		tb := &matchTable{direct: make([]matchEntry, 2)}
 		for tag := int64(0); tag < 3; tag++ {
-			tb.arrive(0, 2, 0, tag, val, "k", nil, nil)
+			tb.arrive(0, 2, 0, tag, val, 9, nil, nil)
 		}
-		tb.arrive(1, 2, 0, 5, val, "k", nil, nil)
-		_, _, ready2 := tb.arrive(0, 2, 1, 2, val, "k", nil, nil)
-		_, _, ready5 := tb.arrive(1, 2, 1, 5, val, "k", nil, nil)
+		tb.arrive(1, 2, 0, 5, val, 9, nil, nil)
+		_, _, ready2 := tb.arrive(0, 2, 1, 2, val, 9, nil, nil)
+		_, _, ready5 := tb.arrive(1, 2, 1, 5, val, 9, nil, nil)
 		if !ready2 || !ready5 || len(tb.free) != 1 || len(tb.entries) != 1 || tb.used != 1 {
 			t.Fatalf("fixture: ready %v %v, %d free, %d entries, %d slots used", ready2, ready5, len(tb.free), len(tb.entries), tb.used)
 		}
@@ -189,9 +189,9 @@ func TestMatchTableInvariantsCatchDefects(t *testing.T) {
 			tb.free[0].ports[0].items = append(tb.free[0].ports[0].items, operand{val: val})
 		}},
 		{"recycled entry not rewound", func(tb *matchTable) { tb.free[0].ports[0].head = 1 }},
-		{"recycled slot pins its key", func(tb *matchTable) {
+		{"recycled slot keeps its edge", func(tb *matchTable) {
 			q := &tb.free[0].ports[0]
-			q.items[:1][0] = operand{key: "pinned"}
+			q.items[:1][0] = operand{edge: 9}
 		}},
 		{"recycled slot of the second port pins its value", func(tb *matchTable) {
 			q := &tb.free[0].ports[1]
@@ -202,9 +202,9 @@ func TestMatchTableInvariantsCatchDefects(t *testing.T) {
 			q.items = append(q.items, operand{val: val})
 		}},
 		{"free slot not rewound", func(tb *matchTable) { tb.direct[1].ports[0].head = 1 }},
-		{"free slot pins its key", func(tb *matchTable) {
+		{"free slot keeps its edge", func(tb *matchTable) {
 			q := &tb.direct[1].ports[0]
-			q.items[:1][0] = operand{key: "pinned"}
+			q.items[:1][0] = operand{edge: 9}
 		}},
 		{"complete operand set left waiting in a slot", func(tb *matchTable) {
 			e := &tb.direct[0]
@@ -252,7 +252,7 @@ func TestMatchTableScaling(t *testing.T) {
 		fired := 0
 		for port := 0; port < 2; port++ {
 			for tag := 0; tag < n; tag++ {
-				vals, _, ready := tb.arrive(3, 2, port, int64(tag), value.Int(int64(tag)), "", scratch, nil)
+				vals, _, ready := tb.arrive(3, 2, port, int64(tag), value.Int(int64(tag)), 0, scratch, nil)
 				if ready {
 					fired++
 					if vals[0] != vals[1] {
@@ -338,29 +338,29 @@ func fitExponent(xs, ys []float64) float64 {
 // are resliced away.
 type refStore map[int64][][]operand
 
-func (s refStore) deliver(arity, port int, tag int64, v value.Value, key string) ([]value.Value, []string, bool) {
+func (s refStore) deliver(arity, port int, tag int64, v value.Value, edge int32) ([]value.Value, []int32, bool) {
 	w, ok := s[tag]
 	if !ok {
 		w = make([][]operand, arity)
 		s[tag] = w
 	}
-	w[port] = append(w[port], operand{val: v, key: key})
+	w[port] = append(w[port], operand{val: v, edge: edge})
 	for _, q := range w {
 		if len(q) == 0 {
 			return nil, nil, false
 		}
 	}
-	vals, keys := make([]value.Value, arity), make([]string, arity)
+	vals, edges := make([]value.Value, arity), make([]int32, arity)
 	empty := true
 	for i := range w {
-		vals[i], keys[i] = w[i][0].val, w[i][0].key
+		vals[i], edges[i] = w[i][0].val, w[i][0].edge
 		w[i] = w[i][1:]
 		empty = empty && len(w[i]) == 0
 	}
 	if empty {
 		delete(s, tag)
 	}
-	return vals, keys, true
+	return vals, edges, true
 }
 
 func (s refStore) pending() int {
@@ -378,7 +378,7 @@ func (s refStore) pending() int {
 // merging into a port look like to the table), arities 1 and 2, the only ones
 // Validate lets a vertex have (TestValidationPortCount) — through the
 // token store and through refStore, and requires the same activations in the
-// same order with the same operand vectors and keys, the same Pending and the
+// same order with the same operand vectors and edges, the same Pending and the
 // table's invariants (checkInvariants) after every delivery. A scripted
 // sequence drives the overtaking case first: tag 1 parks in the map while the
 // slot holds tag 0, tag 0 drains, and tag 1's next operands must join the map
@@ -388,33 +388,27 @@ func TestMatchTableModel(t *testing.T) {
 		v, port int
 		tag     int64
 	}
-	drive := func(name string, keyed bool, arities []int, steps func(step int) delivery, n int) (table *matchTable, fired int) {
+	drive := func(name string, arities []int, steps func(step int) delivery, n int) (table *matchTable, fired int) {
 		refs := make([]refStore, len(arities))
 		for v := range refs {
 			refs[v] = refStore{}
 		}
-		table = &matchTable{keyed: keyed, direct: make([]matchEntry, len(arities))}
+		table = &matchTable{direct: make([]matchEntry, len(arities))}
 		for step := 0; step < n; step++ {
 			d := steps(step)
-			val, key := value.Int(int64(step)), ""
-			if keyed {
-				key = fmt.Sprintf("k%d", step)
-			}
-			wantVals, wantKeys, wantReady := refs[d.v].deliver(arities[d.v], d.port, d.tag, val, key)
+			val, edge := value.Int(int64(step)), int32(step)
+			wantVals, wantEdges, wantReady := refs[d.v].deliver(arities[d.v], d.port, d.tag, val, edge)
 			// Append behind a sentinel: arrive appends, it does not overwrite.
-			gotVals, gotKeys, ready := table.arrive(int32(d.v), arities[d.v], d.port, d.tag, val, key,
-				[]value.Value{value.Int(-1)}, []string{"sentinel"})
+			gotVals, gotEdges, ready := table.arrive(int32(d.v), arities[d.v], d.port, d.tag, val, edge,
+				[]value.Value{value.Int(-1)}, []int32{-1})
 			if ready != wantReady {
 				t.Fatalf("%s step %d: vertex %d/%d port %d tag %d: ready %v, reference %v",
 					name, step, d.v, arities[d.v], d.port, d.tag, ready, wantReady)
 			}
-			if !keyed {
-				wantKeys = nil
-			}
 			if !reflect.DeepEqual(gotVals[1:], append([]value.Value{}, wantVals...)) ||
-				!reflect.DeepEqual(gotKeys[1:], append([]string{}, wantKeys...)) {
+				!reflect.DeepEqual(gotEdges[1:], append([]int32{}, wantEdges...)) {
 				t.Fatalf("%s step %d: activation (%v, %v), reference (%v, %v)",
-					name, step, gotVals[1:], gotKeys[1:], wantVals, wantKeys)
+					name, step, gotVals[1:], gotEdges[1:], wantVals, wantEdges)
 			}
 			if ready {
 				fired++
@@ -439,7 +433,7 @@ func TestMatchTableModel(t *testing.T) {
 		{0, 0, 2},            // tag 2 takes the slot
 		{0, 1, 1}, {0, 1, 2}, // and both drain
 	}
-	table, fired := drive("script", true, []int{2}, func(step int) delivery { return script[step] }, len(script))
+	table, fired := drive("script", []int{2}, func(step int) delivery { return script[step] }, len(script))
 	if fired != 4 || table.used != 0 || len(table.entries) != 0 || len(table.free) != 1 || table.peak != 2 {
 		t.Fatalf("script: %d fired, %d slots and %d entries in use, %d recycled, peak %d; want 4, 0, 0, 1, 2",
 			fired, table.used, len(table.entries), len(table.free), table.peak)
@@ -451,7 +445,7 @@ func TestMatchTableModel(t *testing.T) {
 			arities[v] = 1 + rng.Intn(2)
 		}
 		tags := int64(1 + rng.Intn(4))
-		_, fired := drive(fmt.Sprintf("seed %d", seed), seed%2 == 0, arities, func(int) delivery {
+		_, fired := drive(fmt.Sprintf("seed %d", seed), arities, func(int) delivery {
 			v := rng.Intn(len(arities))
 			return delivery{v, rng.Intn(arities[v]), rng.Int63n(tags)}
 		}, 400)
@@ -466,9 +460,9 @@ func TestMatchTableModel(t *testing.T) {
 func TestMatchTableSinglePortBypass(t *testing.T) {
 	var table matchTable
 	for i := int64(0); i < 100; i++ {
-		vals, keys, ready := table.arrive(int32(i%3), 1, 0, i%5, value.Int(i), "", nil, nil)
-		if !ready || len(vals) != 1 || vals[0] != value.Int(i) || keys != nil {
-			t.Fatalf("delivery %d: (%v, %v, %v)", i, vals, keys, ready)
+		vals, edges, ready := table.arrive(int32(i%3), 1, 0, i%5, value.Int(i), int32(i), nil, nil)
+		if !ready || len(vals) != 1 || vals[0] != value.Int(i) || len(edges) != 1 || edges[0] != int32(i) {
+			t.Fatalf("delivery %d: (%v, %v, %v)", i, vals, edges, ready)
 		}
 	}
 	if table.entries != nil || table.used != 0 || table.peak != 0 || table.free != nil {

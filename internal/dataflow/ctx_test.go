@@ -160,8 +160,8 @@ func TestWorkersRunOnOneCore(t *testing.T) {
 // lineSchedule records every firing as one line, in call order.
 type lineSchedule struct{ bytes.Buffer }
 
-func (s *lineSchedule) RecordStep(seq uint64, name string, _ time.Time, consumed, produced []string) {
-	fmt.Fprintf(s, "%d %s %q %q\n", seq, name, consumed, produced)
+func (s *lineSchedule) RecordStepEdges(seq uint64, g *Graph, v NodeID, _ time.Time, in []int32, tag int64, out []int32, outTag int64) {
+	fmt.Fprintf(s, "%d %s %q %q\n", seq, g.Nodes[v].Name, tokenKeys(g, in, tag), tokenKeys(g, out, outTag))
 }
 
 // TestRunContextJudgesSpecBeforeContext: under a context that is already done,

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/rt"
 	"repro/internal/value"
 )
 
@@ -353,6 +354,31 @@ func TestValidationPortCount(t *testing.T) {
 	k.Nodes[k.AddConst("c", value.Int(1))].In = [][]EdgeID{{0}}
 	if err := k.Validate(); err == nil || !strings.Contains(err.Error(), "1 input ports, want 0") {
 		t.Errorf("const with an input port: Validate = %v", err)
+	}
+}
+
+// TestValidationDuplicateNames: two vertices under one name are refused, as
+// dfir.Unmarshal refuses them in text. A schedule names the vertex each step
+// fired, so such a graph recorded a run that replay could not tell apart.
+func TestValidationDuplicateNames(t *testing.T) {
+	g := NewGraph("twins")
+	for i, mk := range []func() NodeID{
+		func() NodeID { return g.AddConst("c", value.Int(1)) },
+		func() NodeID { return g.AddConst("c", value.Int(2)) },
+	} {
+		x := g.AddArithImm("x", []string{"+", "*"}[i], value.Int(int64(1+2*i)))
+		if _, err := g.Connect(mk(), 0, x, 0, fmt.Sprintf("e%d", i)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := g.ConnectOut(x, 0, fmt.Sprintf("out%d", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := g.Validate(); err == nil || !strings.Contains(err.Error(), "two vertices named") {
+		t.Errorf("Validate = %v, want the duplicate name refused", err)
+	}
+	if _, err := Run(g, Options{}); !errors.Is(err, rt.ErrInvalid) {
+		t.Errorf("Run = %v, want rt.ErrInvalid", err)
 	}
 }
 

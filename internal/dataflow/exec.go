@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/bits"
 	"sort"
+	"strconv"
 	"time"
 
 	"repro/internal/rt"
@@ -69,15 +70,17 @@ var ErrMaxFirings = rt.Wrap("dataflow: maximum firing count exceeded", rt.ErrMax
 
 // ScheduleRecorder is the engines' one per-firing observer: it receives every
 // vertex firing with a commit sequence number (1, 2, 3, … in firing order),
-// the time the firing started, and opaque keys identifying the tokens it
-// consumed (in input-port order, which is what lets replay rebuild the
-// operand vector positionally) and produced; a consumed key always equals
-// some earlier firing's produced key.
-// Provenance, work/span profiles and replay are all folds over that order
-// (package replay). The engine hands over ownership of the key slices —
-// implementations may retain them without copying.
+// the time the firing started, and the tokens it consumed and produced in the
+// graph's own ids: vertex v of g consumed one token per input port, on edge
+// in[j] into port j (the order that lets replay rebuild the operand vector
+// positionally), all carrying the activation's tag, and produced one token on
+// each edge of out, all carrying outTag. A token's schedule key is
+// AppendTokenKey's "label@tag"; a consumed key always equals some earlier
+// firing's produced key. Provenance, work/span profiles and replay are all
+// folds over that order (package replay). The slices are the engine's and
+// valid only during the call: implementations copy what they keep.
 type ScheduleRecorder interface {
-	RecordStep(seq uint64, name string, start time.Time, consumed, produced []string)
+	RecordStepEdges(seq uint64, g *Graph, v NodeID, start time.Time, in []int32, tag int64, out []int32, outTag int64)
 }
 
 // EngineMatrix is the one Options.Engine value besides empty. It names the
@@ -138,11 +141,11 @@ func RunContext(ctx context.Context, g *Graph, opt Options) (*Result, error) {
 	return runSequential(newCore(ctx, p, opt))
 }
 
-// operand is one parked token in the matching table: its value plus the token
-// key the schedule records (empty when no recorder is attached).
+// operand is one parked token in the matching table: its value and the edge
+// it arrived on, which the schedule records.
 type operand struct {
-	val value.Value
-	key string
+	val  value.Value
+	edge int32
 }
 
 // portQueue is the FIFO of same-tag operands parked on one input port. A
@@ -154,7 +157,7 @@ type portQueue struct {
 
 func (q *portQueue) pop() operand {
 	o := q.items[q.head]
-	q.items[q.head] = operand{} // a recycled queue pins no value or key
+	q.items[q.head] = operand{} // a recycled queue pins no value
 	q.head++
 	if q.head == len(q.items) {
 		q.items, q.head = q.items[:0], 0
@@ -184,21 +187,17 @@ type matchTable struct {
 	free    []*matchEntry
 	slab    pool[matchEntry] // fresh map entries are carved from it
 	used    int              // direct entries in use
-	keyed   bool             // operands carry schedule keys
 	peak    int              // most activations waiting at once
 }
 
-// arrive delivers one operand to an input port of the activation (slot, tag).
-// When that completes the operand set it appends the consumed operands (on a
-// keyed table also their keys) to vals and keys in port order, oldest first
-// per port, and reports true. A one-port vertex is enabled by arrival itself
-// and never touches the table.
-func (t *matchTable) arrive(slot int32, arity, port int, tag int64, v value.Value, key string, vals []value.Value, keys []string) ([]value.Value, []string, bool) {
+// arrive delivers one operand, the value v on edge, to an input port of the
+// activation (slot, tag). When that completes the operand set it appends the
+// consumed operands' values to vals and their edges to edges in port order,
+// oldest first per port, and reports true. A one-port vertex is enabled by
+// arrival itself and never touches the table.
+func (t *matchTable) arrive(slot int32, arity, port int, tag int64, v value.Value, edge int32, vals []value.Value, edges []int32) ([]value.Value, []int32, bool) {
 	if arity == 1 {
-		if t.keyed {
-			keys = append(keys, key)
-		}
-		return append(vals, v), keys, true
+		return append(vals, v), append(edges, edge), true
 	}
 	d := &t.direct[slot]
 	k, e := matchKey{int64(slot), tag}, d
@@ -220,17 +219,14 @@ func (t *matchTable) arrive(slot int32, arity, port int, tag int64, v value.Valu
 	// A multi-port vertex has two ports (Validate sees to it), and at rest
 	// one is empty: the set is complete exactly when the other port holds an
 	// operand, and a token behind others on its own port waits its turn.
-	in, other := operand{val: v, key: key}, &e.ports[1-port]
+	in, other := operand{val: v, edge: edge}, &e.ports[1-port]
 	if len(other.items) == 0 {
 		e.ports[port].items = append(e.ports[port].items, in)
-		return vals, keys, false
+		return vals, edges, false
 	}
 	o := [2]operand{}
 	o[port], o[1-port] = in, other.pop()
-	vals = append(vals, o[0].val, o[1].val)
-	if t.keyed {
-		keys = append(keys, o[0].key, o[1].key)
-	}
+	vals, edges = append(vals, o[0].val, o[1].val), append(edges, o[0].edge, o[1].edge)
 	switch {
 	case len(other.items) > 0:
 	case e == d:
@@ -239,7 +235,7 @@ func (t *matchTable) arrive(slot int32, arity, port int, tag int64, v value.Valu
 		delete(t.entries, k)
 		t.free = append(t.free, e)
 	}
-	return vals, keys, true
+	return vals, edges, true
 }
 
 // take returns a map entry, recycled if possible.
@@ -268,12 +264,11 @@ func (t *matchTable) pending() int {
 	return n
 }
 
-// TokenKey renders the schedule name of a token: "label@tag", the token's
-// edge label and iteration tag. Unlike a multiset fingerprint the key does
-// not encode the value, which is why dataflow replay re-executes the graph
-// instead of reconstructing tokens from keys.
-func TokenKey(g *Graph, t Token) string {
-	return fmt.Sprintf("%s@%d", g.Edges[t.Edge].Label, t.Tag)
+// AppendTokenKey appends the schedule key of a token on edge e with the tag to
+// b: "label@tag". The key does not encode the value, which is why dataflow
+// replay re-executes the graph instead of reconstructing tokens from keys.
+func AppendTokenKey(b []byte, g *Graph, e EdgeID, tag int64) []byte {
+	return strconv.AppendInt(append(append(b, g.Edges[e].Label...), '@'), tag, 10)
 }
 
 // ReplayFire computes one vertex activation outside an engine: the replay
@@ -346,6 +341,7 @@ type core struct {
 	opt      Options
 	ctx      context.Context   // consulted before every firing
 	operands [2]value.Value    // scratch for one activation's operands
+	inEdges  [2]int32          // and for the edges they arrived on
 	outSlab  pool[TaggedValue] // each series' first token
 	site     int32             // the vertex being fired (-1: none yet), for the panic report
 	fired    int64             // firings so far; the schedule number of the last
@@ -369,7 +365,7 @@ func newCore(ctx context.Context, p *plan, opt Options) *core {
 			match: matchTable{direct: make([]matchEntry, p.multiPort)}, series: make([][]TaggedValue, len(p.labels))}
 	}
 	c := &core{runState: st, p: p, opt: opt, ctx: ctx, site: -1, outSlab: pool[TaggedValue]{free: make([]TaggedValue, st.filled)}}
-	c.q.peak, c.match.peak, c.match.keyed, c.filled = 0, 0, opt.Schedule != nil, 0
+	c.q.peak, c.match.peak, c.filled = 0, 0, 0
 	return c
 }
 
@@ -399,7 +395,7 @@ func (c *core) overBudget() bool {
 // fire runs one enabled activation: context, budget and fault injector are
 // consulted, then the vertex is committed. It returns the emission — out-edge
 // row, value, tag — for the schedule to queue.
-func (c *core) fire(id int32, tag int64, operands []value.Value, keys []string) ([]int32, value.Value, int64, error) {
+func (c *core) fire(id int32, tag int64, operands []value.Value, in []int32) ([]int32, value.Value, int64, error) {
 	c.site = id
 	var err error
 	if c.ctx.Err() != nil {
@@ -412,11 +408,11 @@ func (c *core) fire(id int32, tag int64, operands []value.Value, keys []string) 
 	if err != nil {
 		return nil, value.Value{}, 0, err
 	}
-	return c.commit(id, tag, operands, keys)
+	return c.commit(id, tag, operands, in)
 }
 
 // commit is the package's one route → record → count sequence.
-func (c *core) commit(id int32, tag int64, operands []value.Value, keys []string) ([]int32, value.Value, int64, error) {
+func (c *core) commit(id int32, tag int64, operands []value.Value, in []int32) ([]int32, value.Value, int64, error) {
 	var t0 time.Time
 	if c.opt.Schedule != nil {
 		t0 = time.Now()
@@ -428,11 +424,7 @@ func (c *core) commit(id int32, tag int64, operands []value.Value, keys []string
 	row := c.p.row(id, port)
 	c.fired++
 	if c.opt.Schedule != nil {
-		produced := make([]string, len(row))
-		for i, e := range row {
-			produced[i] = TokenKey(c.p.g, Token{Edge: EdgeID(e), Tag: outTag})
-		}
-		c.opt.Schedule.RecordStep(uint64(c.fired), c.p.name(id), t0, keys, produced)
+		c.opt.Schedule.RecordStepEdges(uint64(c.fired), c.p.g, NodeID(id), t0, in, tag, row, outTag)
 	}
 	if afterCommit != nil {
 		afterCommit(c)
@@ -550,17 +542,13 @@ func runSequential(c *core) (res *Result, err error) {
 			inflight--
 			continue
 		}
-		key := ""
-		if c.match.keyed {
-			key = TokenKey(p.g, tok)
-		}
 		vo := p.vert[er.to]
-		operands, keys, ready := c.match.arrive(vo.arg, int(vo.arity), int(er.port), tok.Tag, tok.Val, key, c.operands[:0], nil)
+		operands, in, ready := c.match.arrive(vo.arg, int(vo.arity), int(er.port), tok.Tag, tok.Val, int32(tok.Edge), c.operands[:0], c.inEdges[:0])
 		if !ready {
 			continue
 		}
 		inflight -= len(operands)
-		row, v, tag, err := c.fire(er.to, tok.Tag, operands, keys)
+		row, v, tag, err := c.fire(er.to, tok.Tag, operands, in)
 		if err != nil {
 			return nil, err
 		}

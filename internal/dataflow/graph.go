@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"slices"
 	"strconv"
+	"strings"
 	"sync/atomic"
 
 	"repro/internal/value"
@@ -429,10 +430,13 @@ func (g *Graph) RootNodes() []*Node {
 	return out
 }
 
-// Validate checks structural well-formedness: every vertex with the input
-// ports its kind takes (one fewer for a fused immediate), each connected,
-// operators known, and at least one vertex. It always walks; a run of the
-// version it passed does not walk again.
+// Validate checks what the firing core assumes, so whatever it accepts runs:
+// a vertex at least (TestValidationErrors); on each the input ports its kind
+// takes, one fewer beside a fused immediate, so at most two, the token store's
+// inline ports (TestValidationPortCount); every port connected, operators
+// known, a value on every const (TestValidationErrors); unique vertex names,
+// which a schedule records (TestValidationDuplicateNames). It always walks; a
+// run of the version it passed does not walk again.
 func (g *Graph) Validate() error {
 	st := g.stamp()
 	if len(g.Nodes) == 0 {
@@ -474,6 +478,13 @@ func (g *Graph) Validate() error {
 			if !n.Init.IsValid() {
 				return fmt.Errorf("dataflow: const node %s has no value", n.Name)
 			}
+		}
+	}
+	byName := slices.Clone(g.Nodes) // sorted, a tenth of a name set's bytes
+	slices.SortFunc(byName, func(a, b *Node) int { return strings.Compare(a.Name, b.Name) })
+	for i := 1; i < len(byName); i++ {
+		if byName[i].Name == byName[i-1].Name {
+			return fmt.Errorf("dataflow: graph %s has two vertices named %s", g.Name, byName[i].Name)
 		}
 	}
 	g.valid.Store(&st)

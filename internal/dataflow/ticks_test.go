@@ -25,9 +25,8 @@ type recSchedule struct {
 	perName map[string]int64
 }
 
-func (r *recSchedule) RecordStep(_ uint64, name string, _ time.Time, consumed, produced []string) {
-	c := append([]string(nil), consumed...)
-	p := append([]string(nil), produced...)
+func (r *recSchedule) RecordStepEdges(_ uint64, g *Graph, v NodeID, _ time.Time, in []int32, tag int64, out []int32, outTag int64) {
+	name, c, p := g.Nodes[v].Name, tokenKeys(g, in, tag), tokenKeys(g, out, outTag)
 	sort.Strings(c)
 	sort.Strings(p)
 	r.recs = append(r.recs, fmt.Sprintf("%s|%v|%v", name, c, p))
@@ -35,6 +34,15 @@ func (r *recSchedule) RecordStep(_ uint64, name string, _ time.Time, consumed, p
 		r.perName = make(map[string]int64)
 	}
 	r.perName[name]++
+}
+
+// tokenKeys renders the schedule keys of tokens on edges, all carrying tag.
+func tokenKeys(g *Graph, edges []int32, tag int64) []string {
+	keys := make([]string, len(edges))
+	for i, e := range edges {
+		keys[i] = string(AppendTokenKey(nil, g, EdgeID(e), tag))
+	}
+	return keys
 }
 
 // recorded runs g with a recSchedule attached.

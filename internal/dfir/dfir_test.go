@@ -1,6 +1,7 @@
 package dfir
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -8,10 +9,12 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/compiler"
 	"repro/internal/dataflow"
 	"repro/internal/paper"
+	"repro/internal/replay"
 	"repro/internal/rt"
 	"repro/internal/value"
 )
@@ -241,7 +244,8 @@ func TestSplitFieldsQuoted(t *testing.T) {
 // FuzzUnmarshal feeds the decoder every dataflow submission to gammad passes
 // through arbitrary text. It must never panic, and whatever it accepts has a
 // canonical form: Marshal of the decoded graph decodes again and marshals to
-// the same bytes. Seeded with the compiled testdata/*.vn programs, the
+// the same bytes. What it accepts has passed Validate, so it also runs
+// (runsAndReplays). Seeded with the compiled testdata/*.vn programs, the
 // paper's figures and the service tests' graphs.
 func FuzzUnmarshal(f *testing.F) {
 	files, _ := filepath.Glob("../../testdata/*.vn")
@@ -276,5 +280,43 @@ func FuzzUnmarshal(f *testing.F) {
 		if again := Marshal(back); again != text {
 			t.Fatalf("Unmarshal(%q): marshal not canonical:\n%s\nvs\n%s", src, text, again)
 		}
+		runsAndReplays(t, g)
 	})
+}
+
+// runsAndReplays runs a graph that passed Validate, recorded, under a firing
+// budget and a deadline: Validate's contract is that whatever it accepts runs
+// to a classified end. It fails on a recovered panic, on an error rt does not
+// classify other than the program's own evaluation fault (evalFault), and on
+// a schedule ReplayDataflow does not re-execute step for step — to the run's
+// outputs, Pending and a stable end when the run finished, as a prefix of its
+// firings when it stopped early.
+func runsAndReplays(t *testing.T, g *dataflow.Graph) {
+	rec := replay.NewRecorder(replay.KindDataflow, g.Name)
+	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+	defer cancel()
+	res, err := dataflow.RunContext(ctx, g, dataflow.Options{MaxFirings: 500, Schedule: rec})
+	var pe *rt.PanicError
+	if errors.As(err, &pe) || (err != nil && rt.Code(err) == rt.CodeInternal && !evalFault(err)) || strings.Contains(fmt.Sprint(err), "idle protocol") {
+		t.Fatalf("run of\n%s: %v", Marshal(g), err)
+	}
+	rep, rerr := replay.ReplayDataflow(g, rec.Schedule())
+	switch {
+	case rerr != nil:
+		t.Fatalf("replay of\n%s: %v", Marshal(g), rerr)
+	case rep.Divergence != nil || int64(rep.Steps) != res.Firings:
+		t.Fatalf("run of\n%s: %d firings (%v); replay of %d steps, divergence %+v", Marshal(g), res.Firings, err, rep.Steps, rep.Divergence)
+	case err == nil && (!reflect.DeepEqual(rep.Outputs, res.Outputs) || rep.Pending != res.Pending || !rep.Stable):
+		t.Fatalf("run of\n%s: outputs %v, %d pending; replay: outputs %v, %d pending, stable %v", Marshal(g), res.Outputs, res.Pending, rep.Outputs, rep.Pending, rep.Stable)
+	}
+}
+
+// evalFault reports whether err is a vertex's own evaluation fault: an
+// operator given operands it does not take, a division by zero, or a steer
+// control with no truth value. rt has no class for these, so a run reports
+// them as internal.
+func evalFault(err error) bool {
+	var te *value.TypeError
+	var dz *value.DivisionByZero
+	return errors.As(err, &te) || errors.As(err, &dz) || strings.Contains(err.Error(), "has no truth value")
 }

@@ -26,8 +26,10 @@
 //   - searcher scratch (slot env, claim stack, chosen tuples) belongs to the
 //     worker, one per reaction (worker.searchers): a probe allocates nothing.
 //
-// The interpreted Pattern.match / Reaction.produce path remains as the
-// reference oracle; TestKernelMatchesInterpreter holds the two together.
+// The kernel is the one matcher in production: the engines fire it, and replay
+// re-runs it (Reaction.ReplayFiring). The interpreted Pattern.match /
+// Reaction.produce path lives in interp_test.go as the reference oracle;
+// TestKernelMatchesInterpreter holds the two together.
 package gamma
 
 import (
@@ -230,8 +232,8 @@ func (r *Reaction) checked() error {
 }
 
 // selectBranch returns the first enabled branch under the slot env, or -1.
-// The compiled counterpart of Reaction.selectBranch, with the same error
-// wrapping.
+// The compiled counterpart of the interpreted oracle's Reaction.selectBranch
+// (interp_test.go), with the same error wrapping.
 func (k *kernel) selectBranch(name string, env []value.Value) (int, error) {
 	for i := range k.branches {
 		b := &k.branches[i]
@@ -250,13 +252,13 @@ func (k *kernel) selectBranch(name string, env []value.Value) (int, error) {
 }
 
 // produceInto instantiates branch idx's products under the slot env — the
-// compiled counterpart of Reaction.produce, with the same error wrapping —
-// onto caller-owned arenas: product value cells append to vals, tuple headers
-// (capacity-clamped subslices of vals) append to out, and both grown slices
-// return to the caller. A mid-batch realloc of vals is harmless — earlier
-// headers keep reading the old backing, whose cells are immutable and already
-// correct. Callers must not retain the headers past the commit that clones
-// them.
+// compiled counterpart of the oracle's Reaction.produce, with the same error
+// wrapping — onto caller-owned arenas: product value cells append to vals,
+// tuple headers (capacity-clamped subslices of vals) append to out, and both
+// grown slices return to the caller. A mid-batch realloc of vals is harmless —
+// earlier headers keep reading the old backing, whose cells are immutable and
+// already correct. A caller that reuses its arenas must not retain the headers
+// past the commit that clones them.
 func (k *kernel) produceInto(name string, idx int, env []value.Value, vals []value.Value, out []multiset.Tuple) ([]value.Value, []multiset.Tuple, error) {
 	prods := k.branches[idx].prods
 	for _, tpl := range prods {

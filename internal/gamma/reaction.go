@@ -51,41 +51,6 @@ func (p Pattern) String() string {
 	return "[" + strings.Join(parts, ", ") + "]"
 }
 
-// match attempts to match tuple t against p, extending env. It reports
-// success and the list of names newly bound (for backtracking).
-func (p Pattern) match(t multiset.Tuple, env expr.MapEnv) (bound []string, ok bool) {
-	if len(t) != len(p) {
-		return nil, false
-	}
-	for i, f := range p {
-		if f.Var == "" {
-			if !value.Equal(f.Lit, t[i]) {
-				unbind(env, bound)
-				return nil, false
-			}
-			continue
-		}
-		if prev, exists := env[f.Var]; exists {
-			// Repeated variable: equality constraint, the mechanism the
-			// paper uses to force same-iteration operands (shared tag v).
-			if !value.Equal(prev, t[i]) {
-				unbind(env, bound)
-				return nil, false
-			}
-			continue
-		}
-		env[f.Var] = t[i]
-		bound = append(bound, f.Var)
-	}
-	return bound, true
-}
-
-func unbind(env expr.MapEnv, names []string) {
-	for _, n := range names {
-		delete(env, n)
-	}
-}
-
 // Template is one product element: a tuple of expressions evaluated under the
 // match bindings. In R1 of the paper, [id1 + id2, 'B2'] is a two-field
 // template.
@@ -97,19 +62,6 @@ func (tpl Template) String() string {
 		parts[i] = e.String()
 	}
 	return "[" + strings.Join(parts, ", ") + "]"
-}
-
-// instantiate evaluates the template under env into a concrete tuple.
-func (tpl Template) instantiate(env expr.Env) (multiset.Tuple, error) {
-	out := make(multiset.Tuple, len(tpl))
-	for i, e := range tpl {
-		v, err := expr.Eval(e, env)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = v
-	}
-	return out, nil
 }
 
 // Branch is one "by ... [if cond]" clause. A nil Cond is the else branch
@@ -208,64 +160,37 @@ func (r *Reaction) validate() error {
 	return nil
 }
 
-// selectBranch returns the index of the first enabled branch under env, or -1
-// when no branch is enabled (the binding does not fire).
-func (r *Reaction) selectBranch(env expr.Env) (int, error) {
-	for i, b := range r.Branches {
-		if b.Cond == nil {
-			return i, nil
-		}
-		ok, err := expr.EvalBool(b.Cond, env)
-		if err != nil {
-			return -1, fmt.Errorf("gamma: reaction %s condition: %w", r.Name, err)
-		}
-		if ok {
-			return i, nil
-		}
-	}
-	return -1, nil
-}
-
-// ReplayFiring re-executes one recorded firing of r: chosen must hold the
-// consumed tuples in pattern order (the order the schedule recorder emits);
-// each is matched against its pattern with consistent bindings, the first
-// enabled branch is selected, and its products are returned. A replay engine
-// compares them against the recorded products to verify that the reaction's
-// kernel still reproduces the original execution. Errors name the failing
-// pattern or report that no branch is enabled — both are divergences, not
-// program bugs.
+// ReplayFiring re-executes one recorded firing of r through its kernel, the
+// code the engines fire: chosen must hold the consumed tuples in pattern
+// order (the order the schedule recorder emits); each is matched against its
+// pattern with consistent bindings, the first enabled branch is selected, and
+// its products are returned. A replay engine compares them against the
+// recorded products to verify that the kernel still reproduces the original
+// execution. Errors name the failing pattern or report that no branch is
+// enabled — both are divergences, not program bugs.
 func (r *Reaction) ReplayFiring(chosen []multiset.Tuple) ([]multiset.Tuple, error) {
 	if len(chosen) != len(r.Patterns) {
 		return nil, fmt.Errorf("gamma: reaction %s consumes %d elements, schedule step has %d", r.Name, len(r.Patterns), len(chosen))
 	}
-	env := make(expr.MapEnv)
-	for i, p := range r.Patterns {
-		if _, ok := p.match(chosen[i], env); !ok {
-			return nil, fmt.Errorf("gamma: reaction %s: element %s does not match pattern %s", r.Name, chosen[i], p)
+	k := r.kernel()
+	env := make([]value.Value, k.nslots)
+	for i := range k.pats {
+		if !k.pats[i].match(chosen[i], env) {
+			return nil, fmt.Errorf("gamma: reaction %s: element %s does not match pattern %s", r.Name, chosen[i], r.Patterns[i])
 		}
 	}
-	branch, err := r.selectBranch(env)
+	branch, err := k.selectBranch(r.Name, env)
 	if err != nil {
 		return nil, err
 	}
 	if branch < 0 {
 		return nil, fmt.Errorf("gamma: reaction %s: no branch enabled for the recorded elements", r.Name)
 	}
-	return r.produce(branch, env)
-}
-
-// produce instantiates the products of branch idx under env.
-func (r *Reaction) produce(idx int, env expr.Env) ([]multiset.Tuple, error) {
-	b := r.Branches[idx]
-	out := make([]multiset.Tuple, 0, len(b.Products))
-	for _, tpl := range b.Products {
-		t, err := tpl.instantiate(env)
-		if err != nil {
-			return nil, fmt.Errorf("gamma: reaction %s action: %w", r.Name, err)
-		}
-		out = append(out, t)
+	_, products, err := k.produceInto(r.Name, branch, env, nil, nil)
+	if err != nil {
+		return nil, err
 	}
-	return out, nil
+	return products, nil
 }
 
 // String renders the reaction in the paper's listing style.

@@ -140,6 +140,14 @@ func expE1(t *testing.T) string {
 	lm := must(multiset.Parse(Example1InitialMultiset))
 	st = must(gamma.Run(listing, lm, gamma.Options{}))
 	tb.Row("gamma (paper listing R1-R3)", lm, len(listing.Reactions), st.Steps)
+	// On 1,5,3,2 both products are 6, so an operand order swapped at the '-'
+	// would not show; on 2,5,3,1 they are 7 and 3.
+	res = must(dataflow.Run(Fig1GraphWith(2, 5, 3, 1), dataflow.Options{}))
+	m, _ = res.Output("m")
+	tb.Row("dataflow, inputs 2,5,3,1", m, "-", res.Firings)
+	prog, init = toGamma(t, Fig1GraphWith(2, 5, 3, 1))
+	st = must(gamma.Run(prog, init, gamma.Options{}))
+	tb.Row("gamma (Alg. 1), inputs 2,5,3,1", init, len(prog.Reactions), st.Steps)
 	return tb.String()
 }
 

@@ -64,12 +64,10 @@ func ReplayDataflow(g *dataflow.Graph, s *Schedule) (*DataflowResult, error) {
 	// order; the schedule's linearization makes FIFO per key exactly the
 	// order the recorded run's matching stores saw.
 	avail := make(map[string][]value.Value)
-	// One index for all steps; as in NodeByName, a name means its first vertex.
+	// One index for all steps; Validate has made the names unique.
 	byName := make(map[string]*dataflow.Node, len(g.Nodes))
 	for _, n := range g.Nodes {
-		if byName[n.Name] == nil {
-			byName[n.Name] = n
-		}
+		byName[n.Name] = n
 	}
 	for i := range s.Steps {
 		st := &s.Steps[i]
@@ -127,8 +125,9 @@ func replayDataflowStep(g *dataflow.Graph, n *dataflow.Node, s *Schedule, idx in
 		return s.diverged(idx, Divergence{Reason: ReasonKernelError, Detail: err.Error()}), nil
 	}
 	actual := make([]string, len(out))
+	var kb [64]byte
 	for j, t := range out {
-		actual[j] = dataflow.TokenKey(g, t)
+		actual[j] = string(dataflow.AppendTokenKey(kb[:0], g, t.Edge, t.Tag))
 	}
 	if expected := sortedKeys(st.Produced); !keysEqual(expected, sortedKeys(actual)) {
 		mismatch := Divergence{Reason: ReasonProductMismatch, Expected: expected, Actual: sortedKeys(actual)}

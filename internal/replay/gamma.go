@@ -53,9 +53,9 @@ type GammaResult struct {
 // ReplayGamma re-executes a recorded gamma schedule step for step against
 // the initial multiset m (which is consumed: pass a Clone to keep it). At
 // each step it verifies the consumed elements exist, re-runs the named
-// reaction's kernel on exactly those elements, and verifies the products
-// match the recording; the first failure stops the replay with a
-// Divergence. A nil Divergence with Stable=true means the present program
+// reaction's compiled kernel — the code the engines fired — on exactly those
+// elements (gamma.Reaction.ReplayFiring), and verifies the products match the
+// recording; the first failure stops the replay with a Divergence. A nil Divergence with Stable=true means the present program
 // deterministically reproduces the recorded execution — the paper's
 // firing-history equivalence, checked mechanically.
 //

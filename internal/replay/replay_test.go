@@ -50,9 +50,10 @@ func recordGamma(t *testing.T, p *gamma.Program, init *multiset.Multiset, opt ga
 
 func TestScheduleRoundTrip(t *testing.T) {
 	rec := NewRecorder(KindGamma, "ex1")
-	rec.RecordStep(2, "R2", time.Now(), []string{"01\x1f3'A1'"}, []string{"02\x1f3'B2'"})
-	rec.RecordStep(1, "R1", time.Now(), []string{"01\x1f3'A1'", "05\x1f3'B1'"}, nil)
-	rec.RecordStep(3, "R3", time.Now(), nil, []string{"3true"})
+	a1, b1, b2 := multiset.Pair(value.Int(1), "A1"), multiset.Pair(value.Int(5), "B1"), multiset.Pair(value.Int(2), "B2")
+	rec.RecordStepTuples(2, "R2", time.Now(), []multiset.Tuple{a1}, []multiset.Tuple{b2})
+	rec.RecordStepTuples(1, "R1", time.Now(), []multiset.Tuple{a1, b1}, nil)
+	rec.RecordStepTuples(3, "R3", time.Now(), nil, []multiset.Tuple{{value.Bool(true)}})
 	s := rec.Schedule()
 	if s.Steps[0].Name != "R1" || s.Steps[0].Step != 1 {
 		t.Fatalf("linearization: want R1 first, got %+v", s.Steps[0])

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"runtime"
 	"sort"
 	"testing"
 	"time"
@@ -233,4 +234,93 @@ func fitExponent(xs, ys []float64) float64 {
 	}
 	k := float64(len(xs))
 	return (k*sxy - sx*sy) / (k*sxx - sx*sx)
+}
+
+// TestDataflowRecorderAllocs is the counted cost of recording a dataflow run
+// (ROADMAP 23(d)), over TestReplayDataflowScaling's wide graphs: a recorded
+// run plus Schedule(), less the bare run, in allocations per firing. The
+// record is a few growing buffers and Schedule() one slab per kind of cell, so
+// it reads 0.001–0.014 and must stay under 0.1 — no allocation per firing —
+// at every width, never rising with the width. Rendering each token's
+// "label@tag" key as its own string cost 6.05 per firing.
+// testing.AllocsPerRun measures at GOMAXPROCS 1; skipped under -race.
+func TestDataflowRecorderAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are only meaningful without the race detector")
+	}
+	const depth, ceiling = 16, 0.1
+	var perFiring []float64
+	for _, width := range []int{1 << 7, 1 << 8, 1 << 9, 1 << 10, 1 << 11} {
+		g := wideGraph(t, width, depth)
+		bare := testing.AllocsPerRun(2, func() { recordWide(t, g, false) })
+		recorded := testing.AllocsPerRun(2, func() { recordWide(t, g, true) })
+		perFiring = append(perFiring, (recorded-bare)/float64(width*(depth+3)))
+	}
+	t.Logf("allocations per recorded firing, widths 2^7..2^11: %.3f", perFiring)
+	for i, a := range perFiring {
+		if a > ceiling || (i > 0 && a > perFiring[0]) {
+			t.Errorf("recording costs %.3f allocations per firing at width 2^%d (%.3f at 2^7), want <= %.1f and no rise", a, 7+i, perFiring[0], ceiling)
+		}
+	}
+}
+
+// TestDataflowRecorderCostPerFiring is the timed twin of
+// TestDataflowRecorderAllocs and the dataflow twin of TestRecorderCostPerFiring:
+// on wideGraph(2^11, 16), the median recorded run plus Schedule(), less the
+// median bare run, over alternating runs, per firing, measured again before
+// failing. It read 900–930 ns on a 2-core guest, where rendering every key as
+// its own string read 1 170–1 240; the gate is 1 200 ns. Wall-clock gates
+// only (wallClock).
+func TestDataflowRecorderCostPerFiring(t *testing.T) {
+	if !wallClock() {
+		t.Skip("wall-clock gate: set GAMMAFLOW_WALLCLOCK on a non-race build")
+	}
+	const rounds, ceilingNS = 9, 1200.0
+	g := wideGraph(t, 1<<11, 16)
+	firings := float64(recordWide(t, g, false))
+	cost := func() float64 {
+		var ds [2][]time.Duration
+		for r := -1; r < rounds; r++ { // the first pair warms the plan and the heap goal
+			for mode := range ds {
+				runtime.GC()
+				t0 := time.Now()
+				recordWide(t, g, mode == 1)
+				if d := time.Since(t0); r >= 0 {
+					ds[mode] = append(ds[mode], d)
+				}
+			}
+		}
+		for mode := range ds {
+			sort.Slice(ds[mode], func(a, b int) bool { return ds[mode][a] < ds[mode][b] })
+		}
+		return float64(ds[1][rounds/2]-ds[0][rounds/2]) / firings
+	}
+	ns := cost()
+	for retry := 0; ns > ceilingNS && retry < 2; retry++ {
+		t.Logf("recording cost %.0f ns per firing, measuring again", ns)
+		ns = min(ns, cost())
+	}
+	t.Logf("recording costs %.0f ns per firing over %.0f firings", ns, firings)
+	if ns > ceilingNS {
+		t.Errorf("recording costs %.0f ns per firing, want <= %.0f", ns, ceilingNS)
+	}
+}
+
+// recordWide runs g, with a recorder and its Schedule() when record is set,
+// and returns the firings.
+func recordWide(t *testing.T, g *dataflow.Graph, record bool) int64 {
+	opt := dataflow.Options{}
+	var rec *Recorder
+	if record {
+		rec = NewRecorder(KindDataflow, g.Name)
+		opt.Schedule = rec
+	}
+	res, err := dataflow.Run(g, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec != nil && len(rec.Schedule().Steps) != int(res.Firings) {
+		t.Fatalf("recorded %d of %d firings", rec.Len(), res.Firings)
+	}
+	return res.Firings
 }

@@ -25,6 +25,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/dataflow"
 	"repro/internal/multiset"
 	"repro/internal/rt"
 )
@@ -160,35 +161,31 @@ func Parse(r io.Reader) (*Schedule, error) {
 
 // Recorder collects firing records from a run and linearizes them into a
 // Schedule. It implements gamma.ScheduleRecorder (RecordStepTuples) and
-// dataflow.ScheduleRecorder (RecordStep) — the engines' only per-firing
+// dataflow.ScheduleRecorder (RecordStepEdges) — the engines' only per-firing
 // observer — and is safe for concurrent use.
+//
+// Both record into one store: a firing's name and key text accumulate in one
+// byte buffer and are materialized into strings only when Schedule() runs, so
+// the per-firing commit cost is a few appends into pointer-free memory — no
+// allocation, and nothing for the garbage collector to scan or for the write
+// barrier to track.
 type Recorder struct {
-	mu    sync.Mutex
-	kind  string
-	name  string
-	base  time.Time // Step.Start is measured from here
-	steps []Step
-	// Raw-tuple fast path (RecordStepTuples): key text accumulates in buf
-	// and is materialized into strings only when Schedule() runs, so the
-	// per-firing commit cost is a few appends into pointer-free memory — no
-	// allocation, and nothing for the garbage collector to scan or for the
-	// write barrier to track. Reaction names are interned through nameIdx so
-	// rawStep needs no string pointer.
-	names   []string
-	nameIdx map[string]uint32
-	raw     []rawStep
-	buf     []byte
-	offs    []uint32
+	mu   sync.Mutex
+	kind string
+	name string
+	base time.Time // Step.Start is measured from here
+	raw  []rawStep
+	buf  []byte
+	offs []uint32
 }
 
-// rawStep is one RecordStepTuples record: 32 pointer-free bytes. Its keys
-// are buf[...] spans whose end offsets sit in offs (nc consumed ends, then
-// np produced ends); name indexes Recorder.names.
+// rawStep is one recorded firing, pointer-free. Its name and keys are
+// buf[...] spans whose end offsets sit in offs: the name's, then nc consumed
+// ends, then np produced ends.
 type rawStep struct {
 	seq        uint64
 	start, dur int64
-	name       uint32
-	nc, np     uint16
+	nc, np     uint32
 }
 
 // NewRecorder returns an empty recorder for an execution of the given kind
@@ -197,68 +194,60 @@ func NewRecorder(kind, name string) *Recorder {
 	return &Recorder{kind: kind, name: name, base: time.Now()}
 }
 
+// RecordStepTuples implements gamma.ScheduleRecorder: the firing's tuples are
+// fingerprinted straight into the byte buffer (multiset.Tuple.AppendKey).
+func (r *Recorder) RecordStepTuples(seq uint64, name string, start time.Time, consumed, produced []multiset.Tuple) {
+	t0, dur := r.span(start)
+	r.mu.Lock()
+	r.begin(name, len(consumed)+len(produced))
+	for _, t := range consumed {
+		r.endSpan(t.AppendKey(r.buf))
+	}
+	for _, t := range produced {
+		r.endSpan(t.AppendKey(r.buf))
+	}
+	r.raw = append(r.raw, rawStep{seq: seq, start: t0, dur: dur, nc: uint32(len(consumed)), np: uint32(len(produced))})
+	r.mu.Unlock()
+}
+
+// RecordStepEdges implements dataflow.ScheduleRecorder: each token's
+// "label@tag" key is appended straight into the byte buffer
+// (dataflow.AppendTokenKey).
+func (r *Recorder) RecordStepEdges(seq uint64, g *dataflow.Graph, v dataflow.NodeID, start time.Time, in []int32, tag int64, out []int32, outTag int64) {
+	t0, dur := r.span(start)
+	r.mu.Lock()
+	r.begin(g.Nodes[v].Name, len(in)+len(out))
+	for _, e := range in {
+		r.endSpan(dataflow.AppendTokenKey(r.buf, g, dataflow.EdgeID(e), tag))
+	}
+	for _, e := range out {
+		r.endSpan(dataflow.AppendTokenKey(r.buf, g, dataflow.EdgeID(e), outTag))
+	}
+	r.raw = append(r.raw, rawStep{seq: seq, start: t0, dur: dur, nc: uint32(len(in)), np: uint32(len(out))})
+	r.mu.Unlock()
+}
+
 // span times a firing that started at start and is being recorded now.
 func (r *Recorder) span(start time.Time) (int64, int64) {
 	return start.Sub(r.base).Nanoseconds(), time.Since(start).Nanoseconds()
 }
 
-// RecordStep implements dataflow.ScheduleRecorder. The recorder retains the
-// key slices without copying: callers hand over ownership and must not
-// mutate them afterwards. The engines render fresh keys per firing, so taking
-// ownership keeps the cost to the rendering itself plus one locked append.
-func (r *Recorder) RecordStep(seq uint64, name string, start time.Time, consumed, produced []string) {
-	st := Step{Seq: seq, Name: name, Consumed: consumed, Produced: produced}
-	st.Start, st.Dur = r.span(start)
-	r.mu.Lock()
-	r.steps = append(r.steps, st)
-	r.mu.Unlock()
-}
-
-// RecordStepTuples implements gamma.ScheduleRecorder, allocation-free on the
-// commit path: the firing's tuples are fingerprinted
-// straight into the recorder's byte buffer (multiset.Tuple.AppendKey) and
-// key strings are materialized only when Schedule() runs. Amortized, a
-// firing costs three pointer-free appends under the lock.
-func (r *Recorder) RecordStepTuples(seq uint64, name string, start time.Time, consumed, produced []multiset.Tuple) {
-	if len(consumed) > 1<<16-1 || len(produced) > 1<<16-1 {
-		// Arity overflows rawStep's packed counts; take the string path.
-		// Unreachable for real programs (pattern and kernel arities are
-		// small), kept so the packing is not a silent correctness cliff.
-		ck := make([]string, len(consumed))
-		for i, t := range consumed {
-			ck[i] = t.Key()
-		}
-		pk := make([]string, len(produced))
-		for i, t := range produced {
-			pk[i] = t.Key()
-		}
-		r.RecordStep(seq, name, start, ck, pk)
-		return
-	}
-	t0, dur := r.span(start)
-	r.mu.Lock()
-	ni, ok := r.nameIdx[name]
-	if !ok {
-		if r.nameIdx == nil {
-			r.nameIdx = make(map[string]uint32)
-		}
-		ni = uint32(len(r.names))
-		r.names = append(r.names, name)
-		r.nameIdx[name] = ni
-	}
-	// Grow the raw stores by hand: doubling from a small floor keeps the
-	// cumulative allocation at ~2x the final size — a three-firing run
-	// records into a few hundred bytes — where the runtime's large-slice
-	// growth factor would make it ~5x on a long one. On a hot workload the
-	// recording overhead is garbage-collector work, so allocated bytes are
-	// the cost that matters. buf doubles once less than half of it (at most
-	// 4 KiB) is free, which is the headroom a firing's keys append into.
+// begin starts the record of a firing with keys keys: it makes room and
+// appends the firing's name. It grows the stores by hand: doubling from a
+// small floor keeps the cumulative allocation at ~2x the final size — a
+// three-firing run records into a few hundred bytes — where the runtime's
+// large-slice growth factor would make it ~5x on a long one. On a hot workload
+// the recording overhead is garbage-collector work, so allocated bytes are the
+// cost that matters. buf doubles once less than half of it (at most 4 KiB) is
+// free, which is the headroom a firing's text appends into. Called with mu
+// held.
+func (r *Recorder) begin(name string, keys int) {
 	if room := cap(r.buf) - len(r.buf); room < min(4096, cap(r.buf)/2+1) {
 		nb := make([]byte, len(r.buf), max(2*cap(r.buf), 1<<9))
 		copy(nb, r.buf)
 		r.buf = nb
 	}
-	if n := len(r.offs) + len(consumed) + len(produced); n > cap(r.offs) {
+	if n := len(r.offs) + 1 + keys; n > cap(r.offs) {
 		no := make([]uint32, len(r.offs), max(2*cap(r.offs), n, 1<<5))
 		copy(no, r.offs)
 		r.offs = no
@@ -268,23 +257,19 @@ func (r *Recorder) RecordStepTuples(seq uint64, name string, start time.Time, co
 		copy(nr, r.raw)
 		r.raw = nr
 	}
-	for _, t := range consumed {
-		r.buf = t.AppendKey(r.buf)
-		r.offs = append(r.offs, uint32(len(r.buf)))
-	}
-	for _, t := range produced {
-		r.buf = t.AppendKey(r.buf)
-		r.offs = append(r.offs, uint32(len(r.buf)))
-	}
-	r.raw = append(r.raw, rawStep{seq: seq, start: t0, dur: dur, name: ni, nc: uint16(len(consumed)), np: uint16(len(produced))})
-	r.mu.Unlock()
+	r.endSpan(append(r.buf, name...))
+}
+
+// endSpan takes buf with one more span appended and records where it ends.
+func (r *Recorder) endSpan(buf []byte) {
+	r.buf, r.offs = buf, append(r.offs, uint32(len(buf)))
 }
 
 // Len reports the number of firings recorded so far.
 func (r *Recorder) Len() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return len(r.steps) + len(r.raw)
+	return len(r.raw)
 }
 
 // Schedule linearizes the recorded firings: sorted by commit sequence
@@ -293,26 +278,23 @@ func (r *Recorder) Len() int {
 // is left unchanged and can keep recording.
 func (r *Recorder) Schedule() *Schedule {
 	r.mu.Lock()
-	steps := append([]Step(nil), r.steps...)
-	// Materialize the raw-tuple records: one string conversion covers every
-	// key recorded through the fast path, with the keys sliced out of it.
-	text := string(r.buf)
-	off, prev := 0, uint32(0)
-	keyRun := func(n int) []string {
-		if n == 0 {
-			return nil
-		}
-		ks := make([]string, n)
-		for i := range ks {
-			ks[i] = text[prev:r.offs[off]]
-			prev = r.offs[off]
-			off++
+	// One string conversion covers every span, and one slice holds them all;
+	// each step's keys are a capacity-clamped run of it.
+	text, spans := string(r.buf), make([]string, len(r.offs))
+	prev := uint32(0)
+	for i, end := range r.offs {
+		spans[i], prev = text[prev:end], end
+	}
+	run := func(n uint32) (ks []string) {
+		if n > 0 {
+			ks, spans = spans[:n:n], spans[n:]
 		}
 		return ks
 	}
-	for _, rs := range r.raw {
-		steps = append(steps, Step{Seq: rs.seq, Name: r.names[rs.name],
-			Consumed: keyRun(int(rs.nc)), Produced: keyRun(int(rs.np)), Start: rs.start, Dur: rs.dur})
+	steps := make([]Step, len(r.raw))
+	for i, rs := range r.raw {
+		steps[i] = Step{Seq: rs.seq, Name: run(1)[0], Start: rs.start, Dur: rs.dur}
+		steps[i].Consumed, steps[i].Produced = run(rs.nc), run(rs.np)
 	}
 	r.mu.Unlock()
 	sort.SliceStable(steps, func(i, j int) bool { return steps[i].Seq < steps[j].Seq })

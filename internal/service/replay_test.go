@@ -7,7 +7,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/multiset"
 	"repro/internal/paper"
@@ -194,9 +193,8 @@ func TestReplayEndpointErrors(t *testing.T) {
 		t.Errorf("empty program status = %d, want 400", got)
 	}
 
-	rec := replay.NewRecorder(replay.KindDataflow, "g")
-	rec.RecordStep(1, "add", time.Now(), nil, nil)
-	kindMismatch := schema.NewGammaReplayRequest(counterProgram, counterInit, string(rec.Schedule().Bytes()))
+	dfSched := &replay.Schedule{Kind: replay.KindDataflow, Name: "g", Steps: []replay.Step{{Step: 1, Seq: 1, Name: "add"}}}
+	kindMismatch := schema.NewGammaReplayRequest(counterProgram, counterInit, string(dfSched.Bytes()))
 	body, err := kindMismatch.Encode()
 	if err != nil {
 		t.Fatal(err)
