@@ -42,7 +42,7 @@ loc:
 
 # The size criterion as a gate: check-ci fails when the total of `make loc`
 # exceeds this. A PR may lower the ceiling, never raise it.
-LOC_CEILING = 17864
+LOC_CEILING = 17834
 
 # Observability demo: trace the paper's Fig. 1 program and emit a
 # Perfetto-loadable timeline (open trace.json at https://ui.perfetto.dev) plus
@@ -158,10 +158,12 @@ check: vet fmt-check build race bench-check
 # decoding the wide graph's dfir text (under 1.5 and 16, never rising with the
 # width) and the one allocation of encoding it; allocations and bytes per
 # element of parsing a multiset literal (under 0.25 and 320 B from 256
-# elements on, never rising with the size); the matching table's, dataflow
-# replay's and the divergence report's wall-time exponents (one vertex under n
-# tags; schedules of 2 432 to 38 912 steps, the widest under 250 ms; dependency
-# chains of 2^10 to 2^16 steps); bytes per service
+# elements on, never rising with the size) and per instance of Algorithm 2's
+# mapping on Eq. 2 min (under 12 and 1 200 B at n = 256 and 1 024, flat in
+# n); the matching table's, dataflow replay's and the divergence report's
+# wall-time exponents (one vertex under n tags; schedules of 2 432 to 38 912
+# steps, the widest under 250 ms; dependency chains of 2^10 to 2^16 steps);
+# bytes per service
 # request untraced, trace-asked and traced; allocations per recorded dataflow
 # firing (none: under 0.1, never rising with the width); nanoseconds per
 # recorded firing, Γ and dataflow;
@@ -189,7 +191,7 @@ check-ci: vet fmt-check build bench-check
 	$(GO) test -timeout 2m -count=1 -run 'TestLoopAllocScaling' .
 	$(GO) test -timeout 2m -count=1 -run 'TestAlg1ImageShape|TestParsedInitRunAllocation|TestAlgorithm1RunArenaFlat' ./internal/gamma/
 	GAMMAFLOW_WALLCLOCK=1 $(GO) test -timeout 2m -count=1 -run 'TestWideAllocShape|TestMatchTableScaling|TestCodecAllocShape' ./internal/dataflow/ ./internal/dfir/
-	$(GO) test -timeout 2m -count=1 -run 'TestParseAllocShape' ./internal/multiset/
+	$(GO) test -timeout 2m -count=1 -run 'TestParseAllocShape|TestMapMultisetAllocShape' ./internal/multiset/ ./internal/core/
 	$(GO) test -timeout 2m -count=1 -run 'TestDataflowRecorderAllocs' ./internal/replay/
 	$(GO) test -timeout 2m -count=1 -run 'TestTraceAllocationCost' ./internal/service/
 	GAMMAFLOW_WALLCLOCK=1 $(GO) test -timeout 2m -count=1 -run 'TestRecorderCostPerFiring|TestDataflowRecorderCostPerFiring|TestReplayDataflowScaling|TestReplayDataflowAllocScaling|TestReplayAncestorsScaling' ./internal/replay/

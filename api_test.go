@@ -107,6 +107,43 @@ func TestParseErrorsClassified(t *testing.T) {
 	}
 }
 
+// A program's own evaluation faults, one per engine: a Γ product and a
+// dataflow vertex that divide by zero, and a steer whose control is a string.
+const (
+	divProgram = `R = replace [x] by [x / 0]`
+	divGraph   = "graph g\nconst x = 1\narith d / imm 0\nedge a x:0 -> d:0\nedge m d:0 -> out\n"
+	steerGraph = "graph g\nconst d = 1\nconst c = 'x'\nsteer st\nedge a d:0 -> st:0\nedge b c:0 -> st:1\nedge t st:true -> out\nedge f st:false -> out\n"
+)
+
+// TestEvalFaultsClassified checks ErrEval reaches facade callers: a program's
+// own evaluation fault on the Γ engine, on the dataflow engine and in an
+// Algorithm 2 instance.
+func TestEvalFaultsClassified(t *testing.T) {
+	prog, err := ParseProgram("div", divProgram)
+	if err != nil {
+		t.Fatal(err)
+	}
+	one, err := ParseMultiset("{[1]}")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := RunProgram(prog, one.Clone(), ProgramOptions{}); !errors.Is(err, ErrEval) {
+		t.Errorf("Γ run: err = %v, want ErrEval", err)
+	}
+	if _, err := MapMultiset(prog.Reactions[0], one.Clone(), GraphOptions{}); !errors.Is(err, ErrEval) {
+		t.Errorf("mapping: err = %v, want ErrEval", err)
+	}
+	for _, src := range []string{divGraph, steerGraph} {
+		g, err := UnmarshalGraph(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := RunGraph(g, GraphOptions{}); !errors.Is(err, ErrEval) {
+			t.Errorf("graph run: err = %v, want ErrEval\n%s", err, src)
+		}
+	}
+}
+
 // TestRunSpecDrivesTheFacade pins the serving-era options plumbing: the
 // serializable RunSpec (the gammad wire struct) is the single source of the
 // engine, timeout and budget knobs for in-process runs too.

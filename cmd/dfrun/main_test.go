@@ -177,3 +177,17 @@ func TestRunClassifiesParseError(t *testing.T) {
 		t.Errorf("canceled run not classified: %v", err)
 	}
 }
+
+// TestRunClassifiesEvalFault: the graph's own evaluation fault — a vertex
+// dividing by zero, a steer whose control is a string — is eval, exit 8.
+func TestRunClassifiesEvalFault(t *testing.T) {
+	for _, src := range []string{
+		"graph g\nconst x = 1\narith d / imm 0\nedge a x:0 -> d:0\nedge m d:0 -> out\n",
+		"graph g\nconst d = 1\nconst c = 'x'\nsteer st\nedge a d:0 -> st:0\nedge b c:0 -> st:1\nedge t st:true -> out\nedge f st:false -> out\n",
+	} {
+		err := run(context.Background(), io.Discard, writeTemp(t, "eval.dfir", src), &cli.TelemetryFlags{}, "", 1000, "", false, false)
+		if !errors.Is(err, rt.ErrEval) || cli.ExitCode(err) != cli.ExitEval {
+			t.Errorf("%q: err = %v (exit %d), want eval (exit %d)", src, err, cli.ExitCode(err), cli.ExitEval)
+		}
+	}
+}

@@ -160,4 +160,18 @@ R = replace [x, 'a'] by [x + 1, 'a']
 	if err := run(ctx, io.Discard, diverge, schema.RunSpec{Workers: 1}, false, &cli.TelemetryFlags{}, "", false, false, false); !errors.Is(err, rt.ErrCanceled) {
 		t.Errorf("canceled run not classified: %v", err)
 	}
+	// The program's own evaluation fault — a product dividing by zero, a
+	// condition with no truth value — is eval, exit 8, on either engine.
+	for _, src := range []string{
+		"init {[1]}\nR = replace [x] by [x / 0]\n",
+		"init {['s', 'a']}\nR = replace [x, 'a'] by [x, 'b'] if x\n",
+	} {
+		path := writeTemp(t, "eval.gamma", src)
+		for _, workers := range []int{1, 2} {
+			err := run(context.Background(), io.Discard, path, schema.RunSpec{Workers: workers}, false, &cli.TelemetryFlags{}, "", false, false, false)
+			if !errors.Is(err, rt.ErrEval) || cli.ExitCode(err) != cli.ExitEval {
+				t.Errorf("workers=%d, %q: err = %v (exit %d), want eval (exit %d)", workers, src, err, cli.ExitCode(err), cli.ExitEval)
+			}
+		}
+	}
 }

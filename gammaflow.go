@@ -71,6 +71,10 @@ var (
 	ErrParse = rt.ErrParse
 	// ErrInvalid classifies structurally invalid programs and graphs.
 	ErrInvalid = rt.ErrInvalid
+	// ErrEval classifies the program's own evaluation faults: a division by
+	// zero, an operator given kinds it does not take, a condition or steer
+	// control with no truth value.
+	ErrEval = rt.ErrEval
 )
 
 type (

@@ -15,6 +15,7 @@
 //	5  canceled or deadline exceeded (rt.ErrCanceled, rt.ErrDeadline)
 //	6  a worker panicked (*rt.PanicError)
 //	7  execution judged divergent (rt.ErrDivergent)
+//	8  the program's own evaluation fault (rt.ErrEval)
 package cli
 
 import (
@@ -43,6 +44,7 @@ const (
 	ExitCanceled  = 5
 	ExitPanic     = 6
 	ExitDivergent = 7
+	ExitEval      = 8
 )
 
 // ExitCode maps err to the command exit code for its error class. The
@@ -63,6 +65,8 @@ func ExitCode(err error) int {
 		return ExitBudget
 	case errors.Is(err, rt.ErrParse), errors.Is(err, rt.ErrInvalid):
 		return ExitParse
+	case errors.Is(err, rt.ErrEval):
+		return ExitEval
 	default:
 		return ExitError
 	}
@@ -76,7 +80,8 @@ func ExitCode(err error) int {
 //	200  success
 //	400  parse error or invalid program/graph (rt.ErrParse, rt.ErrInvalid)
 //	408  the run's deadline or step budget expired (rt.ErrDeadline, rt.ErrMaxSteps)
-//	422  execution judged divergent (rt.ErrDivergent)
+//	422  execution judged divergent, or the program's own evaluation fault
+//	     (rt.ErrDivergent, rt.ErrEval)
 //	499  canceled by the client (rt.ErrCanceled; nginx's client-closed-request)
 //	500  a worker panicked, or the error is unclassified
 //
@@ -106,6 +111,8 @@ func HTTPStatus(err error) int {
 		return http.StatusRequestTimeout
 	case errors.Is(err, rt.ErrParse), errors.Is(err, rt.ErrInvalid):
 		return http.StatusBadRequest
+	case errors.Is(err, rt.ErrEval):
+		return http.StatusUnprocessableEntity
 	default:
 		return http.StatusInternalServerError
 	}

@@ -23,6 +23,7 @@ func TestExitCode(t *testing.T) {
 		{rt.ErrDeadline, ExitCanceled},
 		{rt.Mark(rt.ErrDivergent, fmt.Errorf("wrap: %w", rt.ErrMaxSteps)), ExitDivergent},
 		{rt.NewPanicError("gamma", "R1", 2, "boom"), ExitPanic},
+		{rt.Mark(rt.ErrEval, errors.New("value: division by zero")), ExitEval},
 	}
 	for _, c := range cases {
 		if got := ExitCode(c.err); got != c.want {
@@ -49,6 +50,7 @@ func TestHTTPStatus(t *testing.T) {
 		{"ErrDeadline", rt.ErrDeadline, http.StatusRequestTimeout},
 		{"ErrDivergent", rt.Mark(rt.ErrDivergent, fmt.Errorf("wrap: %w", rt.ErrMaxSteps)), http.StatusUnprocessableEntity},
 		{"PanicError", rt.NewPanicError("gamma", "R1", 2, "boom"), http.StatusInternalServerError},
+		{"ErrEval", rt.Mark(rt.ErrEval, errors.New("value: division by zero")), http.StatusUnprocessableEntity},
 	}
 	for _, c := range cases {
 		if got := HTTPStatus(c.err); got != c.want {
@@ -69,6 +71,7 @@ func TestHTTPStatusAgreesWithExitCode(t *testing.T) {
 		ExitBudget:    http.StatusRequestTimeout,
 		ExitParse:     http.StatusBadRequest,
 		ExitError:     http.StatusInternalServerError,
+		ExitEval:      http.StatusUnprocessableEntity,
 	}
 	errs := []error{
 		nil,
@@ -78,6 +81,7 @@ func TestHTTPStatusAgreesWithExitCode(t *testing.T) {
 		fmt.Errorf("w: %w", rt.ErrMaxSteps),
 		rt.ErrDivergent,
 		rt.NewPanicError("gamma", "R", 0, "v"),
+		rt.Mark(rt.ErrEval, errors.New("e")),
 		// A panic additionally marked canceled: both tables must pick panic.
 		rt.Mark(rt.ErrCanceled, error(rt.NewPanicError("gamma", "R", 1, "v"))),
 	}

@@ -3,12 +3,14 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"repro/internal/dataflow"
 	"repro/internal/expr"
 	"repro/internal/gamma"
 	"repro/internal/multiset"
 	"repro/internal/rt"
+	"repro/internal/symtab"
 	"repro/internal/value"
 )
 
@@ -24,12 +26,11 @@ import (
 //   - without conditions, arithmetic nodes are created directly over the
 //     roots (lines 18-21).
 //
-// Product elements become terminal edges labelled with the product's label
-// field when it is a string literal (else a synthetic out<i> label). A label
-// produced by both branches gets a "#f" suffix on the false side; the mapper
-// strips it. Tag fields are not represented in the subgraph — a single
-// instance computes one activation — which is why loops cannot be recovered
-// from reaction syntax alone (the paper's observation about inctag).
+// Product elements become terminal edges labelled by productLabels, so each
+// terminal label names one product template. Tag fields are not represented
+// in the subgraph — a single instance computes one activation — which is why
+// loops cannot be recovered from reaction syntax alone (the paper's
+// observation about inctag).
 func ReactionToGraph(r *gamma.Reaction) (*dataflow.Graph, error) {
 	if err := r.Validate(); err != nil {
 		return nil, err
@@ -61,10 +62,11 @@ func ReactionToGraph(r *gamma.Reaction) (*dataflow.Graph, error) {
 		}
 	}
 
+	labels := productLabels(r)
 	if r.Branches[0].Cond == nil && len(r.Branches) == 1 {
 		// Unconditional: arithmetic trees straight over the roots.
 		for pi, tpl := range r.Branches[0].Products {
-			if err := b.emitProduct(tpl, pi, "", nil); err != nil {
+			if err := b.emitProduct(tpl, labels[0][pi], nil); err != nil {
 				return nil, fmt.Errorf("core: reaction %s: %w", r.Name, err)
 			}
 		}
@@ -82,23 +84,17 @@ func ReactionToGraph(r *gamma.Reaction) (*dataflow.Graph, error) {
 	}
 	steers := &steerSet{b: b, ctl: ctl, byVar: make(map[string]dataflow.NodeID)}
 
-	seen := make(map[string]bool)
 	for pi, tpl := range r.Branches[0].Products {
-		if err := b.emitProduct(tpl, pi, "", steers.truePort); err != nil {
+		if err := b.emitProduct(tpl, labels[0][pi], steers.truePort); err != nil {
 			return nil, fmt.Errorf("core: reaction %s: %w", r.Name, err)
 		}
-		seen[templateLabel(tpl, pi)] = true
 	}
 	if len(r.Branches) == 2 {
 		if c2 := r.Branches[1].Cond; c2 != nil {
 			return nil, fmt.Errorf("core: reaction %s: second branch must be an else branch", r.Name)
 		}
 		for pi, tpl := range r.Branches[1].Products {
-			suffix := ""
-			if seen[templateLabel(tpl, pi)] {
-				suffix = "#f"
-			}
-			if err := b.emitProduct(tpl, pi+len(r.Branches[0].Products), suffix, steers.falsePort); err != nil {
+			if err := b.emitProduct(tpl, labels[1][pi], steers.falsePort); err != nil {
 				return nil, fmt.Errorf("core: reaction %s: %w", r.Name, err)
 			}
 		}
@@ -234,10 +230,10 @@ func (b *exprBuilder) binaryNode(id dataflow.NodeID, left, right expr.Expr) (out
 	return outPort{node: id, port: 0}, nil
 }
 
-// emitProduct compiles one product template into a terminal edge. resolve,
-// when non-nil, routes variable (and literal) sources through steers.
-func (b *exprBuilder) emitProduct(tpl gamma.Template, idx int, suffix string, resolve func(e expr.Expr) (outPort, error)) error {
-	label := templateLabel(tpl, idx) + suffix
+// emitProduct compiles one product template into a terminal edge labelled
+// label. resolve, when non-nil, routes variable (and literal) sources through
+// steers.
+func (b *exprBuilder) emitProduct(tpl gamma.Template, label string, resolve func(e expr.Expr) (outPort, error)) error {
 	valueExpr := tpl[0]
 	old := b.varResolve
 	if resolve != nil {
@@ -260,6 +256,27 @@ func (b *exprBuilder) emitProduct(tpl gamma.Template, idx int, suffix string, re
 	}
 	_, err = b.g.Connect(p.node, p.port, dataflow.NoNode, 0, label)
 	return err
+}
+
+// productLabels is the terminal label of every product of r, by branch then
+// product: templateLabel under the product's index across branches, with
+// "#f" appended on the false side when the true branch emits the same label.
+// ReactionToGraph labels its terminal edges with it and MapMultiset files the
+// templates under it, so an instance's outputs name their templates.
+func productLabels(r *gamma.Reaction) [][]string {
+	labels := make([][]string, len(r.Branches))
+	idx := 0
+	for bi, br := range r.Branches {
+		for _, tpl := range br.Products {
+			label := templateLabel(tpl, idx)
+			idx++
+			if bi > 0 && slices.Contains(labels[0], label) {
+				label += "#f"
+			}
+			labels[bi] = append(labels[bi], label)
+		}
+	}
+	return labels
 }
 
 // templateLabel extracts the product's element label: its second field when
@@ -348,57 +365,56 @@ type MapResult struct {
 // repeatedly (a) find an enabled match of r in m using the Gamma matcher —
 // the same enabling test as the runtime, so mapping terminates exactly when
 // Γ does; (b) instantiate the reaction's subgraph by setting the matched
-// values as its roots; (c) run the instance; (d) feed its terminal tokens
-// back into m as elements. The multiset m is modified in place. opt bounds
-// each instance (MaxFirings is per instance); ctx bounds the whole mapping
-// and is checked between instances.
+// values as its roots; (c) run the instance; (d) replace the matched elements
+// in m by its terminal tokens. The multiset m is modified in place, one
+// completed instance at a time: an instance that fails leaves m as the last
+// completed one did, as a Γ firing that fails leaves its match in place. opt
+// bounds each instance (MaxFirings is per instance); ctx bounds the whole
+// mapping and is checked between instances.
 func MapMultiset(ctx context.Context, r *gamma.Reaction, m *multiset.Multiset, opt dataflow.Options) (*MapResult, error) {
 	proto, err := ReactionToGraph(r)
 	if err != nil {
 		return nil, err
 	}
-	// Per-label element reconstruction: the dataflow instance computes the
-	// product's value field; the remaining fields (label, tag, indices) are
-	// re-evaluated from the product template under the match bindings. The
-	// true branch registers its templates first so colliding labels keep the
-	// "#f"-suffixed false-side entries separate.
-	meta := make(map[string]gamma.Template)
-	idx := 0
-	for bi, br := range r.Branches {
-		for _, tpl := range br.Products {
-			// Synthetic out<idx> names count across branches, mirroring the
-			// numbering emitProduct uses while building the subgraph.
-			label := templateLabel(tpl, idx)
-			idx++
-			if bi > 0 {
-				if _, dup := meta[label]; dup {
-					label += "#f"
-				}
+	// Everything an instance reads of its match is compiled once, against the
+	// reaction kernel's slot layout: each root's variable, and fields 1… of
+	// each product (label, tag, indices), filed under its terminal label. The
+	// instance itself computes the value field.
+	roots := proto.RootNodes()
+	reads := make([]expr.Compiled, len(roots))
+	for i, n := range roots {
+		reads[i] = r.Compile(expr.Var{Name: n.Name})
+	}
+	fields := make(map[string][]expr.Compiled)
+	for bi, labels := range productLabels(r) {
+		for pi, label := range labels {
+			tpl := r.Branches[bi].Products[pi]
+			cs := make([]expr.Compiled, len(tpl)-1)
+			for f := range cs {
+				cs[f] = r.Compile(tpl[f+1])
 			}
-			meta[label] = tpl
+			fields[label] = cs
 		}
 	}
 
 	res := &MapResult{}
+	var vals []value.Value
+	var out []multiset.Tuple
+	var syms []symtab.Sym
 	for {
 		if err := ctx.Err(); err != nil {
 			return res, rt.FromContext(err)
 		}
 		match, err := gamma.FindMatch(r, m, nil)
-		if err != nil {
+		if err != nil || match == nil {
 			return res, err
-		}
-		if match == nil {
-			return res, nil
-		}
-		if !m.TryRemoveAll(match.Chosen) {
-			return res, fmt.Errorf("core: matched elements vanished during mapping")
 		}
 		res.Instances++
 		// An instance is the subgraph with the matched values as its roots:
 		// SetConst keeps the graph's version, so all of them run on one plan.
-		for _, n := range proto.RootNodes() {
-			if v, ok := match.Env[n.Name]; ok {
+		// A literal's root names no variable, reads unbound and keeps its value.
+		for i, n := range roots {
+			if v, err := reads[i](match.Env); err == nil {
 				if err := proto.SetConst(n.ID, v); err != nil {
 					return res, err
 				}
@@ -409,23 +425,27 @@ func MapMultiset(ctx context.Context, r *gamma.Reaction, m *multiset.Multiset, o
 			return res, err
 		}
 		res.Firings += run.Firings
-		for label, vals := range run.Outputs {
-			tpl, ok := meta[label]
-			if !ok {
-				return res, fmt.Errorf("core: instance output %s has no product template", label)
-			}
-			for _, tv := range vals {
-				tuple := make(multiset.Tuple, len(tpl))
-				tuple[0] = tv.Val
-				for f := 1; f < len(tpl); f++ {
-					fv, err := expr.Eval(tpl[f], match.Env)
+		// The products go out as one commit, from arenas it copies and the
+		// next instance reuses: each tuple's cells are a run of vals.
+		vals, out = vals[:0], out[:0]
+		for label, tvs := range run.Outputs {
+			cs := fields[label]
+			for _, tv := range tvs {
+				start := len(vals)
+				vals = append(vals, tv.Val)
+				for f, c := range cs {
+					fv, err := c(match.Env)
 					if err != nil {
-						return res, fmt.Errorf("core: product field %d of %s: %w", f, label, err)
+						return res, rt.Mark(rt.ErrEval, fmt.Errorf("core: product field %d of %s: %w", f+1, label, err))
 					}
-					tuple[f] = fv
+					vals = append(vals, fv)
 				}
-				m.Add(tuple)
+				out = append(out, vals[start:len(vals):len(vals)])
 			}
+		}
+		var ok bool
+		if ok, syms = m.ApplyDelta(match.Chosen, nil, out, syms[:0]); !ok {
+			return res, fmt.Errorf("core: matched elements vanished during mapping")
 		}
 	}
 }

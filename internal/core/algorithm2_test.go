@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"reflect"
 	"testing"
 
@@ -12,6 +13,7 @@ import (
 	"repro/internal/gammalang"
 	"repro/internal/multiset"
 	"repro/internal/paper"
+	"repro/internal/rt"
 	"repro/internal/value"
 )
 
@@ -548,5 +550,59 @@ func TestMapMultisetTaggedSteer(t *testing.T) {
 	}
 	if m.Len() != 1 || !m.Contains(multiset.IntElem(42, "T", 7)) {
 		t.Errorf("result = %s, want {[42, 'T', 7]}", m)
+	}
+}
+
+// TestMapMultisetMatchesGamma maps two-branch reactions whose products carry
+// no literal label, so the false side's terminal label is synthetic: the
+// mapping must file each instance output under the template its subgraph
+// emitted it for, and end where the Γ run of the same reaction does.
+func TestMapMultisetMatchesGamma(t *testing.T) {
+	cases := []struct{ src, init string }{
+		{`R = replace (x, y) by x if x > y by y else`, "{[9], [4], [7]}"},
+		{`R = replace [x, l], [y, k] by [x, l] if x > y by [y, k] else`, "{[9, 'a'], [4, 'b'], [7, 'c']}"},
+	}
+	for _, c := range cases {
+		r := mustReaction(t, c.src)
+		mapped, err := multiset.Parse(c.init)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reacted := mapped.Clone()
+		if _, err := MapMultiset(context.Background(), r, mapped, dataflow.Options{}); err != nil {
+			t.Fatalf("%s: mapping: %v", c.src, err)
+		}
+		if _, err := gamma.Run(gamma.MustProgram("R", r), reacted, gamma.Options{}); err != nil {
+			t.Fatalf("%s: Γ run: %v", c.src, err)
+		}
+		if !mapped.Equal(reacted) {
+			t.Errorf("%s on %s: mapping left %s, Γ %s", c.src, c.init, mapped, reacted)
+		}
+	}
+}
+
+// TestMapMultisetFailedInstanceKeepsMatch: an instance that fails to evaluate
+// — in its subgraph, or in a product field the mapping computes — leaves the
+// multiset as the last completed instance did, as the Γ engine leaves a
+// firing that fails to produce; both errors are the program's, rt.ErrEval.
+func TestMapMultisetFailedInstanceKeepsMatch(t *testing.T) {
+	for _, src := range []string{
+		`R = replace [x, 'a'] by [x / 0, 'b']`,
+		`R = replace [x, 'a', v] by [x, 'b', v / 0]`,
+	} {
+		r := mustReaction(t, src)
+		mapped, err := multiset.Parse("{[1, 'a', 2], [1, 'a']}")
+		if err != nil {
+			t.Fatal(err)
+		}
+		reacted := mapped.Clone()
+		_, merr := MapMultiset(context.Background(), r, mapped, dataflow.Options{})
+		_, gerr := gamma.Run(gamma.MustProgram("R", r), reacted, gamma.Options{})
+		if !errors.Is(merr, rt.ErrEval) || !errors.Is(gerr, rt.ErrEval) {
+			t.Errorf("%s: mapping err %v, Γ err %v, want both rt.ErrEval", src, merr, gerr)
+		}
+		if !mapped.Equal(reacted) || mapped.Len() != 2 {
+			t.Errorf("%s: mapping left %s, Γ %s, want the initial two elements", src, mapped, reacted)
+		}
 	}
 }

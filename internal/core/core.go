@@ -7,8 +7,11 @@
 //     elements [value, label, tag], and the initial multiset comes from the
 //     root vertices.
 //   - Algorithm 2 (§III-B): ReactionToGraph converts one reaction into a
-//     dataflow subgraph, and MapMultiset performs the step-2 mapping of the
-//     multiset onto replicated instances of that subgraph (Fig. 4).
+//     dataflow subgraph whose terminal edges carry productLabels' labels, and
+//     MapMultiset performs the step-2 mapping of the multiset onto replicated
+//     instances of that subgraph (Fig. 4): each instance is one Gamma match,
+//     read through the reaction's compiled kernel (Reaction.Compile), one run
+//     of the subgraph, and one commit of its outputs back into the multiset.
 //   - ProgramToGraph composes the reverse direction for whole programs using
 //     the reaction classifier (the paper's future work: recognizing steer and
 //     inctag vertices from reaction behaviour).

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync/atomic"
 
+	"repro/internal/rt"
 	"repro/internal/value"
 )
 
@@ -186,6 +187,12 @@ func (p *plan) compile(n *Node) vertexOp {
 // name serves the slow paths: errors, fault injector, schedule, telemetry.
 func (p *plan) name(id int32) string { return p.g.Nodes[id].Name }
 
+// evalFault classifies a vertex's evaluation error as the program's fault,
+// rt.ErrEval. Out of line, so that the firing path's frames stay as they were.
+//
+//go:noinline
+func evalFault(err error) error { return rt.Mark(rt.ErrEval, err) }
+
 // evalPure computes pure vertex id through its op-table entry vo. Semantics are
 // exactly those of the tree-walking pureResult that
 // TestCompiledPureOpsDifferential keeps as the oracle.
@@ -201,7 +208,7 @@ func (p *plan) evalPure(id int32, vo vertexOp, o []value.Value) (v value.Value, 
 		v, err = p.fns[vo.fn].un(o[0])
 	}
 	if err != nil {
-		return value.Value{}, fmt.Errorf("dataflow: node %s: %w", p.name(id), err)
+		return value.Value{}, evalFault(fmt.Errorf("dataflow: node %s: %w", p.name(id), err))
 	}
 	if vo.kind == KindCompare {
 		// Algorithm 1 (lines 25-27): comparisons produce 1 or 0 control

@@ -315,7 +315,7 @@ func (p *plan) route(id int32, tag int64, operands []value.Value) (int, value.Va
 	case KindSteer:
 		ctl, err := operands[1].Truthy()
 		if err != nil {
-			return 0, value.Value{}, 0, fmt.Errorf("dataflow: steer %s control: %w", p.name(id), err)
+			return 0, value.Value{}, 0, evalFault(fmt.Errorf("dataflow: steer %s control: %w", p.name(id), err))
 		}
 		if ctl {
 			return PortTrue, operands[0], tag, nil

@@ -264,6 +264,8 @@ func FuzzUnmarshal(f *testing.F) {
 		"graph spin\nconst c = 1\ninctag inc\ncopy cp\nedge seed c:0 -> inc:0\nedge fwd inc:0 -> cp:0\nedge back cp:0 -> inc:0\n",
 		"graph g\nconst c 1\nout c m\n",
 		"graph q\nconst s = 'a b'\ncompare lt < immleft 2.5\nsteer st\nsettag z\nunary n -\n# comment\n",
+		"graph g\nconst x = 1\narith d / imm 0\nedge a x:0 -> d:0\nedge m d:0 -> out\n",
+		"graph g\nconst d = 1\nconst c = 'x'\nsteer st\nedge a d:0 -> st:0\nedge b c:0 -> st:1\nedge t st:true -> out\nedge f st:false -> out\n",
 	} {
 		f.Add(seed)
 	}
@@ -286,9 +288,9 @@ func FuzzUnmarshal(f *testing.F) {
 
 // runsAndReplays runs a graph that passed Validate, recorded, under a firing
 // budget and a deadline: Validate's contract is that whatever it accepts runs
-// to a classified end. It fails on a recovered panic, on an error rt does not
-// classify other than the program's own evaluation fault (evalFault), and on
-// a schedule ReplayDataflow does not re-execute step for step — to the run's
+// to a classified end — a vertex's own evaluation fault is rt.ErrEval. It
+// fails on a recovered panic, on an error rt does not classify, and on a
+// schedule ReplayDataflow does not re-execute step for step — to the run's
 // outputs, Pending and a stable end when the run finished, as a prefix of its
 // firings when it stopped early.
 func runsAndReplays(t *testing.T, g *dataflow.Graph) {
@@ -297,7 +299,7 @@ func runsAndReplays(t *testing.T, g *dataflow.Graph) {
 	defer cancel()
 	res, err := dataflow.RunContext(ctx, g, dataflow.Options{MaxFirings: 500, Schedule: rec})
 	var pe *rt.PanicError
-	if errors.As(err, &pe) || (err != nil && rt.Code(err) == rt.CodeInternal && !evalFault(err)) || strings.Contains(fmt.Sprint(err), "idle protocol") {
+	if errors.As(err, &pe) || rt.Code(err) == rt.CodeInternal || strings.Contains(fmt.Sprint(err), "idle protocol") {
 		t.Fatalf("run of\n%s: %v", Marshal(g), err)
 	}
 	rep, rerr := replay.ReplayDataflow(g, rec.Schedule())
@@ -309,14 +311,4 @@ func runsAndReplays(t *testing.T, g *dataflow.Graph) {
 	case err == nil && (!reflect.DeepEqual(rep.Outputs, res.Outputs) || rep.Pending != res.Pending || !rep.Stable):
 		t.Fatalf("run of\n%s: outputs %v, %d pending; replay: outputs %v, %d pending, stable %v", Marshal(g), res.Outputs, res.Pending, rep.Outputs, rep.Pending, rep.Stable)
 	}
-}
-
-// evalFault reports whether err is a vertex's own evaluation fault: an
-// operator given operands it does not take, a division by zero, or a steer
-// control with no truth value. rt has no class for these, so a run reports
-// them as internal.
-func evalFault(err error) bool {
-	var te *value.TypeError
-	var dz *value.DivisionByZero
-	return errors.As(err, &te) || errors.As(err, &dz) || strings.Contains(err.Error(), "has no truth value")
 }

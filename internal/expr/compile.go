@@ -7,30 +7,29 @@ import (
 )
 
 // Compiled is an expression lowered to a closure chain over a slot-indexed
-// environment: pattern variables are resolved to integer slots at compile
-// time, so evaluation reads env[slot] instead of hashing a name into a
-// map-allocated MapEnv on every probe. A slot holding the zero (invalid)
-// Value is unbound, exactly as a missing MapEnv key.
+// environment: variables are resolved to integer slots at compile time, so
+// evaluation reads env[slot] and never looks a name up. A slot holding the
+// zero (invalid) Value is unbound. It is the one evaluator of the expression
+// language: Gamma conditions and products, and Algorithm 2's mapping.
 //
 // Compiled closures are immutable after Compile and safe for concurrent use;
 // the parallel Gamma runtime shares one compiled kernel across all workers.
 //
-// Semantics are bit-for-bit those of the tree-walking Eval on the same
-// expression: identical values, identical error classes and messages,
-// identical evaluation order and short-circuiting. The differential property
-// test in compile_test.go holds the two implementations to that contract with
-// Eval as the reference oracle.
+// Semantics are bit-for-bit those of the tree-walking Eval (eval_test.go) on
+// the same expression: identical values, identical error classes and
+// messages, identical evaluation order and short-circuiting. The differential
+// property test in compile_test.go holds the two implementations to that
+// contract with Eval as the reference oracle.
 type Compiled func(env []value.Value) (value.Value, error)
 
-// CompiledBool is a compiled condition: Compiled followed by Truthy, the
-// compiled counterpart of EvalBool.
+// CompiledBool is a compiled condition: Compiled followed by Truthy.
 type CompiledBool func(env []value.Value) (bool, error)
 
 // Compile lowers e into a Compiled closure chain. Fold runs first, so
 // constant subtrees (the literal chains produced by §III-A3 reaction fusion)
 // are collapsed to single literal loads at compile time and pay nothing per
 // evaluation. slots maps variable names to environment indexes; variables
-// absent from slots evaluate to *UnboundVarError, as under an empty Env.
+// absent from slots evaluate to *UnboundVarError.
 func Compile(e Expr, slots map[string]int) Compiled {
 	return lower(Fold(e), slots)
 }
@@ -244,4 +243,50 @@ func lowerBinary(n Binary, slots map[string]int) Compiled {
 		}
 		return fn(l, r)
 	}
+}
+
+// UnboundVarError reports a variable reference with no binding: a name
+// without a slot, or a slot holding the invalid Value.
+type UnboundVarError struct{ Name string }
+
+func (e *UnboundVarError) Error() string { return "expr: unbound variable " + e.Name }
+
+// callBuiltin dispatches the builtin function set.
+func callBuiltin(name string, args []value.Value) (value.Value, error) {
+	switch name {
+	case "min", "max":
+		if len(args) < 1 {
+			return value.Value{}, fmt.Errorf("expr: %s needs at least 1 argument", name)
+		}
+		best := args[0]
+		for _, a := range args[1:] {
+			c, err := value.Compare(a, best)
+			if err != nil {
+				return value.Value{}, err
+			}
+			if (name == "min" && c < 0) || (name == "max" && c > 0) {
+				best = a
+			}
+		}
+		return best, nil
+	case "abs":
+		if len(args) != 1 {
+			return value.Value{}, fmt.Errorf("expr: abs needs exactly 1 argument")
+		}
+		a := args[0]
+		switch a.Kind() {
+		case value.KindInt:
+			if a.AsInt() < 0 {
+				return value.Int(-a.AsInt()), nil
+			}
+			return a, nil
+		case value.KindFloat:
+			if a.AsFloat() < 0 {
+				return value.Float(-a.AsFloat()), nil
+			}
+			return a, nil
+		}
+		return value.Value{}, fmt.Errorf("expr: abs on non-numeric %s", a)
+	}
+	return value.Value{}, fmt.Errorf("expr: unknown function %q", name)
 }

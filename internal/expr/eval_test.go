@@ -1,5 +1,10 @@
 package expr
 
+// The tree-walking evaluator: an expression read straight off its syntax under
+// a name-keyed environment. Production compiles every expression (compile.go);
+// this is the reference TestCompiledDifferential* holds the compiled closures
+// to, value, error and message alike.
+
 import (
 	"fmt"
 
@@ -23,11 +28,6 @@ func (m MapEnv) Lookup(name string) (value.Value, bool) {
 
 // EmptyEnv is an Env with no bindings, for evaluating closed expressions.
 var EmptyEnv Env = MapEnv(nil)
-
-// UnboundVarError reports a variable reference with no binding in the Env.
-type UnboundVarError struct{ Name string }
-
-func (e *UnboundVarError) Error() string { return "expr: unbound variable " + e.Name }
 
 // Eval evaluates e under env.
 func Eval(e Expr, env Env) (value.Value, error) {
@@ -123,44 +123,4 @@ func EvalBool(e Expr, env Env) (bool, error) {
 		return false, err
 	}
 	return v.Truthy()
-}
-
-// callBuiltin dispatches the builtin function set.
-func callBuiltin(name string, args []value.Value) (value.Value, error) {
-	switch name {
-	case "min", "max":
-		if len(args) < 1 {
-			return value.Value{}, fmt.Errorf("expr: %s needs at least 1 argument", name)
-		}
-		best := args[0]
-		for _, a := range args[1:] {
-			c, err := value.Compare(a, best)
-			if err != nil {
-				return value.Value{}, err
-			}
-			if (name == "min" && c < 0) || (name == "max" && c > 0) {
-				best = a
-			}
-		}
-		return best, nil
-	case "abs":
-		if len(args) != 1 {
-			return value.Value{}, fmt.Errorf("expr: abs needs exactly 1 argument")
-		}
-		a := args[0]
-		switch a.Kind() {
-		case value.KindInt:
-			if a.AsInt() < 0 {
-				return value.Int(-a.AsInt()), nil
-			}
-			return a, nil
-		case value.KindFloat:
-			if a.AsFloat() < 0 {
-				return value.Float(-a.AsFloat()), nil
-			}
-			return a, nil
-		}
-		return value.Value{}, fmt.Errorf("expr: abs on non-numeric %s", a)
-	}
-	return value.Value{}, fmt.Errorf("expr: unknown function %q", name)
 }

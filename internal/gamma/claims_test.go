@@ -58,7 +58,7 @@ func firingsOracle(t *testing.T, r *Reaction, m *multiset.Multiset, rng *rand.Ra
 			cands = append(cands, multiset.Counted{Tuple: tp, N: n, Key: key})
 			return true
 		})
-		s := &oracleSearcher{r: r, rotCands: cands, env: make(expr.MapEnv), used: make(map[string]int),
+		s := &oracleSearcher{r: r, rotCands: cands, env: make(bindings), used: make(map[string]int),
 			chosen: make([]multiset.Tuple, len(r.Patterns))}
 		if !s.search(0) {
 			if s.err != nil {

@@ -1,11 +1,6 @@
 package gamma
 
-import (
-	"math/rand"
-	"testing"
-
-	"repro/internal/multiset"
-)
+import "testing"
 
 // CheckCommits makes every commit of every run started in t verify the
 // storage invariants of the multiset committed to — a part, in a parallel run
@@ -36,15 +31,6 @@ func Generic(p *Program) (wildcard, generic int) {
 // RaceEnabled lets the external test package skip allocation counts under
 // the race detector.
 const RaceEnabled = raceEnabled
-
-// probe runs one search of m under a read session of the searcher's own, the
-// way FindMatch does, and reports whether it found an enabled firing.
-func (s *searcher) probe(m *multiset.Multiset, rng *rand.Rand) bool {
-	s.begin(m, rng)
-	m.LockRead(s.view)
-	defer s.view.Unlock()
-	return s.search(0)
-}
 
 // CountValidations counts, until t ends, the walks of Validate on each
 // reaction. Not for parallel tests: the hook is one package variable.

@@ -18,7 +18,8 @@ import (
 // empty, a multiset literal overriding its init, run to its stable state under
 // a step budget and a deadline, recorded, with the storage invariants checked
 // after every commit (CheckCommits). It fails on a recovered panic, on an
-// error rt does not classify, and on a schedule that ReplayGamma does not
+// error rt does not classify (a program's own evaluation fault is rt.ErrEval),
+// and on a schedule that ReplayGamma does not
 // re-execute, step for step, to the multiset the run left — a prefix, when the
 // run stopped early. The recorder reads each firing's consumed tuples after
 // its commit, from the cells a later commit may reuse, so this is also the
@@ -35,6 +36,8 @@ func FuzzRunReplays(f *testing.F) {
 		"{[1, 'a', 0], [2, 'a', 0], [3, 'a', 1], [4, 'a', 1], [5, 'a', 1], [1, 'a', 0]}")
 	f.Add("R = replace [x, 'L'] by [x + 1, 'L'] if x < 50", "{[0, 'L'], [3, 'L'], [7, 'L']}")
 	f.Add("A = replace x, y by x + y\nB = replace [x] by [x * 2], [x - 1] if x > 0\nA ; B", "{[1], [2], [3]}")
+	f.Add("R = replace [x] by [x / 0]", "{[1]}")
+	f.Add("R = replace [x, 'a'] by [x, 'b'] if x", "{['s', 'a'], [1, 'a']}")
 	f.Fuzz(func(t *testing.T, program, init string) {
 		if len(program)+len(init) > 1024 {
 			return // a probe is not preemptible: keep each input's search small

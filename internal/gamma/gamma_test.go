@@ -465,16 +465,17 @@ func TestFindMatchIndexedPath(t *testing.T) {
 func TestFindMatchRandomizedStillValid(t *testing.T) {
 	m := intsMultiset(3, 1, 4, 1, 5)
 	rng := rand.New(rand.NewSource(42))
+	r := minReaction()
 	for i := 0; i < 20; i++ {
-		match, err := FindMatch(minReaction(), m, rng)
+		match, err := FindMatch(r, m, rng)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if match == nil {
 			t.Fatal("expected a match")
 		}
-		x := match.Env["x"].AsInt()
-		y := match.Env["y"].AsInt()
+		x := bound(t, r, match, "x").AsInt()
+		y := bound(t, r, match, "y").AsInt()
 		if x >= y {
 			t.Fatalf("invalid match x=%d y=%d", x, y)
 		}
@@ -613,8 +614,7 @@ func TestArityAndProduceErrors(t *testing.T) {
 		Patterns: []Pattern{{FVar("x")}},
 		Branches: []Branch{{Products: []Template{{expr.MustParse("x + 'q'")}}}},
 	}
-	env := expr.MapEnv{"x": value.Int(1)}
-	if _, err := bad.produce(0, env); err == nil {
+	if _, err := bad.produce(0, bindings{"x": value.Int(1)}); err == nil {
 		t.Error("produce should surface eval error")
 	}
 }
@@ -652,7 +652,7 @@ func TestManyReactionsManyLabels(t *testing.T) {
 }
 
 func TestPatternMatchEdgeCases(t *testing.T) {
-	env := make(expr.MapEnv)
+	env := make(bindings)
 	// Arity mismatch.
 	p := Pattern{FVar("x"), FLabel("L")}
 	if _, ok := p.match(multiset.IntElem(1, "L", 0), env); ok {

@@ -1,10 +1,12 @@
 package gamma
 
 // The interpreted matcher: a reaction read straight off its syntax — pattern
-// variables bound by name into a MapEnv, conditions and products tree-walked
-// by expr.Eval. The engines and replay fire the compiled kernel (kernel.go);
-// this is the reference it is held to (TestKernelMatchesInterpreter, and the
-// claims tests' product oracle).
+// variables bound by name into an env, conditions and products evaluated
+// under it. The engines and replay fire the compiled kernel (kernel.go); this
+// is the reference it is held to (TestKernelMatchesInterpreter, and the claims
+// tests' product oracle). An expression evaluates through expr.Compile
+// against slots the env assigns by name, never through the kernel's slot
+// layout; expr's own differential suite holds expr.Compile to the tree walker.
 
 import (
 	"fmt"
@@ -14,9 +16,24 @@ import (
 	"repro/internal/value"
 )
 
+// bindings is the oracle's environment: a variable is bound when its name is a
+// key.
+type bindings map[string]value.Value
+
+// eval evaluates e under b: each bound name gets a slot of its own.
+func (b bindings) eval(e expr.Expr) (value.Value, error) {
+	slots := make(map[string]int, len(b))
+	vals := make([]value.Value, 0, len(b))
+	for name, v := range b {
+		slots[name] = len(vals)
+		vals = append(vals, v)
+	}
+	return expr.Compile(e, slots)(vals)
+}
+
 // match attempts to match tuple t against p, extending env. It reports
 // success and the list of names newly bound (for backtracking).
-func (p Pattern) match(t multiset.Tuple, env expr.MapEnv) (bound []string, ok bool) {
+func (p Pattern) match(t multiset.Tuple, env bindings) (bound []string, ok bool) {
 	if len(t) != len(p) {
 		return nil, false
 	}
@@ -43,17 +60,17 @@ func (p Pattern) match(t multiset.Tuple, env expr.MapEnv) (bound []string, ok bo
 	return bound, true
 }
 
-func unbind(env expr.MapEnv, names []string) {
+func unbind(env bindings, names []string) {
 	for _, n := range names {
 		delete(env, n)
 	}
 }
 
 // instantiate evaluates the template under env into a concrete tuple.
-func (tpl Template) instantiate(env expr.Env) (multiset.Tuple, error) {
+func (tpl Template) instantiate(env bindings) (multiset.Tuple, error) {
 	out := make(multiset.Tuple, len(tpl))
 	for i, e := range tpl {
-		v, err := expr.Eval(e, env)
+		v, err := env.eval(e)
 		if err != nil {
 			return nil, err
 		}
@@ -64,12 +81,16 @@ func (tpl Template) instantiate(env expr.Env) (multiset.Tuple, error) {
 
 // selectBranch returns the index of the first enabled branch under env, or -1
 // when no branch is enabled (the binding does not fire).
-func (r *Reaction) selectBranch(env expr.Env) (int, error) {
+func (r *Reaction) selectBranch(env bindings) (int, error) {
 	for i, b := range r.Branches {
 		if b.Cond == nil {
 			return i, nil
 		}
-		ok, err := expr.EvalBool(b.Cond, env)
+		v, err := env.eval(b.Cond)
+		ok := false
+		if err == nil {
+			ok, err = v.Truthy()
+		}
 		if err != nil {
 			return -1, fmt.Errorf("gamma: reaction %s condition: %w", r.Name, err)
 		}
@@ -81,7 +102,7 @@ func (r *Reaction) selectBranch(env expr.Env) (int, error) {
 }
 
 // produce instantiates the products of branch idx under env.
-func (r *Reaction) produce(idx int, env expr.Env) ([]multiset.Tuple, error) {
+func (r *Reaction) produce(idx int, env bindings) ([]multiset.Tuple, error) {
 	b := r.Branches[idx]
 	out := make([]multiset.Tuple, 0, len(b.Products))
 	for _, tpl := range b.Products {

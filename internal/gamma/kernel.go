@@ -11,9 +11,10 @@
 // interpreted path bit-for-bit:
 //
 //   - every pattern variable is assigned an integer slot; matching writes
-//     env[slot] instead of hashing names into a MapEnv, and whether a field
-//     binds or equality-checks is decided statically from the fixed search
-//     order (patterns in order, fields left to right);
+//     env[slot], and whether a field binds or equality-checks is decided
+//     statically from the fixed search order (patterns in order, fields left
+//     to right); Reaction.Compile lowers any other expression against the
+//     same slots, which is how Algorithm 2's mapping reads a match;
 //   - branch conditions and product fields are compiled to expr closure
 //     chains over the slot environment (expr.Compile, which also constant-
 //     folds the literal chains §III-A3 reaction fusion leaves behind);
@@ -26,9 +27,10 @@
 //   - searcher scratch (slot env, claim stack, chosen tuples) belongs to the
 //     worker, one per reaction (worker.searchers): a probe allocates nothing.
 //
-// The kernel is the one matcher in production: the engines fire it, and replay
-// re-runs it (Reaction.ReplayFiring). The interpreted Pattern.match /
-// Reaction.produce path lives in interp_test.go as the reference oracle;
+// The kernel is the one matcher in production: the engines fire it, replay
+// re-runs it (Reaction.ReplayFiring) and FindMatch hands its slot environment
+// out. The interpreted Pattern.match / Reaction.produce path lives in
+// interp_test.go as the reference oracle, binding by name;
 // TestKernelMatchesInterpreter holds the two together.
 package gamma
 
@@ -39,6 +41,7 @@ import (
 
 	"repro/internal/expr"
 	"repro/internal/multiset"
+	"repro/internal/rt"
 	"repro/internal/symtab"
 	"repro/internal/value"
 )
@@ -124,7 +127,7 @@ type kbranch struct {
 // Reaction.kernel) and shared read-only by every worker.
 type kernel struct {
 	nslots   int
-	varOf    []string // slot → variable name, for materializing Match.Env
+	varOf    []string // slot → variable name (Reaction.Compile)
 	pats     []kpat
 	branches []kbranch
 
@@ -221,6 +224,21 @@ func (r *Reaction) kernel() *kernel {
 	return r.kern
 }
 
+// Compile lowers e against r's slot layout, so that it evaluates under the
+// Match.Env FindMatch returns for r: expr.Var{Name: v} reads pattern variable
+// v, and a name the patterns do not bind evaluates to *expr.UnboundVarError.
+// It rebuilds the name → slot table from varOf on each call instead of keeping
+// compileKernel's on the kernel: that one then stays on compileKernel's stack,
+// and building a kernel, once per reaction of every plan, allocates no map.
+func (r *Reaction) Compile(e expr.Expr) expr.Compiled {
+	varOf := r.kernel().varOf
+	slots := make(map[string]int, len(varOf))
+	for s, name := range varOf {
+		slots[name] = s
+	}
+	return expr.Compile(e, slots)
+}
+
 // checked builds r's kernel and returns its Validate verdict, both taken
 // once. It stays out of line so that runContext keeps the frame the Validate
 // call gave it (see runContext on why that frame matters).
@@ -233,7 +251,8 @@ func (r *Reaction) checked() error {
 
 // selectBranch returns the first enabled branch under the slot env, or -1.
 // The compiled counterpart of the interpreted oracle's Reaction.selectBranch
-// (interp_test.go), with the same error wrapping.
+// (interp_test.go), with the same error wrapping; a condition that fails to
+// evaluate is the program's fault, rt.ErrEval.
 func (k *kernel) selectBranch(name string, env []value.Value) (int, error) {
 	for i := range k.branches {
 		b := &k.branches[i]
@@ -242,7 +261,7 @@ func (k *kernel) selectBranch(name string, env []value.Value) (int, error) {
 		}
 		ok, err := b.cond(env)
 		if err != nil {
-			return -1, fmt.Errorf("gamma: reaction %s condition: %w", name, err)
+			return -1, evalFault(fmt.Errorf("gamma: reaction %s condition: %w", name, err))
 		}
 		if ok {
 			return i, nil
@@ -250,6 +269,13 @@ func (k *kernel) selectBranch(name string, env []value.Value) (int, error) {
 	}
 	return -1, nil
 }
+
+// evalFault classifies a reaction's evaluation error as the program's fault,
+// rt.ErrEval. Out of line, so that the probe path's frames stay as they were
+// (gamma_min is frame-layout sensitive).
+//
+//go:noinline
+func evalFault(err error) error { return rt.Mark(rt.ErrEval, err) }
 
 // produceInto instantiates branch idx's products under the slot env — the
 // compiled counterpart of the oracle's Reaction.produce, with the same error
@@ -266,7 +292,7 @@ func (k *kernel) produceInto(name string, idx int, env []value.Value, vals []val
 		for _, ce := range tpl {
 			v, err := ce(env)
 			if err != nil {
-				return vals, out, fmt.Errorf("gamma: reaction %s action: %w", name, err)
+				return vals, out, evalFault(fmt.Errorf("gamma: reaction %s action: %w", name, err))
 			}
 			vals = append(vals, v)
 		}

@@ -11,15 +11,22 @@ import (
 	"repro/internal/value"
 )
 
+// oracleMatch is findMatchOracle's Match: the bindings by name.
+type oracleMatch struct {
+	Chosen []multiset.Tuple
+	Env    bindings
+	Branch int
+}
+
 // findMatchOracle is the interpreted matcher the kernel replaced: a
-// backtracking search using Pattern.match over a MapEnv and the tree-walking
-// selectBranch. Candidate order mirrors the kernel's deterministic
+// backtracking search using Pattern.match over name-keyed bindings and the
+// interpreted selectBranch. Candidate order mirrors the kernel's deterministic
 // enumeration: patterns with a literal label walk ascending key order (label
 // and tag filtering only skip candidates that would fail Pattern.match
 // anyway, so the key-ordered walk finds the same first match as the indexed
 // walk), while generic patterns walk the whole multiset in the same
 // state-derived rotated order as IterAllRot.
-func findMatchOracle(r *Reaction, m *multiset.Multiset) (*Match, error) {
+func findMatchOracle(r *Reaction, m *multiset.Multiset) (*oracleMatch, error) {
 	var cands, rotCands []multiset.Counted
 	m.IterAllRot(0, func(t multiset.Tuple, n int, key string) bool {
 		cands = append(cands, multiset.Counted{Tuple: t, N: n, Key: key})
@@ -31,7 +38,7 @@ func findMatchOracle(r *Reaction, m *multiset.Multiset) (*Match, error) {
 		return true
 	})
 	s := &oracleSearcher{r: r, cands: cands, rotCands: rotCands,
-		env:    make(expr.MapEnv),
+		env:    make(bindings),
 		used:   make(map[string]int),
 		chosen: make([]multiset.Tuple, len(r.Patterns)),
 	}
@@ -42,14 +49,14 @@ func findMatchOracle(r *Reaction, m *multiset.Multiset) (*Match, error) {
 	if !ok {
 		return nil, nil
 	}
-	return &Match{Chosen: s.chosen, Env: s.env, Branch: s.branch}, nil
+	return &oracleMatch{Chosen: s.chosen, Env: s.env, Branch: s.branch}, nil
 }
 
 type oracleSearcher struct {
 	r        *Reaction
 	cands    []multiset.Counted // ascending key order, for labeled patterns
 	rotCands []multiset.Counted // IterAllRot order, for generic patterns
-	env      expr.MapEnv
+	env      bindings
 	used     map[string]int
 	chosen   []multiset.Tuple
 	branch   int
@@ -205,12 +212,18 @@ func matchesInterpreter(t *testing.T, what string, r *Reaction, m *multiset.Mult
 			t.Fatalf("%s: chosen[%d]: oracle %s kernel %s", what, i, want.Chosen[i], got.Chosen[i])
 		}
 	}
-	if len(want.Env) != len(got.Env) {
-		t.Fatalf("%s: env size: oracle %v kernel %v", what, want.Env, got.Env)
+	nbound := 0
+	for _, v := range got.Env {
+		if v.IsValid() {
+			nbound++
+		}
+	}
+	if len(want.Env) != nbound {
+		t.Fatalf("%s: bound variables: oracle %v kernel %v", what, want.Env, got.Env)
 	}
 	for name, v := range want.Env {
-		if gv, ok := got.Env[name]; !ok || gv != v {
-			t.Fatalf("%s: env[%s]: oracle %s kernel %s", what, name, v, gv)
+		if gv, err := r.Compile(expr.Var{Name: name})(got.Env); err != nil || gv != v {
+			t.Fatalf("%s: env[%s]: oracle %s kernel %s (%v)", what, name, v, gv, err)
 		}
 	}
 
@@ -303,12 +316,23 @@ func TestKernelBacktrackClearsSlots(t *testing.T) {
 	if err != nil || match == nil {
 		t.Fatalf("match: (%v, %v)", match, err)
 	}
-	if got := match.Env["v"].AsInt(); got != 9 {
+	if got := bound(t, r, match, "v").AsInt(); got != 9 {
 		t.Fatalf("tag = %d, want 9 (stale binding from backtracked candidate?)", got)
 	}
-	if match.Env["x"].AsInt() != 2 || match.Env["y"].AsInt() != 3 {
+	if bound(t, r, match, "x").AsInt() != 2 || bound(t, r, match, "y").AsInt() != 3 {
 		t.Fatalf("bindings = %v", match.Env)
 	}
+}
+
+// bound reads variable name out of a FindMatch result for r, through the
+// kernel's slot layout (Reaction.Compile).
+func bound(t *testing.T, r *Reaction, match *Match, name string) value.Value {
+	t.Helper()
+	v, err := r.Compile(expr.Var{Name: name})(match.Env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v
 }
 
 // TestFindFiringNoMatchAllocationFree pins the owned-scratch property: a

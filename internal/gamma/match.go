@@ -11,10 +11,11 @@ import (
 // Match is one enabled application of a reaction: the concrete elements
 // chosen from the multiset, the variable bindings they induce, and the branch
 // that fired. Chosen holds the elements' own cells, as Ref.Tuple does: valid
-// until the commit after the one that consumes them.
+// until the commit after the one that consumes them. Env is the kernel's slot
+// environment, read through Reaction.Compile (an invalid Value is unbound).
 type Match struct {
 	Chosen []multiset.Tuple
-	Env    expr.MapEnv
+	Env    []value.Value
 	Branch int
 }
 
@@ -43,29 +44,26 @@ type Match struct {
 // label-free ones under the deterministic matcher, one rng draw per search
 // for seeded runs and the parts of a parallel one (see eachCandidate).
 //
-// FindMatch materializes the bindings into a MapEnv for its callers (tests,
-// Enabled, the dataflow equivalence checker) on scratch and a read session of
-// its own, released on every exit path, a panic out of a reaction condition
-// included; the step loop in run.go probes on the worker's searchers and keeps
-// the slot environment instead.
+// FindMatch probes on scratch of its own (probe) and hands its chosen tuples
+// and slot environment over; the step loop in run.go probes on the worker's
+// searchers and keeps them in place.
 func FindMatch(r *Reaction, m *multiset.Multiset, rng *rand.Rand) (*Match, error) {
-	var v multiset.View
-	s := newSearcher(r, &v)
-	s.begin(m, rng)
-	m.LockRead(&v)
-	defer v.Unlock()
-	if !s.search(0) {
+	s := newSearcher(r, new(multiset.View))
+	if !s.probe(m, rng) {
 		return nil, s.err
 	}
-	env := make(expr.MapEnv, len(s.k.varOf))
-	for slot, name := range s.k.varOf {
-		if v := s.env[slot]; v.IsValid() {
-			env[name] = v
-		}
-	}
-	chosen := make([]multiset.Tuple, len(s.chosen))
-	copy(chosen, s.chosen)
-	return &Match{Chosen: chosen, Env: env, Branch: s.branch}, nil
+	return &Match{Chosen: s.chosen, Env: s.env, Branch: s.branch}, nil
+}
+
+// probe runs one search of m under a read session of the searcher's own,
+// released on every exit path, a panic out of a reaction condition included,
+// and reports whether it found an enabled firing (s.err says whether a
+// condition failed).
+func (s *searcher) probe(m *multiset.Multiset, rng *rand.Rand) bool {
+	s.begin(m, rng)
+	m.LockRead(s.view)
+	defer s.view.Unlock()
+	return s.search(0)
 }
 
 // searcher is the reusable scratch of one reaction's match searches, owned by
@@ -76,7 +74,7 @@ type searcher struct {
 	k    *kernel
 	r    *Reaction
 	rng  *rand.Rand
-	view *multiset.View // the session candidates are enumerated through: the owning worker's, or FindMatch's own
+	view *multiset.View // the session candidates are enumerated through: the owning worker's, or probe's own
 	rot  uint64         // enumeration rotation of the current search; see eachCandidate
 	env  []value.Value  // slot-indexed bindings; invalid Value = unbound
 	// claims is the claim tracker: the handle of every occurrence the search
@@ -268,15 +266,17 @@ func labelChain(e expr.Expr, name string, labels *[]string) bool {
 }
 
 // Enabled reports whether any reaction of p has an enabled match on m — the
-// negation of Eq. 1's termination test (∀i ∀x ¬Ri(x...)).
+// negation of Eq. 1's termination test (∀i ∀x ¬Ri(x...)). Each reaction is
+// probed once on a searcher; no Match is built.
 func Enabled(p *Program, m *multiset.Multiset) (bool, error) {
+	var v multiset.View
 	for _, r := range p.Reactions {
-		match, err := FindMatch(r, m, nil)
-		if err != nil {
-			return false, err
-		}
-		if match != nil {
+		s := newSearcher(r, &v)
+		if s.probe(m, nil) {
 			return true, nil
+		}
+		if s.err != nil {
+			return false, s.err
 		}
 	}
 	return false, nil

@@ -21,6 +21,10 @@
 //   - ErrInvalid — the program or graph failed structural validation.
 //   - ErrParse — source text failed to parse (Fig. 3 grammar, dfir, the von
 //     Neumann mini language).
+//   - ErrEval — the program's own evaluation fault: a reaction condition or
+//     product, a vertex operator or a steer control that does not evaluate
+//     (a division by zero, an operator given kinds it does not take, a
+//     control with no truth value).
 //   - *PanicError — a worker recovered a panic out of a reaction action or
 //     vertex operation; carries the site identity and stack.
 //
@@ -43,6 +47,7 @@ var (
 	ErrDivergent = errors.New("execution divergent: no stable state within budget")
 	ErrInvalid   = errors.New("invalid program")
 	ErrParse     = errors.New("parse error")
+	ErrEval      = errors.New("evaluation error")
 )
 
 // Wrap returns a sentinel with its own message whose errors.Is chain
@@ -94,6 +99,7 @@ const (
 	CodeMaxSteps  = "max_steps"
 	CodeParse     = "parse"
 	CodeInvalid   = "invalid"
+	CodeEval      = "eval"
 	CodeInternal  = "internal"
 )
 
@@ -120,6 +126,8 @@ func Code(err error) string {
 		return CodeParse
 	case errors.Is(err, ErrInvalid):
 		return CodeInvalid
+	case errors.Is(err, ErrEval):
+		return CodeEval
 	default:
 		return CodeInternal
 	}
@@ -144,6 +152,8 @@ func FromCode(code string) error {
 		return ErrParse
 	case CodeInvalid:
 		return ErrInvalid
+	case CodeEval:
+		return ErrEval
 	}
 	return nil
 }

@@ -114,6 +114,7 @@ func TestCode(t *testing.T) {
 		{ErrDeadline, CodeDeadline},
 		{Mark(ErrDivergent, fmt.Errorf("wrap: %w", ErrMaxSteps)), CodeDivergent},
 		{NewPanicError("gamma", "R1", 2, "boom"), CodePanic},
+		{Mark(ErrEval, errors.New("value: division by zero")), CodeEval},
 	}
 	for _, c := range cases {
 		if got := Code(c.err); got != c.want {
@@ -126,7 +127,7 @@ func TestCode(t *testing.T) {
 // sentinel class, FromCode(Code(err)) yields an error the original satisfies
 // errors.Is against, so remote errors route exactly like local ones.
 func TestFromCodeRoundTrip(t *testing.T) {
-	for _, class := range []error{ErrMaxSteps, ErrCanceled, ErrDeadline, ErrDivergent, ErrParse, ErrInvalid} {
+	for _, class := range []error{ErrMaxSteps, ErrCanceled, ErrDeadline, ErrDivergent, ErrParse, ErrInvalid, ErrEval} {
 		err := Mark(class, errors.New("detail"))
 		back := FromCode(Code(err))
 		if back == nil {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -180,6 +181,31 @@ edge m sub:0 -> out
 	out := resp.Result.Outputs["m"]
 	if len(out) != 1 || !strings.HasPrefix(out[0], "0@") {
 		t.Fatalf("output m = %v, want one token 0@tag", out)
+	}
+}
+
+// TestEvalFaultCode: a program's own evaluation fault is the program's, not
+// the server's — a Γ product dividing by zero and a dataflow vertex doing the
+// same, submitted through Server.Submit and over HTTP, fail with code eval
+// and status 422, and the wire error routes back to rt.ErrEval.
+func TestEvalFaultCode(t *testing.T) {
+	s, ts := newTestServer(t, Config{Pool: 1})
+	for _, req := range []schema.RunRequest{
+		schema.NewGammaRequest("R = replace [x] by [x / 0]", "{[1]}", schema.RunSpec{}),
+		schema.NewGraphRequest("graph g\nconst x = 1\narith d / imm 0\nedge a x:0 -> d:0\nedge m d:0 -> out\n", schema.RunSpec{}),
+	} {
+		r, err := s.Submit(&req, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		<-r.Done()
+		if !errors.Is(r.Err(), rt.ErrEval) {
+			t.Errorf("%s run: Submit's run err = %v, want rt.ErrEval", req.Kind, r.Err())
+		}
+		hres, resp := postRun(t, ts, req, "?wait=true", "")
+		if hres.StatusCode != http.StatusUnprocessableEntity || resp.Error == nil || resp.Error.Code != rt.CodeEval || !errors.Is(resp.Error.Err(), rt.ErrEval) {
+			t.Errorf("%s run over HTTP: status %d, error %+v, want 422 code eval", req.Kind, hres.StatusCode, resp.Error)
+		}
 	}
 }
 

@@ -22,6 +22,14 @@ type DivisionByZero struct{ Op string }
 
 func (e *DivisionByZero) Error() string { return "value: " + e.Op + " by zero" }
 
+// TruthError reports a value read as a condition or control that has no
+// truth value (Truthy on a string).
+type TruthError struct{ V Value }
+
+func (e *TruthError) Error() string {
+	return fmt.Sprintf("value: %s value %s has no truth value", e.V.kind, e.V)
+}
+
 func numericPair(a, b Value) bool { return a.IsNumeric() && b.IsNumeric() }
 
 // bothInt reports whether both operands are integers (no promotion needed).

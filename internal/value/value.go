@@ -149,9 +149,15 @@ func (v Value) Truthy() (bool, error) {
 	case KindFloat:
 		return v.f() != 0, nil
 	default:
-		return false, fmt.Errorf("value: %s value %s has no truth value", v.kind, v)
+		return false, truthError(v)
 	}
 }
+
+// truthError is Truthy's error, out of line: Truthy inlines into the engines'
+// steer and condition paths, whose frames it would otherwise grow.
+//
+//go:noinline
+func truthError(v Value) error { return &TruthError{V: v} }
 
 // String renders v in source form, which Parse reads back: integers and
 // floats as literals (NaN, +Inf and -Inf by strconv's names), booleans as
